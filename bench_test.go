@@ -310,10 +310,11 @@ func BenchmarkExecute(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteVectorized measures the batch executor against the
-// row-at-a-time serial twin on the same join+aggregate plan. The two arms
-// produce byte-identical results (pinned by the exec equivalence tests); the
-// delta is the vectorization win.
+// BenchmarkExecuteVectorized measures the batch kernels against the row-loop
+// reference on the same join+aggregate plan. The two arms produce
+// byte-identical results (pinned by the exec equivalence tests); the delta is
+// the vectorization win. Neither arm starts goroutines, so -cpu must not move
+// either.
 func BenchmarkExecuteVectorized(b *testing.B) {
 	root, cat := benchPlan(b)
 	for _, arm := range []struct {
@@ -321,6 +322,7 @@ func BenchmarkExecuteVectorized(b *testing.B) {
 		vec  bool
 	}{{"row", false}, {"batch", true}} {
 		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ex := &exec.Executor{Catalog: cat, Vectorized: arm.vec}
 				if _, err := ex.Run(root); err != nil {

@@ -101,28 +101,41 @@ func main() {
 	fmt.Printf("cvbenchgate: allocation gate passed (%s*, tolerance %.0f%%)\n", *gate, *maxRegress*100)
 }
 
-// gateAllocs compares every gated baseline entry against the fresh results.
-// A gated benchmark missing from the fresh run fails the gate — silently
-// dropping an arm must not pass.
+// baseName strips the "-N" GOMAXPROCS suffix `go test` appends to a benchmark
+// name whenever N > 1, so a baseline matches runs on any core count and every
+// arm of a -cpu list.
+func baseName(name string) string {
+	if s := strings.TrimRight(name, "0123456789"); s != name && strings.HasSuffix(s, "-") {
+		return s[:len(s)-1]
+	}
+	return name
+}
+
+// gateAllocs compares every gated baseline entry against the fresh results
+// of the same base name (see baseName), each -cpu arm on its own. A gated
+// benchmark missing from the fresh run fails the gate — silently dropping an
+// arm must not pass.
 func gateAllocs(base, cur []Result, prefix string, tolerance float64) []string {
-	byName := make(map[string]Result, len(cur))
+	byName := make(map[string][]Result, len(cur))
 	for _, r := range cur {
-		byName[r.Name] = r
+		k := baseName(r.Name)
+		byName[k] = append(byName[k], r)
 	}
 	var failures []string
 	for _, b := range base {
 		if !strings.HasPrefix(b.Name, prefix) || !b.HasAllocs {
 			continue
 		}
-		c, ok := byName[b.Name]
-		if !ok {
+		matches := byName[baseName(b.Name)]
+		if len(matches) == 0 {
 			failures = append(failures, fmt.Sprintf("%s: present in baseline but missing from this run", b.Name))
-			continue
 		}
 		limit := b.AllocsPerOp * (1 + tolerance)
-		if c.AllocsPerOp > limit {
-			failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f by more than %.0f%% (limit %.1f)",
-				b.Name, c.AllocsPerOp, b.AllocsPerOp, tolerance*100, limit))
+		for _, c := range matches {
+			if c.AllocsPerOp > limit {
+				failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f by more than %.0f%% (limit %.1f)",
+					c.Name, c.AllocsPerOp, b.AllocsPerOp, tolerance*100, limit))
+			}
 		}
 	}
 	return failures

@@ -273,18 +273,14 @@ type Executor struct {
 	// this job is charged only the transfer (paper §5.4, reuse in
 	// concurrent queries without pre-materialization).
 	PipelineSharing bool
-	// Parallelism bounds the intra-operator worker count for partitioned
-	// hash-join and hash-aggregate execution. 0 means GOMAXPROCS (capped);
-	// 1 forces fully serial execution. Parallel plans produce byte-identical
-	// results to serial execution: partitioning is hash-based and outputs are
-	// reassembled in the serial emission order.
-	Parallelism int
-	// Vectorized switches the serial operator paths to typed-column batch
-	// kernels (batchSize rows per call, selection bitmaps). The row-at-a-time
-	// path is kept as the serial twin: kernels reproduce Value semantics
-	// bit-for-bit and fall back to the row path per operator whenever an
-	// expression, type, or NULL pattern is outside kernel coverage (see
-	// vec.go), so results are byte-identical either way.
+	// Vectorized runs filter, project, join keys, aggregate, sort and sample
+	// on typed-column batch kernels (batchSize rows per call) at every input
+	// size; production sets it. Kernels reproduce Value semantics bit-for-bit
+	// and decline per operator whatever they cannot compile — an expression,
+	// type, or NULL pattern outside kernel coverage (see vec.go) — leaving
+	// that operator to the row loops in this file. With Vectorized false
+	// every operator takes the row loop: the reference the equivalence tests
+	// compare the kernels against.
 	Vectorized bool
 	// Metrics, when set, receives execution totals (cache hits, work,
 	// bytes read) once per Run.
@@ -564,12 +560,8 @@ func (ex *Executor) evalFilter(x *plan.Filter) (nodeResult, error) {
 		return nodeResult{}, err
 	}
 	out := data.NewTable(in.table.Schema)
-	var batches int64
-	if ex.parallelOK(in.table.NumRows(), x.Pred) {
-		ex.parallelFilter(in.table, x.Pred, out)
-	} else if nb, ok := ex.vecFilter(in.table, x.Pred, out); ok {
-		batches = nb
-	} else {
+	batches, ok := ex.vecFilter(in.table, x.Pred, out)
+	if !ok {
 		for _, row := range in.table.Rows {
 			if v := x.Pred.Eval(row, ex.Ctx); v.Kind == data.KindBool && v.B {
 				out.Append(row)
@@ -587,12 +579,8 @@ func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
 		return nodeResult{}, err
 	}
 	out := data.NewTable(x.Schema())
-	var batches int64
-	if ex.parallelOK(in.table.NumRows(), x.Exprs...) {
-		ex.parallelProject(in.table, x.Exprs, out)
-	} else if nb, ok := ex.vecProject(in.table, x.Exprs, out); ok {
-		batches = nb
-	} else {
+	batches, ok := ex.vecProject(in.table, x.Exprs, out)
+	if !ok {
 		for _, row := range in.table.Rows {
 			nr := make(data.Row, len(x.Exprs))
 			for i, e := range x.Exprs {
@@ -675,32 +663,28 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 	var batches int64
 	switch algo {
 	case plan.JoinHash:
-		if ex.parallelOK(l.table.NumRows()+r.table.NumRows(), joinExprs(x)...) {
-			ex.parallelHashJoin(l.table, r.table, x, out)
-		} else {
-			lKeys, lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys)
-			rKeys, rb, rok := ex.vecJoinKeys(r.table, x.RightKeys)
-			batches = lb + rb
-			build := make(map[string][]data.Row, r.table.NumRows())
-			for ri, rr := range r.table.Rows {
-				var k string
-				if rok {
-					k = rKeys[ri]
-				} else {
-					k = ex.joinKey(rr, x.RightKeys)
-				}
-				build[k] = append(build[k], rr)
+		lKeys, lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys)
+		rKeys, rb, rok := ex.vecJoinKeys(r.table, x.RightKeys)
+		batches = lb + rb
+		build := make(map[string][]data.Row, r.table.NumRows())
+		for ri, rr := range r.table.Rows {
+			var k string
+			if rok {
+				k = rKeys[ri]
+			} else {
+				k = ex.joinKey(rr, x.RightKeys)
 			}
-			for li, lr := range l.table.Rows {
-				var k string
-				if lok {
-					k = lKeys[li]
-				} else {
-					k = ex.joinKey(lr, x.LeftKeys)
-				}
-				for _, rr := range build[k] {
-					emit(lr, rr)
-				}
+			build[k] = append(build[k], rr)
+		}
+		for li, lr := range l.table.Rows {
+			var k string
+			if lok {
+				k = lKeys[li]
+			} else {
+				k = ex.joinKey(lr, x.LeftKeys)
+			}
+			for _, rr := range build[k] {
+				emit(lr, rr)
 			}
 		}
 		work = (lRows + rRows) * costHashRow
@@ -820,14 +804,11 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 
 	schema := x.Schema()
 	out := data.NewTable(schema)
-	var batches int64
-	if ex.parallelOK(in.table.NumRows(), aggExprs(x)...) {
-		ex.parallelHashAggregate(in.table, x, out)
-	} else if nb, ok := ex.vecAggregate(in.table, x, schema, out); ok {
-		batches = nb
-	} else {
+	batches, ok := ex.vecAggregate(in.table, x, schema, out)
+	if !ok {
 		states := make(map[string]*aggState)
 		var order []string
+		args := make([]data.Value, len(x.Aggs))
 		for _, row := range in.table.Rows {
 			key, groupVals := ex.groupKey(row, x)
 			st, ok := states[key]
@@ -836,7 +817,12 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 				states[key] = st
 				order = append(order, key)
 			}
-			st.accumulate(row, x, ex.Ctx)
+			for i, spec := range x.Aggs {
+				if spec.Arg != nil {
+					args[i] = spec.Arg.Eval(row, ex.Ctx)
+				}
+			}
+			st.accumulate(x, args)
 		}
 		for _, key := range order {
 			out.Append(states[key].outputRow(x, schema))
@@ -853,6 +839,100 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	}
 	ex.record(NodeStat{Node: x, Op: "Aggregate", RowsOut: logicalRows(out, outMult), BytesOut: logicalBytes(out, outMult), Work: work, Batches: batches})
 	return nodeResult{table: out, mult: outMult}, nil
+}
+
+// aggState accumulates one group's aggregates.
+type aggState struct {
+	groupVals data.Row
+	sums      []float64
+	counts    []int64
+	mins      []data.Value
+	maxs      []data.Value
+}
+
+func newAggState(groupVals data.Row, nAggs int) *aggState {
+	st := &aggState{
+		groupVals: groupVals,
+		sums:      make([]float64, nAggs),
+		counts:    make([]int64, nAggs),
+		mins:      make([]data.Value, nAggs),
+		maxs:      make([]data.Value, nAggs),
+	}
+	for i := range st.mins {
+		st.mins[i] = data.Null()
+		st.maxs[i] = data.Null()
+	}
+	return st
+}
+
+// accumulate folds one input row into the group. args[i] is the row's value
+// of x.Aggs[i].Arg, already evaluated by the caller (the row loop through
+// Eval, the kernels through their result columns) and ignored where Arg is
+// nil, so both callers share this one body.
+func (st *aggState) accumulate(x *plan.Aggregate, args []data.Value) {
+	for i, spec := range x.Aggs {
+		v := args[i]
+		if spec.Arg != nil && v.IsNull() && spec.Kind != plan.AggCount {
+			continue
+		}
+		switch spec.Kind {
+		case plan.AggCount:
+			st.counts[i]++
+		case plan.AggSum, plan.AggAvg:
+			st.sums[i] += v.AsFloat()
+			st.counts[i]++
+		case plan.AggMin:
+			if st.mins[i].IsNull() || v.Compare(st.mins[i]) < 0 {
+				st.mins[i] = v
+			}
+		case plan.AggMax:
+			if st.maxs[i].IsNull() || v.Compare(st.maxs[i]) > 0 {
+				st.maxs[i] = v
+			}
+		}
+	}
+}
+
+func (st *aggState) outputRow(x *plan.Aggregate, schema data.Schema) data.Row {
+	row := make(data.Row, 0, len(schema))
+	row = append(row, st.groupVals...)
+	for i, spec := range x.Aggs {
+		switch spec.Kind {
+		case plan.AggCount:
+			row = append(row, data.Int(st.counts[i]))
+		case plan.AggSum:
+			if spec.Arg != nil && spec.Arg.Kind() == data.KindInt {
+				row = append(row, data.Int(int64(st.sums[i])))
+			} else {
+				row = append(row, data.Float(st.sums[i]))
+			}
+		case plan.AggAvg:
+			if st.counts[i] == 0 {
+				row = append(row, data.Null())
+			} else {
+				row = append(row, data.Float(st.sums[i]/float64(st.counts[i])))
+			}
+		case plan.AggMin:
+			row = append(row, st.mins[i])
+		case plan.AggMax:
+			row = append(row, st.maxs[i])
+		}
+	}
+	return row
+}
+
+// groupKey computes one row's group key and values, using the same
+// collision-free length-prefixed encoding as joinKey (keys.go).
+func (ex *Executor) groupKey(row data.Row, x *plan.Aggregate) (string, data.Row) {
+	groupVals := make(data.Row, len(x.GroupBy))
+	var buf [64]byte
+	key := buf[:0]
+	for i, g := range x.GroupBy {
+		v := g.Eval(row, ex.Ctx)
+		groupVals[i] = v
+		key = appendKeyValue(key, v)
+	}
+	return string(key), groupVals
 }
 
 func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {

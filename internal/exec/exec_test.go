@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"cloudviews/internal/data"
@@ -283,6 +284,62 @@ func TestResultCacheReplay(t *testing.T) {
 	}
 	if r1.TotalWork != r2.TotalWork {
 		t.Errorf("replayed accounting differs: %g vs %g", r1.TotalWork, r2.TotalWork)
+	}
+}
+
+// TestCacheConcurrentAccess hammers one shared result cache from many
+// goroutines executing overlapping plans — the shape of concurrent job
+// submission. Run under -race.
+func TestCacheConcurrentAccess(t *testing.T) {
+	cat, err := fixtures.Retail(fixtures.RetailConfig{Customers: 500, Parts: 30, Sales: 4000, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := exec.NewCache()
+	signer := &signature.Signer{EngineVersion: "cache-test"}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	fps := make([]string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Every goroutine runs the same overlapping query; all of them
+			// race to populate and read the shared cache.
+			q, err := sqlparser.ParseQuery(`SELECT CustomerId, SUM(Price) AS s FROM Sales WHERE Quantity > 1 GROUP BY CustomerId`)
+			if err != nil {
+				errs <- err
+				return
+			}
+			b := &plan.Binder{Catalog: cat}
+			n, err := b.BindQuery(q)
+			if err != nil {
+				errs <- err
+				return
+			}
+			ex := &exec.Executor{Catalog: cat, Cache: cache, SigMap: signer.Physical(n)}
+			res, err := ex.Run(n)
+			if err != nil {
+				errs <- err
+				return
+			}
+			fps[g] = res.Table.Fingerprint()
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for g := 1; g < goroutines; g++ {
+		if fps[g] != fps[0] {
+			t.Fatalf("goroutine %d saw a different result", g)
+		}
+	}
+	if cache.Len() == 0 {
+		t.Error("cache should have been populated")
 	}
 }
 

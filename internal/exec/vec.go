@@ -1,15 +1,14 @@
 // Vectorized expression evaluation: typed column vectors, a small expression
-// compiler, and window-at-a-time kernels. The contract with the row-at-a-time
-// serial twin is BIT-IDENTICAL results: every kernel reproduces the exact
+// compiler, and window-at-a-time kernels. The contract with the row loops in
+// exec.go is BIT-IDENTICAL results: every kernel reproduces the exact
 // Value semantics of plan.Binary/Unary.Eval (float-compare ordering for all
 // numerics, exact int equality for same-kind ints, NULL comparisons yielding
 // false, NULL-as-zero arithmetic, Float-or-NULL division). Anything outside
 // kernel coverage — Calls (including all nondeterministic builtins, whose
 // PRNG consumption order must match the row path), LIKE, string arithmetic
 // beyond concatenation, NULL constants, or columns whose cells don't match
-// their declared schema kind — makes compilation or extraction fail and the
-// operator falls back to the row path, preserving correctness by
-// construction.
+// their declared schema kind — makes compilation fail and the operator falls
+// back to the row path, preserving correctness by construction.
 package exec
 
 import (
@@ -108,52 +107,65 @@ func (c *vcol) intsView(scratch []int64, n int) []int64 {
 	return scratch[:0]
 }
 
-// extractCols decomposes a row-oriented table into full-height typed columns.
-// ok=false (fall back to the row path) when any cell's runtime kind differs
-// from the declared schema kind — which also covers NULL cells, so kernels
-// never see NULL inputs except through their own null masks.
-func extractCols(t *data.Table) ([]vcol, bool) {
-	n := len(t.Rows)
-	cols := make([]vcol, len(t.Schema))
-	for j, col := range t.Schema {
-		c := &cols[j]
-		c.kind = col.Kind
-		switch col.Kind {
+// inputCols decomposes a row-oriented table into full-height typed columns,
+// each one copied when the first ColRef compiles against it. Columns no
+// expression references are never copied: kernels cannot read them, and
+// operators that keep input rows pass them through by reference.
+type inputCols struct {
+	t    *data.Table
+	cols []vcol // cols[j].kind stays KindNull until column j is extracted
+}
+
+func newInputCols(t *data.Table) *inputCols {
+	return &inputCols{t: t, cols: make([]vcol, len(t.Schema))}
+}
+
+// col returns column j, extracting it on first use. ok=false (fall back to
+// the row path) when a row's length differs from the schema's or a cell's
+// runtime kind differs from the declared schema kind — which also covers NULL
+// cells, so kernels never see NULL inputs except through their own null masks.
+func (in *inputCols) col(j int) (*vcol, bool) {
+	if j < 0 || j >= len(in.cols) {
+		return nil, false
+	}
+	if in.cols[j].kind != data.KindNull {
+		return &in.cols[j], true
+	}
+	n := len(in.t.Rows)
+	c := vcol{kind: in.t.Schema[j].Kind}
+	switch c.kind {
+	case data.KindInt, data.KindTime:
+		c.ints = make([]int64, n)
+	case data.KindFloat:
+		c.fs = make([]float64, n)
+	case data.KindString:
+		c.ss = make([]string, n)
+	case data.KindBool:
+		c.bs = make([]bool, n)
+	default:
+		return nil, false
+	}
+	for i, row := range in.t.Rows {
+		if len(row) != len(in.cols) {
+			return nil, false
+		}
+		v := row[j]
+		if v.Kind != c.kind {
+			return nil, false
+		}
+		switch c.kind {
 		case data.KindInt, data.KindTime:
-			c.ints = make([]int64, n)
+			c.ints[i] = v.I
 		case data.KindFloat:
-			c.fs = make([]float64, n)
+			c.fs[i] = v.F
 		case data.KindString:
-			c.ss = make([]string, n)
+			c.ss[i] = v.S
 		case data.KindBool:
-			c.bs = make([]bool, n)
-		default:
-			return nil, false
+			c.bs[i] = v.B
 		}
 	}
-	for i, row := range t.Rows {
-		if len(row) != len(t.Schema) {
-			return nil, false
-		}
-		for j := range cols {
-			c := &cols[j]
-			v := row[j]
-			if v.Kind != c.kind {
-				return nil, false
-			}
-			switch c.kind {
-			case data.KindInt, data.KindTime:
-				c.ints[i] = v.I
-			case data.KindFloat:
-				c.fs[i] = v.F
-			case data.KindString:
-				c.ss[i] = v.S
-			case data.KindBool:
-				c.bs[i] = v.B
-			}
-		}
-	}
-	return cols, true
+	in.cols[j] = c
+	return &in.cols[j], true
 }
 
 // vnode is one compiled expression node. run fills out[0:n] for the window
@@ -182,16 +194,15 @@ func (p *vecProg) eval(lo, n int) *vcol {
 }
 
 type vecCompiler struct {
-	cols  []vcol
-	ctx   *plan.EvalContext
+	in    *inputCols
 	nodes []*vnode
 }
 
-// compileVec compiles e against the extracted input columns. ok=false means
-// the expression is outside kernel coverage and the caller must use the row
-// path.
-func compileVec(e plan.Expr, cols []vcol, ctx *plan.EvalContext) (*vecProg, bool) {
-	vc := &vecCompiler{cols: cols, ctx: ctx}
+// compileVec compiles e against the input columns, extracting the ones it
+// references. ok=false means the expression or a referenced column is outside
+// kernel coverage and the caller must use the row path.
+func compileVec(e plan.Expr, in *inputCols) (*vecProg, bool) {
+	vc := &vecCompiler{in: in}
 	root, ok := vc.compile(e)
 	if !ok {
 		return nil, false
@@ -207,10 +218,10 @@ func (vc *vecCompiler) add(n *vnode) *vnode {
 func (vc *vecCompiler) compile(e plan.Expr) (*vnode, bool) {
 	switch x := e.(type) {
 	case *plan.ColRef:
-		if x.Index < 0 || x.Index >= len(vc.cols) {
+		src, ok := vc.in.col(x.Index)
+		if !ok {
 			return nil, false
 		}
-		src := &vc.cols[x.Index]
 		nd := &vnode{}
 		nd.out.kind = src.kind
 		nd.run = func(lo, n int) {

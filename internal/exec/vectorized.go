@@ -1,8 +1,10 @@
 // Batch operator implementations over the typed column vectors of vec.go.
 // Every function returns (batches, ok); ok=false means the operator must run
-// on the row-at-a-time serial twin (executor not in vectorized mode, column
-// extraction failed, or an expression is outside kernel coverage). Output
-// rows, output ORDER, and all accounting are byte-identical to the row path.
+// on the row loop in exec.go (executor not in vectorized mode, a referenced
+// column failed extraction, or an expression is outside kernel coverage).
+// Everything compiles before anything evaluates, so a declined operator has
+// consumed nothing. Output rows, output ORDER, and all accounting are
+// byte-identical to the row loop.
 package exec
 
 import (
@@ -12,6 +14,27 @@ import (
 	"cloudviews/internal/data"
 	"cloudviews/internal/plan"
 )
+
+// compileAll compiles every expression against in, which shares one
+// extraction of each referenced column among them.
+func compileAll(in *inputCols, exprs []plan.Expr) ([]*vecProg, bool) {
+	progs := make([]*vecProg, len(exprs))
+	for i, e := range exprs {
+		p, ok := compileVec(e, in)
+		if !ok {
+			return nil, false
+		}
+		progs[i] = p
+	}
+	return progs, true
+}
+
+// evalAll runs every program for the window [lo, lo+w) into roots.
+func evalAll(progs []*vecProg, roots []*vcol, lo, w int) {
+	for i, p := range progs {
+		roots[i] = p.eval(lo, w)
+	}
+}
 
 // vecFilter evaluates pred in batchSize windows, collecting survivors through
 // a selection bitmap. Row slices are appended by reference, exactly like the
@@ -24,11 +47,7 @@ func (ex *Executor) vecFilter(t *data.Table, pred plan.Expr, out *data.Table) (i
 	if n == 0 {
 		return 0, true
 	}
-	cols, ok := extractCols(t)
-	if !ok {
-		return 0, false
-	}
-	prog, ok := compileVec(pred, cols, ex.Ctx)
+	prog, ok := compileVec(pred, newInputCols(t))
 	if !ok || prog.root.out.kind != data.KindBool {
 		return 0, false
 	}
@@ -62,25 +81,15 @@ func (ex *Executor) vecProject(t *data.Table, exprs []plan.Expr, out *data.Table
 	if n == 0 {
 		return 0, true
 	}
-	cols, ok := extractCols(t)
+	progs, ok := compileAll(newInputCols(t), exprs)
 	if !ok {
 		return 0, false
 	}
-	progs := make([]*vecProg, len(exprs))
-	for i, e := range exprs {
-		p, ok := compileVec(e, cols, ex.Ctx)
-		if !ok {
-			return 0, false
-		}
-		progs[i] = p
-	}
+	roots := make([]*vcol, len(progs))
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
-		roots := make([]*vcol, len(progs))
-		for i, p := range progs {
-			roots[i] = p.eval(lo, w)
-		}
+		evalAll(progs, roots, lo, w)
 		for i := 0; i < w; i++ {
 			nr := make(data.Row, len(exprs))
 			for j, rc := range roots {
@@ -105,27 +114,17 @@ func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr) ([]string, int6
 	if n == 0 {
 		return nil, 0, true
 	}
-	cols, ok := extractCols(t)
+	progs, ok := compileAll(newInputCols(t), keys)
 	if !ok {
 		return nil, 0, false
 	}
-	progs := make([]*vecProg, len(keys))
-	for i, e := range keys {
-		p, ok := compileVec(e, cols, ex.Ctx)
-		if !ok {
-			return nil, 0, false
-		}
-		progs[i] = p
-	}
 	outKeys := make([]string, n)
+	roots := make([]*vcol, len(progs))
 	var buf [64]byte
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
-		roots := make([]*vcol, len(progs))
-		for i, p := range progs {
-			roots[i] = p.eval(lo, w)
-		}
+		evalAll(progs, roots, lo, w)
 		for i := 0; i < w; i++ {
 			kb := buf[:0]
 			for _, rc := range roots {
@@ -138,10 +137,10 @@ func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr) ([]string, int6
 	return outKeys, batches, true
 }
 
-// vecAggregate is the vectorized serial hash aggregate: group-by and
+// vecAggregate is the vectorized hash aggregate: group-by and
 // aggregate-argument expressions evaluate per window, then rows accumulate in
-// input order into the same aggState used by the row and parallel paths
-// (identical float summation order, identical group discovery order).
+// input order into the same aggState as the row loop (identical float
+// summation order, identical group discovery order).
 func (ex *Executor) vecAggregate(t *data.Table, x *plan.Aggregate, schema data.Schema, out *data.Table) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false
@@ -150,44 +149,34 @@ func (ex *Executor) vecAggregate(t *data.Table, x *plan.Aggregate, schema data.S
 	if n == 0 {
 		return 0, false
 	}
-	cols, ok := extractCols(t)
+	in := newInputCols(t)
+	groupProgs, ok := compileAll(in, x.GroupBy)
 	if !ok {
 		return 0, false
 	}
-	groupProgs := make([]*vecProg, len(x.GroupBy))
-	for i, g := range x.GroupBy {
-		p, ok := compileVec(g, cols, ex.Ctx)
-		if !ok {
-			return 0, false
-		}
-		groupProgs[i] = p
-	}
-	argProgs := make([]*vecProg, len(x.Aggs))
-	for i, spec := range x.Aggs {
+	argProgs := make([]*vecProg, len(x.Aggs)) // nil where Arg is nil
+	for j, spec := range x.Aggs {
 		if spec.Arg == nil {
 			continue
 		}
-		p, ok := compileVec(spec.Arg, cols, ex.Ctx)
-		if !ok {
+		if argProgs[j], ok = compileVec(spec.Arg, in); !ok {
 			return 0, false
 		}
-		argProgs[i] = p
 	}
 
 	states := make(map[string]*aggState)
-	var order []string
+	var order []*aggState
 	var buf [64]byte
 	groupRoots := make([]*vcol, len(groupProgs))
 	argRoots := make([]*vcol, len(argProgs))
+	args := make([]data.Value, len(x.Aggs))
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
-		for i, p := range groupProgs {
-			groupRoots[i] = p.eval(lo, w)
-		}
-		for i, p := range argProgs {
+		evalAll(groupProgs, groupRoots, lo, w)
+		for j, p := range argProgs {
 			if p != nil {
-				argRoots[i] = p.eval(lo, w)
+				argRoots[j] = p.eval(lo, w)
 			}
 		}
 		for i := 0; i < w; i++ {
@@ -202,40 +191,20 @@ func (ex *Executor) vecAggregate(t *data.Table, x *plan.Aggregate, schema data.S
 					groupVals[j] = rc.value(i)
 				}
 				st = newAggState(groupVals, len(x.Aggs))
-				key := string(kb)
-				states[key] = st
-				order = append(order, key)
+				states[string(kb)] = st
+				order = append(order, st)
 			}
-			// Mirror of aggState.accumulate with pre-evaluated arguments.
-			for j, spec := range x.Aggs {
-				var v data.Value
-				if spec.Arg != nil {
-					v = argRoots[j].value(i)
-					if v.IsNull() && spec.Kind != plan.AggCount {
-						continue
-					}
-				}
-				switch spec.Kind {
-				case plan.AggCount:
-					st.counts[j]++
-				case plan.AggSum, plan.AggAvg:
-					st.sums[j] += v.AsFloat()
-					st.counts[j]++
-				case plan.AggMin:
-					if st.mins[j].IsNull() || v.Compare(st.mins[j]) < 0 {
-						st.mins[j] = v
-					}
-				case plan.AggMax:
-					if st.maxs[j].IsNull() || v.Compare(st.maxs[j]) > 0 {
-						st.maxs[j] = v
-					}
+			for j, rc := range argRoots {
+				if rc != nil {
+					args[j] = rc.value(i)
 				}
 			}
+			st.accumulate(x, args)
 		}
 		batches++
 	}
-	for _, key := range order {
-		out.Append(states[key].outputRow(x, schema))
+	for _, st := range order {
+		out.Append(st.outputRow(x, schema))
 	}
 	return batches, true
 }
@@ -281,17 +250,9 @@ func (ex *Executor) vecSort(t *data.Table, x *plan.Sort, out *data.Table) (int64
 	if n == 0 {
 		return 0, false
 	}
-	cols, ok := extractCols(t)
+	progs, ok := compileAll(newInputCols(t), x.Keys)
 	if !ok {
 		return 0, false
-	}
-	progs := make([]*vecProg, len(x.Keys))
-	for i, k := range x.Keys {
-		p, ok := compileVec(k, cols, ex.Ctx)
-		if !ok {
-			return 0, false
-		}
-		progs[i] = p
 	}
 	// Full-height key columns, copied window by window out of the kernels.
 	keyCols := make([]vcol, len(progs))

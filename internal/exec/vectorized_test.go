@@ -14,9 +14,11 @@ import (
 	"cloudviews/internal/sqlparser"
 )
 
-// vecEquivalenceQueries is the lock-step corpus: every operator the vectorized
-// path touches, plus expressions that must fall back (LIKE, Calls, string
-// arithmetic on mixed kinds) so the dispatch seam itself is exercised.
+// vecEquivalenceQueries is the lock-step corpus: every operator the kernels
+// implement, plus expressions they must decline (LIKE, Calls, string
+// arithmetic on mixed kinds) so the per-operator fallback itself is exercised.
+// RANDOM() consumes the per-job PRNG in row order: with the same seed the
+// declined filter keeps the same rows as the reference.
 var vecEquivalenceQueries = []string{
 	`SELECT * FROM Sales WHERE Price > 50`,
 	`SELECT * FROM Sales WHERE Price > 50 AND Quantity < 5`,
@@ -41,7 +43,16 @@ var vecEquivalenceQueries = []string{
 	`SELECT DISTINCT MktSegment FROM Customer`,
 	`SELECT MktSegment, COUNT(*) AS n FROM Customer GROUP BY MktSegment HAVING n > 10`,
 	`SELECT x FROM (SELECT SaleId AS x FROM Sales WHERE Price > 20) AS sub WHERE x % 2 = 0`,
+	`SELECT SaleId, Price * Quantity AS revenue, Discount + 1.0 AS d FROM Sales`,
+	`SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id AND Sales.Quantity > 2`,
+	`SELECT CustomerId, COUNT(*) AS n, SUM(Price) AS total, AVG(Discount) AS avgd, MIN(Quantity) AS mn, MAX(Quantity) AS mx FROM Sales GROUP BY CustomerId`,
+	`SELECT MktSegment, COUNT(*) AS n FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id GROUP BY MktSegment`,
+	`SELECT DISTINCT CustomerId FROM Sales`,
+	`SELECT CustomerId, SUM(Price*Quantity) AS rev FROM Sales WHERE Discount < 0.3 GROUP BY CustomerId ORDER BY rev DESC`,
+	randomFilterQuery,
 }
+
+const randomFilterQuery = `SELECT SaleId FROM Sales WHERE RANDOM() < 0.5`
 
 // adversarialQueries run against a hand-built table holding separator bytes,
 // extreme numerics, times, bools, and NULL-producing expressions.
@@ -59,9 +70,9 @@ var adversarialQueries = []string{
 	`SELECT * FROM Adv SAMPLE 50 PERCENT`,
 }
 
-func adversarialCatalog(t *testing.T) *catalog.Catalog {
+func adversarialCatalog(t *testing.T, cfg fixtures.RetailConfig) *catalog.Catalog {
 	t.Helper()
-	cat, err := fixtures.Retail(fixtures.DefaultRetail())
+	cat, err := fixtures.Retail(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,42 +190,63 @@ func runBoth(t *testing.T, cat *catalog.Catalog, src string) (*exec.RunResult, *
 	return row, vec
 }
 
-// TestVectorizedRowEquivalence is the serial-twin proof: every corpus query
-// produces byte-identical tables and accounting on both paths.
+// TestVectorizedRowEquivalence is the one equivalence suite: every corpus
+// query produces byte-identical tables and accounting from the kernels and
+// from the row-loop reference, on inputs below, at and across the batch size.
 func TestVectorizedRowEquivalence(t *testing.T) {
-	cat := adversarialCatalog(t)
-	for _, src := range append(append([]string{}, vecEquivalenceQueries...), adversarialQueries...) {
-		row, vec := runBoth(t, cat, src)
-		requireRunsEqual(t, src, row, vec)
+	for _, sales := range []int{0, 1, 1023, 1024, 1025, 12000} {
+		cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: sales/3 + 1, Parts: 50, Sales: sales, Seed: 42})
+		for _, src := range append(append([]string{}, vecEquivalenceQueries...), adversarialQueries...) {
+			row, vec := runBoth(t, cat, src)
+			requireRunsEqual(t, fmt.Sprintf("%d sales: %s", sales, src), row, vec)
+		}
 	}
 }
 
-// TestVectorizedActuallyVectorizes guards the equivalence corpus against
-// becoming vacuous: the common filter/project/aggregate/join/sort/sample
-// shapes must actually take the batch path.
-func TestVectorizedActuallyVectorizes(t *testing.T) {
-	cat := adversarialCatalog(t)
-	mustBatch := []string{
-		`SELECT * FROM Sales WHERE Price > 50`,
-		`SELECT SaleId, Price * Quantity AS revenue FROM Sales`,
-		`SELECT Quantity, COUNT(*) AS n, SUM(Price) AS s FROM Sales GROUP BY Quantity`,
-		`SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id`,
-		`SELECT * FROM Sales ORDER BY Price DESC, SaleId`,
-		`SELECT * FROM Sales SAMPLE 25 PERCENT`,
+// opBatches returns the Batches of the run's first operator named op.
+func opBatches(t *testing.T, src string, res *exec.RunResult, op string) int64 {
+	t.Helper()
+	for _, st := range res.Stats {
+		if st.Op == op {
+			return st.Batches
+		}
 	}
-	for _, src := range mustBatch {
-		n := bindQuery(t, cat, src)
-		vec, err := (&exec.Executor{Catalog: cat, Vectorized: true}).Run(n)
+	t.Fatalf("%s: no %s operator in the plan", src, op)
+	return 0
+}
+
+// TestVectorizedActuallyVectorizes guards the equivalence corpus against
+// becoming vacuous: on a 5000-row input each operator the kernels implement
+// must report batches, whatever GOMAXPROCS is.
+func TestVectorizedActuallyVectorizes(t *testing.T) {
+	cat := adversarialCatalog(t, fixtures.DefaultRetail())
+	mustBatch := []struct{ src, op string }{
+		{`SELECT * FROM Sales WHERE Price > 50`, "Filter"},
+		{`SELECT SaleId, Price * Quantity AS revenue FROM Sales`, "Project"},
+		{`SELECT Quantity, COUNT(*) AS n, SUM(Price) AS s FROM Sales GROUP BY Quantity`, "Aggregate"},
+		{`SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id`, "Join"},
+		{`SELECT * FROM Sales ORDER BY Price DESC, SaleId`, "Sort"},
+		{`SELECT * FROM Sales SAMPLE 25 PERCENT`, "Sample"},
+	}
+	for _, c := range mustBatch {
+		vec, err := (&exec.Executor{Catalog: cat, Vectorized: true}).Run(bindQuery(t, cat, c.src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vec.TotalBatches == 0 {
-			t.Errorf("%s: expected vectorized execution, TotalBatches = 0", src)
+		if opBatches(t, c.src, vec, c.op) == 0 {
+			t.Errorf("%s: %s ran on the row loop, Batches = 0", c.src, c.op)
 		}
 	}
-	// And the row path must never report batches.
-	n := bindQuery(t, cat, mustBatch[0])
-	row, err := (&exec.Executor{Catalog: cat}).Run(n)
+	// Kernels decline a nondeterministic predicate.
+	vec, err := (&exec.Executor{Catalog: cat, Vectorized: true}).Run(bindQuery(t, cat, randomFilterQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nb := opBatches(t, randomFilterQuery, vec, "Filter"); nb != 0 {
+		t.Errorf("%s: Filter reported %d batches, want the row loop", randomFilterQuery, nb)
+	}
+	// And the reference must never report batches.
+	row, err := (&exec.Executor{Catalog: cat}).Run(bindQuery(t, cat, mustBatch[0].src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +255,55 @@ func TestVectorizedActuallyVectorizes(t *testing.T) {
 	}
 }
 
+// TestLazyColumnExtraction: kernels copy only the columns an expression
+// references, so a cell they could not represent declines the operator only
+// when it sits in a referenced column.
+func TestLazyColumnExtraction(t *testing.T) {
+	schema := data.Schema{
+		{Name: "A", Kind: data.KindInt},
+		{Name: "B", Kind: data.KindString},
+	}
+	cat := catalog.New()
+	for _, name := range []string{"NullB", "Short"} {
+		if _, err := cat.Define(name, schema); err != nil {
+			t.Fatal(err)
+		}
+		tb := data.NewTable(schema)
+		for i := 0; i < 3000; i++ {
+			tb.Append(data.Row{data.Int(int64(i % 40)), data.String_(fmt.Sprintf("b%d", i%7))})
+		}
+		if name == "NullB" {
+			tb.Rows[1500][1] = data.Null()
+		} else {
+			tb.Rows[1500] = tb.Rows[1500][:1]
+		}
+		if _, err := cat.BulkUpdate(name, fixtures.Epoch, tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		src     string
+		kernels bool
+	}{
+		{`SELECT * FROM NullB WHERE A > 30`, true},
+		{`SELECT * FROM NullB WHERE B = 'b3'`, false},
+		// Row 1500 (A = 20) is filtered out: Table.Append rejects short rows.
+		{`SELECT * FROM Short WHERE A > 30`, false},
+	}
+	for _, c := range cases {
+		row, vec := runBoth(t, cat, c.src)
+		requireRunsEqual(t, c.src, row, vec)
+		if got := opBatches(t, c.src, vec, "Filter") > 0; got != c.kernels {
+			t.Errorf("%s: Filter on kernels = %v, want %v", c.src, got, c.kernels)
+		}
+	}
+}
+
 // TestVectorizedLockStepRace runs the batch and row paths concurrently over
 // the shared catalog and plans — under -race this proves the vectorized
 // kernels don't share mutable state across executors.
 func TestVectorizedLockStepRace(t *testing.T) {
-	cat := adversarialCatalog(t)
+	cat := adversarialCatalog(t, fixtures.DefaultRetail())
 	queries := append(append([]string{}, vecEquivalenceQueries...), adversarialQueries...)
 	plans := make([]plan.Node, len(queries))
 	for i, src := range queries {
@@ -266,7 +342,7 @@ func TestVectorizedLockStepRace(t *testing.T) {
 // under the historical separator-joined encoding the first two Adv rows
 // produced one group; the length-prefixed encoding must keep them apart.
 func TestGroupKeyCollisionRegression(t *testing.T) {
-	cat := adversarialCatalog(t)
+	cat := adversarialCatalog(t, fixtures.DefaultRetail())
 	for _, vectorized := range []bool{false, true} {
 		n := bindQuery(t, cat, `SELECT K1, K2, COUNT(*) AS n FROM Adv GROUP BY K1, K2`)
 		res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n)
