@@ -296,7 +296,7 @@ func (e *Engine) RecordWorkloadDay(day int, jobs []workload.JobInput) error {
 		cr := opt.Compile(outs[0], optimizer.CompileOptions{
 			JobID: in.ID, Cluster: in.Cluster, VC: in.VC, OptIn: false,
 		})
-		rec := e.buildRecord(in, cr, &exec.RunResult{}, signer.Subexpressions(cr.Plan))
+		rec := e.buildRecord(in, cr, &exec.RunResult{})
 		rec.Start = in.Submit
 		rec.End = in.Submit
 		e.Repo.Add(rec)

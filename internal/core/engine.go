@@ -377,7 +377,6 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	var cr *optimizer.CompileResult
 	var res *exec.RunResult
 	var sigMap map[plan.Node]signature.Sig
-	var subs []signature.Subexpr
 	var tmpl *stageTemplate
 	var retryDelay time.Duration
 	attempt := 1
@@ -389,16 +388,16 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 		// still be off, and a fresh estimate pass (history moves between
 		// submissions) must agree exactly with the estimates the cached join
 		// algorithm choices were derived from. Retries always recompile.
-		cr, sigMap, subs, tmpl = nil, nil, nil, nil
+		cr, sigMap, tmpl = nil, nil, nil
 		if attempt == 1 && cached != nil {
-			if cp := cached.compiled; cp != nil {
+			if cp := cached.compiled.Load(); cp != nil {
 				disabledBy, off := "", true
 				if e.Insights != nil {
 					disabledBy = e.Insights.DisabledReason(in.Cluster, in.VC, in.OptIn)
 					off = disabledBy != ""
 				}
 				if off && optimizer.EstimatesMatch(e.Est, e.History, cp.cr.Plan, cp.cr.RecurringMap, cp.cr.Estimates) {
-					cr, sigMap, subs, tmpl = cp.cr, cp.sigMap, cp.subs, cp.stages
+					cr, sigMap, tmpl = cp.cr, cp.sigMap, cp.stages
 					e.plans.hits.Add(1)
 					// Replay the compile-phase trace AND the structured
 					// decision of a reuse-disabled job, so a plan-cache hit
@@ -424,7 +423,20 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 				Trace:          tr,
 				Explain:        rec,
 			}
-			cr = opt.Compile(root, optimizer.CompileOptions{
+			// The job-independent half of the compile is a pure function of
+			// the entry's key, so every submission that finds the entry shares
+			// it (racing first writers store equal values).
+			var prep *optimizer.Prepared
+			if cached != nil {
+				prep = cached.prepared.Load()
+			}
+			if prep == nil {
+				prep = opt.Prepare(root)
+				if cached != nil {
+					cached.prepared.Store(prep)
+				}
+			}
+			cr = opt.CompilePrepared(prep, optimizer.CompileOptions{
 				JobID:   in.ID,
 				Cluster: in.Cluster,
 				VC:      in.VC,
@@ -434,11 +446,13 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			// reuses a view must not replay the accounting of the plan that
 			// computed the subexpression.
 			sigMap = signer.Physical(cr.Plan)
-			subs = signer.Subexpressions(cr.Plan)
 			tmpl = buildStageTemplate(cr)
 			if attempt == 1 && cached != nil && !cr.ReuseEnabled &&
 				len(cr.Proposed) == 0 && len(cr.Matched) == 0 {
-				e.plans.storeCompiled(cached, &compiledPlan{cr: cr, sigMap: sigMap, subs: subs, stages: tmpl})
+				// A newer product embeds estimates computed against newer
+				// history, which is what the hit-time estimate guard compares
+				// against, so the last writer wins.
+				cached.compiled.Store(&compiledPlan{cr: cr, sigMap: sigMap, stages: tmpl})
 			}
 		}
 		e.mCompileSec.Add(cr.CompileLatency.Seconds())
@@ -515,7 +529,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	run.Output = res.Table
 	run.Stages = tmpl.specsFor(res)
 	e.traceStages(tr, run.Stages, res.TotalBatches)
-	run.Record = e.buildRecord(in, cr, res, subs)
+	run.Record = e.buildRecord(in, cr, res)
 	// The record lands in the repository immediately so workload analysis
 	// sees it; RunDay fills in the scheduling outcome afterwards (the record
 	// is shared by pointer).
@@ -768,13 +782,12 @@ func estimatedOpWork(op string, est stats.Estimate) float64 {
 }
 
 // buildRecord assembles the repository row for a job (cluster outcome fields
-// are filled in later by RunDay) and feeds the runtime history. subs is the
-// plan's subexpression enumeration, precomputed at compile time (and shared
-// via the plan cache across identical submissions). The Work recorded per
-// subexpression is its SUBTREE cost — what reusing it would save — and
-// subtrees that were themselves served from a view are excluded from history
-// so reuse never poisons the recompute-cost estimates.
-func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, res *exec.RunResult, subs []signature.Subexpr) *repository.JobRecord {
+// are filled in later by RunDay) and feeds the runtime history. The Work
+// recorded per subexpression is its SUBTREE cost — what reusing it would save
+// — and subtrees that were themselves served from a view are excluded from
+// history so reuse never poisons the recompute-cost estimates.
+func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, res *exec.RunResult) *repository.JobRecord {
+	subs := cr.Subs
 	statByNode := make(map[plan.Node]exec.NodeStat, len(res.Stats))
 	for _, st := range res.Stats {
 		statByNode[st.Node] = st

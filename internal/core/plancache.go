@@ -34,29 +34,36 @@ type planKey struct {
 // planEntry caches the two reuse levels for one key. gen pins the catalog
 // generation the entry was built against; any catalog mutation invalidates it
 // (binding resolves schemas and the estimates sample dataset sizes).
+// Submissions share an entry without holding the cache lock, so what they
+// attach to it after lookup is published through atomic pointers.
 type planEntry struct {
 	gen  uint64
 	root plan.Node // bound script output (level 1: skips parse + bind)
+
+	// prepared is the job-independent half of compiling root (level 1 too):
+	// the normalized plan, its signed subexpression enumeration and the job
+	// tag. It is a pure function of root and the runtime in the key, and it
+	// is never written, so every job that hits the entry compiles from it.
+	prepared atomic.Pointer[optimizer.Prepared]
 
 	// compiled is the full compile product (level 2), present only for jobs
 	// the CloudViews controls disabled: their compilation is a pure function
 	// of (root, estimates), with no view matching, no spool proposals, and no
 	// insights round trip — so replaying it is sound whenever the controls
 	// are still off and a fresh estimate pass agrees exactly.
-	compiled *compiledPlan
+	compiled atomic.Pointer[compiledPlan]
 
 	prev, next *planEntry
 	key        planKey
 }
 
 // compiledPlan bundles everything CompileAndExecute derives from a compile
-// that executions re-derive per submission: the compile result, the physical
-// signature map the result cache is keyed by, and the subexpression
-// enumeration the repository record is built from.
+// that executions re-derive per submission: the compile result (with the
+// subexpression enumeration the repository record is built from), the
+// physical signature map the result cache is keyed by, and the stage template.
 type compiledPlan struct {
 	cr     *optimizer.CompileResult
 	sigMap map[plan.Node]signature.Sig
-	subs   []signature.Subexpr
 	stages *stageTemplate
 }
 
@@ -231,20 +238,6 @@ func (c *planCache) storeBound(key planKey, gen uint64, root plan.Node) *planEnt
 		delete(c.m, victim.key)
 	}
 	return e
-}
-
-// storeCompiled attaches the level-2 compile product to an entry,
-// overwriting any previous one: a newer product embeds estimates computed
-// against newer history, which is what the hit-time estimate guard will be
-// compared against — keeping an older product would wedge the entry in a
-// permanent guard miss once history moves.
-func (c *planCache) storeCompiled(e *planEntry, cp *compiledPlan) {
-	if c == nil || e == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e.compiled = cp
 }
 
 // stats returns cumulative full-compile cache hits and misses (level 2).

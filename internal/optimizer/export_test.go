@@ -1,0 +1,5 @@
+package optimizer
+
+// PushDownOnce exposes one pass of the pushdown rules to the reference
+// fixpoint loop in prepared_test.go.
+var PushDownOnce = pushDownOnce

@@ -69,6 +69,9 @@ type CompileResult struct {
 	Tag          signature.Tag
 	Matched      []MatchedView
 	Proposed     []ProposedView
+	// Subs is the FINAL plan's subexpression enumeration, the one the three
+	// maps above are keyed from and the repository record is built from.
+	Subs []signature.Subexpr
 	// CompileLatency accumulates the simulated insights round trips.
 	CompileLatency time.Duration
 	// ReuseEnabled records whether CloudViews participated at all.
@@ -92,13 +95,39 @@ func (o *Optimizer) maxViews() int {
 	return o.MaxViewsPerJob
 }
 
+// Prepared is the job-independent half of a compilation: the normalized plan,
+// its subexpression enumeration and the job tag. All three are pure functions
+// of (bound root, signer), so one Prepared serves every submission of a
+// recurring script; it is shared between jobs and never written.
+type Prepared struct {
+	Plan plan.Node
+	Subs []signature.Subexpr
+	Tag  signature.Tag
+}
+
+// Prepare normalizes and signs a bound root. The input plan is not mutated.
+func (o *Optimizer) Prepare(root plan.Node) *Prepared {
+	p := Rewrite(plan.CloneNode(root))
+	subs := o.Signer.Subexpressions(p)
+	return &Prepared{Plan: p, Subs: subs, Tag: signature.TagForTemplate(subs[len(subs)-1].Recurring)}
+}
+
 // Compile runs the full pipeline: rewrites → annotation fetch → top-down view
 // matching → bottom-up view-build proposal → statistics refresh → physical
 // planning. The input plan is not mutated.
 func (o *Optimizer) Compile(root plan.Node, opts CompileOptions) *CompileResult {
-	res := &CompileResult{}
-	p := Rewrite(plan.CloneNode(root))
-	res.Tag = o.Signer.JobTag(p)
+	return o.CompilePrepared(o.Prepare(root), opts)
+}
+
+// CompilePrepared runs the per-job half of Compile over a prepared plan.
+func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *CompileResult {
+	res := &CompileResult{Tag: prep.Tag}
+	// The job works on its own copy (chooseJoinAlgorithms writes Join.Algo);
+	// known carries the prepared signatures over to the copy's nodes and, in
+	// matchViews and buildViews, on to the nodes rebuilt above a substitution.
+	known := make(map[plan.Node]*signature.Subexpr, len(prep.Subs))
+	next := 0
+	p := cloneKnown(prep.Plan, prep.Subs, &next, known)
 
 	var disabledBy string
 	enabled := false
@@ -133,17 +162,18 @@ func (o *Optimizer) Compile(root plan.Node, opts CompileOptions) *CompileResult 
 	if enabled {
 		// Core search: top-down enumeration for matching views (larger
 		// subexpressions first).
-		p = o.matchViews(p, opts, annSet, res)
+		p = o.matchViews(p, opts, annSet, known, res)
 		// Follow-up optimization: bottom-up enumeration for building views.
-		p = o.buildViews(p, opts, annSet, res)
+		p = o.buildViews(p, opts, annSet, known, res)
 	}
 	o.Trace.Span("optimize", 0)
 
 	// Final signature maps over the rewritten plan.
-	res.SigMap = make(map[plan.Node]signature.Sig)
-	res.RecurringMap = make(map[plan.Node]signature.Sig)
-	res.EligibleMap = make(map[plan.Node]signature.Eligibility)
-	for _, s := range o.Signer.Subexpressions(p) {
+	res.Subs = o.Signer.SubexpressionsKnown(p, known)
+	res.SigMap = make(map[plan.Node]signature.Sig, len(res.Subs))
+	res.RecurringMap = make(map[plan.Node]signature.Sig, len(res.Subs))
+	res.EligibleMap = make(map[plan.Node]signature.Eligibility, len(res.Subs))
+	for _, s := range res.Subs {
 		res.SigMap[s.Node] = s.Strict
 		res.RecurringMap[s.Node] = s.Recurring
 		res.EligibleMap[s.Node] = s.Eligibility
@@ -155,6 +185,43 @@ func (o *Optimizer) Compile(root plan.Node, opts CompileOptions) *CompileResult 
 
 	res.Plan = p
 	return res
+}
+
+// cloneKnown deep-copies a prepared plan and maps every copied node to the
+// enumeration entry of its original. subs is in post-order, so the next
+// unclaimed entry belongs to the node being copied — or, for a Spool, which
+// the enumeration looks through, to none.
+func cloneKnown(n plan.Node, subs []signature.Subexpr, next *int, known map[plan.Node]*signature.Subexpr) plan.Node {
+	children := n.Children()
+	for i, c := range children {
+		children[i] = cloneKnown(c, subs, next, known)
+	}
+	cp := n.WithChildren(children)
+	if *next < len(subs) && subs[*next].Node == n {
+		known[cp] = &subs[*next]
+		*next++
+	}
+	return cp
+}
+
+// withChildren maps rec over n's children (Children returns a fresh slice)
+// and rebuilds n only if one changed. The rebuilt node stands for the same
+// subexpression — ViewScan and Spool are transparent to signatures — so it
+// inherits n's enumeration entry.
+func withChildren(n plan.Node, rec func(plan.Node) plan.Node, known map[plan.Node]*signature.Subexpr) plan.Node {
+	children := n.Children()
+	changed := false
+	for i, c := range children {
+		if nc := rec(c); nc != c {
+			children[i], changed = nc, true
+		}
+	}
+	if !changed {
+		return n
+	}
+	m := n.WithChildren(children)
+	known[m] = known[n]
+	return m
 }
 
 // reject is the single choke point for candidate-view rejections: it emits
@@ -171,16 +238,11 @@ func (o *Optimizer) reject(sig signature.Sig, candidate string, reason explain.R
 // top-down so the largest match wins. The plan with the view is adopted only
 // if its cost is lower (with runtime history this reduces to comparing the
 // view read cost against the observed recompute cost).
-func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, res *CompileResult) plan.Node {
-	subs := o.Signer.Subexpressions(root)
-	info := make(map[plan.Node]signature.Subexpr, len(subs))
-	for _, s := range subs {
-		info[s.Node] = s
-	}
+func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, known map[plan.Node]*signature.Subexpr, res *CompileResult) plan.Node {
 	var rec func(n plan.Node) plan.Node
 	rec = func(n plan.Node) plan.Node {
-		s, ok := info[n]
-		if ok && s.Eligibility == signature.EligibleOK && o.Store != nil {
+		s := known[n]
+		if s != nil && s.Eligibility == signature.EligibleOK && o.Store != nil {
 			if view, exists := o.Store.Lookup(s.Strict); exists {
 				// State before Available: Available lazily evicts expired
 				// entries, so it must not run before the reason is read.
@@ -188,9 +250,9 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 				if !o.Guard.AllowMatch(opts.VC, opts.JobID, s.Recurring) {
 					// Quarantined by a circuit breaker: skip this view, keep
 					// descending — smaller healthy matches below still apply.
-					o.reject(s.Strict, n.OpName(), explain.ReasonGuardQuarantine, o.savedIfExplaining(s, view), "")
+					o.reject(s.Strict, n.OpName(), explain.ReasonGuardQuarantine, o.savedIfExplaining(n, s.Recurring, view), "")
 				} else if o.Store.Available(s.Strict) {
-					if wins, saved := o.viewWins(s, view); wins {
+					if wins, saved := o.viewWins(n, s.Recurring, view); wins {
 						// The event value carries the estimated container-
 						// seconds of recomputation the view avoids, so the
 						// telemetry critical-path analyzer can aggregate
@@ -222,7 +284,7 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 					// Not servable: expired, or not materialized yet
 					// (pending/unsealed/sealing) — the state collapses onto
 					// the closed reason enum.
-					o.reject(s.Strict, n.OpName(), explain.ReasonForState(state), o.savedIfExplaining(s, view), "")
+					o.reject(s.Strict, n.OpName(), explain.ReasonForState(state), o.savedIfExplaining(n, s.Recurring, view), "")
 				}
 			} else if o.Explain != nil {
 				// No artifact at all. Structured-only classification (no
@@ -236,22 +298,7 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 				}
 			}
 		}
-		children := n.Children()
-		if len(children) == 0 {
-			return n
-		}
-		newChildren := make([]plan.Node, len(children))
-		changed := false
-		for i, c := range children {
-			newChildren[i] = rec(c)
-			if newChildren[i] != c {
-				changed = true
-			}
-		}
-		if changed {
-			return n.WithChildren(newChildren)
-		}
-		return n
+		return withChildren(n, rec, known)
 	}
 	return rec(root)
 }
@@ -259,19 +306,20 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 // viewWins decides whether scanning the materialized view beats recomputing
 // the subexpression; saved is the estimated container-seconds of recompute
 // cost the view avoids (positive exactly when the view wins).
-func (o *Optimizer) viewWins(s signature.Subexpr, view *storage.View) (wins bool, saved float64) {
+func (o *Optimizer) viewWins(n plan.Node, recurring signature.Sig, view *storage.View) (wins bool, saved float64) {
 	readCost := exec.ViewReadWork(view.Rows, view.Bytes)
 	if o.History != nil {
-		if sum, ok := o.History.Lookup(s.Recurring); ok && sum.AvgWork > 0 {
+		if sum, ok := o.History.Lookup(recurring); ok && sum.AvgWork > 0 {
 			return readCost < sum.AvgWork, sum.AvgWork - readCost
 		}
 	}
 	// No history: fall back to the compile-time estimate of the subtree.
-	est, _ := o.Est.EstimatePlan(s.Node)
+	// Summed in plan order: map order would move the last bits between runs.
+	est, _ := o.Est.EstimatePlan(n)
 	var total float64
-	for _, e := range est {
-		total += e.Rows * 4.0e-6 // generic per-row cost
-	}
+	plan.Walk(n, func(m plan.Node) {
+		total += est[m].Rows * 4.0e-6 // generic per-row cost
+	})
 	return readCost < total, total - readCost
 }
 
@@ -279,47 +327,42 @@ func (o *Optimizer) viewWins(s signature.Subexpr, view *storage.View) (wins bool
 // would have saved — but only when an explain recorder is attached: the
 // estimate can walk the subtree when there is no runtime history, and the
 // rejection paths that need it are not worth that cost for tracing alone.
-func (o *Optimizer) savedIfExplaining(s signature.Subexpr, view *storage.View) float64 {
+func (o *Optimizer) savedIfExplaining(n plan.Node, recurring signature.Sig, view *storage.View) float64 {
 	if o.Explain == nil {
 		return 0
 	}
-	_, saved := o.viewWins(s, view)
+	_, saved := o.viewWins(n, recurring, view)
 	return saved
 }
 
 // buildViews inserts Spool operators (bottom-up) on selected subexpressions
 // that are not yet materialized, acquiring the insights view lock so exactly
 // one concurrent job builds each artifact.
-func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, res *CompileResult) plan.Node {
+func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, known map[plan.Node]*signature.Subexpr, res *CompileResult) plan.Node {
 	if len(annSet) == 0 || o.Store == nil {
 		return root
 	}
 	built := 0
-	return plan.Rewrite(root, func(n plan.Node) plan.Node {
+	var rec func(n plan.Node) plan.Node
+	rec = func(n plan.Node) plan.Node {
+		n = withChildren(n, rec, known)
 		switch n.(type) {
 		case *plan.Spool, *plan.ViewScan, *plan.Output:
 			return n
 		}
+		s := known[n]
 		if built >= o.maxViews() {
-			// Budget spent. Without an explain recorder return immediately;
-			// with one, classify whether this node would otherwise have been
-			// built so the forfeited candidate is attributable to the budget.
-			if o.Explain != nil {
-				subs := o.Signer.Subexpressions(n)
-				s := subs[len(subs)-1]
-				if s.Eligibility == signature.EligibleOK {
-					if _, selected := annSet[s.Recurring]; selected &&
-						!o.Store.Available(s.Strict) && !o.Store.InFlight(s.Strict) {
-						o.Explain.Record(s.Strict, n.OpName(), explain.ReasonBudget, 0, "")
-					}
+			// Budget spent. With an explain recorder, classify whether this
+			// node would otherwise have been built so the forfeited candidate
+			// is attributable to the budget.
+			if o.Explain != nil && s.Eligibility == signature.EligibleOK {
+				if _, selected := annSet[s.Recurring]; selected &&
+					!o.Store.Available(s.Strict) && !o.Store.InFlight(s.Strict) {
+					o.Explain.Record(s.Strict, n.OpName(), explain.ReasonBudget, 0, "")
 				}
 			}
 			return n
 		}
-		// Recompute this node's signatures on the (possibly rewritten)
-		// subtree; ViewScan transparency keeps them equal to the original.
-		subs := o.Signer.Subexpressions(n)
-		s := subs[len(subs)-1]
 		if s.Eligibility != signature.EligibleOK {
 			return n
 		}
@@ -342,7 +385,8 @@ func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[s
 		o.Trace.Event("view.proposed", fmt.Sprintf("sig=%s path=%s", s.Strict.Short(), path))
 		res.Proposed = append(res.Proposed, ProposedView{Strict: s.Strict, Recurring: s.Recurring, Path: path})
 		return &plan.Spool{Child: n, StrictSig: string(s.Strict), Path: path, VC: opts.VC}
-	})
+	}
+	return rec(root)
 }
 
 // estimateWithHistory folds compile-time estimates bottom-up but overrides

@@ -1,0 +1,271 @@
+package optimizer_test
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"cloudviews/internal/catalog"
+	"cloudviews/internal/exec"
+	"cloudviews/internal/explain"
+	"cloudviews/internal/fixtures"
+	"cloudviews/internal/insights"
+	"cloudviews/internal/obs"
+	"cloudviews/internal/optimizer"
+	"cloudviews/internal/plan"
+	"cloudviews/internal/signature"
+	"cloudviews/internal/sqlparser"
+	"cloudviews/internal/stats"
+	"cloudviews/internal/storage"
+	"cloudviews/internal/workload"
+)
+
+// genWorld is one compile/execute environment over the workload generator's
+// catalog and templates. The differential test drives two of them in
+// lockstep: compiles stage views and take locks, so each arm needs a store
+// and an insights service of its own.
+type genWorld struct {
+	cat   *catalog.Catalog
+	store *storage.Store
+	ins   *insights.Service
+	opt   optimizer.Optimizer // Trace, Explain and MaxViewsPerJob set per compile
+	jobs  []workload.JobInput // one per template
+	roots []plan.Node
+}
+
+func newGenWorld(t *testing.T) *genWorld {
+	t.Helper()
+	p := workload.DefaultProfile("diff")
+	p.Pipelines, p.RowsPerRawDay = 24, 80
+	w := &genWorld{cat: catalog.New(), ins: insights.NewService()}
+	gen := workload.NewGenerator(w.cat, p)
+	if err := gen.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	w.store = storage.NewStore(func() time.Time { return fixtures.Epoch })
+	w.ins.SetClusterEnabled(p.Name, true)
+	for _, vc := range gen.VCNames() {
+		w.ins.SetVCEnabled(vc, true)
+	}
+	w.opt = optimizer.Optimizer{
+		Signer: &signature.Signer{EngineVersion: "diff"}, Est: stats.NewEstimator(),
+		History: stats.NewHistory(), Store: w.store, Insights: w.ins,
+	}
+	seen := map[string]bool{}
+	for _, in := range gen.JobsForDay(1) {
+		if seen[in.Script] {
+			continue
+		}
+		seen[in.Script] = true
+		script, err := sqlparser.Parse(in.Script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := (&plan.Binder{Catalog: w.cat, Params: in.Params}).BindScript(script)
+		if err != nil || len(outs) != 1 {
+			t.Fatalf("bind %s: %d outputs, %v", in.ID, len(outs), err)
+		}
+		w.jobs, w.roots = append(w.jobs, in), append(w.roots, outs[0])
+	}
+	return w
+}
+
+// compiled is what one compile hands back to the comparison.
+type compiled struct {
+	cr    *optimizer.CompileResult
+	trace string
+	decs  []explain.Decision
+}
+
+// compile compiles template i as job id: from prep when given, from the bound
+// root otherwise.
+func (w *genWorld) compile(i int, id string, maxViews int, prep *optimizer.Prepared) compiled {
+	in := w.jobs[i]
+	tr, rec := obs.NewTrace(id, in.Submit), explain.NewRecorder(id, in.VC)
+	opt := w.opt
+	opt.MaxViewsPerJob, opt.Trace, opt.Explain = maxViews, tr, rec
+	opts := optimizer.CompileOptions{JobID: id, Cluster: in.Cluster, VC: in.VC, OptIn: true}
+	var cr *optimizer.CompileResult
+	if prep != nil {
+		cr = opt.CompilePrepared(prep, opts)
+	} else {
+		cr = opt.Compile(w.roots[i], opts)
+	}
+	return compiled{cr, tr.Render(), rec.Decisions()}
+}
+
+// settle plays the job manager after a compile: run the plan, feed the runtime
+// history and seal what was spooled, or (run=false) abandon what was staged.
+// Either way the locks go.
+func (w *genWorld) settle(t *testing.T, id string, cr *optimizer.CompileResult, run bool) {
+	t.Helper()
+	if run {
+		ex := &exec.Executor{Catalog: w.cat, Views: w.store, SigMap: cr.SigMap}
+		res, err := ex.Run(cr.Plan)
+		if err != nil {
+			t.Fatalf("%s: exec: %v", id, err)
+		}
+		for _, st := range res.Stats {
+			if sig, ok := cr.RecurringMap[st.Node]; ok && st.Op != "ViewScan" {
+				w.opt.History.Record(sig, stats.Observation{Rows: st.RowsOut, Bytes: st.BytesOut, Work: st.Work})
+			}
+		}
+	}
+	for _, p := range cr.Proposed {
+		if run {
+			w.store.Seal(p.Strict)
+		} else {
+			w.store.Abandon(p.Strict)
+		}
+		w.ins.ReleaseViewLock(p.Strict, id)
+	}
+}
+
+// sameSubs compares two enumerations field by field. Node is compared by
+// identity when the enumerations are over one plan, and skipped otherwise.
+func sameSubs(a, b []signature.Subexpr, onePlan bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if onePlan && x.Node != y.Node {
+			return false
+		}
+		x.Node, y.Node = nil, nil
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCompilePreparedMatchesScratch walks every generator template through
+// the four store states a candidate view can be in — nothing annotated,
+// annotated with the build budget spent, annotated and unbuilt (proposed),
+// sealed (matched) — in two identical worlds: one compiles each job from its
+// bound root, the other from one Prepared per template, shared by all of the
+// template's compiles. The two must agree on every observable product, the
+// enumeration each compile carried over substitutions must equal a cold
+// signing of its final plan, and the shared Prepared must come out unwritten.
+func TestCompilePreparedMatchesScratch(t *testing.T) {
+	scratch, shared := newGenWorld(t), newGenWorld(t)
+	signer := shared.opt.Signer
+	matched, proposed, budget := 0, 0, 0
+	for i, in := range shared.jobs {
+		prep := shared.opt.Prepare(shared.roots[i])
+		wantPlan := plan.Format(prep.Plan)
+		wantSubs := signer.Subexpressions(prep.Plan)
+		var wantAlgos []plan.JoinAlgo
+		plan.Walk(prep.Plan, func(n plan.Node) {
+			if j, ok := n.(*plan.Join); ok {
+				wantAlgos = append(wantAlgos, j.Algo)
+			}
+		})
+
+		step := func(state string, maxViews int, run bool) {
+			id := in.ID + "/" + state
+			a, b := scratch.compile(i, id, maxViews, nil), shared.compile(i, id, maxViews, prep)
+			if pa, pb := plan.Format(a.cr.Plan), plan.Format(b.cr.Plan); pa != pb {
+				t.Fatalf("%s: plans differ:\nscratch:\n%s\nprepared:\n%s", id, pa, pb)
+			}
+			if !sameSubs(a.cr.Subs, b.cr.Subs, false) {
+				t.Fatalf("%s: enumerations differ:\nscratch:  %+v\nprepared: %+v", id, a.cr.Subs, b.cr.Subs)
+			}
+			if !reflect.DeepEqual(a.cr.Matched, b.cr.Matched) || !reflect.DeepEqual(a.cr.Proposed, b.cr.Proposed) {
+				t.Fatalf("%s: matched/proposed differ: %+v %+v vs %+v %+v", id, a.cr.Matched, a.cr.Proposed, b.cr.Matched, b.cr.Proposed)
+			}
+			if a.cr.Tag != b.cr.Tag || a.cr.Tag != signer.JobTag(prep.Plan) {
+				t.Fatalf("%s: tags differ: %s %s %s", id, a.cr.Tag, b.cr.Tag, signer.JobTag(prep.Plan))
+			}
+			if !reflect.DeepEqual(a.decs, b.decs) {
+				t.Fatalf("%s: explain decisions differ:\n%+v\n%+v", id, a.decs, b.decs)
+			}
+			if a.trace != b.trace {
+				t.Fatalf("%s: traces differ:\n%s\n%s", id, a.trace, b.trace)
+			}
+			for _, c := range []compiled{a, b} {
+				if cold := signer.Subexpressions(c.cr.Plan); !sameSubs(c.cr.Subs, cold, true) {
+					t.Fatalf("%s: carried enumeration differs from a cold signing:\ncarried: %+v\ncold:    %+v", id, c.cr.Subs, cold)
+				}
+				for _, s := range c.cr.Subs {
+					if c.cr.SigMap[s.Node] != s.Strict || c.cr.RecurringMap[s.Node] != s.Recurring || c.cr.EligibleMap[s.Node] != s.Eligibility {
+						t.Fatalf("%s: maps disagree with the enumeration at %s", id, s.Op)
+					}
+				}
+			}
+			matched += len(b.cr.Matched)
+			proposed += len(b.cr.Proposed)
+			for _, d := range b.decs {
+				if d.Reason == explain.ReasonBudget {
+					budget++
+				}
+			}
+			scratch.settle(t, id, a.cr, run)
+			shared.settle(t, id, b.cr, run)
+		}
+
+		step("unannotated", 0, true)
+		var anns []insights.Annotation
+		for _, s := range prep.Subs {
+			if s.Eligibility == signature.EligibleOK {
+				anns = append(anns, insights.Annotation{Recurring: s.Recurring, VC: in.VC, Utility: float64(s.NodeCount)})
+			}
+		}
+		scratch.ins.PublishAnnotations(prep.Tag, anns)
+		shared.ins.PublishAnnotations(prep.Tag, anns)
+		step("budget-spent", 1, false)
+		step("proposed", 0, true)
+		step("matched", 0, true)
+
+		if got := plan.Format(prep.Plan); got != wantPlan {
+			t.Fatalf("%s: shared prepared plan was rewritten:\n%s\nwas:\n%s", in.ID, got, wantPlan)
+		}
+		if !sameSubs(prep.Subs, wantSubs, true) {
+			t.Fatalf("%s: shared prepared enumeration was written", in.ID)
+		}
+		var algos []plan.JoinAlgo
+		plan.Walk(prep.Plan, func(n plan.Node) {
+			if j, ok := n.(*plan.Join); ok {
+				algos = append(algos, j.Algo)
+			}
+		})
+		if !reflect.DeepEqual(algos, wantAlgos) {
+			t.Fatalf("%s: a join algorithm was chosen on the shared plan: %v, was %v", in.ID, algos, wantAlgos)
+		}
+	}
+	t.Logf("%d templates: %d matched, %d proposed, %d budget decisions", len(shared.jobs), matched, proposed, budget)
+	if matched == 0 || proposed == 0 || budget == 0 {
+		t.Fatalf("vacuous: matched=%d proposed=%d budget decisions=%d over %d templates", matched, proposed, budget, len(shared.jobs))
+	}
+}
+
+// formatFixpointRewrite is Rewrite as it was before the fixpoint test became
+// a pointer comparison: two rendered plans per round.
+func formatFixpointRewrite(root plan.Node) plan.Node {
+	n := plan.NormalizeNode(root)
+	for i := 0; i < 8; i++ {
+		next := plan.NormalizeNode(optimizer.PushDownOnce(n))
+		if plan.Format(next) == plan.Format(n) {
+			return next
+		}
+		n = next
+	}
+	return n
+}
+
+// TestRewriteFixpointByPointer: stopping when no rule fired gives the plan
+// (and so the signatures) that stopping on equal renderings gave.
+func TestRewriteFixpointByPointer(t *testing.T) {
+	w := newGenWorld(t)
+	signer := w.opt.Signer
+	for i, root := range w.roots {
+		got, want := optimizer.Rewrite(plan.CloneNode(root)), formatFixpointRewrite(plan.CloneNode(root))
+		if g, f := plan.Format(got), plan.Format(want); g != f {
+			t.Errorf("%s: rewrite differs:\n%s\nwant:\n%s", w.jobs[i].ID, g, f)
+		}
+		if !sameSubs(signer.Subexpressions(got), signer.Subexpressions(want), false) {
+			t.Errorf("%s: rewritten plans sign differently", w.jobs[i].ID)
+		}
+	}
+}

@@ -19,12 +19,13 @@ import (
 func Rewrite(root plan.Node) plan.Node {
 	n := plan.NormalizeNode(root)
 	for i := 0; i < 8; i++ {
+		// plan.Rewrite and every rule return their input when nothing
+		// changes, so an unchanged root means no rule fired.
 		next := pushDownOnce(n)
-		next = plan.NormalizeNode(next)
-		if plan.Format(next) == plan.Format(n) {
-			return next
+		if next == n {
+			break
 		}
-		n = next
+		n = plan.NormalizeNode(next)
 	}
 	return n
 }

@@ -17,7 +17,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -200,9 +199,20 @@ func (s *Signer) Physical(root plan.Node) map[plan.Node]Sig {
 // Subexpressions enumerates every subexpression of the plan bottom-up,
 // computing both signatures in a single pass and classifying eligibility.
 func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
-	var out []Subexpr
-	var rec func(n plan.Node) (strict, recur Sig, height, count int, datasets map[string]bool, elig Eligibility, idx int)
-	rec = func(n plan.Node) (Sig, Sig, int, int, map[string]bool, Eligibility, int) {
+	return s.SubexpressionsKnown(root, nil)
+}
+
+// SubexpressionsKnown is Subexpressions for a plan derived from one already
+// enumerated: known maps a node to the entry of the node it stands for —
+// itself, or the original of a node rebuilt above a substituted ViewScan or
+// Spool, whose identity the substitution leaves unchanged. Such a node takes
+// the entry's signatures and eligibility without rendering attributes or
+// hashing; only Height, NodeCount, InputDatasets and Parent are recomputed.
+// Nodes absent from known are signed from scratch.
+func (s *Signer) SubexpressionsKnown(root plan.Node, known map[plan.Node]*Subexpr) []Subexpr {
+	out := make([]Subexpr, 0, len(known))
+	var rec func(n plan.Node) (strict, recur Sig, height, count int, datasets []string, elig Eligibility, idx int)
+	rec = func(n plan.Node) (Sig, Sig, int, int, []string, Eligibility, int) {
 		if sp, ok := n.(*plan.Spool); ok {
 			return rec(sp.Child)
 		}
@@ -217,40 +227,53 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 				Eligibility: IneligibleTrivial,
 				Parent:      -1,
 			})
-			return Sig(vs.StrictSig), Sig(vs.RecurringSig), 1, 1, map[string]bool{}, EligibleOK, len(out) - 1
+			return Sig(vs.StrictSig), Sig(vs.RecurringSig), 1, 1, nil, EligibleOK, len(out) - 1
 		}
-		children := n.Children()
-		strictParts := []string{"op=" + n.OpName(), "attrs=" + n.Attrs(false)}
-		recurParts := []string{"op=" + n.OpName(), "attrs=" + n.Attrs(true)}
+		k := known[n]
+		var strictParts, recurParts []string
+		if k == nil {
+			strictParts = []string{"op=" + n.OpName(), "attrs=" + n.Attrs(false)}
+			recurParts = []string{"op=" + n.OpName(), "attrs=" + n.Attrs(true)}
+		}
 		height, count := 1, 1
-		datasets := make(map[string]bool)
+		datasets := []string{}
 		elig := EligibleOK
-		var childIdx []int
-		for _, c := range children {
+		var idxBuf [2]int
+		childIdx := idxBuf[:0]
+		for _, c := range n.Children() {
 			cs, cr, ch, cc, cd, ce, ci := rec(c)
-			strictParts = append(strictParts, string(cs))
-			recurParts = append(recurParts, string(cr))
+			if k == nil {
+				strictParts = append(strictParts, string(cs))
+				recurParts = append(recurParts, string(cr))
+			}
 			childIdx = append(childIdx, ci)
 			if ch+1 > height {
 				height = ch + 1
 			}
 			count += cc
-			for d := range cd {
-				datasets[d] = true
-			}
+			datasets = unionSorted(datasets, cd)
 			if ce != EligibleOK {
 				elig = ce
 			}
 		}
 		// Node-local eligibility checks, applied after child propagation so
 		// the most specific child reason survives.
-		if elig == EligibleOK {
-			elig = s.nodeEligibility(n)
+		var strict, recur Sig
+		if k == nil {
+			if elig == EligibleOK {
+				elig = s.nodeEligibility(n)
+			}
+			strict, recur = s.hash(strictParts...), s.hash(recurParts...)
+		} else {
+			// The entry holds the node-local verdict already, except that
+			// Trivial and Output judge the node itself, not what it passes up.
+			if elig == EligibleOK && k.Eligibility != IneligibleTrivial && k.Eligibility != IneligibleOutput {
+				elig = k.Eligibility
+			}
+			strict, recur = k.Strict, k.Recurring
 		}
-		strict := s.hash(strictParts...)
-		recur := s.hash(recurParts...)
 		if sc, ok := n.(*plan.Scan); ok {
-			datasets[sc.Dataset] = true
+			datasets = []string{sc.Dataset}
 		}
 
 		nodeElig := elig
@@ -265,11 +288,6 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 			nodeElig = elig
 		}
 
-		dsList := make([]string, 0, len(datasets))
-		for d := range datasets {
-			dsList = append(dsList, d)
-		}
-		sort.Strings(dsList)
 		out = append(out, Subexpr{
 			Node:          n,
 			Strict:        strict,
@@ -278,7 +296,7 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 			Height:        height,
 			NodeCount:     count,
 			Eligibility:   nodeElig,
-			InputDatasets: dsList,
+			InputDatasets: datasets,
 			Parent:        -1,
 		})
 		self := len(out) - 1
@@ -289,6 +307,29 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 	}
 	rec(root)
 	return out
+}
+
+// unionSorted merges two sorted, duplicate-free lists. The result may share
+// either input: dataset lists are never written after they are built.
+func unionSorted(a, b []string) []string {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]string, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] > b[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // nodeEligibility checks reuse hazards local to one operator.

@@ -1,6 +1,7 @@
 package signature_test
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -241,5 +242,89 @@ func TestSigShort(t *testing.T) {
 	var tiny signature.Sig = "ab"
 	if tiny.Short() != "ab" {
 		t.Errorf("Short = %q", tiny.Short())
+	}
+}
+
+// substitute rewrites root as the optimizer does: mk replaces every topmost
+// subexpression pick selects, ancestors are rebuilt, and known — seeded with
+// root's own enumeration — lets each rebuilt node inherit its original's entry.
+func substitute(root plan.Node, cold []signature.Subexpr, pick func(signature.Subexpr) bool, mk func(plan.Node, signature.Subexpr) plan.Node) (plan.Node, map[plan.Node]*signature.Subexpr) {
+	known := make(map[plan.Node]*signature.Subexpr, len(cold))
+	for i := range cold {
+		known[cold[i].Node] = &cold[i]
+	}
+	var rec func(n plan.Node) plan.Node
+	rec = func(n plan.Node) plan.Node {
+		if s := known[n]; s.Eligibility == signature.EligibleOK && pick(*s) {
+			return mk(n, *s)
+		}
+		children := n.Children()
+		changed := false
+		for i, c := range children {
+			if nc := rec(c); nc != c {
+				children[i], changed = nc, true
+			}
+		}
+		if !changed {
+			return n
+		}
+		m := n.WithChildren(children)
+		known[m] = known[n]
+		return m
+	}
+	return rec(root), known
+}
+
+// TestSubexpressionsKnownMatchesCold: carrying signatures and eligibility
+// from an enumeration to the plan derived from it gives, field by field, what
+// signing the derived plan from scratch gives — with nothing substituted, with
+// a Spool above and with a ViewScan in place of each operator kind in turn,
+// over eligible plans and every ineligibility class that propagates upward.
+func TestSubexpressionsKnownMatchesCold(t *testing.T) {
+	signature.ResetLibraries()
+	defer signature.ResetLibraries()
+	signature.RegisterLibrary("a", "b")
+	queries := []string{
+		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia' GROUP BY CustomerId`,
+		`SELECT Name FROM Customer WHERE MktSegment = 'Asia' UNION ALL SELECT Name FROM Customer WHERE MktSegment = 'Europe'`,
+		`SELECT Name FROM (SELECT * FROM Customer WHERE MktSegment = 'Asia') AS c WHERE RANDOM() < 0.5`,
+		`SELECT ingest_time FROM (PROCESS (SELECT * FROM Customer WHERE MktSegment = 'Asia') USING "StampIngestTime") AS p JOIN Parts ON p.Id = Parts.PartId`,
+		`SELECT Brand, COUNT(*) AS n FROM (PROCESS Sales USING "AddRowTag" DEPENDS "a") AS s JOIN Parts ON s.PartId = Parts.PartId GROUP BY Brand`,
+	}
+	asSpool := func(n plan.Node, s signature.Subexpr) plan.Node {
+		return &plan.Spool{Child: n, StrictSig: string(s.Strict)}
+	}
+	asView := func(n plan.Node, s signature.Subexpr) plan.Node {
+		return &plan.ViewScan{StrictSig: string(s.Strict), RecurringSig: string(s.Recurring), Out: n.Schema(), Fallback: n}
+	}
+	substituted := 0
+	for _, q := range queries {
+		root := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t, q, nil)})
+		cold := signer.Subexpressions(root)
+		for _, op := range []string{"", "Filter", "Project", "Join", "Aggregate", "Union", "UDO"} {
+			for _, mk := range []func(plan.Node, signature.Subexpr) plan.Node{asSpool, asView} {
+				derived, known := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == op }, mk)
+				if derived != root {
+					substituted++
+				}
+				got, want := signer.SubexpressionsKnown(derived, known), signer.Subexpressions(derived)
+				if len(got) != len(want) {
+					t.Fatalf("%q, %s substituted: %d entries, want %d", q, op, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Node != want[i].Node {
+						t.Fatalf("%q, %s substituted: entry %d is for another node", q, op, i)
+					}
+					g, w := got[i], want[i]
+					g.Node, w.Node = nil, nil
+					if !reflect.DeepEqual(g, w) {
+						t.Errorf("%q, %s substituted: entry %d (%s):\ncarried: %+v\ncold:    %+v", q, op, i, want[i].Op, g, w)
+					}
+				}
+			}
+		}
+	}
+	if substituted < 10 {
+		t.Fatalf("only %d substitutions happened", substituted)
 	}
 }
