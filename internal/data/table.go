@@ -123,12 +123,22 @@ func (t *Table) ByteSize() int64 {
 	return n
 }
 
-// Clone deep-copies the table.
+// Clone deep-copies the table. All cells land in one backing array, each row
+// capped at its own length, so the copy costs a fixed number of allocations
+// and is as isolated from the original — and its rows from each other — as
+// row-by-row clones would be.
 func (t *Table) Clone() *Table {
 	out := NewTable(t.Schema)
 	out.Rows = make([]Row, len(t.Rows))
+	cells := 0
+	for _, r := range t.Rows {
+		cells += len(r)
+	}
+	buf := make([]Value, cells)
 	for i, r := range t.Rows {
-		out.Rows[i] = r.Clone()
+		n := copy(buf, r)
+		out.Rows[i] = buf[:n:n]
+		buf = buf[n:]
 	}
 	return out
 }

@@ -124,7 +124,9 @@ type RunResult struct {
 // repeated identical jobs don't recompute — the accounting is still charged
 // in full).
 type CacheEntry struct {
-	Table      *data.Table
+	Table *data.Table
+	// Bytes is Table.ByteSize(), measured once by the producing operator.
+	Bytes      int64
 	Mult       float64
 	Stats      []NodeStat
 	InputBytes int64
@@ -321,9 +323,30 @@ func markSpoolTainted(root plan.Node, out map[plan.Node]bool) bool {
 	return tainted
 }
 
+// nodeResult is one operator's output. bytes is table.ByteSize(), measured
+// once by the operator that produced the table and carried to every consumer
+// that accounts it (exchange reads, spool and output writes, cache replays).
 type nodeResult struct {
 	table *data.Table
 	mult  float64
+	bytes int64
+}
+
+// produced wraps a freshly built table, sizing it.
+func produced(t *data.Table, mult float64) nodeResult {
+	return nodeResult{table: t, mult: mult, bytes: t.ByteSize()}
+}
+
+func (r nodeResult) logicalBytes() int64 { return int64(float64(r.bytes) * r.mult) }
+func (r nodeResult) logicalRows() int64  { return logicalRows(r.table, r.mult) }
+
+// finish records st for the operator that built t, with RowsOut and BytesOut
+// filled in from t, and returns t as the operator's result.
+func (ex *Executor) finish(st NodeStat, t *data.Table, mult float64) nodeResult {
+	out := produced(t, mult)
+	st.RowsOut, st.BytesOut = out.logicalRows(), out.logicalBytes()
+	ex.record(st)
+	return out
 }
 
 // Run executes the plan and returns the result table plus accounting.
@@ -361,10 +384,6 @@ func (ex *Executor) record(st NodeStat) {
 	ex.res.TotalBatches += st.Batches
 }
 
-func logicalBytes(t *data.Table, mult float64) int64 {
-	return int64(float64(t.ByteSize()) * mult)
-}
-
 func logicalRows(t *data.Table, mult float64) int64 {
 	return int64(float64(t.NumRows()) * mult)
 }
@@ -384,17 +403,17 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) {
 		if sig, ok := ex.SigMap[n]; ok {
 			if entry, hit := ex.Cache.Get(sig); hit {
 				ex.res.CacheHits++
+				cached := nodeResult{table: entry.Table, mult: entry.Mult, bytes: entry.Bytes}
 				if ex.PipelineSharing {
 					// Shared accounting: the producer already paid for the
 					// subtree; this consumer pays only the pipe transfer.
-					rows := int64(float64(entry.Table.NumRows()) * entry.Mult)
-					bytes := int64(float64(entry.Table.ByteSize()) * entry.Mult)
+					rows, bytes := cached.logicalRows(), cached.logicalBytes()
 					work := ViewReadWork(rows, bytes)
 					ex.res.Stats = append(ex.res.Stats, NodeStat{
 						Node: n, Op: "SharedScan", RowsOut: rows, BytesOut: bytes, Work: work,
 					})
 					ex.res.TotalRead += bytes
-					return nodeResult{table: entry.Table, mult: entry.Mult}, nil
+					return cached, nil
 				}
 				// Replay the accounting of the cached subtree, remapping each
 				// stat onto the corresponding node of THIS plan (the cached
@@ -410,7 +429,7 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) {
 				ex.res.InputBytes += entry.InputBytes
 				ex.res.ViewBytes += entry.ViewBytes
 				ex.res.TotalRead += entry.TotalRead
-				return nodeResult{table: entry.Table, mult: entry.Mult}, nil
+				return cached, nil
 			}
 		}
 	}
@@ -438,6 +457,7 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) {
 			copy(sub, ex.res.Stats[statsStart:])
 			ex.Cache.Put(sig, &CacheEntry{
 				Table:      r.table,
+				Bytes:      r.bytes,
 				Mult:       r.mult,
 				Stats:      sub,
 				InputBytes: ex.res.InputBytes - inputStart,
@@ -506,13 +526,13 @@ func (ex *Executor) evalScan(x *plan.Scan) (nodeResult, error) {
 	}
 	ds, _ := ex.Catalog.Dataset(x.Dataset)
 	mult := ds.EffectiveScale()
-	t := ver.Table
-	lb := logicalBytes(t, mult)
-	work := float64(logicalRows(t, mult))*costScanRow + float64(lb)*costReadByte
-	ex.record(NodeStat{Node: x, Op: "Scan", RowsOut: logicalRows(t, mult), BytesOut: lb, Work: work, IORead: lb})
+	out := produced(ver.Table, mult)
+	lb, rows := out.logicalBytes(), out.logicalRows()
+	work := float64(rows)*costScanRow + float64(lb)*costReadByte
+	ex.record(NodeStat{Node: x, Op: "Scan", RowsOut: rows, BytesOut: lb, Work: work, IORead: lb})
 	ex.res.InputBytes += lb
 	ex.res.TotalRead += lb
-	return nodeResult{table: t, mult: mult}, nil
+	return out, nil
 }
 
 func (ex *Executor) evalViewScan(x *plan.ViewScan) (nodeResult, error) {
@@ -546,12 +566,13 @@ func (ex *Executor) evalViewScan(x *plan.ViewScan) (nodeResult, error) {
 		}
 		return nodeResult{}, fmt.Errorf("exec: view %s unavailable", sig.Short())
 	}
-	lb := logicalBytes(t, mult)
-	work := float64(logicalRows(t, mult))*costScanRow + float64(lb)*costReadByte
-	ex.record(NodeStat{Node: x, Op: "ViewScan", RowsOut: logicalRows(t, mult), BytesOut: lb, Work: work, IORead: lb})
+	out := produced(t, mult)
+	lb, rows := out.logicalBytes(), out.logicalRows()
+	work := float64(rows)*costScanRow + float64(lb)*costReadByte
+	ex.record(NodeStat{Node: x, Op: "ViewScan", RowsOut: rows, BytesOut: lb, Work: work, IORead: lb})
 	ex.res.ViewBytes += lb
 	ex.res.TotalRead += lb
-	return nodeResult{table: t, mult: mult}, nil
+	return out, nil
 }
 
 func (ex *Executor) evalFilter(x *plan.Filter) (nodeResult, error) {
@@ -568,9 +589,8 @@ func (ex *Executor) evalFilter(x *plan.Filter) (nodeResult, error) {
 			}
 		}
 	}
-	work := float64(logicalRows(in.table, in.mult)) * costFilterRow
-	ex.record(NodeStat{Node: x, Op: "Filter", RowsOut: logicalRows(out, in.mult), BytesOut: logicalBytes(out, in.mult), Work: work, Batches: batches})
-	return nodeResult{table: out, mult: in.mult}, nil
+	work := float64(in.logicalRows()) * costFilterRow
+	return ex.finish(NodeStat{Node: x, Op: "Filter", Work: work, Batches: batches}, out, in.mult), nil
 }
 
 func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
@@ -581,17 +601,19 @@ func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
 	out := data.NewTable(x.Schema())
 	batches, ok := ex.vecProject(in.table, x.Exprs, out)
 	if !ok {
+		var slab data.RowSlab
+		slab.Expect(in.table.NumRows())
+		out.Rows = make([]data.Row, 0, in.table.NumRows())
 		for _, row := range in.table.Rows {
-			nr := make(data.Row, len(x.Exprs))
+			nr := slab.New(len(x.Exprs))
 			for i, e := range x.Exprs {
 				nr[i] = e.Eval(row, ex.Ctx)
 			}
 			out.Append(nr)
 		}
 	}
-	work := float64(logicalRows(in.table, in.mult)) * costProjectRow * float64(max(1, len(x.Exprs)))
-	ex.record(NodeStat{Node: x, Op: "Project", RowsOut: logicalRows(out, in.mult), BytesOut: logicalBytes(out, in.mult), Work: work, Batches: batches})
-	return nodeResult{table: out, mult: in.mult}, nil
+	work := float64(in.logicalRows()) * costProjectRow * float64(max(1, len(x.Exprs)))
+	return ex.finish(NodeStat{Node: x, Op: "Project", Work: work, Batches: batches}, out, in.mult), nil
 }
 
 // joinKey builds the hash key for a row under the given key expressions,
@@ -606,6 +628,47 @@ func (ex *Executor) appendJoinKey(dst []byte, row data.Row, keys []plan.Expr) []
 		dst = appendKeyValue(dst, k.Eval(row, ex.Ctx))
 	}
 	return dst
+}
+
+// rowJoinKeys is vecJoinKeys on the row loop: joinKey of every row of t, in
+// row order, packed one string per batchSize rows.
+func (ex *Executor) rowJoinKeys(t *data.Table, keys []plan.Expr) []string {
+	out := make([]string, len(t.Rows))
+	var pack keyPacker
+	for lo := 0; lo < len(out); lo += batchSize {
+		hi := min(lo+batchSize, len(out))
+		for _, row := range t.Rows[lo:hi] {
+			pack.buf = ex.appendJoinKey(pack.buf, row, keys)
+			pack.end()
+		}
+		pack.flush(out[lo:hi])
+	}
+	return out
+}
+
+// keyPacker encodes the keys of up to batchSize rows back to back and turns
+// them into strings with one allocation: every key is a slice of one string,
+// which lives as long as any of its keys does.
+type keyPacker struct {
+	buf  []byte
+	ends [batchSize]int
+	n    int
+}
+
+// end closes the key appended to buf since the previous end.
+func (p *keyPacker) end() {
+	p.ends[p.n] = len(p.buf)
+	p.n++
+}
+
+// flush stores the packed keys into out, one per end call, and resets.
+func (p *keyPacker) flush(out []string) {
+	all, start := string(p.buf), 0
+	for i, e := range p.ends[:p.n] {
+		out[i] = all[start:e]
+		start = e
+	}
+	p.buf, p.n = p.buf[:0], 0
 }
 
 // orderedJoinKey is the merge-join variant: collision-free AND order-
@@ -630,7 +693,7 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 		return nodeResult{}, err
 	}
 	// Exchange: both inputs are shuffled/read by the join stage.
-	ex.res.TotalRead += logicalBytes(l.table, l.mult) + logicalBytes(r.table, r.mult)
+	ex.res.TotalRead += l.logicalBytes() + r.logicalBytes()
 
 	algo := x.Algo
 	if algo == plan.JoinAuto {
@@ -645,15 +708,16 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 	}
 	mult := math.Max(l.mult, r.mult)
 	out := data.NewTable(x.Schema())
-	lRows, rRows := float64(logicalRows(l.table, l.mult)), float64(logicalRows(r.table, r.mult))
+	lRows, rRows := float64(l.logicalRows()), float64(r.logicalRows())
 	var work float64
 
+	var slab data.RowSlab
 	emit := func(lr, rr data.Row) {
-		combined := make(data.Row, 0, len(lr)+len(rr))
-		combined = append(combined, lr...)
-		combined = append(combined, rr...)
+		combined := slab.New(len(lr) + len(rr))
+		copy(combined[copy(combined, lr):], rr)
 		if x.Residual != nil {
 			if v := x.Residual.Eval(combined, ex.Ctx); v.Kind != data.KindBool || !v.B {
+				slab.Release(combined)
 				return
 			}
 		}
@@ -666,25 +730,31 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 		lKeys, lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys)
 		rKeys, rb, rok := ex.vecJoinKeys(r.table, x.RightKeys)
 		batches = lb + rb
-		build := make(map[string][]data.Row, r.table.NumRows())
-		for ri, rr := range r.table.Rows {
-			var k string
-			if rok {
-				k = rKeys[ri]
-			} else {
-				k = ex.joinKey(rr, x.RightKeys)
-			}
-			build[k] = append(build[k], rr)
+		if !rok {
+			rKeys = ex.rowJoinKeys(r.table, x.RightKeys)
 		}
+		// The build table is two flat arrays instead of a row slice per
+		// distinct key: head[k] is one past the index of the first right row
+		// with key k, next[i] one past the following row with row i's key, and
+		// 0 — a map miss, an untouched slot — ends a chain. Linking from the
+		// last row backwards leaves every chain in build order, the order the
+		// probe must emit in.
+		head := make(map[string]int32, len(rKeys))
+		next := make([]int32, len(rKeys))
+		for ri := len(rKeys) - 1; ri >= 0; ri-- {
+			next[ri] = head[rKeys[ri]]
+			head[rKeys[ri]] = int32(ri + 1)
+		}
+		var buf [64]byte
 		for li, lr := range l.table.Rows {
-			var k string
+			var ri int32
 			if lok {
-				k = lKeys[li]
+				ri = head[lKeys[li]]
 			} else {
-				k = ex.joinKey(lr, x.LeftKeys)
+				ri = head[string(ex.appendJoinKey(buf[:0], lr, x.LeftKeys))]
 			}
-			for _, rr := range build[k] {
-				emit(lr, rr)
+			for ; ri != 0; ri = next[ri-1] {
+				emit(lr, r.table.Rows[ri-1])
 			}
 		}
 		work = (lRows + rRows) * costHashRow
@@ -739,8 +809,7 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 		work = outer * costLoopOuter * (1 + 0.05*inner)
 	}
 
-	ex.record(NodeStat{Node: x, Op: "Join", Algo: algo, RowsOut: logicalRows(out, mult), BytesOut: logicalBytes(out, mult), Work: work, Batches: batches})
-	return nodeResult{table: out, mult: mult}, nil
+	return ex.finish(NodeStat{Node: x, Op: "Join", Algo: algo, Work: work, Batches: batches}, out, mult), nil
 }
 
 type keyedRows struct {
@@ -800,36 +869,37 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 		return nodeResult{}, err
 	}
 	// Exchange: aggregation shuffles its input.
-	ex.res.TotalRead += logicalBytes(in.table, in.mult)
+	ex.res.TotalRead += in.logicalBytes()
 
-	schema := x.Schema()
-	out := data.NewTable(schema)
-	batches, ok := ex.vecAggregate(in.table, x, schema, out)
+	out := data.NewTable(x.Schema())
+	groups := newAggTable(x, len(out.Schema))
+	batches, ok := ex.vecAggregate(in.table, groups)
 	if !ok {
-		states := make(map[string]*aggState)
-		var order []string
+		var buf [64]byte
+		vals := make(data.Row, len(x.GroupBy))
 		args := make([]data.Value, len(x.Aggs))
 		for _, row := range in.table.Rows {
-			key, groupVals := ex.groupKey(row, x)
-			st, ok := states[key]
+			key := buf[:0]
+			for i, g := range x.GroupBy {
+				vals[i] = g.Eval(row, ex.Ctx)
+				key = appendKeyValue(key, vals[i])
+			}
+			gi, ok := groups.index[string(key)]
 			if !ok {
-				st = newAggState(groupVals, len(x.Aggs))
-				states[key] = st
-				order = append(order, key)
+				gi = groups.add(string(key))
+				copy(groups.states[gi].row, vals)
 			}
 			for i, spec := range x.Aggs {
 				if spec.Arg != nil {
 					args[i] = spec.Arg.Eval(row, ex.Ctx)
 				}
 			}
-			st.accumulate(x, args)
-		}
-		for _, key := range order {
-			out.Append(states[key].outputRow(x, schema))
+			groups.states[gi].accumulate(x, args)
 		}
 	}
+	groups.output(out)
 
-	work := float64(logicalRows(in.table, in.mult)) * costAggRow
+	work := float64(in.logicalRows()) * costAggRow
 	// Output multiplicity: grouped outputs don't scale linearly with the
 	// logical multiplier — distinct group counts grow sub-linearly. We keep
 	// the conservative model of scaling by sqrt(mult).
@@ -837,32 +907,49 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	if len(x.GroupBy) == 0 {
 		outMult = 1
 	}
-	ex.record(NodeStat{Node: x, Op: "Aggregate", RowsOut: logicalRows(out, outMult), BytesOut: logicalBytes(out, outMult), Work: work, Batches: batches})
-	return nodeResult{table: out, mult: outMult}, nil
+	return ex.finish(NodeStat{Node: x, Op: "Aggregate", Work: work, Batches: batches}, out, outMult), nil
 }
 
-// aggState accumulates one group's aggregates.
+// aggCell is the running state of one aggregate within one group. The zero
+// value is the initial state (min and max NULL).
+type aggCell struct {
+	sum      float64
+	count    int64
+	min, max data.Value
+}
+
+// aggState accumulates one group. row is the group's output row: the group
+// values, written when the group is discovered, then one cell per aggregate,
+// written by aggTable.output.
 type aggState struct {
-	groupVals data.Row
-	sums      []float64
-	counts    []int64
-	mins      []data.Value
-	maxs      []data.Value
+	row   data.Row
+	cells []aggCell
 }
 
-func newAggState(groupVals data.Row, nAggs int) *aggState {
-	st := &aggState{
-		groupVals: groupVals,
-		sums:      make([]float64, nAggs),
-		counts:    make([]int64, nAggs),
-		mins:      make([]data.Value, nAggs),
-		maxs:      make([]data.Value, nAggs),
-	}
-	for i := range st.mins {
-		st.mins[i] = data.Null()
-		st.maxs[i] = data.Null()
-	}
-	return st
+// aggTable is the hash aggregate's group table, filled by the row loop and by
+// vecAggregate alike. Groups sit in states in discovery order, which is the
+// output order; their cells and rows are carved from slabs, so a new group
+// costs its map key and nothing else.
+type aggTable struct {
+	x      *plan.Aggregate
+	index  map[string]int32 // group key (keys.go) → position in states
+	states []aggState
+	cells  data.Slab[aggCell]
+	rows   data.RowSlab
+	width  int // output arity
+}
+
+func newAggTable(x *plan.Aggregate, width int) *aggTable {
+	return &aggTable{x: x, index: make(map[string]int32), width: width}
+}
+
+// add opens the group for key and returns its position; the caller fills
+// row[:len(GroupBy)].
+func (a *aggTable) add(key string) int32 {
+	gi := int32(len(a.states))
+	a.states = append(a.states, aggState{row: a.rows.New(a.width), cells: a.cells.New(len(a.x.Aggs))})
+	a.index[key] = gi
+	return gi
 }
 
 // accumulate folds one input row into the group. args[i] is the row's value
@@ -875,64 +962,54 @@ func (st *aggState) accumulate(x *plan.Aggregate, args []data.Value) {
 		if spec.Arg != nil && v.IsNull() && spec.Kind != plan.AggCount {
 			continue
 		}
+		c := &st.cells[i]
 		switch spec.Kind {
 		case plan.AggCount:
-			st.counts[i]++
+			c.count++
 		case plan.AggSum, plan.AggAvg:
-			st.sums[i] += v.AsFloat()
-			st.counts[i]++
+			c.sum += v.AsFloat()
+			c.count++
 		case plan.AggMin:
-			if st.mins[i].IsNull() || v.Compare(st.mins[i]) < 0 {
-				st.mins[i] = v
+			if c.min.IsNull() || v.Compare(c.min) < 0 {
+				c.min = v
 			}
 		case plan.AggMax:
-			if st.maxs[i].IsNull() || v.Compare(st.maxs[i]) > 0 {
-				st.maxs[i] = v
+			if c.max.IsNull() || v.Compare(c.max) > 0 {
+				c.max = v
 			}
 		}
 	}
 }
 
-func (st *aggState) outputRow(x *plan.Aggregate, schema data.Schema) data.Row {
-	row := make(data.Row, 0, len(schema))
-	row = append(row, st.groupVals...)
-	for i, spec := range x.Aggs {
-		switch spec.Kind {
-		case plan.AggCount:
-			row = append(row, data.Int(st.counts[i]))
-		case plan.AggSum:
-			if spec.Arg != nil && spec.Arg.Kind() == data.KindInt {
-				row = append(row, data.Int(int64(st.sums[i])))
-			} else {
-				row = append(row, data.Float(st.sums[i]))
+// output finishes every group's row and appends them to out in discovery
+// order.
+func (a *aggTable) output(out *data.Table) {
+	out.Rows = make([]data.Row, 0, len(a.states))
+	for _, st := range a.states {
+		res := st.row[len(a.x.GroupBy):]
+		for i, spec := range a.x.Aggs {
+			c := &st.cells[i]
+			switch spec.Kind {
+			case plan.AggCount:
+				res[i] = data.Int(c.count)
+			case plan.AggSum:
+				if spec.Arg != nil && spec.Arg.Kind() == data.KindInt {
+					res[i] = data.Int(int64(c.sum))
+				} else {
+					res[i] = data.Float(c.sum)
+				}
+			case plan.AggAvg:
+				if c.count != 0 {
+					res[i] = data.Float(c.sum / float64(c.count))
+				}
+			case plan.AggMin:
+				res[i] = c.min
+			case plan.AggMax:
+				res[i] = c.max
 			}
-		case plan.AggAvg:
-			if st.counts[i] == 0 {
-				row = append(row, data.Null())
-			} else {
-				row = append(row, data.Float(st.sums[i]/float64(st.counts[i])))
-			}
-		case plan.AggMin:
-			row = append(row, st.mins[i])
-		case plan.AggMax:
-			row = append(row, st.maxs[i])
 		}
+		out.Append(st.row)
 	}
-	return row
-}
-
-// groupKey computes one row's group key and values, using the same
-// collision-free length-prefixed encoding as joinKey (keys.go).
-func (ex *Executor) groupKey(row data.Row, x *plan.Aggregate) (string, data.Row) {
-	groupVals := make(data.Row, len(x.GroupBy))
-	var buf [64]byte
-	key := buf[:0]
-	for i, g := range x.GroupBy {
-		v := g.Eval(row, ex.Ctx)
-		groupVals[i] = v
-		key = appendKeyValue(key, v)
-	}
-	return string(key), groupVals
 }
 
 func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {
@@ -945,12 +1022,12 @@ func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {
 		return nodeResult{}, err
 	}
 	out := data.NewTable(l.table.Schema)
+	out.Rows = make([]data.Row, 0, l.table.NumRows()+r.table.NumRows())
 	out.Rows = append(out.Rows, l.table.Rows...)
 	out.Rows = append(out.Rows, r.table.Rows...)
 	mult := math.Max(l.mult, r.mult)
 	work := float64(logicalRows(out, mult)) * costUnionRow
-	ex.record(NodeStat{Node: x, Op: "Union", RowsOut: logicalRows(out, mult), BytesOut: logicalBytes(out, mult), Work: work})
-	return nodeResult{table: out, mult: mult}, nil
+	return ex.finish(NodeStat{Node: x, Op: "Union", Work: work}, out, mult), nil
 }
 
 func (ex *Executor) evalUDO(x *plan.UDO) (nodeResult, error) {
@@ -963,12 +1040,17 @@ func (ex *Executor) evalUDO(x *plan.UDO) (nodeResult, error) {
 		return nodeResult{}, fmt.Errorf("exec: unknown UDO %q", x.Name)
 	}
 	out := data.NewTable(impl.OutSchema(in.table.Schema))
+	// One output row per input row is the common shape; a UDO that emits
+	// more only outgrows the hint, one that clones fewer rows than it reads
+	// leaves the rest of a chunk unused (data.Slab.Expect).
+	out.Rows = make([]data.Row, 0, in.table.NumRows())
+	ex.Ctx.ExpectRows(in.table.NumRows())
+	emit := out.Append
 	for _, row := range in.table.Rows {
-		impl.Apply(row, func(r data.Row) { out.Append(r) }, ex.Ctx)
+		impl.Apply(row, emit, ex.Ctx)
 	}
-	work := float64(logicalRows(in.table, in.mult)) * costUDORow
-	ex.record(NodeStat{Node: x, Op: "UDO", RowsOut: logicalRows(out, in.mult), BytesOut: logicalBytes(out, in.mult), Work: work})
-	return nodeResult{table: out, mult: in.mult}, nil
+	work := float64(in.logicalRows()) * costUDORow
+	return ex.finish(NodeStat{Node: x, Op: "UDO", Work: work}, out, in.mult), nil
 }
 
 func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
@@ -999,9 +1081,8 @@ func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
 			}
 		}
 	}
-	work := float64(logicalRows(in.table, in.mult)) * costSampleRow
-	ex.record(NodeStat{Node: x, Op: "Sample", RowsOut: logicalRows(out, in.mult), BytesOut: logicalBytes(out, in.mult), Work: work, Batches: batches})
-	return nodeResult{table: out, mult: in.mult}, nil
+	work := float64(in.logicalRows()) * costSampleRow
+	return ex.finish(NodeStat{Node: x, Op: "Sample", Work: work, Batches: batches}, out, in.mult), nil
 }
 
 func (ex *Executor) evalSort(x *plan.Sort) (nodeResult, error) {
@@ -1030,8 +1111,7 @@ func (ex *Executor) evalSort(x *plan.Sort) (nodeResult, error) {
 	}
 	rows := float64(logicalRows(out, in.mult))
 	work := rows * costOrderRow * log2(rows)
-	ex.record(NodeStat{Node: x, Op: "Sort", RowsOut: logicalRows(out, in.mult), BytesOut: logicalBytes(out, in.mult), Work: work, Batches: batches})
-	return nodeResult{table: out, mult: in.mult}, nil
+	return ex.finish(NodeStat{Node: x, Op: "Sort", Work: work, Batches: batches}, out, in.mult), nil
 }
 
 func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {
@@ -1039,7 +1119,7 @@ func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {
 	if err != nil {
 		return nodeResult{}, err
 	}
-	lb := logicalBytes(in.table, in.mult)
+	lb := in.logicalBytes()
 	writeWork := float64(lb) * costWriteByte
 	if ex.Views != nil && x.StrictSig != "" {
 		if ex.Faults.Enabled(fault.SpoolWrite) &&
@@ -1054,7 +1134,7 @@ func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {
 			return nodeResult{}, fmt.Errorf("exec: materializing view: %w", err)
 		}
 	}
-	ex.record(NodeStat{Node: x, Op: "Spool", RowsOut: logicalRows(in.table, in.mult), BytesOut: lb, Work: writeWork})
+	ex.record(NodeStat{Node: x, Op: "Spool", RowsOut: in.logicalRows(), BytesOut: lb, Work: writeWork})
 	ex.res.SpoolWork += writeWork
 	return in, nil
 }
@@ -1064,9 +1144,9 @@ func (ex *Executor) evalOutput(x *plan.Output) (nodeResult, error) {
 	if err != nil {
 		return nodeResult{}, err
 	}
-	lb := logicalBytes(in.table, in.mult)
+	lb := in.logicalBytes()
 	work := float64(lb) * costWriteByte
-	ex.record(NodeStat{Node: x, Op: "Output", RowsOut: logicalRows(in.table, in.mult), BytesOut: lb, Work: work})
+	ex.record(NodeStat{Node: x, Op: "Output", RowsOut: in.logicalRows(), BytesOut: lb, Work: work})
 	return in, nil
 }
 

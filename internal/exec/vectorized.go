@@ -36,9 +36,10 @@ func evalAll(progs []*vecProg, roots []*vcol, lo, w int) {
 	}
 }
 
-// vecFilter evaluates pred in batchSize windows, collecting survivors through
-// a selection bitmap. Row slices are appended by reference, exactly like the
-// row path.
+// vecFilter evaluates pred in batchSize windows, marking survivors in a
+// full-height selection bitmap (n/8 bytes), so the output's row slice is
+// allocated once at its exact size. Row slices are appended by reference,
+// exactly like the row path.
 func (ex *Executor) vecFilter(t *data.Table, pred plan.Expr, out *data.Table) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false
@@ -52,22 +53,23 @@ func (ex *Executor) vecFilter(t *data.Table, pred plan.Expr, out *data.Table) (i
 		return 0, false
 	}
 	var sel bitvector.Bitmap
+	sel.Resize(n)
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
 		res := prog.eval(lo, w)
-		sel.Resize(w)
 		for i := 0; i < w; i++ {
 			// truthy(): Bool kernels never mask, but stay defensive.
 			if res.bs[i] && (res.null == nil || !res.null[i]) {
-				sel.Set(i)
+				sel.Set(lo + i)
 			}
 		}
-		sel.ForEachSet(func(i int) {
-			out.Append(t.Rows[lo+i])
-		})
 		batches++
 	}
+	out.Rows = make([]data.Row, 0, sel.Count())
+	sel.ForEachSet(func(i int) {
+		out.Append(t.Rows[i])
+	})
 	return batches, true
 }
 
@@ -86,12 +88,15 @@ func (ex *Executor) vecProject(t *data.Table, exprs []plan.Expr, out *data.Table
 		return 0, false
 	}
 	roots := make([]*vcol, len(progs))
+	var slab data.RowSlab
+	slab.Expect(n)
+	out.Rows = make([]data.Row, 0, n)
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
 		evalAll(progs, roots, lo, w)
 		for i := 0; i < w; i++ {
-			nr := make(data.Row, len(exprs))
+			nr := slab.New(len(exprs))
 			for j, rc := range roots {
 				nr[j] = rc.value(i)
 			}
@@ -105,7 +110,8 @@ func (ex *Executor) vecProject(t *data.Table, exprs []plan.Expr, out *data.Table
 // vecJoinKeys computes the length-prefixed hash key of every row in t under
 // the key expressions, evaluating them vectorized. The returned keys are
 // byte-identical to joinKey() per row, so build/probe behavior is unchanged —
-// only the per-pair/per-row expression dispatch cost is gone.
+// only the per-pair/per-row expression dispatch cost is gone. A window's keys
+// cost one allocation (see keyPacker).
 func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr) ([]string, int64, bool) {
 	if !ex.Vectorized || len(keys) == 0 {
 		return nil, 0, false
@@ -120,18 +126,18 @@ func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr) ([]string, int6
 	}
 	outKeys := make([]string, n)
 	roots := make([]*vcol, len(progs))
-	var buf [64]byte
+	var pack keyPacker
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
 		evalAll(progs, roots, lo, w)
 		for i := 0; i < w; i++ {
-			kb := buf[:0]
 			for _, rc := range roots {
-				kb = appendKeyValue(kb, rc.value(i))
+				pack.buf = appendKeyValue(pack.buf, rc.value(i))
 			}
-			outKeys[lo+i] = string(kb)
+			pack.end()
 		}
+		pack.flush(outKeys[lo : lo+w])
 		batches++
 	}
 	return outKeys, batches, true
@@ -139,9 +145,9 @@ func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr) ([]string, int6
 
 // vecAggregate is the vectorized hash aggregate: group-by and
 // aggregate-argument expressions evaluate per window, then rows accumulate in
-// input order into the same aggState as the row loop (identical float
+// input order into the same aggTable as the row loop (identical float
 // summation order, identical group discovery order).
-func (ex *Executor) vecAggregate(t *data.Table, x *plan.Aggregate, schema data.Schema, out *data.Table) (int64, bool) {
+func (ex *Executor) vecAggregate(t *data.Table, groups *aggTable) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false
 	}
@@ -149,6 +155,7 @@ func (ex *Executor) vecAggregate(t *data.Table, x *plan.Aggregate, schema data.S
 	if n == 0 {
 		return 0, false
 	}
+	x := groups.x
 	in := newInputCols(t)
 	groupProgs, ok := compileAll(in, x.GroupBy)
 	if !ok {
@@ -164,8 +171,6 @@ func (ex *Executor) vecAggregate(t *data.Table, x *plan.Aggregate, schema data.S
 		}
 	}
 
-	states := make(map[string]*aggState)
-	var order []*aggState
 	var buf [64]byte
 	groupRoots := make([]*vcol, len(groupProgs))
 	argRoots := make([]*vcol, len(argProgs))
@@ -184,27 +189,21 @@ func (ex *Executor) vecAggregate(t *data.Table, x *plan.Aggregate, schema data.S
 			for _, rc := range groupRoots {
 				kb = appendKeyValue(kb, rc.value(i))
 			}
-			st, ok := states[string(kb)]
+			gi, ok := groups.index[string(kb)]
 			if !ok {
-				groupVals := make(data.Row, len(groupRoots))
+				gi = groups.add(string(kb))
 				for j, rc := range groupRoots {
-					groupVals[j] = rc.value(i)
+					groups.states[gi].row[j] = rc.value(i)
 				}
-				st = newAggState(groupVals, len(x.Aggs))
-				states[string(kb)] = st
-				order = append(order, st)
 			}
 			for j, rc := range argRoots {
 				if rc != nil {
 					args[j] = rc.value(i)
 				}
 			}
-			st.accumulate(x, args)
+			groups.states[gi].accumulate(x, args)
 		}
 		batches++
-	}
-	for _, st := range order {
-		out.Append(st.outputRow(x, schema))
 	}
 	return batches, true
 }
@@ -282,6 +281,7 @@ func (ex *Executor) vecSort(t *data.Table, x *plan.Sort, out *data.Table) (int64
 		}
 		return false
 	})
+	out.Rows = make([]data.Row, 0, n)
 	for _, j := range idx {
 		out.Append(t.Rows[j])
 	}

@@ -360,3 +360,123 @@ func TestGroupKeyCollisionRegression(t *testing.T) {
 		}
 	}
 }
+
+// allocCeilingQuery runs scan → UDO → filter → join with a residual →
+// aggregate → project, every operator that creates rows.
+const allocCeilingQuery = `SELECT seg, n + 1 AS n1, total * 2 AS t2 FROM (
+	SELECT MktSegment AS seg, COUNT(*) AS n, SUM(Price) AS total
+	FROM (SELECT * FROM (PROCESS Sales USING "NormalizeStrings") AS tagged WHERE Price > 20) AS s
+	JOIN Customer ON s.CustomerId = Customer.Id AND s.Quantity + Customer.Id > 3
+	GROUP BY MktSegment) AS g`
+
+// TestAllocationsScaleWithBatches is the executor's allocation ceiling: rows,
+// group states and join keys come from per-batch chunks, so ten times the
+// input may cost at most twice the allocations (at the parent commit every
+// row was its own allocation and the count grew tenfold). Both the kernels
+// and the reference loops are held to it.
+func TestAllocationsScaleWithBatches(t *testing.T) {
+	for _, vectorized := range []bool{true, false} {
+		var allocs [2]float64
+		for i, sales := range []int{1200, 12000} {
+			cat, err := fixtures.Retail(fixtures.RetailConfig{Customers: sales / 3, Parts: 50, Sales: sales, Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := bindQuery(t, cat, allocCeilingQuery)
+			res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := map[string]int64{}
+			for _, st := range res.Stats {
+				ops[st.Op] = st.RowsOut
+			}
+			for _, op := range []string{"UDO", "Filter", "Join", "Aggregate", "Project"} {
+				if ops[op] == 0 {
+					t.Fatalf("%d sales: %s produced no rows (stats %v)", sales, op, ops)
+				}
+			}
+			if ops["Join"] >= ops["Filter"] {
+				t.Fatalf("%d sales: the residual rejected nothing (%d of %d pairs kept)", sales, ops["Join"], ops["Filter"])
+			}
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("vectorized=%v: %.0f allocations at 1,200 rows, %.0f at 12,000", vectorized, allocs[0], allocs[1])
+		if allocs[1] > 2*allocs[0] {
+			t.Errorf("vectorized=%v: allocations grew %.1f× for 10× the rows (%.0f → %.0f), want at most 2×",
+				vectorized, allocs[1]/allocs[0], allocs[0], allocs[1])
+		}
+	}
+}
+
+// TestOperatorRowsDoNotAlias: rows an operator creates share chunks, but each
+// is capped at its own length and none overlaps another or its input — an
+// append or a write on one output row reaches nothing else.
+func TestOperatorRowsDoNotAlias(t *testing.T) {
+	cat, err := fixtures.Retail(fixtures.RetailConfig{Customers: 100, Parts: 20, Sales: 1500, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := func() string {
+		var fp string
+		for _, name := range []string{"Sales", "Customer"} {
+			v, err := cat.Latest(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp += v.Table.Fingerprint()
+		}
+		return fp
+	}
+	before := inputs()
+	for _, src := range []string{
+		`PROCESS Sales USING "AddRowTag"`,
+		`PROCESS Sales USING "StampIngestTime"`,
+		`PROCESS Sales USING "NormalizeStrings"`,
+		`SELECT SaleId, Price * Quantity AS revenue FROM Sales`,
+		// A bare join: rows the residual rejects are given back to the slab
+		// and their cells reused by the next pair.
+		`SELECT * FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id AND Sales.Quantity + Customer.Id > 3`,
+		`SELECT CustomerId, COUNT(*) AS n, SUM(Price) AS total, MIN(Quantity) AS mn FROM Sales GROUP BY CustomerId`,
+	} {
+		for _, vectorized := range []bool{true, false} {
+			res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(bindQuery(t, cat, src))
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			out := res.Table
+			if last := res.Stats[len(res.Stats)-1].Op; last == "Filter" || last == "Scan" {
+				t.Fatalf("%s: the plan ends in %s, whose output rows are its input's", src, last)
+			}
+			if out.NumRows() < 2*16 {
+				t.Fatalf("%s: %d rows, too few to share a chunk", src, out.NumRows())
+			}
+			want := out.Clone()
+			for i, r := range out.Rows {
+				if cap(r) != len(r) {
+					t.Fatalf("%s (vectorized=%v): row %d has len %d cap %d", src, vectorized, i, len(r), cap(r))
+				}
+				_ = append(r, data.String_("spill"))
+				if i%2 == 0 {
+					for j := range r {
+						r[j] = data.String_("scribble")
+					}
+				}
+			}
+			for i := 1; i < len(out.Rows); i += 2 {
+				for j, v := range out.Rows[i] {
+					if !valueExactEqual(v, want.Rows[i][j]) {
+						t.Fatalf("%s (vectorized=%v): row %d col %d changed to %v by writes to its neighbours", src, vectorized, i, j, v)
+					}
+				}
+			}
+			if inputs() != before {
+				t.Fatalf("%s (vectorized=%v): writing the output changed an input table", src, vectorized)
+			}
+		}
+	}
+}

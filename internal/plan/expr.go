@@ -32,11 +32,38 @@ type Expr interface {
 	Walk(fn func(Expr))
 }
 
-// EvalContext carries evaluation-scoped state for non-deterministic builtins.
+// EvalContext carries evaluation-scoped state: the clock and RNG of the
+// non-deterministic builtins, and the allocator of the rows UDOs emit.
 type EvalContext struct {
 	NowNanos int64
 	Rand     *data.Rand
 	guidSeq  int64
+	// rows is created by the first UDO that needs it: most jobs run none, and
+	// the context is allocated — and kept with the job's result — per job.
+	rows *data.RowSlab
+}
+
+func (c *EvalContext) slab() *data.RowSlab {
+	if c.rows == nil {
+		c.rows = new(data.RowSlab)
+	}
+	return c.rows
+}
+
+// ExpectRows announces that about n rows will be cloned through CloneRow (see
+// data.Slab.Expect for what an over-estimate costs); the executor calls it
+// once per UDO with the input's row count.
+func (c *EvalContext) ExpectRows(n int) { c.slab().Expect(n) }
+
+// CloneRow returns a copy of r followed by extra NULL cells for the caller to
+// fill. The copy is carved from the context's slab: a UDO that copies its
+// input costs one allocation per batch, not per row. The result's capacity
+// equals its length (an append reallocates, it never reaches a neighbouring
+// row), so a UDO that adds columns asks for them here.
+func (c *EvalContext) CloneRow(r data.Row, extra int) data.Row {
+	out := c.slab().New(len(r) + extra)
+	copy(out, r)
+	return out
 }
 
 // ColRef references an input column by resolved index.

@@ -138,3 +138,38 @@ func TestColumnsUsedAndClone(t *testing.T) {
 		t.Error("clone must render identically")
 	}
 }
+
+// TestCloneRowIndependentRows: the built-in UDOs clone through the context's
+// slab whether or not the executor announced a count, and what they emit
+// shares nothing with the input or with a neighbouring output row.
+func TestCloneRowIndependentRows(t *testing.T) {
+	impl, ok := plan.LookupUDO("AddRowTag")
+	if !ok {
+		t.Fatal("AddRowTag not registered")
+	}
+	for _, announce := range []bool{false, true} {
+		ctx := &plan.EvalContext{Rand: data.NewRand(1)}
+		if announce {
+			ctx.ExpectRows(3)
+		}
+		in := []data.Row{{data.Int(1), data.String_("a")}, {data.Int(2), data.String_("b")}, {data.Int(3), data.String_("c")}}
+		var out []data.Row
+		for _, r := range in {
+			impl.Apply(r, func(o data.Row) { out = append(out, o) }, ctx)
+		}
+		if len(out) != len(in) {
+			t.Fatalf("announce=%v: %d rows out, want %d", announce, len(out), len(in))
+		}
+		for i, o := range out {
+			if len(o) != 3 || cap(o) != 3 || o[0].I != in[i][0].I || o[1].S != in[i][1].S || o[2].Kind != data.KindInt {
+				t.Fatalf("announce=%v: row %d = %v (cap %d)", announce, i, o, cap(o))
+			}
+		}
+		tag := out[1][0]
+		_ = append(out[0], data.Int(-1)) // must reallocate, not reach out[1]
+		out[0][0] = data.Int(99)
+		if out[1][0] != tag || in[0][0].I != 1 {
+			t.Fatalf("announce=%v: writing one emitted row reached its neighbour or its input", announce)
+		}
+	}
+}

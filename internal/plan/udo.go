@@ -50,8 +50,8 @@ func init() {
 		Name:          "NormalizeStrings",
 		Deterministic: true,
 		OutSchema:     func(in data.Schema) data.Schema { return in.Clone() },
-		Apply: func(in data.Row, emit func(data.Row), _ *EvalContext) {
-			out := in.Clone()
+		Apply: func(in data.Row, emit func(data.Row), ctx *EvalContext) {
+			out := ctx.CloneRow(in, 0)
 			for i, v := range out {
 				if v.Kind == data.KindString {
 					out[i] = data.String_(strings.ToLower(v.S))
@@ -88,15 +88,15 @@ func init() {
 			out := in.Clone()
 			return append(out, data.Column{Name: "row_tag", Kind: data.KindInt})
 		},
-		Apply: func(in data.Row, emit func(data.Row), _ *EvalContext) {
+		Apply: func(in data.Row, emit func(data.Row), ctx *EvalContext) {
 			var h uint64 = 1469598103934665603
 			for _, v := range in {
 				for _, c := range []byte(v.String()) {
 					h = (h ^ uint64(c)) * 1099511628211
 				}
 			}
-			out := in.Clone()
-			out = append(out, data.Int(int64(h&0x7fffffffffffffff)))
+			out := ctx.CloneRow(in, 1)
+			out[len(in)] = data.Int(int64(h & 0x7fffffffffffffff))
 			emit(out)
 		},
 	})
@@ -111,8 +111,8 @@ func init() {
 			return append(out, data.Column{Name: "ingest_time", Kind: data.KindTime})
 		},
 		Apply: func(in data.Row, emit func(data.Row), ctx *EvalContext) {
-			out := in.Clone()
-			out = append(out, data.Value{Kind: data.KindTime, I: ctx.NowNanos})
+			out := ctx.CloneRow(in, 1)
+			out[len(in)] = data.Value{Kind: data.KindTime, I: ctx.NowNanos}
 			emit(out)
 		},
 	})

@@ -282,6 +282,24 @@ func (s *Store) Abandon(strict signature.Sig) bool {
 
 // Fetch returns a sealed, unexpired view's data. Implements exec.ViewStore.
 func (s *Store) Fetch(strict signature.Sig) (*data.Table, float64, bool) {
+	t, mult, ok := s.fetchLocked(strict)
+	if !ok {
+		return nil, 0, false
+	}
+	// Defensive copy: the stored table is the single artifact every future
+	// consumer reads. Handing out the live pointer would let one consumer's
+	// in-place mutation (e.g. an executor operator scribbling on rows)
+	// silently corrupt every later reuse of the view. The copy is made after
+	// the lock is released, so readers of different views do not queue behind
+	// each other's memcpy: a sealed view's table is never written or
+	// reassigned (Materialize keeps the first artifact), and a purge or expiry
+	// only drops the store's reference to it.
+	return t.Clone(), mult, true
+}
+
+// fetchLocked is Fetch's critical section: check the view, count the read,
+// and hand back the stored table itself.
+func (s *Store) fetchLocked(strict signature.Sig) (*data.Table, float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.views[strict]
@@ -296,11 +314,7 @@ func (s *Store) Fetch(strict signature.Sig) (*data.Table, float64, bool) {
 		return nil, 0, false
 	}
 	v.Reads++
-	// Defensive copy: the stored table is the single artifact every future
-	// consumer reads. Handing out the live pointer would let one consumer's
-	// in-place mutation (e.g. an executor operator scribbling on rows)
-	// silently corrupt every later reuse of the view.
-	return v.Table.Clone(), v.Mult, true
+	return v.Table, v.Mult, true
 }
 
 // Lookup returns view metadata regardless of sealing or expiry, for the

@@ -497,3 +497,78 @@ func TestPathFreshAfterPurge(t *testing.T) {
 		t.Fatalf("PurgeVC did not mint a fresh path: %q", third)
 	}
 }
+
+// TestFetchClonesOutsideLock: Fetch copies the view after releasing the
+// store's lock, so the copy runs concurrently with every other store
+// operation. Readers scribble on their copies while a writer stages, seals
+// and purges the same and other signatures; under -race this proves the
+// unlocked copy reads nothing another goroutine writes, and every fetched
+// copy must be the pristine artifact.
+func TestFetchClonesOutsideLock(t *testing.T) {
+	now := time.Unix(0, 0)
+	s := storage.NewStore(func() time.Time { return now })
+	big := func() *data.Table {
+		t := data.NewTable(data.Schema{{Name: "a", Kind: data.KindInt}, {Name: "b", Kind: data.KindString}})
+		for i := 0; i < 500; i++ {
+			t.Append(data.Row{data.Int(int64(i)), data.String_("v")})
+		}
+		return t
+	}
+	want := big().Fingerprint()
+	publish := func(sig signature.Sig) {
+		s.Stage(sig, "rec", "p/"+string(sig), "vc1")
+		if err := s.Materialize(sig, "p/"+string(sig), "vc1", big(), 1); err != nil {
+			t.Error(err)
+		}
+		s.Seal(sig)
+	}
+	publish("stable")
+
+	const readers = 8
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var fetched atomic.Int64
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sig := signature.Sig("stable")
+				if i%2 == 1 {
+					sig = "churn" // may be absent, mid-publish or purged
+				}
+				got, _, ok := s.Fetch(sig)
+				if !ok {
+					continue
+				}
+				if i%16 == 0 && got.Fingerprint() != want {
+					t.Errorf("reader %d: fetched copy of %s is not the stored artifact", r, sig)
+					return
+				}
+				for _, row := range got.Rows {
+					row[0] = data.Int(-1)
+				}
+				got.Rows = got.Rows[:1]
+				fetched.Add(1)
+			}
+		}(r)
+	}
+	for i := 0; i < 100 || fetched.Load() < 4*readers; i++ {
+		publish("churn")
+		s.Purge("churn")
+	}
+	close(stop)
+	wg.Wait()
+
+	if got, _, ok := s.Fetch("stable"); !ok || got.Fingerprint() != want {
+		t.Fatal("the stored view changed under concurrent fetches")
+	}
+	if v, ok := s.Lookup("stable"); !ok || v.Reads == 0 {
+		t.Fatal("fetches were not counted")
+	}
+}

@@ -16,6 +16,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"cloudviews/internal/catalog"
@@ -256,17 +257,42 @@ func (g *Generator) rawTable(day, stream int) *data.Table {
 	rng := data.NewRand(p.Seed ^ uint64(day)*2654435761 ^ uint64(stream)*40503)
 	t := data.NewTable(rawSchema)
 	base := fixtures.Epoch.AddDate(0, 0, day)
-	for i := 0; i < p.RowsPerRawDay; i++ {
-		t.Append(data.Row{
-			data.Time(base.Add(time.Duration(rng.Intn(86400)) * time.Second)),
-			data.Int(int64(rng.Zipf(10000, 1.1))),
-			data.String_(regions[rng.Intn(len(regions))]),
-			data.String_(eventTypes[rng.Intn(len(eventTypes))]),
-			data.Float(rng.Float64() * 200),
-			data.String_(fmt.Sprintf("https://svc%02d/p%03d", rng.Intn(20), rng.Intn(500))),
-		})
+	// AdvanceDay regenerates every raw stream, so the table is built with a
+	// handful of allocations: rows from a slab, and the URL column — always
+	// urlLen bytes of "https://svcNN/pNNN" — as slices of one string.
+	const urlLen = len("https://svc00/p000")
+	n := p.RowsPerRawDay
+	var slab data.RowSlab
+	slab.Expect(n)
+	t.Rows = make([]data.Row, 0, n)
+	urls := make([]byte, 0, n*urlLen)
+	for i := 0; i < n; i++ {
+		row := slab.New(len(rawSchema))
+		row[0] = data.Time(base.Add(time.Duration(rng.Intn(86400)) * time.Second))
+		row[1] = data.Int(int64(rng.Zipf(10000, 1.1)))
+		row[2] = data.String_(regions[rng.Intn(len(regions))])
+		row[3] = data.String_(eventTypes[rng.Intn(len(eventTypes))])
+		row[4] = data.Float(rng.Float64() * 200)
+		urls = appendPadded(append(urls, "https://svc"...), rng.Intn(20), 2)
+		urls = appendPadded(append(urls, "/p"...), rng.Intn(500), 3)
+		t.Append(row)
+	}
+	all := string(urls)
+	for i, row := range t.Rows {
+		row[5] = data.String_(all[i*urlLen : (i+1)*urlLen])
 	}
 	return t
+}
+
+// appendPadded appends v in decimal, zero-padded to width digits: fmt's %0*d
+// for a non-negative v.
+func appendPadded(dst []byte, v, width int) []byte {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(v), 10)
+	for pad := width - len(digits); pad > 0; pad-- {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 func (g *Generator) dimTable(day, dim int) *data.Table {

@@ -1,6 +1,8 @@
 package workload_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -220,5 +222,35 @@ func TestPaperClusterProfiles(t *testing.T) {
 			t.Errorf("duplicate cluster name %s", p.Name)
 		}
 		seen[p.Name] = true
+	}
+}
+
+// TestGeneratedTablesPinned: goldens, figures and the standing benchmark's
+// reference answers are all computed over the generator's tables, so how they
+// are built may change (rows from a slab, URLs without Sprintf) but their
+// bytes may not. The digest was taken before that change.
+func TestGeneratedTablesPinned(t *testing.T) {
+	gen, cat := bootstrap(t)
+	for d := 1; d <= 8; d++ {
+		if err := gen.AdvanceDay(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := sha256.New()
+	for _, n := range cat.Names() {
+		vs, err := cat.Window(n, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			fmt.Fprintf(h, "%s %s\n", n, v.GUID)
+			for _, r := range v.Table.Rows {
+				fmt.Fprintln(h, r.String())
+			}
+		}
+	}
+	const want = "36f0e9b772fcacc7ef94905c845dc3fea00c8abecd7703a1e392abe38c8932c3"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("generated tables changed: digest %s, want %s", got, want)
 	}
 }
