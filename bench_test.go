@@ -378,9 +378,9 @@ func BenchmarkGenerator(b *testing.B) {
 
 // benchConcurrentSystem builds a System over a mid-sized dataset for the
 // concurrent-submission throughput benchmark.
-func benchConcurrentSystem(b *testing.B, disableObs bool) *System {
+func benchConcurrentSystem(b *testing.B) *System {
 	b.Helper()
-	sys, err := NewSystem(Config{ClusterName: "bench-conc", Capacity: 400, DisableObservability: disableObs})
+	sys, err := NewSystem(Config{ClusterName: "bench-conc", Capacity: 400})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -411,8 +411,8 @@ func benchConcurrentSystem(b *testing.B, disableObs bool) *System {
 // runConcurrentSubmit is the shared body of the concurrent-submission
 // benchmarks: end-to-end throughput (parse → bind → optimize → execute →
 // record) with N submitter goroutines sharing one System.
-func runConcurrentSubmit(b *testing.B, workers int, disableObs bool) {
-	sys := benchConcurrentSystem(b, disableObs)
+func runConcurrentSubmit(b *testing.B, workers int) {
+	sys := benchConcurrentSystem(b)
 	// 37 distinct filter constants → 37 distinct strict signatures,
 	// so the result cache warms identically in every arm without
 	// collapsing all the work.
@@ -453,26 +453,14 @@ OUTPUT r TO "out/r";`, i)
 }
 
 // BenchmarkConcurrentSubmit measures submission throughput with 1, 4, and 16
-// submitter goroutines, observability ON (the default: per-job traces and the
-// metrics registry). The 1-worker arm is the serial baseline the scaling
-// claims compare against.
+// submitter goroutines on jobs the CloudViews controls leave off (no VC is
+// onboarded): a plan-cache entry is hit, and the job-dependent half of the
+// compile runs on every submission. The 1-worker arm is the serial baseline
+// the scaling claims compare against.
 func BenchmarkConcurrentSubmit(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			runConcurrentSubmit(b, workers, false)
-		})
-	}
-}
-
-// BenchmarkConcurrentSubmitNoTrace is the observability-off baseline; the
-// delta against BenchmarkConcurrentSubmit is the tracing+metrics+telemetry
-// overhead — per-job traces, registry bumps, and the critical-path
-// attribution the telemetry collector runs on every submission
-// (budget: <5%).
-func BenchmarkConcurrentSubmitNoTrace(b *testing.B) {
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			runConcurrentSubmit(b, workers, true)
+			runConcurrentSubmit(b, workers)
 		})
 	}
 }
@@ -482,9 +470,7 @@ func BenchmarkConcurrentSubmitNoTrace(b *testing.B) {
 // onboarded and annotations published, so every submission walks matchViews
 // and records structured decisions (matched / no-annotation / cost) instead
 // of the single policy-flight record the non-onboarded arms take. Gated by
-// cvbenchgate under the same BenchmarkConcurrentSubmit allocation prefix;
-// the delta against BenchmarkConcurrentSubmit rides inside the existing <5%
-// observability budget.
+// cvbenchgate under the same BenchmarkConcurrentSubmit allocation prefix.
 func BenchmarkConcurrentSubmitExplain(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -497,7 +483,7 @@ func BenchmarkConcurrentSubmitExplain(b *testing.B) {
 // before the timed loop so the steady state makes real per-candidate reuse
 // decisions on every submission.
 func runConcurrentSubmitExplain(b *testing.B, workers int) {
-	sys := benchConcurrentSystem(b, false)
+	sys := benchConcurrentSystem(b)
 	for w := 0; w < 4; w++ {
 		sys.OnboardVC(fmt.Sprintf("vc%d", w))
 	}

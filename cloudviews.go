@@ -218,11 +218,12 @@ type Config struct {
 	// store (which preserves byte-identical goldens and simulated-time
 	// determinism); durability is strictly opt-in.
 	StorageEngine StorageEngine
-	// PlanCacheSize bounds the compiled-plan cache keyed by the normalized
-	// script, parameters, and runtime version: recurring submissions skip
-	// parse and bind, and jobs the CloudViews controls disable additionally
-	// skip the optimizer. 0 applies the default (512 entries); negative
-	// disables the cache. Results and traces are identical either way.
+	// PlanCacheSize bounds the plan cache keyed by the normalized script,
+	// parameters, and runtime version: recurring submissions skip parse and
+	// bind and share the job-independent half of the compile (normalized
+	// plan, signatures, job tag); the rest of the compile runs per job.
+	// 0 applies the default (512 entries); negative disables the cache.
+	// Results and traces are identical either way.
 	PlanCacheSize int
 	// ResultCacheEntries bounds the shared subexpression result cache
 	// (0 = the 65536-entry default, negative = unbounded). Eviction is

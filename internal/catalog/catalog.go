@@ -76,7 +76,7 @@ type Catalog struct {
 	datasets map[string]*Dataset
 	guidSeq  uint64
 	// gen counts catalog mutations (Define, BulkUpdate, Forget, scale or
-	// producer changes). Compiled-plan caches key on it: any bump invalidates
+	// producer changes). The plan cache keys on it: any bump invalidates
 	// plans whose binding or estimates could have depended on prior state.
 	gen atomic.Uint64
 }

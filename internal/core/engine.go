@@ -61,8 +61,8 @@ type Config struct {
 	// file-backed durable engine). Nil keeps the default in-memory store.
 	// If the engine is ClockAware the simulated clock is installed into it.
 	StorageEngine storage.Engine
-	// PlanCacheSize bounds the compiled-plan cache keyed by normalized
-	// script: 0 = DefaultPlanCacheSize, negative = disabled.
+	// PlanCacheSize bounds the plan cache (bound root + prepared plan per
+	// normalized script): 0 = DefaultPlanCacheSize, negative = disabled.
 	PlanCacheSize int
 	// ResultCacheEntries bounds the shared subexpression result cache:
 	// 0 = exec.DefaultCacheEntries, negative = unbounded.
@@ -111,9 +111,9 @@ type Engine struct {
 	// cacheLimit is the bound resetCache re-applies on day boundaries.
 	cacheLimit int
 
-	// plans caches bound roots and (for reuse-disabled jobs) full compile
-	// products by normalized script, so recurring submissions skip
-	// parse/bind/optimize. Nil when disabled.
+	// plans caches, by normalized script, the bound root and the
+	// job-independent half of its compile, so recurring submissions skip
+	// parse, bind, normalization and signing. Nil when disabled.
 	plans *planCache
 
 	// clockMu guards the simulated clock. CompileAndExecute only advances
@@ -279,8 +279,11 @@ func (e *Engine) resetCache() *exec.Cache {
 	return e.cache
 }
 
-// PlanCacheStats returns cumulative compiled-plan cache hits and misses
-// (zero/zero when the cache is disabled).
+// PlanCacheStats returns how many submissions skipped compilation (hits) and
+// how many compiled (misses), counted while the plan cache is enabled. Every
+// job compiles against the controls, annotations, view store and history of
+// its own submit time, so hits is always 0; the method keeps its shape for the
+// standing benchmark, which weights its compile probe by 1 − hits/(hits+misses).
 func (e *Engine) PlanCacheStats() (hits, misses uint64) { return e.plans.stats() }
 
 // JobRun is the result of the data-plane half of a job: compiled plan,
@@ -323,8 +326,8 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	}
 	e.mJobs.Inc()
 
-	// Compiled-plan cache, level 1: identical normalized scripts (same
-	// params, runtime, and catalog generation) share one bound root.
+	// Plan cache: identical normalized scripts (same params, runtime, and
+	// catalog generation) share one bound root and one prepared plan.
 	// Compile clones before rewriting and execution never mutates plan
 	// nodes, so the shared root is read-only.
 	gen := e.Catalog.Generation()
@@ -376,85 +379,48 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	}
 	var cr *optimizer.CompileResult
 	var res *exec.RunResult
-	var sigMap map[plan.Node]signature.Sig
-	var tmpl *stageTemplate
 	var retryDelay time.Duration
 	attempt := 1
 	for {
-		// Compiled-plan cache, level 2: jobs for which the CloudViews
-		// controls are off compile to a pure function of (root, estimates) —
-		// no view matching, no proposals, no insights round trip — so the
-		// whole compile product can be replayed. Guards: the controls must
-		// still be off, and a fresh estimate pass (history moves between
-		// submissions) must agree exactly with the estimates the cached join
-		// algorithm choices were derived from. Retries always recompile.
-		cr, sigMap, tmpl = nil, nil, nil
-		if attempt == 1 && cached != nil {
-			if cp := cached.compiled.Load(); cp != nil {
-				disabledBy, off := "", true
-				if e.Insights != nil {
-					disabledBy = e.Insights.DisabledReason(in.Cluster, in.VC, in.OptIn)
-					off = disabledBy != ""
-				}
-				if off && optimizer.EstimatesMatch(e.Est, e.History, cp.cr.Plan, cp.cr.RecurringMap, cp.cr.Estimates) {
-					cr, sigMap, tmpl = cp.cr, cp.sigMap, cp.stages
-					e.plans.hits.Add(1)
-					// Replay the compile-phase trace AND the structured
-					// decision of a reuse-disabled job, so a plan-cache hit
-					// explains identically to a fresh compile.
-					tr.Event("reuse.disabled", "controls disabled CloudViews for this job")
-					rec.Record("", "", explain.ReasonPolicyFlight, 0, explain.PolicyDetail(disabledBy))
-					tr.Span("optimize", 0)
-				}
-			}
+		if keyOK {
+			e.plans.compiles.Add(1)
 		}
-		if cr == nil {
-			if keyOK {
-				e.plans.misses.Add(1)
-			}
-			opt := &optimizer.Optimizer{
-				Signer:         signer,
-				Est:            e.Est,
-				History:        e.History,
-				Store:          e.Store,
-				Insights:       e.Insights,
-				Guard:          e.guard,
-				MaxViewsPerJob: e.maxViewsPerJob,
-				Trace:          tr,
-				Explain:        rec,
-			}
-			// The job-independent half of the compile is a pure function of
-			// the entry's key, so every submission that finds the entry shares
-			// it (racing first writers store equal values).
-			var prep *optimizer.Prepared
+		opt := &optimizer.Optimizer{
+			Signer:         signer,
+			Est:            e.Est,
+			History:        e.History,
+			Store:          e.Store,
+			Insights:       e.Insights,
+			Guard:          e.guard,
+			MaxViewsPerJob: e.maxViewsPerJob,
+			Trace:          tr,
+			Explain:        rec,
+		}
+		// The job-independent half of the compile is a pure function of the
+		// entry's key, so every submission that finds the entry shares it
+		// (racing first writers store equal values).
+		var prep *optimizer.Prepared
+		if cached != nil {
+			prep = cached.prepared.Load()
+		}
+		if prep == nil {
+			prep = opt.Prepare(root)
 			if cached != nil {
-				prep = cached.prepared.Load()
-			}
-			if prep == nil {
-				prep = opt.Prepare(root)
-				if cached != nil {
-					cached.prepared.Store(prep)
-				}
-			}
-			cr = opt.CompilePrepared(prep, optimizer.CompileOptions{
-				JobID:   in.ID,
-				Cluster: in.Cluster,
-				VC:      in.VC,
-				OptIn:   in.OptIn,
-			})
-			// The result cache is keyed by PHYSICAL signatures: a plan that
-			// reuses a view must not replay the accounting of the plan that
-			// computed the subexpression.
-			sigMap = signer.Physical(cr.Plan)
-			tmpl = buildStageTemplate(cr)
-			if attempt == 1 && cached != nil && !cr.ReuseEnabled &&
-				len(cr.Proposed) == 0 && len(cr.Matched) == 0 {
-				// A newer product embeds estimates computed against newer
-				// history, which is what the hit-time estimate guard compares
-				// against, so the last writer wins.
-				cached.compiled.Store(&compiledPlan{cr: cr, sigMap: sigMap, stages: tmpl})
+				cached.prepared.Store(prep)
 			}
 		}
+		// The job-dependent half reads the controls, annotations, view store
+		// and runtime history as they stand now, so every attempt runs it.
+		cr = opt.CompilePrepared(prep, optimizer.CompileOptions{
+			JobID:   in.ID,
+			Cluster: in.Cluster,
+			VC:      in.VC,
+			OptIn:   in.OptIn,
+		})
+		// The result cache is keyed by PHYSICAL signatures: a plan that
+		// reuses a view must not replay the accounting of the plan that
+		// computed the subexpression.
+		sigMap := signer.Physical(cr.Plan)
 		e.mCompileSec.Add(cr.CompileLatency.Seconds())
 
 		// The attempt is part of the fault-injection key so a retried job
@@ -527,7 +493,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 		Explain: rec, Attempts: attempt, RetryDelay: retryDelay,
 	}
 	run.Output = res.Table
-	run.Stages = tmpl.specsFor(res)
+	run.Stages = stageSpecs(cr, res)
 	e.traceStages(tr, run.Stages, res.TotalBatches)
 	run.Record = e.buildRecord(in, cr, res)
 	// The record lands in the repository immediately so workload analysis
@@ -704,60 +670,37 @@ func (e *Engine) estimateSealDelay(run *JobRun) time.Duration {
 	return run.Compile.CompileLatency + time.Duration(sec*float64(time.Second))
 }
 
-// stageTemplate is the execution-independent part of stage lowering: the
-// stage DAG (widths, deps, spool flags) plus per-stage weights for
-// proportional work splitting. It is a pure function of (plan, estimates), so
-// the plan cache shares one template across identical submissions and cache
-// hits skip re-lowering the plan entirely.
-type stageTemplate struct {
-	// specs has Work left zero; Deps slices are shared across runs (the
-	// cluster scheduler only reads them).
-	specs       []cluster.StageSpec
-	weights     []float64
-	totalWeight float64
-	spoolStages int
-}
-
-// buildStageTemplate lowers the physical plan once per compilation.
-func buildStageTemplate(cr *optimizer.CompileResult) *stageTemplate {
+// stageSpecs lowers the physical plan to the stage DAG the cluster schedules
+// (widths, deps, spool flags) and distributes the execution's measured work
+// across the stages in proportion to their estimated work, so executions
+// served from the result cache still yield a faithful schedule.
+func stageSpecs(cr *optimizer.CompileResult, res *exec.RunResult) []cluster.StageSpec {
 	pp := optimizer.BuildStages(cr.Plan, cr.Estimates)
-	t := &stageTemplate{
-		specs:   make([]cluster.StageSpec, len(pp.Stages)),
-		weights: make([]float64, len(pp.Stages)),
-	}
+	specs := make([]cluster.StageSpec, len(pp.Stages))
+	var totalWeight float64
+	spoolStages := 0
 	for i, st := range pp.Stages {
-		spec := cluster.StageSpec{Width: st.Width, IsSpool: st.IsSpool}
+		specs[i] = cluster.StageSpec{Width: st.Width, IsSpool: st.IsSpool}
 		if len(st.Deps) > 0 {
-			spec.Deps = make([]int, len(st.Deps))
+			specs[i].Deps = make([]int, len(st.Deps))
 			for k, d := range st.Deps {
-				spec.Deps[k] = d.ID
+				specs[i].Deps[k] = d.ID
 			}
 		}
-		t.specs[i] = spec
 		if st.IsSpool {
-			t.spoolStages++
+			spoolStages++
 			continue
 		}
-		w := estimatedOpWork(st.Op, cr.Estimates[st.Node])
-		t.weights[i] = w
-		t.totalWeight += w
+		// Work holds the stage's estimated weight until the total is known.
+		specs[i].Work = estimatedOpWork(st.Op, cr.Estimates[st.Node])
+		totalWeight += specs[i].Work
 	}
-	return t
-}
-
-// specsFor fills the template with one execution's measured work: total
-// executed work is distributed across stages proportionally to their
-// estimated work so that replayed (cached) executions still yield a faithful
-// schedule.
-func (t *stageTemplate) specsFor(res *exec.RunResult) []cluster.StageSpec {
-	specs := make([]cluster.StageSpec, len(t.specs))
-	copy(specs, t.specs)
 	nonSpoolWork := res.TotalWork - res.SpoolWork
 	for i := range specs {
 		if specs[i].IsSpool {
-			specs[i].Work = res.SpoolWork / float64(t.spoolStages)
-		} else if t.totalWeight > 0 {
-			specs[i].Work = nonSpoolWork * t.weights[i] / t.totalWeight
+			specs[i].Work = res.SpoolWork / float64(spoolStages)
+		} else if totalWeight > 0 {
+			specs[i].Work = nonSpoolWork * specs[i].Work / totalWeight
 		} else {
 			specs[i].Work = nonSpoolWork / float64(len(specs))
 		}

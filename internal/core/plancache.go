@@ -10,15 +10,13 @@ import (
 	"cloudviews/internal/data"
 	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
-	"cloudviews/internal/signature"
 	"cloudviews/internal/sqlparser"
 	"cloudviews/internal/workload"
 )
 
-// DefaultPlanCacheSize bounds the compiled-plan cache. Recurring workloads
-// have a small template population (the paper's clusters see tens of
-// thousands of templates against millions of jobs), so a modest LRU captures
-// nearly all repeats.
+// DefaultPlanCacheSize bounds the plan cache. Recurring workloads have a small
+// template population (the paper's clusters see tens of thousands of templates
+// against millions of jobs), so a modest LRU captures nearly all repeats.
 const DefaultPlanCacheSize = 512
 
 // planKey identifies one compilable unit: the token-normalized script (so
@@ -31,40 +29,26 @@ type planKey struct {
 	params  string
 }
 
-// planEntry caches the two reuse levels for one key. gen pins the catalog
+// planEntry caches the job-independent products of one key: what parse, bind
+// and optimizer.Prepare derive from the script alone. gen pins the catalog
 // generation the entry was built against; any catalog mutation invalidates it
-// (binding resolves schemas and the estimates sample dataset sizes).
+// (binding resolves schemas and dataset versions). Everything after Prepare
+// reads the controls, annotations, view store and runtime history, which move
+// between submissions, so it is compiled per job and never cached.
 // Submissions share an entry without holding the cache lock, so what they
-// attach to it after lookup is published through atomic pointers.
+// attach to it after lookup is published through an atomic pointer.
 type planEntry struct {
 	gen  uint64
-	root plan.Node // bound script output (level 1: skips parse + bind)
+	root plan.Node // bound script output (skips parse + bind)
 
-	// prepared is the job-independent half of compiling root (level 1 too):
-	// the normalized plan, its signed subexpression enumeration and the job
-	// tag. It is a pure function of root and the runtime in the key, and it
-	// is never written, so every job that hits the entry compiles from it.
+	// prepared is the job-independent half of compiling root: the normalized
+	// plan, its signed subexpression enumeration and the job tag. It is a pure
+	// function of root and the runtime in the key, and it is never written, so
+	// every job that hits the entry compiles from it.
 	prepared atomic.Pointer[optimizer.Prepared]
-
-	// compiled is the full compile product (level 2), present only for jobs
-	// the CloudViews controls disabled: their compilation is a pure function
-	// of (root, estimates), with no view matching, no spool proposals, and no
-	// insights round trip — so replaying it is sound whenever the controls
-	// are still off and a fresh estimate pass agrees exactly.
-	compiled atomic.Pointer[compiledPlan]
 
 	prev, next *planEntry
 	key        planKey
-}
-
-// compiledPlan bundles everything CompileAndExecute derives from a compile
-// that executions re-derive per submission: the compile result (with the
-// subexpression enumeration the repository record is built from), the
-// physical signature map the result cache is keyed by, and the stage template.
-type compiledPlan struct {
-	cr     *optimizer.CompileResult
-	sigMap map[plan.Node]signature.Sig
-	stages *stageTemplate
 }
 
 // planCache is a bounded LRU over planEntry. A nil *planCache disables
@@ -75,18 +59,8 @@ type planCache struct {
 	head, tail *planEntry
 	limit      int
 
-	// norms memoizes NormalizeScript by raw script text: recurring workloads
-	// resubmit a small population of byte-identical scripts, so a map hit
-	// replaces re-lexing the script on every submission.
-	normMu sync.Mutex
-	norms  map[string]normEntry
-
-	hits, misses atomic.Uint64
-}
-
-type normEntry struct {
-	norm string
-	ok   bool
+	// compiles counts the compilations of submissions the cache could key.
+	compiles atomic.Uint64
 }
 
 func newPlanCache(limit int) *planCache {
@@ -96,11 +70,7 @@ func newPlanCache(limit int) *planCache {
 	if limit == 0 {
 		limit = DefaultPlanCacheSize
 	}
-	return &planCache{
-		m:     make(map[planKey]*planEntry),
-		norms: make(map[string]normEntry),
-		limit: limit,
-	}
+	return &planCache{m: make(map[planKey]*planEntry), limit: limit}
 }
 
 // planCacheKey derives the cache key for a job input. ok is false when the
@@ -110,32 +80,11 @@ func (c *planCache) planCacheKey(in workload.JobInput) (planKey, bool) {
 	if c == nil {
 		return planKey{}, false
 	}
-	norm, ok := c.normalize(in.Script)
+	norm, ok := sqlparser.NormalizeScript(in.Script)
 	if !ok {
 		return planKey{}, false
 	}
 	return planKey{runtime: in.Runtime, norm: norm, params: fingerprintParams(in.Params)}, true
-}
-
-// normalize returns the memoized token normalization of src. The memo is
-// bounded at a small multiple of the entry limit; on overflow it resets
-// wholesale (the population of distinct raw scripts in a recurring workload
-// is small, so a reset just re-lexes each live script once).
-func (c *planCache) normalize(src string) (string, bool) {
-	c.normMu.Lock()
-	if e, hit := c.norms[src]; hit {
-		c.normMu.Unlock()
-		return e.norm, e.ok
-	}
-	c.normMu.Unlock()
-	norm, ok := sqlparser.NormalizeScript(src)
-	c.normMu.Lock()
-	if len(c.norms) >= 4*c.limit {
-		c.norms = make(map[string]normEntry)
-	}
-	c.norms[src] = normEntry{norm: norm, ok: ok}
-	c.normMu.Unlock()
-	return norm, ok
 }
 
 // fingerprintParams renders parameter bindings deterministically. Kind and
@@ -213,7 +162,7 @@ func (c *planCache) lookup(key planKey, gen uint64) *planEntry {
 	return e
 }
 
-// storeBound records a freshly bound root for key (level 1). First writer
+// storeBound records a freshly bound root for key. First writer
 // wins under races; the loser's entry is simply not installed.
 func (c *planCache) storeBound(key planKey, gen uint64, root plan.Node) *planEntry {
 	if c == nil {
@@ -240,10 +189,12 @@ func (c *planCache) storeBound(key planKey, gen uint64, root plan.Node) *planEnt
 	return e
 }
 
-// stats returns cumulative full-compile cache hits and misses (level 2).
+// stats reports submissions that skipped compilation and submissions that
+// compiled. No submission skips it, so hits is always 0 (see
+// Engine.PlanCacheStats).
 func (c *planCache) stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.misses.Load()
+	return 0, c.compiles.Load()
 }

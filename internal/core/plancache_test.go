@@ -1,15 +1,19 @@
-package core_test
+package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/cluster"
-	"cloudviews/internal/core"
 	"cloudviews/internal/data"
 	"cloudviews/internal/fixtures"
+	"cloudviews/internal/optimizer"
+	"cloudviews/internal/plan"
+	"cloudviews/internal/signature"
+	"cloudviews/internal/stats"
 	"cloudviews/internal/workload"
 )
 
@@ -17,7 +21,7 @@ const pcScript = `p = SELECT * FROM Events WHERE Value > 10;
 r = SELECT Region, COUNT(*) AS n, SUM(Value) AS s FROM p GROUP BY Region;
 OUTPUT r TO "out/r";`
 
-func pcEngine(t *testing.T, cfg core.Config) *core.Engine {
+func pcEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	if cfg.Catalog == nil {
 		cfg.Catalog = catalog.New()
@@ -26,7 +30,7 @@ func pcEngine(t *testing.T, cfg core.Config) *core.Engine {
 		cfg.ClusterName = "pc-test"
 	}
 	cfg.ClusterCfg = cluster.Config{Capacity: 100}
-	e := core.NewEngine(cfg)
+	e := NewEngine(cfg)
 	schema := data.Schema{
 		{Name: "Id", Kind: data.KindInt},
 		{Name: "Region", Kind: data.KindString},
@@ -55,13 +59,25 @@ func pcInput(id, script string) workload.JobInput {
 	}
 }
 
-// TestPlanCacheHitMatchesMiss runs the same reuse-disabled submission
-// sequence through a cached engine and a cache-disabled twin: every run must
-// produce a byte-identical output table and an identical trace render, and
-// the cached engine must actually take hits once history converges.
+// pcEntry returns the plan-cache entry a job input lands on (nil if none).
+func pcEntry(t *testing.T, e *Engine, in workload.JobInput) *planEntry {
+	t.Helper()
+	key, ok := e.plans.planCacheKey(in)
+	if !ok {
+		t.Fatal("no plan-cache key")
+	}
+	return e.plans.lookup(key, e.Catalog.Generation())
+}
+
+// TestPlanCacheHitMatchesMiss runs the same submission sequence through a
+// cached engine and a cache-disabled twin: every run must produce a
+// byte-identical output table, trace render, stage lowering and repository
+// record, and the cached engine must compile all four from one prepared plan.
 func TestPlanCacheHitMatchesMiss(t *testing.T) {
-	cachedEng := pcEngine(t, core.Config{})
-	plainEng := pcEngine(t, core.Config{PlanCacheSize: -1})
+	cachedEng := pcEngine(t, Config{})
+	plainEng := pcEngine(t, Config{PlanCacheSize: -1})
+	var entry *planEntry
+	var prep *optimizer.Prepared
 	for i := 0; i < 4; i++ {
 		in := pcInput(fmt.Sprintf("j%d", i), pcScript)
 		cr, err := cachedEng.CompileAndExecute(in)
@@ -78,10 +94,21 @@ func TestPlanCacheHitMatchesMiss(t *testing.T) {
 		if ct, pt := cr.Trace.Render(), pr.Trace.Render(); ct != pt {
 			t.Fatalf("run %d: cached trace differs from uncached:\ncached:\n%s\nplain:\n%s", i, ct, pt)
 		}
-	}
-	hits, misses := cachedEng.PlanCacheStats()
-	if hits == 0 {
-		t.Fatalf("no plan cache hits after 4 identical submissions (misses=%d)", misses)
+		if !reflect.DeepEqual(cr.Stages, pr.Stages) {
+			t.Fatalf("run %d: cached stages differ from uncached:\ncached: %+v\nplain:  %+v", i, cr.Stages, pr.Stages)
+		}
+		if !reflect.DeepEqual(cr.Record, pr.Record) {
+			t.Fatalf("run %d: cached record differs from uncached:\ncached: %+v\nplain:  %+v", i, cr.Record, pr.Record)
+		}
+		got := pcEntry(t, cachedEng, in)
+		if got == nil || got.prepared.Load() == nil {
+			t.Fatalf("run %d: no prepared plan on the script's entry", i)
+		}
+		if i == 0 {
+			entry, prep = got, got.prepared.Load()
+		} else if got != entry || got.prepared.Load() != prep {
+			t.Fatalf("run %d: the entry or its prepared plan was replaced", i)
+		}
 	}
 }
 
@@ -89,7 +116,7 @@ func TestPlanCacheHitMatchesMiss(t *testing.T) {
 // between submissions: the cached plan must not serve stale bindings, and the
 // output must reflect the new data.
 func TestPlanCacheInvalidatedByCatalogChange(t *testing.T) {
-	e := pcEngine(t, core.Config{})
+	e := pcEngine(t, Config{})
 	for i := 0; i < 3; i++ {
 		if _, err := e.CompileAndExecute(pcInput(fmt.Sprintf("warm%d", i), pcScript)); err != nil {
 			t.Fatal(err)
@@ -121,48 +148,105 @@ func TestPlanCacheInvalidatedByCatalogChange(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSkipsReuseEnabledJobs verifies the level-2 cache never serves
-// jobs for which CloudViews is enabled — their compilation depends on the
-// view store and insights state, which move between submissions.
+// TestPlanCacheSkipsReuseEnabledJobs flips the CloudViews controls under one
+// cached script: the entry holds only what does not depend on them, so it
+// serves on → off → on, every submission's compile follows the control of its
+// own moment, and the answers are identical.
 func TestPlanCacheSkipsReuseEnabledJobs(t *testing.T) {
-	e := pcEngine(t, core.Config{})
-	e.OnboardVC("vc-on")
-	in := pcInput("on-1", pcScript)
+	e := pcEngine(t, Config{})
+	in := pcInput("flip", pcScript)
 	in.VC = "vc-on"
-	for i := 0; i < 4; i++ {
-		in.ID = fmt.Sprintf("on-%d", i)
+	var entry *planEntry
+	var want string
+	for i, on := range []bool{true, false, true} {
+		if on {
+			e.OnboardVC(in.VC)
+		} else {
+			e.OffboardVC(in.VC)
+		}
+		in.ID = fmt.Sprintf("flip-%d", i)
 		run, err := e.CompileAndExecute(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !run.Compile.ReuseEnabled {
-			t.Fatal("expected reuse enabled for onboarded VC")
+		if run.Compile.ReuseEnabled != on {
+			t.Fatalf("submission %d: ReuseEnabled=%v with the VC onboarded=%v", i, run.Compile.ReuseEnabled, on)
+		}
+		got := pcEntry(t, e, in)
+		if i == 0 {
+			entry, want = got, run.Output.Fingerprint()
+		}
+		if got == nil || got != entry {
+			t.Fatalf("submission %d: not served by the first submission's entry", i)
+		}
+		if run.Output.Fingerprint() != want {
+			t.Fatalf("submission %d: output differs from the first submission's", i)
 		}
 	}
-	if hits, _ := e.PlanCacheStats(); hits != 0 {
-		t.Fatalf("reuse-enabled submissions took %d plan-cache hits, want 0", hits)
-	}
-
-	// Flipping the controls off after a full compile must not expose a stale
-	// product either: the first disabled submission recompiles (the enabled
-	// runs never stored one), then subsequent ones may hit.
-	e.OffboardVC("vc-on")
-	for i := 0; i < 3; i++ {
-		in.ID = fmt.Sprintf("off-%d", i)
-		run, err := e.CompileAndExecute(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run.Compile.ReuseEnabled {
-			t.Fatal("expected reuse disabled after offboarding")
-		}
+	if len(e.plans.m) != 1 {
+		t.Fatalf("%d plan-cache entries, want 1", len(e.plans.m))
 	}
 }
 
-// TestPlanCacheDisabled pins the off switch: PlanCacheSize < 0 must record
-// neither hits nor misses and still execute correctly.
+// TestEveryJobCompilesAgainstCurrentHistory guards against a compile ever
+// being skipped again: one controls-off script is resubmitted while runtime
+// history moves between submissions, and every run's estimates must be those
+// of its own submit time — equal to a cache-disabled twin's, and equal to the
+// history mean read just before the submission.
+func TestEveryJobCompilesAgainstCurrentHistory(t *testing.T) {
+	cachedEng := pcEngine(t, Config{})
+	plainEng := pcEngine(t, Config{PlanCacheSize: -1})
+	estimates := func(run *JobRun) []stats.Estimate {
+		var out []stats.Estimate
+		plan.Walk(run.Compile.Plan, func(n plan.Node) {
+			out = append(out, run.Compile.Estimates[n])
+		})
+		return out
+	}
+	const n = 5
+	var filter signature.Sig // the filter's recurring signature, read off the first run
+	for i := 0; i < n; i++ {
+		var want stats.Summary
+		if i > 0 {
+			o := stats.Observation{Rows: int64(1000 * i), Bytes: int64(64000 * i), Work: 1}
+			cachedEng.History.Record(filter, o)
+			plainEng.History.Record(filter, o)
+			want, _ = cachedEng.History.LookupMeans(filter)
+		}
+		in := pcInput(fmt.Sprintf("h%d", i), pcScript)
+		cr, err := cachedEng.CompileAndExecute(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := plainEng.CompileAndExecute(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ce, pe := estimates(cr), estimates(pr); !reflect.DeepEqual(ce, pe) {
+			t.Fatalf("run %d: cached estimates differ from uncached:\ncached: %v\nplain:  %v", i, ce, pe)
+		}
+		for _, s := range cr.Compile.Subs {
+			if s.Op != "Filter" {
+				continue
+			}
+			filter = s.Recurring
+			if got := cr.Compile.Estimates[s.Node]; i > 0 && (got.Rows != want.AvgRows || got.Bytes != want.AvgBytes) {
+				t.Fatalf("run %d: filter estimated at %+v, history at submit time says rows=%v bytes=%v", i, got, want.AvgRows, want.AvgBytes)
+			}
+		}
+		if filter == "" {
+			t.Fatal("the compiled plan has no filter")
+		}
+	}
+	if hits, misses := cachedEng.PlanCacheStats(); hits != 0 || misses != n {
+		t.Fatalf("PlanCacheStats = (%d, %d), want (0, %d): a submission skipped its compile", hits, misses, n)
+	}
+}
+
+// TestPlanCacheDisabled pins the off switch: PlanCacheSize < 0 must count
+// nothing and still execute correctly.
 func TestPlanCacheDisabled(t *testing.T) {
-	e := pcEngine(t, core.Config{PlanCacheSize: -1})
+	e := pcEngine(t, Config{PlanCacheSize: -1})
 	for i := 0; i < 3; i++ {
 		if _, err := e.CompileAndExecute(pcInput(fmt.Sprintf("d%d", i), pcScript)); err != nil {
 			t.Fatal(err)
@@ -177,12 +261,17 @@ func TestPlanCacheDisabled(t *testing.T) {
 // TestPlanCacheNormalizesScripts verifies whitespace/comment/keyword-case
 // variants of a script share one cache entry.
 func TestPlanCacheNormalizesScripts(t *testing.T) {
-	e := pcEngine(t, core.Config{})
+	e := pcEngine(t, Config{})
 	variant := `p = select * from Events where Value > 10;
 -- a comment the lexer drops
 r = SELECT   Region, COUNT(*) AS n, SUM(Value) AS s
     FROM p GROUP BY Region;
 OUTPUT r TO "out/r";`
+	baseKey, _ := e.plans.planCacheKey(pcInput("base", pcScript))
+	variantKey, ok := e.plans.planCacheKey(pcInput("v", variant))
+	if !ok || baseKey != variantKey {
+		t.Fatalf("variant key differs from the base script's:\n%+v\n%+v", variantKey, baseKey)
+	}
 	base, err := e.CompileAndExecute(pcInput("base", pcScript))
 	if err != nil {
 		t.Fatal(err)
@@ -196,23 +285,22 @@ OUTPUT r TO "out/r";`
 			t.Fatal("variant output differs")
 		}
 	}
-	hits, _ := e.PlanCacheStats()
-	if hits == 0 {
-		t.Fatal("normalized variants never hit the shared entry")
+	if len(e.plans.m) != 1 {
+		t.Fatalf("%d plan-cache entries for one normalized script, want 1", len(e.plans.m))
 	}
 }
 
 // TestPlanCacheParamSensitivity verifies distinct parameter bindings never
-// share a compiled plan.
+// share an entry.
 func TestPlanCacheParamSensitivity(t *testing.T) {
-	e := pcEngine(t, core.Config{})
+	e := pcEngine(t, Config{})
 	script := `r = SELECT Region, COUNT(*) AS n FROM Events WHERE Value > @lo GROUP BY Region;
 OUTPUT r TO "out/r";`
 	outputs := map[string]string{}
 	for _, lo := range []float64{5, 45} {
 		in := pcInput(fmt.Sprintf("p-%v", lo), script)
 		in.Params = map[string]data.Value{"lo": data.Float(lo)}
-		var last *core.JobRun
+		var last *JobRun
 		for i := 0; i < 3; i++ {
 			in.ID = fmt.Sprintf("p-%v-%d", lo, i)
 			run, err := e.CompileAndExecute(in)

@@ -96,11 +96,7 @@ func warmEngine(t *testing.T) (*Engine, workload.JobInput) {
 // 2 and 4), a write would also be reported as a race with the other readers.
 func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 	e, in := warmEngine(t)
-	key, ok := e.plans.planCacheKey(in)
-	if !ok {
-		t.Fatal("no plan-cache key")
-	}
-	entry := e.plans.lookup(key, e.Catalog.Generation())
+	entry := pcEntry(t, e, in)
 	if entry == nil || entry.prepared.Load() == nil {
 		t.Fatal("the warm engine left no prepared plan on the script's entry")
 	}
@@ -166,7 +162,7 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 }
 
 // warmAllocCeiling bounds the allocations of one warm, onboarded,
-// view-matching resubmission. Measured when written: 114 (116 under -race).
+// view-matching resubmission. Measured when written: 112 (114 under -race).
 // It is the unit-test-cost gate on the reuse-on path: a change that re-signs
 // or re-normalizes per job goes several times past it.
 const warmAllocCeiling = 130

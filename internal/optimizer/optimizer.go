@@ -416,68 +416,3 @@ func (o *Optimizer) estimateWithHistory(root plan.Node, recurring map[plan.Node]
 	rec(root)
 	return memo
 }
-
-// RefreshEstimates recomputes the statistics a plan would be given if it were
-// optimized right now, using the current runtime history. Compiled-plan
-// caches use it as a soundness guard: a cached plan may be replayed only when
-// its embedded estimates match a fresh computation exactly, since join
-// algorithm choices were derived from them.
-func RefreshEstimates(est *stats.Estimator, hist *stats.History, root plan.Node, recurring map[plan.Node]signature.Sig) map[plan.Node]stats.Estimate {
-	o := &Optimizer{Est: est, History: hist}
-	return o.estimateWithHistory(root, recurring)
-}
-
-// EstimatesMatch reports whether a fresh statistics pass over root agrees
-// exactly with want — RefreshEstimates + EstimatesEqual fused into one walk
-// that materializes no map. This is the plan-cache hit path, which runs once
-// per submission, so the walk early-outs nothing but allocates nothing.
-func EstimatesMatch(est *stats.Estimator, hist *stats.History, root plan.Node, recurring map[plan.Node]signature.Sig, want map[plan.Node]stats.Estimate) bool {
-	o := &Optimizer{Est: est, History: hist}
-	ok := true
-	visited := 0
-	var rec func(n plan.Node) stats.Estimate
-	rec = func(n plan.Node) stats.Estimate {
-		children := n.Children()
-		var buf [2]stats.Estimate
-		var ce []stats.Estimate
-		if len(children) <= len(buf) {
-			ce = buf[:len(children)]
-		} else {
-			ce = make([]stats.Estimate, len(children))
-		}
-		for i, c := range children {
-			ce[i] = rec(c)
-		}
-		e := o.Est.EstimateNode(n, ce)
-		if o.History != nil {
-			if sig, found := recurring[n]; found {
-				if sum, has := o.History.LookupMeans(sig); has && sum.Count > 0 {
-					e = stats.Estimate{Rows: sum.AvgRows, Bytes: sum.AvgBytes}
-				}
-			}
-		}
-		visited++
-		if w, found := want[n]; !found || w != e {
-			ok = false
-		}
-		return e
-	}
-	rec(root)
-	// The node sets must coincide exactly: every tree node found its match
-	// above, and want has no extra nodes beyond the tree's population.
-	return ok && visited == len(want)
-}
-
-// EstimatesEqual reports whether two estimate maps agree exactly (same nodes,
-// identical Rows/Bytes).
-func EstimatesEqual(a, b map[plan.Node]stats.Estimate) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for n, ea := range a {
-		if eb, ok := b[n]; !ok || ea != eb {
-			return false
-		}
-	}
-	return true
-}

@@ -304,8 +304,8 @@ func (l *Lexer) lexString(quote byte, start, line int) (Token, error) {
 
 // NormalizeScript renders the token stream of src in a canonical, whitespace-
 // and comment-insensitive single-line form. Two scripts normalize equal iff
-// they lex to the same token stream, so the result is a sound compiled-plan
-// cache key. ok is false when src does not lex.
+// they lex to the same token stream, so the result is a sound plan-cache
+// key. ok is false when src does not lex.
 func NormalizeScript(src string) (norm string, ok bool) {
 	var l Lexer
 	l.Reset(src)
