@@ -10,10 +10,7 @@
 package cloudviews
 
 import (
-	"encoding/json"
 	"fmt"
-	"math/rand"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -28,7 +25,6 @@ import (
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
-	"cloudviews/internal/repository"
 	"cloudviews/internal/signature"
 	"cloudviews/internal/sqlparser"
 	"cloudviews/internal/storage"
@@ -591,132 +587,5 @@ func BenchmarkAblationContainment(b *testing.B) {
 		}
 		b.ReportMetric(float64(exactHits)/float64(total)*100, "exact-reuse-%")
 		b.ReportMetric(float64(containedHits)/float64(total)*100, "contained-reuse-%")
-	}
-}
-
-// benchRepoWorkload fills a repository with `days` days of synthetic
-// telemetry at a fixed per-day job rate, so total history scales with `days`
-// while any single-day query window stays the same size.
-func benchRepoWorkload(days, jobsPerDay int) *repository.Repo {
-	rng := rand.New(rand.NewSource(42))
-	repo := repository.New()
-	for d := 0; d < days; d++ {
-		day := fixtures.Epoch.AddDate(0, 0, d)
-		for i := 0; i < jobsPerDay; i++ {
-			submit := day.Add(time.Duration(rng.Intn(24*3600)) * time.Second)
-			id := fmt.Sprintf("bench-%d-%d", d, i)
-			j := &repository.JobRecord{
-				JobID: id, Cluster: "bench", VC: fmt.Sprintf("vc%d", rng.Intn(4)),
-				Pipeline: fmt.Sprintf("pipe%d", rng.Intn(12)),
-				Submit:   submit, Start: submit, End: submit.Add(time.Hour),
-			}
-			for s := 0; s < 3; s++ {
-				// A small recurring pool: production workloads are dominated
-				// by recurring subexpressions (paper Figure 3), so groups
-				// have many occurrences each.
-				rec := fmt.Sprintf("rec-%d", rng.Intn(25))
-				sub := repository.SubexprRecord{
-					JobID: id, Op: "Filter", Parent: -1,
-					Strict:    signature.Sig(fmt.Sprintf("strict-%d-%d", d, rng.Intn(500))),
-					Recurring: signature.Sig(rec),
-					Rows:      int64(rng.Intn(10000)), Bytes: int64(rng.Intn(1 << 20)),
-					Work:     rng.Float64() * 100,
-					Eligible: signature.EligibleOK,
-				}
-				if s == 0 {
-					sub.Op = "Scan"
-					sub.InputDatasets = []string{fmt.Sprintf("ds%d", rng.Intn(30))}
-				}
-				j.Subexprs = append(j.Subexprs, sub)
-			}
-			repo.Add(j)
-		}
-	}
-	return repo
-}
-
-var benchRepoJSONOnce sync.Once
-
-// BenchmarkRepoGroupByRecurring measures the day-sharded repository's
-// windowed aggregation against the retained naive fold at 1×/10×/100× total
-// history with a fixed 1-day query window — the paper-scale property that
-// analysis cost tracks the window, not the history. The first run also
-// writes the indexed-vs-naive timings to BENCH_repo.json (the bench
-// trajectory file CI uploads).
-func BenchmarkRepoGroupByRecurring(b *testing.B) {
-	const jobsPerDay = 100
-	scales := []struct {
-		Name string `json:"name"`
-		Days int    `json:"days"`
-	}{{"1x", 2}, {"10x", 20}, {"100x", 200}}
-
-	type arm struct {
-		Scale       string  `json:"scale"`
-		HistoryDays int     `json:"history_days"`
-		Jobs        int     `json:"jobs"`
-		IndexedNsOp int64   `json:"indexed_ns_per_op"`
-		NaiveNsOp   int64   `json:"naive_ns_per_op"`
-		Speedup     float64 `json:"speedup"`
-		WindowDays  int     `json:"window_days"`
-	}
-
-	repos := make([]*repository.Repo, len(scales))
-	for i, sc := range scales {
-		repos[i] = benchRepoWorkload(sc.Days, jobsPerDay)
-	}
-
-	benchRepoJSONOnce.Do(func() {
-		// Manual timing pass (independent of b.N) so a single -benchtime 1x
-		// run still produces a full trajectory file.
-		var arms []arm
-		for i, sc := range scales {
-			repo := repos[i]
-			from := fixtures.Epoch.AddDate(0, 0, sc.Days-1)
-			to := fixtures.Epoch.AddDate(0, 0, sc.Days)
-			const iters = 10
-			repo.GroupByRecurring(from, to) // warm lazily sorted partials
-			t0 := time.Now()
-			for k := 0; k < iters; k++ {
-				repo.GroupByRecurring(from, to)
-			}
-			indexed := time.Since(t0).Nanoseconds() / iters
-			t0 = time.Now()
-			for k := 0; k < iters; k++ {
-				repo.NaiveGroupByRecurring(from, to)
-			}
-			naive := time.Since(t0).Nanoseconds() / iters
-			arms = append(arms, arm{
-				Scale: sc.Name, HistoryDays: sc.Days, Jobs: sc.Days * jobsPerDay,
-				IndexedNsOp: indexed, NaiveNsOp: naive,
-				Speedup: float64(naive) / float64(indexed), WindowDays: 1,
-			})
-		}
-		data, err := json.MarshalIndent(map[string]any{
-			"benchmark": "BenchmarkRepoGroupByRecurring",
-			"arms":      arms,
-		}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_repo.json", append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(arms[len(arms)-1].Speedup, "speedup-100x")
-	})
-
-	for i, sc := range scales {
-		repo := repos[i]
-		from := fixtures.Epoch.AddDate(0, 0, sc.Days-1)
-		to := fixtures.Epoch.AddDate(0, 0, sc.Days)
-		b.Run("indexed/"+sc.Name, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				repo.GroupByRecurring(from, to)
-			}
-		})
-		b.Run("naive/"+sc.Name, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				repo.NaiveGroupByRecurring(from, to)
-			}
-		})
 	}
 }

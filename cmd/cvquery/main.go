@@ -158,21 +158,16 @@ func printRun(w io.Writer, run *core.JobRun, showRows int) {
 }
 
 func printSignatures(w io.Writer, cr *optimizer.CompileResult) {
-	type row struct {
-		op     string
-		strict signature.Sig
-		recur  signature.Sig
+	byNode := make(map[plan.Node]signature.Subexpr, len(cr.Subs))
+	for _, s := range cr.Subs {
+		byNode[s.Node] = s
 	}
-	var rows []row
+	fmt.Fprintln(w, "subexpression signatures (strict / recurring):")
 	plan.Walk(cr.Plan, func(n plan.Node) {
-		if s, ok := cr.SigMap[n]; ok {
-			rows = append(rows, row{n.OpName(), s, cr.RecurringMap[n]})
+		if s, ok := byNode[n]; ok {
+			fmt.Fprintf(w, "  %-9s %s / %s\n", n.OpName(), s.Strict.Short(), s.Recurring.Short())
 		}
 	})
-	fmt.Fprintln(w, "subexpression signatures (strict / recurring):")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-9s %s / %s\n", r.op, r.strict.Short(), r.recur.Short())
-	}
 }
 
 func exportAnnotations(w io.Writer, svc *insights.Service, tag signature.Tag) {

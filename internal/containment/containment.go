@@ -12,7 +12,6 @@ package containment
 import (
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"cloudviews/internal/data"
@@ -434,12 +433,4 @@ func HarvestViews(root plan.Node, signer *signature.Signer, store storage.Engine
 		}
 	})
 	return registered
-}
-
-// SupportedFragment documents (and tests assert) the predicate fragment the
-// prototype handles.
-func SupportedFragment() string {
-	return strings.TrimSpace(`
-conjunctions of <column> {=, !=, <, <=, >, >=} <constant>
-(numeric ranges, string equality/inequality; no OR, no cross-column terms)`)
 }

@@ -162,7 +162,7 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 }
 
 // warmAllocCeiling bounds the allocations of one warm, onboarded,
-// view-matching resubmission. Measured when written: 112 (114 under -race).
+// view-matching resubmission. Last measured: 106 (108 under -race).
 // It is the unit-test-cost gate on the reuse-on path: a change that re-signs
 // or re-normalizes per job goes several times past it.
 const warmAllocCeiling = 130

@@ -27,8 +27,8 @@ func TestCompileDeterminism(t *testing.T) {
 	}
 	sigsOf := func(cr *optimizer.CompileResult) map[string]bool {
 		out := map[string]bool{}
-		for _, s := range cr.SigMap {
-			out[string(s)] = true
+		for _, s := range cr.Subs {
+			out[string(s.Strict)] = true
 		}
 		return out
 	}

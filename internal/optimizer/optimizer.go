@@ -60,17 +60,14 @@ type MatchedView struct {
 
 // CompileResult is the output of Compile.
 type CompileResult struct {
-	Plan plan.Node
-	// SigMap and RecurringMap key the FINAL plan's nodes.
-	SigMap       map[plan.Node]signature.Sig
-	RecurringMap map[plan.Node]signature.Sig
-	EligibleMap  map[plan.Node]signature.Eligibility
-	Estimates    map[plan.Node]stats.Estimate
-	Tag          signature.Tag
-	Matched      []MatchedView
-	Proposed     []ProposedView
-	// Subs is the FINAL plan's subexpression enumeration, the one the three
-	// maps above are keyed from and the repository record is built from.
+	Plan      plan.Node
+	Estimates map[plan.Node]stats.Estimate
+	Tag       signature.Tag
+	Matched   []MatchedView
+	Proposed  []ProposedView
+	// Subs is the FINAL plan's subexpression enumeration in post-order: every
+	// node's strict and recurring signature and eligibility, the one the
+	// repository record is built from.
 	Subs []signature.Subexpr
 	// CompileLatency accumulates the simulated insights round trips.
 	CompileLatency time.Duration
@@ -168,19 +165,11 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 	}
 	o.Trace.Span("optimize", 0)
 
-	// Final signature maps over the rewritten plan.
+	// Final enumeration over the rewritten plan.
 	res.Subs = o.Signer.SubexpressionsKnown(p, known)
-	res.SigMap = make(map[plan.Node]signature.Sig, len(res.Subs))
-	res.RecurringMap = make(map[plan.Node]signature.Sig, len(res.Subs))
-	res.EligibleMap = make(map[plan.Node]signature.Eligibility, len(res.Subs))
-	for _, s := range res.Subs {
-		res.SigMap[s.Node] = s.Strict
-		res.RecurringMap[s.Node] = s.Recurring
-		res.EligibleMap[s.Node] = s.Eligibility
-	}
 
 	// Statistics refresh + physical planning.
-	res.Estimates = o.estimateWithHistory(p, res.RecurringMap)
+	res.Estimates = o.estimateWithHistory(p, res.Subs)
 	chooseJoinAlgorithms(p, res.Estimates)
 
 	res.Plan = p
@@ -393,7 +382,14 @@ func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[s
 // any node whose recurring signature has runtime history — the paper's
 // statistics feedback ("feed more accurate statistics from the previously
 // materialized subexpressions to the rest of the query plan").
-func (o *Optimizer) estimateWithHistory(root plan.Node, recurring map[plan.Node]signature.Sig) map[plan.Node]stats.Estimate {
+func (o *Optimizer) estimateWithHistory(root plan.Node, subs []signature.Subexpr) map[plan.Node]stats.Estimate {
+	var recurring map[plan.Node]signature.Sig // nil lookups miss
+	if o.History != nil {
+		recurring = make(map[plan.Node]signature.Sig, len(subs))
+		for _, s := range subs {
+			recurring[s.Node] = s.Recurring
+		}
+	}
 	memo := make(map[plan.Node]stats.Estimate)
 	var rec func(n plan.Node) stats.Estimate
 	rec = func(n plan.Node) stats.Estimate {
@@ -403,11 +399,9 @@ func (o *Optimizer) estimateWithHistory(root plan.Node, recurring map[plan.Node]
 			ce[i] = rec(c)
 		}
 		est := o.Est.EstimateNode(n, ce)
-		if o.History != nil {
-			if sig, ok := recurring[n]; ok {
-				if sum, found := o.History.LookupMeans(sig); found && sum.Count > 0 {
-					est = stats.Estimate{Rows: sum.AvgRows, Bytes: sum.AvgBytes}
-				}
+		if sig, ok := recurring[n]; ok {
+			if sum, found := o.History.LookupMeans(sig); found && sum.Count > 0 {
+				est = stats.Estimate{Rows: sum.AvgRows, Bytes: sum.AvgBytes}
 			}
 		}
 		memo[n] = est

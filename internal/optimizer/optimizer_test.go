@@ -65,9 +65,24 @@ func (r *rig) bind(t *testing.T, src string) plan.Node {
 	return &plan.Output{Target: "out/x", Child: n}
 }
 
+// recordHistory feeds a run's observed statistics into the runtime history
+// under each computed node's recurring signature, as the engine does after a
+// job.
+func recordHistory(h *stats.History, cr *optimizer.CompileResult, res *exec.RunResult) {
+	recurring := make(map[plan.Node]signature.Sig, len(cr.Subs))
+	for _, s := range cr.Subs {
+		recurring[s.Node] = s.Recurring
+	}
+	for _, st := range res.Stats {
+		if sig, ok := recurring[st.Node]; ok && st.Op != "ViewScan" {
+			h.Record(sig, stats.Observation{Rows: st.RowsOut, Bytes: st.BytesOut, Work: st.Work})
+		}
+	}
+}
+
 func (r *rig) execute(t *testing.T, cr *optimizer.CompileResult) *exec.RunResult {
 	t.Helper()
-	ex := &exec.Executor{Catalog: r.cat, Views: r.store, SigMap: cr.SigMap}
+	ex := &exec.Executor{Catalog: r.cat, Views: r.store}
 	res, err := ex.Run(cr.Plan)
 	if err != nil {
 		t.Fatal(err)
@@ -186,11 +201,7 @@ func TestCompileBuildsThenReuses(t *testing.T) {
 	res1 := r.execute(t, cr1)
 
 	// Record history so the second compile's cost check has real numbers.
-	for _, st := range res1.Stats {
-		if sig, ok := cr1.RecurringMap[st.Node]; ok && st.Op != "ViewScan" {
-			r.hist.Record(sig, stats.Observation{Rows: st.RowsOut, Bytes: st.BytesOut, Work: st.Work})
-		}
-	}
+	recordHistory(r.hist, cr1, res1)
 
 	// Second job, identical subexpression: must reuse.
 	cr2 := r.opt.Compile(root, optimizer.CompileOptions{JobID: "job2", Cluster: "c1", VC: "vc1", OptIn: true})
@@ -270,11 +281,7 @@ func TestLargestSubexpressionWins(t *testing.T) {
 	opts := optimizer.CompileOptions{JobID: "j1", Cluster: "c1", VC: "vc1", OptIn: true}
 	cr1 := r.opt.Compile(root, opts)
 	res1 := r.execute(t, cr1)
-	for _, st := range res1.Stats {
-		if sig, ok := cr1.RecurringMap[st.Node]; ok && st.Op != "ViewScan" {
-			r.hist.Record(sig, stats.Observation{Rows: st.RowsOut, Bytes: st.BytesOut, Work: st.Work})
-		}
-	}
+	recordHistory(r.hist, cr1, res1)
 	cr2 := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j2", Cluster: "c1", VC: "vc1", OptIn: true})
 	if len(cr2.Matched) != 1 {
 		t.Fatalf("matched = %d, want exactly 1 (largest)", len(cr2.Matched))
@@ -291,11 +298,7 @@ func TestEstimatesUseViewStatistics(t *testing.T) {
 	opts := optimizer.CompileOptions{JobID: "j1", Cluster: "c1", VC: "vc1", OptIn: true}
 	cr1 := r.opt.Compile(root, opts)
 	res1 := r.execute(t, cr1)
-	for _, st := range res1.Stats {
-		if sig, ok := cr1.RecurringMap[st.Node]; ok && st.Op != "ViewScan" {
-			r.hist.Record(sig, stats.Observation{Rows: st.RowsOut, Bytes: st.BytesOut, Work: st.Work})
-		}
-	}
+	recordHistory(r.hist, cr1, res1)
 	cr2 := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j2", Cluster: "c1", VC: "vc1", OptIn: true})
 	var vsEst, joinEst float64
 	plan.Walk(cr2.Plan, func(n plan.Node) {
@@ -326,11 +329,7 @@ func TestStageWidthShrinksWithAccurateStats(t *testing.T) {
 	cr1 := r.opt.Compile(root, opts)
 	pp1 := optimizer.BuildStages(cr1.Plan, cr1.Estimates)
 	res1 := r.execute(t, cr1)
-	for _, st := range res1.Stats {
-		if sig, ok := cr1.RecurringMap[st.Node]; ok && st.Op != "ViewScan" {
-			r.hist.Record(sig, stats.Observation{Rows: st.RowsOut, Bytes: st.BytesOut, Work: st.Work})
-		}
-	}
+	recordHistory(r.hist, cr1, res1)
 	cr2 := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j2", Cluster: "c1", VC: "vc1", OptIn: true})
 	pp2 := optimizer.BuildStages(cr2.Plan, cr2.Estimates)
 	if pp2.TotalWidth >= pp1.TotalWidth {

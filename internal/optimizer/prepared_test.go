@@ -100,16 +100,12 @@ func (w *genWorld) compile(i int, id string, maxViews int, prep *optimizer.Prepa
 func (w *genWorld) settle(t *testing.T, id string, cr *optimizer.CompileResult, run bool) {
 	t.Helper()
 	if run {
-		ex := &exec.Executor{Catalog: w.cat, Views: w.store, SigMap: cr.SigMap}
+		ex := &exec.Executor{Catalog: w.cat, Views: w.store}
 		res, err := ex.Run(cr.Plan)
 		if err != nil {
 			t.Fatalf("%s: exec: %v", id, err)
 		}
-		for _, st := range res.Stats {
-			if sig, ok := cr.RecurringMap[st.Node]; ok && st.Op != "ViewScan" {
-				w.opt.History.Record(sig, stats.Observation{Rows: st.RowsOut, Bytes: st.BytesOut, Work: st.Work})
-			}
-		}
+		recordHistory(w.opt.History, cr, res)
 	}
 	for _, p := range cr.Proposed {
 		if run {
@@ -187,11 +183,6 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 			for _, c := range []compiled{a, b} {
 				if cold := signer.Subexpressions(c.cr.Plan); !sameSubs(c.cr.Subs, cold, true) {
 					t.Fatalf("%s: carried enumeration differs from a cold signing:\ncarried: %+v\ncold:    %+v", id, c.cr.Subs, cold)
-				}
-				for _, s := range c.cr.Subs {
-					if c.cr.SigMap[s.Node] != s.Strict || c.cr.RecurringMap[s.Node] != s.Recurring || c.cr.EligibleMap[s.Node] != s.Eligibility {
-						t.Fatalf("%s: maps disagree with the enumeration at %s", id, s.Op)
-					}
 				}
 			}
 			matched += len(b.cr.Matched)

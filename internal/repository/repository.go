@@ -4,20 +4,16 @@
 // plus the per-job telemetry the workload analyses read (Figures 2, 3, 8, 9
 // all derive from this store).
 //
-// # Sharding and incremental aggregates
+// # Sharding
 //
-// Records are sharded by UTC day of their Submit time. Every windowed query
-// (JobsBetween, GroupByRecurring, DatasetConsumers, JoinExecutions) touches
-// only the day buckets overlapping [from, to), so query cost scales with the
-// window size rather than with total history — the property that keeps daily
-// workload analysis affordable at the paper's "10-month window" scale.
-//
-// Each bucket additionally maintains incremental per-recurring-signature
-// partials (occurrence lists pre-grouped at Add time plus associatively
-// mergeable VC counts and distinct-strict sets). GroupByRecurring merges the
-// per-bucket partials — fanned out across a bounded worker pool — and the
-// merge is byte-identical to the retained naive fold (NaiveGroupByRecurring),
-// which stays in the package as the correctness oracle.
+// Records are sharded by UTC day of their Submit time and kept once. Every
+// windowed query (JobsBetween, GroupByRecurring, DatasetConsumers,
+// JoinExecutions) folds only the records of the day buckets overlapping
+// [from, to), on the calling goroutine, so query cost scales with the window
+// size rather than with total history — the property that keeps daily
+// workload analysis affordable at the paper's "10-month window" scale. The
+// linear scans over all history they are tested against live in the
+// package's tests.
 //
 // # Ownership
 //
@@ -30,10 +26,8 @@
 package repository
 
 import (
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cloudviews/internal/obs"
@@ -140,121 +134,45 @@ func dayOf(t time.Time) int64 {
 	return d
 }
 
-func dayStart(day int64) time.Time { return time.Unix(day*secondsPerDay, 0).UTC() }
-
-// occurrence is one instance of a recurring subexpression inside a bucket's
-// incremental partial: exactly the fields the GroupStat fold needs.
+// occurrence is one instance of a recurring subexpression: the owned job
+// record and the subexpression row inside it.
 type occurrence struct {
-	submit time.Time
-	strict signature.Sig
-	jobID  string
-	vc     string
-	rows   int64
-	bytes  int64
-	work   float64
+	job *JobRecord
+	sub *SubexprRecord
 }
 
 // occLess is the documented deterministic occurrence order: submit time,
 // then strict signature, then job ID.
-func occLess(a, b *occurrence) bool {
-	if !a.submit.Equal(b.submit) {
-		return a.submit.Before(b.submit)
+func occLess(a, b occurrence) bool {
+	if !a.job.Submit.Equal(b.job.Submit) {
+		return a.job.Submit.Before(b.job.Submit)
 	}
-	if a.strict != b.strict {
-		return a.strict < b.strict
+	if a.sub.Strict != b.sub.Strict {
+		return a.sub.Strict < b.sub.Strict
 	}
-	return a.jobID < b.jobID
+	return a.job.JobID < b.job.JobID
 }
 
-// groupPartial is the incrementally maintained per-bucket aggregate for one
-// recurring signature. Counts, VC counts, and strict sets merge
-// associatively; the float sums are folded at finalize time over the merged
-// occurrence list so the parallel merge reproduces the oracle's float
-// addition order bit-for-bit.
+// groupPartial collects the occurrences of one recurring signature inside a
+// query window.
 type groupPartial struct {
-	recurring signature.Sig
-	occs      []occurrence
-	sorted    bool
-	// Metadata comes from the occurrence that sorts first (occLess), so
-	// bucket merges and the naive fold pick the same source.
-	metaOcc       occurrence
-	op            string
-	eligible      bool
-	height        int
-	inputDatasets []string
-
-	vcCounts map[string]int
-	stricts  map[signature.Sig]struct{}
+	occs []occurrence
 }
 
-func (g *groupPartial) add(j *JobRecord, s *SubexprRecord) {
-	o := occurrence{
-		submit: j.Submit,
-		strict: s.Strict,
-		jobID:  j.JobID,
-		vc:     j.VC,
-		rows:   s.Rows,
-		bytes:  s.Bytes,
-		work:   s.Work,
-	}
-	if len(g.occs) == 0 || occLess(&o, &g.metaOcc) {
-		g.metaOcc = o
-		g.op = s.Op
-		g.eligible = s.Eligible == signature.EligibleOK
-		g.height = s.Height
-		g.inputDatasets = s.InputDatasets
-	}
-	g.occs = append(g.occs, o)
-	g.sorted = len(g.occs) == 1
-	g.vcCounts[j.VC]++
-	g.stricts[s.Strict] = struct{}{}
-}
-
-func newGroupPartial(sig signature.Sig) *groupPartial {
-	return &groupPartial{
-		recurring: sig,
-		vcCounts:  make(map[string]int),
-		stricts:   make(map[signature.Sig]struct{}),
-	}
-}
-
-// partialAdd folds one subexpression into a partial map (shared by the
-// bucket's incremental maintenance, boundary-bucket scans, and the naive
-// oracle, so all three agree by construction).
+// partialAdd folds one subexpression into a partial map.
 func partialAdd(m map[signature.Sig]*groupPartial, j *JobRecord, s *SubexprRecord) {
 	g, ok := m[s.Recurring]
 	if !ok {
-		g = newGroupPartial(s.Recurring)
+		g = &groupPartial{}
 		m[s.Recurring] = g
 	}
-	g.add(j, s)
+	g.occs = append(g.occs, occurrence{job: j, sub: s})
 }
 
 // sortOccs pins the occurrence list to the documented order. Stable so that
-// fully equal keys keep their insertion order in every code path.
+// fully equal keys keep their insertion order.
 func (g *groupPartial) sortOccs() {
-	if g.sorted {
-		return
-	}
-	sort.SliceStable(g.occs, func(i, j int) bool { return occLess(&g.occs[i], &g.occs[j]) })
-	g.sorted = true
-}
-
-// scanKey is one distinct (cluster, dataset, consumer pipeline) triple — the
-// bucket-level incremental aggregate behind DatasetConsumers.
-type scanKey struct {
-	cluster  string
-	dataset  string
-	pipeline string
-}
-
-// joinRec is one join execution with the ordering keys needed to reproduce
-// the naive (insertion-order) result from per-bucket caches.
-type joinRec struct {
-	seq     int
-	idx     int
-	cluster string
-	je      JoinExecution
+	sort.SliceStable(g.occs, func(i, j int) bool { return occLess(g.occs[i], g.occs[j]) })
 }
 
 // ownedRecord pairs the repository's deep copy of a job with its global
@@ -264,77 +182,13 @@ type ownedRecord struct {
 	rec *JobRecord
 }
 
-// bucket holds one UTC day of records plus its incremental aggregates.
-type bucket struct {
-	day  int64
-	jobs []*ownedRecord // ascending insertion sequence
-
-	groups      map[signature.Sig]*groupPartial
-	groupsDirty bool
-	scans       map[scanKey]struct{}
-
-	// pmu guards the lazily (re)computed state below so concurrent readers
-	// (which only hold the repo's read lock) can sort/derive safely.
-	pmu        sync.Mutex
-	joins      []joinRec
-	joinsValid bool
-}
-
-// sortedGroups returns the bucket's partials with every occurrence list in
-// pinned order. Callers must treat the result as read-only.
-func (b *bucket) sortedGroups() map[signature.Sig]*groupPartial {
-	b.pmu.Lock()
-	if b.groupsDirty {
-		for _, g := range b.groups {
-			g.sortOccs()
-		}
-		b.groupsDirty = false
-	}
-	b.pmu.Unlock()
-	return b.groups
-}
-
-// joinList returns the bucket's join executions in (seq, subexpr index)
-// order, deriving and caching them on first use after an invalidation.
-func (b *bucket) joinList() []joinRec {
-	b.pmu.Lock()
-	defer b.pmu.Unlock()
-	if !b.joinsValid {
-		b.joins = b.joins[:0]
-		for _, own := range b.jobs {
-			appendJoins(&b.joins, own)
-		}
-		b.joinsValid = true
-	}
-	return b.joins
-}
-
-func appendJoins(dst *[]joinRec, own *ownedRecord) {
-	j := own.rec
-	for i := range j.Subexprs {
-		s := &j.Subexprs[i]
-		if s.Op != "Join" || s.JoinAlgo == "" {
-			continue
-		}
-		*dst = append(*dst, joinRec{
-			seq:     own.seq,
-			idx:     i,
-			cluster: j.Cluster,
-			je: JoinExecution{
-				Recurring: s.Recurring,
-				Algo:      s.JoinAlgo,
-				Start:     j.Start,
-				End:       j.End,
-			},
-		})
-	}
-}
-
 // Repo is the thread-safe, day-sharded workload repository.
 type Repo struct {
-	mu       sync.RWMutex
-	byDay    map[int64]*bucket
-	days     []int64 // sorted bucket keys
+	mu sync.RWMutex
+	// byDay shards the records by UTC day of Submit, each day in insertion
+	// order; days holds the sorted keys.
+	byDay    map[int64][]*ownedRecord
+	days     []int64
 	all      []*ownedRecord
 	byID     map[string]*ownedRecord
 	subexprs int
@@ -356,14 +210,15 @@ type Repo struct {
 // New creates an empty repository.
 func New() *Repo {
 	return &Repo{
-		byDay: make(map[int64]*bucket),
+		byDay: make(map[int64][]*ownedRecord),
 		byID:  make(map[string]*ownedRecord),
 	}
 }
 
 // SetMetrics registers the repository's counters and gauges (bucket count,
-// records per bucket, jobs, subexpressions, queries, merged buckets) plus the
-// merge/query duration histograms in reg. The duration histograms record
+// records per bucket, jobs, subexpressions, queries, buckets folded) plus the
+// merge/query duration histograms in reg (merge: a GroupByRecurring's time
+// after its fold; query: all of it). The duration histograms record
 // nothing until a wall clock is supplied with SetTimer, so a simulated-time
 // deployment keeps a fully deterministic metrics export. Call before use.
 func (r *Repo) SetMetrics(reg *obs.Registry) {
@@ -387,14 +242,26 @@ func (r *Repo) SetMetrics(reg *obs.Registry) {
 func (r *Repo) SetTimer(nowNanos func() int64) { r.nowNanos = nowNanos }
 
 // cloneRecord deep-copies a job record so neither side can mutate the other's
-// view of it.
+// view of it. The subexpressions' dataset lists share one backing array, each
+// capped at its length so an append to one cannot reach the next.
 func cloneRecord(j *JobRecord) *JobRecord {
 	c := *j
 	if j.Subexprs != nil {
 		c.Subexprs = make([]SubexprRecord, len(j.Subexprs))
 		copy(c.Subexprs, j.Subexprs)
+		n := 0
 		for i := range c.Subexprs {
-			c.Subexprs[i].InputDatasets = copyStrings(c.Subexprs[i].InputDatasets)
+			n += len(c.Subexprs[i].InputDatasets)
+		}
+		backing := make([]string, 0, n)
+		for i := range c.Subexprs {
+			s := &c.Subexprs[i]
+			if s.InputDatasets == nil {
+				continue
+			}
+			lo := len(backing)
+			backing = append(backing, s.InputDatasets...)
+			s.InputDatasets = backing[lo:len(backing):len(backing)]
 		}
 	}
 	return &c
@@ -409,8 +276,7 @@ func copyStrings(s []string) []string {
 	return out
 }
 
-// Add ingests a deep copy of j, indexing it into its UTC-day bucket and
-// folding it into the bucket's incremental aggregates. The caller keeps
+// Add ingests a deep copy of j into its UTC-day bucket. The caller keeps
 // ownership of j itself.
 func (r *Repo) Add(j *JobRecord) {
 	rec := cloneRecord(j)
@@ -423,45 +289,28 @@ func (r *Repo) Add(j *JobRecord) {
 	r.subexprs += len(rec.Subexprs)
 
 	day := dayOf(rec.Submit)
-	b, ok := r.byDay[day]
+	jobs, ok := r.byDay[day]
 	if !ok {
-		b = &bucket{
-			day:    day,
-			groups: make(map[signature.Sig]*groupPartial),
-			scans:  make(map[scanKey]struct{}),
-		}
-		r.byDay[day] = b
 		i := sort.Search(len(r.days), func(i int) bool { return r.days[i] >= day })
 		r.days = append(r.days, 0)
 		copy(r.days[i+1:], r.days[i:])
 		r.days[i] = day
 	}
-	b.jobs = append(b.jobs, own)
-	b.joinsValid = false
-	b.groupsDirty = true
-	for i := range rec.Subexprs {
-		s := &rec.Subexprs[i]
-		partialAdd(b.groups, rec, s)
-		if s.Op == "Scan" {
-			for _, ds := range s.InputDatasets {
-				b.scans[scanKey{rec.Cluster, ds, rec.Pipeline}] = struct{}{}
-			}
-		}
-	}
+	jobs = append(jobs, own)
+	r.byDay[day] = jobs
 
 	r.mJobs.Inc()
 	r.mSubexprs.Add(float64(len(rec.Subexprs)))
 	r.mBuckets.Set(float64(len(r.byDay)))
-	if len(b.jobs) > r.maxInBkt {
-		r.maxInBkt = len(b.jobs)
+	if len(jobs) > r.maxInBkt {
+		r.maxInBkt = len(jobs)
 		r.mBucketMax.Set(float64(r.maxInBkt))
 	}
 }
 
 // SetOutcome applies the post-scheduling outcome to the owned record for
 // jobID, returning false if the job is unknown. Outcome fields never move a
-// record across buckets (sharding is by Submit), but they do invalidate the
-// bucket's cached join executions (Start/End changed).
+// record across buckets (sharding is by Submit).
 func (r *Repo) SetOutcome(jobID string, o Outcome) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -484,11 +333,6 @@ func (r *Repo) SetOutcome(jobID string, o Outcome) bool {
 	rec.BonusPreemptions = o.BonusPreemptions
 	rec.FaultDelaySec = o.FaultDelaySec
 	rec.ReuseFallbacks = o.ReuseFallbacks
-	if b := r.byDay[dayOf(rec.Submit)]; b != nil {
-		b.pmu.Lock()
-		b.joinsValid = false
-		b.pmu.Unlock()
-	}
 	return true
 }
 
@@ -518,98 +362,46 @@ func (r *Repo) Jobs() []*JobRecord {
 	return out
 }
 
-// overlapping returns the buckets intersecting [from, to) in day order.
-func (r *Repo) overlapping(from, to time.Time) []*bucket {
-	if !from.Before(to) {
-		return nil
-	}
-	fromDay := dayOf(from)
-	lastDay := dayOf(to.Add(-time.Nanosecond))
-	lo := sort.Search(len(r.days), func(i int) bool { return r.days[i] >= fromDay })
-	var out []*bucket
-	for i := lo; i < len(r.days) && r.days[i] <= lastDay; i++ {
-		out = append(out, r.byDay[r.days[i]])
-	}
-	return out
-}
-
-// fullyInside reports whether every record of b is inside [from, to) by
-// construction, i.e. the window covers the whole day.
-func fullyInside(b *bucket, from, to time.Time) bool {
-	ds := dayStart(b.day)
-	return !ds.Before(from) && !to.Before(ds.Add(secondsPerDay*time.Second))
-}
-
 func inWindow(j *JobRecord, from, to time.Time) bool {
 	return !j.Submit.Before(from) && j.Submit.Before(to)
 }
 
-// fanOut runs fn(0..n-1) across a bounded worker pool (at most GOMAXPROCS
-// workers) and waits for completion.
-func fanOut(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+// window returns the owned records with Submit in [from, to) — day by day,
+// in insertion order within a day — and the number of day buckets read. Every
+// windowed query starts here; callers hold the repository's lock.
+func (r *Repo) window(from, to time.Time) (recs []*ownedRecord, buckets int) {
+	if !from.Before(to) {
+		return nil, 0
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
+	fromDay := dayOf(from)
+	lastDay := dayOf(to.Add(-time.Nanosecond))
+	lo := sort.Search(len(r.days), func(i int) bool { return r.days[i] >= fromDay })
+	for i := lo; i < len(r.days) && r.days[i] <= lastDay; i++ {
+		buckets++
+		for _, own := range r.byDay[r.days[i]] {
+			if inWindow(own.rec, from, to) {
+				recs = append(recs, own)
 			}
-		}()
+		}
 	}
-	wg.Wait()
+	return recs, buckets
+}
+
+// bySeq puts records gathered day by day back into global insertion order.
+func bySeq(recs []*ownedRecord) {
+	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 }
 
 // JobsBetween returns deep copies of the records with Submit in [from, to),
-// in insertion order (matching NaiveJobsBetween byte for byte).
+// in insertion order.
 func (r *Repo) JobsBetween(from, to time.Time) []*JobRecord {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var picked []*ownedRecord
-	for _, b := range r.overlapping(from, to) {
-		if fullyInside(b, from, to) {
-			picked = append(picked, b.jobs...)
-			continue
-		}
-		for _, own := range b.jobs {
-			if inWindow(own.rec, from, to) {
-				picked = append(picked, own)
-			}
-		}
-	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i].seq < picked[j].seq })
+	recs, _ := r.window(from, to)
+	bySeq(recs)
 	var out []*JobRecord
-	for _, own := range picked {
+	for _, own := range recs {
 		out = append(out, cloneRecord(own.rec))
-	}
-	return out
-}
-
-// NaiveJobsBetween is the retained linear-scan reference for JobsBetween —
-// the test oracle for the sharded fast path.
-func (r *Repo) NaiveJobsBetween(from, to time.Time) []*JobRecord {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*JobRecord
-	for _, own := range r.all {
-		if inWindow(own.rec, from, to) {
-			out = append(out, cloneRecord(own.rec))
-		}
 	}
 	return out
 }
@@ -618,9 +410,9 @@ func (r *Repo) NaiveJobsBetween(from, to time.Time) []*JobRecord {
 //
 // Ordering contract: the per-occurrence slices (Jobs, Submits, SubmitStrict)
 // are pinned to a documented deterministic order — submit time, then strict
-// signature, then job ID — and VCs is sorted ascending, so the sharded
-// parallel merge, the naive fold, and schedule-aware selection all observe
-// identical bytes regardless of insertion or merge order.
+// signature, then job ID — and VCs is sorted ascending, so workload analysis
+// and schedule-aware selection observe identical bytes regardless of
+// insertion order.
 type GroupStat struct {
 	Recurring signature.Sig
 	Op        string
@@ -646,39 +438,41 @@ type GroupStat struct {
 	Height int
 }
 
-// finalizeGroup folds a merged partial (occurrences already in pinned order)
-// into the public GroupStat. The float sums are computed sequentially over
-// the pinned order, which is what makes the parallel merge byte-identical to
-// the naive fold.
+// finalizeGroup folds a partial (occurrences already in pinned order) into
+// the public GroupStat. Op, eligibility, height and input datasets come from
+// the occurrence that sorts first, and the float sums run over the pinned
+// order, so the result does not depend on insertion order.
 func finalizeGroup(p *groupPartial) *GroupStat {
+	first, n := p.occs[0].sub, len(p.occs)
 	g := &GroupStat{
-		Recurring:     p.recurring,
-		Op:            p.op,
-		Eligible:      p.eligible,
-		Height:        p.height,
-		InputDatasets: copyStrings(p.inputDatasets),
-		VCCounts:      make(map[string]int, len(p.vcCounts)),
-		Jobs:          make([]string, 0, len(p.occs)),
-		Submits:       make([]time.Time, 0, len(p.occs)),
-		SubmitStrict:  make([]signature.Sig, 0, len(p.occs)),
-		VCs:           make([]string, 0, len(p.vcCounts)),
+		Recurring:     first.Recurring,
+		Op:            first.Op,
+		Count:         n,
+		Eligible:      first.Eligible == signature.EligibleOK,
+		Height:        first.Height,
+		InputDatasets: copyStrings(first.InputDatasets),
+		VCCounts:      make(map[string]int),
+		Jobs:          make([]string, n),
+		Submits:       make([]time.Time, n),
+		SubmitStrict:  make([]signature.Sig, n),
 	}
-	for _, o := range p.occs {
-		g.Count++
-		g.AvgRows += float64(o.rows)
-		g.AvgBytes += float64(o.bytes)
-		g.AvgWork += o.work
-		g.Jobs = append(g.Jobs, o.jobID)
-		g.Submits = append(g.Submits, o.submit)
-		g.SubmitStrict = append(g.SubmitStrict, o.strict)
+	stricts := make(map[signature.Sig]struct{})
+	for i, o := range p.occs {
+		g.AvgRows += float64(o.sub.Rows)
+		g.AvgBytes += float64(o.sub.Bytes)
+		g.AvgWork += o.sub.Work
+		g.Jobs[i] = o.job.JobID
+		g.Submits[i] = o.job.Submit
+		g.SubmitStrict[i] = o.sub.Strict
+		g.VCCounts[o.job.VC]++
+		stricts[o.sub.Strict] = struct{}{}
 	}
-	n := float64(g.Count)
-	g.AvgRows /= n
-	g.AvgBytes /= n
-	g.AvgWork /= n
-	g.DistinctStrict = len(p.stricts)
-	for vc, c := range p.vcCounts {
-		g.VCCounts[vc] = c
+	g.AvgRows /= float64(n)
+	g.AvgBytes /= float64(n)
+	g.AvgWork /= float64(n)
+	g.DistinctStrict = len(stricts)
+	g.VCs = make([]string, 0, len(g.VCCounts))
+	for vc := range g.VCCounts {
 		g.VCs = append(g.VCs, vc)
 	}
 	sort.Strings(g.VCs)
@@ -687,9 +481,7 @@ func finalizeGroup(p *groupPartial) *GroupStat {
 
 // GroupByRecurring folds the subexpressions table by recurring signature —
 // the unit of workload analysis and view selection. Only jobs in [from, to)
-// participate. Buckets fully inside the window contribute their maintained
-// partials; boundary buckets are scanned; the per-bucket merge fans out
-// across a worker pool. Output is byte-identical to NaiveGroupByRecurring.
+// participate.
 func (r *Repo) GroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat {
 	var t0 int64
 	if r.nowNanos != nil {
@@ -699,185 +491,42 @@ func (r *Repo) GroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat
 	defer r.mu.RUnlock()
 	r.mQueries.Inc()
 
-	bks := r.overlapping(from, to)
-	r.mMergedBkts.Add(float64(len(bks)))
+	recs, buckets := r.window(from, to)
+	r.mMergedBkts.Add(float64(buckets))
+	parts := make(map[signature.Sig]*groupPartial)
+	for _, own := range recs {
+		for si := range own.rec.Subexprs {
+			partialAdd(parts, own.rec, &own.rec.Subexprs[si])
+		}
+	}
 
-	// Phase 1: one partial map per bucket, in parallel.
-	parts := make([]map[signature.Sig]*groupPartial, len(bks))
-	fanOut(len(bks), func(i int) {
-		b := bks[i]
-		if fullyInside(b, from, to) {
-			parts[i] = b.sortedGroups()
-			return
-		}
-		tmp := make(map[signature.Sig]*groupPartial)
-		for _, own := range b.jobs {
-			if !inWindow(own.rec, from, to) {
-				continue
-			}
-			for si := range own.rec.Subexprs {
-				partialAdd(tmp, own.rec, &own.rec.Subexprs[si])
-			}
-		}
-		for _, g := range tmp {
-			g.sortOccs()
-		}
-		parts[i] = tmp
-	})
-
-	var tMerge int64
+	var tFolded int64
 	if r.nowNanos != nil {
-		tMerge = r.nowNanos()
+		tFolded = r.nowNanos()
 	}
-
-	// Phase 2: associative merge in day order. Buckets cover disjoint,
-	// ascending submit ranges and each occurrence list is already pinned, so
-	// concatenation preserves the global pinned order. A single-bucket window
-	// (the common daily-analysis case) needs no merge at all: its partials
-	// are finalized directly.
-	var merged map[signature.Sig]*groupPartial
-	if len(parts) == 1 {
-		merged = parts[0]
-	} else {
-		merged = make(map[signature.Sig]*groupPartial)
-		totals := make(map[signature.Sig]int)
-		for _, part := range parts {
-			for sig, p := range part {
-				totals[sig] += len(p.occs)
-			}
-		}
-		for _, part := range parts {
-			for sig, p := range part {
-				m, ok := merged[sig]
-				if !ok {
-					m = newGroupPartial(sig)
-					m.occs = make([]occurrence, 0, totals[sig])
-					m.metaOcc = p.metaOcc
-					m.op = p.op
-					m.eligible = p.eligible
-					m.height = p.height
-					m.inputDatasets = p.inputDatasets
-					merged[sig] = m
-				} else if occLess(&p.metaOcc, &m.metaOcc) {
-					m.metaOcc = p.metaOcc
-					m.op = p.op
-					m.eligible = p.eligible
-					m.height = p.height
-					m.inputDatasets = p.inputDatasets
-				}
-				m.occs = append(m.occs, p.occs...)
-				for vc, c := range p.vcCounts {
-					m.vcCounts[vc] += c
-				}
-				for s := range p.stricts {
-					m.stricts[s] = struct{}{}
-				}
-			}
-		}
+	out := make(map[signature.Sig]*GroupStat, len(parts))
+	for sig, p := range parts {
+		p.sortOccs()
+		out[sig] = finalizeGroup(p)
 	}
-
-	// Phase 3: finalize every group, in parallel.
-	sigs := make([]signature.Sig, 0, len(merged))
-	for sig := range merged {
-		sigs = append(sigs, sig)
-	}
-	stats := make([]*GroupStat, len(sigs))
-	fanOut(len(sigs), func(i int) {
-		stats[i] = finalizeGroup(merged[sigs[i]])
-	})
-	out := make(map[signature.Sig]*GroupStat, len(sigs))
-	for i, sig := range sigs {
-		out[sig] = stats[i]
-	}
-
 	if r.nowNanos != nil {
 		end := r.nowNanos()
-		r.hMerge.Observe(float64(end-tMerge) / 1e9)
+		r.hMerge.Observe(float64(end-tFolded) / 1e9)
 		r.hQuery.Observe(float64(end-t0) / 1e9)
 	}
 	return out
 }
 
-// NaiveGroupByRecurring is the retained naive fold over all history — the
-// byte-identical oracle the sharded merge is tested against.
-func (r *Repo) NaiveGroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	tmp := make(map[signature.Sig]*groupPartial)
-	for _, own := range r.all {
-		if !inWindow(own.rec, from, to) {
-			continue
-		}
-		for si := range own.rec.Subexprs {
-			partialAdd(tmp, own.rec, &own.rec.Subexprs[si])
-		}
-	}
-	out := make(map[signature.Sig]*GroupStat, len(tmp))
-	for sig, p := range tmp {
-		p.sortOccs()
-		out[sig] = finalizeGroup(p)
-	}
-	return out
-}
-
 // DatasetConsumers returns, per dataset, the set of distinct consumers
-// (pipelines) that scanned it — the Figure 2 quantity. Buckets fully inside
-// the window answer from their incremental scan index.
+// (pipelines) that scanned it — the Figure 2 quantity.
 func (r *Repo) DatasetConsumers(from, to time.Time, clusterName string) map[string]map[string]bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make(map[string]map[string]bool)
-	put := func(ds, pipeline string) {
-		set, ok := out[ds]
-		if !ok {
-			set = make(map[string]bool)
-			out[ds] = set
-		}
-		set[pipeline] = true
-	}
-	for _, b := range r.overlapping(from, to) {
-		if fullyInside(b, from, to) {
-			for k := range b.scans {
-				if clusterName == "" || k.cluster == clusterName {
-					put(k.dataset, k.pipeline)
-				}
-			}
-			continue
-		}
-		for _, own := range b.jobs {
-			j := own.rec
-			if clusterName != "" && j.Cluster != clusterName {
-				continue
-			}
-			if !inWindow(j, from, to) {
-				continue
-			}
-			for si := range j.Subexprs {
-				s := &j.Subexprs[si]
-				if s.Op != "Scan" {
-					continue
-				}
-				for _, ds := range s.InputDatasets {
-					put(ds, j.Pipeline)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// NaiveDatasetConsumers is the retained linear-scan reference for
-// DatasetConsumers — the test oracle for the sharded fast path.
-func (r *Repo) NaiveDatasetConsumers(from, to time.Time, clusterName string) map[string]map[string]bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]map[string]bool)
-	for _, own := range r.all {
+	recs, _ := r.window(from, to)
+	for _, own := range recs {
 		j := own.rec
 		if clusterName != "" && j.Cluster != clusterName {
-			continue
-		}
-		if !inWindow(j, from, to) {
 			continue
 		}
 		for si := range j.Subexprs {
@@ -908,51 +557,16 @@ type JoinExecution struct {
 }
 
 // JoinExecutions returns all join subexpression executions in the window, in
-// insertion order (matching NaiveJoinExecutions byte for byte). Buckets fully
-// inside the window answer from a cached per-bucket join list.
+// insertion order.
 func (r *Repo) JoinExecutions(from, to time.Time, clusterName string) []JoinExecution {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var recs []joinRec
-	for _, b := range r.overlapping(from, to) {
-		if fullyInside(b, from, to) {
-			recs = append(recs, b.joinList()...)
-			continue
-		}
-		for _, own := range b.jobs {
-			if inWindow(own.rec, from, to) {
-				appendJoins(&recs, own)
-			}
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].seq != recs[j].seq {
-			return recs[i].seq < recs[j].seq
-		}
-		return recs[i].idx < recs[j].idx
-	})
+	recs, _ := r.window(from, to)
+	bySeq(recs)
 	var out []JoinExecution
-	for i := range recs {
-		if clusterName != "" && recs[i].cluster != clusterName {
-			continue
-		}
-		out = append(out, recs[i].je)
-	}
-	return out
-}
-
-// NaiveJoinExecutions is the retained linear-scan reference for
-// JoinExecutions — the test oracle for the sharded fast path.
-func (r *Repo) NaiveJoinExecutions(from, to time.Time, clusterName string) []JoinExecution {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []JoinExecution
-	for _, own := range r.all {
+	for _, own := range recs {
 		j := own.rec
 		if clusterName != "" && j.Cluster != clusterName {
-			continue
-		}
-		if !inWindow(j, from, to) {
 			continue
 		}
 		for si := range j.Subexprs {

@@ -1,9 +1,10 @@
 package repository_test
 
-// Tests for the sharded, incrementally aggregated repository: the pinned
-// deterministic GroupStat ordering, defensive copies on the read path, the
-// SetOutcome lifecycle, and a seeded property test that every windowed query
-// of the indexed store is identical to the retained naive fold.
+// Tests for the day-sharded repository: the pinned deterministic GroupStat
+// ordering, defensive copies on the read path, the SetOutcome lifecycle, one
+// stored copy per record, queries racing writers, and a seeded property test
+// that every windowed query of the sharded store is identical to the naive
+// fold over all history (oracle_test.go).
 
 import (
 	"fmt"
@@ -130,7 +131,6 @@ func TestSetOutcome(t *testing.T) {
 	r := repository.New()
 	orig := mkJob("j1", "vc1", "p", t0, "r", "a")
 	r.Add(orig)
-	// Warm the cached join list, then invalidate it via SetOutcome.
 	if execs := r.JoinExecutions(t0, t0.Add(time.Hour), ""); len(execs) != 1 {
 		t.Fatalf("executions = %d", len(execs))
 	}
@@ -156,8 +156,9 @@ func TestSetOutcome(t *testing.T) {
 
 // randomRepo builds a repository plus the list of inserted records from a
 // seeded source: jobs spread over ~10 day buckets with colliding submit
-// times, shared recurring signatures across buckets, and interleaved
-// SetOutcome calls.
+// times, shared recurring signatures across buckets, jobs that carry one
+// (strict, recurring) subexpression twice — a full tie in the pinned order,
+// told apart only by its metrics — and interleaved SetOutcome calls.
 func randomRepo(rng *rand.Rand, n int) *repository.Repo {
 	r := repository.New()
 	clusters := []string{"c1", "c2"}
@@ -205,6 +206,12 @@ func randomRepo(rng *rand.Rand, n int) *repository.Repo {
 				sub.JoinAlgo = "Hash Join"
 			}
 			j.Subexprs = append(j.Subexprs, sub)
+		}
+		if rng.Intn(4) == 0 {
+			dup := j.Subexprs[rng.Intn(len(j.Subexprs))]
+			dup.Rows, dup.Bytes, dup.Work = int64(rng.Intn(1000)), int64(rng.Intn(100000)), rng.Float64()*50
+			dup.Op, dup.Height = ops[rng.Intn(len(ops))], rng.Intn(6)
+			j.Subexprs = append(j.Subexprs, dup)
 		}
 		r.Add(j)
 		if rng.Intn(3) == 0 {
@@ -279,5 +286,103 @@ func TestPreEpochBuckets(t *testing.T) {
 		r.NaiveGroupByRecurring(old, t0.AddDate(0, 0, 1)),
 	) {
 		t.Error("pre-epoch GroupByRecurring diverges from oracle")
+	}
+}
+
+// TestAddStoresOneCopy holds Add to storing a record once — the clone, its
+// subexpression rows, their dataset lists and the index entry — with nothing
+// derived per subexpression: a day of 75 jobs with four subexpressions of
+// distinct signatures each must cost at most 8 allocations per record.
+func TestAddStoresOneCopy(t *testing.T) {
+	const jobs = 75
+	recs := make([]*repository.JobRecord, jobs)
+	for i := range recs {
+		id := fmt.Sprintf("j%02d", i)
+		j := &repository.JobRecord{JobID: id, Cluster: "c1", VC: "vc1", Pipeline: "p",
+			Submit: t0.Add(time.Duration(i) * time.Minute)}
+		for s := 0; s < 4; s++ {
+			j.Subexprs = append(j.Subexprs, repository.SubexprRecord{
+				JobID: id, Op: "Scan", Parent: -1, Eligible: signature.EligibleOK,
+				Strict:        signature.Sig(fmt.Sprintf("strict-%d-%d", i, s)),
+				Recurring:     signature.Sig(fmt.Sprintf("rec-%d-%d", i, s)),
+				InputDatasets: []string{"A", "B"},
+			})
+		}
+		recs[i] = j
+	}
+	perDay := testing.AllocsPerRun(20, func() {
+		r := repository.New()
+		for _, j := range recs {
+			r.Add(j)
+		}
+	})
+	if perRecord := perDay / jobs; perRecord > 8 {
+		t.Errorf("Add allocates %.1f times per 4-subexpression record, want <= 8", perRecord)
+	} else {
+		t.Logf("Add: %.1f allocations per 4-subexpression record", perRecord)
+	}
+}
+
+// TestQueriesRaceWithAddAndSetOutcome runs every windowed query against
+// concurrent Add and SetOutcome writers. Queries read the owned records in
+// place, so the repository's lock alone must order them against both writers
+// (run under -race -cpu 1,2,4); once the writers stop, every query must equal
+// its oracle.
+func TestQueriesRaceWithAddAndSetOutcome(t *testing.T) {
+	r := repository.New()
+	const writers, perWriter = 2, 150
+	from, to := t0.AddDate(0, 0, -1), t0.AddDate(0, 0, 6)
+	stop := make(chan struct{})
+	var readers, wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.GroupByRecurring(from, to)
+				r.JoinExecutions(from, to, "c1")
+				r.DatasetConsumers(from, to, "")
+				r.JobsBetween(t0.Add(12*time.Hour), t0.AddDate(0, 0, 2))
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := fmt.Sprintf("w%d-%03d", w, i)
+				submit := t0.Add(time.Duration(i%(5*24)) * time.Hour)
+				r.Add(mkJob(id, fmt.Sprintf("vc%d", w), "p", submit, "r", fmt.Sprint(i%7)))
+				victim := fmt.Sprintf("w%d-%03d", w, i/2)
+				if !r.SetOutcome(victim, repository.Outcome{Start: submit, End: submit.Add(time.Duration(i) * time.Minute), Containers: i}) {
+					t.Errorf("SetOutcome(%s) lost a record this writer added", victim)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	if r.Len() != writers*perWriter {
+		t.Fatalf("Len = %d, want %d", r.Len(), writers*perWriter)
+	}
+	if got, want := r.GroupByRecurring(from, to), r.NaiveGroupByRecurring(from, to); !reflect.DeepEqual(got, want) {
+		t.Error("GroupByRecurring diverges from the oracle after concurrent writes")
+	}
+	if got, want := r.JoinExecutions(from, to, "c1"), r.NaiveJoinExecutions(from, to, "c1"); !reflect.DeepEqual(got, want) || len(got) != writers*perWriter {
+		t.Errorf("JoinExecutions diverges from the oracle after concurrent writes (%d vs %d)", len(got), len(want))
+	}
+	if got, want := r.DatasetConsumers(from, to, ""), r.NaiveDatasetConsumers(from, to, ""); !reflect.DeepEqual(got, want) {
+		t.Error("DatasetConsumers diverges from the oracle after concurrent writes")
+	}
+	if got, want := r.JobsBetween(from, to), r.NaiveJobsBetween(from, to); !reflect.DeepEqual(got, want) {
+		t.Error("JobsBetween diverges from the oracle after concurrent writes")
 	}
 }

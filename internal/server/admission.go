@@ -52,13 +52,6 @@ func (a *admission) release(vc string) {
 	}
 }
 
-// depth returns vc's current in-flight count.
-func (a *admission) depth(vc string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.perVC[vc]
-}
-
 // inflight returns the global in-flight count.
 func (a *admission) inflight() int {
 	a.mu.Lock()

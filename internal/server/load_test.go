@@ -139,34 +139,3 @@ func TestServerLoad(t *testing.T) {
 		t.Errorf("cloudviews_jobs_total = %v, want %d", jobs, len(acc))
 	}
 }
-
-// BenchmarkServerSustainedSubmit measures sustained end-to-end
-// submissions/sec through the HTTP front door: auth, rate check, admission,
-// compile, execute, respond. Reported as the jobs/sec Extra metric in
-// BENCH_server.json.
-func BenchmarkServerSustainedSubmit(b *testing.B) {
-	_, ts := newTestServer(b, func(cfg *Config) {
-		cfg.MaxQueuedPerTenant = 1 << 20
-		cfg.MaxQueued = 1 << 20
-	})
-	transport := ts.Client().Transport.(*http.Transport).Clone()
-	transport.MaxIdleConnsPerHost = 128
-	client := &http.Client{Transport: transport, Timeout: 60 * time.Second}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			var st JobStatusResponse
-			code, raw := do(b, client, "POST", ts.URL+"/v1/jobs", "tok-1",
-				SubmitRequest{Script: testScript}, &st)
-			if code != 200 {
-				b.Fatalf("code %d: %s", code, raw)
-			}
-		}
-	})
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N)/secs, "jobs/sec")
-	}
-}

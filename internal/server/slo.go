@@ -23,7 +23,6 @@ type sloSampler struct {
 	watchdog *telemetry.Watchdog
 	series   map[string]*telemetry.Series
 	prev     map[string]float64 // last raw snapshot, for counter deltas
-	alerts   []telemetry.Alert
 }
 
 func newSLOSampler(reg *obs.Registry, rules []telemetry.Rule) *sloSampler {
@@ -63,14 +62,5 @@ func (s *sloSampler) sample(day int) []telemetry.Alert {
 		}
 		ser.Append(day, val)
 	}
-	alerts := s.watchdog.Evaluate(day, s.series)
-	s.alerts = append(s.alerts, alerts...)
-	return alerts
-}
-
-// allAlerts returns the cumulative alert log.
-func (s *sloSampler) allAlerts() []telemetry.Alert {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]telemetry.Alert(nil), s.alerts...)
+	return s.watchdog.Evaluate(day, s.series)
 }

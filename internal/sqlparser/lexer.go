@@ -156,13 +156,6 @@ func (l *Lexer) Lex() ([]Token, error) {
 	}
 }
 
-func (l *Lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 // Next returns the next token. Token.Text aliases the source string (or a
 // canonical constant) whenever possible; only escaped string literals copy.
 func (l *Lexer) Next() (Token, error) {
