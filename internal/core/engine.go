@@ -417,10 +417,6 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			VC:      in.VC,
 			OptIn:   in.OptIn,
 		})
-		// The result cache is keyed by PHYSICAL signatures: a plan that
-		// reuses a view must not replay the accounting of the plan that
-		// computed the subexpression.
-		sigMap := signer.Physical(cr.Plan)
 		e.mCompileSec.Add(cr.CompileLatency.Seconds())
 
 		// The attempt is part of the fault-injection key so a retried job
@@ -430,7 +426,10 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			Catalog: e.Catalog,
 			Views:   e.Store,
 			Cache:   e.resultCache(),
-			SigMap:  sigMap,
+			// The result cache is keyed by PHYSICAL signatures: a plan that
+			// reuses a view must not replay the accounting of the plan that
+			// computed the subexpression.
+			SigMap: cr.Physical,
 			// The vectorized batch path is the production default; its
 			// results and accounting are byte-identical to the row-at-a-time
 			// serial twin (enforced by the exec equivalence tests).
@@ -675,18 +674,12 @@ func (e *Engine) estimateSealDelay(run *JobRun) time.Duration {
 // across the stages in proportion to their estimated work, so executions
 // served from the result cache still yield a faithful schedule.
 func stageSpecs(cr *optimizer.CompileResult, res *exec.RunResult) []cluster.StageSpec {
-	pp := optimizer.BuildStages(cr.Plan, cr.Estimates)
-	specs := make([]cluster.StageSpec, len(pp.Stages))
+	stages := optimizer.BuildStages(cr.Plan, cr.Estimates)
+	specs := make([]cluster.StageSpec, len(stages))
 	var totalWeight float64
 	spoolStages := 0
-	for i, st := range pp.Stages {
-		specs[i] = cluster.StageSpec{Width: st.Width, IsSpool: st.IsSpool}
-		if len(st.Deps) > 0 {
-			specs[i].Deps = make([]int, len(st.Deps))
-			for k, d := range st.Deps {
-				specs[i].Deps[k] = d.ID
-			}
-		}
+	for i, st := range stages {
+		specs[i] = cluster.StageSpec{Width: st.Width, Deps: st.Deps, IsSpool: st.IsSpool}
 		if st.IsSpool {
 			spoolStages++
 			continue

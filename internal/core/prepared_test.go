@@ -12,8 +12,8 @@ import (
 	"cloudviews/internal/cluster"
 	"cloudviews/internal/data"
 	"cloudviews/internal/fixtures"
+	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
-	"cloudviews/internal/signature"
 	"cloudviews/internal/workload"
 )
 
@@ -88,12 +88,27 @@ func warmEngine(t *testing.T) (*Engine, workload.JobInput) {
 	return e, in
 }
 
+// planJoins lists the joins among a plan's operators. A ViewScan's fallback
+// is not one of them: it is the replaced subtree, which no one writes and
+// which may be the shared plan's own.
+func planJoins(root plan.Node) []*plan.Join {
+	var out []*plan.Join
+	plan.Walk(root, func(n plan.Node) {
+		if j, isJoin := n.(*plan.Join); isJoin {
+			out = append(out, j)
+		}
+	})
+	return out
+}
+
 // TestSharedPreparedPlanIsNeverWritten: goroutines resubmitting one script
-// compile from the one normalized plan and enumeration on its plan-cache
-// entry. Every job that matches a view rebuilds the plan above the ViewScan
-// and chooses join algorithms, and all of that must happen on the job's own
-// copy: the shared plan comes out as it went in. Run under -race (at -cpu 1,
-// 2 and 4), a write would also be reported as a race with the other readers.
+// compile from the one normalized plan, enumeration and physical signatures
+// on its plan-cache entry. Half the jobs match a view and rebuild the plan
+// above the ViewScan; the other half opt out of reuse, keep the join and have
+// its algorithm chosen. All of that must happen on nodes of the job's own:
+// the shared plan comes out as it went in, equal to a fresh Prepare, and no
+// two jobs have the same join among their operators. Run under -race (at -cpu 1, 2 and 4), a write
+// would also be reported as a race with the other readers.
 func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 	e, in := warmEngine(t)
 	entry := pcEntry(t, e, in)
@@ -101,8 +116,6 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 		t.Fatal("the warm engine left no prepared plan on the script's entry")
 	}
 	prep := entry.prepared.Load()
-	wantPlan := plan.Format(prep.Plan)
-	wantSubs := append([]signature.Subexpr(nil), prep.Subs...)
 	joins := 0
 	plan.Walk(prep.Plan, func(n plan.Node) {
 		if j, isJoin := n.(*plan.Join); isJoin && j.Algo == plan.JoinAuto {
@@ -116,56 +129,97 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	optOut := in
+	optOut.ID, optOut.OptIn = "opt-out", false
+	wantOut, err := e.CompileAndExecute(optOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pcEntry(t, e, optOut) != entry || len(wantOut.Compile.Matched) != 0 {
+		t.Fatal("the opted-out submission must share the script's entry and match nothing")
+	}
 
 	const workers, each = 8, 40
+	var mu sync.Mutex
+	owner := map[*plan.Join]string{} // every join seen in a job's plan → that job
+	chosen := 0
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				run, err := e.CompileAndExecute(warmInput(fmt.Sprintf("w%d-%d", w, i), in.Submit.Add(time.Duration(i)*time.Second)))
+				job, ref := warmInput(fmt.Sprintf("w%d-%d", w, i), in.Submit.Add(time.Duration(i)*time.Second)), want
+				if i%2 == 1 {
+					job.OptIn, ref = false, wantOut
+				}
+				run, err := e.CompileAndExecute(job)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if len(run.Compile.Matched) == 0 || run.Output.Fingerprint() != want.Output.Fingerprint() {
-					t.Errorf("w%d-%d: matched %d views, output equal: %v", w, i, len(run.Compile.Matched), run.Output.Fingerprint() == want.Output.Fingerprint())
+				if len(run.Compile.Matched) != len(ref.Compile.Matched) || run.Output.Fingerprint() != want.Output.Fingerprint() {
+					t.Errorf("%s: matched %d views, output equal: %v", job.ID, len(run.Compile.Matched), run.Output.Fingerprint() == want.Output.Fingerprint())
 					return
 				}
-				if plan.Format(run.Compile.Plan) != plan.Format(want.Compile.Plan) {
-					t.Errorf("w%d-%d: compiled plan differs:\n%s\nwant:\n%s", w, i, plan.Format(run.Compile.Plan), plan.Format(want.Compile.Plan))
+				if plan.Format(run.Compile.Plan) != plan.Format(ref.Compile.Plan) {
+					t.Errorf("%s: compiled plan differs:\n%s\nwant:\n%s", job.ID, plan.Format(run.Compile.Plan), plan.Format(ref.Compile.Plan))
 					return
 				}
+				mu.Lock()
+				for _, j := range planJoins(run.Compile.Plan) {
+					if other, dup := owner[j]; dup {
+						t.Errorf("%s and %s hold the same *plan.Join", job.ID, other)
+					}
+					owner[j] = job.ID
+					if j.Algo != plan.JoinAuto {
+						chosen++
+					}
+				}
+				mu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
+	if chosen == 0 {
+		t.Error("no job had a join algorithm chosen: nothing wrote what the shared plan must not see")
+	}
 
 	if entry.prepared.Load() != prep {
 		t.Error("the entry's prepared plan was replaced while the catalog generation stood still")
 	}
-	if got := plan.Format(prep.Plan); got != wantPlan {
-		t.Errorf("the shared plan was rewritten:\n%s\nwas:\n%s", got, wantPlan)
+	// A fresh Prepare of the same bound root is what the entry must still hold.
+	fresh := (&optimizer.Optimizer{Signer: e.signerFor(in.Runtime)}).Prepare(entry.root)
+	if got, was := plan.Format(prep.Plan), plan.Format(fresh.Plan); got != was {
+		t.Errorf("the shared plan was rewritten:\n%s\nwas:\n%s", got, was)
 	}
-	if !reflect.DeepEqual(prep.Subs, wantSubs) {
-		t.Error("the shared enumeration was written")
+	if len(prep.Subs) != len(fresh.Subs) || prep.Tag != fresh.Tag || !reflect.DeepEqual(prep.Physical, fresh.Physical) {
+		t.Errorf("the shared entry differs from a fresh Prepare: %d subexpressions, tag %s, physical %v; fresh: %d, %s, %v",
+			len(prep.Subs), prep.Tag, prep.Physical, len(fresh.Subs), fresh.Tag, fresh.Physical)
 	}
-	plan.Walk(prep.Plan, func(n plan.Node) {
-		if j, isJoin := n.(*plan.Join); isJoin && j.Algo == plan.JoinAuto {
-			joins--
+	for i := range fresh.Subs {
+		got, was := prep.Subs[i], fresh.Subs[i]
+		got.Node, was.Node = nil, nil
+		if !reflect.DeepEqual(got, was) {
+			t.Errorf("the shared enumeration was written at %d: %+v, fresh %+v", i, got, was)
 		}
-	})
-	if joins != 0 {
-		t.Errorf("%d join algorithm(s) were chosen on the shared plan", joins)
+	}
+	for _, j := range planJoins(prep.Plan) {
+		if j.Algo != plan.JoinAuto {
+			t.Errorf("a join algorithm (%s) was chosen on the shared plan", j.Algo)
+		}
+		if job, held := owner[j]; held {
+			t.Errorf("%s holds a join of the shared plan", job)
+		}
 	}
 }
 
 // warmAllocCeiling bounds the allocations of one warm, onboarded,
-// view-matching resubmission. Last measured: 106 (108 under -race).
+// view-matching resubmission. Last measured: 56 (58 under -race), Go 1.24.
 // It is the unit-test-cost gate on the reuse-on path: a change that re-signs
-// or re-normalizes per job goes several times past it.
-const warmAllocCeiling = 130
+// the final plan, copies the prepared one or re-normalizes per job goes past
+// it.
+const warmAllocCeiling = 64
 
 func TestWarmResubmissionAllocCeiling(t *testing.T) {
 	e, in := warmEngine(t)

@@ -266,7 +266,7 @@ type Executor struct {
 	Catalog *catalog.Catalog
 	Views   ViewStore                   // nil disables Spool/ViewScan handling
 	Cache   *Cache                      // nil disables memoization
-	SigMap  map[plan.Node]signature.Sig // strict signatures per node (for cache keys)
+	SigMap  map[plan.Node]signature.Sig // physical signatures per node (the cache keys)
 	Ctx     *plan.EvalContext
 	// PipelineSharing switches cache hits from replay accounting (the job is
 	// charged as if it recomputed the subtree — correct for simulating
@@ -312,7 +312,8 @@ func markSpoolTainted(root plan.Node, out map[plan.Node]bool) bool {
 	if _, ok := root.(*plan.Spool); ok {
 		tainted = true
 	}
-	for _, c := range root.Children() {
+	var buf [2]plan.Node
+	for _, c := range plan.Inputs(root, &buf) {
 		if markSpoolTainted(c, out) {
 			tainted = true
 		}
@@ -398,7 +399,7 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) {
 		tainted = true
 	}
 
-	// Result-cache lookup (strict signature identity ⇒ identical result).
+	// Result-cache lookup (physical signature identity ⇒ identical result).
 	if !tainted && ex.Cache != nil && ex.SigMap != nil {
 		if sig, ok := ex.SigMap[n]; ok {
 			if entry, hit := ex.Cache.Get(sig); hit {
@@ -473,10 +474,11 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) {
 // (children left to right, then the node itself) — the order NodeStats are
 // appended during a real run.
 func postOrderNodes(n plan.Node) []plan.Node {
-	var out []plan.Node
+	out := make([]plan.Node, 0, plan.CountNodes(n))
 	var rec func(m plan.Node)
 	rec = func(m plan.Node) {
-		for _, c := range m.Children() {
+		var buf [2]plan.Node
+		for _, c := range plan.Inputs(m, &buf) {
 			rec(c)
 		}
 		out = append(out, m)

@@ -69,6 +69,9 @@ type CompileResult struct {
 	// node's strict and recurring signature and eligibility, the one the
 	// repository record is built from.
 	Subs []signature.Subexpr
+	// Physical holds the final plan's physical signature per node (see
+	// signature.Signer.Physical), the executor's result-cache keys.
+	Physical map[plan.Node]signature.Sig
 	// CompileLatency accumulates the simulated insights round trips.
 	CompileLatency time.Duration
 	// ReuseEnabled records whether CloudViews participated at all.
@@ -93,20 +96,35 @@ func (o *Optimizer) maxViews() int {
 }
 
 // Prepared is the job-independent half of a compilation: the normalized plan,
-// its subexpression enumeration and the job tag. All three are pure functions
-// of (bound root, signer), so one Prepared serves every submission of a
-// recurring script; it is shared between jobs and never written.
+// its subexpression enumeration, every node's physical signature and the job
+// tag. All are pure functions of (bound root, signer), so one Prepared serves
+// every submission of a recurring script; it is shared between jobs and never
+// written.
 type Prepared struct {
 	Plan plan.Node
 	Subs []signature.Subexpr
-	Tag  signature.Tag
+	// Physical[i] is the physical signature of Subs[i].Node.
+	Physical []signature.Sig
+	Tag      signature.Tag
+	// index is the position in Subs of every enumerated node of Plan.
+	index map[plan.Node]int
 }
 
 // Prepare normalizes and signs a bound root. The input plan is not mutated.
 func (o *Optimizer) Prepare(root plan.Node) *Prepared {
 	p := Rewrite(plan.CloneNode(root))
 	subs := o.Signer.Subexpressions(p)
-	return &Prepared{Plan: p, Subs: subs, Tag: signature.TagForTemplate(subs[len(subs)-1].Recurring)}
+	phys := o.Signer.Physical(p)
+	prep := &Prepared{
+		Plan: p, Subs: subs, Physical: make([]signature.Sig, len(subs)),
+		Tag:   signature.TagForTemplate(subs[len(subs)-1].Recurring),
+		index: make(map[plan.Node]int, len(subs)),
+	}
+	for i := range subs {
+		prep.Physical[i] = phys[subs[i].Node]
+		prep.index[subs[i].Node] = i
+	}
+	return prep
 }
 
 // Compile runs the full pipeline: rewrites → annotation fetch → top-down view
@@ -119,12 +137,11 @@ func (o *Optimizer) Compile(root plan.Node, opts CompileOptions) *CompileResult 
 // CompilePrepared runs the per-job half of Compile over a prepared plan.
 func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *CompileResult {
 	res := &CompileResult{Tag: prep.Tag}
-	// The job works on its own copy (chooseJoinAlgorithms writes Join.Algo);
-	// known carries the prepared signatures over to the copy's nodes and, in
-	// matchViews and buildViews, on to the nodes rebuilt above a substitution.
-	known := make(map[plan.Node]*signature.Subexpr, len(prep.Subs))
-	next := 0
-	p := cloneKnown(prep.Plan, prep.Subs, &next, known)
+	// The job reads the prepared plan in place; known carries the prepared
+	// signatures over to the nodes it rebuilds above a substitution and to
+	// its own copies of the joins it will write.
+	known := &jobNodes{prep: prep, own: map[plan.Node]int{}}
+	p := prep.Plan
 
 	var disabledBy string
 	enabled := false
@@ -164,9 +181,12 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 		p = o.buildViews(p, opts, annSet, known, res)
 	}
 	o.Trace.Span("optimize", 0)
+	p = known.ownJoins(p)
 
-	// Final enumeration over the rewritten plan.
-	res.Subs = o.Signer.SubexpressionsKnown(p, known)
+	// Final enumeration and physical signatures over the rewritten plan: only
+	// what sits on or above a substituted ViewScan or Spool is signed here.
+	res.Subs = o.Signer.SubexpressionsKnown(p, known.sub)
+	res.Physical = o.Signer.PhysicalKnown(p, known.physical)
 
 	// Statistics refresh + physical planning.
 	res.Estimates = o.estimateWithHistory(p, res.Subs)
@@ -176,40 +196,79 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 	return res
 }
 
-// cloneKnown deep-copies a prepared plan and maps every copied node to the
-// enumeration entry of its original. subs is in post-order, so the next
-// unclaimed entry belongs to the node being copied — or, for a Spool, which
-// the enumeration looks through, to none.
-func cloneKnown(n plan.Node, subs []signature.Subexpr, next *int, known map[plan.Node]*signature.Subexpr) plan.Node {
-	children := n.Children()
-	for i, c := range children {
-		children[i] = cloneKnown(c, subs, next, known)
-	}
-	cp := n.WithChildren(children)
-	if *next < len(subs) && subs[*next].Node == n {
-		known[cp] = &subs[*next]
-		*next++
-	}
-	return cp
+// jobNodes resolves a node of a job's plan to what the prepared entry holds
+// for the node it stands for: a shared prepared node for itself, one of the
+// job's own for the node it was copied from or rebuilt over (ViewScan and
+// Spool are transparent to strict and recurring signatures).
+type jobNodes struct {
+	prep *Prepared
+	own  map[plan.Node]int // the job's own nodes → position in prep.Subs
 }
 
-// withChildren maps rec over n's children (Children returns a fresh slice)
-// and rebuilds n only if one changed. The rebuilt node stands for the same
-// subexpression — ViewScan and Spool are transparent to signatures — so it
-// inherits n's enumeration entry.
-func withChildren(n plan.Node, rec func(plan.Node) plan.Node, known map[plan.Node]*signature.Subexpr) plan.Node {
-	children := n.Children()
-	changed := false
-	for i, c := range children {
+func (k *jobNodes) index(n plan.Node) (int, bool) {
+	if i, ok := k.own[n]; ok {
+		return i, true
+	}
+	i, ok := k.prep.index[n]
+	return i, ok
+}
+
+// sub returns n's enumeration entry, nil for a substituted ViewScan or Spool.
+func (k *jobNodes) sub(n plan.Node) *signature.Subexpr {
+	if i, ok := k.index(n); ok {
+		return &k.prep.Subs[i]
+	}
+	return nil
+}
+
+// physical returns the physical signature of the prepared node n stands for:
+// n's own as long as no ViewScan or Spool was substituted below it.
+func (k *jobNodes) physical(n plan.Node) signature.Sig {
+	if i, ok := k.index(n); ok {
+		return k.prep.Physical[i]
+	}
+	return ""
+}
+
+// adopt records that the job's node m stands for what n stands for.
+func (k *jobNodes) adopt(m, n plan.Node) {
+	if i, ok := k.index(n); ok {
+		k.own[m] = i
+	}
+}
+
+// ownJoins gives the job its own copy of every JoinAuto join left in its
+// plan, whose Algo physical planning writes, and so of every node above one;
+// all other subtrees stay shared with the prepared plan and are only read.
+func (k *jobNodes) ownJoins(n plan.Node) plan.Node {
+	m := k.withChildren(n, k.ownJoins)
+	_, mine := k.own[m] // a node the job rebuilt is its own already
+	if j, isJoin := m.(*plan.Join); isJoin && !mine && j.Algo == plan.JoinAuto {
+		cp := *j
+		k.adopt(&cp, n)
+		return &cp
+	}
+	return m
+}
+
+// withChildren maps rec over n's inputs and rebuilds n, as a node standing
+// for the same subexpression, only if one changed.
+func (k *jobNodes) withChildren(n plan.Node, rec func(plan.Node) plan.Node) plan.Node {
+	var buf [2]plan.Node
+	var children []plan.Node
+	for i, c := range plan.Inputs(n, &buf) {
 		if nc := rec(c); nc != c {
-			children[i], changed = nc, true
+			if children == nil {
+				children = n.Children()
+			}
+			children[i] = nc
 		}
 	}
-	if !changed {
+	if children == nil {
 		return n
 	}
 	m := n.WithChildren(children)
-	known[m] = known[n]
+	k.adopt(m, n)
 	return m
 }
 
@@ -227,10 +286,10 @@ func (o *Optimizer) reject(sig signature.Sig, candidate string, reason explain.R
 // top-down so the largest match wins. The plan with the view is adopted only
 // if its cost is lower (with runtime history this reduces to comparing the
 // view read cost against the observed recompute cost).
-func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, known map[plan.Node]*signature.Subexpr, res *CompileResult) plan.Node {
+func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, known *jobNodes, res *CompileResult) plan.Node {
 	var rec func(n plan.Node) plan.Node
 	rec = func(n plan.Node) plan.Node {
-		s := known[n]
+		s := known.sub(n)
 		if s != nil && s.Eligibility == signature.EligibleOK && o.Store != nil {
 			if view, exists := o.Store.Lookup(s.Strict); exists {
 				// State before Available: Available lazily evicts expired
@@ -287,7 +346,7 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 				}
 			}
 		}
-		return withChildren(n, rec, known)
+		return known.withChildren(n, rec)
 	}
 	return rec(root)
 }
@@ -298,7 +357,7 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 func (o *Optimizer) viewWins(n plan.Node, recurring signature.Sig, view *storage.View) (wins bool, saved float64) {
 	readCost := exec.ViewReadWork(view.Rows, view.Bytes)
 	if o.History != nil {
-		if sum, ok := o.History.Lookup(recurring); ok && sum.AvgWork > 0 {
+		if sum, ok := o.History.LookupMeans(recurring); ok && sum.AvgWork > 0 {
 			return readCost < sum.AvgWork, sum.AvgWork - readCost
 		}
 	}
@@ -327,19 +386,19 @@ func (o *Optimizer) savedIfExplaining(n plan.Node, recurring signature.Sig, view
 // buildViews inserts Spool operators (bottom-up) on selected subexpressions
 // that are not yet materialized, acquiring the insights view lock so exactly
 // one concurrent job builds each artifact.
-func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, known map[plan.Node]*signature.Subexpr, res *CompileResult) plan.Node {
+func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, known *jobNodes, res *CompileResult) plan.Node {
 	if len(annSet) == 0 || o.Store == nil {
 		return root
 	}
 	built := 0
 	var rec func(n plan.Node) plan.Node
 	rec = func(n plan.Node) plan.Node {
-		n = withChildren(n, rec, known)
+		n = known.withChildren(n, rec)
 		switch n.(type) {
 		case *plan.Spool, *plan.ViewScan, *plan.Output:
 			return n
 		}
-		s := known[n]
+		s := known.sub(n)
 		if built >= o.maxViews() {
 			// Budget spent. With an explain recorder, classify whether this
 			// node would otherwise have been built so the forfeited candidate
@@ -383,26 +442,25 @@ func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[s
 // statistics feedback ("feed more accurate statistics from the previously
 // materialized subexpressions to the rest of the query plan").
 func (o *Optimizer) estimateWithHistory(root plan.Node, subs []signature.Subexpr) map[plan.Node]stats.Estimate {
-	var recurring map[plan.Node]signature.Sig // nil lookups miss
-	if o.History != nil {
-		recurring = make(map[plan.Node]signature.Sig, len(subs))
-		for _, s := range subs {
-			recurring[s.Node] = s.Recurring
-		}
+	memo := make(map[plan.Node]stats.Estimate, len(subs))
+	if o.History == nil {
+		subs = nil
 	}
-	memo := make(map[plan.Node]stats.Estimate)
+	next := 0 // subs is in this walk's order, less the Spools
 	var rec func(n plan.Node) stats.Estimate
 	rec = func(n plan.Node) stats.Estimate {
-		children := n.Children()
-		ce := make([]stats.Estimate, len(children))
-		for i, c := range children {
-			ce[i] = rec(c)
+		var buf [2]plan.Node
+		var ceBuf [2]stats.Estimate
+		ce := ceBuf[:0]
+		for _, c := range plan.Inputs(n, &buf) {
+			ce = append(ce, rec(c))
 		}
 		est := o.Est.EstimateNode(n, ce)
-		if sig, ok := recurring[n]; ok {
-			if sum, found := o.History.LookupMeans(sig); found && sum.Count > 0 {
+		if next < len(subs) && subs[next].Node == n {
+			if sum, found := o.History.LookupMeans(subs[next].Recurring); found && sum.Count > 0 {
 				est = stats.Estimate{Rows: sum.AvgRows, Bytes: sum.AvgBytes}
 			}
+			next++
 		}
 		memo[n] = est
 		return est

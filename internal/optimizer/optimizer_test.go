@@ -1,12 +1,14 @@
 package optimizer_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/exec"
+	"cloudviews/internal/explain"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/insights"
 	"cloudviews/internal/optimizer"
@@ -327,14 +329,24 @@ func TestStageWidthShrinksWithAccurateStats(t *testing.T) {
 	r.publishFor(t, root, func(s signature.Subexpr) bool { return s.Op == "Join" })
 	opts := optimizer.CompileOptions{JobID: "j1", Cluster: "c1", VC: "vc1", OptIn: true}
 	cr1 := r.opt.Compile(root, opts)
-	pp1 := optimizer.BuildStages(cr1.Plan, cr1.Estimates)
+	w1 := totalWidth(optimizer.BuildStages(cr1.Plan, cr1.Estimates))
 	res1 := r.execute(t, cr1)
 	recordHistory(r.hist, cr1, res1)
 	cr2 := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j2", Cluster: "c1", VC: "vc1", OptIn: true})
-	pp2 := optimizer.BuildStages(cr2.Plan, cr2.Estimates)
-	if pp2.TotalWidth >= pp1.TotalWidth {
-		t.Errorf("reuse should shrink container request: %d vs %d", pp2.TotalWidth, pp1.TotalWidth)
+	w2 := totalWidth(optimizer.BuildStages(cr2.Plan, cr2.Estimates))
+	if w2 >= w1 {
+		t.Errorf("reuse should shrink container request: %d vs %d", w2, w1)
 	}
+}
+
+// totalWidth is the planned container request: the paper's "containers per
+// job" driver.
+func totalWidth(stages []optimizer.Stage) int {
+	total := 0
+	for _, st := range stages {
+		total += st.Width
+	}
+	return total
 }
 
 func TestSpoolStageOffCriticalPath(t *testing.T) {
@@ -342,18 +354,18 @@ func TestSpoolStageOffCriticalPath(t *testing.T) {
 	root := r.bind(t, sharedQuery)
 	r.publishFor(t, root, func(s signature.Subexpr) bool { return s.Op == "Join" })
 	cr := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j1", Cluster: "c1", VC: "vc1", OptIn: true})
-	pp := optimizer.BuildStages(cr.Plan, cr.Estimates)
-	var spoolStage *optimizer.Stage
-	for _, st := range pp.Stages {
+	stages := optimizer.BuildStages(cr.Plan, cr.Estimates)
+	spoolStage := -1
+	for i, st := range stages {
 		if st.IsSpool {
-			spoolStage = st
+			spoolStage = i
 		}
 	}
-	if spoolStage == nil {
+	if spoolStage < 0 {
 		t.Fatal("no spool stage")
 	}
 	// Nothing may depend on the spool write.
-	for _, st := range pp.Stages {
+	for _, st := range stages {
 		for _, d := range st.Deps {
 			if d == spoolStage {
 				t.Error("spool write must be a side branch")
@@ -391,5 +403,77 @@ func TestEngineVersionBumpStopsMatching(t *testing.T) {
 	cr2 := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j2", Cluster: "c1", VC: "vc1", OptIn: true})
 	if len(cr2.Matched) != 0 {
 		t.Error("version bump must invalidate existing views")
+	}
+}
+
+// viewWinsFromSummary is viewWins as it read the runtime history before it
+// asked for the means alone: the full summary, percentiles included.
+func viewWinsFromSummary(o *optimizer.Optimizer, n plan.Node, recurring signature.Sig, view *storage.View) (bool, float64) {
+	readCost := exec.ViewReadWork(view.Rows, view.Bytes)
+	if sum, ok := o.History.Lookup(recurring); ok && sum.AvgWork > 0 {
+		return readCost < sum.AvgWork, sum.AvgWork - readCost
+	}
+	est, _ := o.Est.EstimatePlan(n)
+	var total float64
+	plan.Walk(n, func(m plan.Node) { total += est[m].Rows * 4.0e-6 })
+	return readCost < total, total - readCost
+}
+
+// TestViewWinsReadsMeans: the view-versus-recompute verdict and the saving it
+// reports are, to the last bit, what the full history summary gave — for a
+// subexpression never observed, observed once, and observed more often than
+// the history's window holds, with a mean on either side of the read cost.
+func TestViewWinsReadsMeans(t *testing.T) {
+	verdicts := map[bool]int{}
+	for _, tc := range []struct {
+		obs  int
+		work float64
+	}{{0, 0}, {1, 0.37}, {1, 1e-9}, {200, 0.011}, {200, 1e-9}} {
+		r := newRig(t)
+		root := r.bind(t, sharedQuery)
+		r.publishFor(t, root, func(s signature.Subexpr) bool { return s.Op == "Join" })
+		opts := optimizer.CompileOptions{JobID: "build", Cluster: "c1", VC: "vc1", OptIn: true}
+		built := r.opt.Compile(root, opts)
+		r.execute(t, built)
+		if len(built.Proposed) != 1 {
+			t.Fatalf("proposed = %d, want 1", len(built.Proposed))
+		}
+		p := built.Proposed[0]
+		for i := 0; i < tc.obs; i++ {
+			r.hist.Record(p.Recurring, stats.Observation{Rows: int64(100 + i), Bytes: int64(4096 + 7*i), Work: tc.work * (1 + float64(i%13)/7)})
+		}
+		var replaced plan.Node
+		for _, s := range built.Subs {
+			if s.Strict == p.Strict {
+				replaced = s.Node
+			}
+		}
+		view, _ := r.store.Lookup(p.Strict)
+		wantWins, wantSaved := viewWinsFromSummary(r.opt, replaced, p.Recurring, view)
+
+		rec := explain.NewRecorder("again", "vc1")
+		r.opt.Explain = rec
+		opts.JobID = "again"
+		cr := r.opt.Compile(root, opts)
+		var got *explain.Decision
+		for _, d := range rec.Decisions() {
+			if d.Sig == p.Strict && (d.Reason == explain.ReasonMatched || d.Reason == explain.ReasonCost) {
+				d := d
+				got = &d
+			}
+		}
+		if got == nil {
+			t.Fatalf("%d observations: no cost decision on the view: %+v", tc.obs, rec.Decisions())
+		}
+		if wins := got.Reason == explain.ReasonMatched; wins != wantWins || wins != (len(cr.Matched) == 1) {
+			t.Errorf("%d observations of %g: view wins = %v (%d matched), want %v", tc.obs, tc.work, wins, len(cr.Matched), wantWins)
+		}
+		if math.Float64bits(got.SavedCS) != math.Float64bits(wantSaved) {
+			t.Errorf("%d observations of %g: saved = %v, want %v", tc.obs, tc.work, got.SavedCS, wantSaved)
+		}
+		verdicts[wantWins]++
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("one-sided: %v", verdicts)
 	}
 }

@@ -50,72 +50,59 @@ func chooseJoinAlgorithms(root plan.Node, est map[plan.Node]stats.Estimate) {
 // operator per stage keeps the simulator simple while preserving the DAG
 // shape and width dynamics.)
 type Stage struct {
-	ID    int
 	Node  plan.Node
 	Op    string
 	Width int
-	Deps  []*Stage
+	// Deps are positions in BuildStages' result: the stages this one reads.
+	Deps []int
 	// IsSpool marks the view-write stage that runs in parallel with the rest
 	// of the query (its latency is off the critical path; its work is not).
 	IsSpool bool
 }
 
-// PhysicalPlan is the staged form of a compiled plan.
-type PhysicalPlan struct {
-	Root   plan.Node
-	Stages []*Stage
-	ByNode map[plan.Node]*Stage
-	// TotalWidth is the sum of stage widths — the planned container request,
-	// the paper's "containers per job" driver.
-	TotalWidth int
-}
-
 // BuildStages lowers a compiled plan into the stage DAG used by the cluster
-// simulator. Width derives from the estimated input rows of each operator;
-// with accurate (history or view) statistics the widths shrink, reproducing
-// the paper's container savings.
-func BuildStages(root plan.Node, est map[plan.Node]stats.Estimate) *PhysicalPlan {
-	pp := &PhysicalPlan{Root: root, ByNode: make(map[plan.Node]*Stage)}
-	var rec func(n plan.Node) *Stage
-	rec = func(n plan.Node) *Stage {
-		children := n.Children()
-		deps := make([]*Stage, 0, len(children))
-		for _, c := range children {
-			deps = append(deps, rec(c))
-		}
-
-		// The spool write hangs off its child but the PARENT of the spool
-		// depends on the child directly: materialization is a side branch.
-		if sp, ok := n.(*plan.Spool); ok {
-			childStage := deps[0]
-			w := stageWidth(est[sp.Child])
-			st := &Stage{ID: len(pp.Stages), Node: n, Op: "Spool", Width: w, Deps: []*Stage{childStage}, IsSpool: true}
-			pp.Stages = append(pp.Stages, st)
-			pp.ByNode[n] = st
-			pp.TotalWidth += w
-			// Return the CHILD stage so the parent bypasses the spool write.
-			return childStage
-		}
-
+// simulator, one stage per operator in post-order. Width derives from the
+// estimated input rows of each operator; with accurate (history or view)
+// statistics the widths shrink, reproducing the paper's container savings.
+func BuildStages(root plan.Node, est map[plan.Node]stats.Estimate) []Stage {
+	count := plan.CountNodes(root)
+	stages := make([]Stage, 0, count)
+	// Every stage but the root's is read by exactly one other, so all Deps
+	// are cut from one array.
+	deps := make([]int, 0, count)
+	var rec func(n plan.Node) int
+	rec = func(n plan.Node) int {
+		var buf [2]plan.Node
+		var idBuf [2]int
+		ids := idBuf[:0]
+		inputs := plan.Inputs(n, &buf)
 		// Width follows the estimated rows flowing INTO the operator (its
 		// children's output), except sources which use their own estimate.
 		var inputRows float64
-		if len(children) == 0 {
+		if len(inputs) == 0 {
 			inputRows = est[n].Rows
-		} else {
-			for _, c := range children {
-				inputRows += est[c].Rows
-			}
 		}
-		w := stageWidth(stats.Estimate{Rows: inputRows})
-		st := &Stage{ID: len(pp.Stages), Node: n, Op: n.OpName(), Width: w, Deps: deps}
-		pp.Stages = append(pp.Stages, st)
-		pp.ByNode[n] = st
-		pp.TotalWidth += w
-		return st
+		for _, c := range inputs {
+			ids = append(ids, rec(c))
+			inputRows += est[c].Rows
+		}
+		st := Stage{Node: n, Op: n.OpName(), Width: stageWidth(stats.Estimate{Rows: inputRows})}
+		if len(ids) > 0 {
+			first := len(deps)
+			deps = append(deps, ids...)
+			st.Deps = deps[first:len(deps):len(deps)]
+		}
+		_, st.IsSpool = n.(*plan.Spool)
+		stages = append(stages, st)
+		if st.IsSpool {
+			// The spool write hangs off its child but the PARENT of the spool
+			// depends on the child directly: materialization is a side branch.
+			return ids[0]
+		}
+		return len(stages) - 1
 	}
 	rec(root)
-	return pp
+	return stages
 }
 
 func stageWidth(e stats.Estimate) int {

@@ -1,7 +1,9 @@
 package optimizer_test
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"cloudviews/internal/exec"
 	"cloudviews/internal/explain"
 	"cloudviews/internal/fixtures"
+	"cloudviews/internal/guard"
 	"cloudviews/internal/insights"
 	"cloudviews/internal/obs"
 	"cloudviews/internal/optimizer"
@@ -152,6 +155,7 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 		prep := shared.opt.Prepare(shared.roots[i])
 		wantPlan := plan.Format(prep.Plan)
 		wantSubs := signer.Subexpressions(prep.Plan)
+		wantPhys := append([]signature.Sig(nil), prep.Physical...)
 		var wantAlgos []plan.JoinAlgo
 		plan.Walk(prep.Plan, func(n plan.Node) {
 			if j, ok := n.(*plan.Join); ok {
@@ -212,7 +216,7 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 		if got := plan.Format(prep.Plan); got != wantPlan {
 			t.Fatalf("%s: shared prepared plan was rewritten:\n%s\nwas:\n%s", in.ID, got, wantPlan)
 		}
-		if !sameSubs(prep.Subs, wantSubs, true) {
+		if !sameSubs(prep.Subs, wantSubs, true) || !reflect.DeepEqual(prep.Physical, wantPhys) {
 			t.Fatalf("%s: shared prepared enumeration was written", in.ID)
 		}
 		var algos []plan.JoinAlgo
@@ -228,6 +232,151 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 	t.Logf("%d templates: %d matched, %d proposed, %d budget decisions", len(shared.jobs), matched, proposed, budget)
 	if matched == 0 || proposed == 0 || budget == 0 {
 		t.Fatalf("vacuous: matched=%d proposed=%d budget decisions=%d over %d templates", matched, proposed, budget, len(shared.jobs))
+	}
+}
+
+// TestPhysicalKnownMatchesScratch walks every generator template through the
+// states that shape a final plan — reuse off, the build budget spent, a cold
+// build under a Spool, a warm match on a ViewScan, the matched view
+// quarantined by the guard — compiling each from one shared Prepared, and
+// holds the physical signatures the compile carried over from it to a cold
+// Physical of the final plan: node for node, byte for byte.
+func TestPhysicalKnownMatchesScratch(t *testing.T) {
+	w := newGenWorld(t)
+	signer := w.opt.Signer
+	g := guard.New(guard.Config{Enabled: true})
+	off, views, spools, quarantined := 0, 0, 0, 0
+	for i, in := range w.jobs {
+		prep := w.opt.Prepare(w.roots[i])
+		cold := signer.Physical(prep.Plan)
+		if len(prep.Physical) != len(prep.Subs) || len(cold) != len(prep.Subs) {
+			t.Fatalf("%s: %d prepared physical signatures, %d cold, for %d nodes", in.ID, len(prep.Physical), len(cold), len(prep.Subs))
+		}
+		for j, s := range prep.Subs {
+			if prep.Physical[j] != cold[s.Node] {
+				t.Fatalf("%s: prepared physical signature %d (%s) is %s, cold %s", in.ID, j, s.Op, prep.Physical[j], cold[s.Node])
+			}
+		}
+
+		step := func(state string, maxViews int, run bool) compiled {
+			id := in.ID + "/" + state
+			c := w.compile(i, id, maxViews, prep)
+			if want := signer.Physical(c.cr.Plan); !reflect.DeepEqual(c.cr.Physical, want) {
+				t.Fatalf("%s: carried physical signatures differ from a cold signing of\n%s\ncarried: %v\ncold:    %v", id, plan.Format(c.cr.Plan), c.cr.Physical, want)
+			}
+			plan.Walk(c.cr.Plan, func(n plan.Node) {
+				switch n.(type) {
+				case *plan.ViewScan:
+					views++
+				case *plan.Spool:
+					spools++
+				}
+			})
+			w.settle(t, id, c.cr, run)
+			return c
+		}
+
+		w.ins.SetVCEnabled(in.VC, false)
+		if c := step("reuse-off", 0, true); !c.cr.ReuseEnabled {
+			off++
+		}
+		w.ins.SetVCEnabled(in.VC, true)
+		var anns []insights.Annotation
+		for _, s := range prep.Subs {
+			if s.Eligibility == signature.EligibleOK {
+				anns = append(anns, insights.Annotation{Recurring: s.Recurring, VC: in.VC, Utility: float64(s.NodeCount)})
+			}
+		}
+		w.ins.PublishAnnotations(prep.Tag, anns)
+		step("budget-spent", 1, false)
+		step("proposed", 0, true)
+		if m := step("matched", 0, true).cr.Matched; len(m) > 0 {
+			g.TripBreaker(0, m[0].Recurring)
+			w.opt.Guard = g
+			for _, d := range step("quarantined", 0, true).decs {
+				if d.Reason == explain.ReasonGuardQuarantine {
+					quarantined++
+				}
+			}
+			w.opt.Guard = nil
+		}
+	}
+	t.Logf("%d templates: %d compiled with reuse off, %d ViewScans, %d Spools, %d quarantine decisions", len(w.jobs), off, views, spools, quarantined)
+	if off == 0 || views == 0 || spools == 0 || quarantined == 0 {
+		t.Fatalf("vacuous: reuse off=%d ViewScans=%d Spools=%d quarantined=%d", off, views, spools, quarantined)
+	}
+}
+
+// TestConcurrentCompilesFromOnePrepared: goroutines compile join-bearing
+// templates from one Prepared each while its views are sealed, half of them
+// opted in (a ViewScan is substituted and everything above it rebuilt), half
+// with the VC's jobs opted out (the joins stay and get their algorithms).
+// Each compile must carry over exactly what a cold signing of its plan
+// gives, and the Prepared must come out equal to a fresh one; under -race a
+// write to it is reported.
+func TestConcurrentCompilesFromOnePrepared(t *testing.T) {
+	w := newGenWorld(t)
+	signer := w.opt.Signer
+	tried := 0
+	for i, in := range w.jobs {
+		prep := w.opt.Prepare(w.roots[i])
+		joins := 0
+		plan.Walk(prep.Plan, func(n plan.Node) {
+			if _, ok := n.(*plan.Join); ok {
+				joins++
+			}
+		})
+		if joins == 0 || tried == 6 {
+			continue
+		}
+		tried++
+		var anns []insights.Annotation
+		for _, s := range prep.Subs {
+			if s.Eligibility == signature.EligibleOK {
+				anns = append(anns, insights.Annotation{Recurring: s.Recurring, VC: in.VC, Utility: float64(s.NodeCount)})
+			}
+		}
+		w.ins.PublishAnnotations(prep.Tag, anns)
+		for _, state := range []string{"proposed", "more"} { // until every selected view is sealed
+			id := in.ID + "/" + state
+			w.settle(t, id, w.compile(i, id, 64, prep).cr, true)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < 10; k++ {
+					id := fmt.Sprintf("%s/g%d-%d", in.ID, g, k)
+					opt := w.opt
+					cr := opt.CompilePrepared(prep, optimizer.CompileOptions{JobID: id, Cluster: in.Cluster, VC: in.VC, OptIn: k%2 == 0})
+					if len(cr.Proposed) != 0 || (len(cr.Matched) > 0) != (k%2 == 0) {
+						t.Errorf("%s: %d proposed, %d matched", id, len(cr.Proposed), len(cr.Matched))
+						return
+					}
+					if cold := signer.Subexpressions(cr.Plan); !sameSubs(cr.Subs, cold, true) {
+						t.Errorf("%s: carried enumeration differs from a cold signing", id)
+					}
+					if cold := signer.Physical(cr.Plan); !reflect.DeepEqual(cr.Physical, cold) {
+						t.Errorf("%s: carried physical signatures differ from a cold signing", id)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		fresh := w.opt.Prepare(w.roots[i])
+		if plan.Format(prep.Plan) != plan.Format(fresh.Plan) || !sameSubs(prep.Subs, fresh.Subs, false) ||
+			!reflect.DeepEqual(prep.Physical, fresh.Physical) || prep.Tag != fresh.Tag {
+			t.Errorf("%s: the shared Prepared differs from a fresh one", in.ID)
+		}
+		plan.Walk(prep.Plan, func(n plan.Node) {
+			if j, ok := n.(*plan.Join); ok && j.Algo != plan.JoinAuto {
+				t.Errorf("%s: a join algorithm (%s) was chosen on the shared plan", in.ID, j.Algo)
+			}
+		})
+	}
+	if tried == 0 {
+		t.Fatal("no join-bearing template")
 	}
 }
 

@@ -7,6 +7,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cloudviews/internal/data"
@@ -377,7 +378,7 @@ func (f *Call) Eval(row data.Row, ctx *EvalContext) data.Value {
 }
 
 func (c *ColRef) Canonical() string {
-	return fmt.Sprintf("col:%s#%d", strings.ToLower(c.Name), c.Index)
+	return "col:" + strings.ToLower(c.Name) + "#" + strconv.Itoa(c.Index)
 }
 func (c *Const) Canonical() string { return "lit:" + c.Val.Kind.String() + ":" + c.Val.String() }
 func (p *Param) Canonical() string { return "param:" + p.Name + "=" + p.Val.String() }

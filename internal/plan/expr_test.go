@@ -1,6 +1,8 @@
 package plan_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -170,6 +172,20 @@ func TestCloneRowIndependentRows(t *testing.T) {
 		out[0][0] = data.Int(99)
 		if out[1][0] != tag || in[0][0].I != 1 {
 			t.Fatalf("announce=%v: writing one emitted row reached its neighbour or its input", announce)
+		}
+	}
+}
+
+// TestColRefCanonicalBytes: the rendering every signature hashes is, byte for
+// byte, the fmt.Sprintf("col:%s#%d") it was before it became a concatenation.
+func TestColRefCanonicalBytes(t *testing.T) {
+	for _, name := range []string{"", "x", "CustomerId", "MKT_segment", "Ünïcode", "a#b"} {
+		for _, idx := range []int{0, 7, 10, 123456, -1} {
+			c := &plan.ColRef{Name: name, Index: idx}
+			want := fmt.Sprintf("col:%s#%d", strings.ToLower(name), idx)
+			if got := c.Canonical(); got != want || c.CanonicalRecurring() != want {
+				t.Errorf("ColRef{%q, %d}: %q / %q, want %q", name, idx, got, c.CanonicalRecurring(), want)
+			}
 		}
 	}
 }

@@ -459,10 +459,47 @@ func (v *ViewScan) WithChildren(c []Node) Node {
 func (v *ViewScan) OpName() string              { return "ViewScan" }
 func (v *ViewScan) Attrs(recurring bool) string { return "view=" + v.StrictSig }
 
+// Inputs returns n's input operators, left to right, without allocating: this
+// package's operators have at most two, which land in buf. It is the read
+// path of every traversal; Children, whose fresh slice a caller may overwrite
+// and hand to WithChildren, is the rebuild path (and the fallback here).
+func Inputs(n Node, buf *[2]Node) []Node {
+	switch x := n.(type) {
+	case *Scan, *ViewScan:
+		return buf[:0]
+	case *Filter:
+		buf[0] = x.Child
+	case *Project:
+		buf[0] = x.Child
+	case *Aggregate:
+		buf[0] = x.Child
+	case *UDO:
+		buf[0] = x.Child
+	case *Sample:
+		buf[0] = x.Child
+	case *Sort:
+		buf[0] = x.Child
+	case *Output:
+		buf[0] = x.Child
+	case *Spool:
+		buf[0] = x.Child
+	case *Join:
+		buf[0], buf[1] = x.L, x.R
+		return buf[:2]
+	case *Union:
+		buf[0], buf[1] = x.L, x.R
+		return buf[:2]
+	default:
+		return n.Children()
+	}
+	return buf[:1]
+}
+
 // Walk visits n then its children depth-first, pre-order.
 func Walk(n Node, fn func(Node)) {
 	fn(n)
-	for _, c := range n.Children() {
+	var buf [2]Node
+	for _, c := range Inputs(n, &buf) {
 		Walk(c, fn)
 	}
 }

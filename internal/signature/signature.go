@@ -115,14 +115,23 @@ func (s *Signer) maxDepth() int {
 	return s.MaxUDODepDepth
 }
 
-func (s *Signer) hash(parts ...string) Sig {
-	h := sha256.New()
-	h.Write([]byte("v=" + s.EngineVersion))
+// hash is sha256 over "v=<version>\0part\0part…\0input\0input…" — a node's own
+// parts, then its inputs' signatures — cut to 16 bytes, in hex. The bytes are
+// assembled on the stack (past 512 they spill) and no argument is retained:
+// a signature allocates its string and nothing else.
+func (s *Signer) hash(inputs []Sig, parts ...string) Sig {
+	var stack [512]byte
+	buf := append(append(stack[:0], "v="...), s.EngineVersion...)
 	for _, p := range parts {
-		h.Write([]byte{0})
-		h.Write([]byte(p))
+		buf = append(append(buf, 0), p...)
 	}
-	return Sig(hex.EncodeToString(h.Sum(nil)[:16]))
+	for _, in := range inputs {
+		buf = append(append(buf, 0), in...)
+	}
+	sum := sha256.Sum256(buf)
+	var hexed [32]byte
+	hex.Encode(hexed[:], sum[:16])
+	return Sig(hexed[:])
 }
 
 // Strict computes the strict signature of a plan subtree.
@@ -149,13 +158,13 @@ func (s *Signer) signNode(n plan.Node, recurring bool) Sig {
 		}
 		return Sig(vs.StrictSig)
 	}
-	children := n.Children()
-	parts := make([]string, 0, len(children)+2)
-	parts = append(parts, "op="+n.OpName(), "attrs="+n.Attrs(recurring))
-	for _, c := range children {
-		parts = append(parts, string(s.signNode(c, recurring)))
+	var buf [2]plan.Node
+	var sigBuf [2]Sig
+	inputs := sigBuf[:0]
+	for _, c := range plan.Inputs(n, &buf) {
+		inputs = append(inputs, s.signNode(c, recurring))
 	}
-	return s.hash(parts...)
+	return s.hash(inputs, "op="+n.OpName(), "attrs="+n.Attrs(recurring))
 }
 
 // JobTag derives the tag for a job plan: the recurring signature of its root.
@@ -178,19 +187,43 @@ func TagForTemplate(template Sig) Tag {
 // keys on — a plan that reuses a view must never replay the accounting of the
 // plan that computed it.
 func (s *Signer) Physical(root plan.Node) map[plan.Node]Sig {
-	out := make(map[plan.Node]Sig)
-	var rec func(n plan.Node) Sig
-	rec = func(n plan.Node) Sig {
-		parts := []string{"phys-op=" + n.OpName(), "attrs=" + n.Attrs(false)}
+	return s.PhysicalKnown(root, nil)
+}
+
+// PhysicalKnown is Physical for a plan derived from one already signed: known
+// returns the signature recorded for the node n stands for — itself, or the
+// original of a copy — and "" when there is none. A node whose inputs all took
+// a recorded signature takes its own, without rendering or hashing; a node
+// with none (a substituted ViewScan or Spool) and all above it are hashed.
+func (s *Signer) PhysicalKnown(root plan.Node, known func(plan.Node) Sig) map[plan.Node]Sig {
+	out := make(map[plan.Node]Sig, plan.CountNodes(root))
+	var rec func(n plan.Node) (touched bool)
+	rec = func(n plan.Node) (touched bool) {
+		var buf [2]plan.Node
+		inputs := plan.Inputs(n, &buf)
+		for _, c := range inputs {
+			if rec(c) {
+				touched = true
+			}
+		}
+		if !touched && known != nil {
+			out[n] = known(n)
+		}
+		if out[n] != "" {
+			return false
+		}
+		var sigBuf [2]Sig
+		inputSigs := sigBuf[:0]
+		for _, c := range inputs {
+			inputSigs = append(inputSigs, out[c])
+		}
+		op, attrs := "phys-op="+n.OpName(), "attrs="+n.Attrs(false)
 		if vs, ok := n.(*plan.ViewScan); ok {
-			parts = append(parts, "view="+vs.StrictSig)
+			out[n] = s.hash(inputSigs, op, attrs, "view="+vs.StrictSig)
+		} else {
+			out[n] = s.hash(inputSigs, op, attrs)
 		}
-		for _, c := range n.Children() {
-			parts = append(parts, string(rec(c)))
-		}
-		sig := s.hash(parts...)
-		out[n] = sig
-		return sig
+		return true
 	}
 	rec(root)
 	return out
@@ -203,14 +236,15 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 }
 
 // SubexpressionsKnown is Subexpressions for a plan derived from one already
-// enumerated: known maps a node to the entry of the node it stands for —
-// itself, or the original of a node rebuilt above a substituted ViewScan or
-// Spool, whose identity the substitution leaves unchanged. Such a node takes
-// the entry's signatures and eligibility without rendering attributes or
-// hashing; only Height, NodeCount, InputDatasets and Parent are recomputed.
-// Nodes absent from known are signed from scratch.
-func (s *Signer) SubexpressionsKnown(root plan.Node, known map[plan.Node]*Subexpr) []Subexpr {
-	out := make([]Subexpr, 0, len(known))
+// enumerated: known returns the entry of the node n stands for — itself, the
+// original of a copy, or the original of a node rebuilt above a substituted
+// ViewScan or Spool, whose identity the substitution leaves unchanged — and
+// nil for a node it has no entry for. A node with an entry takes its
+// signatures and eligibility without rendering attributes or hashing; only
+// Height, NodeCount, InputDatasets and Parent are recomputed. The others are
+// signed from scratch.
+func (s *Signer) SubexpressionsKnown(root plan.Node, known func(plan.Node) *Subexpr) []Subexpr {
+	out := make([]Subexpr, 0, plan.CountNodes(root))
 	var rec func(n plan.Node) (strict, recur Sig, height, count int, datasets []string, elig Eligibility, idx int)
 	rec = func(n plan.Node) (Sig, Sig, int, int, []string, Eligibility, int) {
 		if sp, ok := n.(*plan.Spool); ok {
@@ -229,22 +263,22 @@ func (s *Signer) SubexpressionsKnown(root plan.Node, known map[plan.Node]*Subexp
 			})
 			return Sig(vs.StrictSig), Sig(vs.RecurringSig), 1, 1, nil, EligibleOK, len(out) - 1
 		}
-		k := known[n]
-		var strictParts, recurParts []string
-		if k == nil {
-			strictParts = []string{"op=" + n.OpName(), "attrs=" + n.Attrs(false)}
-			recurParts = []string{"op=" + n.OpName(), "attrs=" + n.Attrs(true)}
+		var k *Subexpr
+		if known != nil {
+			k = known(n)
 		}
+		var strictBuf, recurBuf [2]Sig
+		strictIn, recurIn := strictBuf[:0], recurBuf[:0]
 		height, count := 1, 1
 		datasets := []string{}
 		elig := EligibleOK
 		var idxBuf [2]int
 		childIdx := idxBuf[:0]
-		for _, c := range n.Children() {
+		var buf [2]plan.Node
+		for _, c := range plan.Inputs(n, &buf) {
 			cs, cr, ch, cc, cd, ce, ci := rec(c)
 			if k == nil {
-				strictParts = append(strictParts, string(cs))
-				recurParts = append(recurParts, string(cr))
+				strictIn, recurIn = append(strictIn, cs), append(recurIn, cr)
 			}
 			childIdx = append(childIdx, ci)
 			if ch+1 > height {
@@ -263,7 +297,9 @@ func (s *Signer) SubexpressionsKnown(root plan.Node, known map[plan.Node]*Subexp
 			if elig == EligibleOK {
 				elig = s.nodeEligibility(n)
 			}
-			strict, recur = s.hash(strictParts...), s.hash(recurParts...)
+			op := "op=" + n.OpName()
+			strict = s.hash(strictIn, op, "attrs="+n.Attrs(false))
+			recur = s.hash(recurIn, op, "attrs="+n.Attrs(true))
 		} else {
 			// The entry holds the node-local verdict already, except that
 			// Trivial and Output judge the node itself, not what it passes up.

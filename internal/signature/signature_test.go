@@ -2,6 +2,7 @@ package signature_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -276,8 +277,9 @@ func substitute(root plan.Node, cold []signature.Subexpr, pick func(signature.Su
 }
 
 // TestSubexpressionsKnownMatchesCold: carrying signatures and eligibility
-// from an enumeration to the plan derived from it gives, field by field, what
-// signing the derived plan from scratch gives — with nothing substituted, with
+// from an enumeration to the plan derived from it — and physical signatures
+// from a Physical of the original — gives, field by field, what signing the
+// derived plan from scratch gives — with nothing substituted, with
 // a Spool above and with a ViewScan in place of each operator kind in turn,
 // over eligible plans and every ineligibility class that propagates upward.
 func TestSubexpressionsKnownMatchesCold(t *testing.T) {
@@ -300,14 +302,15 @@ func TestSubexpressionsKnownMatchesCold(t *testing.T) {
 	substituted := 0
 	for _, q := range queries {
 		root := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t, q, nil)})
-		cold := signer.Subexpressions(root)
+		cold, coldPhys := signer.Subexpressions(root), signer.Physical(root)
 		for _, op := range []string{"", "Filter", "Project", "Join", "Aggregate", "Union", "UDO"} {
 			for _, mk := range []func(plan.Node, signature.Subexpr) plan.Node{asSpool, asView} {
 				derived, known := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == op }, mk)
 				if derived != root {
 					substituted++
 				}
-				got, want := signer.SubexpressionsKnown(derived, known), signer.Subexpressions(derived)
+				entry := func(n plan.Node) *signature.Subexpr { return known[n] }
+				got, want := signer.SubexpressionsKnown(derived, entry), signer.Subexpressions(derived)
 				if len(got) != len(want) {
 					t.Fatalf("%q, %s substituted: %d entries, want %d", q, op, len(got), len(want))
 				}
@@ -321,10 +324,66 @@ func TestSubexpressionsKnownMatchesCold(t *testing.T) {
 						t.Errorf("%q, %s substituted: entry %d (%s):\ncarried: %+v\ncold:    %+v", q, op, i, want[i].Op, g, w)
 					}
 				}
+				// The same carry-over for physical signatures, where a rebuilt
+				// node does not keep its original's: it is re-signed.
+				recorded := func(n plan.Node) signature.Sig {
+					if k := known[n]; k != nil {
+						return coldPhys[k.Node]
+					}
+					return ""
+				}
+				if g, w := signer.PhysicalKnown(derived, recorded), signer.Physical(derived); !reflect.DeepEqual(g, w) {
+					t.Errorf("%q, %s substituted: carried physical signatures differ from a cold signing:\ncarried: %v\ncold:    %v", q, op, g, w)
+				}
 			}
 		}
 	}
 	if substituted < 10 {
 		t.Fatalf("only %d substitutions happened", substituted)
+	}
+}
+
+// TestConcurrentKnownSigningReadsOnly: jobs derive their plans from one
+// enumeration and one set of physical signatures at the same time, so the
+// carry-over may only read them. Under -race a write is reported; in any
+// mode every goroutine must get what a cold signing gives and the shared
+// entries must come out as they went in.
+func TestConcurrentKnownSigningReadsOnly(t *testing.T) {
+	root := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t,
+		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia' GROUP BY CustomerId`, nil)})
+	cold, coldPhys := signer.Subexpressions(root), signer.Physical(root)
+	before := append([]signature.Subexpr(nil), cold...)
+	derived, known := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == "Join" },
+		func(n plan.Node, s signature.Subexpr) plan.Node {
+			return &plan.ViewScan{StrictSig: string(s.Strict), RecurringSig: string(s.Recurring), Out: n.Schema(), Fallback: n}
+		})
+	wantSubs, wantPhys := signer.Subexpressions(derived), signer.Physical(derived)
+	entry := func(n plan.Node) *signature.Subexpr { return known[n] }
+	recorded := func(n plan.Node) signature.Sig {
+		if k := known[n]; k != nil {
+			return coldPhys[k.Node]
+		}
+		return ""
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got := signer.SubexpressionsKnown(derived, entry); !reflect.DeepEqual(got, wantSubs) {
+					t.Errorf("carried enumeration differs from a cold signing: %+v", got)
+					return
+				}
+				if got := signer.PhysicalKnown(derived, recorded); !reflect.DeepEqual(got, wantPhys) {
+					t.Errorf("carried physical signatures differ from a cold signing: %v", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(cold, before) {
+		t.Error("the shared enumeration was written")
 	}
 }

@@ -197,7 +197,7 @@ lexed:
 	switch {
 	case c == '@':
 		l.pos++
-		for l.pos < len(l.src) && isIdentByte(l.src[l.pos]) {
+		for l.pos < len(l.src) && identByte[l.src[l.pos]] {
 			l.pos++
 		}
 		if l.pos == start+1 {
@@ -205,8 +205,8 @@ lexed:
 		}
 		return Token{Kind: TokParam, Text: l.src[start+1 : l.pos], Pos: start, Line: line}, nil
 
-	case isIdentStart(c):
-		for l.pos < len(l.src) && isIdentByte(l.src[l.pos]) {
+	case identStart[c]:
+		for l.pos < len(l.src) && identByte[l.src[l.pos]] {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
@@ -336,10 +336,13 @@ func NormalizeScript(src string) (norm string, ok bool) {
 	}
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
-
-func isIdentByte(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || (c >= '0' && c <= '9')
-}
+// identStart and identByte classify every byte once: '_' or unicode.IsLetter
+// of the byte read as a rune (so the Latin-1 letters from 0x80 up count) and,
+// after the first byte, the ASCII digits.
+var identStart, identByte = func() (start, part [256]bool) {
+	for c := 0; c < 256; c++ {
+		start[c] = c == '_' || unicode.IsLetter(rune(c))
+		part[c] = start[c] || (c >= '0' && c <= '9')
+	}
+	return
+}()

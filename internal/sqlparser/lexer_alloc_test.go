@@ -1,6 +1,9 @@
 package sqlparser
 
-import "testing"
+import (
+	"testing"
+	"unicode"
+)
 
 // lexerAllocScript covers every token class whose hot path must not allocate:
 // keywords in mixed case, identifiers, numbers, params, single- and
@@ -72,5 +75,22 @@ func TestLexerAliasesSource(t *testing.T) {
 		if toks[i].Kind != w.kind || toks[i].Text != w.text {
 			t.Errorf("token %d: got (%d,%q), want (%d,%q)", i, toks[i].Kind, toks[i].Text, w.kind, w.text)
 		}
+	}
+}
+
+// TestIdentTablesMatchPredicates holds the byte classification tables to the
+// predicates they were built from, over all 256 bytes: the Latin-1 letters
+// above 0x7f that unicode.IsLetter accepts (0xe9) stay identifier bytes, the
+// non-letters there (0xd7) stay out.
+func TestIdentTablesMatchPredicates(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		start := c == '_' || unicode.IsLetter(rune(c))
+		part := start || (c >= '0' && c <= '9')
+		if identStart[c] != start || identByte[c] != part {
+			t.Errorf("byte %#02x: start %v, part %v; want %v, %v", c, identStart[c], identByte[c], start, part)
+		}
+	}
+	if !identStart[0xe9] || identStart[0xd7] || identStart['7'] || !identByte['7'] {
+		t.Error("0xe9 must start an identifier; 0xd7 and '7' must not; '7' may continue one")
 	}
 }

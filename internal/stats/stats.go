@@ -106,10 +106,11 @@ func (e *Estimator) EstimatePlan(root plan.Node) (map[plan.Node]Estimate, Estima
 	memo := make(map[plan.Node]Estimate)
 	var rec func(n plan.Node) Estimate
 	rec = func(n plan.Node) Estimate {
-		children := n.Children()
-		ce := make([]Estimate, len(children))
-		for i, c := range children {
-			ce[i] = rec(c)
+		var buf [2]plan.Node
+		var ceBuf [2]Estimate
+		ce := ceBuf[:0]
+		for _, c := range plan.Inputs(n, &buf) {
+			ce = append(ce, rec(c))
 		}
 		est := e.EstimateNode(n, ce)
 		memo[n] = est
