@@ -271,7 +271,10 @@ func ValidExplainReason(r ExplainReason) bool { return explain.Valid(r) }
 // JobResult reports one executed job.
 type JobResult struct {
 	ID string
-	// Output is the job's result table.
+	// Output is the job's result table. It is read-only: the same table (or
+	// its rows) may be a dataset version, a stored view or a cached result
+	// that other jobs are reading. Callers that want to sort or edit the
+	// answer take Output.Clone() first.
 	Output *Table
 	// ViewsBuilt / ViewsReused count CloudViews activity in this job.
 	ViewsBuilt  int
@@ -387,7 +390,9 @@ func (s *System) DefineDataset(name string, schema Schema) error {
 	return err
 }
 
-// PublishDataset bulk-publishes a new immutable version of a dataset.
+// PublishDataset bulk-publishes a new immutable version of a dataset. The
+// system keeps t itself and every job scans it in place: the caller must not
+// write to t or its rows afterwards.
 func (s *System) PublishDataset(name string, t *Table) error {
 	_, err := s.engine.Catalog.BulkUpdate(name, s.Clock(), t)
 	return err

@@ -74,7 +74,10 @@ func (d *Dataset) Producer() string {
 type Catalog struct {
 	mu       sync.RWMutex
 	datasets map[string]*Dataset
-	guidSeq  uint64
+	// byGUID finds every version ever published, forgotten ones included, so
+	// resolving a scan costs the same on day 300 as on day 1.
+	byGUID  map[GUID]*Version
+	guidSeq uint64
 	// gen counts catalog mutations (Define, BulkUpdate, Forget, scale or
 	// producer changes). The plan cache keys on it: any bump invalidates
 	// plans whose binding or estimates could have depended on prior state.
@@ -88,7 +91,7 @@ func (c *Catalog) Generation() uint64 { return c.gen.Load() }
 
 // New creates an empty catalog.
 func New() *Catalog {
-	return &Catalog{datasets: make(map[string]*Dataset)}
+	return &Catalog{datasets: make(map[string]*Dataset), byGUID: make(map[GUID]*Version)}
 }
 
 // Define registers a dataset with a schema. Defining an existing name with an
@@ -149,7 +152,9 @@ func (c *Catalog) Names() []string {
 }
 
 // BulkUpdate publishes a new immutable version of the dataset and returns its
-// GUID. The table's schema must match the dataset schema.
+// GUID. The table's schema must match the dataset schema. The catalog keeps
+// table itself, and every scan of the version reads it in place: from this
+// call on nobody — the caller included — writes to the table or its rows.
 func (c *Catalog) BulkUpdate(name string, at time.Time, table *data.Table) (GUID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -161,16 +166,23 @@ func (c *Catalog) BulkUpdate(name string, at time.Time, table *data.Table) (GUID
 		return "", fmt.Errorf("catalog: bulk update schema mismatch for %q: have (%s), want (%s)",
 			name, table.Schema, ds.Schema)
 	}
+	return c.publishLocked(ds, at, table), nil
+}
+
+// publishLocked appends a new version of ds holding table and returns its
+// GUID. Caller holds the write lock.
+func (c *Catalog) publishLocked(ds *Dataset, at time.Time, table *data.Table) GUID {
 	c.guidSeq++
-	g := GUID(fmt.Sprintf("guid-%s-%08x", name, c.guidSeq))
-	ds.versions = append(ds.versions, &Version{
-		GUID:      g,
-		Dataset:   name,
+	v := &Version{
+		GUID:      GUID(fmt.Sprintf("guid-%s-%08x", ds.Name, c.guidSeq)),
+		Dataset:   ds.Name,
 		CreatedAt: at,
 		Table:     table,
-	})
+	}
+	ds.versions = append(ds.versions, v)
+	c.byGUID[v.GUID] = v
 	c.gen.Add(1)
-	return g, nil
+	return v.GUID
 }
 
 // Latest returns the newest non-forgotten version of the dataset.
@@ -193,12 +205,8 @@ func (c *Catalog) Latest(name string) (*Version, error) {
 func (c *Catalog) VersionByGUID(g GUID) (*Version, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, ds := range c.datasets {
-		for _, v := range ds.versions {
-			if v.GUID == g {
-				return v, nil
-			}
-		}
+	if v, ok := c.byGUID[g]; ok {
+		return v, nil
 	}
 	return nil, fmt.Errorf("catalog: unknown version %q", g)
 }
@@ -228,34 +236,21 @@ func (c *Catalog) Window(name string, n int) ([]*Version, error) {
 func (c *Catalog) Forget(g GUID, at time.Time, keep func(data.Row) bool) (GUID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, ds := range c.datasets {
-		for _, v := range ds.versions {
-			if v.GUID != g {
-				continue
-			}
-			if v.Forgotten {
-				return "", fmt.Errorf("catalog: version %q already forgotten", g)
-			}
-			v.Forgotten = true
-			filtered := data.NewTable(v.Table.Schema)
-			for _, r := range v.Table.Rows {
-				if keep(r) {
-					filtered.Append(r)
-				}
-			}
-			c.guidSeq++
-			ng := GUID(fmt.Sprintf("guid-%s-%08x", ds.Name, c.guidSeq))
-			ds.versions = append(ds.versions, &Version{
-				GUID:      ng,
-				Dataset:   ds.Name,
-				CreatedAt: at,
-				Table:     filtered,
-			})
-			c.gen.Add(1)
-			return ng, nil
+	v, ok := c.byGUID[g]
+	if !ok {
+		return "", fmt.Errorf("catalog: unknown version %q", g)
+	}
+	if v.Forgotten {
+		return "", fmt.Errorf("catalog: version %q already forgotten", g)
+	}
+	v.Forgotten = true
+	filtered := data.NewTable(v.Table.Schema)
+	for _, r := range v.Table.Rows {
+		if keep(r) {
+			filtered.Append(r)
 		}
 	}
-	return "", fmt.Errorf("catalog: unknown version %q", g)
+	return c.publishLocked(c.datasets[v.Dataset], at, filtered), nil
 }
 
 // VersionCount returns the number of versions (including forgotten) of a

@@ -1,6 +1,7 @@
 package catalog_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -168,5 +169,84 @@ func TestProducerLineage(t *testing.T) {
 	ds, _ := c.Dataset("X")
 	if ds.Producer() != "cook-7" {
 		t.Errorf("producer = %q", ds.Producer())
+	}
+}
+
+// TestVersionByGUIDAtScale: resolving a GUID is an index lookup, not a walk of
+// every version, and the index tracks what the walk found — every published
+// version of every dataset, the forgotten ones (still resolvable, marked) and
+// their replacements — with the errors the walk returned for a GUID that was
+// never issued or is forgotten twice.
+func TestVersionByGUIDAtScale(t *testing.T) {
+	c := catalog.New()
+	const datasets, perDataset = 8, 500
+	type published struct {
+		guid catalog.GUID
+		name string
+		id   int64
+	}
+	var all []published
+	for v := 0; v < perDataset; v++ {
+		for d := 0; d < datasets; d++ {
+			name := fmt.Sprintf("D%d", d)
+			if v == 0 {
+				if _, err := c.Define(name, schema); err != nil {
+					t.Fatal(err)
+				}
+			}
+			id := int64(d*perDataset + v)
+			g, err := c.BulkUpdate(name, t0.Add(time.Duration(v)*time.Hour), table(id, id+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, published{g, name, id})
+		}
+	}
+	forgotten := map[catalog.GUID]catalog.GUID{}
+	for i := 0; i < len(all); i += 7 {
+		ng, err := c.Forget(all[i].guid, t0, func(r data.Row) bool { return r[0].I != all[i].id })
+		if err != nil {
+			t.Fatal(err)
+		}
+		forgotten[all[i].guid] = ng
+	}
+	for _, p := range all {
+		v, err := c.VersionByGUID(p.guid)
+		if err != nil {
+			t.Fatalf("%s: %v", p.guid, err)
+		}
+		ng, wasForgotten := forgotten[p.guid]
+		if v.GUID != p.guid || v.Dataset != p.name || v.Forgotten != wasForgotten || v.Table.Rows[0][0].I != p.id {
+			t.Fatalf("%s resolved to %+v", p.guid, v)
+		}
+		if !wasForgotten {
+			continue
+		}
+		r, err := c.VersionByGUID(ng)
+		if err != nil || r.Dataset != p.name || r.Forgotten || r.Table.NumRows() != 1 || r.Table.Rows[0][0].I != p.id+1 {
+			t.Fatalf("replacement %s of %s resolved to %+v (err %v)", ng, p.guid, r, err)
+		}
+		if _, err := c.Forget(p.guid, t0, func(data.Row) bool { return true }); err == nil ||
+			err.Error() != fmt.Sprintf("catalog: version %q already forgotten", p.guid) {
+			t.Fatalf("second forget of %s: %v", p.guid, err)
+		}
+	}
+	want := perDataset
+	for _, p := range all {
+		if _, ok := forgotten[p.guid]; ok && p.name == "D0" {
+			want++ // a forget appends the replacement to the same dataset
+		}
+	}
+	if got := c.VersionCount("D0"); got != want {
+		t.Errorf("D0 has %d versions, want %d", got, want)
+	}
+	for _, g := range []catalog.GUID{"", "nope", "guid-D0-ffffffff", all[0].guid + "x"} {
+		want := fmt.Sprintf("catalog: unknown version %q", g)
+		if _, err := c.VersionByGUID(g); err == nil || err.Error() != want {
+			t.Errorf("VersionByGUID(%q): %v, want %s", g, err, want)
+		}
+		if _, err := c.Forget(g, t0, func(data.Row) bool { return true }); err == nil || err.Error() != want {
+			t.Errorf("Forget(%q): %v, want %s", g, err, want)
+		}
 	}
 }

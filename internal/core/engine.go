@@ -94,6 +94,10 @@ type Engine struct {
 	Telemetry *telemetry.Collector
 
 	maxViewsPerJob int
+	// rowLoops runs every job on the executor's row-at-a-time reference
+	// loops instead of the batch kernels. Nothing sets it outside this
+	// package's tests, which hold both arms to the same guarantees.
+	rowLoops bool
 
 	// cached job counters (nil-safe when observability is disabled).
 	mJobs       *obs.Counter
@@ -433,7 +437,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			// The vectorized batch path is the production default; its
 			// results and accounting are byte-identical to the row-at-a-time
 			// serial twin (enforced by the exec equivalence tests).
-			Vectorized: true,
+			Vectorized: !e.rowLoops,
 			Metrics:    e.Metrics,
 			Faults:     e.faults,
 			JobID:      attemptID,
@@ -481,7 +485,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	// shared dataset — derived data created as part of query processing.
 	if out, ok := cr.Plan.(*plan.Output); ok && strings.HasPrefix(out.Target, "dataset:") {
 		name := strings.TrimPrefix(out.Target, "dataset:")
-		if _, err := e.Catalog.BulkUpdate(name, in.Submit, res.Table.Clone()); err != nil {
+		if _, err := e.Catalog.BulkUpdate(name, in.Submit, res.Table); err != nil {
 			e.failJob(cr, in.ID, tr)
 			return nil, fmt.Errorf("job %s: publishing cooked dataset: %w", in.ID, err)
 		}

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -227,6 +228,15 @@ func TestValueByteSize(t *testing.T) {
 	}
 	if String_("abc").ByteSize() != 7 { // len + 4
 		t.Errorf("string size = %d", String_("abc").ByteSize())
+	}
+}
+
+// TestValueSize pins the cell layout: the string header, the two 8-byte
+// scalars and the two one-byte fields packed into the last word. A field added
+// or moved so that padding reappears costs every table a fifth of its bytes.
+func TestValueSize(t *testing.T) {
+	if got := reflect.TypeOf(Value{}).Size(); got != 40 {
+		t.Fatalf("a Value is %d bytes, want 40", got)
 	}
 }
 

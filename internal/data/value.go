@@ -43,12 +43,14 @@ func (k Kind) String() string {
 }
 
 // Value is a compact tagged union holding one scalar cell. The zero Value is
-// NULL. Times are stored as Unix nanoseconds in I.
+// NULL. Times are stored as Unix nanoseconds in I. The two one-byte fields sit
+// together at the end so a cell is 40 bytes, not 48 (TestValueSize): every
+// table, slab chunk and extracted column is an array of these.
 type Value struct {
-	Kind Kind
+	S    string
 	I    int64
 	F    float64
-	S    string
+	Kind Kind
 	B    bool
 }
 

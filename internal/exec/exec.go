@@ -44,13 +44,23 @@ const (
 
 // ViewStore is the interface the executor needs from the materialized-view
 // storage layer. internal/storage implements it.
+//
+// Tables cross this interface by reference, in both directions, under the
+// executor's ownership rule: a table is written by the one operator
+// invocation that builds it and is read-only from the moment that operator
+// returns it. No operator writes to a row or a Rows slice it was given;
+// Filter, Union, Sample, Sort and the pass-through UDOs put their input's
+// rows into their output by reference. So one table may at once be a catalog
+// version, a sealed view, a result-cache entry and a job's output.
 type ViewStore interface {
 	// Fetch returns the view's table and logical scale multiplier. ok=false
-	// when the view does not exist, is unsealed, or has expired.
+	// when the view does not exist, is unsealed, or has expired. The table is
+	// the stored one, shared with every other reader.
 	Fetch(strict signature.Sig) (t *data.Table, mult float64, ok bool)
 	// Materialize stores a freshly computed view. vc is the virtual cluster
 	// that owns the bytes; mult is the logical scale multiplier of the
-	// producing subexpression.
+	// producing subexpression. The store keeps t itself; the executor goes on
+	// reading it as the Spool's output.
 	Materialize(strict signature.Sig, path, vc string, t *data.Table, mult float64) error
 }
 
@@ -1132,7 +1142,7 @@ func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {
 			// staged signature when it sees the failure count.
 			ex.Trace.Event("spool.write.failed", fmt.Sprintf("sig=%s reason=injected", signature.Sig(x.StrictSig).Short()))
 			ex.res.SpoolWriteFailures++
-		} else if err := ex.Views.Materialize(signature.Sig(x.StrictSig), x.Path, x.VC, in.table.Clone(), in.mult); err != nil {
+		} else if err := ex.Views.Materialize(signature.Sig(x.StrictSig), x.Path, x.VC, in.table, in.mult); err != nil {
 			return nodeResult{}, fmt.Errorf("exec: materializing view: %w", err)
 		}
 	}

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -365,7 +366,7 @@ func TestGroupKeyCollisionRegression(t *testing.T) {
 // aggregate → project, every operator that creates rows.
 const allocCeilingQuery = `SELECT seg, n + 1 AS n1, total * 2 AS t2 FROM (
 	SELECT MktSegment AS seg, COUNT(*) AS n, SUM(Price) AS total
-	FROM (SELECT * FROM (PROCESS Sales USING "NormalizeStrings") AS tagged WHERE Price > 20) AS s
+	FROM (SELECT * FROM (PROCESS Sales USING "StampIngestTime") AS tagged WHERE Price > 20) AS s
 	JOIN Customer ON s.CustomerId = Customer.Id AND s.Quantity + Customer.Id > 3
 	GROUP BY MktSegment) AS g`
 
@@ -415,15 +416,38 @@ func TestAllocationsScaleWithBatches(t *testing.T) {
 
 // TestOperatorRowsDoNotAlias: rows an operator creates share chunks, but each
 // is capped at its own length and none overlaps another or its input — an
-// append or a write on one output row reaches nothing else.
+// append or a write on one output row reaches nothing else. An operator that
+// creates no row (Filter, Union, a UDO that leaves a row as it found it) passes
+// its input's rows on instead, which is why nobody may write to a row they
+// were given: NormalizeStrings is held to both halves, fresh rows over a
+// mixed-case input and the input's own rows over a lower-case one.
 func TestOperatorRowsDoNotAlias(t *testing.T) {
 	cat, err := fixtures.Retail(fixtures.RetailConfig{Customers: 100, Parts: 20, Sales: 1500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// CleanCustomer is Customer already lower-cased: nothing left to normalize.
+	customer, err := cat.Latest("Customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := customer.Table.Clone()
+	for _, r := range clean.Rows {
+		for j, v := range r {
+			if v.Kind == data.KindString {
+				r[j] = data.String_(strings.ToLower(v.S))
+			}
+		}
+	}
+	if _, err := cat.Define("CleanCustomer", clean.Schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.BulkUpdate("CleanCustomer", fixtures.Epoch, clean); err != nil {
+		t.Fatal(err)
+	}
 	inputs := func() string {
 		var fp string
-		for _, name := range []string{"Sales", "Customer"} {
+		for _, name := range []string{"Sales", "Customer", "CleanCustomer"} {
 			v, err := cat.Latest(name)
 			if err != nil {
 				t.Fatal(err)
@@ -436,7 +460,8 @@ func TestOperatorRowsDoNotAlias(t *testing.T) {
 	for _, src := range []string{
 		`PROCESS Sales USING "AddRowTag"`,
 		`PROCESS Sales USING "StampIngestTime"`,
-		`PROCESS Sales USING "NormalizeStrings"`,
+		// Mixed case: every Customer row has a capitalized segment to lower.
+		`PROCESS Customer USING "NormalizeStrings"`,
 		`SELECT SaleId, Price * Quantity AS revenue FROM Sales`,
 		// A bare join: rows the residual rejects are given back to the slab
 		// and their cells reused by the next pair.
@@ -478,5 +503,25 @@ func TestOperatorRowsDoNotAlias(t *testing.T) {
 				t.Fatalf("%s (vectorized=%v): writing the output changed an input table", src, vectorized)
 			}
 		}
+	}
+
+	// Lower case: no cell changes, so no row is created — the output's rows
+	// are the catalog version's, in order, and reading is all anyone may do.
+	for _, vectorized := range []bool{true, false} {
+		res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(bindQuery(t, cat, `PROCESS CleanCustomer USING "NormalizeStrings"`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Table == clean || res.Table.NumRows() != clean.NumRows() {
+			t.Fatalf("vectorized=%v: the UDO returned its input table, or %d of %d rows", vectorized, res.Table.NumRows(), clean.NumRows())
+		}
+		for i, r := range res.Table.Rows {
+			if &r[0] != &clean.Rows[i][0] || len(r) != len(clean.Rows[i]) {
+				t.Fatalf("vectorized=%v: output row %d is a copy, want the input row itself", vectorized, i)
+			}
+		}
+	}
+	if inputs() != before {
+		t.Fatal("normalizing a clean table changed it")
 	}
 }

@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,67 @@ func TestCloneRowIndependentRows(t *testing.T) {
 		out[0][0] = data.Int(99)
 		if out[1][0] != tag || in[0][0].I != 1 {
 			t.Fatalf("announce=%v: writing one emitted row reached its neighbour or its input", announce)
+		}
+	}
+}
+
+// TestNormalizeStringsCopiesOnWrite: copy on write changes which rows are
+// fresh, never what they hold. Every output row equals what the always-clone
+// implementation produced, a row lower-casing changes is a copy and its input
+// is left as it was, and a row it does not change — clean, empty, NULL or
+// string-free — is the input row itself.
+func TestNormalizeStringsCopiesOnWrite(t *testing.T) {
+	impl, ok := plan.LookupUDO("NormalizeStrings")
+	if !ok {
+		t.Fatal("NormalizeStrings not registered")
+	}
+	alwaysClone := func(in data.Row) data.Row {
+		out := in.Clone()
+		for i, v := range out {
+			if v.Kind == data.KindString {
+				out[i] = data.String_(strings.ToLower(v.S))
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		in    data.Row
+		fresh bool
+	}{
+		{"mixed", data.Row{data.Int(1), data.String_("Asia"), data.String_("clean"), data.Float(2.5)}, true},
+		{"mixed-last", data.Row{data.String_("clean"), data.Null(), data.String_("ÀB")}, true},
+		{"clean", data.Row{data.Int(2), data.String_("asia"), data.String_("x-01"), data.Bool(true)}, false},
+		{"empty-string", data.Row{data.String_(""), data.Int(3)}, false},
+		{"null", data.Row{data.Null(), data.Null()}, false},
+		{"no-strings", data.Row{data.Int(4), data.Float(1), data.Time(time.Unix(5, 0))}, false},
+		{"no-cells", data.Row{}, false},
+	}
+	for _, announce := range []bool{false, true} {
+		ctx := &plan.EvalContext{Rand: data.NewRand(1)}
+		if announce {
+			ctx.ExpectRows(len(cases))
+		}
+		for _, c := range cases {
+			before := c.in.Clone()
+			var out []data.Row
+			impl.Apply(c.in, func(o data.Row) { out = append(out, o) }, ctx)
+			if len(out) != 1 {
+				t.Fatalf("%s: %d rows emitted, want 1", c.name, len(out))
+			}
+			if !reflect.DeepEqual(out[0], alwaysClone(before)) {
+				t.Errorf("%s: got %v, want %v", c.name, out[0], alwaysClone(before))
+			}
+			if !reflect.DeepEqual(c.in, before) {
+				t.Errorf("%s: the input row changed to %v", c.name, c.in)
+			}
+			shared := len(c.in) > 0 && &out[0][0] == &c.in[0]
+			if len(c.in) > 0 && shared == c.fresh {
+				t.Errorf("%s (announce=%v): output shares the input row = %v, want %v", c.name, announce, shared, !c.fresh)
+			}
+			if c.fresh && cap(out[0]) != len(out[0]) {
+				t.Errorf("%s: fresh row has len %d cap %d", c.name, len(out[0]), cap(out[0]))
+			}
 		}
 	}
 }

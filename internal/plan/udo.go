@@ -14,7 +14,10 @@ type UDOImpl struct {
 	Name string
 	// OutSchema derives the output schema from the input schema.
 	OutSchema func(in data.Schema) data.Schema
-	// Apply processes one input row.
+	// Apply processes one input row. The row is read-only — it may be a row
+	// of a catalog version or a sealed view that every other job reads too —
+	// so Apply emits it as it is or emits a copy (ctx.CloneRow), and never
+	// writes to it.
 	Apply func(in data.Row, emit func(data.Row), ctx *EvalContext)
 	// Deterministic reports whether the implementation is free of
 	// non-determinism. Operators marked false are excluded from reuse, per
@@ -45,17 +48,28 @@ func LookupUDO(name string) (*UDOImpl, bool) {
 
 func init() {
 	// NormalizeStrings lower-cases every string column: a typical cleansing
-	// UDO in cooking pipelines.
+	// UDO in cooking pipelines. Copy on write: the input row is cloned at the
+	// first cell lower-casing changes; a row that is already clean is emitted
+	// as it came in, the way DropEmpty passes rows on.
 	RegisterUDO(&UDOImpl{
 		Name:          "NormalizeStrings",
 		Deterministic: true,
 		OutSchema:     func(in data.Schema) data.Schema { return in.Clone() },
 		Apply: func(in data.Row, emit func(data.Row), ctx *EvalContext) {
-			out := ctx.CloneRow(in, 0)
-			for i, v := range out {
-				if v.Kind == data.KindString {
-					out[i] = data.String_(strings.ToLower(v.S))
+			out := in
+			cloned := false
+			for i, v := range in {
+				if v.Kind != data.KindString {
+					continue
 				}
+				low := strings.ToLower(v.S)
+				if low == v.S {
+					continue
+				}
+				if !cloned {
+					out, cloned = ctx.CloneRow(in, 0), true
+				}
+				out[i] = data.String_(low)
 			}
 			emit(out)
 		},

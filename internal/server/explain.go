@@ -19,11 +19,11 @@ type ExplainResponse struct {
 // structured counterpart of the trace endpoint. Same lifecycle contract:
 // 409 while queued, 422 for a failed job, 404 when observability is off.
 func (s *Server) handleJobExplain(w http.ResponseWriter, r *http.Request) {
-	tenant, admin, ok := s.authenticate(w, r)
+	who, admin, ok := s.authenticate(w, r)
 	if !ok {
 		return
 	}
-	e, ok := s.lookupJob(w, r, tenant, admin)
+	e, ok := s.lookupJob(w, r, who.name, admin)
 	if !ok {
 		return
 	}

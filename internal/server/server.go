@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cloudviews"
@@ -112,6 +113,9 @@ type Server struct {
 	draining bool
 
 	slo *sloSampler
+
+	// tenants maps a tenant or VC name to its *tenantSeries.
+	tenants sync.Map
 
 	// wg tracks the per-async-job release goroutines so Shutdown can wait
 	// for the bookkeeping to settle after the workers drain.
@@ -233,18 +237,64 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
+// tenantSeries is the handle to one tenant's (or target VC's) metric series,
+// created on the tenant's first request. A submission bumps five of them;
+// each is looked up in the registry by name once, by the request that first
+// needs it, so /metrics lists a series from its first bump as it always has.
+type tenantSeries struct {
+	reg  *obs.Registry
+	name string
+
+	requests  atomic.Pointer[obs.Counter]
+	accepted  atomic.Pointer[obs.Counter]
+	completed atomic.Pointer[obs.Counter]
+	failed    atomic.Pointer[obs.Counter]
+	inflight  atomic.Pointer[obs.Gauge]
+}
+
+// series returns the handle for a tenant or VC name.
+func (s *Server) series(name string) *tenantSeries {
+	if t, ok := s.tenants.Load(name); ok {
+		return t.(*tenantSeries)
+	}
+	t, _ := s.tenants.LoadOrStore(name, &tenantSeries{reg: s.reg, name: name})
+	return t.(*tenantSeries)
+}
+
+// counter returns the tenant's series of one counter family, resolving it on
+// first use (racing first users get the same counter from the registry).
+func (t *tenantSeries) counter(slot *atomic.Pointer[obs.Counter], family string) *obs.Counter {
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	c := t.reg.Counter(family + `{tenant="` + t.name + `"}`)
+	slot.Store(c)
+	return c
+}
+
+// addInflight moves the cvserve_inflight gauge of the VC.
+func (t *tenantSeries) addInflight(d float64) {
+	g := t.inflight.Load()
+	if g == nil {
+		g = t.reg.Gauge(`cvserve_inflight{vc="` + t.name + `"}`)
+		t.inflight.Store(g)
+	}
+	g.Add(d)
+}
+
 // authenticate resolves the request's tenant, counting the attempt. A false
 // return means the response has been written.
-func (s *Server) authenticate(w http.ResponseWriter, r *http.Request) (tenant string, admin bool, ok bool) {
-	tenant, admin, ok = s.auth.tenant(r)
+func (s *Server) authenticate(w http.ResponseWriter, r *http.Request) (who *tenantSeries, admin bool, ok bool) {
+	tenant, admin, ok := s.auth.tenant(r)
 	if !ok {
 		s.reg.Counter("cvserve_auth_failures_total").Inc()
 		w.Header().Set("WWW-Authenticate", `Bearer realm="cvserve"`)
 		writeError(w, http.StatusUnauthorized, "", 0, "missing or unknown bearer token")
-		return "", false, false
+		return nil, false, false
 	}
-	s.reg.Counter(`cvserve_requests_total{tenant="` + tenant + `"}`).Inc()
-	return tenant, admin, true
+	who = s.series(tenant)
+	who.counter(&who.requests, "cvserve_requests_total").Inc()
+	return who, admin, true
 }
 
 // admin wraps a handler that requires the admin token.
@@ -307,10 +357,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "", s.cfg.RetryAfter.Seconds(), "server is draining")
 		return
 	}
-	tenant, isAdmin, ok := s.authenticate(w, r)
+	who, isAdmin, ok := s.authenticate(w, r)
 	if !ok {
 		return
 	}
+	tenant := who.name
 
 	// Rate limit on the authenticated tenant (not the target VC): the
 	// bucket throttles the credential doing the talking.
@@ -358,7 +409,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, vc, "queue", s.cfg.RetryAfter.Seconds())
 		return
 	}
-	s.reg.Gauge(`cvserve_inflight{vc="` + vc + `"}`).Add(1)
+	target := who
+	if vc != tenant {
+		target = s.series(vc) // an admin submitting on a VC's behalf
+	}
+	target.addInflight(1)
 
 	job := cloudviews.Job{
 		ID:       req.ID,
@@ -375,10 +430,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Async {
-		s.submitAsync(w, job, vc)
+		s.submitAsync(w, job, target)
 		return
 	}
-	s.submitSync(w, job, vc)
+	s.submitSync(w, job, target)
 }
 
 // shed records and writes one load-shed 429.
@@ -392,12 +447,12 @@ func (s *Server) shed(w http.ResponseWriter, tenant, reason string, retryAfterSe
 }
 
 // releaseSlot returns vc's admission slot and inflight gauge.
-func (s *Server) releaseSlot(vc string) {
-	s.adm.release(vc)
-	s.reg.Gauge(`cvserve_inflight{vc="` + vc + `"}`).Add(-1)
+func (s *Server) releaseSlot(vc *tenantSeries) {
+	s.adm.release(vc.name)
+	vc.addInflight(-1)
 }
 
-func (s *Server) submitAsync(w http.ResponseWriter, job cloudviews.Job, vc string) {
+func (s *Server) submitAsync(w http.ResponseWriter, job cloudviews.Job, vc *tenantSeries) {
 	p, err := s.sys.SubmitScriptAsync(job)
 	if err != nil {
 		s.releaseSlot(vc)
@@ -409,8 +464,8 @@ func (s *Server) submitAsync(w http.ResponseWriter, job cloudviews.Job, vc strin
 		writeError(w, http.StatusBadRequest, "", 0, "%v", err)
 		return
 	}
-	s.reg.Counter(`cvserve_accepted_total{tenant="` + vc + `"}`).Inc()
-	entry := &jobEntry{vc: vc, pending: p}
+	vc.counter(&vc.accepted, "cvserve_accepted_total").Inc()
+	entry := &jobEntry{vc: vc.name, pending: p}
 	s.trackJob(p.ID(), entry)
 	s.wg.Add(1)
 	go func() {
@@ -421,15 +476,15 @@ func (s *Server) submitAsync(w http.ResponseWriter, job cloudviews.Job, vc strin
 		entry.res, entry.err = res, jerr
 		s.mu.Unlock()
 		s.releaseSlot(vc)
-		s.countOutcome(vc, jerr)
+		vc.countOutcome(jerr)
 	}()
-	writeJSON(w, http.StatusAccepted, JobStatusResponse{ID: p.ID(), VC: vc, Status: "queued"})
+	writeJSON(w, http.StatusAccepted, JobStatusResponse{ID: p.ID(), VC: vc.name, Status: "queued"})
 }
 
-func (s *Server) submitSync(w http.ResponseWriter, job cloudviews.Job, vc string) {
+func (s *Server) submitSync(w http.ResponseWriter, job cloudviews.Job, vc *tenantSeries) {
 	res, err := s.sys.SubmitScript(job)
-	s.reg.Counter(`cvserve_accepted_total{tenant="` + vc + `"}`).Inc()
-	s.countOutcome(vc, err)
+	vc.counter(&vc.accepted, "cvserve_accepted_total").Inc()
+	vc.countOutcome(err)
 	s.releaseSlot(vc)
 	if err != nil {
 		// Accepted but failed in compile/bind/execute: the job consumed
@@ -438,19 +493,19 @@ func (s *Server) submitSync(w http.ResponseWriter, job cloudviews.Job, vc string
 		writeError(w, http.StatusUnprocessableEntity, "", 0, "%v", err)
 		return
 	}
-	s.trackJob(res.ID, &jobEntry{vc: vc, res: res})
+	s.trackJob(res.ID, &jobEntry{vc: vc.name, res: res})
 	writeJSON(w, http.StatusOK, JobStatusResponse{
-		ID: res.ID, VC: vc, Status: "done", Result: summarize(res, 0),
+		ID: res.ID, VC: vc.name, Status: "done", Result: summarize(res, 0),
 	})
 }
 
-// countOutcome bumps the per-tenant completion counters.
-func (s *Server) countOutcome(vc string, err error) {
+// countOutcome bumps the tenant's completion counters.
+func (t *tenantSeries) countOutcome(err error) {
 	if err != nil {
-		s.reg.Counter(`cvserve_jobs_failed_total{tenant="` + vc + `"}`).Inc()
+		t.counter(&t.failed, "cvserve_jobs_failed_total").Inc()
 		return
 	}
-	s.reg.Counter(`cvserve_jobs_completed_total{tenant="` + vc + `"}`).Inc()
+	t.counter(&t.completed, "cvserve_jobs_completed_total").Inc()
 }
 
 // trackJob registers an entry for poll-by-ID, evicting the oldest completed
@@ -495,11 +550,11 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request, tenant string
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	tenant, admin, ok := s.authenticate(w, r)
+	who, admin, ok := s.authenticate(w, r)
 	if !ok {
 		return
 	}
-	e, ok := s.lookupJob(w, r, tenant, admin)
+	e, ok := s.lookupJob(w, r, who.name, admin)
 	if !ok {
 		return
 	}
@@ -534,11 +589,11 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	tenant, admin, ok := s.authenticate(w, r)
+	who, admin, ok := s.authenticate(w, r)
 	if !ok {
 		return
 	}
-	e, ok := s.lookupJob(w, r, tenant, admin)
+	e, ok := s.lookupJob(w, r, who.name, admin)
 	if !ok {
 		return
 	}

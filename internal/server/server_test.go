@@ -510,3 +510,64 @@ func TestParamKindConversion(t *testing.T) {
 		t.Error("object param must be rejected")
 	}
 }
+
+// TestTenantSeriesAppearOnFirstBump pins /metrics across the per-tenant series
+// handle: a series exists from the request that first bumps it and not before
+// (no failed-jobs series for a tenant whose jobs succeed, no accepted series
+// for a tenant that only polls), under the names it has always had, whichever
+// of a tenant's requests created the handle.
+func TestTenantSeriesAppearOnFirstBump(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	c := ts.Client()
+	export := func() string {
+		var out []string
+		for _, line := range strings.Split(srv.reg.ExportString(), "\n") {
+			if strings.HasPrefix(line, "cvserve_") {
+				out = append(out, line)
+			}
+		}
+		return strings.Join(out, "\n")
+	}
+
+	// vc2 polls a job that does not exist: its handle is created by a request
+	// that accepts nothing.
+	if code, _ := do(t, c, "GET", ts.URL+"/v1/jobs/nope", "tok-2", nil, nil); code != 404 {
+		t.Fatalf("poll: code = %d", code)
+	}
+	if got, want := export(), `cvserve_requests_total{tenant="vc2"} 1`; got != want {
+		t.Fatalf("after a poll:\n got %s\nwant %s", got, want)
+	}
+
+	var st JobStatusResponse
+	if code, raw := do(t, c, "POST", ts.URL+"/v1/jobs", "tok-1", SubmitRequest{Script: testScript}, &st); code != 200 {
+		t.Fatalf("sync submit: %d %s", code, raw)
+	}
+	if code, raw := do(t, c, "POST", ts.URL+"/v1/jobs", "tok-1", SubmitRequest{Script: "SELECT nothing FROM Nowhere"}, nil); code != 422 {
+		t.Fatalf("failing submit: %d %s", code, raw)
+	}
+	// The admin submits on vc2's behalf: the request counts against the
+	// admin credential, the job against vc2.
+	if code, raw := do(t, c, "POST", ts.URL+"/v1/jobs", "tok-admin", SubmitRequest{VC: "vc2", Script: testScript, Async: true}, &st); code != 202 {
+		t.Fatalf("admin async submit: %d %s", code, raw)
+	}
+	if code, _ := do(t, c, "GET", ts.URL+"/v1/jobs/"+st.ID+"?wait=1", "tok-admin", nil, nil); code != 200 {
+		t.Fatalf("admin poll: code = %d", code)
+	}
+	srv.wg.Wait() // the async job's bookkeeping has settled
+
+	want := strings.Join([]string{
+		`cvserve_accepted_total{tenant="vc1"} 2`,
+		`cvserve_accepted_total{tenant="vc2"} 1`,
+		`cvserve_inflight{vc="vc1"} 0`,
+		`cvserve_inflight{vc="vc2"} 0`,
+		`cvserve_jobs_completed_total{tenant="vc1"} 1`,
+		`cvserve_jobs_completed_total{tenant="vc2"} 1`,
+		`cvserve_jobs_failed_total{tenant="vc1"} 1`,
+		`cvserve_requests_total{tenant="!admin"} 2`,
+		`cvserve_requests_total{tenant="vc1"} 2`,
+		`cvserve_requests_total{tenant="vc2"} 1`,
+	}, "\n")
+	if got := export(); got != want {
+		t.Fatalf("cvserve series:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -199,8 +199,11 @@ func (s *Store) Stage(strict, recurring signature.Sig, path, vc string) {
 // Materialize stores the bytes of a staged view. Implements exec.ViewStore.
 // Unstaged signatures get a bare view record attributed to vc (tests and
 // extensions use this path directly); staged views keep the VC they were
-// staged with.
+// staged with. The store keeps t itself, not a copy: the caller hands over a
+// finished table and, like the store, never writes to it again.
 func (s *Store) Materialize(strict signature.Sig, path, vc string, t *data.Table, mult float64) error {
+	// Sizing walks every cell; t cannot change, so it is done before the lock.
+	size := t.ByteSize()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v, exists := s.views[strict]; exists {
@@ -219,7 +222,7 @@ func (s *Store) Materialize(strict signature.Sig, path, vc string, t *data.Table
 	v.Table = t
 	v.Mult = mult
 	v.Rows = int64(float64(t.NumRows()) * mult)
-	v.Bytes = int64(float64(t.ByteSize()) * mult)
+	v.Bytes = int64(float64(size) * mult)
 	v.CreatedAt = now
 	v.ExpiresAt = now.Add(s.ttl)
 	s.views[strict] = v
@@ -281,25 +284,14 @@ func (s *Store) Abandon(strict signature.Sig) bool {
 }
 
 // Fetch returns a sealed, unexpired view's data. Implements exec.ViewStore.
+//
+// The table returned is the stored artifact itself, shared with every other
+// consumer of the view: it is read-only, like every table once the operator
+// that built it has returned it (DESIGN.md, "Row storage"). The store never
+// writes to a table it holds — Materialize keeps the first artifact, a purge
+// or an expiry only drops the store's reference — so a reader may keep using
+// a fetched table after the view is gone.
 func (s *Store) Fetch(strict signature.Sig) (*data.Table, float64, bool) {
-	t, mult, ok := s.fetchLocked(strict)
-	if !ok {
-		return nil, 0, false
-	}
-	// Defensive copy: the stored table is the single artifact every future
-	// consumer reads. Handing out the live pointer would let one consumer's
-	// in-place mutation (e.g. an executor operator scribbling on rows)
-	// silently corrupt every later reuse of the view. The copy is made after
-	// the lock is released, so readers of different views do not queue behind
-	// each other's memcpy: a sealed view's table is never written or
-	// reassigned (Materialize keeps the first artifact), and a purge or expiry
-	// only drops the store's reference to it.
-	return t.Clone(), mult, true
-}
-
-// fetchLocked is Fetch's critical section: check the view, count the read,
-// and hand back the stored table itself.
-func (s *Store) fetchLocked(strict signature.Sig) (*data.Table, float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.views[strict]

@@ -1,14 +1,23 @@
 package storage_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cloudviews/internal/data"
+	"cloudviews/internal/exec"
+	"cloudviews/internal/fixtures"
+	"cloudviews/internal/plan"
 	"cloudviews/internal/signature"
+	"cloudviews/internal/sqlparser"
 	"cloudviews/internal/storage"
 )
 
@@ -392,33 +401,6 @@ func TestStoreConcurrentLifecycle(t *testing.T) {
 	}
 }
 
-func TestFetchReturnsDefensiveCopy(t *testing.T) {
-	now := time.Unix(0, 0)
-	s := storage.NewStore(func() time.Time { return now })
-	s.Stage("sig1", "rec1", "p/sig1", "vc1")
-	if err := s.Materialize("sig1", "p/sig1", "vc1", table(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Seal("sig1") {
-		t.Fatal("seal failed")
-	}
-	first, _, ok := s.Fetch("sig1")
-	if !ok {
-		t.Fatal("fetch failed")
-	}
-	want := first.Fingerprint()
-	// A consumer scribbling on its fetched copy must not corrupt the stored
-	// artifact that every later reuse reads.
-	first.Rows[0][0] = data.Int(999)
-	second, _, ok := s.Fetch("sig1")
-	if !ok {
-		t.Fatal("re-fetch failed")
-	}
-	if got := second.Fingerprint(); got != want {
-		t.Fatalf("stored view mutated through fetched pointer:\n got %q\nwant %q", got, want)
-	}
-}
-
 func TestAuditBytesAndPendingViews(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := storage.NewStore(func() time.Time { return now })
@@ -498,36 +480,128 @@ func TestPathFreshAfterPurge(t *testing.T) {
 	}
 }
 
-// TestFetchClonesOutsideLock: Fetch copies the view after releasing the
-// store's lock, so the copy runs concurrently with every other store
-// operation. Readers scribble on their copies while a writer stages, seals
-// and purges the same and other signatures; under -race this proves the
-// unlocked copy reads nothing another goroutine writes, and every fetched
-// copy must be the pristine artifact.
-func TestFetchClonesOutsideLock(t *testing.T) {
+// orderedDigest hashes a table cell by cell in storage order — schema, row
+// count, each row's length, all five fields of every cell — so a reordered,
+// truncated or scribbled table reads differently (Table.Fingerprint sorts).
+func orderedDigest(t *data.Table) [sha256.Size]byte {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	io.WriteString(h, t.Schema.String())
+	put(uint64(len(t.Rows)))
+	for _, r := range t.Rows {
+		put(uint64(len(r)))
+		for _, v := range r {
+			put(uint64(v.Kind))
+			put(uint64(v.I))
+			put(math.Float64bits(v.F))
+			put(uint64(len(v.S)))
+			io.WriteString(h, v.S)
+			var b uint64
+			if v.B {
+				b = 1
+			}
+			put(b)
+		}
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// TestFetchSharesSealedTable: Fetch hands out the stored table itself — the
+// same pointer every time, for no allocation — and that is safe because
+// nobody writes to it. Eight readers run filter → join → aggregate over the
+// one fetched table, on both executor arms, while a writer stages, seals and
+// purges views over the same table and over its own; every answer must be the
+// single-threaded one, the stored table must read at the end as it did when
+// it was sealed, and under -race any write an operator made to a row it was
+// given would be reported against the other seven readers.
+func TestFetchSharesSealedTable(t *testing.T) {
+	cat, err := fixtures.Retail(fixtures.RetailConfig{Customers: 60, Parts: 10, Sales: 2000, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
 	now := time.Unix(0, 0)
 	s := storage.NewStore(func() time.Time { return now })
-	big := func() *data.Table {
-		t := data.NewTable(data.Schema{{Name: "a", Kind: data.KindInt}, {Name: "b", Kind: data.KindString}})
-		for i := 0; i < 500; i++ {
-			t.Append(data.Row{data.Int(int64(i)), data.String_("v")})
-		}
-		return t
-	}
-	want := big().Fingerprint()
-	publish := func(sig signature.Sig) {
+	publish := func(sig signature.Sig, tb *data.Table) {
 		s.Stage(sig, "rec", "p/"+string(sig), "vc1")
-		if err := s.Materialize(sig, "p/"+string(sig), "vc1", big(), 1); err != nil {
+		if err := s.Materialize(sig, "p/"+string(sig), "vc1", tb, 1); err != nil {
 			t.Error(err)
 		}
 		s.Seal(sig)
 	}
-	publish("stable")
+	stored := map[signature.Sig]*data.Table{}
+	for sig, name := range map[signature.Sig]string{"sales": "Sales", "customer": "Customer"} {
+		v, err := cat.Latest(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored[sig] = v.Table.Clone() // the store's own artifact, not the catalog's
+		publish(sig, stored[sig])
+	}
+	sealed := orderedDigest(stored["sales"])
+
+	for i := 0; i < 3; i++ {
+		if got, mult, ok := s.Fetch("sales"); !ok || got != stored["sales"] || mult != 1 {
+			t.Fatalf("fetch %d returned %p (mult %v, ok %v), want the stored table %p", i, got, mult, ok, stored["sales"])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Fetch("sales") }); allocs != 0 {
+		t.Errorf("a fetch allocates %.0f times, want 0", allocs)
+	}
+
+	// The plan reads both views: every Scan of the bound query becomes a
+	// ViewScan of the view holding that dataset.
+	q, err := sqlparser.ParseQuery(`SELECT MktSegment, COUNT(*) AS n, SUM(Price) AS total, MIN(Quantity) AS mn
+		FROM (SELECT * FROM Sales WHERE Price > 20) AS s JOIN Customer ON s.CustomerId = Customer.Id
+		GROUP BY MktSegment`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := (&plan.Binder{Catalog: cat}).BindQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var overViews func(n plan.Node) plan.Node
+	overViews = func(n plan.Node) plan.Node {
+		if sc, ok := n.(*plan.Scan); ok {
+			return &plan.ViewScan{StrictSig: strings.ToLower(sc.Dataset), Out: sc.Out}
+		}
+		kids := n.Children()
+		for i, k := range kids {
+			kids[i] = overViews(k)
+		}
+		return n.WithChildren(kids)
+	}
+	root := overViews(bound)
+	run := func(vectorized bool) (*data.Table, error) {
+		res, err := (&exec.Executor{Catalog: cat, Views: s, Vectorized: vectorized}).Run(root)
+		if err != nil {
+			return nil, err
+		}
+		for _, op := range []string{"ViewScan", "Filter", "Join", "Aggregate"} {
+			found := false
+			for _, st := range res.Stats {
+				found = found || (st.Op == op && st.RowsOut > 0)
+			}
+			if !found {
+				return nil, fmt.Errorf("%s produced no rows", op)
+			}
+		}
+		return res.Table, nil
+	}
+	ref, err := run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := orderedDigest(ref)
 
 	const readers = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	var fetched atomic.Int64
+	var ran atomic.Int64
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -538,37 +612,39 @@ func TestFetchClonesOutsideLock(t *testing.T) {
 					return
 				default:
 				}
-				sig := signature.Sig("stable")
-				if i%2 == 1 {
-					sig = "churn" // may be absent, mid-publish or purged
-				}
-				got, _, ok := s.Fetch(sig)
-				if !ok {
-					continue
-				}
-				if i%16 == 0 && got.Fingerprint() != want {
-					t.Errorf("reader %d: fetched copy of %s is not the stored artifact", r, sig)
+				got, err := run((r+i)%2 == 0)
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
 					return
 				}
-				for _, row := range got.Rows {
-					row[0] = data.Int(-1)
+				if orderedDigest(got) != want {
+					t.Errorf("reader %d, run %d: the answer over the shared table differs from the single-threaded one", r, i)
+					return
 				}
-				got.Rows = got.Rows[:1]
-				fetched.Add(1)
+				// A view that comes and goes: absent, mid-publish or purged.
+				if tb, _, ok := s.Fetch("churn"); ok && tb != stored["sales"] {
+					t.Errorf("reader %d: churn fetched %p, want the table it was published with", r, tb)
+					return
+				}
+				ran.Add(1)
 			}
 		}(r)
 	}
-	for i := 0; i < 100 || fetched.Load() < 4*readers; i++ {
-		publish("churn")
+	for i := 0; i < 100 || ran.Load() < 4*readers; i++ {
+		// The churning view is the same table under a second signature (one
+		// table may be stored twice), then a table of the writer's own.
+		publish("churn", stored["sales"])
 		s.Purge("churn")
+		publish("other", table())
+		s.Purge("other")
 	}
 	close(stop)
 	wg.Wait()
 
-	if got, _, ok := s.Fetch("stable"); !ok || got.Fingerprint() != want {
-		t.Fatal("the stored view changed under concurrent fetches")
+	if got, _, ok := s.Fetch("sales"); !ok || got != stored["sales"] || orderedDigest(got) != sealed {
+		t.Fatal("the stored view changed under concurrent readers")
 	}
-	if v, ok := s.Lookup("stable"); !ok || v.Reads == 0 {
+	if v, ok := s.Lookup("sales"); !ok || v.Reads == 0 {
 		t.Fatal("fetches were not counted")
 	}
 }
