@@ -100,8 +100,8 @@ type Simulator struct {
 	vcTokens map[string]int
 
 	// faults, when non-nil, injects stage failures and bonus preemptions;
-	// fcfg carries the retry policy. The nil case runs the exact fault-free
-	// schedule (identical arithmetic, identical order).
+	// fcfg carries the retry policy. With neither point enabled (nil
+	// included) execute computes the exact fault-free schedule.
 	faults *fault.Injector
 	fcfg   fault.Config
 
@@ -125,7 +125,7 @@ func (s *Simulator) SetMetrics(r *obs.Registry) {
 }
 
 // SetFaults wires a fault injector and its retry policy. A nil injector
-// keeps the fault-free fast path. Call before the first Run; SetMetrics and
+// keeps the fault-free schedule. Call before the first Run; SetMetrics and
 // SetFaults may be called in either order.
 func (s *Simulator) SetFaults(inj *fault.Injector, cfg fault.Config) {
 	s.faults = inj
@@ -263,12 +263,7 @@ func (s *Simulator) Run(jobs []JobSpec) ([]Outcome, error) {
 			if bonusAvail < 0 {
 				bonusAvail = 0
 			}
-			rj := &runningJob{spec: head, tokens: need}
-			if s.faults != nil {
-				rj.outcome = s.executeFaulted(head, now, need, bonusAvail)
-			} else {
-				rj.outcome = s.execute(head, now, need, bonusAvail)
-			}
+			rj := &runningJob{spec: head, tokens: need, outcome: s.execute(head, now, need, bonusAvail)}
 			clusterInUse += rj.outcome.bonusPeak
 			if head.OnStart != nil {
 				head.OnStart(now.Add(head.Compile))
@@ -343,86 +338,6 @@ func (s *Simulator) jobTokens(spec *JobSpec) int {
 	return peak
 }
 
-// execute computes the job's schedule: per-stage durations under the token
-// and bonus allocation, the critical path (ignoring spool side branches), and
-// the processing/bonus/container totals.
-func (s *Simulator) execute(spec *JobSpec, now time.Time, tokens, bonusAvail int) Outcome {
-	start := now.Add(spec.Compile)
-	n := len(spec.Stages)
-	finish := make([]time.Duration, n) // finish offset from start
-	var processing, bonus float64
-	containers := 0
-	bonusPeak := 0
-
-	for i, st := range spec.Stages {
-		var ready time.Duration
-		for _, d := range st.Deps {
-			if d >= 0 && d < n && finish[d] > ready {
-				ready = finish[d]
-			}
-		}
-		alloc := st.Width
-		if alloc < 1 {
-			alloc = 1
-		}
-		b := 0
-		if alloc > tokens {
-			b = alloc - tokens
-			if b > bonusAvail {
-				b = bonusAvail
-			}
-			alloc = tokens + b
-		}
-		if b > bonusPeak {
-			bonusPeak = b
-		}
-		dur := time.Duration(st.Work/float64(alloc)*float64(time.Second)) + s.cfg.StageStartup
-		finish[i] = ready + dur
-		processing += st.Work
-		if alloc > 0 {
-			bonus += st.Work * float64(b) / float64(alloc)
-		}
-		// Container instances launched follow the PLANNED width: in Cosmos,
-		// over-partitioned stages instantiate their containers (possibly
-		// sequentially over waves); the simulator's token clamp only models
-		// how fast they run.
-		w := st.Width
-		if w < 1 {
-			w = 1
-		}
-		containers += w
-	}
-
-	// Critical path: the finish time of the last non-spool stage (spool
-	// writes overlap with the rest of the query and are sealed early).
-	var critical time.Duration
-	for i, st := range spec.Stages {
-		if st.IsSpool {
-			continue
-		}
-		if finish[i] > critical {
-			critical = finish[i]
-		}
-	}
-	end := start.Add(critical)
-
-	return Outcome{
-		ID:              spec.ID,
-		VC:              spec.VC,
-		Submit:          spec.Submit,
-		Start:           start,
-		End:             end,
-		QueueWait:       start.Sub(spec.Submit) - spec.Compile,
-		Latency:         end.Sub(spec.Submit),
-		QueueLenAtStart: spec.queueLenAtSubmit,
-		Processing:      processing,
-		Bonus:           bonus,
-		Containers:      containers,
-		TokensHeld:      tokens,
-		bonusPeak:       bonusPeak,
-	}
-}
-
 // stageKey builds the deterministic decision key for one stage attempt. It
 // includes the job-level attempt so a retried (recompiled) job re-rolls its
 // stage faults rather than hitting the identical schedule again.
@@ -434,8 +349,11 @@ func stageKey(spec *JobSpec, stage, attempt int) string {
 	return fmt.Sprintf("%s/j%d/s%02d/a%d", spec.ID, ja, stage, attempt)
 }
 
-// executeFaulted is execute with stage failures and bonus preemptions woven
-// in. Failure model per stage:
+// execute computes the job's schedule: per-stage durations under the token
+// and bonus allocation, the critical path (ignoring spool side branches), and
+// the processing/bonus/container totals — with stage failures and bonus
+// preemptions woven in when the injector enables them. Failure model per
+// stage:
 //
 //   - Stage failure: the attempt runs to its halfway point, the container is
 //     lost, and the scheduler retries after capped exponential backoff. The
@@ -448,13 +366,20 @@ func stageKey(spec *JobSpec, stage, attempt int) string {
 //     is discarded and re-run, together with the second half, on guaranteed
 //     tokens only. Lost work is charged as both processing and bonus.
 //
-// A fault-free stage computes the exact same duration expression as execute,
-// so a zero-rate injector reproduces the fault-free schedule bit for bit.
-func (s *Simulator) executeFaulted(spec *JobSpec, now time.Time, tokens, bonusAvail int) Outcome {
+// A stage no fault hits costs cleanDur whether or not faults are enabled, so
+// a zero-rate injector reproduces the fault-free schedule bit for bit. With neither point enabled no decision key is
+// rendered and no second schedule is kept.
+func (s *Simulator) execute(spec *JobSpec, now time.Time, tokens, bonusAvail int) Outcome {
 	start := now.Add(spec.Compile)
 	n := len(spec.Stages)
-	finish := make([]time.Duration, n)      // finish offset from start
-	finishClean := make([]time.Duration, n) // same schedule without faults
+	finish := make([]time.Duration, n) // finish offset from start
+	// finishClean is the same schedule without faults, which FaultDelay is
+	// measured against. When no stage can fail it is the schedule itself.
+	faulty := s.faults.Enabled(fault.StageFail) || s.faults.Enabled(fault.BonusPreempt)
+	finishClean := finish
+	if faulty {
+		finishClean = make([]time.Duration, n)
+	}
 	var processing, bonus float64
 	containers := 0
 	bonusPeak := 0
@@ -489,6 +414,10 @@ func (s *Simulator) executeFaulted(spec *JobSpec, now time.Time, tokens, bonusAv
 		if b > bonusPeak {
 			bonusPeak = b
 		}
+		// Container instances launched follow the PLANNED width: in Cosmos,
+		// over-partitioned stages instantiate their containers (possibly
+		// sequentially over waves); the simulator's token clamp only models
+		// how fast they run.
 		w := st.Width
 		if w < 1 {
 			w = 1
@@ -497,7 +426,10 @@ func (s *Simulator) executeFaulted(spec *JobSpec, now time.Time, tokens, bonusAv
 		cleanDur := time.Duration(st.Work/float64(alloc)*float64(time.Second)) + s.cfg.StageStartup
 		var stageDur time.Duration
 		for attempt := 1; ; attempt++ {
-			key := stageKey(spec, i, attempt)
+			var key string // read only by an enabled point
+			if faulty {
+				key = stageKey(spec, i, attempt)
+			}
 			if attempt < s.fcfg.MaxStageAttempts && budget > 0 &&
 				s.faults.Should(fault.StageFail, key) {
 				// The attempt dies halfway through: its containers' work so
@@ -524,7 +456,7 @@ func (s *Simulator) executeFaulted(spec *JobSpec, now time.Time, tokens, bonusAv
 				bonus += lost
 				preemptions++
 			} else {
-				stageDur += time.Duration(st.Work/float64(alloc)*float64(time.Second)) + s.cfg.StageStartup
+				stageDur += cleanDur
 				processing += st.Work
 				bonus += st.Work * float64(b) / float64(alloc)
 			}
@@ -535,6 +467,8 @@ func (s *Simulator) executeFaulted(spec *JobSpec, now time.Time, tokens, bonusAv
 		containers += w
 	}
 
+	// Critical path: the finish time of the last non-spool stage (spool
+	// writes overlap with the rest of the query and are sealed early).
 	var critical, criticalClean time.Duration
 	for i, st := range spec.Stages {
 		if st.IsSpool {

@@ -180,9 +180,15 @@ func TestJobAttemptRerollsStageFaults(t *testing.T) {
 	}
 }
 
-// TestZeroRateFaultedPathMatchesCleanPath: an injector with only unrelated
-// points enabled must reproduce the fault-free schedule exactly, and fault
-// metric families must not exist on a fault-free simulator.
+// TestZeroRateFaultedPathMatchesCleanPath: the one schedule function must
+// reproduce the fault-free schedule exactly whenever no fault fires — with no
+// injector, with only unrelated points enabled (no decision key rendered, no
+// second schedule kept), and with the cluster points enabled at a rate that
+// never fires (keys rendered, the fault-free shadow schedule kept and
+// FaultDelay measured against it). The three arms must agree outcome for
+// outcome on a queued day, each job scheduled alone must equal the fault-free
+// reference (oracle_test.go), and fault metric families must not exist on a
+// fault-free simulator.
 func TestZeroRateFaultedPathMatchesCleanPath(t *testing.T) {
 	mk := func() []cluster.JobSpec {
 		specs := make([]cluster.JobSpec, 20)
@@ -192,7 +198,9 @@ func TestZeroRateFaultedPathMatchesCleanPath(t *testing.T) {
 				Submit: t0.Add(time.Duration(i) * time.Second),
 				Stages: []cluster.StageSpec{
 					{Work: float64(30 + i), Width: 4 + i%12},
+					{Work: 7.5, Width: i % 3},
 					{Work: 10, Width: 2, Deps: []int{0}, IsSpool: i%3 == 0},
+					{Work: float64(3 * i), Width: 30, Deps: []int{1, 2}},
 				},
 				Compile: 200 * time.Millisecond,
 			}
@@ -202,21 +210,39 @@ func TestZeroRateFaultedPathMatchesCleanPath(t *testing.T) {
 	clean := cluster.New(cluster.Config{Capacity: 100, VCs: []cluster.VCConfig{{Name: "vc1", Tokens: 10}}})
 	cleanReg := obs.NewRegistry()
 	clean.SetMetrics(cleanReg)
-	cleanOut, err := clean.Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Only view-read faults enabled: the cluster-level points roll never.
-	faulted, fcfg := faultSim(map[fault.Point]float64{fault.ViewRead: 1}, 1)
-	_ = fcfg
-	faultedOut, err := faulted.Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cleanOut {
-		if cleanOut[i] != faultedOut[i] {
-			t.Fatalf("outcome %d diverged with cluster faults disabled:\n%+v\n%+v",
-				i, cleanOut[i], faultedOut[i])
+	unrelated, _ := faultSim(map[fault.Point]float64{fault.ViewRead: 1}, 1)
+	// Both cluster points enabled, at a rate no roll falls under.
+	never, _ := faultSim(map[fault.Point]float64{fault.StageFail: 1e-300, fault.BonusPreempt: 1e-300}, 1)
+
+	arms := []struct {
+		name string
+		sim  *cluster.Simulator
+	}{{"no injector", clean}, {"unrelated points", unrelated}, {"rate that never fires", never}}
+	var cleanOut []cluster.Outcome
+	for _, arm := range arms {
+		out, err := arm.sim.Run(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cleanOut == nil {
+			cleanOut = out
+		}
+		for i := range cleanOut {
+			if cleanOut[i] != out[i] {
+				t.Fatalf("%s: outcome %d diverged from the fault-free schedule:\n%+v\n%+v",
+					arm.name, i, cleanOut[i], out[i])
+			}
+		}
+		for _, spec := range mk() {
+			alone, err := arm.sim.Run([]cluster.JobSpec{spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := arm.sim.AloneClean(spec); alone[0] != want {
+				t.Fatalf("%s: job %s alone diverged from the reference:\n got %+v\nwant %+v",
+					arm.name, spec.ID, alone[0], want)
+			}
 		}
 	}
 	export := cleanReg.ExportString()

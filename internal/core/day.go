@@ -15,7 +15,6 @@ import (
 	"cloudviews/internal/repository"
 	"cloudviews/internal/signature"
 	"cloudviews/internal/sqlparser"
-	"cloudviews/internal/stats"
 	"cloudviews/internal/telemetry"
 	"cloudviews/internal/workload"
 )
@@ -101,40 +100,27 @@ func (e *Engine) RunDay(day int, jobs []workload.JobInput) (DayMetrics, error) {
 			return DayMetrics{}, fmt.Errorf("core: job %s missing from schedule", run.Input.ID)
 		}
 		rec := run.Record
-		rec.Start = o.Start
-		rec.End = o.End
-		rec.LatencySec = o.Latency.Seconds()
-		rec.ProcessingSec = o.Processing
-		rec.BonusSec = o.Bonus
-		rec.Containers = o.Containers
-		rec.InputBytes = run.Exec.InputBytes
-		rec.DataReadBytes = run.Exec.TotalRead
-		rec.QueueLen = o.QueueLenAtStart
-		rec.Attempts = run.Attempts
-		rec.StageRetries = o.StageRetries
-		rec.BonusPreemptions = o.BonusPreemptions
-		// FaultDelay covers the cluster schedule's retry/preemption cost plus
-		// the data plane's job-retry delay.
-		rec.FaultDelaySec = o.FaultDelay.Seconds() + run.RetryDelay.Seconds()
-		rec.ReuseFallbacks = run.Exec.ReuseFallbacks
-		// The repository owns its own copy of the record (deep-copied at Add),
-		// so the scheduling outcome must be applied through its API.
-		e.Repo.SetOutcome(rec.JobID, repository.Outcome{
-			Start:            rec.Start,
-			End:              rec.End,
-			LatencySec:       rec.LatencySec,
-			ProcessingSec:    rec.ProcessingSec,
-			BonusSec:         rec.BonusSec,
-			Containers:       rec.Containers,
-			InputBytes:       rec.InputBytes,
-			DataReadBytes:    rec.DataReadBytes,
-			QueueLen:         rec.QueueLen,
-			Attempts:         rec.Attempts,
-			StageRetries:     rec.StageRetries,
-			BonusPreemptions: rec.BonusPreemptions,
-			FaultDelaySec:    rec.FaultDelaySec,
-			ReuseFallbacks:   rec.ReuseFallbacks,
-		})
+		out := repository.Outcome{
+			Start:            o.Start,
+			End:              o.End,
+			LatencySec:       o.Latency.Seconds(),
+			ProcessingSec:    o.Processing,
+			BonusSec:         o.Bonus,
+			Containers:       o.Containers,
+			InputBytes:       run.Exec.InputBytes,
+			DataReadBytes:    run.Exec.TotalRead,
+			QueueLen:         o.QueueLenAtStart,
+			Attempts:         run.Attempts,
+			StageRetries:     o.StageRetries,
+			BonusPreemptions: o.BonusPreemptions,
+			// FaultDelay covers the cluster schedule's retry/preemption cost plus
+			// the data plane's job-retry delay.
+			FaultDelaySec:  o.FaultDelay.Seconds() + run.RetryDelay.Seconds(),
+			ReuseFallbacks: run.Exec.ReuseFallbacks,
+		}
+		// rec is the repository's and read-only; the outcome goes onto the
+		// successor record SetOutcome installs.
+		e.Repo.SetOutcome(rec.JobID, out)
 		if o.QueueWait > 0 {
 			run.Trace.SpanAt("queue:cluster", o.Start.Add(-o.QueueWait), o.QueueWait)
 			// The data plane already observed this job (without the cluster
@@ -147,32 +133,25 @@ func (e *Engine) RunDay(day int, jobs []workload.JobInput) (DayMetrics, error) {
 		e.Telemetry.AddFaultLoss(day, rec.VC, o.FaultDelay.Seconds())
 		// The guard's per-VC latency series uses the scheduled latency, which
 		// only the cluster outcome knows.
-		e.guard.AddLatency(day, rec.VC, rec.LatencySec)
+		e.guard.AddLatency(day, rec.VC, out.LatencySec)
 
-		e.History.RecordJob(rec.Template, stats.Observation{
-			Rows:    0,
-			Bytes:   rec.InputBytes,
-			Work:    rec.ProcessingSec,
-			Latency: rec.LatencySec,
-		})
-
-		m.LatencySec += rec.LatencySec
-		m.ProcessingSec += rec.ProcessingSec
-		m.BonusSec += rec.BonusSec
-		m.Containers += int64(rec.Containers)
-		m.InputBytes += rec.InputBytes
-		m.DataReadBytes += rec.DataReadBytes
-		m.QueueLen += int64(rec.QueueLen)
+		m.LatencySec += out.LatencySec
+		m.ProcessingSec += out.ProcessingSec
+		m.BonusSec += out.BonusSec
+		m.Containers += int64(out.Containers)
+		m.InputBytes += out.InputBytes
+		m.DataReadBytes += out.DataReadBytes
+		m.QueueLen += int64(out.QueueLen)
 		m.ViewsBuilt += rec.ViewsBuilt
 		m.ViewsReused += rec.ViewsReused
-		if rec.Attempts > 1 {
-			m.JobRetries += rec.Attempts - 1
+		if out.Attempts > 1 {
+			m.JobRetries += out.Attempts - 1
 		}
-		m.StageRetries += rec.StageRetries
-		m.BonusPreemptions += rec.BonusPreemptions
-		m.FaultDelaySec += rec.FaultDelaySec
-		m.ReuseFallbacks += rec.ReuseFallbacks
-		m.JobLatencies = append(m.JobLatencies, rec.LatencySec)
+		m.StageRetries += out.StageRetries
+		m.BonusPreemptions += out.BonusPreemptions
+		m.FaultDelaySec += out.FaultDelaySec
+		m.ReuseFallbacks += out.ReuseFallbacks
+		m.JobLatencies = append(m.JobLatencies, out.LatencySec)
 	}
 
 	// End of day: advance the clock past the last completion and expire old
@@ -296,10 +275,7 @@ func (e *Engine) RecordWorkloadDay(day int, jobs []workload.JobInput) error {
 		cr := opt.Compile(outs[0], optimizer.CompileOptions{
 			JobID: in.ID, Cluster: in.Cluster, VC: in.VC, OptIn: false,
 		})
-		rec := e.buildRecord(in, cr, &exec.RunResult{})
-		rec.Start = in.Submit
-		rec.End = in.Submit
-		e.Repo.Add(rec)
+		e.Repo.Add(e.buildRecord(in, cr, &exec.RunResult{}))
 	}
 	return nil
 }

@@ -293,10 +293,13 @@ func (e *Engine) PlanCacheStats() (hits, misses uint64) { return e.plans.stats()
 // JobRun is the result of the data-plane half of a job: compiled plan,
 // executed tables, and the stage specs awaiting cluster scheduling.
 type JobRun struct {
-	Input    workload.JobInput
-	Compile  *optimizer.CompileResult
-	Exec     *exec.RunResult
-	Stages   []cluster.StageSpec
+	Input   workload.JobInput
+	Compile *optimizer.CompileResult
+	Exec    *exec.RunResult
+	Stages  []cluster.StageSpec
+	// Record is the row the job left in the workload repository, as it was
+	// added: read-only, and without the scheduling outcome (RunDay files that
+	// on the repository's successor record, not here).
 	Record   *repository.JobRecord
 	Output   *data.Table
 	Proposed []optimizer.ProposedView
@@ -498,12 +501,10 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	run.Output = res.Table
 	run.Stages = stageSpecs(cr, res)
 	e.traceStages(tr, run.Stages, res.TotalBatches)
-	run.Record = e.buildRecord(in, cr, res)
 	// The record lands in the repository immediately so workload analysis
-	// sees it; RunDay fills in the scheduling outcome afterwards (the record
-	// is shared by pointer).
-	run.Record.Start = in.Submit
-	run.Record.End = in.Submit
+	// sees it, and is the repository's from here on: nothing writes to it
+	// again. RunDay files the scheduling outcome through SetOutcome.
+	run.Record = e.buildRecord(in, cr, res)
 	e.Repo.Add(run.Record)
 
 	// Early sealing: the view becomes readable when the producing stage
@@ -721,8 +722,10 @@ func estimatedOpWork(op string, est stats.Estimate) float64 {
 	return est.Rows*perRow + est.Bytes*2.0e-9 + 1e-9
 }
 
-// buildRecord assembles the repository row for a job (cluster outcome fields
-// are filled in later by RunDay) and feeds the runtime history. The Work
+// buildRecord assembles the repository row for a job — Start and End read
+// Submit and the cluster outcome fields zero until RunDay's SetOutcome — and
+// feeds the runtime history. The row's InputDatasets are the plan-cache
+// entry's slices, shared, never copied. The Work
 // recorded per subexpression is its SUBTREE cost — what reusing it would save
 // — and subtrees that were themselves served from a view are excluded from
 // history so reuse never poisons the recompute-cost estimates.
@@ -766,6 +769,8 @@ func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, 
 		User:        in.User,
 		Runtime:     in.Runtime,
 		Submit:      in.Submit,
+		Start:       in.Submit,
+		End:         in.Submit,
 		Template:    subs[len(subs)-1].Recurring,
 		Tag:         cr.Tag,
 		ViewsBuilt:  len(cr.Proposed),

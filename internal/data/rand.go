@@ -53,16 +53,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// NormFloat64 returns an approximately standard-normal value using the sum of
-// uniforms (Irwin–Hall with 12 terms), which is plenty for workload shaping.
-func (r *Rand) NormFloat64() float64 {
-	var s float64
-	for i := 0; i < 12; i++ {
-		s += r.Float64()
-	}
-	return s - 6
-}
-
 // Zipf returns a value in [0, n) following an approximate Zipf distribution
 // with exponent s > 0. Small values are exponentially more likely, matching
 // the heavy-tailed dataset-sharing pattern reported in the paper (Figure 2).
@@ -94,11 +84,6 @@ func pow(x, y float64) float64 { return math.Pow(x, y) }
 // advancing the parent in a way that depends on fork order.
 func (r *Rand) Fork(id uint64) *Rand {
 	return NewRand(r.state ^ (id+1)*0xda942042e4dd58b5)
-}
-
-// Pick returns a uniformly chosen element of the slice.
-func Pick[T any](r *Rand, items []T) T {
-	return items[r.Intn(len(items))]
 }
 
 // Shuffle permutes the slice in place.

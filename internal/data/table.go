@@ -156,16 +156,6 @@ func (t *Table) SortByColumns(cols ...int) {
 	})
 }
 
-// Canonicalize sorts all rows by every column, producing a deterministic
-// order independent of execution strategy. Used by tests to compare results.
-func (t *Table) Canonicalize() {
-	cols := make([]int, len(t.Schema))
-	for i := range cols {
-		cols[i] = i
-	}
-	t.SortByColumns(cols...)
-}
-
 // Fingerprint returns a canonical string rendering of the table contents,
 // independent of row order. Two tables with identical multisets of rows have
 // identical fingerprints.

@@ -278,13 +278,6 @@ type Executor struct {
 	Cache   *Cache                      // nil disables memoization
 	SigMap  map[plan.Node]signature.Sig // physical signatures per node (the cache keys)
 	Ctx     *plan.EvalContext
-	// PipelineSharing switches cache hits from replay accounting (the job is
-	// charged as if it recomputed the subtree — correct for simulating
-	// independent jobs) to SHARED accounting: the subtree was computed once
-	// by a concurrently running job and its output is pipelined here, so
-	// this job is charged only the transfer (paper §5.4, reuse in
-	// concurrent queries without pre-materialization).
-	PipelineSharing bool
 	// Vectorized runs filter, project, join keys, aggregate, sort and sample
 	// on typed-column batch kernels (batchSize rows per call) at every input
 	// size; production sets it. Kernels reproduce Value semantics bit-for-bit
@@ -414,18 +407,6 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) {
 		if sig, ok := ex.SigMap[n]; ok {
 			if entry, hit := ex.Cache.Get(sig); hit {
 				ex.res.CacheHits++
-				cached := nodeResult{table: entry.Table, mult: entry.Mult, bytes: entry.Bytes}
-				if ex.PipelineSharing {
-					// Shared accounting: the producer already paid for the
-					// subtree; this consumer pays only the pipe transfer.
-					rows, bytes := cached.logicalRows(), cached.logicalBytes()
-					work := ViewReadWork(rows, bytes)
-					ex.res.Stats = append(ex.res.Stats, NodeStat{
-						Node: n, Op: "SharedScan", RowsOut: rows, BytesOut: bytes, Work: work,
-					})
-					ex.res.TotalRead += bytes
-					return cached, nil
-				}
 				// Replay the accounting of the cached subtree, remapping each
 				// stat onto the corresponding node of THIS plan (the cached
 				// subtree is physically identical, so post-order aligns).
@@ -440,7 +421,7 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) {
 				ex.res.InputBytes += entry.InputBytes
 				ex.res.ViewBytes += entry.ViewBytes
 				ex.res.TotalRead += entry.TotalRead
-				return cached, nil
+				return nodeResult{table: entry.Table, mult: entry.Mult, bytes: entry.Bytes}, nil
 			}
 		}
 	}

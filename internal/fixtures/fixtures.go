@@ -103,18 +103,6 @@ func Retail(cfg RetailConfig) (*catalog.Catalog, error) {
 	return cat, nil
 }
 
-// AppendSalesDay publishes a fresh Sales version (bulk update) for day d,
-// modeling the daily regeneration of shared datasets.
-func AppendSalesDay(cat *catalog.Catalog, cfg RetailConfig, day int) (catalog.GUID, error) {
-	ds, ok := cat.Dataset("Sales")
-	if !ok {
-		return "", fmt.Errorf("fixtures: Sales not defined")
-	}
-	rng := data.NewRand(cfg.Seed + uint64(day)*1315423911)
-	table := salesTable(ds.Schema, cfg, rng, day)
-	return cat.BulkUpdate("Sales", Epoch.AddDate(0, 0, day), table)
-}
-
 func salesTable(schema data.Schema, cfg RetailConfig, rng *data.Rand, day int) *data.Table {
 	t := data.NewTable(schema)
 	base := Epoch.AddDate(0, 0, day)

@@ -61,27 +61,6 @@ func TestSalesReferentialIntegrity(t *testing.T) {
 	}
 }
 
-func TestAppendSalesDay(t *testing.T) {
-	cfg := fixtures.DefaultRetail()
-	cat, _ := fixtures.Retail(cfg)
-	before := cat.VersionCount("Sales")
-	g, err := fixtures.AppendSalesDay(cat, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.VersionCount("Sales") != before+1 {
-		t.Error("no new version")
-	}
-	latest, _ := cat.Latest("Sales")
-	if latest.GUID != g {
-		t.Error("latest is not the new day")
-	}
-	// New day's sale ids continue from day*cfg.Sales.
-	if latest.Table.Rows[0][0].I != int64(cfg.Sales) {
-		t.Errorf("day-1 first SaleId = %d, want %d", latest.Table.Rows[0][0].I, cfg.Sales)
-	}
-}
-
 func TestFigure4QueriesBindAndShare(t *testing.T) {
 	cat, _ := fixtures.Retail(fixtures.DefaultRetail())
 	queries := fixtures.Figure4Queries()

@@ -175,15 +175,6 @@ func (s *Service) PublishAnnotations(tag signature.Tag, anns []Annotation) {
 	delete(s.warm, tag) // cache invalidated on republish
 }
 
-// ClearAnnotations drops everything (e.g., after an engine-version bump
-// invalidates all signatures).
-func (s *Service) ClearAnnotations() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byTag = make(map[signature.Tag][]Annotation)
-	s.warm = make(map[signature.Tag]bool)
-}
-
 // ReplaceAllAnnotations atomically swaps in the full output of a workload-
 // analysis run. Tags absent from the new output lose their annotations —
 // the just-in-time property: a subexpression that stops appearing in the
@@ -287,14 +278,6 @@ func (s *Service) ReleaseViewLock(strict signature.Sig, jobID string) bool {
 	}
 	delete(s.locks, strict)
 	return true
-}
-
-// LockHolder reports the current holder, if any.
-func (s *Service) LockHolder(strict signature.Sig) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h, ok := s.locks[strict]
-	return h, ok
 }
 
 // LockCount returns the number of view-creation locks currently held. After

@@ -406,11 +406,12 @@ func TestEngineVersionBumpStopsMatching(t *testing.T) {
 	}
 }
 
-// viewWinsFromSummary is viewWins as it read the runtime history before it
-// asked for the means alone: the full summary, percentiles included.
+// viewWinsFromSummary recomputes viewWins' verdict outside the optimizer: the
+// history's mean work when there is one, else the summed compile-time
+// estimate.
 func viewWinsFromSummary(o *optimizer.Optimizer, n plan.Node, recurring signature.Sig, view *storage.View) (bool, float64) {
 	readCost := exec.ViewReadWork(view.Rows, view.Bytes)
-	if sum, ok := o.History.Lookup(recurring); ok && sum.AvgWork > 0 {
+	if sum, ok := o.History.LookupMeans(recurring); ok && sum.AvgWork > 0 {
 		return readCost < sum.AvgWork, sum.AvgWork - readCost
 	}
 	est, _ := o.Est.EstimatePlan(n)
@@ -419,10 +420,10 @@ func viewWinsFromSummary(o *optimizer.Optimizer, n plan.Node, recurring signatur
 	return readCost < total, total - readCost
 }
 
-// TestViewWinsReadsMeans: the view-versus-recompute verdict and the saving it
-// reports are, to the last bit, what the full history summary gave — for a
-// subexpression never observed, observed once, and observed more often than
-// the history's window holds, with a mean on either side of the read cost.
+// TestViewWinsReadsMeans: the view-versus-recompute verdict and the saving the
+// explain decision reports are, to the last bit, the history's mean work
+// against the view's read cost — for a subexpression never observed, observed
+// once, and observed 200 times, with a mean on either side of the read cost.
 func TestViewWinsReadsMeans(t *testing.T) {
 	verdicts := map[bool]int{}
 	for _, tc := range []struct {

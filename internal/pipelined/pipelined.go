@@ -1,21 +1,15 @@
 // Package pipelined prototypes §5.4 of the paper: computation reuse for
 // CONCURRENT queries, which "does not require pre-materialization since
-// intermediate results may be directly pipelined". It provides (a) an
-// opportunity estimator over the workload repository — the quantitative
-// companion to the Figure 9 analysis — and (b) a batch runner that executes a
-// set of concurrently submitted jobs with shared subexpression evaluation:
-// each shared subtree is computed once and pipelined to the other consumers,
-// which are charged only the transfer.
+// intermediate results may be directly pipelined". It provides an opportunity
+// estimator over the workload repository — the quantitative companion to the
+// Figure 9 analysis.
 package pipelined
 
 import (
 	"sort"
 	"time"
 
-	"cloudviews/internal/catalog"
-	"cloudviews/internal/data"
 	"cloudviews/internal/exec"
-	"cloudviews/internal/plan"
 	"cloudviews/internal/repository"
 	"cloudviews/internal/signature"
 )
@@ -123,60 +117,4 @@ func EstimateOpportunity(repo *repository.Repo, from, to time.Time, cluster stri
 		return rep.Sharings[i].Strict < rep.Sharings[j].Strict
 	})
 	return rep
-}
-
-// BatchJob is one member of a concurrently executing batch.
-type BatchJob struct {
-	ID   string
-	Plan plan.Node
-	// SigMap supplies the physical signatures used for sharing (equal
-	// signatures ⇒ identical execution).
-	SigMap map[plan.Node]signature.Sig
-}
-
-// BatchResult reports one job's outcome under shared execution.
-type BatchResult struct {
-	ID string
-	// Table is the job's result.
-	Table *data.Table
-	// Work is the compute charged to this job: full cost for subtrees it
-	// computed first, transfer cost for subtrees pipelined from peers.
-	Work float64
-	// SharedSubtrees counts subexpressions served by a peer.
-	SharedSubtrees int
-}
-
-// RunBatch executes the jobs as a concurrent batch with pipelined sharing:
-// the first job to reach a subexpression computes it; the rest receive the
-// stream and pay only the transfer. Results are identical to independent
-// execution; only the accounting differs.
-func RunBatch(cat *catalog.Catalog, views exec.ViewStore, jobs []BatchJob) ([]BatchResult, error) {
-	cache := exec.NewCache()
-	out := make([]BatchResult, 0, len(jobs))
-	for _, j := range jobs {
-		ex := &exec.Executor{
-			Catalog:         cat,
-			Views:           views,
-			Cache:           cache,
-			SigMap:          j.SigMap,
-			PipelineSharing: true,
-		}
-		res, err := ex.Run(j.Plan)
-		if err != nil {
-			return nil, err
-		}
-		shared := 0
-		for _, st := range res.Stats {
-			if st.Op == "SharedScan" {
-				shared++
-			}
-		}
-		out = append(out, BatchResult{
-			ID:             j.ID,
-			Table:          res.Table,
-			Work:           res.TotalWork,
-			SharedSubtrees: shared,
-		})
-	}
-	return out, nil
 }

@@ -1,77 +1,14 @@
 package pipelined_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
-	"cloudviews/internal/exec"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/pipelined"
-	"cloudviews/internal/plan"
 	"cloudviews/internal/repository"
 	"cloudviews/internal/signature"
-	"cloudviews/internal/sqlparser"
 )
-
-var signer = &signature.Signer{EngineVersion: "pipe-test"}
-
-func TestRunBatchSharesCommonSubtrees(t *testing.T) {
-	cat, err := fixtures.Retail(fixtures.DefaultRetail())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat.SetScaleFactor("Sales", 100_000)
-	queries := fixtures.Figure4Queries()
-
-	var jobs []pipelined.BatchJob
-	var independent []*exec.RunResult
-	for i, src := range queries {
-		script, err := sqlparser.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := &plan.Binder{Catalog: cat}
-		outs, err := b.BindScript(script)
-		if err != nil {
-			t.Fatal(err)
-		}
-		root := plan.Node(outs[0])
-		sigMap := signer.Physical(root)
-		jobs = append(jobs, pipelined.BatchJob{ID: fmt.Sprintf("j%d", i), Plan: root, SigMap: sigMap})
-
-		res, err := (&exec.Executor{Catalog: cat}).Run(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		independent = append(independent, res)
-	}
-
-	results, err := pipelined.RunBatch(cat, nil, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sharedWork, indepWork float64
-	sharedCount := 0
-	for i, r := range results {
-		sharedWork += r.Work
-		indepWork += independent[i].TotalWork
-		sharedCount += r.SharedSubtrees
-		if r.Table.Fingerprint() != independent[i].Table.Fingerprint() {
-			t.Errorf("job %s: shared execution changed results", r.ID)
-		}
-	}
-	if sharedCount == 0 {
-		t.Fatal("no subtrees shared across the Figure 4 batch")
-	}
-	if sharedWork >= indepWork {
-		t.Errorf("shared batch work %.0f should beat independent %.0f", sharedWork, indepWork)
-	}
-	// The first job pays full price.
-	if results[0].SharedSubtrees != 0 {
-		t.Error("first job cannot share from anyone")
-	}
-}
 
 var t0 = fixtures.Epoch
 

@@ -18,7 +18,7 @@ func (r *Repo) NaiveJobsBetween(from, to time.Time) []*JobRecord {
 	var out []*JobRecord
 	for _, own := range r.all {
 		if inWindow(own.rec, from, to) {
-			out = append(out, cloneRecord(own.rec))
+			out = append(out, own.rec)
 		}
 	}
 	return out

@@ -17,12 +17,17 @@
 //
 // # Ownership
 //
-// Add ingests a deep copy, so the repository owns every record it holds;
-// callers may keep mutating the record they passed in without corrupting
-// aggregates. Read paths (Jobs, JobsBetween) likewise return deep copies:
-// mutating a returned record never affects the store. Scheduling outcomes
-// that are only known after cluster simulation are applied through
-// SetOutcome, which updates the owned record under the repository's lock.
+// A record is written by whoever builds it and is read-only from the moment
+// it is handed to Add: the repository keeps that *JobRecord, not a copy, and
+// the caller must not write to it (or to anything it points at) again. A
+// SubexprRecord's InputDatasets may already be shared with other readers —
+// the engine hands over the slices of its plan-cache entry. Nothing writes a
+// stored record, the repository included: SetOutcome, which applies the
+// scheduling results only known after cluster simulation, installs a shallow
+// successor that shares Subexprs with the record it replaces. So Jobs and
+// JobsBetween return the stored pointers, a reader may keep them for as long
+// as it likes without a lock, and a record read before a SetOutcome simply
+// stays the record without the outcome.
 package repository
 
 import (
@@ -102,7 +107,7 @@ type JobRecord struct {
 }
 
 // Outcome carries the scheduling results that only exist after the cluster
-// simulation ran. SetOutcome applies it to the owned record.
+// simulation ran; SetOutcome files it under the job.
 type Outcome struct {
 	Start         time.Time
 	End           time.Time
@@ -175,8 +180,9 @@ func (g *groupPartial) sortOccs() {
 	sort.SliceStable(g.occs, func(i, j int) bool { return occLess(g.occs[i], g.occs[j]) })
 }
 
-// ownedRecord pairs the repository's deep copy of a job with its global
-// insertion sequence number.
+// ownedRecord pairs a job's current record — the one handed to Add, or the
+// successor its last SetOutcome installed — with its global insertion
+// sequence number.
 type ownedRecord struct {
 	seq int
 	rec *JobRecord
@@ -241,45 +247,9 @@ func (r *Repo) SetMetrics(reg *obs.Registry) {
 // time must never leak into simulated-time metric exports. Call before use.
 func (r *Repo) SetTimer(nowNanos func() int64) { r.nowNanos = nowNanos }
 
-// cloneRecord deep-copies a job record so neither side can mutate the other's
-// view of it. The subexpressions' dataset lists share one backing array, each
-// capped at its length so an append to one cannot reach the next.
-func cloneRecord(j *JobRecord) *JobRecord {
-	c := *j
-	if j.Subexprs != nil {
-		c.Subexprs = make([]SubexprRecord, len(j.Subexprs))
-		copy(c.Subexprs, j.Subexprs)
-		n := 0
-		for i := range c.Subexprs {
-			n += len(c.Subexprs[i].InputDatasets)
-		}
-		backing := make([]string, 0, n)
-		for i := range c.Subexprs {
-			s := &c.Subexprs[i]
-			if s.InputDatasets == nil {
-				continue
-			}
-			lo := len(backing)
-			backing = append(backing, s.InputDatasets...)
-			s.InputDatasets = backing[lo:len(backing):len(backing)]
-		}
-	}
-	return &c
-}
-
-func copyStrings(s []string) []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, len(s))
-	copy(out, s)
-	return out
-}
-
-// Add ingests a deep copy of j into its UTC-day bucket. The caller keeps
-// ownership of j itself.
-func (r *Repo) Add(j *JobRecord) {
-	rec := cloneRecord(j)
+// Add files rec in its UTC-day bucket. The repository keeps rec itself: the
+// caller must not write to it afterwards (see Ownership).
+func (r *Repo) Add(rec *JobRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
@@ -308,9 +278,11 @@ func (r *Repo) Add(j *JobRecord) {
 	}
 }
 
-// SetOutcome applies the post-scheduling outcome to the owned record for
-// jobID, returning false if the job is unknown. Outcome fields never move a
-// record across buckets (sharding is by Submit).
+// SetOutcome applies the post-scheduling outcome for jobID, returning false if
+// the job is unknown. The stored record is not written: a shallow copy with
+// the outcome fields set (Subexprs shared) takes its place, so records already
+// handed out by Jobs or JobsBetween keep reading as they did. Outcome fields
+// never move a record across buckets (sharding is by Submit).
 func (r *Repo) SetOutcome(jobID string, o Outcome) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -318,21 +290,22 @@ func (r *Repo) SetOutcome(jobID string, o Outcome) bool {
 	if !ok {
 		return false
 	}
-	rec := own.rec
-	rec.Start = o.Start
-	rec.End = o.End
-	rec.LatencySec = o.LatencySec
-	rec.ProcessingSec = o.ProcessingSec
-	rec.BonusSec = o.BonusSec
-	rec.Containers = o.Containers
-	rec.InputBytes = o.InputBytes
-	rec.DataReadBytes = o.DataReadBytes
-	rec.QueueLen = o.QueueLen
-	rec.Attempts = o.Attempts
-	rec.StageRetries = o.StageRetries
-	rec.BonusPreemptions = o.BonusPreemptions
-	rec.FaultDelaySec = o.FaultDelaySec
-	rec.ReuseFallbacks = o.ReuseFallbacks
+	c := *own.rec
+	c.Start = o.Start
+	c.End = o.End
+	c.LatencySec = o.LatencySec
+	c.ProcessingSec = o.ProcessingSec
+	c.BonusSec = o.BonusSec
+	c.Containers = o.Containers
+	c.InputBytes = o.InputBytes
+	c.DataReadBytes = o.DataReadBytes
+	c.QueueLen = o.QueueLen
+	c.Attempts = o.Attempts
+	c.StageRetries = o.StageRetries
+	c.BonusPreemptions = o.BonusPreemptions
+	c.FaultDelaySec = o.FaultDelaySec
+	c.ReuseFallbacks = o.ReuseFallbacks
+	own.rec = &c
 	return true
 }
 
@@ -350,14 +323,14 @@ func (r *Repo) SubexprCount() int {
 	return r.subexprs
 }
 
-// Jobs returns deep copies of all records in insertion order; mutating a
-// returned record cannot corrupt the repository's aggregates.
+// Jobs returns all records in insertion order. The records are the stored
+// ones, shared with every other reader: read-only (see Ownership).
 func (r *Repo) Jobs() []*JobRecord {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]*JobRecord, len(r.all))
 	for i, own := range r.all {
-		out[i] = cloneRecord(own.rec)
+		out[i] = own.rec
 	}
 	return out
 }
@@ -392,8 +365,8 @@ func bySeq(recs []*ownedRecord) {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 }
 
-// JobsBetween returns deep copies of the records with Submit in [from, to),
-// in insertion order.
+// JobsBetween returns the records with Submit in [from, to), in insertion
+// order. Like Jobs, it returns the stored records: read-only.
 func (r *Repo) JobsBetween(from, to time.Time) []*JobRecord {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -401,7 +374,7 @@ func (r *Repo) JobsBetween(from, to time.Time) []*JobRecord {
 	bySeq(recs)
 	var out []*JobRecord
 	for _, own := range recs {
-		out = append(out, cloneRecord(own.rec))
+		out = append(out, own.rec)
 	}
 	return out
 }
@@ -423,8 +396,10 @@ type GroupStat struct {
 	AvgBytes       float64
 	AvgWork        float64
 	Eligible       bool
-	InputDatasets  []string
-	VCs            []string
+	// InputDatasets is the first occurrence's list, shared with its stored
+	// record: read-only.
+	InputDatasets []string
+	VCs           []string
 	// VCCounts maps each VC to the number of occurrences it contributed.
 	VCCounts map[string]int
 	Jobs     []string
@@ -450,7 +425,7 @@ func finalizeGroup(p *groupPartial) *GroupStat {
 		Count:         n,
 		Eligible:      first.Eligible == signature.EligibleOK,
 		Height:        first.Height,
-		InputDatasets: copyStrings(first.InputDatasets),
+		InputDatasets: first.InputDatasets,
 		VCCounts:      make(map[string]int),
 		Jobs:          make([]string, n),
 		Submits:       make([]time.Time, n),

@@ -1,14 +1,14 @@
 // Package stats provides the two statistics sources the optimizer consults:
 // a compile-time cardinality estimator with the systematic overestimation
 // biases the paper describes for big-data engines (over-partitioning, §3.5),
-// and a runtime history keyed by recurring signature that records what
-// actually happened — the feedback loop's memory. Because CloudViews reuses
-// only identical logical subexpressions, historical observations apply
-// exactly, which is the paper's "accurate cost estimates" design point.
+// and a runtime history keyed by recurring signature that keeps the running
+// means of what actually happened — the feedback loop's memory. Because
+// CloudViews reuses only identical logical subexpressions, historical
+// observations apply exactly, which is the paper's "accurate cost estimates"
+// design point.
 package stats
 
 import (
-	"sort"
 	"sync"
 
 	"cloudviews/internal/plan"
@@ -127,67 +127,41 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// Observation is one runtime measurement of a subexpression or job.
+// Observation is one runtime measurement of a subexpression.
 type Observation struct {
-	Rows    int64
-	Bytes   int64
-	Work    float64 // container-seconds of compute
-	Latency float64 // wall-clock seconds on the critical path
+	Rows  int64
+	Bytes int64
+	Work  float64 // container-seconds of compute
 }
 
-// seriesCap bounds the per-signature ring buffer; the paper's methodology
-// uses four weeks of observations.
-const seriesCap = 64
-
-// series accumulates observations for one recurring signature.
+// series is the observation count and running sums of one recurring
+// signature.
 type series struct {
-	count     int64
-	sumRows   float64
-	sumBytes  float64
-	sumWork   float64
-	recent    []Observation // ring buffer
-	recentPos int
-}
-
-func (s *series) add(o Observation) {
-	s.count++
-	s.sumRows += float64(o.Rows)
-	s.sumBytes += float64(o.Bytes)
-	s.sumWork += o.Work
-	if len(s.recent) < seriesCap {
-		s.recent = append(s.recent, o)
-	} else {
-		s.recent[s.recentPos] = o
-		s.recentPos = (s.recentPos + 1) % seriesCap
-	}
+	count    int64
+	sumRows  float64
+	sumBytes float64
+	sumWork  float64
 }
 
 // Summary is the aggregated view of a signature's history.
 type Summary struct {
-	Count     int64
-	AvgRows   float64
-	AvgBytes  float64
-	AvgWork   float64
-	P75Work   float64
-	P75Rows   float64
-	P75Bytes  float64
-	P75Latenc float64
+	Count    int64
+	AvgRows  float64
+	AvgBytes float64
+	AvgWork  float64
 }
 
-// History is the runtime statistics store keyed by recurring signature. It is
-// safe for concurrent use.
+// History is the runtime statistics store the optimizer reads: per recurring
+// signature, how many times the subexpression was genuinely computed and the
+// means of its rows, bytes and work. It is safe for concurrent use.
 type History struct {
-	mu     sync.RWMutex
-	bySig  map[signature.Sig]*series
-	jobSig map[signature.Sig]*series // per-job (root) histories for baselining
+	mu    sync.RWMutex
+	bySig map[signature.Sig]*series
 }
 
 // NewHistory creates an empty history.
 func NewHistory() *History {
-	return &History{
-		bySig:  make(map[signature.Sig]*series),
-		jobSig: make(map[signature.Sig]*series),
-	}
+	return &History{bySig: make(map[signature.Sig]*series)}
 }
 
 // Record adds an observation for a subexpression's recurring signature.
@@ -199,40 +173,14 @@ func (h *History) Record(sig signature.Sig, o Observation) {
 		s = &series{}
 		h.bySig[sig] = s
 	}
-	s.add(o)
+	s.count++
+	s.sumRows += float64(o.Rows)
+	s.sumBytes += float64(o.Bytes)
+	s.sumWork += o.Work
 }
 
-// RecordJob adds an observation for a whole job keyed by its template
-// (recurring root signature). Used by the production-impact estimator that
-// compares post-enable instances against the 75th percentile of pre-enable
-// history (paper §4, "Measuring impact").
-func (h *History) RecordJob(sig signature.Sig, o Observation) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s, ok := h.jobSig[sig]
-	if !ok {
-		s = &series{}
-		h.jobSig[sig] = s
-	}
-	s.add(o)
-}
-
-// Lookup returns the summary for a subexpression signature.
-func (h *History) Lookup(sig signature.Sig) (Summary, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	s, ok := h.bySig[sig]
-	if !ok {
-		return Summary{}, false
-	}
-	return summarize(s), true
-}
-
-// LookupMeans returns only the count and running averages for a signature,
-// skipping the percentile fold entirely. The estimate-refresh path calls this
-// once per plan node per compilation, and only ever reads the averages —
-// computing four nearest-rank percentiles (two sorted copies each) there was
-// pure overhead. The returned Summary has zero P75 fields.
+// LookupMeans returns the count and running averages for a signature. The
+// estimate-refresh path calls this once per plan node per compilation.
 func (h *History) LookupMeans(sig signature.Sig) (Summary, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -249,88 +197,9 @@ func (h *History) LookupMeans(sig signature.Sig) (Summary, bool) {
 	}, true
 }
 
-// LookupJob returns the summary for a job template signature.
-func (h *History) LookupJob(sig signature.Sig) (Summary, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	s, ok := h.jobSig[sig]
-	if !ok {
-		return Summary{}, false
-	}
-	return summarize(s), true
-}
-
-// Signatures returns all subexpression signatures with history.
-func (h *History) Signatures() []signature.Sig {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]signature.Sig, 0, len(h.bySig))
-	for s := range h.bySig {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Len returns the number of distinct subexpression signatures observed.
 func (h *History) Len() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return len(h.bySig)
-}
-
-func summarize(s *series) Summary {
-	if s.count == 0 {
-		// An empty series must not produce NaN averages.
-		return Summary{}
-	}
-	n := float64(s.count)
-	sum := Summary{
-		Count:    s.count,
-		AvgRows:  s.sumRows / n,
-		AvgBytes: s.sumBytes / n,
-		AvgWork:  s.sumWork / n,
-	}
-	if len(s.recent) > 0 {
-		works := make([]float64, len(s.recent))
-		rows := make([]float64, len(s.recent))
-		bytes := make([]float64, len(s.recent))
-		lats := make([]float64, len(s.recent))
-		for i, o := range s.recent {
-			works[i] = o.Work
-			rows[i] = float64(o.Rows)
-			bytes[i] = float64(o.Bytes)
-			lats[i] = o.Latency
-		}
-		sum.P75Work = percentile(works, 0.75)
-		sum.P75Rows = percentile(rows, 0.75)
-		sum.P75Bytes = percentile(bytes, 0.75)
-		sum.P75Latenc = percentile(lats, 0.75)
-	}
-	return sum
-}
-
-// percentile returns the p-quantile of xs using nearest-rank on a sorted
-// copy. p is clamped to [0, 1] (NaN is treated as 0); an empty series yields
-// 0, a single observation yields that observation for every p.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if !(p > 0) { // also catches NaN
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

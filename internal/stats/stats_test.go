@@ -1,12 +1,14 @@
 package stats_test
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"cloudviews/internal/data"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/plan"
+	"cloudviews/internal/signature"
 	"cloudviews/internal/sqlparser"
 	"cloudviews/internal/stats"
 )
@@ -93,60 +95,21 @@ func TestEstimatorGlobalAggregate(t *testing.T) {
 
 func TestHistoryRecordLookup(t *testing.T) {
 	h := stats.NewHistory()
-	if _, ok := h.Lookup("none"); ok {
+	if _, ok := h.LookupMeans("none"); ok {
 		t.Error("unknown signature must miss")
 	}
 	for i := 1; i <= 4; i++ {
 		h.Record("sig", stats.Observation{Rows: int64(i * 100), Bytes: int64(i * 1000), Work: float64(i)})
 	}
-	sum, ok := h.Lookup("sig")
+	sum, ok := h.LookupMeans("sig")
 	if !ok {
 		t.Fatal("lookup failed")
 	}
-	if sum.Count != 4 || sum.AvgRows != 250 || sum.AvgWork != 2.5 {
-		t.Errorf("summary = %+v", sum)
-	}
-	// P75 of {1,2,3,4} (nearest-rank) = 3.
-	if sum.P75Work != 3 {
-		t.Errorf("P75 = %g, want 3", sum.P75Work)
+	if want := (stats.Summary{Count: 4, AvgRows: 250, AvgBytes: 2500, AvgWork: 2.5}); sum != want {
+		t.Errorf("summary = %+v, want %+v", sum, want)
 	}
 	if h.Len() != 1 {
 		t.Errorf("len = %d", h.Len())
-	}
-	if sigs := h.Signatures(); len(sigs) != 1 || sigs[0] != "sig" {
-		t.Errorf("signatures = %v", sigs)
-	}
-}
-
-func TestHistoryJobSeries(t *testing.T) {
-	h := stats.NewHistory()
-	for i := 0; i < 8; i++ {
-		h.RecordJob("tmpl", stats.Observation{Work: float64(i), Latency: float64(i * 10)})
-	}
-	sum, ok := h.LookupJob("tmpl")
-	if !ok || sum.Count != 8 {
-		t.Fatalf("job summary = %+v ok=%v", sum, ok)
-	}
-	if sum.P75Latenc != 50 {
-		t.Errorf("P75 latency = %g, want 50 (nearest rank of 0..70)", sum.P75Latenc)
-	}
-	if _, ok := h.Lookup("tmpl"); ok {
-		t.Error("job and subexpression namespaces must be separate")
-	}
-}
-
-func TestHistoryRingBufferBounded(t *testing.T) {
-	h := stats.NewHistory()
-	for i := 0; i < 1000; i++ {
-		h.Record("s", stats.Observation{Work: float64(i)})
-	}
-	sum, _ := h.Lookup("s")
-	if sum.Count != 1000 {
-		t.Errorf("count = %d", sum.Count)
-	}
-	// P75 must reflect RECENT observations (the ring), not all time.
-	if sum.P75Work < 900 {
-		t.Errorf("P75 = %g, want from the recent window", sum.P75Work)
 	}
 }
 
@@ -163,11 +126,48 @@ func TestHistoryOrderIndependence(t *testing.T) {
 		for i := len(xs) - 1; i >= 0; i-- {
 			h2.Record("s", stats.Observation{Work: float64(xs[i])})
 		}
-		a, _ := h1.Lookup("s")
-		b, _ := h2.Lookup("s")
+		a, _ := h1.LookupMeans("s")
+		b, _ := h2.LookupMeans("s")
 		return a.AvgWork == b.AvgWork && a.Count == b.Count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHistoryConcurrentRecordAndLookup: compiles read the means while
+// finishing jobs record into the same signatures (run under -race); no
+// observation may be lost.
+func TestHistoryConcurrentRecordAndLookup(t *testing.T) {
+	h := stats.NewHistory()
+	sigs := []signature.Sig{"a", "b", "c"}
+	const writers, perWriter = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				h.Record(sigs[i%len(sigs)], stats.Observation{Rows: 10, Bytes: 100, Work: 2})
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if sum, ok := h.LookupMeans(sigs[i%len(sigs)]); ok && (sum.AvgRows != 10 || sum.AvgWork != 2) {
+					t.Errorf("means of identical observations = %+v", sum)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var total int64
+	for _, sig := range sigs {
+		sum, _ := h.LookupMeans(sig)
+		total += sum.Count
+	}
+	if total != writers*perWriter {
+		t.Errorf("recorded %d observations, want %d", total, writers*perWriter)
 	}
 }

@@ -8,8 +8,6 @@
 //	             purge-vc, gc, expire, fetch, set-ttl)
 //	snapshot.cv  periodic full-state snapshot, written to a temp file and
 //	             atomically renamed into place
-//	state/       named component blobs for the catalog/repository
-//	             persistence hook (storage.Persister)
 //
 // Recovery loads the snapshot (if any), replays every WAL record with a
 // sequence number past the snapshot watermark under a clock pinned to each

@@ -3,9 +3,7 @@ package durable
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -91,7 +89,6 @@ type Engine struct {
 var (
 	_ storage.Engine     = (*Engine)(nil)
 	_ storage.ClockAware = (*Engine)(nil)
-	_ storage.Persister  = (*Engine)(nil)
 )
 
 // Open loads (or creates) the data directory and recovers: snapshot restore,
@@ -100,7 +97,7 @@ var (
 // clean. The returned engine is ready for traffic once SetNow installs the
 // live clock.
 func Open(dir string, opts Options) (*Engine, error) {
-	if err := os.MkdirAll(filepath.Join(dir, stateDirName), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: creating data directory: %w", err)
 	}
 	if opts.SnapshotEvery <= 0 {
@@ -644,57 +641,4 @@ func (e *Engine) ExportState() *storage.StoreState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.mem.ExportState()
-}
-
-// --- storage.Persister: the catalog/repository persistence hook ---
-
-// SaveComponent atomically replaces a named component blob under state/,
-// framed with the same length+CRC32C header as WAL records.
-func (e *Engine) SaveComponent(name string, blob []byte) error {
-	if err := validComponent(name); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crashed || e.closed {
-		return fmt.Errorf("durable: engine is closed")
-	}
-	base := filepath.Join(e.dir, stateDirName, name)
-	tmp := base + ".tmp"
-	if err := os.WriteFile(tmp, frameRecord(blob), 0o644); err != nil {
-		return fmt.Errorf("durable: writing component %q: %w", name, err)
-	}
-	if err := os.Rename(tmp, base+".blob"); err != nil {
-		return fmt.Errorf("durable: publishing component %q: %w", name, err)
-	}
-	return nil
-}
-
-// LoadComponent returns a named component blob saved earlier; ok=false when
-// absent.
-func (e *Engine) LoadComponent(name string) ([]byte, bool, error) {
-	if err := validComponent(name); err != nil {
-		return nil, false, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b, err := os.ReadFile(filepath.Join(e.dir, stateDirName, name+".blob"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("durable: reading component %q: %w", name, err)
-	}
-	payload, err := unframe(b)
-	if err != nil {
-		return nil, false, fmt.Errorf("durable: component %q corrupt: %w", name, err)
-	}
-	return payload, true, nil
-}
-
-func validComponent(name string) error {
-	if name == "" || strings.ContainsAny(name, "/\\.") {
-		return fmt.Errorf("durable: invalid component name %q", name)
-	}
-	return nil
 }

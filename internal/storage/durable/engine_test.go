@@ -210,37 +210,6 @@ func TestRecoveryMetricsExported(t *testing.T) {
 	}
 }
 
-// TestPersisterComponents: the catalog/repository persistence hook must
-// round-trip blobs atomically and reject path-escaping names.
-func TestPersisterComponents(t *testing.T) {
-	dir := t.TempDir()
-	eng, _ := openTest(t, dir, Options{})
-	defer eng.Close()
-	var p storage.Persister = eng
-	if _, ok, err := p.LoadComponent("catalog"); ok || err != nil {
-		t.Fatalf("load of absent component: ok=%v err=%v", ok, err)
-	}
-	blob := []byte("repository-rows-v1")
-	if err := p.SaveComponent("catalog", blob); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, ok, err := p.LoadComponent("catalog")
-	if err != nil || !ok || !bytes.Equal(got, blob) {
-		t.Fatalf("load: %q ok=%v err=%v", got, ok, err)
-	}
-	if err := p.SaveComponent("../escape", blob); err == nil {
-		t.Fatal("path-escaping component name accepted")
-	}
-	// Corrupt the blob on disk: the CRC frame must catch it.
-	path := filepath.Join(dir, stateDirName, "catalog.blob")
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)-1] ^= 0x01
-	os.WriteFile(path, raw, 0o644)
-	if _, _, err := p.LoadComponent("catalog"); err == nil {
-		t.Fatal("corrupt component loaded without error")
-	}
-}
-
 // TestRestagedAfterPurgeGetsFreshPath: a signature re-staged after a purge
 // must land on a new artifact path (generation suffix), never the purged
 // incarnation's path.

@@ -10,7 +10,6 @@ const (
 	walName      = "wal.log"
 	snapshotName = "snapshot.cv"
 	snapshotTemp = "snapshot.cv.tmp"
-	stateDirName = "state"
 )
 
 // walWriter appends framed records to the log file. It performs no

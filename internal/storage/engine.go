@@ -61,20 +61,6 @@ type ClockAware interface {
 	SetNow(now func() time.Time)
 }
 
-// Persister is the catalog/repository persistence hook: components outside
-// the view store (dataset catalog, workload repository, insights state) save
-// and load their state as named blobs. Implementations must replace blobs
-// atomically — a reader never observes a half-written component.
-// internal/storage/durable implements it over per-component files with
-// write-temp + rename; the in-memory deployment simply has no Persister.
-type Persister interface {
-	// SaveComponent atomically replaces the named component's state.
-	SaveComponent(name string, blob []byte) error
-	// LoadComponent returns the named component's state; ok=false when the
-	// component has never been saved.
-	LoadComponent(name string) (blob []byte, ok bool, err error)
-}
-
 // The in-memory store is the default Engine.
 var (
 	_ Engine     = (*Store)(nil)
