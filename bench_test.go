@@ -578,7 +578,7 @@ func BenchmarkAblationContainment(b *testing.B) {
 		for q := 2; q < 2+total; q++ {
 			n := bindNarrow(q)
 			subs := signer.Subexpressions(n)
-			if store.Available(subs[len(subs)-1].Strict) {
+			if _, st := store.Status(subs[len(subs)-1].Strict); st.Servable() {
 				exactHits++
 			}
 			if _, res := containment.Rewrite(n, signer, ix, store); res.Rewrites > 0 {

@@ -327,7 +327,7 @@ func TestDurableSystemMatchesMemory(t *testing.T) {
 			t.Fatalf("view %s only exists on disk", d.Strict)
 		}
 		if m.Path != d.Path || m.VC != d.VC || m.Bytes != d.Bytes || m.Rows != d.Rows ||
-			m.Sealed != d.Sealed || m.Reads != d.Reads ||
+			m.Sealed != d.Sealed ||
 			!m.CreatedAt.Equal(d.CreatedAt) || !m.SealedAt.Equal(d.SealedAt) ||
 			!m.ExpiresAt.Equal(d.ExpiresAt) {
 			t.Fatalf("view %s diverges:\n mem %+v\ndisk %+v", d.Strict, m, d)

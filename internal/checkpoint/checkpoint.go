@@ -139,7 +139,7 @@ func Instrument(root plan.Node, signer *signature.Signer, stats *FailureStats, s
 		if _, dup := chosen[c.child]; dup {
 			continue
 		}
-		if store.Available(c.sub.Strict) || store.InFlight(c.sub.Strict) {
+		if _, st := store.Status(c.sub.Strict); st.Servable() || st.Building() {
 			continue // already checkpointed by a previous attempt
 		}
 		// Derive the artifact path exactly once and thread it everywhere the
@@ -178,8 +178,8 @@ func Recover(root plan.Node, signer *signature.Signer, store storage.Engine) (pl
 	recovered := 0
 	var rec func(n plan.Node) plan.Node
 	rec = func(n plan.Node) plan.Node {
-		if s, ok := info[n]; ok && s.Eligibility == signature.EligibleOK && store.Available(s.Strict) {
-			if v, exists := store.Lookup(s.Strict); exists {
+		if s, ok := info[n]; ok && s.Eligibility == signature.EligibleOK {
+			if v, st := store.Status(s.Strict); st.Servable() {
 				recovered++
 				return &plan.ViewScan{
 					StrictSig:    string(s.Strict),

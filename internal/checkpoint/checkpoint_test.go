@@ -83,7 +83,7 @@ func TestInstrumentPlacesCheckpointBelowRiskyOp(t *testing.T) {
 	}
 	for _, p := range placements {
 		store.Seal(p.Strict)
-		if !store.Available(p.Strict) {
+		if _, st := store.Status(p.Strict); !st.Servable() {
 			t.Errorf("checkpoint %s not available after run", p.Strict.Short())
 		}
 	}

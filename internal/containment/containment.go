@@ -350,8 +350,8 @@ func Rewrite(root plan.Node, signer *signature.Signer, ix *Index, store storage.
 	rec = func(n plan.Node) plan.Node {
 		if f, ok := n.(*plan.Filter); ok {
 			if childSub, ok := info[f.Child]; ok {
-				if viewSig, found := ix.Match(childSub.Strict, f.Pred); found && store.Available(viewSig) {
-					if v, exists := store.Lookup(viewSig); exists {
+				if viewSig, found := ix.Match(childSub.Strict, f.Pred); found {
+					if v, st := store.Status(viewSig); st.Servable() {
 						res.Rewrites++
 						res.Views = append(res.Views, viewSig)
 						// The ViewScan stands for the view's own
@@ -424,9 +424,9 @@ func HarvestViews(root plan.Node, signer *signature.Signer, store storage.Engine
 		if !ok {
 			return
 		}
-		v, exists := store.Lookup(signature.Sig(sp.StrictSig))
-		if !exists {
-			return
+		v, st := store.Status(signature.Sig(sp.StrictSig))
+		if st == storage.StateAbsent || st == storage.StatePending {
+			return // nothing materialized under the Spool's signature
 		}
 		if ix.Register(signature.Sig(sp.StrictSig), childSub.Strict, f.Pred, f.Schema(), v.Rows) {
 			registered++

@@ -126,7 +126,7 @@ func OutcomeFor(r Reason) Outcome {
 	}
 }
 
-// ReasonForState maps a storage lifecycle state (storage.Engine.State) onto
+// ReasonForState maps a storage lifecycle state (storage.State's name) onto
 // the decision taxonomy: an expired artifact is its own reason, every other
 // not-yet-servable state collapses to not-materialized-yet.
 func ReasonForState(state string) Reason {

@@ -378,18 +378,6 @@ func (i *Injector) Count(p Point) int64 {
 	return i.counts[p].Load()
 }
 
-// Total returns how many faults have been injected across all points.
-func (i *Injector) Total() int64 {
-	if i == nil {
-		return 0
-	}
-	var n int64
-	for _, c := range i.counts {
-		n += c.Load()
-	}
-	return n
-}
-
 // roll maps (seed, point, key) to a uniform value in [0, 1) via FNV-1a over
 // the inputs followed by a splitmix64 finalizer (FNV alone avalanches poorly
 // on short inputs).

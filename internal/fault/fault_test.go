@@ -20,7 +20,7 @@ func TestNilInjectorIsFree(t *testing.T) {
 	if inj.Enabled(ViewRead) {
 		t.Fatal("nil injector reports enabled point")
 	}
-	if inj.Count(StageFail) != 0 || inj.Total() != 0 {
+	if inj.Count(StageFail) != 0 {
 		t.Fatal("nil injector reports nonzero counts")
 	}
 	inj.SetMetrics(obs.NewRegistry()) // must not panic
@@ -83,9 +83,8 @@ func TestRollRateCalibration(t *testing.T) {
 	if math.Abs(got-0.2) > 0.02 {
 		t.Fatalf("rate 0.2 produced %.4f over %d rolls", got, n)
 	}
-	if inj.Count(StageFail) != int64(hits) || inj.Total() != int64(hits) {
-		t.Fatalf("counts mismatch: count=%d total=%d hits=%d",
-			inj.Count(StageFail), inj.Total(), hits)
+	if inj.Count(StageFail) != int64(hits) {
+		t.Fatalf("counts mismatch: count=%d hits=%d", inj.Count(StageFail), hits)
 	}
 }
 
@@ -142,8 +141,8 @@ func TestConcurrentDecisionsAreInterleavingIndependent(t *testing.T) {
 			t.Fatalf("concurrent decision for %q diverged from serial", k)
 		}
 	}
-	if conc.Total() != serial.Total() {
-		t.Fatalf("totals diverged: %d vs %d", conc.Total(), serial.Total())
+	if conc.Count(SpoolWrite) != serial.Count(SpoolWrite) {
+		t.Fatalf("counts diverged: %d vs %d", conc.Count(SpoolWrite), serial.Count(SpoolWrite))
 	}
 }
 

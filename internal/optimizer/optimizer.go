@@ -291,58 +291,57 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 	rec = func(n plan.Node) plan.Node {
 		s := known.sub(n)
 		if s != nil && s.Eligibility == signature.EligibleOK && o.Store != nil {
-			if view, exists := o.Store.Lookup(s.Strict); exists {
-				// State before Available: Available lazily evicts expired
-				// entries, so it must not run before the reason is read.
-				state := o.Store.State(s.Strict)
-				if !o.Guard.AllowMatch(opts.VC, opts.JobID, s.Recurring) {
-					// Quarantined by a circuit breaker: skip this view, keep
-					// descending — smaller healthy matches below still apply.
-					o.reject(s.Strict, n.OpName(), explain.ReasonGuardQuarantine, o.savedIfExplaining(n, s.Recurring, view), "")
-				} else if o.Store.Available(s.Strict) {
-					if wins, saved := o.viewWins(n, s.Recurring, view); wins {
-						// The event value carries the estimated container-
-						// seconds of recomputation the view avoids, so the
-						// telemetry critical-path analyzer can aggregate
-						// "time saved by reuse" without parsing details.
-						o.Trace.EventV("view.matched", fmt.Sprintf("sig=%s op=%s rows=%d", s.Strict.Short(), n.OpName(), view.Rows), saved)
-						o.Explain.Record(s.Strict, n.OpName(), explain.ReasonMatched, saved, "")
-						res.Matched = append(res.Matched, MatchedView{
-							Strict:     s.Strict,
-							Recurring:  s.Recurring,
-							ReplacedOp: n.OpName(),
-							Rows:       view.Rows,
-							Bytes:      view.Bytes,
-							Saved:      saved,
-						})
-						return &plan.ViewScan{
-							StrictSig:    string(s.Strict),
-							RecurringSig: string(s.Recurring),
-							Path:         view.Path,
-							Out:          n.Schema(),
-							Rows:         view.Rows,
-							Bytes:        view.Bytes,
-							ReplacedOp:   n.OpName(),
-							Fallback:     n,
-						}
-					} else {
-						o.reject(s.Strict, n.OpName(), explain.ReasonCost, saved, "")
-					}
-				} else {
-					// Not servable: expired, or not materialized yet
-					// (pending/unsealed/sealing) — the state collapses onto
-					// the closed reason enum.
-					o.reject(s.Strict, n.OpName(), explain.ReasonForState(state), o.savedIfExplaining(n, s.Recurring, view), "")
-				}
-			} else if o.Explain != nil {
-				// No artifact at all. Structured-only classification (no
-				// trace event existed for this case and none is added): the
+			view, state := o.Store.Status(s.Strict)
+			switch {
+			case state == storage.StateAbsent || state == storage.StatePending:
+				// No artifact yet. Structured-only classification (no trace
+				// event existed for this case and none is added): the
 				// candidate either was never selected by the insights view
 				// selection, or is selected and awaiting its first build.
-				if _, selected := annSet[s.Recurring]; !selected {
-					o.Explain.Record(s.Strict, n.OpName(), explain.ReasonNoAnnotation, 0, "")
-				} else {
-					o.Explain.Record(s.Strict, n.OpName(), explain.ReasonNotMaterialized, 0, explain.DetailSelectedNotBuilt)
+				if o.Explain != nil {
+					if _, selected := annSet[s.Recurring]; !selected {
+						o.Explain.Record(s.Strict, n.OpName(), explain.ReasonNoAnnotation, 0, "")
+					} else {
+						o.Explain.Record(s.Strict, n.OpName(), explain.ReasonNotMaterialized, 0, explain.DetailSelectedNotBuilt)
+					}
+				}
+			case !o.Guard.AllowMatch(opts.VC, opts.JobID, s.Recurring):
+				// Quarantined by a circuit breaker: skip this view, keep
+				// descending — smaller healthy matches below still apply.
+				o.reject(s.Strict, n.OpName(), explain.ReasonGuardQuarantine, o.savedIfExplaining(n, s.Recurring, &view), "")
+			case !state.Servable():
+				// Expired, or not readable yet (unsealed/sealing) — the state
+				// collapses onto the closed reason enum.
+				o.reject(s.Strict, n.OpName(), explain.ReasonForState(state.String()), o.savedIfExplaining(n, s.Recurring, &view), "")
+			default:
+				wins, saved := o.viewWins(n, s.Recurring, &view)
+				if !wins {
+					o.reject(s.Strict, n.OpName(), explain.ReasonCost, saved, "")
+					break
+				}
+				// The event value carries the estimated container-seconds of
+				// recomputation the view avoids, so the telemetry
+				// critical-path analyzer can aggregate "time saved by reuse"
+				// without parsing details.
+				o.Trace.EventV("view.matched", fmt.Sprintf("sig=%s op=%s rows=%d", s.Strict.Short(), n.OpName(), view.Rows), saved)
+				o.Explain.Record(s.Strict, n.OpName(), explain.ReasonMatched, saved, "")
+				res.Matched = append(res.Matched, MatchedView{
+					Strict:     s.Strict,
+					Recurring:  s.Recurring,
+					ReplacedOp: n.OpName(),
+					Rows:       view.Rows,
+					Bytes:      view.Bytes,
+					Saved:      saved,
+				})
+				return &plan.ViewScan{
+					StrictSig:    string(s.Strict),
+					RecurringSig: string(s.Recurring),
+					Path:         view.Path,
+					Out:          n.Schema(),
+					Rows:         view.Rows,
+					Bytes:        view.Bytes,
+					ReplacedOp:   n.OpName(),
+					Fallback:     n,
 				}
 			}
 		}
@@ -399,25 +398,24 @@ func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[s
 			return n
 		}
 		s := known.sub(n)
-		if built >= o.maxViews() {
-			// Budget spent. With an explain recorder, classify whether this
-			// node would otherwise have been built so the forfeited candidate
-			// is attributable to the budget.
-			if o.Explain != nil && s.Eligibility == signature.EligibleOK {
-				if _, selected := annSet[s.Recurring]; selected &&
-					!o.Store.Available(s.Strict) && !o.Store.InFlight(s.Strict) {
-					o.Explain.Record(s.Strict, n.OpName(), explain.ReasonBudget, 0, "")
-				}
-			}
-			return n
-		}
 		if s.Eligibility != signature.EligibleOK {
 			return n
 		}
 		if _, selected := annSet[s.Recurring]; !selected {
 			return n
 		}
-		if o.Store.Available(s.Strict) || o.Store.InFlight(s.Strict) {
+		spent := built >= o.maxViews()
+		if spent && o.Explain == nil {
+			return n
+		}
+		// Buildable means nobody serves or is producing the signature.
+		if _, state := o.Store.Status(s.Strict); state.Servable() || state.Building() {
+			return n
+		}
+		if spent {
+			// Budget spent: the candidate would otherwise have been built, so
+			// the forfeit is attributable to the budget.
+			o.Explain.Record(s.Strict, n.OpName(), explain.ReasonBudget, 0, "")
 			return n
 		}
 		if !o.Insights.AcquireViewLock(s.Strict, opts.JobID) {

@@ -449,8 +449,8 @@ func TestViewWinsReadsMeans(t *testing.T) {
 				replaced = s.Node
 			}
 		}
-		view, _ := r.store.Lookup(p.Strict)
-		wantWins, wantSaved := viewWinsFromSummary(r.opt, replaced, p.Recurring, view)
+		view, _ := r.store.Status(p.Strict)
+		wantWins, wantSaved := viewWinsFromSummary(r.opt, replaced, p.Recurring, &view)
 
 		rec := explain.NewRecorder("again", "vc1")
 		r.opt.Explain = rec

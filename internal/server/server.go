@@ -509,17 +509,21 @@ func (t *tenantSeries) countOutcome(err error) {
 }
 
 // trackJob registers an entry for poll-by-ID, evicting the oldest completed
-// entries beyond the cap.
+// entries beyond the cap. It makes one pass over the queue: an unfinished
+// victim goes back to the tail, so it stays evictable once it completes, and
+// the registry exceeds the cap only by jobs still running.
 func (s *Server) trackJob(id string, e *jobEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobs[id] = e
 	s.jobOrder = append(s.jobOrder, id)
-	for len(s.jobs) > s.cfg.MaxTrackedJobs && len(s.jobOrder) > 0 {
+	for n := len(s.jobOrder); n > 0 && len(s.jobs) > s.cfg.MaxTrackedJobs; n-- {
 		victim := s.jobOrder[0]
 		s.jobOrder = s.jobOrder[1:]
-		if old, ok := s.jobs[victim]; ok && (old.pending == nil || isDone(old.pending)) {
-			delete(s.jobs, victim)
+		if old, ok := s.jobs[victim]; ok && old.pending != nil && !isDone(old.pending) {
+			s.jobOrder = append(s.jobOrder, victim)
+		} else {
+			delete(s.jobs, victim) // a no-op for a reused ID evicted already
 		}
 	}
 }

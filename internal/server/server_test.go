@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"cloudviews"
+	"cloudviews/internal/data"
+	"cloudviews/internal/plan"
 )
 
 const testScript = `r = SELECT Region, COUNT(*) AS n FROM Events GROUP BY Region;
@@ -569,5 +571,83 @@ func TestTenantSeriesAppearOnFirstBump(t *testing.T) {
 	}, "\n")
 	if got := export(); got != want {
 		t.Fatalf("cvserve series:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestTrackedJobsCap: the poll-by-ID registry holds MaxTrackedJobs finished
+// jobs. A job still running when its turn to be evicted comes is kept, and
+// must go once it has finished — not stay behind, unqueued, holding its
+// result and a slot of the cap for the life of the server.
+func TestTrackedJobsCap(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	plan.RegisterUDO(&plan.UDOImpl{
+		Name:          "HoldUntilReleased",
+		Deterministic: true,
+		OutSchema:     func(in data.Schema) data.Schema { return in.Clone() },
+		Apply: func(in data.Row, emit func(data.Row), _ *plan.EvalContext) {
+			<-release
+			emit(in)
+		},
+	})
+	srv, ts := newTestServer(t, func(cfg *Config) { cfg.MaxTrackedJobs = 2 })
+	t.Cleanup(unblock) // registered after the server's: runs before Shutdown waits
+	c := ts.Client()
+	submit := func(token, script string, async bool) string {
+		t.Helper()
+		var st JobStatusResponse
+		if code, raw := do(t, c, "POST", ts.URL+"/v1/jobs", token, SubmitRequest{Script: script, Async: async}, &st); code != 200 && code != 202 {
+			t.Fatalf("submit: %d %s", code, raw)
+		}
+		return st.ID
+	}
+	tracked := func() (jobs, queued int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.jobs), len(srv.jobOrder)
+	}
+
+	// vc1's worker is held inside the first job; two more queue behind it.
+	// All three are unfinished: tracking the third makes one pass and keeps
+	// them all.
+	held := []string{
+		submit("tok-1", `r = PROCESS Events USING "HoldUntilReleased"; OUTPUT r TO "out/held";`, true),
+		submit("tok-1", testScript, true),
+		submit("tok-1", testScript, true),
+	}
+	if jobs, queued := tracked(); jobs != 3 || queued != 3 {
+		t.Fatalf("tracking %d jobs, %d queued for eviction, want the 3 running ones", jobs, queued)
+	}
+	// Finished jobs come and go around them.
+	for i := 0; i < 3; i++ {
+		submit("tok-2", testScript, false)
+	}
+	if jobs, queued := tracked(); jobs != 3 || queued != 3 {
+		t.Fatalf("tracking %d jobs, %d queued, want still the 3 running ones", jobs, queued)
+	}
+	for _, id := range held {
+		if code, _ := do(t, c, "GET", ts.URL+"/v1/jobs/"+id, "tok-1", nil, nil); code != 200 {
+			t.Fatalf("running job %s: code %d, want it still tracked", id, code)
+		}
+	}
+
+	unblock()
+	if code, _ := do(t, c, "GET", ts.URL+"/v1/jobs/"+held[2]+"?wait=1", "tok-1", nil, nil); code != 200 {
+		t.Fatalf("waiting for the held jobs: %d", code)
+	}
+	last := []string{submit("tok-2", testScript, false), submit("tok-2", testScript, false)}
+	if jobs, queued := tracked(); jobs != 2 || queued != 2 {
+		t.Fatalf("tracking %d jobs, %d queued after the held ones finished, want 2 and 2", jobs, queued)
+	}
+	for _, id := range held {
+		if code, _ := do(t, c, "GET", ts.URL+"/v1/jobs/"+id, "tok-1", nil, nil); code != 404 {
+			t.Errorf("finished job %s: code %d, want it evicted", id, code)
+		}
+	}
+	for _, id := range last {
+		if code, _ := do(t, c, "GET", ts.URL+"/v1/jobs/"+id, "tok-2", nil, nil); code != 200 {
+			t.Errorf("newest job %s: code %d, want it tracked", id, code)
+		}
 	}
 }

@@ -197,9 +197,3 @@ func (h *History) LookupMeans(sig signature.Sig) (Summary, bool) {
 	}, true
 }
 
-// Len returns the number of distinct subexpression signatures observed.
-func (h *History) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.bySig)
-}

@@ -108,9 +108,6 @@ func TestHistoryRecordLookup(t *testing.T) {
 	if want := (stats.Summary{Count: 4, AvgRows: 250, AvgBytes: 2500, AvgWork: 2.5}); sum != want {
 		t.Errorf("summary = %+v, want %+v", sum, want)
 	}
-	if h.Len() != 1 {
-		t.Errorf("len = %d", h.Len())
-	}
 }
 
 // Property: averages are order-independent.

@@ -5,18 +5,23 @@
 //
 //	wal.log      append-only log of length-prefixed, CRC32C-checksummed
 //	             mutation records (stage, materialize, seal, abandon, purge,
-//	             purge-vc, gc, expire, fetch, set-ttl)
+//	             purge-vc, gc, set-ttl)
 //	snapshot.cv  periodic full-state snapshot, written to a temp file and
 //	             atomically renamed into place
 //
+// Only mutations are logged. Reading the store is a read (see package
+// storage): no read evicts, counts or appends anything, so the log holds
+// exactly the calls that changed state, and a view past its TTL leaves the
+// state inside a logged Stage, Materialize, SealAt or GC.
+//
 // Recovery loads the snapshot (if any), replays every WAL record with a
 // sequence number past the snapshot watermark under a clock pinned to each
-// record's logged timestamp — so lazy TTL expiry re-fires exactly as it did
-// live — then abandons mid-transaction views (staged or unsealed: their
-// producing job died with the process) and rewrites a fresh snapshot. Torn or
-// corrupt tail records are truncated and counted. The recovered state is
-// byte-identical to an in-memory store that executed the committed prefix of
-// the same operation stream.
+// record's logged timestamp — so each write evicts an expired resident
+// exactly when it did live — then abandons mid-transaction views (staged or
+// unsealed: their producing job died with the process) and rewrites a fresh
+// snapshot. Torn or corrupt tail records are truncated and counted. The
+// recovered state is byte-identical to an in-memory store that executed the
+// committed prefix of the same operation stream.
 package durable
 
 import (
@@ -34,23 +39,21 @@ import (
 // recType tags one WAL record kind.
 type recType uint8
 
+// The values are the on-disk format. recExpire and recFetch are retired: the
+// engine writes neither, but the codec still accepts them and replay skips
+// them, so a log that carries them is read through rather than cut off at
+// the first one as if it were a torn tail.
 const (
-	recStage recType = iota + 1
-	recMaterialize
-	recSeal
-	recAbandon
-	recPurge
-	recPurgeVC
-	recGC
-	// recExpire journals a lazy TTL eviction that fired inside an
-	// otherwise-unlogged read path (Available/InFlight escalations). Replay
-	// is idempotent: evict if the view exists and is expired at the record's
-	// timestamp, else no-op.
-	recExpire
-	// recFetch journals a successful sealed-view read so the per-view Reads
-	// counter recovers byte-identically.
-	recFetch
-	recSetTTL
+	recStage       recType = 1
+	recMaterialize recType = 2
+	recSeal        recType = 3
+	recAbandon     recType = 4
+	recPurge       recType = 5
+	recPurgeVC     recType = 6
+	recGC          recType = 7
+	recExpire      recType = 8 // retired: a read's lazy TTL eviction
+	recFetch       recType = 9 // retired: a counted read
+	recSetTTL      recType = 10
 
 	recTypeMax = recSetTTL
 )
@@ -424,8 +427,9 @@ func decodeFrame(b []byte) (*record, int, error) {
 
 // --- snapshot state codec ---
 
-// snapshotMagic versions the snapshot format.
-const snapshotMagic = "CVSNAP1\n"
+// snapshotMagic versions the snapshot format. CVSNAP1 carried a per-view read
+// count after SealedAt; a directory holding one is refused at Open.
+const snapshotMagic = "CVSNAP2\n"
 
 // encodeState renders a StoreState canonically (views and maps in sorted
 // order), so two equal states encode to identical bytes — the property the
@@ -489,15 +493,14 @@ func encodeView(w *buf, v *storage.View, full bool) {
 		w.u8(0)
 	}
 	w.i64(v.SealedAt.UnixNano())
-	w.i64(v.Reads)
 	encodeTable(w, v.Table)
 }
 
 // decodeState parses a snapshot payload back into a StoreState plus the WAL
 // sequence watermark it covers and the simulated time of the last record.
 func decodeState(b []byte) (*storage.StoreState, uint64, int64, error) {
-	if len(b) < len(snapshotMagic) || string(b[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, 0, 0, fmt.Errorf("durable: bad snapshot magic")
+	if got := b[:min(len(b), len(snapshotMagic))]; string(got) != snapshotMagic {
+		return nil, 0, 0, fmt.Errorf("durable: snapshot format %q, this version reads %q", got, snapshotMagic)
 	}
 	r := &rbuf{b: b, off: len(snapshotMagic)}
 	lastSeq := r.u64()
@@ -590,7 +593,6 @@ func decodeView(r *rbuf, full bool) storage.View {
 		r.fail("sealed flag")
 	}
 	v.SealedAt = time.Unix(0, r.i64())
-	v.Reads = r.i64()
 	v.Table = decodeTable(r)
 	if r.err == nil && v.Table == nil {
 		r.fail("view table")

@@ -58,9 +58,9 @@ func harnessSig(i int) (strict, recurring signature.Sig) {
 		signature.Sig(fmt.Sprintf("recurring-sig-%02d", i%5))
 }
 
-// genOps produces a deterministic mixed workload: lifecycle mutations, read
-// probes that can trigger lazy evictions, clock advances (some long enough to
-// expire views against the TTL), and occasional TTL changes.
+// genOps produces a deterministic mixed workload: lifecycle mutations, reads
+// (which must leave no trace), clock advances (some long enough to expire
+// views against the TTL), and occasional TTL changes.
 func genOps(seed uint64, n int) []harnessOp {
 	// Note: do NOT multiply the seed by the splitmix gamma here — that makes
 	// consecutive seeds' streams mere one-step shifts of each other.
@@ -87,15 +87,13 @@ func genOps(seed uint64, n int) []harnessOp {
 			op.kind = "gc"
 		case k < 79:
 			op.kind = "fetch"
-		case k < 89:
-			op.kind = "available"
 		case k < 92:
-			op.kind = "inflight"
+			op.kind = "status"
 		case k < 98:
 			op.kind = "advance"
 			if r.intn(3) == 0 {
-				// Long jumps push views past their TTL so expiry (and its
-				// journaling) is part of every recovered state.
+				// Long jumps push views past their TTL so expired residents
+				// are part of every recovered state.
 				op.adv = time.Duration(1+r.intn(3)) * 24 * time.Hour
 			} else {
 				op.adv = time.Duration(1+r.intn(170)) * time.Minute
@@ -152,10 +150,8 @@ func applyHarnessOp(e storage.Engine, op harnessOp, clock *time.Time) {
 		e.GC()
 	case "fetch":
 		e.Fetch(strict)
-	case "available":
-		e.Available(strict)
-	case "inflight":
-		e.InFlight(strict)
+	case "status":
+		e.Status(strict)
 	case "setttl":
 		e.SetTTL(op.ttl)
 	}

@@ -72,7 +72,6 @@ type Engine struct {
 	lastTS    time.Time // clock fallback before SetNow; last record time
 	replaying bool
 	replayTS  time.Time
-	hookArmed bool // arm the evict journal only inside unlogged read paths
 
 	crashed    bool
 	crashPoint fault.Point
@@ -119,8 +118,8 @@ func Open(dir string, opts Options) (*Engine, error) {
 	}
 
 	// 2. WAL replay. Each record is applied through the same store methods
-	// that produced it, under a clock pinned to its logged timestamp, so
-	// lazy TTL evictions re-fire exactly as they did live.
+	// that produced it, under a clock pinned to its logged timestamp, so a
+	// write evicts an expired resident exactly when it did live.
 	sc, err := scanWAL(dir)
 	if err != nil {
 		return nil, err
@@ -147,7 +146,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 			e.rec.InFlightAbandoned++
 		}
 	}
-	e.rec.ViewsRecovered = len(e.mem.Views())
+	e.rec.ViewsRecovered = e.mem.Count()
 
 	if opts.TTL > 0 {
 		e.mem.SetTTL(opts.TTL)
@@ -169,7 +168,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("durable: truncating replayed WAL: %w", err)
 	}
 	e.sinceSnap = 0
-	e.mem.OnEvict(e.evictJournal)
 	return e, nil
 }
 
@@ -194,7 +192,9 @@ func (e *Engine) SetNow(now func() time.Time) {
 	e.nowFn = now
 }
 
-// applyRecord replays one WAL record through the store's own methods.
+// applyRecord replays one WAL record through the store's own methods. The
+// retired kinds (recExpire, recFetch) change nothing: what they journaled is
+// no longer state.
 func (e *Engine) applyRecord(rec *record) {
 	switch rec.Type {
 	case recStage:
@@ -211,10 +211,6 @@ func (e *Engine) applyRecord(rec *record) {
 		e.mem.PurgeVC(rec.VC)
 	case recGC:
 		e.mem.GC()
-	case recExpire:
-		e.mem.EvictIfExpired(rec.Strict)
-	case recFetch:
-		e.mem.Fetch(rec.Strict)
 	case recSetTTL:
 		e.mem.SetTTL(time.Duration(rec.TTL))
 	}
@@ -285,23 +281,6 @@ func (e *Engine) snapshotLocked(key string) {
 	}
 	e.sinceSnap = 0
 	e.mSnapshots.Inc()
-}
-
-// evictJournal records lazy TTL evictions that fire inside unlogged read
-// paths (Available/InFlight escalations), so replay reproduces them. Called
-// by the store under its own lock, which is itself under e.mu; hookArmed
-// keeps evictions inside logged operations (whose replay re-fires them) out
-// of the journal.
-func (e *Engine) evictJournal(strict signature.Sig) {
-	if !e.hookArmed || e.dead() {
-		return
-	}
-	e.seq++
-	if err := e.wal.append(&record{Seq: e.seq, Type: recExpire, TS: e.memNow().UnixNano(), Strict: strict}); err != nil {
-		e.err = err
-		return
-	}
-	e.mAppends.Inc()
 }
 
 // --- storage.Engine: mutations ---
@@ -415,69 +394,26 @@ func (e *Engine) GC() int {
 	return n
 }
 
-// Fetch reads a sealed view. The read itself is journaled (a tiny record)
-// so per-view read counts — and any lazy eviction the access triggers —
-// recover byte-identically.
+// --- storage.Engine: reads (nothing below appends to the log) ---
+
+// Fetch reads a live view.
 func (e *Engine) Fetch(strict signature.Sig) (*data.Table, float64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dead() {
 		return nil, 0, false
 	}
-	var (
-		t    *data.Table
-		mult float64
-		ok   bool
-	)
-	e.logAndApply(&record{Type: recFetch, Strict: strict}, func() { t, mult, ok = e.mem.Fetch(strict) })
-	return t, mult, ok
+	return e.mem.Fetch(strict)
 }
 
-// --- storage.Engine: reads ---
-
-// Lookup returns view metadata regardless of sealing or expiry.
-func (e *Engine) Lookup(strict signature.Sig) (*storage.View, bool) {
+// Status returns a signature's metadata and lifecycle state.
+func (e *Engine) Status(strict signature.Sig) (storage.View, storage.State) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dead() {
-		return nil, false
+		return storage.View{}, storage.StateAbsent
 	}
-	return e.mem.Lookup(strict)
-}
-
-// Available reports whether a sealed, unexpired view exists. An eviction it
-// triggers is journaled via the evict hook.
-func (e *Engine) Available(strict signature.Sig) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead() {
-		return false
-	}
-	e.hookArmed = true
-	defer func() { e.hookArmed = false }()
-	return e.mem.Available(strict)
-}
-
-// InFlight reports whether a view is staged or not yet readable.
-func (e *Engine) InFlight(strict signature.Sig) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead() {
-		return false
-	}
-	e.hookArmed = true
-	defer func() { e.hookArmed = false }()
-	return e.mem.InFlight(strict)
-}
-
-// State describes a signature's lifecycle position.
-func (e *Engine) State(strict signature.Sig) string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead() {
-		return storage.StateAbsent
-	}
-	return e.mem.State(strict)
+	return e.mem.Status(strict)
 }
 
 // Views lists live view metadata sorted by path.

@@ -2,8 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,43 +71,225 @@ func TestRecoverRoundTrip(t *testing.T) {
 	if tab.NumRows() != 3 {
 		t.Fatalf("recovered view has %d rows, want 3", tab.NumRows())
 	}
-	if v, ok := rec.Lookup(sig); !ok || v.Reads != 2 {
-		t.Fatalf("recovered Reads count: %+v", v)
+}
+
+// readAll asks every read and accounting accessor about every harness
+// signature and VC.
+func readAll(e storage.Engine) {
+	for i := 0; i < harnessSigs; i++ {
+		strict, _ := harnessSig(i)
+		e.Status(strict)
+		e.Fetch(strict)
+	}
+	e.Count()
+	e.Views()
+	e.PendingViews()
+	e.Snapshot()
+	e.AuditBytes()
+	for _, vc := range harnessVCs {
+		e.UsedBytes(vc)
+		e.PathFor(vc, "strict-sig-00")
 	}
 }
 
-// TestRecoverReplaysJournaledEvictions kills the engine (no graceful close,
-// no snapshot) after a lazy TTL eviction fired inside an unlogged read path.
-// The eviction exists only as a journaled expire record; recovery must replay
-// it, or the dead view comes back from the grave with its byte accounting.
-func TestRecoverReplaysJournaledEvictions(t *testing.T) {
-	dir := t.TempDir()
-	eng, clk := openTest(t, dir, Options{SnapshotEvery: 1 << 30})
-	eng.SetTTL(6 * time.Hour)
-	sig := seedView(t, eng, 2, "vc-b")
-	clk.advance(7 * time.Hour)
-	if eng.Available(sig) {
-		t.Fatal("expired view reported available")
+// walSize is the log's length on disk.
+func walSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatalf("stat wal: %v", err)
 	}
-	if st := eng.Snapshot(); st.Expired != 1 {
-		t.Fatalf("lazy eviction did not fire: %+v", st)
-	}
-	want := canonical(eng.ExportState())
-	// No Close: simulate a hard kill. Everything below must come from the WAL.
+	return fi.Size()
+}
 
-	rec, _ := openTest(t, dir, Options{})
+// TestReadsChangeNothing holds the rule on both engines: reads repeated
+// across a TTL boundary see the views expire, and leave the state, the
+// counters and (on the durable engine) the log exactly as they were. The
+// eviction happens when the store is next written.
+func TestReadsChangeNothing(t *testing.T) {
+	type engine interface {
+		storage.Engine
+		ExportState() *storage.StoreState
+	}
+	clk := &testClock{t: fixtures.Epoch}
+	dir := t.TempDir()
+	disk, err := Open(dir, Options{SnapshotEvery: 1 << 30, Now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	for name, e := range map[string]engine{"memory": storage.NewStore(clk.now), "durable": disk} {
+		clk.t = fixtures.Epoch
+		e.SetTTL(6 * time.Hour)
+		var sigs []signature.Sig
+		for i := 0; i < 3; i++ {
+			sigs = append(sigs, seedView(t, e, i, harnessVCs[i]))
+		}
+		staged, stagedRec := harnessSig(3)
+		e.Stage(staged, stagedRec, e.PathFor("vc-a", staged), "vc-a")
+		clk.advance(5 * time.Hour)
+
+		state, counters, logged := canonical(e.ExportState()), e.Snapshot(), walSize(t, dir)
+		if counters.Live != 3 {
+			t.Fatalf("%s: %d live views before the boundary, want 3", name, counters.Live)
+		}
+		for i := 0; i < 8; i++ { // 5h → 9h, over the 6h TTL
+			readAll(e)
+			clk.advance(30 * time.Minute)
+		}
+		for _, sig := range sigs {
+			if _, st := e.Status(sig); st != storage.StateExpired {
+				t.Fatalf("%s: %s is %v after its TTL, want expired", name, sig, st)
+			}
+		}
+		if e.Count() != 0 || len(e.Views()) != 0 {
+			t.Errorf("%s: expired views still listed", name)
+		}
+		after := e.Snapshot()
+		if after.Expired != 0 || after.Live != 0 {
+			t.Errorf("%s: counters after reads %+v, want no eviction and nothing live", name, after)
+		}
+		if !bytes.Equal(canonical(e.ExportState()), state) {
+			t.Errorf("%s: reads changed the store's state", name)
+		}
+		if got := walSize(t, dir); got != logged {
+			t.Errorf("%s: reads grew the log from %d to %d bytes", name, logged, got)
+		}
+
+		// Writes evict: re-staging one signature takes its expired
+		// resident out, GC takes the rest.
+		e.Stage(sigs[0], "r", e.PathFor("vc-a", sigs[0]), "vc-a")
+		if got := e.Snapshot().Expired; got != 1 {
+			t.Errorf("%s: Expired = %d after a re-stage, want 1", name, got)
+		}
+		if n := e.GC(); n != 2 {
+			t.Errorf("%s: GC evicted %d, want 2", name, n)
+		}
+		if err := e.AuditBytes(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// copyDataDir copies the engine's files as they stand — what a hard kill at
+// this instant would leave behind, since every append reaches the OS before
+// it is applied.
+func copyDataDir(t *testing.T, from string) string {
+	t.Helper()
+	to := t.TempDir()
+	for _, name := range []string{walName, snapshotName} {
+		b, err := os.ReadFile(filepath.Join(from, name))
+		if err != nil {
+			t.Fatalf("copying %s: %v", name, err)
+		}
+		if err := os.WriteFile(filepath.Join(to, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return to
+}
+
+// TestHardKillRecoveryMatchesMemory runs a seeded lifecycle stream — long
+// clock jumps over the TTL, reads in between — on the in-memory store and the
+// durable engine in lockstep, and every 25 operations hard-kills a copy of
+// the durable engine and recovers it: all three must hold the same canonical
+// state. Evictions are not journaled, so replay has to reproduce each one
+// from the logged write that performed it.
+func TestHardKillRecoveryMatchesMemory(t *testing.T) {
+	for seed := uint64(5); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			dir := t.TempDir()
+			eng, err := Open(dir, Options{SnapshotEvery: 40})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer eng.Close()
+			clock := fixtures.Epoch
+			eng.SetNow(func() time.Time { return clock })
+			oclock := fixtures.Epoch
+			mem := storage.NewStore(func() time.Time { return oclock })
+
+			sawExpired, replayed := false, 0
+			for i, op := range genOps(seed, 300) {
+				applyHarnessOp(eng, op, &clock)
+				applyHarnessOp(mem, op, &oclock)
+				strict, _ := harnessSig(op.sig)
+				ev, est := eng.Status(strict)
+				mv, mst := mem.Status(strict)
+				if est != mst || ev.Path != mv.Path || !ev.ExpiresAt.Equal(mv.ExpiresAt) {
+					t.Fatalf("op %d (%s): durable reads %v %+v, memory %v %+v", i, op.kind, est, ev, mst, mv)
+				}
+				sawExpired = sawExpired || est == storage.StateExpired
+				if got, want := canonical(eng.ExportState()), canonical(mem.ExportState()); !bytes.Equal(got, want) {
+					t.Fatalf("op %d (%s): durable and in-memory stores diverged", i, op.kind)
+				}
+				if i%25 != 24 {
+					continue
+				}
+				rec, err := Open(copyDataDir(t, dir), Options{})
+				if err != nil {
+					t.Fatalf("op %d: recovering the killed copy: %v", i, err)
+				}
+				// Recovery abandons in-flight views; do the same to a copy
+				// of the oracle.
+				oracle := storage.NewStore(func() time.Time { return oclock })
+				oracle.RestoreState(mem.ExportState())
+				for _, sig := range oracle.InFlightSigs() {
+					oracle.Abandon(sig)
+				}
+				if got, want := canonical(rec.ExportState()), canonical(oracle.ExportState()); !bytes.Equal(got, want) {
+					t.Fatalf("op %d: hard-killed and recovered state differs from the in-memory store", i)
+				}
+				replayed += rec.Recovery().RecordsReplayed
+				rec.Close()
+			}
+			if !sawExpired || mem.Snapshot().Expired == 0 {
+				t.Fatalf("the stream never read an expired resident or never evicted one (%+v)", mem.Snapshot())
+			}
+			if replayed == 0 {
+				t.Fatal("no recovery replayed the log")
+			}
+		})
+	}
+}
+
+// TestOlderDataDirectory opens a directory the previous format's engine wrote
+// and was killed over (testdata/datadir-v1: a CVSNAP1 snapshot, and a log
+// holding two views, two fetches of one and the lazy expiry of the other).
+// The snapshot is refused by name, never decoded with a shifted layout; the
+// log alone replays with the retired records read through, not taken for a
+// torn tail.
+func TestOlderDataDirectory(t *testing.T) {
+	dir := copyDataDir(t, filepath.Join("testdata", "datadir-v1"))
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), `"CVSNAP1\n"`) {
+		t.Fatalf("opening a CVSNAP1 directory: %v, want a refusal naming the format", err)
+	}
+
+	if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("replaying the older log: %v", err)
+	}
 	defer rec.Close()
-	if st := rec.Snapshot(); st.Expired != 1 {
-		t.Fatalf("replay lost the journaled eviction: %+v", st)
+	if st := rec.Recovery(); st.RecordsReplayed != 10 || st.TornTailsTruncated != 0 {
+		t.Fatalf("recovery %+v, want 10 records and no torn tail", st)
 	}
-	if _, ok := rec.Lookup(sig); ok {
-		t.Fatal("evicted view resurrected by recovery")
+	// The clock stands at the expire record's instant, past both views'
+	// TTL. The old engine had evicted only the one it was asked about; here
+	// both are in one state, resident until a write.
+	for _, i := range []int{1, 2} {
+		sig, _ := harnessSig(i)
+		if _, st := rec.Status(sig); st != storage.StateExpired {
+			t.Errorf("%s recovered as %v, want expired", sig, st)
+		}
 	}
-	if got := canonical(rec.ExportState()); !bytes.Equal(got, want) {
-		t.Fatal("recovered state differs from pre-kill state")
+	if err := rec.AuditBytes(); err != nil {
+		t.Error(err)
 	}
-	if rec.Recovery().RecordsReplayed == 0 {
-		t.Fatal("expected WAL replay, got none")
+	if n := rec.GC(); n != 2 {
+		t.Errorf("GC evicted %d, want 2", n)
 	}
 }
 
@@ -133,13 +317,13 @@ func TestRecoverAbandonsInFlight(t *testing.T) {
 	if rec.PendingViews() != 0 {
 		t.Fatalf("recovery left %d pending views", rec.PendingViews())
 	}
-	if st := rec.State(staged); st != "absent" {
-		t.Fatalf("staged view recovered as %q, want absent", st)
+	if _, st := rec.Status(staged); st != storage.StateAbsent {
+		t.Fatalf("staged view recovered as %v, want absent", st)
 	}
-	if st := rec.State(unsealed); st != "absent" {
-		t.Fatalf("unsealed view recovered as %q, want absent", st)
+	if _, st := rec.Status(unsealed); st != storage.StateAbsent {
+		t.Fatalf("unsealed view recovered as %v, want absent", st)
 	}
-	if !rec.Available(sealed) {
+	if _, st := rec.Status(sealed); !st.Servable() {
 		t.Fatal("sealed view lost by recovery")
 	}
 	if err := rec.AuditBytes(); err != nil {

@@ -16,6 +16,11 @@ func FuzzWALDecode(f *testing.F) {
 	for _, rec := range walTestRecords() {
 		f.Add(frameRecord(encodeRecordPayload(rec)))
 	}
+	// The retired kinds are never written any more; seeding one frame of
+	// each keeps the decode-and-skip path fuzzed.
+	for _, kind := range []recType{recExpire, recFetch} {
+		f.Add(frameRecord(encodeRecordPayload(&record{Seq: 9, Type: kind, TS: 900, Strict: "strict-sig-01"})))
+	}
 	snap := encodeState(buildOracle(genOps(1, 60), -1, false).ExportState(), 7, 42)
 	f.Add(frameRecord(snap))
 	torn := frameRecord(encodeRecordPayload(walTestRecords()[2]))

@@ -49,7 +49,8 @@ func loadSnapshotFile(dir string) (st *storage.StoreState, lastSeq uint64, lastT
 	}
 	st, lastSeq, lastTS, err = decodeState(payload)
 	if err != nil {
-		return nil, 0, 0, false, fmt.Errorf("durable: snapshot corrupt: %w", err)
+		// Intact bytes this version cannot read: rot, or another format.
+		return nil, 0, 0, false, fmt.Errorf("durable: snapshot unreadable: %w", err)
 	}
 	return st, lastSeq, lastTS, true, nil
 }

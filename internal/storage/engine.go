@@ -16,6 +16,13 @@ import (
 // WAL + snapshot crash recovery. Every implementation must be safe for
 // concurrent use and must derive all time from the injected clock (never the
 // wall clock), so simulated-time determinism survives the swap.
+//
+// Reading is a read: a view's lifecycle state is a pure function of (entry,
+// clock), and no method of the read surface or the accounting surface
+// changes, evicts, counts or logs anything. An entry past its TTL is
+// physically evicted only by Stage, Materialize and SealAt on its signature
+// and by GC; until then every read treats it as gone (Status reports it as
+// StateExpired).
 type Engine interface {
 	// SetTTL overrides the view expiry (DefaultTTL when never called).
 	SetTTL(ttl time.Duration)
@@ -37,12 +44,10 @@ type Engine interface {
 	PurgeVC(vc string) int
 	GC() int
 
-	// Read surface.
+	// Read surface. Status is the one per-signature question: the entry's
+	// metadata by value and its state, answered together.
 	Fetch(strict signature.Sig) (*data.Table, float64, bool)
-	Lookup(strict signature.Sig) (*View, bool)
-	Available(strict signature.Sig) bool
-	InFlight(strict signature.Sig) bool
-	State(strict signature.Sig) string
+	Status(strict signature.Sig) (View, State)
 	Views() []*View
 	Count() int
 

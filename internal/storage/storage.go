@@ -6,9 +6,12 @@
 // the underlying shared datasets are bulk-updated (their strict signatures
 // change, so the old artifacts stop matching and age out).
 //
-// Expiry is lazy: an expired entry is treated as absent by every accessor
-// and evicted opportunistically the next time its signature is touched, so
-// a signature never stays blocked between TTL expiry and the next GC().
+// One rule governs every read: a view's lifecycle state is a pure function of
+// (entry, clock), and asking for it changes nothing. Every accessor treats an
+// entry past its TTL as gone, under the shared lock. The entry is physically
+// evicted only where the store is being written anyway — Stage, Materialize
+// and SealAt on that signature, so it is buildable again the moment its TTL
+// passes — and in GC.
 package storage
 
 import (
@@ -46,8 +49,6 @@ type View struct {
 	// before this instant cannot use it (models the materialization delay
 	// that schedule-aware selection must respect).
 	SealedAt time.Time
-	// Reads counts fetches, for usage metrics.
-	Reads int64
 }
 
 // Store is the thread-safe view store. It implements exec.ViewStore.
@@ -68,11 +69,6 @@ type Store struct {
 	// the purged artifact's path (a durable backend must not reuse stale
 	// paths on disk).
 	gen map[signature.Sig]int64
-
-	// onEvict, when set, observes every lazy TTL eviction while the write
-	// lock is held. The durable engine uses it to journal evictions that
-	// fire inside otherwise-unlogged read paths.
-	onEvict func(strict signature.Sig)
 
 	// counters
 	created   int64
@@ -117,15 +113,6 @@ func (s *Store) SetNow(now func() time.Time) {
 	s.now = now
 }
 
-// OnEvict installs an observer called (under the write lock) for every lazy
-// TTL eviction. Pass nil to remove it. The observer must not call back into
-// the store.
-func (s *Store) OnEvict(fn func(strict signature.Sig)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onEvict = fn
-}
-
 // SetMetrics registers the store's lifecycle counters and per-VC byte gauges
 // with a registry. Call before serving traffic.
 func (s *Store) SetMetrics(r *obs.Registry) {
@@ -159,24 +146,6 @@ func (s *Store) evictExpiredLocked(strict signature.Sig, v *View) {
 	s.expired++
 	s.mExpired.Inc()
 	s.noteBytesLocked(v.VC)
-	if s.onEvict != nil {
-		s.onEvict(strict)
-	}
-}
-
-// EvictIfExpired evicts one view iff it exists and is past its TTL at the
-// current clock, reporting whether it did. This is the idempotent replay of
-// a journaled lazy eviction: under the record-pinned clock the view is
-// expired exactly when it was live, and re-replaying after it is gone is a
-// no-op.
-func (s *Store) EvictIfExpired(strict signature.Sig) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.views[strict]; ok && expiredLocked(v, s.now()) {
-		s.evictExpiredLocked(strict, v)
-		return true
-	}
-	return false
 }
 
 // Stage registers the metadata for a view about to be materialized by a job.
@@ -236,7 +205,9 @@ func (s *Store) Materialize(strict signature.Sig, path, vc string, t *data.Table
 // Seal marks a view readable immediately. Returns false if the view is
 // unknown.
 func (s *Store) Seal(strict signature.Sig) bool {
-	return s.SealAt(strict, s.now())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sealAtLocked(strict, s.now())
 }
 
 // SealAt marks a view readable from t onward — the early-sealing point, when
@@ -245,6 +216,10 @@ func (s *Store) Seal(strict signature.Sig) bool {
 func (s *Store) SealAt(strict signature.Sig, t time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.sealAtLocked(strict, t)
+}
+
+func (s *Store) sealAtLocked(strict signature.Sig, t time.Time) bool {
 	v, ok := s.views[strict]
 	if !ok {
 		return false
@@ -283,7 +258,8 @@ func (s *Store) Abandon(strict signature.Sig) bool {
 	return true
 }
 
-// Fetch returns a sealed, unexpired view's data. Implements exec.ViewStore.
+// Fetch returns a live (sealed, readable, unexpired) view's data. Implements
+// exec.ViewStore.
 //
 // The table returned is the stored artifact itself, shared with every other
 // consumer of the view: it is read-only, like every table once the operator
@@ -292,118 +268,44 @@ func (s *Store) Abandon(strict signature.Sig) bool {
 // or an expiry only drops the store's reference — so a reader may keep using
 // a fetched table after the view is gone.
 func (s *Store) Fetch(strict signature.Sig) (*data.Table, float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	v, ok := s.views[strict]
-	if !ok {
+	if !ok || !stateOf(v, s.now()).Servable() {
 		return nil, 0, false
 	}
-	if expiredLocked(v, s.now()) {
-		s.evictExpiredLocked(strict, v)
-		return nil, 0, false
-	}
-	if !v.Sealed || s.now().Before(v.SealedAt) {
-		return nil, 0, false
-	}
-	v.Reads++
 	return v.Table, v.Mult, true
 }
 
-// Lookup returns view metadata regardless of sealing or expiry, for the
-// optimizer's matching phase, inspection tools, and tests.
-func (s *Store) Lookup(strict signature.Sig) (*View, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.views[strict]
-	if !ok {
-		return nil, false
-	}
-	cp := *v
-	cp.Table = v.Table
-	return &cp, ok
-}
+// State is a signature's lifecycle position. Its String names are the ones
+// the explain layer's decision taxonomy (explain.ReasonForState) keys off.
+type State uint8
 
-// Available reports whether a sealed, unexpired view exists — the check the
-// optimizer's top-down matching performs. Reads take the shared lock; only
-// an actually-expired entry escalates to the write lock to evict.
-func (s *Store) Available(strict signature.Sig) bool {
-	s.mu.RLock()
-	v, ok := s.views[strict]
-	if !ok {
-		s.mu.RUnlock()
-		return false
-	}
-	now := s.now()
-	if !expiredLocked(v, now) {
-		avail := v.Sealed && !now.Before(v.SealedAt)
-		s.mu.RUnlock()
-		return avail
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	if v, ok := s.views[strict]; ok && expiredLocked(v, s.now()) {
-		s.evictExpiredLocked(strict, v)
-	}
-	s.mu.Unlock()
-	return false
-}
-
-// InFlight reports whether a view is staged, or materialized but not yet
-// readable (unsealed, or sealed at a future instant): a second concurrent job
-// should neither rebuild nor reuse it. Expired entries do not count as
-// in-flight and are evicted.
-func (s *Store) InFlight(strict signature.Sig) bool {
-	s.mu.RLock()
-	if _, ok := s.pending[strict]; ok {
-		s.mu.RUnlock()
-		return true
-	}
-	v, ok := s.views[strict]
-	if !ok {
-		s.mu.RUnlock()
-		return false
-	}
-	now := s.now()
-	if !expiredLocked(v, now) {
-		inflight := !v.Sealed || now.Before(v.SealedAt)
-		s.mu.RUnlock()
-		return inflight
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	if v, ok := s.views[strict]; ok && expiredLocked(v, s.now()) {
-		s.evictExpiredLocked(strict, v)
-	}
-	s.mu.Unlock()
-	return false
-}
-
-// Canonical lifecycle state names returned by State. The explain layer's
-// decision taxonomy (explain.ReasonForState) keys off these exact strings,
-// so new states must be added here, not emitted ad hoc.
 const (
-	StateAbsent   = "absent"
-	StatePending  = "pending"
-	StateUnsealed = "unsealed"
-	StateSealing  = "sealing"
-	StateLive     = "live"
-	StateExpired  = "expired"
+	StateAbsent   State = iota // no entry
+	StatePending               // staged, bytes not materialized yet
+	StateUnsealed              // materialized, not sealed
+	StateSealing               // sealed at an instant still in the future
+	StateLive                  // sealed, readable, within its TTL
+	StateExpired               // past its TTL, not yet physically evicted
 )
 
-// State describes a signature's lifecycle position for trace events:
-// StateAbsent, StatePending, StateUnsealed, StateSealing (sealed at a future
-// instant), StateLive, or StateExpired.
-func (s *Store) State(strict signature.Sig) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.pending[strict]; ok {
-		return StatePending
-	}
-	v, ok := s.views[strict]
-	if !ok {
-		return StateAbsent
-	}
-	now := s.now()
+var stateNames = [...]string{"absent", "pending", "unsealed", "sealing", "live", "expired"}
+
+func (st State) String() string { return stateNames[st] }
+
+// Servable reports whether a consumer compiling now can read the view.
+func (st State) Servable() bool { return st == StateLive }
+
+// Building reports whether the view is in flight: a producer holds the
+// signature — staged, or materialized but not yet readable — so a second
+// concurrent job should neither rebuild nor reuse it.
+func (st State) Building() bool {
+	return st == StatePending || st == StateUnsealed || st == StateSealing
+}
+
+// stateOf is the state of a resident view at the given instant.
+func stateOf(v *View, now time.Time) State {
 	switch {
 	case expiredLocked(v, now):
 		return StateExpired
@@ -414,6 +316,24 @@ func (s *Store) State(strict signature.Sig) string {
 	default:
 		return StateLive
 	}
+}
+
+// Status is the store's one per-signature read: the entry's metadata (the
+// zero View when there is none) and its lifecycle state at the current
+// clock, taken together under the shared lock. It evicts nothing and counts
+// nothing. A pending entry carries only what Stage recorded; an expired one
+// is returned as it stands until a write or GC removes it.
+func (s *Store) Status(strict signature.Sig) (View, State) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if v, ok := s.pending[strict]; ok {
+		return *v, StatePending
+	}
+	v, ok := s.views[strict]
+	if !ok {
+		return View{}, StateAbsent
+	}
+	return *v, stateOf(v, s.now())
 }
 
 // GC removes expired views and returns how many were evicted.

@@ -28,38 +28,50 @@ func table() *data.Table {
 	return t
 }
 
+// servable and inFlight ask the store's one per-signature read for the two
+// predicates callers act on.
+func servable(s *storage.Store, sig signature.Sig) bool {
+	_, st := s.Status(sig)
+	return st.Servable()
+}
+
+func inFlight(s *storage.Store, sig signature.Sig) bool {
+	_, st := s.Status(sig)
+	return st.Building()
+}
+
 func TestStageMaterializeSealFetch(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := storage.NewStore(func() time.Time { return now })
 	s.Stage("sig1", "rec1", "p/sig1", "vc1")
 
-	if s.Available("sig1") {
+	if servable(s, "sig1") {
 		t.Error("staged view must not be available")
 	}
-	if !s.InFlight("sig1") {
+	if !inFlight(s, "sig1") {
 		t.Error("staged view must be in flight")
 	}
 	if err := s.Materialize("sig1", "p/sig1", "vc1", table(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if s.Available("sig1") {
+	if servable(s, "sig1") {
 		t.Error("unsealed view must not be available")
 	}
-	if !s.InFlight("sig1") {
+	if !inFlight(s, "sig1") {
 		t.Error("materialized-but-unsealed view is still in flight")
 	}
 	if !s.Seal("sig1") {
 		t.Fatal("seal failed")
 	}
-	if !s.Available("sig1") {
+	if !servable(s, "sig1") {
 		t.Error("sealed view must be available")
 	}
 	tb, mult, ok := s.Fetch("sig1")
 	if !ok || mult != 2 || tb.NumRows() != 2 {
 		t.Fatalf("fetch: ok=%v mult=%g rows=%d", ok, mult, tb.NumRows())
 	}
-	v, _ := s.Lookup("sig1")
-	if v.Reads != 1 || v.VC != "vc1" || v.Recurring != "rec1" {
+	v, _ := s.Status("sig1")
+	if v.VC != "vc1" || v.Recurring != "rec1" {
 		t.Errorf("metadata: %+v", v)
 	}
 	// Logical bytes honor the multiplier.
@@ -79,23 +91,28 @@ func TestExpiry(t *testing.T) {
 	s.Seal("sig1")
 
 	now = now.Add(storage.DefaultTTL - time.Hour)
-	if !s.Available("sig1") {
+	if !servable(s, "sig1") {
 		t.Error("view expired too early")
 	}
 	now = now.Add(2 * time.Hour)
-	if s.Available("sig1") {
+	if servable(s, "sig1") {
 		t.Error("view must expire after TTL")
 	}
 	if _, _, ok := s.Fetch("sig1"); ok {
 		t.Error("expired view must not fetch")
 	}
-	// Available/Fetch above already lazily evicted the expired entry, so GC
-	// has nothing left to do.
-	if n := s.GC(); n != 0 {
-		t.Errorf("GC evicted %d, want 0 after lazy eviction", n)
+	// The reads above saw the view as gone and left it where it was.
+	if st := s.Snapshot(); st.Expired != 0 || st.Live != 0 {
+		t.Errorf("snapshot after reads: %+v, want nothing evicted and nothing live", st)
 	}
 	if s.UsedBytes("vc") != 0 {
-		t.Error("eviction must release storage accounting")
+		t.Error("an expired view must not count against its VC")
+	}
+	if n := s.GC(); n != 1 {
+		t.Errorf("GC evicted %d, want 1", n)
+	}
+	if err := s.AuditBytes(); err != nil {
+		t.Error(err)
 	}
 	st := s.Snapshot()
 	if st.Expired != 1 || st.Live != 0 || st.Created != 1 {
@@ -153,7 +170,7 @@ func TestSetTTL(t *testing.T) {
 	_ = s.Materialize("x", "p", "vc", table(), 1)
 	s.Seal("x")
 	now = now.Add(2 * time.Minute)
-	if s.Available("x") {
+	if servable(s, "x") {
 		t.Error("custom TTL not honored")
 	}
 }
@@ -185,7 +202,7 @@ func TestExpiredViewRestagedWithoutGC(t *testing.T) {
 	s.Stage("sig1", "rec1", "p/sig1", "vc1")
 	_ = s.Materialize("sig1", "p/sig1", "vc1", table(), 1)
 	s.Seal("sig1")
-	if !s.Available("sig1") {
+	if !servable(s, "sig1") {
 		t.Fatal("fresh view must be available")
 	}
 
@@ -194,7 +211,7 @@ func TestExpiredViewRestagedWithoutGC(t *testing.T) {
 
 	// The whole build cycle must work again against the stale entry.
 	s.Stage("sig1", "rec1", "p/sig1", "vc1")
-	if !s.InFlight("sig1") {
+	if !inFlight(s, "sig1") {
 		t.Fatal("re-stage over an expired entry must leave the signature in flight")
 	}
 	if err := s.Materialize("sig1", "p/sig1", "vc1", table(), 1); err != nil {
@@ -203,7 +220,7 @@ func TestExpiredViewRestagedWithoutGC(t *testing.T) {
 	if !s.Seal("sig1") {
 		t.Fatal("re-seal failed")
 	}
-	if !s.Available("sig1") {
+	if !servable(s, "sig1") {
 		t.Error("rebuilt view must be available without any GC call")
 	}
 	if _, _, ok := s.Fetch("sig1"); !ok {
@@ -227,8 +244,8 @@ func TestMaterializeUnstagedVCAccounting(t *testing.T) {
 	if err := s.Materialize("sig1", "p/sig1", "tenant9", table(), 2); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := s.Lookup("sig1")
-	if !ok || v.VC != "tenant9" {
+	v, st := s.Status("sig1")
+	if st != storage.StateUnsealed || v.VC != "tenant9" {
 		t.Fatalf("unstaged materialize lost the VC: %+v", v)
 	}
 	if s.UsedBytes("tenant9") != v.Bytes {
@@ -281,7 +298,7 @@ func TestAbandon(t *testing.T) {
 	if !s.Abandon("a") {
 		t.Fatal("abandon of a pending view failed")
 	}
-	if s.InFlight("a") {
+	if inFlight(s, "a") {
 		t.Error("abandoned pending view must not stay in flight")
 	}
 
@@ -291,7 +308,7 @@ func TestAbandon(t *testing.T) {
 	if !s.Abandon("b") {
 		t.Fatal("abandon of an unsealed view failed")
 	}
-	if s.InFlight("b") || s.Available("b") {
+	if inFlight(s, "b") || servable(s, "b") {
 		t.Error("abandoned unsealed view must vanish")
 	}
 	if s.UsedBytes("vc1") != 0 {
@@ -310,38 +327,85 @@ func TestAbandon(t *testing.T) {
 	}
 }
 
+// TestState walks one signature through all six lifecycle states and checks
+// that Status, its two predicates and Fetch give one answer — and that asking
+// never moves a counter.
 func TestState(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := storage.NewStore(func() time.Time { return now })
-	if got := s.State("x"); got != "absent" {
-		t.Errorf("state = %q, want absent", got)
+	steps := []struct {
+		name     string
+		do       func()
+		want     storage.State
+		servable bool
+		building bool
+		resident bool // Status returns the materialized metadata
+	}{
+		{"absent", func() {}, storage.StateAbsent, false, false, false},
+		{"pending", func() { s.Stage("x", "rx", "p/x", "vc") }, storage.StatePending, false, true, false},
+		{"unsealed", func() { _ = s.Materialize("x", "p/x", "vc", table(), 1) }, storage.StateUnsealed, false, true, true},
+		{"sealing", func() { s.SealAt("x", now.Add(time.Hour)) }, storage.StateSealing, false, true, true},
+		{"live", func() { now = now.Add(2 * time.Hour) }, storage.StateLive, true, false, true},
+		{"expired", func() { now = now.Add(storage.DefaultTTL) }, storage.StateExpired, false, false, true},
 	}
-	s.Stage("x", "rx", "p/x", "vc")
-	if got := s.State("x"); got != "pending" {
-		t.Errorf("state = %q, want pending", got)
-	}
-	_ = s.Materialize("x", "p/x", "vc", table(), 1)
-	if got := s.State("x"); got != "unsealed" {
-		t.Errorf("state = %q, want unsealed", got)
-	}
-	s.SealAt("x", now.Add(time.Hour))
-	if got := s.State("x"); got != "sealing" {
-		t.Errorf("state = %q, want sealing", got)
-	}
-	now = now.Add(2 * time.Hour)
-	if got := s.State("x"); got != "live" {
-		t.Errorf("state = %q, want live", got)
-	}
-	now = now.Add(storage.DefaultTTL)
-	if got := s.State("x"); got != "expired" {
-		t.Errorf("state = %q, want expired", got)
+	for _, step := range steps {
+		step.do()
+		before := s.Snapshot()
+		v, st := s.Status("x")
+		if st != step.want || st.String() != step.name {
+			t.Errorf("%s: state = %v", step.name, st)
+		}
+		if st.Servable() != step.servable || st.Building() != step.building {
+			t.Errorf("%s: servable=%v building=%v, want %v %v", step.name, st.Servable(), st.Building(), step.servable, step.building)
+		}
+		if _, _, ok := s.Fetch("x"); ok != step.servable {
+			t.Errorf("%s: Fetch ok=%v, Servable=%v", step.name, ok, step.servable)
+		}
+		if st != storage.StateAbsent && (v.Strict != "x" || v.Recurring != "rx" || v.Path != "p/x" || v.VC != "vc") {
+			t.Errorf("%s: metadata %+v", step.name, v)
+		}
+		if (v.Table != nil) != step.resident {
+			t.Errorf("%s: table present = %v, want %v", step.name, v.Table != nil, step.resident)
+		}
+		if after := s.Snapshot(); after.Expired != before.Expired || after.Created != before.Created {
+			t.Errorf("%s: reading moved the counters: %+v -> %+v", step.name, before, after)
+		}
 	}
 }
 
+// TestSealReadsClockUnderLock: Seal reads the clock it stamps the view with,
+// and SetNow replaces that clock (the core does, on a ClockAware engine it
+// was handed); the two must be ordered by the store's lock. Fails under
+// -race when Seal reads the field before locking.
+func TestSealReadsClockUnderLock(t *testing.T) {
+	s := storage.NewStore(func() time.Time { return time.Unix(0, 0) })
+	_ = s.Materialize("x", "p/x", "vc", table(), 1)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			at := time.Unix(int64(i), 0)
+			s.SetNow(func() time.Time { return at })
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if !s.Seal("x") {
+				t.Error("seal failed")
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
 // TestStoreConcurrentLifecycle races every store operation — Stage,
-// Materialize, Seal, Fetch, Available, InFlight, GC, Purge, Abandon — over a
-// shared signature space while the simulated clock advances, then checks the
-// accounting invariants. Run under -race this is the store's data-race guard.
+// Materialize, Seal, Fetch, Status, GC, Purge, Abandon — over a shared
+// signature space while the simulated clock advances: no reader may be served
+// a view past its TTL, and the accounting invariants must hold at the end.
+// Run under -race this is the store's data-race guard.
 func TestStoreConcurrentLifecycle(t *testing.T) {
 	var clock atomic.Int64 // unix nanos
 	s := storage.NewStore(func() time.Time { return time.Unix(0, clock.Load()) })
@@ -365,9 +429,19 @@ func TestStoreConcurrentLifecycle(t *testing.T) {
 				case 2:
 					s.Seal(sig)
 				case 3:
-					s.Fetch(sig)
-					s.Available(sig)
-					s.InFlight(sig)
+					// The store reads the clock after this does, so a view
+					// servable at the store's instant had not expired here.
+					before := time.Unix(0, clock.Load())
+					v, st := s.Status(sig)
+					if st.Servable() && (before.After(v.ExpiresAt) || !v.Sealed || v.Table == nil) {
+						t.Errorf("served %s at %v: %+v", sig, before, v)
+					}
+					if st.Servable() && st.Building() {
+						t.Errorf("%s is both servable and in flight", sig)
+					}
+					if tb, _, ok := s.Fetch(sig); ok && tb == nil {
+						t.Errorf("fetched %s without a table", sig)
+					}
 				case 4:
 					clock.Add(int64(50 * time.Millisecond))
 				case 5:
@@ -382,6 +456,9 @@ func TestStoreConcurrentLifecycle(t *testing.T) {
 	}
 	wg.Wait()
 
+	if err := s.AuditBytes(); err != nil {
+		t.Error(err)
+	}
 	for _, vc := range append(vcs, "") {
 		if got := s.UsedBytes(vc); got < 0 {
 			t.Errorf("byVC[%q] = %d, negative accounting", vc, got)
@@ -395,7 +472,7 @@ func TestStoreConcurrentLifecycle(t *testing.T) {
 		t.Errorf("live %d exceeds created %d", st.Live, st.Created)
 	}
 	// Every created view is still live or left through exactly one of the
-	// exit paths; lazy eviction must not double-count.
+	// exit paths; an eviction inside a write must not double-count.
 	if exits := st.Expired + st.Purged; int64(st.Live)+exits > st.Created {
 		t.Errorf("lifecycle leak: live=%d expired=%d purged=%d created=%d", st.Live, st.Expired, st.Purged, st.Created)
 	}
@@ -643,8 +720,5 @@ func TestFetchSharesSealedTable(t *testing.T) {
 
 	if got, _, ok := s.Fetch("sales"); !ok || got != stored["sales"] || orderedDigest(got) != sealed {
 		t.Fatal("the stored view changed under concurrent readers")
-	}
-	if v, ok := s.Lookup("sales"); !ok || v.Reads == 0 {
-		t.Fatal("fetches were not counted")
 	}
 }

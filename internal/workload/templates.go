@@ -290,18 +290,6 @@ func (g *Generator) runtimeFor(templateID int) string {
 	return fmt.Sprintf("scope-r%d", n-v)
 }
 
-// TemplateCount returns the number of job templates (cooking + analytics).
-func (g *Generator) TemplateCount() int { return len(g.templates) }
-
-// PipelineCount returns the number of distinct pipelines.
-func (g *Generator) PipelineCount() int {
-	seen := map[string]bool{}
-	for _, t := range g.templates {
-		seen[t.pipeline] = true
-	}
-	return len(seen)
-}
-
 // JobsForDay instantiates every template's submissions for the given day,
 // ordered by submission time. Cooking jobs come first (hour 0).
 func (g *Generator) JobsForDay(day int) []JobInput {
