@@ -79,8 +79,9 @@ type Catalog struct {
 	byGUID  map[GUID]*Version
 	guidSeq uint64
 	// gen counts catalog mutations (Define, BulkUpdate, Forget, scale or
-	// producer changes). The plan cache keys on it: any bump invalidates
-	// plans whose binding or estimates could have depended on prior state.
+	// producer changes). The plan cache stamps each instance of a template
+	// with it: after a bump, the versions and cardinalities the instance
+	// read may be stale, and the template is carried over again.
 	gen atomic.Uint64
 }
 

@@ -61,8 +61,8 @@ type Config struct {
 	// file-backed durable engine). Nil keeps the default in-memory store.
 	// If the engine is ClockAware the simulated clock is installed into it.
 	StorageEngine storage.Engine
-	// PlanCacheSize bounds the plan cache (bound root + prepared plan per
-	// normalized script): 0 = DefaultPlanCacheSize, negative = disabled.
+	// PlanCacheSize bounds the plan cache (one template per normalized
+	// script): 0 = DefaultPlanCacheSize, negative = disabled.
 	PlanCacheSize int
 	// ResultCacheEntries bounds the shared subexpression result cache:
 	// 0 = exec.DefaultCacheEntries, negative = unbounded.
@@ -115,9 +115,10 @@ type Engine struct {
 	// cacheLimit is the bound resetCache re-applies on day boundaries.
 	cacheLimit int
 
-	// plans caches, by normalized script, the bound root and the
-	// job-independent half of its compile, so recurring submissions skip
-	// parse, bind, normalization and signing. Nil when disabled.
+	// plans caches, by normalized script, the job-independent half of its
+	// compile, so recurring submissions skip parse, bind, normalization and
+	// enumeration whatever the catalog and their parameters did meanwhile.
+	// Nil when disabled.
 	plans *planCache
 
 	// clockMu guards the simulated clock. CompileAndExecute only advances
@@ -333,30 +334,43 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	}
 	e.mJobs.Inc()
 
-	// Plan cache: identical normalized scripts (same params, runtime, and
-	// catalog generation) share one bound root and one prepared plan.
-	// Compile clones before rewriting and execution never mutates plan
-	// nodes, so the shared root is read-only.
+	opt := &optimizer.Optimizer{
+		Signer:         signer,
+		Est:            e.Est,
+		History:        e.History,
+		Store:          e.Store,
+		Insights:       e.Insights,
+		Guard:          e.guard,
+		MaxViewsPerJob: e.maxViewsPerJob,
+		Trace:          tr,
+		Explain:        rec,
+	}
+
+	// The job-independent half of the compile. A script the plan cache knows
+	// is neither parsed nor bound: an instance built at this generation with
+	// these parameter values serves as it stands, failing that the template is
+	// carried over to the catalog's current versions and the job's values.
+	// Whichever it is, it is shared and read-only from here on.
 	gen := e.Catalog.Generation()
 	key, keyOK := e.plans.planCacheKey(in)
-	var cached *planEntry
+	var prep *optimizer.Prepared
 	if keyOK {
-		cached = e.plans.lookup(key, gen)
+		var template *optimizer.Prepared
+		template, prep = e.plans.lookup(key, gen, in.Params)
+		if prep == nil && template != nil {
+			if prep = opt.Derive(template, e.Catalog, in.Params); prep != nil {
+				prep = e.plans.store(key, gen, in.Params, prep)
+			}
+		}
 	}
-	var root plan.Node
-	if cached != nil {
-		root = cached.root
-		// Replay the front-end trace of the skipped phases so hit and miss
-		// submissions produce identical traces.
-		tr.Span("parse", 0)
-		tr.Span("bind", 0)
-	} else {
+	if prep == nil {
+		// A new script, or one Derive declines: the front end runs, and
+		// reports what it finds wrong.
 		script, err := sqlparser.Parse(in.Script)
 		if err != nil {
 			e.mJobsFailed.Inc()
 			return nil, fmt.Errorf("job %s: parse: %w", in.ID, err)
 		}
-		tr.Span("parse", 0)
 		binder := &plan.Binder{Catalog: e.Catalog, Params: in.Params}
 		outs, err := binder.BindScript(script)
 		if err != nil {
@@ -367,12 +381,14 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			e.mJobsFailed.Inc()
 			return nil, fmt.Errorf("job %s: expected exactly one OUTPUT, got %d", in.ID, len(outs))
 		}
-		tr.Span("bind", 0)
-		root = outs[0]
+		prep = opt.Prepare(outs[0])
 		if keyOK {
-			cached = e.plans.storeBound(key, gen, root)
+			prep = e.plans.store(key, gen, in.Params, prep)
 		}
 	}
+	// The front-end phases leave the same trace whether they ran or not.
+	tr.Span("parse", 0)
+	tr.Span("bind", 0)
 
 	// Job-level retry loop: an injected job crash (container/job-manager
 	// loss) abandons everything the attempt staged, waits out the backoff in
@@ -391,30 +407,6 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	for {
 		if keyOK {
 			e.plans.compiles.Add(1)
-		}
-		opt := &optimizer.Optimizer{
-			Signer:         signer,
-			Est:            e.Est,
-			History:        e.History,
-			Store:          e.Store,
-			Insights:       e.Insights,
-			Guard:          e.guard,
-			MaxViewsPerJob: e.maxViewsPerJob,
-			Trace:          tr,
-			Explain:        rec,
-		}
-		// The job-independent half of the compile is a pure function of the
-		// entry's key, so every submission that finds the entry shares it
-		// (racing first writers store equal values).
-		var prep *optimizer.Prepared
-		if cached != nil {
-			prep = cached.prepared.Load()
-		}
-		if prep == nil {
-			prep = opt.Prepare(root)
-			if cached != nil {
-				cached.prepared.Store(prep)
-			}
 		}
 		// The job-dependent half reads the controls, annotations, view store
 		// and runtime history as they stand now, so every attempt runs it.

@@ -1,54 +1,68 @@
 package core
 
 import (
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"cloudviews/internal/data"
 	"cloudviews/internal/optimizer"
-	"cloudviews/internal/plan"
 	"cloudviews/internal/sqlparser"
 	"cloudviews/internal/workload"
 )
 
-// DefaultPlanCacheSize bounds the plan cache. Recurring workloads have a small
-// template population (the paper's clusters see tens of thousands of templates
-// against millions of jobs), so a modest LRU captures nearly all repeats.
+// DefaultPlanCacheSize bounds the plan cache, in templates. Recurring workloads
+// have a small template population (the paper's clusters see tens of thousands
+// of templates against millions of jobs), so a modest LRU captures nearly all
+// repeats.
 const DefaultPlanCacheSize = 512
 
-// planKey identifies one compilable unit: the token-normalized script (so
-// whitespace/comment/case-of-keyword variants share an entry), the exact
-// parameter bindings, and the runtime version (different runtimes never share
-// signatures, so they must not share plans either).
+// planKey identifies one template: the token-normalized script (so
+// whitespace/comment/case-of-keyword variants share an entry) and the runtime
+// version (different runtimes never share signatures, so neither plans).
+// Parameter values and dataset versions are what its instances differ in.
 type planKey struct {
 	runtime string
 	norm    string
-	params  string
+}
+
+// planInstances is how many instances an entry keeps, overwritten in turn: room
+// for the parameter bindings one template runs with between two catalog
+// changes (its intra-day runs, each with its own @runStart).
+const planInstances = 8
+
+// planInstance is a template's Prepared for one catalog generation and the
+// parameter values recorded on it. It serves any submission that reads that
+// generation and binds those values, as it stands: a Prepared is never written.
+type planInstance struct {
+	gen  uint64
+	prep *optimizer.Prepared
 }
 
 // planEntry caches the job-independent products of one key: what parse, bind
-// and optimizer.Prepare derive from the script alone. gen pins the catalog
-// generation the entry was built against; any catalog mutation invalidates it
-// (binding resolves schemas and dataset versions). Everything after Prepare
-// reads the controls, annotations, view store and runtime history, which move
-// between submissions, so it is compiled per job and never cached.
-// Submissions share an entry without holding the cache lock, so what they
-// attach to it after lookup is published through an atomic pointer.
+// and optimizer.Prepare derive from the script. template is the first Prepared
+// compiled for the key and is never replaced or invalidated: other dataset
+// versions, other parameter values and the signatures above them are what
+// optimizer.Derive rebuilds from it. Everything after Prepare reads the
+// controls, annotations, view store and runtime history, which move between
+// submissions, so it is compiled per job and never cached. The entry is read
+// and written under the cache lock.
 type planEntry struct {
-	gen  uint64
-	root plan.Node // bound script output (skips parse + bind)
-
-	// prepared is the job-independent half of compiling root: the normalized
-	// plan, its signed subexpression enumeration and the job tag. It is a pure
-	// function of root and the runtime in the key, and it is never written, so
-	// every job that hits the entry compiles from it.
-	prepared atomic.Pointer[optimizer.Prepared]
+	template  *optimizer.Prepared
+	instances [planInstances]planInstance
+	cursor    int // the instance the next store overwrites
 
 	prev, next *planEntry
 	key        planKey
+}
+
+// match returns the instance built at gen with params' values, if any.
+func (e *planEntry) match(gen uint64, params map[string]data.Value) *optimizer.Prepared {
+	for i := range e.instances {
+		if in := &e.instances[i]; in.prep != nil && in.gen == gen && in.prep.BoundTo(params) {
+			return in.prep
+		}
+	}
+	return nil
 }
 
 // planCache is a bounded LRU over planEntry. A nil *planCache disables
@@ -84,35 +98,7 @@ func (c *planCache) planCacheKey(in workload.JobInput) (planKey, bool) {
 	if !ok {
 		return planKey{}, false
 	}
-	return planKey{runtime: in.Runtime, norm: norm, params: fingerprintParams(in.Params)}, true
-}
-
-// fingerprintParams renders parameter bindings deterministically. Kind and
-// value are both significant (Int(1) vs String("1") bind differently).
-func fingerprintParams(params map[string]data.Value) string {
-	if len(params) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(params))
-	for n := range params {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for _, n := range names {
-		v := params[n]
-		sb.WriteString(strconv.Itoa(len(n)))
-		sb.WriteByte(':')
-		sb.WriteString(n)
-		sb.WriteByte('=')
-		sb.WriteString(strconv.Itoa(int(v.Kind)))
-		sb.WriteByte(':')
-		s := v.String()
-		sb.WriteString(strconv.Itoa(len(s)))
-		sb.WriteByte(':')
-		sb.WriteString(s)
-	}
-	return sb.String()
+	return planKey{runtime: in.Runtime, norm: norm}, true
 }
 
 func (c *planCache) unlink(e *planEntry) {
@@ -140,53 +126,42 @@ func (c *planCache) pushFront(e *planEntry) {
 	}
 }
 
-// lookup returns the entry for key if it was built against generation gen.
-// A stale entry is dropped eagerly so the subsequent store replaces it.
-func (c *planCache) lookup(key planKey, gen uint64) *planEntry {
-	if c == nil {
-		return nil
-	}
+// lookup returns key's template, nil if the script is new, and the instance
+// of it built at generation gen with params' values, nil if there is none.
+func (c *planCache) lookup(key planKey, gen uint64, params map[string]data.Value) (template, prep *optimizer.Prepared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
 	if !ok {
-		return nil
-	}
-	if e.gen != gen {
-		c.unlink(e)
-		delete(c.m, key)
-		return nil
+		return nil, nil
 	}
 	c.unlink(e)
 	c.pushFront(e)
-	return e
+	return e.template, e.match(gen, params)
 }
 
-// storeBound records a freshly bound root for key. First writer
-// wins under races; the loser's entry is simply not installed.
-func (c *planCache) storeBound(key planKey, gen uint64, root plan.Node) *planEntry {
-	if c == nil {
-		return nil
-	}
+// store publishes prep, built at generation gen with params' values, as an
+// instance of key's entry, and as its template if the key is new. First writer
+// wins under races: the instance to use is returned.
+func (c *planCache) store(key planKey, gen uint64, params map[string]data.Value, prep *optimizer.Prepared) *optimizer.Prepared {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok && e.gen == gen {
-		c.unlink(e)
+	e, ok := c.m[key]
+	if !ok {
+		e = &planEntry{template: prep, key: key}
+		c.m[key] = e
 		c.pushFront(e)
-		return e
+		for len(c.m) > c.limit && c.tail != nil {
+			victim := c.tail
+			c.unlink(victim)
+			delete(c.m, victim.key)
+		}
+	} else if first := e.match(gen, params); first != nil {
+		return first
 	}
-	e := &planEntry{gen: gen, root: root, key: key}
-	if old, ok := c.m[key]; ok {
-		c.unlink(old)
-	}
-	c.m[key] = e
-	c.pushFront(e)
-	for len(c.m) > c.limit && c.tail != nil {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.m, victim.key)
-	}
-	return e
+	e.instances[e.cursor] = planInstance{gen: gen, prep: prep}
+	e.cursor = (e.cursor + 1) % planInstances
+	return prep
 }
 
 // stats reports submissions that skipped compilation and submissions that

@@ -13,6 +13,7 @@ import (
 	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/signature"
+	"cloudviews/internal/sqlparser"
 	"cloudviews/internal/stats"
 	"cloudviews/internal/workload"
 )
@@ -59,14 +60,37 @@ func pcInput(id, script string) workload.JobInput {
 	}
 }
 
-// pcEntry returns the plan-cache entry a job input lands on (nil if none).
-func pcEntry(t *testing.T, e *Engine, in workload.JobInput) *planEntry {
+// pcEntry returns the plan-cache entry a job input's script lands on (nil if
+// none) and the instance of it that serves the input as the catalog stands
+// (nil if none).
+func pcEntry(t *testing.T, e *Engine, in workload.JobInput) (*planEntry, *optimizer.Prepared) {
 	t.Helper()
 	key, ok := e.plans.planCacheKey(in)
 	if !ok {
 		t.Fatal("no plan-cache key")
 	}
-	return e.plans.lookup(key, e.Catalog.Generation())
+	e.plans.mu.Lock()
+	defer e.plans.mu.Unlock()
+	entry := e.plans.m[key]
+	if entry == nil {
+		return nil, nil
+	}
+	return entry, entry.match(e.Catalog.Generation(), in.Params)
+}
+
+// coldPrepared parses, binds and prepares a job input from scratch, as a
+// submission the plan cache does not know is compiled.
+func coldPrepared(t *testing.T, e *Engine, in workload.JobInput) *optimizer.Prepared {
+	t.Helper()
+	script, err := sqlparser.Parse(in.Script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := (&plan.Binder{Catalog: e.Catalog, Params: in.Params}).BindScript(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (&optimizer.Optimizer{Signer: e.signerFor(in.Runtime)}).Prepare(outs[0])
 }
 
 // TestPlanCacheHitMatchesMiss runs the same submission sequence through a
@@ -100,13 +124,13 @@ func TestPlanCacheHitMatchesMiss(t *testing.T) {
 		if !reflect.DeepEqual(cr.Record, pr.Record) {
 			t.Fatalf("run %d: cached record differs from uncached:\ncached: %+v\nplain:  %+v", i, cr.Record, pr.Record)
 		}
-		got := pcEntry(t, cachedEng, in)
-		if got == nil || got.prepared.Load() == nil {
+		got, inst := pcEntry(t, cachedEng, in)
+		if got == nil || inst == nil {
 			t.Fatalf("run %d: no prepared plan on the script's entry", i)
 		}
 		if i == 0 {
-			entry, prep = got, got.prepared.Load()
-		} else if got != entry || got.prepared.Load() != prep {
+			entry, prep = got, inst
+		} else if got != entry || inst != prep || got.template != prep {
 			t.Fatalf("run %d: the entry or its prepared plan was replaced", i)
 		}
 	}
@@ -172,7 +196,7 @@ func TestPlanCacheSkipsReuseEnabledJobs(t *testing.T) {
 		if run.Compile.ReuseEnabled != on {
 			t.Fatalf("submission %d: ReuseEnabled=%v with the VC onboarded=%v", i, run.Compile.ReuseEnabled, on)
 		}
-		got := pcEntry(t, e, in)
+		got, _ := pcEntry(t, e, in)
 		if i == 0 {
 			entry, want = got, run.Output.Fingerprint()
 		}
@@ -313,5 +337,45 @@ OUTPUT r TO "out/r";`
 	}
 	if outputs["5"] == outputs["45"] {
 		t.Fatal("different parameter bindings produced identical outputs — key collision")
+	}
+}
+
+// TestSubSecondTimeParamsDoNotCollide: data.Time holds nanoseconds, and two
+// @t values inside one second must not render — and so sign — alike. When they
+// did, the second job was served the first one's rows from the result cache,
+// with the plan cache on and off.
+func TestSubSecondTimeParamsDoNotCollide(t *testing.T) {
+	schema := data.Schema{{Name: "Id", Kind: data.KindInt}, {Name: "Ts", Kind: data.KindTime}}
+	for _, size := range []int{0, -1} {
+		e := pcEngine(t, Config{PlanCacheSize: size})
+		if _, err := e.Catalog.Define("Ticks", schema); err != nil {
+			t.Fatal(err)
+		}
+		tb := data.NewTable(schema)
+		for i := 0; i < 10; i++ {
+			tb.Append(data.Row{data.Int(int64(i)), data.Time(fixtures.Epoch.Add(time.Duration(i) * 100 * time.Millisecond))})
+		}
+		if _, err := e.Catalog.BulkUpdate("Ticks", fixtures.Epoch, tb); err != nil {
+			t.Fatal(err)
+		}
+		var sigs []signature.Sig
+		for _, c := range []struct {
+			ms   int
+			want int
+		}{{250, 3}, {750, 8}} {
+			in := pcInput(fmt.Sprintf("ticks-%d", c.ms), `r = SELECT Id FROM Ticks WHERE Ts < @t; OUTPUT r TO "out/ticks";`)
+			in.Params = map[string]data.Value{"t": data.Time(fixtures.Epoch.Add(time.Duration(c.ms) * time.Millisecond))}
+			run, err := e.CompileAndExecute(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := run.Output.NumRows(); n != c.want {
+				t.Errorf("PlanCacheSize %d, @t = epoch+%dms: %d rows, want %d", size, c.ms, n, c.want)
+			}
+			sigs = append(sigs, run.Compile.Subs[len(run.Compile.Subs)-1].Strict)
+		}
+		if sigs[0] == sigs[1] {
+			t.Errorf("PlanCacheSize %d: two @t values inside one second share the strict signature %s", size, sigs[0])
+		}
 	}
 }

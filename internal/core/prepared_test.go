@@ -12,7 +12,6 @@ import (
 	"cloudviews/internal/cluster"
 	"cloudviews/internal/data"
 	"cloudviews/internal/fixtures"
-	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/workload"
 )
@@ -111,11 +110,10 @@ func planJoins(root plan.Node) []*plan.Join {
 // would also be reported as a race with the other readers.
 func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 	e, in := warmEngine(t)
-	entry := pcEntry(t, e, in)
-	if entry == nil || entry.prepared.Load() == nil {
+	entry, prep := pcEntry(t, e, in)
+	if entry == nil || prep == nil {
 		t.Fatal("the warm engine left no prepared plan on the script's entry")
 	}
-	prep := entry.prepared.Load()
 	joins := 0
 	plan.Walk(prep.Plan, func(n plan.Node) {
 		if j, isJoin := n.(*plan.Join); isJoin && j.Algo == plan.JoinAuto {
@@ -135,7 +133,7 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pcEntry(t, e, optOut) != entry || len(wantOut.Compile.Matched) != 0 {
+	if got, _ := pcEntry(t, e, optOut); got != entry || len(wantOut.Compile.Matched) != 0 {
 		t.Fatal("the opted-out submission must share the script's entry and match nothing")
 	}
 
@@ -185,11 +183,11 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 		t.Error("no job had a join algorithm chosen: nothing wrote what the shared plan must not see")
 	}
 
-	if entry.prepared.Load() != prep {
+	if _, now := pcEntry(t, e, in); now != prep {
 		t.Error("the entry's prepared plan was replaced while the catalog generation stood still")
 	}
-	// A fresh Prepare of the same bound root is what the entry must still hold.
-	fresh := (&optimizer.Optimizer{Signer: e.signerFor(in.Runtime)}).Prepare(entry.root)
+	// A fresh Prepare of the same script is what the entry must still hold.
+	fresh := coldPrepared(t, e, in)
 	if got, was := plan.Format(prep.Plan), plan.Format(fresh.Plan); got != was {
 		t.Errorf("the shared plan was rewritten:\n%s\nwas:\n%s", got, was)
 	}
@@ -215,7 +213,7 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 }
 
 // warmAllocCeiling bounds the allocations of one warm, onboarded,
-// view-matching resubmission. Last measured: 54 (56 under -race), Go 1.24.
+// view-matching resubmission. Last measured: 53 (55 under -race), Go 1.24.
 // It is the unit-test-cost gate on the reuse-on path: a change that re-signs
 // the final plan, copies the prepared one, re-normalizes per job or copies the
 // job's record on its way into the repository goes past it.

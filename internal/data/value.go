@@ -127,7 +127,11 @@ func (v Value) String() string {
 	case KindBool:
 		return strconv.FormatBool(v.B)
 	case KindTime:
-		return v.AsTime().UTC().Format(time.RFC3339)
+		// Nanosecond precision, as Equal and Compare have it: this rendering
+		// is what signatures and join keys tell two instants apart by. A whole
+		// second renders as it would under RFC3339. exec's appendKeyPayload
+		// renders the same bytes.
+		return v.AsTime().UTC().Format(time.RFC3339Nano)
 	default:
 		return "?"
 	}

@@ -42,7 +42,7 @@ func appendKeyPayload(dst []byte, v data.Value) []byte {
 	case data.KindBool:
 		return strconv.AppendBool(dst, v.B)
 	case data.KindTime:
-		return v.AsTime().UTC().AppendFormat(dst, time.RFC3339)
+		return v.AsTime().UTC().AppendFormat(dst, time.RFC3339Nano)
 	default:
 		return append(dst, '?')
 	}
@@ -61,7 +61,7 @@ func appendKeyValue(dst []byte, v data.Value) []byte {
 		dst = append(dst, lenBuf[:n]...)
 		return append(dst, v.S...)
 	}
-	// Every non-string rendering fits in 48 bytes (RFC3339 times are ≤25).
+	// Every non-string rendering fits in 48 bytes (RFC3339Nano times are ≤30).
 	var tmp [48]byte
 	payload := appendKeyPayload(tmp[:0], v)
 	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
@@ -82,7 +82,7 @@ func appendOrderedKeyValue(dst []byte, v data.Value) []byte {
 		dst = appendEscaped(dst, v.S)
 	} else {
 		// Non-string renderings are printable ASCII (digits, sign, dot,
-		// RFC3339 punctuation) and can never contain the escape bytes.
+		// RFC3339Nano punctuation) and can never contain the escape bytes.
 		dst = appendKeyPayload(dst, v)
 	}
 	return append(dst, 0x00)

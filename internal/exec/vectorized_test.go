@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +69,8 @@ var adversarialQueries = []string{
 	`SELECT a.K1, b.K2 FROM Adv AS a JOIN Adv AS b ON a.K1 = b.K1`,
 	`SELECT K1, MIN(F) AS lo, MAX(Big) AS hi FROM Adv GROUP BY K1`,
 	`SELECT * FROM Adv WHERE Ts >= Ts`,
+	`SELECT Ts, COUNT(*) AS n FROM Adv GROUP BY Ts`,
+	`SELECT a.K1, b.K2 FROM Adv AS a JOIN Adv AS b ON a.Ts = b.Ts`,
 	`SELECT * FROM Adv SAMPLE 50 PERCENT`,
 }
 
@@ -96,8 +99,10 @@ func adversarialCatalog(t *testing.T, cfg fixtures.RetailConfig) *catalog.Catalo
 		// collide on (K1, K2): both rendered "3:x\x003:y\x003:z".
 		{data.String_("x\x003:y"), data.String_("z"), data.Int(1 << 60), data.Int(3), data.Float(0.1), data.Bool(true), data.Time(ts)},
 		{data.String_("x"), data.String_("y\x003:z"), data.Int(-(1 << 60)), data.Int(0), data.Float(-0.1), data.Bool(false), data.Time(ts.Add(time.Hour))},
-		{data.String_("x\x01"), data.String_("\x00"), data.Int(9007199254740993), data.Int(7), data.Float(2.5), data.Bool(true), data.Time(ts)},
-		{data.String_(""), data.String_(""), data.Int(0), data.Int(1), data.Float(0), data.Bool(false), data.Time(ts)},
+		// Two instants inside ts's second: a rendering to the second made
+		// them, and ts itself, one group and one join key.
+		{data.String_("x\x01"), data.String_("\x00"), data.Int(9007199254740993), data.Int(7), data.Float(2.5), data.Bool(true), data.Time(ts.Add(250 * time.Millisecond))},
+		{data.String_(""), data.String_(""), data.Int(0), data.Int(1), data.Float(0), data.Bool(false), data.Time(ts.Add(750 * time.Millisecond))},
 		{data.String_("x"), data.String_("z"), data.Int(42), data.Int(5), data.Float(0.1), data.Bool(true), data.Time(ts)},
 	}
 	for _, r := range rows {
@@ -341,22 +346,29 @@ func TestVectorizedLockStepRace(t *testing.T) {
 
 // TestGroupKeyCollisionRegression is the end-to-end satellite regression:
 // under the historical separator-joined encoding the first two Adv rows
-// produced one group; the length-prefixed encoding must keep them apart.
+// produced one group; the length-prefixed encoding must keep them apart. And
+// under a rendering of times to the second, the three Adv rows inside one
+// second produced one group, although Value.Equal tells them apart.
 func TestGroupKeyCollisionRegression(t *testing.T) {
 	cat := adversarialCatalog(t, fixtures.DefaultRetail())
-	for _, vectorized := range []bool{false, true} {
-		n := bindQuery(t, cat, `SELECT K1, K2, COUNT(*) AS n FROM Adv GROUP BY K1, K2`)
-		res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Table.NumRows() != 5 {
-			t.Fatalf("vectorized=%v: got %d groups, want 5 (adversarial keys must not collide)",
-				vectorized, res.Table.NumRows())
-		}
-		for _, r := range res.Table.Rows {
-			if r[2].I != 1 {
-				t.Fatalf("vectorized=%v: group (%q,%q) has count %d, want 1", vectorized, r[0].S, r[1].S, r[2].I)
+	for _, c := range []struct {
+		src    string
+		counts []int64 // per group, in first-appearance order
+	}{
+		{`SELECT K1, K2, COUNT(*) AS n FROM Adv GROUP BY K1, K2`, []int64{1, 1, 1, 1, 1}},
+		{`SELECT Ts, COUNT(*) AS n FROM Adv GROUP BY Ts`, []int64{2, 1, 1, 1}},
+	} {
+		for _, vectorized := range []bool{false, true} {
+			res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(bindQuery(t, cat, c.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int64
+			for _, r := range res.Table.Rows {
+				got = append(got, r[len(r)-1].I)
+			}
+			if !reflect.DeepEqual(got, c.counts) {
+				t.Errorf("vectorized=%v: %s: group counts %v, want %v (adversarial keys must not collide)", vectorized, c.src, got, c.counts)
 			}
 		}
 	}

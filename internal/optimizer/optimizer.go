@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"cloudviews/internal/exec"
@@ -98,8 +99,9 @@ func (o *Optimizer) maxViews() int {
 // Prepared is the job-independent half of a compilation: the normalized plan,
 // its subexpression enumeration, every node's physical signature and the job
 // tag. All are pure functions of (bound root, signer), so one Prepared serves
-// every submission of a recurring script; it is shared between jobs and never
-// written.
+// every submission of a script against the same dataset versions and parameter
+// values, and Derive carries it over to other versions and values; it is
+// shared between jobs and never written.
 type Prepared struct {
 	Plan plan.Node
 	Subs []signature.Subexpr
@@ -108,6 +110,17 @@ type Prepared struct {
 	Tag      signature.Tag
 	// index is the position in Subs of every enumerated node of Plan.
 	index map[plan.Node]int
+	// params is every parameter reference of the bound script, with the value
+	// this Prepared was built with.
+	params []plan.Param
+
+	// What the first Derive from this Prepared works out (a script seen once
+	// never pays for it): whether normalization's order could have depended
+	// on a parameter value, and signature.AttrsPart of Subs[i].Node where no
+	// job can change it — "" for a Scan or a node holding a Param.
+	shapeOnce sync.Once
+	hazard    bool
+	attrs     []string
 }
 
 // Prepare normalizes and signs a bound root. The input plan is not mutated.
@@ -117,8 +130,9 @@ func (o *Optimizer) Prepare(root plan.Node) *Prepared {
 	phys := o.Signer.Physical(p)
 	prep := &Prepared{
 		Plan: p, Subs: subs, Physical: make([]signature.Sig, len(subs)),
-		Tag:   signature.TagForTemplate(subs[len(subs)-1].Recurring),
-		index: make(map[plan.Node]int, len(subs)),
+		Tag:    signature.TagForTemplate(subs[len(subs)-1].Recurring),
+		index:  make(map[plan.Node]int, len(subs)),
+		params: boundParams(root),
 	}
 	for i := range subs {
 		prep.Physical[i] = phys[subs[i].Node]

@@ -15,9 +15,6 @@ type Binder struct {
 	// Params binds @name parameters at submission time. These are the
 	// time-varying attributes recurring signatures discard.
 	Params map[string]data.Value
-	// Pins optionally forces a specific dataset version (instead of latest),
-	// used by tests and the debugging annotation flow.
-	Pins map[string]catalog.GUID
 
 	env map[string]Node // named intermediate rowsets, bound
 
@@ -165,15 +162,11 @@ func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, *scope, error) {
 			cloned := CloneNode(n)
 			return cloned, scopeFrom(cloned.Schema(), qual), nil
 		}
-		// Catalog dataset.
+		// Catalog dataset: a scan reads the latest readable version, always.
 		ver, ok := b.resolved[r.Name]
 		if !ok {
 			var err error
-			if g, pinned := b.Pins[r.Name]; pinned {
-				ver, err = b.Catalog.VersionByGUID(g)
-			} else {
-				ver, err = b.Catalog.Latest(r.Name)
-			}
+			ver, err = b.Catalog.Latest(r.Name)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -184,13 +177,10 @@ func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, *scope, error) {
 		}
 		ds, _ := b.Catalog.Dataset(r.Name)
 		scan := &Scan{
-			Dataset: ds.Name,
-			GUID:    ver.GUID,
-			Out:     ds.Schema.Clone(),
-			// BaseRows is the LOGICAL cardinality (physical rows times the
-			// dataset scale factor) so compile-time estimates line up with
-			// the executor's scaled accounting.
-			BaseRows: int64(float64(ver.Table.NumRows()) * ds.EffectiveScale()),
+			Dataset:  ds.Name,
+			GUID:     ver.GUID,
+			Out:      ds.Schema.Clone(),
+			BaseRows: ScanBaseRows(ds, ver),
 		}
 		return scan, scopeFrom(scan.Out, qual), nil
 	case *sqlparser.SubqueryRef:
@@ -198,6 +188,13 @@ func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, *scope, error) {
 	default:
 		return nil, nil, fmt.Errorf("unsupported table reference %T", ref)
 	}
+}
+
+// ScanBaseRows is a scan's LOGICAL cardinality (physical rows times the
+// dataset scale factor) so compile-time estimates line up with the executor's
+// scaled accounting.
+func ScanBaseRows(ds *catalog.Dataset, ver *catalog.Version) int64 {
+	return int64(float64(ver.Table.NumRows()) * ds.EffectiveScale())
 }
 
 var aggNames = map[string]AggKind{

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -493,6 +494,74 @@ func Inputs(n Node, buf *[2]Node) []Node {
 		return n.Children()
 	}
 	return buf[:1]
+}
+
+// Exprs appends to buf the scalar expressions n itself holds — a filter's
+// predicate, a projection's columns, a join's left keys, right keys and
+// residual, an aggregate's group keys and aggregate arguments, a sort's keys —
+// and returns it: a read passes a stack buffer, as with Inputs, and a caller
+// that will write the list, or keep it, passes nil.
+func Exprs(n Node, buf []Expr) []Expr {
+	switch x := n.(type) {
+	case *Filter:
+		buf = append(buf, x.Pred)
+	case *Project:
+		buf = append(buf, x.Exprs...)
+	case *Join:
+		buf = append(append(slices.Grow(buf, 2*len(x.LeftKeys)+1), x.LeftKeys...), x.RightKeys...)
+		if x.Residual != nil {
+			buf = append(buf, x.Residual)
+		}
+	case *Aggregate:
+		buf = append(slices.Grow(buf, len(x.GroupBy)+len(x.Aggs)), x.GroupBy...)
+		for _, a := range x.Aggs {
+			if a.Arg != nil {
+				buf = append(buf, a.Arg)
+			}
+		}
+	case *Sort:
+		buf = append(buf, x.Keys...)
+	}
+	return buf
+}
+
+// WithExprs returns a shallow copy of n holding es, laid out as Exprs lays
+// them out, in place of its own expressions. The copy keeps es.
+func WithExprs(n Node, es []Expr) Node {
+	switch x := n.(type) {
+	case *Filter:
+		cp := *x
+		cp.Pred = es[0]
+		return &cp
+	case *Project:
+		cp := *x
+		cp.Exprs = es
+		return &cp
+	case *Join:
+		cp := *x
+		k := len(x.LeftKeys)
+		cp.LeftKeys, cp.RightKeys = es[:k:k], es[k:2*k:2*k]
+		if x.Residual != nil {
+			cp.Residual = es[2*k]
+		}
+		return &cp
+	case *Aggregate:
+		cp := *x
+		k := len(x.GroupBy)
+		cp.GroupBy, es = es[:k:k], es[k:]
+		cp.Aggs = append([]AggSpec(nil), x.Aggs...)
+		for i := range cp.Aggs {
+			if cp.Aggs[i].Arg != nil {
+				cp.Aggs[i].Arg, es = es[0], es[1:]
+			}
+		}
+		return &cp
+	case *Sort:
+		cp := *x
+		cp.Keys = es
+		return &cp
+	}
+	return n
 }
 
 // Walk visits n then its children depth-first, pre-order.

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"sort"
+	"strings"
 
 	"cloudviews/internal/data"
 )
@@ -131,61 +132,59 @@ func tryFoldBinary(op string, l, r Expr) Expr {
 }
 
 // NormalizeNode canonicalizes all expressions in a plan tree, bottom-up, and
-// orders join key pairs canonically. It returns a new tree; the input is not
-// mutated.
+// orders join key pairs canonically. Sort keys are signed as written. It
+// returns a new tree; the input is not mutated.
 func NormalizeNode(n Node) Node {
 	return Rewrite(n, func(m Node) Node {
-		switch x := m.(type) {
-		case *Filter:
-			cp := *x
-			cp.Pred = NormalizeExpr(x.Pred)
-			return &cp
-		case *Project:
-			cp := *x
-			cp.Exprs = make([]Expr, len(x.Exprs))
-			for i, e := range x.Exprs {
-				cp.Exprs[i] = NormalizeExpr(e)
-			}
-			return &cp
-		case *Join:
-			cp := *x
+		es := Exprs(m, nil)
+		if _, isSort := m.(*Sort); isSort || len(es) == 0 {
+			return m
+		}
+		for i, e := range es {
+			es[i] = NormalizeExpr(e)
+		}
+		m = WithExprs(m, es)
+		if j, isJoin := m.(*Join); isJoin {
 			type pair struct {
 				l, r Expr
 				key  string
 			}
-			pairs := make([]pair, len(x.LeftKeys))
-			for i := range x.LeftKeys {
-				l := NormalizeExpr(x.LeftKeys[i])
-				r := NormalizeExpr(x.RightKeys[i])
-				pairs[i] = pair{l: l, r: r, key: l.Canonical() + "=" + r.Canonical()}
+			pairs := make([]pair, len(j.LeftKeys))
+			for i, l := range j.LeftKeys {
+				pairs[i] = pair{l: l, r: j.RightKeys[i], key: l.Canonical() + "=" + j.RightKeys[i].Canonical()}
 			}
-			sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
-			cp.LeftKeys = make([]Expr, len(pairs))
-			cp.RightKeys = make([]Expr, len(pairs))
+			sort.Slice(pairs, func(a, b int) bool { return pairs[a].key < pairs[b].key })
 			for i, p := range pairs {
-				cp.LeftKeys[i], cp.RightKeys[i] = p.l, p.r
+				j.LeftKeys[i], j.RightKeys[i] = p.l, p.r
 			}
-			if x.Residual != nil {
-				cp.Residual = NormalizeExpr(x.Residual)
-			}
-			return &cp
-		case *Aggregate:
-			cp := *x
-			cp.GroupBy = make([]Expr, len(x.GroupBy))
-			for i, g := range x.GroupBy {
-				cp.GroupBy[i] = NormalizeExpr(g)
-			}
-			cp.Aggs = make([]AggSpec, len(x.Aggs))
-			for i, s := range x.Aggs {
-				ns := s
-				if s.Arg != nil {
-					ns.Arg = NormalizeExpr(s.Arg)
-				}
-				cp.Aggs[i] = ns
-			}
-			return &cp
-		default:
-			return m
+		}
+		return m
+	})
+}
+
+// Ordering and parameter values. Normalization orders conjuncts, commutative
+// operands and join-key pairs by Canonical(), which embeds every parameter's
+// VALUE, and yet picks the same order under every valuation of one script's
+// parameters — which is what lets optimizer.Derive rebind values in place
+// without sorting again. Two renderings being compared run equal up to their
+// first differing byte. A Param renders "param:<name>=<value>" and everything
+// else starts "lit:", "col:", "(" or an upper-case function name, so where one
+// side opens a Param the other differs at that byte or opens a Param too; then
+// either the names differ — inside the fixed text, '=' not being an identifier
+// byte — or one name binds one value and the sides stay equal across it. The
+// first difference never falls inside a value, and nothing folds a Param.
+// This needs each side to be where it seems to be in its own rendering: the
+// one text that can hold arbitrary bytes is a string literal, and one holding
+// "param:" can pose as a Param and line a real value up against literal text.
+
+// ParamOrderHazard reports whether e holds such a literal; a template that
+// does is never shared.
+func ParamOrderHazard(e Expr) bool {
+	hazard := false
+	e.Walk(func(x Expr) {
+		if c, ok := x.(*Const); ok && c.Val.Kind == data.KindString && strings.Contains(c.Val.S, "param:") {
+			hazard = true
 		}
 	})
+	return hazard
 }

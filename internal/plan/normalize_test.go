@@ -1,10 +1,13 @@
 package plan_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cloudviews/internal/data"
+	"cloudviews/internal/fixtures"
 	"cloudviews/internal/plan"
 )
 
@@ -189,5 +192,174 @@ func TestHasNondeterminism(t *testing.T) {
 	nested := bin("AND", col(0, "a"), &plan.Call{Name: "RANDOM"})
 	if !plan.HasNondeterminism(nested) {
 		t.Error("nested RANDOM must be detected")
+	}
+}
+
+// rebindParams returns a copy of e with every Param bound to its value in
+// vals, as optimizer.Derive rebinds a template's.
+func rebindParams(e plan.Expr, vals map[string]data.Value) plan.Expr {
+	e = plan.CloneExpr(e)
+	e.Walk(func(x plan.Expr) {
+		if p, ok := x.(*plan.Param); ok {
+			p.Val = vals[p.Name]
+		}
+	})
+	return e
+}
+
+// TestNormalizeOrderIgnoresParamValues is the property optimizer.Derive rests
+// on (see "Ordering and parameter values" in normalize.go): the order
+// normalization gives conjuncts, commutative operands and join-key pairs does
+// not depend on a parameter's value. Seeded random expressions — AND/OR
+// chains, = != + * operands, join-key pairs, parameters whose names prefix one
+// another, string, time, negative and float values, string literals that mimic
+// canonical text — are normalized under two valuations: rebinding the second
+// valuation into the first result must give the second result, or the first
+// result must be flagged by ParamOrderHazard.
+func TestNormalizeOrderIgnoresParamValues(t *testing.T) {
+	rng := data.NewRand(22)
+	at := fixtures.Epoch
+	// Each name has one kind under every valuation, as Derive requires.
+	kinds := map[string]data.Kind{
+		"p": data.KindInt, "p1": data.KindInt, "p10": data.KindFloat,
+		"q": data.KindString, "qs": data.KindString, "t": data.KindTime, "t2": data.KindTime,
+	}
+	names := []string{"p", "p1", "p10", "q", "qs", "t", "t2"}
+	// texts mimic canonical renderings; a parameter's value may be any of
+	// them, a literal takes one holding "param:" one time in eight.
+	texts := []string{
+		"", "a", "z", ")", " AND ", "lit:int:3", "col:a#0", "(col:a#0 = lit:int:3)", "p", "=", "aram:p=1", "param",
+		"param:", "param:p=5", "a = param:p=7) zzz", "x param:p1=",
+	}
+	const benign = 12
+	valuation := func() map[string]data.Value {
+		v := map[string]data.Value{}
+		for _, n := range names {
+			switch kinds[n] {
+			case data.KindInt:
+				v[n] = data.Int(rng.Int63n(2001) - 1000)
+			case data.KindFloat:
+				v[n] = data.Float((rng.Float64() - 0.5) * 1e3)
+			case data.KindString:
+				v[n] = data.String_(texts[rng.Intn(len(texts))])
+			case data.KindTime:
+				v[n] = data.Time(at.Add(time.Duration(rng.Int63n(int64(48*time.Hour))) - 24*time.Hour))
+			}
+		}
+		return v
+	}
+	// shape is an expression with its parameters unbound; bind gives them a
+	// valuation's values.
+	var shape func(depth int) plan.Expr
+	shape = func(depth int) plan.Expr {
+		if depth <= 0 || rng.Intn(4) == 0 {
+			switch rng.Intn(5) {
+			case 0:
+				return &plan.ColRef{Index: rng.Intn(3), Name: []string{"a", "b", "param"}[rng.Intn(3)], Typ: data.KindInt}
+			case 1:
+				return &plan.Const{Val: data.Int(rng.Int63n(21) - 10)}
+			case 2:
+				if rng.Intn(8) == 0 {
+					return &plan.Const{Val: data.String_(texts[benign+rng.Intn(len(texts)-benign)])}
+				}
+				return &plan.Const{Val: data.String_(texts[rng.Intn(benign)])}
+			default:
+				return &plan.Param{Name: names[rng.Intn(len(names))]}
+			}
+		}
+		switch rng.Intn(8) {
+		case 0:
+			return &plan.Unary{Op: "NOT", E: shape(depth - 1)}
+		case 1:
+			return &plan.Call{Name: "COALESCE", Args: []plan.Expr{shape(depth - 1), shape(depth - 1)}}
+		default:
+			ops := []string{"AND", "AND", "OR", "=", "!=", "+", "*", "<", ">"}
+			return bin(ops[rng.Intn(len(ops))], shape(depth-1), shape(depth-1))
+		}
+	}
+	holdsParam := func(e plan.Expr) bool {
+		found := false
+		e.Walk(func(x plan.Expr) {
+			if _, ok := x.(*plan.Param); ok {
+				found = true
+			}
+		})
+		return found
+	}
+	schema := data.Schema{{Name: "a", Kind: data.KindInt}, {Name: "b", Kind: data.KindInt}, {Name: "param", Kind: data.KindInt}}
+	side := func() plan.Node { return &plan.Scan{Dataset: "D", GUID: "g", Out: schema} }
+
+	// The hazard is real: a literal posing as "'a' = @p" sorts after the real
+	// one while @p renders below its "7", and before it above.
+	posing := bin("AND",
+		bin("=", &plan.Const{Val: data.String_("a")}, &plan.Param{Name: "p"}),
+		bin("=", &plan.Const{Val: data.String_("a = param:p=7) zzz")}, &plan.Param{Name: "q"}))
+
+	var checked, flagged, flaggedAndMoved int
+	for i := 0; i < 4000; i++ {
+		// One filter predicate and three join-key pairs per case.
+		pred := shape(4)
+		if i == 0 {
+			pred = posing
+		}
+		var lk, rk []plan.Expr
+		for k := 0; k < 3; k++ {
+			lk, rk = append(lk, shape(2)), append(rk, shape(2))
+		}
+		v1, v2 := valuation(), valuation()
+		if i == 0 {
+			v1["p"], v2["p"] = data.Int(5), data.Int(9)
+		}
+		normalize := func(v map[string]data.Value) (plan.Expr, []plan.Expr, []plan.Expr) {
+			bind := func(es []plan.Expr) []plan.Expr {
+				out := make([]plan.Expr, len(es))
+				for i, e := range es {
+					out[i] = rebindParams(e, v)
+				}
+				return out
+			}
+			n := plan.NormalizeNode(&plan.Filter{
+				Pred:  rebindParams(pred, v),
+				Child: &plan.Join{LeftKeys: bind(lk), RightKeys: bind(rk), L: side(), R: side()},
+			}).(*plan.Filter)
+			j := n.Child.(*plan.Join)
+			return n.Pred, j.LeftKeys, j.RightKeys
+		}
+		pred1, lk1, rk1 := normalize(v1)
+		pred2, lk2, rk2 := normalize(v2)
+		got := []plan.Expr{rebindParams(pred1, v2)}
+		want := []plan.Expr{pred2}
+		hazard, params := plan.ParamOrderHazard(pred1), holdsParam(pred1)
+		for k := range lk1 {
+			got = append(got, rebindParams(lk1[k], v2), rebindParams(rk1[k], v2))
+			want = append(want, lk2[k], rk2[k])
+			hazard = hazard || plan.ParamOrderHazard(lk1[k]) || plan.ParamOrderHazard(rk1[k])
+			params = params || holdsParam(lk1[k]) || holdsParam(rk1[k])
+		}
+		if !params {
+			continue
+		}
+		moved := ""
+		for k := range got {
+			if g, w := got[k].Canonical(), want[k].Canonical(); g != w {
+				moved = fmt.Sprintf("rebound %s\nnormalized under the second valuation %s", g, w)
+				break
+			}
+		}
+		switch {
+		case hazard:
+			flagged++
+			if moved != "" {
+				flaggedAndMoved++
+			}
+		case moved != "":
+			t.Fatalf("case %d: the order depends on a parameter value and no hazard is flagged:\n%s", i, moved)
+		default:
+			checked++
+		}
+	}
+	t.Logf("%d cases held, %d flagged as hazards of which %d would have moved", checked, flagged, flaggedAndMoved)
+	if checked < 2000 || flagged == 0 || flaggedAndMoved == 0 {
+		t.Errorf("%d cases held, %d flagged, %d of them moved: the generator does not cover both sides", checked, flagged, flaggedAndMoved)
 	}
 }

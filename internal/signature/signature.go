@@ -134,6 +134,23 @@ func (s *Signer) hash(inputs []Sig, parts ...string) Sig {
 	return Sig(hexed[:])
 }
 
+// AttrsPart renders what n's own attributes contribute to its strict and
+// physical signatures. A caller that knows they cannot have changed (see
+// optimizer.Derive) keeps the rendering and signs from it again.
+func AttrsPart(n plan.Node) string { return "attrs=" + n.Attrs(false) }
+
+// StrictOf is the strict signature of an operator named op whose AttrsPart is
+// attrs, over its inputs' strict signatures (ViewScan and Spool: see signNode).
+func (s *Signer) StrictOf(op, attrs string, inputs []Sig) Sig {
+	return s.hash(inputs, "op="+op, attrs)
+}
+
+// PhysicalOf is the physical signature of such an operator, other than a
+// ViewScan, over its inputs' physical signatures.
+func (s *Signer) PhysicalOf(op, attrs string, inputs []Sig) Sig {
+	return s.hash(inputs, "phys-op="+op, attrs)
+}
+
 // Strict computes the strict signature of a plan subtree.
 func (s *Signer) Strict(n plan.Node) Sig {
 	return s.signNode(n, false)
@@ -217,11 +234,10 @@ func (s *Signer) PhysicalKnown(root plan.Node, known func(plan.Node) Sig) map[pl
 		for _, c := range inputs {
 			inputSigs = append(inputSigs, out[c])
 		}
-		op, attrs := "phys-op="+n.OpName(), "attrs="+n.Attrs(false)
 		if vs, ok := n.(*plan.ViewScan); ok {
-			out[n] = s.hash(inputSigs, op, attrs, "view="+vs.StrictSig)
+			out[n] = s.hash(inputSigs, "phys-op="+n.OpName(), AttrsPart(n), "view="+vs.StrictSig)
 		} else {
-			out[n] = s.hash(inputSigs, op, attrs)
+			out[n] = s.PhysicalOf(n.OpName(), AttrsPart(n), inputSigs)
 		}
 		return true
 	}
@@ -297,9 +313,8 @@ func (s *Signer) SubexpressionsKnown(root plan.Node, known func(plan.Node) *Sube
 			if elig == EligibleOK {
 				elig = s.nodeEligibility(n)
 			}
-			op := "op=" + n.OpName()
-			strict = s.hash(strictIn, op, "attrs="+n.Attrs(false))
-			recur = s.hash(recurIn, op, "attrs="+n.Attrs(true))
+			strict = s.StrictOf(n.OpName(), AttrsPart(n), strictIn)
+			recur = s.hash(recurIn, "op="+n.OpName(), "attrs="+n.Attrs(true))
 		} else {
 			// The entry holds the node-local verdict already, except that
 			// Trivial and Output judge the node itself, not what it passes up.
@@ -382,40 +397,15 @@ func (s *Signer) nodeEligibility(n plan.Node) Eligibility {
 		if !ok || depth > s.maxDepth() {
 			return IneligibleDeepDeps
 		}
-	case *plan.Filter:
-		if plan.HasNondeterminism(x.Pred) {
+	case *plan.Sort:
+		// Sort keys are not a hazard checked here: doing so would move
+		// eligibility, and with it which views exist.
+		return EligibleOK
+	}
+	var buf [8]plan.Expr
+	for _, e := range plan.Exprs(n, buf[:0]) {
+		if plan.HasNondeterminism(e) {
 			return IneligibleNondetFunc
-		}
-	case *plan.Project:
-		for _, e := range x.Exprs {
-			if plan.HasNondeterminism(e) {
-				return IneligibleNondetFunc
-			}
-		}
-	case *plan.Join:
-		for _, e := range x.LeftKeys {
-			if plan.HasNondeterminism(e) {
-				return IneligibleNondetFunc
-			}
-		}
-		for _, e := range x.RightKeys {
-			if plan.HasNondeterminism(e) {
-				return IneligibleNondetFunc
-			}
-		}
-		if x.Residual != nil && plan.HasNondeterminism(x.Residual) {
-			return IneligibleNondetFunc
-		}
-	case *plan.Aggregate:
-		for _, g := range x.GroupBy {
-			if plan.HasNondeterminism(g) {
-				return IneligibleNondetFunc
-			}
-		}
-		for _, a := range x.Aggs {
-			if a.Arg != nil && plan.HasNondeterminism(a.Arg) {
-				return IneligibleNondetFunc
-			}
 		}
 	}
 	return EligibleOK
