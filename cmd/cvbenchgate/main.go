@@ -1,12 +1,12 @@
 // Command cvbenchgate parses `go test -bench -benchmem` output, records the
 // executor-throughput trajectory as JSON, and gates CI on allocation
-// regressions: if any gated benchmark's allocs/op grows more than the allowed
-// fraction over the committed baseline, it exits non-zero.
+// regressions: if any gated benchmark's allocs/op or B/op grows more than the
+// allowed fraction over the committed baseline, it exits non-zero.
 //
-// Allocations gate instead of ns/op because allocs/op is deterministic for a
-// given binary (the hot path either allocates or it doesn't) while wall-clock
-// on shared CI runners is too noisy for a hard threshold. The ns/op numbers
-// are still recorded in the trajectory file for trend inspection.
+// Allocations gate instead of ns/op because allocs/op and B/op barely move
+// for a given binary (the hot path either allocates or it doesn't) while
+// wall-clock on shared CI runners is too noisy for a hard threshold. The ns/op
+// numbers are still recorded in the trajectory file for trend inspection.
 //
 // Usage:
 //
@@ -52,7 +52,7 @@ func main() {
 	out := flag.String("out", "", "write the parsed trajectory JSON here")
 	baseline := flag.String("baseline", "", "committed baseline JSON to gate against")
 	gate := flag.String("gate", "BenchmarkConcurrentSubmit", "benchmark name prefix the allocation gate applies to")
-	maxRegress := flag.Float64("max-alloc-regress", 0.10, "allowed fractional allocs/op increase over baseline")
+	maxRegress := flag.Float64("max-alloc-regress", 0.10, "allowed fractional allocs/op and B/op increase over baseline")
 	flag.Parse()
 
 	var r io.Reader = os.Stdin
@@ -111,8 +111,9 @@ func baseName(name string) string {
 	return name
 }
 
-// gateAllocs compares every gated baseline entry against the fresh results
-// of the same base name (see baseName), each -cpu arm on its own. A gated
+// gateAllocs compares every gated baseline entry's allocs/op and B/op against
+// the fresh results of the same base name (see baseName), each -cpu arm on
+// its own. A gated
 // benchmark missing from the fresh run fails the gate — silently dropping an
 // arm must not pass.
 func gateAllocs(base, cur []Result, prefix string, tolerance float64) []string {
@@ -135,6 +136,10 @@ func gateAllocs(base, cur []Result, prefix string, tolerance float64) []string {
 			if c.AllocsPerOp > limit {
 				failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f by more than %.0f%% (limit %.1f)",
 					c.Name, c.AllocsPerOp, b.AllocsPerOp, tolerance*100, limit))
+			}
+			if bytes := b.BytesPerOp * (1 + tolerance); c.BytesPerOp > bytes {
+				failures = append(failures, fmt.Sprintf("%s: B/op %.0f exceeds baseline %.0f by more than %.0f%% (limit %.0f)",
+					c.Name, c.BytesPerOp, b.BytesPerOp, tolerance*100, bytes))
 			}
 		}
 	}

@@ -24,15 +24,21 @@ PASS
 		t.Fatalf("parsed %+v", cur)
 	}
 	base := []Result{
-		{Name: "BenchmarkConcurrentSubmit/workers=1", AllocsPerOp: 43, HasAllocs: true},
-		{Name: "BenchmarkConcurrentSubmit/workers=16-4", AllocsPerOp: 43, HasAllocs: true},
-		{Name: "BenchmarkExecuteVectorized/batch", AllocsPerOp: 12000, HasAllocs: true},
+		{Name: "BenchmarkConcurrentSubmit/workers=1", AllocsPerOp: 43, BytesPerOp: 7500, HasAllocs: true},
+		{Name: "BenchmarkConcurrentSubmit/workers=16-4", AllocsPerOp: 43, BytesPerOp: 7500, HasAllocs: true},
+		{Name: "BenchmarkExecuteVectorized/batch", AllocsPerOp: 12000, BytesPerOp: 5000000, HasAllocs: true},
 	}
 	if f := gateAllocs(base, cur, "BenchmarkConcurrentSubmit", 0.10); len(f) != 0 {
 		t.Errorf("gate failed across core counts: %v", f)
 	}
 	if f := gateAllocs(base, cur, "BenchmarkExecuteVectorized", 0); len(f) != 1 || !strings.Contains(f[0], "batch-2") {
 		t.Errorf("want exactly the -cpu 2 arm over the limit, got %v", f)
+	}
+	// Bytes per op are held to the same margin as the count: the same run
+	// against a baseline that allocated 10 % fewer bytes fails on both arms.
+	base[2].BytesPerOp = 4500000
+	if f := gateAllocs(base, cur, "BenchmarkExecuteVectorized", 0.10); len(f) != 2 || !strings.Contains(f[0], "B/op") || !strings.Contains(f[1], "B/op") {
+		t.Errorf("want both arms over the B/op limit, got %v", f)
 	}
 	base = append(base, Result{Name: "BenchmarkConcurrentSubmit/workers=4", AllocsPerOp: 43, HasAllocs: true})
 	if f := gateAllocs(base, cur, "BenchmarkConcurrentSubmit", 0.10); len(f) != 1 || !strings.Contains(f[0], "missing") {

@@ -54,15 +54,3 @@ func (s *Slab[T]) New(n int) []T {
 	s.off += n
 	return r
 }
-
-// Release takes back r if it is the item New returned last, so an item built
-// speculatively (a join pair its residual then rejects) costs nothing. Any
-// other item is left alone. The caller must not use r afterwards.
-func (s *Slab[T]) Release(r []T) {
-	n := len(r)
-	if n == 0 || n > s.off || &s.chunk[s.off-n] != &r[0] {
-		return
-	}
-	clear(r)
-	s.off -= n
-}

@@ -56,49 +56,6 @@ func TestRowSlabRowsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestRowSlabRelease: the last row handed out can be given back and its cells
-// are reused, zeroed; giving back any other row changes nothing.
-func TestRowSlabRelease(t *testing.T) {
-	var s RowSlab
-	a := s.New(2)
-	fill(a, 1)
-	b := s.New(2)
-	fill(b, 2)
-
-	s.Release(a) // not the last row: ignored
-	requireFilled(t, "a after releasing it out of turn", a, 1)
-	c := s.New(2)
-	if &c[0] == &a[0] || &c[0] == &b[0] {
-		t.Fatal("an out-of-turn Release recycled a live row")
-	}
-	fill(c, 3)
-	s.Release(c)
-	d := s.New(2)
-	if &d[0] != &c[0] {
-		t.Fatal("Release then New did not reuse the released cells")
-	}
-	for _, v := range d {
-		if !v.IsNull() {
-			t.Fatalf("reused row not zeroed: %v", v)
-		}
-	}
-	fill(d, 4)
-	requireFilled(t, "a", a, 1)
-	requireFilled(t, "b", b, 2)
-
-	// Releasing twice, or releasing a row of another slab, is ignored too.
-	var other RowSlab
-	o := other.New(2)
-	fill(o, 5)
-	s.Release(o)
-	e := s.New(2)
-	if &e[0] == &o[0] {
-		t.Fatal("Release accepted another slab's row")
-	}
-	requireFilled(t, "other slab's row", o, 5)
-	s.Release(Row{})
-}
-
 // TestRowSlabChunking pins the allocation shape: geometric 16 → 1024 rows
 // when the count is unknown, exact when Expect announced it.
 func TestRowSlabChunking(t *testing.T) {

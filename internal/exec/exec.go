@@ -10,7 +10,9 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"cloudviews/internal/catalog"
@@ -625,9 +627,9 @@ func (ex *Executor) appendJoinKey(dst []byte, row data.Row, keys []plan.Expr) []
 
 // rowJoinKeys is vecJoinKeys on the row loop: joinKey of every row of t, in
 // row order, packed one string per batchSize rows.
-func (ex *Executor) rowJoinKeys(t *data.Table, keys []plan.Expr) []string {
-	out := make([]string, len(t.Rows))
-	var pack keyPacker
+func (ex *Executor) rowJoinKeys(t *data.Table, keys []plan.Expr, dst *[]string, pack *keyPacker) {
+	out := sized(*dst, len(t.Rows))
+	*dst = out
 	for lo := 0; lo < len(out); lo += batchSize {
 		hi := min(lo+batchSize, len(out))
 		for _, row := range t.Rows[lo:hi] {
@@ -636,7 +638,6 @@ func (ex *Executor) rowJoinKeys(t *data.Table, keys []plan.Expr) []string {
 		}
 		pack.flush(out[lo:hi])
 	}
-	return out
 }
 
 // keyPacker encodes the keys of up to batchSize rows back to back and turns
@@ -667,13 +668,54 @@ func (p *keyPacker) flush(out []string) {
 // orderedJoinKey is the merge-join variant: collision-free AND order-
 // preserving for escape-free values, so merge-join emission order matches
 // the historical encoding byte-for-byte (see keys.go).
-func (ex *Executor) orderedJoinKey(row data.Row, keys []plan.Expr) string {
+func orderedJoinKey(row data.Row, keys []plan.Expr, ctx *plan.EvalContext) string {
 	var buf [64]byte
 	dst := buf[:0]
 	for _, k := range keys {
-		dst = appendOrderedKeyValue(dst, k.Eval(row, ex.Ctx))
+		dst = appendOrderedKeyValue(dst, k.Eval(row, ctx))
 	}
 	return string(dst)
+}
+
+// joinScratch is everything a join borrows while it probes. The probe only
+// records which pairs it keeps; the output table, the one thing the join
+// allocates to return, is built from them afterwards at its exact size and
+// aliases nothing here. The scratch goes back to joinScratches when evalJoin
+// returns, wiped of strings and rows; a new one has room for a window of keys.
+type joinScratch struct {
+	pairs []int32 // (left, right) row indices of the pairs kept, in emission order
+	side  [2]joinSide
+	next  []int32 // hash join: the build side's chains
+	pack  keyPacker
+	probe data.Row // the pair the residual is being tested on
+}
+
+// joinSide is one input's key per row and, for a merge join, its rows sorted by key.
+type joinSide struct {
+	keys  []string
+	order []int32
+}
+
+var joinScratches = sync.Pool{New: func() any { return &joinScratch{pack: keyPacker{buf: make([]byte, 0, 16*batchSize)}} }}
+
+func (j *joinScratch) release() {
+	if poisonReleased {
+		fill(j.pairs[:cap(j.pairs)], -1)
+	}
+	clear(j.side[0].keys)
+	clear(j.side[1].keys)
+	clear(j.probe[:cap(j.probe)])
+	j.pairs = j.pairs[:0]
+	joinScratches.Put(j)
+}
+
+// sized returns s at length n, reusing its array when that is long enough;
+// the caller writes every element.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
@@ -700,32 +742,36 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 		}
 	}
 	mult := math.Max(l.mult, r.mult)
-	out := data.NewTable(x.Schema())
 	lRows, rRows := float64(l.logicalRows()), float64(r.logicalRows())
+	lt, rt := l.table.Rows, r.table.Rows
 	var work float64
 
-	var slab data.RowSlab
-	emit := func(lr, rr data.Row) {
-		combined := slab.New(len(lr) + len(rr))
-		copy(combined[copy(combined, lr):], rr)
+	js := joinScratches.Get().(*joinScratch)
+	defer js.release()
+	if js.pairs == nil { // a new scratch: most joins keep about a pair per row of the larger input
+		js.pairs = make([]int32, 0, 2*max(len(lt), len(rt)))
+	}
+	// emit keeps the pair (li, ri) unless the residual rejects it.
+	emit := func(li, ri int) {
 		if x.Residual != nil {
-			if v := x.Residual.Eval(combined, ex.Ctx); v.Kind != data.KindBool || !v.B {
-				slab.Release(combined)
+			js.probe = append(append(js.probe[:0], lt[li]...), rt[ri]...)
+			if v := x.Residual.Eval(js.probe, ex.Ctx); v.Kind != data.KindBool || !v.B {
 				return
 			}
 		}
-		out.Append(combined)
+		js.pairs = append(js.pairs, int32(li), int32(ri))
 	}
 
 	var batches int64
 	switch algo {
 	case plan.JoinHash:
-		lKeys, lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys)
-		rKeys, rb, rok := ex.vecJoinKeys(r.table, x.RightKeys)
+		lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys, &js.side[0].keys, &js.pack)
+		rb, rok := ex.vecJoinKeys(r.table, x.RightKeys, &js.side[1].keys, &js.pack)
 		batches = lb + rb
 		if !rok {
-			rKeys = ex.rowJoinKeys(r.table, x.RightKeys)
+			ex.rowJoinKeys(r.table, x.RightKeys, &js.side[1].keys, &js.pack)
 		}
+		lKeys, rKeys := js.side[0].keys, js.side[1].keys
 		// The build table is two flat arrays instead of a row slice per
 		// distinct key: head[k] is one past the index of the first right row
 		// with key k, next[i] one past the following row with row i's key, and
@@ -733,13 +779,14 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 		// last row backwards leaves every chain in build order, the order the
 		// probe must emit in.
 		head := make(map[string]int32, len(rKeys))
-		next := make([]int32, len(rKeys))
+		js.next = sized(js.next, len(rKeys))
+		next := js.next
 		for ri := len(rKeys) - 1; ri >= 0; ri-- {
 			next[ri] = head[rKeys[ri]]
 			head[rKeys[ri]] = int32(ri + 1)
 		}
 		var buf [64]byte
-		for li, lr := range l.table.Rows {
+		for li, lr := range lt {
 			var ri int32
 			if lok {
 				ri = head[lKeys[li]]
@@ -747,50 +794,51 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 				ri = head[string(ex.appendJoinKey(buf[:0], lr, x.LeftKeys))]
 			}
 			for ; ri != 0; ri = next[ri-1] {
-				emit(lr, r.table.Rows[ri-1])
+				emit(li, int(ri-1))
 			}
 		}
 		work = (lRows + rRows) * costHashRow
 
 	case plan.JoinMerge:
-		ls := sortedByKeys(l.table, x.LeftKeys, ex.Ctx)
-		rs := sortedByKeys(r.table, x.RightKeys, ex.Ctx)
-		mergeJoin(ls, rs, x, ex, emit)
+		js.side[0].sortByKeys(l.table, x.LeftKeys, ex.Ctx)
+		js.side[1].sortByKeys(r.table, x.RightKeys, ex.Ctx)
+		mergeJoin(&js.side[0], &js.side[1], emit)
 		sortWork := lRows*costSortRow*log2(lRows) + rRows*costSortRow*log2(rRows)
 		work = (lRows+rRows)*costMergeRow + sortWork
 
 	case plan.JoinLoop:
 		if len(x.LeftKeys) == 0 {
-			for _, lr := range l.table.Rows {
-				for _, rr := range r.table.Rows {
-					emit(lr, rr)
+			for li := range lt {
+				for ri := range rt {
+					emit(li, ri)
 				}
 			}
-		} else if rKeys, rb, rok := ex.vecJoinKeys(r.table, x.RightKeys); rok {
+		} else if rb, rok := ex.vecJoinKeys(r.table, x.RightKeys, &js.side[1].keys, &js.pack); rok {
 			// Hoisting the inner-side key computation out of the O(n·m) pair
 			// loop changes no output: key equality is unchanged, only the
 			// per-pair re-evaluation is gone.
-			lKeys, lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys)
+			lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys, &js.side[0].keys, &js.pack)
 			batches = lb + rb
-			for li, lr := range l.table.Rows {
+			lKeys, rKeys := js.side[0].keys, js.side[1].keys
+			for li, lr := range lt {
 				var lk string
 				if lok {
 					lk = lKeys[li]
 				} else {
 					lk = ex.joinKey(lr, x.LeftKeys)
 				}
-				for ri, rr := range r.table.Rows {
+				for ri := range rt {
 					if lk == rKeys[ri] {
-						emit(lr, rr)
+						emit(li, ri)
 					}
 				}
 			}
 		} else {
-			for _, lr := range l.table.Rows {
+			for li, lr := range lt {
 				lk := ex.joinKey(lr, x.LeftKeys)
-				for _, rr := range r.table.Rows {
+				for ri, rr := range rt {
 					if lk == ex.joinKey(rr, x.RightKeys) {
-						emit(lr, rr)
+						emit(li, ri)
 					}
 				}
 			}
@@ -802,53 +850,53 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 		work = outer * costLoopOuter * (1 + 0.05*inner)
 	}
 
+	// Every pair is known: slab and row slice are made once, at the output's size.
+	out := data.NewTable(x.Schema())
+	var slab data.RowSlab
+	slab.Expect(len(js.pairs) / 2)
+	out.Rows = make([]data.Row, 0, len(js.pairs)/2)
+	for k := 0; k < len(js.pairs); k += 2 {
+		lr, rr := lt[js.pairs[k]], rt[js.pairs[k+1]]
+		combined := slab.New(len(lr) + len(rr))
+		copy(combined[copy(combined, lr):], rr)
+		out.Append(combined)
+	}
 	return ex.finish(NodeStat{Node: x, Op: "Join", Algo: algo, Work: work, Batches: batches}, out, mult), nil
 }
 
-type keyedRows struct {
-	rows []data.Row
-	keys []string
+// key is the key of the i-th row in sorted order.
+func (s *joinSide) key(i int) string { return s.keys[s.order[i]] }
+
+func (s *joinSide) sortByKeys(t *data.Table, keys []plan.Expr, ctx *plan.EvalContext) {
+	s.keys, s.order = sized(s.keys, len(t.Rows)), sized(s.order, len(t.Rows))
+	for i, row := range t.Rows {
+		s.order[i] = int32(i)
+		s.keys[i] = orderedJoinKey(row, keys, ctx)
+	}
+	slices.SortStableFunc(s.order, func(a, b int32) int { return strings.Compare(s.keys[a], s.keys[b]) })
 }
 
-func sortedByKeys(t *data.Table, keys []plan.Expr, ctx *plan.EvalContext) keyedRows {
-	kr := keyedRows{rows: append([]data.Row(nil), t.Rows...)}
-	kr.keys = make([]string, len(kr.rows))
-	ex := &Executor{Ctx: ctx}
-	idx := make([]int, len(kr.rows))
-	for i := range idx {
-		idx[i] = i
-		kr.keys[i] = ex.orderedJoinKey(kr.rows[i], keys)
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return kr.keys[idx[a]] < kr.keys[idx[b]] })
-	rows := make([]data.Row, len(idx))
-	ks := make([]string, len(idx))
-	for i, j := range idx {
-		rows[i], ks[i] = kr.rows[j], kr.keys[j]
-	}
-	return keyedRows{rows: rows, keys: ks}
-}
-
-func mergeJoin(l, r keyedRows, x *plan.Join, ex *Executor, emit func(lr, rr data.Row)) {
+func mergeJoin(l, r *joinSide, emit func(li, ri int)) {
 	i, j := 0, 0
-	for i < len(l.rows) && j < len(r.rows) {
+	for i < len(l.order) && j < len(r.order) {
 		switch {
-		case l.keys[i] < r.keys[j]:
+		case l.key(i) < r.key(j):
 			i++
-		case l.keys[i] > r.keys[j]:
+		case l.key(i) > r.key(j):
 			j++
 		default:
 			// Gather the equal run on both sides.
 			i2 := i
-			for i2 < len(l.rows) && l.keys[i2] == l.keys[i] {
+			for i2 < len(l.order) && l.key(i2) == l.key(i) {
 				i2++
 			}
 			j2 := j
-			for j2 < len(r.rows) && r.keys[j2] == r.keys[j] {
+			for j2 < len(r.order) && r.key(j2) == r.key(j) {
 				j2++
 			}
 			for a := i; a < i2; a++ {
 				for b := j; b < j2; b++ {
-					emit(l.rows[a], r.rows[b])
+					emit(int(l.order[a]), int(r.order[b]))
 				}
 			}
 			i, j = i2, j2

@@ -8,6 +8,7 @@ import (
 
 	"cloudviews/internal/data"
 	"cloudviews/internal/obs"
+	"cloudviews/internal/plan"
 	"cloudviews/internal/signature"
 )
 
@@ -190,5 +191,66 @@ func TestCacheUnbounded(t *testing.T) {
 	}
 	if c.Len() != 100 {
 		t.Fatalf("Len = %d, want 100 (limit<=0 means unbounded)", c.Len())
+	}
+}
+
+// PoisonReleasedBuffers makes every window and join scratch be overwritten
+// with sentinels as it goes back to its pool, for the rest of the test: a
+// table that aliased a borrowed buffer then reads -1, NaN, "\x00poison" or
+// true instead of its answer. The switch is this file's alone; tests of
+// package exec_test reach it through here.
+func PoisonReleasedBuffers(t testing.TB) {
+	poisonReleased = true
+	t.Cleanup(func() { poisonReleased = false })
+}
+
+// TestColumnGatheredOncePerWindow: the expressions of one operator share its
+// inputCols, so a column two of them reference is validated once and gathered
+// once per window, and a column none references is never read.
+func TestColumnGatheredOncePerWindow(t *testing.T) {
+	schema := data.Schema{
+		{Name: "A", Kind: data.KindInt},
+		{Name: "B", Kind: data.KindFloat},
+		{Name: "C", Kind: data.KindString},
+	}
+	tb := data.NewTable(schema)
+	for i := 0; i < 3000; i++ {
+		tb.Append(data.Row{data.Int(int64(i)), data.Float(float64(i) / 2), data.String_("c")})
+	}
+	tb.Rows[2999][2] = data.Null() // unreferenced: must not decline anything
+	a := &plan.ColRef{Index: 0, Typ: data.KindInt}
+	b := &plan.ColRef{Index: 1, Typ: data.KindFloat}
+	exprs := []plan.Expr{
+		&plan.Binary{Op: ">", L: a, R: &plan.Const{Val: data.Int(10)}},
+		&plan.Binary{Op: "+", L: a, R: a},
+		&plan.Binary{Op: "*", L: b, R: a},
+	}
+	in := newInputCols(tb)
+	defer in.release()
+	progs, ok := compileAll(in, exprs)
+	if !ok {
+		t.Fatal("the expressions did not compile")
+	}
+	roots := make([]*vcol, len(progs))
+	windows := 0
+	for lo := 0; lo < 3000; lo += batchSize {
+		w := min(batchSize, 3000-lo)
+		evalAll(progs, roots, lo, w)
+		windows++
+		for _, i := range []int{0, w - 1} {
+			row := tb.Rows[lo+i]
+			for k, e := range exprs {
+				if got, want := roots[k].value(i), e.Eval(row, nil); got != want {
+					t.Fatalf("row %d expr %d: kernel %v, row loop %v", lo+i, k, got, want)
+				}
+			}
+		}
+	}
+	// Two referenced columns, four ColRef nodes.
+	if in.gathers != 2*windows {
+		t.Errorf("%d gathers over %d windows of 2 referenced columns, want %d", in.gathers, windows, 2*windows)
+	}
+	if in.cols[2].kind != data.KindNull {
+		t.Error("the unreferenced column was read")
 	}
 }

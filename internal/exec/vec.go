@@ -12,6 +12,9 @@
 package exec
 
 import (
+	"math"
+	"sync"
+
 	"cloudviews/internal/data"
 	"cloudviews/internal/plan"
 )
@@ -56,7 +59,7 @@ func (c *vcol) value(i int) data.Value {
 }
 
 // floats returns a float64 view of the first n entries with Value.AsFloat
-// semantics. scratch must have capacity ≥ n.
+// semantics, converted into scratch (a window) unless c is float64.
 func (c *vcol) floats(scratch []float64, n int) []float64 {
 	switch c.kind {
 	case data.KindFloat:
@@ -82,7 +85,7 @@ func (c *vcol) floats(scratch []float64, n int) []float64 {
 }
 
 // intsView returns an int64 view of the first n entries with Value.AsInt
-// semantics. scratch must have capacity ≥ n.
+// semantics, converted into scratch (a window) unless c is int64.
 func (c *vcol) intsView(scratch []int64, n int) []int64 {
 	switch c.kind {
 	case data.KindInt, data.KindTime:
@@ -107,65 +110,180 @@ func (c *vcol) intsView(scratch []int64, n int) []int64 {
 	return scratch[:0]
 }
 
-// inputCols decomposes a row-oriented table into full-height typed columns,
-// each one copied when the first ColRef compiles against it. Columns no
-// expression references are never copied: kernels cannot read them, and
-// operators that keep input rows pass them through by reference.
+// window is one pooled kernel buffer, with its link in the list of windows
+// the borrowing operator gives back when it returns.
+type window[T any] struct {
+	v    [batchSize]T
+	next *window[T]
+}
+
+// windowPool recycles the windows of one element type. An operator allocates
+// the table it returns and borrows everything else: gather buffers, kernel
+// outputs, float/int views, constant broadcasts and NULL masks are all
+// windows, borrowed while the operator compiles and given back when its
+// function (vecFilter, vecProject, vecJoinKeys, vecAggregate, vecSort)
+// returns. That is sound because nothing an operator returns aliases a vcol:
+// rows are built from vcol.value copies, vecSort copies its keys with
+// appendVcol, keyPacker.flush mints its own strings. A window is not zeroed
+// on reuse; every kernel writes [0, n) of its output and mask before anything
+// reads them.
+type windowPool[T any] struct {
+	free   sync.Pool
+	poison T
+}
+
+var (
+	int64Windows  = windowPool[int64]{poison: -1}
+	floatWindows  = windowPool[float64]{poison: math.NaN()}
+	stringWindows = windowPool[string]{poison: "\x00poison"}
+	boolWindows   = windowPool[bool]{poison: true}
+)
+
+// poisonReleased makes every buffer that goes back to a pool be overwritten
+// with sentinels first, so a returned table that aliased one reads garbage.
+// Set only by tests, before any executor runs.
+var poisonReleased bool
+
+// borrow takes a window and links it into list.
+func (p *windowPool[T]) borrow(list **window[T]) []T {
+	w, _ := p.free.Get().(*window[T])
+	if w == nil {
+		w = new(window[T])
+	}
+	w.next, *list = *list, w
+	return w.v[:]
+}
+
+// giveBack returns every window of list to the pool, wiped when the elements
+// hold pointers: a pooled window must not pin a table's strings.
+func (p *windowPool[T]) giveBack(list **window[T], wipe bool) {
+	for w := *list; w != nil; {
+		next := w.next
+		if poisonReleased {
+			fill(w.v[:], p.poison)
+		} else if wipe {
+			clear(w.v[:])
+		}
+		w.next = nil
+		p.free.Put(w)
+		w = next
+	}
+	*list = nil
+}
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// borrowed is the windows one operator invocation holds.
+type borrowed struct {
+	ints *window[int64]
+	fs   *window[float64]
+	ss   *window[string]
+	bs   *window[bool]
+}
+
+func (b *borrowed) int64s() []int64     { return int64Windows.borrow(&b.ints) }
+func (b *borrowed) float64s() []float64 { return floatWindows.borrow(&b.fs) }
+func (b *borrowed) strings() []string   { return stringWindows.borrow(&b.ss) }
+func (b *borrowed) bools() []bool       { return boolWindows.borrow(&b.bs) }
+
+// release gives every window back. Nothing compiled against b may run after.
+func (b *borrowed) release() {
+	int64Windows.giveBack(&b.ints, false)
+	floatWindows.giveBack(&b.fs, false)
+	stringWindows.giveBack(&b.ss, true)
+	boolWindows.giveBack(&b.bs, false)
+}
+
+// inputCols reads a row-oriented table as typed columns, one window at a
+// time, and holds every window the operator compiled against it borrows.
+// Columns no expression references are never read: kernels cannot see them,
+// and operators that keep input rows pass them through by reference.
 type inputCols struct {
 	t    *data.Table
-	cols []vcol // cols[j].kind stays KindNull until column j is extracted
+	cols []inputCol // cols[j].kind stays KindNull until a ColRef compiles against column j
+	borrowed
+	gathers int // windows gathered so far, over all columns
+}
+
+// inputCol is one referenced column: a borrowed window holding rows
+// [lo, lo+batchSize) of it (lo < 0 before the first gather).
+type inputCol struct {
+	vcol
+	lo int
 }
 
 func newInputCols(t *data.Table) *inputCols {
-	return &inputCols{t: t, cols: make([]vcol, len(t.Schema))}
+	return &inputCols{t: t, cols: make([]inputCol, len(t.Schema))}
 }
 
-// col returns column j, extracting it on first use. ok=false (fall back to
-// the row path) when a row's length differs from the schema's or a cell's
-// runtime kind differs from the declared schema kind — which also covers NULL
-// cells, so kernels never see NULL inputs except through their own null masks.
-func (in *inputCols) col(j int) (*vcol, bool) {
+// col validates column j on first use and borrows its window. ok=false (fall
+// back to the row path) when a row's length differs from the schema's or a
+// cell's runtime kind differs from the declared schema kind — which also
+// covers NULL cells, so kernels never see NULL inputs except through their own
+// null masks. The check reads every row and writes nothing, so an operator
+// that declines has consumed nothing.
+func (in *inputCols) col(j int) (*inputCol, bool) {
 	if j < 0 || j >= len(in.cols) {
 		return nil, false
 	}
-	if in.cols[j].kind != data.KindNull {
-		return &in.cols[j], true
+	c := &in.cols[j]
+	if c.kind != data.KindNull {
+		return c, true
 	}
-	n := len(in.t.Rows)
-	c := vcol{kind: in.t.Schema[j].Kind}
-	switch c.kind {
+	kind := in.t.Schema[j].Kind
+	switch kind {
 	case data.KindInt, data.KindTime:
-		c.ints = make([]int64, n)
+		c.ints = in.int64s()
 	case data.KindFloat:
-		c.fs = make([]float64, n)
+		c.fs = in.float64s()
 	case data.KindString:
-		c.ss = make([]string, n)
+		c.ss = in.strings()
 	case data.KindBool:
-		c.bs = make([]bool, n)
+		c.bs = in.bools()
 	default:
 		return nil, false
 	}
-	for i, row := range in.t.Rows {
-		if len(row) != len(in.cols) {
+	for _, row := range in.t.Rows {
+		if len(row) != len(in.cols) || row[j].Kind != kind {
 			return nil, false
-		}
-		v := row[j]
-		if v.Kind != c.kind {
-			return nil, false
-		}
-		switch c.kind {
-		case data.KindInt, data.KindTime:
-			c.ints[i] = v.I
-		case data.KindFloat:
-			c.fs[i] = v.F
-		case data.KindString:
-			c.ss[i] = v.S
-		case data.KindBool:
-			c.bs[i] = v.B
 		}
 	}
-	in.cols[j] = c
-	return &in.cols[j], true
+	c.kind, c.lo = kind, -1
+	return c, true
+}
+
+// gather fills column j's window with rows [lo, lo+n), once per window
+// however many expressions of the operator reference the column.
+func (in *inputCols) gather(j, lo, n int) {
+	c := &in.cols[j]
+	if c.lo == lo {
+		return
+	}
+	c.lo = lo
+	in.gathers++
+	rows := in.t.Rows[lo : lo+n]
+	switch c.kind {
+	case data.KindInt, data.KindTime:
+		for i, row := range rows {
+			c.ints[i] = row[j].I
+		}
+	case data.KindFloat:
+		for i, row := range rows {
+			c.fs[i] = row[j].F
+		}
+	case data.KindString:
+		for i, row := range rows {
+			c.ss[i] = row[j].S
+		}
+	case data.KindBool:
+		for i, row := range rows {
+			c.bs[i] = row[j].B
+		}
+	}
 }
 
 // vnode is one compiled expression node. run fills out[0:n] for the window
@@ -198,9 +316,10 @@ type vecCompiler struct {
 	nodes []*vnode
 }
 
-// compileVec compiles e against the input columns, extracting the ones it
-// references. ok=false means the expression or a referenced column is outside
-// kernel coverage and the caller must use the row path.
+// compileVec compiles e against the input columns, validating the ones it
+// references and borrowing every buffer through in. ok=false means the
+// expression or a referenced column is outside kernel coverage and the caller
+// must use the row path.
 func compileVec(e plan.Expr, in *inputCols) (*vecProg, bool) {
 	vc := &vecCompiler{in: in}
 	root, ok := vc.compile(e)
@@ -222,21 +341,8 @@ func (vc *vecCompiler) compile(e plan.Expr) (*vnode, bool) {
 		if !ok {
 			return nil, false
 		}
-		nd := &vnode{}
-		nd.out.kind = src.kind
-		nd.run = func(lo, n int) {
-			switch src.kind {
-			case data.KindInt, data.KindTime:
-				nd.out.ints = src.ints[lo : lo+n]
-			case data.KindFloat:
-				nd.out.fs = src.fs[lo : lo+n]
-			case data.KindString:
-				nd.out.ss = src.ss[lo : lo+n]
-			case data.KindBool:
-				nd.out.bs = src.bs[lo : lo+n]
-			}
-		}
-		return vc.add(nd), true
+		in, j := vc.in, x.Index
+		return vc.add(&vnode{out: src.vcol, run: func(lo, n int) { in.gather(j, lo, n) }}), true
 
 	case *plan.Const:
 		return vc.compileConst(x.Val)
@@ -259,27 +365,21 @@ func (vc *vecCompiler) compileConst(v data.Value) (*vnode, bool) {
 	}
 	nd := &vnode{}
 	nd.out.kind = v.Kind
+	// No window is taller than the table, so the broadcast stops there.
+	w := min(batchSize, len(vc.in.t.Rows))
 	switch v.Kind {
 	case data.KindInt, data.KindTime:
-		nd.out.ints = make([]int64, batchSize)
-		for i := range nd.out.ints {
-			nd.out.ints[i] = v.I
-		}
+		nd.out.ints = vc.in.int64s()
+		fill(nd.out.ints[:w], v.I)
 	case data.KindFloat:
-		nd.out.fs = make([]float64, batchSize)
-		for i := range nd.out.fs {
-			nd.out.fs[i] = v.F
-		}
+		nd.out.fs = vc.in.float64s()
+		fill(nd.out.fs[:w], v.F)
 	case data.KindString:
-		nd.out.ss = make([]string, batchSize)
-		for i := range nd.out.ss {
-			nd.out.ss[i] = v.S
-		}
+		nd.out.ss = vc.in.strings()
+		fill(nd.out.ss[:w], v.S)
 	case data.KindBool:
-		nd.out.bs = make([]bool, batchSize)
-		for i := range nd.out.bs {
-			nd.out.bs[i] = v.B
-		}
+		nd.out.bs = vc.in.bools()
+		fill(nd.out.bs[:w], v.B)
 	default:
 		return nil, false
 	}
@@ -331,7 +431,7 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 			return nil, false
 		}
 		nd.out.kind = data.KindBool
-		nd.out.bs = make([]bool, batchSize)
+		nd.out.bs = vc.in.bools()
 		and := x.Op == "AND"
 		nd.run = func(lo, n int) {
 			lb, rb := l.out.bs, r.out.bs
@@ -350,7 +450,7 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 
 	case "=", "!=":
 		nd.out.kind = data.KindBool
-		nd.out.bs = make([]bool, batchSize)
+		nd.out.bs = vc.in.bools()
 		neg := x.Op == "!="
 		switch {
 		case lk == data.KindString && rk == data.KindString:
@@ -382,8 +482,7 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 		case isNumericKind(lk) && isNumericKind(rk):
 			// Cross-kind (and float) equality goes through AsFloat, exactly
 			// like Value.Equal's numeric branch.
-			sl := make([]float64, batchSize)
-			sr := make([]float64, batchSize)
+			sl, sr := vc.in.float64s(), vc.in.float64s()
 			nd.run = func(lo, n int) {
 				lf := l.out.floats(sl, n)
 				rf := r.out.floats(sr, n)
@@ -400,7 +499,7 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 
 	case "<", "<=", ">", ">=":
 		nd.out.kind = data.KindBool
-		nd.out.bs = make([]bool, batchSize)
+		nd.out.bs = vc.in.bools()
 		op := x.Op
 		switch {
 		case lk == data.KindString && rk == data.KindString:
@@ -429,8 +528,7 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 		case isNumericKind(lk) && isNumericKind(rk):
 			// Value.Compare orders ALL numerics (ints included) via AsFloat,
 			// so ordering is always the float comparison.
-			sl := make([]float64, batchSize)
-			sr := make([]float64, batchSize)
+			sl, sr := vc.in.float64s(), vc.in.float64s()
 			nd.run = func(lo, n int) {
 				lf := l.out.floats(sl, n)
 				rf := r.out.floats(sr, n)
@@ -476,7 +574,7 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 				return nil, false
 			}
 			nd.out.kind = data.KindString
-			nd.out.ss = make([]string, batchSize)
+			nd.out.ss = vc.in.strings()
 			nd.run = func(lo, n int) {
 				ls, rs, out := l.out.ss, r.out.ss, nd.out.ss
 				for i := 0; i < n; i++ {
@@ -491,9 +589,8 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 		op := x.Op
 		if lk == data.KindFloat || rk == data.KindFloat {
 			nd.out.kind = data.KindFloat
-			nd.out.fs = make([]float64, batchSize)
-			sl := make([]float64, batchSize)
-			sr := make([]float64, batchSize)
+			nd.out.fs = vc.in.float64s()
+			sl, sr := vc.in.float64s(), vc.in.float64s()
 			nd.run = func(lo, n int) {
 				lf := l.out.floats(sl, n)
 				rf := r.out.floats(sr, n)
@@ -516,9 +613,8 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 			return vc.add(nd), true
 		}
 		nd.out.kind = data.KindInt
-		nd.out.ints = make([]int64, batchSize)
-		sl := make([]int64, batchSize)
-		sr := make([]int64, batchSize)
+		nd.out.ints = vc.in.int64s()
+		sl, sr := vc.in.int64s(), vc.in.int64s()
 		nd.run = func(lo, n int) {
 			li := l.out.intsView(sl, n)
 			ri := r.out.intsView(sr, n)
@@ -545,10 +641,9 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 			return nil, false
 		}
 		nd.out.kind = data.KindFloat
-		nd.out.fs = make([]float64, batchSize)
-		nd.out.null = make([]bool, batchSize)
-		sl := make([]float64, batchSize)
-		sr := make([]float64, batchSize)
+		nd.out.fs = vc.in.float64s()
+		nd.out.null = vc.in.bools()
+		sl, sr := vc.in.float64s(), vc.in.float64s()
 		nd.run = func(lo, n int) {
 			lf := l.out.floats(sl, n)
 			rf := r.out.floats(sr, n)
@@ -570,10 +665,9 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 			return nil, false
 		}
 		nd.out.kind = data.KindInt
-		nd.out.ints = make([]int64, batchSize)
-		nd.out.null = make([]bool, batchSize)
-		sl := make([]int64, batchSize)
-		sr := make([]int64, batchSize)
+		nd.out.ints = vc.in.int64s()
+		nd.out.null = vc.in.bools()
+		sl, sr := vc.in.int64s(), vc.in.int64s()
 		nd.run = func(lo, n int) {
 			li := l.out.intsView(sl, n)
 			ri := r.out.intsView(sr, n)
@@ -607,7 +701,7 @@ func (vc *vecCompiler) compileUnary(x *plan.Unary) (*vnode, bool) {
 			return nil, false
 		}
 		nd.out.kind = data.KindBool
-		nd.out.bs = make([]bool, batchSize)
+		nd.out.bs = vc.in.bools()
 		nd.run = func(lo, n int) {
 			kb, out := kid.out.bs, nd.out.bs
 			for i := 0; i < n; i++ {
@@ -624,7 +718,7 @@ func (vc *vecCompiler) compileUnary(x *plan.Unary) (*vnode, bool) {
 		}
 		if kid.out.kind == data.KindFloat {
 			nd.out.kind = data.KindFloat
-			nd.out.fs = make([]float64, batchSize)
+			nd.out.fs = vc.in.float64s()
 			nd.run = func(lo, n int) {
 				kf, out := kid.out.fs, nd.out.fs
 				for i := 0; i < n; i++ {
@@ -637,8 +731,8 @@ func (vc *vecCompiler) compileUnary(x *plan.Unary) (*vnode, bool) {
 			return nil, false
 		}
 		nd.out.kind = data.KindInt
-		nd.out.ints = make([]int64, batchSize)
-		scratch := make([]int64, batchSize)
+		nd.out.ints = vc.in.int64s()
+		scratch := vc.in.int64s()
 		nd.run = func(lo, n int) {
 			ki := kid.out.intsView(scratch, n)
 			out := nd.out.ints

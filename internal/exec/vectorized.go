@@ -1,10 +1,12 @@
 // Batch operator implementations over the typed column vectors of vec.go.
 // Every function returns (batches, ok); ok=false means the operator must run
 // on the row loop in exec.go (executor not in vectorized mode, a referenced
-// column failed extraction, or an expression is outside kernel coverage).
+// column failed validation, or an expression is outside kernel coverage).
 // Everything compiles before anything evaluates, so a declined operator has
-// consumed nothing. Output rows, output ORDER, and all accounting are
-// byte-identical to the row loop.
+// consumed nothing. Every kernel buffer is a window borrowed through the
+// operator's inputCols and given back when the function returns (see
+// windowPool), so nothing returned may alias one. Output rows, output ORDER,
+// and all accounting are byte-identical to the row loop.
 package exec
 
 import (
@@ -15,8 +17,8 @@ import (
 	"cloudviews/internal/plan"
 )
 
-// compileAll compiles every expression against in, which shares one
-// extraction of each referenced column among them.
+// compileAll compiles every expression against in, which shares one gather
+// per window of each referenced column among them.
 func compileAll(in *inputCols, exprs []plan.Expr) ([]*vecProg, bool) {
 	progs := make([]*vecProg, len(exprs))
 	for i, e := range exprs {
@@ -48,7 +50,9 @@ func (ex *Executor) vecFilter(t *data.Table, pred plan.Expr, out *data.Table) (i
 	if n == 0 {
 		return 0, true
 	}
-	prog, ok := compileVec(pred, newInputCols(t))
+	in := newInputCols(t)
+	defer in.release()
+	prog, ok := compileVec(pred, in)
 	if !ok || prog.root.out.kind != data.KindBool {
 		return 0, false
 	}
@@ -83,7 +87,9 @@ func (ex *Executor) vecProject(t *data.Table, exprs []plan.Expr, out *data.Table
 	if n == 0 {
 		return 0, true
 	}
-	progs, ok := compileAll(newInputCols(t), exprs)
+	in := newInputCols(t)
+	defer in.release()
+	progs, ok := compileAll(in, exprs)
 	if !ok {
 		return 0, false
 	}
@@ -108,25 +114,29 @@ func (ex *Executor) vecProject(t *data.Table, exprs []plan.Expr, out *data.Table
 }
 
 // vecJoinKeys computes the length-prefixed hash key of every row in t under
-// the key expressions, evaluating them vectorized. The returned keys are
-// byte-identical to joinKey() per row, so build/probe behavior is unchanged —
-// only the per-pair/per-row expression dispatch cost is gone. A window's keys
-// cost one allocation (see keyPacker).
-func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr) ([]string, int64, bool) {
+// the key expressions, evaluating them vectorized, into *dst (resized to one
+// key per row, its array reused). The keys are byte-identical to joinKey() per
+// row, so build/probe behavior is unchanged — only the per-pair/per-row
+// expression dispatch cost is gone. A window's keys cost one allocation (see
+// keyPacker).
+func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr, dst *[]string, pack *keyPacker) (int64, bool) {
 	if !ex.Vectorized || len(keys) == 0 {
-		return nil, 0, false
+		return 0, false
 	}
 	n := len(t.Rows)
 	if n == 0 {
-		return nil, 0, true
+		*dst = (*dst)[:0]
+		return 0, true
 	}
-	progs, ok := compileAll(newInputCols(t), keys)
+	in := newInputCols(t)
+	defer in.release()
+	progs, ok := compileAll(in, keys)
 	if !ok {
-		return nil, 0, false
+		return 0, false
 	}
-	outKeys := make([]string, n)
+	outKeys := sized(*dst, n)
+	*dst = outKeys
 	roots := make([]*vcol, len(progs))
-	var pack keyPacker
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
@@ -140,7 +150,7 @@ func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr) ([]string, int6
 		pack.flush(outKeys[lo : lo+w])
 		batches++
 	}
-	return outKeys, batches, true
+	return batches, true
 }
 
 // vecAggregate is the vectorized hash aggregate: group-by and
@@ -157,6 +167,7 @@ func (ex *Executor) vecAggregate(t *data.Table, groups *aggTable) (int64, bool) 
 	}
 	x := groups.x
 	in := newInputCols(t)
+	defer in.release()
 	groupProgs, ok := compileAll(in, x.GroupBy)
 	if !ok {
 		return 0, false
@@ -249,11 +260,14 @@ func (ex *Executor) vecSort(t *data.Table, x *plan.Sort, out *data.Table) (int64
 	if n == 0 {
 		return 0, false
 	}
-	progs, ok := compileAll(newInputCols(t), x.Keys)
+	in := newInputCols(t)
+	defer in.release()
+	progs, ok := compileAll(in, x.Keys)
 	if !ok {
 		return 0, false
 	}
-	// Full-height key columns, copied window by window out of the kernels.
+	// Full-height key columns, copied window by window out of the kernels'
+	// borrowed buffers.
 	keyCols := make([]vcol, len(progs))
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {

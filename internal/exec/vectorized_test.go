@@ -3,6 +3,7 @@ package exec_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -199,7 +200,9 @@ func runBoth(t *testing.T, cat *catalog.Catalog, src string) (*exec.RunResult, *
 // TestVectorizedRowEquivalence is the one equivalence suite: every corpus
 // query produces byte-identical tables and accounting from the kernels and
 // from the row-loop reference, on inputs below, at and across the batch size.
-func TestVectorizedRowEquivalence(t *testing.T) {
+func TestVectorizedRowEquivalence(t *testing.T) { requireCorpusEquivalent(t) }
+
+func requireCorpusEquivalent(t *testing.T) {
 	for _, sales := range []int{0, 1, 1023, 1024, 1025, 12000} {
 		cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: sales/3 + 1, Parts: 50, Sales: sales, Seed: 42})
 		for _, src := range append(append([]string{}, vecEquivalenceQueries...), adversarialQueries...) {
@@ -261,7 +264,7 @@ func TestVectorizedActuallyVectorizes(t *testing.T) {
 	}
 }
 
-// TestLazyColumnExtraction: kernels copy only the columns an expression
+// TestLazyColumnExtraction: kernels read only the columns an expression
 // references, so a cell they could not represent declines the operator only
 // when it sits in a referenced column.
 func TestLazyColumnExtraction(t *testing.T) {
@@ -433,7 +436,9 @@ func TestAllocationsScaleWithBatches(t *testing.T) {
 // its input's rows on instead, which is why nobody may write to a row they
 // were given: NormalizeStrings is held to both halves, fresh rows over a
 // mixed-case input and the input's own rows over a lower-case one.
-func TestOperatorRowsDoNotAlias(t *testing.T) {
+func TestOperatorRowsDoNotAlias(t *testing.T) { requireOperatorRowsDoNotAlias(t) }
+
+func requireOperatorRowsDoNotAlias(t *testing.T) {
 	cat, err := fixtures.Retail(fixtures.RetailConfig{Customers: 100, Parts: 20, Sales: 1500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -475,8 +480,8 @@ func TestOperatorRowsDoNotAlias(t *testing.T) {
 		// Mixed case: every Customer row has a capitalized segment to lower.
 		`PROCESS Customer USING "NormalizeStrings"`,
 		`SELECT SaleId, Price * Quantity AS revenue FROM Sales`,
-		// A bare join: rows the residual rejects are given back to the slab
-		// and their cells reused by the next pair.
+		// A bare join: the residual is tested on one reused probe row, and
+		// only the pairs it keeps become output rows.
 		`SELECT * FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id AND Sales.Quantity + Customer.Id > 3`,
 		`SELECT CustomerId, COUNT(*) AS n, SUM(Price) AS total, MIN(Quantity) AS mn FROM Sales GROUP BY CustomerId`,
 	} {
@@ -535,5 +540,325 @@ func TestOperatorRowsDoNotAlias(t *testing.T) {
 	}
 	if inputs() != before {
 		t.Fatal("normalizing a clean table changed it")
+	}
+}
+
+// windowSizes straddle zero, one and two window boundaries.
+var windowSizes = []int{0, 1, 1023, 1024, 1025, 2049, 3000}
+
+func windows(n int) int64 { return int64((n + 1023) / 1024) }
+
+// boundaryCatalog holds T (n rows of A Int, B String, C Float) and a clean
+// 100-row dimension D (K Int, V String). bad, when not "", spoils column col
+// of row at: "null" and "kind" put a NULL or a cell of another kind there,
+// "short" cuts the row down to column A. A spoiled row's A is -1, so filters
+// drop it and it joins nothing: a short row may not reach an output table.
+func boundaryCatalog(t *testing.T, n int, bad string, col, at int) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New()
+	schema := data.Schema{
+		{Name: "A", Kind: data.KindInt},
+		{Name: "B", Kind: data.KindString},
+		{Name: "C", Kind: data.KindFloat},
+	}
+	tb := data.NewTable(schema)
+	for i := 0; i < n; i++ {
+		tb.Append(data.Row{data.Int(int64(i % 40)), data.String_(fmt.Sprintf("b%d", i%7)), data.Float(float64(i%13) / 4)})
+	}
+	if bad != "" {
+		row := tb.Rows[at]
+		row[0] = data.Int(-1)
+		switch bad {
+		case "null":
+			row[col] = data.Null()
+		case "kind":
+			row[col] = data.Bool(true)
+		case "short":
+			tb.Rows[at] = row[:1]
+		}
+	}
+	dim := data.NewTable(data.Schema{{Name: "K", Kind: data.KindInt}, {Name: "V", Kind: data.KindString}})
+	for i := 0; i < 100; i++ {
+		dim.Append(data.Row{data.Int(int64(i)), data.String_(fmt.Sprintf("v%d", i))})
+	}
+	for name, tab := range map[string]*data.Table{"T": tb, "D": dim} {
+		if _, err := cat.Define(name, tab.Schema); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cat.BulkUpdate(name, fixtures.Epoch, tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// TestWindowBoundariesAndDeclineBeforeConsume: each kernel operator over
+// tables that end before, on and after a window boundary equals the row loop
+// and reports one batch per window; with one cell the kernels cannot represent
+// in a referenced column — in the first, a middle or the last window — the
+// operator declines having consumed nothing (Batches 0, and an aggregate that
+// found out at window 3 would have counted the first two windows twice) and
+// still equals the row loop.
+func TestWindowBoundariesAndDeclineBeforeConsume(t *testing.T) {
+	const joinLeft, joinRight = "join keys, left", "join keys, right"
+	cases := []struct {
+		what, op, src string
+		col           int // the referenced column to spoil
+	}{
+		{"filter", "Filter", `SELECT * FROM T WHERE A > 30 AND A < 39`, 0},
+		{"filter", "Filter", `SELECT * FROM T WHERE A > 30 AND B != 'b3'`, 1},
+		{"project", "Project", `SELECT A + 1 AS a1, C * 2 AS c2 FROM T`, 2},
+		{joinLeft, "Join", `SELECT * FROM T JOIN D ON T.A = D.K`, 0},
+		{joinRight, "Join", `SELECT * FROM D JOIN T ON D.K = T.A`, 0},
+		{"aggregate, group-by column", "Aggregate", `SELECT B, COUNT(*) AS n, SUM(C) AS s FROM T GROUP BY B`, 1},
+		{"aggregate, argument column", "Aggregate", `SELECT A, COUNT(*) AS n, SUM(C) AS s, MIN(C) AS lo FROM T GROUP BY A`, 2},
+		{"sort", "Sort", `SELECT * FROM T ORDER BY B DESC, A`, 1},
+	}
+	for _, n := range windowSizes {
+		type spoiled struct {
+			bad string
+			at  int
+		}
+		spoil := []spoiled{{}}
+		if n > 0 {
+			for _, at := range []int{min(5, n-1), n / 2, n - 1} {
+				for _, bad := range []string{"null", "kind", "short"} {
+					spoil = append(spoil, spoiled{bad, at})
+				}
+			}
+		}
+		for _, c := range cases {
+			for _, sp := range spoil {
+				cat := boundaryCatalog(t, n, sp.bad, c.col, sp.at)
+				what := fmt.Sprintf("%d rows, %s, %s at row %d: %s", n, c.what, sp.bad, sp.at, c.src)
+				row, vec := runBoth(t, cat, c.src)
+				requireRunsEqual(t, what, row, vec)
+				var algo plan.JoinAlgo
+				for _, st := range vec.Stats {
+					if st.Op == "Join" {
+						algo = st.Algo
+					}
+				}
+				want := windows(n)
+				switch {
+				case c.op == "Join" && sp.bad == "":
+					want += windows(100)
+				case c.what == joinLeft:
+					want = windows(100) // the right side's keys still come from the kernels
+				case c.what == joinRight && algo == plan.JoinHash:
+					want = windows(100)
+				case sp.bad != "":
+					want = 0 // a loop join computes no left key once the right side declined
+				}
+				if got := opBatches(t, what, vec, c.op); got != want {
+					t.Errorf("%s: %s reported %d batches, want %d", what, c.op, got, want)
+				}
+			}
+		}
+	}
+}
+
+// sameTable reports whether a and b hold the same rows in the same order.
+func sameTable(a, b *data.Table) bool {
+	if len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i, ra := range a.Rows {
+		if len(ra) != len(b.Rows[i]) {
+			return false
+		}
+		for j := range ra {
+			if !valueExactEqual(ra[j], b.Rows[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPooledBuffersNeverEscape holds the pool's invariant — no table an
+// operator returns aliases a window or a join scratch it borrowed — by
+// overwriting every buffer with sentinels as it goes back: the equivalence
+// corpus, the row-aliasing test, and executors on several goroutines handing
+// each other's buffers around through the pools must all still read the row
+// loop's answer. A violation shows as a changed answer or, under -race, as a
+// write to a buffer a returned table still reads.
+func TestPooledBuffersNeverEscape(t *testing.T) {
+	exec.PoisonReleasedBuffers(t)
+	requireCorpusEquivalent(t)
+	requireOperatorRowsDoNotAlias(t)
+
+	cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: 300, Parts: 50, Sales: 3000, Seed: 11})
+	// Filter → join (with a residual) → aggregate → sort, a string-keyed
+	// variant, and a projection whose strings the kernels mint themselves.
+	var plans []plan.Node
+	var want []*data.Table
+	for _, src := range []string{
+		`SELECT MktSegment, COUNT(*) AS n, SUM(Price * Quantity) AS rev
+			FROM (SELECT * FROM Sales WHERE Price > 20) AS s
+			JOIN Customer ON s.CustomerId = Customer.Id AND s.Quantity + Customer.Id > 3
+			GROUP BY MktSegment ORDER BY rev DESC`,
+		`SELECT Name, MIN(Price) AS lo, MAX(Name + '!') AS hi
+			FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id
+			WHERE Name >= 'customer-0100' GROUP BY Name ORDER BY Name DESC`,
+		`SELECT Name + '/' + MktSegment AS tag, Id % 7 AS m FROM Customer ORDER BY tag`,
+	} {
+		n := bindQuery(t, cat, src)
+		res, err := (&exec.Executor{Catalog: cat}).Run(n)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if res.Table.NumRows() == 0 {
+			t.Fatalf("%s: empty answer", src)
+		}
+		plans, want = append(plans, n), append(want, res.Table)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 8; it++ {
+				k := (g + it) % len(plans)
+				res, err := (&exec.Executor{Catalog: cat, Vectorized: true}).Run(plans[k])
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				if res.TotalBatches == 0 {
+					t.Errorf("goroutine %d: plan %d ran no kernel", g, k)
+				}
+				if !sameTable(res.Table, want[k]) {
+					t.Errorf("goroutine %d: plan %d differs from the row loop's answer", g, k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// leastAlloc returns the fewest bytes one call of run allocated, over up to
+// tries calls after a warm-up, stopping at the first within budget. One call is
+// not enough: a GC cycle empties the pools, and under the race detector
+// sync.Pool drops a quarter of what is put back, so any single run may pay
+// for a window or a join scratch again.
+func leastAlloc(tries int, budget uint64, run func()) uint64 {
+	run()
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < tries && least > budget; i++ {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestJoinOutputIsAllocatedOnce: a join records the pairs it keeps and then
+// builds its table at the exact size, so what it allocates beyond keying and
+// probing its inputs — measured by the same join under a residual that
+// rejects every pair — is the output's cells (40 bytes) and row headers (24)
+// and at most 15 % more. Speculative rows, a slab grown by doubling or a Rows
+// slice grown by append each cost more than that.
+func TestJoinOutputIsAllocatedOnce(t *testing.T) {
+	cat, err := fixtures.Retail(fixtures.RetailConfig{Customers: 60, Parts: 20, Sales: 1500, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const join = `SELECT * FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id`
+	for _, c := range []struct{ what, keep, none string }{
+		{"no residual", join, join + ` AND Sales.Quantity < 0`},
+		{"a residual that rejects most pairs", join + ` AND Sales.Quantity + Customer.Id > 45`, join + ` AND Sales.Quantity + Customer.Id < 0`},
+	} {
+		for _, algo := range []plan.JoinAlgo{plan.JoinHash, plan.JoinMerge, plan.JoinLoop} {
+			for _, vectorized := range []bool{true, false} {
+				var out *data.Table
+				run := func(src string) func() {
+					n := bindQuery(t, cat, src)
+					plan.Walk(n, func(m plan.Node) {
+						if j, ok := m.(*plan.Join); ok {
+							j.Algo = algo
+						}
+					})
+					return func() {
+						res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out = res.Table
+					}
+				}
+				keying := leastAlloc(10, 0, run(c.none))
+				if out.NumRows() != 0 {
+					t.Fatalf("%s: the reject-all residual kept %d pairs", c.what, out.NumRows())
+				}
+				keep := run(c.keep)
+				keep()
+				rows := out.NumRows()
+				output := uint64(rows*len(out.Schema)*40 + rows*24)
+				if rows < 100 || (c.what != "no residual" && rows > 1500/4) {
+					t.Fatalf("%s: %d output rows", c.what, rows)
+				}
+				budget := keying + output + output*15/100
+				got := leastAlloc(40, budget, keep)
+				t.Logf("%s, %v, vectorized=%v: %d B for %d B of output (%d rows) over %d B of keying", c.what, algo, vectorized, got, output, rows, keying)
+				if got > budget {
+					t.Errorf("%s, %v, vectorized=%v: %d B allocated, want at most %d (keying %d + output %d + 15%%)",
+						c.what, algo, vectorized, got, budget, keying, output)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelScratchIsBorrowed: a warm filter + aggregate over three windows
+// allocates its output tables — the filter's row headers, the groups' rows,
+// cells, keys and table — and a fixed few KB of compiled expressions and
+// bookkeeping; no column copy, no per-node scratch, no constant broadcast.
+func TestKernelScratchIsBorrowed(t *testing.T) {
+	if raceDetector {
+		t.Skip("eighteen windows a run, a quarter of them dropped by sync.Pool under the race detector")
+	}
+	cat := boundaryCatalog(t, 3000, "", 0, 0)
+	n := bindQuery(t, cat, `SELECT A, COUNT(*) AS n, SUM(C * 2 + 1) AS s, MIN(B) AS lo FROM T WHERE A > 9 AND B != 'b3' GROUP BY A`)
+	var res *exec.RunResult
+	run := func() {
+		var err error
+		if res, err = (&exec.Executor{Catalog: cat, Vectorized: true}).Run(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var kept, groups int64
+	for _, st := range res.Stats {
+		switch st.Op {
+		case "Filter":
+			kept = st.RowsOut
+			if st.Batches != 3 {
+				t.Fatalf("Filter ran %d batches, want 3", st.Batches)
+			}
+		case "Aggregate":
+			groups = st.RowsOut
+			if st.Batches != windows(int(kept)) {
+				t.Fatalf("Aggregate ran %d batches over %d rows", st.Batches, kept)
+			}
+		}
+	}
+	if kept < 1500 || groups != 30 {
+		t.Fatalf("filter kept %d rows, aggregate made %d groups", kept, groups)
+	}
+	// Filter: one header per kept row and the selection bitmap. Aggregate:
+	// 30 groups take slab chunks of 16 and 32, each slot a 4-cell row and 3
+	// aggregate cells of 96 bytes. Fixed: the group table's map, keys and
+	// states, the compiled expressions, the run's own records — 15 KB when
+	// this was written, less than any one window a kernel might make again.
+	const fixed = 20 << 10
+	budget := uint64(kept*24+3000/8+48*(4*40+3*96)) + fixed
+	got := leastAlloc(40, budget, run)
+	t.Logf("%d B allocated by a warm run, budget %d (%d B fixed)", got, budget, fixed)
+	if got > budget {
+		t.Errorf("a warm filter + aggregate allocated %d B, want at most %d", got, budget)
 	}
 }
