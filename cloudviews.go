@@ -114,10 +114,6 @@ type (
 	// FaultPoint names one injection site (see ParseFaultSpec for the
 	// accepted aliases).
 	FaultPoint = fault.Point
-	// SLOConfig tunes the telemetry watchdog thresholds (storage budget,
-	// hit-rate drop, queue growth, fault spikes). The zero value stays
-	// silent on healthy runs.
-	SLOConfig = telemetry.SLOConfig
 	// SLOAlert is one deterministic watchdog finding, surfaced on
 	// DayMetrics.Alerts and the telemetry snapshot.
 	SLOAlert = telemetry.Alert
@@ -207,8 +203,6 @@ type Config struct {
 	// failures, job-level failures). The zero value disables it with zero
 	// overhead; faults are simulated-time only and never change job outputs.
 	Faults FaultConfig
-	// SLO tunes the telemetry watchdog (disabled along with observability).
-	SLO SLOConfig
 	// Guard configures the runtime guardrail subsystem: circuit breakers on
 	// view reuse, a per-VC kill switch driven by watchdog verdicts, and
 	// flighted view-selection policies with auto-rollback. The zero value
@@ -359,7 +353,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Selection:            cfg.Selection,
 		DisableObservability: cfg.DisableObservability,
 		Faults:               cfg.Faults,
-		SLO:                  cfg.SLO,
 		Guard:                cfg.Guard,
 		StorageEngine:        cfg.StorageEngine,
 		PlanCacheSize:        cfg.PlanCacheSize,

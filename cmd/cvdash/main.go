@@ -76,7 +76,9 @@ func run(w io.Writer, scale float64, days int, seed uint64, budget int64, faults
 		cfg.Profile.Seed = seed
 	}
 	cfg.Faults = faults
-	cfg.SLO = telemetry.SLOConfig{StorageBudgetPerVC: budget}
+	if budget > 0 {
+		cfg.SLORules = append(telemetry.DefaultRules(), telemetry.StorageBudgetRule(float64(budget)))
+	}
 
 	res, err := experiments.RunProduction(cfg)
 	if err != nil {

@@ -11,10 +11,8 @@ import (
 	"cloudviews/internal/guard"
 	"cloudviews/internal/insights"
 	"cloudviews/internal/optimizer"
-	"cloudviews/internal/plan"
 	"cloudviews/internal/repository"
 	"cloudviews/internal/signature"
-	"cloudviews/internal/sqlparser"
 	"cloudviews/internal/telemetry"
 	"cloudviews/internal/workload"
 )
@@ -175,7 +173,9 @@ func (e *Engine) sampleTelemetry(day int, m *DayMetrics) []telemetry.Alert {
 		return nil
 	}
 	sample := make(map[string]float64, 64)
-	telemetry.SampleRegistry(e.Metrics, sample)
+	for name, v := range e.Metrics.Snapshot() {
+		sample[name] = v
+	}
 
 	jobs := float64(m.Jobs)
 	sample[telemetry.SeriesJobs] = jobs
@@ -206,10 +206,6 @@ func (e *Engine) sampleTelemetry(day int, m *DayMetrics) []telemetry.Alert {
 	// Guard gauges enter the sample only when a guard exists, keeping
 	// guard-free telemetry exports byte-identical to earlier builds.
 	e.guard.Sample(sample)
-
-	// Labeled miss-reason series from the explain layer: one point per
-	// reason with traffic today (absent reasons produce no series).
-	e.Telemetry.DecisionSample(day, sample)
 
 	return e.Telemetry.EndOfDay(day, sample)
 }
@@ -258,21 +254,12 @@ func (e *Engine) RecordWorkloadDay(day int, jobs []workload.JobInput) error {
 	_ = day
 	for _, in := range jobs {
 		e.advanceClock(in.Submit)
-		signer := e.signerFor(in.Runtime)
-		script, err := sqlparser.Parse(in.Script)
+		opt := &optimizer.Optimizer{Signer: e.signerFor(in.Runtime), Est: e.Est, History: e.History}
+		prep, err := e.prepare(in, opt)
 		if err != nil {
-			return fmt.Errorf("job %s: parse: %w", in.ID, err)
+			return err
 		}
-		binder := &plan.Binder{Catalog: e.Catalog, Params: in.Params}
-		outs, err := binder.BindScript(script)
-		if err != nil {
-			return fmt.Errorf("job %s: bind: %w", in.ID, err)
-		}
-		if len(outs) != 1 {
-			return fmt.Errorf("job %s: expected exactly one OUTPUT, got %d", in.ID, len(outs))
-		}
-		opt := &optimizer.Optimizer{Signer: signer, Est: e.Est, History: e.History}
-		cr := opt.Compile(outs[0], optimizer.CompileOptions{
+		cr := opt.CompilePrepared(prep, optimizer.CompileOptions{
 			JobID: in.ID, Cluster: in.Cluster, VC: in.VC, OptIn: false,
 		})
 		e.Repo.Add(e.buildRecord(in, cr, &exec.RunResult{}))

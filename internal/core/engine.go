@@ -49,10 +49,10 @@ type Config struct {
 	// (cluster stages, spool writes, view reads, whole-job crashes). The
 	// zero value disables injection entirely at zero cost.
 	Faults fault.Config
-	// SLO tunes the telemetry watchdog thresholds (hit-rate regression,
-	// per-VC storage budget, queue growth, fault spikes). The zero value is
-	// a sane default that stays silent on healthy fault-free runs.
-	SLO telemetry.SLOConfig
+	// SLORules is the telemetry watchdog's rule list (nil =
+	// telemetry.DefaultRules(): hit-rate regression, queue growth, fault and
+	// miss-reason spikes, silent on healthy fault-free runs).
+	SLORules []telemetry.Rule
 	// Guard configures the runtime guardrail subsystem (per-signature
 	// circuit breakers, per-VC kill switch, policy flighting). The zero
 	// value disables it entirely at zero cost.
@@ -194,9 +194,7 @@ func NewEngine(cfg Config) *Engine {
 		e.faults.SetMetrics(e.Metrics)
 		e.guard.SetMetrics(e.Metrics)
 		e.cache.SetMetrics(e.Metrics)
-		e.Telemetry = telemetry.NewCollector(telemetry.Config{
-			Rules: telemetry.DefaultRules(cfg.SLO),
-		})
+		e.Telemetry = telemetry.NewCollector(telemetry.Config{Rules: cfg.SLORules})
 	}
 	return e
 }
@@ -316,6 +314,46 @@ type JobRun struct {
 	RetryDelay time.Duration
 }
 
+// prepare is the job-independent half of the compile. A script the plan cache
+// knows is neither parsed nor bound: an instance built at this generation
+// with these parameter values serves as it stands, failing that the template
+// is carried over to the catalog's current versions and the job's values.
+// Whichever it is, the result is shared and read-only.
+func (e *Engine) prepare(in workload.JobInput, opt *optimizer.Optimizer) (*optimizer.Prepared, error) {
+	gen := e.Catalog.Generation()
+	key, keyOK := e.plans.planCacheKey(in)
+	if keyOK {
+		template, prep := e.plans.lookup(key, gen, in.Params)
+		if prep != nil {
+			return prep, nil
+		}
+		if template != nil {
+			if prep = opt.Derive(template, e.Catalog, in.Params); prep != nil {
+				return e.plans.store(key, gen, in.Params, prep), nil
+			}
+		}
+	}
+	// A new script, or one Derive declines: the front end runs, and reports
+	// what it finds wrong.
+	script, err := sqlparser.Parse(in.Script)
+	if err != nil {
+		return nil, fmt.Errorf("job %s: parse: %w", in.ID, err)
+	}
+	binder := &plan.Binder{Catalog: e.Catalog, Params: in.Params}
+	outs, err := binder.BindScript(script)
+	if err != nil {
+		return nil, fmt.Errorf("job %s: bind: %w", in.ID, err)
+	}
+	if len(outs) != 1 {
+		return nil, fmt.Errorf("job %s: expected exactly one OUTPUT, got %d", in.ID, len(outs))
+	}
+	prep := opt.Prepare(outs[0])
+	if keyOK {
+		prep = e.plans.store(key, gen, in.Params, prep)
+	}
+	return prep, nil
+}
+
 // CompileAndExecute runs the data plane for one job: parse → bind → optimize
 // (with reuse) → execute → publish cooked outputs → stage views for sealing.
 func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
@@ -346,45 +384,10 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 		Explain:        rec,
 	}
 
-	// The job-independent half of the compile. A script the plan cache knows
-	// is neither parsed nor bound: an instance built at this generation with
-	// these parameter values serves as it stands, failing that the template is
-	// carried over to the catalog's current versions and the job's values.
-	// Whichever it is, it is shared and read-only from here on.
-	gen := e.Catalog.Generation()
-	key, keyOK := e.plans.planCacheKey(in)
-	var prep *optimizer.Prepared
-	if keyOK {
-		var template *optimizer.Prepared
-		template, prep = e.plans.lookup(key, gen, in.Params)
-		if prep == nil && template != nil {
-			if prep = opt.Derive(template, e.Catalog, in.Params); prep != nil {
-				prep = e.plans.store(key, gen, in.Params, prep)
-			}
-		}
-	}
-	if prep == nil {
-		// A new script, or one Derive declines: the front end runs, and
-		// reports what it finds wrong.
-		script, err := sqlparser.Parse(in.Script)
-		if err != nil {
-			e.mJobsFailed.Inc()
-			return nil, fmt.Errorf("job %s: parse: %w", in.ID, err)
-		}
-		binder := &plan.Binder{Catalog: e.Catalog, Params: in.Params}
-		outs, err := binder.BindScript(script)
-		if err != nil {
-			e.mJobsFailed.Inc()
-			return nil, fmt.Errorf("job %s: bind: %w", in.ID, err)
-		}
-		if len(outs) != 1 {
-			e.mJobsFailed.Inc()
-			return nil, fmt.Errorf("job %s: expected exactly one OUTPUT, got %d", in.ID, len(outs))
-		}
-		prep = opt.Prepare(outs[0])
-		if keyOK {
-			prep = e.plans.store(key, gen, in.Params, prep)
-		}
+	prep, err := e.prepare(in, opt)
+	if err != nil {
+		e.mJobsFailed.Inc()
+		return nil, err
 	}
 	// The front-end phases leave the same trace whether they ran or not.
 	tr.Span("parse", 0)
@@ -405,7 +408,8 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	var retryDelay time.Duration
 	attempt := 1
 	for {
-		if keyOK {
+		if e.plans != nil {
+			// A script that parsed also lexes, so the cache could key it.
 			e.plans.compiles.Add(1)
 		}
 		// The job-dependent half reads the controls, annotations, view store

@@ -14,8 +14,8 @@ import (
 	"cloudviews/internal/workload"
 )
 
-// newSystemSLO is newSystem with a custom watchdog configuration.
-func newSystemSLO(t *testing.T, slo telemetry.SLOConfig) (*core.Engine, *workload.Generator) {
+// newSystemSLO is newSystem with a custom watchdog rule list.
+func newSystemSLO(t *testing.T, rules []telemetry.Rule) (*core.Engine, *workload.Generator) {
 	t.Helper()
 	cat := catalog.New()
 	gen := workload.NewGenerator(cat, smallProfile())
@@ -31,7 +31,7 @@ func newSystemSLO(t *testing.T, slo telemetry.SLOConfig) (*core.Engine, *workloa
 		Catalog:     cat,
 		ClusterCfg:  cluster.Config{Capacity: 400, VCs: vcCfgs},
 		Selection:   analysis.SelectionConfig{ScheduleAware: true, UseBigSubs: true},
-		SLO:         slo,
+		SLORules:    rules,
 	})
 	return eng, gen
 }
@@ -145,7 +145,7 @@ func TestRunDayCollectsTelemetry(t *testing.T) {
 // per VC) and requires the seeded regression scenario to page — the other
 // half of the "fires there, silent on clean runs" acceptance criterion.
 func TestWatchdogFiresOnStorageBudget(t *testing.T) {
-	eng, gen := newSystemSLO(t, telemetry.SLOConfig{StorageBudgetPerVC: 1})
+	eng, gen := newSystemSLO(t, append(telemetry.DefaultRules(), telemetry.StorageBudgetRule(1)))
 	for _, vc := range gen.VCNames() {
 		eng.OnboardVC(vc)
 	}

@@ -44,8 +44,10 @@ type GuardComparisonConfig struct {
 	FaultSeed uint64
 	// Guard configures the guarded arm (Enabled is forced on).
 	Guard guard.Config
-	// SLO tunes the telemetry watchdog applied to BOTH arms.
-	SLO telemetry.SLOConfig
+	// SLORules is the telemetry watchdog's rule list, applied to BOTH arms
+	// (nil = the default list with the fault budget derived from workload
+	// size in withDefaults).
+	SLORules []telemetry.Rule
 }
 
 // DefaultGuardComparison is a window sized so the storm has views to corrupt:
@@ -94,7 +96,7 @@ func (c GuardComparisonConfig) withDefaults() GuardComparisonConfig {
 		c.StormStart = c.Days / 3
 		c.StormEnd = 2 * c.Days / 3
 	}
-	if c.SLO.FaultSpikeMax == 0 && c.Profile.VCs > 0 {
+	if c.SLORules == nil && c.Profile.VCs > 0 {
 		// Derive the per-day fault-recovery budget from workload size so the
 		// verdict split survives -scale: the storm targets one VC, whose
 		// recurring-signature population is about Pipelines/VCs. The breaker
@@ -102,15 +104,15 @@ func (c GuardComparisonConfig) withDefaults() GuardComparisonConfig {
 		// (default 2) times before quarantine, so the guarded arm's worst
 		// storm day costs ~2× the per-VC signature count; the unguarded arm
 		// replays the whole storm (≥3×) every storm day. 3× sits between.
-		c.SLO.FaultSpikeMax = float64(3 * c.Profile.Pipelines / maxInt(1, c.Profile.VCs))
+		budget := float64(3 * c.Profile.Pipelines / c.Profile.VCs)
 		// The storm's arrival day spikes queue lengths in BOTH arms — the
 		// breaker needs that day's observations before it can trip, so no
 		// guard can prevent the first transient. The day-over-day queue rule
 		// therefore fires identically in both arms and discriminates
 		// nothing; relax it and let fault-spike carry the verdict split.
-		if c.SLO.QueueGrowthPct == 0 {
-			c.SLO.QueueGrowthPct = 1000
-		}
+		c.SLORules = telemetry.WithThreshold(
+			telemetry.WithThreshold(telemetry.DefaultRules(), "fault-spike", budget),
+			"queue-growth", 1000)
 	}
 	return c
 }
@@ -208,7 +210,7 @@ func runGuardArm(cfg GuardComparisonConfig, guarded bool) (*guardArmResult, erro
 		Catalog:     cat,
 		ClusterCfg:  cluster.Config{Capacity: cfg.Capacity, VCs: vcCfgs},
 		Selection:   cfg.Selection,
-		SLO:         cfg.SLO,
+		SLORules:    cfg.SLORules,
 		Guard:       gcfg,
 		Faults: fault.Config{
 			Seed:  cfg.FaultSeed,

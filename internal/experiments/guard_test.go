@@ -23,7 +23,7 @@ func smallGuardConfig() GuardComparisonConfig {
 	// (3× per-VC pipelines) to separate the arms; pin one that does: the
 	// guarded arm's storm days stay under 20 recoveries, the unguarded arm's
 	// exceed it.
-	cfg.SLO = telemetry.SLOConfig{FaultSpikeMax: 20}
+	cfg.SLORules = telemetry.WithThreshold(telemetry.DefaultRules(), "fault-spike", 20)
 	return cfg
 }
 

@@ -41,10 +41,10 @@ type ProductionConfig struct {
 	// (same seed, same rates), so the A/B comparison stays fair under
 	// chaos. The zero value disables injection.
 	Faults fault.Config
-	// SLO tunes the telemetry watchdog applied to BOTH arms (same
-	// thresholds, so per-arm verdicts compare like for like). The zero
-	// value stays silent on healthy runs.
-	SLO telemetry.SLOConfig
+	// SLORules is the telemetry watchdog's rule list, applied to BOTH arms
+	// (same thresholds, so per-arm verdicts compare like for like). Nil is
+	// telemetry.DefaultRules(), silent on healthy runs.
+	SLORules []telemetry.Rule
 	// StoreFactory, when set, supplies each arm's view-store backend (e.g.
 	// a file-backed durable engine rooted in a per-arm data directory).
 	// The arm name is "baseline" or "cloudviews". Engines that implement
@@ -313,7 +313,7 @@ func runArm(cfg ProductionConfig, enable bool) (*armResult, error) {
 		ClusterCfg:    cluster.Config{Capacity: cfg.Capacity, VCs: vcCfgs},
 		Selection:     cfg.Selection,
 		Faults:        cfg.Faults,
-		SLO:           cfg.SLO,
+		SLORules:      cfg.SLORules,
 		StorageEngine: store,
 	})
 

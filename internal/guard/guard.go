@@ -102,66 +102,34 @@ const (
 	SeriesVCLatency   = "vc_latency_sec"
 )
 
-// VCSLOConfig tunes the per-VC watchdog rules behind the kill switch. The
-// zero value stays silent on healthy runs.
-type VCSLOConfig struct {
-	// HitRateDropPct warns when a VC's per-day view hit rate drops more than
-	// this percent vs. the windowed reference (default 60).
-	HitRateDropPct float64
-	// MinHitRate is the reference floor below which the drop rule is silent
-	// (default 0.10 views/job).
-	MinHitRate float64
-	// FallbackSpikeMax fires when a VC's jobs hit more view-read fallbacks
-	// in one day than this (default 4).
-	FallbackSpikeMax float64
-	// LatencyGrowthPct fires when the VC's summed job latency grows more
-	// than this percent vs. the windowed reference (default 200).
-	LatencyGrowthPct float64
-	// MinLatencySec is the reference floor for the latency rule (default 60).
-	MinLatencySec float64
-	// Window sizes the delta-rule reference window in days (default 1).
-	Window int
-}
+// fallbackSpikeMax is the most view-read fallbacks a VC's jobs may hit in one
+// day: the vc-fallback-spike threshold, and the one rule that still judges a
+// ramping VC.
+const fallbackSpikeMax = 4
 
-func (c VCSLOConfig) withDefaults() VCSLOConfig {
-	if c.HitRateDropPct == 0 {
-		c.HitRateDropPct = 60
-	}
-	if c.MinHitRate == 0 {
-		c.MinHitRate = 0.10
-	}
-	if c.FallbackSpikeMax == 0 {
-		c.FallbackSpikeMax = 4
-	}
-	if c.LatencyGrowthPct == 0 {
-		c.LatencyGrowthPct = 200
-	}
-	if c.MinLatencySec == 0 {
-		c.MinLatencySec = 60
-	}
-	if c.Window == 0 {
-		c.Window = 1
-	}
-	return c
-}
+// vcSeriesCap bounds each per-VC health series (ring buffer, in days).
+const vcSeriesCap = 64
 
-// VCRules builds the per-VC watchdog rule set the kill switch evaluates.
-func VCRules(cfg VCSLOConfig) []telemetry.Rule {
-	cfg = cfg.withDefaults()
+// VCRules is the per-VC rule list the kill switch evaluates. It stays silent
+// on healthy runs.
+func VCRules() []telemetry.Rule {
 	return []telemetry.Rule{
 		{
+			// A VC's per-day view hit rate dropping more than 60% vs. the
+			// prior day; silent while the reference is under 0.10 views/job.
 			Name: "vc-hit-rate-drop", Metric: SeriesVCHitRate, Kind: telemetry.DropPct,
-			Threshold: cfg.HitRateDropPct, Window: cfg.Window,
-			MinReference: cfg.MinHitRate, Severity: telemetry.SevWarn,
+			Threshold: 60, Window: 1, MinReference: 0.10, Severity: telemetry.SevWarn,
 		},
 		{
 			Name: "vc-fallback-spike", Metric: SeriesVCFallbacks, Kind: telemetry.Above,
-			Threshold: cfg.FallbackSpikeMax, Severity: telemetry.SevWarn,
+			Threshold: fallbackSpikeMax, Severity: telemetry.SevWarn,
 		},
 		{
+			// The VC's summed job latency growing more than 200% vs. the
+			// prior day, from a reference of at least 60 s and never on a
+			// series' first sample.
 			Name: "vc-latency-growth", Metric: SeriesVCLatency, Kind: telemetry.GrowthPct,
-			Threshold: cfg.LatencyGrowthPct, Window: cfg.Window,
-			MinReference: cfg.MinLatencySec, MinCount: 2, Severity: telemetry.SevWarn,
+			Threshold: 200, Window: 1, MinReference: 60, MinCount: 2, Severity: telemetry.SevWarn,
 		},
 	}
 }
@@ -229,8 +197,6 @@ type Config struct {
 	RampFractions []float64
 	// RampStageDays is how many days each ramp stage holds (default 1).
 	RampStageDays int
-	// VCSLO tunes the per-VC watchdog rules.
-	VCSLO VCSLOConfig
 
 	// Flight tunes policy flighting.
 	Flight FlightConfig
@@ -326,7 +292,7 @@ type vcGuard struct {
 	dayDenied    int
 	dayLatency   float64
 
-	series map[string]*telemetry.Series
+	health *telemetry.Sampler
 
 	alertDays  int // consecutive alerting days while Active
 	killedDay  int
@@ -349,7 +315,6 @@ type Guard struct {
 	mu       sync.Mutex
 	breakers map[signature.Sig]*breaker
 	vcs      map[string]*vcGuard
-	dog      *telemetry.Watchdog
 	log      []Decision
 
 	// Metrics (nil-safe when SetMetrics was never called).
@@ -375,7 +340,6 @@ func New(cfg Config) *Guard {
 		cfg:      cfg,
 		breakers: make(map[signature.Sig]*breaker),
 		vcs:      make(map[string]*vcGuard),
-		dog:      telemetry.NewWatchdog(VCRules(cfg.VCSLO)),
 	}
 }
 
@@ -411,11 +375,8 @@ func (g *Guard) SetMetrics(r *obs.Registry) {
 func (g *Guard) vcLocked(vc string) *vcGuard {
 	v, ok := g.vcs[vc]
 	if !ok {
-		v = &vcGuard{series: map[string]*telemetry.Series{
-			SeriesVCHitRate:   telemetry.NewSeries(SeriesVCHitRate, 64),
-			SeriesVCFallbacks: telemetry.NewSeries(SeriesVCFallbacks, 64),
-			SeriesVCLatency:   telemetry.NewSeries(SeriesVCLatency, 64),
-		}}
+		v = &vcGuard{}
+		resetHealth(v)
 		g.vcs[vc] = v
 	}
 	return v
@@ -614,13 +575,14 @@ func (g *Guard) EndOfDay(day int) []Decision {
 			// Sample the day's health series only while active and serving
 			// jobs: killed/ramping days are structurally different and must
 			// not pollute the delta references the watchdog compares against.
+			var alerts []telemetry.Alert
 			if v.dayJobs > 0 {
-				hit := float64(v.dayMatches) / float64(v.dayJobs)
-				v.series[SeriesVCHitRate].Append(day, hit)
-				v.series[SeriesVCFallbacks].Append(day, float64(v.dayFallbacks))
-				v.series[SeriesVCLatency].Append(day, v.dayLatency)
+				alerts = v.health.Sample(day, map[string]float64{
+					SeriesVCHitRate:   float64(v.dayMatches) / float64(v.dayJobs),
+					SeriesVCFallbacks: float64(v.dayFallbacks),
+					SeriesVCLatency:   v.dayLatency,
+				})
 			}
-			alerts := g.dog.Evaluate(day, v.series)
 			if len(alerts) == 0 {
 				v.alertDays = 0
 				break
@@ -663,7 +625,7 @@ func (g *Guard) EndOfDay(day int) []Decision {
 		case VCRamping:
 			// During the ramp only the fallback-spike rule judges: hit-rate
 			// and latency references are meaningless at 1% admission.
-			if float64(v.dayFallbacks) > g.cfg.VCSLO.withDefaults().FallbackSpikeMax {
+			if v.dayFallbacks > fallbackSpikeMax {
 				g.killLocked(day, vc, v, fmt.Sprintf("ramp aborted: %d fallbacks", v.dayFallbacks), true)
 				break
 			}
@@ -679,7 +641,7 @@ func (g *Guard) EndOfDay(day int) []Decision {
 				} else {
 					v.state = VCActive
 					v.alertDays = 0
-					g.resetSeriesLocked(v)
+					resetHealth(v)
 					g.mRestores.Inc()
 					g.logLocked(Decision{
 						Day: day, Kind: "vc-restore", Key: vc,
@@ -701,7 +663,7 @@ func (g *Guard) killLocked(day int, vc string, v *vcGuard, detail string, rekill
 	v.killedDay = day
 	v.alertDays = 0
 	v.kills++
-	g.resetSeriesLocked(v)
+	resetHealth(v)
 	g.mKills.Inc()
 	kind := "vc-kill"
 	if rekill {
@@ -713,15 +675,11 @@ func (g *Guard) killLocked(day int, vc string, v *vcGuard, detail string, rekill
 	})
 }
 
-// resetSeriesLocked gives a VC fresh health series — a kill or restore makes
+// resetHealth gives a VC a fresh health sampler — a kill or restore makes
 // every subsequent sample structurally different from the history, so stale
-// references must not judge the new regime. Caller holds g.mu.
-func (g *Guard) resetSeriesLocked(v *vcGuard) {
-	v.series = map[string]*telemetry.Series{
-		SeriesVCHitRate:   telemetry.NewSeries(SeriesVCHitRate, 64),
-		SeriesVCFallbacks: telemetry.NewSeries(SeriesVCFallbacks, 64),
-		SeriesVCLatency:   telemetry.NewSeries(SeriesVCLatency, 64),
-	}
+// references must not judge the new regime.
+func resetHealth(v *vcGuard) {
+	v.health = telemetry.NewSampler(vcSeriesCap, VCRules())
 }
 
 // assignLocked computes the VC's flight arm by seeded hash. Caller holds g.mu.
@@ -963,7 +921,7 @@ func (g *Guard) KillVC(day int, vc string) {
 	v.killedDay = day
 	v.forcedKill = true
 	v.kills++
-	g.resetSeriesLocked(v)
+	resetHealth(v)
 	g.mKills.Inc()
 	g.logLocked(Decision{Day: day, Kind: "admin-kill", Key: vc, Detail: "reuse forced off for VC"})
 	g.sampleGaugesLocked()
@@ -982,7 +940,7 @@ func (g *Guard) RestoreVC(day int, vc string) {
 	v.forcedKill = false
 	v.alertDays = 0
 	v.pinned = false
-	g.resetSeriesLocked(v)
+	resetHealth(v)
 	g.mRestores.Inc()
 	g.logLocked(Decision{Day: day, Kind: "admin-restore", Key: vc, Detail: "reuse forced on for VC"})
 	g.sampleGaugesLocked()

@@ -148,7 +148,6 @@ func TestVCKillSwitchAndStagedRamp(t *testing.T) {
 	g := testGuard(Config{
 		KillAlertDays: 2, ReenableDays: 2, RampStageDays: 1,
 		RampFractions: []float64{0.5, 1},
-		VCSLO:         VCSLOConfig{FallbackSpikeMax: 4},
 	})
 	stormDays(g, "vc1", 0, 2) // two alerting days -> kill on day 1
 	log := g.RenderLog()
@@ -200,7 +199,6 @@ func TestVCRampAbortsOnFallbackSpike(t *testing.T) {
 	g := testGuard(Config{
 		KillAlertDays: 1, ReenableDays: 1, RampStageDays: 1,
 		RampFractions: []float64{1},
-		VCSLO:         VCSLOConfig{FallbackSpikeMax: 4},
 	})
 	stormDays(g, "vc1", 0, 1) // kill on day 0
 	g.EndOfDay(1)             // ramp starts
@@ -216,7 +214,6 @@ func TestFlightAssignmentDeterministicAndRollback(t *testing.T) {
 	cfg := Config{
 		Seed:   7,
 		Flight: FlightConfig{Enabled: true},
-		VCSLO:  VCSLOConfig{FallbackSpikeMax: 4},
 	}
 	g1, g2 := testGuard(cfg), testGuard(cfg)
 	// Assignment is a pure function of (seed, vc).
@@ -266,7 +263,7 @@ func TestFlightAssignmentDeterministicAndRollback(t *testing.T) {
 
 func TestGuardDecisionLogByteIdentical(t *testing.T) {
 	run := func() string {
-		g := testGuard(Config{Seed: 42, Flight: FlightConfig{Enabled: true}, VCSLO: VCSLOConfig{FallbackSpikeMax: 4}})
+		g := testGuard(Config{Seed: 42, Flight: FlightConfig{Enabled: true}})
 		for day := 0; day < 8; day++ {
 			for _, vc := range []string{"vc-a", "vc-b", "vc-c"} {
 				bad := day >= 2 && day < 5 && vc == "vc-b"

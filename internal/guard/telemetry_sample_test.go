@@ -15,7 +15,6 @@ func TestTelemetrySamplesGuardGauges(t *testing.T) {
 	g := testGuard(Config{
 		KillAlertDays: 2, ReenableDays: 2, RampStageDays: 1,
 		RampFractions: []float64{0.5, 1},
-		VCSLO:         VCSLOConfig{FallbackSpikeMax: 4},
 	})
 	coll := telemetry.NewCollector(telemetry.Config{})
 	sig := signature.Sig("sig-sample")

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -76,8 +77,9 @@ type Config struct {
 	// registry). This is deliberately separate from the System's registry:
 	// shed traffic must never move a system metric.
 	Metrics *obs.Registry
-	// SLO tunes the request-metric watchdog (see telemetry.ServerRules).
-	SLO telemetry.ServerSLOConfig
+	// SLORules is the request-metric watchdog's rule list (nil =
+	// telemetry.ServerRules()).
+	SLORules []telemetry.Rule
 	// CloseStorage, when set, is invoked by Shutdown after the workers
 	// have drained — the last step of the shutdown ordering (e.g. closing
 	// a durable storage engine).
@@ -184,7 +186,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		return limit
 	})
-	s.slo = newSLOSampler(s.reg, telemetry.ServerRules(cfg.SLO))
+	s.slo = newSLOSampler(s.reg, cfg.SLORules)
 	return s, nil
 }
 
@@ -659,7 +661,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if req.WindowHours <= 0 {
 		req.WindowHours = 24
 	}
-	tagged := s.sys.Analyze(time.Duration(req.WindowHours * float64(time.Hour)))
+	window, ok := durationOf(req.WindowHours, time.Hour)
+	if !ok {
+		writeError(w, http.StatusBadRequest, "", 0, "window_hours out of range")
+		return
+	}
+	tagged := s.sys.Analyze(window)
 	writeJSON(w, http.StatusOK, AnalyzeResponse{TemplatesTagged: tagged})
 }
 
@@ -695,6 +702,17 @@ func (s *Server) handleRunDay(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, dm)
 }
 
+// durationOf converts n units to a Duration, refusing a product that is not
+// finite or does not fit an int64 of nanoseconds: the conversion would wrap,
+// and a wrapped advance moves the simulated clock backwards.
+func durationOf(n float64, unit time.Duration) (time.Duration, bool) {
+	ns := n * float64(unit)
+	if math.IsNaN(ns) || ns >= math.MaxInt64 || ns <= math.MinInt64 {
+		return 0, false
+	}
+	return time.Duration(ns), true
+}
+
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req AdvanceRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -705,7 +723,12 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "", 0, "seconds must be >= 0")
 		return
 	}
-	s.sys.AdvanceClock(time.Duration(req.Seconds * float64(time.Second)))
+	d, ok := durationOf(req.Seconds, time.Second)
+	if !ok {
+		writeError(w, http.StatusBadRequest, "", 0, "seconds out of range")
+		return
+	}
+	s.sys.AdvanceClock(d)
 	writeJSON(w, http.StatusOK, map[string]string{
 		"clock": s.sys.Clock().UTC().Format(time.RFC3339),
 	})
@@ -717,7 +740,11 @@ func (s *Server) handleSLOSample(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "", 0, "invalid JSON body: %v", err)
 		return
 	}
-	alerts := s.slo.sample(req.Day)
+	alerts, ok := s.slo.sample(req.Day)
+	if !ok {
+		writeError(w, http.StatusConflict, "", 0, "day %d is before the last sampled day", req.Day)
+		return
+	}
 	resp := SLOSampleResponse{Day: req.Day, Verdict: telemetry.Verdict(alerts)}
 	for _, a := range alerts {
 		resp.Alerts = append(resp.Alerts, a.String())

@@ -14,6 +14,7 @@ import (
 	"cloudviews"
 	"cloudviews/internal/data"
 	"cloudviews/internal/plan"
+	"cloudviews/internal/telemetry"
 )
 
 const testScript = `r = SELECT Region, COUNT(*) AS n FROM Events GROUP BY Region;
@@ -405,7 +406,7 @@ func TestSLOSample(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 	_, ts := newTestServer(t, func(cfg *Config) {
 		cfg.Limits = map[string]TenantLimit{"vc2": {MaxQueued: -1}}
-		cfg.SLO.ShedSpikeMax = 5
+		cfg.SLORules = telemetry.WithThreshold(telemetry.ServerRules(), "shed-spike", 5)
 		cfg.Now = clock.now
 	})
 	c := ts.Client()
@@ -447,6 +448,94 @@ func TestSLOSample(t *testing.T) {
 	}
 	if resp.Verdict != "OK" {
 		t.Errorf("post-spike quiet day verdict = %q (%v)", resp.Verdict, resp.Alerts)
+	}
+}
+
+// TestSLOSampleRejectsEarlierDay: the day is outside input, and a series
+// must never be handed a day lower than its last. Days 0, 1, 0 answer 200,
+// 200, 409, and the refused call moves nothing: re-sampling day 1 judges the
+// interval since the accepted day-1 sample, not since the refused one.
+func TestSLOSampleRejectsEarlierDay(t *testing.T) {
+	_, ts := newTestServer(t, func(cfg *Config) {
+		cfg.Limits = map[string]TenantLimit{"vc2": {MaxQueued: -1}}
+		cfg.SLORules = telemetry.WithThreshold(telemetry.ServerRules(), "shed-spike", 5)
+	})
+	c := ts.Client()
+	sample := func(day int) (int, SLOSampleResponse) {
+		t.Helper()
+		var resp SLOSampleResponse
+		code, _ := do(t, c, "POST", ts.URL+"/admin/slo/sample", "tok-admin", SLOSampleRequest{Day: day}, &resp)
+		return code, resp
+	}
+	shed := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if code, _ := do(t, c, "POST", ts.URL+"/v1/jobs", "tok-2", SubmitRequest{Script: testScript}, nil); code != 429 {
+				t.Fatal("expected shed")
+			}
+		}
+	}
+
+	if code, resp := sample(0); code != 200 || resp.Verdict != "OK" {
+		t.Fatalf("day 0: %d %+v", code, resp)
+	}
+	shed(10)
+	code, day1 := sample(1)
+	if code != 200 || len(day1.Alerts) != 1 || !strings.Contains(day1.Alerts[0], "shed-spike") {
+		t.Fatalf("day 1: %d %+v, want one shed-spike alert", code, day1)
+	}
+	shed(3)
+	if code, resp := sample(0); code != http.StatusConflict {
+		t.Fatalf("day 0 after day 1: %d %+v, want 409", code, resp)
+	}
+	// Had the refused call consumed the interval, the 3 sheds since day 1
+	// would be gone from the delta and this sample would read 0.
+	shed(3)
+	code, again := sample(1)
+	if code != 200 || len(again.Alerts) != 1 || !strings.Contains(again.Alerts[0], "= 6 exceeds budget 5") {
+		t.Fatalf("day 1 again: %d %+v, want the 6 sheds since the accepted day-1 sample", code, again)
+	}
+}
+
+// TestAdminDurationsOutOfRange: seconds and window_hours are floats from
+// outside; a product that does not fit an int64 of nanoseconds wraps in the
+// conversion, and a wrapped advance moves the simulated clock backwards.
+func TestAdminDurationsOutOfRange(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	c := ts.Client()
+	clock := func() string {
+		t.Helper()
+		var out map[string]string
+		if code, raw := do(t, c, "POST", ts.URL+"/admin/advance", "tok-admin", AdvanceRequest{}, &out); code != 200 {
+			t.Fatalf("advance 0: %d %s", code, raw)
+		}
+		return out["clock"]
+	}
+	start := clock()
+	for _, tc := range []struct {
+		path string
+		body any
+		want int
+	}{
+		{"/admin/advance", AdvanceRequest{Seconds: 0}, 200},
+		{"/admin/advance", AdvanceRequest{Seconds: 3600}, 200},
+		{"/admin/advance", AdvanceRequest{Seconds: 9.3e9}, 400},
+		{"/admin/advance", AdvanceRequest{Seconds: 1e300}, 400},
+		{"/admin/analyze", AnalyzeRequest{WindowHours: 0}, 200},
+		{"/admin/analyze", AnalyzeRequest{WindowHours: 24}, 200},
+		{"/admin/analyze", AnalyzeRequest{WindowHours: 2.6e6}, 400},
+		{"/admin/analyze", AnalyzeRequest{WindowHours: 1e300}, 400},
+	} {
+		if code, raw := do(t, c, "POST", ts.URL+tc.path, "tok-admin", tc.body, nil); code != tc.want {
+			t.Errorf("%s %+v: %d %s, want %d", tc.path, tc.body, code, raw, tc.want)
+		}
+	}
+	at, err := time.Parse(time.RFC3339, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := clock(), at.Add(time.Hour).Format(time.RFC3339); got != want {
+		t.Errorf("clock = %s, want %s: only the accepted 3600 s may move it", got, want)
 	}
 }
 

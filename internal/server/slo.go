@@ -1,10 +1,10 @@
 package server
 
 // SLO sampling over the server's request metrics. Each sample snapshots the
-// registry, converts cumulative counters into per-interval deltas, appends
-// the values to day-cadence series, and evaluates the cvserve watchdog
-// rules (telemetry.ServerRules) against them — the same declarative
-// machinery the feedback-loop health pipeline uses.
+// registry, converts cumulative counters into per-interval deltas and hands
+// the values to a telemetry.Sampler — the same series and rule engine the
+// feedback-loop health pipeline uses — judged by Config.SLORules
+// (telemetry.ServerRules by default).
 
 import (
 	"strings"
@@ -18,19 +18,20 @@ import (
 const sloSeriesCapacity = 90
 
 type sloSampler struct {
-	mu       sync.Mutex
-	reg      *obs.Registry
-	watchdog *telemetry.Watchdog
-	series   map[string]*telemetry.Series
-	prev     map[string]float64 // last raw snapshot, for counter deltas
+	mu      sync.Mutex
+	reg     *obs.Registry
+	sampler *telemetry.Sampler
+	prev    map[string]float64 // last raw snapshot, for counter deltas
 }
 
 func newSLOSampler(reg *obs.Registry, rules []telemetry.Rule) *sloSampler {
+	if rules == nil {
+		rules = telemetry.ServerRules()
+	}
 	return &sloSampler{
-		reg:      reg,
-		watchdog: telemetry.NewWatchdog(rules),
-		series:   make(map[string]*telemetry.Series),
-		prev:     make(map[string]float64),
+		reg:     reg,
+		sampler: telemetry.NewSampler(sloSeriesCapacity, rules),
+		prev:    make(map[string]float64),
 	}
 }
 
@@ -44,23 +45,21 @@ func cumulative(name string) bool {
 	return strings.HasSuffix(fam, "_total") || strings.HasSuffix(fam, "_count") || strings.HasSuffix(fam, "_sum")
 }
 
-// sample records one evaluation tick and returns its alerts.
-func (s *sloSampler) sample(day int) []telemetry.Alert {
+// sample records one evaluation tick and returns its alerts. The day comes
+// from an admin request: one lower than the last accepted day is refused
+// (ok false) before anything — series, references, delta baseline — moves.
+func (s *sloSampler) sample(day int) (alerts []telemetry.Alert, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.reg.Snapshot()
-	for name, v := range snap {
-		val := v
+	if day < s.sampler.LastDay() {
+		return nil, false
+	}
+	values := s.reg.Snapshot()
+	for name, v := range values {
 		if cumulative(name) {
-			val = v - s.prev[name]
+			values[name] = v - s.prev[name]
 			s.prev[name] = v
 		}
-		ser, ok := s.series[name]
-		if !ok {
-			ser = telemetry.NewSeries(name, sloSeriesCapacity)
-			s.series[name] = ser
-		}
-		ser.Append(day, val)
 	}
-	return s.watchdog.Evaluate(day, s.series)
+	return s.sampler.Sample(day, values), true
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -50,13 +51,13 @@ func ForfeitSeriesName(reason string) string {
 
 // Config assembles a Collector.
 type Config struct {
-	// SeriesCap bounds each ring-buffer series (default 128 days — enough to
-	// retain the paper's two-month window with room to spare).
-	SeriesCap int
-	// Rules is the watchdog rule set (nil = DefaultRules of the zero
-	// SLOConfig).
+	// Rules is the watchdog rule list (nil = DefaultRules()).
 	Rules []Rule
 }
+
+// seriesCap bounds each ring-buffer series, in days: enough to retain the
+// paper's two-month window with room to spare.
+const seriesCap = 128
 
 // Collector is the feedback-loop health pipeline: per-job critical-path
 // aggregation (recorded at submission), day-cadence series sampling, and
@@ -64,83 +65,95 @@ type Config struct {
 // for concurrent use and no-op on a nil receiver, mirroring the obs layer's
 // nil-registry convention, so a disabled telemetry layer costs one branch.
 type Collector struct {
-	mu        sync.Mutex
-	seriesCap int
-	series    map[string]*Series
-	days      map[int]*DayAgg
-	watchdog  *Watchdog
-	alerts    []Alert
+	mu      sync.Mutex
+	sampler *Sampler
+	days    map[int]*DayAgg
+	alerts  []Alert
 }
 
-// DayAgg accumulates one simulated day's critical-path attribution.
-type DayAgg struct {
-	Day           int
-	Jobs          int
-	WallSec       float64
-	Phase         map[string]float64
-	ReuseSavedSec float64
-	FaultLossSec  float64
-	VCs           map[string]*VCAgg
-	// MissReasons counts reuse decisions that missed, by explain reason;
-	// ForfeitSec is the container-seconds those misses forfeited (only
-	// decisions with a positive at-stake estimate contribute). Nil until the
-	// first decision lands.
-	MissReasons map[string]int
-	ForfeitSec  map[string]float64
-}
-
-// VCAgg is the per-VC slice of a day's attribution.
+// VCAgg is one aggregate of critical-path attribution and reuse misses. A
+// day holds one for the whole day and one per VC; every fold lands in both.
 type VCAgg struct {
 	Jobs          int
 	WallSec       float64
 	Phase         map[string]float64
 	ReuseSavedSec float64
 	FaultLossSec  float64
-	MissReasons   map[string]int
-	ForfeitSec    map[string]float64
+	// MissReasons counts reuse decisions that missed, by explain reason;
+	// ForfeitSec is the container-seconds those misses forfeited (only
+	// decisions with a positive at-stake estimate contribute). Nil until the
+	// first miss lands.
+	MissReasons map[string]int
+	ForfeitSec  map[string]float64
+}
+
+// DayAgg accumulates one simulated day: the day's aggregate and its per-VC
+// slices.
+type DayAgg struct {
+	VCAgg
+	Day int
+	VCs map[string]*VCAgg
+}
+
+func (a *VCAgg) addJob(bd Breakdown) {
+	a.Jobs++
+	a.WallSec += bd.WallSec
+	for phase, sec := range bd.Phase {
+		a.Phase[phase] += sec
+	}
+	a.ReuseSavedSec += bd.ReuseSavedSec
+	a.FaultLossSec += bd.FaultLossSec
+}
+
+func (a *VCAgg) addMiss(reason string, savedCS float64) {
+	if a.MissReasons == nil {
+		a.MissReasons = make(map[string]int)
+		a.ForfeitSec = make(map[string]float64)
+	}
+	a.MissReasons[reason]++
+	if savedCS > 0 {
+		a.ForfeitSec[reason] += savedCS
+	}
+}
+
+func (a *VCAgg) addPhase(phase string, sec float64) {
+	a.Phase[phase] += sec
+	a.WallSec += sec
+}
+
+// clone copies the aggregate and its maps (a nil map stays nil).
+func (a VCAgg) clone() VCAgg {
+	a.Phase = maps.Clone(a.Phase)
+	a.MissReasons = maps.Clone(a.MissReasons)
+	a.ForfeitSec = maps.Clone(a.ForfeitSec)
+	return a
 }
 
 // NewCollector builds an empty collector.
 func NewCollector(cfg Config) *Collector {
-	if cfg.SeriesCap <= 0 {
-		cfg.SeriesCap = 128
-	}
-	rules := cfg.Rules
-	if rules == nil {
-		rules = DefaultRules(SLOConfig{})
+	if cfg.Rules == nil {
+		cfg.Rules = DefaultRules()
 	}
 	return &Collector{
-		seriesCap: cfg.SeriesCap,
-		series:    make(map[string]*Series),
-		days:      make(map[int]*DayAgg),
-		watchdog:  NewWatchdog(rules),
+		sampler: NewSampler(seriesCap, cfg.Rules),
+		days:    make(map[int]*DayAgg),
 	}
 }
 
-// Rules exposes the active watchdog rule set (nil collector → nil).
-func (c *Collector) Rules() []Rule {
-	if c == nil {
-		return nil
-	}
-	return c.watchdog.Rules()
-}
-
-func (c *Collector) dayLocked(day int) *DayAgg {
+// aggsLocked returns the two aggregates one observation folds into: the
+// day's and the VC's slice of it. Caller holds c.mu.
+func (c *Collector) aggsLocked(day int, vc string) [2]*VCAgg {
 	d, ok := c.days[day]
 	if !ok {
-		d = &DayAgg{Day: day, Phase: make(map[string]float64), VCs: make(map[string]*VCAgg)}
+		d = &DayAgg{VCAgg: VCAgg{Phase: make(map[string]float64)}, Day: day, VCs: make(map[string]*VCAgg)}
 		c.days[day] = d
 	}
-	return d
-}
-
-func (d *DayAgg) vc(name string) *VCAgg {
-	v, ok := d.VCs[name]
+	v, ok := d.VCs[vc]
 	if !ok {
 		v = &VCAgg{Phase: make(map[string]float64)}
-		d.VCs[name] = v
+		d.VCs[vc] = v
 	}
-	return v
+	return [2]*VCAgg{&d.VCAgg, v}
 }
 
 // ObserveJob runs the critical-path analyzer over one finished job trace and
@@ -153,20 +166,9 @@ func (c *Collector) ObserveJob(day int, vc string, tr *obs.Trace) {
 	bd := Analyze(tr)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := c.dayLocked(day)
-	v := d.vc(vc)
-	d.Jobs++
-	v.Jobs++
-	d.WallSec += bd.WallSec
-	v.WallSec += bd.WallSec
-	for phase, sec := range bd.Phase {
-		d.Phase[phase] += sec
-		v.Phase[phase] += sec
+	for _, a := range c.aggsLocked(day, vc) {
+		a.addJob(bd)
 	}
-	d.ReuseSavedSec += bd.ReuseSavedSec
-	v.ReuseSavedSec += bd.ReuseSavedSec
-	d.FaultLossSec += bd.FaultLossSec
-	v.FaultLossSec += bd.FaultLossSec
 }
 
 // ObserveDecisions folds one finished job's reuse decisions into the day/VC
@@ -181,57 +183,29 @@ func (c *Collector) ObserveDecisions(day int, vc string, rec *explain.Recorder) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := c.dayLocked(day)
-	v := d.vc(vc)
+	aggs := c.aggsLocked(day, vc)
 	rec.ForEach(func(dec explain.Decision) {
 		if !dec.Reason.IsMiss() {
 			return
 		}
-		key := string(dec.Reason)
-		if d.MissReasons == nil {
-			d.MissReasons = make(map[string]int)
-			d.ForfeitSec = make(map[string]float64)
-		}
-		if v.MissReasons == nil {
-			v.MissReasons = make(map[string]int)
-			v.ForfeitSec = make(map[string]float64)
-		}
-		d.MissReasons[key]++
-		v.MissReasons[key]++
-		if dec.SavedCS > 0 {
-			d.ForfeitSec[key] += dec.SavedCS
-			v.ForfeitSec[key] += dec.SavedCS
+		for _, a := range aggs {
+			a.addMiss(string(dec.Reason), dec.SavedCS)
 		}
 	})
-}
-
-// DecisionSample writes the day's labeled miss-reason series points into an
-// EndOfDay sample map (day_reuse_miss{reason="x"} and
-// day_reuse_forfeit_sec{reason="x"}). Map iteration order is irrelevant:
-// EndOfDay sorts sample names before appending.
-func (c *Collector) DecisionSample(day int, into map[string]float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.days[day]
-	if !ok {
-		return
-	}
-	for reason, n := range d.MissReasons {
-		into[MissSeriesName(reason)] = float64(n)
-	}
-	for reason, sec := range d.ForfeitSec {
-		into[ForfeitSeriesName(reason)] = sec
-	}
 }
 
 // AddQueueWait charges cluster-schedule queue time onto a day's breakdown.
 // The cluster queue span is overlaid on the trace AFTER the data plane has
 // observed the job, so the scheduler reports it here instead.
 func (c *Collector) AddQueueWait(day int, vc string, sec float64) {
-	c.addPhase(day, vc, "queue", sec)
+	if c == nil || sec == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, a := range c.aggsLocked(day, vc) {
+		a.addPhase("queue", sec)
+	}
 }
 
 // AddFaultLoss charges cluster-side fault recovery (stage retries, bonus
@@ -242,60 +216,33 @@ func (c *Collector) AddFaultLoss(day int, vc string, sec float64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := c.dayLocked(day)
-	d.FaultLossSec += sec
-	d.vc(vc).FaultLossSec += sec
-}
-
-func (c *Collector) addPhase(day int, vc, phase string, sec float64) {
-	if c == nil || sec == 0 {
-		return
+	for _, a := range c.aggsLocked(day, vc) {
+		a.FaultLossSec += sec
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.dayLocked(day)
-	d.Phase[phase] += sec
-	d.WallSec += sec
-	v := d.vc(vc)
-	v.Phase[phase] += sec
-	v.WallSec += sec
 }
 
-// EndOfDay samples one point per metric into the ring-buffer series (names
-// iterated in sorted order, so series creation order — and therefore every
-// rendering — is deterministic), evaluates the watchdog, records its alerts,
-// and returns the day's alerts.
+// EndOfDay adds the day's labeled miss-reason points to the sample (one
+// day_reuse_miss{reason="x"} and day_reuse_forfeit_sec{reason="x"} per reason
+// with traffic that day; absent reasons produce no series), samples one point
+// per metric into the series, evaluates the watchdog, records its alerts, and
+// returns the day's alerts.
 func (c *Collector) EndOfDay(day int, sample map[string]float64) []Alert {
 	if c == nil {
 		return nil
 	}
-	names := make([]string, 0, len(sample))
-	for name := range sample {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, name := range names {
-		s, ok := c.series[name]
-		if !ok {
-			s = NewSeries(name, c.seriesCap)
-			c.series[name] = s
+	if d, ok := c.days[day]; ok {
+		for reason, n := range d.MissReasons {
+			sample[MissSeriesName(reason)] = float64(n)
 		}
-		s.Append(day, sample[name])
+		for reason, sec := range d.ForfeitSec {
+			sample[ForfeitSeriesName(reason)] = sec
+		}
 	}
-	alerts := c.watchdog.Evaluate(day, c.series)
+	alerts := c.sampler.Sample(day, sample)
 	c.alerts = append(c.alerts, alerts...)
 	return alerts
-}
-
-// SampleRegistry merges a registry snapshot into a sample map (helper for
-// callers assembling the EndOfDay payload). Nil-safe on both sides.
-func SampleRegistry(r *obs.Registry, into map[string]float64) {
-	for name, v := range r.Snapshot() {
-		into[name] = v
-	}
 }
 
 // Alerts returns every alert recorded so far, in firing order.
@@ -313,16 +260,8 @@ func (c *Collector) Alerts() []Alert {
 
 // DaySnapshot is one day's aggregates with deterministic ordering.
 type DaySnapshot struct {
-	Day           int
-	Jobs          int
-	WallSec       float64
-	Phase         map[string]float64
-	ReuseSavedSec float64
-	FaultLossSec  float64
-	// MissReasons / ForfeitSec mirror DayAgg's miss-reason rollup (nil when
-	// no decisions landed that day).
-	MissReasons map[string]int
-	ForfeitSec  map[string]float64
+	VCAgg
+	Day int
 	// VCNames is sorted; VCs is keyed by those names.
 	VCNames []string
 	VCs     map[string]VCAgg
@@ -334,7 +273,6 @@ type RunTelemetry struct {
 	Series []SeriesSnapshot // sorted by name
 	Days   []DaySnapshot    // sorted by day
 	Alerts []Alert          // firing order
-	Rules  []Rule           // active watchdog rules
 }
 
 // SeriesByName returns the named series snapshot, or nil.
@@ -357,15 +295,7 @@ func (c *Collector) Snapshot() *RunTelemetry {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rt := &RunTelemetry{Rules: c.watchdog.Rules()}
-	names := make([]string, 0, len(c.series))
-	for name := range c.series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rt.Series = append(rt.Series, c.series[name].Snapshot())
-	}
+	rt := &RunTelemetry{Series: c.sampler.Snapshot()}
 	days := make([]int, 0, len(c.days))
 	for day := range c.days {
 		days = append(days, day)
@@ -373,54 +303,14 @@ func (c *Collector) Snapshot() *RunTelemetry {
 	sort.Ints(days)
 	for _, day := range days {
 		d := c.days[day]
-		ds := DaySnapshot{
-			Day: d.Day, Jobs: d.Jobs, WallSec: d.WallSec,
-			Phase:         copyPhase(d.Phase),
-			ReuseSavedSec: d.ReuseSavedSec, FaultLossSec: d.FaultLossSec,
-			MissReasons: copyCounts(d.MissReasons),
-			ForfeitSec:  copyPhaseNil(d.ForfeitSec),
-			VCs:         make(map[string]VCAgg, len(d.VCs)),
-		}
+		ds := DaySnapshot{VCAgg: d.clone(), Day: day, VCs: make(map[string]VCAgg, len(d.VCs))}
 		for vc, agg := range d.VCs {
 			ds.VCNames = append(ds.VCNames, vc)
-			ds.VCs[vc] = VCAgg{
-				Jobs: agg.Jobs, WallSec: agg.WallSec, Phase: copyPhase(agg.Phase),
-				ReuseSavedSec: agg.ReuseSavedSec, FaultLossSec: agg.FaultLossSec,
-				MissReasons: copyCounts(agg.MissReasons),
-				ForfeitSec:  copyPhaseNil(agg.ForfeitSec),
-			}
+			ds.VCs[vc] = agg.clone()
 		}
 		sort.Strings(ds.VCNames)
 		rt.Days = append(rt.Days, ds)
 	}
 	rt.Alerts = append([]Alert(nil), c.alerts...)
 	return rt
-}
-
-func copyPhase(m map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// copyPhaseNil is copyPhase preserving nil (miss-reason maps are nil until
-// the first decision, and snapshots mirror that).
-func copyPhaseNil(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	return copyPhase(m)
-}
-
-func copyCounts(m map[string]int) map[string]int {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

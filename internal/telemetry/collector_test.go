@@ -19,7 +19,7 @@ func TestNilCollectorNoOps(t *testing.T) {
 	if got := c.EndOfDay(0, map[string]float64{"x": 1}); got != nil {
 		t.Errorf("nil EndOfDay = %v", got)
 	}
-	if c.Snapshot() != nil || c.Alerts() != nil || c.Rules() != nil {
+	if c.Snapshot() != nil || c.Alerts() != nil {
 		t.Error("nil collector accessors must return nil")
 	}
 }
@@ -141,18 +141,4 @@ func TestCollectorConcurrent(t *testing.T) {
 	if d.ReuseSavedSec != 400 {
 		t.Errorf("saved = %v, want 400", d.ReuseSavedSec)
 	}
-}
-
-func TestSampleRegistry(t *testing.T) {
-	r := obs.NewRegistry()
-	r.Counter("c").Add(3)
-	r.Gauge("g").Set(7)
-	r.Histogram("h", []float64{1, 10}).Observe(4)
-	into := map[string]float64{"pre": 1}
-	SampleRegistry(r, into)
-	if into["c"] != 3 || into["g"] != 7 || into["h_count"] != 1 || into["h_sum"] != 4 || into["pre"] != 1 {
-		t.Errorf("sample = %v", into)
-	}
-	// Nil registry merges nothing and must not panic.
-	SampleRegistry(nil, into)
 }

@@ -45,7 +45,8 @@ func sortedKeys(m map[string]int) []string {
 
 // BuildExplainRollup assembles the rollup from a telemetry snapshot. Days
 // with no recorded decisions are omitted; a run with none at all yields
-// empty (non-nil) totals.
+// empty (non-nil) totals. The per-day maps are the snapshot's own (it is
+// immutable), not copies.
 func BuildExplainRollup(rt *RunTelemetry) *ExplainRollup {
 	out := &ExplainRollup{
 		TotalMiss:       make(map[string]int),
@@ -58,7 +59,7 @@ func BuildExplainRollup(rt *RunTelemetry) *ExplainRollup {
 		if len(d.MissReasons) == 0 {
 			continue
 		}
-		ed := ExplainDay{Day: d.Day, Miss: copyCounts(d.MissReasons), ForfeitSec: copyPhaseNil(d.ForfeitSec)}
+		ed := ExplainDay{Day: d.Day, Miss: d.MissReasons, ForfeitSec: d.ForfeitSec}
 		for reason, n := range d.MissReasons {
 			out.TotalMiss[reason] += n
 		}
@@ -73,7 +74,7 @@ func BuildExplainRollup(rt *RunTelemetry) *ExplainRollup {
 			if ed.VCs == nil {
 				ed.VCs = make(map[string]ExplainVC)
 			}
-			ed.VCs[vc] = ExplainVC{Miss: copyCounts(agg.MissReasons), ForfeitSec: copyPhaseNil(agg.ForfeitSec)}
+			ed.VCs[vc] = ExplainVC{Miss: agg.MissReasons, ForfeitSec: agg.ForfeitSec}
 		}
 		out.Days = append(out.Days, ed)
 	}

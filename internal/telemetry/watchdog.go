@@ -105,16 +105,10 @@ func NewWatchdog(rules []Rule) *Watchdog {
 	return &Watchdog{rules: append([]Rule(nil), rules...)}
 }
 
-// Rules returns a copy of the rule list.
-func (w *Watchdog) Rules() []Rule { return append([]Rule(nil), w.rules...) }
-
 // Evaluate runs every rule against the series sampled for `day` and returns
 // the alerts in deterministic order. Series whose latest sample is not for
 // this day are skipped (the rule only judges fresh data).
 func (w *Watchdog) Evaluate(day int, series map[string]*Series) []Alert {
-	if w == nil {
-		return nil
-	}
 	var alerts []Alert
 	for _, r := range w.rules {
 		for _, name := range r.matchNames(series) {
@@ -205,196 +199,117 @@ func (r Rule) alert(day int, metric string, value, ref float64, msg string) Aler
 
 func fmtVal(v float64) string { return fmt.Sprintf("%.4g", v) }
 
-// SLOConfig tunes the default watchdog rules. The zero value yields a rule
-// set that stays silent on a healthy fault-free run: the storage rule is
-// disabled until a budget is set, the delta rules carry noise floors, and
-// the fault rule only counts actual recovery work.
-type SLOConfig struct {
-	// StorageBudgetPerVC pages when any VC's sealed-view bytes exceed it
-	// (0 disables the rule — mirrors analysis.SelectionConfig's budget).
-	StorageBudgetPerVC int64
-	// HitRateDropPct warns when the per-day view hit rate drops more than
-	// this percent vs. the windowed reference (default 60).
-	HitRateDropPct float64
-	// MinHitRate is the reference floor below which the drop rule is silent
-	// (default 0.10 views/job).
-	MinHitRate float64
-	// QueueGrowthPct warns when the average queue length at job start grows
-	// more than this percent day over day (default 150).
-	QueueGrowthPct float64
-	// MinQueueLen is the value floor for the queue rule (default 4).
-	MinQueueLen float64
-	// FaultSpikeMax warns when a day performs more fault recoveries (job
-	// retries + stage retries + preemptions + reuse fallbacks) than this
-	// (default 8; any clean day scores 0).
-	FaultSpikeMax float64
-	// MissSpikeGrowthPct warns when any single reuse-miss reason's daily
-	// count (day_reuse_miss{reason="x"}) grows more than this percent vs.
-	// the windowed reference (default 400 — a miss mix shifts slowly on a
-	// healthy fleet; a 5x single-reason spike means a control flipped, a
-	// breaker storm, or an expiry wave).
-	MissSpikeGrowthPct float64
-	// MinMissReference is the reference floor for the miss-spike rule
-	// (default 16 misses/day — growth from a near-zero base is noise).
-	MinMissReference float64
-	// MinMissCount is the value floor for the miss-spike rule (default 32
-	// misses/day).
-	MinMissCount float64
-	// ForfeitBudgetSec warns when the container-seconds forfeited to any
-	// single miss reason in one day exceed it (0 disables the rule).
-	ForfeitBudgetSec float64
-	// Window sizes the delta-rule reference window in days (default 1).
-	Window int
-}
+// The rule list is the configuration. DefaultRules and ServerRules return
+// fresh lists a caller may edit: WithThreshold moves one threshold, append
+// adds a rule — the opt-in ones below or any other Rule value.
 
-// withDefaults fills zero fields.
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.HitRateDropPct == 0 {
-		c.HitRateDropPct = 60
-	}
-	if c.MinHitRate == 0 {
-		c.MinHitRate = 0.10
-	}
-	if c.QueueGrowthPct == 0 {
-		c.QueueGrowthPct = 150
-	}
-	if c.MinQueueLen == 0 {
-		c.MinQueueLen = 4
-	}
-	if c.FaultSpikeMax == 0 {
-		c.FaultSpikeMax = 8
-	}
-	if c.MissSpikeGrowthPct == 0 {
-		c.MissSpikeGrowthPct = 400
-	}
-	if c.MinMissReference == 0 {
-		c.MinMissReference = 16
-	}
-	if c.MinMissCount == 0 {
-		c.MinMissCount = 32
-	}
-	if c.Window == 0 {
-		c.Window = 1
-	}
-	return c
-}
-
-// DefaultRules builds the standard SLO rule set: hit-rate regression,
-// per-VC storage budget, queue growth, and fault-recovery spikes.
-func DefaultRules(cfg SLOConfig) []Rule {
-	cfg = cfg.withDefaults()
-	rules := []Rule{
+// DefaultRules is the engine's rule list: hit-rate regression, queue growth,
+// fault-recovery spikes and miss-reason spikes. It stays silent on a healthy
+// fault-free run: the delta rules carry noise floors and the fault rule only
+// counts actual recovery work.
+func DefaultRules() []Rule {
+	return []Rule{
 		{
+			// Warns when the per-day view hit rate drops more than 60% vs.
+			// the prior day; silent while the reference is under 0.10
+			// views/job.
 			Name: "hit-rate-drop", Metric: SeriesHitRate, Kind: DropPct,
-			Threshold: cfg.HitRateDropPct, Window: cfg.Window,
-			MinReference: cfg.MinHitRate, Severity: SevWarn,
+			Threshold: 60, Window: 1, MinReference: 0.10, Severity: SevWarn,
 		},
 		{
+			// Warns when the average queue length at job start grows more
+			// than 150% day over day; silent under a queue of 4.
 			Name: "queue-growth", Metric: SeriesQueueLenAvg, Kind: GrowthPct,
-			Threshold: cfg.QueueGrowthPct, Window: cfg.Window,
-			MinReference: 0.5, MinValue: cfg.MinQueueLen, Severity: SevWarn,
+			Threshold: 150, Window: 1, MinReference: 0.5, MinValue: 4, Severity: SevWarn,
 		},
 		{
+			// Warns when a day performs more than 8 fault recoveries (job
+			// retries + stage retries + preemptions + reuse fallbacks); any
+			// clean day scores 0.
 			Name: "fault-spike", Metric: SeriesFaultRecoveries, Kind: Above,
-			Threshold: cfg.FaultSpikeMax, Severity: SevWarn,
+			Threshold: 8, Severity: SevWarn,
 		},
 		{
 			// One labeled series per miss reason, judged independently: the
 			// prefix match fans the rule out over day_reuse_miss{reason="x"}.
+			// A miss mix shifts slowly on a healthy fleet; a 5x single-reason
+			// spike means a control flipped, a breaker storm, or an expiry
+			// wave. Growth from under 16 misses/day, or to under 32, is noise.
 			Name: "miss-reason-spike", Metric: SeriesMissPrefix + "*", Kind: GrowthPct,
-			Threshold: cfg.MissSpikeGrowthPct, Window: cfg.Window,
-			MinReference: cfg.MinMissReference, MinValue: cfg.MinMissCount,
-			Severity: SevWarn,
+			Threshold: 400, Window: 1, MinReference: 16, MinValue: 32, Severity: SevWarn,
 		},
 	}
-	if cfg.ForfeitBudgetSec > 0 {
-		rules = append(rules, Rule{
-			Name: "reuse-forfeit-budget", Metric: SeriesForfeitPrefix + "*", Kind: Above,
-			Threshold: cfg.ForfeitBudgetSec, Severity: SevWarn,
-		})
-	}
-	if cfg.StorageBudgetPerVC > 0 {
-		rules = append(rules, Rule{
-			Name: "storage-budget", Metric: "cloudviews_view_bytes{*", Kind: Above,
-			Threshold: float64(cfg.StorageBudgetPerVC), Severity: SevPage,
-		})
-	}
-	return rules
 }
 
-// ServerSLOConfig tunes the cvserve front-end watchdog rules. Values are
-// judged against per-sample-interval deltas of the server's request
-// counters (the server samples cumulative counters as deltas), so the
-// thresholds read as "per interval". The zero value yields a rule set that
-// stays silent on a healthy, uncongested server.
-type ServerSLOConfig struct {
-	// ShedSpikeMax warns when any tenant's shed count in one interval
-	// exceeds it (default 50).
-	ShedSpikeMax float64
-	// AuthFailureMax warns when rejected authentications in one interval
-	// exceed it (default 20).
-	AuthFailureMax float64
-	// InflightMax pages when any tenant's in-flight submission gauge
-	// exceeds it (0 disables the rule — saturation is tenant-sized).
-	InflightMax float64
-	// AcceptDropPct warns when a tenant's accepted-per-interval rate drops
-	// more than this percent vs. the windowed reference (default 80).
-	AcceptDropPct float64
-	// MinAccepted is the reference floor for the accept-drop rule
-	// (default 20 accepted/interval; quieter tenants are noise).
-	MinAccepted float64
-	// Window sizes the delta-rule reference window in samples (default 1).
-	Window int
+// ForfeitBudgetRule warns when the container-seconds forfeited to any single
+// miss reason in one day exceed sec. Opt-in: append it to a rule list.
+func ForfeitBudgetRule(sec float64) Rule {
+	return Rule{
+		Name: "reuse-forfeit-budget", Metric: SeriesForfeitPrefix + "*", Kind: Above,
+		Threshold: sec, Severity: SevWarn,
+	}
 }
 
-// withDefaults fills zero fields.
-func (c ServerSLOConfig) withDefaults() ServerSLOConfig {
-	if c.ShedSpikeMax == 0 {
-		c.ShedSpikeMax = 50
+// StorageBudgetRule pages when any VC's sealed-view bytes exceed the budget
+// (mirrors analysis.SelectionConfig's budget). Opt-in: append it to a rule
+// list.
+func StorageBudgetRule(bytes float64) Rule {
+	return Rule{
+		Name: "storage-budget", Metric: "cloudviews_view_bytes{*", Kind: Above,
+		Threshold: bytes, Severity: SevPage,
 	}
-	if c.AuthFailureMax == 0 {
-		c.AuthFailureMax = 20
-	}
-	if c.AcceptDropPct == 0 {
-		c.AcceptDropPct = 80
-	}
-	if c.MinAccepted == 0 {
-		c.MinAccepted = 20
-	}
-	if c.Window == 0 {
-		c.Window = 1
-	}
-	return c
 }
 
-// ServerRules builds the cvserve watchdog rule set: per-tenant shed spikes,
-// authentication-failure spikes, per-tenant accept-rate regressions, and
-// (when configured) in-flight saturation. Metric names match the server's
-// request registry (cvserve_*).
-func ServerRules(cfg ServerSLOConfig) []Rule {
-	cfg = cfg.withDefaults()
-	rules := []Rule{
+// ServerRules is cvserve's rule list: per-tenant shed spikes,
+// authentication-failure spikes and per-tenant accept-rate regressions.
+// Metric names match the server's request registry (cvserve_*). Values are
+// judged against per-sample-interval deltas of the request counters (the
+// server samples cumulative counters as deltas), so the thresholds read as
+// "per interval"; the list stays silent on a healthy, uncongested server.
+func ServerRules() []Rule {
+	return []Rule{
 		{
+			// Any tenant shedding more than 50 submissions in one interval.
 			Name: "shed-spike", Metric: "cvserve_shed_total{*", Kind: Above,
-			Threshold: cfg.ShedSpikeMax, Severity: SevWarn,
+			Threshold: 50, Severity: SevWarn,
 		},
 		{
+			// More than 20 rejected authentications in one interval.
 			Name: "auth-failures", Metric: "cvserve_auth_failures_total", Kind: Above,
-			Threshold: cfg.AuthFailureMax, Severity: SevWarn,
+			Threshold: 20, Severity: SevWarn,
 		},
 		{
+			// A tenant's accepted-per-interval rate dropping more than 80%
+			// vs. the prior interval; tenants under 20 accepted/interval are
+			// noise.
 			Name: "accept-drop", Metric: "cvserve_accepted_total{*", Kind: DropPct,
-			Threshold: cfg.AcceptDropPct, Window: cfg.Window,
-			MinReference: cfg.MinAccepted, Severity: SevWarn,
+			Threshold: 80, Window: 1, MinReference: 20, Severity: SevWarn,
 		},
 	}
-	if cfg.InflightMax > 0 {
-		rules = append(rules, Rule{
-			Name: "inflight-saturation", Metric: "cvserve_inflight{*", Kind: Above,
-			Threshold: cfg.InflightMax, Severity: SevPage,
-		})
+}
+
+// InflightSaturationRule pages when any tenant's in-flight submission gauge
+// exceeds max (saturation is tenant-sized, so there is no default). Opt-in:
+// append it to a rule list.
+func InflightSaturationRule(max float64) Rule {
+	return Rule{
+		Name: "inflight-saturation", Metric: "cvserve_inflight{*", Kind: Above,
+		Threshold: max, Severity: SevPage,
 	}
-	return rules
+}
+
+// WithThreshold returns a copy of rules with the named rule's Threshold set
+// to v. It panics when no rule has that name: a misspelt name must not leave
+// the default in force unnoticed.
+func WithThreshold(rules []Rule, name string, v float64) []Rule {
+	out := append([]Rule(nil), rules...)
+	for i := range out {
+		if out[i].Name == name {
+			out[i].Threshold = v
+			return out
+		}
+	}
+	panic("telemetry: WithThreshold: no rule named " + name)
 }
 
 // Verdict summarizes an alert list as one deterministic token for A/B arm

@@ -133,14 +133,14 @@ func TestWatchdogDeterministicOrder(t *testing.T) {
 }
 
 func TestDefaultRules(t *testing.T) {
-	rules := DefaultRules(SLOConfig{})
+	rules := DefaultRules()
 	names := make([]string, 0, len(rules))
 	for _, r := range rules {
 		names = append(names, r.Name)
 	}
 	want := []string{"hit-rate-drop", "queue-growth", "fault-spike", "miss-reason-spike"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Errorf("zero-config rules = %v, want %v (no storage/forfeit rules without budgets)", names, want)
+		t.Errorf("default rules = %v, want %v (storage and forfeit budgets are opt-in)", names, want)
 	}
 	for _, r := range rules {
 		if r.Name == "miss-reason-spike" {
@@ -153,36 +153,39 @@ func TestDefaultRules(t *testing.T) {
 		}
 	}
 
-	rules = DefaultRules(SLOConfig{ForfeitBudgetSec: 120})
-	foundForfeit := false
-	for _, r := range rules {
-		if r.Name == "reuse-forfeit-budget" {
-			foundForfeit = true
-			if r.Kind != Above || r.Threshold != 120 || r.Metric != SeriesForfeitPrefix+"*" {
-				t.Errorf("forfeit rule = %+v", r)
-			}
-		}
+	if r := ForfeitBudgetRule(120); r.Name != "reuse-forfeit-budget" || r.Kind != Above || r.Threshold != 120 || r.Metric != SeriesForfeitPrefix+"*" {
+		t.Errorf("forfeit rule = %+v", r)
 	}
-	if !foundForfeit {
-		t.Error("ForfeitBudgetSec > 0 must add the reuse-forfeit-budget rule")
+	r := StorageBudgetRule(1 << 20)
+	if r.Name != "storage-budget" || r.Severity != SevPage || r.Threshold != float64(1<<20) {
+		t.Errorf("storage rule = %+v", r)
 	}
+	if !strings.HasSuffix(r.Metric, "*") {
+		t.Errorf("storage rule must prefix-match per-VC gauges, metric = %q", r.Metric)
+	}
+}
 
-	rules = DefaultRules(SLOConfig{StorageBudgetPerVC: 1 << 20})
-	found := false
-	for _, r := range rules {
-		if r.Name == "storage-budget" {
-			found = true
-			if r.Severity != SevPage || r.Threshold != float64(1<<20) {
-				t.Errorf("storage rule = %+v", r)
-			}
-			if !strings.HasSuffix(r.Metric, "*") {
-				t.Errorf("storage rule must prefix-match per-VC gauges, metric = %q", r.Metric)
-			}
+func TestWithThreshold(t *testing.T) {
+	base := DefaultRules()
+	got := WithThreshold(base, "fault-spike", 20)
+	for i, r := range got {
+		want := base[i]
+		if r.Name == "fault-spike" {
+			want.Threshold = 20
+		}
+		if r != want {
+			t.Errorf("rule %d = %+v, want %+v", i, r, want)
 		}
 	}
-	if !found {
-		t.Error("budget > 0 must add the storage-budget rule")
+	if base[2].Threshold != 8 {
+		t.Errorf("WithThreshold wrote its argument: %+v", base[2])
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an unknown rule name must panic, not leave the default in force")
+		}
+	}()
+	WithThreshold(base, "fault-spikes", 20)
 }
 
 func TestVerdict(t *testing.T) {
@@ -208,14 +211,14 @@ func TestAlertString(t *testing.T) {
 }
 
 func TestServerRules(t *testing.T) {
-	rules := ServerRules(ServerSLOConfig{})
+	rules := ServerRules()
 	names := make([]string, 0, len(rules))
 	for _, r := range rules {
 		names = append(names, r.Name)
 	}
 	want := []string{"shed-spike", "auth-failures", "accept-drop"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Errorf("zero-config rules = %v, want %v (no inflight rule without a cap)", names, want)
+		t.Errorf("server rules = %v, want %v (the inflight cap is opt-in)", names, want)
 	}
 	for _, r := range rules {
 		if r.Name == "shed-spike" || r.Name == "accept-drop" {
@@ -225,22 +228,12 @@ func TestServerRules(t *testing.T) {
 		}
 	}
 
-	rules = ServerRules(ServerSLOConfig{InflightMax: 64})
-	found := false
-	for _, r := range rules {
-		if r.Name == "inflight-saturation" {
-			found = true
-			if r.Severity != SevPage || r.Threshold != 64 {
-				t.Errorf("inflight rule = %+v", r)
-			}
-		}
-	}
-	if !found {
-		t.Error("InflightMax > 0 must add the inflight-saturation rule")
+	if r := InflightSaturationRule(64); r.Name != "inflight-saturation" || r.Severity != SevPage || r.Threshold != 64 {
+		t.Errorf("inflight rule = %+v", r)
 	}
 
 	// The shed rule fires on a per-tenant spike and stays silent below it.
-	w := NewWatchdog(ServerRules(ServerSLOConfig{ShedSpikeMax: 5}))
+	w := NewWatchdog(WithThreshold(ServerRules(), "shed-spike", 5))
 	m := seriesMap(t, map[string][]float64{
 		`cvserve_shed_total{reason="queue",tenant="a"}`: {10},
 		`cvserve_shed_total{reason="rate",tenant="b"}`:  {2},
