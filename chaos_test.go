@@ -25,7 +25,6 @@ func TestChaosConcurrentSubmitters(t *testing.T) {
 				"storage.spool.write": 0.5,
 				"core.job.fail":       0.3,
 			},
-			MaxJobAttempts: 3,
 		},
 	})
 	if err != nil {

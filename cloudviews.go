@@ -109,7 +109,7 @@ type (
 	// them in Prometheus text format.
 	MetricsRegistry = obs.Registry
 	// FaultConfig configures deterministic fault injection (seed, per-point
-	// rates, retry knobs). The zero value disables injection entirely.
+	// rates, an optional filter). The zero value disables injection entirely.
 	FaultConfig = fault.Config
 	// FaultPoint names one injection site (see ParseFaultSpec for the
 	// accepted aliases).
@@ -139,8 +139,8 @@ type (
 	// engine (internal/storage/durable) both implement it.
 	StorageEngine = storage.Engine
 	// GuardConfig configures the runtime guardrail subsystem (per-signature
-	// circuit breakers, per-VC kill switch, view-selection policy flighting
-	// with auto-rollback). The zero value disables it entirely.
+	// circuit breakers, per-VC kill switch with staged re-enable). The zero
+	// value disables it entirely.
 	GuardConfig = guard.Config
 	// Guard is the live guardrail subsystem, exposed for inspection and the
 	// admin plane (nil when disabled; every method no-ops on nil).
@@ -204,9 +204,8 @@ type Config struct {
 	// overhead; faults are simulated-time only and never change job outputs.
 	Faults FaultConfig
 	// Guard configures the runtime guardrail subsystem: circuit breakers on
-	// view reuse, a per-VC kill switch driven by watchdog verdicts, and
-	// flighted view-selection policies with auto-rollback. The zero value
-	// disables it with zero overhead.
+	// view reuse and a per-VC kill switch driven by watchdog verdicts. The
+	// zero value disables it with zero overhead.
 	Guard GuardConfig
 	// StorageEngine plugs in an alternative view-store backend, such as the
 	// file-backed crash-recoverable engine. Nil keeps the default in-memory
@@ -220,11 +219,6 @@ type Config struct {
 	// 0 applies the default (512 entries); negative disables the cache.
 	// Results and traces are identical either way.
 	PlanCacheSize int
-	// ResultCacheEntries bounds the shared subexpression result cache
-	// (0 = the 65536-entry default, negative = unbounded). Eviction is
-	// deterministic LRU and surfaces as the
-	// cloudviews_result_cache_evictions_total counter.
-	ResultCacheEntries int
 }
 
 // Job is one SCOPE-like script submission.
@@ -332,8 +326,7 @@ type System struct {
 	engine *core.Engine
 	cfg    Config
 
-	mu      sync.Mutex // guards clock, seq, workers, closed
-	clock   time.Time
+	mu      sync.Mutex // guards seq, workers, closed
 	seq     int
 	workers map[string]*vcWorker
 	closed  bool
@@ -356,7 +349,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Guard:                cfg.Guard,
 		StorageEngine:        cfg.StorageEngine,
 		PlanCacheSize:        cfg.PlanCacheSize,
-		ResultCacheEntries:   cfg.ResultCacheEntries,
 	})
 	if eng.Metrics != nil {
 		// Repository metrics are wired at the System layer (not inside
@@ -369,7 +361,6 @@ func NewSystem(cfg Config) (*System, error) {
 	return &System{
 		engine:  eng,
 		cfg:     cfg,
-		clock:   fixtures.Epoch,
 		workers: make(map[string]*vcWorker),
 	}, nil
 }
@@ -423,29 +414,13 @@ func (s *System) OffboardVC(vc string) {
 	s.engine.OffboardVC(vc)
 }
 
-// AdvanceClock moves the simulated time forward.
-func (s *System) AdvanceClock(d time.Duration) {
-	s.mu.Lock()
-	s.clock = s.clock.Add(d)
-	s.mu.Unlock()
-}
+// AdvanceClock moves the simulated time forward. Views expire and seal
+// against this clock, so the store reflects the new time at once.
+func (s *System) AdvanceClock(d time.Duration) { s.engine.AdvanceClock(d) }
 
-// Clock returns the simulated time.
-func (s *System) Clock() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clock
-}
-
-// observeSubmit advances the system clock to a job's submission time (the
-// clock never moves backwards).
-func (s *System) observeSubmit(t time.Time) {
-	s.mu.Lock()
-	if t.After(s.clock) {
-		s.clock = t
-	}
-	s.mu.Unlock()
-}
+// Clock returns the simulated time: the engine's one clock, which job
+// submissions move forward and RunDay(d) leaves at midnight of day d+1.
+func (s *System) Clock() time.Time { return s.engine.Clock() }
 
 // SubmitScript compiles and executes one job immediately (data plane only;
 // use RunDay for cluster-scheduled batches). Safe to call from multiple
@@ -467,7 +442,6 @@ func (s *System) run(in workload.JobInput) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.observeSubmit(run.Input.Submit)
 	return &JobResult{
 		ID:          in.ID,
 		Output:      run.Output,

@@ -3,6 +3,7 @@ package cloudviews_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,7 +12,13 @@ import (
 
 func demoSystem(t *testing.T) *cloudviews.System {
 	t.Helper()
-	sys, err := cloudviews.NewSystem(cloudviews.Config{ClusterName: "api-test", Capacity: 100})
+	return demoSystemWith(t, cloudviews.Config{ClusterName: "api-test", Capacity: 100})
+}
+
+// demoSystemWith builds cfg's system holding the demo Events dataset.
+func demoSystemWith(t *testing.T, cfg cloudviews.Config) *cloudviews.System {
+	t.Helper()
+	sys, err := cloudviews.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +170,78 @@ func TestRunDayThroughFacade(t *testing.T) {
 	}
 	if m.Jobs != 5 || m.LatencySec <= 0 {
 		t.Errorf("day metrics: %+v", m)
+	}
+}
+
+// TestSystemHasOneClock: the System reads and advances the engine's clock,
+// the one views seal and expire against. Advancing it past the view TTL
+// expires the views at once, and RunDay(d) leaves it at midnight of day d+1.
+func TestSystemHasOneClock(t *testing.T) {
+	sys := demoSystemWith(t, cloudviews.Config{ClusterName: "clock-test", Capacity: 100, ViewTTL: time.Hour})
+	sys.OnboardVC("vc1")
+	queries := []string{
+		`p = SELECT * FROM Events WHERE Value > 40; r = SELECT Region, COUNT(*) AS n FROM p GROUP BY Region; OUTPUT r TO "out/a";`,
+		`p = SELECT * FROM Events WHERE Value < 20; r = SELECT Region, SUM(Value) AS s FROM p GROUP BY Region; OUTPUT r TO "out/b";`,
+	}
+	submit := func(round string) (built, reused int) {
+		t.Helper()
+		for i, q := range queries {
+			res, err := sys.SubmitScript(cloudviews.Job{ID: fmt.Sprintf("%s-%d", round, i), VC: "vc1", Pipeline: "p", Script: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			built += res.ViewsBuilt
+			reused += res.ViewsReused
+			sys.AdvanceClock(time.Minute)
+		}
+		return built, reused
+	}
+	submit("seen-1")
+	submit("seen-2")
+	sys.Analyze(time.Hour)
+	built, _ := submit("build")
+	if built < 2 {
+		t.Fatalf("built %d views, want one or more per query", built)
+	}
+	sys.AdvanceClock(10 * time.Minute)
+	if _, reused := submit("reuse"); reused < 2 {
+		t.Fatalf("reused %d views, want the sealed views of both queries", reused)
+	}
+	if n, b := sys.ViewCount(), sys.ViewStorageBytes("vc1"); n != built || b == 0 {
+		t.Fatalf("before the TTL: %d views, %d bytes; want %d views holding bytes", n, b, built)
+	}
+
+	sys.AdvanceClock(3 * time.Hour)
+	if n, b := sys.ViewCount(), sys.ViewStorageBytes("vc1"); n != 0 || b != 0 {
+		t.Errorf("3h past a 1h TTL: %d views, %d bytes; want 0 and 0", n, b)
+	}
+
+	const day = 1
+	if _, err := sys.RunDay(day, []cloudviews.Job{{
+		ID: "d1", VC: "vc1", Pipeline: "p", Script: queries[0],
+		Submit: cloudviews.Epoch.AddDate(0, 0, day).Add(time.Hour),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sys.Clock(), cloudviews.Epoch.AddDate(0, 0, day+1); !got.Equal(want) {
+		t.Errorf("after RunDay(%d) the clock reads %s, want %s", day, got, want)
+	}
+
+	// Concurrent advances each land.
+	start := sys.Clock()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				sys.AdvanceClock(time.Second)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := sys.Clock(), start.Add(400*time.Second); !got.Equal(want) {
+		t.Errorf("400 concurrent 1s advances moved the clock to %s, want %s", got, want)
 	}
 }
 

@@ -67,7 +67,7 @@ func run(w io.Writer, scriptPath string, repeats, showRows int, annotate, trace,
 		ClusterName: "demo",
 		Catalog:     cat,
 		ClusterCfg:  cluster.Config{Capacity: 500},
-		Selection:   analysis.SelectionConfig{MinFrequency: 2, UseBigSubs: true},
+		Selection:   analysis.SelectionConfig{UseBigSubs: true},
 	})
 	eng.OnboardVC("demo-vc")
 

@@ -33,7 +33,7 @@ func TestConfigCensus(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		{"cloudviews.Config", reflect.TypeOf(cloudviews.Config{}), 40},
+		{"cloudviews.Config", reflect.TypeOf(cloudviews.Config{}), 16},
 		{"server.Config", reflect.TypeOf(server.Config{}), 15},
 	} {
 		got := knobs(tc.typ)

@@ -244,7 +244,6 @@ func TestDurableSystemChaosRecovery(t *testing.T) {
 			"storage.spool.write": 0.5,
 			"core.job.fail":       0.3,
 		},
-		MaxJobAttempts: 3,
 	})
 	var jobs []cloudviews.Job
 	for i := 0; i < 24; i++ {

@@ -236,7 +236,7 @@ func TestGuardChaosQuarantineRollbackAndIsolation(t *testing.T) {
 		}
 	}
 	for _, line := range strings.Split(log, "\n") {
-		for _, kind := range []string{"[breaker-trip]", "[vc-kill]", "[flight-rollback]"} {
+		for _, kind := range []string{"[breaker-trip]", "[vc-kill]"} {
 			if strings.Contains(line, kind) && strings.Contains(line, "vc-b") {
 				t.Errorf("guard acted on the unstormed VC: %s", line)
 			}

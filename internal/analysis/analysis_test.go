@@ -88,7 +88,7 @@ func TestScheduleAwareRejection(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		addJob(r, fmt.Sprintf("j%d", i), "vc1", t0.Add(time.Duration(i)*time.Second), "rec1", "s1", 500, 10_000)
 	}
-	cfg := analysis.SelectionConfig{ScheduleAware: true, ConcurrencyWindow: time.Minute}
+	cfg := analysis.SelectionConfig{ScheduleAware: true}
 	byVC, rejected := analysis.SelectViews(r, t0, t0.AddDate(0, 0, 1), cfg)
 	if len(byVC["vc1"]) != 0 || rejected != 1 {
 		t.Errorf("selected=%v rejected=%d, want schedule rejection", byVC["vc1"], rejected)
@@ -113,20 +113,6 @@ func TestStorageBudget(t *testing.T) {
 	cands := byVC["vc1"]
 	if len(cands) != 1 || cands[0].Recurring != "small" {
 		t.Errorf("budget selection = %+v, want only the dense candidate", cands)
-	}
-}
-
-func TestMaxViewsPerVC(t *testing.T) {
-	r := repository.New()
-	for c := 0; c < 5; c++ {
-		for i := 0; i < 3; i++ {
-			addJob(r, fmt.Sprintf("c%d-%d", c, i), "vc1", t0.Add(time.Duration(i)*time.Hour),
-				fmt.Sprintf("rec%d", c), fmt.Sprintf("s%d", c), 500, 10_000)
-		}
-	}
-	byVC, _ := analysis.SelectViews(r, t0, t0.AddDate(0, 0, 1), analysis.SelectionConfig{MaxViewsPerVC: 2})
-	if len(byVC["vc1"]) != 2 {
-		t.Errorf("selected = %d, want 2", len(byVC["vc1"]))
 	}
 }
 

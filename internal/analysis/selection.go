@@ -36,47 +36,21 @@ type SelectionConfig struct {
 	// (paper: customers configure storage, which "affects the number of
 	// views selected"). Zero means unlimited.
 	StorageBudgetPerVC int64
-	// MaxViewsPerVC caps the candidate count per VC (0 = unlimited).
-	MaxViewsPerVC int
-	// MinFrequency drops rare subexpressions (default 2).
-	MinFrequency int
 	// ScheduleAware drops candidates whose occurrences are all submitted
-	// within ConcurrencyWindow of each other: the view could not finish
+	// within concurrencyWindow of each other: the view could not finish
 	// materializing before its consumers start (§4, "Schedule-aware views").
 	ScheduleAware bool
-	// ConcurrencyWindow defines "at the same time" for schedule awareness
-	// (default 5 minutes).
-	ConcurrencyWindow time.Duration
 	// UseBigSubs switches from plain greedy knapsack to the BigSubs-style
 	// interaction-aware selector.
 	UseBigSubs bool
-	// PolicyFor, when set, picks the selection policy per VC by name
-	// (PolicyGreedy, PolicyBigSubs, PolicyLocalSearch) — the hook the
-	// guard's policy flighting drives. An empty return falls back to the
-	// UseBigSubs default, so un-flighted VCs behave exactly as before.
-	PolicyFor func(vc string) string
 }
 
-// Selection policy names, as flighted per VC via SelectionConfig.PolicyFor.
 const (
-	PolicyGreedy      = "greedy"
-	PolicyBigSubs     = "bigsubs"
-	PolicyLocalSearch = "local-search"
+	// minFrequency drops subexpressions seen fewer times in the window.
+	minFrequency = 2
+	// concurrencyWindow defines "at the same time" for schedule awareness.
+	concurrencyWindow = 5 * time.Minute
 )
-
-func (c SelectionConfig) minFreq() int {
-	if c.MinFrequency <= 0 {
-		return 2
-	}
-	return c.MinFrequency
-}
-
-func (c SelectionConfig) window() time.Duration {
-	if c.ConcurrencyWindow <= 0 {
-		return 5 * time.Minute
-	}
-	return c.ConcurrencyWindow
-}
 
 // jobGraph captures, per job template, which candidates appear in it and
 // their nesting, for interaction-aware selection.
@@ -97,7 +71,7 @@ func SelectViews(repo *repository.Repo, from, to time.Time, cfg SelectionConfig)
 	var candidates []Candidate
 	scheduleRejected := 0
 	for _, g := range groups {
-		if !g.Eligible || g.Count < cfg.minFreq() {
+		if !g.Eligible || g.Count < minFrequency {
 			continue
 		}
 		if g.AvgWork <= 0 || g.AvgBytes <= 0 {
@@ -108,10 +82,10 @@ func SelectViews(repo *repository.Repo, from, to time.Time, cfg SelectionConfig)
 		// rebuild the view rather than reuse it. The reuse opportunity is
 		// therefore occurrences minus distinct instances.
 		reuses := g.Count - g.DistinctStrict
-		if reuses < cfg.minFreq()-1 {
+		if reuses < minFrequency-1 {
 			continue
 		}
-		if cfg.ScheduleAware && !anyInstanceReusable(g, cfg.window()) {
+		if cfg.ScheduleAware && !anyInstanceReusable(g, concurrencyWindow) {
 			scheduleRejected++
 			continue
 		}
@@ -147,32 +121,13 @@ func SelectViews(repo *repository.Repo, from, to time.Time, cfg SelectionConfig)
 	}
 	out := make(map[string][]Candidate, len(byVC))
 	for vc, cands := range byVC {
-		out[vc] = selectForVC(vc, cands, graph, cfg)
-	}
-	return out, scheduleRejected
-}
-
-// selectForVC dispatches one VC's candidates to its selection policy.
-func selectForVC(vc string, cands []Candidate, graph *jobGraph, cfg SelectionConfig) []Candidate {
-	policy := ""
-	if cfg.PolicyFor != nil {
-		policy = cfg.PolicyFor(vc)
-	}
-	if policy == "" {
 		if cfg.UseBigSubs {
-			policy = PolicyBigSubs
+			out[vc] = bigSubsSelect(cands, graph, cfg)
 		} else {
-			policy = PolicyGreedy
+			out[vc] = greedySelect(cands, cfg)
 		}
 	}
-	switch policy {
-	case PolicyLocalSearch:
-		return localSearchSelect(cands, graph, cfg)
-	case PolicyBigSubs:
-		return bigSubsSelect(cands, graph, cfg)
-	default:
-		return greedySelect(cands, cfg)
-	}
+	return out, scheduleRejected
 }
 
 // anyInstanceReusable reports whether at least one strict instance of the
@@ -279,9 +234,6 @@ func greedySelect(cands []Candidate, cfg SelectionConfig) []Candidate {
 	var out []Candidate
 	var used int64
 	for _, c := range sorted {
-		if cfg.MaxViewsPerVC > 0 && len(out) >= cfg.MaxViewsPerVC {
-			break
-		}
 		if cfg.StorageBudgetPerVC > 0 && used+c.StorageCost > cfg.StorageBudgetPerVC {
 			continue
 		}

@@ -99,11 +99,10 @@ type Simulator struct {
 	cfg      Config
 	vcTokens map[string]int
 
-	// faults, when non-nil, injects stage failures and bonus preemptions;
-	// fcfg carries the retry policy. With neither point enabled (nil
-	// included) execute computes the exact fault-free schedule.
+	// faults, when non-nil, injects stage failures and bonus preemptions.
+	// With neither point enabled (nil included) execute computes the exact
+	// fault-free schedule.
 	faults *fault.Injector
-	fcfg   fault.Config
 
 	// metrics, when wired via SetMetrics; nil-safe no-ops otherwise.
 	registry     *obs.Registry
@@ -124,12 +123,11 @@ func (s *Simulator) SetMetrics(r *obs.Registry) {
 	s.faultMetrics()
 }
 
-// SetFaults wires a fault injector and its retry policy. A nil injector
-// keeps the fault-free schedule. Call before the first Run; SetMetrics and
-// SetFaults may be called in either order.
-func (s *Simulator) SetFaults(inj *fault.Injector, cfg fault.Config) {
+// SetFaults wires a fault injector; retries follow the fault package's
+// recovery policy. A nil injector keeps the fault-free schedule. Call before
+// the first Run; SetMetrics and SetFaults may be called in either order.
+func (s *Simulator) SetFaults(inj *fault.Injector) {
 	s.faults = inj
-	s.fcfg = cfg.WithDefaults()
 	s.faultMetrics()
 }
 
@@ -358,7 +356,8 @@ func stageKey(spec *JobSpec, stage, attempt int) string {
 //   - Stage failure: the attempt runs to its halfway point, the container is
 //     lost, and the scheduler retries after capped exponential backoff. The
 //     half attempt's work is charged (resources were really consumed). At
-//     most MaxStageAttempts per stage and StageRetryBudget retries per job;
+//     most fault.DefaultMaxStageAttempts per stage and
+//     fault.DefaultStageRetryBudget retries per job;
 //     past either bound the attempt is never failed (the job manager has
 //     escalated to reliable resources), so stages always complete.
 //   - Bonus preemption: at the stage's halfway point the opportunistic
@@ -385,7 +384,7 @@ func (s *Simulator) execute(spec *JobSpec, now time.Time, tokens, bonusAvail int
 	bonusPeak := 0
 	stageRetries := 0
 	preemptions := 0
-	budget := s.fcfg.StageRetryBudget
+	budget := fault.DefaultStageRetryBudget
 
 	for i, st := range spec.Stages {
 		var ready, readyClean time.Duration
@@ -430,13 +429,13 @@ func (s *Simulator) execute(spec *JobSpec, now time.Time, tokens, bonusAvail int
 			if faulty {
 				key = stageKey(spec, i, attempt)
 			}
-			if attempt < s.fcfg.MaxStageAttempts && budget > 0 &&
+			if attempt < fault.DefaultMaxStageAttempts && budget > 0 &&
 				s.faults.Should(fault.StageFail, key) {
 				// The attempt dies halfway through: its containers' work so
 				// far is wasted but was consumed, and the retry waits out the
 				// backoff before relaunching.
 				half := time.Duration(st.Work/2/float64(alloc)*float64(time.Second)) + s.cfg.StageStartup
-				stageDur += half + s.fcfg.JitteredBackoff(attempt, key)
+				stageDur += half + fault.Backoff(attempt)
 				processing += st.Work / 2
 				bonus += st.Work / 2 * float64(b) / float64(alloc)
 				containers += w

@@ -10,24 +10,24 @@ import (
 	"cloudviews/internal/obs"
 )
 
-func faultSim(rates map[fault.Point]float64, seed uint64) (*cluster.Simulator, fault.Config) {
-	cfg := fault.Config{Seed: seed, Rates: rates}.WithDefaults()
+func faultSim(rates map[fault.Point]float64, seed uint64) *cluster.Simulator {
 	sim := cluster.New(cluster.Config{Capacity: 100, VCs: []cluster.VCConfig{{Name: "vc1", Tokens: 10}}})
-	sim.SetFaults(fault.New(cfg), cfg)
-	return sim, cfg
+	sim.SetFaults(fault.New(fault.Config{Seed: seed, Rates: rates}))
+	return sim
 }
 
 // TestStageRetryAddsBackoffAndWork: with stage failure at rate 1 every stage
-// fails MaxStageAttempts-1 times (bounded by the per-job retry budget), each
-// failed attempt charging half the stage's work and waiting out the backoff.
+// fails DefaultMaxStageAttempts-1 times (bounded by the per-job retry
+// budget), each failed attempt charging half the stage's work and waiting out
+// the backoff.
 func TestStageRetryAddsBackoffAndWork(t *testing.T) {
-	sim, fcfg := faultSim(map[fault.Point]float64{fault.StageFail: 1}, 1)
+	sim := faultSim(map[fault.Point]float64{fault.StageFail: 1}, 1)
 	out, err := sim.Run([]cluster.JobSpec{simpleJob("j1", "vc1", t0, 100, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := out[0]
-	wantRetries := fcfg.MaxStageAttempts - 1 // single stage, budget (8) not binding
+	wantRetries := fault.DefaultMaxStageAttempts - 1 // single stage, budget (8) not binding
 	if o.StageRetries != wantRetries {
 		t.Fatalf("stage retries = %d, want %d", o.StageRetries, wantRetries)
 	}
@@ -39,7 +39,7 @@ func TestStageRetryAddsBackoffAndWork(t *testing.T) {
 	// FaultDelay covers the wasted halves plus the backoff waits.
 	var backoffs time.Duration
 	for a := 1; a <= wantRetries; a++ {
-		backoffs += fcfg.Backoff(a)
+		backoffs += fault.Backoff(a)
 	}
 	if o.FaultDelay < backoffs {
 		t.Errorf("fault delay %v < backoff sum %v", o.FaultDelay, backoffs)
@@ -52,7 +52,7 @@ func TestStageRetryAddsBackoffAndWork(t *testing.T) {
 // TestStageRetryBudgetBoundsFailures: a many-stage job under rate-1 stage
 // failure stops retrying once the per-job budget is spent.
 func TestStageRetryBudgetBoundsFailures(t *testing.T) {
-	sim, fcfg := faultSim(map[fault.Point]float64{fault.StageFail: 1}, 1)
+	sim := faultSim(map[fault.Point]float64{fault.StageFail: 1}, 1)
 	stages := make([]cluster.StageSpec, 10)
 	for i := range stages {
 		stages[i] = cluster.StageSpec{Work: 10, Width: 2}
@@ -61,15 +61,15 @@ func TestStageRetryBudgetBoundsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out[0].StageRetries; got != fcfg.StageRetryBudget {
-		t.Fatalf("stage retries = %d, want budget %d", got, fcfg.StageRetryBudget)
+	if got := out[0].StageRetries; got != fault.DefaultStageRetryBudget {
+		t.Fatalf("stage retries = %d, want budget %d", got, fault.DefaultStageRetryBudget)
 	}
 }
 
 // TestBonusPreemptionRerunsOnGuaranteed: preempted bonus work is discarded,
 // re-run on guaranteed tokens, and charged as both processing and bonus.
 func TestBonusPreemptionRerunsOnGuaranteed(t *testing.T) {
-	sim, _ := faultSim(map[fault.Point]float64{fault.BonusPreempt: 1}, 1)
+	sim := faultSim(map[fault.Point]float64{fault.BonusPreempt: 1}, 1)
 	// Width 20 over 10 tokens: 10 bonus containers on an idle cluster.
 	out, err := sim.Run([]cluster.JobSpec{simpleJob("j1", "vc1", t0, 100, 20)})
 	if err != nil {
@@ -117,8 +117,8 @@ func TestFaultedScheduleDeterministic(t *testing.T) {
 		return specs
 	}
 	rates := map[fault.Point]float64{fault.StageFail: 0.3, fault.BonusPreempt: 0.3}
-	simA, _ := faultSim(rates, 7)
-	simB, _ := faultSim(rates, 7)
+	simA := faultSim(rates, 7)
+	simB := faultSim(rates, 7)
 	outA, errA := simA.Run(mkJobs())
 	outB, errB := simB.Run(mkJobs())
 	if errA != nil || errB != nil {
@@ -129,7 +129,7 @@ func TestFaultedScheduleDeterministic(t *testing.T) {
 			t.Fatalf("same seed diverged at %d:\n%+v\n%+v", i, outA[i], outB[i])
 		}
 	}
-	simC, _ := faultSim(rates, 8)
+	simC := faultSim(rates, 8)
 	outC, err := simC.Run(mkJobs())
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestFaultedScheduleDeterministic(t *testing.T) {
 // stage decision key, so a retried job sees a fresh fault schedule.
 func TestJobAttemptRerollsStageFaults(t *testing.T) {
 	rates := map[fault.Point]float64{fault.StageFail: 0.5}
-	sim, _ := faultSim(rates, 3)
+	sim := faultSim(rates, 3)
 	var byAttempt []int
 	for attempt := 1; attempt <= 2; attempt++ {
 		stages := make([]cluster.StageSpec, 8)
@@ -168,7 +168,7 @@ func TestJobAttemptRerollsStageFaults(t *testing.T) {
 	if byAttempt[0] == byAttempt[1] {
 		// Retry counts colliding is possible but unlikely across 8 stages at
 		// rate 0.5; a stable collision would mean the attempt is ignored.
-		sim2, _ := faultSim(rates, 4)
+		sim2 := faultSim(rates, 4)
 		out, err := sim2.Run([]cluster.JobSpec{{
 			ID: "jr", VC: "vc1", Submit: t0,
 			Stages: []cluster.StageSpec{{Work: 10, Width: 2}}, Attempt: 2,
@@ -211,9 +211,9 @@ func TestZeroRateFaultedPathMatchesCleanPath(t *testing.T) {
 	cleanReg := obs.NewRegistry()
 	clean.SetMetrics(cleanReg)
 	// Only view-read faults enabled: the cluster-level points roll never.
-	unrelated, _ := faultSim(map[fault.Point]float64{fault.ViewRead: 1}, 1)
+	unrelated := faultSim(map[fault.Point]float64{fault.ViewRead: 1}, 1)
 	// Both cluster points enabled, at a rate no roll falls under.
-	never, _ := faultSim(map[fault.Point]float64{fault.StageFail: 1e-300, fault.BonusPreempt: 1e-300}, 1)
+	never := faultSim(map[fault.Point]float64{fault.StageFail: 1e-300, fault.BonusPreempt: 1e-300}, 1)
 
 	arms := []struct {
 		name string
@@ -249,117 +249,6 @@ func TestZeroRateFaultedPathMatchesCleanPath(t *testing.T) {
 	for _, family := range []string{"cloudviews_stage_retries_total", "cloudviews_bonus_preemptions_total"} {
 		if strings.Contains(export, family) {
 			t.Errorf("fault-free export contains %s", family)
-		}
-	}
-}
-
-// jitterSim builds a simulator whose retry backoff is spread by the seeded
-// jitter fraction.
-func jitterSim(rates map[fault.Point]float64, seed uint64, pct float64) (*cluster.Simulator, fault.Config) {
-	cfg := fault.Config{Seed: seed, Rates: rates, RetryJitterPct: pct}.WithDefaults()
-	sim := cluster.New(cluster.Config{Capacity: 100, VCs: []cluster.VCConfig{{Name: "vc1", Tokens: 10}}})
-	sim.SetFaults(fault.New(cfg), cfg)
-	return sim, cfg
-}
-
-// TestRetryJitterPinnedPerSeed: jittered backoff schedules are a pure
-// function of the seed — same seed byte-identical, different seed different —
-// and jitter moves the schedule away from the unjittered one without
-// changing any work accounting (jitter only stretches waits).
-func TestRetryJitterPinnedPerSeed(t *testing.T) {
-	mkJobs := func() []cluster.JobSpec {
-		specs := make([]cluster.JobSpec, 20)
-		for i := range specs {
-			specs[i] = simpleJob(
-				"jj"+string(rune('a'+i)), "vc1",
-				t0.Add(time.Duration(i)*time.Second), float64(60+i), 4+i%8)
-		}
-		return specs
-	}
-	rates := map[fault.Point]float64{fault.StageFail: 0.5}
-
-	simA, _ := jitterSim(rates, 11, 0.5)
-	simB, _ := jitterSim(rates, 11, 0.5)
-	outA, errA := simA.Run(mkJobs())
-	outB, errB := simB.Run(mkJobs())
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	for i := range outA {
-		if outA[i] != outB[i] {
-			t.Fatalf("same seed, jittered schedules diverged at %d:\n%+v\n%+v", i, outA[i], outB[i])
-		}
-	}
-
-	// Jitter changes latency somewhere, but never the fault placement or the
-	// work charged: the roll and the wait are keyed separately.
-	simPlain, _ := faultSim(rates, 11)
-	outPlain, err := simPlain.Run(mkJobs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := false
-	for i := range outA {
-		if outA[i].StageRetries != outPlain[i].StageRetries {
-			t.Fatalf("jitter changed fault placement at %d: %d vs %d retries",
-				i, outA[i].StageRetries, outPlain[i].StageRetries)
-		}
-		if outA[i].Processing != outPlain[i].Processing {
-			t.Fatalf("jitter changed work accounting at %d: %g vs %g",
-				i, outA[i].Processing, outPlain[i].Processing)
-		}
-		if outA[i].Latency != outPlain[i].Latency {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatal("50% jitter left every retried job's latency unchanged")
-	}
-
-	// A different seed re-rolls both the fault placement and the jitter.
-	simC, _ := jitterSim(rates, 12, 0.5)
-	outC, err := simC.Run(mkJobs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range outA {
-		if outA[i] != outC[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical jittered schedules")
-	}
-}
-
-// TestRetryJitterFaultFreeIdentity: a jitter-configured simulator whose
-// cluster fault points never fire reproduces the fault-free schedule bit for
-// bit — jitter only exists inside the retry path.
-func TestRetryJitterFaultFreeIdentity(t *testing.T) {
-	mk := func() []cluster.JobSpec {
-		specs := make([]cluster.JobSpec, 15)
-		for i := range specs {
-			specs[i] = simpleJob(
-				"jf"+string(rune('a'+i)), "vc1",
-				t0.Add(time.Duration(i)*time.Second), float64(40+i), 3+i%9)
-		}
-		return specs
-	}
-	clean := cluster.New(cluster.Config{Capacity: 100, VCs: []cluster.VCConfig{{Name: "vc1", Tokens: 10}}})
-	cleanOut, err := clean.Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jittered, _ := jitterSim(map[fault.Point]float64{fault.ViewRead: 1}, 5, 0.8)
-	jOut, err := jittered.Run(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cleanOut {
-		if cleanOut[i] != jOut[i] {
-			t.Fatalf("jitter config broke fault-free identity at %d:\n%+v\n%+v", i, cleanOut[i], jOut[i])
 		}
 	}
 }

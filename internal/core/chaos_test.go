@@ -95,11 +95,11 @@ var chaosMixes = []struct {
 	{"preempt", fault.Config{Seed: 11, Rates: map[fault.Point]float64{fault.BonusPreempt: 0.3}}},
 	{"spool", fault.Config{Seed: 11, Rates: map[fault.Point]float64{fault.SpoolWrite: 0.5}}},
 	{"read", fault.Config{Seed: 11, Rates: map[fault.Point]float64{fault.ViewRead: 0.5}}},
-	{"job", fault.Config{Seed: 11, Rates: map[fault.Point]float64{fault.JobFail: 0.5}, MaxJobAttempts: 3}},
+	{"job", fault.Config{Seed: 11, Rates: map[fault.Point]float64{fault.JobFail: 0.5}}},
 	{"all", fault.Config{Seed: 11, Rates: map[fault.Point]float64{
 		fault.StageFail: 0.15, fault.BonusPreempt: 0.15, fault.SpoolWrite: 0.25,
 		fault.ViewRead: 0.25, fault.JobFail: 0.2,
-	}, MaxJobAttempts: 3}},
+	}}},
 }
 
 // TestChaosInvariantsUnderFaultMixes sweeps every fault point (alone and

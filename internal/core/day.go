@@ -49,7 +49,7 @@ type DayMetrics struct {
 	Alerts []telemetry.Alert
 
 	// GuardDecisions are the guard's state transitions for this day (breaker
-	// trips, kill-switch moves, flight rollbacks), in deterministic order
+	// trips, kill-switch moves), in deterministic order
 	// (empty when the guard is disabled).
 	GuardDecisions []guard.Decision
 }
@@ -215,13 +215,7 @@ func (e *Engine) sampleTelemetry(day int, m *DayMetrics) []telemetry.Alert {
 // annotation publishing to the insights service. It returns the number of
 // tags published and the candidates rejected by schedule-aware filtering.
 func (e *Engine) RunAnalysis(from, to time.Time) (tags int, scheduleRejected int) {
-	sel := e.Selection
-	if e.guard != nil && sel.PolicyFor == nil {
-		// Policy flighting: the guard assigns each VC its selection policy
-		// (and pins rolled-back VCs to the control arm).
-		sel.PolicyFor = e.guard.PolicyFor
-	}
-	byVC, rejected := analysis.SelectViews(e.Repo, from, to, sel)
+	byVC, rejected := analysis.SelectViews(e.Repo, from, to, e.Selection)
 	perTag := make(map[signature.Tag][]insights.Annotation)
 	for vc, cands := range byVC {
 		for _, c := range cands {

@@ -54,8 +54,8 @@ type Config struct {
 	// miss-reason spikes, silent on healthy fault-free runs).
 	SLORules []telemetry.Rule
 	// Guard configures the runtime guardrail subsystem (per-signature
-	// circuit breakers, per-VC kill switch, policy flighting). The zero
-	// value disables it entirely at zero cost.
+	// circuit breakers, per-VC kill switch). The zero value disables it
+	// entirely at zero cost.
 	Guard guard.Config
 	// StorageEngine plugs in an alternative view-store backend (e.g. the
 	// file-backed durable engine). Nil keeps the default in-memory store.
@@ -64,9 +64,6 @@ type Config struct {
 	// PlanCacheSize bounds the plan cache (one template per normalized
 	// script): 0 = DefaultPlanCacheSize, negative = disabled.
 	PlanCacheSize int
-	// ResultCacheEntries bounds the shared subexpression result cache:
-	// 0 = exec.DefaultCacheEntries, negative = unbounded.
-	ResultCacheEntries int
 	// DisableObservability turns off per-job traces, the metrics registry,
 	// AND the telemetry collector (benchmark baseline; production keeps
 	// them on).
@@ -112,8 +109,6 @@ type Engine struct {
 	mu      sync.Mutex
 	signers map[string]*signature.Signer
 	cache   *exec.Cache
-	// cacheLimit is the bound resetCache re-applies on day boundaries.
-	cacheLimit int
 
 	// plans caches, by normalized script, the job-independent half of its
 	// compile, so recurring submissions skip parse, bind, normalization and
@@ -121,9 +116,9 @@ type Engine struct {
 	// Nil when disabled.
 	plans *planCache
 
-	// clockMu guards the simulated clock. CompileAndExecute only advances
-	// it (never rewinds), so concurrent submissions observe a monotonic
-	// clock regardless of completion order.
+	// clockMu guards the simulated clock, the one clock of the system:
+	// submissions only advance it (never rewind), so concurrent submissions
+	// observe a monotonic clock regardless of completion order.
 	clockMu sync.RWMutex
 	clock   time.Time
 
@@ -133,21 +128,12 @@ type Engine struct {
 	// nil, so the guard-free hot path costs one pointer check.
 	guard *guard.Guard
 
-	// faults is nil unless Config.Faults enables at least one point; faultCfg
-	// carries the retry policy (always defaulted, even when faults are off,
-	// so genuine view unavailability still recovers consistently).
-	faults   *fault.Injector
-	faultCfg fault.Config
+	// faults is nil unless Config.Faults enables at least one point.
+	faults *fault.Injector
 }
 
 // NewEngine builds an engine over the given catalog.
 func NewEngine(cfg Config) *Engine {
-	cacheLimit := cfg.ResultCacheEntries
-	if cacheLimit == 0 {
-		cacheLimit = exec.DefaultCacheEntries
-	} else if cacheLimit < 0 {
-		cacheLimit = 0 // unbounded
-	}
 	e := &Engine{
 		ClusterName:    cfg.ClusterName,
 		Catalog:        cfg.Catalog,
@@ -160,15 +146,13 @@ func NewEngine(cfg Config) *Engine {
 		maxViewsPerJob: cfg.MaxViewsPerJob,
 		signers:        make(map[string]*signature.Signer),
 		clock:          fixtures.Epoch,
-		cache:          exec.NewCacheWithLimit(cacheLimit),
-		cacheLimit:     cacheLimit,
+		cache:          exec.NewCache(),
 		plans:          newPlanCache(cfg.PlanCacheSize),
 		rng:            data.NewRand(99),
 		guard:          guard.New(cfg.Guard),
 		faults:         fault.New(cfg.Faults),
-		faultCfg:       cfg.Faults.WithDefaults(),
 	}
-	e.Sim.SetFaults(e.faults, e.faultCfg)
+	e.Sim.SetFaults(e.faults)
 	if cfg.StorageEngine != nil {
 		e.Store = cfg.StorageEngine
 		if ca, ok := e.Store.(storage.ClockAware); ok {
@@ -226,6 +210,14 @@ func (e *Engine) SetClock(t time.Time) {
 	e.clockMu.Unlock()
 }
 
+// AdvanceClock moves the simulated time forward by d. The read and the write
+// happen under one lock, so concurrent advances each land.
+func (e *Engine) AdvanceClock(d time.Duration) {
+	e.clockMu.Lock()
+	e.clock = e.clock.Add(d)
+	e.clockMu.Unlock()
+}
+
 // advanceClock moves the simulated time forward to t if t is later than the
 // current clock. Concurrent submissions arrive in arbitrary order, so the
 // clock must never move backwards mid-flight (views would "un-seal").
@@ -277,7 +269,7 @@ func (e *Engine) resultCache() *exec.Cache {
 func (e *Engine) resetCache() *exec.Cache {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.cache = exec.NewCacheWithLimit(e.cacheLimit)
+	e.cache = exec.NewCache()
 	e.cache.SetMetrics(e.Metrics)
 	return e.cache
 }
@@ -401,7 +393,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	// never fail a job permanently.
 	maxAttempts := 1
 	if e.faults.Enabled(fault.JobFail) {
-		maxAttempts = e.faultCfg.MaxJobAttempts
+		maxAttempts = fault.DefaultMaxJobAttempts
 	}
 	var cr *optimizer.CompileResult
 	var res *exec.RunResult
@@ -462,7 +454,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			// exactly as on a permanent failure — but the failed-jobs counter
 			// stays untouched (the job is not done yet).
 			e.releaseStaged(cr, in.ID, tr, "job-retry")
-			backoff := e.faultCfg.Backoff(attempt)
+			backoff := fault.Backoff(attempt)
 			retryDelay += cr.CompileLatency + backoff
 			// The event value is the simulated seconds this retry costs
 			// (recompile + backoff) — the telemetry analyzer's "time lost to

@@ -159,18 +159,18 @@ func TestSpoolWriteFaultAbandonsView(t *testing.T) {
 // reuse still converges: the retried builder seals its view and the retried
 // consumer reuses it.
 func TestJobFaultRetriesWithRecompile(t *testing.T) {
+	// Every attempt but the last crashes; the final one never does —
+	// injection alone can never permanently fail a job.
 	eng := faultMiniWorld(t, fault.Config{
 		Seed:  5,
 		Rates: map[fault.Point]float64{fault.JobFail: 1},
-		// Two attempts: the first always crashes, the final one never does —
-		// injection alone can never permanently fail a job.
-		MaxJobAttempts: 2,
 	})
+	const attempts = fault.DefaultMaxJobAttempts
 	clock := fixtures.Epoch
 	builder := primeFaultReuse(t, eng, &clock)
 
-	if builder.Attempts != 2 {
-		t.Fatalf("builder attempts = %d, want 2", builder.Attempts)
+	if builder.Attempts != attempts {
+		t.Fatalf("builder attempts = %d, want %d", builder.Attempts, attempts)
 	}
 	if builder.RetryDelay <= 0 {
 		t.Error("retry delay not charged")
@@ -189,16 +189,16 @@ func TestJobFaultRetriesWithRecompile(t *testing.T) {
 			}
 		}
 	}
-	if retries != 1 || abandoned != 1 {
-		t.Errorf("trace: %d job.retry, %d view.abandoned(job-retry); want 1 and 1", retries, abandoned)
+	if retries != attempts-1 || abandoned != attempts-1 {
+		t.Errorf("trace: %d job.retry, %d view.abandoned(job-retry); want %d of each", retries, abandoned, attempts-1)
 	}
 	if n := eng.Insights.LockCount(); n != 0 {
 		t.Errorf("%d locks held after retried builder sealed", n)
 	}
 
 	consumer := faultSubmit(t, eng, "consumer", &clock)
-	if consumer.Attempts != 2 {
-		t.Errorf("consumer attempts = %d, want 2", consumer.Attempts)
+	if consumer.Attempts != attempts {
+		t.Errorf("consumer attempts = %d, want %d", consumer.Attempts, attempts)
 	}
 	if len(consumer.Compile.Matched) != 1 {
 		t.Errorf("retried consumer matched %d views", len(consumer.Compile.Matched))

@@ -101,9 +101,10 @@ func (c GuardComparisonConfig) withDefaults() GuardComparisonConfig {
 		// verdict split survives -scale: the storm targets one VC, whose
 		// recurring-signature population is about Pipelines/VCs. The breaker
 		// floor lets each stormed signature fall back BreakerMinFallbacks
-		// (default 2) times before quarantine, so the guarded arm's worst
-		// storm day costs ~2× the per-VC signature count; the unguarded arm
-		// replays the whole storm (≥3×) every storm day. 3× sits between.
+		// (2 in DefaultGuardComparison) times before quarantine, so the
+		// guarded arm's worst storm day costs ~2× the per-VC signature
+		// count; the unguarded arm replays the whole storm (≥3×) every storm
+		// day. 3× sits between.
 		budget := float64(3 * c.Profile.Pipelines / c.Profile.VCs)
 		// The storm's arrival day spikes queue lengths in BOTH arms — the
 		// breaker needs that day's observations before it can trip, so no

@@ -84,47 +84,32 @@ var specAliases = map[string]Point{
 	"crash-snap":   DurableCrashSnapshot,
 }
 
-// Retry-policy defaults. They are deliberately small so that even a rate-1.0
-// chaos mix converges in bounded simulated time.
+// The recovery policy around injected faults. It is deliberately small so
+// that even a rate-1.0 chaos mix converges in bounded simulated time.
 const (
+	// DefaultMaxStageAttempts bounds attempts per cluster stage; the final
+	// attempt is never failed, so stages always complete.
 	DefaultMaxStageAttempts = 4
+	// DefaultStageRetryBudget bounds total stage retries per job, modeling
+	// the job manager escalating to reliable resources once a job has been
+	// hit too often.
 	DefaultStageRetryBudget = 8
-	DefaultMaxJobAttempts   = 3
-	DefaultRetryBackoff     = 2 * time.Second
-	DefaultRetryBackoffCap  = 30 * time.Second
+	// DefaultMaxJobAttempts bounds whole-job attempts; the final attempt is
+	// never crashed, so injected faults cannot permanently fail a job.
+	DefaultMaxJobAttempts = 3
+	// DefaultRetryBackoff / DefaultRetryBackoffCap shape the capped
+	// exponential backoff (in simulated time) charged between retries.
+	DefaultRetryBackoff    = 2 * time.Second
+	DefaultRetryBackoffCap = 30 * time.Second
 )
 
-// Config configures fault injection and the recovery policy around it. The
-// zero value disables everything.
+// Config configures fault injection. The zero value disables everything.
 type Config struct {
 	// Seed keys the deterministic decision hash. Zero is a valid seed.
 	Seed uint64
 	// Rates maps each injection point to its per-decision probability in
 	// [0, 1]. Absent or non-positive rates disable the point.
 	Rates map[Point]float64
-
-	// MaxStageAttempts bounds attempts per cluster stage (default 4); the
-	// final attempt is never failed, so stages always complete.
-	MaxStageAttempts int
-	// StageRetryBudget bounds total stage retries per job (default 8),
-	// modeling the job manager escalating to reliable resources once a job
-	// has been hit too often.
-	StageRetryBudget int
-	// MaxJobAttempts bounds whole-job attempts (default 3); the final
-	// attempt is never crashed, so injected faults cannot permanently fail a
-	// job.
-	MaxJobAttempts int
-	// RetryBackoff / RetryBackoffCap shape the capped exponential backoff
-	// (in simulated time) charged between retries.
-	RetryBackoff    time.Duration
-	RetryBackoffCap time.Duration
-
-	// RetryJitterPct spreads stage-retry backoff by a deterministic seeded
-	// fraction in [-pct/2, +pct/2) of the base backoff, keyed by the decision
-	// key — so synchronized retry storms fan out instead of relaunching in
-	// lockstep. 0 disables jitter (the historical schedule); the value is a
-	// fraction, e.g. 0.5 jitters within ±25%.
-	RetryJitterPct float64
 
 	// Filter, when set, restricts injection to decisions it approves: a
 	// point only fires when Filter(point, key) returns true. It is a
@@ -145,55 +130,18 @@ func (c Config) Enabled() bool {
 	return false
 }
 
-// WithDefaults returns c with zero policy fields replaced by the defaults.
-func (c Config) WithDefaults() Config {
-	if c.MaxStageAttempts <= 0 {
-		c.MaxStageAttempts = DefaultMaxStageAttempts
-	}
-	if c.StageRetryBudget <= 0 {
-		c.StageRetryBudget = DefaultStageRetryBudget
-	}
-	if c.MaxJobAttempts <= 0 {
-		c.MaxJobAttempts = DefaultMaxJobAttempts
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = DefaultRetryBackoff
-	}
-	if c.RetryBackoffCap <= 0 {
-		c.RetryBackoffCap = DefaultRetryBackoffCap
-	}
-	return c
-}
-
 // Backoff returns the capped exponential backoff after the given failed
-// attempt (1-based): backoff * 2^(attempt-1), clamped to the cap.
-func (c Config) Backoff(attempt int) time.Duration {
-	c = c.WithDefaults()
-	d := c.RetryBackoff
+// attempt (1-based): DefaultRetryBackoff * 2^(attempt-1), clamped to
+// DefaultRetryBackoffCap.
+func Backoff(attempt int) time.Duration {
+	d := DefaultRetryBackoff
 	for i := 1; i < attempt; i++ {
 		d *= 2
-		if d >= c.RetryBackoffCap {
-			return c.RetryBackoffCap
+		if d >= DefaultRetryBackoffCap {
+			return DefaultRetryBackoffCap
 		}
 	}
-	if d > c.RetryBackoffCap {
-		return c.RetryBackoffCap
-	}
 	return d
-}
-
-// JitteredBackoff returns Backoff(attempt) spread by the seeded jitter
-// fraction, keyed by the same decision key the fault roll used — so every
-// retry in a synchronized storm lands on its own schedule, yet the schedule
-// is pinned per seed. With RetryJitterPct = 0 it is exactly Backoff, the
-// historical (fault-free-identical) behavior.
-func (c Config) JitteredBackoff(attempt int, key string) time.Duration {
-	d := c.Backoff(attempt)
-	if c.RetryJitterPct <= 0 || d <= 0 {
-		return d
-	}
-	f := 1 + c.RetryJitterPct*(Hash01(c.Seed, "cluster.backoff.jitter", key)-0.5)
-	return time.Duration(float64(d) * f)
 }
 
 // ParseSpec parses a comma-separated rate spec like
@@ -387,9 +335,9 @@ func (i *Injector) roll(p Point, key string) float64 {
 
 // Hash01 maps (seed, parts...) to a uniform value in [0, 1): FNV-1a over the
 // parts (0x1f-separated) followed by a splitmix64 finalizer. It is the shared
-// deterministic decision hash of the stack — injection rolls, guard probe and
-// ramp admission, flight assignment, and retry-backoff jitter all draw from
-// it, so every "random" choice is a pure function of (seed, identity) and
+// deterministic decision hash of the stack — injection rolls and guard probe
+// and ramp admission draw from it, so every "random" choice is a pure
+// function of (seed, identity) and
 // replays byte-identically regardless of goroutine interleaving.
 func Hash01(seed uint64, parts ...string) float64 {
 	h := seed ^ 0xcbf29ce484222325

@@ -1,9 +1,10 @@
 package fault
 
 import (
-	"fmt"
 	"errors"
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -147,19 +148,14 @@ func TestConcurrentDecisionsAreInterleavingIndependent(t *testing.T) {
 }
 
 func TestBackoffCappedExponential(t *testing.T) {
-	cfg := Config{RetryBackoff: 2 * time.Second, RetryBackoffCap: 30 * time.Second}
 	want := []time.Duration{
 		2 * time.Second, 4 * time.Second, 8 * time.Second,
 		16 * time.Second, 30 * time.Second, 30 * time.Second,
 	}
 	for i, w := range want {
-		if got := cfg.Backoff(i + 1); got != w {
+		if got := Backoff(i + 1); got != w {
 			t.Fatalf("Backoff(%d) = %v, want %v", i+1, got, w)
 		}
-	}
-	// Defaults kick in on a zero config.
-	if got := (Config{}).Backoff(1); got != DefaultRetryBackoff {
-		t.Fatalf("zero-config Backoff(1) = %v", got)
 	}
 }
 
@@ -242,53 +238,20 @@ func TestMetricsWiredLazily(t *testing.T) {
 	}
 }
 
-func TestWithDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.MaxStageAttempts != DefaultMaxStageAttempts ||
-		c.StageRetryBudget != DefaultStageRetryBudget ||
-		c.MaxJobAttempts != DefaultMaxJobAttempts ||
-		c.RetryBackoff != DefaultRetryBackoff ||
-		c.RetryBackoffCap != DefaultRetryBackoffCap {
-		t.Fatalf("defaults not applied: %+v", c)
+// TestRetryPolicyIsTheOldDefaults pins the recovery policy field by field.
+// testdata/retry.golden was rendered from Config{}.WithDefaults() at the last
+// commit whose Config carried the retry fields: the constants are what the
+// defaults were. Never regenerate it.
+func TestRetryPolicyIsTheOldDefaults(t *testing.T) {
+	want, err := os.ReadFile("testdata/retry.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	custom := Config{MaxStageAttempts: 2, MaxJobAttempts: 5}.WithDefaults()
-	if custom.MaxStageAttempts != 2 || custom.MaxJobAttempts != 5 {
-		t.Fatalf("explicit values overridden: %+v", custom)
-	}
-}
-
-// TestJitteredBackoffBoundsAndPinning: jittered backoff stays within
-// ±pct/2 of the base value, is a pure function of (seed, key), and with the
-// jitter disabled is exactly Backoff.
-func TestJitteredBackoffBoundsAndPinning(t *testing.T) {
-	c := Config{Seed: 9, RetryJitterPct: 0.5}.WithDefaults()
-	base := c.Backoff(1)
-	varied := false
-	var first time.Duration
-	for i := 0; i < 40; i++ {
-		key := fmt.Sprintf("job-%d/s00/a1", i)
-		d := c.JitteredBackoff(1, key)
-		lo := time.Duration(float64(base) * (1 - c.RetryJitterPct/2))
-		hi := time.Duration(float64(base) * (1 + c.RetryJitterPct/2))
-		if d < lo || d > hi {
-			t.Fatalf("jittered backoff %v outside [%v, %v] for key %q", d, lo, hi, key)
-		}
-		if d != c.JitteredBackoff(1, key) {
-			t.Fatalf("jittered backoff not pinned for key %q", key)
-		}
-		if i == 0 {
-			first = d
-		} else if d != first {
-			varied = true
-		}
-	}
-	if !varied {
-		t.Fatal("jitter produced the identical backoff for 40 distinct keys")
-	}
-	plain := Config{Seed: 9}.WithDefaults()
-	for a := 1; a <= 4; a++ {
-		if plain.JitteredBackoff(a, "any") != plain.Backoff(a) {
-			t.Fatalf("zero jitter diverged from Backoff at attempt %d", a)
-		}
+	got := fmt.Sprintf("== fault.Config{}.WithDefaults() ==\n"+
+		"MaxStageAttempts=%v\nStageRetryBudget=%v\nMaxJobAttempts=%v\nRetryBackoff=%v\nRetryBackoffCap=%v\n",
+		DefaultMaxStageAttempts, DefaultStageRetryBudget, DefaultMaxJobAttempts,
+		DefaultRetryBackoff, DefaultRetryBackoffCap)
+	if got != string(want) {
+		t.Errorf("retry policy moved.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

@@ -3,37 +3,35 @@
 // lesson made executable. CloudViews shipped to 21 virtual clusters only
 // because reuse could be disabled the moment it regressed customer jobs; the
 // sequel work ("Deploying a Steered Query Optimizer in Production at
-// Microsoft") formalizes the same discipline as flighted configurations
-// guarded by regression watchdogs with automatic rollback. This package
-// implements all three guardrails:
+// Microsoft") formalizes the same discipline as configurations guarded by
+// regression watchdogs with automatic rollback. This package implements two
+// guardrails:
 //
 //   - Per-signature circuit breakers track the realized benefit of each
 //     reused view (container-seconds saved by clean matches vs. promised
 //     savings forfeited to read fallbacks) and quarantine signatures whose
-//     reuse repeatedly degrades jobs. A quarantined breaker cools down for a
-//     configured number of simulated days, then half-opens: a seeded-hash
-//     fraction of jobs probe the view again, and enough clean probes close
-//     the breaker while a single fallback re-opens it.
+//     reuse repeatedly degrades jobs. A quarantined breaker cools down for
+//     two simulated days, then half-opens: a seeded-hash quarter of jobs
+//     probe the view again, and two clean probes close the breaker while a
+//     single fallback re-opens it.
 //   - A per-VC kill switch watches per-VC health series (hit rate, fallback
 //     spikes, latency growth) through the telemetry watchdog rule engine and
 //     disables CloudViews for the offending VC. Like OffboardVC's drain the
 //     kill is side-effect-free — jobs simply compile without reuse — but it
 //     is reversible: after a quiet cooldown the VC re-enables in stages
 //     (1% → 10% → 100% of jobs admitted by seeded hash).
-//   - Policy flighting assigns each VC a view-selection policy (control
-//     utility-greedy vs. a local-search treatment) by deterministic seeded
-//     hash; when a treatment VC's watchdog fires, the VC rolls back to the
-//     control policy and is pinned there.
 //
+// The only tuning a caller sets is the breaker's fallback floor; every other
+// threshold is a package constant (testdata/tuning.golden pins them).
 // Everything is deterministic under simulated time: state transitions happen
 // either inline on the (serial, per-day) observation stream or at the
-// end-of-day tick, admission decisions are pure functions of
-// (seed, identity) via fault.Hash01, and the decision log renders
-// byte-identically for identical seeds — including under -race.
+// end-of-day tick, admission decisions are pure functions of identity via
+// fault.Hash01, and the decision log renders byte-identically run to run —
+// including under -race.
 //
 // The degradation contract: the guard only ever declines reuse. A denied
-// match compiles to the original subexpression, so quarantine and rollback
-// can cost reuse, never correctness.
+// match compiles to the original subexpression, so quarantine and a kill can
+// cost reuse, never correctness.
 package guard
 
 import (
@@ -134,112 +132,55 @@ func VCRules() []telemetry.Rule {
 	}
 }
 
-// FlightConfig tunes policy flighting.
-type FlightConfig struct {
-	// Enabled turns flighting on; off, PolicyFor returns "" (caller default).
-	Enabled bool
-	// Control / Treatment name the two selection policies (defaults
-	// "greedy" / "local-search" — see analysis.SelectionConfig.PolicyFor).
-	Control   string
-	Treatment string
-	// TreatmentFraction is the seeded-hash share of VCs assigned the
-	// treatment arm (default 0.5).
-	TreatmentFraction float64
-}
+// The guard's tuning: the values every guarded system has run on.
+const (
+	// hashSeed keys every admission hash (probe, ramp).
+	hashSeed uint64 = 0
+	// defaultBreakerMinFallbacks applies when Config.BreakerMinFallbacks is
+	// unset.
+	defaultBreakerMinFallbacks = 3
+	// breakerBadRatio trips the breaker when fallbacks reach this fraction
+	// of the day's reuse attempts for the signature.
+	breakerBadRatio = 0.5
+	// cooldownDays is the quarantine length in simulated days before the
+	// breaker half-opens.
+	cooldownDays = 2
+	// probeFraction is the seeded-hash share of jobs admitted to probe a
+	// half-open breaker.
+	probeFraction = 0.25
+	// probeSuccesses closes a half-open breaker after this many clean probe
+	// matches.
+	probeSuccesses = 2
+	// killAlertDays is how many consecutive alerting days a VC needs before
+	// the kill switch trips.
+	killAlertDays = 2
+	// reenableDays is the quiet cooldown in simulated days before a killed
+	// VC starts ramping back.
+	reenableDays = 2
+	// rampStageDays is how many days each ramp stage holds.
+	rampStageDays = 1
+)
 
-func (c FlightConfig) withDefaults() FlightConfig {
-	if c.Control == "" {
-		c.Control = "greedy"
-	}
-	if c.Treatment == "" {
-		c.Treatment = "local-search"
-	}
-	if c.TreatmentFraction == 0 {
-		c.TreatmentFraction = 0.5
-	}
-	return c
-}
+// rampFractions are the staged re-enable shares of a killed VC's jobs.
+var rampFractions = [...]float64{0.01, 0.10, 1}
 
 // Config assembles a Guard. The zero value disables the subsystem (New
 // returns nil, and a nil *Guard no-ops every method).
 type Config struct {
 	// Enabled turns the guard on.
 	Enabled bool
-	// Seed keys every admission hash (probe, ramp, flight assignment).
-	// Zero is a valid seed.
-	Seed uint64
-
 	// BreakerMinFallbacks is how many same-day fallbacks a signature needs
 	// before the breaker may trip (default 3; the floor keeps one unlucky
 	// read from quarantining a healthy view).
 	BreakerMinFallbacks int
-	// BreakerBadRatio trips the breaker when fallbacks reach this fraction
-	// of the day's reuse attempts for the signature (default 0.5).
-	BreakerBadRatio float64
-	// CooldownDays is the quarantine length in simulated days before the
-	// breaker half-opens (default 2).
-	CooldownDays int
-	// ProbeFraction is the seeded-hash share of jobs admitted to probe a
-	// half-open breaker (default 0.25).
-	ProbeFraction float64
-	// ProbeSuccesses closes a half-open breaker after this many clean
-	// probe matches (default 2).
-	ProbeSuccesses int
-
-	// KillAlertDays is how many consecutive alerting days a VC needs before
-	// the kill switch trips (default 2; flight rollback absorbs the first
-	// fire on treatment VCs).
-	KillAlertDays int
-	// ReenableDays is the quiet cooldown in simulated days before a killed
-	// VC starts ramping back (default 2).
-	ReenableDays int
-	// RampFractions are the staged re-enable shares (default 0.01, 0.10, 1).
-	RampFractions []float64
-	// RampStageDays is how many days each ramp stage holds (default 1).
-	RampStageDays int
-
-	// Flight tunes policy flighting.
-	Flight FlightConfig
-}
-
-func (c Config) withDefaults() Config {
-	if c.BreakerMinFallbacks <= 0 {
-		c.BreakerMinFallbacks = 3
-	}
-	if c.BreakerBadRatio <= 0 {
-		c.BreakerBadRatio = 0.5
-	}
-	if c.CooldownDays <= 0 {
-		c.CooldownDays = 2
-	}
-	if c.ProbeFraction <= 0 {
-		c.ProbeFraction = 0.25
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 2
-	}
-	if c.KillAlertDays <= 0 {
-		c.KillAlertDays = 2
-	}
-	if c.ReenableDays <= 0 {
-		c.ReenableDays = 2
-	}
-	if len(c.RampFractions) == 0 {
-		c.RampFractions = []float64{0.01, 0.10, 1}
-	}
-	if c.RampStageDays <= 0 {
-		c.RampStageDays = 1
-	}
-	c.Flight = c.Flight.withDefaults()
-	return c
 }
 
 // Decision is one deterministic guard state transition, rendered into the
 // decision log.
 type Decision struct {
-	Day  int
-	Kind string // breaker-trip, breaker-halfopen, breaker-close, breaker-reopen, vc-alert, vc-kill, vc-ramp, vc-rekill, vc-restore, flight-rollback, admin-*
-	Key  string // signature (short) or VC name
+	Day    int
+	Kind   string // breaker-trip, breaker-halfopen, breaker-close, breaker-reopen, vc-alert, vc-kill, vc-ramp, vc-rekill, vc-restore, admin-*
+	Key    string // signature (short) or VC name
 	Detail string
 }
 
@@ -276,12 +217,12 @@ type breaker struct {
 	lostSec        float64 // forfeited by fallbacks
 	trips          int
 
-	openedDay int // day of the most recent trip/reopen
-	probeOK   int // clean probe matches while half-open
+	openedDay int  // day of the most recent trip/reopen
+	probeOK   int  // clean probe matches while half-open
 	forced    bool // admin-held open: cooldown never half-opens it
 }
 
-// vcGuard is the per-VC kill switch + flight state.
+// vcGuard is the per-VC kill switch.
 type vcGuard struct {
 	state VCState
 
@@ -300,7 +241,6 @@ type vcGuard struct {
 	rampSince  int
 	kills      int
 	deniedJobs int
-	pinned     bool // flight: rolled back to control and held there
 	forcedKill bool // admin-held kill: cooldown never ramps it
 }
 
@@ -310,7 +250,8 @@ type vcGuard struct {
 // the engine's RunDay provides (concurrent submitters still get correct,
 // race-free behavior — only log ordering is then interleaving-dependent).
 type Guard struct {
-	cfg Config
+	// minFallbacks is the breaker's same-day fallback floor.
+	minFallbacks int
 
 	mu       sync.Mutex
 	breakers map[signature.Sig]*breaker
@@ -318,15 +259,14 @@ type Guard struct {
 	log      []Decision
 
 	// Metrics (nil-safe when SetMetrics was never called).
-	mTrips     *obs.Counter
-	mCloses    *obs.Counter
-	mKills     *obs.Counter
-	mRestores  *obs.Counter
-	mRollbacks *obs.Counter
-	mDeniedM   *obs.Counter
-	mDeniedJ   *obs.Counter
-	gOpen      *obs.Gauge
-	gKilled    *obs.Gauge
+	mTrips    *obs.Counter
+	mCloses   *obs.Counter
+	mKills    *obs.Counter
+	mRestores *obs.Counter
+	mDeniedM  *obs.Counter
+	mDeniedJ  *obs.Counter
+	gOpen     *obs.Gauge
+	gKilled   *obs.Gauge
 }
 
 // New builds a guard, or returns nil when the config is disabled — the
@@ -335,24 +275,19 @@ func New(cfg Config) *Guard {
 	if !cfg.Enabled {
 		return nil
 	}
-	cfg = cfg.withDefaults()
-	return &Guard{
-		cfg:      cfg,
-		breakers: make(map[signature.Sig]*breaker),
-		vcs:      make(map[string]*vcGuard),
+	g := &Guard{
+		minFallbacks: cfg.BreakerMinFallbacks,
+		breakers:     make(map[signature.Sig]*breaker),
+		vcs:          make(map[string]*vcGuard),
 	}
+	if g.minFallbacks <= 0 {
+		g.minFallbacks = defaultBreakerMinFallbacks
+	}
+	return g
 }
 
 // Enabled reports whether the guard is live.
 func (g *Guard) Enabled() bool { return g != nil }
-
-// Seed returns the guard's decision-hash seed.
-func (g *Guard) Seed() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.cfg.Seed
-}
 
 // SetMetrics registers the cloudviews_guard_* metric families. Families are
 // only created when a guard exists, keeping guard-free exports byte-identical.
@@ -364,7 +299,6 @@ func (g *Guard) SetMetrics(r *obs.Registry) {
 	g.mCloses = r.Counter("cloudviews_guard_breaker_closes_total")
 	g.mKills = r.Counter("cloudviews_guard_vc_kills_total")
 	g.mRestores = r.Counter("cloudviews_guard_vc_restores_total")
-	g.mRollbacks = r.Counter("cloudviews_guard_flight_rollbacks_total")
 	g.mDeniedM = r.Counter("cloudviews_guard_denied_matches_total")
 	g.mDeniedJ = r.Counter("cloudviews_guard_denied_jobs_total")
 	g.gOpen = r.Gauge("cloudviews_guard_breakers_open")
@@ -384,7 +318,7 @@ func (g *Guard) vcLocked(vc string) *vcGuard {
 
 // AllowReuse is the kill-switch gate, checked once per job before the
 // optimizer enables CloudViews. During a ramp, jobs are admitted by seeded
-// hash of (seed, vc, jobID) so the same seed admits the same jobs.
+// hash of (vc, jobID) so every run admits the same jobs.
 func (g *Guard) AllowReuse(vc, jobID string) bool {
 	if g == nil {
 		return true
@@ -396,8 +330,7 @@ func (g *Guard) AllowReuse(vc, jobID string) bool {
 		return true
 	}
 	if v.state == VCRamping {
-		frac := g.cfg.RampFractions[v.rampStage]
-		if fault.Hash01(g.cfg.Seed, "guard.ramp", vc, jobID) < frac {
+		if fault.Hash01(hashSeed, "guard.ramp", vc, jobID) < rampFractions[v.rampStage] {
 			return true
 		}
 	}
@@ -421,7 +354,7 @@ func (g *Guard) AllowMatch(vc, jobID string, recurring signature.Sig) bool {
 		return true
 	}
 	if b.state == BreakerHalfOpen &&
-		fault.Hash01(g.cfg.Seed, "guard.probe", string(recurring), jobID) < g.cfg.ProbeFraction {
+		fault.Hash01(hashSeed, "guard.probe", string(recurring), jobID) < probeFraction {
 		return true
 	}
 	_ = vc
@@ -464,8 +397,8 @@ func (g *Guard) ObserveJob(day int, vc, jobID string, views []ViewOutcome) []Dec
 		switch b.state {
 		case BreakerClosed:
 			attempts := b.dayMatches + b.dayFallbacks
-			if b.dayFallbacks >= g.cfg.BreakerMinFallbacks &&
-				float64(b.dayFallbacks) >= g.cfg.BreakerBadRatio*float64(attempts) {
+			if b.dayFallbacks >= g.minFallbacks &&
+				float64(b.dayFallbacks) >= breakerBadRatio*float64(attempts) {
 				b.state = BreakerOpen
 				b.openedDay = day
 				b.trips++
@@ -514,8 +447,8 @@ func (g *Guard) logLocked(d Decision) Decision {
 }
 
 // EndOfDay runs the day-boundary state machine — breaker cooldown/half-open/
-// close transitions, per-VC watchdog evaluation, kill/ramp/restore, flight
-// rollback — then resets the day counters and returns every decision logged
+// close transitions, per-VC watchdog evaluation, kill/ramp/restore — then
+// resets the day counters and returns every decision logged
 // for the day (eager intra-day breaker trips included). Iteration is in
 // sorted key order so the decision log is byte-identical across runs.
 func (g *Guard) EndOfDay(day int) []Decision {
@@ -541,17 +474,17 @@ func (g *Guard) EndOfDay(day int) []Decision {
 		b := g.breakers[s]
 		switch b.state {
 		case BreakerOpen:
-			if !b.forced && day-b.openedDay >= g.cfg.CooldownDays {
+			if !b.forced && day-b.openedDay >= cooldownDays {
 				b.state = BreakerHalfOpen
 				b.probeOK = 0
 				g.logLocked(Decision{
 					Day: day, Kind: "breaker-halfopen", Key: s.Short(),
 					Detail: fmt.Sprintf("cooldown over after %d days; probing %.0f%% of jobs",
-						day-b.openedDay, g.cfg.ProbeFraction*100),
+						day-b.openedDay, probeFraction*100),
 				})
 			}
 		case BreakerHalfOpen:
-			if b.probeOK >= g.cfg.ProbeSuccesses {
+			if b.probeOK >= probeSuccesses {
 				b.state = BreakerClosed
 				g.mCloses.Inc()
 				g.logLocked(Decision{
@@ -593,33 +526,19 @@ func (g *Guard) EndOfDay(day int) []Decision {
 			}
 			detail := strings.Join(names, ",")
 			g.logLocked(Decision{Day: day, Kind: "vc-alert", Key: vc, Detail: detail})
-			if g.cfg.Flight.Enabled && !v.pinned && g.assignLocked(vc) == g.cfg.Flight.Treatment {
-				// First suspect the flighted policy: roll the VC back to the
-				// control selector and pin it there. The kill counter is not
-				// advanced — the control arm gets a fresh chance first.
-				v.pinned = true
-				v.alertDays = 0
-				g.mRollbacks.Inc()
-				g.logLocked(Decision{
-					Day: day, Kind: "flight-rollback", Key: vc,
-					Detail: fmt.Sprintf("arm %q rolled back to control %q and pinned (%s)",
-						g.cfg.Flight.Treatment, g.cfg.Flight.Control, detail),
-				})
-				break
-			}
 			v.alertDays++
-			if v.alertDays >= g.cfg.KillAlertDays {
+			if v.alertDays >= killAlertDays {
 				g.killLocked(day, vc, v, detail, false)
 			}
 		case VCKilled:
-			if !v.forcedKill && day-v.killedDay >= g.cfg.ReenableDays {
+			if !v.forcedKill && day-v.killedDay >= reenableDays {
 				v.state = VCRamping
 				v.rampStage = 0
 				v.rampSince = day
 				g.logLocked(Decision{
 					Day: day, Kind: "vc-ramp", Key: vc,
 					Detail: fmt.Sprintf("quiet for %d days; re-enabling %.0f%% of jobs",
-						day-v.killedDay, g.cfg.RampFractions[0]*100),
+						day-v.killedDay, rampFractions[0]*100),
 				})
 			}
 		case VCRamping:
@@ -629,14 +548,14 @@ func (g *Guard) EndOfDay(day int) []Decision {
 				g.killLocked(day, vc, v, fmt.Sprintf("ramp aborted: %d fallbacks", v.dayFallbacks), true)
 				break
 			}
-			if day-v.rampSince >= g.cfg.RampStageDays {
-				if v.rampStage+1 < len(g.cfg.RampFractions) {
+			if day-v.rampSince >= rampStageDays {
+				if v.rampStage+1 < len(rampFractions) {
 					v.rampStage++
 					v.rampSince = day
 					g.logLocked(Decision{
 						Day: day, Kind: "vc-ramp", Key: vc,
 						Detail: fmt.Sprintf("stage %d: %.0f%% of jobs",
-							v.rampStage, g.cfg.RampFractions[v.rampStage]*100),
+							v.rampStage, rampFractions[v.rampStage]*100),
 					})
 				} else {
 					v.state = VCActive
@@ -671,7 +590,7 @@ func (g *Guard) killLocked(day int, vc string, v *vcGuard, detail string, rekill
 	}
 	g.logLocked(Decision{
 		Day: day, Kind: kind, Key: vc,
-		Detail: fmt.Sprintf("reuse disabled for VC (%s); cooldown %d days", detail, g.cfg.ReenableDays),
+		Detail: fmt.Sprintf("reuse disabled for VC (%s); cooldown %d days", detail, reenableDays),
 	})
 }
 
@@ -680,29 +599,6 @@ func (g *Guard) killLocked(day int, vc string, v *vcGuard, detail string, rekill
 // references must not judge the new regime.
 func resetHealth(v *vcGuard) {
 	v.health = telemetry.NewSampler(vcSeriesCap, VCRules())
-}
-
-// assignLocked computes the VC's flight arm by seeded hash. Caller holds g.mu.
-func (g *Guard) assignLocked(vc string) string {
-	if fault.Hash01(g.cfg.Seed, "guard.flight", vc) < g.cfg.Flight.TreatmentFraction {
-		return g.cfg.Flight.Treatment
-	}
-	return g.cfg.Flight.Control
-}
-
-// PolicyFor returns the view-selection policy name for a VC: "" when
-// flighting is off (caller keeps its default selector), the control policy
-// when the VC is pinned by a rollback, otherwise the seeded-hash assignment.
-func (g *Guard) PolicyFor(vc string) string {
-	if g == nil || !g.cfg.Flight.Enabled {
-		return ""
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if v, ok := g.vcs[vc]; ok && v.pinned {
-		return g.cfg.Flight.Control
-	}
-	return g.assignLocked(vc)
 }
 
 // sampleGaugesLocked refreshes the registry gauges. Caller holds g.mu.
@@ -730,7 +626,7 @@ func (g *Guard) Sample(m map[string]float64) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	open, half, killed, ramping, pinned := 0, 0, 0, 0, 0
+	open, half, killed, ramping := 0, 0, 0, 0
 	for _, b := range g.breakers {
 		switch b.state {
 		case BreakerOpen:
@@ -746,15 +642,11 @@ func (g *Guard) Sample(m map[string]float64) {
 		case VCRamping:
 			ramping++
 		}
-		if v.pinned {
-			pinned++
-		}
 	}
 	m["guard_breakers_open"] = float64(open)
 	m["guard_breakers_halfopen"] = float64(half)
 	m["guard_vcs_killed"] = float64(killed)
 	m["guard_vcs_ramping"] = float64(ramping)
-	m["guard_flights_pinned"] = float64(pinned)
 	m["guard_decisions"] = float64(len(g.log))
 }
 
@@ -780,8 +672,6 @@ type VCInfo struct {
 	RampStage  int    `json:"ramp_stage,omitempty"`
 	Kills      int    `json:"kills"`
 	DeniedJobs int    `json:"denied_jobs"`
-	Policy     string `json:"policy,omitempty"`
-	Pinned     bool   `json:"pinned,omitempty"`
 }
 
 // Snapshot is the full deterministic guard state for the admin plane.
@@ -825,17 +715,10 @@ func (g *Guard) Snapshot() Snapshot {
 		v := g.vcs[vc]
 		info := VCInfo{
 			VC: vc, State: v.state.String(), Kills: v.kills,
-			DeniedJobs: v.deniedJobs, Pinned: v.pinned,
+			DeniedJobs: v.deniedJobs,
 		}
 		if v.state == VCRamping {
 			info.RampStage = v.rampStage
-		}
-		if g.cfg.Flight.Enabled {
-			if v.pinned {
-				info.Policy = g.cfg.Flight.Control
-			} else {
-				info.Policy = g.assignLocked(vc)
-			}
 		}
 		snap.VCs = append(snap.VCs, info)
 	}
@@ -843,16 +726,6 @@ func (g *Guard) Snapshot() Snapshot {
 		snap.Decisions = append(snap.Decisions, d.String())
 	}
 	return snap
-}
-
-// DecisionLog returns a copy of the full decision log.
-func (g *Guard) DecisionLog() []Decision {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]Decision(nil), g.log...)
 }
 
 // RenderLog renders the decision log as one newline-joined string — the unit
@@ -928,7 +801,7 @@ func (g *Guard) KillVC(day int, vc string) {
 }
 
 // RestoreVC force-restores a VC to full reuse (admin plane), skipping the
-// ramp, and unpins its flight assignment.
+// ramp.
 func (g *Guard) RestoreVC(day int, vc string) {
 	if g == nil {
 		return
@@ -939,7 +812,6 @@ func (g *Guard) RestoreVC(day int, vc string) {
 	v.state = VCActive
 	v.forcedKill = false
 	v.alertDays = 0
-	v.pinned = false
 	resetHealth(v)
 	g.mRestores.Inc()
 	g.logLocked(Decision{Day: day, Kind: "admin-restore", Key: vc, Detail: "reuse forced on for VC"})

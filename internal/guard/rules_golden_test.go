@@ -35,3 +35,22 @@ func TestRuleListsAreTheOldDefaults(t *testing.T) {
 		t.Errorf("rule lists moved.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
+
+// TestGuardTuningIsTheOldDefaults pins the breaker, kill-switch and ramp constants
+// field by field. testdata/tuning.golden was rendered from
+// Config{}.withDefaults() at the last commit whose Config carried these
+// fields: the constants are what the defaults were. Never regenerate it.
+func TestGuardTuningIsTheOldDefaults(t *testing.T) {
+	want, err := os.ReadFile("testdata/tuning.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("== guard.Config{}.withDefaults() ==\n"+
+		"Seed=%v\nBreakerMinFallbacks=%v\nBreakerBadRatio=%v\nCooldownDays=%v\nProbeFraction=%v\n"+
+		"ProbeSuccesses=%v\nKillAlertDays=%v\nReenableDays=%v\nRampFractions=%v\nRampStageDays=%v\n",
+		hashSeed, New(Config{Enabled: true}).minFallbacks, breakerBadRatio, cooldownDays, probeFraction,
+		probeSuccesses, killAlertDays, reenableDays, rampFractions, rampStageDays)
+	if got != string(want) {
+		t.Errorf("guard tuning moved.\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}

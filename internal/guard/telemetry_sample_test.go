@@ -12,10 +12,7 @@ import (
 // with the right values as breakers trip, VCs get killed, and the staged
 // ramp brings them back. This is the path cvdash and the SLO watchdog read.
 func TestTelemetrySamplesGuardGauges(t *testing.T) {
-	g := testGuard(Config{
-		KillAlertDays: 2, ReenableDays: 2, RampStageDays: 1,
-		RampFractions: []float64{0.5, 1},
-	})
+	g := testGuard(Config{})
 	coll := telemetry.NewCollector(telemetry.Config{})
 	sig := signature.Sig("sig-sample")
 
@@ -54,7 +51,6 @@ func TestTelemetrySamplesGuardGauges(t *testing.T) {
 		"guard_breakers_halfopen": {{Day: 0, Value: 0}, {Day: 1, Value: 0}, {Day: 2, Value: 1}},
 		"guard_vcs_killed":        {{Day: 0, Value: 0}, {Day: 1, Value: 1}, {Day: 2, Value: 0}},
 		"guard_vcs_ramping":       {{Day: 0, Value: 0}, {Day: 1, Value: 0}, {Day: 2, Value: 1}},
-		"guard_flights_pinned":    {{Day: 0, Value: 0}, {Day: 1, Value: 0}, {Day: 2, Value: 0}},
 	}
 	for name, points := range want {
 		s := rt.SeriesByName(name)
