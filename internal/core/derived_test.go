@@ -29,7 +29,12 @@ type derivedWorld struct {
 
 func newDerivedWorld(t *testing.T, planCacheSize int) *derivedWorld {
 	t.Helper()
-	p := workload.DefaultProfile("Derived")
+	return newWorld(t, smallProfile("Derived"), planCacheSize)
+}
+
+// smallProfile is a generated cluster small enough for a lockstep test.
+func smallProfile(name string) workload.ClusterProfile {
+	p := workload.DefaultProfile(name)
 	p.Pipelines = 12
 	p.RawStreams = 4
 	p.CookedDatasets = 5
@@ -37,6 +42,11 @@ func newDerivedWorld(t *testing.T, planCacheSize int) *derivedWorld {
 	p.PrefixPool = 8
 	p.RowsPerRawDay = 150
 	p.VCs = 2
+	return p
+}
+
+func newWorld(t *testing.T, p workload.ClusterProfile, planCacheSize int) *derivedWorld {
+	t.Helper()
 	w := &derivedWorld{cat: catalog.New()}
 	w.gen = workload.NewGenerator(w.cat, p)
 	if err := w.gen.Bootstrap(); err != nil {
@@ -47,7 +57,7 @@ func newDerivedWorld(t *testing.T, planCacheSize int) *derivedWorld {
 		vcs = append(vcs, cluster.VCConfig{Name: vc, Tokens: 60})
 	}
 	w.eng = NewEngine(Config{
-		ClusterName:   "Derived",
+		ClusterName:   p.Name,
 		Catalog:       w.cat,
 		ClusterCfg:    cluster.Config{Capacity: 400, VCs: vcs},
 		Selection:     analysis.SelectionConfig{ScheduleAware: true, UseBigSubs: true},

@@ -10,6 +10,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -332,10 +333,74 @@ func markSpoolTainted(root plan.Node, out map[plan.Node]bool) bool {
 // nodeResult is one operator's output. bytes is table.ByteSize(), measured
 // once by the operator that produced the table and carried to every consumer
 // that accounts it (exchange reads, spool and output writes, cache replays).
+//
+// dropped, when not 0, marks a join built for a parent that reads only some
+// of its columns (evalReading): the table holds the logical columns not in
+// dropped, in order, and nothing else. bytes stays the logical width's.
 type nodeResult struct {
-	table *data.Table
-	mult  float64
-	bytes int64
+	table   *data.Table
+	mult    float64
+	bytes   int64
+	dropped uint64
+}
+
+// allColumns asks an operator for every column of its output.
+const allColumns = ^uint64(0)
+
+// addReads adds the columns e references to set. A column outside [0, 64)
+// makes the set allColumns, which absorbs every later addition; so does a
+// Call, which the kernels never compile: its parent runs the row loop, which
+// would only widen narrowed rows again.
+func addReads(set uint64, e plan.Expr) uint64 {
+	switch x := e.(type) {
+	case *plan.ColRef:
+		if x.Index < 0 || x.Index >= 64 {
+			return allColumns
+		}
+		return set | 1<<x.Index
+	case *plan.Binary:
+		return addReads(addReads(set, x.L), x.R)
+	case *plan.Unary:
+		return addReads(set, x.E)
+	case *plan.Const, *plan.Param:
+		return set
+	}
+	return allColumns
+}
+
+// readSet is the set of columns exprs reference, for a parent running on the
+// kernels; the row loops read every column, so they stay the unnarrowed
+// reference.
+func (ex *Executor) readSet(exprs []plan.Expr) uint64 {
+	if !ex.Vectorized {
+		return allColumns
+	}
+	var set uint64
+	for _, e := range exprs {
+		set = addReads(set, e)
+	}
+	return set
+}
+
+// rows returns the table's rows at logical width, for a parent's row loop:
+// a narrowed join's rows are widened, NULL in the columns nothing reads.
+func (r nodeResult) rows() []data.Row {
+	if r.dropped == 0 {
+		return r.table.Rows
+	}
+	var slab data.RowSlab
+	slab.Expect(len(r.table.Rows))
+	width := len(r.table.Schema) + bits.OnesCount64(r.dropped)
+	wide := make([]data.Row, len(r.table.Rows))
+	for i, row := range r.table.Rows {
+		wide[i] = slab.New(width)
+		keep := ^r.dropped
+		for _, v := range row {
+			wide[i][bits.TrailingZeros64(keep)] = v
+			keep &= keep - 1
+		}
+	}
+	return wide
 }
 
 // produced wraps a freshly built table, sizing it.
@@ -394,7 +459,13 @@ func logicalRows(t *data.Table, mult float64) int64 {
 	return int64(float64(t.NumRows()) * mult)
 }
 
-func (ex *Executor) eval(n plan.Node) (nodeResult, error) {
+func (ex *Executor) eval(n plan.Node) (nodeResult, error) { return ex.evalReading(n, allColumns) }
+
+// evalReading evaluates n for a parent that reads only the columns in reads.
+// A join then builds just those (evalJoin), so only an Aggregate or a Project
+// asks for fewer than allColumns, and only of its own child: a Spool, a
+// ViewScan's fallback or any other parent takes every column.
+func (ex *Executor) evalReading(n plan.Node, reads uint64) (nodeResult, error) {
 	// Subtrees containing a Spool bypass the cache (see markSpoolTainted).
 	// So do ViewScans while view-read faults are enabled: a cached replay
 	// would skip the read entirely and the injection decision (keyed per
@@ -432,15 +503,16 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) {
 	inputStart, viewStart, readStart := ex.res.InputBytes, ex.res.ViewBytes, ex.res.TotalRead
 	fallbackStart := ex.res.ReuseFallbacks
 
-	r, err := ex.evalNode(n)
+	r, err := ex.evalNode(n, reads)
 	if err != nil {
 		return nodeResult{}, err
 	}
 
 	// A fallback inside this subtree means its recorded accounting reflects
 	// recomputation, not a view read — caching it would replay fault costs
-	// into healthy jobs, so skip the Put for the whole ancestor chain.
-	if ex.res.ReuseFallbacks != fallbackStart {
+	// into healthy jobs, so skip the Put for the whole ancestor chain. A
+	// narrowed table is not n's result under its physical signature at all.
+	if ex.res.ReuseFallbacks != fallbackStart || r.dropped != 0 {
 		tainted = true
 	}
 
@@ -480,7 +552,7 @@ func postOrderNodes(n plan.Node) []plan.Node {
 	return out
 }
 
-func (ex *Executor) evalNode(n plan.Node) (nodeResult, error) {
+func (ex *Executor) evalNode(n plan.Node, reads uint64) (nodeResult, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
 		return ex.evalScan(x)
@@ -491,7 +563,7 @@ func (ex *Executor) evalNode(n plan.Node) (nodeResult, error) {
 	case *plan.Project:
 		return ex.evalProject(x)
 	case *plan.Join:
-		return ex.evalJoin(x)
+		return ex.evalJoin(x, reads)
 	case *plan.Aggregate:
 		return ex.evalAggregate(x)
 	case *plan.Union:
@@ -589,17 +661,17 @@ func (ex *Executor) evalFilter(x *plan.Filter) (nodeResult, error) {
 }
 
 func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
-	in, err := ex.eval(x.Child)
+	in, err := ex.evalReading(x.Child, ex.readSet(x.Exprs))
 	if err != nil {
 		return nodeResult{}, err
 	}
 	out := data.NewTable(x.Schema())
-	batches, ok := ex.vecProject(in.table, x.Exprs, out)
+	batches, ok := ex.vecProject(in, x.Exprs, out)
 	if !ok {
 		var slab data.RowSlab
 		slab.Expect(in.table.NumRows())
 		out.Rows = make([]data.Row, 0, in.table.NumRows())
-		for _, row := range in.table.Rows {
+		for _, row := range in.rows() {
 			nr := slab.New(len(x.Exprs))
 			for i, e := range x.Exprs {
 				nr[i] = e.Eval(row, ex.Ctx)
@@ -718,7 +790,8 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
+// evalJoin joins x's inputs, building only the columns in reads.
+func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 	l, err := ex.eval(x.L)
 	if err != nil {
 		return nodeResult{}, err
@@ -850,18 +923,48 @@ func (ex *Executor) evalJoin(x *plan.Join) (nodeResult, error) {
 		work = outer * costLoopOuter * (1 + 0.05*inner)
 	}
 
-	// Every pair is known: slab and row slice are made once, at the output's size.
+	// Every pair is known: slab and row slice are made once, at the output's
+	// size. A row holds the columns the parent reads, in order; bytes is what
+	// the whole joined rows would measure.
 	out := data.NewTable(x.Schema())
+	nl, width := len(l.table.Schema), len(out.Schema)
+	var dropped uint64
+	if all := uint64(1)<<width - 1; width <= 64 && reads&^all == 0 {
+		dropped = all &^ reads
+		kept := out.Schema[:0]
+		for j, c := range out.Schema {
+			if dropped&(1<<j) == 0 {
+				kept = append(kept, c)
+			}
+		}
+		out.Schema = kept
+	}
 	var slab data.RowSlab
 	slab.Expect(len(js.pairs) / 2)
 	out.Rows = make([]data.Row, 0, len(js.pairs)/2)
+	var bytes int64
 	for k := 0; k < len(js.pairs); k += 2 {
 		lr, rr := lt[js.pairs[k]], rt[js.pairs[k+1]]
-		combined := slab.New(len(lr) + len(rr))
-		copy(combined[copy(combined, lr):], rr)
-		out.Append(combined)
+		bytes += lr.ByteSize() + rr.ByteSize()
+		row := slab.New(len(out.Schema))
+		if dropped == 0 {
+			copy(row[copy(row, lr):], rr)
+		} else {
+			keep := ^dropped
+			for p := range row {
+				if j := bits.TrailingZeros64(keep); j < nl {
+					row[p] = lr[j]
+				} else {
+					row[p] = rr[j-nl]
+				}
+				keep &= keep - 1
+			}
+		}
+		out.Append(row)
 	}
-	return ex.finish(NodeStat{Node: x, Op: "Join", Algo: algo, Work: work, Batches: batches}, out, mult), nil
+	res := nodeResult{table: out, mult: mult, bytes: bytes, dropped: dropped}
+	ex.record(NodeStat{Node: x, Op: "Join", Algo: algo, RowsOut: res.logicalRows(), BytesOut: res.logicalBytes(), Work: work, Batches: batches})
+	return res, nil
 }
 
 // key is the key of the i-th row in sorted order.
@@ -905,7 +1008,13 @@ func mergeJoin(l, r *joinSide, emit func(li, ri int)) {
 }
 
 func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
-	in, err := ex.eval(x.Child)
+	reads := ex.readSet(x.GroupBy)
+	for _, spec := range x.Aggs {
+		if spec.Arg != nil {
+			reads = addReads(reads, spec.Arg)
+		}
+	}
+	in, err := ex.evalReading(x.Child, reads)
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -914,12 +1023,12 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 
 	out := data.NewTable(x.Schema())
 	groups := newAggTable(x, len(out.Schema))
-	batches, ok := ex.vecAggregate(in.table, groups)
+	batches, ok := ex.vecAggregate(in, groups)
 	if !ok {
 		var buf [64]byte
 		vals := make(data.Row, len(x.GroupBy))
 		args := make([]data.Value, len(x.Aggs))
-		for _, row := range in.table.Rows {
+		for _, row := range in.rows() {
 			key := buf[:0]
 			for i, g := range x.GroupBy {
 				vals[i] = g.Eval(row, ex.Ctx)

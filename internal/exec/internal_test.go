@@ -225,7 +225,7 @@ func TestColumnGatheredOncePerWindow(t *testing.T) {
 		&plan.Binary{Op: "+", L: a, R: a},
 		&plan.Binary{Op: "*", L: b, R: a},
 	}
-	in := newInputCols(tb)
+	in := newInputCols(tb, 0)
 	defer in.release()
 	progs, ok := compileAll(in, exprs)
 	if !ok {

@@ -13,6 +13,7 @@ package exec
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"cloudviews/internal/data"
@@ -203,8 +204,9 @@ func (b *borrowed) release() {
 // Columns no expression references are never read: kernels cannot see them,
 // and operators that keep input rows pass them through by reference.
 type inputCols struct {
-	t    *data.Table
-	cols []inputCol // cols[j].kind stays KindNull until a ColRef compiles against column j
+	t       *data.Table
+	dropped uint64     // the logical columns t does not hold (nodeResult.dropped)
+	cols    []inputCol // t's own; cols[j].kind stays KindNull until a ColRef compiles against column j
 	borrowed
 	gathers int // windows gathered so far, over all columns
 }
@@ -216,8 +218,20 @@ type inputCol struct {
 	lo int
 }
 
-func newInputCols(t *data.Table) *inputCols {
-	return &inputCols{t: t, cols: make([]inputCol, len(t.Schema))}
+func newInputCols(t *data.Table, dropped uint64) *inputCols {
+	return &inputCols{t: t, dropped: dropped, cols: make([]inputCol, len(t.Schema))}
+}
+
+// phys is the column of t that holds logical column j, or -1 when t holds
+// none; an index past t's last column is left to col to refuse.
+func (in *inputCols) phys(j int) int {
+	if in.dropped == 0 {
+		return j
+	}
+	if j < 0 || j >= 64 || in.dropped&(1<<j) != 0 {
+		return -1
+	}
+	return j - bits.OnesCount64(in.dropped&(1<<j-1))
 }
 
 // col validates column j on first use and borrows its window. ok=false (fall
@@ -337,11 +351,11 @@ func (vc *vecCompiler) add(n *vnode) *vnode {
 func (vc *vecCompiler) compile(e plan.Expr) (*vnode, bool) {
 	switch x := e.(type) {
 	case *plan.ColRef:
-		src, ok := vc.in.col(x.Index)
+		in, j := vc.in, vc.in.phys(x.Index)
+		src, ok := in.col(j)
 		if !ok {
 			return nil, false
 		}
-		in, j := vc.in, x.Index
 		return vc.add(&vnode{out: src.vcol, run: func(lo, n int) { in.gather(j, lo, n) }}), true
 
 	case *plan.Const:

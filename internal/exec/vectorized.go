@@ -50,7 +50,7 @@ func (ex *Executor) vecFilter(t *data.Table, pred plan.Expr, out *data.Table) (i
 	if n == 0 {
 		return 0, true
 	}
-	in := newInputCols(t)
+	in := newInputCols(t, 0)
 	defer in.release()
 	prog, ok := compileVec(pred, in)
 	if !ok || prog.root.out.kind != data.KindBool {
@@ -79,15 +79,15 @@ func (ex *Executor) vecFilter(t *data.Table, pred plan.Expr, out *data.Table) (i
 
 // vecProject evaluates every projection expression per window and
 // materializes output rows from the result vectors.
-func (ex *Executor) vecProject(t *data.Table, exprs []plan.Expr, out *data.Table) (int64, bool) {
+func (ex *Executor) vecProject(r nodeResult, exprs []plan.Expr, out *data.Table) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false
 	}
-	n := len(t.Rows)
+	n := len(r.table.Rows)
 	if n == 0 {
 		return 0, true
 	}
-	in := newInputCols(t)
+	in := newInputCols(r.table, r.dropped)
 	defer in.release()
 	progs, ok := compileAll(in, exprs)
 	if !ok {
@@ -128,7 +128,7 @@ func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr, dst *[]string, 
 		*dst = (*dst)[:0]
 		return 0, true
 	}
-	in := newInputCols(t)
+	in := newInputCols(t, 0)
 	defer in.release()
 	progs, ok := compileAll(in, keys)
 	if !ok {
@@ -157,16 +157,16 @@ func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr, dst *[]string, 
 // aggregate-argument expressions evaluate per window, then rows accumulate in
 // input order into the same aggTable as the row loop (identical float
 // summation order, identical group discovery order).
-func (ex *Executor) vecAggregate(t *data.Table, groups *aggTable) (int64, bool) {
+func (ex *Executor) vecAggregate(r nodeResult, groups *aggTable) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false
 	}
-	n := len(t.Rows)
+	n := len(r.table.Rows)
 	if n == 0 {
 		return 0, false
 	}
 	x := groups.x
-	in := newInputCols(t)
+	in := newInputCols(r.table, r.dropped)
 	defer in.release()
 	groupProgs, ok := compileAll(in, x.GroupBy)
 	if !ok {
@@ -260,7 +260,7 @@ func (ex *Executor) vecSort(t *data.Table, x *plan.Sort, out *data.Table) (int64
 	if n == 0 {
 		return 0, false
 	}
-	in := newInputCols(t)
+	in := newInputCols(t, 0)
 	defer in.release()
 	progs, ok := compileAll(in, x.Keys)
 	if !ok {

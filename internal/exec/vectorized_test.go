@@ -679,18 +679,20 @@ func sameTable(a, b *data.Table) bool {
 // TestPooledBuffersNeverEscape holds the pool's invariant — no table an
 // operator returns aliases a window or a join scratch it borrowed — by
 // overwriting every buffer with sentinels as it goes back: the equivalence
-// corpus, the row-aliasing test, and executors on several goroutines handing
-// each other's buffers around through the pools must all still read the row
-// loop's answer. A violation shows as a changed answer or, under -race, as a
-// write to a buffer a returned table still reads.
+// corpus, the row-aliasing test, the narrowing matrix, and executors on
+// several goroutines handing each other's buffers around through the pools
+// must all still read the row loop's answer. A violation shows as a changed
+// answer or, under -race, as a write to a buffer a returned table still reads.
 func TestPooledBuffersNeverEscape(t *testing.T) {
 	exec.PoisonReleasedBuffers(t)
 	requireCorpusEquivalent(t)
 	requireOperatorRowsDoNotAlias(t)
+	requireNarrowingMatrix(t)
 
 	cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: 300, Parts: 50, Sales: 3000, Seed: 11})
 	// Filter → join (with a residual) → aggregate → sort, a string-keyed
-	// variant, and a projection whose strings the kernels mint themselves.
+	// variant, a projection whose strings the kernels mint themselves, and a
+	// projection over a join, which builds only the columns it reads.
 	var plans []plan.Node
 	var want []*data.Table
 	for _, src := range []string{
@@ -702,6 +704,8 @@ func TestPooledBuffersNeverEscape(t *testing.T) {
 			FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id
 			WHERE Name >= 'customer-0100' GROUP BY Name ORDER BY Name DESC`,
 		`SELECT Name + '/' + MktSegment AS tag, Id % 7 AS m FROM Customer ORDER BY tag`,
+		`SELECT Name + '!' AS n, Price * Quantity AS rev
+			FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id AND Sales.Quantity + Customer.Id > 3`,
 	} {
 		n := bindQuery(t, cat, src)
 		res, err := (&exec.Executor{Catalog: cat}).Run(n)
