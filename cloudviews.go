@@ -98,12 +98,14 @@ type (
 	VCConfig = cluster.VCConfig
 	// DayMetrics aggregates one simulated day of cluster activity.
 	DayMetrics = core.DayMetrics
-	// Trace is a per-job execution trace: timed spans (parse, bind,
-	// insights, optimize, queue, execute, seal) plus view-decision events.
+	// Trace is a per-job execution timeline: timed spans (parse, bind,
+	// insights, optimize, queue, execute, seal) plus lifecycle events
+	// (annotations served, views proposed or abandoned, retries). Reuse
+	// decisions are recorded once, in JobResult.Explain.
 	Trace = obs.Trace
 	// TraceSpan is one timed phase of a job trace.
 	TraceSpan = obs.Span
-	// TraceEvent is one decision point recorded in a job trace.
+	// TraceEvent is one lifecycle event recorded in a job trace.
 	TraceEvent = obs.Event
 	// MetricsRegistry collects system counters/gauges/histograms and exports
 	// them in Prometheus text format.
@@ -194,9 +196,8 @@ type Config struct {
 	ViewTTL time.Duration
 	// MaxViewsPerJob caps materializations per job (default 4).
 	MaxViewsPerJob int
-	// DisableObservability turns off per-job traces and the metrics
-	// registry (on by default; the standing benchmark's obs.on_off_ratio
-	// reads 1.1–1.45× per job, and no budget is enforced).
+	// DisableObservability turns off per-job traces, explain decisions and
+	// the metrics registry (on by default).
 	DisableObservability bool
 	// Faults configures deterministic fault injection across the reuse
 	// pipeline (stage failures, bonus preemption, spool-write and view-read
@@ -281,7 +282,7 @@ type JobResult struct {
 	// never read it and formatting a plan tree dominates the allocation
 	// profile of small cached submissions.
 	plan plan.Node
-	// explain backs Explain/ExplainText (nil when observability is off).
+	// explain backs Explain (nil when observability is off).
 	explain *explain.Recorder
 }
 
@@ -300,15 +301,6 @@ func (r *JobResult) Explain() []ExplainDecision {
 		ds = []ExplainDecision{}
 	}
 	return ds
-}
-
-// ExplainText renders the per-job explain report (deterministic; empty
-// string when observability is disabled).
-func (r *JobResult) ExplainText() string {
-	if r.explain == nil {
-		return ""
-	}
-	return explain.RenderDecisions(r.ID, r.explain.Decisions())
 }
 
 // PlanText renders the final (post-reuse) plan. The text is produced on

@@ -45,7 +45,7 @@ func main() {
 	repeats := flag.Int("n", 2, "times to run the script(s); 2+ demonstrates reuse")
 	showRows := flag.Int("show-rows", 8, "result rows to print")
 	annotate := flag.Bool("annotate", false, "export the query annotations file for the first job's tag")
-	trace := flag.Bool("trace", false, "print each job's execution trace (spans + view decisions)")
+	trace := flag.Bool("trace", false, "print each job's execution timeline (spans + lifecycle events; -explain prints the reuse decisions)")
 	explainFlag := flag.Bool("explain", false, "print each job's structured reuse-provenance report")
 	flag.Parse()
 

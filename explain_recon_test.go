@@ -2,6 +2,7 @@ package cloudviews_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,12 +12,29 @@ import (
 
 // TestExplainTelemetryReconciliation is the provenance layer's ledger check:
 // over a seeded multi-day workload, the fleet-wide per-day (and per-VC)
-// miss-reason counters in telemetry must reconcile count-for-count with the
-// union of every job's structured explain decisions. If any decision point
-// records without folding into telemetry — or telemetry counts something no
-// job decided — the books don't balance and this fails.
+// miss-reason counters and reuse-saved seconds in telemetry must reconcile
+// with the union of every job's structured explain decisions. If any
+// decision point records without folding into telemetry — or telemetry
+// counts something no job decided — the books don't balance and this fails.
+// The second system crashes every attempt but the last, so each job runs
+// fault.DefaultMaxJobAttempts times: only the final attempt's decisions
+// stand, and only the reuse it banked may be credited.
 func TestExplainTelemetryReconciliation(t *testing.T) {
-	sys := demoSystem(t)
+	t.Run("clean", func(t *testing.T) {
+		reconcileExplainTelemetry(t, demoSystem(t), 1)
+	})
+	t.Run("job-retries", func(t *testing.T) {
+		sys := demoSystemWith(t, cloudviews.Config{
+			ClusterName: "api-test", Capacity: 100,
+			Faults: cloudviews.FaultConfig{Seed: 7, Rates: map[cloudviews.FaultPoint]float64{"core.job.fail": 1}},
+		})
+		reconcileExplainTelemetry(t, sys, 3)
+	})
+}
+
+// reconcileExplainTelemetry runs the seeded workload on sys, whose jobs each
+// run attempts times, and balances telemetry against the jobs' decisions.
+func reconcileExplainTelemetry(t *testing.T, sys *cloudviews.System, attempts int) {
 	sys.OnboardVC("vc1")
 	sys.OnboardVC("vc2")
 	// vc3 is never onboarded: its jobs run with reuse disabled and must show
@@ -40,9 +58,14 @@ func TestExplainTelemetryReconciliation(t *testing.T) {
 		vc     string
 		reason string
 	}
+	type dayVC struct {
+		day int
+		vc  string
+	}
 	rng := rand.New(rand.NewSource(7))
 	perJob := make(map[key]int) // union of per-job miss decisions
 	forfeit := make(map[key]float64)
+	saved := make(map[dayVC]float64) // banked by the jobs' matched decisions
 	elapsed := time.Duration(0)
 	jobs := 0
 
@@ -61,10 +84,20 @@ func TestExplainTelemetryReconciliation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			retries := 0
+			res.Trace.ForEachEvent(func(ev cloudviews.TraceEvent) {
+				if ev.Kind == "job.retry" {
+					retries++
+				}
+			})
+			if retries != attempts-1 {
+				t.Fatalf("job %s: %d job.retry events, want %d", res.ID, retries, attempts-1)
+			}
 			ds := res.Explain()
 			if ds == nil {
 				t.Fatalf("job %s: Explain() is nil on an observable system", res.ID)
 			}
+			var jobSaved float64
 			for _, d := range ds {
 				if d.VC != vc || d.JobID != res.ID {
 					t.Fatalf("job %s: decision mis-stamped: %+v", res.ID, d)
@@ -72,14 +105,17 @@ func TestExplainTelemetryReconciliation(t *testing.T) {
 				if !cloudviews.ValidExplainReason(d.Reason) {
 					t.Fatalf("job %s: reason %q outside the closed enum", res.ID, d.Reason)
 				}
-				if d.Reason != cloudviews.ReasonMatched {
-					k := key{day, vc, string(d.Reason)}
-					perJob[k]++
-					if d.SavedCS > 0 {
-						forfeit[k] += d.SavedCS
-					}
+				if d.Reason == cloudviews.ReasonMatched {
+					jobSaved += d.SavedCS
+					continue
+				}
+				k := key{day, vc, string(d.Reason)}
+				perJob[k]++
+				if d.SavedCS > 0 {
+					forfeit[k] += d.SavedCS
 				}
 			}
+			saved[dayVC{day, vc}] += jobSaved
 			step := time.Duration(1+rng.Intn(10)) * time.Minute
 			sys.AdvanceClock(step)
 			elapsed += step
@@ -94,6 +130,9 @@ func TestExplainTelemetryReconciliation(t *testing.T) {
 	if len(perJob) == 0 {
 		t.Fatal("workload produced no miss decisions; the property test is vacuous")
 	}
+	if len(saved) == 0 {
+		t.Fatal("workload matched no views; the saved-seconds check is vacuous")
+	}
 
 	rt := sys.Telemetry()
 	if rt == nil {
@@ -102,8 +141,14 @@ func TestExplainTelemetryReconciliation(t *testing.T) {
 	// Fold telemetry's per-day / per-VC counters into the same key space.
 	tele := make(map[key]int)
 	teleForfeit := make(map[key]float64)
+	teleSaved := make(map[dayVC]float64)
 	for _, d := range rt.Days {
+		var vcSaved float64
 		for vc, agg := range d.VCs {
+			if agg.ReuseSavedSec != 0 {
+				teleSaved[dayVC{d.Day, vc}] = agg.ReuseSavedSec
+			}
+			vcSaved += agg.ReuseSavedSec
 			for r, n := range agg.MissReasons {
 				tele[key{d.Day, vc, r}] = n
 			}
@@ -112,6 +157,9 @@ func TestExplainTelemetryReconciliation(t *testing.T) {
 			}
 		}
 		// The day-level rollup must equal the sum of its VCs.
+		if !closeTo(d.ReuseSavedSec, vcSaved) {
+			t.Errorf("day %d: reuse saved %.4f != VC sum %.4f", d.Day, d.ReuseSavedSec, vcSaved)
+		}
 		for r, n := range d.MissReasons {
 			sum := 0
 			for _, agg := range d.VCs {
@@ -134,8 +182,18 @@ func TestExplainTelemetryReconciliation(t *testing.T) {
 		}
 	}
 	for k, cs := range forfeit {
-		if diff := teleForfeit[k] - cs; diff > 1e-9 || diff < -1e-9 {
+		if !closeTo(teleForfeit[k], cs) {
 			t.Errorf("%+v: forfeited container-seconds telemetry=%.4f, per-job=%.4f", k, teleForfeit[k], cs)
+		}
+	}
+	for k := range teleSaved {
+		if _, ok := saved[k]; !ok {
+			saved[k] = 0
+		}
+	}
+	for k, cs := range saved {
+		if !closeTo(teleSaved[k], cs) {
+			t.Errorf("%+v: reuse saved container-seconds telemetry=%.4f, matched decisions=%.4f", k, teleSaved[k], cs)
 		}
 	}
 
@@ -155,4 +213,9 @@ func TestExplainTelemetryReconciliation(t *testing.T) {
 	if len(reasons) < 3 {
 		t.Errorf("only %d distinct miss reasons exercised: %v", len(reasons), reasons)
 	}
+}
+
+// closeTo compares container-second totals summed in different orders.
+func closeTo(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b))
 }

@@ -11,6 +11,7 @@ import (
 	"cloudviews/internal/cluster"
 	"cloudviews/internal/core"
 	"cloudviews/internal/data"
+	"cloudviews/internal/explain"
 	"cloudviews/internal/fault"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/workload"
@@ -100,14 +101,8 @@ func TestViewReadFaultFallsBackToRecompute(t *testing.T) {
 	if gf, wf := consumer.Output.Fingerprint(), builder.Output.Fingerprint(); gf != wf {
 		t.Error("fallback recompute changed the job's answer")
 	}
-	var sawFallback bool
-	for _, ev := range consumer.Trace.Events() {
-		if ev.Kind == "view.fallback" {
-			sawFallback = true
-		}
-	}
-	if !sawFallback {
-		t.Error("trace missing view.fallback event")
+	if !hasDecision(consumer.Explain, explain.ReasonFallback) {
+		t.Errorf("no fallback decision: %+v", consumer.Explain.Decisions())
 	}
 	if export := eng.Metrics.ExportString(); !strings.Contains(export, "cloudviews_reuse_fallbacks_total 1") {
 		t.Error("metrics export missing reuse-fallback counter")

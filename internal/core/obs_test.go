@@ -7,6 +7,7 @@ import (
 
 	"cloudviews/internal/cluster"
 	"cloudviews/internal/core"
+	"cloudviews/internal/explain"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/obs"
 	"cloudviews/internal/workload"
@@ -14,8 +15,8 @@ import (
 
 // TestJobTraceCoverage asserts the acceptance-level trace contract: a
 // submitted job's trace covers parse→bind→insights→optimize→queue→execute
-// (→materialize→seal for builders) and carries at least one view-decision
-// event.
+// (→materialize→seal for builders), and the job's reuse decisions are in its
+// explain record.
 func TestJobTraceCoverage(t *testing.T) {
 	eng, _ := miniWorld(t)
 	clock := fixtures.Epoch
@@ -47,8 +48,8 @@ func TestJobTraceCoverage(t *testing.T) {
 			t.Errorf("reuser trace missing span %q:\n%s", span, reuser.Trace.Render())
 		}
 	}
-	if !hasEvent(reuser.Trace.Events(), "view.matched") {
-		t.Errorf("reuser trace has no view.matched event:\n%s", reuser.Trace.Render())
+	if !hasDecision(reuser.Explain, explain.ReasonMatched) {
+		t.Errorf("reuser has no matched decision: %+v", reuser.Explain.Decisions())
 	}
 	if r := reuser.Trace.Render(); !strings.Contains(r, "trace reuser") {
 		t.Errorf("render missing job id:\n%s", r)
@@ -58,6 +59,15 @@ func TestJobTraceCoverage(t *testing.T) {
 func hasEvent(evs []obs.Event, kind string) bool {
 	for _, e := range evs {
 		if e.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
+
+func hasDecision(rec *explain.Recorder, reason explain.Reason) bool {
+	for _, d := range rec.Decisions() {
+		if d.Reason == reason {
 			return true
 		}
 	}
@@ -148,15 +158,9 @@ func TestExpiredViewRebuiltWithoutGC(t *testing.T) {
 	if len(rebuilder.Compile.Proposed) != 1 {
 		t.Fatalf("expired signature still blocked without GC: proposed=%d", len(rebuilder.Compile.Proposed))
 	}
-	// The rejection reason must be visible in the rebuilder's trace.
-	found := false
-	for _, ev := range rebuilder.Trace.Events() {
-		if ev.Kind == "view.rejected" && strings.Contains(ev.Detail, "reason=expired") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no view.rejected reason=expired event:\n%s", rebuilder.Trace.Render())
+	// The rejection reason must be visible in the rebuilder's decisions.
+	if !hasDecision(rebuilder.Explain, explain.ReasonExpired) {
+		t.Errorf("no expired decision: %+v", rebuilder.Explain.Decisions())
 	}
 
 	clock = clock.Add(30 * time.Minute) // past the new seal point, within TTL

@@ -298,7 +298,7 @@ type Executor struct {
 	// of (seed, job, signature) regardless of execution interleaving.
 	Faults *fault.Injector
 	JobID  string
-	// Trace, when set, receives fault/recovery events (nil-safe).
+	// Trace, when set, receives spool-write failure events (nil-safe).
 	Trace *obs.Trace
 
 	res RunResult
@@ -621,12 +621,8 @@ func (ex *Executor) evalViewScan(x *plan.ViewScan) (nodeResult, error) {
 		// The artifact is unreadable — injected corruption or genuinely gone
 		// (e.g. expired between compile and execute). Reuse must never fail
 		// a job: transparently recompute the replaced subexpression instead.
+		// The engine records the fallback decision from FallbackSigs.
 		if x.Fallback != nil {
-			reason := "unavailable"
-			if injected {
-				reason = "injected"
-			}
-			ex.Trace.Event("view.fallback", fmt.Sprintf("sig=%s reason=%s", sig.Short(), reason))
 			ex.res.ReuseFallbacks++
 			ex.res.FallbackSigs = append(ex.res.FallbackSigs, sig)
 			return ex.eval(x.Fallback)

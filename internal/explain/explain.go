@@ -22,8 +22,8 @@ import (
 )
 
 // Reason is the closed enum of reuse-decision reasons. Every decision point
-// in the system maps onto exactly one of these; free-text reasons are a lint
-// failure (see the root package's explain lint test).
+// in the system maps onto exactly one of these, and a Decision is the only
+// record of it: no trace event restates it.
 type Reason string
 
 const (

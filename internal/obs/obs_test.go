@@ -13,7 +13,7 @@ func TestTraceSpansAndEvents(t *testing.T) {
 	tr := NewTrace("job-1", epoch)
 	tr.Span("parse", 0)
 	tr.Span("insights", 40*time.Millisecond)
-	tr.Event("view.matched", "sig=abc")
+	tr.Event("view.proposed", "sig=abc")
 	tr.Span("optimize", 0)
 	tr.SpanAt("queue:cluster", epoch.Add(time.Second), 2*time.Second)
 
@@ -36,7 +36,7 @@ func TestTraceSpansAndEvents(t *testing.T) {
 	}
 
 	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Kind != "view.matched" || evs[0].Detail != "sig=abc" {
+	if len(evs) != 1 || evs[0].Kind != "view.proposed" || evs[0].Detail != "sig=abc" {
 		t.Fatalf("unexpected events %+v", evs)
 	}
 	if !evs[0].At.Equal(epoch.Add(40 * time.Millisecond)) {
@@ -48,7 +48,7 @@ func TestTraceSpansAndEvents(t *testing.T) {
 	}
 
 	r := tr.Render()
-	for _, want := range []string{"trace job-1", "parse", "view.matched", "queue:cluster"} {
+	for _, want := range []string{"trace job-1", "parse", "view.proposed", "queue:cluster"} {
 		if !strings.Contains(r, want) {
 			t.Errorf("Render missing %q:\n%s", want, r)
 		}
@@ -171,7 +171,7 @@ func TestTraceConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				tr.Span("execute", time.Millisecond)
-				tr.Event("view.matched", "x")
+				tr.Event("view.proposed", "x")
 				_ = tr.Render()
 			}
 		}()

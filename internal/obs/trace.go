@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the CloudViews reproduction:
-// per-job traces that explain every reuse decision the feedback loop made,
-// and a process-wide metrics registry with a deterministic Prometheus-text
-// export. The paper's central operational lesson (§4–§5) is that computation
+// per-job traces that lay out each job's timeline (the reuse decisions
+// themselves are recorded once, by package explain), and a process-wide
+// metrics registry with a deterministic Prometheus-text export. The paper's central operational lesson (§4–§5) is that computation
 // reuse survived production because the team could SEE the loop working —
 // per-job telemetry, insights round-trip latency, view lifecycle counters —
 // so this package is deliberately boring: append-only traces in simulated
@@ -33,21 +33,21 @@ type Span struct {
 	Seq int
 }
 
-// Event is one decision point: a view matched, a candidate rejected (and
-// why), a lock lost, a control disabled.
+// Event is one point on a job's timeline: annotations served, a view
+// proposed or abandoned, a spool write failed, a job retried.
 type Event struct {
 	Kind   string
 	Detail string
 	At     time.Time
 	Seq    int
-	// Value carries an optional machine-readable quantity in seconds
-	// (estimated work saved by a matched view, backoff paid by a retry), so
-	// downstream analyzers never parse Detail strings. Zero when the event
-	// has no quantity; not rendered, so Render output is unchanged.
+	// Value carries an optional machine-readable quantity in seconds (the
+	// recompile and backoff a retry paid), so downstream analyzers never
+	// parse Detail strings. Zero when the event has no quantity; not
+	// rendered, so Render output is unchanged.
 	Value float64
 }
 
-// Trace accumulates the spans and decision events of one job. All methods
+// Trace accumulates the spans and events of one job. All methods
 // are safe on a nil receiver (they no-op), so instrumented code never needs
 // to check whether tracing is enabled, and safe for concurrent use.
 type Trace struct {
@@ -107,12 +107,12 @@ func (t *Trace) SpanAt(name string, at time.Time, d time.Duration) {
 	t.seq++
 }
 
-// Event records a decision event at the current cursor.
+// Event records an event at the current cursor.
 func (t *Trace) Event(kind, detail string) {
 	t.EventV(kind, detail, 0)
 }
 
-// EventV records a decision event carrying a numeric quantity (seconds) that
+// EventV records an event carrying a numeric quantity (seconds) that
 // telemetry analyzers can aggregate without parsing the detail string.
 func (t *Trace) EventV(kind, detail string, value float64) {
 	if t == nil {

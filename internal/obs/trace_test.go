@@ -29,8 +29,8 @@ func TestTraceZeroSpansRender(t *testing.T) {
 
 func TestTraceEventValue(t *testing.T) {
 	tr := NewTrace("j", traceEpoch)
-	tr.EventV("view.matched", "sig=x", 12.5)
-	tr.Event("view.rejected", "reason=cost")
+	tr.EventV("job.retry", "attempt=1", 12.5)
+	tr.Event("view.proposed", "sig=x")
 	evs := tr.Events()
 	if len(evs) != 2 || evs[0].Value != 12.5 || evs[1].Value != 0 {
 		t.Fatalf("events = %+v", evs)
@@ -60,7 +60,7 @@ func TestTraceConcurrentSpanFinish(t *testing.T) {
 				case 1:
 					tr.SpanAt("seal", traceEpoch, time.Second)
 				default:
-					tr.EventV("view.matched", "sig=x", 1)
+					tr.EventV("job.retry", "attempt=1", 1)
 				}
 			}
 		}(g)
@@ -92,7 +92,7 @@ func TestTraceRenderStableWithTiedTimestamps(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		// Zero-duration spans: every span and event lands on the same instant.
 		tr.Span(fmt.Sprintf("optimize:rule-%d", i), 0)
-		tr.Event("view.rejected", fmt.Sprintf("reason=cost i=%d", i))
+		tr.Event("view.abandoned", fmt.Sprintf("reason=seal-failed i=%d", i))
 	}
 	first := tr.Render()
 	for i := 1; i < 100; i++ {

@@ -30,12 +30,13 @@ type Optimizer struct {
 	Guard *guard.Guard
 	// MaxViewsPerJob is the user control bounding spools per job (0 = 4).
 	MaxViewsPerJob int
-	// Trace, when set, receives the compile-phase spans and every
-	// view-reuse decision (matched, rejected + reason, proposed).
+	// Trace, when set, receives the compile-phase spans and the timeline
+	// events that are not reuse decisions (annotations served, views
+	// proposed).
 	Trace *obs.Trace
-	// Explain, when set, receives a structured explain.Decision for every
-	// reuse decision point — the typed counterpart of the Trace strings.
-	// Nil-safe: a disabled observability stack carries a nil recorder.
+	// Explain, when set, receives the one record of every reuse decision: an
+	// explain.Decision per decision point. Nil-safe: a disabled
+	// observability stack carries a nil recorder.
 	Explain *explain.Recorder
 }
 
@@ -164,13 +165,11 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 		enabled = disabledBy == ""
 	}
 	if !enabled {
-		o.Trace.Event("reuse.disabled", "controls disabled CloudViews for this job")
 		o.Explain.Record("", "", explain.ReasonPolicyFlight, 0, explain.PolicyDetail(disabledBy))
 	} else if !o.Guard.AllowReuse(opts.VC, opts.JobID) {
 		// The guard's per-VC kill switch: the job compiles without reuse,
 		// exactly as if the VC had opted out — degraded, never wrong.
 		enabled = false
-		o.Trace.Event("reuse.disabled", "guard kill switch disabled CloudViews for this VC")
 		o.Explain.Record("", "", explain.ReasonVCKilled, 0, explain.DetailKillSwitch)
 	}
 	res.ReuseEnabled = enabled
@@ -286,20 +285,11 @@ func (k *jobNodes) withChildren(n plan.Node, rec func(plan.Node) plan.Node) plan
 	return m
 }
 
-// reject is the single choke point for candidate-view rejections: it emits
-// the view.rejected trace event (detail format unchanged — "sig=… reason=…")
-// and records the structured decision. The root package's explain lint test
-// pins the "view.rejected" literal to this file so no call site can bypass
-// the reason enum.
-func (o *Optimizer) reject(sig signature.Sig, candidate string, reason explain.Reason, saved float64, detail string) {
-	o.Trace.Event("view.rejected", fmt.Sprintf("sig=%s reason=%s", sig.Short(), reason))
-	o.Explain.Record(sig, candidate, reason, saved, detail)
-}
-
 // matchViews replaces available materialized subexpressions with ViewScans,
 // top-down so the largest match wins. The plan with the view is adopted only
 // if its cost is lower (with runtime history this reduces to comparing the
-// view read cost against the observed recompute cost).
+// view read cost against the observed recompute cost). Every candidate it
+// considers leaves exactly one explain decision.
 func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, known *jobNodes, res *CompileResult) plan.Node {
 	var rec func(n plan.Node) plan.Node
 	rec = func(n plan.Node) plan.Node {
@@ -308,36 +298,33 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 			view, state := o.Store.Status(s.Strict)
 			switch {
 			case state == storage.StateAbsent || state == storage.StatePending:
-				// No artifact yet. Structured-only classification (no trace
-				// event existed for this case and none is added): the
-				// candidate either was never selected by the insights view
-				// selection, or is selected and awaiting its first build.
+				// No artifact yet: the candidate either was never selected by
+				// the insights view selection, or is selected and awaiting its
+				// first build.
 				if o.Explain != nil {
-					if _, selected := annSet[s.Recurring]; !selected {
-						o.Explain.Record(s.Strict, n.OpName(), explain.ReasonNoAnnotation, 0, "")
-					} else {
-						o.Explain.Record(s.Strict, n.OpName(), explain.ReasonNotMaterialized, 0, explain.DetailSelectedNotBuilt)
+					reason, detail := explain.ReasonNoAnnotation, ""
+					if _, selected := annSet[s.Recurring]; selected {
+						reason, detail = explain.ReasonNotMaterialized, explain.DetailSelectedNotBuilt
 					}
+					o.Explain.Record(s.Strict, n.OpName(), reason, 0, detail)
 				}
 			case !o.Guard.AllowMatch(opts.VC, opts.JobID, s.Recurring):
 				// Quarantined by a circuit breaker: skip this view, keep
 				// descending — smaller healthy matches below still apply.
-				o.reject(s.Strict, n.OpName(), explain.ReasonGuardQuarantine, o.savedIfExplaining(n, s.Recurring, &view), "")
+				o.Explain.Record(s.Strict, n.OpName(), explain.ReasonGuardQuarantine, o.savedIfExplaining(n, s.Recurring, &view), "")
 			case !state.Servable():
 				// Expired, or not readable yet (unsealed/sealing) — the state
 				// collapses onto the closed reason enum.
-				o.reject(s.Strict, n.OpName(), explain.ReasonForState(state.String()), o.savedIfExplaining(n, s.Recurring, &view), "")
+				o.Explain.Record(s.Strict, n.OpName(), explain.ReasonForState(state.String()), o.savedIfExplaining(n, s.Recurring, &view), "")
 			default:
 				wins, saved := o.viewWins(n, s.Recurring, &view)
 				if !wins {
-					o.reject(s.Strict, n.OpName(), explain.ReasonCost, saved, "")
+					o.Explain.Record(s.Strict, n.OpName(), explain.ReasonCost, saved, "")
 					break
 				}
-				// The event value carries the estimated container-seconds of
-				// recomputation the view avoids, so the telemetry
-				// critical-path analyzer can aggregate "time saved by reuse"
-				// without parsing details.
-				o.Trace.EventV("view.matched", fmt.Sprintf("sig=%s op=%s rows=%d", s.Strict.Short(), n.OpName(), view.Rows), saved)
+				// The decision carries the estimated container-seconds of
+				// recomputation the view avoids: telemetry's "time saved by
+				// reuse" is the sum of these.
 				o.Explain.Record(s.Strict, n.OpName(), explain.ReasonMatched, saved, "")
 				res.Matched = append(res.Matched, MatchedView{
 					Strict:     s.Strict,
@@ -387,7 +374,8 @@ func (o *Optimizer) viewWins(n plan.Node, recurring signature.Sig, view *storage
 // savedIfExplaining estimates the container-seconds a rejected candidate
 // would have saved — but only when an explain recorder is attached: the
 // estimate can walk the subtree when there is no runtime history, and the
-// rejection paths that need it are not worth that cost for tracing alone.
+// rejection paths that need it are not worth that cost when nothing records
+// the decision.
 func (o *Optimizer) savedIfExplaining(n plan.Node, recurring signature.Sig, view *storage.View) float64 {
 	if o.Explain == nil {
 		return 0
@@ -433,7 +421,7 @@ func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[s
 			return n
 		}
 		if !o.Insights.AcquireViewLock(s.Strict, opts.JobID) {
-			o.reject(s.Strict, n.OpName(), explain.ReasonLockHeld, 0, "")
+			o.Explain.Record(s.Strict, n.OpName(), explain.ReasonLockHeld, 0, "")
 			return n
 		}
 		// The store derives the path (it owns per-incarnation generations:

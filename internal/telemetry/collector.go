@@ -71,12 +71,14 @@ type Collector struct {
 	alerts  []Alert
 }
 
-// VCAgg is one aggregate of critical-path attribution and reuse misses. A
-// day holds one for the whole day and one per VC; every fold lands in both.
+// VCAgg is one aggregate of critical-path attribution and reuse decisions.
+// A day holds one for the whole day and one per VC; every fold lands in both.
 type VCAgg struct {
-	Jobs          int
-	WallSec       float64
-	Phase         map[string]float64
+	Jobs    int
+	WallSec float64
+	Phase   map[string]float64
+	// ReuseSavedSec is the container-seconds of recomputation the jobs'
+	// matched decisions banked (explain.Decision.SavedCS).
 	ReuseSavedSec float64
 	FaultLossSec  float64
 	// MissReasons counts reuse decisions that missed, by explain reason;
@@ -101,7 +103,6 @@ func (a *VCAgg) addJob(bd Breakdown) {
 	for phase, sec := range bd.Phase {
 		a.Phase[phase] += sec
 	}
-	a.ReuseSavedSec += bd.ReuseSavedSec
 	a.FaultLossSec += bd.FaultLossSec
 }
 
@@ -172,11 +173,13 @@ func (c *Collector) ObserveJob(day int, vc string, tr *obs.Trace) {
 }
 
 // ObserveDecisions folds one finished job's reuse decisions into the day/VC
-// miss-reason aggregates. It visits the recorder in place (no copy) — the
-// data-plane path, called once per job next to ObserveJob. Matched decisions
-// are not misses and contribute nothing; misses count once each, and those
-// with a positive at-stake estimate also add to the forfeited
-// container-seconds ("reuse left on the table").
+// aggregates. It visits the recorder in place (no copy) — the data-plane
+// path, called once per job next to ObserveJob. Matched decisions add their
+// banked container-seconds to ReuseSavedSec, summed per job first and then
+// added to each aggregate; misses count once each, and those with a positive
+// at-stake estimate also add to the forfeited container-seconds ("reuse left
+// on the table"). A retried job's recorder holds only its final attempt, so
+// only reuse that attempt banked is credited.
 func (c *Collector) ObserveDecisions(day int, vc string, rec *explain.Recorder) {
 	if c == nil || rec == nil || rec.Len() == 0 {
 		return
@@ -184,14 +187,19 @@ func (c *Collector) ObserveDecisions(day int, vc string, rec *explain.Recorder) 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	aggs := c.aggsLocked(day, vc)
+	var saved float64
 	rec.ForEach(func(dec explain.Decision) {
 		if !dec.Reason.IsMiss() {
+			saved += dec.SavedCS
 			return
 		}
 		for _, a := range aggs {
 			a.addMiss(string(dec.Reason), dec.SavedCS)
 		}
 	})
+	for _, a := range aggs {
+		a.ReuseSavedSec += saved
+	}
 }
 
 // AddQueueWait charges cluster-schedule queue time onto a day's breakdown.

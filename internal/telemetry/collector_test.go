@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudviews/internal/explain"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/obs"
 )
@@ -14,6 +15,7 @@ import (
 func TestNilCollectorNoOps(t *testing.T) {
 	var c *Collector
 	c.ObserveJob(0, "vc", obs.NewTrace("j", fixtures.Epoch))
+	c.ObserveDecisions(0, "vc", matched(1))
 	c.AddQueueWait(0, "vc", 1)
 	c.AddFaultLoss(0, "vc", 1)
 	if got := c.EndOfDay(0, map[string]float64{"x": 1}); got != nil {
@@ -24,21 +26,28 @@ func TestNilCollectorNoOps(t *testing.T) {
 	}
 }
 
-func jobTrace(saved float64) *obs.Trace {
+// jobTrace is one job's timeline: 1 s of parse, 3 s of execute.
+func jobTrace() *obs.Trace {
 	tr := obs.NewTrace("j", fixtures.Epoch)
 	tr.Span("parse", time.Second)
 	tr.Span("execute:stage-00", 3*time.Second)
-	if saved > 0 {
-		tr.EventV("view.matched", "sig=x", saved)
-	}
 	return tr
+}
+
+// matched is one job's decisions: a single matched view banking saved
+// container-seconds.
+func matched(saved float64) *explain.Recorder {
+	rec := explain.NewRecorder("j", "vc")
+	rec.Record("sig-x", "Filter", explain.ReasonMatched, saved, "")
+	return rec
 }
 
 func TestCollectorAggregation(t *testing.T) {
 	c := NewCollector(Config{})
-	c.ObserveJob(0, "vc-a", jobTrace(5))
-	c.ObserveJob(0, "vc-a", jobTrace(0))
-	c.ObserveJob(0, "vc-b", jobTrace(0))
+	c.ObserveJob(0, "vc-a", jobTrace())
+	c.ObserveDecisions(0, "vc-a", matched(5))
+	c.ObserveJob(0, "vc-a", jobTrace())
+	c.ObserveJob(0, "vc-b", jobTrace())
 	c.AddQueueWait(0, "vc-a", 2.5)
 	c.AddFaultLoss(0, "vc-b", 1.5)
 
@@ -73,6 +82,38 @@ func TestCollectorAggregation(t *testing.T) {
 	}
 }
 
+// TestObserveDecisionsSavedAndMisses: one job's decisions feed both halves of
+// the aggregate. Matched decisions bank their SavedCS; every other reason,
+// a runtime fallback included, counts as a miss and forfeits its estimate.
+// A recorder reset by a job retry credits only the final attempt.
+func TestObserveDecisionsSavedAndMisses(t *testing.T) {
+	rec := explain.NewRecorder("j", "vc")
+	rec.Record("sig-a", "Filter", explain.ReasonMatched, 99, "")
+	rec.Reset() // the failed attempt's decisions are superseded
+	rec.Record("sig-a", "Filter", explain.ReasonMatched, 5, "")
+	rec.Record("sig-b", "Join", explain.ReasonCost, 2, "")
+	rec.Record("sig-c", "Aggregate", explain.ReasonMatched, 1.5, "")
+	rec.Record("sig-c", "Aggregate", explain.ReasonFallback, 1.5, "")
+	rec.Record("sig-d", "Project", explain.ReasonNoAnnotation, 0, "")
+
+	c := NewCollector(Config{})
+	c.ObserveDecisions(3, "vc", rec)
+	d := c.Snapshot().Days[0]
+	for name, agg := range map[string]VCAgg{"day": d.VCAgg, "vc": d.VCs["vc"]} {
+		if agg.ReuseSavedSec != 6.5 {
+			t.Errorf("%s: ReuseSavedSec = %v, want 6.5 (5 + 1.5, the reset attempt's 99 dropped)", name, agg.ReuseSavedSec)
+		}
+		wantMiss := map[string]int{"cost": 1, "fallback": 1, "no-annotation": 1}
+		if !reflect.DeepEqual(agg.MissReasons, wantMiss) {
+			t.Errorf("%s: MissReasons = %v, want %v", name, agg.MissReasons, wantMiss)
+		}
+		wantForfeit := map[string]float64{"cost": 2, "fallback": 1.5}
+		if !reflect.DeepEqual(agg.ForfeitSec, wantForfeit) {
+			t.Errorf("%s: ForfeitSec = %v, want %v", name, agg.ForfeitSec, wantForfeit)
+		}
+	}
+}
+
 func TestCollectorEndOfDayAndAlerts(t *testing.T) {
 	c := NewCollector(Config{Rules: []Rule{
 		{Name: "too-big", Metric: "x", Kind: Above, Threshold: 10, Severity: SevPage},
@@ -104,8 +145,8 @@ func TestCollectorEndOfDayAndAlerts(t *testing.T) {
 func TestCollectorSnapshotSorted(t *testing.T) {
 	c := NewCollector(Config{})
 	c.EndOfDay(0, map[string]float64{"zz": 1, "aa": 2, "mm": 3})
-	c.ObserveJob(2, "vc", jobTrace(0))
-	c.ObserveJob(1, "vc", jobTrace(0))
+	c.ObserveJob(2, "vc", jobTrace())
+	c.ObserveJob(1, "vc", jobTrace())
 	rt := c.Snapshot()
 	for i := 1; i < len(rt.Series); i++ {
 		if rt.Series[i-1].Name >= rt.Series[i].Name {
@@ -126,7 +167,8 @@ func TestCollectorConcurrent(t *testing.T) {
 			defer wg.Done()
 			vc := fmt.Sprintf("vc-%d", g%3)
 			for i := 0; i < 50; i++ {
-				c.ObserveJob(0, vc, jobTrace(1))
+				c.ObserveJob(0, vc, jobTrace())
+				c.ObserveDecisions(0, vc, matched(1))
 				c.AddQueueWait(0, vc, 0.5)
 				c.AddFaultLoss(0, vc, 0.25)
 			}

@@ -54,19 +54,15 @@ type Breakdown struct {
 	WallSec float64
 	// Phase maps phase name → attributed seconds.
 	Phase map[string]float64
-	// ReuseSavedSec is the estimated container-seconds of recomputation
-	// avoided by matched views (from view.matched event values).
-	ReuseSavedSec float64
 	// FaultLossSec is the simulated time lost to fault recovery recorded on
 	// the trace (job-retry backoff + recompile, from job.retry event values).
 	FaultLossSec float64
-	// Event tallies.
-	ViewsMatched, ViewsProposed, Fallbacks, Retries int
 }
 
 // Analyze attributes a job trace's wall span to phases. It is a pure
 // function of the trace: deterministic, and safe to call on a nil trace
-// (returns the zero Breakdown).
+// (returns the zero Breakdown). Reuse decisions are not on the trace; the
+// collector reads them from the job's explain recorder.
 func Analyze(tr *obs.Trace) Breakdown {
 	bd := Breakdown{Phase: make(map[string]float64)}
 	if tr == nil {
@@ -127,17 +123,7 @@ func Analyze(tr *obs.Trace) Breakdown {
 	}
 
 	tr.ForEachEvent(func(ev obs.Event) {
-		switch ev.Kind {
-		case "view.matched":
-			bd.ViewsMatched++
-			bd.ReuseSavedSec += ev.Value
-		case "view.proposed":
-			bd.ViewsProposed++
-		case "view.fallback":
-			bd.Fallbacks++
-			bd.FaultLossSec += ev.Value
-		case "job.retry":
-			bd.Retries++
+		if ev.Kind == "job.retry" {
 			bd.FaultLossSec += ev.Value
 		}
 	})

@@ -23,7 +23,7 @@ func TestAnalyzeNilAndZeroSpan(t *testing.T) {
 		t.Errorf("nil trace: %+v", bd)
 	}
 	tr := obs.NewTrace("j", fixtures.Epoch)
-	tr.Event("view.rejected", "reason=cost")
+	tr.Event("view.proposed", "sig=abc")
 	bd = Analyze(tr)
 	if bd.WallSec != 0 || sumPhases(bd) != 0 {
 		t.Errorf("zero-span trace must yield zero breakdown, got %+v", bd)
@@ -100,23 +100,18 @@ func TestAnalyzeUnknownSpanFamily(t *testing.T) {
 	}
 }
 
+// TestAnalyzeEventTallies: the only event Analyze reads is job.retry, whose
+// value is the recompile and backoff the retry cost; other events on the
+// timeline carry no loss.
 func TestAnalyzeEventTallies(t *testing.T) {
 	tr := obs.NewTrace("j", fixtures.Epoch)
 	tr.Span("execute:stage-00", time.Second)
-	tr.EventV("view.matched", "sig=abc", 12.5)
-	tr.EventV("view.matched", "sig=def", 2.5)
 	tr.Event("view.proposed", "sig=ghi")
-	tr.EventV("view.fallback", "sig=abc", 3)
-	tr.EventV("job.retry", "attempt=2", 7)
+	tr.EventV("job.retry", "attempt=1", 7)
+	tr.EventV("job.retry", "attempt=2", 4.5)
 	bd := Analyze(tr)
-	if bd.ViewsMatched != 2 || bd.ReuseSavedSec != 15 {
-		t.Errorf("matched=%d saved=%v, want 2/15", bd.ViewsMatched, bd.ReuseSavedSec)
-	}
-	if bd.ViewsProposed != 1 || bd.Fallbacks != 1 || bd.Retries != 1 {
-		t.Errorf("proposed=%d fallbacks=%d retries=%d", bd.ViewsProposed, bd.Fallbacks, bd.Retries)
-	}
-	if bd.FaultLossSec != 10 {
-		t.Errorf("FaultLossSec=%v, want 10 (fallback 3 + retry 7)", bd.FaultLossSec)
+	if bd.FaultLossSec != 11.5 {
+		t.Errorf("FaultLossSec=%v, want 11.5 (retries 7 + 4.5)", bd.FaultLossSec)
 	}
 }
 

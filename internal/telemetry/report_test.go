@@ -17,8 +17,8 @@ func demoTelemetry() *RunTelemetry {
 		tr := obs.NewTrace("j", fixtures.Epoch.AddDate(0, 0, day))
 		tr.Span("parse", time.Second)
 		tr.Span("execute:stage-00", 5*time.Second)
-		tr.EventV("view.matched", "sig=x", 2)
 		c.ObserveJob(day, "vc-a", tr)
+		c.ObserveDecisions(day, "vc-a", matched(2))
 		c.AddQueueWait(day, "vc-a", 1)
 		c.EndOfDay(day, map[string]float64{
 			"day_jobs": float64(day + 1), `labeled{vc="a"}`: 10,
