@@ -1,0 +1,48 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden outputs")
+
+// elapsed matches the per-figure wall-clock lines, the only output that
+// differs between runs.
+var elapsed = regexp.MustCompile(`(?m)^\(.* done in .*\)\n`)
+
+// TestFiguresGolden pins Figures 2, 3, 8 and 9 byte-for-byte, timing lines
+// stripped. Regenerate with:
+//
+//	go test ./cmd/cvanalyze -run Golden -update
+func TestFiguresGolden(t *testing.T) {
+	for _, fig := range []string{"2", "3", "8", "9"} {
+		t.Run("fig"+fig, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(&buf, []string{"-fig", fig, "-scale", "0.1"}); err != nil {
+				t.Fatal(err)
+			}
+			got := elapsed.ReplaceAll(buf.Bytes(), nil)
+			golden := filepath.Join("testdata", "fig"+fig+".golden")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("cvanalyze -fig %s drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", fig, golden, got, want)
+			}
+		})
+	}
+}

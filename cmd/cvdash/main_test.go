@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"cloudviews/internal/explain"
-	"cloudviews/internal/fault"
 	"cloudviews/internal/telemetry"
 )
 
@@ -22,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite the golden summary")
 //	go test ./cmd/cvdash -run Golden -update
 func TestSummaryGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, 0.1, 3, 0, 0, fault.Config{}, "", ""); err != nil {
+	if err := run(&buf, []string{"-scale", "0.1", "-days", "3"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,10 +48,10 @@ func TestSummaryGolden(t *testing.T) {
 // needs a total order).
 func TestSummaryDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := run(&a, 0.1, 2, 7, 0, fault.Config{}, "", ""); err != nil {
+	if err := run(&a, []string{"-scale", "0.1", "-days", "2", "-seed", "7"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&b, 0.1, 2, 7, 0, fault.Config{}, "", ""); err != nil {
+	if err := run(&b, []string{"-scale", "0.1", "-days", "2", "-seed", "7"}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -68,11 +67,11 @@ func TestHTMLReport(t *testing.T) {
 	p1 := filepath.Join(dir, "a.html")
 	p2 := filepath.Join(dir, "b.html")
 	var sink bytes.Buffer
-	if err := run(&sink, 0.1, 2, 7, 0, fault.Config{}, p1, ""); err != nil {
+	if err := run(&sink, []string{"-scale", "0.1", "-days", "2", "-seed", "7", "-o", p1}); err != nil {
 		t.Fatal(err)
 	}
 	sink.Reset()
-	if err := run(&sink, 0.1, 2, 7, 0, fault.Config{}, p2, ""); err != nil {
+	if err := run(&sink, []string{"-scale", "0.1", "-days", "2", "-seed", "7", "-o", p2}); err != nil {
 		t.Fatal(err)
 	}
 	a, err := os.ReadFile(p1)
@@ -107,7 +106,7 @@ func TestExplainRollupJSON(t *testing.T) {
 	p1 := filepath.Join(dir, "a.json")
 	p2 := filepath.Join(dir, "b.json")
 	var sink bytes.Buffer
-	if err := run(&sink, 0.1, 2, 7, 0, fault.Config{}, "", p1); err != nil {
+	if err := run(&sink, []string{"-scale", "0.1", "-days", "2", "-seed", "7", "-explain-json", p1}); err != nil {
 		t.Fatal(err)
 	}
 	text := sink.String()
@@ -115,7 +114,7 @@ func TestExplainRollupJSON(t *testing.T) {
 		t.Error("text summary is missing the miss-reason section")
 	}
 	sink.Reset()
-	if err := run(&sink, 0.1, 2, 7, 0, fault.Config{}, "", p2); err != nil {
+	if err := run(&sink, []string{"-scale", "0.1", "-days", "2", "-seed", "7", "-explain-json", p2}); err != nil {
 		t.Fatal(err)
 	}
 	a, err := os.ReadFile(p1)

@@ -29,68 +29,57 @@
 // the recovery did.
 //
 // -guard runs the guardrail chaos experiment instead: one workload, two
-// arms under an identical seeded storage.view.read fault storm targeting one
-// VC's views — unguarded vs guarded by the circuit-breaker / kill-switch
-// subsystem — and prints the comparison figure plus the guard's decision
-// log. The unguarded arm's SLO verdict regresses; the guarded arm's stays
-// green.
+// arms under an identical seeded storage.view.read fault storm targeting the
+// first VC's views over the middle third of the window — unguarded vs
+// guarded by the circuit-breaker / kill-switch subsystem — and prints the
+// comparison figure plus the guard's decision log. The unguarded arm's SLO
+// verdict regresses; the guarded arm's stays green. -faultseed seeds the
+// storm (default 2020); -faults adds its points to both arms on top of it,
+// and -store disk keeps each arm's views under -datadir.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"cloudviews/internal/experiments"
-	"cloudviews/internal/fault"
 	"cloudviews/internal/storage"
 	"cloudviews/internal/storage/durable"
 	"cloudviews/internal/telemetry"
 )
 
 func main() {
-	scale := flag.Float64("scale", 0.25, "workload scale factor (1.0 = paper-sized deployment)")
-	days := flag.Int("days", 0, "override window length in days (0 = scaled default)")
-	series := flag.Bool("series", false, "print the full Figure 6/7 daily series")
-	seed := flag.Uint64("seed", 0, "override workload seed")
-	metrics := flag.Bool("metrics", false, "print the CloudViews arm's system-metrics export")
-	metricsBoth := flag.Bool("metrics-both", false, "print BOTH arms' system-metrics exports side by side")
-	explainFlag := flag.Bool("explain", false, "print the CloudViews arm's fleet-wide reuse miss-reason rollup")
-	report := flag.String("report", "", "write the cvdash HTML health report to this path")
-	faults := flag.String("faults", "", `fault spec, e.g. "stage=0.05,read=0.02,seed=7" (empty = no injection)`)
-	faultSeed := flag.Uint64("faultseed", 0, "override the fault-injection seed (0 = keep spec's seed)")
-	store := flag.String("store", "mem", `view-store backend: "mem" (in-memory) or "disk" (durable WAL+snapshot)`)
-	datadir := flag.String("datadir", "cvsim-data", "data directory for -store=disk (one subdirectory per arm)")
-	guardFlag := flag.Bool("guard", false, "run the guarded-vs-unguarded fault-storm chaos experiment instead of the production window")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "cvsim: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// run parses args, runs the selected experiment and writes its report to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("cvsim", flag.ExitOnError)
+	wf := experiments.RegisterFlags(fs)
+	series := fs.Bool("series", false, "print the full Figure 6/7 daily series")
+	metrics := fs.Bool("metrics", false, "print the CloudViews arm's system-metrics export")
+	metricsBoth := fs.Bool("metrics-both", false, "print BOTH arms' system-metrics exports side by side")
+	explainFlag := fs.Bool("explain", false, "print the CloudViews arm's fleet-wide reuse miss-reason rollup")
+	report := fs.String("report", "", "write the cvdash HTML health report to this path")
+	store := fs.String("store", "mem", `view-store backend: "mem" (in-memory) or "disk" (durable WAL+snapshot)`)
+	datadir := fs.String("datadir", "cvsim-data", "data directory for -store=disk (one subdirectory per arm)")
+	guardFlag := fs.Bool("guard", false, "run the guarded-vs-unguarded fault-storm chaos experiment instead of the production window")
+	fs.Parse(args)
+
+	build := wf.Production
 	if *guardFlag {
-		runGuardExperiment(*scale, *days, *seed, *faultSeed)
-		return
+		build = wf.GuardStorm
 	}
-
-	cfg := experiments.DefaultProduction()
-	if *scale < 1.0 {
-		cfg = cfg.Scale(*scale)
-	}
-	if *days > 0 {
-		cfg.Days = *days
-	}
-	if *seed != 0 {
-		cfg.Profile.Seed = *seed
-	}
-	if *faults != "" {
-		fcfg, err := fault.ParseSpec(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cvsim: -faults: %v\n", err)
-			os.Exit(2)
-		}
-		if *faultSeed != 0 {
-			fcfg.Seed = *faultSeed
-		}
-		cfg.Faults = fcfg
+	cfg, err := build()
+	if err != nil {
+		return err
 	}
 	switch *store {
 	case "mem":
@@ -101,24 +90,36 @@ func main() {
 				return nil, err
 			}
 			rec := eng.Recovery()
-			fmt.Printf("cvsim: %s view store recovered: %d views (%d snapshot, %d WAL records, %d torn tails dropped, %d in-flight abandoned)\n",
+			fmt.Fprintf(w, "cvsim: %s view store recovered: %d views (%d snapshot, %d WAL records, %d torn tails dropped, %d in-flight abandoned)\n",
 				arm, rec.ViewsRecovered, rec.SnapshotsLoaded, rec.RecordsReplayed, rec.TornTailsTruncated, rec.InFlightAbandoned)
 			return eng, nil
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "cvsim: -store must be \"mem\" or \"disk\", got %q\n", *store)
-		os.Exit(2)
+		return fmt.Errorf("-store must be \"mem\" or \"disk\", got %q", *store)
+	}
+	if *guardFlag {
+		// The guarded-vs-unguarded chaos comparison, printed as the figure
+		// the CI chaos gate uploads.
+		fmt.Fprintf(w, "cvsim -guard: %d pipelines, %d VCs, %d days (scale %.2f)\n",
+			cfg.Profile.Pipelines, cfg.Profile.VCs, cfg.Days, wf.Scale)
+		start := time.Now()
+		res, err := experiments.RunGuardComparison(cfg)
+		if err != nil {
+			return fmt.Errorf("-guard: %v", err)
+		}
+		fmt.Fprintf(w, "completed in %v\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(w, experiments.RenderGuardFigure(res))
+		return nil
 	}
 
-	fmt.Printf("cvsim: %d pipelines, %d VCs, %d days (scale %.2f)\n",
-		cfg.Profile.Pipelines, cfg.Profile.VCs, cfg.Days, *scale)
+	fmt.Fprintf(w, "cvsim: %d pipelines, %d VCs, %d days (scale %.2f)\n",
+		cfg.Profile.Pipelines, cfg.Profile.VCs, cfg.Days, wf.Scale)
 	start := time.Now()
 	res, err := experiments.RunProduction(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cvsim: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("completed in %v\n\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "completed in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	if cfg.Faults.Enabled() {
 		var jr, sr, bp, rf int
@@ -130,68 +131,40 @@ func main() {
 			rf += d.CV.ReuseFallbacks
 			fd += d.CV.FaultDelaySec
 		}
-		fmt.Printf("faults (%s): %d job retries, %d stage retries, %d preemptions, %d reuse fallbacks, %.0fs recovery delay\n\n",
+		fmt.Fprintf(w, "faults (%s): %d job retries, %d stage retries, %d preemptions, %d reuse fallbacks, %.0fs recovery delay\n\n",
 			cfg.Faults.Spec(), jr, sr, bp, rf, fd)
 	}
 
 	baseVerdict, cvVerdict := res.Verdicts()
-	fmt.Printf("SLO verdicts: baseline %s, cloudviews %s\n\n", baseVerdict, cvVerdict)
+	fmt.Fprintf(w, "SLO verdicts: baseline %s, cloudviews %s\n\n", baseVerdict, cvVerdict)
 
-	fmt.Println(experiments.RenderTable1(res.Table1))
+	fmt.Fprintln(w, experiments.RenderTable1(res.Table1))
 	if *series {
-		fmt.Println(experiments.RenderFigure6(res))
-		fmt.Println(experiments.RenderFigure7(res))
+		fmt.Fprintln(w, experiments.RenderFigure6(res))
+		fmt.Fprintln(w, experiments.RenderFigure7(res))
 	} else {
 		// Print first/last rows so the shape is visible without -series.
-		fmt.Println("(run with -series for the full Figure 6/7 daily series)")
+		fmt.Fprintln(w, "(run with -series for the full Figure 6/7 daily series)")
 	}
 	if *metrics && !*metricsBoth {
-		fmt.Println("\nSYSTEM METRICS (CloudViews arm, Prometheus text format)")
-		fmt.Print(res.Metrics)
+		fmt.Fprintln(w, "\nSYSTEM METRICS (CloudViews arm, Prometheus text format)")
+		fmt.Fprint(w, res.Metrics)
 	}
 	if *metricsBoth {
-		fmt.Println("\nSYSTEM METRICS (baseline arm, Prometheus text format)")
-		fmt.Print(res.BaseMetrics)
-		fmt.Println("\nSYSTEM METRICS (CloudViews arm, Prometheus text format)")
-		fmt.Print(res.Metrics)
+		fmt.Fprintln(w, "\nSYSTEM METRICS (baseline arm, Prometheus text format)")
+		fmt.Fprint(w, res.BaseMetrics)
+		fmt.Fprintln(w, "\nSYSTEM METRICS (CloudViews arm, Prometheus text format)")
+		fmt.Fprint(w, res.Metrics)
 	}
 	if *explainFlag {
-		fmt.Println()
-		fmt.Print(telemetry.BuildExplainRollup(res.CVTelemetry).RenderExplainText())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, telemetry.BuildExplainRollup(res.CVTelemetry).RenderExplainText())
 	}
 	if *report != "" {
 		if err := os.WriteFile(*report, []byte(res.Report().RenderHTML()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cvsim: -report: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("-report: %v", err)
 		}
-		fmt.Printf("\nwrote health report to %s\n", *report)
+		fmt.Fprintf(w, "\nwrote health report to %s\n", *report)
 	}
-}
-
-// runGuardExperiment is the -guard mode: the guarded-vs-unguarded chaos
-// comparison, printed as the figure the CI chaos gate uploads.
-func runGuardExperiment(scale float64, days int, seed, faultSeed uint64) {
-	cfg := experiments.DefaultGuardComparison()
-	if scale < 1.0 {
-		cfg = cfg.Scale(scale)
-	}
-	if days > 0 {
-		cfg.Days = days
-	}
-	if seed != 0 {
-		cfg.Profile.Seed = seed
-	}
-	if faultSeed != 0 {
-		cfg.FaultSeed = faultSeed
-	}
-	fmt.Printf("cvsim -guard: %d pipelines, %d VCs, %d days (scale %.2f)\n",
-		cfg.Profile.Pipelines, cfg.Profile.VCs, cfg.Days, scale)
-	start := time.Now()
-	res, err := experiments.RunGuardComparison(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cvsim: -guard: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("completed in %v\n\n", time.Since(start).Round(time.Millisecond))
-	fmt.Println(experiments.RenderGuardFigure(res))
+	return nil
 }

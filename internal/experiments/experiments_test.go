@@ -1,9 +1,12 @@
 package experiments_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"cloudviews/internal/experiments"
+	"cloudviews/internal/storage"
 )
 
 // TestProductionShape asserts the Table 1 directions at a reduced scale: all
@@ -244,5 +247,26 @@ func TestConcurrentOpportunityShape(t *testing.T) {
 		if res.Report.Sharings[i].SavedWork > res.Report.Sharings[i-1].SavedWork {
 			t.Fatal("sharings must be sorted by savings")
 		}
+	}
+}
+
+// closeFailingStore is an in-memory view store whose Close fails, the way a
+// durable engine's does when a WAL write was lost during the run.
+type closeFailingStore struct{ *storage.Store }
+
+func (closeFailingStore) Close() error { return errors.New("wal: write failed") }
+
+// TestViewStoreCloseErrorFailsTheRun: the view store's Close is where a
+// durable engine reports a failed write, so an arm whose store fails to close
+// fails the experiment instead of reporting numbers that were never persisted.
+func TestViewStoreCloseErrorFailsTheRun(t *testing.T) {
+	cfg := experiments.DefaultProduction().Scale(0.05)
+	cfg.Days = 2
+	cfg.StoreFactory = func(arm string) (storage.Engine, error) {
+		return closeFailingStore{storage.NewStore(nil)}, nil
+	}
+	_, err := experiments.RunProduction(cfg)
+	if err == nil || !strings.Contains(err.Error(), "baseline arm: closing view store: wal: write failed") {
+		t.Fatalf("RunProduction = %v, want the baseline arm's close error", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"cloudviews/internal/analysis"
-	"cloudviews/internal/catalog"
 	"cloudviews/internal/cluster"
 	"cloudviews/internal/core"
 	"cloudviews/internal/fixtures"
@@ -30,7 +29,7 @@ func RunFigure2(days int, scale float64) ([]Figure2Result, error) {
 	}
 	var out []Figure2Result
 	for _, profile := range scaledProfiles(scale) {
-		repoEngine, gen, err := recordWorkload(profile, days)
+		repoEngine, err := recordWorkload(profile, days)
 		if err != nil {
 			return nil, err
 		}
@@ -42,7 +41,6 @@ func RunFigure2(days int, scale float64) ([]Figure2Result, error) {
 			CDF:      cdf,
 			Top10Pct: analysis.PercentileConsumers(cdf, 0.9),
 		})
-		_ = gen
 	}
 	return out, nil
 }
@@ -65,7 +63,7 @@ func RunFigure3(days int, scale float64) (*Figure3Result, error) {
 	// namespaces so their subexpressions never collide.
 	var engines []*core.Engine
 	for _, profile := range scaledProfiles(scale) {
-		eng, _, err := recordWorkload(profile, days)
+		eng, err := recordWorkload(profile, days)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +118,7 @@ func RunFigure8(days int, scale float64) (*Figure8Result, error) {
 	}
 	res := &Figure8Result{}
 	for _, profile := range scaledProfiles(scale) {
-		eng, _, err := recordWorkload(profile, days)
+		eng, err := recordWorkload(profile, days)
 		if err != nil {
 			return nil, err
 		}
@@ -143,31 +141,11 @@ type Figure9Result struct {
 // windows are real) on a burst-heavy cluster and measures concurrently
 // executing identical joins, split by join algorithm.
 func RunFigure9(scale float64) (*Figure9Result, error) {
-	profile := scaledProfiles(scale)[0] // Cluster1: heaviest sharing
-	profile.Pipelines *= 4              // one big busy cluster-day
-	profile.BurstFraction = 0.6         // burst schedules drive concurrency
-	profile.BurstWindow = 2 * time.Minute
-	cat := catalog.New()
-	gen := workload.NewGenerator(cat, profile)
-	if err := gen.Bootstrap(); err != nil {
+	eng, name, err := runBusyDay(scale)
+	if err != nil {
 		return nil, err
 	}
-	// Cosmos clusters run thousands of jobs concurrently; concurrency, not
-	// queueing, is what this analysis measures, so the cluster is sized
-	// generously.
-	var vcCfgs []cluster.VCConfig
-	for _, vc := range gen.VCNames() {
-		vcCfgs = append(vcCfgs, cluster.VCConfig{Name: vc, Tokens: 4000})
-	}
-	eng := core.NewEngine(core.Config{
-		ClusterName: profile.Name,
-		Catalog:     cat,
-		ClusterCfg:  cluster.Config{Capacity: 50000, VCs: vcCfgs},
-	})
-	if _, err := eng.RunDay(0, gen.JobsForDay(0)); err != nil {
-		return nil, err
-	}
-	stats := analysis.ConcurrentJoins(eng.Repo, fixtures.Epoch, fixtures.Epoch.AddDate(0, 0, 1), profile.Name)
+	stats := analysis.ConcurrentJoins(eng.Repo, fixtures.Epoch, fixtures.Epoch.AddDate(0, 0, 1), name)
 	res := &Figure9Result{
 		Stats:     stats,
 		Histogram: analysis.ConcurrencyHistogram(stats),
@@ -196,13 +174,38 @@ func scaledProfiles(scale float64) []workload.ClusterProfile {
 	return profiles
 }
 
+// runBusyDay executes one full day (with cluster scheduling, so execution
+// windows are real) on a burst-heavy Cluster1, the heaviest sharer, and
+// returns the engine and the cluster's name.
+func runBusyDay(scale float64) (*core.Engine, string, error) {
+	profile := scaledProfiles(scale)[0]
+	profile.Pipelines *= 4      // one big busy cluster-day
+	profile.BurstFraction = 0.6 // burst schedules drive concurrency
+	profile.BurstWindow = 2 * time.Minute
+	// Cosmos clusters run thousands of jobs concurrently; concurrency, not
+	// queueing, is what these analyses measure, so the cluster is sized
+	// generously.
+	cat, gen, vcs, err := bootstrap(profile, 4000)
+	if err != nil {
+		return nil, "", err
+	}
+	eng := core.NewEngine(core.Config{
+		ClusterName: profile.Name,
+		Catalog:     cat,
+		ClusterCfg:  cluster.Config{Capacity: 50000, VCs: vcs},
+	})
+	if _, err := eng.RunDay(0, gen.JobsForDay(0)); err != nil {
+		return nil, "", err
+	}
+	return eng, profile.Name, nil
+}
+
 // recordWorkload bootstraps a cluster and records `days` of compile-only
 // telemetry into a fresh engine.
-func recordWorkload(profile workload.ClusterProfile, days int) (*core.Engine, *workload.Generator, error) {
-	cat := catalog.New()
-	gen := workload.NewGenerator(cat, profile)
-	if err := gen.Bootstrap(); err != nil {
-		return nil, nil, err
+func recordWorkload(profile workload.ClusterProfile, days int) (*core.Engine, error) {
+	cat, gen, _, err := bootstrap(profile, 0)
+	if err != nil {
+		return nil, err
 	}
 	eng := core.NewEngine(core.Config{
 		ClusterName: profile.Name,
@@ -212,14 +215,14 @@ func recordWorkload(profile workload.ClusterProfile, days int) (*core.Engine, *w
 	for day := 0; day < days; day++ {
 		if day > 0 {
 			if err := gen.AdvanceDay(day); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if err := eng.RecordWorkloadDay(day, gen.JobsForDay(day)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return eng, gen, nil
+	return eng, nil
 }
 
 // ConcurrentOpportunityResult is the §5.4 estimate: how much compute
@@ -232,27 +235,10 @@ type ConcurrentOpportunityResult struct {
 // §5.4 savings from pipelining intermediate results between concurrently
 // executing queries.
 func RunConcurrentOpportunity(scale float64) (*ConcurrentOpportunityResult, error) {
-	profile := scaledProfiles(scale)[0]
-	profile.Pipelines *= 4
-	profile.BurstFraction = 0.6
-	profile.BurstWindow = 2 * time.Minute
-	cat := catalog.New()
-	gen := workload.NewGenerator(cat, profile)
-	if err := gen.Bootstrap(); err != nil {
+	eng, name, err := runBusyDay(scale)
+	if err != nil {
 		return nil, err
 	}
-	var vcCfgs []cluster.VCConfig
-	for _, vc := range gen.VCNames() {
-		vcCfgs = append(vcCfgs, cluster.VCConfig{Name: vc, Tokens: 4000})
-	}
-	eng := core.NewEngine(core.Config{
-		ClusterName: profile.Name,
-		Catalog:     cat,
-		ClusterCfg:  cluster.Config{Capacity: 50000, VCs: vcCfgs},
-	})
-	if _, err := eng.RunDay(0, gen.JobsForDay(0)); err != nil {
-		return nil, err
-	}
-	rep := pipelined.EstimateOpportunity(eng.Repo, fixtures.Epoch, fixtures.Epoch.AddDate(0, 0, 1), profile.Name)
+	rep := pipelined.EstimateOpportunity(eng.Repo, fixtures.Epoch, fixtures.Epoch.AddDate(0, 0, 1), name)
 	return &ConcurrentOpportunityResult{Report: rep}, nil
 }

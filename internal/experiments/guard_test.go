@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"cloudviews/internal/fault"
 	"cloudviews/internal/telemetry"
 )
 
 // smallGuardConfig shrinks the guard chaos experiment for the test suite:
 // few pipelines, a 12-day window with the storm in the middle third.
-func smallGuardConfig() GuardComparisonConfig {
+func smallGuardConfig() ProductionConfig {
 	cfg := DefaultGuardComparison()
 	cfg.Profile.Pipelines = 40
 	cfg.Profile.PrefixPool = 24
@@ -89,5 +90,30 @@ func TestGuardComparisonDeterministic(t *testing.T) {
 	}
 	if RenderGuardFigure(a) != RenderGuardFigure(b) {
 		t.Fatal("same seed, different figures")
+	}
+}
+
+// TestStormWrapsFaults: the storm fails only the stormed VC's view reads,
+// only while active, and leaves the configured points' rates alone.
+func TestStormWrapsFaults(t *testing.T) {
+	active := false
+	cfg := withStorm(fault.Config{
+		Seed:  7,
+		Rates: map[fault.Point]float64{fault.StageFail: 1, fault.ViewRead: 0.5},
+	}, "VC1", &active)
+	inj := fault.New(cfg)
+	stormed, other := "views/VC1/abc", "views/VC2/abc"
+	if inj.Should(fault.ViewRead, stormed) {
+		t.Error("storm fired before it was active")
+	}
+	active = true
+	if !inj.Should(fault.ViewRead, stormed) {
+		t.Error("storm spared a stormed VC's view read")
+	}
+	if inj.Should(fault.ViewRead, other) {
+		t.Error("storm hit another VC's view read")
+	}
+	if !inj.Should(fault.StageFail, "job-1") {
+		t.Error("storm dropped a configured point's rate")
 	}
 }

@@ -18,12 +18,15 @@ import (
 	"cloudviews/internal/core"
 	"cloudviews/internal/fault"
 	"cloudviews/internal/fixtures"
+	"cloudviews/internal/guard"
 	"cloudviews/internal/storage"
 	"cloudviews/internal/telemetry"
 	"cloudviews/internal/workload"
 )
 
-// ProductionConfig sizes the Table 1 / Figures 6–7 experiment.
+// ProductionConfig sizes one A/B experiment over a generated workload: the
+// Table 1 / Figures 6–7 production window (DefaultProduction) or the guard
+// storm (DefaultGuardComparison).
 type ProductionConfig struct {
 	Profile workload.ClusterProfile
 	// Days is the window length (paper: two months ≈ 59 days).
@@ -31,27 +34,35 @@ type ProductionConfig struct {
 	// RampDays is the opt-in onboarding period: VCs are enabled tier by tier
 	// over this many days (drives the Figure 6a ramp).
 	RampDays int
-	// AnalysisWindowDays is the trailing window the nightly analysis reads.
-	AnalysisWindowDays int
-	// Capacity / VCTokens size the cluster.
-	Capacity  int
-	VCTokens  int
+	// Capacity sizes the cluster; every VC gets vcTokens tokens.
+	Capacity int
+	// Selection is the nightly analysis's view selection (the ablation
+	// benchmarks vary it).
 	Selection analysis.SelectionConfig
 	// Faults injects deterministic failures into BOTH arms identically
 	// (same seed, same rates), so the A/B comparison stays fair under
-	// chaos. The zero value disables injection.
+	// chaos. The zero value disables injection. The guard storm adds its
+	// view-read storm on top and takes its seed from here.
 	Faults fault.Config
 	// SLORules is the telemetry watchdog's rule list, applied to BOTH arms
 	// (same thresholds, so per-arm verdicts compare like for like). Nil is
-	// telemetry.DefaultRules(), silent on healthy runs.
+	// telemetry.DefaultRules(), silent on healthy runs; the guard storm
+	// derives its own from the workload size (stormRules).
 	SLORules []telemetry.Rule
 	// StoreFactory, when set, supplies each arm's view-store backend (e.g.
-	// a file-backed durable engine rooted in a per-arm data directory).
-	// The arm name is "baseline" or "cloudviews". Engines that implement
-	// io.Closer are closed when the arm finishes. Nil keeps the in-memory
-	// default for both arms.
+	// a file-backed durable engine rooted in a per-arm data directory),
+	// given the arm's name. Engines that implement io.Closer are closed
+	// when the arm finishes, and a failed close fails the run. Nil keeps
+	// the in-memory default for every arm.
 	StoreFactory func(arm string) (storage.Engine, error)
 }
+
+const (
+	// analysisWindow is the trailing window the nightly analysis reads.
+	analysisWindow = 7 * 24 * time.Hour
+	// vcTokens is every VC's token share of the cluster.
+	vcTokens = 12
+)
 
 // DeploymentProfile mirrors the paper's production deployment shape: 21
 // virtual clusters, 619 pipelines, 12 SCOPE runtime versions.
@@ -75,13 +86,11 @@ func DeploymentProfile() workload.ClusterProfile {
 // DefaultProduction is the full two-month configuration.
 func DefaultProduction() ProductionConfig {
 	return ProductionConfig{
-		Profile:            DeploymentProfile(),
-		Days:               59, // Feb 1 – Mar 30, 2020
-		RampDays:           14,
-		AnalysisWindowDays: 7,
-		Capacity:           400,
-		VCTokens:           12,
-		Selection:          analysis.SelectionConfig{ScheduleAware: true, UseBigSubs: true},
+		Profile:   DeploymentProfile(),
+		Days:      59, // Feb 1 – Mar 30, 2020
+		RampDays:  14,
+		Capacity:  400,
+		Selection: analysis.SelectionConfig{ScheduleAware: true, UseBigSubs: true},
 	}
 }
 
@@ -154,14 +163,7 @@ type ProductionResult struct {
 // Verdicts returns the per-arm SLO watchdog verdicts ("OK" or a REGRESSED
 // summary), baseline first.
 func (r *ProductionResult) Verdicts() (base, cv string) {
-	var baseAlerts, cvAlerts []telemetry.Alert
-	if r.BaseTelemetry != nil {
-		baseAlerts = r.BaseTelemetry.Alerts
-	}
-	if r.CVTelemetry != nil {
-		cvAlerts = r.CVTelemetry.Alerts
-	}
-	return telemetry.Verdict(baseAlerts), telemetry.Verdict(cvAlerts)
+	return telemetry.Verdict(r.BaseTelemetry.Alerts), telemetry.Verdict(r.CVTelemetry.Alerts)
 }
 
 // Report assembles the two arms into a cvdash report document.
@@ -186,22 +188,18 @@ type armResult struct {
 	runtimes  map[string]bool
 	pipelines map[string]bool
 	vcs       map[string]bool
-	built     int
-	reused    int
 	metrics   string
 	tele      *telemetry.RunTelemetry
+	// guardLog is the guard's decision log; empty when the guard is off.
+	guardLog string
 }
 
 // RunProduction executes the same generated workload twice — baseline and
 // CloudViews-enabled — and assembles Table 1 plus the Figure 6/7 series.
 func RunProduction(cfg ProductionConfig) (*ProductionResult, error) {
-	base, err := runArm(cfg, false)
+	base, cv, err := runPair(cfg, arm{name: "baseline"}, arm{name: "cloudviews", reuse: true})
 	if err != nil {
-		return nil, fmt.Errorf("baseline arm: %w", err)
-	}
-	cv, err := runArm(cfg, true)
-	if err != nil {
-		return nil, fmt.Errorf("cloudviews arm: %w", err)
+		return nil, err
 	}
 
 	res := &ProductionResult{
@@ -220,12 +218,12 @@ func RunProduction(cfg ProductionConfig) (*ProductionResult, error) {
 	t.Pipelines = len(cv.pipelines)
 	t.VirtualClusters = len(cv.vcs)
 	t.RuntimeVersions = len(cv.runtimes)
-	t.ViewsCreated = cv.built
-	t.ViewsUsed = cv.reused
 
 	var bl, cl, bp, cp, bb, cb float64
 	var bc, cc, bi, ci, bd, cd, bq, cq int64
 	for i := range base.days {
+		t.ViewsCreated += cv.days[i].ViewsBuilt
+		t.ViewsUsed += cv.days[i].ViewsReused
 		bl += base.days[i].LatencySec
 		cl += cv.days[i].LatencySec
 		bp += base.days[i].ProcessingSec
@@ -281,43 +279,85 @@ func medianImprovement(base, cv map[string]float64, qualified map[string]bool) f
 	return imps[len(imps)/2]
 }
 
-func runArm(cfg ProductionConfig, enable bool) (*armResult, error) {
+// arm is one side of an A/B run: what differs between two runs of the same
+// configuration.
+type arm struct {
+	// name labels the arm's errors and names its view store.
+	name string
+	// reuse onboards the VCs over the ramp and runs the nightly analysis;
+	// the baseline arm does neither.
+	reuse bool
+	// guarded turns the guard subsystem on.
+	guarded bool
+	// storm adds the view-read fault storm (withStorm) to cfg.Faults.
+	storm bool
+}
+
+// runPair runs arms a and b over the same configuration, one after the other.
+func runPair(cfg ProductionConfig, a, b arm) (ra, rb *armResult, err error) {
+	if ra, err = runArm(cfg, a); err != nil {
+		return nil, nil, fmt.Errorf("%s arm: %w", a.name, err)
+	}
+	if rb, err = runArm(cfg, b); err != nil {
+		return nil, nil, fmt.Errorf("%s arm: %w", b.name, err)
+	}
+	return ra, rb, nil
+}
+
+// bootstrap generates profile's catalog and day-0 data and gives every VC
+// tokens tokens.
+func bootstrap(profile workload.ClusterProfile, tokens int) (*catalog.Catalog, *workload.Generator, []cluster.VCConfig, error) {
 	cat := catalog.New()
-	gen := workload.NewGenerator(cat, cfg.Profile)
+	gen := workload.NewGenerator(cat, profile)
 	if err := gen.Bootstrap(); err != nil {
+		return nil, nil, nil, err
+	}
+	var vcs []cluster.VCConfig
+	for _, vc := range gen.VCNames() {
+		vcs = append(vcs, cluster.VCConfig{Name: vc, Tokens: tokens})
+	}
+	return cat, gen, vcs, nil
+}
+
+// runArm builds one engine for the arm and runs cfg's window of days on it.
+func runArm(cfg ProductionConfig, a arm) (res *armResult, err error) {
+	cat, gen, vcCfgs, err := bootstrap(cfg.Profile, vcTokens)
+	if err != nil {
 		return nil, err
 	}
 	vcNames := gen.VCNames()
-	var vcCfgs []cluster.VCConfig
-	for _, vc := range vcNames {
-		vcCfgs = append(vcCfgs, cluster.VCConfig{Name: vc, Tokens: cfg.VCTokens})
-	}
 	var store storage.Engine
 	if cfg.StoreFactory != nil {
-		name := "baseline"
-		if enable {
-			name = "cloudviews"
-		}
-		var err error
-		store, err = cfg.StoreFactory(name)
-		if err != nil {
-			return nil, fmt.Errorf("opening %s view store: %w", name, err)
+		if store, err = cfg.StoreFactory(a.name); err != nil {
+			return nil, fmt.Errorf("opening %s view store: %w", a.name, err)
 		}
 		if closer, ok := store.(io.Closer); ok {
-			defer closer.Close()
+			defer func() {
+				if cerr := closer.Close(); cerr != nil && err == nil {
+					res, err = nil, fmt.Errorf("closing view store: %w", cerr)
+				}
+			}()
 		}
+	}
+	// The storm flag flips between the serial RunDay calls, so the fault
+	// schedule stays deterministic.
+	stormActive := false
+	faults := cfg.Faults
+	if a.storm && len(vcNames) > 0 {
+		faults = withStorm(faults, vcNames[0], &stormActive)
 	}
 	eng := core.NewEngine(core.Config{
 		ClusterName:   cfg.Profile.Name,
 		Catalog:       cat,
 		ClusterCfg:    cluster.Config{Capacity: cfg.Capacity, VCs: vcCfgs},
 		Selection:     cfg.Selection,
-		Faults:        cfg.Faults,
+		Faults:        faults,
 		SLORules:      cfg.SLORules,
+		Guard:         guard.Config{Enabled: a.guarded, BreakerMinFallbacks: stormBreakerMinFallbacks},
 		StorageEngine: store,
 	})
 
-	arm := &armResult{
+	res = &armResult{
 		jobLat:    make(map[string]float64),
 		qualified: make(map[string]bool),
 		runtimes:  make(map[string]bool),
@@ -332,7 +372,7 @@ func runArm(cfg ProductionConfig, enable bool) (*armResult, error) {
 			}
 		}
 		// Opt-in onboarding: enable VC tiers gradually over the ramp.
-		if enable {
+		if a.reuse {
 			target := len(vcNames)
 			if cfg.RampDays > 0 && day < cfg.RampDays {
 				target = (day + 1) * len(vcNames) / cfg.RampDays
@@ -341,18 +381,15 @@ func runArm(cfg ProductionConfig, enable bool) (*armResult, error) {
 				eng.OnboardVC(vcNames[onboarded])
 			}
 		}
-		jobs := gen.JobsForDay(day)
-		m, err := eng.RunDay(day, jobs)
+		stormActive = inStorm(cfg, day)
+		m, err := eng.RunDay(day, gen.JobsForDay(day))
 		if err != nil {
 			return nil, err
 		}
-		arm.days = append(arm.days, m)
-		arm.built += m.ViewsBuilt
-		arm.reused += m.ViewsReused
-		if enable {
-			win := time.Duration(cfg.AnalysisWindowDays) * 24 * time.Hour
+		res.days = append(res.days, m)
+		if a.reuse {
 			to := fixtures.Epoch.AddDate(0, 0, day+1)
-			eng.RunAnalysis(to.Add(-win), to)
+			eng.RunAnalysis(to.Add(-analysisWindow), to)
 		}
 	}
 	qualifiedTemplates := make(map[string]bool)
@@ -362,15 +399,18 @@ func runArm(cfg ProductionConfig, enable bool) (*armResult, error) {
 		}
 	}
 	for _, j := range eng.Repo.Jobs() {
-		arm.jobLat[j.JobID] = j.LatencySec
+		res.jobLat[j.JobID] = j.LatencySec
 		if qualifiedTemplates[string(j.Template)] {
-			arm.qualified[j.JobID] = true
+			res.qualified[j.JobID] = true
 		}
-		arm.runtimes[j.Runtime] = true
-		arm.pipelines[j.Pipeline] = true
-		arm.vcs[j.VC] = true
+		res.runtimes[j.Runtime] = true
+		res.pipelines[j.Pipeline] = true
+		res.vcs[j.VC] = true
 	}
-	arm.metrics = eng.Metrics.ExportString()
-	arm.tele = eng.Telemetry.Snapshot()
-	return arm, nil
+	res.metrics = eng.Metrics.ExportString()
+	res.tele = eng.Telemetry.Snapshot()
+	if g := eng.Guard(); g != nil {
+		res.guardLog = g.RenderLog()
+	}
+	return res, nil
 }
