@@ -211,7 +211,7 @@ func run(w io.Writer, days int, scale float64, top int) error {
 	}
 
 	// --- Workload compression (§5.2) ---------------------------------------
-	cres := compress.Compress(repo, from, to, compress.Options{TargetCoverage: 0.95})
+	cres := compress.Compress(repo, from, to)
 	fmt.Fprintln(w, "\nWORKLOAD COMPRESSION (pre-production representative set)")
 	fmt.Fprintf(w, "  representative templates  %6d (%.1f%% of all templates)\n",
 		len(cres.Representatives), 100*cres.CompressionRatio)

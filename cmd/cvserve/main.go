@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -106,7 +107,7 @@ func run(addr, cluster string, capacity int, tokenSpec, adminToken string,
 	switch store {
 	case "mem":
 	case "disk":
-		eng, err := durable.Open(datadir, durable.Options{})
+		eng, err := durable.Open(datadir)
 		if err != nil {
 			return fmt.Errorf("open durable store: %w", err)
 		}
@@ -121,17 +122,11 @@ func run(addr, cluster string, capacity int, tokenSpec, adminToken string,
 
 	sys, err := cloudviews.NewSystem(cfg)
 	if err != nil {
+		if closeStorage != nil {
+			err = errors.Join(err, closeStorage())
+		}
 		return err
 	}
-	if demo {
-		if err := publishDemo(sys); err != nil {
-			return err
-		}
-		for _, vc := range tokens {
-			sys.OnboardVC(vc)
-		}
-	}
-
 	srv, err := server.New(server.Config{
 		System:             sys,
 		Tokens:             tokens,
@@ -146,30 +141,44 @@ func run(addr, cluster string, capacity int, tokenSpec, adminToken string,
 	if err != nil {
 		return err
 	}
+	// From here on every exit runs srv.Shutdown: accepted jobs drain and
+	// the storage engine closes.
+	if demo {
+		if err := publishDemo(sys); err != nil {
+			return errors.Join(err, srv.Shutdown())
+		}
+		for _, vc := range tokens {
+			sys.OnboardVC(vc)
+		}
+	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return errors.Join(err, srv.Shutdown())
+	}
+	fmt.Printf("cvserve: listening on %s (%d tenants, store=%s)\n", addr, len(tokens), store)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	return serve(ctx, &http.Server{Handler: srv.Handler()}, ln, srv, 30*time.Second)
+}
 
+// serve runs httpSrv on ln until it fails or ctx is done. Either way it then
+// stops in srv.Shutdown's order: close the listener and wait up to grace for
+// in-flight handlers, then drain the workers and close storage. The drain
+// runs even when the wait times out, for example behind a ?wait=1 long-poll
+// that outlives grace, and the errors of both steps are joined.
+func serve(ctx context.Context, httpSrv *http.Server, ln net.Listener, srv *server.Server, grace time.Duration) error {
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("cvserve: listening on %s (%d tenants, store=%s)\n", addr, len(tokens), store)
-
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	select {
 	case err := <-errCh:
-		return err
+		return errors.Join(err, srv.Shutdown())
 	case <-ctx.Done():
 	}
-
-	// Graceful stop: close the listener and wait for in-flight handlers,
-	// then drain workers and close storage (srv.Shutdown's ordering).
 	fmt.Println("cvserve: shutting down (stop accepting → drain workers → close storage)")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
-	return srv.Shutdown()
+	return errors.Join(httpSrv.Shutdown(shutdownCtx), srv.Shutdown())
 }
 
 // publishDemo registers the Events dataset the README quick-start queries.

@@ -85,7 +85,7 @@ func run(w io.Writer, args []string) error {
 	case "mem":
 	case "disk":
 		cfg.StoreFactory = func(arm string) (storage.Engine, error) {
-			eng, err := durable.Open(filepath.Join(*datadir, arm), durable.Options{})
+			eng, err := durable.Open(filepath.Join(*datadir, arm))
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"cloudviews"
+	"cloudviews/internal/cluster"
+	"cloudviews/internal/experiments"
 	"cloudviews/internal/server"
 )
 
@@ -24,9 +26,10 @@ func knobs(t reflect.Type) int {
 	return n
 }
 
-// TestConfigCensus pins how many options the library and the server expose,
-// so a new one cannot arrive without a visible edit here. Run with -v to
-// print the counts (CI records them beside the non-test line count).
+// TestConfigCensus pins how many options the library, the server, its client,
+// the cluster simulator and the paper's experiments expose, so a new one
+// cannot arrive without a visible edit here. Run with -v to print the counts
+// (CI records them beside the non-test line count).
 func TestConfigCensus(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -34,7 +37,10 @@ func TestConfigCensus(t *testing.T) {
 		want int
 	}{
 		{"cloudviews.Config", reflect.TypeOf(cloudviews.Config{}), 16},
-		{"server.Config", reflect.TypeOf(server.Config{}), 15},
+		{"server.Config", reflect.TypeOf(server.Config{}), 10},
+		{"server.Client", reflect.TypeOf(server.Client{}), 4},
+		{"cluster.Config", reflect.TypeOf(cluster.Config{}), 2},
+		{"experiments.ProductionConfig", reflect.TypeOf(experiments.ProductionConfig{}), 26},
 	} {
 		got := knobs(tc.typ)
 		t.Logf("%s: %d knobs", tc.name, got)

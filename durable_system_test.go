@@ -17,7 +17,7 @@ import (
 // engine, to simulate a hard kill).
 func durableSystem(t *testing.T, dir string, faults cloudviews.FaultConfig) (*cloudviews.System, *durable.Engine) {
 	t.Helper()
-	eng, err := durable.Open(dir, durable.Options{})
+	eng, err := durable.Open(dir)
 	if err != nil {
 		t.Fatalf("open durable engine: %v", err)
 	}
@@ -261,7 +261,7 @@ func TestDurableSystemChaosRecovery(t *testing.T) {
 		t.Fatalf("%d view-creation locks leaked before kill", n)
 	}
 	// Hard kill, recover, re-check the settled-system invariants.
-	eng2, err := durable.Open(dir, durable.Options{})
+	eng2, err := durable.Open(dir)
 	if err != nil {
 		t.Fatalf("recover after chaos: %v", err)
 	}

@@ -90,9 +90,10 @@ type Config struct {
 	// running jobs' tokens is handed out as bonus.
 	Capacity int
 	VCs      []VCConfig
-	// StageStartup is the fixed per-stage scheduling overhead.
-	StageStartup time.Duration
 }
+
+// stageStartup is the fixed per-stage scheduling overhead.
+const stageStartup = 500 * time.Millisecond
 
 // Simulator executes a batch of jobs and returns their outcomes.
 type Simulator struct {
@@ -147,9 +148,6 @@ func (s *Simulator) faultMetrics() {
 func New(cfg Config) *Simulator {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 1000
-	}
-	if cfg.StageStartup <= 0 {
-		cfg.StageStartup = 500 * time.Millisecond
 	}
 	s := &Simulator{cfg: cfg, vcTokens: make(map[string]int)}
 	for _, vc := range cfg.VCs {
@@ -422,7 +420,7 @@ func (s *Simulator) execute(spec *JobSpec, now time.Time, tokens, bonusAvail int
 			w = 1
 		}
 
-		cleanDur := time.Duration(st.Work/float64(alloc)*float64(time.Second)) + s.cfg.StageStartup
+		cleanDur := time.Duration(st.Work/float64(alloc)*float64(time.Second)) + stageStartup
 		var stageDur time.Duration
 		for attempt := 1; ; attempt++ {
 			var key string // read only by an enabled point
@@ -434,7 +432,7 @@ func (s *Simulator) execute(spec *JobSpec, now time.Time, tokens, bonusAvail int
 				// The attempt dies halfway through: its containers' work so
 				// far is wasted but was consumed, and the retry waits out the
 				// backoff before relaunching.
-				half := time.Duration(st.Work/2/float64(alloc)*float64(time.Second)) + s.cfg.StageStartup
+				half := time.Duration(st.Work/2/float64(alloc)*float64(time.Second)) + stageStartup
 				stageDur += half + fault.Backoff(attempt)
 				processing += st.Work / 2
 				bonus += st.Work / 2 * float64(b) / float64(alloc)
@@ -450,7 +448,7 @@ func (s *Simulator) execute(spec *JobSpec, now time.Time, tokens, bonusAvail int
 				lost := st.Work / 2 * float64(b) / float64(alloc)
 				t1 := time.Duration(st.Work / 2 / float64(alloc) * float64(time.Second))
 				t2 := time.Duration((st.Work/2 + lost) / float64(tokens) * float64(time.Second))
-				stageDur += t1 + t2 + s.cfg.StageStartup
+				stageDur += t1 + t2 + stageStartup
 				processing += st.Work + lost
 				bonus += lost
 				preemptions++

@@ -119,10 +119,9 @@ func TestBonusLimitedByCapacity(t *testing.T) {
 }
 
 func TestStageDAGCriticalPath(t *testing.T) {
-	sim := cluster.New(cluster.Config{Capacity: 100, VCs: []cluster.VCConfig{{Name: "vc1", Tokens: 10}},
-		StageStartup: time.Millisecond})
-	// Two independent 10s stages feeding a 10s stage: critical path ~20s,
-	// not 30s.
+	sim := cluster.New(cluster.Config{Capacity: 100, VCs: []cluster.VCConfig{{Name: "vc1", Tokens: 10}}})
+	// Two independent 10s stages feeding a 10s stage: critical path ~21s
+	// (two stages plus their 0.5s startups), not 31.5s.
 	job := cluster.JobSpec{
 		ID: "j1", VC: "vc1", Submit: t0,
 		Stages: []cluster.StageSpec{
@@ -145,8 +144,7 @@ func TestStageDAGCriticalPath(t *testing.T) {
 }
 
 func TestSpoolOffCriticalPath(t *testing.T) {
-	sim := cluster.New(cluster.Config{Capacity: 100, VCs: []cluster.VCConfig{{Name: "vc1", Tokens: 10}},
-		StageStartup: time.Millisecond})
+	sim := cluster.New(cluster.Config{Capacity: 100, VCs: []cluster.VCConfig{{Name: "vc1", Tokens: 10}}})
 	base := cluster.JobSpec{
 		ID: "base", VC: "vc1", Submit: t0,
 		Stages: []cluster.StageSpec{

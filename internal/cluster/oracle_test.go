@@ -38,7 +38,7 @@ func (s *Simulator) executeClean(spec *JobSpec, now time.Time, tokens, bonusAvai
 		if b > bonusPeak {
 			bonusPeak = b
 		}
-		dur := time.Duration(st.Work/float64(alloc)*float64(time.Second)) + s.cfg.StageStartup
+		dur := time.Duration(st.Work/float64(alloc)*float64(time.Second)) + stageStartup
 		finish[i] = ready + dur
 		processing += st.Work
 		if alloc > 0 {

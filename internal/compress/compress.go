@@ -40,27 +40,15 @@ type Result struct {
 	CompressionRatio float64
 }
 
-// Options tunes compression.
-type Options struct {
-	// TargetCoverage stops once this fraction of weighted compute is covered
-	// (default 0.95).
-	TargetCoverage float64
-	// MaxRepresentatives caps the selection (0 = unlimited).
-	MaxRepresentatives int
-}
-
-func (o Options) target() float64 {
-	if o.TargetCoverage <= 0 || o.TargetCoverage > 1 {
-		return 0.95
-	}
-	return o.TargetCoverage
-}
+// targetCoverage stops the selection once this fraction of weighted compute
+// is covered.
+const targetCoverage = 0.95
 
 // Compress greedily picks templates maximizing marginal weighted coverage of
 // distinct recurring subexpressions — classic weighted set cover, which is
 // the right shape because template overlap is exactly what CloudViews
 // measures.
-func Compress(repo *repository.Repo, from, to time.Time, opts Options) *Result {
+func Compress(repo *repository.Repo, from, to time.Time) *Result {
 	type tmplInfo struct {
 		sig     signature.Sig
 		example string
@@ -107,10 +95,7 @@ func Compress(repo *repository.Repo, from, to time.Time, opts Options) *Result {
 
 	covered := make(map[signature.Sig]bool)
 	for {
-		if opts.MaxRepresentatives > 0 && len(res.Representatives) >= opts.MaxRepresentatives {
-			break
-		}
-		if res.TotalWork > 0 && res.CoveredWork/res.TotalWork >= opts.target() {
+		if res.TotalWork > 0 && res.CoveredWork/res.TotalWork >= targetCoverage {
 			break
 		}
 		var best *tmplInfo

@@ -59,7 +59,7 @@ type Config struct {
 	Guard guard.Config
 	// StorageEngine plugs in an alternative view-store backend (e.g. the
 	// file-backed durable engine). Nil keeps the default in-memory store.
-	// If the engine is ClockAware the simulated clock is installed into it.
+	// The engine's simulated clock is installed into it.
 	StorageEngine storage.Engine
 	// PlanCacheSize bounds the plan cache (one template per normalized
 	// script): 0 = DefaultPlanCacheSize, negative = disabled.
@@ -155,9 +155,7 @@ func NewEngine(cfg Config) *Engine {
 	e.Sim.SetFaults(e.faults)
 	if cfg.StorageEngine != nil {
 		e.Store = cfg.StorageEngine
-		if ca, ok := e.Store.(storage.ClockAware); ok {
-			ca.SetNow(e.Clock)
-		}
+		e.Store.SetNow(e.Clock)
 	} else {
 		e.Store = storage.NewStore(e.Clock)
 	}

@@ -41,6 +41,7 @@ var vecEquivalenceQueries = []string{
 	`SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia'`,
 	`SELECT * FROM Sales ORDER BY Price DESC, SaleId`,
 	`SELECT * FROM Customer ORDER BY MktSegment, Name DESC`,
+	`SELECT SaleId, Quantity FROM Sales ORDER BY SaleId / (Quantity - 3), SaleId`,
 	`SELECT * FROM Sales SAMPLE 25 PERCENT`,
 	`SELECT SaleId FROM Sales WHERE Price > 90 UNION ALL SELECT SaleId FROM Sales WHERE Price < 10`,
 	`SELECT DISTINCT MktSegment FROM Customer`,

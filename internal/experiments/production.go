@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"cloudviews/internal/analysis"
@@ -51,9 +52,10 @@ type ProductionConfig struct {
 	SLORules []telemetry.Rule
 	// StoreFactory, when set, supplies each arm's view-store backend (e.g.
 	// a file-backed durable engine rooted in a per-arm data directory),
-	// given the arm's name. Engines that implement io.Closer are closed
-	// when the arm finishes, and a failed close fails the run. Nil keeps
-	// the in-memory default for every arm.
+	// given the arm's name. Both arms' stores are opened before either arm
+	// runs. Engines that implement io.Closer are closed when the arm
+	// finishes, and a failed close fails the run. Nil keeps the in-memory
+	// default for every arm.
 	StoreFactory func(arm string) (storage.Engine, error)
 }
 
@@ -293,15 +295,43 @@ type arm struct {
 	storm bool
 }
 
-// runPair runs arms a and b over the same configuration, one after the other.
-func runPair(cfg ProductionConfig, a, b arm) (ra, rb *armResult, err error) {
-	if ra, err = runArm(cfg, a); err != nil {
-		return nil, nil, fmt.Errorf("%s arm: %w", a.name, err)
+// runPair runs arms a and b over the same configuration, concurrently, and
+// reports a's error before b's. The view stores are opened first, a's then
+// b's, so what StoreFactory prints keeps one order.
+func runPair(cfg ProductionConfig, a, b arm) (*armResult, *armResult, error) {
+	arms := [2]arm{a, b}
+	var stores [2]storage.Engine
+	if cfg.StoreFactory != nil {
+		for i, x := range arms {
+			store, err := cfg.StoreFactory(x.name)
+			if err != nil {
+				if closer, ok := stores[0].(io.Closer); ok {
+					_ = closer.Close() // the open error is the one to report
+				}
+				return nil, nil, fmt.Errorf("%s arm: opening %s view store: %w", x.name, x.name, err)
+			}
+			stores[i] = store
+		}
 	}
-	if rb, err = runArm(cfg, b); err != nil {
-		return nil, nil, fmt.Errorf("%s arm: %w", b.name, err)
+	var (
+		res  [2]*armResult
+		errs [2]error
+		wg   sync.WaitGroup
+	)
+	for i := range arms {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], errs[i] = runArm(cfg, arms[i], stores[i])
+		}(i)
 	}
-	return ra, rb, nil
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s arm: %w", arms[i].name, err)
+		}
+	}
+	return res[0], res[1], nil
 }
 
 // bootstrap generates profile's catalog and day-0 data and gives every VC
@@ -319,28 +349,24 @@ func bootstrap(profile workload.ClusterProfile, tokens int) (*catalog.Catalog, *
 	return cat, gen, vcs, nil
 }
 
-// runArm builds one engine for the arm and runs cfg's window of days on it.
-func runArm(cfg ProductionConfig, a arm) (res *armResult, err error) {
+// runArm builds one engine for the arm over store (nil = in memory) and runs
+// cfg's window of days on it. A store that is an io.Closer is closed on the
+// way out, and a failed close fails the arm.
+func runArm(cfg ProductionConfig, a arm, store storage.Engine) (res *armResult, err error) {
+	if closer, ok := store.(io.Closer); ok {
+		defer func() {
+			if cerr := closer.Close(); cerr != nil && err == nil {
+				res, err = nil, fmt.Errorf("closing view store: %w", cerr)
+			}
+		}()
+	}
 	cat, gen, vcCfgs, err := bootstrap(cfg.Profile, vcTokens)
 	if err != nil {
 		return nil, err
 	}
 	vcNames := gen.VCNames()
-	var store storage.Engine
-	if cfg.StoreFactory != nil {
-		if store, err = cfg.StoreFactory(a.name); err != nil {
-			return nil, fmt.Errorf("opening %s view store: %w", a.name, err)
-		}
-		if closer, ok := store.(io.Closer); ok {
-			defer func() {
-				if cerr := closer.Close(); cerr != nil && err == nil {
-					res, err = nil, fmt.Errorf("closing view store: %w", cerr)
-				}
-			}()
-		}
-	}
-	// The storm flag flips between the serial RunDay calls, so the fault
-	// schedule stays deterministic.
+	// The storm flag flips between this arm's serial RunDay calls, so the
+	// fault schedule stays deterministic.
 	stormActive := false
 	faults := cfg.Faults
 	if a.storm && len(vcNames) > 0 {

@@ -276,11 +276,21 @@ func TestBindSubqueryAliasResolution(t *testing.T) {
 
 func TestCloneNodeIndependence(t *testing.T) {
 	n := mustBind(t, `SELECT Name FROM Customer WHERE MktSegment = 'Asia'`, nil)
-	c := plan.CloneNode(n)
-	if c == n {
-		t.Fatal("clone returned same root pointer")
-	}
-	if plan.Format(c) != plan.Format(n) {
-		t.Error("clone must render identically")
+	// A plan after view matching: a view read in place of a subtree, under
+	// the job's output.
+	reused := &plan.Output{Target: "out/x", Child: &plan.ViewScan{
+		StrictSig: "s1", Path: "views/vc1/s1", Out: n.Schema(), ReplacedOp: "Project", Fallback: n,
+	}}
+	for _, n := range []plan.Node{n, reused} {
+		c := plan.CloneNode(n)
+		if c == n {
+			t.Fatal("clone returned same root pointer")
+		}
+		if plan.Format(c) != plan.Format(n) {
+			t.Error("clone must render identically")
+		}
+		if !c.Schema().Equal(n.Schema()) {
+			t.Errorf("clone's schema %v, want %v", c.Schema(), n.Schema())
+		}
 	}
 }

@@ -14,12 +14,12 @@ type admission struct {
 	mu       sync.Mutex
 	perVC    map[string]int
 	total    int
-	maxTotal int
-	resolve  func(vc string) int // per-VC depth limit; <= 0 admits nothing
+	maxTotal int // <= 0 is unbounded
+	maxPerVC int // <= 0 admits nothing
 }
 
-func newAdmission(maxTotal int, resolve func(vc string) int) *admission {
-	return &admission{perVC: make(map[string]int), maxTotal: maxTotal, resolve: resolve}
+func newAdmission(maxTotal, maxPerVC int) *admission {
+	return &admission{perVC: make(map[string]int), maxTotal: maxTotal, maxPerVC: maxPerVC}
 }
 
 // tryAcquire claims a slot for vc. It fails — without side effects — when
@@ -30,8 +30,7 @@ func (a *admission) tryAcquire(vc string) bool {
 	if a.maxTotal > 0 && a.total >= a.maxTotal {
 		return false
 	}
-	limit := a.resolve(vc)
-	if limit <= 0 || a.perVC[vc] >= limit {
+	if a.maxPerVC <= 0 || a.perVC[vc] >= a.maxPerVC {
 		return false
 	}
 	a.perVC[vc]++

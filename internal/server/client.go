@@ -25,8 +25,8 @@ import (
 //
 // Retries are bounded by MaxAttempts; a client that exhausts them returns
 // *ShedError so callers can tell "the server said no N times" from transport
-// failures. The clock is injectable (Sleep), so tests script the whole dance
-// against a fake server without real waiting.
+// failures. Tests replace the sleep, so they script the whole dance against a
+// fake server without real waiting.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080" (required).
 	BaseURL string
@@ -36,12 +36,9 @@ type Client struct {
 	HTTP *http.Client
 	// MaxAttempts bounds submission tries including the first (0 = 4).
 	MaxAttempts int
-	// BaseBackoff seeds the exponential queue-shed backoff (0 = 100ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps any single sleep, Retry-After included (0 = 5s).
-	MaxBackoff time.Duration
-	// Sleep is the wait hook (nil = time.Sleep). Tests inject a recorder.
-	Sleep func(time.Duration)
+
+	// sleep is the wait (nil = time.Sleep); this package's tests record it.
+	sleep func(time.Duration)
 
 	// mu guards the shed tallies below.
 	mu        sync.Mutex
@@ -76,26 +73,16 @@ func (c *Client) maxAttempts() int {
 	return c.MaxAttempts
 }
 
-func (c *Client) baseBackoff() time.Duration {
-	if c.BaseBackoff <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.BaseBackoff
-}
+const (
+	// baseBackoff seeds the exponential queue-shed backoff.
+	baseBackoff = 100 * time.Millisecond
+	// maxBackoff caps any single sleep, Retry-After included.
+	maxBackoff = 5 * time.Second
+)
 
-func (c *Client) maxBackoff() time.Duration {
-	if c.MaxBackoff <= 0 {
-		return 5 * time.Second
-	}
-	return c.MaxBackoff
-}
-
-func (c *Client) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if c.Sleep != nil {
-		c.Sleep(d)
+func (c *Client) pause(d time.Duration) {
+	if c.sleep != nil {
+		c.sleep(d)
 		return
 	}
 	time.Sleep(d)
@@ -149,19 +136,16 @@ func (c *Client) do(method, path string, body any) (int, http.Header, []byte, er
 // retryWait computes the sleep before retrying a shed attempt (1-based).
 // Rate sheds trust the server's exact wait; queue sheds treat it as a floor
 // under capped exponential backoff.
-func (c *Client) retryWait(reason string, advertised time.Duration, attempt int) time.Duration {
+func retryWait(reason string, advertised time.Duration, attempt int) time.Duration {
 	wait := advertised
 	if reason != "rate" {
-		backoff := c.baseBackoff() << (attempt - 1)
-		if backoff > wait {
-			wait = backoff
-		}
+		wait = max(wait, baseBackoff<<(attempt-1))
 	}
-	if wait > c.maxBackoff() {
-		wait = c.maxBackoff()
+	if wait > maxBackoff {
+		wait = maxBackoff
 	}
 	if wait <= 0 {
-		wait = c.baseBackoff()
+		wait = baseBackoff
 	}
 	return wait
 }
@@ -216,7 +200,7 @@ func (c *Client) Submit(req SubmitRequest) (*JobStatusResponse, error) {
 			if attempt == c.maxAttempts() {
 				return nil, last
 			}
-			c.sleep(c.retryWait(reason, wait, attempt))
+			c.pause(retryWait(reason, wait, attempt))
 		default:
 			var apiErr ErrorResponse
 			_ = json.Unmarshal(raw, &apiErr)

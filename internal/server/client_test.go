@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -56,7 +57,7 @@ func newScriptedClient(t *testing.T, script []scriptedResponse, mutate func(*Cli
 		BaseURL: ts.URL,
 		Token:   "tok-1",
 		HTTP:    ts.Client(),
-		Sleep:   func(d time.Duration) { sleeps = append(sleeps, d) },
+		sleep:   func(d time.Duration) { sleeps = append(sleeps, d) },
 	}
 	if mutate != nil {
 		mutate(c)
@@ -69,7 +70,7 @@ func newScriptedClient(t *testing.T, script []scriptedResponse, mutate func(*Cli
 func TestClientHonorsRetryAfterOnRateShed(t *testing.T) {
 	c, fake, sleeps := newScriptedClient(t, []scriptedResponse{
 		{code: 429, reason: "rate", retryAfter: 2},
-	}, func(c *Client) { c.MaxBackoff = 10 * time.Second })
+	}, nil)
 	st, err := c.Submit(SubmitRequest{Script: testScript, Async: true})
 	if err != nil {
 		t.Fatal(err)
@@ -89,33 +90,26 @@ func TestClientHonorsRetryAfterOnRateShed(t *testing.T) {
 	}
 }
 
-// TestClientQueueShedBacksOffExponentially: queue sheds treat Retry-After as
-// a floor under capped exponential backoff, so repeated sheds spread out.
+// TestClientQueueShedBacksOffExponentially: without a Retry-After hint, queue
+// sheds back off from 100ms, doubling per attempt, capped at 5s, so repeated
+// sheds spread out.
 func TestClientQueueShedBacksOffExponentially(t *testing.T) {
-	c, _, sleeps := newScriptedClient(t, []scriptedResponse{
-		{code: 429, reason: "queue", retryAfter: 1},
-		{code: 429, reason: "queue", retryAfter: 1},
-		{code: 429, reason: "queue", retryAfter: 1},
-	}, func(c *Client) {
-		c.MaxAttempts = 5
-		c.BaseBackoff = 2 * time.Second
-		c.MaxBackoff = 10 * time.Second
-	})
+	script := make([]scriptedResponse, 7)
+	for i := range script {
+		script[i] = scriptedResponse{code: 429, reason: "queue"}
+	}
+	c, _, sleeps := newScriptedClient(t, script, func(c *Client) { c.MaxAttempts = 8 })
 	if _, err := c.Submit(SubmitRequest{Script: testScript, Async: true}); err != nil {
 		t.Fatal(err)
 	}
-	want := []time.Duration{2 * time.Second, 4 * time.Second, 8 * time.Second}
-	if len(*sleeps) != len(want) {
-		t.Fatalf("sleeps = %v, want %v", *sleeps, want)
-	}
-	for i, w := range want {
-		if (*sleeps)[i] != w {
-			t.Fatalf("sleep[%d] = %v, want %v (doubling from BaseBackoff)", i, (*sleeps)[i], w)
-		}
+	ms := time.Millisecond
+	want := []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 3200 * ms, 5 * time.Second}
+	if fmt.Sprint(*sleeps) != fmt.Sprint(want) {
+		t.Fatalf("sleeps = %v, want %v (doubling from 100ms, capped at 5s)", *sleeps, want)
 	}
 	rate, queue := c.ShedCounts()
-	if rate != 0 || queue != 3 {
-		t.Fatalf("shed counts rate=%d queue=%d, want 0/3", rate, queue)
+	if rate != 0 || queue != 7 {
+		t.Fatalf("shed counts rate=%d queue=%d, want 0/7", rate, queue)
 	}
 }
 
@@ -124,17 +118,12 @@ func TestClientBackoffCapped(t *testing.T) {
 	c, _, sleeps := newScriptedClient(t, []scriptedResponse{
 		{code: 429, reason: "rate", retryAfter: 60},
 		{code: 429, reason: "queue", retryAfter: 60},
-	}, func(c *Client) {
-		c.MaxAttempts = 5
-		c.MaxBackoff = 3 * time.Second
-	})
+	}, func(c *Client) { c.MaxAttempts = 5 })
 	if _, err := c.Submit(SubmitRequest{Script: testScript, Async: true}); err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range *sleeps {
-		if d > 3*time.Second {
-			t.Fatalf("sleep[%d] = %v exceeds 3s cap", i, d)
-		}
+	if want := []time.Duration{5 * time.Second, 5 * time.Second}; fmt.Sprint(*sleeps) != fmt.Sprint(want) {
+		t.Fatalf("sleeps = %v, want %v (the 5s cap)", *sleeps, want)
 	}
 }
 
@@ -154,6 +143,9 @@ func TestClientGivesUpAfterMaxAttempts(t *testing.T) {
 	if shed.Reason != "queue" || shed.Attempts != 3 {
 		t.Fatalf("shed = %+v, want reason=queue attempts=3", shed)
 	}
+	if got, want := err.Error(), "submission shed 3 times (last reason=queue, retry-after 1s)"; got != want {
+		t.Errorf("error text = %q, want %q", got, want)
+	}
 	if fake.hits != 3 {
 		t.Fatalf("server saw %d requests, want 3", fake.hits)
 	}
@@ -168,11 +160,7 @@ func TestClientDistinguishesShedReasons(t *testing.T) {
 	c, _, sleeps := newScriptedClient(t, []scriptedResponse{
 		{code: 429, reason: "rate", retryAfter: 1.5},
 		{code: 429, reason: "queue", retryAfter: 0.1},
-	}, func(c *Client) {
-		c.MaxAttempts = 4
-		c.BaseBackoff = time.Second
-		c.MaxBackoff = 30 * time.Second
-	})
+	}, nil)
 	if _, err := c.Submit(SubmitRequest{Script: testScript, Async: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +168,11 @@ func TestClientDistinguishesShedReasons(t *testing.T) {
 	if rate != 1 || queue != 1 {
 		t.Fatalf("shed counts rate=%d queue=%d, want 1/1", rate, queue)
 	}
-	// Retry-After arrives as a whole-second header (ceil of 1.5 = 2s): the
-	// rate wait obeys it exactly; the queue wait is the backoff floor (the
-	// 2nd attempt's backoff, 2s, dominates the 0.1s hint).
-	want := []time.Duration{2 * time.Second, 2 * time.Second}
-	if len(*sleeps) != 2 || (*sleeps)[0] != want[0] || (*sleeps)[1] != want[1] {
+	// Retry-After arrives as a whole-second header (ceil of 1.5 = 2s, of
+	// 0.1 = 1s): the rate wait obeys it exactly; the queue wait is the larger
+	// of the hint and the 2nd attempt's backoff (200ms).
+	want := []time.Duration{2 * time.Second, time.Second}
+	if fmt.Sprint(*sleeps) != fmt.Sprint(want) {
 		t.Fatalf("sleeps = %v, want %v", *sleeps, want)
 	}
 }
@@ -199,20 +187,21 @@ func TestClientSurfacesAPIErrors(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != 422 {
 		t.Fatalf("err = %v, want *APIError{422}", err)
 	}
+	if got, want := err.Error(), "cvserve: 422: scripted 422"; got != want {
+		t.Errorf("error text = %q, want %q", got, want)
+	}
 	if fake.hits != 1 || len(*sleeps) != 0 {
 		t.Fatalf("client retried a 422 (hits=%d sleeps=%v)", fake.hits, *sleeps)
 	}
 }
 
 // TestClientAgainstRealServer: end to end against the actual Server — a
-// drained tenant (MaxQueued < 0) sheds with reason=queue; a healthy one
-// accepts and the client's Wait sees the job through.
+// saturated tenant sheds with reason=queue; a healthy one accepts and the
+// client's Wait sees the job through.
 func TestClientAgainstRealServer(t *testing.T) {
-	_, ts := newTestServer(t, func(cfg *Config) {
-		cfg.Limits = map[string]TenantLimit{"vc2": {MaxQueued: -1}}
-	})
-	ok := &Client{BaseURL: ts.URL, Token: "tok-1", HTTP: ts.Client(),
-		Sleep: func(time.Duration) {}}
+	srv, ts := newTestServer(t, nil)
+	saturate(srv, "vc2")
+	ok := &Client{BaseURL: ts.URL, Token: "tok-1", HTTP: ts.Client()}
 	st, err := ok.Submit(SubmitRequest{Script: testScript, Async: true})
 	if err != nil {
 		t.Fatal(err)
@@ -225,11 +214,11 @@ func TestClientAgainstRealServer(t *testing.T) {
 		t.Fatalf("final status = %q (%s), want done", final.Status, final.Error)
 	}
 
-	drained := &Client{BaseURL: ts.URL, Token: "tok-2", HTTP: ts.Client(),
-		MaxAttempts: 2, Sleep: func(time.Duration) {}}
-	_, err = drained.Submit(SubmitRequest{Script: testScript, Async: true})
+	saturated := &Client{BaseURL: ts.URL, Token: "tok-2", HTTP: ts.Client(),
+		MaxAttempts: 2, sleep: func(time.Duration) {}}
+	_, err = saturated.Submit(SubmitRequest{Script: testScript, Async: true})
 	var shed *ShedError
 	if !errors.As(err, &shed) || shed.Reason != "queue" {
-		t.Fatalf("drained tenant err = %v, want queue ShedError", err)
+		t.Fatalf("saturated tenant err = %v, want queue ShedError", err)
 	}
 }

@@ -203,7 +203,6 @@ func TestGuardKillSwitchMidLoad(t *testing.T) {
 				Token:       tok,
 				HTTP:        httpClient,
 				MaxAttempts: 1, // shed accounting must stay 1:1 with requests
-				Sleep:       func(time.Duration) {},
 			}
 			st, err := c.Submit(SubmitRequest{
 				Pipeline: fmt.Sprintf("load-%d", i%7), Script: testScript, Async: true,
@@ -241,8 +240,7 @@ func TestGuardKillSwitchMidLoad(t *testing.T) {
 		pollWG.Add(1)
 		go func(id string) {
 			defer pollWG.Done()
-			c := &Client{BaseURL: ts.URL, Token: byToken[id], HTTP: httpClient,
-				Sleep: func(time.Duration) {}}
+			c := &Client{BaseURL: ts.URL, Token: byToken[id], HTTP: httpClient}
 			st, err := c.Wait(id)
 			if err != nil {
 				t.Errorf("job %s: %v", id, err)

@@ -58,7 +58,7 @@ func TestServerLoad(t *testing.T) {
 			// MaxAttempts 1 keeps the shed accounting 1:1 with requests;
 			// the retry loop gets its own coverage in client_test.go.
 			c := &Client{BaseURL: ts.URL, Token: tok, HTTP: client,
-				MaxAttempts: 1, Sleep: func(time.Duration) {}}
+				MaxAttempts: 1}
 			st, err := c.Submit(SubmitRequest{
 				Pipeline: fmt.Sprintf("load-%d", i%7), Script: testScript, Async: true})
 			mu.Lock()
@@ -91,8 +91,7 @@ func TestServerLoad(t *testing.T) {
 		pollWG.Add(1)
 		go func(a accepted) {
 			defer pollWG.Done()
-			c := &Client{BaseURL: ts.URL, Token: a.tok, HTTP: client,
-				Sleep: func(time.Duration) {}}
+			c := &Client{BaseURL: ts.URL, Token: a.tok, HTTP: client}
 			st, err := c.Wait(a.id)
 			if err != nil {
 				t.Errorf("job %s: %v", a.id, err)

@@ -2,7 +2,7 @@ package server
 
 // Per-tenant token-bucket rate limiting. Buckets refill continuously at
 // Rate tokens/second up to Burst; each submission attempt spends one token.
-// The clock is injected (Config.Now) so tests drive it deterministically.
+// The clock is injected (Config.now) so tests drive it deterministically.
 
 import (
 	"sync"
@@ -57,15 +57,21 @@ func (b *tokenBucket) retryAfter() float64 {
 	return missing / b.rate
 }
 
-// limiter hands out one bucket per tenant.
+// limiter hands out one bucket per tenant, all with the same rate and burst.
 type limiter struct {
-	mu      sync.Mutex
-	buckets map[string]*tokenBucket
-	resolve func(tenant string) (rate, burst float64)
+	mu          sync.Mutex
+	buckets     map[string]*tokenBucket
+	rate, burst float64
 }
 
-func newLimiter(resolve func(tenant string) (rate, burst float64)) *limiter {
-	return &limiter{buckets: make(map[string]*tokenBucket), resolve: resolve}
+// newLimiter resolves Config.Rate and Config.Burst: a negative rate is
+// unlimited, and a burst of 0 or less is max(1, rate).
+func newLimiter(rate, burst float64) *limiter {
+	rate = max(rate, 0)
+	if burst <= 0 {
+		burst = max(rate, 1)
+	}
+	return &limiter{buckets: make(map[string]*tokenBucket), rate: rate, burst: burst}
 }
 
 func (l *limiter) bucket(tenant string) *tokenBucket {
@@ -73,8 +79,7 @@ func (l *limiter) bucket(tenant string) *tokenBucket {
 	defer l.mu.Unlock()
 	b, ok := l.buckets[tenant]
 	if !ok {
-		rate, burst := l.resolve(tenant)
-		b = &tokenBucket{rate: rate, burst: burst}
+		b = &tokenBucket{rate: l.rate, burst: l.burst}
 		l.buckets[tenant] = b
 	}
 	return b

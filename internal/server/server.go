@@ -31,15 +31,6 @@ import (
 	"cloudviews/internal/telemetry"
 )
 
-// TenantLimit overrides the server-wide defaults for one tenant. Zero
-// fields inherit the default; negative values mean "none" (Rate < 0 lifts
-// the rate limit, MaxQueued < 0 admits nothing — a drained tenant).
-type TenantLimit struct {
-	Rate      float64
-	Burst     float64
-	MaxQueued int
-}
-
 // Config assembles a Server.
 type Config struct {
 	// System is the wrapped deployment (required). The server owns its
@@ -51,35 +42,21 @@ type Config struct {
 	// AdminToken unlocks /admin endpoints and cross-tenant access
 	// (empty disables them).
 	AdminToken string
-	// Rate is the default per-tenant token-bucket refill in submissions
-	// per second (0 = unlimited).
+	// Rate is every tenant's token-bucket refill in submissions per second
+	// (0 or negative = unlimited).
 	Rate float64
-	// Burst is the default bucket capacity (0 = max(1, Rate)).
+	// Burst is the bucket capacity (0 or negative = max(1, Rate)).
 	Burst float64
 	// MaxQueuedPerTenant bounds one VC's in-flight submissions — queued
-	// plus running, async and sync alike (0 = 64).
+	// plus running, async and sync alike (0 = 64, negative admits nothing).
 	MaxQueuedPerTenant int
 	// MaxQueued bounds total in-flight submissions across tenants
-	// (0 = 1024).
+	// (0 = 1024, negative = unbounded).
 	MaxQueued int
-	// Limits overrides Rate/Burst/MaxQueuedPerTenant per tenant.
-	Limits map[string]TenantLimit
-	// RetryAfter is advertised on queue-shed 429s and draining 503s
-	// (0 = 1s). Rate-shed 429s compute the actual token wait instead.
-	RetryAfter time.Duration
-	// MaxTrackedJobs bounds the completed-job registry; the oldest
-	// completed entries are evicted first (0 = 16384).
-	MaxTrackedJobs int
-	// Now supplies the rate-limiter clock (nil = time.Now). Injected so
-	// tests drive shedding deterministically.
-	Now func() time.Time
 	// Metrics receives the server's request metrics (nil = a fresh
 	// registry). This is deliberately separate from the System's registry:
 	// shed traffic must never move a system metric.
 	Metrics *obs.Registry
-	// SLORules is the request-metric watchdog's rule list (nil =
-	// telemetry.ServerRules()).
-	SLORules []telemetry.Rule
 	// CloseStorage, when set, is invoked by Shutdown after the workers
 	// have drained — the last step of the shutdown ordering (e.g. closing
 	// a durable storage engine).
@@ -88,7 +65,21 @@ type Config struct {
 	// (admin token required). Off by default: profiles expose script text
 	// and memory contents.
 	EnablePprof bool
+
+	// Test seams, set only by this package's tests.
+	now            func() time.Time // the rate limiter's clock (nil = time.Now)
+	maxTrackedJobs int              // the poll-by-ID registry's cap (0 = maxTrackedJobs)
+	sloRules       []telemetry.Rule // the SLO watchdog's rules (nil = telemetry.ServerRules())
 }
+
+const (
+	// retryAfterSec is advertised on queue-shed 429s and draining 503s.
+	// Rate-shed 429s compute the actual token wait instead.
+	retryAfterSec = 1
+	// maxTrackedJobs bounds the completed-job registry; the oldest
+	// completed entries are evicted first.
+	maxTrackedJobs = 16384
+)
 
 // jobEntry tracks one accepted submission for poll-by-ID.
 type jobEntry struct {
@@ -107,7 +98,6 @@ type Server struct {
 	lim  *limiter
 	adm  *admission
 	reg  *obs.Registry
-	now  func() time.Time
 
 	mu       sync.Mutex
 	jobs     map[string]*jobEntry
@@ -135,14 +125,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxQueued == 0 {
 		cfg.MaxQueued = 1024
 	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = time.Second
+	if cfg.maxTrackedJobs == 0 {
+		cfg.maxTrackedJobs = maxTrackedJobs
 	}
-	if cfg.MaxTrackedJobs == 0 {
-		cfg.MaxTrackedJobs = 16384
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.now == nil {
+		cfg.now = time.Now
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
@@ -151,42 +138,12 @@ func New(cfg Config) (*Server, error) {
 		cfg:  cfg,
 		sys:  cfg.System,
 		auth: newAuthenticator(cfg.Tokens, cfg.AdminToken),
+		lim:  newLimiter(cfg.Rate, cfg.Burst),
+		adm:  newAdmission(cfg.MaxQueued, cfg.MaxQueuedPerTenant),
 		reg:  cfg.Metrics,
-		now:  cfg.Now,
 		jobs: make(map[string]*jobEntry),
 	}
-	s.lim = newLimiter(func(tenant string) (rate, burst float64) {
-		rate, burst = cfg.Rate, cfg.Burst
-		if l, ok := cfg.Limits[tenant]; ok {
-			if l.Rate != 0 {
-				rate = l.Rate
-			}
-			if l.Burst != 0 {
-				burst = l.Burst
-			}
-		}
-		if rate < 0 {
-			rate = 0 // unlimited
-		}
-		if burst <= 0 {
-			burst = rate
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		return rate, burst
-	})
-	s.adm = newAdmission(cfg.MaxQueued, func(vc string) int {
-		limit := cfg.MaxQueuedPerTenant
-		if l, ok := cfg.Limits[vc]; ok && l.MaxQueued != 0 {
-			limit = l.MaxQueued
-		}
-		if limit < 0 {
-			limit = 0
-		}
-		return limit
-	})
-	s.slo = newSLOSampler(s.reg, cfg.SLORules)
+	s.slo = newSLOSampler(s.reg, cfg.sloRules)
 	return s, nil
 }
 
@@ -316,7 +273,7 @@ func (s *Server) admin(h http.HandlerFunc) http.HandlerFunc {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
-		writeError(w, http.StatusServiceUnavailable, "", s.cfg.RetryAfter.Seconds(), "draining")
+		writeError(w, http.StatusServiceUnavailable, "", retryAfterSec, "draining")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -356,7 +313,7 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 // final step is side-effect-free for the System.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
-		writeError(w, http.StatusServiceUnavailable, "", s.cfg.RetryAfter.Seconds(), "server is draining")
+		writeError(w, http.StatusServiceUnavailable, "", retryAfterSec, "server is draining")
 		return
 	}
 	who, isAdmin, ok := s.authenticate(w, r)
@@ -368,7 +325,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Rate limit on the authenticated tenant (not the target VC): the
 	// bucket throttles the credential doing the talking.
 	bucket := s.lim.bucket(tenant)
-	if !bucket.allow(s.now()) {
+	if !bucket.allow(s.cfg.now()) {
 		s.shed(w, tenant, "rate", bucket.retryAfter())
 		return
 	}
@@ -408,7 +365,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Admission control: claim an in-flight slot before touching the
 	// System; shed with Retry-After when the VC or server is saturated.
 	if !s.adm.tryAcquire(vc) {
-		s.shed(w, vc, "queue", s.cfg.RetryAfter.Seconds())
+		s.shed(w, vc, "queue", retryAfterSec)
 		return
 	}
 	target := who
@@ -439,13 +396,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // shed records and writes one load-shed 429.
-func (s *Server) shed(w http.ResponseWriter, tenant, reason string, retryAfterSec float64) {
-	if retryAfterSec <= 0 {
-		retryAfterSec = s.cfg.RetryAfter.Seconds()
+func (s *Server) shed(w http.ResponseWriter, tenant, reason string, wait float64) {
+	if wait <= 0 {
+		wait = retryAfterSec
 	}
 	s.reg.Counter(`cvserve_shed_total{reason="` + reason + `",tenant="` + tenant + `"}`).Inc()
-	writeError(w, http.StatusTooManyRequests, reason, retryAfterSec,
-		"submission shed (%s limit); retry after %.1fs", reason, retryAfterSec)
+	writeError(w, http.StatusTooManyRequests, reason, wait,
+		"submission shed (%s limit); retry after %.1fs", reason, wait)
 }
 
 // releaseSlot returns vc's admission slot and inflight gauge.
@@ -459,7 +416,7 @@ func (s *Server) submitAsync(w http.ResponseWriter, job cloudviews.Job, vc *tena
 	if err != nil {
 		s.releaseSlot(vc)
 		if errors.Is(err, cloudviews.ErrClosed) {
-			writeError(w, http.StatusServiceUnavailable, "", s.cfg.RetryAfter.Seconds(), "system is closed")
+			writeError(w, http.StatusServiceUnavailable, "", retryAfterSec, "system is closed")
 			return
 		}
 		s.reg.Counter("cvserve_bad_requests_total").Inc()
@@ -519,7 +476,7 @@ func (s *Server) trackJob(id string, e *jobEntry) {
 	defer s.mu.Unlock()
 	s.jobs[id] = e
 	s.jobOrder = append(s.jobOrder, id)
-	for n := len(s.jobOrder); n > 0 && len(s.jobs) > s.cfg.MaxTrackedJobs; n-- {
+	for n := len(s.jobOrder); n > 0 && len(s.jobs) > s.cfg.maxTrackedJobs; n-- {
 		victim := s.jobOrder[0]
 		s.jobOrder = s.jobOrder[1:]
 		if old, ok := s.jobs[victim]; ok && old.pending != nil && !isDone(old.pending) {

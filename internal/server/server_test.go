@@ -91,6 +91,20 @@ func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Serve
 	return srv, ts
 }
 
+// saturate holds every admission slot vc can claim, so each of its
+// submissions queue-sheds until the returned release gives them back.
+func saturate(srv *Server, vc string) (release func()) {
+	held := 0
+	for srv.adm.tryAcquire(vc) {
+		held++
+	}
+	return func() {
+		for ; held > 0; held-- {
+			srv.adm.release(vc)
+		}
+	}
+}
+
 // do issues one JSON request and decodes the response into out (skipped
 // when out is nil). Returns the status code and raw body.
 func do(t testing.TB, client *http.Client, method, url, token string, body, out any) (int, []byte) {
@@ -236,7 +250,7 @@ func TestRateLimitSheds(t *testing.T) {
 	srv, ts := newTestServer(t, func(cfg *Config) {
 		cfg.Rate = 1 // 1 submission/sec
 		cfg.Burst = 2
-		cfg.Now = clock.now
+		cfg.now = clock.now
 	})
 	c := ts.Client()
 
@@ -278,16 +292,14 @@ func TestRateLimitSheds(t *testing.T) {
 }
 
 func TestQueueDepthSheds(t *testing.T) {
-	srv, ts := newTestServer(t, func(cfg *Config) {
-		cfg.Limits = map[string]TenantLimit{"vc2": {MaxQueued: -1}} // admit nothing
-		cfg.MaxQueuedPerTenant = 4
-	})
+	srv, ts := newTestServer(t, func(cfg *Config) { cfg.MaxQueuedPerTenant = 4 })
+	release := saturate(srv, "vc2")
 	c := ts.Client()
 
-	// vc2 is fully drained: every submission sheds with reason=queue.
+	// vc2 is saturated: every submission sheds with reason=queue.
 	code, raw := do(t, c, "POST", ts.URL+"/v1/jobs", "tok-2", SubmitRequest{Script: testScript, Async: true}, nil)
 	if code != 429 {
-		t.Fatalf("drained tenant code = %d: %s", code, raw)
+		t.Fatalf("saturated tenant code = %d: %s", code, raw)
 	}
 	var er ErrorResponse
 	if err := json.Unmarshal(raw, &er); err != nil || er.Reason != "queue" {
@@ -303,6 +315,7 @@ func TestQueueDepthSheds(t *testing.T) {
 		}
 	}
 	srv.sys.Drain()
+	release()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.adm.inflight() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -404,11 +417,11 @@ func TestAdminEndpoints(t *testing.T) {
 
 func TestSLOSample(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	_, ts := newTestServer(t, func(cfg *Config) {
-		cfg.Limits = map[string]TenantLimit{"vc2": {MaxQueued: -1}}
-		cfg.SLORules = telemetry.WithThreshold(telemetry.ServerRules(), "shed-spike", 5)
-		cfg.Now = clock.now
+	srv, ts := newTestServer(t, func(cfg *Config) {
+		cfg.sloRules = telemetry.WithThreshold(telemetry.ServerRules(), "shed-spike", 5)
+		cfg.now = clock.now
 	})
+	saturate(srv, "vc2")
 	c := ts.Client()
 
 	// Quiet day: no alerts.
@@ -456,10 +469,10 @@ func TestSLOSample(t *testing.T) {
 // 200, 409, and the refused call moves nothing: re-sampling day 1 judges the
 // interval since the accepted day-1 sample, not since the refused one.
 func TestSLOSampleRejectsEarlierDay(t *testing.T) {
-	_, ts := newTestServer(t, func(cfg *Config) {
-		cfg.Limits = map[string]TenantLimit{"vc2": {MaxQueued: -1}}
-		cfg.SLORules = telemetry.WithThreshold(telemetry.ServerRules(), "shed-spike", 5)
+	srv, ts := newTestServer(t, func(cfg *Config) {
+		cfg.sloRules = telemetry.WithThreshold(telemetry.ServerRules(), "shed-spike", 5)
 	})
+	saturate(srv, "vc2")
 	c := ts.Client()
 	sample := func(day int) (int, SLOSampleResponse) {
 		t.Helper()
@@ -663,7 +676,7 @@ func TestTenantSeriesAppearOnFirstBump(t *testing.T) {
 	}
 }
 
-// TestTrackedJobsCap: the poll-by-ID registry holds MaxTrackedJobs finished
+// TestTrackedJobsCap: the poll-by-ID registry holds maxTrackedJobs finished
 // jobs. A job still running when its turn to be evicted comes is kept, and
 // must go once it has finished — not stay behind, unqueued, holding its
 // result and a slot of the cap for the life of the server.
@@ -680,7 +693,7 @@ func TestTrackedJobsCap(t *testing.T) {
 			emit(in)
 		},
 	})
-	srv, ts := newTestServer(t, func(cfg *Config) { cfg.MaxTrackedJobs = 2 })
+	srv, ts := newTestServer(t, func(cfg *Config) { cfg.maxTrackedJobs = 2 })
 	t.Cleanup(unblock) // registered after the server's: runs before Shutdown waits
 	c := ts.Client()
 	submit := func(token, script string, async bool) string {

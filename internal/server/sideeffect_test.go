@@ -26,26 +26,26 @@ func TestShedsAreSideEffectFree(t *testing.T) {
 	}
 
 	run := func(noise bool) outcome {
+		// Every tenant's bucket holds one token and refills one a second on
+		// the fake clock, which moves only where this test moves it.
 		clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 		srv, ts := newTestServer(t, func(cfg *Config) {
 			cfg.Tokens = map[string]string{
 				"tok-1": "vc1",
 				"tok-2": "vc2",
-				"tok-d": "vc-drained",   // admits nothing: every submission queue-sheds
-				"tok-t": "vc-throttled", // 1-token bucket, glacial refill: rate-sheds
+				"tok-s": "vc-saturated", // every admission slot held: queue-sheds
+				"tok-t": "vc-throttled", // spends its token, then rate-sheds
 			}
-			cfg.Limits = map[string]TenantLimit{
-				"vc-drained":   {MaxQueued: -1},
-				"vc-throttled": {Rate: 0.0001, Burst: 1},
-			}
-			cfg.Now = clock.now
+			cfg.Rate, cfg.Burst = 1, 1
+			cfg.now = clock.now
 		})
+		saturate(srv, "vc-saturated")
 		c := ts.Client()
 
-		// Burn vc-throttled's single token on a request that fails
-		// validation after the rate gate (empty script → 400): from then on
-		// every request on tok-t sheds with reason=rate, and none of the
-		// throttled traffic ever touches the System.
+		// Burn vc-throttled's token on a request that fails validation after
+		// the rate gate (empty script → 400): until the clock moves, every
+		// request on tok-t sheds with reason=rate, and none of the throttled
+		// traffic ever touches the System.
 		makeNoise := func() {
 			if code, _ := do(t, c, "POST", ts.URL+"/v1/jobs", "tok-t", SubmitRequest{}, nil); code != 400 && code != 429 {
 				t.Fatalf("throttled-tenant noise: code = %d", code)
@@ -55,8 +55,8 @@ func TestShedsAreSideEffectFree(t *testing.T) {
 				switch i {
 				case 0: // unknown bearer token
 					code, _ = do(t, c, "POST", ts.URL+"/v1/jobs", "tok-bogus", SubmitRequest{Script: testScript}, nil)
-				case 1: // drained tenant: queue shed
-					code, _ = do(t, c, "POST", ts.URL+"/v1/jobs", "tok-d", SubmitRequest{Script: testScript}, nil)
+				case 1: // saturated tenant: queue shed
+					code, _ = do(t, c, "POST", ts.URL+"/v1/jobs", "tok-s", SubmitRequest{Script: testScript}, nil)
 				case 2: // throttled tenant: rate shed
 					code, _ = do(t, c, "POST", ts.URL+"/v1/jobs", "tok-t", SubmitRequest{Script: testScript}, nil)
 				}
@@ -84,12 +84,15 @@ func TestShedsAreSideEffectFree(t *testing.T) {
 		// The accepted stream: alternating sync and async submissions from
 		// two tenants, serialized (each async job is polled to completion
 		// before the next submission) so repository insertion order is
-		// deterministic.
+		// deterministic. A second passes before each burst of requests, so
+		// every bucket holds its token again.
 		var ids []string
 		for step := 0; step < 6; step++ {
 			if noise {
+				clock.advance(time.Second)
 				makeNoise()
 			}
+			clock.advance(time.Second)
 			tok := "tok-1"
 			if step%2 == 1 {
 				tok = "tok-2"
@@ -109,6 +112,7 @@ func TestShedsAreSideEffectFree(t *testing.T) {
 			}
 		}
 		if noise {
+			clock.advance(time.Second)
 			makeNoise()
 		}
 

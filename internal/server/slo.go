@@ -3,8 +3,7 @@ package server
 // SLO sampling over the server's request metrics. Each sample snapshots the
 // registry, converts cumulative counters into per-interval deltas and hands
 // the values to a telemetry.Sampler — the same series and rule engine the
-// feedback-loop health pipeline uses — judged by Config.SLORules
-// (telemetry.ServerRules by default).
+// feedback-loop health pipeline uses — judged by telemetry.ServerRules.
 
 import (
 	"strings"

@@ -211,7 +211,7 @@ func runCrashScenario(t *testing.T, point fault.Point, seed uint64) bool {
 	dir := t.TempDir()
 	ops := genOps(seed, 300)
 	inj := fault.New(fault.Config{Seed: seed, Rates: map[fault.Point]float64{point: crashRate(point)}})
-	eng, err := Open(dir, Options{SnapshotEvery: 16, Faults: inj})
+	eng, err := open(dir, options{snapshotEvery: 16, faults: inj})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -231,7 +231,7 @@ func runCrashScenario(t *testing.T, point fault.Point, seed uint64) bool {
 		t.Fatalf("close after crash: %v", err)
 	}
 
-	rec, err := Open(dir, Options{})
+	rec, err := Open(dir)
 	if err != nil {
 		writeCrashRepro(t, point, seed, "reopen failed: "+err.Error())
 		t.Fatalf("reopen after crash: %v", err)
@@ -282,7 +282,7 @@ func runCrashScenario(t *testing.T, point fault.Point, seed uint64) bool {
 	if err := rec.Close(); err != nil {
 		t.Fatalf("close recovered engine: %v", err)
 	}
-	rec2, err := Open(dir, Options{})
+	rec2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
@@ -332,7 +332,7 @@ func TestRecoverFaultFreeMatchesMemory(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			ops := genOps(seed, 300)
-			eng, err := Open(dir, Options{SnapshotEvery: 32})
+			eng, err := open(dir, options{snapshotEvery: 32})
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -353,7 +353,7 @@ func TestRecoverFaultFreeMatchesMemory(t *testing.T) {
 				t.Fatalf("close: %v", err)
 			}
 
-			rec, err := Open(dir, Options{})
+			rec, err := Open(dir)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}

@@ -14,30 +14,23 @@ import (
 	"cloudviews/internal/storage"
 )
 
-// DefaultSnapshotEvery is how many WAL records accumulate between automatic
+// defaultSnapshotEvery is how many WAL records accumulate between automatic
 // snapshots (snapshot + WAL truncation).
-const DefaultSnapshotEvery = 512
+const defaultSnapshotEvery = 512
 
-// Options tunes a durable engine.
-type Options struct {
-	// TTL overrides the view TTL after recovery (0 keeps the recovered
-	// value, or storage.DefaultTTL on a fresh directory).
-	TTL time.Duration
-	// SnapshotEvery is the record count between automatic snapshots
-	// (default DefaultSnapshotEvery).
-	SnapshotEvery int
-	// Sync fsyncs every WAL append (off by default: the crash model under
-	// test is process death, not power loss, and the simulator's workloads
-	// are write-heavy).
-	Sync bool
-	// Faults enables the durable crash points (DurableCrashAppend,
-	// DurableCrashTorn, DurableCrashSnapshot). Nil disables them; live
-	// deployments leave this nil.
-	Faults *fault.Injector
-	// Now is the simulated clock. Usually installed later via SetNow by the
-	// owning core engine; until then the clock is frozen at the last
-	// recovered record's timestamp.
-	Now func() time.Time
+// options holds the engine's test seams: Open uses the zero value, and only
+// this package's tests open with others.
+type options struct {
+	// snapshotEvery is the record count between automatic snapshots
+	// (0 = defaultSnapshotEvery).
+	snapshotEvery int
+	// sync fsyncs every WAL append (off: the crash model under test is
+	// process death, not power loss, and the simulator's workloads are
+	// write-heavy).
+	sync bool
+	// faults enables the durable crash points (DurableCrashAppend,
+	// DurableCrashTorn, DurableCrashSnapshot). Nil disables them.
+	faults *fault.Injector
 }
 
 // RecoveryStats describes what one Open had to do to restore state.
@@ -63,7 +56,7 @@ type RecoveryStats struct {
 type Engine struct {
 	mu   sync.Mutex
 	dir  string
-	opts Options
+	opts options
 	mem  *storage.Store
 	wal  *walWriter
 
@@ -76,7 +69,7 @@ type Engine struct {
 	crashed    bool
 	crashPoint fault.Point
 	closed     bool
-	err        error // first WAL I/O failure; surfaced via Materialize/Err
+	err        error // first WAL I/O failure; surfaced via Materialize and Close
 
 	sinceSnap int
 	rec       RecoveryStats
@@ -85,24 +78,23 @@ type Engine struct {
 	mSnapshots *obs.Counter
 }
 
-var (
-	_ storage.Engine     = (*Engine)(nil)
-	_ storage.ClockAware = (*Engine)(nil)
-)
+var _ storage.Engine = (*Engine)(nil)
 
 // Open loads (or creates) the data directory and recovers: snapshot restore,
 // WAL replay under record-time clocks, torn-tail truncation, abandonment of
 // mid-transaction views, and a fresh snapshot so the next recovery starts
 // clean. The returned engine is ready for traffic once SetNow installs the
 // live clock.
-func Open(dir string, opts Options) (*Engine, error) {
+func Open(dir string) (*Engine, error) { return open(dir, options{}) }
+
+func open(dir string, opts options) (*Engine, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: creating data directory: %w", err)
 	}
-	if opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = DefaultSnapshotEvery
+	if opts.snapshotEvery <= 0 {
+		opts.snapshotEvery = defaultSnapshotEvery
 	}
-	e := &Engine{dir: dir, opts: opts, nowFn: opts.Now}
+	e := &Engine{dir: dir, opts: opts}
 	e.mem = storage.NewStore(e.memNow)
 
 	// 1. Snapshot restore.
@@ -148,14 +140,10 @@ func Open(dir string, opts Options) (*Engine, error) {
 	}
 	e.rec.ViewsRecovered = e.mem.Count()
 
-	if opts.TTL > 0 {
-		e.mem.SetTTL(opts.TTL)
-	}
-
 	// 4. Reset the log: publish a post-recovery snapshot and truncate the
 	// WAL, so recovery is a fixed point (recover twice → same state) and
 	// replayed work is never replayed again.
-	e.wal, err = openWAL(dir, opts.Sync)
+	e.wal, err = openWAL(dir, opts.sync)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +173,7 @@ func (e *Engine) memNow() time.Time {
 	return e.lastTS
 }
 
-// SetNow installs the live simulated clock (storage.ClockAware).
+// SetNow installs the live simulated clock.
 func (e *Engine) SetNow(now func() time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -240,7 +228,7 @@ func (e *Engine) logAndApply(rec *record, apply func()) {
 	e.lastTS = now
 	key := rec.Type.String() + "#" + strconv.FormatUint(e.seq, 10)
 
-	if e.opts.Faults.Should(fault.DurableCrashTorn, key) {
+	if e.opts.faults.Should(fault.DurableCrashTorn, key) {
 		e.wal.appendTorn(rec)
 		e.crash(fault.DurableCrashTorn)
 		return
@@ -250,13 +238,13 @@ func (e *Engine) logAndApply(rec *record, apply func()) {
 		return
 	}
 	e.mAppends.Inc()
-	if e.opts.Faults.Should(fault.DurableCrashAppend, key) {
+	if e.opts.faults.Should(fault.DurableCrashAppend, key) {
 		e.crash(fault.DurableCrashAppend)
 		return
 	}
 	apply()
 	e.sinceSnap++
-	if e.sinceSnap >= e.opts.SnapshotEvery {
+	if e.sinceSnap >= e.opts.snapshotEvery {
 		e.snapshotLocked(key)
 	}
 }
@@ -265,7 +253,7 @@ func (e *Engine) logAndApply(rec *record, apply func()) {
 // injected mid-snapshot crash point).
 func (e *Engine) snapshotLocked(key string) {
 	crashed, err := writeSnapshotFile(e.dir, e.mem.ExportState(), e.seq, e.lastTS.UnixNano(), func() bool {
-		return e.opts.Faults.Should(fault.DurableCrashSnapshot, key)
+		return e.opts.faults.Should(fault.DurableCrashSnapshot, key)
 	})
 	if crashed {
 		e.crash(fault.DurableCrashSnapshot)
@@ -530,17 +518,6 @@ func (e *Engine) Close() error {
 	return e.wal.close()
 }
 
-// Checkpoint forces a snapshot + WAL truncation now (admin/test hook).
-func (e *Engine) Checkpoint() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead() {
-		return e.err
-	}
-	e.snapshotLocked("checkpoint#" + strconv.FormatUint(e.seq, 10))
-	return e.err
-}
-
 // Crashed reports whether an injected crash point killed the engine, and
 // which one.
 func (e *Engine) Crashed() (fault.Point, bool) {
@@ -556,13 +533,6 @@ func (e *Engine) CrashWasDurable() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.crashed && e.crashPoint != fault.DurableCrashTorn
-}
-
-// Err returns the first WAL I/O failure, if any.
-func (e *Engine) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
 }
 
 // Recovery returns what the last Open had to do.

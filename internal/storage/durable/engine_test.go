@@ -21,9 +21,9 @@ type testClock struct{ t time.Time }
 func (c *testClock) now() time.Time          { return c.t }
 func (c *testClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func openTest(t *testing.T, dir string, opts Options) (*Engine, *testClock) {
+func openTest(t *testing.T, dir string, opts options) (*Engine, *testClock) {
 	t.Helper()
-	eng, err := Open(dir, opts)
+	eng, err := open(dir, opts)
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)
 	}
@@ -48,7 +48,7 @@ func seedView(t *testing.T, e storage.Engine, sigIdx int, vc string) signature.S
 
 func TestRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	eng, clk := openTest(t, dir, Options{})
+	eng, clk := openTest(t, dir, options{})
 	sig := seedView(t, eng, 1, "vc-a")
 	clk.advance(time.Hour)
 	if _, _, ok := eng.Fetch(sig); !ok {
@@ -59,7 +59,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	rec, _ := openTest(t, dir, Options{})
+	rec, _ := openTest(t, dir, options{})
 	defer rec.Close()
 	if got := canonical(rec.ExportState()); !bytes.Equal(got, want) {
 		t.Fatal("state did not round-trip through a graceful restart")
@@ -113,10 +113,11 @@ func TestReadsChangeNothing(t *testing.T) {
 	}
 	clk := &testClock{t: fixtures.Epoch}
 	dir := t.TempDir()
-	disk, err := Open(dir, Options{SnapshotEvery: 1 << 30, Now: clk.now})
+	disk, err := open(dir, options{snapshotEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
+	disk.SetNow(clk.now)
 	defer disk.Close()
 	for name, e := range map[string]engine{"memory": storage.NewStore(clk.now), "durable": disk} {
 		clk.t = fixtures.Epoch
@@ -199,7 +200,7 @@ func TestHardKillRecoveryMatchesMemory(t *testing.T) {
 	for seed := uint64(5); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			eng, err := Open(dir, Options{SnapshotEvery: 40})
+			eng, err := open(dir, options{snapshotEvery: 40})
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -226,7 +227,7 @@ func TestHardKillRecoveryMatchesMemory(t *testing.T) {
 				if i%25 != 24 {
 					continue
 				}
-				rec, err := Open(copyDataDir(t, dir), Options{})
+				rec, err := Open(copyDataDir(t, dir))
 				if err != nil {
 					t.Fatalf("op %d: recovering the killed copy: %v", i, err)
 				}
@@ -261,14 +262,14 @@ func TestHardKillRecoveryMatchesMemory(t *testing.T) {
 // torn tail.
 func TestOlderDataDirectory(t *testing.T) {
 	dir := copyDataDir(t, filepath.Join("testdata", "datadir-v1"))
-	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), `"CVSNAP1\n"`) {
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), `"CVSNAP1\n"`) {
 		t.Fatalf("opening a CVSNAP1 directory: %v, want a refusal naming the format", err)
 	}
 
 	if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Open(dir, Options{})
+	rec, err := Open(dir)
 	if err != nil {
 		t.Fatalf("replaying the older log: %v", err)
 	}
@@ -298,7 +299,7 @@ func TestOlderDataDirectory(t *testing.T) {
 // settled.
 func TestRecoverAbandonsInFlight(t *testing.T) {
 	dir := t.TempDir()
-	eng, _ := openTest(t, dir, Options{})
+	eng, _ := openTest(t, dir, options{})
 	staged, stagedRec := harnessSig(3)
 	eng.Stage(staged, stagedRec, eng.PathFor("vc-a", staged), "vc-a")
 	unsealed, unsealedRec := harnessSig(4)
@@ -309,7 +310,7 @@ func TestRecoverAbandonsInFlight(t *testing.T) {
 	sealed := seedView(t, eng, 5, "vc-a")
 	// Hard kill (no Close).
 
-	rec, _ := openTest(t, dir, Options{})
+	rec, _ := openTest(t, dir, options{})
 	defer rec.Close()
 	if got := rec.Recovery().InFlightAbandoned; got != 2 {
 		t.Fatalf("InFlightAbandoned = %d, want 2", got)
@@ -338,7 +339,7 @@ func TestRecoverAbandonsInFlight(t *testing.T) {
 // must come purely from the snapshot when the log is empty.
 func TestSnapshotCadence(t *testing.T) {
 	dir := t.TempDir()
-	eng, clk := openTest(t, dir, Options{SnapshotEvery: 4})
+	eng, clk := openTest(t, dir, options{snapshotEvery: 4})
 	reg := obs.NewRegistry()
 	eng.SetMetrics(reg)
 	for i := 0; i < 6; i++ {
@@ -358,7 +359,7 @@ func TestSnapshotCadence(t *testing.T) {
 	}
 	want := canonical(eng.ExportState())
 	// Hard kill; replay covers only the post-snapshot tail.
-	rec, _ := openTest(t, dir, Options{})
+	rec, _ := openTest(t, dir, options{})
 	defer rec.Close()
 	st := rec.Recovery()
 	if st.SnapshotsLoaded != 1 {
@@ -376,10 +377,10 @@ func TestSnapshotCadence(t *testing.T) {
 // counters after SetMetrics.
 func TestRecoveryMetricsExported(t *testing.T) {
 	dir := t.TempDir()
-	eng, _ := openTest(t, dir, Options{SnapshotEvery: 1 << 30})
+	eng, _ := openTest(t, dir, options{snapshotEvery: 1 << 30})
 	seedView(t, eng, 1, "vc-a")
 	// Hard kill, then recover and export.
-	rec, _ := openTest(t, dir, Options{})
+	rec, _ := openTest(t, dir, options{})
 	defer rec.Close()
 	reg := obs.NewRegistry()
 	rec.SetMetrics(reg)
@@ -399,7 +400,7 @@ func TestRecoveryMetricsExported(t *testing.T) {
 // incarnation's path.
 func TestRestagedAfterPurgeGetsFreshPath(t *testing.T) {
 	dir := t.TempDir()
-	eng, _ := openTest(t, dir, Options{})
+	eng, _ := openTest(t, dir, options{})
 	sig := seedView(t, eng, 6, "vc-a")
 	first := eng.PathFor("vc-a", sig)
 	if !eng.Purge(sig) {
@@ -414,7 +415,7 @@ func TestRestagedAfterPurgeGetsFreshPath(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	rec, _ := openTest(t, dir, Options{})
+	rec, _ := openTest(t, dir, options{})
 	defer rec.Close()
 	if got := rec.PathFor("vc-a", sig); got != second {
 		t.Fatalf("generation lost across restart: %q vs %q", got, second)

@@ -24,6 +24,10 @@ import (
 // and by GC; until then every read treats it as gone (Status reports it as
 // StateExpired).
 type Engine interface {
+	// SetNow installs the simulated clock. A durable engine is opened (and
+	// recovered) before the owning core engine exists, so the core installs
+	// its clock here once both are wired together.
+	SetNow(now func() time.Time)
 	// SetTTL overrides the view expiry (DefaultTTL when never called).
 	SetTTL(ttl time.Duration)
 	// SetMetrics registers the engine's lifecycle counters and gauges.
@@ -58,16 +62,5 @@ type Engine interface {
 	Snapshot() Stats
 }
 
-// ClockAware is implemented by engines whose clock is injected after
-// construction. A durable engine is opened (and recovered) before the owning
-// core engine exists, so the core installs its simulated clock via SetNow
-// once both are wired together.
-type ClockAware interface {
-	SetNow(now func() time.Time)
-}
-
 // The in-memory store is the default Engine.
-var (
-	_ Engine     = (*Store)(nil)
-	_ ClockAware = (*Store)(nil)
-)
+var _ Engine = (*Store)(nil)

@@ -104,9 +104,9 @@ func (s *Store) SetTTL(ttl time.Duration) {
 	s.ttl = ttl
 }
 
-// SetNow replaces the clock function. Implements ClockAware: recovery replays
-// a durable store under a record-time clock, then installs the live simulated
-// clock before serving traffic.
+// SetNow replaces the clock function: recovery replays a durable store under a
+// record-time clock, then installs the live simulated clock before serving
+// traffic.
 func (s *Store) SetNow(now func() time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -374,8 +374,8 @@ func TestState(t *testing.T) {
 }
 
 // TestSealReadsClockUnderLock: Seal reads the clock it stamps the view with,
-// and SetNow replaces that clock (the core does, on a ClockAware engine it
-// was handed); the two must be ordered by the store's lock. Fails under
+// and SetNow replaces that clock (the core does, on an engine it was
+// handed); the two must be ordered by the store's lock. Fails under
 // -race when Seal reads the field before locking.
 func TestSealReadsClockUnderLock(t *testing.T) {
 	s := storage.NewStore(func() time.Time { return time.Unix(0, 0) })

@@ -201,7 +201,7 @@ func fmtVal(v float64) string { return fmt.Sprintf("%.4g", v) }
 
 // The rule list is the configuration. DefaultRules and ServerRules return
 // fresh lists a caller may edit: WithThreshold moves one threshold, append
-// adds a rule — the opt-in ones below or any other Rule value.
+// adds a rule — the opt-in StorageBudgetRule or any other Rule value.
 
 // DefaultRules is the engine's rule list: hit-rate regression, queue growth,
 // fault-recovery spikes and miss-reason spikes. It stays silent on a healthy
@@ -241,15 +241,6 @@ func DefaultRules() []Rule {
 	}
 }
 
-// ForfeitBudgetRule warns when the container-seconds forfeited to any single
-// miss reason in one day exceed sec. Opt-in: append it to a rule list.
-func ForfeitBudgetRule(sec float64) Rule {
-	return Rule{
-		Name: "reuse-forfeit-budget", Metric: SeriesForfeitPrefix + "*", Kind: Above,
-		Threshold: sec, Severity: SevWarn,
-	}
-}
-
 // StorageBudgetRule pages when any VC's sealed-view bytes exceed the budget
 // (mirrors analysis.SelectionConfig's budget). Opt-in: append it to a rule
 // list.
@@ -285,16 +276,6 @@ func ServerRules() []Rule {
 			Name: "accept-drop", Metric: "cvserve_accepted_total{*", Kind: DropPct,
 			Threshold: 80, Window: 1, MinReference: 20, Severity: SevWarn,
 		},
-	}
-}
-
-// InflightSaturationRule pages when any tenant's in-flight submission gauge
-// exceeds max (saturation is tenant-sized, so there is no default). Opt-in:
-// append it to a rule list.
-func InflightSaturationRule(max float64) Rule {
-	return Rule{
-		Name: "inflight-saturation", Metric: "cvserve_inflight{*", Kind: Above,
-		Threshold: max, Severity: SevPage,
 	}
 }
 

@@ -140,7 +140,7 @@ func TestDefaultRules(t *testing.T) {
 	}
 	want := []string{"hit-rate-drop", "queue-growth", "fault-spike", "miss-reason-spike"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Errorf("default rules = %v, want %v (storage and forfeit budgets are opt-in)", names, want)
+		t.Errorf("default rules = %v, want %v (the storage budget is opt-in)", names, want)
 	}
 	for _, r := range rules {
 		if r.Name == "miss-reason-spike" {
@@ -153,9 +153,6 @@ func TestDefaultRules(t *testing.T) {
 		}
 	}
 
-	if r := ForfeitBudgetRule(120); r.Name != "reuse-forfeit-budget" || r.Kind != Above || r.Threshold != 120 || r.Metric != SeriesForfeitPrefix+"*" {
-		t.Errorf("forfeit rule = %+v", r)
-	}
 	r := StorageBudgetRule(1 << 20)
 	if r.Name != "storage-budget" || r.Severity != SevPage || r.Threshold != float64(1<<20) {
 		t.Errorf("storage rule = %+v", r)
@@ -218,7 +215,7 @@ func TestServerRules(t *testing.T) {
 	}
 	want := []string{"shed-spike", "auth-failures", "accept-drop"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Errorf("server rules = %v, want %v (the inflight cap is opt-in)", names, want)
+		t.Errorf("server rules = %v, want %v", names, want)
 	}
 	for _, r := range rules {
 		if r.Name == "shed-spike" || r.Name == "accept-drop" {
@@ -226,10 +223,6 @@ func TestServerRules(t *testing.T) {
 				t.Errorf("%s must prefix-match per-tenant series, metric = %q", r.Name, r.Metric)
 			}
 		}
-	}
-
-	if r := InflightSaturationRule(64); r.Name != "inflight-saturation" || r.Severity != SevPage || r.Threshold != 64 {
-		t.Errorf("inflight rule = %+v", r)
 	}
 
 	// The shed rule fires on a per-tenant spike and stays silent below it.

@@ -178,9 +178,6 @@ func NewGenerator(cat *catalog.Catalog, profile ClusterProfile) *Generator {
 	return &Generator{Profile: profile, cat: cat, rng: data.NewRand(profile.Seed)}
 }
 
-// Catalog returns the underlying catalog.
-func (g *Generator) Catalog() *catalog.Catalog { return g.cat }
-
 // Bootstrap defines the dataset universe and publishes day-0 versions.
 func (g *Generator) Bootstrap() error {
 	p := g.Profile
