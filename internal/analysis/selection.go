@@ -97,7 +97,7 @@ func SelectViews(repo *repository.Repo, from, to time.Time, cfg SelectionConfig)
 		}
 		// Assign to the VC with the most occurrences (per-customer
 		// selection; a view is stored and budgeted in its home VC).
-		vc := dominantVC(g.VCCounts)
+		vc := dominantVC(g)
 		candidates = append(candidates, Candidate{
 			Recurring:     g.Recurring,
 			Op:            g.Op,
@@ -155,18 +155,13 @@ func anyInstanceReusable(g *repository.GroupStat, window time.Duration) bool {
 	return false
 }
 
-// dominantVC picks the VC with the most occurrences of the group
-// (deterministic tie-break on name).
-func dominantVC(counts map[string]int) string {
-	keys := make([]string, 0, len(counts))
-	for vc := range counts {
-		keys = append(keys, vc)
-	}
-	sort.Strings(keys)
+// dominantVC picks the VC with the most occurrences of the group: the first
+// maximum in VCs' sorted order, so a tie goes to the smallest name.
+func dominantVC(g *repository.GroupStat) string {
 	best, bestN := "", -1
-	for _, vc := range keys {
-		if counts[vc] > bestN {
-			best, bestN = vc, counts[vc]
+	for i, vc := range g.VCs {
+		if g.VCOccs[i] > bestN {
+			best, bestN = vc, g.VCOccs[i]
 		}
 	}
 	return best

@@ -8,7 +8,9 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"slices"
@@ -1018,7 +1020,7 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	ex.res.TotalRead += in.logicalBytes()
 
 	out := data.NewTable(x.Schema())
-	groups := newAggTable(x, len(out.Schema))
+	groups := newAggTable(x, out.Schema)
 	batches, ok := ex.vecAggregate(in, groups)
 	if !ok {
 		var buf [64]byte
@@ -1030,9 +1032,8 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 				vals[i] = g.Eval(row, ex.Ctx)
 				key = appendKeyValue(key, vals[i])
 			}
-			gi, ok := groups.index[string(key)]
-			if !ok {
-				gi = groups.add(string(key))
+			gi, isNew := groups.find(key)
+			if isNew {
 				copy(groups.states[gi].row, vals)
 			}
 			for i, spec := range x.Aggs {
@@ -1040,7 +1041,7 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 					args[i] = spec.Arg.Eval(row, ex.Ctx)
 				}
 			}
-			groups.states[gi].accumulate(x, args)
+			groups.accumulate(gi, args)
 		}
 	}
 	groups.output(out)
@@ -1056,72 +1057,121 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	return ex.finish(NodeStat{Node: x, Op: "Aggregate", Work: work, Batches: batches}, out, outMult), nil
 }
 
-// aggCell is the running state of one aggregate within one group. The zero
-// value is the initial state (min and max NULL).
+// aggCell is the running state of one aggregate within one group; the zero
+// value is the initial state. An aggregate spec has one kind, so a cell holds
+// only what its kind reads: count for COUNT and AVG, sum for AVG and a SUM of
+// a non-INT argument, and val for MIN and MAX (the extremum, NULL until the
+// first value) and for a SUM of an INT argument, which adds in val.I so that
+// it is exact rather than rounded through a float64.
 type aggCell struct {
-	sum      float64
-	count    int64
-	min, max data.Value
+	count int64
+	sum   float64
+	val   data.Value
 }
 
 // aggState accumulates one group. row is the group's output row: the group
 // values, written when the group is discovered, then one cell per aggregate,
-// written by aggTable.output.
+// written by aggTable.output. next and end place the group in its table's
+// hash chain and key array.
 type aggState struct {
 	row   data.Row
 	cells []aggCell
+	next  int32 // one past the previous group with the same key hash; 0 ends the chain
+	end   int32 // the group's key is keys[previous group's end:end]
 }
 
 // aggTable is the hash aggregate's group table, filled by the row loop and by
-// vecAggregate alike. Groups sit in states in discovery order, which is the
-// output order; their cells and rows are carved from slabs, so a new group
-// costs its map key and nothing else.
+// vecAggregate alike and laid out like the hash join's build table: head maps
+// a key hash to the newest group with that hash, each group links to the one
+// before it, and every group key (keys.go) sits back to back in keys. Groups
+// sit in states in discovery order, which is the output order, and their
+// cells and rows are carved from slabs, so opening a group appends to a few
+// growing arrays and allocates nothing of its own.
 type aggTable struct {
 	x      *plan.Aggregate
-	index  map[string]int32 // group key (keys.go) → position in states
+	schema data.Schema // output schema: a SUM whose column is INT adds exactly
+	head   map[uint64]int32
+	keys   []byte
 	states []aggState
 	cells  data.Slab[aggCell]
 	rows   data.RowSlab
-	width  int // output arity
 }
 
-func newAggTable(x *plan.Aggregate, width int) *aggTable {
-	return &aggTable{x: x, index: make(map[string]int32), width: width}
+// groupSeed keys the group tables' hashes. Output is in discovery order, so
+// no answer depends on it.
+var groupSeed = maphash.MakeSeed()
+
+func newAggTable(x *plan.Aggregate, schema data.Schema) *aggTable {
+	return &aggTable{x: x, schema: schema, head: make(map[uint64]int32)}
 }
 
-// add opens the group for key and returns its position; the caller fills
-// row[:len(GroupBy)].
-func (a *aggTable) add(key string) int32 {
-	gi := int32(len(a.states))
-	a.states = append(a.states, aggState{row: a.rows.New(a.width), cells: a.cells.New(len(a.x.Aggs))})
-	a.index[key] = gi
-	return gi
+// find returns the position of key's group, opening the group if key is new;
+// the caller fills a new group's row[:len(GroupBy)].
+func (a *aggTable) find(key []byte) (gi int32, isNew bool) {
+	return a.findHashed(key, maphash.Bytes(groupSeed, key))
 }
 
-// accumulate folds one input row into the group. args[i] is the row's value
+// findHashed is find with key's hash given. A chain compares whole keys, so
+// groups whose hashes collide stay apart.
+func (a *aggTable) findHashed(key []byte, h uint64) (gi int32, isNew bool) {
+	newest := a.head[h]
+	for g := newest; g != 0; g = a.states[g-1].next {
+		if bytes.Equal(a.key(g-1), key) {
+			return g - 1, false
+		}
+	}
+	gi = int32(len(a.states))
+	a.keys = append(a.keys, key...)
+	a.states = append(a.states, aggState{
+		row:   a.rows.New(len(a.schema)),
+		cells: a.cells.New(len(a.x.Aggs)),
+		next:  newest,
+		end:   int32(len(a.keys)),
+	})
+	a.head[h] = gi + 1
+	return gi, true
+}
+
+// key is group gi's key.
+func (a *aggTable) key(gi int32) []byte {
+	var start int32
+	if gi > 0 {
+		start = a.states[gi-1].end
+	}
+	return a.keys[start:a.states[gi].end]
+}
+
+// accumulate folds one input row into group gi. args[i] is the row's value
 // of x.Aggs[i].Arg, already evaluated by the caller (the row loop through
 // Eval, the kernels through their result columns) and ignored where Arg is
 // nil, so both callers share this one body.
-func (st *aggState) accumulate(x *plan.Aggregate, args []data.Value) {
-	for i, spec := range x.Aggs {
+func (a *aggTable) accumulate(gi int32, args []data.Value) {
+	cells, cols := a.states[gi].cells, a.schema[len(a.x.GroupBy):]
+	for i, spec := range a.x.Aggs {
 		v := args[i]
 		if spec.Arg != nil && v.IsNull() && spec.Kind != plan.AggCount {
 			continue
 		}
-		c := &st.cells[i]
+		c := &cells[i]
 		switch spec.Kind {
 		case plan.AggCount:
 			c.count++
-		case plan.AggSum, plan.AggAvg:
+		case plan.AggSum:
+			if cols[i].Kind == data.KindInt {
+				c.val.I += v.AsInt()
+			} else {
+				c.sum += v.AsFloat()
+			}
+		case plan.AggAvg:
 			c.sum += v.AsFloat()
 			c.count++
 		case plan.AggMin:
-			if c.min.IsNull() || v.Compare(c.min) < 0 {
-				c.min = v
+			if c.val.IsNull() || v.Compare(c.val) < 0 {
+				c.val = v
 			}
 		case plan.AggMax:
-			if c.max.IsNull() || v.Compare(c.max) > 0 {
-				c.max = v
+			if c.val.IsNull() || v.Compare(c.val) > 0 {
+				c.val = v
 			}
 		}
 	}
@@ -1131,6 +1181,7 @@ func (st *aggState) accumulate(x *plan.Aggregate, args []data.Value) {
 // order.
 func (a *aggTable) output(out *data.Table) {
 	out.Rows = make([]data.Row, 0, len(a.states))
+	cols := a.schema[len(a.x.GroupBy):]
 	for _, st := range a.states {
 		res := st.row[len(a.x.GroupBy):]
 		for i, spec := range a.x.Aggs {
@@ -1139,8 +1190,8 @@ func (a *aggTable) output(out *data.Table) {
 			case plan.AggCount:
 				res[i] = data.Int(c.count)
 			case plan.AggSum:
-				if spec.Arg != nil && spec.Arg.Kind() == data.KindInt {
-					res[i] = data.Int(int64(c.sum))
+				if cols[i].Kind == data.KindInt {
+					res[i] = data.Int(c.val.I)
 				} else {
 					res[i] = data.Float(c.sum)
 				}
@@ -1148,10 +1199,8 @@ func (a *aggTable) output(out *data.Table) {
 				if c.count != 0 {
 					res[i] = data.Float(c.sum / float64(c.count))
 				}
-			case plan.AggMin:
-				res[i] = c.min
-			case plan.AggMax:
-				res[i] = c.max
+			case plan.AggMin, plan.AggMax:
+				res[i] = c.val
 			}
 		}
 		out.Append(st.row)

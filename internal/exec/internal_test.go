@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -124,6 +125,48 @@ func TestKeyPayloadMatchesValueString(t *testing.T) {
 		if got := string(appendKeyPayload(nil, v)); got != v.String() {
 			t.Errorf("payload for kind %v: got %q, want %q", v.Kind, got, v.String())
 		}
+	}
+}
+
+// TestGroupChainsCompareKeys drives the group table with every key hashed
+// alike, so all groups share one chain. Keys that differ only in their kind
+// (Int 1 and "1", NULL and "NULL") must still open groups of their own, a
+// repeated key must find its group, and groups keep their discovery order.
+func TestGroupChainsCompareKeys(t *testing.T) {
+	x := &plan.Aggregate{
+		GroupBy: []plan.Expr{&plan.ColRef{Index: 0, Typ: data.KindString}},
+		Aggs:    []plan.AggSpec{{Kind: plan.AggCount, Name: "n"}},
+	}
+	schema := data.Schema{{Name: "K"}, {Name: "n", Kind: data.KindInt}}
+	vals := []data.Value{data.Int(1), data.String_("1"), {}, data.String_("NULL"), data.String_(""), data.Float(1)}
+	key := func(v data.Value) []byte { return appendKeyValue(nil, v) }
+	// Once with one chain for every key, once through the real hash.
+	for name, find := range map[string]func(a *aggTable, k []byte) (int32, bool){
+		"one chain": func(a *aggTable, k []byte) (int32, bool) { return a.findHashed(k, 7) },
+		"maphash":   (*aggTable).find,
+	} {
+		a := newAggTable(x, schema)
+		for pass := 0; pass < 2; pass++ {
+			for i, v := range vals {
+				gi, isNew := find(a, key(v))
+				if gi != int32(i) || isNew != (pass == 0) {
+					t.Errorf("%s, pass %d: %v (%v) found group %d (new %v), want %d (new %v)", name, pass, v, v.Kind, gi, isNew, i, pass == 0)
+				}
+			}
+		}
+		for i, v := range vals {
+			if got := a.key(int32(i)); string(got) != string(key(v)) {
+				t.Errorf("%s: group %d holds key %q, want %q", name, i, got, key(v))
+			}
+		}
+	}
+}
+
+// TestAggCellSize pins the per-aggregate, per-group state at one extremum
+// beside the sum and count: every group of every aggregate carries one.
+func TestAggCellSize(t *testing.T) {
+	if got := reflect.TypeOf(aggCell{}).Size(); got > 56 {
+		t.Fatalf("an aggCell is %d bytes, want at most 56", got)
 	}
 }
 

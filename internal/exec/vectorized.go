@@ -200,9 +200,8 @@ func (ex *Executor) vecAggregate(r nodeResult, groups *aggTable) (int64, bool) {
 			for _, rc := range groupRoots {
 				kb = appendKeyValue(kb, rc.value(i))
 			}
-			gi, ok := groups.index[string(kb)]
-			if !ok {
-				gi = groups.add(string(kb))
+			gi, isNew := groups.find(kb)
+			if isNew {
 				for j, rc := range groupRoots {
 					groups.states[gi].row[j] = rc.value(i)
 				}
@@ -212,7 +211,7 @@ func (ex *Executor) vecAggregate(r nodeResult, groups *aggTable) (int64, bool) {
 					args[j] = rc.value(i)
 				}
 			}
-			groups.states[gi].accumulate(x, args)
+			groups.accumulate(gi, args)
 		}
 		batches++
 	}

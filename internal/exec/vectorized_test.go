@@ -430,6 +430,94 @@ func TestAllocationsScaleWithBatches(t *testing.T) {
 	}
 }
 
+// intTable defines name as (K INT, V INT) holding rows in a new catalog.
+func intTable(t *testing.T, name string, rows [][2]int64) *catalog.Catalog {
+	t.Helper()
+	schema := data.Schema{{Name: "K", Kind: data.KindInt}, {Name: "V", Kind: data.KindInt}}
+	cat := catalog.New()
+	if _, err := cat.Define(name, schema); err != nil {
+		t.Fatal(err)
+	}
+	tb := data.NewTable(schema)
+	for _, r := range rows {
+		tb.Append(data.Row{data.Int(r[0]), data.Int(r[1])})
+	}
+	if _, err := cat.BulkUpdate(name, fixtures.Epoch, tb); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// TestAggregateGroupsCostNoAllocation: a new group appends to the group
+// table's arrays and allocates nothing of its own, so one aggregate over
+// 3,000 rows costs about the same whether the rows form 3,000 groups or 30:
+// only the amortized growth of those arrays and the slabs differs.
+func TestAggregateGroupsCostNoAllocation(t *testing.T) {
+	const rows = 3000
+	for _, vectorized := range []bool{true, false} {
+		var allocs [2]float64
+		for i, groups := range []int64{rows, 30} {
+			in := make([][2]int64, rows)
+			for r := range in {
+				in[r] = [2]int64{int64(r) % groups, int64(r)}
+			}
+			cat := intTable(t, "T", in)
+			n := bindQuery(t, cat, `SELECT K, SUM(V) AS s FROM T GROUP BY K`)
+			res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int64(res.Table.NumRows()); got != groups {
+				t.Fatalf("vectorized=%v: %d groups, want %d", vectorized, got, groups)
+			}
+			if got := opBatches(t, "aggregate", res, "Aggregate") > 0; got != vectorized {
+				t.Fatalf("vectorized=%v: the aggregate ran on the kernels = %v", vectorized, got)
+			}
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("vectorized=%v: %.0f allocations for 3,000 groups, %.0f for 30", vectorized, allocs[0], allocs[1])
+		if d := allocs[0] - allocs[1]; d > 64 || d < -64 {
+			t.Errorf("vectorized=%v: 3,000 groups cost %.0f allocations and 30 cost %.0f, want them within 64",
+				vectorized, allocs[0], allocs[1])
+		}
+	}
+}
+
+// TestIntSumIsExact: a SUM of an INT argument adds in an int64, so it is not
+// rounded through a float64 on either arm. 2^53 + 1 rounds back to 2^53 as a
+// float64, so a float sum of 2^53, 1 and 1 reads 2^53.
+func TestIntSumIsExact(t *testing.T) {
+	const big = 1 << 53
+	cat := intTable(t, "T", [][2]int64{{0, big}, {1, 1}, {0, 1}, {1, -big}, {0, 1}, {1, -1}})
+	for _, c := range []struct {
+		src  string
+		want []int64
+	}{
+		{`SELECT SUM(V) AS s FROM T`, []int64{2}},
+		{`SELECT K, SUM(V) AS s FROM T GROUP BY K`, []int64{big + 2, -big}},
+	} {
+		row, vec := runBoth(t, cat, c.src)
+		requireRunsEqual(t, c.src, row, vec)
+		for _, res := range []*exec.RunResult{row, vec} {
+			var got []int64
+			for _, r := range res.Table.Rows {
+				s := r[len(r)-1]
+				if s.Kind != data.KindInt {
+					t.Fatalf("%s: SUM of an INT is %v, want an INT", c.src, s.Kind)
+				}
+				got = append(got, s.I)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: sums %v, want %v", c.src, got, c.want)
+			}
+		}
+	}
+}
+
 // TestOperatorRowsDoNotAlias: rows an operator creates share chunks, but each
 // is capped at its own length and none overlaps another or its input — an
 // append or a write on one output row reaches nothing else. An operator that

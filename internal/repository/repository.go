@@ -31,6 +31,8 @@
 package repository
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -146,38 +148,16 @@ type occurrence struct {
 	sub *SubexprRecord
 }
 
-// occLess is the documented deterministic occurrence order: submit time,
-// then strict signature, then job ID.
-func occLess(a, b occurrence) bool {
-	if !a.job.Submit.Equal(b.job.Submit) {
-		return a.job.Submit.Before(b.job.Submit)
+// occCmp is the documented deterministic occurrence order: submit time, then
+// strict signature, then job ID.
+func occCmp(a, b occurrence) int {
+	if c := a.job.Submit.Compare(b.job.Submit); c != 0 {
+		return c
 	}
-	if a.sub.Strict != b.sub.Strict {
-		return a.sub.Strict < b.sub.Strict
+	if c := cmp.Compare(a.sub.Strict, b.sub.Strict); c != 0 {
+		return c
 	}
-	return a.job.JobID < b.job.JobID
-}
-
-// groupPartial collects the occurrences of one recurring signature inside a
-// query window.
-type groupPartial struct {
-	occs []occurrence
-}
-
-// partialAdd folds one subexpression into a partial map.
-func partialAdd(m map[signature.Sig]*groupPartial, j *JobRecord, s *SubexprRecord) {
-	g, ok := m[s.Recurring]
-	if !ok {
-		g = &groupPartial{}
-		m[s.Recurring] = g
-	}
-	g.occs = append(g.occs, occurrence{job: j, sub: s})
-}
-
-// sortOccs pins the occurrence list to the documented order. Stable so that
-// fully equal keys keep their insertion order.
-func (g *groupPartial) sortOccs() {
-	sort.SliceStable(g.occs, func(i, j int) bool { return occLess(g.occs[i], g.occs[j]) })
+	return cmp.Compare(a.job.JobID, b.job.JobID)
 }
 
 // ownedRecord pairs a job's current record — the one handed to Add, or the
@@ -386,6 +366,10 @@ func (r *Repo) JobsBetween(from, to time.Time) []*JobRecord {
 // signature, then job ID — and VCs is sorted ascending, so workload analysis
 // and schedule-aware selection observe identical bytes regardless of
 // insertion order.
+//
+// The slices of all the groups one GroupByRecurring returns are windows of a
+// few arrays shared among them, each capped at its length: read-only, like the
+// records they come from.
 type GroupStat struct {
 	Recurring signature.Sig
 	Op        string
@@ -400,9 +384,9 @@ type GroupStat struct {
 	// record: read-only.
 	InputDatasets []string
 	VCs           []string
-	// VCCounts maps each VC to the number of occurrences it contributed.
-	VCCounts map[string]int
-	Jobs     []string
+	// VCOccs[i] is the number of occurrences VCs[i] contributed.
+	VCOccs []int
+	Jobs   []string
 	// Submits are the submission times of each occurrence's job, used by
 	// schedule-aware view selection; SubmitStrict[i] is the strict signature
 	// of the i-th occurrence (reuse only happens among occurrences sharing a
@@ -413,50 +397,18 @@ type GroupStat struct {
 	Height int
 }
 
-// finalizeGroup folds a partial (occurrences already in pinned order) into
-// the public GroupStat. Op, eligibility, height and input datasets come from
-// the occurrence that sorts first, and the float sums run over the pinned
-// order, so the result does not depend on insertion order.
-func finalizeGroup(p *groupPartial) *GroupStat {
-	first, n := p.occs[0].sub, len(p.occs)
-	g := &GroupStat{
-		Recurring:     first.Recurring,
-		Op:            first.Op,
-		Count:         n,
-		Eligible:      first.Eligible == signature.EligibleOK,
-		Height:        first.Height,
-		InputDatasets: first.InputDatasets,
-		VCCounts:      make(map[string]int),
-		Jobs:          make([]string, n),
-		Submits:       make([]time.Time, n),
-		SubmitStrict:  make([]signature.Sig, n),
-	}
-	stricts := make(map[signature.Sig]struct{})
-	for i, o := range p.occs {
-		g.AvgRows += float64(o.sub.Rows)
-		g.AvgBytes += float64(o.sub.Bytes)
-		g.AvgWork += o.sub.Work
-		g.Jobs[i] = o.job.JobID
-		g.Submits[i] = o.job.Submit
-		g.SubmitStrict[i] = o.sub.Strict
-		g.VCCounts[o.job.VC]++
-		stricts[o.sub.Strict] = struct{}{}
-	}
-	g.AvgRows /= float64(n)
-	g.AvgBytes /= float64(n)
-	g.AvgWork /= float64(n)
-	g.DistinctStrict = len(stricts)
-	g.VCs = make([]string, 0, len(g.VCCounts))
-	for vc := range g.VCCounts {
-		g.VCs = append(g.VCs, vc)
-	}
-	sort.Strings(g.VCs)
-	return g
-}
-
 // GroupByRecurring folds the subexpressions table by recurring signature —
 // the unit of workload analysis and view selection. Only jobs in [from, to)
 // participate.
+//
+// The fold is a counting sort: one pass over the window numbers the groups
+// and counts their occurrences, a second places every occurrence at its
+// group's offset in one array (in window order), and each group's run is then
+// sorted stably into the pinned order. Every GroupStat and every slice in it
+// is carved from window-sized arrays, so the allocations do not grow with the
+// number of groups. Op, eligibility, height and input datasets come from the
+// occurrence that sorts first, and the float sums run over the pinned order,
+// so the result does not depend on insertion order.
 func (r *Repo) GroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat {
 	var t0 int64
 	if r.nowNanos != nil {
@@ -468,10 +420,43 @@ func (r *Repo) GroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat
 
 	recs, buckets := r.window(from, to)
 	r.mMergedBkts.Add(float64(buckets))
-	parts := make(map[signature.Sig]*groupPartial)
+	n := 0
+	for _, own := range recs {
+		n += len(own.rec.Subexprs)
+	}
+	// ids numbers the groups in discovery order and gid[k] is the group of
+	// the window's k-th occurrence. end[g] first counts group g's
+	// occurrences, then is where its run starts, and once every occurrence is
+	// placed it is where the run ends (and the next one starts).
+	ids := make(map[signature.Sig]int32)
+	gid := make([]int32, 0, n)
+	var end []int
 	for _, own := range recs {
 		for si := range own.rec.Subexprs {
-			partialAdd(parts, own.rec, &own.rec.Subexprs[si])
+			sig := own.rec.Subexprs[si].Recurring
+			g, ok := ids[sig]
+			if !ok {
+				g = int32(len(end))
+				ids[sig] = g
+				end = append(end, 0)
+			}
+			end[g]++
+			gid = append(gid, g)
+		}
+	}
+	at := 0
+	for g, c := range end {
+		end[g] = at
+		at += c
+	}
+	occs := make([]occurrence, n)
+	k := 0
+	for _, own := range recs {
+		for si := range own.rec.Subexprs {
+			g := gid[k]
+			occs[end[g]] = occurrence{job: own.rec, sub: &own.rec.Subexprs[si]}
+			end[g]++
+			k++
 		}
 	}
 
@@ -479,17 +464,73 @@ func (r *Repo) GroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat
 	if r.nowNanos != nil {
 		tFolded = r.nowNanos()
 	}
-	out := make(map[signature.Sig]*GroupStat, len(parts))
-	for sig, p := range parts {
-		p.sortOccs()
-		out[sig] = finalizeGroup(p)
+	stats := make([]GroupStat, len(end))
+	jobs := make([]string, n)
+	submits := make([]time.Time, n)
+	stricts := make([]signature.Sig, n)
+	vcs := make([]string, n)
+	vcOccs := make([]int, n)
+	distinct := make(map[signature.Sig]struct{})
+	out := make(map[signature.Sig]*GroupStat, len(stats))
+	lo := 0
+	for g, hi := range end {
+		run := occs[lo:hi]
+		slices.SortStableFunc(run, occCmp)
+		first := run[0].sub
+		st := &stats[g]
+		*st = GroupStat{
+			Recurring:     first.Recurring,
+			Op:            first.Op,
+			Count:         len(run),
+			Eligible:      first.Eligible == signature.EligibleOK,
+			Height:        first.Height,
+			InputDatasets: first.InputDatasets,
+			Jobs:          jobs[lo:hi:hi],
+			Submits:       submits[lo:hi:hi],
+			SubmitStrict:  stricts[lo:hi:hi],
+		}
+		clear(distinct)
+		for i, o := range run {
+			st.AvgRows += float64(o.sub.Rows)
+			st.AvgBytes += float64(o.sub.Bytes)
+			st.AvgWork += o.sub.Work
+			st.Jobs[i] = o.job.JobID
+			st.Submits[i] = o.job.Submit
+			st.SubmitStrict[i] = o.sub.Strict
+			vcs[lo+i] = o.job.VC
+			distinct[o.sub.Strict] = struct{}{}
+		}
+		st.AvgRows /= float64(len(run))
+		st.AvgBytes /= float64(len(run))
+		st.AvgWork /= float64(len(run))
+		st.DistinctStrict = len(distinct)
+		st.VCs, st.VCOccs = countRuns(vcs[lo:hi], vcOccs[lo:hi])
+		out[first.Recurring] = st
+		lo = hi
 	}
 	if r.nowNanos != nil {
-		end := r.nowNanos()
-		r.hMerge.Observe(float64(end-tFolded) / 1e9)
-		r.hQuery.Observe(float64(end-t0) / 1e9)
+		now := r.nowNanos()
+		r.hMerge.Observe(float64(now-tFolded) / 1e9)
+		r.hQuery.Observe(float64(now-t0) / 1e9)
 	}
 	return out
+}
+
+// countRuns sorts names and folds each run of equal names into its first
+// slot, counting it in the same slot of counts; it returns the distinct names
+// and their counts, prefixes of the two arrays capped at their length.
+func countRuns(names []string, counts []int) ([]string, []int) {
+	slices.Sort(names)
+	k := 0
+	for i, name := range names {
+		if i > 0 && name == names[k-1] {
+			counts[k-1]++
+			continue
+		}
+		names[k], counts[k] = name, 1
+		k++
+	}
+	return names[:k:k], counts[:k:k]
 }
 
 // DatasetConsumers returns, per dataset, the set of distinct consumers

@@ -2,6 +2,7 @@ package repository_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -67,11 +68,8 @@ func TestGroupByRecurring(t *testing.T) {
 	if join.AvgWork != 20 || join.AvgRows != 500 {
 		t.Errorf("avgWork=%g avgRows=%g", join.AvgWork, join.AvgRows)
 	}
-	if len(join.VCs) != 2 {
-		t.Errorf("VCs = %v", join.VCs)
-	}
-	if join.VCCounts["vc1"] != 2 || join.VCCounts["vc2"] != 1 {
-		t.Errorf("VCCounts = %v", join.VCCounts)
+	if !reflect.DeepEqual(join.VCs, []string{"vc1", "vc2"}) || !reflect.DeepEqual(join.VCOccs, []int{2, 1}) {
+		t.Errorf("VCs = %v, VCOccs = %v, want [vc1 vc2] and [2 1]", join.VCs, join.VCOccs)
 	}
 	if len(join.Submits) != 3 || len(join.SubmitStrict) != 3 {
 		t.Errorf("submit tracking incomplete: %d/%d", len(join.Submits), len(join.SubmitStrict))

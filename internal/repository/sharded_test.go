@@ -386,6 +386,25 @@ func TestAddStoresOneCopy(t *testing.T) {
 	}
 }
 
+// TestGroupByRecurringAllocsIndependentOfGroups: the fold carves every group
+// from window-sized arrays, so a week of the same 2,100 occurrences costs
+// about the same allocations spread over 300 recurring signatures as over 30.
+func TestGroupByRecurringAllocsIndependentOfGroups(t *testing.T) {
+	var allocs [2]float64
+	for i, sigs := range []int{30, 300} {
+		r := benchRepo(benchRecords(7, 75, 4, sigs))
+		from, to := t0, t0.AddDate(0, 0, 7)
+		if got := len(r.GroupByRecurring(from, to)); got < sigs*9/10 {
+			t.Fatalf("%d signatures drawn at random made only %d groups", sigs, got)
+		}
+		allocs[i] = testing.AllocsPerRun(10, func() { r.GroupByRecurring(from, to) })
+	}
+	t.Logf("a week of 2,100 occurrences: %.0f allocations over 30 signatures, %.0f over 300", allocs[0], allocs[1])
+	if d := allocs[1] - allocs[0]; d > 16 || d < -16 {
+		t.Errorf("300 signatures cost %.0f allocations and 30 cost %.0f, want them within 16", allocs[1], allocs[0])
+	}
+}
+
 // TestQueriesRaceWithAddAndSetOutcome runs every windowed query against
 // concurrent Add and SetOutcome writers. Queries read the owned records in
 // place, so the repository's lock alone must order them against both writers
