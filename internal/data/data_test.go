@@ -120,20 +120,6 @@ func TestTableAppendArityPanics(t *testing.T) {
 	tb.Append(Row{Int(1), Int(2)})
 }
 
-func TestTableSortByColumns(t *testing.T) {
-	tb := NewTable(Schema{{Name: "a", Kind: KindInt}, {Name: "b", Kind: KindInt}})
-	tb.Append(Row{Int(2), Int(1)})
-	tb.Append(Row{Int(1), Int(2)})
-	tb.Append(Row{Int(1), Int(1)})
-	tb.SortByColumns(0, 1)
-	want := [][2]int64{{1, 1}, {1, 2}, {2, 1}}
-	for i, w := range want {
-		if tb.Rows[i][0].I != w[0] || tb.Rows[i][1].I != w[1] {
-			t.Fatalf("row %d = %v, want %v", i, tb.Rows[i], w)
-		}
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(7), NewRand(7)
 	for i := 0; i < 100; i++ {

@@ -143,19 +143,6 @@ func (t *Table) Clone() *Table {
 	return out
 }
 
-// SortByColumns sorts rows by the given column indexes ascending. Used to
-// canonicalize result sets in equivalence tests and by the merge join.
-func (t *Table) SortByColumns(cols ...int) {
-	sort.SliceStable(t.Rows, func(i, j int) bool {
-		for _, c := range cols {
-			if cmp := t.Rows[i][c].Compare(t.Rows[j][c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-}
-
 // Fingerprint returns a canonical string rendering of the table contents,
 // independent of row order. Two tables with identical multisets of rows have
 // identical fingerprints.

@@ -13,9 +13,7 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"cloudviews/internal/catalog"
@@ -681,13 +679,8 @@ func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
 	return ex.finish(NodeStat{Node: x, Op: "Project", Work: work, Batches: batches}, out, in.mult), nil
 }
 
-// joinKey builds the hash key for a row under the given key expressions,
-// using the collision-free length-prefixed encoding (see keys.go).
-func (ex *Executor) joinKey(row data.Row, keys []plan.Expr) string {
-	var buf [64]byte
-	return string(ex.appendJoinKey(buf[:0], row, keys))
-}
-
+// appendJoinKey appends a row's join key under the given key expressions,
+// in the collision-free length-prefixed encoding (see keys.go).
 func (ex *Executor) appendJoinKey(dst []byte, row data.Row, keys []plan.Expr) []byte {
 	for _, k := range keys {
 		dst = appendKeyValue(dst, k.Eval(row, ex.Ctx))
@@ -695,8 +688,8 @@ func (ex *Executor) appendJoinKey(dst []byte, row data.Row, keys []plan.Expr) []
 	return dst
 }
 
-// rowJoinKeys is vecJoinKeys on the row loop: joinKey of every row of t, in
-// row order, packed one string per batchSize rows.
+// rowJoinKeys is vecJoinKeys on the row loop: the join key of every row of t,
+// in row order, packed one string per batchSize rows.
 func (ex *Executor) rowJoinKeys(t *data.Table, keys []plan.Expr, dst *[]string, pack *keyPacker) {
 	out := sized(*dst, len(t.Rows))
 	*dst = out
@@ -735,35 +728,17 @@ func (p *keyPacker) flush(out []string) {
 	p.buf, p.n = p.buf[:0], 0
 }
 
-// orderedJoinKey is the merge-join variant: collision-free AND order-
-// preserving for escape-free values, so merge-join emission order matches
-// the historical encoding byte-for-byte (see keys.go).
-func orderedJoinKey(row data.Row, keys []plan.Expr, ctx *plan.EvalContext) string {
-	var buf [64]byte
-	dst := buf[:0]
-	for _, k := range keys {
-		dst = appendOrderedKeyValue(dst, k.Eval(row, ctx))
-	}
-	return string(dst)
-}
-
 // joinScratch is everything a join borrows while it probes. The probe only
 // records which pairs it keeps; the output table, the one thing the join
 // allocates to return, is built from them afterwards at its exact size and
 // aliases nothing here. The scratch goes back to joinScratches when evalJoin
 // returns, wiped of strings and rows; a new one has room for a window of keys.
 type joinScratch struct {
-	pairs []int32 // (left, right) row indices of the pairs kept, in emission order
-	side  [2]joinSide
-	next  []int32 // hash join: the build side's chains
+	pairs []int32     // (left, right) row indices of the pairs kept, in emission order
+	keys  [2][]string // each input's key per row: left, right
+	next  []int32     // the build side's chains
 	pack  keyPacker
 	probe data.Row // the pair the residual is being tested on
-}
-
-// joinSide is one input's key per row and, for a merge join, its rows sorted by key.
-type joinSide struct {
-	keys  []string
-	order []int32
 }
 
 var joinScratches = sync.Pool{New: func() any { return &joinScratch{pack: keyPacker{buf: make([]byte, 0, 16*batchSize)}} }}
@@ -772,8 +747,8 @@ func (j *joinScratch) release() {
 	if poisonReleased {
 		fill(j.pairs[:cap(j.pairs)], -1)
 	}
-	clear(j.side[0].keys)
-	clear(j.side[1].keys)
+	clear(j.keys[0])
+	clear(j.keys[1])
 	clear(j.probe[:cap(j.probe)])
 	j.pairs = j.pairs[:0]
 	joinScratches.Put(j)
@@ -801,6 +776,10 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 	// Exchange: both inputs are shuffled/read by the join stage.
 	ex.res.TotalRead += l.logicalBytes() + r.logicalBytes()
 
+	// Algo is the optimizer's cost model and picks only the work formula:
+	// every keyed join runs the one probe below, so a job's answer and its row
+	// order never depend on an estimate. JoinAuto, a join the optimizer never
+	// saw, resolves here.
 	algo := x.Algo
 	if algo == plan.JoinAuto {
 		switch {
@@ -814,8 +793,21 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 	}
 	mult := math.Max(l.mult, r.mult)
 	lRows, rRows := float64(l.logicalRows()), float64(r.logicalRows())
-	lt, rt := l.table.Rows, r.table.Rows
 	var work float64
+	switch algo {
+	case plan.JoinHash:
+		work = (lRows + rRows) * costHashRow
+	case plan.JoinMerge:
+		sortWork := lRows*costSortRow*log2(lRows) + rRows*costSortRow*log2(rRows)
+		work = (lRows+rRows)*costMergeRow + sortWork
+	case plan.JoinLoop:
+		// Broadcast nested-loop: the logical outer streams past a small
+		// physical inner copied to every container.
+		outer := math.Max(lRows, rRows)
+		inner := float64(min(l.table.NumRows(), r.table.NumRows()))
+		work = outer * costLoopOuter * (1 + 0.05*inner)
+	}
+	lt, rt := l.table.Rows, r.table.Rows
 
 	js := joinScratches.Get().(*joinScratch)
 	defer js.release()
@@ -833,16 +825,25 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 		js.pairs = append(js.pairs, int32(li), int32(ri))
 	}
 
+	// A keyless join is the cross product. A keyed one keys both inputs once,
+	// on the kernels or else the row loop, builds the right side's chains and
+	// probes them with every left row: pairs come out in left-row order, then
+	// right build order.
 	var batches int64
-	switch algo {
-	case plan.JoinHash:
-		lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys, &js.side[0].keys, &js.pack)
-		rb, rok := ex.vecJoinKeys(r.table, x.RightKeys, &js.side[1].keys, &js.pack)
+	if len(x.LeftKeys) == 0 {
+		for li := range lt {
+			for ri := range rt {
+				emit(li, ri)
+			}
+		}
+	} else {
+		lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys, &js.keys[0], &js.pack)
+		rb, rok := ex.vecJoinKeys(r.table, x.RightKeys, &js.keys[1], &js.pack)
 		batches = lb + rb
 		if !rok {
-			ex.rowJoinKeys(r.table, x.RightKeys, &js.side[1].keys, &js.pack)
+			ex.rowJoinKeys(r.table, x.RightKeys, &js.keys[1], &js.pack)
 		}
-		lKeys, rKeys := js.side[0].keys, js.side[1].keys
+		lKeys, rKeys := js.keys[0], js.keys[1]
 		// The build table is two flat arrays instead of a row slice per
 		// distinct key: head[k] is one past the index of the first right row
 		// with key k, next[i] one past the following row with row i's key, and
@@ -868,57 +869,6 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 				emit(li, int(ri-1))
 			}
 		}
-		work = (lRows + rRows) * costHashRow
-
-	case plan.JoinMerge:
-		js.side[0].sortByKeys(l.table, x.LeftKeys, ex.Ctx)
-		js.side[1].sortByKeys(r.table, x.RightKeys, ex.Ctx)
-		mergeJoin(&js.side[0], &js.side[1], emit)
-		sortWork := lRows*costSortRow*log2(lRows) + rRows*costSortRow*log2(rRows)
-		work = (lRows+rRows)*costMergeRow + sortWork
-
-	case plan.JoinLoop:
-		if len(x.LeftKeys) == 0 {
-			for li := range lt {
-				for ri := range rt {
-					emit(li, ri)
-				}
-			}
-		} else if rb, rok := ex.vecJoinKeys(r.table, x.RightKeys, &js.side[1].keys, &js.pack); rok {
-			// Hoisting the inner-side key computation out of the O(n·m) pair
-			// loop changes no output: key equality is unchanged, only the
-			// per-pair re-evaluation is gone.
-			lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys, &js.side[0].keys, &js.pack)
-			batches = lb + rb
-			lKeys, rKeys := js.side[0].keys, js.side[1].keys
-			for li, lr := range lt {
-				var lk string
-				if lok {
-					lk = lKeys[li]
-				} else {
-					lk = ex.joinKey(lr, x.LeftKeys)
-				}
-				for ri := range rt {
-					if lk == rKeys[ri] {
-						emit(li, ri)
-					}
-				}
-			}
-		} else {
-			for li, lr := range lt {
-				lk := ex.joinKey(lr, x.LeftKeys)
-				for ri, rr := range rt {
-					if lk == ex.joinKey(rr, x.RightKeys) {
-						emit(li, ri)
-					}
-				}
-			}
-		}
-		// Broadcast nested-loop: the logical outer streams past a small
-		// physical inner copied to every container.
-		outer := math.Max(lRows, rRows)
-		inner := float64(min(l.table.NumRows(), r.table.NumRows()))
-		work = outer * costLoopOuter * (1 + 0.05*inner)
 	}
 
 	// Every pair is known: slab and row slice are made once, at the output's
@@ -963,46 +913,6 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 	res := nodeResult{table: out, mult: mult, bytes: bytes, dropped: dropped}
 	ex.record(NodeStat{Node: x, Op: "Join", Algo: algo, RowsOut: res.logicalRows(), BytesOut: res.logicalBytes(), Work: work, Batches: batches})
 	return res, nil
-}
-
-// key is the key of the i-th row in sorted order.
-func (s *joinSide) key(i int) string { return s.keys[s.order[i]] }
-
-func (s *joinSide) sortByKeys(t *data.Table, keys []plan.Expr, ctx *plan.EvalContext) {
-	s.keys, s.order = sized(s.keys, len(t.Rows)), sized(s.order, len(t.Rows))
-	for i, row := range t.Rows {
-		s.order[i] = int32(i)
-		s.keys[i] = orderedJoinKey(row, keys, ctx)
-	}
-	slices.SortStableFunc(s.order, func(a, b int32) int { return strings.Compare(s.keys[a], s.keys[b]) })
-}
-
-func mergeJoin(l, r *joinSide, emit func(li, ri int)) {
-	i, j := 0, 0
-	for i < len(l.order) && j < len(r.order) {
-		switch {
-		case l.key(i) < r.key(j):
-			i++
-		case l.key(i) > r.key(j):
-			j++
-		default:
-			// Gather the equal run on both sides.
-			i2 := i
-			for i2 < len(l.order) && l.key(i2) == l.key(i) {
-				i2++
-			}
-			j2 := j
-			for j2 < len(r.order) && r.key(j2) == r.key(j) {
-				j2++
-			}
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					emit(int(l.order[a]), int(r.order[b]))
-				}
-			}
-			i, j = i2, j2
-		}
-	}
 }
 
 func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {

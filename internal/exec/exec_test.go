@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -73,33 +74,68 @@ func TestProjectExpr(t *testing.T) {
 	}
 }
 
-// joinRowCount runs the same join under all three algorithms and checks the
-// results agree — the algorithm is a physical choice only.
+// TestJoinAlgorithmsAgree: the join algorithm is the optimizer's cost model
+// only. Under hash, merge and loop the same join returns the same rows in the
+// same order, cell for cell, and the same NodeStats apart from the join's Algo
+// and Work, on both executor arms, with and without a residual.
 func TestJoinAlgorithmsAgree(t *testing.T) {
 	cat, _ := fixtures.Retail(fixtures.DefaultRetail())
-	q, _ := sqlparser.ParseQuery(`SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia'`)
-	b := &plan.Binder{Catalog: cat}
-	n, err := b.BindQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prints []string
-	for _, algo := range []plan.JoinAlgo{plan.JoinHash, plan.JoinMerge, plan.JoinLoop} {
-		c := plan.CloneNode(n)
-		plan.Walk(c, func(m plan.Node) {
-			if j, ok := m.(*plan.Join); ok {
-				j.Algo = algo
+	const join = `SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id`
+	for _, c := range []struct {
+		src      string
+		residual bool
+	}{
+		{join + ` WHERE MktSegment = 'Asia'`, false},
+		{join + ` AND Sales.Quantity + Customer.Id > 45 WHERE MktSegment = 'Asia'`, true},
+	} {
+		src := c.src
+		n := bindQuery(t, cat, src)
+		plan.Walk(n, func(m plan.Node) {
+			if j, ok := m.(*plan.Join); ok && (j.Residual != nil) != c.residual {
+				t.Fatalf("%s: the join's residual is %v", src, j.Residual)
 			}
 		})
-		ex := &exec.Executor{Catalog: cat}
-		res, err := ex.Run(c)
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
+		for _, vectorized := range []bool{true, false} {
+			var want *exec.RunResult
+			for _, algo := range []plan.JoinAlgo{plan.JoinHash, plan.JoinMerge, plan.JoinLoop} {
+				what := fmt.Sprintf("%s, %v, vectorized=%v", src, algo, vectorized)
+				c := plan.CloneNode(n)
+				plan.Walk(c, func(m plan.Node) {
+					if j, ok := m.(*plan.Join); ok {
+						j.Algo = algo
+					}
+				})
+				res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(c)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if want == nil {
+					if res.Table.NumRows() == 0 {
+						t.Fatalf("%s: empty answer", what)
+					}
+					want = res
+				}
+				if !sameTable(res.Table, want.Table) {
+					t.Errorf("%s: rows differ from the hash join's", what)
+				}
+				if len(res.Stats) != len(want.Stats) {
+					t.Fatalf("%s: %d stats, the hash join %d", what, len(res.Stats), len(want.Stats))
+				}
+				for i, got := range res.Stats {
+					ref := want.Stats[i]
+					if got.Op == "Join" && got.Algo != algo {
+						t.Errorf("%s: the join reported %v", what, got.Algo)
+					}
+					got.Node, ref.Node = nil, nil
+					if got.Op == "Join" {
+						got.Algo, got.Work, ref.Algo, ref.Work = 0, 0, 0, 0
+					}
+					if got != ref {
+						t.Errorf("%s: stat %d is %+v, the hash join's %+v", what, i, got, ref)
+					}
+				}
+			}
 		}
-		prints = append(prints, res.Table.Fingerprint())
-	}
-	if prints[0] != prints[1] || prints[1] != prints[2] {
-		t.Error("join algorithms disagree on results")
 	}
 }
 

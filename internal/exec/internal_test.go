@@ -70,48 +70,17 @@ var adversarialKeyValues = [][]data.Value{
 }
 
 func TestKeyEncodingsInjective(t *testing.T) {
-	encoders := map[string]func([]data.Value) string{
-		"length-prefixed": func(vals []data.Value) string {
-			var b []byte
-			for _, v := range vals {
-				b = appendKeyValue(b, v)
-			}
-			return string(b)
-		},
-		"ordered": func(vals []data.Value) string {
-			var b []byte
-			for _, v := range vals {
-				b = appendOrderedKeyValue(b, v)
-			}
-			return string(b)
-		},
-	}
-	for name, enc := range encoders {
-		seen := map[string]int{}
-		for i, vals := range adversarialKeyValues {
-			k := enc(vals)
-			if j, dup := seen[k]; dup {
-				t.Errorf("%s: tuples %d and %d encode to the same key %q", name, j, i, k)
-			}
-			seen[k] = i
+	seen := map[string]int{}
+	for i, vals := range adversarialKeyValues {
+		var b []byte
+		for _, v := range vals {
+			b = appendKeyValue(b, v)
 		}
-	}
-}
-
-// TestOrderedKeyMatchesHistoricalBytes pins the merge-join key encoding to
-// the historical fmt-based rendering for escape-free values, which is what
-// keeps merge-join emission order (and therefore goldens) unchanged.
-func TestOrderedKeyMatchesHistoricalBytes(t *testing.T) {
-	vals := []data.Value{
-		data.Int(42), data.Float(2.5), data.String_("plain"),
-		data.Bool(true), data.Value{}, data.Time(time.Unix(3, 0).UTC()),
-	}
-	for _, v := range vals {
-		historical := fmt.Sprintf("%d:%s", v.Kind, v.String()) + "\x00"
-		got := string(appendOrderedKeyValue(nil, v))
-		if got != historical {
-			t.Errorf("ordered key for %v: got %q, want historical %q", v, got, historical)
+		k := string(b)
+		if j, dup := seen[k]; dup {
+			t.Errorf("tuples %d and %d encode to the same key %q", j, i, k)
 		}
+		seen[k] = i
 	}
 }
 

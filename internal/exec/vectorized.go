@@ -115,10 +115,9 @@ func (ex *Executor) vecProject(r nodeResult, exprs []plan.Expr, out *data.Table)
 
 // vecJoinKeys computes the length-prefixed hash key of every row in t under
 // the key expressions, evaluating them vectorized, into *dst (resized to one
-// key per row, its array reused). The keys are byte-identical to joinKey() per
-// row, so build/probe behavior is unchanged — only the per-pair/per-row
-// expression dispatch cost is gone. A window's keys cost one allocation (see
-// keyPacker).
+// key per row, its array reused). The keys are byte-identical to appendJoinKey
+// per row, so build/probe behavior is unchanged — only the per-row expression
+// dispatch cost is gone. A window's keys cost one allocation (see keyPacker).
 func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr, dst *[]string, pack *keyPacker) (int64, bool) {
 	if !ex.Vectorized || len(keys) == 0 {
 		return 0, false

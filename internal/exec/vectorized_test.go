@@ -722,22 +722,14 @@ func TestWindowBoundariesAndDeclineBeforeConsume(t *testing.T) {
 				what := fmt.Sprintf("%d rows, %s, %s at row %d: %s", n, c.what, sp.bad, sp.at, c.src)
 				row, vec := runBoth(t, cat, c.src)
 				requireRunsEqual(t, what, row, vec)
-				var algo plan.JoinAlgo
-				for _, st := range vec.Stats {
-					if st.Op == "Join" {
-						algo = st.Algo
-					}
-				}
 				want := windows(n)
 				switch {
 				case c.op == "Join" && sp.bad == "":
 					want += windows(100)
-				case c.what == joinLeft:
-					want = windows(100) // the right side's keys still come from the kernels
-				case c.what == joinRight && algo == plan.JoinHash:
-					want = windows(100)
+				case c.op == "Join":
+					want = windows(100) // the other side's keys still come from the kernels
 				case sp.bad != "":
-					want = 0 // a loop join computes no left key once the right side declined
+					want = 0
 				}
 				if got := opBatches(t, what, vec, c.op); got != want {
 					t.Errorf("%s: %s reported %d batches, want %d", what, c.op, got, want)

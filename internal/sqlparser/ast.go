@@ -11,8 +11,9 @@ type Script struct {
 	Stmts []Stmt
 }
 
-// Stmt is any top-level statement.
-type Stmt interface{ stmt() }
+// Stmt is any top-level statement. Its one method writes the statement's
+// dialect text (render.go), which also seals the interface to this package.
+type Stmt interface{ renderStmt(b *strings.Builder) }
 
 // AssignStmt binds a rowset-valued expression to a name: `name = SELECT ...;`
 // or `name = PROCESS src USING "Udo";`.
@@ -28,11 +29,8 @@ type OutputStmt struct {
 	Target string
 }
 
-func (*AssignStmt) stmt() {}
-func (*OutputStmt) stmt() {}
-
-// QueryExpr is any rowset-valued expression.
-type QueryExpr interface{ queryExpr() }
+// QueryExpr is any rowset-valued expression; its one method writes its text.
+type QueryExpr interface{ renderQuery(b *strings.Builder) }
 
 // SelectQuery is the workhorse: SELECT ... FROM ... JOIN ... WHERE ...
 // GROUP BY ... HAVING ...
@@ -82,15 +80,8 @@ type UnionQuery struct {
 	Left, Right QueryExpr
 }
 
-func (*SelectQuery) queryExpr()  {}
-func (*ProcessQuery) queryExpr() {}
-func (*UnionQuery) queryExpr()   {}
-
-// TableRef is a FROM-clause source.
-type TableRef interface{ tableRef() }
-
-func (*NamedRef) tableRef()    {}
-func (*SubqueryRef) tableRef() {}
+// TableRef is a FROM-clause source; its one method writes its text.
+type TableRef interface{ renderTableRef(b *strings.Builder) }
 
 // JoinClause is one JOIN ... ON ... attached to a SelectQuery.
 type JoinClause struct {
@@ -108,7 +99,6 @@ type SelectItem struct {
 
 // Expr is a scalar expression node.
 type Expr interface {
-	exprNode()
 	// String renders a canonical textual form used in error messages and
 	// debugging; signatures use their own normalization in internal/plan.
 	String() string
@@ -170,13 +160,6 @@ type FuncCall struct {
 	// Star marks COUNT(*).
 	Star bool
 }
-
-func (*ColumnRef) exprNode()  {}
-func (*Literal) exprNode()    {}
-func (*ParamRef) exprNode()   {}
-func (*BinaryExpr) exprNode() {}
-func (*UnaryExpr) exprNode()  {}
-func (*FuncCall) exprNode()   {}
 
 func (c *ColumnRef) String() string {
 	if c.Qualifier != "" {

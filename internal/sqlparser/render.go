@@ -11,63 +11,51 @@ import (
 func Render(s *Script) string {
 	var b strings.Builder
 	for _, st := range s.Stmts {
-		switch stmt := st.(type) {
-		case *AssignStmt:
-			fmt.Fprintf(&b, "%s = %s;\n", stmt.Name, RenderQuery(stmt.Query))
-		case *OutputStmt:
-			fmt.Fprintf(&b, "OUTPUT (%s) TO %q;\n", RenderQuery(stmt.Source), stmt.Target)
-		}
+		st.renderStmt(&b)
 	}
 	return b.String()
 }
 
 // RenderQuery prints one query expression.
 func RenderQuery(q QueryExpr) string {
-	switch x := q.(type) {
-	case *SelectQuery:
-		return renderSelect(x)
-	case *ProcessQuery:
-		var b strings.Builder
-		fmt.Fprintf(&b, "PROCESS %s USING %q", renderTableRef(x.Source), x.Udo)
-		if len(x.Depends) > 0 {
-			quoted := make([]string, len(x.Depends))
-			for i, d := range x.Depends {
-				quoted[i] = fmt.Sprintf("%q", d)
-			}
-			b.WriteString(" DEPENDS " + strings.Join(quoted, ", "))
-		}
-		if x.Nondeterministic {
-			b.WriteString(" NONDETERMINISTIC")
-		}
-		return b.String()
-	case *UnionQuery:
-		return RenderQuery(x.Left) + " UNION ALL " + RenderQuery(x.Right)
-	default:
-		return fmt.Sprintf("/* unsupported %T */", q)
-	}
+	var b strings.Builder
+	q.renderQuery(&b)
+	return b.String()
 }
 
-func renderSelect(q *SelectQuery) string {
-	var b strings.Builder
+func (s *AssignStmt) renderStmt(b *strings.Builder) {
+	b.WriteString(s.Name + " = ")
+	s.Query.renderQuery(b)
+	b.WriteString(";\n")
+}
+
+func (s *OutputStmt) renderStmt(b *strings.Builder) {
+	b.WriteString("OUTPUT (")
+	s.Source.renderQuery(b)
+	fmt.Fprintf(b, ") TO %q;\n", s.Target)
+}
+
+func (q *SelectQuery) renderQuery(b *strings.Builder) {
 	b.WriteString("SELECT ")
 	if q.Distinct {
 		b.WriteString("DISTINCT ")
 	}
-	items := make([]string, len(q.Items))
 	for i, it := range q.Items {
+		listItem(b, i, "")
 		if it.Star {
-			items[i] = "*"
+			b.WriteString("*")
 			continue
 		}
-		items[i] = it.Expr.String()
+		b.WriteString(it.Expr.String())
 		if it.Alias != "" {
-			items[i] += " AS " + it.Alias
+			b.WriteString(" AS " + it.Alias)
 		}
 	}
-	b.WriteString(strings.Join(items, ", "))
-	b.WriteString(" FROM " + renderTableRef(q.From))
+	b.WriteString(" FROM ")
+	q.From.renderTableRef(b)
 	for _, j := range q.Joins {
-		b.WriteString(" JOIN " + renderTableRef(j.Right))
+		b.WriteString(" JOIN ")
+		j.Right.renderTableRef(b)
 		if j.On != nil {
 			b.WriteString(" ON " + j.On.String())
 		}
@@ -75,46 +63,65 @@ func renderSelect(q *SelectQuery) string {
 	if q.Where != nil {
 		b.WriteString(" WHERE " + q.Where.String())
 	}
-	if len(q.GroupBy) > 0 {
-		groups := make([]string, len(q.GroupBy))
-		for i, g := range q.GroupBy {
-			groups[i] = g.String()
-		}
-		b.WriteString(" GROUP BY " + strings.Join(groups, ", "))
+	for i, g := range q.GroupBy {
+		listItem(b, i, " GROUP BY ")
+		b.WriteString(g.String())
 	}
 	if q.Having != nil {
 		b.WriteString(" HAVING " + q.Having.String())
 	}
-	if len(q.OrderBy) > 0 {
-		keys := make([]string, len(q.OrderBy))
-		for i, o := range q.OrderBy {
-			keys[i] = o.Expr.String()
-			if o.Desc {
-				keys[i] += " DESC"
-			}
+	for i, o := range q.OrderBy {
+		listItem(b, i, " ORDER BY ")
+		b.WriteString(o.Expr.String())
+		if o.Desc {
+			b.WriteString(" DESC")
 		}
-		b.WriteString(" ORDER BY " + strings.Join(keys, ", "))
 	}
 	if q.SamplePercent > 0 {
-		fmt.Fprintf(&b, " SAMPLE %g PERCENT", q.SamplePercent)
+		fmt.Fprintf(b, " SAMPLE %g PERCENT", q.SamplePercent)
 	}
-	return b.String()
 }
 
-func renderTableRef(r TableRef) string {
-	switch x := r.(type) {
-	case *NamedRef:
-		if x.Alias != "" && x.Alias != x.Name {
-			return x.Name + " AS " + x.Alias
-		}
-		return x.Name
-	case *SubqueryRef:
-		out := "(" + RenderQuery(x.Query) + ")"
-		if x.Alias != "" {
-			out += " AS " + x.Alias
-		}
-		return out
-	default:
-		return fmt.Sprintf("/* unsupported %T */", r)
+func (q *ProcessQuery) renderQuery(b *strings.Builder) {
+	b.WriteString("PROCESS ")
+	q.Source.renderTableRef(b)
+	fmt.Fprintf(b, " USING %q", q.Udo)
+	for i, d := range q.Depends {
+		listItem(b, i, " DEPENDS ")
+		fmt.Fprintf(b, "%q", d)
+	}
+	if q.Nondeterministic {
+		b.WriteString(" NONDETERMINISTIC")
+	}
+}
+
+func (q *UnionQuery) renderQuery(b *strings.Builder) {
+	q.Left.renderQuery(b)
+	b.WriteString(" UNION ALL ")
+	q.Right.renderQuery(b)
+}
+
+func (r *NamedRef) renderTableRef(b *strings.Builder) {
+	b.WriteString(r.Name)
+	if r.Alias != "" && r.Alias != r.Name {
+		b.WriteString(" AS " + r.Alias)
+	}
+}
+
+func (r *SubqueryRef) renderTableRef(b *strings.Builder) {
+	b.WriteString("(")
+	r.Query.renderQuery(b)
+	b.WriteString(")")
+	if r.Alias != "" {
+		b.WriteString(" AS " + r.Alias)
+	}
+}
+
+// listItem starts the i-th item of a comma-separated list that head opens.
+func listItem(b *strings.Builder, i int, head string) {
+	if i == 0 {
+		b.WriteString(head)
+	} else {
+		b.WriteString(", ")
 	}
 }

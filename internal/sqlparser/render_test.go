@@ -38,6 +38,33 @@ func TestRenderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRenderPinsText holds Render's bytes, and RenderQuery's for each
+// assignment, on scripts that reach every statement, query and source kind.
+// The texts were rendered before the node kinds rendered themselves.
+func TestRenderPinsText(t *testing.T) {
+	for src, want := range map[string]string{
+		`u = SELECT x FROM A UNION ALL SELECT x FROM B;
+		 q = PROCESS u USING "NormalizeStrings" DEPENDS "libA", "libB";
+		 OUTPUT q TO "y";`: "u = SELECT x FROM A UNION ALL SELECT x FROM B;\nq = PROCESS u USING \"NormalizeStrings\" DEPENDS \"libA\", \"libB\";\nOUTPUT (SELECT * FROM q) TO \"y\";\n",
+		`j = SELECT k.a, COUNT(*) AS c FROM (SELECT a FROM T WHERE name = 'o''brien') AS k JOIN U ON k.a = U.a AND U.b > 1.5 GROUP BY k.a, U.b;
+		 r = PROCESS (SELECT * FROM j) AS src USING "Udo" DEPENDS "lib" NONDETERMINISTIC;
+		 OUTPUT (SELECT -a AS m, NOT (a = 1) AS z FROM j) TO "t";`: "j = SELECT k.a, COUNT(*) AS c FROM (SELECT a FROM T WHERE (name = 'o''brien')) AS k JOIN U ON ((k.a = U.a) AND (U.b > 1.5)) GROUP BY k.a, U.b;\nr = PROCESS (SELECT * FROM j) AS src USING \"Udo\" DEPENDS \"lib\" NONDETERMINISTIC;\nOUTPUT (SELECT (-a) AS m, (NOT (a = 1)) AS z FROM j) TO \"t\";\n",
+	} {
+		ast, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Render(ast); got != want {
+			t.Errorf("Render:\n%q\nwant\n%q", got, want)
+		}
+		for _, st := range ast.Stmts {
+			if a, ok := st.(*AssignStmt); ok && !contains(want, a.Name+" = "+RenderQuery(a.Query)+";\n") {
+				t.Errorf("RenderQuery(%s) = %q", a.Name, RenderQuery(a.Query))
+			}
+		}
+	}
+}
+
 func TestRenderPreservesParams(t *testing.T) {
 	ast, err := Parse(`r = SELECT a FROM T WHERE Ts >= @cutoff; OUTPUT r TO "o";`)
 	if err != nil {
