@@ -419,9 +419,10 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			Catalog: e.Catalog,
 			Views:   e.Store,
 			Cache:   e.resultCache(),
-			// The result cache is keyed by PHYSICAL signatures: a plan that
-			// reuses a view must not replay the accounting of the plan that
-			// computed the subexpression.
+			// The result-cache keys: strict signatures, except on or above a
+			// ViewScan (a plan that reuses a view must not replay the
+			// accounting of the plan that computed the subexpression) and
+			// none on or above a Spool.
 			SigMap: cr.Physical,
 			// The vectorized batch path is the production default; its
 			// results and accounting are byte-identical to the row-at-a-time

@@ -113,7 +113,7 @@ func TestRowLoopsMatchKernelsOverGeneratedDays(t *testing.T) {
 // TestSortAndSampleOverJoinDoNotNarrow compiles, signs and executes ORDER BY
 // and SAMPLE over a join on both executor arms. Sort and Sample read every
 // column (Sample hashes each cell), so their join builds whole rows and its
-// table enters the result cache under its physical signature; an aggregate
+// table enters the result cache under its key; an aggregate
 // over the same join, the contrast, reads two columns and leaves nothing there
 // on the kernels.
 func TestSortAndSampleOverJoinDoNotNarrow(t *testing.T) {

@@ -101,8 +101,8 @@ func planJoins(root plan.Node) []*plan.Join {
 }
 
 // TestSharedPreparedPlanIsNeverWritten: goroutines resubmitting one script
-// compile from the one normalized plan, enumeration and physical signatures
-// on its plan-cache entry. Half the jobs match a view and rebuild the plan
+// compile from the one normalized plan and enumeration on its plan-cache
+// entry. Half the jobs match a view and rebuild the plan
 // above the ViewScan; the other half opt out of reuse, keep the join and have
 // its algorithm chosen. All of that must happen on nodes of the job's own:
 // the shared plan comes out as it went in, equal to a fresh Prepare, and no
@@ -191,9 +191,9 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 	if got, was := plan.Format(prep.Plan), plan.Format(fresh.Plan); got != was {
 		t.Errorf("the shared plan was rewritten:\n%s\nwas:\n%s", got, was)
 	}
-	if len(prep.Subs) != len(fresh.Subs) || prep.Tag != fresh.Tag || !reflect.DeepEqual(prep.Physical, fresh.Physical) {
-		t.Errorf("the shared entry differs from a fresh Prepare: %d subexpressions, tag %s, physical %v; fresh: %d, %s, %v",
-			len(prep.Subs), prep.Tag, prep.Physical, len(fresh.Subs), fresh.Tag, fresh.Physical)
+	if len(prep.Subs) != len(fresh.Subs) || prep.Tag != fresh.Tag {
+		t.Errorf("the shared entry differs from a fresh Prepare: %d subexpressions, tag %s; fresh: %d, %s",
+			len(prep.Subs), prep.Tag, len(fresh.Subs), fresh.Tag)
 	}
 	for i := range fresh.Subs {
 		got, was := prep.Subs[i], fresh.Subs[i]
@@ -213,11 +213,12 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 }
 
 // warmAllocCeiling bounds the allocations of one warm, onboarded,
-// view-matching resubmission. Last measured: 53 (55 under -race), Go 1.24.
+// view-matching resubmission. Last measured: 45 (46 under -race), Go 1.24;
+// the ceiling keeps the 12 of margin it had over 48.
 // It is the unit-test-cost gate on the reuse-on path: a change that re-signs
 // the final plan, copies the prepared one, re-normalizes per job or copies the
 // job's record on its way into the repository goes past it.
-const warmAllocCeiling = 60
+const warmAllocCeiling = 57
 
 func TestWarmResubmissionAllocCeiling(t *testing.T) {
 	e, in := warmEngine(t)

@@ -133,9 +133,12 @@ type RunResult struct {
 }
 
 // CacheEntry memoizes the result of a subexpression for replay across
-// identical executions (used by the production-window simulator so that
-// repeated identical jobs don't recompute — the accounting is still charged
-// in full).
+// identical executions (so that repeated identical jobs don't recompute — the
+// accounting is still charged in full). It is stored under the subtree's
+// result-cache key (signature.Signer.Physical): its strict signature when no
+// ViewScan sits below it, and never for a subtree holding a Spool. Stats holds
+// one NodeStat per node of the subtree, in post-order; equal keys mean equal
+// shapes, so a replay points them at the replaying plan's nodes in turn.
 type CacheEntry struct {
 	Table *data.Table
 	// Bytes is Table.ByteSize(), measured once by the producing operator.
@@ -147,27 +150,25 @@ type CacheEntry struct {
 	TotalRead  int64
 }
 
-// DefaultCacheEntries bounds the result cache when no explicit limit is
-// given. It is deliberately generous — eviction is a memory-safety backstop
-// for long simulations, not a tuning knob — so bounded behavior only differs
-// from the historical unbounded cache on workloads with >64k distinct
-// subexpression signatures.
-const DefaultCacheEntries = 65536
+// cacheEntries bounds the result cache. It is deliberately generous —
+// eviction is a memory-safety backstop for long simulations, not a tuning
+// knob — so it only evicts on workloads with >64k distinct subexpressions.
+const cacheEntries = 65536
 
-// Cache is a strict-signature-keyed result cache with deterministic LRU
-// eviction. It is safe for concurrent use: many executors (one per in-flight
+// Cache holds subtree results under their result-cache keys, with
+// deterministic LRU eviction. It is safe for concurrent use: many executors (one per in-flight
 // job) share one cache, and identical subexpressions racing to populate an
-// entry resolve first-writer-wins, which is sound because equal physical
-// signatures imply byte-identical results. Eviction order is the exact
-// least-recently-used order of Get/Put calls, so single-threaded runs evict
-// deterministically; eviction only ever forces a recompute (identical bytes),
-// never a wrong result.
+// entry resolve first-writer-wins, which is sound because equal keys imply
+// byte-identical results. Eviction order is the exact least-recently-used
+// order of Get/Put calls, so single-threaded runs evict deterministically;
+// eviction only ever forces a recompute (identical bytes), never a wrong
+// result.
 type Cache struct {
 	mu    sync.Mutex
 	m     map[signature.Sig]*lruEntry
 	head  *lruEntry // most recently used
 	tail  *lruEntry // least recently used
-	limit int       // ≤0 means unbounded
+	limit int       // cacheEntries; tests set a smaller one
 	reg   *obs.Registry
 }
 
@@ -177,13 +178,9 @@ type lruEntry struct {
 	prev, next *lruEntry
 }
 
-// NewCache creates an empty cache bounded at DefaultCacheEntries.
-func NewCache() *Cache { return NewCacheWithLimit(DefaultCacheEntries) }
-
-// NewCacheWithLimit creates an empty cache holding at most limit entries
-// (limit ≤ 0 disables eviction).
-func NewCacheWithLimit(limit int) *Cache {
-	return &Cache{m: make(map[signature.Sig]*lruEntry), limit: limit}
+// NewCache creates an empty cache bounded at 65,536 entries.
+func NewCache() *Cache {
+	return &Cache{m: make(map[signature.Sig]*lruEntry), limit: cacheEntries}
 }
 
 // SetMetrics attaches a registry; the eviction counter family
@@ -227,7 +224,7 @@ func (c *Cache) pushFront(e *lruEntry) {
 	}
 }
 
-// Get returns the entry for a physical signature, if present, marking it most
+// Get returns the entry for a result-cache key, if present, marking it most
 // recently used.
 func (c *Cache) Get(sig signature.Sig) (*CacheEntry, bool) {
 	c.mu.Lock()
@@ -259,9 +256,6 @@ func (c *Cache) Put(sig signature.Sig, e *CacheEntry) {
 	le := &lruEntry{sig: sig, entry: e}
 	c.m[sig] = le
 	c.pushFront(le)
-	if c.limit <= 0 {
-		return
-	}
 	evicted := 0
 	for len(c.m) > c.limit && c.tail != nil {
 		victim := c.tail
@@ -277,10 +271,13 @@ func (c *Cache) Put(sig signature.Sig, e *CacheEntry) {
 // Executor runs plans. It is not safe for concurrent use; create one per job.
 type Executor struct {
 	Catalog *catalog.Catalog
-	Views   ViewStore                   // nil disables Spool/ViewScan handling
-	Cache   *Cache                      // nil disables memoization
-	SigMap  map[plan.Node]signature.Sig // physical signatures per node (the cache keys)
-	Ctx     *plan.EvalContext
+	Views   ViewStore // nil disables Spool/ViewScan handling
+	Cache   *Cache    // nil disables memoization
+	// SigMap holds the result-cache key of every node that has one
+	// (signature.Signer.Physical). A node absent from it, such as a Spool and
+	// everything above one, is never looked up or stored.
+	SigMap map[plan.Node]signature.Sig
+	Ctx    *plan.EvalContext
 	// Vectorized runs filter, project, join keys, aggregate, sort and sample
 	// on typed-column batch kernels (batchSize rows per call) at every input
 	// size; production sets it. Kernels reproduce Value semantics bit-for-bit
@@ -302,32 +299,6 @@ type Executor struct {
 	Trace *obs.Trace
 
 	res RunResult
-	// spoolTainted marks plan nodes whose subtree contains a Spool; those
-	// subtrees carry a materialization side effect and bypass the result
-	// cache entirely.
-	spoolTainted map[plan.Node]bool
-}
-
-// markSpoolTainted records every node whose subtree contains a Spool. A
-// cached replay of such a subtree would reproduce the accounting but skip the
-// view write, leaving a staged view that never materializes — so the Spool
-// and all its ancestors must always execute. Spool-free subtrees (including
-// the Spool's own child) stay cacheable, so a replayed build remains cheap.
-func markSpoolTainted(root plan.Node, out map[plan.Node]bool) bool {
-	tainted := false
-	if _, ok := root.(*plan.Spool); ok {
-		tainted = true
-	}
-	var buf [2]plan.Node
-	for _, c := range plan.Inputs(root, &buf) {
-		if markSpoolTainted(c, out) {
-			tainted = true
-		}
-	}
-	if tainted {
-		out[root] = true
-	}
-	return tainted
 }
 
 // nodeResult is one operator's output. bytes is table.ByteSize(), measured
@@ -429,8 +400,6 @@ func (ex *Executor) Run(root plan.Node) (*RunResult, error) {
 		ex.Ctx.Rand = data.NewRand(1)
 	}
 	ex.res = RunResult{}
-	ex.spoolTainted = make(map[plan.Node]bool)
-	markSpoolTainted(root, ex.spoolTainted)
 	r, err := ex.eval(root)
 	if err != nil {
 		return nil, err
@@ -466,29 +435,24 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) { return ex.evalReadin
 // asks for fewer than allColumns, and only of its own child: a Spool, a
 // ViewScan's fallback or any other parent takes every column.
 func (ex *Executor) evalReading(n plan.Node, reads uint64) (nodeResult, error) {
-	// Subtrees containing a Spool bypass the cache (see markSpoolTainted).
-	// So do ViewScans while view-read faults are enabled: a cached replay
-	// would skip the read entirely and the injection decision (keyed per
-	// job and signature) must get a chance to fire.
-	tainted := ex.spoolTainted[n]
-	if _, isView := n.(*plan.ViewScan); isView && ex.Faults.Enabled(fault.ViewRead) {
-		tainted = true
-	}
+	// Subtrees containing a Spool have no key (signature.Signer.Physical).
+	// ViewScans bypass the cache while view-read faults are enabled: a cached
+	// replay would skip the read entirely and the injection decision (keyed
+	// per job and signature) must get a chance to fire.
+	_, isView := n.(*plan.ViewScan)
+	tainted := isView && ex.Faults.Enabled(fault.ViewRead)
 
-	// Result-cache lookup (physical signature identity ⇒ identical result).
+	// Result-cache lookup (equal keys ⇒ identical result).
 	if !tainted && ex.Cache != nil && ex.SigMap != nil {
 		if sig, ok := ex.SigMap[n]; ok {
 			if entry, hit := ex.Cache.Get(sig); hit {
 				ex.res.CacheHits++
-				// Replay the accounting of the cached subtree, remapping each
-				// stat onto the corresponding node of THIS plan (the cached
-				// subtree is physically identical, so post-order aligns).
-				nodes := postOrderNodes(n)
-				for i, st := range entry.Stats {
-					if len(nodes) == len(entry.Stats) {
-						st.Node = nodes[i]
-					}
-					ex.res.Stats = append(ex.res.Stats, st)
+				// Replay the accounting of the cached subtree, pointing each
+				// stat at the node of THIS plan it stands for.
+				start := len(ex.res.Stats)
+				ex.res.Stats = append(ex.res.Stats, entry.Stats...)
+				relabel(ex.res.Stats[start:], n)
+				for _, st := range entry.Stats {
 					ex.res.TotalBatches += st.Batches
 				}
 				ex.res.InputBytes += entry.InputBytes
@@ -511,7 +475,7 @@ func (ex *Executor) evalReading(n plan.Node, reads uint64) (nodeResult, error) {
 	// A fallback inside this subtree means its recorded accounting reflects
 	// recomputation, not a view read — caching it would replay fault costs
 	// into healthy jobs, so skip the Put for the whole ancestor chain. A
-	// narrowed table is not n's result under its physical signature at all.
+	// narrowed table is not n's result under its key at all.
 	if ex.res.ReuseFallbacks != fallbackStart || r.dropped != 0 {
 		tainted = true
 	}
@@ -535,21 +499,18 @@ func (ex *Executor) evalReading(n plan.Node, reads uint64) (nodeResult, error) {
 	return r, nil
 }
 
-// postOrderNodes lists the subtree's nodes in execution-recording order
-// (children left to right, then the node itself) — the order NodeStats are
-// appended during a real run.
-func postOrderNodes(n plan.Node) []plan.Node {
-	out := make([]plan.Node, 0, plan.CountNodes(n))
-	var rec func(m plan.Node)
-	rec = func(m plan.Node) {
-		var buf [2]plan.Node
-		for _, c := range plan.Inputs(m, &buf) {
-			rec(c)
-		}
-		out = append(out, m)
+// relabel points stats, a replayed entry's NodeStats, at the nodes of n's
+// subtree in the order a real run records them (children left to right, then
+// the node itself), and returns the stats past the subtree's. An entry holds
+// one stat per node of a subtree shaped as n's: one that recorded a fallback,
+// a narrowed join or a Spool is never stored.
+func relabel(stats []NodeStat, n plan.Node) []NodeStat {
+	var buf [2]plan.Node
+	for _, c := range plan.Inputs(n, &buf) {
+		stats = relabel(stats, c)
 	}
-	rec(n)
-	return out
+	stats[0].Node = n
+	return stats[1:]
 }
 
 func (ex *Executor) evalNode(n plan.Node, reads uint64) (nodeResult, error) {

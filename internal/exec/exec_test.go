@@ -323,6 +323,81 @@ func TestResultCacheReplay(t *testing.T) {
 	}
 }
 
+// TestReplayedStatsPointAtTheirPlan: jobs sharing a subexpression run against
+// one result cache, each bound afresh: one builds a view of it under a Spool,
+// later ones recompute it, replay it, read the view through a ViewScan and
+// replay that. After every run each NodeStat points at the node of the run's
+// own plan that recorded it, in post-order, and every stored entry holds one
+// stat per node of its subtree.
+func TestReplayedStatsPointAtTheirPlan(t *testing.T) {
+	cat, _ := fixtures.Retail(fixtures.DefaultRetail())
+	signer := &signature.Signer{EngineVersion: "relabel"}
+	cache := exec.NewCache()
+	store := &fakeStore{views: map[signature.Sig]*fakeView{}}
+	const (
+		asia = `(SELECT * FROM Customer WHERE MktSegment = 'Asia') AS c`
+		agg  = `SELECT MktSegment, COUNT(*) AS n FROM ` + asia + ` GROUP BY MktSegment`
+		join = `SELECT Name, Price FROM Sales JOIN ` + asia + ` ON Sales.CustomerId = c.Id`
+	)
+	atFilter := func(mk func(*plan.Filter) plan.Node) func(plan.Node) plan.Node {
+		return func(root plan.Node) plan.Node {
+			return plan.Rewrite(root, func(n plan.Node) plan.Node {
+				if f, ok := n.(*plan.Filter); ok {
+					return mk(f)
+				}
+				return n
+			})
+		}
+	}
+	spool := atFilter(func(f *plan.Filter) plan.Node {
+		return &plan.Spool{Child: f, StrictSig: "asia", Path: "views/asia"}
+	})
+	view := atFilter(func(f *plan.Filter) plan.Node {
+		return &plan.ViewScan{StrictSig: "asia", Out: f.Schema(), Fallback: f}
+	})
+	hits := 0
+	for i, job := range []struct {
+		src  string
+		wrap func(plan.Node) plan.Node
+	}{{agg, spool}, {agg, nil}, {agg, nil}, {join, nil}, {join, view}, {join, view}} {
+		root := bindQuery(t, cat, job.src)
+		if job.wrap != nil {
+			root = job.wrap(root)
+		}
+		keys := signer.Physical(root)
+		res, err := (&exec.Executor{Catalog: cat, Views: store, Cache: cache, SigMap: keys, Vectorized: true}).Run(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits += res.CacheHits
+		var order []plan.Node
+		var post func(n plan.Node)
+		post = func(n plan.Node) {
+			for _, c := range n.Children() {
+				post(c)
+			}
+			order = append(order, n)
+		}
+		post(root)
+		if len(res.Stats) != len(order) {
+			t.Fatalf("job %d: %d stats for %d nodes", i, len(res.Stats), len(order))
+		}
+		for k, st := range res.Stats {
+			if st.Node != order[k] || st.Op != order[k].OpName() {
+				t.Errorf("job %d (%d hits): stat %d (%s) points at %p, not its plan's %s at %p", i, res.CacheHits, k, st.Op, st.Node, order[k].OpName(), order[k])
+			}
+		}
+		for n, key := range keys {
+			if e, ok := cache.Get(key); ok && len(e.Stats) != plan.CountNodes(n) {
+				t.Errorf("job %d: the entry for %s holds %d stats for %d nodes", i, n.OpName(), len(e.Stats), plan.CountNodes(n))
+			}
+		}
+	}
+	if hits < 5 {
+		t.Fatalf("only %d result-cache hits", hits)
+	}
+}
+
 // TestCacheConcurrentAccess hammers one shared result cache from many
 // goroutines executing overlapping plans — the shape of concurrent job
 // submission. Run under -race.

@@ -143,8 +143,15 @@ func cacheEntry(i int) *CacheEntry {
 	return &CacheEntry{Table: data.NewTable(data.Schema{}), Mult: float64(i)}
 }
 
+// cacheOf is a result cache bounded at limit entries.
+func cacheOf(limit int) *Cache {
+	c := NewCache()
+	c.limit = limit
+	return c
+}
+
 func TestCacheLRUBoundAndEvictionOrder(t *testing.T) {
-	c := NewCacheWithLimit(3)
+	c := cacheOf(3)
 	for i := 0; i < 3; i++ {
 		c.Put(signature.Sig(fmt.Sprintf("s%d", i)), cacheEntry(i))
 	}
@@ -167,7 +174,7 @@ func TestCacheLRUBoundAndEvictionOrder(t *testing.T) {
 }
 
 func TestCacheFirstWriterWins(t *testing.T) {
-	c := NewCacheWithLimit(2)
+	c := cacheOf(2)
 	first := cacheEntry(1)
 	c.Put("s", first)
 	c.Put("s", cacheEntry(2))
@@ -182,7 +189,7 @@ func TestCacheFirstWriterWins(t *testing.T) {
 
 func TestCacheEvictionMetric(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewCacheWithLimit(2)
+	c := cacheOf(2)
 	c.SetMetrics(reg)
 	c.Put("a", cacheEntry(0))
 	c.Put("b", cacheEntry(1))
@@ -193,16 +200,6 @@ func TestCacheEvictionMetric(t *testing.T) {
 	c.Put("d", cacheEntry(3))
 	if got := reg.Snapshot()["cloudviews_result_cache_evictions_total"]; got != 2 {
 		t.Fatalf("evictions counter = %v, want 2", got)
-	}
-}
-
-func TestCacheUnbounded(t *testing.T) {
-	c := NewCacheWithLimit(0)
-	for i := 0; i < 100; i++ {
-		c.Put(signature.Sig(fmt.Sprintf("s%d", i)), cacheEntry(i))
-	}
-	if c.Len() != 100 {
-		t.Fatalf("Len = %d, want 100 (limit<=0 means unbounded)", c.Len())
 	}
 }
 

@@ -201,7 +201,7 @@ func requireNarrowingMatrix(t *testing.T) {
 	}
 }
 
-// TestNarrowedJoinIsNeverCached: two jobs share a join's physical signature
+// TestNarrowedJoinIsNeverCached: two jobs share a join's result-cache key
 // and their aggregates read different columns of it. A narrowed table is not
 // the join's result, so the first job may not leave it in the result cache
 // for the second to read its columns at the wrong positions.

@@ -83,16 +83,16 @@ func rebound(n plan.Node, vals map[string]data.Value) plan.Node {
 // Derive returns the Prepared a cold parse, bind and Prepare of t's script
 // would build against cat as it stands and params, without doing any of the
 // three. Between two submissions of a script only the version each Scan reads
-// (GUID, BaseRows), the value each Param carries and the strict and physical
-// signatures, which hash those, can move. The rest is a function of the
-// script's text, its datasets' schemas (immutable: Define rejects another,
-// BulkUpdate a mismatch, nothing deletes a dataset), its parameters' kinds and
-// the signer: Rewrite reads no catalog state and orders nothing by a
-// parameter's value (plan.ParamOrderHazard). So t's nodes are copied
-// shallowly, a Scan takes the latest readable version, expressions holding a
-// Param are rebuilt around the new value, and both signatures are hashed again
-// bottom-up (every node sits above a Scan), from t's rendered attributes where
-// neither can have moved them; all else is t's, which is only read.
+// (GUID, BaseRows), the value each Param carries and the strict signatures,
+// which hash those, can move. The rest is a function of the script's text, its
+// datasets' schemas (immutable: Define rejects another, BulkUpdate a mismatch,
+// nothing deletes a dataset), its parameters' kinds and the signer: Rewrite
+// reads no catalog state and orders nothing by a parameter's value
+// (plan.ParamOrderHazard). So t's nodes are copied shallowly, a Scan takes the
+// latest readable version, expressions holding a Param are rebuilt around the
+// new value, and the strict signatures are hashed again bottom-up (every node
+// sits above a Scan), from t's rendered attributes where they cannot have
+// moved them; all else is t's, which is only read.
 //
 // Derive returns nil when it cannot answer — a parameter missing or of another
 // kind than t's, a dataset with no readable version, an ordering hazard — and
@@ -103,10 +103,7 @@ func (o *Optimizer) Derive(t *Prepared, cat *catalog.Catalog, params map[string]
 		return nil
 	}
 	n := len(t.Subs)
-	d := &Prepared{
-		Subs: make([]signature.Subexpr, n), Physical: make([]signature.Sig, n),
-		Tag: t.Tag, index: make(map[plan.Node]int, n),
-	}
+	d := &Prepared{Subs: make([]signature.Subexpr, n), Tag: t.Tag, index: make(map[plan.Node]int, n)}
 	d.params = make([]plan.Param, len(t.params))
 	for i, p := range t.params {
 		v, ok := params[p.Name]
@@ -120,14 +117,14 @@ func (o *Optimizer) Derive(t *Prepared, cat *catalog.Catalog, params map[string]
 		// Subs is in post-order: the last input of node i is node i-1, and a
 		// first of two sits before the whole subtree of the second.
 		var buf [2]plan.Node
-		var strict, phys [2]signature.Sig
+		var strict [2]signature.Sig
 		in := plan.Inputs(t.Subs[i].Node, &buf)
 		for k := range in {
 			c := i - 1
 			if k == 0 && len(in) == 2 {
 				c -= t.Subs[c].NodeCount
 			}
-			in[k], strict[k], phys[k] = d.Subs[c].Node, d.Subs[c].Strict, d.Physical[c]
+			in[k], strict[k] = d.Subs[c].Node, d.Subs[c].Strict
 		}
 		attrs, m := rendered[i], t.Subs[i].Node
 		if attrs == "" {
@@ -157,7 +154,6 @@ func (o *Optimizer) Derive(t *Prepared, cat *catalog.Catalog, params map[string]
 		}
 		d.Subs[i].Node = m
 		d.Subs[i].Strict = o.Signer.StrictOf(m.OpName(), attrs, strict[:len(in)])
-		d.Physical[i] = o.Signer.PhysicalOf(m.OpName(), attrs, phys[:len(in)])
 		d.index[m] = i
 	}
 	d.Plan = d.Subs[n-1].Node

@@ -71,8 +71,9 @@ type CompileResult struct {
 	// node's strict and recurring signature and eligibility, the one the
 	// repository record is built from.
 	Subs []signature.Subexpr
-	// Physical holds the final plan's physical signature per node (see
-	// signature.Signer.Physical), the executor's result-cache keys.
+	// Physical holds the final plan's result-cache key per node (see
+	// signature.Signer.Physical), the executor's SigMap: Subs' strict
+	// signature below any ViewScan or Spool.
 	Physical map[plan.Node]signature.Sig
 	// CompileLatency accumulates the simulated insights round trips.
 	CompileLatency time.Duration
@@ -98,17 +99,16 @@ func (o *Optimizer) maxViews() int {
 }
 
 // Prepared is the job-independent half of a compilation: the normalized plan,
-// its subexpression enumeration, every node's physical signature and the job
-// tag. All are pure functions of (bound root, signer), so one Prepared serves
-// every submission of a script against the same dataset versions and parameter
-// values, and Derive carries it over to other versions and values; it is
-// shared between jobs and never written.
+// its subexpression enumeration and the job tag. All are pure functions of
+// (bound root, signer), so one Prepared serves every submission of a script
+// against the same dataset versions and parameter values, and Derive carries
+// it over to other versions and values; it is shared between jobs and never
+// written. The plan holds no ViewScan and no Spool, so every node's
+// result-cache key is its strict signature in Subs.
 type Prepared struct {
 	Plan plan.Node
 	Subs []signature.Subexpr
-	// Physical[i] is the physical signature of Subs[i].Node.
-	Physical []signature.Sig
-	Tag      signature.Tag
+	Tag  signature.Tag
 	// index is the position in Subs of every enumerated node of Plan.
 	index map[plan.Node]int
 	// params is every parameter reference of the bound script, with the value
@@ -128,15 +128,13 @@ type Prepared struct {
 func (o *Optimizer) Prepare(root plan.Node) *Prepared {
 	p := Rewrite(plan.CloneNode(root))
 	subs := o.Signer.Subexpressions(p)
-	phys := o.Signer.Physical(p)
 	prep := &Prepared{
-		Plan: p, Subs: subs, Physical: make([]signature.Sig, len(subs)),
+		Plan: p, Subs: subs,
 		Tag:    signature.TagForTemplate(subs[len(subs)-1].Recurring),
 		index:  make(map[plan.Node]int, len(subs)),
 		params: boundParams(root),
 	}
 	for i := range subs {
-		prep.Physical[i] = phys[subs[i].Node]
 		prep.index[subs[i].Node] = i
 	}
 	return prep
@@ -196,10 +194,10 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 	o.Trace.Span("optimize", 0)
 	p = known.ownJoins(p)
 
-	// Final enumeration and physical signatures over the rewritten plan: only
+	// Final enumeration and result-cache keys over the rewritten plan: only
 	// what sits on or above a substituted ViewScan or Spool is signed here.
 	res.Subs = o.Signer.SubexpressionsKnown(p, known.sub)
-	res.Physical = o.Signer.PhysicalKnown(p, known.physical)
+	res.Physical = o.Signer.PhysicalKnown(p, known.sub)
 
 	// Statistics refresh + physical planning.
 	res.Estimates = o.estimateWithHistory(p, res.Subs)
@@ -232,15 +230,6 @@ func (k *jobNodes) sub(n plan.Node) *signature.Subexpr {
 		return &k.prep.Subs[i]
 	}
 	return nil
-}
-
-// physical returns the physical signature of the prepared node n stands for:
-// n's own as long as no ViewScan or Spool was substituted below it.
-func (k *jobNodes) physical(n plan.Node) signature.Sig {
-	if i, ok := k.index(n); ok {
-		return k.prep.Physical[i]
-	}
-	return ""
 }
 
 // adopt records that the job's node m stands for what n stands for.

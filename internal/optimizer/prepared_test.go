@@ -155,7 +155,6 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 		prep := shared.opt.Prepare(shared.roots[i])
 		wantPlan := plan.Format(prep.Plan)
 		wantSubs := signer.Subexpressions(prep.Plan)
-		wantPhys := append([]signature.Sig(nil), prep.Physical...)
 		var wantAlgos []plan.JoinAlgo
 		plan.Walk(prep.Plan, func(n plan.Node) {
 			if j, ok := n.(*plan.Join); ok {
@@ -216,7 +215,7 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 		if got := plan.Format(prep.Plan); got != wantPlan {
 			t.Fatalf("%s: shared prepared plan was rewritten:\n%s\nwas:\n%s", in.ID, got, wantPlan)
 		}
-		if !sameSubs(prep.Subs, wantSubs, true) || !reflect.DeepEqual(prep.Physical, wantPhys) {
+		if !sameSubs(prep.Subs, wantSubs, true) {
 			t.Fatalf("%s: shared prepared enumeration was written", in.ID)
 		}
 		var algos []plan.JoinAlgo
@@ -239,7 +238,7 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 // states that shape a final plan — reuse off, the build budget spent, a cold
 // build under a Spool, a warm match on a ViewScan, the matched view
 // quarantined by the guard — compiling each from one shared Prepared, and
-// holds the physical signatures the compile carried over from it to a cold
+// holds the result-cache keys the compile carried over from it to a cold
 // Physical of the final plan: node for node, byte for byte.
 func TestPhysicalKnownMatchesScratch(t *testing.T) {
 	w := newGenWorld(t)
@@ -248,21 +247,12 @@ func TestPhysicalKnownMatchesScratch(t *testing.T) {
 	off, views, spools, quarantined := 0, 0, 0, 0
 	for i, in := range w.jobs {
 		prep := w.opt.Prepare(w.roots[i])
-		cold := signer.Physical(prep.Plan)
-		if len(prep.Physical) != len(prep.Subs) || len(cold) != len(prep.Subs) {
-			t.Fatalf("%s: %d prepared physical signatures, %d cold, for %d nodes", in.ID, len(prep.Physical), len(cold), len(prep.Subs))
-		}
-		for j, s := range prep.Subs {
-			if prep.Physical[j] != cold[s.Node] {
-				t.Fatalf("%s: prepared physical signature %d (%s) is %s, cold %s", in.ID, j, s.Op, prep.Physical[j], cold[s.Node])
-			}
-		}
 
 		step := func(state string, maxViews int, run bool) compiled {
 			id := in.ID + "/" + state
 			c := w.compile(i, id, maxViews, prep)
 			if want := signer.Physical(c.cr.Plan); !reflect.DeepEqual(c.cr.Physical, want) {
-				t.Fatalf("%s: carried physical signatures differ from a cold signing of\n%s\ncarried: %v\ncold:    %v", id, plan.Format(c.cr.Plan), c.cr.Physical, want)
+				t.Fatalf("%s: carried keys differ from a cold signing of\n%s\ncarried: %v\ncold:    %v", id, plan.Format(c.cr.Plan), c.cr.Physical, want)
 			}
 			plan.Walk(c.cr.Plan, func(n plan.Node) {
 				switch n.(type) {
@@ -358,15 +348,14 @@ func TestConcurrentCompilesFromOnePrepared(t *testing.T) {
 						t.Errorf("%s: carried enumeration differs from a cold signing", id)
 					}
 					if cold := signer.Physical(cr.Plan); !reflect.DeepEqual(cr.Physical, cold) {
-						t.Errorf("%s: carried physical signatures differ from a cold signing", id)
+						t.Errorf("%s: carried keys differ from a cold signing", id)
 					}
 				}
 			}(g)
 		}
 		wg.Wait()
 		fresh := w.opt.Prepare(w.roots[i])
-		if plan.Format(prep.Plan) != plan.Format(fresh.Plan) || !sameSubs(prep.Subs, fresh.Subs, false) ||
-			!reflect.DeepEqual(prep.Physical, fresh.Physical) || prep.Tag != fresh.Tag {
+		if plan.Format(prep.Plan) != plan.Format(fresh.Plan) || !sameSubs(prep.Subs, fresh.Subs, false) || prep.Tag != fresh.Tag {
 			t.Errorf("%s: the shared Prepared differs from a fresh one", in.ID)
 		}
 		plan.Walk(prep.Plan, func(n plan.Node) {

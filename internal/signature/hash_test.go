@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"cloudviews/internal/plan"
 )
 
 // referenceHash is hash as it was when it streamed the parts through a
@@ -20,6 +22,33 @@ func referenceHash(version string, parts ...string) Sig {
 	}
 	return Sig(hex.EncodeToString(h.Sum(nil)[:16]))
 }
+
+// referencePhysical is Physical as it was when the result cache keyed on a
+// signature family of its own, hashed with referenceHash: every node in the
+// "phys-op=" domain over its inputs' physical signatures, a ViewScan as
+// itself and a Spool as a real operator. Two nodes share one exactly when
+// their subtrees execute the same operators, which is what the result-cache
+// keys must still tell apart.
+func referencePhysical(s *Signer, root plan.Node) map[plan.Node]Sig {
+	out := map[plan.Node]Sig{}
+	var rec func(n plan.Node) Sig
+	rec = func(n plan.Node) Sig {
+		parts := []string{"phys-op=" + n.OpName(), AttrsPart(n)}
+		if vs, ok := n.(*plan.ViewScan); ok {
+			parts = append(parts, "view="+vs.StrictSig)
+		}
+		for _, c := range n.Children() {
+			parts = append(parts, string(rec(c)))
+		}
+		out[n] = referenceHash(s.EngineVersion, parts...)
+		return out[n]
+	}
+	rec(root)
+	return out
+}
+
+// ReferencePhysical lets the external tests compare keys with the oracle.
+var ReferencePhysical = referencePhysical
 
 // TestHashMatchesReference: assembling the bytes in a stack buffer hashes what
 // the streaming digest hashed — for no parts, empty parts, parts holding the

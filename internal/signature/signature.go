@@ -97,23 +97,16 @@ type Subexpr struct {
 	Parent int
 }
 
-// Signer computes signatures with a fixed engine version and UDO policy.
+// Signer computes signatures with a fixed engine version.
 type Signer struct {
 	// EngineVersion is folded into every hash; bumping it invalidates all
 	// previously materialized views.
 	EngineVersion string
-	// MaxUDODepDepth bounds the library dependency chain the signer is
-	// willing to traverse; deeper chains make the subexpression ineligible.
-	// Zero means the default of 8.
-	MaxUDODepDepth int
 }
 
-func (s *Signer) maxDepth() int {
-	if s.MaxUDODepDepth <= 0 {
-		return 8
-	}
-	return s.MaxUDODepDepth
-}
+// maxUDODepDepth bounds the library dependency chain the signer is willing to
+// traverse; deeper chains make the subexpression ineligible.
+const maxUDODepDepth = 8
 
 // hash is sha256 over "v=<version>\0part\0part…\0input\0input…" — a node's own
 // parts, then its inputs' signatures — cut to 16 bytes, in hex. The bytes are
@@ -134,8 +127,8 @@ func (s *Signer) hash(inputs []Sig, parts ...string) Sig {
 	return Sig(hexed[:])
 }
 
-// AttrsPart renders what n's own attributes contribute to its strict and
-// physical signatures. A caller that knows they cannot have changed (see
+// AttrsPart renders what n's own attributes contribute to its strict signature
+// and its result-cache key. A caller that knows they cannot have changed (see
 // optimizer.Derive) keeps the rendering and signs from it again.
 func AttrsPart(n plan.Node) string { return "attrs=" + n.Attrs(false) }
 
@@ -143,12 +136,6 @@ func AttrsPart(n plan.Node) string { return "attrs=" + n.Attrs(false) }
 // attrs, over its inputs' strict signatures (ViewScan and Spool: see signNode).
 func (s *Signer) StrictOf(op, attrs string, inputs []Sig) Sig {
 	return s.hash(inputs, "op="+op, attrs)
-}
-
-// PhysicalOf is the physical signature of such an operator, other than a
-// ViewScan, over its inputs' physical signatures.
-func (s *Signer) PhysicalOf(op, attrs string, inputs []Sig) Sig {
-	return s.hash(inputs, "phys-op="+op, attrs)
 }
 
 // Strict computes the strict signature of a plan subtree.
@@ -197,49 +184,63 @@ func TagForTemplate(template Sig) Tag {
 	return Tag("tag-" + template.Short())
 }
 
-// Physical computes per-node PHYSICAL signatures: unlike strict signatures,
-// ViewScan hashes as itself (not as the subexpression it replaced) and Spool
-// is a real operator. Two nodes share a physical signature only when their
-// subtrees execute identically, which is what the executor's result cache
-// keys on — a plan that reuses a view must never replay the accounting of the
-// plan that computed it.
+// Physical computes every node's result-cache key: the identity under which
+// the executor stores a subtree's table and accounting and replays them into
+// another job. A node with no key is absent from the map.
+//   - A node with no ViewScan or Spool at or below it is keyed by its strict
+//     signature: its subtree executes exactly the operators the signature
+//     hashes.
+//   - A ViewScan, hashed as itself and not as the subexpression it replaced,
+//     and every node above one are keyed in a domain of their own ("phys-op=")
+//     over their inputs' keys: a plan that reads a view must never replay the
+//     accounting of the plan that computed it, nor the other way round.
+//   - A Spool and every node above one have no key: a replay would skip the
+//     view write and leave a staged view that never materializes. The Spool's
+//     child keeps its own, so a replayed build stays cheap.
 func (s *Signer) Physical(root plan.Node) map[plan.Node]Sig {
 	return s.PhysicalKnown(root, nil)
 }
 
-// PhysicalKnown is Physical for a plan derived from one already signed: known
-// returns the signature recorded for the node n stands for — itself, or the
-// original of a copy — and "" when there is none. A node whose inputs all took
-// a recorded signature takes its own, without rendering or hashing; a node
-// with none (a substituted ViewScan or Spool) and all above it are hashed.
-func (s *Signer) PhysicalKnown(root plan.Node, known func(plan.Node) Sig) map[plan.Node]Sig {
+// PhysicalKnown is Physical for a plan derived from one already enumerated,
+// with SubexpressionsKnown's known: a node with no ViewScan or Spool below it
+// that has an entry takes the entry's strict signature as its key, without
+// rendering or hashing. Only what sits on or above a substitution is hashed.
+func (s *Signer) PhysicalKnown(root plan.Node, known func(plan.Node) *Subexpr) map[plan.Node]Sig {
 	out := make(map[plan.Node]Sig, plan.CountNodes(root))
-	var rec func(n plan.Node) (touched bool)
-	rec = func(n plan.Node) (touched bool) {
+	// rec returns n's key ("" for none) and whether a ViewScan is at or below n.
+	var rec func(n plan.Node) (key Sig, view bool)
+	rec = func(n plan.Node) (Sig, bool) {
 		var buf [2]plan.Node
-		inputs := plan.Inputs(n, &buf)
-		for _, c := range inputs {
-			if rec(c) {
-				touched = true
+		var keyBuf [2]Sig
+		keys, view, spool := keyBuf[:0], false, false
+		for _, c := range plan.Inputs(n, &buf) {
+			k, v := rec(c)
+			keys, view, spool = append(keys, k), view || v, spool || k == ""
+		}
+		var key Sig
+		switch x := n.(type) {
+		case *plan.Spool:
+			return "", false
+		case *plan.ViewScan:
+			key, view = s.hash(nil, "phys-op="+n.OpName(), AttrsPart(n), "view="+x.StrictSig), true
+		default:
+			var k *Subexpr
+			if known != nil {
+				k = known(n)
+			}
+			switch {
+			case spool:
+				return "", false
+			case view:
+				key = s.hash(keys, "phys-op="+n.OpName(), AttrsPart(n))
+			case k != nil:
+				key = k.Strict
+			default:
+				key = s.StrictOf(n.OpName(), AttrsPart(n), keys)
 			}
 		}
-		if !touched && known != nil {
-			out[n] = known(n)
-		}
-		if out[n] != "" {
-			return false
-		}
-		var sigBuf [2]Sig
-		inputSigs := sigBuf[:0]
-		for _, c := range inputs {
-			inputSigs = append(inputSigs, out[c])
-		}
-		if vs, ok := n.(*plan.ViewScan); ok {
-			out[n] = s.hash(inputSigs, "phys-op="+n.OpName(), AttrsPart(n), "view="+vs.StrictSig)
-		} else {
-			out[n] = s.PhysicalOf(n.OpName(), AttrsPart(n), inputSigs)
-		}
-		return true
+		out[n] = key
+		return key, view
 	}
 	rec(root)
 	return out
@@ -393,8 +394,8 @@ func (s *Signer) nodeEligibility(n plan.Node) Eligibility {
 		if impl, ok := plan.LookupUDO(x.Name); ok && !impl.Deterministic {
 			return IneligibleNondetUDO
 		}
-		depth, ok := DependencyDepth(x.Depends, s.maxDepth())
-		if !ok || depth > s.maxDepth() {
+		depth, ok := DependencyDepth(x.Depends, maxUDODepDepth)
+		if !ok || depth > maxUDODepDepth {
 			return IneligibleDeepDeps
 		}
 	case *plan.Sort:

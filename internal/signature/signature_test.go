@@ -280,95 +280,101 @@ func substitute(root plan.Node, cold []signature.Subexpr, pick func(signature.Su
 	return rec(root), known
 }
 
-// TestSubexpressionsKnownMatchesCold: carrying signatures and eligibility
-// from an enumeration to the plan derived from it — and physical signatures
-// from a Physical of the original — gives, field by field, what signing the
-// derived plan from scratch gives — with nothing substituted, with
-// a Spool above and with a ViewScan in place of each operator kind in turn,
-// over eligible plans and every ineligibility class that propagates upward.
-func TestSubexpressionsKnownMatchesCold(t *testing.T) {
+// matrixQueries are the substitution matrix's plans: eligible ones and one of
+// every ineligibility class that propagates upward. The last needs
+// matrixLibraries.
+var matrixQueries = []string{
+	`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia' GROUP BY CustomerId`,
+	`SELECT Name FROM Customer WHERE MktSegment = 'Asia' UNION ALL SELECT Name FROM Customer WHERE MktSegment = 'Europe'`,
+	`SELECT Name FROM (SELECT * FROM Customer WHERE MktSegment = 'Asia') AS c WHERE RANDOM() < 0.5`,
+	`SELECT ingest_time FROM (PROCESS (SELECT * FROM Customer WHERE MktSegment = 'Asia') USING "StampIngestTime") AS p JOIN Parts ON p.Id = Parts.PartId`,
+	`SELECT Brand, COUNT(*) AS n FROM (PROCESS Sales USING "AddRowTag" DEPENDS "a") AS s JOIN Parts ON s.PartId = Parts.PartId GROUP BY Brand`,
+}
+
+func matrixLibraries(t *testing.T) {
 	signature.ResetLibraries()
-	defer signature.ResetLibraries()
+	t.Cleanup(signature.ResetLibraries)
 	signature.RegisterLibrary("a", "b")
-	queries := []string{
-		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia' GROUP BY CustomerId`,
-		`SELECT Name FROM Customer WHERE MktSegment = 'Asia' UNION ALL SELECT Name FROM Customer WHERE MktSegment = 'Europe'`,
-		`SELECT Name FROM (SELECT * FROM Customer WHERE MktSegment = 'Asia') AS c WHERE RANDOM() < 0.5`,
-		`SELECT ingest_time FROM (PROCESS (SELECT * FROM Customer WHERE MktSegment = 'Asia') USING "StampIngestTime") AS p JOIN Parts ON p.Id = Parts.PartId`,
-		`SELECT Brand, COUNT(*) AS n FROM (PROCESS Sales USING "AddRowTag" DEPENDS "a") AS s JOIN Parts ON s.PartId = Parts.PartId GROUP BY Brand`,
+}
+
+func matrixRoot(t *testing.T, q string) plan.Node {
+	return &plan.Output{Target: "out/x", Child: bindQuery(t, q, nil)}
+}
+
+func asSpool(n plan.Node, s signature.Subexpr) plan.Node {
+	return &plan.Spool{Child: n, StrictSig: string(s.Strict)}
+}
+
+func asView(n plan.Node, s signature.Subexpr) plan.Node {
+	return &plan.ViewScan{StrictSig: string(s.Strict), RecurringSig: string(s.Recurring), Out: n.Schema(), Fallback: n}
+}
+
+// substitutions calls fn with every plan the matrix derives from root: for
+// each operator kind in turn ("" for none), root with that kind's topmost
+// eligible operators under a Spool, and replaced by a ViewScan, with the
+// known entries substitute returns. It reports how many plans differ from root.
+func substitutions(root plan.Node, fn func(op string, derived plan.Node, known map[plan.Node]*signature.Subexpr)) (substituted int) {
+	cold := signer.Subexpressions(root)
+	for _, op := range []string{"", "Filter", "Project", "Join", "Aggregate", "Union", "UDO"} {
+		for _, mk := range []func(plan.Node, signature.Subexpr) plan.Node{asSpool, asView} {
+			derived, known := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == op }, mk)
+			if derived != root {
+				substituted++
+			}
+			fn(op, derived, known)
+		}
 	}
-	asSpool := func(n plan.Node, s signature.Subexpr) plan.Node {
-		return &plan.Spool{Child: n, StrictSig: string(s.Strict)}
-	}
-	asView := func(n plan.Node, s signature.Subexpr) plan.Node {
-		return &plan.ViewScan{StrictSig: string(s.Strict), RecurringSig: string(s.Recurring), Out: n.Schema(), Fallback: n}
-	}
+	return substituted
+}
+
+// TestSubexpressionsKnownMatchesCold: carrying signatures and eligibility
+// from an enumeration to the plan derived from it — and result-cache keys
+// from the same entries — gives, field by field, what signing the derived
+// plan from scratch gives, over the substitution matrix.
+func TestSubexpressionsKnownMatchesCold(t *testing.T) {
+	matrixLibraries(t)
 	substituted := 0
-	for _, q := range queries {
-		root := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t, q, nil)})
-		cold, coldPhys := signer.Subexpressions(root), signer.Physical(root)
-		for _, op := range []string{"", "Filter", "Project", "Join", "Aggregate", "Union", "UDO"} {
-			for _, mk := range []func(plan.Node, signature.Subexpr) plan.Node{asSpool, asView} {
-				derived, known := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == op }, mk)
-				if derived != root {
-					substituted++
+	for _, q := range matrixQueries {
+		substituted += substitutions(matrixRoot(t, q), func(op string, derived plan.Node, known map[plan.Node]*signature.Subexpr) {
+			entry := func(n plan.Node) *signature.Subexpr { return known[n] }
+			got, want := signer.SubexpressionsKnown(derived, entry), signer.Subexpressions(derived)
+			if len(got) != len(want) {
+				t.Fatalf("%q, %s substituted: %d entries, want %d", q, op, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Node != want[i].Node {
+					t.Fatalf("%q, %s substituted: entry %d is for another node", q, op, i)
 				}
-				entry := func(n plan.Node) *signature.Subexpr { return known[n] }
-				got, want := signer.SubexpressionsKnown(derived, entry), signer.Subexpressions(derived)
-				if len(got) != len(want) {
-					t.Fatalf("%q, %s substituted: %d entries, want %d", q, op, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Node != want[i].Node {
-						t.Fatalf("%q, %s substituted: entry %d is for another node", q, op, i)
-					}
-					g, w := got[i], want[i]
-					g.Node, w.Node = nil, nil
-					if !reflect.DeepEqual(g, w) {
-						t.Errorf("%q, %s substituted: entry %d (%s):\ncarried: %+v\ncold:    %+v", q, op, i, want[i].Op, g, w)
-					}
-				}
-				// The same carry-over for physical signatures, where a rebuilt
-				// node does not keep its original's: it is re-signed.
-				recorded := func(n plan.Node) signature.Sig {
-					if k := known[n]; k != nil {
-						return coldPhys[k.Node]
-					}
-					return ""
-				}
-				if g, w := signer.PhysicalKnown(derived, recorded), signer.Physical(derived); !reflect.DeepEqual(g, w) {
-					t.Errorf("%q, %s substituted: carried physical signatures differ from a cold signing:\ncarried: %v\ncold:    %v", q, op, g, w)
+				g, w := got[i], want[i]
+				g.Node, w.Node = nil, nil
+				if !reflect.DeepEqual(g, w) {
+					t.Errorf("%q, %s substituted: entry %d (%s):\ncarried: %+v\ncold:    %+v", q, op, i, want[i].Op, g, w)
 				}
 			}
-		}
+			// A node rebuilt above a substitution does not keep its
+			// original's key: it is hashed again.
+			if g, w := signer.PhysicalKnown(derived, entry), signer.Physical(derived); !reflect.DeepEqual(g, w) {
+				t.Errorf("%q, %s substituted: carried keys differ from a cold signing:\ncarried: %v\ncold:    %v", q, op, g, w)
+			}
+		})
 	}
 	if substituted < 10 {
 		t.Fatalf("only %d substitutions happened", substituted)
 	}
 }
 
-// TestConcurrentKnownSigningReadsOnly: jobs derive their plans from one
-// enumeration and one set of physical signatures at the same time, so the
-// carry-over may only read them. Under -race a write is reported; in any
-// mode every goroutine must get what a cold signing gives and the shared
-// entries must come out as they went in.
+// TestConcurrentKnownSigningReadsOnly: jobs derive their plans and keys from
+// one enumeration at the same time, so the carry-over may only read it. Under
+// -race a write is reported; in any mode every goroutine must get what a cold
+// signing gives and the shared entries must come out as they went in.
 func TestConcurrentKnownSigningReadsOnly(t *testing.T) {
 	root := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t,
 		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia' GROUP BY CustomerId`, nil)})
-	cold, coldPhys := signer.Subexpressions(root), signer.Physical(root)
+	cold := signer.Subexpressions(root)
 	before := append([]signature.Subexpr(nil), cold...)
-	derived, known := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == "Join" },
-		func(n plan.Node, s signature.Subexpr) plan.Node {
-			return &plan.ViewScan{StrictSig: string(s.Strict), RecurringSig: string(s.Recurring), Out: n.Schema(), Fallback: n}
-		})
-	wantSubs, wantPhys := signer.Subexpressions(derived), signer.Physical(derived)
+	derived, known := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == "Join" }, asView)
+	wantSubs, wantKeys := signer.Subexpressions(derived), signer.Physical(derived)
 	entry := func(n plan.Node) *signature.Subexpr { return known[n] }
-	recorded := func(n plan.Node) signature.Sig {
-		if k := known[n]; k != nil {
-			return coldPhys[k.Node]
-		}
-		return ""
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -379,8 +385,8 @@ func TestConcurrentKnownSigningReadsOnly(t *testing.T) {
 					t.Errorf("carried enumeration differs from a cold signing: %+v", got)
 					return
 				}
-				if got := signer.PhysicalKnown(derived, recorded); !reflect.DeepEqual(got, wantPhys) {
-					t.Errorf("carried physical signatures differ from a cold signing: %v", got)
+				if got := signer.PhysicalKnown(derived, entry); !reflect.DeepEqual(got, wantKeys) {
+					t.Errorf("carried keys differ from a cold signing: %v", got)
 					return
 				}
 			}
