@@ -62,15 +62,16 @@ func joinParents(run *JobRun, into map[string]int) {
 // projections (the two-cooked-stream prefix), other joins (the dimension
 // prefix under a local join), UDOs and Spools. Every job must answer the same rows in
 // the same order, with the same NodeStats — BytesOut and Work included — and
-// the same cache hits: a join that builds only the columns its parent reads
-// changes what the executor allocates and nothing the simulator sees.
+// the same cache hits: a filter that hands over a selection and a join that
+// hands over pairs change what the executor allocates and nothing the
+// simulator sees.
 func TestRowLoopsMatchKernelsOverGeneratedDays(t *testing.T) {
 	p := smallProfile("Lockstep")
 	p.Seed = 3
 	row, vec := newWorld(t, p, 0), newWorld(t, p, 0)
 	row.eng.rowLoops = true
 	parents := map[string]int{}
-	var jobs, narrowedDays int
+	var jobs, pairsDays int
 	for day := 0; day < 4; day++ {
 		if day > 0 {
 			for _, w := range []*derivedWorld{row, vec} {
@@ -90,32 +91,31 @@ func TestRowLoopsMatchKernelsOverGeneratedDays(t *testing.T) {
 			joinParents(v, parents)
 			jobs++
 		}
-		// The kernels' narrowed joins are the entries their cache lacks.
+		// The kernels' pairs are the entries their cache lacks.
 		if vecCache.Len() < rowCache.Len() {
-			narrowedDays++
+			pairsDays++
 		}
 		for _, w := range []*derivedWorld{row, vec} {
 			dayStart := fixtures.Epoch.AddDate(0, 0, day)
 			w.eng.RunAnalysis(dayStart.AddDate(0, 0, -7), dayStart.AddDate(0, 0, 1))
 		}
 	}
-	t.Logf("%d jobs; executed joins by parent: %v; %d of 4 days narrowed a join", jobs, parents, narrowedDays)
+	t.Logf("%d jobs; executed joins by parent: %v; %d of 4 days handed pairs to a parent", jobs, parents, pairsDays)
 	for _, op := range []string{"Aggregate", "Project", "Join", "UDO", "Spool"} {
 		if parents[op] == 0 {
 			t.Errorf("no job executed a join under a %s", op)
 		}
 	}
-	if narrowedDays == 0 {
-		t.Error("no join was narrowed: the kernels' result cache holds every entry the row loops' does")
+	if pairsDays == 0 {
+		t.Error("no join handed over pairs: the kernels' result cache holds every entry the row loops' does")
 	}
 }
 
 // TestSortAndSampleOverJoinDoNotNarrow compiles, signs and executes ORDER BY
-// and SAMPLE over a join on both executor arms. Sort and Sample read every
-// column (Sample hashes each cell), so their join builds whole rows and its
-// table enters the result cache under its key; an aggregate
-// over the same join, the contrast, reads two columns and leaves nothing there
-// on the kernels.
+// and SAMPLE over a join on both executor arms. Sort and Sample read rows
+// (Sample hashes each cell), so their join builds them and its table enters
+// the result cache under its key; an aggregate over the same join, the
+// contrast, reads its pairs on the kernels and leaves nothing there.
 func TestSortAndSampleOverJoinDoNotNarrow(t *testing.T) {
 	engines := map[bool]*Engine{}
 	for _, rowLoops := range []bool{true, false} {
@@ -136,8 +136,8 @@ func TestSortAndSampleOverJoinDoNotNarrow(t *testing.T) {
 	}
 	const join = `Events JOIN Regions ON Events.Region = Regions.Name`
 	for _, c := range []struct {
-		query    string
-		narrowed bool
+		query string
+		pairs bool // the join hands its parent pairs on the kernels
 	}{
 		{`SELECT * FROM ` + join + ` ORDER BY Value DESC, Id`, false},
 		{`SELECT * FROM ` + join + ` SAMPLE 40 PERCENT`, false},
@@ -162,7 +162,7 @@ func TestSortAndSampleOverJoinDoNotNarrow(t *testing.T) {
 				t.Fatalf("%s: no join in the compiled plan", c.query)
 			}
 			_, cached := e.resultCache().Get(joinSig)
-			if want := rowLoops || !c.narrowed; cached != want {
+			if want := rowLoops || !c.pairs; cached != want {
 				t.Errorf("%s (row loops %v): join table cached = %v, want %v", c.query, rowLoops, cached, want)
 			}
 			runs[rowLoops] = run

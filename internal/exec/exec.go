@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 
+	"cloudviews/internal/bitvector"
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/data"
 	"cloudviews/internal/fault"
@@ -139,9 +139,13 @@ type RunResult struct {
 // ViewScan sits below it, and never for a subtree holding a Spool. Stats holds
 // one NodeStat per node of the subtree, in post-order; equal keys mean equal
 // shapes, so a replay points them at the replaying plan's nodes in turn.
+//
+// Pos, when not nil, is a Filter's selection: the rows of Table at those
+// positions, built on replay for a parent that reads rows. Pairs are never stored.
 type CacheEntry struct {
 	Table *data.Table
-	// Bytes is Table.ByteSize(), measured once by the producing operator.
+	Pos   []int32
+	// Bytes is the result's ByteSize, measured once by the producing operator.
 	Bytes      int64
 	Mult       float64
 	Stats      []NodeStat
@@ -301,77 +305,109 @@ type Executor struct {
 	res RunResult
 }
 
-// nodeResult is one operator's output. bytes is table.ByteSize(), measured
-// once by the operator that produced the table and carried to every consumer
-// that accounts it (exchange reads, spool and output writes, cache replays).
-//
-// dropped, when not 0, marks a join built for a parent that reads only some
-// of its columns (evalReading): the table holds the logical columns not in
-// dropped, in order, and nothing else. bytes stays the logical width's.
+// nodeResult is one operator's output, in one of three shapes: a table's
+// rows, a Filter's selection of a table's rows, or a Join's pairs of its two
+// input tables' rows. Positions are plain slices the result owns, never
+// pooled. bytes is what the rows measure (the sum of their ByteSize), measured
+// once by the operator that produced them and carried to every consumer that
+// accounts it (exchange reads, spool and output writes, cache replays).
 type nodeResult struct {
-	table   *data.Table
-	mult    float64
-	bytes   int64
-	dropped uint64
+	table *data.Table // the rows; under pairs, the left input's
+	right *data.Table // pairs: the right input's rows
+	pos   []int32     // selection: the rows of table kept; pairs: (left, right) row indices
+	shape shape
+	mult  float64
+	bytes int64
 }
 
-// allColumns asks an operator for every column of its output.
-const allColumns = ^uint64(0)
+// shape is how a nodeResult holds its rows, in order: a parent that takes one
+// shape takes every shape before it.
+type shape uint8
 
-// addReads adds the columns e references to set. A column outside [0, 64)
-// makes the set allColumns, which absorbs every later addition; so does a
-// Call, which the kernels never compile: its parent runs the row loop, which
-// would only widen narrowed rows again.
-func addReads(set uint64, e plan.Expr) uint64 {
-	switch x := e.(type) {
-	case *plan.ColRef:
-		if x.Index < 0 || x.Index >= 64 {
-			return allColumns
-		}
-		return set | 1<<x.Index
-	case *plan.Binary:
-		return addReads(addReads(set, x.L), x.R)
-	case *plan.Unary:
-		return addReads(set, x.E)
-	case *plan.Const, *plan.Param:
-		return set
-	}
-	return allColumns
-}
+const (
+	rowsShape shape = iota // table.Rows
+	selection              // table.Rows[pos[i]]
+	pairs                  // table.Rows[pos[2i]] joined to right.Rows[pos[2i+1]]
+)
 
-// readSet is the set of columns exprs reference, for a parent running on the
-// kernels; the row loops read every column, so they stay the unnarrowed
-// reference.
-func (ex *Executor) readSet(exprs []plan.Expr) uint64 {
+// accepts is the shape a parent that reads its input only through exprs
+// takes: want on the kernels, but rows on the row loops, the reference, and
+// when an expression holds a Call, which the kernels never compile.
+func (ex *Executor) accepts(want shape, exprs []plan.Expr) shape {
 	if !ex.Vectorized {
-		return allColumns
+		return rowsShape
 	}
-	var set uint64
 	for _, e := range exprs {
-		set = addReads(set, e)
+		if !compilable(e) {
+			return rowsShape
+		}
 	}
-	return set
+	return want
 }
 
-// rows returns the table's rows at logical width, for a parent's row loop:
-// a narrowed join's rows are widened, NULL in the columns nothing reads.
+// compilable reports whether e (nil included) holds no Call.
+func compilable(e plan.Expr) bool {
+	switch x := e.(type) {
+	case nil, *plan.ColRef, *plan.Const, *plan.Param:
+		return true
+	case *plan.Binary:
+		return compilable(x.L) && compilable(x.R)
+	case *plan.Unary:
+		return compilable(x.E)
+	}
+	return false
+}
+
+// len is the number of rows r holds.
+func (r nodeResult) len() int {
+	switch r.shape {
+	case selection:
+		return len(r.pos)
+	case pairs:
+		return len(r.pos) / 2
+	}
+	return len(r.table.Rows)
+}
+
+// at is the row of table behind row i of a table or a selection.
+func (r nodeResult) at(i int) int {
+	if r.shape == selection {
+		return int(r.pos[i])
+	}
+	return i
+}
+
+// rows returns r's rows: a table's own, a selection's by reference, and pairs
+// joined into rows carved from one slab at their exact count. It is the one
+// place rows are built from positions: for a parent whose kernels declined,
+// and through materialize.
 func (r nodeResult) rows() []data.Row {
-	if r.dropped == 0 {
+	if r.shape == rowsShape {
 		return r.table.Rows
 	}
-	var slab data.RowSlab
-	slab.Expect(len(r.table.Rows))
-	width := len(r.table.Schema) + bits.OnesCount64(r.dropped)
-	wide := make([]data.Row, len(r.table.Rows))
-	for i, row := range r.table.Rows {
-		wide[i] = slab.New(width)
-		keep := ^r.dropped
-		for _, v := range row {
-			wide[i][bits.TrailingZeros64(keep)] = v
-			keep &= keep - 1
+	rows := make([]data.Row, r.len())
+	if r.shape == selection {
+		for i, p := range r.pos {
+			rows[i] = r.table.Rows[p]
 		}
+		return rows
 	}
-	return wide
+	var slab data.RowSlab
+	slab.Expect(len(rows))
+	for k := range rows {
+		lr, rr := r.table.Rows[r.pos[2*k]], r.right.Rows[r.pos[2*k+1]]
+		rows[k] = slab.New(len(r.table.Schema) + len(r.right.Schema))
+		copy(rows[k][copy(rows[k], lr):], rr)
+	}
+	return rows
+}
+
+// materialize turns r into a table of the given schema, for a parent that
+// reads rows: a join's parent, or one replaying a stored selection.
+func (r nodeResult) materialize(schema data.Schema) nodeResult {
+	t := data.NewTable(schema)
+	t.Rows = r.rows()
+	return nodeResult{table: t, mult: r.mult, bytes: r.bytes}
 }
 
 // produced wraps a freshly built table, sizing it.
@@ -380,12 +416,11 @@ func produced(t *data.Table, mult float64) nodeResult {
 }
 
 func (r nodeResult) logicalBytes() int64 { return int64(float64(r.bytes) * r.mult) }
-func (r nodeResult) logicalRows() int64  { return logicalRows(r.table, r.mult) }
+func (r nodeResult) logicalRows() int64  { return int64(float64(r.len()) * r.mult) }
 
-// finish records st for the operator that built t, with RowsOut and BytesOut
-// filled in from t, and returns t as the operator's result.
-func (ex *Executor) finish(st NodeStat, t *data.Table, mult float64) nodeResult {
-	out := produced(t, mult)
+// finish records st for the operator that produced out, with RowsOut and
+// BytesOut filled in from out, and returns out.
+func (ex *Executor) finish(st NodeStat, out nodeResult) nodeResult {
 	st.RowsOut, st.BytesOut = out.logicalRows(), out.logicalBytes()
 	ex.record(st)
 	return out
@@ -424,17 +459,12 @@ func (ex *Executor) record(st NodeStat) {
 	ex.res.TotalBatches += st.Batches
 }
 
-func logicalRows(t *data.Table, mult float64) int64 {
-	return int64(float64(t.NumRows()) * mult)
-}
+func (ex *Executor) eval(n plan.Node) (nodeResult, error) { return ex.evalReading(n, rowsShape) }
 
-func (ex *Executor) eval(n plan.Node) (nodeResult, error) { return ex.evalReading(n, allColumns) }
-
-// evalReading evaluates n for a parent that reads only the columns in reads.
-// A join then builds just those (evalJoin), so only an Aggregate or a Project
-// asks for fewer than allColumns, and only of its own child: a Spool, a
-// ViewScan's fallback or any other parent takes every column.
-func (ex *Executor) evalReading(n plan.Node, reads uint64) (nodeResult, error) {
+// evalReading evaluates n for a parent that takes any shape up to accept
+// (Executor.accepts): a Filter then hands over a selection and a Join its
+// pairs. A Spool, a ViewScan's fallback and every other parent take rows.
+func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
 	// Subtrees containing a Spool have no key (signature.Signer.Physical).
 	// ViewScans bypass the cache while view-read faults are enabled: a cached
 	// replay would skip the read entirely and the injection decision (keyed
@@ -458,7 +488,14 @@ func (ex *Executor) evalReading(n plan.Node, reads uint64) (nodeResult, error) {
 				ex.res.InputBytes += entry.InputBytes
 				ex.res.ViewBytes += entry.ViewBytes
 				ex.res.TotalRead += entry.TotalRead
-				return nodeResult{table: entry.Table, mult: entry.Mult, bytes: entry.Bytes}, nil
+				r := nodeResult{table: entry.Table, pos: entry.Pos, mult: entry.Mult, bytes: entry.Bytes}
+				if r.pos != nil {
+					r.shape = selection
+				}
+				if r.shape > accept {
+					r = r.materialize(r.table.Schema)
+				}
+				return r, nil
 			}
 		}
 	}
@@ -467,16 +504,16 @@ func (ex *Executor) evalReading(n plan.Node, reads uint64) (nodeResult, error) {
 	inputStart, viewStart, readStart := ex.res.InputBytes, ex.res.ViewBytes, ex.res.TotalRead
 	fallbackStart := ex.res.ReuseFallbacks
 
-	r, err := ex.evalNode(n, reads)
+	r, err := ex.evalNode(n, accept)
 	if err != nil {
 		return nodeResult{}, err
 	}
 
 	// A fallback inside this subtree means its recorded accounting reflects
 	// recomputation, not a view read — caching it would replay fault costs
-	// into healthy jobs, so skip the Put for the whole ancestor chain. A
-	// narrowed table is not n's result under its key at all.
-	if ex.res.ReuseFallbacks != fallbackStart || r.dropped != 0 {
+	// into healthy jobs, so skip the Put for the whole ancestor chain. Pairs
+	// are never stored: that would add result-cache hits the goldens count.
+	if ex.res.ReuseFallbacks != fallbackStart || r.shape == pairs {
 		tainted = true
 	}
 
@@ -487,6 +524,7 @@ func (ex *Executor) evalReading(n plan.Node, reads uint64) (nodeResult, error) {
 			copy(sub, ex.res.Stats[statsStart:])
 			ex.Cache.Put(sig, &CacheEntry{
 				Table:      r.table,
+				Pos:        r.pos,
 				Bytes:      r.bytes,
 				Mult:       r.mult,
 				Stats:      sub,
@@ -502,8 +540,8 @@ func (ex *Executor) evalReading(n plan.Node, reads uint64) (nodeResult, error) {
 // relabel points stats, a replayed entry's NodeStats, at the nodes of n's
 // subtree in the order a real run records them (children left to right, then
 // the node itself), and returns the stats past the subtree's. An entry holds
-// one stat per node of a subtree shaped as n's: one that recorded a fallback,
-// a narrowed join or a Spool is never stored.
+// one stat per node of a subtree shaped as n's: one that recorded a fallback
+// or a Spool is never stored.
 func relabel(stats []NodeStat, n plan.Node) []NodeStat {
 	var buf [2]plan.Node
 	for _, c := range plan.Inputs(n, &buf) {
@@ -513,18 +551,18 @@ func relabel(stats []NodeStat, n plan.Node) []NodeStat {
 	return stats[1:]
 }
 
-func (ex *Executor) evalNode(n plan.Node, reads uint64) (nodeResult, error) {
+func (ex *Executor) evalNode(n plan.Node, accept shape) (nodeResult, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
 		return ex.evalScan(x)
 	case *plan.ViewScan:
 		return ex.evalViewScan(x)
 	case *plan.Filter:
-		return ex.evalFilter(x)
+		return ex.evalFilter(x, accept)
 	case *plan.Project:
 		return ex.evalProject(x)
 	case *plan.Join:
-		return ex.evalJoin(x, reads)
+		return ex.evalJoin(x, accept)
 	case *plan.Aggregate:
 		return ex.evalAggregate(x)
 	case *plan.Union:
@@ -599,26 +637,44 @@ func (ex *Executor) evalViewScan(x *plan.ViewScan) (nodeResult, error) {
 	return out, nil
 }
 
-func (ex *Executor) evalFilter(x *plan.Filter) (nodeResult, error) {
+func (ex *Executor) evalFilter(x *plan.Filter, accept shape) (nodeResult, error) {
 	in, err := ex.eval(x.Child)
 	if err != nil {
 		return nodeResult{}, err
 	}
-	out := data.NewTable(in.table.Schema)
-	batches, ok := ex.vecFilter(in.table, x.Pred, out)
+	// Survivors are marked in a bitmap, so what the filter returns is made at its
+	// exact size: a selection (4 bytes a survivor) or a row slice (24).
+	var keep bitvector.Bitmap
+	keep.Resize(len(in.table.Rows))
+	batches, ok := ex.vecFilter(in, x.Pred, &keep)
 	if !ok {
-		for _, row := range in.table.Rows {
+		for i, row := range in.table.Rows {
 			if v := x.Pred.Eval(row, ex.Ctx); v.Kind == data.KindBool && v.B {
-				out.Append(row)
+				keep.Set(i)
 			}
 		}
 	}
+	out := nodeResult{table: in.table, mult: in.mult}
+	if accept < selection {
+		out.table = data.NewTable(in.table.Schema)
+		out.table.Rows = make([]data.Row, 0, keep.Count())
+	} else {
+		out.shape, out.pos = selection, make([]int32, 0, keep.Count())
+	}
+	keep.ForEachSet(func(i int) {
+		out.bytes += in.table.Rows[i].ByteSize()
+		if out.shape == selection {
+			out.pos = append(out.pos, int32(i))
+		} else {
+			out.table.Rows = append(out.table.Rows, in.table.Rows[i])
+		}
+	})
 	work := float64(in.logicalRows()) * costFilterRow
-	return ex.finish(NodeStat{Node: x, Op: "Filter", Work: work, Batches: batches}, out, in.mult), nil
+	return ex.finish(NodeStat{Node: x, Op: "Filter", Work: work, Batches: batches}, out), nil
 }
 
 func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
-	in, err := ex.evalReading(x.Child, ex.readSet(x.Exprs))
+	in, err := ex.evalReading(x.Child, ex.accepts(pairs, x.Exprs))
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -626,8 +682,8 @@ func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
 	batches, ok := ex.vecProject(in, x.Exprs, out)
 	if !ok {
 		var slab data.RowSlab
-		slab.Expect(in.table.NumRows())
-		out.Rows = make([]data.Row, 0, in.table.NumRows())
+		slab.Expect(in.len())
+		out.Rows = make([]data.Row, 0, in.len())
 		for _, row := range in.rows() {
 			nr := slab.New(len(x.Exprs))
 			for i, e := range x.Exprs {
@@ -637,7 +693,7 @@ func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
 		}
 	}
 	work := float64(in.logicalRows()) * costProjectRow * float64(max(1, len(x.Exprs)))
-	return ex.finish(NodeStat{Node: x, Op: "Project", Work: work, Batches: batches}, out, in.mult), nil
+	return ex.finish(NodeStat{Node: x, Op: "Project", Work: work, Batches: batches}, produced(out, in.mult)), nil
 }
 
 // appendJoinKey appends a row's join key under the given key expressions,
@@ -649,15 +705,15 @@ func (ex *Executor) appendJoinKey(dst []byte, row data.Row, keys []plan.Expr) []
 	return dst
 }
 
-// rowJoinKeys is vecJoinKeys on the row loop: the join key of every row of t,
-// in row order, packed one string per batchSize rows.
-func (ex *Executor) rowJoinKeys(t *data.Table, keys []plan.Expr, dst *[]string, pack *keyPacker) {
-	out := sized(*dst, len(t.Rows))
+// rowJoinKeys is vecJoinKeys on the row loop: the join key of every row of r,
+// a table or a selection, in row order, packed one string per batchSize rows.
+func (ex *Executor) rowJoinKeys(r nodeResult, keys []plan.Expr, dst *[]string, pack *keyPacker) {
+	out := sized(*dst, r.len())
 	*dst = out
 	for lo := 0; lo < len(out); lo += batchSize {
 		hi := min(lo+batchSize, len(out))
-		for _, row := range t.Rows[lo:hi] {
-			pack.buf = ex.appendJoinKey(pack.buf, row, keys)
+		for i := lo; i < hi; i++ {
+			pack.buf = ex.appendJoinKey(pack.buf, r.table.Rows[r.at(i)], keys)
 			pack.end()
 		}
 		pack.flush(out[lo:hi])
@@ -724,13 +780,14 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// evalJoin joins x's inputs, building only the columns in reads.
-func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
-	l, err := ex.eval(x.L)
+// evalJoin joins x's inputs, each a table or a selection, into pairs of their
+// tables' row indices, building rows only for a parent that takes no pairs.
+func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
+	l, err := ex.evalReading(x.L, ex.accepts(selection, nil))
 	if err != nil {
 		return nodeResult{}, err
 	}
-	r, err := ex.eval(x.R)
+	r, err := ex.evalReading(x.R, ex.accepts(selection, nil))
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -741,15 +798,12 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 	// every keyed join runs the one probe below, so a job's answer and its row
 	// order never depend on an estimate. JoinAuto, a join the optimizer never
 	// saw, resolves here.
+	ln, rn := l.len(), r.len()
 	algo := x.Algo
 	if algo == plan.JoinAuto {
-		switch {
-		case len(x.LeftKeys) == 0:
+		algo = plan.JoinHash
+		if len(x.LeftKeys) == 0 || min(ln, rn) <= 64 {
 			algo = plan.JoinLoop
-		case min(l.table.NumRows(), r.table.NumRows()) <= 64:
-			algo = plan.JoinLoop
-		default:
-			algo = plan.JoinHash
 		}
 	}
 	mult := math.Max(l.mult, r.mult)
@@ -765,18 +819,18 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 		// Broadcast nested-loop: the logical outer streams past a small
 		// physical inner copied to every container.
 		outer := math.Max(lRows, rRows)
-		inner := float64(min(l.table.NumRows(), r.table.NumRows()))
-		work = outer * costLoopOuter * (1 + 0.05*inner)
+		work = outer * costLoopOuter * (1 + 0.05*float64(min(ln, rn)))
 	}
 	lt, rt := l.table.Rows, r.table.Rows
 
 	js := joinScratches.Get().(*joinScratch)
 	defer js.release()
 	if js.pairs == nil { // a new scratch: most joins keep about a pair per row of the larger input
-		js.pairs = make([]int32, 0, 2*max(len(lt), len(rt)))
+		js.pairs = make([]int32, 0, 2*max(ln, rn))
 	}
-	// emit keeps the pair (li, ri) unless the residual rejects it.
+	// emit keeps the tables' rows behind input rows li and ri unless the residual rejects them.
 	emit := func(li, ri int) {
+		li, ri = l.at(li), r.at(ri)
 		if x.Residual != nil {
 			js.probe = append(append(js.probe[:0], lt[li]...), rt[ri]...)
 			if v := x.Residual.Eval(js.probe, ex.Ctx); v.Kind != data.KindBool || !v.B {
@@ -792,17 +846,17 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 	// right build order.
 	var batches int64
 	if len(x.LeftKeys) == 0 {
-		for li := range lt {
-			for ri := range rt {
+		for li := range ln {
+			for ri := range rn {
 				emit(li, ri)
 			}
 		}
 	} else {
-		lb, lok := ex.vecJoinKeys(l.table, x.LeftKeys, &js.keys[0], &js.pack)
-		rb, rok := ex.vecJoinKeys(r.table, x.RightKeys, &js.keys[1], &js.pack)
+		lb, lok := ex.vecJoinKeys(l, x.LeftKeys, &js.keys[0], &js.pack)
+		rb, rok := ex.vecJoinKeys(r, x.RightKeys, &js.keys[1], &js.pack)
 		batches = lb + rb
 		if !rok {
-			ex.rowJoinKeys(r.table, x.RightKeys, &js.keys[1], &js.pack)
+			ex.rowJoinKeys(r, x.RightKeys, &js.keys[1], &js.pack)
 		}
 		lKeys, rKeys := js.keys[0], js.keys[1]
 		// The build table is two flat arrays instead of a row slice per
@@ -819,12 +873,12 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 			head[rKeys[ri]] = int32(ri + 1)
 		}
 		var buf [64]byte
-		for li, lr := range lt {
+		for li := range ln {
 			var ri int32
 			if lok {
 				ri = head[lKeys[li]]
 			} else {
-				ri = head[string(ex.appendJoinKey(buf[:0], lr, x.LeftKeys))]
+				ri = head[string(ex.appendJoinKey(buf[:0], lt[l.at(li)], x.LeftKeys))]
 			}
 			for ; ri != 0; ri = next[ri-1] {
 				emit(li, int(ri-1))
@@ -832,58 +886,28 @@ func (ex *Executor) evalJoin(x *plan.Join, reads uint64) (nodeResult, error) {
 		}
 	}
 
-	// Every pair is known: slab and row slice are made once, at the output's
-	// size. A row holds the columns the parent reads, in order; bytes is what
-	// the whole joined rows would measure.
-	out := data.NewTable(x.Schema())
-	nl, width := len(l.table.Schema), len(out.Schema)
-	var dropped uint64
-	if all := uint64(1)<<width - 1; width <= 64 && reads&^all == 0 {
-		dropped = all &^ reads
-		kept := out.Schema[:0]
-		for j, c := range out.Schema {
-			if dropped&(1<<j) == 0 {
-				kept = append(kept, c)
-			}
-		}
-		out.Schema = kept
-	}
-	var slab data.RowSlab
-	slab.Expect(len(js.pairs) / 2)
-	out.Rows = make([]data.Row, 0, len(js.pairs)/2)
-	var bytes int64
+	// bytes is what the joined rows measure, built or not. A parent gets rows
+	// made at the output's size, or the pairs copied out at their exact length.
+	res := nodeResult{table: l.table, right: r.table, pos: js.pairs, shape: pairs, mult: mult}
 	for k := 0; k < len(js.pairs); k += 2 {
-		lr, rr := lt[js.pairs[k]], rt[js.pairs[k+1]]
-		bytes += lr.ByteSize() + rr.ByteSize()
-		row := slab.New(len(out.Schema))
-		if dropped == 0 {
-			copy(row[copy(row, lr):], rr)
-		} else {
-			keep := ^dropped
-			for p := range row {
-				if j := bits.TrailingZeros64(keep); j < nl {
-					row[p] = lr[j]
-				} else {
-					row[p] = rr[j-nl]
-				}
-				keep &= keep - 1
-			}
-		}
-		out.Append(row)
+		res.bytes += lt[js.pairs[k]].ByteSize() + rt[js.pairs[k+1]].ByteSize()
 	}
-	res := nodeResult{table: out, mult: mult, bytes: bytes, dropped: dropped}
-	ex.record(NodeStat{Node: x, Op: "Join", Algo: algo, RowsOut: res.logicalRows(), BytesOut: res.logicalBytes(), Work: work, Batches: batches})
+	ex.finish(NodeStat{Node: x, Op: "Join", Algo: algo, Work: work, Batches: batches}, res)
+	if accept < pairs {
+		return res.materialize(x.Schema()), nil
+	}
+	res.pos = append(make([]int32, 0, len(js.pairs)), js.pairs...)
 	return res, nil
 }
 
 func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
-	reads := ex.readSet(x.GroupBy)
+	accept := ex.accepts(pairs, x.GroupBy)
 	for _, spec := range x.Aggs {
-		if spec.Arg != nil {
-			reads = addReads(reads, spec.Arg)
+		if !compilable(spec.Arg) {
+			accept = rowsShape
 		}
 	}
-	in, err := ex.evalReading(x.Child, reads)
+	in, err := ex.evalReading(x.Child, accept)
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -925,7 +949,7 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	if len(x.GroupBy) == 0 {
 		outMult = 1
 	}
-	return ex.finish(NodeStat{Node: x, Op: "Aggregate", Work: work, Batches: batches}, out, outMult), nil
+	return ex.finish(NodeStat{Node: x, Op: "Aggregate", Work: work, Batches: batches}, produced(out, outMult)), nil
 }
 
 // aggCell is the running state of one aggregate within one group; the zero
@@ -1091,9 +1115,9 @@ func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {
 	out.Rows = make([]data.Row, 0, l.table.NumRows()+r.table.NumRows())
 	out.Rows = append(out.Rows, l.table.Rows...)
 	out.Rows = append(out.Rows, r.table.Rows...)
-	mult := math.Max(l.mult, r.mult)
-	work := float64(logicalRows(out, mult)) * costUnionRow
-	return ex.finish(NodeStat{Node: x, Op: "Union", Work: work}, out, mult), nil
+	res := produced(out, math.Max(l.mult, r.mult))
+	work := float64(res.logicalRows()) * costUnionRow
+	return ex.finish(NodeStat{Node: x, Op: "Union", Work: work}, res), nil
 }
 
 func (ex *Executor) evalUDO(x *plan.UDO) (nodeResult, error) {
@@ -1116,7 +1140,7 @@ func (ex *Executor) evalUDO(x *plan.UDO) (nodeResult, error) {
 		impl.Apply(row, emit, ex.Ctx)
 	}
 	work := float64(in.logicalRows()) * costUDORow
-	return ex.finish(NodeStat{Node: x, Op: "UDO", Work: work}, out, in.mult), nil
+	return ex.finish(NodeStat{Node: x, Op: "UDO", Work: work}, produced(out, in.mult)), nil
 }
 
 func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
@@ -1148,7 +1172,7 @@ func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
 		}
 	}
 	work := float64(in.logicalRows()) * costSampleRow
-	return ex.finish(NodeStat{Node: x, Op: "Sample", Work: work, Batches: batches}, out, in.mult), nil
+	return ex.finish(NodeStat{Node: x, Op: "Sample", Work: work, Batches: batches}, produced(out, in.mult)), nil
 }
 
 func (ex *Executor) evalSort(x *plan.Sort) (nodeResult, error) {
@@ -1157,7 +1181,7 @@ func (ex *Executor) evalSort(x *plan.Sort) (nodeResult, error) {
 		return nodeResult{}, err
 	}
 	out := data.NewTable(in.table.Schema)
-	batches, ok := ex.vecSort(in.table, x, out)
+	batches, ok := ex.vecSort(in, x, out)
 	if !ok {
 		out.Rows = append(out.Rows, in.table.Rows...)
 		sort.SliceStable(out.Rows, func(a, b int) bool {
@@ -1175,9 +1199,9 @@ func (ex *Executor) evalSort(x *plan.Sort) (nodeResult, error) {
 			return false
 		})
 	}
-	rows := float64(logicalRows(out, in.mult))
-	work := rows * costOrderRow * log2(rows)
-	return ex.finish(NodeStat{Node: x, Op: "Sort", Work: work, Batches: batches}, out, in.mult), nil
+	res := produced(out, in.mult)
+	rows := float64(res.logicalRows())
+	return ex.finish(NodeStat{Node: x, Op: "Sort", Work: rows * costOrderRow * log2(rows), Batches: batches}, res), nil
 }
 
 func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {

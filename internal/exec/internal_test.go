@@ -215,7 +215,9 @@ func PoisonReleasedBuffers(t testing.TB) {
 
 // TestColumnGatheredOncePerWindow: the expressions of one operator share its
 // inputCols, so a column two of them reference is validated once and gathered
-// once per window, and a column none references is never read.
+// once per window, and a column none references is never read — over a table,
+// over a selection of its rows and over pairs of its rows, whose columns are
+// the left row's then the right row's.
 func TestColumnGatheredOncePerWindow(t *testing.T) {
 	schema := data.Schema{
 		{Name: "A", Kind: data.KindInt},
@@ -227,39 +229,63 @@ func TestColumnGatheredOncePerWindow(t *testing.T) {
 		tb.Append(data.Row{data.Int(int64(i)), data.Float(float64(i) / 2), data.String_("c")})
 	}
 	tb.Rows[2999][2] = data.Null() // unreferenced: must not decline anything
-	a := &plan.ColRef{Index: 0, Typ: data.KindInt}
-	b := &plan.ColRef{Index: 1, Typ: data.KindFloat}
-	exprs := []plan.Expr{
-		&plan.Binary{Op: ">", L: a, R: &plan.Const{Val: data.Int(10)}},
-		&plan.Binary{Op: "+", L: a, R: a},
-		&plan.Binary{Op: "*", L: b, R: a},
+	sel := nodeResult{table: tb, shape: selection}
+	for i := range tb.Rows {
+		if i%3 != 0 {
+			sel.pos = append(sel.pos, int32(i))
+		}
 	}
-	in := newInputCols(tb, 0)
-	defer in.release()
-	progs, ok := compileAll(in, exprs)
-	if !ok {
-		t.Fatal("the expressions did not compile")
+	prs := nodeResult{table: tb, right: tb, shape: pairs}
+	for i := range tb.Rows {
+		prs.pos = append(prs.pos, int32(i), int32(i*7%3000))
 	}
-	roots := make([]*vcol, len(progs))
-	windows := 0
-	for lo := 0; lo < 3000; lo += batchSize {
-		w := min(batchSize, 3000-lo)
-		evalAll(progs, roots, lo, w)
-		windows++
-		for _, i := range []int{0, w - 1} {
-			row := tb.Rows[lo+i]
-			for k, e := range exprs {
-				if got, want := roots[k].value(i), e.Eval(row, nil); got != want {
-					t.Fatalf("row %d expr %d: kernel %v, row loop %v", lo+i, k, got, want)
+	for _, c := range []struct {
+		what   string
+		r      nodeResult
+		b      int   // the column read as B
+		unread []int // columns nothing references
+	}{
+		{"table", nodeResult{table: tb}, 1, []int{2}},
+		{"selection", sel, 1, []int{2}},
+		{"pairs", prs, 4, []int{1, 2, 3, 5}},
+	} {
+		a := &plan.ColRef{Index: 0, Typ: data.KindInt}
+		b := &plan.ColRef{Index: c.b, Typ: data.KindFloat}
+		exprs := []plan.Expr{
+			&plan.Binary{Op: ">", L: a, R: &plan.Const{Val: data.Int(10)}},
+			&plan.Binary{Op: "+", L: a, R: a},
+			&plan.Binary{Op: "*", L: b, R: a},
+		}
+		in := newInputCols(c.r)
+		progs, ok := compileAll(in, exprs)
+		if !ok {
+			t.Fatalf("%s: the expressions did not compile", c.what)
+		}
+		rows, n := c.r.rows(), c.r.len()
+		roots := make([]*vcol, len(progs))
+		windows := 0
+		for lo := 0; lo < n; lo += batchSize {
+			w := min(batchSize, n-lo)
+			evalAll(progs, roots, lo, w)
+			windows++
+			for _, i := range []int{0, w / 2, w - 1} {
+				row := rows[lo+i]
+				for k, e := range exprs {
+					if got, want := roots[k].value(i), e.Eval(row, nil); got != want {
+						t.Fatalf("%s: row %d expr %d: kernel %v, row loop %v", c.what, lo+i, k, got, want)
+					}
 				}
 			}
 		}
-	}
-	// Two referenced columns, four ColRef nodes.
-	if in.gathers != 2*windows {
-		t.Errorf("%d gathers over %d windows of 2 referenced columns, want %d", in.gathers, windows, 2*windows)
-	}
-	if in.cols[2].kind != data.KindNull {
-		t.Error("the unreferenced column was read")
+		// Two referenced columns, four ColRef nodes.
+		if in.gathers != 2*windows {
+			t.Errorf("%s: %d gathers over %d windows of 2 referenced columns, want %d", c.what, in.gathers, windows, 2*windows)
+		}
+		for _, j := range c.unread {
+			if in.cols[j].kind != data.KindNull {
+				t.Errorf("%s: the unreferenced column %d was read", c.what, j)
+			}
+		}
+		in.release()
 	}
 }

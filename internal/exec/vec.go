@@ -13,7 +13,6 @@ package exec
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 
 	"cloudviews/internal/data"
@@ -119,11 +118,11 @@ type window[T any] struct {
 }
 
 // windowPool recycles the windows of one element type. An operator allocates
-// the table it returns and borrows everything else: gather buffers, kernel
-// outputs, float/int views, constant broadcasts and NULL masks are all
-// windows, borrowed while the operator compiles and given back when its
-// function (vecFilter, vecProject, vecJoinKeys, vecAggregate, vecSort)
-// returns. That is sound because nothing an operator returns aliases a vcol:
+// the table it returns and borrows everything else: gather buffers, the rows
+// behind a window of positions, kernel outputs, float/int views, constant
+// broadcasts and NULL masks are all windows, borrowed while the operator
+// compiles and given back when its function (vecFilter, vecProject,
+// vecJoinKeys, vecAggregate, vecSort) returns. That is sound because nothing an operator returns aliases a vcol:
 // rows are built from vcol.value copies, vecSort copies its keys with
 // appendVcol, keyPacker.flush mints its own strings. A window is not zeroed
 // on reuse; every kernel writes [0, n) of its output and mask before anything
@@ -138,6 +137,7 @@ var (
 	floatWindows  = windowPool[float64]{poison: math.NaN()}
 	stringWindows = windowPool[string]{poison: "\x00poison"}
 	boolWindows   = windowPool[bool]{poison: true}
+	rowWindows    = windowPool[data.Row]{}
 )
 
 // poisonReleased makes every buffer that goes back to a pool be overwritten
@@ -184,6 +184,7 @@ type borrowed struct {
 	fs   *window[float64]
 	ss   *window[string]
 	bs   *window[bool]
+	rs   *window[data.Row]
 }
 
 func (b *borrowed) int64s() []int64     { return int64Windows.borrow(&b.ints) }
@@ -197,49 +198,69 @@ func (b *borrowed) release() {
 	floatWindows.giveBack(&b.fs, false)
 	stringWindows.giveBack(&b.ss, true)
 	boolWindows.giveBack(&b.bs, false)
+	rowWindows.giveBack(&b.rs, true)
 }
 
-// inputCols reads a row-oriented table as typed columns, one window at a
-// time, and holds every window the operator compiled against it borrows.
-// Columns no expression references are never read: kernels cannot see them,
-// and operators that keep input rows pass them through by reference.
+// inputCols reads an operator's input — a table, a selection or pairs, whose
+// columns are the left row's then the right row's — as typed columns, one
+// window at a time, and holds every window the operator compiled against it
+// borrows. Columns no expression references are never read: kernels cannot
+// see them, and operators that keep input rows pass them through by reference.
 type inputCols struct {
-	t       *data.Table
-	dropped uint64     // the logical columns t does not hold (nodeResult.dropped)
-	cols    []inputCol // t's own; cols[j].kind stays KindNull until a ColRef compiles against column j
+	r      nodeResult
+	n      int           // the input's rows
+	cols   []inputCol    // cols[j].kind stays KindNull until a ColRef compiles against column j
+	sides  [2][]data.Row // under positions, each table's rows behind window sideLo
+	sideLo [2]int
 	borrowed
 	gathers int // windows gathered so far, over all columns
 }
 
-// inputCol is one referenced column: a borrowed window holding rows
+// inputCol is one referenced column, cell at of its side's rows (0 the left
+// or only table, 1 a pair's right): a borrowed window holding rows
 // [lo, lo+batchSize) of it (lo < 0 before the first gather).
 type inputCol struct {
 	vcol
-	lo int
+	lo, side, at int
 }
 
-func newInputCols(t *data.Table, dropped uint64) *inputCols {
-	return &inputCols{t: t, dropped: dropped, cols: make([]inputCol, len(t.Schema))}
+func newInputCols(r nodeResult) *inputCols {
+	width := len(r.table.Schema)
+	if r.shape == pairs {
+		width += len(r.right.Schema)
+	}
+	return &inputCols{r: r, n: r.len(), cols: make([]inputCol, width)}
 }
 
-// phys is the column of t that holds logical column j, or -1 when t holds
-// none; an index past t's last column is left to col to refuse.
-func (in *inputCols) phys(j int) int {
-	if in.dropped == 0 {
-		return j
+// rows returns table side's rows behind the input's rows [lo, lo+n), under
+// positions a borrowed window filled once however many columns gather from it.
+func (in *inputCols) rows(side, lo, n int) []data.Row {
+	t := [2]*data.Table{in.r.table, in.r.right}[side]
+	if in.r.shape == rowsShape {
+		return t.Rows[lo : lo+n]
 	}
-	if j < 0 || j >= 64 || in.dropped&(1<<j) != 0 {
-		return -1
+	if in.sides[side] == nil {
+		in.sides[side], in.sideLo[side] = rowWindows.borrow(&in.rs), -1
 	}
-	return j - bits.OnesCount64(in.dropped&(1<<j-1))
+	if in.sideLo[side] != lo {
+		in.sideLo[side] = lo
+		pos, step := in.r.pos[lo:], 1
+		if in.r.shape == pairs {
+			pos, step = in.r.pos[2*lo+side:], 2
+		}
+		for i := range n {
+			in.sides[side][i] = t.Rows[pos[i*step]]
+		}
+	}
+	return in.sides[side][:n]
 }
 
 // col validates column j on first use and borrows its window. ok=false (fall
-// back to the row path) when a row's length differs from the schema's or a
-// cell's runtime kind differs from the declared schema kind — which also
+// back to the row path) when a row's length differs from its table's schema
+// or a cell's runtime kind differs from the declared schema kind — which also
 // covers NULL cells, so kernels never see NULL inputs except through their own
-// null masks. The check reads every row and writes nothing, so an operator
-// that declines has consumed nothing.
+// null masks. The check reads the input's rows alone and writes nothing, so an
+// operator that declines has consumed nothing.
 func (in *inputCols) col(j int) (*inputCol, bool) {
 	if j < 0 || j >= len(in.cols) {
 		return nil, false
@@ -248,7 +269,12 @@ func (in *inputCols) col(j int) (*inputCol, bool) {
 	if c.kind != data.KindNull {
 		return c, true
 	}
-	kind := in.t.Schema[j].Kind
+	t := in.r.table
+	c.at = j
+	if j >= len(t.Schema) {
+		t, c.side, c.at = in.r.right, 1, j-len(t.Schema)
+	}
+	kind := t.Schema[c.at].Kind
 	switch kind {
 	case data.KindInt, data.KindTime:
 		c.ints = in.int64s()
@@ -261,9 +287,11 @@ func (in *inputCols) col(j int) (*inputCol, bool) {
 	default:
 		return nil, false
 	}
-	for _, row := range in.t.Rows {
-		if len(row) != len(in.cols) || row[j].Kind != kind {
-			return nil, false
+	for lo := 0; lo < in.n; lo += batchSize {
+		for _, row := range in.rows(c.side, lo, min(batchSize, in.n-lo)) {
+			if len(row) != len(t.Schema) || row[c.at].Kind != kind {
+				return nil, false
+			}
 		}
 	}
 	c.kind, c.lo = kind, -1
@@ -279,23 +307,23 @@ func (in *inputCols) gather(j, lo, n int) {
 	}
 	c.lo = lo
 	in.gathers++
-	rows := in.t.Rows[lo : lo+n]
+	rows, at := in.rows(c.side, lo, n), c.at
 	switch c.kind {
 	case data.KindInt, data.KindTime:
 		for i, row := range rows {
-			c.ints[i] = row[j].I
+			c.ints[i] = row[at].I
 		}
 	case data.KindFloat:
 		for i, row := range rows {
-			c.fs[i] = row[j].F
+			c.fs[i] = row[at].F
 		}
 	case data.KindString:
 		for i, row := range rows {
-			c.ss[i] = row[j].S
+			c.ss[i] = row[at].S
 		}
 	case data.KindBool:
 		for i, row := range rows {
-			c.bs[i] = row[j].B
+			c.bs[i] = row[at].B
 		}
 	}
 }
@@ -351,7 +379,7 @@ func (vc *vecCompiler) add(n *vnode) *vnode {
 func (vc *vecCompiler) compile(e plan.Expr) (*vnode, bool) {
 	switch x := e.(type) {
 	case *plan.ColRef:
-		in, j := vc.in, vc.in.phys(x.Index)
+		in, j := vc.in, x.Index
 		src, ok := in.col(j)
 		if !ok {
 			return nil, false
@@ -380,7 +408,7 @@ func (vc *vecCompiler) compileConst(v data.Value) (*vnode, bool) {
 	nd := &vnode{}
 	nd.out.kind = v.Kind
 	// No window is taller than the table, so the broadcast stops there.
-	w := min(batchSize, len(vc.in.t.Rows))
+	w := min(batchSize, vc.in.n)
 	switch v.Kind {
 	case data.KindInt, data.KindTime:
 		nd.out.ints = vc.in.int64s()

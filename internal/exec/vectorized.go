@@ -38,26 +38,22 @@ func evalAll(progs []*vecProg, roots []*vcol, lo, w int) {
 	}
 }
 
-// vecFilter evaluates pred in batchSize windows, marking survivors in a
-// full-height selection bitmap (n/8 bytes), so the output's row slice is
-// allocated once at its exact size. Row slices are appended by reference,
-// exactly like the row path.
-func (ex *Executor) vecFilter(t *data.Table, pred plan.Expr, out *data.Table) (int64, bool) {
+// vecFilter evaluates pred over the table r in batchSize windows, marking the
+// rows it keeps in keep.
+func (ex *Executor) vecFilter(r nodeResult, pred plan.Expr, keep *bitvector.Bitmap) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false
 	}
-	n := len(t.Rows)
+	n := r.len()
 	if n == 0 {
 		return 0, true
 	}
-	in := newInputCols(t, 0)
+	in := newInputCols(r)
 	defer in.release()
 	prog, ok := compileVec(pred, in)
 	if !ok || prog.root.out.kind != data.KindBool {
 		return 0, false
 	}
-	var sel bitvector.Bitmap
-	sel.Resize(n)
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
@@ -65,29 +61,25 @@ func (ex *Executor) vecFilter(t *data.Table, pred plan.Expr, out *data.Table) (i
 		for i := 0; i < w; i++ {
 			// truthy(): Bool kernels never mask, but stay defensive.
 			if res.bs[i] && (res.null == nil || !res.null[i]) {
-				sel.Set(lo + i)
+				keep.Set(lo + i)
 			}
 		}
 		batches++
 	}
-	out.Rows = make([]data.Row, 0, sel.Count())
-	sel.ForEachSet(func(i int) {
-		out.Append(t.Rows[i])
-	})
 	return batches, true
 }
 
-// vecProject evaluates every projection expression per window and
-// materializes output rows from the result vectors.
+// vecProject evaluates every projection expression per window over r (any
+// shape) and materializes output rows from the result vectors.
 func (ex *Executor) vecProject(r nodeResult, exprs []plan.Expr, out *data.Table) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false
 	}
-	n := len(r.table.Rows)
+	n := r.len()
 	if n == 0 {
 		return 0, true
 	}
-	in := newInputCols(r.table, r.dropped)
+	in := newInputCols(r)
 	defer in.release()
 	progs, ok := compileAll(in, exprs)
 	if !ok {
@@ -113,21 +105,21 @@ func (ex *Executor) vecProject(r nodeResult, exprs []plan.Expr, out *data.Table)
 	return batches, true
 }
 
-// vecJoinKeys computes the length-prefixed hash key of every row in t under
+// vecJoinKeys computes the length-prefixed hash key of every row of r under
 // the key expressions, evaluating them vectorized, into *dst (resized to one
 // key per row, its array reused). The keys are byte-identical to appendJoinKey
 // per row, so build/probe behavior is unchanged — only the per-row expression
 // dispatch cost is gone. A window's keys cost one allocation (see keyPacker).
-func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr, dst *[]string, pack *keyPacker) (int64, bool) {
+func (ex *Executor) vecJoinKeys(r nodeResult, keys []plan.Expr, dst *[]string, pack *keyPacker) (int64, bool) {
 	if !ex.Vectorized || len(keys) == 0 {
 		return 0, false
 	}
-	n := len(t.Rows)
+	n := r.len()
 	if n == 0 {
 		*dst = (*dst)[:0]
 		return 0, true
 	}
-	in := newInputCols(t, 0)
+	in := newInputCols(r)
 	defer in.release()
 	progs, ok := compileAll(in, keys)
 	if !ok {
@@ -152,7 +144,7 @@ func (ex *Executor) vecJoinKeys(t *data.Table, keys []plan.Expr, dst *[]string, 
 	return batches, true
 }
 
-// vecAggregate is the vectorized hash aggregate: group-by and
+// vecAggregate is the vectorized hash aggregate over r (any shape): group-by and
 // aggregate-argument expressions evaluate per window, then rows accumulate in
 // input order into the same aggTable as the row loop (identical float
 // summation order, identical group discovery order).
@@ -160,12 +152,12 @@ func (ex *Executor) vecAggregate(r nodeResult, groups *aggTable) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false
 	}
-	n := len(r.table.Rows)
+	n := r.len()
 	if n == 0 {
 		return 0, false
 	}
 	x := groups.x
-	in := newInputCols(r.table, r.dropped)
+	in := newInputCols(r)
 	defer in.release()
 	groupProgs, ok := compileAll(in, x.GroupBy)
 	if !ok {
@@ -250,15 +242,15 @@ func (ex *Executor) vecSample(t *data.Table, threshold uint64, out *data.Table) 
 // vecSort materializes the sort-key columns once (batch-evaluated), then
 // stably sorts row indices with a comparator that reproduces Value.Compare
 // exactly: NULL first, numerics via float, strings bytewise.
-func (ex *Executor) vecSort(t *data.Table, x *plan.Sort, out *data.Table) (int64, bool) {
+func (ex *Executor) vecSort(r nodeResult, x *plan.Sort, out *data.Table) (int64, bool) {
 	if !ex.Vectorized {
 		return 0, false
 	}
-	n := len(t.Rows)
+	n := r.len()
 	if n == 0 {
 		return 0, false
 	}
-	in := newInputCols(t, 0)
+	in := newInputCols(r)
 	defer in.release()
 	progs, ok := compileAll(in, x.Keys)
 	if !ok {
@@ -295,7 +287,7 @@ func (ex *Executor) vecSort(t *data.Table, x *plan.Sort, out *data.Table) (int64
 	})
 	out.Rows = make([]data.Row, 0, n)
 	for _, j := range idx {
-		out.Append(t.Rows[j])
+		out.Append(r.table.Rows[j])
 	}
 	return batches, true
 }

@@ -760,7 +760,7 @@ func sameTable(a, b *data.Table) bool {
 // TestPooledBuffersNeverEscape holds the pool's invariant — no table an
 // operator returns aliases a window or a join scratch it borrowed — by
 // overwriting every buffer with sentinels as it goes back: the equivalence
-// corpus, the row-aliasing test, the narrowing matrix, and executors on
+// corpus, the row-aliasing test, the positions matrix, and executors on
 // several goroutines handing each other's buffers around through the pools
 // must all still read the row loop's answer. A violation shows as a changed
 // answer or, under -race, as a write to a buffer a returned table still reads.
@@ -768,12 +768,12 @@ func TestPooledBuffersNeverEscape(t *testing.T) {
 	exec.PoisonReleasedBuffers(t)
 	requireCorpusEquivalent(t)
 	requireOperatorRowsDoNotAlias(t)
-	requireNarrowingMatrix(t)
+	requirePositionsMatrix(t)
 
 	cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: 300, Parts: 50, Sales: 3000, Seed: 11})
 	// Filter → join (with a residual) → aggregate → sort, a string-keyed
 	// variant, a projection whose strings the kernels mint themselves, and a
-	// projection over a join, which builds only the columns it reads.
+	// projection over a join, which reads the join's pairs.
 	var plans []plan.Node
 	var want []*data.Table
 	for _, src := range []string{
@@ -899,7 +899,7 @@ func TestJoinOutputIsAllocatedOnce(t *testing.T) {
 }
 
 // TestKernelScratchIsBorrowed: a warm filter + aggregate over three windows
-// allocates its output tables — the filter's row headers, the groups' rows,
+// allocates what it returns — the filter's selection, the groups' rows,
 // cells, keys and table — and a fixed few KB of compiled expressions and
 // bookkeeping; no column copy, no per-node scratch, no constant broadcast.
 func TestKernelScratchIsBorrowed(t *testing.T) {
@@ -934,13 +934,13 @@ func TestKernelScratchIsBorrowed(t *testing.T) {
 	if kept < 1500 || groups != 30 {
 		t.Fatalf("filter kept %d rows, aggregate made %d groups", kept, groups)
 	}
-	// Filter: one header per kept row and the selection bitmap. Aggregate:
+	// Filter: one int32 index per kept row and the bitmap. Aggregate:
 	// 30 groups take slab chunks of 16 and 32, each slot a 4-cell row and 3
 	// aggregate cells of 96 bytes. Fixed: the group table's map, keys and
 	// states, the compiled expressions, the run's own records — 15 KB when
 	// this was written, less than any one window a kernel might make again.
 	const fixed = 20 << 10
-	budget := uint64(kept*24+3000/8+48*(4*40+3*96)) + fixed
+	budget := uint64(kept*4+3000/8+48*(4*40+3*96)) + fixed
 	got := leastAlloc(40, budget, run)
 	t.Logf("%d B allocated by a warm run, budget %d (%d B fixed)", got, budget, fixed)
 	if got > budget {
