@@ -54,6 +54,39 @@ func joinParents(run *JobRun, into map[string]int) {
 	}
 }
 
+// kernelTraffic counts, by operator, the Filters, Projects, Aggregates and
+// keyed Joins of a run that read at least one row, into read, and those of
+// them that ran on the row loop (Batches 0), into declined.
+func kernelTraffic(run *JobRun, read, declined map[string]int) {
+	rowsOut := map[plan.Node]int64{}
+	for _, st := range run.Exec.Stats {
+		rowsOut[st.Node] = st.RowsOut
+	}
+	for _, st := range run.Exec.Stats {
+		switch x := st.Node.(type) {
+		case *plan.Filter, *plan.Project, *plan.Aggregate:
+		case *plan.Join:
+			if len(x.LeftKeys) == 0 {
+				continue
+			}
+		default:
+			continue
+		}
+		var buf [2]plan.Node
+		var in int64
+		for _, c := range plan.Inputs(st.Node, &buf) {
+			in += rowsOut[c]
+		}
+		if in == 0 {
+			continue
+		}
+		read[st.Op]++
+		if st.Batches == 0 {
+			declined[st.Op]++
+		}
+	}
+}
+
 // TestRowLoopsMatchKernelsOverGeneratedDays runs the generator's feedback
 // loop through two engines in lockstep, one on the row loops and one on the
 // kernels, for four days: bulk updates, cooking jobs that publish, views
@@ -64,13 +97,16 @@ func joinParents(run *JobRun, into map[string]int) {
 // the same order, with the same NodeStats — BytesOut and Work included — and
 // the same cache hits: a filter that hands over a selection and a join that
 // hands over pairs change what the executor allocates and nothing the
-// simulator sees.
+// simulator sees. And the kernels cover the traffic: every Filter, Project,
+// Aggregate and keyed Join the kernel world runs over at least one row
+// reports batches. An arm the generated jobs execute that a kernel declines
+// fails here.
 func TestRowLoopsMatchKernelsOverGeneratedDays(t *testing.T) {
 	p := smallProfile("Lockstep")
 	p.Seed = 3
 	row, vec := newWorld(t, p, 0), newWorld(t, p, 0)
 	row.eng.rowLoops = true
-	parents := map[string]int{}
+	parents, read, declined := map[string]int{}, map[string]int{}, map[string]int{}
 	var jobs, pairsDays int
 	for day := 0; day < 4; day++ {
 		if day > 0 {
@@ -89,6 +125,7 @@ func TestRowLoopsMatchKernelsOverGeneratedDays(t *testing.T) {
 			}
 			requireSameExecution(t, in.ID, r, v)
 			joinParents(v, parents)
+			kernelTraffic(v, read, declined)
 			jobs++
 		}
 		// The kernels' pairs are the entries their cache lacks.
@@ -108,6 +145,15 @@ func TestRowLoopsMatchKernelsOverGeneratedDays(t *testing.T) {
 	}
 	if pairsDays == 0 {
 		t.Error("no join handed over pairs: the kernels' result cache holds every entry the row loops' does")
+	}
+	t.Logf("operators that read rows on the kernels: %v; of them on the row loop: %v", read, declined)
+	for _, op := range []string{"Filter", "Project", "Aggregate", "Join"} {
+		if read[op] == 0 {
+			t.Errorf("no %s read a row", op)
+		}
+		if declined[op] != 0 {
+			t.Errorf("%d of %d %ss that read rows ran on the row loop: a kernel declines an arm the workload runs", declined[op], read[op], op)
+		}
 	}
 }
 

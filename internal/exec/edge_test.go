@@ -230,3 +230,37 @@ func TestOrderByAfterAggregate(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderByRandomDrawsOnceARow: a sort evaluates each key once per row, in
+// row order, so ORDER BY RANDOM() orders the rows by the values a projection
+// of RANDOM() draws from the same seed. Evaluated inside the comparator, the
+// key drew O(n log n) values and ordered nothing consistently.
+func TestOrderByRandomDrawsOnceARow(t *testing.T) {
+	cat, err := fixtures.Retail(fixtures.DefaultRetail())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vectorized := range []bool{false, true} {
+		run := func(src string) *data.Table {
+			res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(bindQuery(t, cat, src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Table
+		}
+		got := run(`SELECT SaleId, Quantity FROM Sales ORDER BY RANDOM()`)
+		want := run(`SELECT SaleId, Quantity, RANDOM() AS k FROM Sales ORDER BY k`)
+		if got.NumRows() != want.NumRows() || got.NumRows() < 1000 {
+			t.Fatalf("vectorized=%v: %d rows against %d", vectorized, got.NumRows(), want.NumRows())
+		}
+		differ := 0
+		for i, r := range got.Rows {
+			if r[0] != want.Rows[i][0] {
+				differ++
+			}
+		}
+		if differ != 0 {
+			t.Errorf("vectorized=%v: %d of %d positions differ from the order of the drawn keys", vectorized, differ, got.NumRows())
+		}
+	}
+}

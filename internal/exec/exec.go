@@ -332,7 +332,8 @@ const (
 
 // accepts is the shape a parent that reads its input only through exprs
 // takes: want on the kernels, but rows on the row loops, the reference, and
-// when an expression holds a Call, which the kernels never compile.
+// when an expression holds a Call or a unary operator, which the kernels never
+// compile.
 func (ex *Executor) accepts(want shape, exprs []plan.Expr) shape {
 	if !ex.Vectorized {
 		return rowsShape
@@ -345,15 +346,14 @@ func (ex *Executor) accepts(want shape, exprs []plan.Expr) shape {
 	return want
 }
 
-// compilable reports whether e (nil included) holds no Call.
+// compilable reports whether e (nil included) holds no Call and no unary
+// operator.
 func compilable(e plan.Expr) bool {
 	switch x := e.(type) {
 	case nil, *plan.ColRef, *plan.Const, *plan.Param:
 		return true
 	case *plan.Binary:
 		return compilable(x.L) && compilable(x.R)
-	case *plan.Unary:
-		return compilable(x.E)
 	}
 	return false
 }
@@ -1150,58 +1150,68 @@ func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
 	}
 	out := data.NewTable(in.table.Schema)
 	threshold := uint64(x.Percent / 100 * float64(1<<32))
-	var batches int64
-	if ex.Vectorized {
-		batches = ex.vecSample(in.table, threshold, out)
-	} else {
-		for _, row := range in.table.Rows {
-			var h uint64 = 1469598103934665603
-			for _, v := range row {
-				for _, c := range []byte(v.String()) {
-					h = (h ^ uint64(c)) * 1099511628211
-				}
+	// A row's FNV hash reads each cell's String() rendering, streamed through
+	// one buffer by appendKeyPayload.
+	var buf [96]byte
+	for _, row := range in.table.Rows {
+		var h uint64 = 1469598103934665603
+		for _, v := range row {
+			for _, c := range appendKeyPayload(buf[:0], v) {
+				h = (h ^ uint64(c)) * 1099511628211
 			}
-			// Finalize: FNV avalanches poorly on short inputs, so mix before
-			// thresholding to keep the sample unbiased.
-			h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-			h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-			h ^= h >> 31
-			if (h>>32)%(1<<32) < threshold {
-				out.Append(row)
-			}
+		}
+		// Finalize: FNV avalanches poorly on short inputs, so mix before
+		// thresholding to keep the sample unbiased.
+		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		h ^= h >> 31
+		if (h>>32)%(1<<32) < threshold {
+			out.Append(row)
 		}
 	}
 	work := float64(in.logicalRows()) * costSampleRow
-	return ex.finish(NodeStat{Node: x, Op: "Sample", Work: work, Batches: batches}, produced(out, in.mult)), nil
+	return ex.finish(NodeStat{Node: x, Op: "Sample", Work: work}, produced(out, in.mult)), nil
 }
 
+// evalSort orders its input's rows, stably, by the keys. Each key is
+// evaluated once per row, in row order, before any comparison, so a
+// nondeterministic key such as RANDOM() draws one value a row, as it would
+// in a projection, and the comparator stays consistent.
 func (ex *Executor) evalSort(x *plan.Sort) (nodeResult, error) {
 	in, err := ex.eval(x.Child)
 	if err != nil {
 		return nodeResult{}, err
 	}
-	out := data.NewTable(in.table.Schema)
-	batches, ok := ex.vecSort(in, x, out)
-	if !ok {
-		out.Rows = append(out.Rows, in.table.Rows...)
-		sort.SliceStable(out.Rows, func(a, b int) bool {
-			for i, k := range x.Keys {
-				va := k.Eval(out.Rows[a], ex.Ctx)
-				vb := k.Eval(out.Rows[b], ex.Ctx)
-				cmp := va.Compare(vb)
-				if x.Desc[i] {
-					cmp = -cmp
-				}
-				if cmp != 0 {
-					return cmp < 0
-				}
+	rows, nk := in.table.Rows, len(x.Keys)
+	keys := make([]data.Value, len(rows)*nk)
+	idx := make([]int32, len(rows))
+	for i, row := range rows {
+		idx[i] = int32(i)
+		for j, k := range x.Keys {
+			keys[i*nk+j] = k.Eval(row, ex.Ctx)
+		}
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		ka, kb := keys[int(idx[a])*nk:], keys[int(idx[b])*nk:]
+		for j := range x.Keys {
+			cmp := ka[j].Compare(kb[j])
+			if x.Desc[j] {
+				cmp = -cmp
 			}
-			return false
-		})
+			if cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return false
+	})
+	out := data.NewTable(in.table.Schema)
+	out.Rows = make([]data.Row, len(rows))
+	for i, j := range idx {
+		out.Rows[i] = rows[j]
 	}
 	res := produced(out, in.mult)
-	rows := float64(res.logicalRows())
-	return ex.finish(NodeStat{Node: x, Op: "Sort", Work: rows * costOrderRow * log2(rows), Batches: batches}, res), nil
+	n := float64(res.logicalRows())
+	return ex.finish(NodeStat{Node: x, Op: "Sort", Work: n * costOrderRow * log2(n)}, res), nil
 }
 
 func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {

@@ -253,8 +253,8 @@ func TestColumnGatheredOncePerWindow(t *testing.T) {
 		b := &plan.ColRef{Index: c.b, Typ: data.KindFloat}
 		exprs := []plan.Expr{
 			&plan.Binary{Op: ">", L: a, R: &plan.Const{Val: data.Int(10)}},
-			&plan.Binary{Op: "+", L: a, R: a},
-			&plan.Binary{Op: "*", L: b, R: a},
+			&plan.Binary{Op: "%", L: a, R: a},
+			&plan.Binary{Op: "<=", L: b, R: a},
 		}
 		in := newInputCols(c.r)
 		progs, ok := compileAll(in, exprs)
@@ -277,7 +277,7 @@ func TestColumnGatheredOncePerWindow(t *testing.T) {
 				}
 			}
 		}
-		// Two referenced columns, four ColRef nodes.
+		// Two referenced columns, five ColRef nodes.
 		if in.gathers != 2*windows {
 			t.Errorf("%s: %d gathers over %d windows of 2 referenced columns, want %d", c.what, in.gathers, windows, 2*windows)
 		}

@@ -1,14 +1,17 @@
 // Vectorized expression evaluation: typed column vectors, a small expression
-// compiler, and window-at-a-time kernels. The contract with the row loops in
-// exec.go is BIT-IDENTICAL results: every kernel reproduces the exact
-// Value semantics of plan.Binary/Unary.Eval (float-compare ordering for all
-// numerics, exact int equality for same-kind ints, NULL comparisons yielding
-// false, NULL-as-zero arithmetic, Float-or-NULL division). Anything outside
-// kernel coverage — Calls (including all nondeterministic builtins, whose
-// PRNG consumption order must match the row path), LIKE, string arithmetic
-// beyond concatenation, NULL constants, or columns whose cells don't match
-// their declared schema kind — makes compilation fail and the operator falls
-// back to the row path, preserving correctness by construction.
+// compiler, and window-at-a-time kernels for Filter, Project, Aggregate and
+// join keys. The contract with the row loops in exec.go is BIT-IDENTICAL
+// results: every kernel reproduces the exact Value semantics of
+// plan.Binary.Eval (float-compare ordering for all numerics, exact int
+// equality for same-kind ints, NULL comparisons yielding false, NULL for a
+// zero modulus). The kernels cover the arms the workloads execute: column
+// refs, constants and params, AND, = and != on strings or same-kind ints, the
+// orderings on numerics, and % on ints. Everything else — Calls (whose PRNG
+// consumption order must match the row path), unary operators, OR,
+// arithmetic, LIKE, NULL constants, or columns whose cells don't match their
+// declared schema kind — makes compilation fail and the operator runs on its
+// row loop, which computes the same answer. An arm joins the kernels with the
+// workload that runs it.
 package exec
 
 import (
@@ -26,9 +29,9 @@ const batchSize = 1024
 
 // vcol is a typed column vector. Exactly one payload slice is populated,
 // selected by kind (ints doubles for KindTime). null, when non-nil, marks
-// rows whose logical value is NULL (produced only by the division and modulo
-// kernels); masked rows have their payload slot zeroed so that downstream
-// AsFloat/AsInt-style reads see 0, exactly like Value.AsFloat on NULL.
+// rows whose logical value is NULL (produced only by the modulo kernel);
+// masked rows have their payload slot zeroed so that downstream reads see 0,
+// exactly like Value.AsInt and Value.AsFloat on NULL.
 type vcol struct {
 	kind data.Kind
 	ints []int64
@@ -58,56 +61,18 @@ func (c *vcol) value(i int) data.Value {
 	}
 }
 
-// floats returns a float64 view of the first n entries with Value.AsFloat
-// semantics, converted into scratch (a window) unless c is float64.
+// floats returns a float64 view of the first n entries of an int, time or
+// float column with Value.AsFloat semantics, converted into scratch (a
+// window) unless c is float64.
 func (c *vcol) floats(scratch []float64, n int) []float64 {
-	switch c.kind {
-	case data.KindFloat:
+	if c.kind == data.KindFloat {
 		return c.fs[:n]
-	case data.KindInt, data.KindTime:
-		s := scratch[:n]
-		for i := 0; i < n; i++ {
-			s[i] = float64(c.ints[i])
-		}
-		return s
-	case data.KindBool:
-		s := scratch[:n]
-		for i := 0; i < n; i++ {
-			if c.bs[i] {
-				s[i] = 1
-			} else {
-				s[i] = 0
-			}
-		}
-		return s
 	}
-	return scratch[:0]
-}
-
-// intsView returns an int64 view of the first n entries with Value.AsInt
-// semantics, converted into scratch (a window) unless c is int64.
-func (c *vcol) intsView(scratch []int64, n int) []int64 {
-	switch c.kind {
-	case data.KindInt, data.KindTime:
-		return c.ints[:n]
-	case data.KindFloat:
-		s := scratch[:n]
-		for i := 0; i < n; i++ {
-			s[i] = int64(c.fs[i])
-		}
-		return s
-	case data.KindBool:
-		s := scratch[:n]
-		for i := 0; i < n; i++ {
-			if c.bs[i] {
-				s[i] = 1
-			} else {
-				s[i] = 0
-			}
-		}
-		return s
+	s := scratch[:n]
+	for i, v := range c.ints[:n] {
+		s[i] = float64(v)
 	}
-	return scratch[:0]
+	return s
 }
 
 // window is one pooled kernel buffer, with its link in the list of windows
@@ -119,12 +84,12 @@ type window[T any] struct {
 
 // windowPool recycles the windows of one element type. An operator allocates
 // the table it returns and borrows everything else: gather buffers, the rows
-// behind a window of positions, kernel outputs, float/int views, constant
+// behind a window of positions, kernel outputs, float views, constant
 // broadcasts and NULL masks are all windows, borrowed while the operator
 // compiles and given back when its function (vecFilter, vecProject,
-// vecJoinKeys, vecAggregate, vecSort) returns. That is sound because nothing an operator returns aliases a vcol:
-// rows are built from vcol.value copies, vecSort copies its keys with
-// appendVcol, keyPacker.flush mints its own strings. A window is not zeroed
+// vecJoinKeys, vecAggregate) returns. That is sound because nothing an
+// operator returns aliases a vcol: rows are built from vcol.value copies and
+// keyPacker.flush mints its own strings. A window is not zeroed
 // on reuse; every kernel writes [0, n) of its output and mask before anything
 // reads them.
 type windowPool[T any] struct {
@@ -392,11 +357,10 @@ func (vc *vecCompiler) compile(e plan.Expr) (*vnode, bool) {
 		return vc.compileConst(x.Val)
 	case *plan.Binary:
 		return vc.compileBinary(x)
-	case *plan.Unary:
-		return vc.compileUnary(x)
 	default:
-		// Calls (and any future node) fall back: builtins may allocate, and
-		// the nondeterministic ones consume per-job PRNG state in row order.
+		// Calls fall back: builtins may allocate, and the nondeterministic
+		// ones consume per-job PRNG state in row order. So do the unary
+		// operators, which no workload runs.
 		return nil, false
 	}
 }
@@ -428,9 +392,12 @@ func (vc *vecCompiler) compileConst(v data.Value) (*vnode, bool) {
 	return vc.add(nd), true
 }
 
-func isNumericKind(k data.Kind) bool {
-	return k == data.KindInt || k == data.KindFloat || k == data.KindTime || k == data.KindBool
-}
+// isIntKind reports whether a column of kind k holds its payload in ints.
+func isIntKind(k data.Kind) bool { return k == data.KindInt || k == data.KindTime }
+
+// isNumericKind reports whether the kernels order kind k as Value.Compare
+// does, as a float. Compare orders a Bool as a number too; no kernel does.
+func isNumericKind(k data.Kind) bool { return isIntKind(k) || k == data.KindFloat }
 
 // applyNullGuard forces out[i]=false wherever an operand is masked,
 // reproducing `!l.IsNull() && !r.IsNull() && …` comparison semantics.
@@ -451,6 +418,11 @@ func applyNullGuard(l, r *vcol, out []bool, n int) {
 	}
 }
 
+// compileBinary compiles the arms the workloads execute: AND, = and != on two
+// strings or on two ints or times of one kind, the four orderings on
+// numerics, and % on ints. Every other arm — OR, = across numeric kinds or on
+// floats and bools, ordering strings, + - * / and LIKE — runs on the row loop,
+// which gives the same answer.
 func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 	l, ok := vc.compile(x.L)
 	if !ok {
@@ -461,10 +433,10 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 		return nil, false
 	}
 	lk, rk := l.out.kind, r.out.kind
-	nd := &vnode{}
+	nd := &vnode{out: vcol{kind: data.KindBool}}
 
 	switch x.Op {
-	case "AND", "OR":
+	case "AND":
 		// Eager evaluation of both sides is observationally identical to the
 		// row path's short-circuit because Calls never compile (kernels are
 		// side-effect-free), and truthy() on the guaranteed-Bool operands is
@@ -472,27 +444,14 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 		if lk != data.KindBool || rk != data.KindBool {
 			return nil, false
 		}
-		nd.out.kind = data.KindBool
-		nd.out.bs = vc.in.bools()
-		and := x.Op == "AND"
 		nd.run = func(lo, n int) {
-			lb, rb := l.out.bs, r.out.bs
-			out := nd.out.bs
-			if and {
-				for i := 0; i < n; i++ {
-					out[i] = lb[i] && rb[i]
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					out[i] = lb[i] || rb[i]
-				}
+			lb, rb, out := l.out.bs, r.out.bs, nd.out.bs
+			for i := 0; i < n; i++ {
+				out[i] = lb[i] && rb[i]
 			}
 		}
-		return vc.add(nd), true
 
 	case "=", "!=":
-		nd.out.kind = data.KindBool
-		nd.out.bs = vc.in.bools()
 		neg := x.Op == "!="
 		switch {
 		case lk == data.KindString && rk == data.KindString:
@@ -503,7 +462,7 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 				}
 				applyNullGuard(&l.out, &r.out, out, n)
 			}
-		case lk == rk && (lk == data.KindInt || lk == data.KindTime):
+		case lk == rk && isIntKind(lk):
 			// Same-kind integer equality is exact (Value.Equal compares I
 			// directly, no float round-trip).
 			nd.run = func(lo, n int) {
@@ -513,208 +472,42 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 				}
 				applyNullGuard(&l.out, &r.out, out, n)
 			}
-		case lk == data.KindBool && rk == data.KindBool:
-			nd.run = func(lo, n int) {
-				lb, rb, out := l.out.bs, r.out.bs, nd.out.bs
-				for i := 0; i < n; i++ {
-					out[i] = (lb[i] == rb[i]) != neg
-				}
-				applyNullGuard(&l.out, &r.out, out, n)
-			}
-		case isNumericKind(lk) && isNumericKind(rk):
-			// Cross-kind (and float) equality goes through AsFloat, exactly
-			// like Value.Equal's numeric branch.
-			sl, sr := vc.in.float64s(), vc.in.float64s()
-			nd.run = func(lo, n int) {
-				lf := l.out.floats(sl, n)
-				rf := r.out.floats(sr, n)
-				out := nd.out.bs
-				for i := 0; i < n; i++ {
-					out[i] = (lf[i] == rf[i]) != neg
-				}
-				applyNullGuard(&l.out, &r.out, out, n)
-			}
 		default:
 			return nil, false
 		}
-		return vc.add(nd), true
 
 	case "<", "<=", ">", ">=":
-		nd.out.kind = data.KindBool
-		nd.out.bs = vc.in.bools()
-		op := x.Op
-		switch {
-		case lk == data.KindString && rk == data.KindString:
-			nd.run = func(lo, n int) {
-				ls, rs, out := l.out.ss, r.out.ss, nd.out.bs
-				switch op {
-				case "<":
-					for i := 0; i < n; i++ {
-						out[i] = ls[i] < rs[i]
-					}
-				case "<=":
-					for i := 0; i < n; i++ {
-						out[i] = ls[i] <= rs[i]
-					}
-				case ">":
-					for i := 0; i < n; i++ {
-						out[i] = ls[i] > rs[i]
-					}
-				case ">=":
-					for i := 0; i < n; i++ {
-						out[i] = ls[i] >= rs[i]
-					}
-				}
-				applyNullGuard(&l.out, &r.out, out, n)
-			}
-		case isNumericKind(lk) && isNumericKind(rk):
-			// Value.Compare orders ALL numerics (ints included) via AsFloat,
-			// so ordering is always the float comparison.
-			sl, sr := vc.in.float64s(), vc.in.float64s()
-			nd.run = func(lo, n int) {
-				lf := l.out.floats(sl, n)
-				rf := r.out.floats(sr, n)
-				out := nd.out.bs
-				switch op {
-				case "<":
-					for i := 0; i < n; i++ {
-						out[i] = lf[i] < rf[i]
-					}
-				case "<=":
-					for i := 0; i < n; i++ {
-						out[i] = lf[i] <= rf[i]
-					}
-				case ">":
-					for i := 0; i < n; i++ {
-						out[i] = lf[i] > rf[i]
-					}
-				case ">=":
-					for i := 0; i < n; i++ {
-						out[i] = lf[i] >= rf[i]
-					}
-				}
-				applyNullGuard(&l.out, &r.out, out, n)
-			}
-		default:
-			return nil, false
-		}
-		return vc.add(nd), true
-
-	case "+", "-", "*":
-		// Row-path arithmetic branches on RUNTIME kinds, so a masked operand
-		// (runtime NULL from a nested division/modulo) flips the result kind
-		// on exactly those rows (Float static + NULL runtime → Int branch).
-		// Kernels are statically typed — bail if either operand can be NULL.
-		if l.out.null != nil || r.out.null != nil {
-			return nil, false
-		}
-		if lk == data.KindString || rk == data.KindString {
-			// Row semantics: "+" with ANY string operand concatenates the
-			// String() renderings. Kernels support the string+string case;
-			// mixed stringification falls back.
-			if x.Op != "+" || lk != data.KindString || rk != data.KindString {
-				return nil, false
-			}
-			nd.out.kind = data.KindString
-			nd.out.ss = vc.in.strings()
-			nd.run = func(lo, n int) {
-				ls, rs, out := l.out.ss, r.out.ss, nd.out.ss
-				for i := 0; i < n; i++ {
-					out[i] = ls[i] + rs[i]
-				}
-			}
-			return vc.add(nd), true
-		}
+		// Value.Compare orders all numerics (ints included) as floats, and
+		// one NaN or both make it 0. So a > b is b < a, as plan.NormalizeExpr
+		// writes it; a >= b is !(a < b); a <= b is !(b < a). One loop serves
+		// all four.
 		if !isNumericKind(lk) || !isNumericKind(rk) {
 			return nil, false
 		}
-		op := x.Op
-		if lk == data.KindFloat || rk == data.KindFloat {
-			nd.out.kind = data.KindFloat
-			nd.out.fs = vc.in.float64s()
-			sl, sr := vc.in.float64s(), vc.in.float64s()
-			nd.run = func(lo, n int) {
-				lf := l.out.floats(sl, n)
-				rf := r.out.floats(sr, n)
-				out := nd.out.fs
-				switch op {
-				case "+":
-					for i := 0; i < n; i++ {
-						out[i] = lf[i] + rf[i]
-					}
-				case "-":
-					for i := 0; i < n; i++ {
-						out[i] = lf[i] - rf[i]
-					}
-				case "*":
-					for i := 0; i < n; i++ {
-						out[i] = lf[i] * rf[i]
-					}
-				}
-			}
-			return vc.add(nd), true
-		}
-		nd.out.kind = data.KindInt
-		nd.out.ints = vc.in.int64s()
-		sl, sr := vc.in.int64s(), vc.in.int64s()
-		nd.run = func(lo, n int) {
-			li := l.out.intsView(sl, n)
-			ri := r.out.intsView(sr, n)
-			out := nd.out.ints
-			switch op {
-			case "+":
-				for i := 0; i < n; i++ {
-					out[i] = li[i] + ri[i]
-				}
-			case "-":
-				for i := 0; i < n; i++ {
-					out[i] = li[i] - ri[i]
-				}
-			case "*":
-				for i := 0; i < n; i++ {
-					out[i] = li[i] * ri[i]
-				}
-			}
-		}
-		return vc.add(nd), true
-
-	case "/":
-		if !isNumericKind(lk) || !isNumericKind(rk) {
-			return nil, false
-		}
-		nd.out.kind = data.KindFloat
-		nd.out.fs = vc.in.float64s()
-		nd.out.null = vc.in.bools()
+		swap, neg := x.Op == ">" || x.Op == "<=", len(x.Op) == 2
 		sl, sr := vc.in.float64s(), vc.in.float64s()
 		nd.run = func(lo, n int) {
-			lf := l.out.floats(sl, n)
-			rf := r.out.floats(sr, n)
-			out, mask := nd.out.fs, nd.out.null
-			for i := 0; i < n; i++ {
-				// A masked divisor reads 0 (AsFloat on NULL), so NULL
-				// divisors yield NULL exactly like the row path.
-				if rf[i] == 0 {
-					out[i], mask[i] = 0, true
-				} else {
-					out[i], mask[i] = lf[i]/rf[i], false
-				}
+			lf, rf, out := l.out.floats(sl, n), r.out.floats(sr, n), nd.out.bs
+			if swap {
+				lf, rf = rf, lf
 			}
+			for i := 0; i < n; i++ {
+				out[i] = (lf[i] < rf[i]) != neg
+			}
+			applyNullGuard(&l.out, &r.out, out, n)
 		}
-		return vc.add(nd), true
 
 	case "%":
-		if !isNumericKind(lk) || !isNumericKind(rk) {
+		if !isIntKind(lk) || !isIntKind(rk) {
 			return nil, false
 		}
-		nd.out.kind = data.KindInt
-		nd.out.ints = vc.in.int64s()
-		nd.out.null = vc.in.bools()
-		sl, sr := vc.in.int64s(), vc.in.int64s()
+		nd.out = vcol{kind: data.KindInt, ints: vc.in.int64s(), null: vc.in.bools()}
 		nd.run = func(lo, n int) {
-			li := l.out.intsView(sl, n)
-			ri := r.out.intsView(sr, n)
+			li, ri := l.out.ints, r.out.ints
 			out, mask := nd.out.ints, nd.out.null
 			for i := 0; i < n; i++ {
+				// A masked divisor reads 0 (AsInt on NULL), so a NULL divisor
+				// yields NULL exactly like the row path.
 				if ri[i] == 0 {
 					out[i], mask[i] = 0, true
 				} else {
@@ -725,65 +518,8 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 		return vc.add(nd), true
 
 	default:
-		// LIKE and anything unrecognized (which the row path maps to NULL)
-		// fall back.
 		return nil, false
 	}
-}
-
-func (vc *vecCompiler) compileUnary(x *plan.Unary) (*vnode, bool) {
-	kid, ok := vc.compile(x.E)
-	if !ok {
-		return nil, false
-	}
-	nd := &vnode{}
-	switch x.Op {
-	case "NOT":
-		if kid.out.kind != data.KindBool {
-			return nil, false
-		}
-		nd.out.kind = data.KindBool
-		nd.out.bs = vc.in.bools()
-		nd.run = func(lo, n int) {
-			kb, out := kid.out.bs, nd.out.bs
-			for i := 0; i < n; i++ {
-				out[i] = !kb[i]
-			}
-		}
-		return vc.add(nd), true
-	case "-":
-		// Same runtime-kind branching hazard as binary arithmetic: a NULL
-		// operand negates to Int(0) on the row path regardless of static
-		// kind, so maskable kids fall back.
-		if kid.out.null != nil {
-			return nil, false
-		}
-		if kid.out.kind == data.KindFloat {
-			nd.out.kind = data.KindFloat
-			nd.out.fs = vc.in.float64s()
-			nd.run = func(lo, n int) {
-				kf, out := kid.out.fs, nd.out.fs
-				for i := 0; i < n; i++ {
-					out[i] = -kf[i]
-				}
-			}
-			return vc.add(nd), true
-		}
-		if !isNumericKind(kid.out.kind) {
-			return nil, false
-		}
-		nd.out.kind = data.KindInt
-		nd.out.ints = vc.in.int64s()
-		scratch := vc.in.int64s()
-		nd.run = func(lo, n int) {
-			ki := kid.out.intsView(scratch, n)
-			out := nd.out.ints
-			for i := 0; i < n; i++ {
-				out[i] = -ki[i]
-			}
-		}
-		return vc.add(nd), true
-	default:
-		return nil, false
-	}
+	nd.out.bs = vc.in.bools()
+	return vc.add(nd), true
 }

@@ -10,8 +10,6 @@
 package exec
 
 import (
-	"sort"
-
 	"cloudviews/internal/bitvector"
 	"cloudviews/internal/data"
 	"cloudviews/internal/plan"
@@ -207,200 +205,4 @@ func (ex *Executor) vecAggregate(r nodeResult, groups *aggTable) (int64, bool) {
 		batches++
 	}
 	return batches, true
-}
-
-// vecSample reproduces the row path's FNV-with-finalizer sampling hash by
-// streaming each cell's exact String() rendering through a reused buffer —
-// no per-cell []byte allocation — in batchSize windows.
-func (ex *Executor) vecSample(t *data.Table, threshold uint64, out *data.Table) int64 {
-	n := len(t.Rows)
-	var buf [96]byte
-	var batches int64
-	for lo := 0; lo < n; lo += batchSize {
-		w := min(batchSize, n-lo)
-		for i := 0; i < w; i++ {
-			row := t.Rows[lo+i]
-			var h uint64 = 1469598103934665603
-			for _, v := range row {
-				cell := appendKeyPayload(buf[:0], v)
-				for _, c := range cell {
-					h = (h ^ uint64(c)) * 1099511628211
-				}
-			}
-			h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-			h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-			h ^= h >> 31
-			if (h>>32)%(1<<32) < threshold {
-				out.Append(row)
-			}
-		}
-		batches++
-	}
-	return batches
-}
-
-// vecSort materializes the sort-key columns once (batch-evaluated), then
-// stably sorts row indices with a comparator that reproduces Value.Compare
-// exactly: NULL first, numerics via float, strings bytewise.
-func (ex *Executor) vecSort(r nodeResult, x *plan.Sort, out *data.Table) (int64, bool) {
-	if !ex.Vectorized {
-		return 0, false
-	}
-	n := r.len()
-	if n == 0 {
-		return 0, false
-	}
-	in := newInputCols(r)
-	defer in.release()
-	progs, ok := compileAll(in, x.Keys)
-	if !ok {
-		return 0, false
-	}
-	// Full-height key columns, copied window by window out of the kernels'
-	// borrowed buffers.
-	keyCols := make([]vcol, len(progs))
-	var batches int64
-	for lo := 0; lo < n; lo += batchSize {
-		w := min(batchSize, n-lo)
-		for k, p := range progs {
-			root := p.eval(lo, w)
-			appendVcol(&keyCols[k], root, w, n)
-		}
-		batches++
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		for k := range keyCols {
-			c := cmpVcolAt(&keyCols[k], ia, ib)
-			if x.Desc[k] {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	out.Rows = make([]data.Row, 0, n)
-	for _, j := range idx {
-		out.Append(r.table.Rows[j])
-	}
-	return batches, true
-}
-
-// appendVcol appends the first w entries of src to dst, growing dst toward
-// capacity total on first use.
-func appendVcol(dst *vcol, src *vcol, w, total int) {
-	dst.kind = src.kind
-	switch src.kind {
-	case data.KindInt, data.KindTime:
-		if dst.ints == nil {
-			dst.ints = make([]int64, 0, total)
-		}
-		dst.ints = append(dst.ints, src.ints[:w]...)
-	case data.KindFloat:
-		if dst.fs == nil {
-			dst.fs = make([]float64, 0, total)
-		}
-		dst.fs = append(dst.fs, src.fs[:w]...)
-	case data.KindString:
-		if dst.ss == nil {
-			dst.ss = make([]string, 0, total)
-		}
-		dst.ss = append(dst.ss, src.ss[:w]...)
-	case data.KindBool:
-		if dst.bs == nil {
-			dst.bs = make([]bool, 0, total)
-		}
-		dst.bs = append(dst.bs, src.bs[:w]...)
-	}
-	if src.null != nil && dst.null == nil {
-		dst.null = make([]bool, 0, total)
-		// Backfill previously appended unmasked windows.
-		for len(dst.null) < vcolLen(dst)-w {
-			dst.null = append(dst.null, false)
-		}
-	}
-	if dst.null != nil {
-		for i := 0; i < w; i++ {
-			dst.null = append(dst.null, src.null != nil && src.null[i])
-		}
-	}
-}
-
-func vcolLen(c *vcol) int {
-	switch c.kind {
-	case data.KindInt, data.KindTime:
-		return len(c.ints)
-	case data.KindFloat:
-		return len(c.fs)
-	case data.KindString:
-		return len(c.ss)
-	case data.KindBool:
-		return len(c.bs)
-	}
-	return 0
-}
-
-// cmpVcolAt reproduces Value.Compare over two entries of one key column.
-// Within a column the kind is uniform, so only the NULL, numeric, and string
-// arms of Compare are reachable — numerics (ints included) compare as floats,
-// exactly like the row path.
-func cmpVcolAt(c *vcol, a, b int) int {
-	an := c.null != nil && c.null[a]
-	bn := c.null != nil && c.null[b]
-	if an || bn {
-		switch {
-		case an == bn:
-			return 0
-		case an:
-			return -1
-		default:
-			return 1
-		}
-	}
-	switch c.kind {
-	case data.KindInt, data.KindTime:
-		af, bf := float64(c.ints[a]), float64(c.ints[b])
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
-	case data.KindFloat:
-		switch {
-		case c.fs[a] < c.fs[b]:
-			return -1
-		case c.fs[a] > c.fs[b]:
-			return 1
-		default:
-			return 0
-		}
-	case data.KindBool:
-		af, bf := 0, 0
-		if c.bs[a] {
-			af = 1
-		}
-		if c.bs[b] {
-			bf = 1
-		}
-		return af - bf
-	case data.KindString:
-		switch {
-		case c.ss[a] < c.ss[b]:
-			return -1
-		case c.ss[a] > c.ss[b]:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -227,33 +228,52 @@ func opBatches(t *testing.T, src string, res *exec.RunResult, op string) int64 {
 
 // TestVectorizedActuallyVectorizes guards the equivalence corpus against
 // becoming vacuous: on a 5000-row input each operator the kernels implement
-// must report batches, whatever GOMAXPROCS is.
+// must report batches, whatever GOMAXPROCS is, on every arm the kernels keep.
+// Every arm they decline — and Sort and Sample, which have one loop — must
+// report none and still equal the row-loop reference, rows and NodeStats.
 func TestVectorizedActuallyVectorizes(t *testing.T) {
 	cat := adversarialCatalog(t, fixtures.DefaultRetail())
 	mustBatch := []struct{ src, op string }{
 		{`SELECT * FROM Sales WHERE Price > 50`, "Filter"},
-		{`SELECT SaleId, Price * Quantity AS revenue FROM Sales`, "Project"},
+		{`SELECT * FROM Sales WHERE 50 >= Price AND Quantity <= 3 AND SaleId < 4000`, "Filter"},
+		{`SELECT * FROM Customer WHERE MktSegment != 'Asia' AND Id = 7`, "Filter"},
+		{`SELECT * FROM Sales WHERE SoldAt = SoldAt AND SaleId % 7 != 3`, "Filter"},
+		{`SELECT SaleId, SaleId % 7 AS m, Price < 20 AS cheap FROM Sales`, "Project"},
 		{`SELECT Quantity, COUNT(*) AS n, SUM(Price) AS s FROM Sales GROUP BY Quantity`, "Aggregate"},
 		{`SELECT Name, Price FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id`, "Join"},
-		{`SELECT * FROM Sales ORDER BY Price DESC, SaleId`, "Sort"},
-		{`SELECT * FROM Sales SAMPLE 25 PERCENT`, "Sample"},
 	}
 	for _, c := range mustBatch {
-		vec, err := (&exec.Executor{Catalog: cat, Vectorized: true}).Run(bindQuery(t, cat, c.src))
-		if err != nil {
-			t.Fatal(err)
-		}
+		row, vec := runBoth(t, cat, c.src)
+		requireRunsEqual(t, c.src, row, vec)
 		if opBatches(t, c.src, vec, c.op) == 0 {
 			t.Errorf("%s: %s ran on the row loop, Batches = 0", c.src, c.op)
 		}
 	}
-	// Kernels decline a nondeterministic predicate.
-	vec, err := (&exec.Executor{Catalog: cat, Vectorized: true}).Run(bindQuery(t, cat, randomFilterQuery))
-	if err != nil {
-		t.Fatal(err)
+	mustDecline := []struct{ src, op string }{
+		{randomFilterQuery, "Filter"}, // nondeterministic
+		{`SELECT * FROM Sales WHERE Price > 90 OR Quantity = 3`, "Filter"},
+		{`SELECT * FROM Sales WHERE NOT (Price <= 50)`, "Filter"},
+		{`SELECT -Price AS np FROM Sales`, "Project"},
+		{`SELECT * FROM Adv WHERE Flag = TRUE`, "Filter"},
+		{`SELECT * FROM Adv WHERE Flag < TRUE`, "Filter"},
+		{`SELECT * FROM Sales WHERE Price = Quantity`, "Filter"},
+		{`SELECT * FROM Sales WHERE Discount != 0.1`, "Filter"},
+		{`SELECT * FROM Customer WHERE Name >= 'customer-0100'`, "Filter"},
+		{`SELECT SaleId + 1 AS s FROM Sales`, "Project"},
+		{`SELECT Price - Discount AS d FROM Sales`, "Project"},
+		{`SELECT Price * Quantity AS revenue FROM Sales`, "Project"},
+		{`SELECT Name + '!' AS n FROM Customer`, "Project"},
+		{`SELECT Price / Quantity AS unit FROM Sales`, "Project"},
+		{`SELECT Price % 7 AS m FROM Sales`, "Project"},
+		{`SELECT * FROM Sales ORDER BY Price DESC, SaleId`, "Sort"},
+		{`SELECT * FROM Sales SAMPLE 25 PERCENT`, "Sample"},
 	}
-	if nb := opBatches(t, randomFilterQuery, vec, "Filter"); nb != 0 {
-		t.Errorf("%s: Filter reported %d batches, want the row loop", randomFilterQuery, nb)
+	for _, c := range mustDecline {
+		row, vec := runBoth(t, cat, c.src)
+		requireRunsEqual(t, c.src, row, vec)
+		if nb := opBatches(t, c.src, vec, c.op); nb != 0 {
+			t.Errorf("%s: %s reported %d batches, want the row loop", c.src, c.op, nb)
+		}
 	}
 	// And the reference must never report batches.
 	row, err := (&exec.Executor{Catalog: cat}).Run(bindQuery(t, cat, mustBatch[0].src))
@@ -262,6 +282,40 @@ func TestVectorizedActuallyVectorizes(t *testing.T) {
 	}
 	if row.TotalBatches != 0 {
 		t.Errorf("row path reported %d batches", row.TotalBatches)
+	}
+}
+
+// TestOrderingsMatchCompare: the four orderings run one less-than loop each,
+// and equal Value.Compare's answer where a NaN makes it 0: NaN <= 1 and
+// NaN >= 1 hold, NaN < 1 and NaN > 1 do not.
+func TestOrderingsMatchCompare(t *testing.T) {
+	schema := data.Schema{{Name: "F", Kind: data.KindFloat}, {Name: "I", Kind: data.KindInt}}
+	cat := catalog.New()
+	if _, err := cat.Define("N", schema); err != nil {
+		t.Fatal(err)
+	}
+	tb := data.NewTable(schema)
+	for i, f := range []float64{math.NaN(), 1, 0.5, 2, math.Inf(-1), math.NaN()} {
+		tb.Append(data.Row{data.Float(f), data.Int(int64(i))})
+	}
+	if _, err := cat.BulkUpdate("N", fixtures.Epoch, tb); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		src  string
+		rows int
+	}{
+		{`SELECT * FROM N WHERE F < 1`, 2},
+		{`SELECT * FROM N WHERE F <= 1`, 5},
+		{`SELECT * FROM N WHERE F > 1`, 1},
+		{`SELECT * FROM N WHERE F >= 1`, 4},
+		{`SELECT * FROM N WHERE I <= F`, 3},
+	} {
+		row, vec := runBoth(t, cat, c.src)
+		requireRunsEqual(t, c.src, row, vec)
+		if opBatches(t, c.src, vec, "Filter") == 0 || vec.Table.NumRows() != c.rows {
+			t.Errorf("%s: %d rows, %d batches; want %d rows on the kernels", c.src, vec.Table.NumRows(), opBatches(t, c.src, vec, "Filter"), c.rows)
+		}
 	}
 }
 
@@ -696,11 +750,12 @@ func TestWindowBoundariesAndDeclineBeforeConsume(t *testing.T) {
 	}{
 		{"filter", "Filter", `SELECT * FROM T WHERE A > 30 AND A < 39`, 0},
 		{"filter", "Filter", `SELECT * FROM T WHERE A > 30 AND B != 'b3'`, 1},
-		{"project", "Project", `SELECT A + 1 AS a1, C * 2 AS c2 FROM T`, 2},
+		{"project", "Project", `SELECT A % 7 AS a7, C < 2 AS c2 FROM T`, 2},
 		{joinLeft, "Join", `SELECT * FROM T JOIN D ON T.A = D.K`, 0},
 		{joinRight, "Join", `SELECT * FROM D JOIN T ON D.K = T.A`, 0},
 		{"aggregate, group-by column", "Aggregate", `SELECT B, COUNT(*) AS n, SUM(C) AS s FROM T GROUP BY B`, 1},
 		{"aggregate, argument column", "Aggregate", `SELECT A, COUNT(*) AS n, SUM(C) AS s, MIN(C) AS lo FROM T GROUP BY A`, 2},
+		// Sort has one loop: it reports no batch, and equals itself.
 		{"sort", "Sort", `SELECT * FROM T ORDER BY B DESC, A`, 1},
 	}
 	for _, n := range windowSizes {
@@ -724,6 +779,8 @@ func TestWindowBoundariesAndDeclineBeforeConsume(t *testing.T) {
 				requireRunsEqual(t, what, row, vec)
 				want := windows(n)
 				switch {
+				case c.op == "Sort":
+					want = 0
 				case c.op == "Join" && sp.bad == "":
 					want += windows(100)
 				case c.op == "Join":
@@ -772,20 +829,20 @@ func TestPooledBuffersNeverEscape(t *testing.T) {
 
 	cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: 300, Parts: 50, Sales: 3000, Seed: 11})
 	// Filter → join (with a residual) → aggregate → sort, a string-keyed
-	// variant, a projection whose strings the kernels mint themselves, and a
+	// variant, a projection of gathered strings and kernel output, and a
 	// projection over a join, which reads the join's pairs.
 	var plans []plan.Node
 	var want []*data.Table
 	for _, src := range []string{
-		`SELECT MktSegment, COUNT(*) AS n, SUM(Price * Quantity) AS rev
+		`SELECT MktSegment, COUNT(*) AS n, SUM(Price) AS rev, MAX(Quantity % 4) AS q
 			FROM (SELECT * FROM Sales WHERE Price > 20) AS s
 			JOIN Customer ON s.CustomerId = Customer.Id AND s.Quantity + Customer.Id > 3
 			GROUP BY MktSegment ORDER BY rev DESC`,
-		`SELECT Name, MIN(Price) AS lo, MAX(Name + '!') AS hi
+		`SELECT Name, MIN(Price) AS lo, MAX(MktSegment) AS hi
 			FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id
-			WHERE Name >= 'customer-0100' GROUP BY Name ORDER BY Name DESC`,
-		`SELECT Name + '/' + MktSegment AS tag, Id % 7 AS m FROM Customer ORDER BY tag`,
-		`SELECT Name + '!' AS n, Price * Quantity AS rev
+			WHERE MktSegment != 'Asia' GROUP BY Name ORDER BY Name DESC`,
+		`SELECT Name, MktSegment = 'Asia' AS asia, Id % 7 AS m FROM Customer ORDER BY m, Name`,
+		`SELECT Name, Price < 50 AS cheap, Quantity % 3 AS q
 			FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id AND Sales.Quantity + Customer.Id > 3`,
 	} {
 		n := bindQuery(t, cat, src)
@@ -907,7 +964,7 @@ func TestKernelScratchIsBorrowed(t *testing.T) {
 		t.Skip("eighteen windows a run, a quarter of them dropped by sync.Pool under the race detector")
 	}
 	cat := boundaryCatalog(t, 3000, "", 0, 0)
-	n := bindQuery(t, cat, `SELECT A, COUNT(*) AS n, SUM(C * 2 + 1) AS s, MIN(B) AS lo FROM T WHERE A > 9 AND B != 'b3' GROUP BY A`)
+	n := bindQuery(t, cat, `SELECT A, COUNT(*) AS n, SUM(A % 7) AS s, MIN(B) AS lo FROM T WHERE A > 9 AND B != 'b3' GROUP BY A`)
 	var res *exec.RunResult
 	run := func() {
 		var err error
