@@ -424,6 +424,10 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			// accounting of the plan that computed the subexpression) and
 			// none on or above a Spool.
 			SigMap: cr.Physical,
+			// Runtime history sizes each aggregate's group table: the
+			// statistics feedback reaches the executor, not only the
+			// optimizer's estimates.
+			History: cr,
 			// The vectorized batch path is the production default; its
 			// results and accounting are byte-identical to the row-at-a-time
 			// serial twin (enforced by the exec equivalence tests).

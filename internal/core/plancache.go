@@ -10,10 +10,10 @@ import (
 	"cloudviews/internal/workload"
 )
 
-// DefaultPlanCacheSize bounds the plan cache, in templates. Recurring workloads
-// have a small template population (the paper's clusters see tens of thousands
-// of templates against millions of jobs), so a modest LRU captures nearly all
-// repeats.
+// DefaultPlanCacheSize bounds the plan cache, in templates. It is not enough
+// for the paper's run: cvsim -scale 1.0 submits more distinct scripts a day
+// than this and revisits each about once a day, LRU's worst case, so 86 % of
+// its compiles are cold (measured; ROADMAP item 14 holds the fix).
 const DefaultPlanCacheSize = 512
 
 // planKey identifies one template: the token-normalized script (so

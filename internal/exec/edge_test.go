@@ -67,13 +67,43 @@ func TestEmptyTableThroughAllOperators(t *testing.T) {
 	}
 }
 
-func TestGlobalAggregateOverEmptyInput(t *testing.T) {
+func TestGroupedAggregateOverEmptyInput(t *testing.T) {
 	// GROUP BY over empty input yields no groups (SQL semantics for grouped
 	// aggregates).
 	cat := emptyWorld(t)
 	res := runOn(t, cat, `SELECT Name, COUNT(*) AS n FROM Empty GROUP BY Name`)
 	if res.Table.NumRows() != 0 {
 		t.Errorf("grouped aggregate over empty = %d rows", res.Table.NumRows())
+	}
+}
+
+// globalOverEmptyQueries aggregate with no GROUP BY over no rows: a scan of an
+// empty table, and a filter that keeps nothing (a selection on the kernels).
+var globalOverEmptyQueries = []string{
+	`SELECT COUNT(*) AS n, SUM(Id) AS si, SUM(Value) AS sv, MIN(Name) AS lo, AVG(Value) AS a FROM Empty`,
+	`SELECT COUNT(*) AS n, SUM(Id) AS si, SUM(Value) AS sv, MIN(Name) AS lo, AVG(Value) AS a FROM Empty WHERE Id > 3`,
+}
+
+// TestGlobalAggregateOverEmptyInput: an aggregate with no GROUP BY answers one
+// row over no input, on both arms, as SQL does: COUNT reads 0, MIN and AVG
+// NULL. SUM reads 0, the engine's answer for any group with no non-NULL value
+// (DESIGN.md records where SQL reads NULL instead).
+func TestGlobalAggregateOverEmptyInput(t *testing.T) {
+	cat := emptyWorld(t)
+	want := data.Row{data.Int(0), data.Int(0), data.Float(0), {}, {}}
+	for _, src := range globalOverEmptyQueries {
+		row, vec := runBoth(t, cat, src)
+		requireRunsEqual(t, src, row, vec)
+		for _, res := range []*exec.RunResult{row, vec} {
+			if res.Table.NumRows() != 1 {
+				t.Fatalf("%s: %d rows, want 1", src, res.Table.NumRows())
+			}
+			for j, v := range res.Table.Rows[0] {
+				if !valueExactEqual(v, want[j]) {
+					t.Errorf("%s: column %s = %v (%v), want %v (%v)", src, res.Table.Schema[j].Name, v, v.Kind, want[j], want[j].Kind)
+				}
+			}
+		}
 	}
 }
 

@@ -301,8 +301,19 @@ type Executor struct {
 	JobID  string
 	// Trace, when set, receives spool-write failure events (nil-safe).
 	Trace *obs.Trace
+	// History, when set, reports what runtime history observed of a node
+	// (optimizer.CompileResult implements it); an aggregate sizes its group
+	// table from it once. nil sizes nothing: tables grow as groups open.
+	History RowHistory
 
 	res RunResult
+}
+
+// RowHistory reports the mean logical rows runtime history recorded for a plan
+// node's recurring signature; ok is false when the node has never run. A
+// wrong answer costs only growth or spare capacity, never a different result.
+type RowHistory interface {
+	ObservedRows(n plan.Node) (rows float64, ok bool)
 }
 
 // nodeResult is one operator's output, in one of three shapes: a table's
@@ -915,8 +926,8 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	ex.res.TotalRead += in.logicalBytes()
 
 	out := data.NewTable(x.Schema())
-	groups := newAggTable(x, out.Schema)
-	batches, ok := ex.vecAggregate(in, groups)
+	groups := newAggTable(x, out.Schema, ex.groupHint(x, in))
+	batches, ok := ex.vecAggregate(in, &groups)
 	if !ok {
 		var buf [64]byte
 		vals := make(data.Row, len(x.GroupBy))
@@ -952,6 +963,22 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	return ex.finish(NodeStat{Node: x, Op: "Aggregate", Work: work, Batches: batches}, produced(out, outMult)), nil
 }
 
+// groupHint is how many groups runtime history says x opens over in: the
+// observed logical rows with evalAggregate's sqrt(mult) output scaling undone,
+// clamped to in's rows, or 0 for no hint. Only history sizes a table: the
+// compile-time model guesses a reduction of the logical input, which on a
+// scaled dataset reads thousands of times the groups that arrive.
+func (ex *Executor) groupHint(x *plan.Aggregate, in nodeResult) int {
+	if ex.History == nil || len(x.GroupBy) == 0 || !(in.mult > 0) {
+		return 0
+	}
+	rows, ok := ex.History.ObservedRows(x)
+	if !ok || !(rows > 0) || math.IsInf(rows, 1) {
+		return 0
+	}
+	return int(min(math.Ceil(rows/math.Sqrt(in.mult)), float64(in.len())))
+}
+
 // aggCell is the running state of one aggregate within one group; the zero
 // value is the initial state. An aggregate spec has one kind, so a cell holds
 // only what its kind reads: count for COUNT and AVG, sum for AVG and a SUM of
@@ -981,10 +1008,12 @@ type aggState struct {
 // before it, and every group key (keys.go) sits back to back in keys. Groups
 // sit in states in discovery order, which is the output order, and their
 // cells and rows are carved from slabs, so opening a group appends to a few
-// growing arrays and allocates nothing of its own.
+// arrays and allocates nothing of its own. Given a hint, those arrays are
+// allocated once at its size; without one, or past it, they grow.
 type aggTable struct {
 	x      *plan.Aggregate
 	schema data.Schema // output schema: a SUM whose column is INT adds exactly
+	hint   int         // groups expected; keys are sized when the first opens
 	head   map[uint64]int32
 	keys   []byte
 	states []aggState
@@ -996,8 +1025,20 @@ type aggTable struct {
 // no answer depends on it.
 var groupSeed = maphash.MakeSeed()
 
-func newAggTable(x *plan.Aggregate, schema data.Schema) *aggTable {
-	return &aggTable{x: x, schema: schema, head: make(map[uint64]int32)}
+// newAggTable sizes a table for hint groups (0: none expected). A table with
+// no GROUP BY opens its one group now, so it answers one row over no input.
+// It returns the table by value, so the caller's stays off the heap.
+func newAggTable(x *plan.Aggregate, schema data.Schema, hint int) aggTable {
+	a := aggTable{x: x, schema: schema, hint: hint, head: make(map[uint64]int32, hint)}
+	if hint > 0 {
+		a.states = make([]aggState, 0, hint)
+		a.rows.Expect(hint)
+		a.cells.Expect(hint)
+	}
+	if len(x.GroupBy) == 0 {
+		a.find(nil)
+	}
+	return a
 }
 
 // find returns the position of key's group, opening the group if key is new;
@@ -1016,6 +1057,9 @@ func (a *aggTable) findHashed(key []byte, h uint64) (gi int32, isNew bool) {
 		}
 	}
 	gi = int32(len(a.states))
+	if gi == 0 && a.hint > 0 {
+		a.keys = make([]byte, 0, a.hint*len(key))
+	}
 	a.keys = append(a.keys, key...)
 	a.states = append(a.states, aggState{
 		row:   a.rows.New(len(a.schema)),

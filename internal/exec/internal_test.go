@@ -114,7 +114,8 @@ func TestGroupChainsCompareKeys(t *testing.T) {
 		"one chain": func(a *aggTable, k []byte) (int32, bool) { return a.findHashed(k, 7) },
 		"maphash":   (*aggTable).find,
 	} {
-		a := newAggTable(x, schema)
+		tbl := newAggTable(x, schema, 0)
+		a := &tbl
 		for pass := 0; pass < 2; pass++ {
 			for i, v := range vals {
 				gi, isNew := find(a, key(v))
@@ -128,6 +129,53 @@ func TestGroupChainsCompareKeys(t *testing.T) {
 				t.Errorf("%s: group %d holds key %q, want %q", name, i, got, key(v))
 			}
 		}
+	}
+}
+
+// fixedRows is a RowHistory that reports rows for every node.
+type fixedRows float64
+
+func (f fixedRows) ObservedRows(plan.Node) (float64, bool) { return float64(f), true }
+
+// TestGroupHintIsClamped: whatever history reports and whatever the input's
+// multiplier, a group table's hint lies in [0, in.len()], and only a positive,
+// finite observation over a positive multiplier gives one. An exact
+// observation — a RowsOut of groups × sqrt(mult), truncated — gives the groups.
+func TestGroupHintIsClamped(t *testing.T) {
+	grouped := &plan.Aggregate{GroupBy: []plan.Expr{&plan.ColRef{Index: 0, Typ: data.KindInt}}}
+	input := func(n int, mult float64) nodeResult {
+		return nodeResult{table: &data.Table{Rows: make([]data.Row, n)}, mult: mult}
+	}
+	specials := []float64{math.NaN(), math.Inf(-1), -5, 0, 1e-300, 0.5, 1, 4, 7, 1e6, 1e300, math.Inf(1)}
+	for _, rows := range specials {
+		for _, mult := range specials {
+			for _, n := range []int{0, 1, 10} {
+				ex := &Executor{History: fixedRows(rows)}
+				h := ex.groupHint(grouped, input(n, mult))
+				if h < 0 || h > n {
+					t.Errorf("rows %v, mult %v, %d input rows: hint %d, want it in [0, %d]", rows, mult, n, h, n)
+				}
+				if h > 0 && !(rows > 0 && !math.IsInf(rows, 1) && mult > 0) {
+					t.Errorf("rows %v, mult %v: hint %d, want none", rows, mult, h)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		groups int
+		mult   float64
+	}{{5, 60000}, {3, 400}, {1, 1}, {1000, 2}, {37, 1e9}} {
+		observed := float64(int64(float64(c.groups) * math.Sqrt(c.mult)))
+		ex := &Executor{History: fixedRows(observed)}
+		if h := ex.groupHint(grouped, input(5000, c.mult)); h != c.groups {
+			t.Errorf("%d groups at mult %v (RowsOut %v): hint %d", c.groups, c.mult, observed, h)
+		}
+	}
+	if h := (&Executor{}).groupHint(grouped, input(10, 1)); h != 0 {
+		t.Errorf("no history: hint %d", h)
+	}
+	if h := (&Executor{History: fixedRows(5)}).groupHint(&plan.Aggregate{}, input(10, 1)); h != 0 {
+		t.Errorf("no GROUP BY: hint %d", h)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"cloudviews/internal/exec"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/plan"
+	"cloudviews/internal/signature"
 	"cloudviews/internal/sqlparser"
 )
 
@@ -507,38 +508,167 @@ func intTable(t *testing.T, name string, rows [][2]int64) *catalog.Catalog {
 // 3,000 rows costs about the same whether the rows form 3,000 groups or 30:
 // only the amortized growth of those arrays and the slabs differs.
 func TestAggregateGroupsCostNoAllocation(t *testing.T) {
-	const rows = 3000
 	for _, vectorized := range []bool{true, false} {
-		var allocs [2]float64
-		for i, groups := range []int64{rows, 30} {
-			in := make([][2]int64, rows)
-			for r := range in {
-				in[r] = [2]int64{int64(r) % groups, int64(r)}
-			}
-			cat := intTable(t, "T", in)
-			n := bindQuery(t, cat, `SELECT K, SUM(V) AS s FROM T GROUP BY K`)
-			res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := int64(res.Table.NumRows()); got != groups {
-				t.Fatalf("vectorized=%v: %d groups, want %d", vectorized, got, groups)
-			}
-			if got := opBatches(t, "aggregate", res, "Aggregate") > 0; got != vectorized {
-				t.Fatalf("vectorized=%v: the aggregate ran on the kernels = %v", vectorized, got)
-			}
-			allocs[i] = testing.AllocsPerRun(5, func() {
-				if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+		allocs := groupTableAllocs(t, vectorized, false)
 		t.Logf("vectorized=%v: %.0f allocations for 3,000 groups, %.0f for 30", vectorized, allocs[0], allocs[1])
 		if d := allocs[0] - allocs[1]; d > 64 || d < -64 {
 			t.Errorf("vectorized=%v: 3,000 groups cost %.0f allocations and 30 cost %.0f, want them within 64",
 				vectorized, allocs[0], allocs[1])
 		}
 	}
+}
+
+// TestSizedGroupTableAllocatesOnce: given the exact group count, a group table
+// allocates its arrays once, so 3,000 groups cost at most 16 allocations more
+// than 30 (64 apart while they grow).
+func TestSizedGroupTableAllocatesOnce(t *testing.T) {
+	for _, vectorized := range []bool{true, false} {
+		allocs := groupTableAllocs(t, vectorized, true)
+		t.Logf("vectorized=%v, sized: %.0f allocations for 3,000 groups, %.0f for 30", vectorized, allocs[0], allocs[1])
+		if d := allocs[0] - allocs[1]; d > 16 {
+			t.Errorf("vectorized=%v, sized: 3,000 groups cost %.0f allocations and 30 cost %.0f, want at most 16 more",
+				vectorized, allocs[0], allocs[1])
+		}
+	}
+}
+
+// groupTableAllocs returns the allocations of one aggregate over 3,000 rows
+// forming 3,000 groups and 30, sized by the exact group count when hinted.
+func groupTableAllocs(t *testing.T, vectorized, hinted bool) [2]float64 {
+	t.Helper()
+	const rows = 3000
+	var allocs [2]float64
+	for i, groups := range []int64{rows, 30} {
+		in := make([][2]int64, rows)
+		for r := range in {
+			in[r] = [2]int64{int64(r) % groups, int64(r)}
+		}
+		cat := intTable(t, "T", in)
+		n := bindQuery(t, cat, `SELECT K, SUM(V) AS s FROM T GROUP BY K`)
+		res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int64(res.Table.NumRows()); got != groups {
+			t.Fatalf("vectorized=%v: %d groups, want %d", vectorized, got, groups)
+		}
+		if got := opBatches(t, "aggregate", res, "Aggregate") > 0; got != vectorized {
+			t.Fatalf("vectorized=%v: the aggregate ran on the kernels = %v", vectorized, got)
+		}
+		var history exec.RowHistory
+		if hinted {
+			history = exactRows(res)
+		}
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, History: history}).Run(n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	return allocs
+}
+
+// observedRows is an exec.RowHistory that reports fixed rows per node.
+type observedRows map[plan.Node]float64
+
+func (o observedRows) ObservedRows(n plan.Node) (float64, bool) {
+	rows, ok := o[n]
+	return rows, ok
+}
+
+// hintsFrom reports f of each aggregate's RowsOut in res: with f the
+// identity, what history holds after res.
+func hintsFrom(res *exec.RunResult, f func(exact float64) float64) observedRows {
+	o := observedRows{}
+	for _, st := range res.Stats {
+		if st.Op == "Aggregate" {
+			o[st.Node] = f(float64(st.RowsOut))
+		}
+	}
+	return o
+}
+
+func exactRows(res *exec.RunResult) observedRows {
+	return hintsFrom(res, func(exact float64) float64 { return exact })
+}
+
+// TestWrongHintNeverChangesAnAnswer: a group table's size is capacity only.
+// The corpus and the aggregate edge cases run on both arms with every kind of
+// wrong history — absent, 0, 1, half, exact, ten times, +Inf and NaN — and
+// each run's table and every NodeStat must equal the run with no history.
+func TestWrongHintNeverChangesAnAnswer(t *testing.T) {
+	hints := []struct {
+		name string
+		f    func(exact float64) float64
+	}{
+		{"0", func(float64) float64 { return 0 }},
+		{"1", func(float64) float64 { return 1 }},
+		{"exact/2", func(e float64) float64 { return e / 2 }},
+		{"exact", func(e float64) float64 { return e }},
+		{"10×exact", func(e float64) float64 { return 10 * e }},
+		{"+Inf", func(float64) float64 { return math.Inf(1) }},
+		{"NaN", func(float64) float64 { return math.NaN() }},
+	}
+	check := func(label string, cat *catalog.Catalog, views exec.ViewStore, n plan.Node) {
+		t.Helper()
+		for _, vectorized := range []bool{false, true} {
+			run := func(h exec.RowHistory) *exec.RunResult {
+				t.Helper()
+				res, err := (&exec.Executor{Catalog: cat, Views: views, Vectorized: vectorized, History: h}).Run(n)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				return res
+			}
+			ref := run(nil)
+			if len(exactRows(ref)) == 0 {
+				return // no aggregate ran
+			}
+			same := func(hint string, got *exec.RunResult) {
+				t.Helper()
+				name := fmt.Sprintf("%s (vectorized=%v, hint %s)", label, vectorized, hint)
+				requireRunsEqual(t, name, ref, got)
+				for i := range ref.Stats {
+					if a, b := ref.Stats[i], got.Stats[i]; a.Node != b.Node || a.Batches != b.Batches {
+						t.Fatalf("%s: stat %d: %+v vs %+v", name, i, a, b)
+					}
+				}
+			}
+			same("absent", run(observedRows{}))
+			for _, h := range hints {
+				same(h.name, run(hintsFrom(ref, h.f)))
+			}
+		}
+	}
+
+	queries := append(append([]string{}, vecEquivalenceQueries...), adversarialQueries...)
+	for _, sales := range []int{0, 1, 1025, 12000} {
+		cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: sales/3 + 1, Parts: 50, Sales: sales, Seed: 42})
+		for _, src := range queries {
+			check(fmt.Sprintf("%d sales: %s", sales, src), cat, nil, bindQuery(t, cat, src))
+		}
+	}
+	empty := emptyWorld(t)
+	for _, src := range append([]string{`SELECT Name, COUNT(*) AS n, SUM(Value) AS s FROM Empty GROUP BY Name`}, globalOverEmptyQueries...) {
+		check(src, empty, nil, bindQuery(t, empty, src))
+	}
+	ints := intTable(t, "T", [][2]int64{{0, 1 << 53}, {1, 1}, {0, 1}, {1, -1 << 53}, {0, 1}, {1, -1}})
+	for _, src := range []string{`SELECT SUM(V) AS s FROM T`, `SELECT K, SUM(V) AS s, MIN(V) AS lo FROM T GROUP BY K HAVING s > 0`} {
+		check(src, ints, nil, bindQuery(t, ints, src))
+	}
+
+	// mult = 0: the aggregate reads an empty view stored at multiplier 0.
+	src := `SELECT Name, COUNT(*) AS n FROM Empty GROUP BY Name`
+	n := bindQuery(t, empty, src)
+	var in data.Schema
+	plan.Walk(n, func(m plan.Node) {
+		if a, ok := m.(*plan.Aggregate); ok {
+			in = a.Child.Schema()
+			a.Child = &plan.ViewScan{StrictSig: "v0", Out: in}
+		}
+	})
+	views := &fakeStore{views: map[signature.Sig]*fakeView{"v0": {t: data.NewTable(in), mult: 0}}}
+	check("mult 0: "+src, empty, views, n)
 }
 
 // TestIntSumIsExact: a SUM of an INT argument adds in an int64, so it is not

@@ -79,6 +79,25 @@ type CompileResult struct {
 	CompileLatency time.Duration
 	// ReuseEnabled records whether CloudViews participated at all.
 	ReuseEnabled bool
+
+	history *stats.History // what the job compiled against; nil reads nothing
+}
+
+// ObservedRows returns the mean logical rows runtime history recorded for
+// node n of the final plan, found in Subs by its recurring signature: the
+// executor's exec.RowHistory. A node history has not seen, or one outside
+// Subs, reports nothing; the compile-time model's estimate never answers.
+func (cr *CompileResult) ObservedRows(n plan.Node) (float64, bool) {
+	if cr.history == nil {
+		return 0, false
+	}
+	for i := range cr.Subs {
+		if cr.Subs[i].Node == n {
+			sum, ok := cr.history.LookupMeans(cr.Subs[i].Recurring)
+			return sum.AvgRows, ok && sum.Count > 0
+		}
+	}
+	return 0, false
 }
 
 // CompileOptions carries the job context the controls need.
@@ -149,7 +168,7 @@ func (o *Optimizer) Compile(root plan.Node, opts CompileOptions) *CompileResult 
 
 // CompilePrepared runs the per-job half of Compile over a prepared plan.
 func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *CompileResult {
-	res := &CompileResult{Tag: prep.Tag}
+	res := &CompileResult{Tag: prep.Tag, history: o.History}
 	// The job reads the prepared plan in place; known carries the prepared
 	// signatures over to the nodes it rebuilds above a substitution and to
 	// its own copies of the joins it will write.

@@ -196,4 +196,3 @@ func (h *History) LookupMeans(sig signature.Sig) (Summary, bool) {
 		AvgWork:  s.sumWork / n,
 	}, true
 }
-
