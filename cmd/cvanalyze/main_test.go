@@ -15,9 +15,10 @@ var update = flag.Bool("update", false, "rewrite the golden outputs")
 // differs between runs.
 var elapsed = regexp.MustCompile(`(?m)^\(.* done in .*\)\n`)
 
-// TestFiguresGolden pins Figures 2, 3, 8 and 9 at scale 0.1, and Figure 9 at
-// scale 1.0 as EXPERIMENTS.md publishes it (its day runs merge joins),
-// byte-for-byte, timing lines stripped. Regenerate with:
+// TestFiguresGolden pins Figures 2, 3, 8 and 9 and the §5.4 concurrent
+// opportunity at scale 0.1, and Figure 9 at scale 1.0 as EXPERIMENTS.md
+// publishes it (its day runs merge joins), byte-for-byte, timing lines
+// stripped. Regenerate with:
 //
 //	go test ./cmd/cvanalyze -run Golden -update
 func TestFiguresGolden(t *testing.T) {
@@ -27,6 +28,7 @@ func TestFiguresGolden(t *testing.T) {
 		{"fig8", "8", "0.1"},
 		{"fig9", "9", "0.1"},
 		{"fig9-scale1", "9", "1.0"},
+		{"concurrent", "concurrent", "0.1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var buf bytes.Buffer

@@ -122,9 +122,11 @@ func run(w io.Writer, scriptPath string, repeats, showRows int, annotate, trace,
 			tags, rejected)
 	}
 
-	u := eng.Insights.UsageSnapshot()
-	fmt.Fprintf(w, "\nsession totals: views created=%d, views reused=%d, live views=%d\n",
-		u.ViewsCreated, u.ViewsReused, eng.Store.Count())
+	// The store counts views materialized, which equals the views sealed
+	// unless a seal failed after its materialize (the job then abandons the
+	// view); the engine counts every view a compile matched.
+	fmt.Fprintf(w, "\nsession totals: views created=%d, views reused=%.0f, live views=%d\n",
+		eng.Store.Snapshot().Created, eng.Metrics.Counter("cloudviews_views_reused_total").Value(), eng.Store.Count())
 	return nil
 }
 

@@ -1,5 +1,6 @@
 // Package analysis implements the offline workload-analysis half of
-// CloudViews: the overlap statistics behind Figures 2, 3, 8, and 9, and the
+// CloudViews: the overlap statistics behind Figures 2, 3, 8, and 9, the §5.4
+// estimate of what pipelining concurrent queries could save, and the
 // view-selection algorithms (a greedy knapsack and a BigSubs-style
 // interaction-aware selector) that decide which recurring subexpressions to
 // materialize under per-VC storage budgets.
@@ -9,6 +10,8 @@ import (
 	"sort"
 	"time"
 
+	"cloudviews/internal/exec"
+	"cloudviews/internal/lineage"
 	"cloudviews/internal/repository"
 	"cloudviews/internal/signature"
 )
@@ -21,16 +24,14 @@ type ConsumerPoint struct {
 	Consumers int
 }
 
-// ConsumerCDF computes the shared-dataset CDF for one cluster over a window
-// (Figure 2). Datasets with zero observed consumers are excluded, matching
-// the paper's "input data streams" framing.
-func ConsumerCDF(repo *repository.Repo, from, to time.Time, cluster string) []ConsumerPoint {
-	consumers := repo.DatasetConsumers(from, to, cluster)
-	counts := make([]int, 0, len(consumers))
-	for _, set := range consumers {
-		if len(set) > 0 {
-			counts = append(counts, len(set))
-		}
+// ConsumerCDF computes the shared-dataset CDF of a lineage graph (Figure 2):
+// the distinct consuming pipelines of every dataset in it. A dataset enters
+// the graph only when a job scans it, so every count is at least one,
+// matching the paper's "input data streams" framing.
+func ConsumerCDF(g *lineage.Graph) []ConsumerPoint {
+	counts := make([]int, 0, len(g.Datasets))
+	for _, node := range g.Datasets {
+		counts = append(counts, len(node.Consumers))
 	}
 	sort.Ints(counts)
 	out := make([]ConsumerPoint, len(counts))
@@ -158,46 +159,59 @@ type ConcurrentJoinStat struct {
 	Concurrency int
 }
 
+// span is one execution window, [start, end).
+type span struct{ start, end time.Time }
+
+// peakOverlap returns the largest number of spans open at one instant: a
+// sweep over +1 at each start and -1 at each end. At the same instant an end
+// sorts before a start, so back-to-back windows do not overlap.
+func peakOverlap(spans []span) int {
+	type ev struct {
+		at    time.Time
+		delta int
+	}
+	evs := make([]ev, 0, 2*len(spans))
+	for _, s := range spans {
+		evs = append(evs, ev{s.start, +1}, ev{s.end, -1})
+	}
+	sort.Slice(evs, func(i, j int) bool {
+		if !evs[i].at.Equal(evs[j].at) {
+			return evs[i].at.Before(evs[j].at)
+		}
+		return evs[i].delta < evs[j].delta
+	})
+	cur, peak := 0, 0
+	for _, e := range evs {
+		cur += e.delta
+		peak = max(peak, cur)
+	}
+	return peak
+}
+
 // ConcurrentJoins finds joins that execute concurrently (overlapping
-// execution windows of the same recurring join) within [from, to) on one
-// cluster — the reuse opportunity CloudViews cannot capture without pipelined
-// sharing (§5.4). Returns per-signature peak concurrency, descending.
-func ConcurrentJoins(repo *repository.Repo, from, to time.Time, cluster string) []ConcurrentJoinStat {
-	execs := repo.JoinExecutions(from, to, cluster)
+// execution windows of the same recurring join) within [from, to) — the
+// reuse opportunity CloudViews cannot capture without pipelined sharing
+// (§5.4). A join is a subexpression row with a JoinAlgo; its window is its
+// job's. Returns per-signature peak concurrency, descending.
+func ConcurrentJoins(repo *repository.Repo, from, to time.Time) []ConcurrentJoinStat {
 	type key struct {
 		sig  signature.Sig
 		algo string
 	}
-	byKey := make(map[key][]repository.JoinExecution)
-	for _, e := range execs {
-		k := key{e.Recurring, e.Algo}
-		byKey[k] = append(byKey[k], e)
+	byKey := make(map[key][]span)
+	for _, j := range repo.JobsBetween(from, to) {
+		for si := range j.Subexprs {
+			s := &j.Subexprs[si]
+			if s.JoinAlgo == "" {
+				continue
+			}
+			k := key{s.Recurring, s.JoinAlgo}
+			byKey[k] = append(byKey[k], span{j.Start, j.End})
+		}
 	}
 	var out []ConcurrentJoinStat
-	for k, es := range byKey {
-		// Sweep line: +1 at start, -1 at end; peak overlap is the maximum.
-		type ev struct {
-			at    time.Time
-			delta int
-		}
-		var evs []ev
-		for _, e := range es {
-			evs = append(evs, ev{e.Start, +1}, ev{e.End, -1})
-		}
-		sort.Slice(evs, func(i, j int) bool {
-			if !evs[i].at.Equal(evs[j].at) {
-				return evs[i].at.Before(evs[j].at)
-			}
-			return evs[i].delta < evs[j].delta // ends before starts at same instant
-		})
-		cur, peak := 0, 0
-		for _, e := range evs {
-			cur += e.delta
-			if cur > peak {
-				peak = cur
-			}
-		}
-		if peak >= 2 {
+	for k, spans := range byKey {
+		if peak := peakOverlap(spans); peak >= 2 {
 			out = append(out, ConcurrentJoinStat{Recurring: k.sig, Algo: k.algo, Concurrency: peak})
 		}
 	}
@@ -223,4 +237,86 @@ func ConcurrencyHistogram(stats []ConcurrentJoinStat) map[string]map[int]int {
 		m[s.Concurrency]++
 	}
 	return out
+}
+
+// PipelineSharing is one §5.4 shareable group: occurrences of the same
+// strict subexpression whose jobs execute concurrently.
+type PipelineSharing struct {
+	Strict    signature.Sig
+	Recurring signature.Sig
+	Op        string
+	// Instances is the peak number of concurrently running occurrences.
+	Instances int
+	// SavedWork estimates the container-seconds avoided if all but one
+	// instance pipelined the first one's output.
+	SavedWork float64
+}
+
+// PipelineReport summarizes the §5.4 opportunity over a window.
+type PipelineReport struct {
+	Sharings []PipelineSharing
+	// TotalSaved is the estimated container-seconds avoided.
+	TotalSaved float64
+	// TotalWork is the window's total processing, for context.
+	TotalWork float64
+}
+
+// PipelineOpportunity estimates §5.4 of the paper: computation reuse for
+// concurrent queries, which "does not require pre-materialization since
+// intermediate results may be directly pipelined". It folds the eligible
+// subexpressions of [from, to) by strict signature, takes each signature's
+// peak concurrency over its jobs' execution windows (the Figure 9 sweep), and
+// charges every instance but one the work its subtree costs minus a pipelined
+// read of the first instance's output.
+func PipelineOpportunity(repo *repository.Repo, from, to time.Time) *PipelineReport {
+	type group struct {
+		first *repository.SubexprRecord
+		spans []span
+	}
+	byStrict := make(map[signature.Sig]*group)
+	rep := &PipelineReport{}
+	for _, j := range repo.JobsBetween(from, to) {
+		rep.TotalWork += j.ProcessingSec
+		for si := range j.Subexprs {
+			s := &j.Subexprs[si]
+			if s.Eligible != signature.EligibleOK || s.Work <= 0 {
+				continue
+			}
+			g, ok := byStrict[s.Strict]
+			if !ok {
+				g = &group{first: s}
+				byStrict[s.Strict] = g
+			}
+			g.spans = append(g.spans, span{j.Start, j.End})
+		}
+	}
+	for sig, g := range byStrict {
+		peak := peakOverlap(g.spans)
+		if peak < 2 {
+			continue
+		}
+		o := g.first
+		saved := float64(peak-1) * (o.Work - exec.ViewReadWork(o.Rows, o.Bytes))
+		if saved <= 0 {
+			continue
+		}
+		rep.Sharings = append(rep.Sharings, PipelineSharing{
+			Strict:    sig,
+			Recurring: o.Recurring,
+			Op:        o.Op,
+			Instances: peak,
+			SavedWork: saved,
+		})
+	}
+	sort.Slice(rep.Sharings, func(i, j int) bool {
+		if rep.Sharings[i].SavedWork != rep.Sharings[j].SavedWork {
+			return rep.Sharings[i].SavedWork > rep.Sharings[j].SavedWork
+		}
+		return rep.Sharings[i].Strict < rep.Sharings[j].Strict
+	})
+	// Summed in the sorted order, so the total does not depend on the map's.
+	for _, sh := range rep.Sharings {
+		rep.TotalSaved += sh.SavedWork
+	}
+	return rep
 }

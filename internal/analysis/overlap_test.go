@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cloudviews/internal/analysis"
+	"cloudviews/internal/lineage"
 	"cloudviews/internal/repository"
 	"cloudviews/internal/signature"
 )
@@ -23,13 +24,15 @@ func scanJob(id, cluster, pipeline, dataset string, submit time.Time) *repositor
 
 func TestConsumerCDF(t *testing.T) {
 	r := repository.New()
-	// DatasetA: 3 pipelines; DatasetB: 1 pipeline.
+	// DatasetA: 3 pipelines, one of them scanning it twice; DatasetB: 1
+	// pipeline.
 	for i := 0; i < 3; i++ {
 		r.Add(scanJob(fmt.Sprintf("a%d", i), "c1", fmt.Sprintf("pipe%d", i), "DatasetA", t0))
 	}
+	r.Add(scanJob("a3", "c1", "pipe0", "DatasetA", t0))
 	r.Add(scanJob("b0", "c1", "pipeX", "DatasetB", t0))
 
-	cdf := analysis.ConsumerCDF(r, t0, t0.Add(time.Hour), "c1")
+	cdf := analysis.ConsumerCDF(lineage.Build(r, t0, t0.Add(time.Hour), nil))
 	if len(cdf) != 2 {
 		t.Fatalf("cdf = %d points", len(cdf))
 	}
@@ -117,7 +120,7 @@ func TestConcurrentJoins(t *testing.T) {
 	// A different join overlapping only once: not reported (<2 peak).
 	r.Add(joinJob("d1", []string{"C", "D"}, "other", t0, t0.Add(time.Minute), "Merge Join"))
 
-	stats := analysis.ConcurrentJoins(r, t0, t0.AddDate(0, 0, 1), "c1")
+	stats := analysis.ConcurrentJoins(r, t0, t0.AddDate(0, 0, 1))
 	if len(stats) != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -135,8 +138,61 @@ func TestConcurrentJoinsTouchingWindowsDoNotOverlap(t *testing.T) {
 	end := t0.Add(time.Minute)
 	r.Add(joinJob("c1", []string{"A", "B"}, "jr", t0, end, "Hash Join"))
 	r.Add(joinJob("c2", []string{"A", "B"}, "jr", end, end.Add(time.Minute), "Hash Join"))
-	stats := analysis.ConcurrentJoins(r, t0, t0.AddDate(0, 0, 1), "c1")
+	stats := analysis.ConcurrentJoins(r, t0, t0.AddDate(0, 0, 1))
 	if len(stats) != 0 {
 		t.Errorf("back-to-back windows must not count as concurrent: %+v", stats)
+	}
+}
+
+func occJob(id string, start, end time.Time, strict string, work float64) *repository.JobRecord {
+	return &repository.JobRecord{
+		JobID: id, Cluster: "c1", VC: "vc", Pipeline: "p-" + id,
+		Template: "t", Submit: start, Start: start, End: end,
+		ProcessingSec: work * 1.5,
+		Subexprs: []repository.SubexprRecord{
+			{JobID: id, Op: "Join", Strict: signature.Sig(strict), Recurring: "rec",
+				InputDatasets: []string{"A", "B"}, Parent: -1,
+				Work: work, Rows: 1000, Bytes: 10_000, Eligible: signature.EligibleOK},
+		},
+	}
+}
+
+func TestPipelineOpportunity(t *testing.T) {
+	repo := repository.New()
+	// Three overlapping instances of the same strict subexpression.
+	repo.Add(occJob("a", t0, t0.Add(10*time.Minute), "s1", 600))
+	repo.Add(occJob("b", t0.Add(time.Minute), t0.Add(9*time.Minute), "s1", 600))
+	repo.Add(occJob("c", t0.Add(2*time.Minute), t0.Add(8*time.Minute), "s1", 600))
+	// A non-overlapping instance of another subexpression.
+	repo.Add(occJob("d", t0.Add(2*time.Hour), t0.Add(2*time.Hour+time.Minute), "s2", 600))
+
+	rep := analysis.PipelineOpportunity(repo, t0, t0.AddDate(0, 0, 1))
+	if len(rep.Sharings) != 1 {
+		t.Fatalf("sharings = %+v", rep.Sharings)
+	}
+	s := rep.Sharings[0]
+	if s.Instances != 3 || s.Strict != "s1" {
+		t.Errorf("sharing = %+v", s)
+	}
+	// Saved ≈ 2 × (600 − pipe); pipe is tiny here.
+	if s.SavedWork < 1000 || s.SavedWork > 1200 {
+		t.Errorf("saved = %g, want ~1200", s.SavedWork)
+	}
+	if rep.TotalSaved != s.SavedWork {
+		t.Errorf("total = %g", rep.TotalSaved)
+	}
+	if rep.TotalWork <= 0 {
+		t.Error("total work context missing")
+	}
+}
+
+func TestPipelineOpportunitySkipsCheapSubtrees(t *testing.T) {
+	repo := repository.New()
+	// Overlapping but nearly free: pipelining would not pay.
+	repo.Add(occJob("a", t0, t0.Add(10*time.Minute), "s1", 0.000001))
+	repo.Add(occJob("b", t0.Add(time.Minute), t0.Add(9*time.Minute), "s1", 0.000001))
+	rep := analysis.PipelineOpportunity(repo, t0, t0.AddDate(0, 0, 1))
+	if len(rep.Sharings) != 0 {
+		t.Errorf("cheap sharing reported: %+v", rep.Sharings)
 	}
 }

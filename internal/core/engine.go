@@ -505,9 +505,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 		sealAt := in.Submit.Add(retryDelay + e.estimateSealDelay(run))
 		tr.SpanAt("seal", in.Submit, sealAt.Sub(in.Submit))
 		for _, p := range cr.Proposed {
-			if e.Store.SealAt(p.Strict, sealAt) {
-				e.Insights.NoteViewCreated()
-			} else {
+			if !e.Store.SealAt(p.Strict, sealAt) {
 				// The artifact vanished between materialize and seal (e.g.
 				// abandoned or expired under an aggressive TTL): drop any
 				// half-built state rather than leave the signature wedged.
@@ -519,9 +517,6 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	}
 	e.mBuilt.Add(float64(len(cr.Proposed)))
 	e.mReused.Add(float64(len(cr.Matched)))
-	for range cr.Matched {
-		e.Insights.NoteViewReused()
-	}
 
 	// Runtime fallbacks complete the decision trail: a view matched at
 	// compile time whose read failed forfeits its promised saving. The
@@ -744,13 +739,6 @@ func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, 
 			}
 		}
 	}
-	var reused map[signature.Sig]bool // nil lookups read false
-	if len(cr.Matched) > 0 {
-		reused = make(map[signature.Sig]bool, len(cr.Matched))
-		for _, m := range cr.Matched {
-			reused[m.Strict] = true
-		}
-	}
 	rec := &repository.JobRecord{
 		Subexprs:    make([]repository.SubexprRecord, 0, len(subs)),
 		JobID:       in.ID,
@@ -778,7 +766,6 @@ func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, 
 			Eligible:      s.Eligibility,
 			InputDatasets: s.InputDatasets,
 			Parent:        s.Parent,
-			Reused:        reused[s.Strict],
 			Work:          subtreeWork[i],
 		}
 		if st, ok := statByNode[s.Node]; ok {

@@ -7,7 +7,7 @@ import (
 	"cloudviews/internal/cluster"
 	"cloudviews/internal/core"
 	"cloudviews/internal/fixtures"
-	"cloudviews/internal/pipelined"
+	"cloudviews/internal/lineage"
 	"cloudviews/internal/workload"
 )
 
@@ -22,7 +22,7 @@ type Figure2Result struct {
 
 // RunFigure2 generates the five paper-shaped clusters, records one week of
 // workload telemetry per cluster (compile-only), and computes the consumer
-// CDFs.
+// CDFs from each cluster's lineage graph.
 func RunFigure2(days int, scale float64) ([]Figure2Result, error) {
 	if days <= 0 {
 		days = 7
@@ -35,7 +35,7 @@ func RunFigure2(days int, scale float64) ([]Figure2Result, error) {
 		}
 		from := fixtures.Epoch
 		to := fixtures.Epoch.AddDate(0, 0, days)
-		cdf := analysis.ConsumerCDF(repoEngine.Repo, from, to, profile.Name)
+		cdf := analysis.ConsumerCDF(lineage.Build(repoEngine.Repo, from, to, nil))
 		out = append(out, Figure2Result{
 			Cluster:  profile.Name,
 			CDF:      cdf,
@@ -141,11 +141,11 @@ type Figure9Result struct {
 // windows are real) on a burst-heavy cluster and measures concurrently
 // executing identical joins, split by join algorithm.
 func RunFigure9(scale float64) (*Figure9Result, error) {
-	eng, name, err := runBusyDay(scale)
+	eng, err := runBusyDay(scale)
 	if err != nil {
 		return nil, err
 	}
-	stats := analysis.ConcurrentJoins(eng.Repo, fixtures.Epoch, fixtures.Epoch.AddDate(0, 0, 1), name)
+	stats := analysis.ConcurrentJoins(eng.Repo, fixtures.Epoch, fixtures.Epoch.AddDate(0, 0, 1))
 	res := &Figure9Result{
 		Stats:     stats,
 		Histogram: analysis.ConcurrencyHistogram(stats),
@@ -176,8 +176,8 @@ func scaledProfiles(scale float64) []workload.ClusterProfile {
 
 // runBusyDay executes one full day (with cluster scheduling, so execution
 // windows are real) on a burst-heavy Cluster1, the heaviest sharer, and
-// returns the engine and the cluster's name.
-func runBusyDay(scale float64) (*core.Engine, string, error) {
+// returns the engine, whose repository holds that one cluster's day.
+func runBusyDay(scale float64) (*core.Engine, error) {
 	profile := scaledProfiles(scale)[0]
 	profile.Pipelines *= 4      // one big busy cluster-day
 	profile.BurstFraction = 0.6 // burst schedules drive concurrency
@@ -187,7 +187,7 @@ func runBusyDay(scale float64) (*core.Engine, string, error) {
 	// generously.
 	cat, gen, vcs, err := bootstrap(profile, 4000)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	eng := core.NewEngine(core.Config{
 		ClusterName: profile.Name,
@@ -195,9 +195,9 @@ func runBusyDay(scale float64) (*core.Engine, string, error) {
 		ClusterCfg:  cluster.Config{Capacity: 50000, VCs: vcs},
 	})
 	if _, err := eng.RunDay(0, gen.JobsForDay(0)); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return eng, profile.Name, nil
+	return eng, nil
 }
 
 // recordWorkload bootstraps a cluster and records `days` of compile-only
@@ -228,17 +228,17 @@ func recordWorkload(profile workload.ClusterProfile, days int) (*core.Engine, er
 // ConcurrentOpportunityResult is the §5.4 estimate: how much compute
 // pipelined sharing among concurrent queries could save on one cluster-day.
 type ConcurrentOpportunityResult struct {
-	Report *pipelined.Report
+	Report *analysis.PipelineReport
 }
 
 // RunConcurrentOpportunity reuses the Figure 9 cluster-day and estimates the
 // §5.4 savings from pipelining intermediate results between concurrently
 // executing queries.
 func RunConcurrentOpportunity(scale float64) (*ConcurrentOpportunityResult, error) {
-	eng, name, err := runBusyDay(scale)
+	eng, err := runBusyDay(scale)
 	if err != nil {
 		return nil, err
 	}
-	rep := pipelined.EstimateOpportunity(eng.Repo, fixtures.Epoch, fixtures.Epoch.AddDate(0, 0, 1), name)
+	rep := analysis.PipelineOpportunity(eng.Repo, fixtures.Epoch, fixtures.Epoch.AddDate(0, 0, 1))
 	return &ConcurrentOpportunityResult{Report: rep}, nil
 }

@@ -134,17 +134,16 @@ type Table1 struct {
 	ViewsCreated    int
 	ViewsUsed       int
 
-	LatencyImpPct       float64
+	LatencyImpPct float64
+	// MedianLatencyImpPct is the median per-job latency improvement,
+	// restricted to jobs that built or reused a view (§4).
 	MedianLatencyImpPct float64
-	// QualifiedMedianImpPct is the median restricted to jobs that built or
-	// reused a view (the §4 measurement methodology).
-	QualifiedMedianImpPct float64
-	ProcessingImpPct      float64
-	BonusImpPct           float64
-	ContainersImpPct      float64
-	InputImpPct           float64
-	DataReadImpPct        float64
-	QueueImpPct           float64
+	ProcessingImpPct    float64
+	BonusImpPct         float64
+	ContainersImpPct    float64
+	InputImpPct         float64
+	DataReadImpPct      float64
+	QueueImpPct         float64
 }
 
 // ProductionResult is the full A/B outcome.
@@ -249,7 +248,6 @@ func RunProduction(cfg ProductionConfig) (*ProductionResult, error) {
 	t.DataReadImpPct = improvement(float64(bd), float64(cd))
 	t.QueueImpPct = improvement(float64(bq), float64(cq))
 	t.MedianLatencyImpPct = medianImprovement(base.jobLat, cv.jobLat, cv.qualified)
-	t.QualifiedMedianImpPct = t.MedianLatencyImpPct
 	return res, nil
 }
 

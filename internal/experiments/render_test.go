@@ -8,7 +8,6 @@ import (
 	"cloudviews/internal/analysis"
 	"cloudviews/internal/core"
 	"cloudviews/internal/experiments"
-	"cloudviews/internal/pipelined"
 )
 
 func TestRenderTable1(t *testing.T) {
@@ -78,8 +77,8 @@ func TestRenderAnalysisFigures(t *testing.T) {
 		t.Errorf("figure 9 render:\n%s", f9)
 	}
 	co := experiments.RenderConcurrentOpportunity(&experiments.ConcurrentOpportunityResult{
-		Report: &pipelined.Report{
-			Sharings:   []pipelined.Sharing{{Op: "Join", Instances: 3, SavedWork: 120}},
+		Report: &analysis.PipelineReport{
+			Sharings:   []analysis.PipelineSharing{{Op: "Join", Instances: 3, SavedWork: 120}},
 			TotalSaved: 120, TotalWork: 1200,
 		},
 	}, 5)

@@ -56,12 +56,6 @@ type Service struct {
 	clusterEnabled map[string]bool // default false until set
 	vcEnabled      map[string]bool
 
-	// usage counters.
-	created int64
-	reused  int64
-	fetches int64
-	hits    int64
-
 	// metrics, when wired via SetMetrics; nil-safe no-ops otherwise.
 	mFetches    *obs.Counter
 	mWarmHits   *obs.Counter
@@ -196,11 +190,9 @@ func (s *Service) ReplaceAllAnnotations(all map[signature.Tag][]Annotation) {
 func (s *Service) FetchAnnotations(tag signature.Tag) ([]Annotation, time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.fetches++
 	s.mFetches.Inc()
 	lat := RoundTripLatency
 	if s.warm[tag] {
-		s.hits++
 		s.mWarmHits.Inc()
 		lat = time.Millisecond
 	} else {
@@ -287,36 +279,4 @@ func (s *Service) LockCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.locks)
-}
-
-// ---------------------------------------------------------------------------
-// Usage metrics.
-
-// NoteViewCreated bumps the created counter.
-func (s *Service) NoteViewCreated() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.created++
-}
-
-// NoteViewReused bumps the reused counter.
-func (s *Service) NoteViewReused() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reused++
-}
-
-// Usage summarizes service activity.
-type Usage struct {
-	ViewsCreated int64
-	ViewsReused  int64
-	Fetches      int64
-	CacheHits    int64
-}
-
-// UsageSnapshot returns the counters.
-func (s *Service) UsageSnapshot() Usage {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return Usage{ViewsCreated: s.created, ViewsReused: s.reused, Fetches: s.fetches, CacheHits: s.hits}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cloudviews/internal/insights"
+	"cloudviews/internal/obs"
 	"cloudviews/internal/signature"
 )
 
@@ -33,6 +34,8 @@ func TestMultiLevelControls(t *testing.T) {
 
 func TestAnnotationServingAndCache(t *testing.T) {
 	s := insights.NewService()
+	reg := obs.NewRegistry()
+	s.SetMetrics(reg)
 	tag := signature.Tag("tag-x")
 	s.PublishAnnotations(tag, []insights.Annotation{
 		{Recurring: "r1", Utility: 10},
@@ -58,9 +61,10 @@ func TestAnnotationServingAndCache(t *testing.T) {
 	if lat3 != insights.RoundTripLatency {
 		t.Error("republish must invalidate the serving cache")
 	}
-	u := s.UsageSnapshot()
-	if u.Fetches != 3 || u.CacheHits != 1 {
-		t.Errorf("usage = %+v", u)
+	fetches := reg.Counter("cloudviews_insights_fetches_total").Value()
+	hits := reg.Counter("cloudviews_insights_warm_hits_total").Value()
+	if fetches != 3 || hits != 1 {
+		t.Errorf("fetches = %g, warm hits = %g, want 3 and 1", fetches, hits)
 	}
 }
 
@@ -131,14 +135,31 @@ func TestAnnotationsFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUsageCounters: the service's usage lives in the registry it is given
+// (views created and reused are the store's and the engine's counters; core's
+// TestMetricsExportDeterministic pins them). Every fetch counts, a warm one
+// also as a hit, and a lock asked for by a job that does not hold it counts
+// as contention. A service given no registry counts nothing and still serves.
 func TestUsageCounters(t *testing.T) {
 	s := insights.NewService()
-	s.NoteViewCreated()
-	s.NoteViewReused()
-	s.NoteViewReused()
-	u := s.UsageSnapshot()
-	if u.ViewsCreated != 1 || u.ViewsReused != 2 {
-		t.Errorf("usage = %+v", u)
+	s.FetchAnnotations("tag-a")
+	s.AcquireViewLock("sig1", "jobA")
+	s.AcquireViewLock("sig1", "jobB")
+
+	reg := obs.NewRegistry()
+	s.SetMetrics(reg)
+	s.FetchAnnotations("tag-a")
+	s.FetchAnnotations("tag-b")
+	s.AcquireViewLock("sig1", "jobA")
+	s.AcquireViewLock("sig1", "jobB")
+	for name, want := range map[string]float64{
+		"cloudviews_insights_fetches_total":         2,
+		"cloudviews_insights_warm_hits_total":       1,
+		"cloudviews_insights_lock_contention_total": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %g, want %g", name, got, want)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package lineage
 
 import (
 	"sort"
-	"strings"
 	"time"
 
 	"cloudviews/internal/repository"
@@ -20,9 +19,6 @@ type Edge struct {
 	Consumer string // pipeline
 	// Reads counts job instances that scanned the dataset.
 	Reads int
-	// Bytes is the total logical bytes those scans produced downstream
-	// pressure for (sum of job input bytes attributed to the dataset).
-	Bytes int64
 }
 
 // DatasetNode aggregates one dataset's role in the graph.
@@ -57,7 +53,6 @@ func Build(repo *repository.Repo, from, to time.Time, producers map[string]strin
 	consumers := make(map[string]map[string]bool)
 
 	for _, j := range repo.JobsBetween(from, to) {
-		seen := map[string]bool{}
 		for _, s := range j.Subexprs {
 			if s.Op != "Scan" {
 				continue
@@ -78,10 +73,6 @@ func Build(repo *repository.Repo, from, to time.Time, producers map[string]strin
 					edges[k] = e
 				}
 				e.Reads++
-				if !seen[ds] {
-					e.Bytes += j.InputBytes
-					seen[ds] = true
-				}
 			}
 		}
 	}
@@ -149,8 +140,6 @@ type Recommendation struct {
 	Producer  string
 	Consumers int
 	Reads     int
-	// Rationale is a human-readable explanation.
-	Rationale string
 }
 
 // RecommendPhysicalDesigns returns producers whose outputs are consumed by at
@@ -169,10 +158,6 @@ func (g *Graph) RecommendPhysicalDesigns(minConsumers int) []Recommendation {
 			Producer:  node.Producer,
 			Consumers: len(node.Consumers),
 			Reads:     node.Reads,
-			Rationale: strings.Join([]string{
-				"produce the physical design downstream consumers need as part of the producer job",
-				"(partitioning/sorting chosen from the consumers' join and group keys)",
-			}, " "),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

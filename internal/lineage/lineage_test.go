@@ -16,7 +16,6 @@ func scanJob(r *repository.Repo, id, pipeline string, datasets ...string) {
 	rec := &repository.JobRecord{
 		JobID: id, Cluster: "c", VC: "vc", Pipeline: pipeline,
 		Template: signature.Sig("t-" + pipeline), Submit: t0, Start: t0, End: t0.Add(time.Minute),
-		InputBytes: 1000,
 	}
 	for i, ds := range datasets {
 		rec.Subexprs = append(rec.Subexprs, repository.SubexprRecord{

@@ -49,7 +49,7 @@ func (g *groupPartial) sortOccs() {
 }
 
 // finalizeGroup folds a partial (occurrences already in pinned order) into
-// the public GroupStat. Op, eligibility, height and input datasets come from
+// the public GroupStat. Op, eligibility and input datasets come from
 // the occurrence that sorts first, and the float sums run over the pinned
 // order, so the result does not depend on insertion order.
 func finalizeGroup(p *groupPartial) *GroupStat {
@@ -59,9 +59,7 @@ func finalizeGroup(p *groupPartial) *GroupStat {
 		Op:            first.Op,
 		Count:         n,
 		Eligible:      first.Eligible == signature.EligibleOK,
-		Height:        first.Height,
 		InputDatasets: first.InputDatasets,
-		Jobs:          make([]string, n),
 		Submits:       make([]time.Time, n),
 		SubmitStrict:  make([]signature.Sig, n),
 	}
@@ -71,7 +69,6 @@ func finalizeGroup(p *groupPartial) *GroupStat {
 		g.AvgRows += float64(o.sub.Rows)
 		g.AvgBytes += float64(o.sub.Bytes)
 		g.AvgWork += o.sub.Work
-		g.Jobs[i] = o.job.JobID
 		g.Submits[i] = o.job.Submit
 		g.SubmitStrict[i] = o.sub.Strict
 		vcCounts[o.job.VC]++
@@ -125,68 +122,6 @@ func (r *Repo) NaiveGroupByRecurring(from, to time.Time) map[signature.Sig]*Grou
 	for sig, p := range tmp {
 		p.sortOccs()
 		out[sig] = finalizeGroup(p)
-	}
-	return out
-}
-
-// NaiveDatasetConsumers is the retained linear-scan reference for
-// DatasetConsumers — the test oracle for the sharded fast path.
-func (r *Repo) NaiveDatasetConsumers(from, to time.Time, clusterName string) map[string]map[string]bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]map[string]bool)
-	for _, own := range r.all {
-		j := own.rec
-		if clusterName != "" && j.Cluster != clusterName {
-			continue
-		}
-		if !inWindow(j, from, to) {
-			continue
-		}
-		for si := range j.Subexprs {
-			s := &j.Subexprs[si]
-			if s.Op != "Scan" {
-				continue
-			}
-			for _, ds := range s.InputDatasets {
-				set, ok := out[ds]
-				if !ok {
-					set = make(map[string]bool)
-					out[ds] = set
-				}
-				set[j.Pipeline] = true
-			}
-		}
-	}
-	return out
-}
-
-// NaiveJoinExecutions is the retained linear-scan reference for
-// JoinExecutions — the test oracle for the sharded fast path.
-func (r *Repo) NaiveJoinExecutions(from, to time.Time, clusterName string) []JoinExecution {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []JoinExecution
-	for _, own := range r.all {
-		j := own.rec
-		if clusterName != "" && j.Cluster != clusterName {
-			continue
-		}
-		if !inWindow(j, from, to) {
-			continue
-		}
-		for si := range j.Subexprs {
-			s := &j.Subexprs[si]
-			if s.Op != "Join" || s.JoinAlgo == "" {
-				continue
-			}
-			out = append(out, JoinExecution{
-				Recurring: s.Recurring,
-				Algo:      s.JoinAlgo,
-				Start:     j.Start,
-				End:       j.End,
-			})
-		}
 	}
 	return out
 }

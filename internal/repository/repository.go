@@ -2,13 +2,14 @@
 // CloudViews architecture: a denormalized subexpressions table that pre-joins
 // each logical query subexpression with the runtime metrics observed for it,
 // plus the per-job telemetry the workload analyses read (Figures 2, 3, 8, 9
-// all derive from this store).
+// all derive from this store). The repository stores and answers two
+// windowed queries, JobsBetween and GroupByRecurring; each analysis folds
+// the statistic it reads from them itself.
 //
 // # Sharding
 //
-// Records are sharded by UTC day of their Submit time and kept once. Every
-// windowed query (JobsBetween, GroupByRecurring, DatasetConsumers,
-// JoinExecutions) folds only the records of the day buckets overlapping
+// Records are sharded by UTC day of their Submit time and kept once. Both
+// windowed queries fold only the records of the day buckets overlapping
 // [from, to), on the calling goroutine, so query cost scales with the window
 // size rather than with total history — the property that keeps daily
 // workload analysis affordable at the paper's "10-month window" scale. The
@@ -62,8 +63,6 @@ type SubexprRecord struct {
 	Work  float64
 	// JoinAlgo is set for join subexpressions ("Hash Join", ...).
 	JoinAlgo string
-	// Reused marks subexpressions served from a materialized view.
-	Reused bool
 	// Parent is the index of the parent subexpression within the job's
 	// Subexprs slice, or -1 for the root.
 	Parent int
@@ -149,7 +148,8 @@ type occurrence struct {
 }
 
 // occCmp is the documented deterministic occurrence order: submit time, then
-// strict signature, then job ID.
+// strict signature, then job ID. No GroupStat field lists job IDs, but the
+// tiebreak stays: GroupByRecurring's float sums run in this order.
 func occCmp(a, b occurrence) int {
 	if c := a.job.Submit.Compare(b.job.Submit); c != 0 {
 		return c
@@ -361,8 +361,8 @@ func (r *Repo) JobsBetween(from, to time.Time) []*JobRecord {
 
 // GroupStat aggregates the occurrences of one recurring subexpression.
 //
-// Ordering contract: the per-occurrence slices (Jobs, Submits, SubmitStrict)
-// are pinned to a documented deterministic order — submit time, then strict
+// Ordering contract: the per-occurrence slices (Submits, SubmitStrict) are
+// pinned to a documented deterministic order — submit time, then strict
 // signature, then job ID — and VCs is sorted ascending, so workload analysis
 // and schedule-aware selection observe identical bytes regardless of
 // insertion order.
@@ -386,15 +386,12 @@ type GroupStat struct {
 	VCs           []string
 	// VCOccs[i] is the number of occurrences VCs[i] contributed.
 	VCOccs []int
-	Jobs   []string
 	// Submits are the submission times of each occurrence's job, used by
 	// schedule-aware view selection; SubmitStrict[i] is the strict signature
 	// of the i-th occurrence (reuse only happens among occurrences sharing a
 	// strict instance).
 	Submits      []time.Time
 	SubmitStrict []signature.Sig
-	// Height of the subexpression (operator tree height).
-	Height int
 }
 
 // GroupByRecurring folds the subexpressions table by recurring signature —
@@ -406,7 +403,7 @@ type GroupStat struct {
 // group's offset in one array (in window order), and each group's run is then
 // sorted stably into the pinned order. Every GroupStat and every slice in it
 // is carved from window-sized arrays, so the allocations do not grow with the
-// number of groups. Op, eligibility, height and input datasets come from the
+// number of groups. Op, eligibility and input datasets come from the
 // occurrence that sorts first, and the float sums run over the pinned order,
 // so the result does not depend on insertion order.
 func (r *Repo) GroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat {
@@ -465,7 +462,6 @@ func (r *Repo) GroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat
 		tFolded = r.nowNanos()
 	}
 	stats := make([]GroupStat, len(end))
-	jobs := make([]string, n)
 	submits := make([]time.Time, n)
 	stricts := make([]signature.Sig, n)
 	vcs := make([]string, n)
@@ -483,9 +479,7 @@ func (r *Repo) GroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat
 			Op:            first.Op,
 			Count:         len(run),
 			Eligible:      first.Eligible == signature.EligibleOK,
-			Height:        first.Height,
 			InputDatasets: first.InputDatasets,
-			Jobs:          jobs[lo:hi:hi],
 			Submits:       submits[lo:hi:hi],
 			SubmitStrict:  stricts[lo:hi:hi],
 		}
@@ -494,7 +488,6 @@ func (r *Repo) GroupByRecurring(from, to time.Time) map[signature.Sig]*GroupStat
 			st.AvgRows += float64(o.sub.Rows)
 			st.AvgBytes += float64(o.sub.Bytes)
 			st.AvgWork += o.sub.Work
-			st.Jobs[i] = o.job.JobID
 			st.Submits[i] = o.job.Submit
 			st.SubmitStrict[i] = o.sub.Strict
 			vcs[lo+i] = o.job.VC
@@ -531,72 +524,4 @@ func countRuns(names []string, counts []int) ([]string, []int) {
 		k++
 	}
 	return names[:k:k], counts[:k:k]
-}
-
-// DatasetConsumers returns, per dataset, the set of distinct consumers
-// (pipelines) that scanned it — the Figure 2 quantity.
-func (r *Repo) DatasetConsumers(from, to time.Time, clusterName string) map[string]map[string]bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]map[string]bool)
-	recs, _ := r.window(from, to)
-	for _, own := range recs {
-		j := own.rec
-		if clusterName != "" && j.Cluster != clusterName {
-			continue
-		}
-		for si := range j.Subexprs {
-			s := &j.Subexprs[si]
-			if s.Op != "Scan" {
-				continue
-			}
-			for _, ds := range s.InputDatasets {
-				set, ok := out[ds]
-				if !ok {
-					set = make(map[string]bool)
-					out[ds] = set
-				}
-				set[j.Pipeline] = true
-			}
-		}
-	}
-	return out
-}
-
-// JoinExecution is one executed join instance with its job's execution
-// window, used by the concurrency analysis (Figure 9).
-type JoinExecution struct {
-	Recurring signature.Sig
-	Algo      string
-	Start     time.Time
-	End       time.Time
-}
-
-// JoinExecutions returns all join subexpression executions in the window, in
-// insertion order.
-func (r *Repo) JoinExecutions(from, to time.Time, clusterName string) []JoinExecution {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	recs, _ := r.window(from, to)
-	bySeq(recs)
-	var out []JoinExecution
-	for _, own := range recs {
-		j := own.rec
-		if clusterName != "" && j.Cluster != clusterName {
-			continue
-		}
-		for si := range j.Subexprs {
-			s := &j.Subexprs[si]
-			if s.Op != "Join" || s.JoinAlgo == "" {
-				continue
-			}
-			out = append(out, JoinExecution{
-				Recurring: s.Recurring,
-				Algo:      s.JoinAlgo,
-				Start:     j.Start,
-				End:       j.End,
-			})
-		}
-	}
-	return out
 }

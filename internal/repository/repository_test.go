@@ -92,36 +92,3 @@ func TestGroupByRecurringWindowFilter(t *testing.T) {
 		t.Errorf("window must exclude later jobs: %d", groups["r-join"].Count)
 	}
 }
-
-func TestDatasetConsumers(t *testing.T) {
-	r := repository.New()
-	r.Add(mkJob("j1", "vc1", "pipeA", t0, "r1", "a"))
-	r.Add(mkJob("j2", "vc1", "pipeB", t0, "r2", "b"))
-	r.Add(mkJob("j3", "vc1", "pipeA", t0, "r3", "c")) // same pipeline again
-	consumers := r.DatasetConsumers(t0, t0.Add(time.Hour), "c1")
-	if len(consumers["A"]) != 2 {
-		t.Errorf("dataset A consumers = %d, want 2 distinct pipelines", len(consumers["A"]))
-	}
-	// Filter by cluster.
-	if got := r.DatasetConsumers(t0, t0.Add(time.Hour), "other"); len(got) != 0 {
-		t.Errorf("cluster filter leaked: %v", got)
-	}
-}
-
-func TestJoinExecutions(t *testing.T) {
-	r := repository.New()
-	r.Add(mkJob("j1", "vc1", "p", t0, "r", "a"))
-	r.Add(mkJob("j2", "vc1", "p", t0.Add(30*time.Second), "r", "a"))
-	execs := r.JoinExecutions(t0, t0.Add(time.Hour), "c1")
-	if len(execs) != 2 {
-		t.Fatalf("executions = %d", len(execs))
-	}
-	for _, e := range execs {
-		if e.Algo != "Hash Join" || e.Recurring != "r-join" {
-			t.Errorf("bad execution %+v", e)
-		}
-		if !e.End.After(e.Start) {
-			t.Error("execution window must be positive")
-		}
-	}
-}

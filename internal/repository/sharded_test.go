@@ -20,43 +20,47 @@ import (
 )
 
 // TestGroupStatPinnedOrdering verifies the documented deterministic order of
-// the per-occurrence slices — submit time, then strict signature, then job
-// ID — regardless of insertion order, and that VCs is sorted.
+// the occurrences — submit time, then strict signature, then job ID —
+// regardless of insertion order, and that VCs is sorted. Submits and
+// SubmitStrict show the first two keys. Two occurrences tie on both, so the
+// job-ID tiebreak shows only in the float sums, which run in the pinned
+// order: their work values are chosen so that adding them in the other order
+// changes AvgWork.
 func TestGroupStatPinnedOrdering(t *testing.T) {
 	r := repository.New()
-	mk := func(id, vc string, submit time.Time, strict string) *repository.JobRecord {
+	mk := func(id, vc string, submit time.Time, strict string, work float64) *repository.JobRecord {
 		return &repository.JobRecord{
 			JobID: id, Cluster: "c1", VC: vc, Pipeline: "p",
 			Submit: submit,
 			Subexprs: []repository.SubexprRecord{
 				{JobID: id, Op: "Filter", Strict: signature.Sig(strict), Recurring: "rec",
-					Work: 1, Parent: -1, Eligible: signature.EligibleOK},
+					Work: work, Parent: -1, Eligible: signature.EligibleOK},
 			},
 		}
 	}
 	// Inserted deliberately out of pinned order, across two day buckets.
-	r.Add(mk("j3", "vcB", t0.AddDate(0, 0, 1), "s2"))
-	r.Add(mk("j1", "vcA", t0.Add(time.Hour), "s9"))
-	r.Add(mk("j4", "vcA", t0.Add(time.Hour), "s1")) // same submit as j1, earlier strict
-	r.Add(mk("j2", "vcB", t0, "s5"))
-	r.Add(mk("j0", "vcC", t0.Add(time.Hour), "s1")) // ties with j4 on (submit, strict)
+	// Summed as j2, j0, j4 the 1 is lost to rounding (1e17 + 1 == 1e17);
+	// summed as j2, j4, j0 it survives.
+	r.Add(mk("j3", "vcB", t0.AddDate(0, 0, 1), "s2", 0))
+	r.Add(mk("j1", "vcA", t0.Add(time.Hour), "s9", 0))
+	r.Add(mk("j4", "vcA", t0.Add(time.Hour), "s1", -1e17)) // same submit as j1, earlier strict
+	r.Add(mk("j2", "vcB", t0, "s5", 1e17))
+	r.Add(mk("j0", "vcC", t0.Add(time.Hour), "s1", 1)) // ties with j4 on (submit, strict)
 
 	g := r.GroupByRecurring(t0, t0.AddDate(0, 0, 2))["rec"]
 	if g == nil {
 		t.Fatal("missing group")
 	}
-	wantJobs := []string{"j2", "j0", "j4", "j1", "j3"}
-	if !reflect.DeepEqual(g.Jobs, wantJobs) {
-		t.Errorf("Jobs = %v, want %v", g.Jobs, wantJobs)
-	}
 	wantStrict := []signature.Sig{"s5", "s1", "s1", "s9", "s2"}
 	if !reflect.DeepEqual(g.SubmitStrict, wantStrict) {
 		t.Errorf("SubmitStrict = %v, want %v", g.SubmitStrict, wantStrict)
 	}
-	for i := 1; i < len(g.Submits); i++ {
-		if g.Submits[i].Before(g.Submits[i-1]) {
-			t.Errorf("Submits not ascending at %d: %v", i, g.Submits)
-		}
+	wantSubmits := []time.Time{t0, t0.Add(time.Hour), t0.Add(time.Hour), t0.Add(time.Hour), t0.AddDate(0, 0, 1)}
+	if !reflect.DeepEqual(g.Submits, wantSubmits) {
+		t.Errorf("Submits = %v, want %v", g.Submits, wantSubmits)
+	}
+	if g.AvgWork != 0 {
+		t.Errorf("AvgWork = %g, want 0: j4 was summed before j0, the job-ID tiebreak did not hold", g.AvgWork)
 	}
 	wantVCs := []string{"vcA", "vcB", "vcC"}
 	if !reflect.DeepEqual(g.VCs, wantVCs) {
@@ -112,7 +116,7 @@ func TestStoredRecordsAreNeverWritten(t *testing.T) {
 					}
 				}
 				r.GroupByRecurring(from, to)
-				r.JoinExecutions(from, to, "c1")
+				r.JobsBetween(from, to)
 			}
 		}()
 	}
@@ -188,13 +192,13 @@ func TestAddKeepsTheRecord(t *testing.T) {
 
 // TestSetOutcome verifies post-Add outcome application: fresh reads show the
 // outcome, the record handed to Add (now the repository's) is not written, and
-// derived join executions see the new Start/End.
+// a windowed read sees the new Start/End.
 func TestSetOutcome(t *testing.T) {
 	r := repository.New()
 	orig := mkJob("j1", "vc1", "p", t0, "r", "a")
 	r.Add(orig)
-	if execs := r.JoinExecutions(t0, t0.Add(time.Hour), ""); len(execs) != 1 {
-		t.Fatalf("executions = %d", len(execs))
+	if jobs := r.JobsBetween(t0, t0.Add(time.Hour)); len(jobs) != 1 {
+		t.Fatalf("jobs = %d", len(jobs))
 	}
 	start, end := t0.Add(time.Minute), t0.Add(10*time.Minute)
 	if !r.SetOutcome("j1", repository.Outcome{Start: start, End: end, LatencySec: 540, Containers: 7}) {
@@ -210,9 +214,9 @@ func TestSetOutcome(t *testing.T) {
 	if !orig.Start.Equal(t0) {
 		t.Error("SetOutcome wrote to the stored record")
 	}
-	execs := r.JoinExecutions(t0, t0.Add(time.Hour), "")
-	if len(execs) != 1 || !execs[0].Start.Equal(start) || !execs[0].End.Equal(end) {
-		t.Errorf("join executions must reflect the outcome: %+v", execs)
+	jobs := r.JobsBetween(t0, t0.Add(time.Hour))
+	if len(jobs) != 1 || !jobs[0].Start.Equal(start) || !jobs[0].End.Equal(end) {
+		t.Errorf("a windowed read must reflect the outcome: %+v", jobs)
 	}
 }
 
@@ -320,14 +324,6 @@ func TestIndexedMatchesNaiveProperty(t *testing.T) {
 			if got, want := r.GroupByRecurring(from, to), r.NaiveGroupByRecurring(from, to); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d window %d: GroupByRecurring mismatch\n got=%v\nwant=%v", trial, wi, got, want)
 			}
-			for _, cl := range []string{"", "c1", "c2", "nope"} {
-				if got, want := r.DatasetConsumers(from, to, cl), r.NaiveDatasetConsumers(from, to, cl); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d window %d cluster %q: DatasetConsumers mismatch", trial, wi, cl)
-				}
-				if got, want := r.JoinExecutions(from, to, cl), r.NaiveJoinExecutions(from, to, cl); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d window %d cluster %q: JoinExecutions mismatch (%d vs %d)", trial, wi, cl, len(got), len(want))
-				}
-			}
 		}
 	}
 }
@@ -427,8 +423,6 @@ func TestQueriesRaceWithAddAndSetOutcome(t *testing.T) {
 				default:
 				}
 				r.GroupByRecurring(from, to)
-				r.JoinExecutions(from, to, "c1")
-				r.DatasetConsumers(from, to, "")
 				r.JobsBetween(t0.Add(12*time.Hour), t0.AddDate(0, 0, 2))
 			}
 		}()
@@ -458,13 +452,7 @@ func TestQueriesRaceWithAddAndSetOutcome(t *testing.T) {
 	if got, want := r.GroupByRecurring(from, to), r.NaiveGroupByRecurring(from, to); !reflect.DeepEqual(got, want) {
 		t.Error("GroupByRecurring diverges from the oracle after concurrent writes")
 	}
-	if got, want := r.JoinExecutions(from, to, "c1"), r.NaiveJoinExecutions(from, to, "c1"); !reflect.DeepEqual(got, want) || len(got) != writers*perWriter {
-		t.Errorf("JoinExecutions diverges from the oracle after concurrent writes (%d vs %d)", len(got), len(want))
-	}
-	if got, want := r.DatasetConsumers(from, to, ""), r.NaiveDatasetConsumers(from, to, ""); !reflect.DeepEqual(got, want) {
-		t.Error("DatasetConsumers diverges from the oracle after concurrent writes")
-	}
-	if got, want := r.JobsBetween(from, to), r.NaiveJobsBetween(from, to); !reflect.DeepEqual(got, want) {
-		t.Error("JobsBetween diverges from the oracle after concurrent writes")
+	if got, want := r.JobsBetween(from, to), r.NaiveJobsBetween(from, to); !reflect.DeepEqual(got, want) || len(got) != writers*perWriter {
+		t.Errorf("JobsBetween diverges from the oracle after concurrent writes (%d vs %d jobs)", len(got), len(want))
 	}
 }
