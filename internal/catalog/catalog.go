@@ -27,6 +27,9 @@ type Version struct {
 	Dataset   string
 	CreatedAt time.Time
 	Table     *data.Table
+	// Bytes is Table's ByteSize, measured once when the version is
+	// published: a published table is never written.
+	Bytes int64
 	// Forgotten marks versions rotated by a GDPR forget request; readers must
 	// not consume them and dependent derived data is invalid.
 	Forgotten bool
@@ -179,6 +182,7 @@ func (c *Catalog) publishLocked(ds *Dataset, at time.Time, table *data.Table) GU
 		Dataset:   ds.Name,
 		CreatedAt: at,
 		Table:     table,
+		Bytes:     table.ByteSize(),
 	}
 	ds.versions = append(ds.versions, v)
 	c.byGUID[v.GUID] = v

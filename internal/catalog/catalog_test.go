@@ -120,6 +120,9 @@ func TestGDPRForget(t *testing.T) {
 	if latest.GUID != ng || latest.Table.NumRows() != 2 {
 		t.Errorf("latest after forget: %+v", latest)
 	}
+	if latest.Bytes != latest.Table.ByteSize() {
+		t.Errorf("the rotated version reports %d bytes, its table measures %d", latest.Bytes, latest.Table.ByteSize())
+	}
 	// The old version still resolves (for auditing) but is marked forgotten.
 	old, err := c.VersionByGUID(g1)
 	if err != nil || !old.Forgotten {

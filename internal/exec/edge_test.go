@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"reflect"
 	"testing"
 
 	"cloudviews/internal/catalog"
@@ -234,6 +235,50 @@ func TestAvgIgnoresNullArguments(t *testing.T) {
 	}
 	if row[2].I != 3 {
 		t.Errorf("COUNT(*) = %d, want 3 (counts all rows)", row[2].I)
+	}
+}
+
+// TestCountSkipsNullArguments: COUNT(expr) counts the rows whose argument is
+// not NULL and COUNT(*) every row, on both arms: over a NULL cell, which the
+// kernels decline, and over a NULL the kernels make themselves (a zero
+// modulus).
+func TestCountSkipsNullArguments(t *testing.T) {
+	cat := catalog.New()
+	schema := data.Schema{{Name: "K", Kind: data.KindInt}, {Name: "V", Kind: data.KindInt}}
+	if _, err := cat.Define("T", schema); err != nil {
+		t.Fatal(err)
+	}
+	tb := data.NewTable(schema)
+	tb.Append(data.Row{data.Int(1), data.Int(5)})
+	tb.Append(data.Row{data.Int(1), data.Null()})
+	tb.Append(data.Row{data.Int(2), data.Null()})
+	if _, err := cat.BulkUpdate("T", fixtures.Epoch, tb); err != nil {
+		t.Fatal(err)
+	}
+	zeros := intTable(t, "U", [][2]int64{{1, 5}, {1, 0}, {2, 0}})
+	want := [][3]int64{{1, 1, 2}, {2, 0, 1}}
+	for _, c := range []struct {
+		cat     *catalog.Catalog
+		src     string
+		kernels bool // the kernel arm's aggregate runs on the kernels
+	}{
+		{cat, `SELECT K, COUNT(V) AS c, COUNT(*) AS n FROM T GROUP BY K`, false},
+		{zeros, `SELECT K, COUNT(K % V) AS c, COUNT(*) AS n FROM U GROUP BY K`, true},
+	} {
+		row, vec := runBoth(t, c.cat, c.src)
+		requireRunsEqual(t, c.src, row, vec)
+		if got := opBatches(t, c.src, vec, "Aggregate") > 0; got != c.kernels {
+			t.Fatalf("%s: the aggregate ran on the kernels = %v, want %v", c.src, got, c.kernels)
+		}
+		for _, res := range []*exec.RunResult{row, vec} {
+			var got [][3]int64
+			for _, r := range res.Table.Rows {
+				got = append(got, [3]int64{r[0].I, r[1].I, r[2].I})
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: K|c|n %v, want %v", c.src, got, want)
+			}
+		}
 	}
 }
 

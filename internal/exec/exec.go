@@ -602,8 +602,7 @@ func (ex *Executor) evalScan(x *plan.Scan) (nodeResult, error) {
 		return nodeResult{}, fmt.Errorf("exec: version %s was forgotten (GDPR)", x.GUID)
 	}
 	ds, _ := ex.Catalog.Dataset(x.Dataset)
-	mult := ds.EffectiveScale()
-	out := produced(ver.Table, mult)
+	out := nodeResult{table: ver.Table, mult: ds.EffectiveScale(), bytes: ver.Bytes}
 	lb, rows := out.logicalBytes(), out.logicalRows()
 	work := float64(rows)*costScanRow + float64(lb)*costReadByte
 	ex.record(NodeStat{Node: x, Op: "Scan", RowsOut: rows, BytesOut: lb, Work: work, IORead: lb})
@@ -764,7 +763,7 @@ func (p *keyPacker) flush(out []string) {
 type joinScratch struct {
 	pairs []int32     // (left, right) row indices of the pairs kept, in emission order
 	keys  [2][]string // each input's key per row: left, right
-	next  []int32     // the build side's chains
+	index chainIndex  // the build side's rows by key hash
 	pack  keyPacker
 	probe data.Row // the pair the residual is being tested on
 }
@@ -774,12 +773,25 @@ var joinScratches = sync.Pool{New: func() any { return &joinScratch{pack: keyPac
 func (j *joinScratch) release() {
 	if poisonReleased {
 		fill(j.pairs[:cap(j.pairs)], -1)
+		j.index.poison()
 	}
 	clear(j.keys[0])
 	clear(j.keys[1])
 	clear(j.probe[:cap(j.probe)])
 	j.pairs = j.pairs[:0]
 	joinScratches.Put(j)
+}
+
+// probeChain calls emit(li, ri) for every build row ri whose key in rKeys is key,
+// in build order; h is key's hash. A row that only shares key's chain never
+// pairs. key is a packed key, or the row loop's key buffer: comparing it as a
+// string copies nothing.
+func probeChain[K string | []byte](idx *chainIndex, rKeys []string, key K, h uint64, li int, emit func(li, ri int)) {
+	for ri := idx.first(h); ri >= 0; ri = idx.after(ri) {
+		if rKeys[ri] == string(key) {
+			emit(li, int(ri))
+		}
+	}
 }
 
 // sized returns s at length n, reusing its array when that is long enough;
@@ -870,29 +882,19 @@ func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
 			ex.rowJoinKeys(r, x.RightKeys, &js.keys[1], &js.pack)
 		}
 		lKeys, rKeys := js.keys[0], js.keys[1]
-		// The build table is two flat arrays instead of a row slice per
-		// distinct key: head[k] is one past the index of the first right row
-		// with key k, next[i] one past the following row with row i's key, and
-		// 0 — a map miss, an untouched slot — ends a chain. Linking from the
-		// last row backwards leaves every chain in build order, the order the
-		// probe must emit in.
-		head := make(map[string]int32, len(rKeys))
-		js.next = sized(js.next, len(rKeys))
-		next := js.next
+		// Linking from the last row backwards leaves every chain in build
+		// order, the order the probe must emit in.
+		js.index.reset(len(rKeys))
 		for ri := len(rKeys) - 1; ri >= 0; ri-- {
-			next[ri] = head[rKeys[ri]]
-			head[rKeys[ri]] = int32(ri + 1)
+			js.index.link(int32(ri), maphash.String(keySeed, rKeys[ri]))
 		}
 		var buf [64]byte
 		for li := range ln {
-			var ri int32
 			if lok {
-				ri = head[lKeys[li]]
+				probeChain(&js.index, rKeys, lKeys[li], maphash.String(keySeed, lKeys[li]), li, emit)
 			} else {
-				ri = head[string(ex.appendJoinKey(buf[:0], lt[l.at(li)], x.LeftKeys))]
-			}
-			for ; ri != 0; ri = next[ri-1] {
-				emit(li, int(ri-1))
+				kb := ex.appendJoinKey(buf[:0], lt[l.at(li)], x.LeftKeys)
+				probeChain(&js.index, rKeys, kb, maphash.Bytes(keySeed, kb), li, emit)
 			}
 		}
 	}
@@ -940,7 +942,7 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 			}
 			gi, isNew := groups.find(key)
 			if isNew {
-				copy(groups.states[gi].row, vals)
+				copy(groups.rows[gi], vals)
 			}
 			for i, spec := range x.Aggs {
 				if spec.Arg != nil {
@@ -950,7 +952,8 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 			groups.accumulate(gi, args)
 		}
 	}
-	groups.output(out)
+	out.Rows = groups.output()
+	groups.release()
 
 	work := float64(in.logicalRows()) * costAggRow
 	// Output multiplicity: grouped outputs don't scale linearly with the
@@ -979,61 +982,54 @@ func (ex *Executor) groupHint(x *plan.Aggregate, in nodeResult) int {
 	return int(min(math.Ceil(rows/math.Sqrt(in.mult)), float64(in.len())))
 }
 
-// aggCell is the running state of one aggregate within one group; the zero
-// value is the initial state. An aggregate spec has one kind, so a cell holds
-// only what its kind reads: count for COUNT and AVG, sum for AVG and a SUM of
-// a non-INT argument, and val for MIN and MAX (the extremum, NULL until the
-// first value) and for a SUM of an INT argument, which adds in val.I so that
-// it is exact rather than rounded through a float64.
-type aggCell struct {
-	count int64
-	sum   float64
-	val   data.Value
-}
-
-// aggState accumulates one group. row is the group's output row: the group
-// values, written when the group is discovered, then one cell per aggregate,
-// written by aggTable.output. next and end place the group in its table's
-// hash chain and key array.
-type aggState struct {
-	row   data.Row
-	cells []aggCell
-	next  int32 // one past the previous group with the same key hash; 0 ends the chain
-	end   int32 // the group's key is keys[previous group's end:end]
-}
-
 // aggTable is the hash aggregate's group table, filled by the row loop and by
-// vecAggregate alike and laid out like the hash join's build table: head maps
-// a key hash to the newest group with that hash, each group links to the one
-// before it, and every group key (keys.go) sits back to back in keys. Groups
-// sit in states in discovery order, which is the output order, and their
-// cells and rows are carved from slabs, so opening a group appends to a few
-// arrays and allocates nothing of its own. Given a hint, those arrays are
-// allocated once at its size; without one, or past it, they grow.
+// vecAggregate alike. A group is its output row and nothing else: the group
+// values, written when the group opens, then one cell per aggregate that holds
+// the aggregate's running state until output finishes it in place:
+//
+//	COUNT       I, the count
+//	SUM of INT  I, the exact sum, never rounded through a float64
+//	other SUM   F, the sum
+//	AVG         F the sum, I the count
+//	MIN, MAX    the extremum itself, NULL until the first value
+//
+// rows holds the groups in discovery order, which is the output order, carved
+// from one slab. The table finds a group through a chainIndex over its key
+// (keys.go), and every key sits back to back in one byte array; the index, the
+// keys and each group's key end are borrowed scratch, which nothing output
+// references. Given a hint, rows and the scratch are sized once for it;
+// without one, or past it, they grow.
 type aggTable struct {
 	x      *plan.Aggregate
 	schema data.Schema // output schema: a SUM whose column is INT adds exactly
 	hint   int         // groups expected; keys are sized when the first opens
-	head   map[uint64]int32
-	keys   []byte
-	states []aggState
-	cells  data.Slab[aggCell]
-	rows   data.RowSlab
+	rows   []data.Row
+	slab   data.RowSlab
+	*groupScratch
 }
 
-// groupSeed keys the group tables' hashes. Output is in discovery order, so
-// no answer depends on it.
-var groupSeed = maphash.MakeSeed()
+// groupScratch is what a group table borrows: its chain index, the groups'
+// keys back to back, and where each group's key ends.
+type groupScratch struct {
+	index chainIndex
+	keys  []byte
+	ends  []int32 // group gi's key is keys[ends[gi-1]:ends[gi]]
+}
+
+var groupScratches = sync.Pool{New: func() any { return new(groupScratch) }}
 
 // newAggTable sizes a table for hint groups (0: none expected). A table with
 // no GROUP BY opens its one group now, so it answers one row over no input.
 // It returns the table by value, so the caller's stays off the heap.
 func newAggTable(x *plan.Aggregate, schema data.Schema, hint int) aggTable {
-	a := aggTable{x: x, schema: schema, hint: hint, head: make(map[uint64]int32, hint)}
+	a := aggTable{x: x, schema: schema, hint: hint, groupScratch: groupScratches.Get().(*groupScratch)}
+	a.index.reset(hint)
 	if hint > 0 {
-		a.states = make([]aggState, 0, hint)
-		a.rows.Expect(hint)
-		a.cells.Expect(hint)
+		a.rows = make([]data.Row, 0, hint)
+		a.slab.Expect(hint)
+		if cap(a.ends) < hint {
+			a.ends = make([]int32, 0, hint)
+		}
 	}
 	if len(x.GroupBy) == 0 {
 		a.find(nil)
@@ -1041,33 +1037,49 @@ func newAggTable(x *plan.Aggregate, schema data.Schema, hint int) aggTable {
 	return a
 }
 
+// release gives the scratch back, poisoned under tests, once output has
+// returned the rows: nothing else of the table may be used after.
+func (a *aggTable) release() {
+	s := a.groupScratch
+	if poisonReleased {
+		s.index.poison()
+		fill(s.keys[:cap(s.keys)], 0xff)
+		fill(s.ends[:cap(s.ends)], -1)
+	}
+	s.keys, s.ends = s.keys[:0], s.ends[:0]
+	a.groupScratch = nil
+	groupScratches.Put(s)
+}
+
 // find returns the position of key's group, opening the group if key is new;
-// the caller fills a new group's row[:len(GroupBy)].
+// the caller fills a new group's rows[gi][:len(GroupBy)].
 func (a *aggTable) find(key []byte) (gi int32, isNew bool) {
-	return a.findHashed(key, maphash.Bytes(groupSeed, key))
+	return a.findHashed(key, maphash.Bytes(keySeed, key))
 }
 
 // findHashed is find with key's hash given. A chain compares whole keys, so
-// groups whose hashes collide stay apart.
+// groups whose hashes collide stay apart. When the groups fill the index, it
+// is reset twice as large and every group linked again from its key.
 func (a *aggTable) findHashed(key []byte, h uint64) (gi int32, isNew bool) {
-	newest := a.head[h]
-	for g := newest; g != 0; g = a.states[g-1].next {
-		if bytes.Equal(a.key(g-1), key) {
-			return g - 1, false
+	for g := a.index.first(h); g >= 0; g = a.index.after(g) {
+		if bytes.Equal(a.key(g), key) {
+			return g, false
 		}
 	}
-	gi = int32(len(a.states))
-	if gi == 0 && a.hint > 0 {
+	gi = int32(len(a.rows))
+	if int(gi) == a.index.room() {
+		a.index.reset(2 * int(gi))
+		for g := range gi {
+			a.index.link(g, maphash.Bytes(keySeed, a.key(g)))
+		}
+	}
+	if gi == 0 && a.hint > 0 && cap(a.keys) < a.hint*len(key) {
 		a.keys = make([]byte, 0, a.hint*len(key))
 	}
 	a.keys = append(a.keys, key...)
-	a.states = append(a.states, aggState{
-		row:   a.rows.New(len(a.schema)),
-		cells: a.cells.New(len(a.x.Aggs)),
-		next:  newest,
-		end:   int32(len(a.keys)),
-	})
-	a.head[h] = gi + 1
+	a.ends = append(a.ends, int32(len(a.keys)))
+	a.index.link(gi, h)
+	a.rows = append(a.rows, a.slab.New(len(a.schema)))
 	return gi, true
 }
 
@@ -1075,75 +1087,74 @@ func (a *aggTable) findHashed(key []byte, h uint64) (gi int32, isNew bool) {
 func (a *aggTable) key(gi int32) []byte {
 	var start int32
 	if gi > 0 {
-		start = a.states[gi-1].end
+		start = a.ends[gi-1]
 	}
-	return a.keys[start:a.states[gi].end]
+	return a.keys[start:a.ends[gi]]
 }
 
 // accumulate folds one input row into group gi. args[i] is the row's value
 // of x.Aggs[i].Arg, already evaluated by the caller (the row loop through
 // Eval, the kernels through their result columns) and ignored where Arg is
-// nil, so both callers share this one body.
+// nil, so both callers share this one body. A NULL argument counts toward
+// nothing, COUNT included; COUNT(*) has no argument and counts every row.
 func (a *aggTable) accumulate(gi int32, args []data.Value) {
-	cells, cols := a.states[gi].cells, a.schema[len(a.x.GroupBy):]
+	cells, cols := a.rows[gi][len(a.x.GroupBy):], a.schema[len(a.x.GroupBy):]
 	for i, spec := range a.x.Aggs {
 		v := args[i]
-		if spec.Arg != nil && v.IsNull() && spec.Kind != plan.AggCount {
+		if spec.Arg != nil && v.IsNull() {
 			continue
 		}
 		c := &cells[i]
 		switch spec.Kind {
 		case plan.AggCount:
-			c.count++
+			c.I++
 		case plan.AggSum:
 			if cols[i].Kind == data.KindInt {
-				c.val.I += v.AsInt()
+				c.I += v.AsInt()
 			} else {
-				c.sum += v.AsFloat()
+				c.F += v.AsFloat()
 			}
 		case plan.AggAvg:
-			c.sum += v.AsFloat()
-			c.count++
+			c.F += v.AsFloat()
+			c.I++
 		case plan.AggMin:
-			if c.val.IsNull() || v.Compare(c.val) < 0 {
-				c.val = v
+			if c.IsNull() || v.Compare(*c) < 0 {
+				*c = v
 			}
 		case plan.AggMax:
-			if c.val.IsNull() || v.Compare(c.val) > 0 {
-				c.val = v
+			if c.IsNull() || v.Compare(*c) > 0 {
+				*c = v
 			}
 		}
 	}
 }
 
-// output finishes every group's row and appends them to out in discovery
-// order.
-func (a *aggTable) output(out *data.Table) {
-	out.Rows = make([]data.Row, 0, len(a.states))
+// output finishes every group's aggregate cells in place and returns the
+// groups' rows in discovery order.
+func (a *aggTable) output() []data.Row {
 	cols := a.schema[len(a.x.GroupBy):]
-	for _, st := range a.states {
-		res := st.row[len(a.x.GroupBy):]
+	for _, row := range a.rows {
+		cells := row[len(a.x.GroupBy):]
 		for i, spec := range a.x.Aggs {
-			c := &st.cells[i]
+			c := &cells[i]
 			switch spec.Kind {
 			case plan.AggCount:
-				res[i] = data.Int(c.count)
+				*c = data.Int(c.I)
 			case plan.AggSum:
 				if cols[i].Kind == data.KindInt {
-					res[i] = data.Int(c.val.I)
+					*c = data.Int(c.I)
 				} else {
-					res[i] = data.Float(c.sum)
+					*c = data.Float(c.F)
 				}
 			case plan.AggAvg:
-				if c.count != 0 {
-					res[i] = data.Float(c.sum / float64(c.count))
+				// An AVG of no value is left as it began: the zero Value, NULL.
+				if c.I != 0 {
+					*c = data.Float(c.F / float64(c.I))
 				}
-			case plan.AggMin, plan.AggMax:
-				res[i] = c.val
 			}
 		}
-		out.Append(st.row)
 	}
+	return a.rows
 }
 
 func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {

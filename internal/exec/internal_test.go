@@ -97,36 +97,83 @@ func TestKeyPayloadMatchesValueString(t *testing.T) {
 	}
 }
 
+// confusableKeys are values whose encoded keys differ only in their kind or
+// are empty: Int 1 and "1", NULL and "NULL", "" and Float 1.
+var confusableKeys = []data.Value{data.Int(1), data.String_("1"), {}, data.String_("NULL"), data.String_(""), data.Float(1)}
+
 // TestGroupChainsCompareKeys drives the group table with every key hashed
-// alike, so all groups share one chain. Keys that differ only in their kind
-// (Int 1 and "1", NULL and "NULL") must still open groups of their own, a
-// repeated key must find its group, and groups keep their discovery order.
+// alike, so all groups share one chain of the chain index. Keys that differ
+// only in their kind must still open groups of their own, a repeated key must
+// find its group, and groups keep their discovery order. Through the real
+// hash, enough further keys outgrow the index twice, so every group is linked
+// again from its key. (The seam's hash cannot cross that: groups are linked
+// again by their real hash.)
 func TestGroupChainsCompareKeys(t *testing.T) {
 	x := &plan.Aggregate{
 		GroupBy: []plan.Expr{&plan.ColRef{Index: 0, Typ: data.KindString}},
 		Aggs:    []plan.AggSpec{{Kind: plan.AggCount, Name: "n"}},
 	}
 	schema := data.Schema{{Name: "K"}, {Name: "n", Kind: data.KindInt}}
-	vals := []data.Value{data.Int(1), data.String_("1"), {}, data.String_("NULL"), data.String_(""), data.Float(1)}
+	many := append([]data.Value{}, confusableKeys...)
+	for i := range 40 {
+		many = append(many, data.Int(int64(i+2)))
+	}
 	key := func(v data.Value) []byte { return appendKeyValue(nil, v) }
-	// Once with one chain for every key, once through the real hash.
-	for name, find := range map[string]func(a *aggTable, k []byte) (int32, bool){
-		"one chain": func(a *aggTable, k []byte) (int32, bool) { return a.findHashed(k, 7) },
-		"maphash":   (*aggTable).find,
+	for _, c := range []struct {
+		name string
+		find func(a *aggTable, k []byte) (int32, bool)
+		vals []data.Value
+	}{
+		{"one chain", func(a *aggTable, k []byte) (int32, bool) { return a.findHashed(k, 7) }, confusableKeys},
+		{"maphash", (*aggTable).find, many},
 	} {
 		tbl := newAggTable(x, schema, 0)
 		a := &tbl
 		for pass := 0; pass < 2; pass++ {
-			for i, v := range vals {
-				gi, isNew := find(a, key(v))
+			for i, v := range c.vals {
+				gi, isNew := c.find(a, key(v))
 				if gi != int32(i) || isNew != (pass == 0) {
-					t.Errorf("%s, pass %d: %v (%v) found group %d (new %v), want %d (new %v)", name, pass, v, v.Kind, gi, isNew, i, pass == 0)
+					t.Errorf("%s, pass %d: %v (%v) found group %d (new %v), want %d (new %v)", c.name, pass, v, v.Kind, gi, isNew, i, pass == 0)
 				}
 			}
 		}
-		for i, v := range vals {
+		if c.name == "maphash" && a.index.room() < len(c.vals) {
+			t.Errorf("%d groups in an index with room for %d", len(c.vals), a.index.room())
+		}
+		for i, v := range c.vals {
 			if got := a.key(int32(i)); string(got) != string(key(v)) {
-				t.Errorf("%s: group %d holds key %q, want %q", name, i, got, key(v))
+				t.Errorf("%s: group %d holds key %q, want %q", c.name, i, got, key(v))
+			}
+		}
+		a.release()
+	}
+}
+
+// TestJoinChainsCompareKeys links every build key of a join into one chain of
+// the chain index, as if all their hashes collided, and probes it with every
+// key: a probe pairs only the build rows whose keys equal its own, in build
+// order, duplicates included.
+func TestJoinChainsCompareKeys(t *testing.T) {
+	var right []string
+	for _, v := range append(append([]data.Value{}, confusableKeys...), confusableKeys...) {
+		right = append(right, string(appendKeyValue(nil, v)))
+	}
+	var idx chainIndex
+	idx.reset(len(right))
+	for ri := len(right) - 1; ri >= 0; ri-- {
+		idx.link(int32(ri), 7)
+	}
+	n := len(confusableKeys)
+	for li, v := range confusableKeys {
+		key := appendKeyValue(nil, v)
+		want := []int{li, n + li} // the key's row in each copy, in build order
+		// Once as a packed key, once as the row loop's key buffer.
+		var packed, buffer []int
+		probeChain(&idx, right, string(key), 7, li, func(_, ri int) { packed = append(packed, ri) })
+		probeChain(&idx, right, key, 7, li, func(_, ri int) { buffer = append(buffer, ri) })
+		for _, got := range [][]int{packed, buffer} {
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v (%v) paired build rows %v, want %v", v, v.Kind, got, want)
 			}
 		}
 	}
@@ -176,14 +223,6 @@ func TestGroupHintIsClamped(t *testing.T) {
 	}
 	if h := (&Executor{History: fixedRows(5)}).groupHint(&plan.Aggregate{}, input(10, 1)); h != 0 {
 		t.Errorf("no GROUP BY: hint %d", h)
-	}
-}
-
-// TestAggCellSize pins the per-aggregate, per-group state at one extremum
-// beside the sum and count: every group of every aggregate carries one.
-func TestAggCellSize(t *testing.T) {
-	if got := reflect.TypeOf(aggCell{}).Size(); got > 56 {
-		t.Fatalf("an aggCell is %d bytes, want at most 56", got)
 	}
 }
 

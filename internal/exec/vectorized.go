@@ -192,7 +192,7 @@ func (ex *Executor) vecAggregate(r nodeResult, groups *aggTable) (int64, bool) {
 			gi, isNew := groups.find(kb)
 			if isNew {
 				for j, rc := range groupRoots {
-					groups.states[gi].row[j] = rc.value(i)
+					groups.rows[gi][j] = rc.value(i)
 				}
 			}
 			for j, rc := range argRoots {

@@ -568,6 +568,53 @@ func groupTableAllocs(t *testing.T, vectorized, hinted bool) [2]float64 {
 	return allocs
 }
 
+// TestGroupCostsItsOutputRow: a group is its output row — four 40-byte cells
+// and a 24-byte row header — and nothing else, so a hinted SUM/COUNT/MAX
+// aggregate that opens 3,000 groups allocates at most that plus 10 % a group
+// more than one that opens 30 over as many rows, on both arms. Running state
+// lives in the output cells, and the chain index and the keys are borrowed.
+// A group that kept a state with cells of its own beside its row, a slot in
+// a second row slice, a map head entry and its key bytes cost 457 B.
+func TestGroupCostsItsOutputRow(t *testing.T) {
+	const rows, src = 3000, `SELECT K, SUM(V) AS s, COUNT(*) AS n, MAX(V) AS hi FROM T GROUP BY K`
+	const row = 4*40 + 24
+	for _, vectorized := range []bool{true, false} {
+		var runs [2]func()
+		for i, groups := range []int64{rows, 30} {
+			in := make([][2]int64, rows)
+			for r := range in {
+				in[r] = [2]int64{int64(r) % groups, int64(r)}
+			}
+			cat := intTable(t, "T", in)
+			n := bindQuery(t, cat, src)
+			res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int64(res.Table.NumRows()); got != groups {
+				t.Fatalf("vectorized=%v: %d groups, want %d", vectorized, got, groups)
+			}
+			if got := opBatches(t, src, res, "Aggregate") > 0; got != vectorized {
+				t.Fatalf("vectorized=%v: the aggregate ran on the kernels = %v", vectorized, got)
+			}
+			history := exactRows(res)
+			runs[i] = func() {
+				if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, History: history}).Run(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		few := leastAlloc(10, 0, runs[1])
+		budget := few + (rows-30)*row*110/100
+		got := leastAlloc(40, budget, runs[0])
+		perGroup := float64(int64(got)-int64(few)) / (rows - 30)
+		t.Logf("vectorized=%v: %d B for 3,000 groups, %d B for 30: %.1f B a further group, %d B its output row", vectorized, got, few, perGroup, row)
+		if got > budget {
+			t.Errorf("vectorized=%v: %.1f B a further group, want at most its %d B output row + 10%%", vectorized, perGroup, row)
+		}
+	}
+}
+
 // observedRows is an exec.RowHistory that reports fixed rows per node.
 type observedRows map[plan.Node]float64
 
@@ -1086,9 +1133,9 @@ func TestJoinOutputIsAllocatedOnce(t *testing.T) {
 }
 
 // TestKernelScratchIsBorrowed: a warm filter + aggregate over three windows
-// allocates what it returns — the filter's selection, the groups' rows,
-// cells, keys and table — and a fixed few KB of compiled expressions and
-// bookkeeping; no column copy, no per-node scratch, no constant broadcast.
+// allocates what it returns — the filter's selection, the groups' rows and
+// table — and a fixed few KB of compiled expressions and bookkeeping; no
+// column copy, no per-node scratch, no constant broadcast, no group state.
 func TestKernelScratchIsBorrowed(t *testing.T) {
 	if raceDetector {
 		t.Skip("eighteen windows a run, a quarter of them dropped by sync.Pool under the race detector")
@@ -1122,12 +1169,12 @@ func TestKernelScratchIsBorrowed(t *testing.T) {
 		t.Fatalf("filter kept %d rows, aggregate made %d groups", kept, groups)
 	}
 	// Filter: one int32 index per kept row and the bitmap. Aggregate:
-	// 30 groups take slab chunks of 16 and 32, each slot a 4-cell row and 3
-	// aggregate cells of 96 bytes. Fixed: the group table's map, keys and
-	// states, the compiled expressions, the run's own records — 15 KB when
-	// this was written, less than any one window a kernel might make again.
+	// 30 groups take slab chunks of 16 and 32, each slot a 4-cell row that
+	// holds the group's running state. Fixed: the groups' row slice, the
+	// compiled expressions, the run's own records — 15 KB when this was
+	// written, less than any one window a kernel might make again.
 	const fixed = 20 << 10
-	budget := uint64(kept*4+3000/8+48*(4*40+3*96)) + fixed
+	budget := uint64(kept*4+3000/8+48*4*40) + fixed
 	got := leastAlloc(40, budget, run)
 	t.Logf("%d B allocated by a warm run, budget %d (%d B fixed)", got, budget, fixed)
 	if got > budget {

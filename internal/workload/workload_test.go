@@ -254,3 +254,32 @@ func TestGeneratedTablesPinned(t *testing.T) {
 		t.Fatalf("generated tables changed: digest %s, want %s", got, want)
 	}
 }
+
+// TestVersionsReportTheirTableBytes: a scan reads a version's byte size from
+// the version, measured once when it was published, so every version of the
+// generated days — raw streams, cooked seeds and dimension tables — must
+// report its table's ByteSize.
+func TestVersionsReportTheirTableBytes(t *testing.T) {
+	gen, cat := bootstrap(t)
+	for d := 1; d <= 7; d++ {
+		if err := gen.AdvanceDay(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	versions := 0
+	for _, n := range cat.Names() {
+		vs, err := cat.Window(n, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			if want := v.Table.ByteSize(); v.Bytes != want || want == 0 {
+				t.Errorf("%s %s: Bytes %d, its table measures %d", n, v.GUID, v.Bytes, want)
+			}
+			versions++
+		}
+	}
+	if versions < 7*5 {
+		t.Fatalf("%d versions over 8 days", versions)
+	}
+}
