@@ -436,7 +436,7 @@ func (s *System) run(in workload.JobInput) (*JobResult, error) {
 	}
 	return &JobResult{
 		ID:          in.ID,
-		Output:      run.Output,
+		Output:      run.Exec.Table,
 		ViewsBuilt:  len(run.Compile.Proposed),
 		ViewsReused: len(run.Compile.Matched),
 		Work:        run.Exec.TotalWork,

@@ -219,8 +219,8 @@ func buildJobGraph(repo *repository.Repo, from, to time.Time, candidates []Candi
 func greedySelect(cands []Candidate, cfg SelectionConfig) []Candidate {
 	sorted := append([]Candidate(nil), cands...)
 	sort.Slice(sorted, func(i, j int) bool {
-		di := sorted[i].Utility / float64(max64(sorted[i].StorageCost, 1))
-		dj := sorted[j].Utility / float64(max64(sorted[j].StorageCost, 1))
+		di := sorted[i].Utility / float64(max(sorted[i].StorageCost, 1))
+		dj := sorted[j].Utility / float64(max(sorted[j].StorageCost, 1))
 		if di != dj {
 			return di > dj
 		}
@@ -303,11 +303,4 @@ func setsEqual(a, b map[signature.Sig]bool) bool {
 		}
 	}
 	return true
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -51,11 +51,7 @@ func NewBloom(expected int, fpr float64) *Bloom {
 func hash2(v data.Value) (uint64, uint64) {
 	// FNV-1a on a kind-tagged rendering, then a splitmix to derive the
 	// second hash for double hashing.
-	var h uint64 = 1469598103934665603
-	h = (h ^ uint64(v.Kind)) * 1099511628211
-	for _, c := range []byte(v.String()) {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
+	h := data.FNV64a(data.FNV64a(data.FNVOffset, []byte{byte(v.Kind)}), v.String())
 	z := h + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

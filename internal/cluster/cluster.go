@@ -61,7 +61,6 @@ type Outcome struct {
 	Processing      float64       // container-seconds, all stages
 	Bonus           float64       // container-seconds on opportunistic containers
 	Containers      int           // container instances launched
-	TokensHeld      int
 	// StageRetries counts failed stage attempts that were retried.
 	StageRetries int
 	// BonusPreemptions counts stages whose bonus containers were preempted
@@ -197,7 +196,6 @@ type runningJob struct {
 type vcState struct {
 	freeTokens int
 	queue      []*JobSpec
-	running    int
 }
 
 // Run simulates all jobs and returns outcomes sorted by submission time.
@@ -251,7 +249,6 @@ func (s *Simulator) Run(jobs []JobSpec) ([]Outcome, error) {
 				return
 			}
 			vc.queue = vc.queue[1:]
-			vc.running++
 			vc.freeTokens -= need
 			clusterInUse += need
 
@@ -291,7 +288,6 @@ func (s *Simulator) Run(jobs []JobSpec) ([]Outcome, error) {
 			}
 		case 1: // completion
 			vc := vcOf(e.job.spec.VC)
-			vc.running--
 			vc.freeTokens += e.job.tokens
 			clusterInUse -= e.job.tokens + e.job.outcome.bonusPeak
 			outcomes = append(outcomes, e.job.outcome)
@@ -492,7 +488,6 @@ func (s *Simulator) execute(spec *JobSpec, now time.Time, tokens, bonusAvail int
 		Processing:       processing,
 		Bonus:            bonus,
 		Containers:       containers,
-		TokensHeld:       tokens,
 		StageRetries:     stageRetries,
 		BonusPreemptions: preemptions,
 		FaultDelay:       critical - criticalClean,

@@ -80,7 +80,6 @@ func (s *Simulator) executeClean(spec *JobSpec, now time.Time, tokens, bonusAvai
 		Processing:      processing,
 		Bonus:           bonus,
 		Containers:      containers,
-		TokensHeld:      tokens,
 		bonusPeak:       bonusPeak,
 	}
 }

@@ -205,7 +205,7 @@ func TestConcurrentSubmissionMatchesSerial(t *testing.T) {
 	cr1 := runConcurrent(t, concEng, round1, 8, 42)
 	for _, in := range round1 {
 		s, c := sr1[in.ID], cr1[in.ID]
-		if sf, cf := s.Output.Fingerprint(), c.Output.Fingerprint(); sf != cf {
+		if sf, cf := s.Exec.Table.Fingerprint(), c.Exec.Table.Fingerprint(); sf != cf {
 			t.Errorf("round1 %s: output diverges from serial baseline", in.ID)
 		}
 	}
@@ -219,7 +219,7 @@ func TestConcurrentSubmissionMatchesSerial(t *testing.T) {
 	var serialHits, concHits int
 	for _, in := range round2 {
 		s, c := sr2[in.ID], cr2[in.ID]
-		if sf, cf := s.Output.Fingerprint(), c.Output.Fingerprint(); sf != cf {
+		if sf, cf := s.Exec.Table.Fingerprint(), c.Exec.Table.Fingerprint(); sf != cf {
 			t.Errorf("round2 %s: output diverges from serial baseline", in.ID)
 		}
 		if sm, cm := len(s.Compile.Matched), len(c.Compile.Matched); sm != cm {

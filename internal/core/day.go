@@ -114,7 +114,7 @@ func (e *Engine) RunDay(day int, jobs []workload.JobInput) (DayMetrics, error) {
 			// FaultDelay covers the cluster schedule's retry/preemption cost plus
 			// the data plane's job-retry delay.
 			FaultDelaySec:  o.FaultDelay.Seconds() + run.RetryDelay.Seconds(),
-			ReuseFallbacks: run.Exec.ReuseFallbacks,
+			ReuseFallbacks: len(run.Exec.FallbackSigs),
 		}
 		// rec is the repository's and read-only; the outcome goes onto the
 		// successor record SetOutcome installs.
@@ -244,8 +244,7 @@ func (e *Engine) RunAnalysis(from, to time.Time) (tags int, scheduleRejected int
 // and records their subexpressions in the workload repository — the
 // telemetry-only mode the long-window workload analyses use (Figures 2, 3,
 // 8), where only compile-time overlap structure matters.
-func (e *Engine) RecordWorkloadDay(day int, jobs []workload.JobInput) error {
-	_ = day
+func (e *Engine) RecordWorkloadDay(jobs []workload.JobInput) error {
 	for _, in := range jobs {
 		e.advanceClock(in.Submit)
 		opt := &optimizer.Optimizer{Signer: e.signerFor(in.Runtime), Est: e.Est, History: e.History}

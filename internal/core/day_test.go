@@ -113,7 +113,7 @@ func TestRunDayRecordsCarryTheSchedule(t *testing.T) {
 		rec.StageRetries = o.StageRetries
 		rec.BonusPreemptions = o.BonusPreemptions
 		rec.FaultDelaySec = o.FaultDelay.Seconds() + run.RetryDelay.Seconds()
-		rec.ReuseFallbacks = run.Exec.ReuseFallbacks
+		rec.ReuseFallbacks = len(run.Exec.FallbackSigs)
 		want = append(want, &rec)
 
 		if !added.Start.Equal(run.Input.Submit) || !added.End.Equal(run.Input.Submit) || added.LatencySec != 0 {

@@ -104,7 +104,7 @@ func compiledView(run *JobRun) string {
 		fmt.Fprintf(&sb, "%s %s %s %s h=%d n=%d %s %v parent=%d\n", s.Node.OpName(), s.Op, s.Strict, s.Recurring,
 			s.Height, s.NodeCount, s.Eligibility, s.InputDatasets, s.Parent)
 	}
-	fmt.Fprintf(&sb, "tag=%s matched=%+v proposed=%+v reuse=%v latency=%s\n", cr.Tag, cr.Matched, cr.Proposed, cr.ReuseEnabled, cr.CompileLatency)
+	fmt.Fprintf(&sb, "tag=%s matched=%+v proposed=%+v latency=%s\n", cr.Tag, cr.Matched, cr.Proposed, cr.CompileLatency)
 	return sb.String()
 }
 
@@ -160,7 +160,7 @@ func TestDerivedPreparedMatchesColdCompile(t *testing.T) {
 		if !reflect.DeepEqual(cr.Record, pr.Record) {
 			t.Fatalf("%s: record from the template %+v, cold %+v", in.ID, cr.Record, pr.Record)
 		}
-		if orderedDigest(cr.Output) != orderedDigest(pr.Output) {
+		if orderedDigest(cr.Exec.Table) != orderedDigest(pr.Exec.Table) {
 			t.Fatalf("%s: output from the template differs from the cold one", in.ID)
 		}
 	}
@@ -304,7 +304,7 @@ OUTPUT r TO "out/r";`
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[w] = orderedDigest(run.Output)
+		want[w] = orderedDigest(run.Exec.Table)
 	}
 	ver, err := e.Catalog.Latest("Events")
 	if err != nil {
@@ -339,7 +339,7 @@ OUTPUT r TO "out/r";`
 					t.Error(err)
 					return
 				}
-				if orderedDigest(run.Output) != want[w] {
+				if orderedDigest(run.Exec.Table) != want[w] {
 					t.Errorf("%s: output differs from the cold compile with @lo=%d", in.ID, 5*w)
 					return
 				}

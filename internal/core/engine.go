@@ -289,9 +289,7 @@ type JobRun struct {
 	// Record is the row the job left in the workload repository, as it was
 	// added: read-only, and without the scheduling outcome (RunDay files that
 	// on the repository's successor record, not here).
-	Record   *repository.JobRecord
-	Output   *data.Table
-	Proposed []optimizer.ProposedView
+	Record *repository.JobRecord
 	// Trace is the job's observability record (nil when disabled).
 	Trace *obs.Trace
 	// Explain holds the job's structured reuse decisions (nil when
@@ -441,7 +439,7 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			// in flight when it ran.
 			Ctx: &plan.EvalContext{
 				NowNanos: in.Submit.UnixNano(),
-				Rand:     e.rng.Fork(hashString(in.ID)),
+				Rand:     e.rng.Fork(data.FNV64a(data.FNVOffset, in.ID)),
 			},
 		}
 		var err error
@@ -486,12 +484,11 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	}
 
 	run := &JobRun{
-		Input: in, Compile: cr, Exec: res, Proposed: cr.Proposed, Trace: tr,
+		Input: in, Compile: cr, Exec: res, Trace: tr,
 		Explain: rec, Attempts: attempt, RetryDelay: retryDelay,
 	}
-	run.Output = res.Table
 	run.Stages = stageSpecs(cr, res)
-	e.traceStages(tr, run.Stages, res.TotalBatches)
+	e.traceStages(tr, run.Stages)
 	// The record lands in the repository immediately so workload analysis
 	// sees it, and is the repository's from here on: nothing writes to it
 	// again. RunDay files the scheduling outcome through SetOutcome.
@@ -621,10 +618,8 @@ func stageSpanName(i int, spool bool) string {
 
 // traceStages appends one execute span per scheduled stage, in simulated
 // time: the stage's container-seconds of work collapsed onto the trace
-// cursor. Spool stages are labeled materialize. batches is the job's total
-// vectorized batch count; it rides on the first execute span (span-level
-// attribution is not tracked — the executor accounts batches per job).
-func (e *Engine) traceStages(tr *obs.Trace, stages []cluster.StageSpec, batches int64) {
+// cursor. Spool stages are labeled materialize.
+func (e *Engine) traceStages(tr *obs.Trace, stages []cluster.StageSpec) {
 	if tr == nil {
 		return
 	}
@@ -632,14 +627,7 @@ func (e *Engine) traceStages(tr *obs.Trace, stages []cluster.StageSpec, batches 
 	// cluster queue wait as a separate "queue:cluster" span.
 	tr.Span("queue", 0)
 	for i, st := range stages {
-		name := stageSpanName(i, st.IsSpool)
-		d := time.Duration(st.Work * float64(time.Second))
-		if !st.IsSpool && batches > 0 {
-			tr.SpanBatched(name, d, batches)
-			batches = 0
-		} else {
-			tr.Span(name, d)
-		}
+		tr.Span(stageSpanName(i, st.IsSpool), time.Duration(st.Work*float64(time.Second)))
 	}
 }
 
@@ -789,14 +777,6 @@ func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, 
 		}
 	}
 	return rec
-}
-
-func hashString(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, c := range []byte(s) {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
 }
 
 // FormatPlan renders a compiled plan tree for display.

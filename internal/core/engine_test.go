@@ -212,9 +212,9 @@ func TestReuseDoesNotChangeResults(t *testing.T) {
 					t.Fatalf("%s: %v", in.ID, err)
 				}
 				if !in.Cooking { // cooking outputs include nondeterministic-free data, compare those too
-					outputs[in.ID] = run.Output.Fingerprint()
+					outputs[in.ID] = run.Exec.Table.Fingerprint()
 				} else {
-					outputs[in.ID] = run.Output.Fingerprint()
+					outputs[in.ID] = run.Exec.Table.Fingerprint()
 				}
 			}
 			eng.RunAnalysis(fixtures.Epoch.AddDate(0, 0, -7), fixtures.Epoch.AddDate(0, 0, day+1))

@@ -95,10 +95,10 @@ func TestViewReadFaultFallsBackToRecompute(t *testing.T) {
 	if len(consumer.Compile.Matched) != 1 {
 		t.Fatalf("consumer matched %d views (compile-time reuse should still happen)", len(consumer.Compile.Matched))
 	}
-	if consumer.Exec.ReuseFallbacks != 1 {
-		t.Fatalf("reuse fallbacks = %d, want 1", consumer.Exec.ReuseFallbacks)
+	if n := len(consumer.Exec.FallbackSigs); n != 1 {
+		t.Fatalf("reuse fallbacks = %d, want 1", n)
 	}
-	if gf, wf := consumer.Output.Fingerprint(), builder.Output.Fingerprint(); gf != wf {
+	if gf, wf := consumer.Exec.Table.Fingerprint(), builder.Exec.Table.Fingerprint(); gf != wf {
 		t.Error("fallback recompute changed the job's answer")
 	}
 	if !hasDecision(consumer.Explain, explain.ReasonFallback) {
@@ -120,8 +120,14 @@ func TestSpoolWriteFaultAbandonsView(t *testing.T) {
 	if len(builder.Compile.Proposed) != 1 {
 		t.Fatalf("builder proposed %d views", len(builder.Compile.Proposed))
 	}
-	if builder.Exec.SpoolWriteFailures != 1 {
-		t.Fatalf("spool write failures = %d, want 1", builder.Exec.SpoolWriteFailures)
+	failed := 0
+	for _, ev := range builder.Trace.Events() {
+		if ev.Kind == "spool.write.failed" {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("spool.write.failed events = %d, want 1", failed)
 	}
 
 	if n := eng.Store.Count(); n != 0 {
@@ -143,7 +149,7 @@ func TestSpoolWriteFaultAbandonsView(t *testing.T) {
 	if len(rebuilder.Compile.Proposed) != 1 {
 		t.Fatalf("rebuilder proposed %d views — signature wedged", len(rebuilder.Compile.Proposed))
 	}
-	if gf, wf := rebuilder.Output.Fingerprint(), builder.Output.Fingerprint(); gf != wf {
+	if gf, wf := rebuilder.Exec.Table.Fingerprint(), builder.Exec.Table.Fingerprint(); gf != wf {
 		t.Error("spool failure changed the job's answer")
 	}
 }
@@ -198,7 +204,7 @@ func TestJobFaultRetriesWithRecompile(t *testing.T) {
 	if len(consumer.Compile.Matched) != 1 {
 		t.Errorf("retried consumer matched %d views", len(consumer.Compile.Matched))
 	}
-	if gf, wf := consumer.Output.Fingerprint(), builder.Output.Fingerprint(); gf != wf {
+	if gf, wf := consumer.Exec.Table.Fingerprint(), builder.Exec.Table.Fingerprint(); gf != wf {
 		t.Error("job retry changed the answer")
 	}
 }

@@ -79,11 +79,11 @@ func TestGroupTableHintComesFromHistory(t *testing.T) {
 	}
 	var observed int64 = -1
 	for _, st := range first.Exec.Stats {
-		if st.Op == "Aggregate" {
+		if st.Node.OpName() == "Aggregate" {
 			observed = st.RowsOut
 		}
 	}
-	if groups := first.Output.NumRows(); observed != int64(float64(groups)*math.Sqrt(400)) {
+	if groups := first.Exec.Table.NumRows(); observed != int64(float64(groups)*math.Sqrt(400)) {
 		t.Fatalf("the aggregate's RowsOut is %d for %d groups at scale 400", observed, groups)
 	}
 
@@ -125,7 +125,7 @@ func TestGroupTableHintComesFromHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[j] = run.Output.Fingerprint()
+		want[j] = run.Exec.Table.Fingerprint()
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -140,7 +140,7 @@ func TestGroupTableHintComesFromHistory(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got := run.Output.Fingerprint(); got != want[j] {
+				if got := run.Exec.Table.Fingerprint(); got != want[j] {
 					errs <- fmt.Errorf("job c%d: output %s, want %s", j, got, want[j])
 					return
 				}

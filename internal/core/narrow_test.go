@@ -16,7 +16,7 @@ import (
 // Batches, which the row loops never count — with the same result-cache hits.
 func requireSameExecution(t *testing.T, id string, row, vec *JobRun) {
 	t.Helper()
-	if orderedDigest(row.Output) != orderedDigest(vec.Output) {
+	if orderedDigest(row.Exec.Table) != orderedDigest(vec.Exec.Table) {
 		t.Fatalf("%s: the kernels' output differs from the row loops'", id)
 	}
 	r, v := row.Exec, vec.Exec
@@ -33,7 +33,7 @@ func requireSameExecution(t *testing.T, id string, row, vec *JobRun) {
 			t.Fatalf("%s: operator %d on the row loops %+v, on the kernels %+v", id, i, a, b)
 		}
 	}
-	if r.TotalWork != v.TotalWork || r.TotalRead != v.TotalRead || r.InputBytes != v.InputBytes || r.ViewBytes != v.ViewBytes {
+	if r.TotalWork != v.TotalWork || r.TotalRead != v.TotalRead || r.InputBytes != v.InputBytes || r.SpoolWork != v.SpoolWork {
 		t.Fatalf("%s: run totals differ", id)
 	}
 }
@@ -48,7 +48,7 @@ func joinParents(run *JobRun, into map[string]int) {
 		}
 	})
 	for _, st := range run.Exec.Stats {
-		if st.Op == "Join" {
+		if st.Node.OpName() == "Join" {
 			into[parent[st.Node]]++
 		}
 	}
@@ -80,9 +80,9 @@ func kernelTraffic(run *JobRun, read, declined map[string]int) {
 		if in == 0 {
 			continue
 		}
-		read[st.Op]++
+		read[st.Node.OpName()]++
 		if st.Batches == 0 {
-			declined[st.Op]++
+			declined[st.Node.OpName()]++
 		}
 	}
 }
@@ -213,7 +213,7 @@ func TestSortAndSampleOverJoinDoNotNarrow(t *testing.T) {
 			}
 			runs[rowLoops] = run
 		}
-		if runs[false].Output.NumRows() == 0 {
+		if runs[false].Exec.Table.NumRows() == 0 {
 			t.Fatalf("%s: empty answer", c.query)
 		}
 		requireSameExecution(t, c.query, runs[true], runs[false])

@@ -9,6 +9,7 @@ import (
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/cluster"
 	"cloudviews/internal/data"
+	"cloudviews/internal/explain"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
@@ -112,7 +113,7 @@ func TestPlanCacheHitMatchesMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cr.Output.Fingerprint() != pr.Output.Fingerprint() {
+		if cr.Exec.Table.Fingerprint() != pr.Exec.Table.Fingerprint() {
 			t.Fatalf("run %d: cached output differs from uncached", i)
 		}
 		if ct, pt := cr.Trace.Render(), pr.Trace.Render(); ct != pt {
@@ -164,10 +165,10 @@ func TestPlanCacheInvalidatedByCatalogChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := run.Output.NumRows(); n != 1 {
+	if n := run.Exec.Table.NumRows(); n != 1 {
 		t.Fatalf("post-update output has %d rows, want 1 (the mars row)", n)
 	}
-	if got := run.Output.Rows[0][0].S; got != "mars" {
+	if got := run.Exec.Table.Rows[0][0].S; got != "mars" {
 		t.Fatalf("post-update region = %q, want mars", got)
 	}
 }
@@ -193,17 +194,21 @@ func TestPlanCacheSkipsReuseEnabledJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Compile.ReuseEnabled != on {
-			t.Fatalf("submission %d: ReuseEnabled=%v with the VC onboarded=%v", i, run.Compile.ReuseEnabled, on)
+		flighted := false
+		for _, d := range run.Explain.Decisions() {
+			flighted = flighted || d.Reason == explain.ReasonPolicyFlight
+		}
+		if flighted == on {
+			t.Fatalf("submission %d: a policy-flight decision is %v with the VC onboarded=%v", i, flighted, on)
 		}
 		got, _ := pcEntry(t, e, in)
 		if i == 0 {
-			entry, want = got, run.Output.Fingerprint()
+			entry, want = got, run.Exec.Table.Fingerprint()
 		}
 		if got == nil || got != entry {
 			t.Fatalf("submission %d: not served by the first submission's entry", i)
 		}
-		if run.Output.Fingerprint() != want {
+		if run.Exec.Table.Fingerprint() != want {
 			t.Fatalf("submission %d: output differs from the first submission's", i)
 		}
 	}
@@ -305,7 +310,7 @@ OUTPUT r TO "out/r";`
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Output.Fingerprint() != base.Output.Fingerprint() {
+		if run.Exec.Table.Fingerprint() != base.Exec.Table.Fingerprint() {
 			t.Fatal("variant output differs")
 		}
 	}
@@ -333,7 +338,7 @@ OUTPUT r TO "out/r";`
 			}
 			last = run
 		}
-		outputs[fmt.Sprint(lo)] = last.Output.Fingerprint()
+		outputs[fmt.Sprint(lo)] = last.Exec.Table.Fingerprint()
 	}
 	if outputs["5"] == outputs["45"] {
 		t.Fatal("different parameter bindings produced identical outputs — key collision")
@@ -369,7 +374,7 @@ func TestSubSecondTimeParamsDoNotCollide(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := run.Output.NumRows(); n != c.want {
+			if n := run.Exec.Table.NumRows(); n != c.want {
 				t.Errorf("PlanCacheSize %d, @t = epoch+%dms: %d rows, want %d", size, c.ms, n, c.want)
 			}
 			sigs = append(sigs, run.Compile.Subs[len(run.Compile.Subs)-1].Strict)

@@ -77,7 +77,7 @@ func warmEngine(t *testing.T) (*Engine, workload.JobInput) {
 		submit(fmt.Sprintf("prime-%d", i), fixtures.Epoch.Add(time.Duration(i)*time.Second))
 	}
 	e.RunAnalysis(fixtures.Epoch.Add(-time.Hour), fixtures.Epoch.Add(24*time.Hour))
-	if built := submit("build", fixtures.Epoch.Add(2*time.Hour)); len(built.Proposed) == 0 {
+	if built := submit("build", fixtures.Epoch.Add(2*time.Hour)); len(built.Compile.Proposed) == 0 {
 		t.Fatal("the build job proposed no view")
 	}
 	in := warmInput("warm", fixtures.Epoch.Add(4*time.Hour))
@@ -156,8 +156,8 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if len(run.Compile.Matched) != len(ref.Compile.Matched) || run.Output.Fingerprint() != want.Output.Fingerprint() {
-					t.Errorf("%s: matched %d views, output equal: %v", job.ID, len(run.Compile.Matched), run.Output.Fingerprint() == want.Output.Fingerprint())
+				if len(run.Compile.Matched) != len(ref.Compile.Matched) || run.Exec.Table.Fingerprint() != want.Exec.Table.Fingerprint() {
+					t.Errorf("%s: matched %d views, output equal: %v", job.ID, len(run.Compile.Matched), run.Exec.Table.Fingerprint() == want.Exec.Table.Fingerprint())
 					return
 				}
 				if plan.Format(run.Compile.Plan) != plan.Format(ref.Compile.Plan) {

@@ -131,7 +131,7 @@ func TestStoredTablesAreNeverWritten(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					built += len(run.Proposed)
+					built += len(run.Compile.Proposed)
 					reused += len(run.Compile.Matched)
 					hits += run.Exec.CacheHits
 					for _, sig := range run.Compile.Physical {
@@ -140,8 +140,8 @@ func TestStoredTablesAreNeverWritten(t *testing.T) {
 							cached[e.Table] = true
 						}
 					}
-					observe("output of "+in.ID, run.Output)
-					outputs[run.Output] = true
+					observe("output of "+in.ID, run.Exec.Table)
+					outputs[run.Exec.Table] = true
 					sweep()
 				}
 				eng.RunAnalysis(fixtures.Epoch.AddDate(0, 0, day-7), fixtures.Epoch.AddDate(0, 0, day+1))

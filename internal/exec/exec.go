@@ -80,55 +80,50 @@ func SpoolWriteWork(bytes int64) float64 {
 	return float64(bytes) * costWriteByte
 }
 
-// NodeStat records what one operator did during a run. Rows/Bytes/Work are
-// logical (scale-multiplied) quantities.
+// NodeStat records what one operator did during a run: the run's one
+// accounting record, of which every RunResult total is a fold. Rows, bytes
+// and work are logical (scale-multiplied) quantities.
 type NodeStat struct {
 	Node     plan.Node
-	Op       string
 	Algo     plan.JoinAlgo // joins only
 	RowsOut  int64
 	BytesOut int64
 	Work     float64
-	IORead   int64 // logical bytes read from stable storage (scans + views)
+	// Read is the logical bytes the operator read: a Scan's dataset, a
+	// ViewScan's view, a Join's two exchanged inputs, an Aggregate's shuffled
+	// input; 0 for every other operator.
+	Read int64
 	// Batches counts the vectorized batches this operator processed (0 when
 	// the operator ran on the row-at-a-time path). Accounting only — it is
 	// never rendered into traces or goldens.
 	Batches int64
 }
 
-// RunResult is the outcome of executing one plan.
+// RunResult is the outcome of executing one plan. Its four totals are folds
+// of Stats, taken in recording order when the run ends; a replayed cache
+// entry contributes through the stats it appends.
 type RunResult struct {
 	Table *data.Table
 	Stats []NodeStat
 	// TotalWork is the job's total compute in container-seconds, including
-	// materialization overhead.
+	// materialization overhead: Σ Work.
 	TotalWork float64
-	// InputBytes counts logical bytes read from base datasets only.
+	// InputBytes counts logical bytes read from base datasets only: Σ Read
+	// over Scans.
 	InputBytes int64
-	// ViewBytes counts logical bytes read from materialized views.
-	ViewBytes int64
-	// TotalRead includes inputs, views, and intermediate exchange reads.
+	// TotalRead includes inputs, views, and exchange reads: Σ Read.
 	TotalRead int64
-	// SpoolWork is the portion of TotalWork spent writing views; the cluster
-	// simulator runs it as a parallel stage off the critical path.
+	// SpoolWork is the portion of TotalWork spent writing views, Σ Work over
+	// Spools; the cluster simulator runs it as a parallel stage off the
+	// critical path.
 	SpoolWork float64
 	// CacheHits counts subexpressions served from the executor result cache.
 	CacheHits int
-	// ReuseFallbacks counts ViewScans whose artifact could not be read
-	// (genuinely missing or fault-injected) and were transparently recomputed
-	// from their Fallback subexpression.
-	ReuseFallbacks int
-	// SpoolWriteFailures counts Spool materializations that failed
-	// (fault-injected); the job continues and the staged view is left for the
-	// engine to abandon.
-	SpoolWriteFailures int
-	// TotalBatches sums NodeStat.Batches across operators (replayed cache
-	// entries included), exposing how much of the plan ran vectorized.
-	TotalBatches int64
-	// FallbackSigs lists the strict signature of every ViewScan counted in
-	// ReuseFallbacks, in evaluation order — the guard layer correlates them
-	// with the optimizer's matched views to charge forfeited savings to the
-	// right circuit breaker.
+	// FallbackSigs lists, in evaluation order, the strict signature of every
+	// ViewScan whose artifact could not be read (genuinely missing or
+	// fault-injected) and was transparently recomputed from its Fallback
+	// subexpression. The guard layer correlates them with the optimizer's
+	// matched views to charge forfeited savings to the right circuit breaker.
 	FallbackSigs []signature.Sig
 }
 
@@ -146,12 +141,9 @@ type CacheEntry struct {
 	Table *data.Table
 	Pos   []int32
 	// Bytes is the result's ByteSize, measured once by the producing operator.
-	Bytes      int64
-	Mult       float64
-	Stats      []NodeStat
-	InputBytes int64
-	ViewBytes  int64
-	TotalRead  int64
+	Bytes int64
+	Mult  float64
+	Stats []NodeStat
 }
 
 // cacheEntries bounds the result cache. It is deliberately generous —
@@ -453,22 +445,26 @@ func (ex *Executor) Run(root plan.Node) (*RunResult, error) {
 	ex.res.Table = r.table
 	for _, s := range ex.res.Stats {
 		ex.res.TotalWork += s.Work
+		ex.res.TotalRead += s.Read
+		switch s.Node.(type) {
+		case *plan.Scan:
+			ex.res.InputBytes += s.Read
+		case *plan.Spool:
+			ex.res.SpoolWork += s.Work
+		}
 	}
 	ex.Metrics.Counter("cloudviews_exec_cache_hits_total").Add(float64(ex.res.CacheHits))
 	ex.Metrics.Counter("cloudviews_exec_work_seconds_total").Add(ex.res.TotalWork)
 	ex.Metrics.Counter("cloudviews_exec_read_bytes_total").Add(float64(ex.res.TotalRead))
 	// Fault-related families are created only when they fire, so the metrics
 	// export stays byte-identical to seed on fault-free runs.
-	if ex.res.ReuseFallbacks > 0 {
-		ex.Metrics.Counter("cloudviews_reuse_fallbacks_total").Add(float64(ex.res.ReuseFallbacks))
+	if n := len(ex.res.FallbackSigs); n > 0 {
+		ex.Metrics.Counter("cloudviews_reuse_fallbacks_total").Add(float64(n))
 	}
 	return &ex.res, nil
 }
 
-func (ex *Executor) record(st NodeStat) {
-	ex.res.Stats = append(ex.res.Stats, st)
-	ex.res.TotalBatches += st.Batches
-}
+func (ex *Executor) record(st NodeStat) { ex.res.Stats = append(ex.res.Stats, st) }
 
 func (ex *Executor) eval(n plan.Node) (nodeResult, error) { return ex.evalReading(n, rowsShape) }
 
@@ -493,12 +489,6 @@ func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
 				start := len(ex.res.Stats)
 				ex.res.Stats = append(ex.res.Stats, entry.Stats...)
 				relabel(ex.res.Stats[start:], n)
-				for _, st := range entry.Stats {
-					ex.res.TotalBatches += st.Batches
-				}
-				ex.res.InputBytes += entry.InputBytes
-				ex.res.ViewBytes += entry.ViewBytes
-				ex.res.TotalRead += entry.TotalRead
 				r := nodeResult{table: entry.Table, pos: entry.Pos, mult: entry.Mult, bytes: entry.Bytes}
 				if r.pos != nil {
 					r.shape = selection
@@ -511,9 +501,7 @@ func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
 		}
 	}
 
-	statsStart := len(ex.res.Stats)
-	inputStart, viewStart, readStart := ex.res.InputBytes, ex.res.ViewBytes, ex.res.TotalRead
-	fallbackStart := ex.res.ReuseFallbacks
+	statsStart, fallbackStart := len(ex.res.Stats), len(ex.res.FallbackSigs)
 
 	r, err := ex.evalNode(n, accept)
 	if err != nil {
@@ -524,7 +512,7 @@ func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
 	// recomputation, not a view read — caching it would replay fault costs
 	// into healthy jobs, so skip the Put for the whole ancestor chain. Pairs
 	// are never stored: that would add result-cache hits the goldens count.
-	if ex.res.ReuseFallbacks != fallbackStart || r.shape == pairs {
+	if len(ex.res.FallbackSigs) != fallbackStart || r.shape == pairs {
 		tainted = true
 	}
 
@@ -533,16 +521,7 @@ func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
 		if sig, ok := ex.SigMap[n]; ok {
 			sub := make([]NodeStat, len(ex.res.Stats)-statsStart)
 			copy(sub, ex.res.Stats[statsStart:])
-			ex.Cache.Put(sig, &CacheEntry{
-				Table:      r.table,
-				Pos:        r.pos,
-				Bytes:      r.bytes,
-				Mult:       r.mult,
-				Stats:      sub,
-				InputBytes: ex.res.InputBytes - inputStart,
-				ViewBytes:  ex.res.ViewBytes - viewStart,
-				TotalRead:  ex.res.TotalRead - readStart,
-			})
+			ex.Cache.Put(sig, &CacheEntry{Table: r.table, Pos: r.pos, Bytes: r.bytes, Mult: r.mult, Stats: sub})
 		}
 	}
 	return r, nil
@@ -605,9 +584,7 @@ func (ex *Executor) evalScan(x *plan.Scan) (nodeResult, error) {
 	out := nodeResult{table: ver.Table, mult: ds.EffectiveScale(), bytes: ver.Bytes}
 	lb, rows := out.logicalBytes(), out.logicalRows()
 	work := float64(rows)*costScanRow + float64(lb)*costReadByte
-	ex.record(NodeStat{Node: x, Op: "Scan", RowsOut: rows, BytesOut: lb, Work: work, IORead: lb})
-	ex.res.InputBytes += lb
-	ex.res.TotalRead += lb
+	ex.record(NodeStat{Node: x, RowsOut: rows, BytesOut: lb, Work: work, Read: lb})
 	return out, nil
 }
 
@@ -632,7 +609,6 @@ func (ex *Executor) evalViewScan(x *plan.ViewScan) (nodeResult, error) {
 		// a job: transparently recompute the replaced subexpression instead.
 		// The engine records the fallback decision from FallbackSigs.
 		if x.Fallback != nil {
-			ex.res.ReuseFallbacks++
 			ex.res.FallbackSigs = append(ex.res.FallbackSigs, sig)
 			return ex.eval(x.Fallback)
 		}
@@ -641,9 +617,7 @@ func (ex *Executor) evalViewScan(x *plan.ViewScan) (nodeResult, error) {
 	out := produced(t, mult)
 	lb, rows := out.logicalBytes(), out.logicalRows()
 	work := float64(rows)*costScanRow + float64(lb)*costReadByte
-	ex.record(NodeStat{Node: x, Op: "ViewScan", RowsOut: rows, BytesOut: lb, Work: work, IORead: lb})
-	ex.res.ViewBytes += lb
-	ex.res.TotalRead += lb
+	ex.record(NodeStat{Node: x, RowsOut: rows, BytesOut: lb, Work: work, Read: lb})
 	return out, nil
 }
 
@@ -680,7 +654,7 @@ func (ex *Executor) evalFilter(x *plan.Filter, accept shape) (nodeResult, error)
 		}
 	})
 	work := float64(in.logicalRows()) * costFilterRow
-	return ex.finish(NodeStat{Node: x, Op: "Filter", Work: work, Batches: batches}, out), nil
+	return ex.finish(NodeStat{Node: x, Work: work, Batches: batches}, out), nil
 }
 
 func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
@@ -703,7 +677,7 @@ func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
 		}
 	}
 	work := float64(in.logicalRows()) * costProjectRow * float64(max(1, len(x.Exprs)))
-	return ex.finish(NodeStat{Node: x, Op: "Project", Work: work, Batches: batches}, produced(out, in.mult)), nil
+	return ex.finish(NodeStat{Node: x, Work: work, Batches: batches}, produced(out, in.mult)), nil
 }
 
 // appendJoinKey appends a row's join key under the given key expressions,
@@ -814,9 +788,6 @@ func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
 	if err != nil {
 		return nodeResult{}, err
 	}
-	// Exchange: both inputs are shuffled/read by the join stage.
-	ex.res.TotalRead += l.logicalBytes() + r.logicalBytes()
-
 	// Algo is the optimizer's cost model and picks only the work formula:
 	// every keyed join runs the one probe below, so a job's answer and its row
 	// order never depend on an estimate. JoinAuto, a join the optimizer never
@@ -905,7 +876,9 @@ func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
 	for k := 0; k < len(js.pairs); k += 2 {
 		res.bytes += lt[js.pairs[k]].ByteSize() + rt[js.pairs[k+1]].ByteSize()
 	}
-	ex.finish(NodeStat{Node: x, Op: "Join", Algo: algo, Work: work, Batches: batches}, res)
+	// Exchange: both inputs are shuffled/read by the join stage.
+	read := l.logicalBytes() + r.logicalBytes()
+	ex.finish(NodeStat{Node: x, Algo: algo, Work: work, Read: read, Batches: batches}, res)
 	if accept < pairs {
 		return res.materialize(x.Schema()), nil
 	}
@@ -924,9 +897,6 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	if err != nil {
 		return nodeResult{}, err
 	}
-	// Exchange: aggregation shuffles its input.
-	ex.res.TotalRead += in.logicalBytes()
-
 	out := data.NewTable(x.Schema())
 	groups := newAggTable(x, out.Schema, ex.groupHint(x, in))
 	batches, ok := ex.vecAggregate(in, &groups)
@@ -963,7 +933,9 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	if len(x.GroupBy) == 0 {
 		outMult = 1
 	}
-	return ex.finish(NodeStat{Node: x, Op: "Aggregate", Work: work, Batches: batches}, produced(out, outMult)), nil
+	// Exchange: aggregation shuffles its input.
+	st := NodeStat{Node: x, Work: work, Read: in.logicalBytes(), Batches: batches}
+	return ex.finish(st, produced(out, outMult)), nil
 }
 
 // groupHint is how many groups runtime history says x opens over in: the
@@ -1172,7 +1144,7 @@ func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {
 	out.Rows = append(out.Rows, r.table.Rows...)
 	res := produced(out, math.Max(l.mult, r.mult))
 	work := float64(res.logicalRows()) * costUnionRow
-	return ex.finish(NodeStat{Node: x, Op: "Union", Work: work}, res), nil
+	return ex.finish(NodeStat{Node: x, Work: work}, res), nil
 }
 
 func (ex *Executor) evalUDO(x *plan.UDO) (nodeResult, error) {
@@ -1195,7 +1167,7 @@ func (ex *Executor) evalUDO(x *plan.UDO) (nodeResult, error) {
 		impl.Apply(row, emit, ex.Ctx)
 	}
 	work := float64(in.logicalRows()) * costUDORow
-	return ex.finish(NodeStat{Node: x, Op: "UDO", Work: work}, produced(out, in.mult)), nil
+	return ex.finish(NodeStat{Node: x, Work: work}, produced(out, in.mult)), nil
 }
 
 func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
@@ -1209,11 +1181,9 @@ func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
 	// one buffer by appendKeyPayload.
 	var buf [96]byte
 	for _, row := range in.table.Rows {
-		var h uint64 = 1469598103934665603
+		h := data.FNVOffset
 		for _, v := range row {
-			for _, c := range appendKeyPayload(buf[:0], v) {
-				h = (h ^ uint64(c)) * 1099511628211
-			}
+			h = data.FNV64a(h, appendKeyPayload(buf[:0], v))
 		}
 		// Finalize: FNV avalanches poorly on short inputs, so mix before
 		// thresholding to keep the sample unbiased.
@@ -1225,7 +1195,7 @@ func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
 		}
 	}
 	work := float64(in.logicalRows()) * costSampleRow
-	return ex.finish(NodeStat{Node: x, Op: "Sample", Work: work}, produced(out, in.mult)), nil
+	return ex.finish(NodeStat{Node: x, Work: work}, produced(out, in.mult)), nil
 }
 
 // evalSort orders its input's rows, stably, by the keys. Each key is
@@ -1266,7 +1236,7 @@ func (ex *Executor) evalSort(x *plan.Sort) (nodeResult, error) {
 	}
 	res := produced(out, in.mult)
 	n := float64(res.logicalRows())
-	return ex.finish(NodeStat{Node: x, Op: "Sort", Work: n * costOrderRow * log2(n)}, res), nil
+	return ex.finish(NodeStat{Node: x, Work: n * costOrderRow * log2(n)}, res), nil
 }
 
 func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {
@@ -1281,16 +1251,14 @@ func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {
 			ex.Faults.Should(fault.SpoolWrite, ex.JobID+"|"+x.StrictSig) {
 			// Injected materialization failure: the write was attempted (its
 			// work is still charged) but the artifact never lands. The job
-			// carries on — only the view is lost; the engine abandons the
-			// staged signature when it sees the failure count.
+			// carries on — only the view is lost: SealAt finds nothing
+			// materialized, and the engine abandons the staged signature.
 			ex.Trace.Event("spool.write.failed", fmt.Sprintf("sig=%s reason=injected", signature.Sig(x.StrictSig).Short()))
-			ex.res.SpoolWriteFailures++
 		} else if err := ex.Views.Materialize(signature.Sig(x.StrictSig), x.Path, x.VC, in.table, in.mult); err != nil {
 			return nodeResult{}, fmt.Errorf("exec: materializing view: %w", err)
 		}
 	}
-	ex.record(NodeStat{Node: x, Op: "Spool", RowsOut: in.logicalRows(), BytesOut: lb, Work: writeWork})
-	ex.res.SpoolWork += writeWork
+	ex.record(NodeStat{Node: x, RowsOut: in.logicalRows(), BytesOut: lb, Work: writeWork})
 	return in, nil
 }
 
@@ -1301,7 +1269,7 @@ func (ex *Executor) evalOutput(x *plan.Output) (nodeResult, error) {
 	}
 	lb := in.logicalBytes()
 	work := float64(lb) * costWriteByte
-	ex.record(NodeStat{Node: x, Op: "Output", RowsOut: in.logicalRows(), BytesOut: lb, Work: work})
+	ex.record(NodeStat{Node: x, RowsOut: in.logicalRows(), BytesOut: lb, Work: work})
 	return in, nil
 }
 

@@ -123,11 +123,12 @@ func TestJoinAlgorithmsAgree(t *testing.T) {
 				}
 				for i, got := range res.Stats {
 					ref := want.Stats[i]
-					if got.Op == "Join" && got.Algo != algo {
+					_, isJoin := got.Node.(*plan.Join)
+					if isJoin && got.Algo != algo {
 						t.Errorf("%s: the join reported %v", what, got.Algo)
 					}
 					got.Node, ref.Node = nil, nil
-					if got.Op == "Join" {
+					if isJoin {
 						got.Algo, got.Work, ref.Algo, ref.Work = 0, 0, 0, 0
 					}
 					if got != ref {
@@ -143,7 +144,7 @@ func TestJoinAutoChoosesLoopForTinyInput(t *testing.T) {
 	res, _ := runQuery(t, `SELECT Name, Brand FROM (SELECT * FROM Parts WHERE PartId < 3) AS p JOIN (SELECT * FROM Customer WHERE Id < 3) AS c ON p.PartId = c.Id`)
 	var algo plan.JoinAlgo
 	for _, s := range res.Stats {
-		if s.Op == "Join" {
+		if _, ok := s.Node.(*plan.Join); ok {
 			algo = s.Algo
 		}
 	}
@@ -267,8 +268,8 @@ func TestSpoolAndViewScanRoundTrip(t *testing.T) {
 	if res2.Table.Fingerprint() != res.Table.Fingerprint() {
 		t.Error("view scan result differs")
 	}
-	if res2.ViewBytes <= 0 || res2.InputBytes != 0 {
-		t.Errorf("view read accounting wrong: view=%d input=%d", res2.ViewBytes, res2.InputBytes)
+	if st := res2.Stats[0]; len(res2.Stats) != 1 || st.Node != vs || st.Read <= 0 || res2.InputBytes != 0 || res2.TotalRead != st.Read {
+		t.Errorf("view read accounting wrong: stats=%+v input=%d read=%d", res2.Stats, res2.InputBytes, res2.TotalRead)
 	}
 }
 
@@ -383,8 +384,8 @@ func TestReplayedStatsPointAtTheirPlan(t *testing.T) {
 			t.Fatalf("job %d: %d stats for %d nodes", i, len(res.Stats), len(order))
 		}
 		for k, st := range res.Stats {
-			if st.Node != order[k] || st.Op != order[k].OpName() {
-				t.Errorf("job %d (%d hits): stat %d (%s) points at %p, not its plan's %s at %p", i, res.CacheHits, k, st.Op, st.Node, order[k].OpName(), order[k])
+			if st.Node != order[k] {
+				t.Errorf("job %d (%d hits): stat %d (%s) points at %p, not its plan's %s at %p", i, res.CacheHits, k, st.Node.OpName(), st.Node, order[k].OpName(), order[k])
 			}
 		}
 		for n, key := range keys {
@@ -395,6 +396,93 @@ func TestReplayedStatsPointAtTheirPlan(t *testing.T) {
 	}
 	if hits < 5 {
 		t.Fatalf("only %d result-cache hits", hits)
+	}
+}
+
+// TestTotalsAreFoldsOfNodeStats: a run's totals are folds of its NodeStats —
+// TotalWork Σ Work, TotalRead Σ Read, InputBytes Σ Read over Scans, SpoolWork
+// Σ Work over Spools — and each stat's Read is what its operator read: a Scan
+// or a ViewScan what it returned, a Join both inputs, an Aggregate its input,
+// every other operator nothing. Over the corpus on both arms, each query runs
+// cold, then replayed from the warm result cache (the same totals), then under
+// a Spool, then read back through a ViewScan.
+func TestTotalsAreFoldsOfNodeStats(t *testing.T) {
+	cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: 400, Parts: 50, Sales: 1025, Seed: 42})
+	signer := &signature.Signer{EngineVersion: "fold"}
+	queries := append(append([]string{}, vecEquivalenceQueries...), adversarialQueries...)
+	var hits, joins, aggs, spools, views int
+	for _, vectorized := range []bool{false, true} {
+		for qi, src := range queries {
+			cache, store := exec.NewCache(), &fakeStore{views: map[signature.Sig]*fakeView{}}
+			sig := fmt.Sprintf("q%d", qi)
+			wraps := []func(plan.Node) plan.Node{
+				nil, nil,
+				func(n plan.Node) plan.Node { return &plan.Spool{Child: n, StrictSig: sig, Path: "views/" + sig} },
+				func(n plan.Node) plan.Node { return &plan.ViewScan{StrictSig: sig, Out: n.Schema(), Fallback: n} },
+			}
+			var cold *exec.RunResult
+			for job, wrap := range wraps {
+				what := fmt.Sprintf("vectorized=%v job %d: %s", vectorized, job, src)
+				root := bindQuery(t, cat, src)
+				if wrap != nil {
+					root = wrap(root)
+				}
+				ex := &exec.Executor{Catalog: cat, Views: store, Cache: cache, SigMap: signer.Physical(root), Vectorized: vectorized}
+				res, err := ex.Run(root)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				byNode := make(map[plan.Node]exec.NodeStat, len(res.Stats))
+				for _, st := range res.Stats {
+					byNode[st.Node] = st
+				}
+				var work, spoolWork float64
+				var read, input int64
+				for _, st := range res.Stats {
+					work += st.Work
+					read += st.Read
+					want := int64(0)
+					switch st.Node.(type) {
+					case *plan.Scan:
+						input += st.Read
+						want = st.BytesOut
+					case *plan.ViewScan:
+						want = st.BytesOut
+						views++
+					case *plan.Join:
+						want = byNode[st.Node.Children()[0]].BytesOut + byNode[st.Node.Children()[1]].BytesOut
+						joins++
+					case *plan.Aggregate:
+						want = byNode[st.Node.Children()[0]].BytesOut
+						aggs++
+					case *plan.Spool:
+						spoolWork += st.Work
+						spools++
+					}
+					if st.Read != want {
+						t.Errorf("%s: %s read %d, want %d", what, st.Node.OpName(), st.Read, want)
+					}
+				}
+				if res.TotalWork != work || res.TotalRead != read || res.InputBytes != input || res.SpoolWork != spoolWork {
+					t.Fatalf("%s: totals work=%v read=%d input=%d spool=%v, the stats fold to %v, %d, %d, %v",
+						what, res.TotalWork, res.TotalRead, res.InputBytes, res.SpoolWork, work, read, input, spoolWork)
+				}
+				switch job {
+				case 0:
+					cold = res
+				case 1:
+					hits += res.CacheHits
+					if res.TotalWork != cold.TotalWork || res.TotalRead != cold.TotalRead || res.InputBytes != cold.InputBytes || res.SpoolWork != cold.SpoolWork {
+						t.Errorf("%s: replayed totals %v/%d/%d/%v, cold %v/%d/%d/%v", what,
+							res.TotalWork, res.TotalRead, res.InputBytes, res.SpoolWork, cold.TotalWork, cold.TotalRead, cold.InputBytes, cold.SpoolWork)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d replays hit the cache; stats of %d joins, %d aggregates, %d spools, %d view scans", hits, joins, aggs, spools, views)
+	if hits < len(queries) || joins == 0 || aggs == 0 || spools < 2*len(queries) || views < 2*len(queries) {
+		t.Fatalf("vacuous: %d hits, %d joins, %d aggregates, %d spools, %d view scans over %d queries", hits, joins, aggs, spools, views, len(queries))
 	}
 }
 

@@ -452,7 +452,7 @@ func TestPositionsCostOnlyTheirIndices(t *testing.T) {
 						}
 					}, func() (rows, groups int64) {
 						for _, st := range res.Stats {
-							switch st.Op {
+							switch st.Node.OpName() {
 							case v.op:
 								rows = st.RowsOut
 							case "Aggregate":

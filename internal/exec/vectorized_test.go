@@ -175,13 +175,13 @@ func requireRunsEqual(t *testing.T, src string, row, vec *exec.RunResult) {
 	}
 	for i := range row.Stats {
 		a, b := row.Stats[i], vec.Stats[i]
-		if a.Op != b.Op || a.Algo != b.Algo || a.RowsOut != b.RowsOut ||
-			a.BytesOut != b.BytesOut || a.Work != b.Work || a.IORead != b.IORead {
+		if a.Node.OpName() != b.Node.OpName() || a.Algo != b.Algo || a.RowsOut != b.RowsOut ||
+			a.BytesOut != b.BytesOut || a.Work != b.Work || a.Read != b.Read {
 			t.Fatalf("%s: stat %d mismatch: %+v vs %+v", src, i, a, b)
 		}
 	}
 	if row.TotalWork != vec.TotalWork || row.InputBytes != vec.InputBytes ||
-		row.TotalRead != vec.TotalRead || row.ViewBytes != vec.ViewBytes {
+		row.TotalRead != vec.TotalRead || row.SpoolWork != vec.SpoolWork {
 		t.Fatalf("%s: accounting mismatch", src)
 	}
 }
@@ -219,7 +219,7 @@ func requireCorpusEquivalent(t *testing.T) {
 func opBatches(t *testing.T, src string, res *exec.RunResult, op string) int64 {
 	t.Helper()
 	for _, st := range res.Stats {
-		if st.Op == op {
+		if st.Node.OpName() == op {
 			return st.Batches
 		}
 	}
@@ -281,9 +281,17 @@ func TestVectorizedActuallyVectorizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.TotalBatches != 0 {
-		t.Errorf("row path reported %d batches", row.TotalBatches)
+	if n := totalBatches(row); n != 0 {
+		t.Errorf("row path reported %d batches", n)
 	}
+}
+
+// totalBatches sums the run's NodeStat.Batches, replayed stats included.
+func totalBatches(res *exec.RunResult) (n int64) {
+	for _, st := range res.Stats {
+		n += st.Batches
+	}
+	return n
 }
 
 // TestOrderingsMatchCompare: the four orderings run one less-than loop each,
@@ -461,7 +469,7 @@ func TestAllocationsScaleWithBatches(t *testing.T) {
 			}
 			ops := map[string]int64{}
 			for _, st := range res.Stats {
-				ops[st.Op] = st.RowsOut
+				ops[st.Node.OpName()] = st.RowsOut
 			}
 			for _, op := range []string{"UDO", "Filter", "Join", "Aggregate", "Project"} {
 				if ops[op] == 0 {
@@ -628,7 +636,7 @@ func (o observedRows) ObservedRows(n plan.Node) (float64, bool) {
 func hintsFrom(res *exec.RunResult, f func(exact float64) float64) observedRows {
 	o := observedRows{}
 	for _, st := range res.Stats {
-		if st.Op == "Aggregate" {
+		if st.Node.OpName() == "Aggregate" {
 			o[st.Node] = f(float64(st.RowsOut))
 		}
 	}
@@ -811,7 +819,7 @@ func requireOperatorRowsDoNotAlias(t *testing.T) {
 				t.Fatalf("%s: %v", src, err)
 			}
 			out := res.Table
-			if last := res.Stats[len(res.Stats)-1].Op; last == "Filter" || last == "Scan" {
+			if last := res.Stats[len(res.Stats)-1].Node.OpName(); last == "Filter" || last == "Scan" {
 				t.Fatalf("%s: the plan ends in %s, whose output rows are its input's", src, last)
 			}
 			if out.NumRows() < 2*16 {
@@ -1044,7 +1052,7 @@ func TestPooledBuffersNeverEscape(t *testing.T) {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				if res.TotalBatches == 0 {
+				if totalBatches(res) == 0 {
 					t.Errorf("goroutine %d: plan %d ran no kernel", g, k)
 				}
 				if !sameTable(res.Table, want[k]) {
@@ -1152,7 +1160,7 @@ func TestKernelScratchIsBorrowed(t *testing.T) {
 	run()
 	var kept, groups int64
 	for _, st := range res.Stats {
-		switch st.Op {
+		switch st.Node.OpName() {
 		case "Filter":
 			kept = st.RowsOut
 			if st.Batches != 3 {

@@ -165,11 +165,11 @@ func scaledProfiles(scale float64) []workload.ClusterProfile {
 	profiles := workload.PaperClusterProfiles()
 	for i := range profiles {
 		p := &profiles[i]
-		p.Pipelines = maxInt(8, int(float64(p.Pipelines)*scale))
-		p.PrefixPool = maxInt(5, int(float64(p.PrefixPool)*scale))
-		p.CookedDatasets = maxInt(4, int(float64(p.CookedDatasets)*scale))
-		p.RawStreams = maxInt(3, int(float64(p.RawStreams)*scale))
-		p.RowsPerRawDay = maxInt(60, int(float64(p.RowsPerRawDay)*scale))
+		p.Pipelines = max(8, int(float64(p.Pipelines)*scale))
+		p.PrefixPool = max(5, int(float64(p.PrefixPool)*scale))
+		p.CookedDatasets = max(4, int(float64(p.CookedDatasets)*scale))
+		p.RawStreams = max(3, int(float64(p.RawStreams)*scale))
+		p.RowsPerRawDay = max(60, int(float64(p.RowsPerRawDay)*scale))
 	}
 	return profiles
 }
@@ -218,7 +218,7 @@ func recordWorkload(profile workload.ClusterProfile, days int) (*core.Engine, er
 				return nil, err
 			}
 		}
-		if err := eng.RecordWorkloadDay(day, gen.JobsForDay(day)); err != nil {
+		if err := eng.RecordWorkloadDay(gen.JobsForDay(day)); err != nil {
 			return nil, err
 		}
 	}

@@ -45,7 +45,7 @@ func (f *Flags) GuardStorm() (ProductionConfig, error) {
 func (f *Flags) apply(cfg ProductionConfig, minDays int) (ProductionConfig, error) {
 	if f.Scale < 1.0 {
 		cfg = cfg.Scale(f.Scale)
-		cfg.Days = maxInt(minDays, cfg.Days)
+		cfg.Days = max(minDays, cfg.Days)
 	}
 	if f.days > 0 {
 		cfg.Days = f.days

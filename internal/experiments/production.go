@@ -100,22 +100,15 @@ func DefaultProduction() ProductionConfig {
 // quarter of the pipelines and days (minimums keep it meaningful).
 func (c ProductionConfig) Scale(factor float64) ProductionConfig {
 	scaled := c
-	scaled.Profile.Pipelines = maxInt(10, int(float64(c.Profile.Pipelines)*factor))
-	scaled.Profile.PrefixPool = maxInt(6, int(float64(c.Profile.PrefixPool)*factor))
-	scaled.Profile.CookedDatasets = maxInt(4, int(float64(c.Profile.CookedDatasets)*factor))
-	scaled.Profile.RawStreams = maxInt(3, int(float64(c.Profile.RawStreams)*factor))
-	scaled.Profile.VCs = maxInt(2, int(float64(c.Profile.VCs)*factor))
-	scaled.Days = maxInt(6, int(float64(c.Days)*factor))
-	scaled.RampDays = maxInt(2, int(float64(c.RampDays)*factor))
-	scaled.Capacity = maxInt(80, int(float64(c.Capacity)*factor))
+	scaled.Profile.Pipelines = max(10, int(float64(c.Profile.Pipelines)*factor))
+	scaled.Profile.PrefixPool = max(6, int(float64(c.Profile.PrefixPool)*factor))
+	scaled.Profile.CookedDatasets = max(4, int(float64(c.Profile.CookedDatasets)*factor))
+	scaled.Profile.RawStreams = max(3, int(float64(c.Profile.RawStreams)*factor))
+	scaled.Profile.VCs = max(2, int(float64(c.Profile.VCs)*factor))
+	scaled.Days = max(6, int(float64(c.Days)*factor))
+	scaled.RampDays = max(2, int(float64(c.RampDays)*factor))
+	scaled.Capacity = max(80, int(float64(c.Capacity)*factor))
 	return scaled
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // DayPair holds both arms' metrics for one day.

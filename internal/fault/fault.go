@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cloudviews/internal/data"
 	"cloudviews/internal/obs"
 )
 
@@ -343,11 +344,9 @@ func Hash01(seed uint64, parts ...string) float64 {
 	h := seed ^ 0xcbf29ce484222325
 	for i, part := range parts {
 		if i > 0 {
-			h = (h ^ 0x1f) * 1099511628211
+			h = data.FNV64a(h, "\x1f")
 		}
-		for _, c := range []byte(part) {
-			h = (h ^ uint64(c)) * 1099511628211
-		}
+		h = data.FNV64a(h, part)
 	}
 	h += 0x9e3779b97f4a7c15
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9

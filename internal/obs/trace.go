@@ -25,10 +25,6 @@ type Span struct {
 	Name  string
 	Start time.Time
 	Dur   time.Duration
-	// Batches counts the vectorized batches the phase processed (zero for
-	// row-at-a-time execution and untimed phases). Accounting only — never
-	// rendered, so Render output is identical with batching on or off.
-	Batches int64
 	// Seq orders spans and events by recording time.
 	Seq int
 }
@@ -77,19 +73,6 @@ func (t *Trace) Span(name string, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.spans = append(t.spans, Span{Name: name, Start: t.cursor, Dur: d, Seq: t.seq})
-	t.seq++
-	t.cursor = t.cursor.Add(d)
-}
-
-// SpanBatched records a phase like Span, additionally carrying the number of
-// vectorized batches the phase processed.
-func (t *Trace) SpanBatched(name string, d time.Duration, batches int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = append(t.spans, Span{Name: name, Start: t.cursor, Dur: d, Batches: batches, Seq: t.seq})
 	t.seq++
 	t.cursor = t.cursor.Add(d)
 }

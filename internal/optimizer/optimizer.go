@@ -77,8 +77,6 @@ type CompileResult struct {
 	Physical map[plan.Node]signature.Sig
 	// CompileLatency accumulates the simulated insights round trips.
 	CompileLatency time.Duration
-	// ReuseEnabled records whether CloudViews participated at all.
-	ReuseEnabled bool
 
 	history *stats.History // what the job compiled against; nil reads nothing
 }
@@ -189,7 +187,6 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 		enabled = false
 		o.Explain.Record("", "", explain.ReasonVCKilled, 0, explain.DetailKillSwitch)
 	}
-	res.ReuseEnabled = enabled
 
 	var annSet map[signature.Sig]insights.Annotation
 	if enabled {

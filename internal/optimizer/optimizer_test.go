@@ -76,7 +76,7 @@ func recordHistory(h *stats.History, cr *optimizer.CompileResult, res *exec.RunR
 		recurring[s.Node] = s.Recurring
 	}
 	for _, st := range res.Stats {
-		if sig, ok := recurring[st.Node]; ok && st.Op != "ViewScan" {
+		if sig, ok := recurring[st.Node]; ok && st.Node.OpName() != "ViewScan" {
 			h.Record(sig, stats.Observation{Rows: st.RowsOut, Bytes: st.BytesOut, Work: st.Work})
 		}
 	}
@@ -181,8 +181,9 @@ func TestCompileBuildsThenReuses(t *testing.T) {
 	r.publishFor(t, root, func(s signature.Subexpr) bool { return s.Op == "Join" })
 
 	opts := optimizer.CompileOptions{JobID: "job1", Cluster: "c1", VC: "vc1", OptIn: true}
+	r.opt.Explain = explain.NewRecorder("job1", "vc1")
 	cr1 := r.opt.Compile(root, opts)
-	if !cr1.ReuseEnabled {
+	if policyFlight(r.opt.Explain) {
 		t.Fatal("reuse should be enabled")
 	}
 	if len(cr1.Proposed) != 1 {
@@ -217,7 +218,13 @@ func TestCompileBuildsThenReuses(t *testing.T) {
 	if res1.Table.Fingerprint() != res2.Table.Fingerprint() {
 		t.Error("reuse changed query results")
 	}
-	if res2.ViewBytes == 0 {
+	var viewRead int64
+	for _, st := range res2.Stats {
+		if _, ok := st.Node.(*plan.ViewScan); ok {
+			viewRead += st.Read
+		}
+	}
+	if viewRead == 0 {
 		t.Error("second run should read from the view")
 	}
 	if res2.TotalWork >= res1.TotalWork {
@@ -230,15 +237,28 @@ func TestCompileDisabledByControls(t *testing.T) {
 	root := r.bind(t, sharedQuery)
 	r.publishFor(t, root, func(s signature.Subexpr) bool { return s.Op == "Join" })
 	// VC not onboarded.
+	r.opt.Explain = explain.NewRecorder("j", "vc-other")
 	cr := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j", Cluster: "c1", VC: "vc-other", OptIn: true})
-	if cr.ReuseEnabled || len(cr.Proposed) != 0 {
+	if !policyFlight(r.opt.Explain) || len(cr.Proposed) != 0 {
 		t.Error("disabled VC must not get spools")
 	}
 	// Job opted out.
+	r.opt.Explain = explain.NewRecorder("j", "vc1")
 	cr2 := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j", Cluster: "c1", VC: "vc1", OptIn: false})
-	if cr2.ReuseEnabled {
+	if !policyFlight(r.opt.Explain) || len(cr2.Proposed) != 0 {
 		t.Error("job opt-out must disable reuse")
 	}
+}
+
+// policyFlight reports whether rec holds the policy-flight decision: the
+// insights controls turned reuse off for the whole job.
+func policyFlight(rec *explain.Recorder) bool {
+	for _, d := range rec.Decisions() {
+		if d.Reason == explain.ReasonPolicyFlight {
+			return true
+		}
+	}
+	return false
 }
 
 func TestViewLockPreventsDoubleBuild(t *testing.T) {

@@ -267,7 +267,7 @@ func TestPhysicalKnownMatchesScratch(t *testing.T) {
 		}
 
 		w.ins.SetVCEnabled(in.VC, false)
-		if c := step("reuse-off", 0, true); !c.cr.ReuseEnabled {
+		if c := step("reuse-off", 0, true); len(c.decs) > 0 && c.decs[0].Reason == explain.ReasonPolicyFlight {
 			off++
 		}
 		w.ins.SetVCEnabled(in.VC, true)

@@ -323,11 +323,7 @@ var builtins = map[string]builtinSpec{
 		if n <= 0 {
 			return data.Null()
 		}
-		var h uint64 = 1469598103934665603
-		for _, c := range []byte(a[0].String()) {
-			h = (h ^ uint64(c)) * 1099511628211
-		}
-		return data.Int(int64(h % uint64(n)))
+		return data.Int(int64(data.FNV64a(data.FNVOffset, a[0].String()) % uint64(n)))
 	}},
 	// Non-deterministic builtins.
 	"NOW": {data.KindTime, false, 0, func(_ []data.Value, ctx *EvalContext) data.Value {

@@ -103,11 +103,9 @@ func init() {
 			return append(out, data.Column{Name: "row_tag", Kind: data.KindInt})
 		},
 		Apply: func(in data.Row, emit func(data.Row), ctx *EvalContext) {
-			var h uint64 = 1469598103934665603
+			h := data.FNVOffset
 			for _, v := range in {
-				for _, c := range []byte(v.String()) {
-					h = (h ^ uint64(c)) * 1099511628211
-				}
+				h = data.FNV64a(h, v.String())
 			}
 			out := ctx.CloneRow(in, 1)
 			out[len(in)] = data.Int(int64(h & 0x7fffffffffffffff))

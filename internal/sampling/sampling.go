@@ -53,11 +53,9 @@ func (s *Store) SampleView(views storage.Engine, sig signature.Sig, percent floa
 	out := data.NewTable(t.Schema)
 	threshold := uint64(percent / 100 * float64(1<<32))
 	for _, row := range t.Rows {
-		var h uint64 = 1469598103934665603
+		h := data.FNVOffset
 		for _, v := range row {
-			for _, c := range []byte(v.String()) {
-				h = (h ^ uint64(c)) * 1099511628211
-			}
+			h = data.FNV64a(h, v.String())
 		}
 		// Finalize: FNV avalanches poorly on short inputs, so mix before
 		// thresholding to keep the sample unbiased.

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 
 	"cloudviews/internal/data"
@@ -465,7 +466,7 @@ func encodeState(st *storage.StoreState, lastSeq uint64, lastTS int64) []byte {
 	for sig := range st.Gen {
 		sigs = append(sigs, string(sig))
 	}
-	sortStrings(sigs)
+	slices.Sort(sigs)
 	w.u32(uint32(len(sigs)))
 	for _, sig := range sigs {
 		w.str(sig)
@@ -605,16 +606,6 @@ func sortedKeys(m map[string]int64) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	// Insertion sort: snapshots hold tens of entries, and this keeps the
-	// codec free of sort-package churn on the hot fuzz path.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

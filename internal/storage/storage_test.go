@@ -661,7 +661,7 @@ func TestFetchSharesSealedTable(t *testing.T) {
 		for _, op := range []string{"ViewScan", "Filter", "Join", "Aggregate"} {
 			found := false
 			for _, st := range res.Stats {
-				found = found || (st.Op == op && st.RowsOut > 0)
+				found = found || (st.Node.OpName() == op && st.RowsOut > 0)
 			}
 			if !found {
 				return nil, fmt.Errorf("%s produced no rows", op)

@@ -85,7 +85,7 @@ func (g *Generator) buildPrefixPool() []prefixDef {
 // cumulative skew.
 func (g *Generator) buildHeavyPool() []prefixDef {
 	p := g.Profile
-	n := maxInt(4, p.PrefixPool/12)
+	n := max(4, p.PrefixPool/12)
 	preds := []string{
 		"EventType = 'click' AND Value > 10",
 		"EventType = 'purchase'",
@@ -99,13 +99,6 @@ func (g *Generator) buildHeavyPool() []prefixDef {
 		pool[i] = prefixDef{cooked: -1, dim: -1, cooked2: -1, raw: idx, pred: preds[g.rng.Intn(len(preds))]}
 	}
 	return pool
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (g *Generator) prefixSQL(d prefixDef) string {
