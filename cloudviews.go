@@ -192,10 +192,6 @@ type Config struct {
 	// Selection tunes view selection; the zero value is sensible
 	// (greedy knapsack, schedule-unaware, no storage budget).
 	Selection SelectionConfig
-	// ViewTTL overrides the 7-day view expiry.
-	ViewTTL time.Duration
-	// MaxViewsPerJob caps materializations per job (default 4).
-	MaxViewsPerJob int
 	// DisableObservability turns off per-job traces, explain decisions and
 	// the metrics registry (on by default).
 	DisableObservability bool
@@ -309,7 +305,7 @@ func (r *JobResult) PlanText() string {
 	if r.plan == nil {
 		return ""
 	}
-	return core.FormatPlan(r.plan)
+	return plan.Format(r.plan)
 }
 
 // System is a single-cluster CloudViews deployment. Safe for concurrent
@@ -333,8 +329,6 @@ func NewSystem(cfg Config) (*System, error) {
 		ClusterName:          cfg.ClusterName,
 		Catalog:              catalog.New(),
 		ClusterCfg:           cluster.Config{Capacity: cfg.Capacity, VCs: cfg.VCs},
-		ViewTTL:              cfg.ViewTTL,
-		MaxViewsPerJob:       cfg.MaxViewsPerJob,
 		Selection:            cfg.Selection,
 		DisableObservability: cfg.DisableObservability,
 		Faults:               cfg.Faults,

@@ -177,7 +177,8 @@ func TestRunDayThroughFacade(t *testing.T) {
 // the one views seal and expire against. Advancing it past the view TTL
 // expires the views at once, and RunDay(d) leaves it at midnight of day d+1.
 func TestSystemHasOneClock(t *testing.T) {
-	sys := demoSystemWith(t, cloudviews.Config{ClusterName: "clock-test", Capacity: 100, ViewTTL: time.Hour})
+	sys := demoSystemWith(t, cloudviews.Config{ClusterName: "clock-test", Capacity: 100})
+	sys.Engine().Store.SetTTL(time.Hour)
 	sys.OnboardVC("vc1")
 	queries := []string{
 		`p = SELECT * FROM Events WHERE Value > 40; r = SELECT Region, COUNT(*) AS n FROM p GROUP BY Region; OUTPUT r TO "out/a";`,

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"cloudviews/internal/experiments"
+	"cloudviews/internal/repository"
 	"cloudviews/internal/storage"
 	"cloudviews/internal/storage/durable"
 	"cloudviews/internal/telemetry"
@@ -122,17 +123,12 @@ func run(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "completed in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	if cfg.Faults.Enabled() {
-		var jr, sr, bp, rf int
-		var fd float64
+		var f repository.Outcome
 		for _, d := range res.Days {
-			jr += d.CV.JobRetries
-			sr += d.CV.StageRetries
-			bp += d.CV.BonusPreemptions
-			rf += d.CV.ReuseFallbacks
-			fd += d.CV.FaultDelaySec
+			f.Add(d.CV.Outcome)
 		}
 		fmt.Fprintf(w, "faults (%s): %d job retries, %d stage retries, %d preemptions, %d reuse fallbacks, %.0fs recovery delay\n\n",
-			cfg.Faults.Spec(), jr, sr, bp, rf, fd)
+			cfg.Faults.Spec(), f.JobRetries, f.StageRetries, f.BonusPreemptions, f.ReuseFallbacks, f.FaultDelaySec)
 	}
 
 	baseVerdict, cvVerdict := res.Verdicts()

@@ -36,7 +36,7 @@ func TestConfigCensus(t *testing.T) {
 		typ  reflect.Type
 		want int
 	}{
-		{"cloudviews.Config", reflect.TypeOf(cloudviews.Config{}), 16},
+		{"cloudviews.Config", reflect.TypeOf(cloudviews.Config{}), 14},
 		{"server.Config", reflect.TypeOf(server.Config{}), 10},
 		{"server.Client", reflect.TypeOf(server.Client{}), 4},
 		{"cluster.Config", reflect.TypeOf(cluster.Config{}), 2},

@@ -19,6 +19,7 @@ import (
 	"cloudviews/internal/cluster"
 	"cloudviews/internal/core"
 	"cloudviews/internal/fixtures"
+	"cloudviews/internal/repository"
 	"cloudviews/internal/workload"
 )
 
@@ -34,19 +35,17 @@ func main() {
 	cv := runArm(profile, true)
 
 	fmt.Println("day  jobs  built reused |   latency(s) base → cv    |  processing(cs) base → cv")
-	var bl, cl, bp, cp float64
+	var b, c repository.Outcome
 	for d := 0; d < days; d++ {
-		bl += base[d].LatencySec
-		cl += cv[d].LatencySec
-		bp += base[d].ProcessingSec
-		cp += cv[d].ProcessingSec
+		b.Add(base[d].Outcome)
+		c.Add(cv[d].Outcome)
 		fmt.Printf("%3d  %4d  %5d %6d | %11.0f → %-11.0f | %12.0f → %-12.0f\n",
 			d, cv[d].Jobs, cv[d].ViewsBuilt, cv[d].ViewsReused,
 			base[d].LatencySec, cv[d].LatencySec,
 			base[d].ProcessingSec, cv[d].ProcessingSec)
 	}
 	fmt.Printf("\ncumulative: latency %.1f%% better, processing %.1f%% better\n",
-		100*(bl-cl)/bl, 100*(bp-cp)/bp)
+		100*(b.LatencySec-c.LatencySec)/b.LatencySec, 100*(b.ProcessingSec-c.ProcessingSec)/b.ProcessingSec)
 }
 
 func runArm(profile workload.ClusterProfile, enable bool) []core.DayMetrics {

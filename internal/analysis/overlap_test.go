@@ -148,7 +148,7 @@ func occJob(id string, start, end time.Time, strict string, work float64) *repos
 	return &repository.JobRecord{
 		JobID: id, Cluster: "c1", VC: "vc", Pipeline: "p-" + id,
 		Template: "t", Submit: start, Start: start, End: end,
-		ProcessingSec: work * 1.5,
+		Outcome: repository.Outcome{ProcessingSec: work * 1.5},
 		Subexprs: []repository.SubexprRecord{
 			{JobID: id, Op: "Join", Strict: signature.Sig(strict), Recurring: "rec",
 				InputDatasets: []string{"A", "B"}, Parent: -1,

@@ -24,25 +24,10 @@ type DayMetrics struct {
 	Date time.Time
 	Jobs int
 
-	LatencySec    float64
-	ProcessingSec float64
-	BonusSec      float64
-	Containers    int64
-	InputBytes    int64
-	DataReadBytes int64
-	QueueLen      int64
-	ViewsBuilt    int
-	ViewsReused   int
-
-	// Fault/recovery totals (zero on fault-free runs).
-	JobRetries       int
-	StageRetries     int
-	BonusPreemptions int
-	FaultDelaySec    float64
-	ReuseFallbacks   int
-
-	// MedianLatencyImprovementInput: per-job latencies for median statistics.
-	JobLatencies []float64
+	// Outcome is the sum of the day's job outcomes.
+	repository.Outcome
+	ViewsBuilt  int
+	ViewsReused int
 
 	// Alerts are the SLO watchdog findings for this day, in deterministic
 	// firing order (empty on healthy days and when observability is off).
@@ -99,16 +84,14 @@ func (e *Engine) RunDay(day int, jobs []workload.JobInput) (DayMetrics, error) {
 		}
 		rec := run.Record
 		out := repository.Outcome{
-			Start:            o.Start,
-			End:              o.End,
 			LatencySec:       o.Latency.Seconds(),
 			ProcessingSec:    o.Processing,
 			BonusSec:         o.Bonus,
-			Containers:       o.Containers,
+			Containers:       int64(o.Containers),
 			InputBytes:       run.Exec.InputBytes,
 			DataReadBytes:    run.Exec.TotalRead,
-			QueueLen:         o.QueueLenAtStart,
-			Attempts:         run.Attempts,
+			QueueLen:         int64(o.QueueLenAtStart),
+			JobRetries:       run.Attempts - 1,
 			StageRetries:     o.StageRetries,
 			BonusPreemptions: o.BonusPreemptions,
 			// FaultDelay covers the cluster schedule's retry/preemption cost plus
@@ -116,9 +99,9 @@ func (e *Engine) RunDay(day int, jobs []workload.JobInput) (DayMetrics, error) {
 			FaultDelaySec:  o.FaultDelay.Seconds() + run.RetryDelay.Seconds(),
 			ReuseFallbacks: len(run.Exec.FallbackSigs),
 		}
-		// rec is the repository's and read-only; the outcome goes onto the
+		// rec is the repository's and read-only; the schedule goes onto the
 		// successor record SetOutcome installs.
-		e.Repo.SetOutcome(rec.JobID, out)
+		e.Repo.SetOutcome(rec.JobID, o.Start, o.End, out)
 		if o.QueueWait > 0 {
 			run.Trace.SpanAt("queue:cluster", o.Start.Add(-o.QueueWait), o.QueueWait)
 			// The data plane already observed this job (without the cluster
@@ -133,23 +116,9 @@ func (e *Engine) RunDay(day int, jobs []workload.JobInput) (DayMetrics, error) {
 		// only the cluster outcome knows.
 		e.guard.AddLatency(day, rec.VC, out.LatencySec)
 
-		m.LatencySec += out.LatencySec
-		m.ProcessingSec += out.ProcessingSec
-		m.BonusSec += out.BonusSec
-		m.Containers += int64(out.Containers)
-		m.InputBytes += out.InputBytes
-		m.DataReadBytes += out.DataReadBytes
-		m.QueueLen += int64(out.QueueLen)
+		m.Add(out)
 		m.ViewsBuilt += rec.ViewsBuilt
 		m.ViewsReused += rec.ViewsReused
-		if out.Attempts > 1 {
-			m.JobRetries += out.Attempts - 1
-		}
-		m.StageRetries += out.StageRetries
-		m.BonusPreemptions += out.BonusPreemptions
-		m.FaultDelaySec += out.FaultDelaySec
-		m.ReuseFallbacks += out.ReuseFallbacks
-		m.JobLatencies = append(m.JobLatencies, out.LatencySec)
 	}
 
 	// End of day: advance the clock past the last completion and expire old

@@ -46,11 +46,12 @@ func dayWorld(t *testing.T) (*Engine, *workload.Generator) {
 
 // TestRunDayRecordsCarryTheSchedule: RunDay builds one Outcome per job, files
 // it with SetOutcome and sums the day from it. Against a lockstep world that
-// runs the same day by hand and writes the fourteen outcome fields onto a copy
-// of each job's record — what RunDay did to run.Record before the repository
-// owned it — every repository record (Start and End included) and every
-// DayMetrics sum must come out the same, and the record the job handed to Add
-// must still read as it was added.
+// runs the same day by hand and writes Start, End and each outcome field onto
+// a copy of each job's record — what RunDay did to run.Record before the
+// repository owned it — every repository record must come out the same, the
+// day's Outcome must be the Add of those records' outcomes and its view counts
+// their sums, and the record the job handed to Add must still read as it was
+// added.
 func TestRunDayRecordsCarryTheSchedule(t *testing.T) {
 	viaRunDay, genA := dayWorld(t)
 	byHand, genB := dayWorld(t)
@@ -95,7 +96,8 @@ func TestRunDayRecordsCarryTheSchedule(t *testing.T) {
 		byID[o.ID] = o
 	}
 	var want []*repository.JobRecord
-	var sum DayMetrics
+	var sum repository.Outcome
+	var built, reused int
 	for _, run := range runs {
 		o := byID[run.Input.ID]
 		added := *run.Record
@@ -105,35 +107,23 @@ func TestRunDayRecordsCarryTheSchedule(t *testing.T) {
 		rec.LatencySec = o.Latency.Seconds()
 		rec.ProcessingSec = o.Processing
 		rec.BonusSec = o.Bonus
-		rec.Containers = o.Containers
+		rec.Containers = int64(o.Containers)
 		rec.InputBytes = run.Exec.InputBytes
 		rec.DataReadBytes = run.Exec.TotalRead
-		rec.QueueLen = o.QueueLenAtStart
-		rec.Attempts = run.Attempts
+		rec.QueueLen = int64(o.QueueLenAtStart)
+		rec.JobRetries = run.Attempts - 1
 		rec.StageRetries = o.StageRetries
 		rec.BonusPreemptions = o.BonusPreemptions
 		rec.FaultDelaySec = o.FaultDelay.Seconds() + run.RetryDelay.Seconds()
 		rec.ReuseFallbacks = len(run.Exec.FallbackSigs)
 		want = append(want, &rec)
 
-		if !added.Start.Equal(run.Input.Submit) || !added.End.Equal(run.Input.Submit) || added.LatencySec != 0 {
+		if !added.Start.Equal(run.Input.Submit) || !added.End.Equal(run.Input.Submit) || added.Outcome != (repository.Outcome{}) {
 			t.Errorf("%s: the record handed to Add does not read Start = End = Submit and no outcome: %+v", rec.JobID, added)
 		}
-		sum.LatencySec += rec.LatencySec
-		sum.ProcessingSec += rec.ProcessingSec
-		sum.BonusSec += rec.BonusSec
-		sum.Containers += int64(rec.Containers)
-		sum.InputBytes += rec.InputBytes
-		sum.DataReadBytes += rec.DataReadBytes
-		sum.QueueLen += int64(rec.QueueLen)
-		sum.ViewsBuilt += rec.ViewsBuilt
-		sum.ViewsReused += rec.ViewsReused
-		sum.JobRetries += rec.Attempts - 1
-		sum.StageRetries += rec.StageRetries
-		sum.BonusPreemptions += rec.BonusPreemptions
-		sum.FaultDelaySec += rec.FaultDelaySec
-		sum.ReuseFallbacks += rec.ReuseFallbacks
-		sum.JobLatencies = append(sum.JobLatencies, rec.LatencySec)
+		sum.Add(rec.Outcome)
+		built += rec.ViewsBuilt
+		reused += rec.ViewsReused
 	}
 
 	day1 := fixtures.Epoch.AddDate(0, 0, 1)
@@ -149,12 +139,13 @@ func TestRunDayRecordsCarryTheSchedule(t *testing.T) {
 			t.Errorf("record %s carries no schedule: %+v", got[i].JobID, got[i])
 		}
 	}
-	if sum.StageRetries == 0 || sum.BonusPreemptions == 0 || sum.JobRetries == 0 || sum.ReuseFallbacks == 0 || sum.ViewsReused == 0 {
-		t.Errorf("the day exercised too little: %+v", sum)
+	if sum.StageRetries == 0 || sum.BonusPreemptions == 0 || sum.JobRetries == 0 || sum.ReuseFallbacks == 0 || reused == 0 {
+		t.Errorf("the day exercised too little: %+v, %d views reused", sum, reused)
 	}
-	sum.Day, sum.Date, sum.Jobs = m.Day, m.Date, m.Jobs
-	sum.Alerts, sum.GuardDecisions = m.Alerts, m.GuardDecisions
-	if !reflect.DeepEqual(m, sum) {
-		t.Errorf("DayMetrics differ from the sums over the double-written records:\n got %+v\nwant %+v", m, sum)
+	if !reflect.DeepEqual(m.Outcome, sum) {
+		t.Errorf("the day's Outcome differs from the Add of the double-written records:\n got %+v\nwant %+v", m.Outcome, sum)
+	}
+	if m.ViewsBuilt != built || m.ViewsReused != reused {
+		t.Errorf("the day's views built/reused = %d/%d, the records sum to %d/%d", m.ViewsBuilt, m.ViewsReused, built, reused)
 	}
 }

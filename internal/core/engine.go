@@ -39,10 +39,6 @@ type Config struct {
 	ClusterName string
 	Catalog     *catalog.Catalog
 	ClusterCfg  cluster.Config
-	// ViewTTL overrides the 7-day default when non-zero.
-	ViewTTL time.Duration
-	// MaxViewsPerJob is the per-job spool cap (0 = optimizer default).
-	MaxViewsPerJob int
 	// Selection tunes the feedback loop's view selection.
 	Selection analysis.SelectionConfig
 	// Faults configures deterministic fault injection across the pipeline
@@ -90,7 +86,6 @@ type Engine struct {
 	// disabled; every method no-ops on nil).
 	Telemetry *telemetry.Collector
 
-	maxViewsPerJob int
 	// rowLoops runs every job on the executor's row-at-a-time reference
 	// loops instead of the batch kernels. Nothing sets it outside this
 	// package's tests, which hold both arms to the same guarantees.
@@ -135,22 +130,21 @@ type Engine struct {
 // NewEngine builds an engine over the given catalog.
 func NewEngine(cfg Config) *Engine {
 	e := &Engine{
-		ClusterName:    cfg.ClusterName,
-		Catalog:        cfg.Catalog,
-		Repo:           repository.New(),
-		History:        stats.NewHistory(),
-		Insights:       insights.NewService(),
-		Est:            stats.NewEstimator(),
-		Sim:            cluster.New(cfg.ClusterCfg),
-		Selection:      cfg.Selection,
-		maxViewsPerJob: cfg.MaxViewsPerJob,
-		signers:        make(map[string]*signature.Signer),
-		clock:          fixtures.Epoch,
-		cache:          exec.NewCache(),
-		plans:          newPlanCache(cfg.PlanCacheSize),
-		rng:            data.NewRand(99),
-		guard:          guard.New(cfg.Guard),
-		faults:         fault.New(cfg.Faults),
+		ClusterName: cfg.ClusterName,
+		Catalog:     cfg.Catalog,
+		Repo:        repository.New(),
+		History:     stats.NewHistory(),
+		Insights:    insights.NewService(),
+		Est:         stats.NewEstimator(),
+		Sim:         cluster.New(cfg.ClusterCfg),
+		Selection:   cfg.Selection,
+		signers:     make(map[string]*signature.Signer),
+		clock:       fixtures.Epoch,
+		cache:       exec.NewCache(),
+		plans:       newPlanCache(cfg.PlanCacheSize),
+		rng:         data.NewRand(99),
+		guard:       guard.New(cfg.Guard),
+		faults:      fault.New(cfg.Faults),
 	}
 	e.Sim.SetFaults(e.faults)
 	if cfg.StorageEngine != nil {
@@ -158,9 +152,6 @@ func NewEngine(cfg Config) *Engine {
 		e.Store.SetNow(e.Clock)
 	} else {
 		e.Store = storage.NewStore(e.Clock)
-	}
-	if cfg.ViewTTL > 0 {
-		e.Store.SetTTL(cfg.ViewTTL)
 	}
 	e.Insights.SetClusterEnabled(cfg.ClusterName, true)
 	if !cfg.DisableObservability {
@@ -361,15 +352,14 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	e.mJobs.Inc()
 
 	opt := &optimizer.Optimizer{
-		Signer:         signer,
-		Est:            e.Est,
-		History:        e.History,
-		Store:          e.Store,
-		Insights:       e.Insights,
-		Guard:          e.guard,
-		MaxViewsPerJob: e.maxViewsPerJob,
-		Trace:          tr,
-		Explain:        rec,
+		Signer:   signer,
+		Est:      e.Est,
+		History:  e.History,
+		Store:    e.Store,
+		Insights: e.Insights,
+		Guard:    e.guard,
+		Trace:    tr,
+		Explain:  rec,
 	}
 
 	prep, err := e.prepare(in, opt)
@@ -778,6 +768,3 @@ func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, 
 	}
 	return rec
 }
-
-// FormatPlan renders a compiled plan tree for display.
-func FormatPlan(n plan.Node) string { return plan.Format(n) }

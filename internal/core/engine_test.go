@@ -307,7 +307,6 @@ func TestRunDayDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.JobLatencies = nil // slice identity irrelevant
 		return m
 	}
 	a, b := runOnce(), runOnce()

@@ -149,8 +149,8 @@ func TestViewTTLExpiry(t *testing.T) {
 		ClusterName: "mini",
 		Catalog:     cat,
 		ClusterCfg:  cluster.Config{Capacity: 100},
-		ViewTTL:     time.Hour, // short TTL for the test
 	})
+	eng.Store.SetTTL(time.Hour) // short TTL for the test
 	eng.OnboardVC("vc1")
 	clock := fixtures.Epoch
 	q := `p = SELECT * FROM D WHERE Value > 10; r = SELECT COUNT(*) AS n FROM p GROUP BY Id HAVING n > 0; OUTPUT r TO "o";`

@@ -67,8 +67,8 @@ func (r *Rand) Zipf(n int, s float64) int {
 	}
 	// CDF ~ (x^(1-s)-1)/(n^(1-s)-1)
 	e := 1 - s
-	x := 1 + u*(pow(float64(n), e)-1)
-	v := int(pow(x, 1/e)) - 1
+	x := 1 + u*(math.Pow(float64(n), e)-1)
+	v := int(math.Pow(x, 1/e)) - 1
 	if v < 0 {
 		v = 0
 	}
@@ -77,8 +77,6 @@ func (r *Rand) Zipf(n int, s float64) int {
 	}
 	return v
 }
-
-func pow(x, y float64) float64 { return math.Pow(x, y) }
 
 // Fork derives an independent generator from this one, keyed by id, without
 // advancing the parent in a way that depends on fork order.

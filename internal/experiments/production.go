@@ -20,6 +20,7 @@ import (
 	"cloudviews/internal/fault"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/guard"
+	"cloudviews/internal/repository"
 	"cloudviews/internal/storage"
 	"cloudviews/internal/telemetry"
 	"cloudviews/internal/workload"
@@ -213,33 +214,20 @@ func RunProduction(cfg ProductionConfig) (*ProductionResult, error) {
 	t.VirtualClusters = len(cv.vcs)
 	t.RuntimeVersions = len(cv.runtimes)
 
-	var bl, cl, bp, cp, bb, cb float64
-	var bc, cc, bi, ci, bd, cd, bq, cq int64
+	var b, c repository.Outcome
 	for i := range base.days {
 		t.ViewsCreated += cv.days[i].ViewsBuilt
 		t.ViewsUsed += cv.days[i].ViewsReused
-		bl += base.days[i].LatencySec
-		cl += cv.days[i].LatencySec
-		bp += base.days[i].ProcessingSec
-		cp += cv.days[i].ProcessingSec
-		bb += base.days[i].BonusSec
-		cb += cv.days[i].BonusSec
-		bc += base.days[i].Containers
-		cc += cv.days[i].Containers
-		bi += base.days[i].InputBytes
-		ci += cv.days[i].InputBytes
-		bd += base.days[i].DataReadBytes
-		cd += cv.days[i].DataReadBytes
-		bq += base.days[i].QueueLen
-		cq += cv.days[i].QueueLen
+		b.Add(base.days[i].Outcome)
+		c.Add(cv.days[i].Outcome)
 	}
-	t.LatencyImpPct = improvement(bl, cl)
-	t.ProcessingImpPct = improvement(bp, cp)
-	t.BonusImpPct = improvement(bb, cb)
-	t.ContainersImpPct = improvement(float64(bc), float64(cc))
-	t.InputImpPct = improvement(float64(bi), float64(ci))
-	t.DataReadImpPct = improvement(float64(bd), float64(cd))
-	t.QueueImpPct = improvement(float64(bq), float64(cq))
+	t.LatencyImpPct = improvement(b.LatencySec, c.LatencySec)
+	t.ProcessingImpPct = improvement(b.ProcessingSec, c.ProcessingSec)
+	t.BonusImpPct = improvement(b.BonusSec, c.BonusSec)
+	t.ContainersImpPct = improvement(float64(b.Containers), float64(c.Containers))
+	t.InputImpPct = improvement(float64(b.InputBytes), float64(c.InputBytes))
+	t.DataReadImpPct = improvement(float64(b.DataReadBytes), float64(c.DataReadBytes))
+	t.QueueImpPct = improvement(float64(b.QueueLen), float64(c.QueueLen))
 	t.MedianLatencyImpPct = medianImprovement(base.jobLat, cv.jobLat, cv.qualified)
 	return res, nil
 }

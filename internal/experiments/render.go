@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"cloudviews/internal/repository"
 )
 
 // RenderTable1 prints the production impact summary in the paper's layout.
@@ -35,18 +37,15 @@ func RenderFigure6(r *ProductionResult) string {
 	b.WriteString("Figure 6: usage and impact (cumulative per day)\n")
 	b.WriteString("date        viewsBuilt viewsReused |   lat-base     lat-cv |  proc-base    proc-cv | bonus-base   bonus-cv\n")
 	var vb, vr int
-	var lb, lc, pb, pc, bb, bc float64
+	var base, cv repository.Outcome
 	for _, d := range r.Days {
 		vb += d.CV.ViewsBuilt
 		vr += d.CV.ViewsReused
-		lb += d.Base.LatencySec
-		lc += d.CV.LatencySec
-		pb += d.Base.ProcessingSec
-		pc += d.CV.ProcessingSec
-		bb += d.Base.BonusSec
-		bc += d.CV.BonusSec
+		base.Add(d.Base.Outcome)
+		cv.Add(d.CV.Outcome)
 		fmt.Fprintf(&b, "%s %10d %11d | %10.0f %10.0f | %10.0f %10.0f | %10.0f %10.0f\n",
-			d.Date.Format("2006-01-02"), vb, vr, lb, lc, pb, pc, bb, bc)
+			d.Date.Format("2006-01-02"), vb, vr, base.LatencySec, cv.LatencySec,
+			base.ProcessingSec, cv.ProcessingSec, base.BonusSec, cv.BonusSec)
 	}
 	return b.String()
 }
@@ -57,18 +56,15 @@ func RenderFigure7(r *ProductionResult) string {
 	var b strings.Builder
 	b.WriteString("Figure 7: other impact (cumulative per day)\n")
 	b.WriteString("date        cont-base    cont-cv |  inGB-base    inGB-cv |  rdGB-base    rdGB-cv | queue-base   queue-cv\n")
-	var cb, cc, ib, ic, db, dc, qb, qc float64
+	var base, cv repository.Outcome
 	for _, d := range r.Days {
-		cb += float64(d.Base.Containers)
-		cc += float64(d.CV.Containers)
-		ib += float64(d.Base.InputBytes) / 1e9
-		ic += float64(d.CV.InputBytes) / 1e9
-		db += float64(d.Base.DataReadBytes) / 1e9
-		dc += float64(d.CV.DataReadBytes) / 1e9
-		qb += float64(d.Base.QueueLen)
-		qc += float64(d.CV.QueueLen)
-		fmt.Fprintf(&b, "%s %10.0f %10.0f | %10.1f %10.1f | %10.1f %10.1f | %10.0f %10.0f\n",
-			d.Date.Format("2006-01-02"), cb, cc, ib, ic, db, dc, qb, qc)
+		base.Add(d.Base.Outcome)
+		cv.Add(d.CV.Outcome)
+		fmt.Fprintf(&b, "%s %10d %10d | %10.1f %10.1f | %10.1f %10.1f | %10d %10d\n",
+			d.Date.Format("2006-01-02"), base.Containers, cv.Containers,
+			float64(base.InputBytes)/1e9, float64(cv.InputBytes)/1e9,
+			float64(base.DataReadBytes)/1e9, float64(cv.DataReadBytes)/1e9,
+			base.QueueLen, cv.QueueLen)
 	}
 	return b.String()
 }

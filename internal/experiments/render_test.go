@@ -8,6 +8,7 @@ import (
 	"cloudviews/internal/analysis"
 	"cloudviews/internal/core"
 	"cloudviews/internal/experiments"
+	"cloudviews/internal/repository"
 )
 
 func TestRenderTable1(t *testing.T) {
@@ -30,13 +31,13 @@ func TestRenderFigureSeries(t *testing.T) {
 		Days: []experiments.DayPair{
 			{
 				Date: time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC),
-				Base: core.DayMetrics{LatencySec: 100, ProcessingSec: 500, BonusSec: 50, Containers: 10, InputBytes: 2e9, DataReadBytes: 3e9, QueueLen: 4},
-				CV:   core.DayMetrics{LatencySec: 80, ProcessingSec: 300, BonusSec: 20, Containers: 7, InputBytes: 1e9, DataReadBytes: 2e9, QueueLen: 2, ViewsBuilt: 3, ViewsReused: 9},
+				Base: core.DayMetrics{Outcome: repository.Outcome{LatencySec: 100, ProcessingSec: 500, BonusSec: 50, Containers: 10, InputBytes: 2e9, DataReadBytes: 3e9, QueueLen: 4}},
+				CV:   core.DayMetrics{Outcome: repository.Outcome{LatencySec: 80, ProcessingSec: 300, BonusSec: 20, Containers: 7, InputBytes: 1e9, DataReadBytes: 2e9, QueueLen: 2}, ViewsBuilt: 3, ViewsReused: 9},
 			},
 			{
 				Date: time.Date(2020, 2, 2, 0, 0, 0, 0, time.UTC),
-				Base: core.DayMetrics{LatencySec: 110, ProcessingSec: 520},
-				CV:   core.DayMetrics{LatencySec: 70, ProcessingSec: 280, ViewsBuilt: 1, ViewsReused: 5},
+				Base: core.DayMetrics{Outcome: repository.Outcome{LatencySec: 110, ProcessingSec: 520}},
+				CV:   core.DayMetrics{Outcome: repository.Outcome{LatencySec: 70, ProcessingSec: 280}, ViewsBuilt: 1, ViewsReused: 5},
 			},
 		},
 	}

@@ -83,49 +83,52 @@ type JobRecord struct {
 	Start    time.Time
 	End      time.Time
 
-	// Outcome metrics.
-	LatencySec    float64
-	ProcessingSec float64
-	BonusSec      float64
-	Containers    int
-	InputBytes    int64
-	DataReadBytes int64
-	QueueLen      int
-	ViewsBuilt    int
-	ViewsReused   int
-
-	// Failure/recovery outcomes (zero on fault-free runs): job attempts
-	// consumed (1 = first try succeeded), cluster stage retries, bonus
-	// preemptions, critical-path seconds lost to faults, and view reads that
-	// fell back to recomputation.
-	Attempts         int
-	StageRetries     int
-	BonusPreemptions int
-	FaultDelaySec    float64
-	ReuseFallbacks   int
+	ViewsBuilt  int
+	ViewsReused int
+	// Outcome is what the cluster schedule made of the job; SetOutcome files
+	// it.
+	Outcome
 
 	Subexprs []SubexprRecord
 }
 
-// Outcome carries the scheduling results that only exist after the cluster
-// simulation ran; SetOutcome files it under the job.
+// Outcome is what the cluster schedule made of one job: the quantities the
+// paper's Table 1 and Figures 6–7 compare. Every field is a sum over jobs, so
+// a day's outcome and a run's total are Add over their jobs' outcomes. The
+// failure/recovery fields are zero on fault-free runs.
 type Outcome struct {
-	Start         time.Time
-	End           time.Time
 	LatencySec    float64
 	ProcessingSec float64
 	BonusSec      float64
-	Containers    int
+	Containers    int64
 	InputBytes    int64
 	DataReadBytes int64
-	QueueLen      int
+	QueueLen      int64 // jobs ahead in the VC queue at submission
 
-	// Failure/recovery results; see the matching JobRecord fields.
-	Attempts         int
+	// Job attempts after the first, cluster stage retries, bonus
+	// preemptions, critical-path seconds lost to faults, and view reads that
+	// fell back to recomputation.
+	JobRetries       int
 	StageRetries     int
 	BonusPreemptions int
 	FaultDelaySec    float64
 	ReuseFallbacks   int
+}
+
+// Add adds x into o, field by field.
+func (o *Outcome) Add(x Outcome) {
+	o.LatencySec += x.LatencySec
+	o.ProcessingSec += x.ProcessingSec
+	o.BonusSec += x.BonusSec
+	o.Containers += x.Containers
+	o.InputBytes += x.InputBytes
+	o.DataReadBytes += x.DataReadBytes
+	o.QueueLen += x.QueueLen
+	o.JobRetries += x.JobRetries
+	o.StageRetries += x.StageRetries
+	o.BonusPreemptions += x.BonusPreemptions
+	o.FaultDelaySec += x.FaultDelaySec
+	o.ReuseFallbacks += x.ReuseFallbacks
 }
 
 const secondsPerDay = 86400
@@ -258,12 +261,12 @@ func (r *Repo) Add(rec *JobRecord) {
 	}
 }
 
-// SetOutcome applies the post-scheduling outcome for jobID, returning false if
-// the job is unknown. The stored record is not written: a shallow copy with
-// the outcome fields set (Subexprs shared) takes its place, so records already
-// handed out by Jobs or JobsBetween keep reading as they did. Outcome fields
-// never move a record across buckets (sharding is by Submit).
-func (r *Repo) SetOutcome(jobID string, o Outcome) bool {
+// SetOutcome files the job's schedule — its start, end and outcome — under
+// jobID, returning false if the job is unknown. The stored record is not
+// written: a shallow copy with them set (Subexprs shared) takes its place, so
+// records already handed out by Jobs or JobsBetween keep reading as they did.
+// The schedule never moves a record across buckets (sharding is by Submit).
+func (r *Repo) SetOutcome(jobID string, start, end time.Time, o Outcome) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	own, ok := r.byID[jobID]
@@ -271,20 +274,7 @@ func (r *Repo) SetOutcome(jobID string, o Outcome) bool {
 		return false
 	}
 	c := *own.rec
-	c.Start = o.Start
-	c.End = o.End
-	c.LatencySec = o.LatencySec
-	c.ProcessingSec = o.ProcessingSec
-	c.BonusSec = o.BonusSec
-	c.Containers = o.Containers
-	c.InputBytes = o.InputBytes
-	c.DataReadBytes = o.DataReadBytes
-	c.QueueLen = o.QueueLen
-	c.Attempts = o.Attempts
-	c.StageRetries = o.StageRetries
-	c.BonusPreemptions = o.BonusPreemptions
-	c.FaultDelaySec = o.FaultDelaySec
-	c.ReuseFallbacks = o.ReuseFallbacks
+	c.Start, c.End, c.Outcome = start, end, o
 	own.rec = &c
 	return true
 }

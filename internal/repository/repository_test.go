@@ -92,3 +92,37 @@ func TestGroupByRecurringWindowFilter(t *testing.T) {
 		t.Errorf("window must exclude later jobs: %d", groups["r-join"].Count)
 	}
 }
+
+// TestOutcomeAddCoversEveryField walks Outcome's fields by reflection: with
+// field i of the operand set to i+1 and of the sum to 100(i+1), Add must leave
+// 101(i+1) in every field of the sum. A field added to Outcome without its
+// line in Add, or a line that assigns or crosses fields, fails here.
+func TestOutcomeAddCoversEveryField(t *testing.T) {
+	var sum, x repository.Outcome
+	sv, xv := reflect.ValueOf(&sum).Elem(), reflect.ValueOf(&x).Elem()
+	set := func(f reflect.Value, n int) {
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(n))
+		case reflect.Float64:
+			f.SetFloat(float64(n))
+		default:
+			t.Fatalf("Outcome field of kind %s is not a sum", f.Kind())
+		}
+	}
+	for i := 0; i < sv.NumField(); i++ {
+		set(sv.Field(i), 100*(i+1))
+		set(xv.Field(i), i+1)
+	}
+	sum.Add(x)
+	var want repository.Outcome
+	wv := reflect.ValueOf(&want).Elem()
+	for i := 0; i < wv.NumField(); i++ {
+		set(wv.Field(i), 101*(i+1))
+	}
+	for i := 0; i < sv.NumField(); i++ {
+		if got, w := sv.Field(i).Interface(), wv.Field(i).Interface(); got != w {
+			t.Errorf("Add left %s = %v, want %v", sv.Type().Field(i).Name, got, w)
+		}
+	}
+}

@@ -120,10 +120,10 @@ func TestStoredRecordsAreNeverWritten(t *testing.T) {
 			}
 		}()
 	}
-	outcomeOf := func(i int) repository.Outcome {
-		start := t0.Add(time.Duration(i)*time.Hour + time.Minute)
-		return repository.Outcome{Start: start, End: start.Add(time.Duration(i+1) * time.Minute),
-			LatencySec: float64(60 * (i + 2)), Containers: i + 1, Attempts: 1}
+	outcomeOf := func(i int) (start, end time.Time, o repository.Outcome) {
+		start = t0.Add(time.Duration(i)*time.Hour + time.Minute)
+		return start, start.Add(time.Duration(i+1) * time.Minute),
+			repository.Outcome{LatencySec: float64(60 * (i + 2)), Containers: int64(i + 1), JobRetries: 1}
 	}
 	for w := 0; w < 2; w++ {
 		writers.Add(1)
@@ -133,9 +133,9 @@ func TestStoredRecordsAreNeverWritten(t *testing.T) {
 				id := fmt.Sprintf("j%02d", i)
 				if i%4 == 0 {
 					// A first outcome the second one must replace.
-					r.SetOutcome(id, repository.Outcome{Containers: -1})
+					r.SetOutcome(id, t0, t0, repository.Outcome{Containers: -1})
 				}
-				if !r.SetOutcome(id, outcomeOf(i)) {
+				if start, end, o := outcomeOf(i); !r.SetOutcome(id, start, end, o) {
 					t.Errorf("SetOutcome(%s) lost a stored record", id)
 				}
 				// A later day, so the two-day window's groups stay comparable.
@@ -157,8 +157,9 @@ func TestStoredRecordsAreNeverWritten(t *testing.T) {
 		t.Fatalf("Len = %d after the adds, want %d", len(fresh), 2*jobs)
 	}
 	for i := 0; i < jobs; i++ {
-		got, o := fresh[i], outcomeOf(i)
-		if !got.Start.Equal(o.Start) || !got.End.Equal(o.End) || got.LatencySec != o.LatencySec || got.Containers != o.Containers || got.Attempts != 1 {
+		got := fresh[i]
+		start, end, o := outcomeOf(i)
+		if !got.Start.Equal(start) || !got.End.Equal(end) || got.Outcome != o {
 			t.Errorf("fresh read of %s does not show its outcome: %+v", got.JobID, got)
 		}
 		if got == held[i] {
@@ -201,10 +202,10 @@ func TestSetOutcome(t *testing.T) {
 		t.Fatalf("jobs = %d", len(jobs))
 	}
 	start, end := t0.Add(time.Minute), t0.Add(10*time.Minute)
-	if !r.SetOutcome("j1", repository.Outcome{Start: start, End: end, LatencySec: 540, Containers: 7}) {
+	if !r.SetOutcome("j1", start, end, repository.Outcome{LatencySec: 540, Containers: 7}) {
 		t.Fatal("SetOutcome returned false for a known job")
 	}
-	if r.SetOutcome("nope", repository.Outcome{}) {
+	if r.SetOutcome("nope", start, end, repository.Outcome{}) {
 		t.Error("SetOutcome must return false for an unknown job")
 	}
 	got := r.Jobs()[0]
@@ -284,9 +285,8 @@ func randomRepo(rng *rand.Rand, n int) *repository.Repo {
 			// Outcome arrives later for a random earlier job.
 			victim := fmt.Sprintf("j%03d", rng.Intn(i+1))
 			st := t0.Add(time.Duration(rng.Intn(10*24)) * time.Hour)
-			r.SetOutcome(victim, repository.Outcome{
-				Start: st, End: st.Add(time.Duration(1+rng.Intn(90)) * time.Minute),
-				LatencySec: rng.Float64() * 1000, Containers: rng.Intn(50),
+			r.SetOutcome(victim, st, st.Add(time.Duration(1+rng.Intn(90))*time.Minute), repository.Outcome{
+				LatencySec: rng.Float64() * 1000, Containers: int64(rng.Intn(50)),
 			})
 		}
 	}
@@ -436,7 +436,7 @@ func TestQueriesRaceWithAddAndSetOutcome(t *testing.T) {
 				submit := t0.Add(time.Duration(i%(5*24)) * time.Hour)
 				r.Add(mkJob(id, fmt.Sprintf("vc%d", w), "p", submit, "r", fmt.Sprint(i%7)))
 				victim := fmt.Sprintf("w%d-%03d", w, i/2)
-				if !r.SetOutcome(victim, repository.Outcome{Start: submit, End: submit.Add(time.Duration(i) * time.Minute), Containers: i}) {
+				if !r.SetOutcome(victim, submit, submit.Add(time.Duration(i)*time.Minute), repository.Outcome{Containers: int64(i)}) {
 					t.Errorf("SetOutcome(%s) lost a record this writer added", victim)
 				}
 			}

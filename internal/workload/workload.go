@@ -188,7 +188,7 @@ func (g *Generator) Bootstrap() error {
 		}
 		// Telemetry volumes vary by orders of magnitude across products;
 		// spread stream sizes log-uniformly over roughly 0.3x–4x.
-		mult := 0.3 * pow(13.0, float64(i)/float64(max(1, p.RawStreams-1)))
+		mult := 0.3 * math.Pow(13.0, float64(i)/float64(max(1, p.RawStreams-1)))
 		g.cat.SetScaleFactor(name, p.RawScaleFactor*mult)
 		g.rawNames = append(g.rawNames, name)
 	}
@@ -304,5 +304,3 @@ func (g *Generator) dimTable(day, dim int) *data.Table {
 	}
 	return t
 }
-
-func pow(x, y float64) float64 { return math.Pow(x, y) }
