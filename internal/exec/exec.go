@@ -299,6 +299,7 @@ type Executor struct {
 	History RowHistory
 
 	res RunResult
+	s   *scratch // taken on the run's first borrow
 }
 
 // RowHistory reports the mean logical rows runtime history recorded for a plan
@@ -311,7 +312,7 @@ type RowHistory interface {
 // nodeResult is one operator's output, in one of three shapes: a table's
 // rows, a Filter's selection of a table's rows, or a Join's pairs of its two
 // input tables' rows. Positions are plain slices the result owns, never
-// pooled. bytes is what the rows measure (the sum of their ByteSize), measured
+// scratch. bytes is what the rows measure (the sum of their ByteSize), measured
 // once by the operator that produced them and carried to every consumer that
 // accounts it (exchange reads, spool and output writes, cache replays).
 type nodeResult struct {
@@ -438,6 +439,7 @@ func (ex *Executor) Run(root plan.Node) (*RunResult, error) {
 		ex.Ctx.Rand = data.NewRand(1)
 	}
 	ex.res = RunResult{}
+	defer ex.giveBackScratch()
 	r, err := ex.eval(root)
 	if err != nil {
 		return nil, err
@@ -732,8 +734,8 @@ func (p *keyPacker) flush(out []string) {
 // joinScratch is everything a join borrows while it probes. The probe only
 // records which pairs it keeps; the output table, the one thing the join
 // allocates to return, is built from them afterwards at its exact size and
-// aliases nothing here. The scratch goes back to joinScratches when evalJoin
-// returns, wiped of strings and rows; a new one has room for a window of keys.
+// aliases nothing here. It lives in the run's scratch and is wiped of strings
+// and rows when evalJoin returns.
 type joinScratch struct {
 	pairs []int32     // (left, right) row indices of the pairs kept, in emission order
 	keys  [2][]string // each input's key per row: left, right
@@ -741,8 +743,6 @@ type joinScratch struct {
 	pack  keyPacker
 	probe data.Row // the pair the residual is being tested on
 }
-
-var joinScratches = sync.Pool{New: func() any { return &joinScratch{pack: keyPacker{buf: make([]byte, 0, 16*batchSize)}} }}
 
 func (j *joinScratch) release() {
 	if poisonReleased {
@@ -753,7 +753,6 @@ func (j *joinScratch) release() {
 	clear(j.keys[1])
 	clear(j.probe[:cap(j.probe)])
 	j.pairs = j.pairs[:0]
-	joinScratches.Put(j)
 }
 
 // probeChain calls emit(li, ri) for every build row ri whose key in rKeys is key,
@@ -817,11 +816,8 @@ func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
 	}
 	lt, rt := l.table.Rows, r.table.Rows
 
-	js := joinScratches.Get().(*joinScratch)
+	js := &ex.scratch().join
 	defer js.release()
-	if js.pairs == nil { // a new scratch: most joins keep about a pair per row of the larger input
-		js.pairs = make([]int32, 0, 2*max(ln, rn))
-	}
 	// emit keeps the tables' rows behind input rows li and ri unless the residual rejects them.
 	emit := func(li, ri int) {
 		li, ri = l.at(li), r.at(ri)
@@ -898,7 +894,7 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 		return nodeResult{}, err
 	}
 	out := data.NewTable(x.Schema())
-	groups := newAggTable(x, out.Schema, ex.groupHint(x, in))
+	groups := newAggTable(x, out.Schema, ex.groupHint(x, in), &ex.scratch().group)
 	batches, ok := ex.vecAggregate(in, &groups)
 	if !ok {
 		var buf [64]byte
@@ -969,12 +965,12 @@ func (ex *Executor) groupHint(x *plan.Aggregate, in nodeResult) int {
 // from one slab. The table finds a group through a chainIndex over its key
 // (keys.go), and every key sits back to back in one byte array; the index, the
 // keys and each group's key end are borrowed scratch, which nothing output
-// references. Given a hint, rows and the scratch are sized once for it;
-// without one, or past it, they grow.
+// references. Given a hint, rows and the index are sized once for it; without
+// one, or past it, they grow. The keys and their ends grow in the run's
+// scratch, which keeps their arrays for the next table.
 type aggTable struct {
 	x      *plan.Aggregate
 	schema data.Schema // output schema: a SUM whose column is INT adds exactly
-	hint   int         // groups expected; keys are sized when the first opens
 	rows   []data.Row
 	slab   data.RowSlab
 	*groupScratch
@@ -988,20 +984,15 @@ type groupScratch struct {
 	ends  []int32 // group gi's key is keys[ends[gi-1]:ends[gi]]
 }
 
-var groupScratches = sync.Pool{New: func() any { return new(groupScratch) }}
-
-// newAggTable sizes a table for hint groups (0: none expected). A table with
-// no GROUP BY opens its one group now, so it answers one row over no input.
-// It returns the table by value, so the caller's stays off the heap.
-func newAggTable(x *plan.Aggregate, schema data.Schema, hint int) aggTable {
-	a := aggTable{x: x, schema: schema, hint: hint, groupScratch: groupScratches.Get().(*groupScratch)}
+// newAggTable sizes a table over s for hint groups (0: none expected). A table
+// with no GROUP BY opens its one group now, so it answers one row over no
+// input. It returns the table by value, so the caller's stays off the heap.
+func newAggTable(x *plan.Aggregate, schema data.Schema, hint int, s *groupScratch) aggTable {
+	a := aggTable{x: x, schema: schema, groupScratch: s}
 	a.index.reset(hint)
 	if hint > 0 {
 		a.rows = make([]data.Row, 0, hint)
 		a.slab.Expect(hint)
-		if cap(a.ends) < hint {
-			a.ends = make([]int32, 0, hint)
-		}
 	}
 	if len(x.GroupBy) == 0 {
 		a.find(nil)
@@ -1009,8 +1000,8 @@ func newAggTable(x *plan.Aggregate, schema data.Schema, hint int) aggTable {
 	return a
 }
 
-// release gives the scratch back, poisoned under tests, once output has
-// returned the rows: nothing else of the table may be used after.
+// release gives the scratch back to the run, poisoned under tests, once output
+// has returned the rows: nothing else of the table may be used after.
 func (a *aggTable) release() {
 	s := a.groupScratch
 	if poisonReleased {
@@ -1020,7 +1011,6 @@ func (a *aggTable) release() {
 	}
 	s.keys, s.ends = s.keys[:0], s.ends[:0]
 	a.groupScratch = nil
-	groupScratches.Put(s)
 }
 
 // find returns the position of key's group, opening the group if key is new;
@@ -1044,9 +1034,6 @@ func (a *aggTable) findHashed(key []byte, h uint64) (gi int32, isNew bool) {
 		for g := range gi {
 			a.index.link(g, maphash.Bytes(keySeed, a.key(g)))
 		}
-	}
-	if gi == 0 && a.hint > 0 && cap(a.keys) < a.hint*len(key) {
-		a.keys = make([]byte, 0, a.hint*len(key))
 	}
 	a.keys = append(a.keys, key...)
 	a.ends = append(a.ends, int32(len(a.keys)))

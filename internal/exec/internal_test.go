@@ -127,7 +127,7 @@ func TestGroupChainsCompareKeys(t *testing.T) {
 		{"one chain", func(a *aggTable, k []byte) (int32, bool) { return a.findHashed(k, 7) }, confusableKeys},
 		{"maphash", (*aggTable).find, many},
 	} {
-		tbl := newAggTable(x, schema, 0)
+		tbl := newAggTable(x, schema, 0, new(groupScratch))
 		a := &tbl
 		for pass := 0; pass < 2; pass++ {
 			for i, v := range c.vals {
@@ -290,10 +290,10 @@ func TestCacheEvictionMetric(t *testing.T) {
 	}
 }
 
-// PoisonReleasedBuffers makes every window and join scratch be overwritten
-// with sentinels as it goes back to its pool, for the rest of the test: a
-// table that aliased a borrowed buffer then reads -1, NaN, "\x00poison" or
-// true instead of its answer. The switch is this file's alone; tests of
+// PoisonReleasedBuffers makes every window, join scratch and group table
+// scratch be overwritten with sentinels as it goes back, for the rest of the
+// test: a table that aliased a borrowed buffer then reads -1, NaN,
+// "\x00poison" or true instead of its answer. The switch is this file's alone; tests of
 // package exec_test reach it through here.
 func PoisonReleasedBuffers(t testing.TB) {
 	poisonReleased = true
@@ -343,7 +343,7 @@ func TestColumnGatheredOncePerWindow(t *testing.T) {
 			&plan.Binary{Op: "%", L: a, R: a},
 			&plan.Binary{Op: "<=", L: b, R: a},
 		}
-		in := newInputCols(c.r)
+		in := newInputCols(c.r, new(scratch))
 		progs, ok := compileAll(in, exprs)
 		if !ok {
 			t.Fatalf("%s: the expressions did not compile", c.what)

@@ -69,8 +69,8 @@ var keySeed = maphash.MakeSeed()
 // head[h&(len(head)-1)] is one past the newest item linked under a hash in
 // that slot, next[i] one past the item linked before item i there, and 0 ends
 // a chain. An item's key is its owner's to compare, so hashes that collide, or
-// share a slot, keep their items apart. Both arrays live in pooled scratch and
-// are reset, not allocated, per operator.
+// share a slot, keep their items apart. Both arrays live in the run's scratch
+// and are reset, not allocated, per operator.
 type chainIndex struct {
 	head []int32
 	next []int32

@@ -388,7 +388,7 @@ func TestFilterSelectionServesEveryParent(t *testing.T) {
 	})
 	e, _ := caches[true].Get(fSigs[0])
 	budget := uint64(len(e.Pos) * 24 / 2)
-	got := leastAlloc(40, budget, func() {
+	got := warmAlloc(func() {
 		res, err := (&exec.Executor{Catalog: cat, Cache: caches[true], SigMap: onlyF, Vectorized: true}).Run(d)
 		if err != nil || res.CacheHits != 1 {
 			t.Fatalf("job D: %v, %d hits", err, res.CacheHits)
@@ -463,7 +463,7 @@ func TestPositionsCostOnlyTheirIndices(t *testing.T) {
 					}
 			}
 			few, fewOut := run(v.few)
-			baseline := leastAlloc(10, 0, few)
+			baseline := warmAlloc(few)
 			keep, keepOut := run(v.src)
 			keep()
 			fewRows, fewGroups := fewOut()
@@ -473,7 +473,7 @@ func TestPositionsCostOnlyTheirIndices(t *testing.T) {
 			}
 			positions := uint64(rows-fewRows) * perRow
 			budget := baseline + positions + positions*15/100
-			got := leastAlloc(40, budget, keep)
+			got := warmAlloc(keep)
 			t.Logf("%s: %d B for %d rows, %d B for %d, %d B of positions between them", what, got, rows, baseline, fewRows, positions)
 			if got > budget {
 				t.Errorf("%s: %d B allocated, want at most %d (baseline %d + positions %d + 15%%)",

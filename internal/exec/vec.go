@@ -75,66 +75,44 @@ func (c *vcol) floats(scratch []float64, n int) []float64 {
 	return s
 }
 
-// window is one pooled kernel buffer, with its link in the list of windows
-// the borrowing operator gives back when it returns.
-type window[T any] struct {
-	v    [batchSize]T
-	next *window[T]
-}
-
-// windowPool recycles the windows of one element type. An operator allocates
+// windows lends the kernel windows of one element type. An operator allocates
 // the table it returns and borrows everything else: gather buffers, the rows
 // behind a window of positions, kernel outputs, float views, constant
 // broadcasts and NULL masks are all windows, borrowed while the operator
 // compiles and given back when its function (vecFilter, vecProject,
 // vecJoinKeys, vecAggregate) returns. That is sound because nothing an
 // operator returns aliases a vcol: rows are built from vcol.value copies and
-// keyPacker.flush mints its own strings. A window is not zeroed
-// on reuse; every kernel writes [0, n) of its output and mask before anything
-// reads them.
-type windowPool[T any] struct {
-	free   sync.Pool
-	poison T
+// keyPacker.flush mints its own strings. A window is not zeroed on reuse;
+// every kernel writes [0, n) of its output and mask before anything reads it.
+type windows[T any] struct {
+	all  []*[batchSize]T
+	lent int // all[:lent] are out
 }
 
-var (
-	int64Windows  = windowPool[int64]{poison: -1}
-	floatWindows  = windowPool[float64]{poison: math.NaN()}
-	stringWindows = windowPool[string]{poison: "\x00poison"}
-	boolWindows   = windowPool[bool]{poison: true}
-	rowWindows    = windowPool[data.Row]{}
-)
-
-// poisonReleased makes every buffer that goes back to a pool be overwritten
-// with sentinels first, so a returned table that aliased one reads garbage.
-// Set only by tests, before any executor runs.
+// poisonReleased, set only by tests before any executor runs, overwrites every
+// buffer given back with sentinels, so a table that aliased one reads garbage.
 var poisonReleased bool
 
-// borrow takes a window and links it into list.
-func (p *windowPool[T]) borrow(list **window[T]) []T {
-	w, _ := p.free.Get().(*window[T])
-	if w == nil {
-		w = new(window[T])
+// borrow lends the next window, making one when every window is out.
+func (w *windows[T]) borrow() []T {
+	if w.lent == len(w.all) {
+		w.all = append(w.all, new([batchSize]T))
 	}
-	w.next, *list = *list, w
-	return w.v[:]
+	w.lent++
+	return w.all[w.lent-1][:]
 }
 
-// giveBack returns every window of list to the pool, wiped when the elements
-// hold pointers: a pooled window must not pin a table's strings.
-func (p *windowPool[T]) giveBack(list **window[T], wipe bool) {
-	for w := *list; w != nil; {
-		next := w.next
+// giveBack takes every lent window back, overwritten with poison under tests,
+// else wiped when wipe is set: a kept window must not pin a table's strings.
+func (w *windows[T]) giveBack(poison T, wipe bool) {
+	for _, b := range w.all[:w.lent] {
 		if poisonReleased {
-			fill(w.v[:], p.poison)
+			fill(b[:], poison)
 		} else if wipe {
-			clear(w.v[:])
+			clear(b[:])
 		}
-		w.next = nil
-		p.free.Put(w)
-		w = next
 	}
-	*list = nil
+	w.lent = 0
 }
 
 func fill[T any](s []T, v T) {
@@ -143,41 +121,67 @@ func fill[T any](s []T, v T) {
 	}
 }
 
-// borrowed is the windows one operator invocation holds.
-type borrowed struct {
-	ints *window[int64]
-	fs   *window[float64]
-	ss   *window[string]
-	bs   *window[bool]
-	rs   *window[data.Row]
+// scratch is every buffer that outlives an operator, and a run holds one from
+// its first borrow until Run returns. One is enough: at any moment one operator
+// holds windows, one join its scratch and one aggregate its group table,
+// because each evaluates its inputs before it borrows.
+type scratch struct {
+	ints  windows[int64]
+	fs    windows[float64]
+	ss    windows[string]
+	bs    windows[bool]
+	rs    windows[data.Row]
+	join  joinScratch
+	group groupScratch
 }
 
-func (b *borrowed) int64s() []int64     { return int64Windows.borrow(&b.ints) }
-func (b *borrowed) float64s() []float64 { return floatWindows.borrow(&b.fs) }
-func (b *borrowed) strings() []string   { return stringWindows.borrow(&b.ss) }
-func (b *borrowed) bools() []bool       { return boolWindows.borrow(&b.bs) }
+// scratches is the free list of scratches, at most 64, newest last so that a
+// run takes the one the last run warmed. A collection does not empty it as it
+// would a sync.Pool, so what a warm run allocates does not depend on the GC.
+var scratches struct {
+	sync.Mutex
+	free []*scratch
+}
 
-// release gives every window back. Nothing compiled against b may run after.
-func (b *borrowed) release() {
-	int64Windows.giveBack(&b.ints, false)
-	floatWindows.giveBack(&b.fs, false)
-	stringWindows.giveBack(&b.ss, true)
-	boolWindows.giveBack(&b.bs, false)
-	rowWindows.giveBack(&b.rs, true)
+// scratch is the run's scratch, taken from the free list on first use.
+func (ex *Executor) scratch() *scratch {
+	if ex.s == nil {
+		scratches.Lock()
+		if n := len(scratches.free); n > 0 {
+			ex.s, scratches.free = scratches.free[n-1], scratches.free[:n-1]
+		} else {
+			ex.s = new(scratch)
+		}
+		scratches.Unlock()
+	}
+	return ex.s
+}
+
+// giveBackScratch returns the run's scratch, if it took one, to the free list.
+func (ex *Executor) giveBackScratch() {
+	if ex.s != nil {
+		scratches.Lock()
+		if len(scratches.free) < 64 {
+			scratches.free = append(scratches.free, ex.s)
+		}
+		scratches.Unlock()
+		ex.s = nil
+	}
 }
 
 // inputCols reads an operator's input — a table, a selection or pairs, whose
 // columns are the left row's then the right row's — as typed columns, one
-// window at a time, and holds every window the operator compiled against it
-// borrows. Columns no expression references are never read: kernels cannot
-// see them, and operators that keep input rows pass them through by reference.
+// window at a time, and lends every window the operator compiled against it
+// borrows from the run's scratch. Columns no expression references are never
+// read: kernels cannot see them, and operators that keep input rows pass them
+// through by reference.
 type inputCols struct {
-	r      nodeResult
-	n      int           // the input's rows
-	cols   []inputCol    // cols[j].kind stays KindNull until a ColRef compiles against column j
-	sides  [2][]data.Row // under positions, each table's rows behind window sideLo
-	sideLo [2]int
-	borrowed
+	r       nodeResult
+	n       int           // the input's rows
+	cols    []inputCol    // cols[j].kind stays KindNull until a ColRef compiles against column j
+	sides   [2][]data.Row // under positions, each table's rows behind window sideLo
+	sideLo  [2]int
+	s       *scratch
 	gathers int // windows gathered so far, over all columns
 }
 
@@ -189,12 +193,21 @@ type inputCol struct {
 	lo, side, at int
 }
 
-func newInputCols(r nodeResult) *inputCols {
+func newInputCols(r nodeResult, s *scratch) *inputCols {
 	width := len(r.table.Schema)
 	if r.shape == pairs {
 		width += len(r.right.Schema)
 	}
-	return &inputCols{r: r, n: r.len(), cols: make([]inputCol, width)}
+	return &inputCols{r: r, n: r.len(), cols: make([]inputCol, width), s: s}
+}
+
+// release gives every window back. Nothing compiled against in may run after.
+func (in *inputCols) release() {
+	in.s.ints.giveBack(-1, false)
+	in.s.fs.giveBack(math.NaN(), false)
+	in.s.ss.giveBack("\x00poison", true)
+	in.s.bs.giveBack(true, false)
+	in.s.rs.giveBack(nil, true)
 }
 
 // rows returns table side's rows behind the input's rows [lo, lo+n), under
@@ -205,7 +218,7 @@ func (in *inputCols) rows(side, lo, n int) []data.Row {
 		return t.Rows[lo : lo+n]
 	}
 	if in.sides[side] == nil {
-		in.sides[side], in.sideLo[side] = rowWindows.borrow(&in.rs), -1
+		in.sides[side], in.sideLo[side] = in.s.rs.borrow(), -1
 	}
 	if in.sideLo[side] != lo {
 		in.sideLo[side] = lo
@@ -242,13 +255,13 @@ func (in *inputCols) col(j int) (*inputCol, bool) {
 	kind := t.Schema[c.at].Kind
 	switch kind {
 	case data.KindInt, data.KindTime:
-		c.ints = in.int64s()
+		c.ints = in.s.ints.borrow()
 	case data.KindFloat:
-		c.fs = in.float64s()
+		c.fs = in.s.fs.borrow()
 	case data.KindString:
-		c.ss = in.strings()
+		c.ss = in.s.ss.borrow()
 	case data.KindBool:
-		c.bs = in.bools()
+		c.bs = in.s.bs.borrow()
 	default:
 		return nil, false
 	}
@@ -375,16 +388,16 @@ func (vc *vecCompiler) compileConst(v data.Value) (*vnode, bool) {
 	w := min(batchSize, vc.in.n)
 	switch v.Kind {
 	case data.KindInt, data.KindTime:
-		nd.out.ints = vc.in.int64s()
+		nd.out.ints = vc.in.s.ints.borrow()
 		fill(nd.out.ints[:w], v.I)
 	case data.KindFloat:
-		nd.out.fs = vc.in.float64s()
+		nd.out.fs = vc.in.s.fs.borrow()
 		fill(nd.out.fs[:w], v.F)
 	case data.KindString:
-		nd.out.ss = vc.in.strings()
+		nd.out.ss = vc.in.s.ss.borrow()
 		fill(nd.out.ss[:w], v.S)
 	case data.KindBool:
-		nd.out.bs = vc.in.bools()
+		nd.out.bs = vc.in.s.bs.borrow()
 		fill(nd.out.bs[:w], v.B)
 	default:
 		return nil, false
@@ -485,7 +498,7 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 			return nil, false
 		}
 		swap, neg := x.Op == ">" || x.Op == "<=", len(x.Op) == 2
-		sl, sr := vc.in.float64s(), vc.in.float64s()
+		sl, sr := vc.in.s.fs.borrow(), vc.in.s.fs.borrow()
 		nd.run = func(lo, n int) {
 			lf, rf, out := l.out.floats(sl, n), r.out.floats(sr, n), nd.out.bs
 			if swap {
@@ -501,7 +514,7 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 		if !isIntKind(lk) || !isIntKind(rk) {
 			return nil, false
 		}
-		nd.out = vcol{kind: data.KindInt, ints: vc.in.int64s(), null: vc.in.bools()}
+		nd.out = vcol{kind: data.KindInt, ints: vc.in.s.ints.borrow(), null: vc.in.s.bs.borrow()}
 		nd.run = func(lo, n int) {
 			li, ri := l.out.ints, r.out.ints
 			out, mask := nd.out.ints, nd.out.null
@@ -520,6 +533,6 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 	default:
 		return nil, false
 	}
-	nd.out.bs = vc.in.bools()
+	nd.out.bs = vc.in.s.bs.borrow()
 	return vc.add(nd), true
 }

@@ -3,10 +3,10 @@
 // on the row loop in exec.go (executor not in vectorized mode, a referenced
 // column failed validation, or an expression is outside kernel coverage).
 // Everything compiles before anything evaluates, so a declined operator has
-// consumed nothing. Every kernel buffer is a window borrowed through the
-// operator's inputCols and given back when the function returns (see
-// windowPool), so nothing returned may alias one. Output rows, output ORDER,
-// and all accounting are byte-identical to the row loop.
+// consumed nothing. Every kernel buffer is a window of the run's scratch,
+// borrowed through the operator's inputCols and given back when the function
+// returns (see windows), so nothing returned may alias one. Output rows,
+// output ORDER, and all accounting are byte-identical to the row loop.
 package exec
 
 import (
@@ -46,7 +46,7 @@ func (ex *Executor) vecFilter(r nodeResult, pred plan.Expr, keep *bitvector.Bitm
 	if n == 0 {
 		return 0, true
 	}
-	in := newInputCols(r)
+	in := newInputCols(r, ex.scratch())
 	defer in.release()
 	prog, ok := compileVec(pred, in)
 	if !ok || prog.root.out.kind != data.KindBool {
@@ -77,7 +77,7 @@ func (ex *Executor) vecProject(r nodeResult, exprs []plan.Expr, out *data.Table)
 	if n == 0 {
 		return 0, true
 	}
-	in := newInputCols(r)
+	in := newInputCols(r, ex.scratch())
 	defer in.release()
 	progs, ok := compileAll(in, exprs)
 	if !ok {
@@ -117,7 +117,7 @@ func (ex *Executor) vecJoinKeys(r nodeResult, keys []plan.Expr, dst *[]string, p
 		*dst = (*dst)[:0]
 		return 0, true
 	}
-	in := newInputCols(r)
+	in := newInputCols(r, ex.scratch())
 	defer in.release()
 	progs, ok := compileAll(in, keys)
 	if !ok {
@@ -155,7 +155,7 @@ func (ex *Executor) vecAggregate(r nodeResult, groups *aggTable) (int64, bool) {
 		return 0, false
 	}
 	x := groups.x
-	in := newInputCols(r)
+	in := newInputCols(r, ex.scratch())
 	defer in.release()
 	groupProgs, ok := compileAll(in, x.GroupBy)
 	if !ok {

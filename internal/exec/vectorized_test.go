@@ -612,9 +612,9 @@ func TestGroupCostsItsOutputRow(t *testing.T) {
 				}
 			}
 		}
-		few := leastAlloc(10, 0, runs[1])
+		few := warmAlloc(runs[1])
 		budget := few + (rows-30)*row*110/100
-		got := leastAlloc(40, budget, runs[0])
+		got := warmAlloc(runs[0])
 		perGroup := float64(int64(got)-int64(few)) / (rows - 30)
 		t.Logf("vectorized=%v: %d B for 3,000 groups, %d B for 30: %.1f B a further group, %d B its output row", vectorized, got, few, perGroup, row)
 		if got > budget {
@@ -999,13 +999,14 @@ func sameTable(a, b *data.Table) bool {
 	return true
 }
 
-// TestPooledBuffersNeverEscape holds the pool's invariant — no table an
-// operator returns aliases a window or a join scratch it borrowed — by
-// overwriting every buffer with sentinels as it goes back: the equivalence
-// corpus, the row-aliasing test, the positions matrix, and executors on
-// several goroutines handing each other's buffers around through the pools
-// must all still read the row loop's answer. A violation shows as a changed
-// answer or, under -race, as a write to a buffer a returned table still reads.
+// TestPooledBuffersNeverEscape holds the scratch's invariant — no table an
+// operator returns aliases a window, a join scratch or a group table's
+// scratch it borrowed — by overwriting every buffer with sentinels as it goes
+// back: the equivalence corpus, the row-aliasing test, the positions matrix,
+// and executors on several goroutines handing each other their scratches
+// through the free list must all still read the row loop's answer. A
+// violation shows as a changed answer or, under -race, as a write to a buffer
+// a returned table still reads.
 func TestPooledBuffersNeverEscape(t *testing.T) {
 	exec.PoisonReleasedBuffers(t)
 	requireCorpusEquivalent(t)
@@ -1065,22 +1066,16 @@ func TestPooledBuffersNeverEscape(t *testing.T) {
 	wg.Wait()
 }
 
-// leastAlloc returns the fewest bytes one call of run allocated, over up to
-// tries calls after a warm-up, stopping at the first within budget. One call is
-// not enough: a GC cycle empties the pools, and under the race detector
-// sync.Pool drops a quarter of what is put back, so any single run may pay
-// for a window or a join scratch again.
-func leastAlloc(tries int, budget uint64, run func()) uint64 {
+// warmAlloc returns the bytes one call of run allocates after a warm-up call.
+// The run's scratch survives a collection (TestScratchSurvivesCollection), so
+// one measurement is what the code allocates, whatever the collector did.
+func warmAlloc(run func()) uint64 {
 	run()
-	least := ^uint64(0)
 	var before, after runtime.MemStats
-	for i := 0; i < tries && least > budget; i++ {
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestJoinOutputIsAllocatedOnce: a join records the pairs it keeps and then
@@ -1117,7 +1112,7 @@ func TestJoinOutputIsAllocatedOnce(t *testing.T) {
 						out = res.Table
 					}
 				}
-				keying := leastAlloc(10, 0, run(c.none))
+				keying := warmAlloc(run(c.none))
 				if out.NumRows() != 0 {
 					t.Fatalf("%s: the reject-all residual kept %d pairs", c.what, out.NumRows())
 				}
@@ -1129,7 +1124,7 @@ func TestJoinOutputIsAllocatedOnce(t *testing.T) {
 					t.Fatalf("%s: %d output rows", c.what, rows)
 				}
 				budget := keying + output + output*15/100
-				got := leastAlloc(40, budget, keep)
+				got := warmAlloc(keep)
 				t.Logf("%s, %v, vectorized=%v: %d B for %d B of output (%d rows) over %d B of keying", c.what, algo, vectorized, got, output, rows, keying)
 				if got > budget {
 					t.Errorf("%s, %v, vectorized=%v: %d B allocated, want at most %d (keying %d + output %d + 15%%)",
@@ -1145,9 +1140,6 @@ func TestJoinOutputIsAllocatedOnce(t *testing.T) {
 // table — and a fixed few KB of compiled expressions and bookkeeping; no
 // column copy, no per-node scratch, no constant broadcast, no group state.
 func TestKernelScratchIsBorrowed(t *testing.T) {
-	if raceDetector {
-		t.Skip("eighteen windows a run, a quarter of them dropped by sync.Pool under the race detector")
-	}
 	cat := boundaryCatalog(t, 3000, "", 0, 0)
 	n := bindQuery(t, cat, `SELECT A, COUNT(*) AS n, SUM(A % 7) AS s, MIN(B) AS lo FROM T WHERE A > 9 AND B != 'b3' GROUP BY A`)
 	var res *exec.RunResult
@@ -1183,9 +1175,53 @@ func TestKernelScratchIsBorrowed(t *testing.T) {
 	// written, less than any one window a kernel might make again.
 	const fixed = 20 << 10
 	budget := uint64(kept*4+3000/8+48*4*40) + fixed
-	got := leastAlloc(40, budget, run)
+	got := warmAlloc(run)
 	t.Logf("%d B allocated by a warm run, budget %d (%d B fixed)", got, budget, fixed)
 	if got > budget {
 		t.Errorf("a warm filter + aggregate allocated %d B, want at most %d", got, budget)
+	}
+}
+
+// TestScratchSurvivesCollection: a warm filter + join + aggregate on the
+// kernels makes the same number of allocations right after two collections as
+// with none between, because the windows, the join's scratch and the group
+// table's live in a scratch the run takes from a free list no collection
+// empties. Kept in sync.Pools, they were all made again after a collection.
+// The runtime allocates on its own around a collection (a sudog for a mark
+// worker, an m for a new thread), and a process-wide count sees that too, so
+// each count is the least of three tries; the executor's never varies.
+func TestScratchSurvivesCollection(t *testing.T) {
+	cat, err := fixtures.Retail(fixtures.RetailConfig{Customers: 60, Parts: 20, Sales: 3000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := bindQuery(t, cat, `SELECT MktSegment, COUNT(*) AS n, SUM(Price) AS s
+		FROM (SELECT * FROM Sales WHERE Price > 20) AS s JOIN Customer ON s.CustomerId = Customer.Id
+		GROUP BY MktSegment`)
+	// least returns the fewest allocations of three runs, each after collect.
+	least := func(collect func()) uint64 {
+		fewest := ^uint64(0)
+		for range 3 {
+			collect()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := (&exec.Executor{Catalog: cat, Vectorized: true}).Run(n)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range []string{"Filter", "Join", "Aggregate"} {
+				if opBatches(t, op, res, op) == 0 {
+					t.Fatalf("the %s ran on its row loop", op)
+				}
+			}
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
+	}
+	least(func() {})
+	warm := least(func() {})
+	if got := least(func() { runtime.GC(); runtime.GC() }); got != warm {
+		t.Errorf("a run after two collections made %d allocations, a warm run %d", got, warm)
 	}
 }
