@@ -407,10 +407,10 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			Catalog: e.Catalog,
 			Views:   e.Store,
 			Cache:   e.resultCache(),
-			// The result-cache keys: strict signatures, except on or above a
-			// ViewScan (a plan that reuses a view must not replay the
-			// accounting of the plan that computed the subexpression) and
-			// none on or above a Spool.
+			// The result-cache keys, signed with cr.Subs (Signer.Sign):
+			// strict signatures, except on or above a ViewScan (a plan that
+			// reuses a view must not replay the accounting of the plan that
+			// computed the subexpression) and none on or above a Spool.
 			SigMap: cr.Physical,
 			// Runtime history sizes each aggregate's group table: the
 			// statistics feedback reaches the executor, not only the

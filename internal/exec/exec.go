@@ -130,7 +130,7 @@ type RunResult struct {
 // CacheEntry memoizes the result of a subexpression for replay across
 // identical executions (so that repeated identical jobs don't recompute — the
 // accounting is still charged in full). It is stored under the subtree's
-// result-cache key (signature.Signer.Physical): its strict signature when no
+// result-cache key (signature.Signer.Sign): its strict signature when no
 // ViewScan sits below it, and never for a subtree holding a Spool. Stats holds
 // one NodeStat per node of the subtree, in post-order; equal keys mean equal
 // shapes, so a replay points them at the replaying plan's nodes in turn.
@@ -270,7 +270,7 @@ type Executor struct {
 	Views   ViewStore // nil disables Spool/ViewScan handling
 	Cache   *Cache    // nil disables memoization
 	// SigMap holds the result-cache key of every node that has one
-	// (signature.Signer.Physical). A node absent from it, such as a Spool and
+	// (signature.Signer.Sign). A node absent from it, such as a Spool and
 	// everything above one, is never looked up or stored.
 	SigMap map[plan.Node]signature.Sig
 	Ctx    *plan.EvalContext
@@ -474,7 +474,7 @@ func (ex *Executor) eval(n plan.Node) (nodeResult, error) { return ex.evalReadin
 // (Executor.accepts): a Filter then hands over a selection and a Join its
 // pairs. A Spool, a ViewScan's fallback and every other parent take rows.
 func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
-	// Subtrees containing a Spool have no key (signature.Signer.Physical).
+	// Subtrees containing a Spool have no key (signature.Signer.Sign).
 	// ViewScans bypass the cache while view-read faults are enabled: a cached
 	// replay would skip the read entirely and the injection decision (keyed
 	// per job and signature) must get a chance to fire.

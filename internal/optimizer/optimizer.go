@@ -71,9 +71,9 @@ type CompileResult struct {
 	// node's strict and recurring signature and eligibility, the one the
 	// repository record is built from.
 	Subs []signature.Subexpr
-	// Physical holds the final plan's result-cache key per node (see
-	// signature.Signer.Physical), the executor's SigMap: Subs' strict
-	// signature below any ViewScan or Spool.
+	// Physical holds the final plan's result-cache key per node, the
+	// executor's SigMap: Subs' strict signature below any ViewScan or Spool.
+	// signature.Signer.Sign computes both in one walk.
 	Physical map[plan.Node]signature.Sig
 	// CompileLatency accumulates the simulated insights round trips.
 	CompileLatency time.Duration
@@ -210,10 +210,9 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 	o.Trace.Span("optimize", 0)
 	p = known.ownJoins(p)
 
-	// Final enumeration and result-cache keys over the rewritten plan: only
-	// what sits on or above a substituted ViewScan or Spool is signed here.
-	res.Subs = o.Signer.SubexpressionsKnown(p, known.sub)
-	res.Physical = o.Signer.PhysicalKnown(p, known.sub)
+	// One walk enumerates the rewritten plan and keys it: only what sits on
+	// or above a substituted ViewScan or Spool is signed here.
+	res.Subs, res.Physical = o.Signer.Sign(p, known.sub)
 
 	// Statistics refresh + physical planning.
 	res.Estimates = o.estimateWithHistory(p, res.Subs)

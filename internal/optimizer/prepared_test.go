@@ -238,8 +238,8 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 // states that shape a final plan — reuse off, the build budget spent, a cold
 // build under a Spool, a warm match on a ViewScan, the matched view
 // quarantined by the guard — compiling each from one shared Prepared, and
-// holds the result-cache keys the compile carried over from it to a cold
-// Physical of the final plan: node for node, byte for byte.
+// holds the result-cache keys that CompilePrepared's Signer.Sign carried over
+// from it to a cold Physical of the final plan: node for node, byte for byte.
 func TestPhysicalKnownMatchesScratch(t *testing.T) {
 	w := newGenWorld(t)
 	signer := w.opt.Signer

@@ -133,46 +133,27 @@ func (s *Signer) hash(inputs []Sig, parts ...string) Sig {
 func AttrsPart(n plan.Node) string { return "attrs=" + n.Attrs(false) }
 
 // StrictOf is the strict signature of an operator named op whose AttrsPart is
-// attrs, over its inputs' strict signatures (ViewScan and Spool: see signNode).
+// attrs, over its inputs' strict signatures (ViewScan and Spool: see Sign).
 func (s *Signer) StrictOf(op, attrs string, inputs []Sig) Sig {
 	return s.hash(inputs, "op="+op, attrs)
 }
 
 // Strict computes the strict signature of a plan subtree.
-func (s *Signer) Strict(n plan.Node) Sig {
-	return s.signNode(n, false)
-}
+func (s *Signer) Strict(n plan.Node) Sig { return s.top(n).Strict }
 
 // Recurring computes the recurring signature of a plan subtree.
-func (s *Signer) Recurring(n plan.Node) Sig {
-	return s.signNode(n, true)
-}
+func (s *Signer) Recurring(n plan.Node) Sig { return s.top(n).Recurring }
 
-func (s *Signer) signNode(n plan.Node, recurring bool) Sig {
-	// Spool is transparent: materializing a subexpression must not change
-	// its identity, or the first job's own plan would stop matching.
-	if sp, ok := n.(*plan.Spool); ok {
-		return s.signNode(sp.Child, recurring)
-	}
-	// A ViewScan stands for the subexpression it replaced: it reports that
-	// subexpression's signatures so ancestor signatures are rewrite-stable.
-	if vs, ok := n.(*plan.ViewScan); ok {
-		if recurring {
-			return Sig(vs.RecurringSig)
-		}
-		return Sig(vs.StrictSig)
-	}
-	var buf [2]plan.Node
-	var sigBuf [2]Sig
-	inputs := sigBuf[:0]
-	for _, c := range plan.Inputs(n, &buf) {
-		inputs = append(inputs, s.signNode(c, recurring))
-	}
-	return s.hash(inputs, "op="+n.OpName(), "attrs="+n.Attrs(recurring))
+// top is the last entry of n's enumeration: n's own, or a Spool's child's.
+func (s *Signer) top(n plan.Node) Subexpr {
+	subs := s.sign(n, nil, nil)
+	return subs[len(subs)-1]
 }
 
 // JobTag derives the tag for a job plan: the recurring signature of its root.
-// All annotations for the job's template are indexed under this tag.
+// The root must be normalized (optimizer.Rewrite): annotations are published
+// under the tag of the plan optimizer.Prepare rewrites, and a bound root that
+// normalization reorders has another.
 func (s *Signer) JobTag(root plan.Node) Tag {
 	return TagForTemplate(s.Recurring(root))
 }
@@ -184,9 +165,31 @@ func TagForTemplate(template Sig) Tag {
 	return Tag("tag-" + template.Short())
 }
 
-// Physical computes every node's result-cache key: the identity under which
-// the executor stores a subtree's table and accounting and replays them into
-// another job. A node with no key is absent from the map.
+// Physical computes every node's result-cache key (see Sign).
+func (s *Signer) Physical(root plan.Node) map[plan.Node]Sig {
+	_, keys := s.Sign(root, nil)
+	return keys
+}
+
+// Subexpressions enumerates every subexpression of the plan (see Sign).
+func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
+	return s.sign(root, nil, nil)
+}
+
+// Sign enumerates every subexpression of the plan bottom-up (post-order), with
+// both signatures and its eligibility, and computes every node's result-cache
+// key, in one walk.
+//
+// Two operators stand for others. A Spool is transparent: it has no entry, and
+// its child's signatures are its own, because materializing a subexpression
+// must not change its identity, or the first job's own plan would stop
+// matching. A ViewScan stands for the subexpression it replaced: its entry
+// carries that subexpression's signatures, so ancestor signatures are
+// rewrite-stable.
+//
+// The result-cache key is the identity under which the executor stores a
+// subtree's table and accounting and replays them into another job. A node
+// with no key is absent from the map.
 //   - A node with no ViewScan or Spool at or below it is keyed by its strict
 //     signature: its subtree executes exactly the operators the signature
 //     hashes.
@@ -197,165 +200,141 @@ func TagForTemplate(template Sig) Tag {
 //   - A Spool and every node above one have no key: a replay would skip the
 //     view write and leave a staged view that never materializes. The Spool's
 //     child keeps its own, so a replayed build stays cheap.
-func (s *Signer) Physical(root plan.Node) map[plan.Node]Sig {
-	return s.PhysicalKnown(root, nil)
+//
+// known, when not nil, serves a plan derived from one already enumerated: it
+// returns the entry of the node n stands for — itself, the original of a copy,
+// or the original of a node rebuilt above a substituted ViewScan or Spool,
+// whose identity the substitution leaves unchanged — and nil for a node it has
+// no entry for. A node with an entry takes its signatures and eligibility
+// without rendering attributes or hashing; only Height, NodeCount,
+// InputDatasets and Parent are recomputed, and only a node on or above a
+// ViewScan hashes its key. The others are signed from scratch.
+func (s *Signer) Sign(root plan.Node, known func(plan.Node) *Subexpr) ([]Subexpr, map[plan.Node]Sig) {
+	keys := make(map[plan.Node]Sig, plan.CountNodes(root))
+	return s.sign(root, known, keys), keys
 }
 
-// PhysicalKnown is Physical for a plan derived from one already enumerated,
-// with SubexpressionsKnown's known: a node with no ViewScan or Spool below it
-// that has an entry takes the entry's strict signature as its key, without
-// rendering or hashing. Only what sits on or above a substitution is hashed.
-func (s *Signer) PhysicalKnown(root plan.Node, known func(plan.Node) *Subexpr) map[plan.Node]Sig {
-	out := make(map[plan.Node]Sig, plan.CountNodes(root))
-	// rec returns n's key ("" for none) and whether a ViewScan is at or below n.
-	var rec func(n plan.Node) (key Sig, view bool)
-	rec = func(n plan.Node) (Sig, bool) {
-		var buf [2]plan.Node
-		var keyBuf [2]Sig
-		keys, view, spool := keyBuf[:0], false, false
-		for _, c := range plan.Inputs(n, &buf) {
-			k, v := rec(c)
-			keys, view, spool = append(keys, k), view || v, spool || k == ""
-		}
-		var key Sig
+// signed is what sign passes from a node up to its parent.
+type signed struct {
+	strict, recur Sig
+	height, count int
+	datasets      []string
+	elig          Eligibility // propagated upward: the most specific reason
+	idx           int         // the node's entry
+	key           Sig         // "" for none
+	view          bool        // a ViewScan sits at or below the node
+	spool         bool        // a Spool sits at or below the node: it has no key
+}
+
+// sign is Sign, filling keys when it is not nil.
+func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[plan.Node]Sig) []Subexpr {
+	out := make([]Subexpr, 0, plan.CountNodes(root))
+	var rec func(n plan.Node) signed
+	rec = func(n plan.Node) signed {
 		switch x := n.(type) {
 		case *plan.Spool:
-			return "", false
+			r := rec(x.Child)
+			r.key, r.spool = "", true
+			return r
 		case *plan.ViewScan:
-			key, view = s.hash(nil, "phys-op="+n.OpName(), AttrsPart(n), "view="+x.StrictSig), true
-		default:
-			var k *Subexpr
-			if known != nil {
-				k = known(n)
-			}
-			switch {
-			case spool:
-				return "", false
-			case view:
-				key = s.hash(keys, "phys-op="+n.OpName(), AttrsPart(n))
-			case k != nil:
-				key = k.Strict
-			default:
-				key = s.StrictOf(n.OpName(), AttrsPart(n), keys)
-			}
-		}
-		out[n] = key
-		return key, view
-	}
-	rec(root)
-	return out
-}
-
-// Subexpressions enumerates every subexpression of the plan bottom-up,
-// computing both signatures in a single pass and classifying eligibility.
-func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
-	return s.SubexpressionsKnown(root, nil)
-}
-
-// SubexpressionsKnown is Subexpressions for a plan derived from one already
-// enumerated: known returns the entry of the node n stands for — itself, the
-// original of a copy, or the original of a node rebuilt above a substituted
-// ViewScan or Spool, whose identity the substitution leaves unchanged — and
-// nil for a node it has no entry for. A node with an entry takes its
-// signatures and eligibility without rendering attributes or hashing; only
-// Height, NodeCount, InputDatasets and Parent are recomputed. The others are
-// signed from scratch.
-func (s *Signer) SubexpressionsKnown(root plan.Node, known func(plan.Node) *Subexpr) []Subexpr {
-	out := make([]Subexpr, 0, plan.CountNodes(root))
-	var rec func(n plan.Node) (strict, recur Sig, height, count int, datasets []string, elig Eligibility, idx int)
-	rec = func(n plan.Node) (Sig, Sig, int, int, []string, Eligibility, int) {
-		if sp, ok := n.(*plan.Spool); ok {
-			return rec(sp.Child)
-		}
-		if vs, ok := n.(*plan.ViewScan); ok {
 			out = append(out, Subexpr{
-				Node:        vs,
-				Strict:      Sig(vs.StrictSig),
-				Recurring:   Sig(vs.RecurringSig),
+				Node:        x,
+				Strict:      Sig(x.StrictSig),
+				Recurring:   Sig(x.RecurringSig),
 				Op:          "ViewScan",
 				Height:      1,
 				NodeCount:   1,
 				Eligibility: IneligibleTrivial,
 				Parent:      -1,
 			})
-			return Sig(vs.StrictSig), Sig(vs.RecurringSig), 1, 1, nil, EligibleOK, len(out) - 1
+			r := signed{strict: Sig(x.StrictSig), recur: Sig(x.RecurringSig), height: 1, count: 1, elig: EligibleOK, idx: len(out) - 1, view: true}
+			if keys != nil {
+				r.key = s.hash(nil, "phys-op="+n.OpName(), AttrsPart(n), "view="+x.StrictSig)
+				keys[n] = r.key
+			}
+			return r
 		}
 		var k *Subexpr
 		if known != nil {
 			k = known(n)
 		}
-		var strictBuf, recurBuf [2]Sig
-		strictIn, recurIn := strictBuf[:0], recurBuf[:0]
-		height, count := 1, 1
-		datasets := []string{}
-		elig := EligibleOK
+		var strictBuf, recurBuf, keyBuf [2]Sig
+		strictIn, recurIn, keyIn := strictBuf[:0], recurBuf[:0], keyBuf[:0]
+		r := signed{height: 1, count: 1, datasets: []string{}, elig: EligibleOK}
 		var idxBuf [2]int
 		childIdx := idxBuf[:0]
 		var buf [2]plan.Node
 		for _, c := range plan.Inputs(n, &buf) {
-			cs, cr, ch, cc, cd, ce, ci := rec(c)
+			cr := rec(c)
 			if k == nil {
-				strictIn, recurIn = append(strictIn, cs), append(recurIn, cr)
+				strictIn, recurIn = append(strictIn, cr.strict), append(recurIn, cr.recur)
 			}
-			childIdx = append(childIdx, ci)
-			if ch+1 > height {
-				height = ch + 1
+			keyIn, childIdx = append(keyIn, cr.key), append(childIdx, cr.idx)
+			if cr.height+1 > r.height {
+				r.height = cr.height + 1
 			}
-			count += cc
-			datasets = unionSorted(datasets, cd)
-			if ce != EligibleOK {
-				elig = ce
+			r.count += cr.count
+			r.datasets = unionSorted(r.datasets, cr.datasets)
+			if cr.elig != EligibleOK {
+				r.elig = cr.elig
 			}
+			r.view, r.spool = r.view || cr.view, r.spool || cr.spool
 		}
 		// Node-local eligibility checks, applied after child propagation so
 		// the most specific child reason survives.
-		var strict, recur Sig
 		if k == nil {
-			if elig == EligibleOK {
-				elig = s.nodeEligibility(n)
+			if r.elig == EligibleOK {
+				r.elig = s.nodeEligibility(n)
 			}
-			strict = s.StrictOf(n.OpName(), AttrsPart(n), strictIn)
-			recur = s.hash(recurIn, "op="+n.OpName(), "attrs="+n.Attrs(true))
+			r.strict = s.StrictOf(n.OpName(), AttrsPart(n), strictIn)
+			r.recur = s.hash(recurIn, "op="+n.OpName(), "attrs="+n.Attrs(true))
 		} else {
 			// The entry holds the node-local verdict already, except that
 			// Trivial and Output judge the node itself, not what it passes up.
-			if elig == EligibleOK && k.Eligibility != IneligibleTrivial && k.Eligibility != IneligibleOutput {
-				elig = k.Eligibility
+			if r.elig == EligibleOK && k.Eligibility != IneligibleTrivial && k.Eligibility != IneligibleOutput {
+				r.elig = k.Eligibility
 			}
-			strict, recur = k.Strict, k.Recurring
+			r.strict, r.recur = k.Strict, k.Recurring
 		}
 		if sc, ok := n.(*plan.Scan); ok {
-			datasets = []string{sc.Dataset}
+			r.datasets = []string{sc.Dataset}
 		}
 
-		nodeElig := elig
+		nodeElig := r.elig
 		switch n.(type) {
-		case *plan.Scan, *plan.ViewScan:
+		case *plan.Scan:
 			// A bare scan is never worth materializing on its own.
 			nodeElig = IneligibleTrivial
 		case *plan.Output:
 			nodeElig = IneligibleOutput
 		}
-		if nodeElig == IneligibleTrivial && elig != EligibleOK {
-			nodeElig = elig
+		if nodeElig == IneligibleTrivial && r.elig != EligibleOK {
+			nodeElig = r.elig
 		}
 
 		out = append(out, Subexpr{
 			Node:          n,
-			Strict:        strict,
-			Recurring:     recur,
+			Strict:        r.strict,
+			Recurring:     r.recur,
 			Op:            n.OpName(),
-			Height:        height,
-			NodeCount:     count,
+			Height:        r.height,
+			NodeCount:     r.count,
 			Eligibility:   nodeElig,
-			InputDatasets: datasets,
+			InputDatasets: r.datasets,
 			Parent:        -1,
 		})
-		self := len(out) - 1
+		r.idx = len(out) - 1
 		for _, ci := range childIdx {
-			out[ci].Parent = self
+			out[ci].Parent = r.idx
 		}
-		return strict, recur, height, count, datasets, elig, self
+		if keys != nil && !r.spool {
+			r.key = r.strict
+			if r.view {
+				r.key = s.hash(keyIn, "phys-op="+n.OpName(), AttrsPart(n))
+			}
+			keys[n] = r.key
+		}
+		return r
 	}
 	rec(root)
 	return out

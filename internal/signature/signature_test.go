@@ -327,17 +327,20 @@ func substitutions(root plan.Node, fn func(op string, derived plan.Node, known m
 	return substituted
 }
 
-// TestSubexpressionsKnownMatchesCold: carrying signatures and eligibility
-// from an enumeration to the plan derived from it — and result-cache keys
-// from the same entries — gives, field by field, what signing the derived
-// plan from scratch gives, over the substitution matrix.
+// TestSubexpressionsKnownMatchesCold: Signer.Sign carrying signatures and
+// eligibility from an enumeration to the plan derived from it — and
+// result-cache keys from the same entries — gives, field by field, what
+// signing the derived plan from scratch gives, over the substitution matrix.
+// Strict, Recurring and JobTag, which read the walk, agree with its entries
+// at every node, mid-plan Spools and ViewScans included.
 func TestSubexpressionsKnownMatchesCold(t *testing.T) {
 	matrixLibraries(t)
-	substituted := 0
+	substituted, spools, views := 0, 0, 0
 	for _, q := range matrixQueries {
 		substituted += substitutions(matrixRoot(t, q), func(op string, derived plan.Node, known map[plan.Node]*signature.Subexpr) {
 			entry := func(n plan.Node) *signature.Subexpr { return known[n] }
-			got, want := signer.SubexpressionsKnown(derived, entry), signer.Subexpressions(derived)
+			got, gotKeys := signer.Sign(derived, entry)
+			want := signer.Subexpressions(derived)
 			if len(got) != len(want) {
 				t.Fatalf("%q, %s substituted: %d entries, want %d", q, op, len(got), len(want))
 			}
@@ -353,13 +356,42 @@ func TestSubexpressionsKnownMatchesCold(t *testing.T) {
 			}
 			// A node rebuilt above a substitution does not keep its
 			// original's key: it is hashed again.
-			if g, w := signer.PhysicalKnown(derived, entry), signer.Physical(derived); !reflect.DeepEqual(g, w) {
+			if g, w := gotKeys, signer.Physical(derived); !reflect.DeepEqual(g, w) {
 				t.Errorf("%q, %s substituted: carried keys differ from a cold signing:\ncarried: %v\ncold:    %v", q, op, g, w)
+			}
+			// Every node's signatures are its entry's; a Spool's are its
+			// child's.
+			at := make(map[plan.Node]signature.Subexpr, len(got))
+			for _, e := range got {
+				at[e.Node] = e
+			}
+			var check func(n plan.Node) signature.Subexpr
+			check = func(n plan.Node) (e signature.Subexpr) {
+				var buf [2]plan.Node
+				for _, c := range plan.Inputs(n, &buf) {
+					e = check(c)
+				}
+				if _, spool := n.(*plan.Spool); spool {
+					spools++
+				} else {
+					e = at[n]
+				}
+				if _, view := n.(*plan.ViewScan); view {
+					views++
+				}
+				if s, r := signer.Strict(n), signer.Recurring(n); s != e.Strict || r != e.Recurring {
+					t.Errorf("%q, %s substituted: %s signs as (%s, %s), its entry holds (%s, %s)", q, op, n.OpName(), s, r, e.Strict, e.Recurring)
+				}
+				return e
+			}
+			check(derived)
+			if g, w := signer.JobTag(derived), signature.TagForTemplate(got[len(got)-1].Recurring); g != w {
+				t.Errorf("%q, %s substituted: job tag %s, the root entry's is %s", q, op, g, w)
 			}
 		})
 	}
-	if substituted < 10 {
-		t.Fatalf("only %d substitutions happened", substituted)
+	if substituted < 10 || spools == 0 || views == 0 {
+		t.Fatalf("only %d substitutions happened (%d Spools, %d ViewScans)", substituted, spools, views)
 	}
 }
 
@@ -381,12 +413,13 @@ func TestConcurrentKnownSigningReadsOnly(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if got := signer.SubexpressionsKnown(derived, entry); !reflect.DeepEqual(got, wantSubs) {
+				got, keys := signer.Sign(derived, entry)
+				if !reflect.DeepEqual(got, wantSubs) {
 					t.Errorf("carried enumeration differs from a cold signing: %+v", got)
 					return
 				}
-				if got := signer.PhysicalKnown(derived, entry); !reflect.DeepEqual(got, wantKeys) {
-					t.Errorf("carried keys differ from a cold signing: %v", got)
+				if !reflect.DeepEqual(keys, wantKeys) {
+					t.Errorf("carried keys differ from a cold signing: %v", keys)
 					return
 				}
 			}
