@@ -213,12 +213,13 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 }
 
 // warmAllocCeiling bounds the allocations of one warm, onboarded,
-// view-matching resubmission. Last measured: 45 (46 under -race), Go 1.24;
-// the ceiling keeps the 12 of margin it had over 48.
+// view-matching resubmission. Last measured: 39 (39 under -race), Go 1.24;
+// the ceiling keeps 3 of margin, so the 45 a job cost when result-cache keys
+// above a view rendered their attributes again goes past it.
 // It is the unit-test-cost gate on the reuse-on path: a change that re-signs
 // the final plan, copies the prepared one, re-normalizes per job or copies the
 // job's record on its way into the repository goes past it.
-const warmAllocCeiling = 57
+const warmAllocCeiling = 42
 
 func TestWarmResubmissionAllocCeiling(t *testing.T) {
 	e, in := warmEngine(t)

@@ -7,6 +7,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -418,15 +419,17 @@ func (f *Call) Walk(fn func(Expr)) {
 }
 
 // HasNondeterminism reports whether the expression tree contains a
-// non-deterministic function call.
+// non-deterministic function call, without allocating (a Walk closure would).
 func HasNondeterminism(e Expr) bool {
-	found := false
-	e.Walk(func(x Expr) {
-		if c, ok := x.(*Call); ok && !IsDeterministicFunc(c.Name) {
-			found = true
-		}
-	})
-	return found
+	switch x := e.(type) {
+	case *Binary:
+		return HasNondeterminism(x.L) || HasNondeterminism(x.R)
+	case *Unary:
+		return HasNondeterminism(x.E)
+	case *Call:
+		return !IsDeterministicFunc(x.Name) || slices.ContainsFunc(x.Args, HasNondeterminism)
+	}
+	return false
 }
 
 // RemapColumns rewrites every ColRef index through the mapping (old index →

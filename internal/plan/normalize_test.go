@@ -193,6 +193,26 @@ func TestHasNondeterminism(t *testing.T) {
 	if !plan.HasNondeterminism(nested) {
 		t.Error("nested RANDOM must be detected")
 	}
+	if !plan.HasNondeterminism(&plan.Unary{Op: "NOT", E: nested}) {
+		t.Error("RANDOM under NOT must be detected")
+	}
+	if !plan.HasNondeterminism(&plan.Call{Name: "LOWER", Args: []plan.Expr{nondet}}) {
+		t.Error("NOW as a deterministic call's argument must be detected")
+	}
+}
+
+// TestHasNondeterminismAllocatesNothing: every cold signing asks it of every
+// expression, so it recurses without a closure.
+func TestHasNondeterminismAllocatesNothing(t *testing.T) {
+	exprs := []plan.Expr{
+		bin("AND", bin(">", col(0, "a"), &plan.Param{Name: "@p"}), &plan.Unary{Op: "NOT", E: &plan.Call{Name: "LOWER", Args: []plan.Expr{col(1, "b")}}}),
+		bin("AND", col(0, "a"), &plan.Call{Name: "LOWER", Args: []plan.Expr{&plan.Call{Name: "RANDOM"}}}),
+	}
+	for _, e := range exprs {
+		if allocs := testing.AllocsPerRun(100, func() { plan.HasNondeterminism(e) }); allocs != 0 {
+			t.Errorf("%s: %.0f allocs, want 0", e.Canonical(), allocs)
+		}
+	}
 }
 
 // rebindParams returns a copy of e with every Param bound to its value in

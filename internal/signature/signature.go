@@ -127,8 +127,8 @@ func (s *Signer) hash(inputs []Sig, parts ...string) Sig {
 	return Sig(hexed[:])
 }
 
-// AttrsPart renders what n's own attributes contribute to its strict signature
-// and its result-cache key. A caller that knows they cannot have changed (see
+// AttrsPart renders what n's own attributes contribute to its strict
+// signature. A caller that knows they cannot have changed (see
 // optimizer.Derive) keeps the rendering and signs from it again.
 func AttrsPart(n plan.Node) string { return "attrs=" + n.Attrs(false) }
 
@@ -193,10 +193,11 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 //   - A node with no ViewScan or Spool at or below it is keyed by its strict
 //     signature: its subtree executes exactly the operators the signature
 //     hashes.
-//   - A ViewScan, hashed as itself and not as the subexpression it replaced,
-//     and every node above one are keyed in a domain of their own ("phys-op=")
-//     over their inputs' keys: a plan that reads a view must never replay the
-//     accounting of the plan that computed it, nor the other way round.
+//   - A ViewScan (over its StrictSig) and every node above one (over its
+//     strict signature and its inputs' keys, strings the walk holds) are keyed
+//     in a domain of their own ("phys-op="): a plan that reads a view must
+//     never replay the accounting of the plan that computed it, nor the other
+//     way round.
 //   - A Spool and every node above one have no key: a replay would skip the
 //     view write and leave a staged view that never materializes. The Spool's
 //     child keeps its own, so a replayed build stays cheap.
@@ -207,8 +208,8 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 // whose identity the substitution leaves unchanged — and nil for a node it has
 // no entry for. A node with an entry takes its signatures and eligibility
 // without rendering attributes or hashing; only Height, NodeCount,
-// InputDatasets and Parent are recomputed, and only a node on or above a
-// ViewScan hashes its key. The others are signed from scratch.
+// InputDatasets (a Scan's is its entry's) and Parent are recomputed, and only
+// a node on or above a ViewScan hashes its key. The rest are signed afresh.
 func (s *Signer) Sign(root plan.Node, known func(plan.Node) *Subexpr) ([]Subexpr, map[plan.Node]Sig) {
 	keys := make(map[plan.Node]Sig, plan.CountNodes(root))
 	return s.sign(root, known, keys), keys
@@ -249,7 +250,7 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 			})
 			r := signed{strict: Sig(x.StrictSig), recur: Sig(x.RecurringSig), height: 1, count: 1, elig: EligibleOK, idx: len(out) - 1, view: true}
 			if keys != nil {
-				r.key = s.hash(nil, "phys-op="+n.OpName(), AttrsPart(n), "view="+x.StrictSig)
+				r.key = s.hash(nil, "phys-op=ViewScan", x.StrictSig)
 				keys[n] = r.key
 			}
 			return r
@@ -296,8 +297,10 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 			}
 			r.strict, r.recur = k.Strict, k.Recurring
 		}
-		if sc, ok := n.(*plan.Scan); ok {
+		if sc, ok := n.(*plan.Scan); ok && k == nil {
 			r.datasets = []string{sc.Dataset}
+		} else if ok {
+			r.datasets = k.InputDatasets
 		}
 
 		nodeElig := r.elig
@@ -330,7 +333,7 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 		if keys != nil && !r.spool {
 			r.key = r.strict
 			if r.view {
-				r.key = s.hash(keyIn, "phys-op="+n.OpName(), AttrsPart(n))
+				r.key = s.hash(keyIn, "phys-op="+n.OpName(), string(r.strict))
 			}
 			keys[n] = r.key
 		}

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -97,12 +97,12 @@ func Analyze(tr *obs.Trace) Breakdown {
 	// elementary slice to the highest-priority covering phase ("other" when
 	// uncovered). The slices partition [lo, hi], so the phase totals sum to
 	// the wall span by construction.
-	cuts := make([]time.Time, 0, 2*len(ivs)+2)
-	cuts = append(cuts, lo, hi)
+	var cutBuf [2*16 + 2]time.Time
+	cuts := append(cutBuf[:0], lo, hi)
 	for _, iv := range ivs {
 		cuts = append(cuts, iv.start, iv.end)
 	}
-	sort.Sort(timesAsc(cuts))
+	slices.SortFunc(cuts, time.Time.Compare)
 	uniq := cuts[:1]
 	for _, c := range cuts[1:] {
 		if !c.Equal(uniq[len(uniq)-1]) {
@@ -129,14 +129,6 @@ func Analyze(tr *obs.Trace) Breakdown {
 	})
 	return bd
 }
-
-// timesAsc sorts cut points without the reflection-based swapper sort.Slice
-// allocates per call (Analyze runs once per job).
-type timesAsc []time.Time
-
-func (t timesAsc) Len() int           { return len(t) }
-func (t timesAsc) Less(i, j int) bool { return t[i].Before(t[j]) }
-func (t timesAsc) Swap(i, j int)      { t[i], t[j] = t[j], t[i] }
 
 func phasePrio(phase string) int {
 	if p, ok := phasePriority[phase]; ok {

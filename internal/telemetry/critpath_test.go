@@ -51,6 +51,31 @@ func TestAnalyzeSequentialSpans(t *testing.T) {
 	}
 }
 
+var phaseSink map[string]float64
+
+// TestAnalyzeAllocatesOnlyItsBreakdown: the sweep's intervals and cuts live
+// on the stack, so Analyze allocates what its Phase map costs and nothing
+// else. Analyze runs once per job.
+func TestAnalyzeAllocatesOnlyItsBreakdown(t *testing.T) {
+	tr := obs.NewTrace("j", fixtures.Epoch)
+	for _, name := range []string{"parse", "bind", "insights", "optimize", "execute:stage-00"} {
+		tr.Span(name, time.Second)
+	}
+	tr.SpanAt("seal", fixtures.Epoch.Add(3*time.Second), 10*time.Second)
+	bd := Analyze(tr)
+	phases := testing.AllocsPerRun(100, func() {
+		phaseSink = make(map[string]float64)
+		for p, sec := range bd.Phase {
+			phaseSink[p] += sec
+		}
+	})
+	got := testing.AllocsPerRun(100, func() { Analyze(tr) })
+	t.Logf("%.0f allocs per six-span Analyze, %.0f for its %d-phase map", got, phases, len(bd.Phase))
+	if got != phases {
+		t.Errorf("%.0f allocs per six-span Analyze, want the Phase map's %.0f", got, phases)
+	}
+}
+
 func TestAnalyzeOverlapPriority(t *testing.T) {
 	// A seal window overlapping an execute span: the overlapping instants go
 	// to execute (higher priority); only the uncovered tail is seal.
