@@ -51,7 +51,7 @@ func main() {
 	in := flag.String("in", "", "read bench output from a file instead of stdin")
 	out := flag.String("out", "", "write the parsed trajectory JSON here")
 	baseline := flag.String("baseline", "", "committed baseline JSON to gate against")
-	gate := flag.String("gate", "BenchmarkConcurrentSubmit", "benchmark name prefix the allocation gate applies to")
+	gate := flag.String("gate", "BenchmarkConcurrentSubmit", "comma-separated benchmark name prefixes the allocation gate applies to")
 	maxRegress := flag.Float64("max-alloc-regress", 0.10, "allowed fractional allocs/op and B/op increase over baseline")
 	flag.Parse()
 
@@ -111,12 +111,12 @@ func baseName(name string) string {
 	return name
 }
 
-// gateAllocs compares every gated baseline entry's allocs/op and B/op against
-// the fresh results of the same base name (see baseName), each -cpu arm on
-// its own. A gated
-// benchmark missing from the fresh run fails the gate — silently dropping an
-// arm must not pass.
-func gateAllocs(base, cur []Result, prefix string, tolerance float64) []string {
+// gateAllocs compares every gated baseline entry — one whose name starts with
+// one of the comma-separated prefixes — on allocs/op and B/op against the
+// fresh results of the same base name (see baseName), each -cpu arm on its
+// own. A gated benchmark missing from the fresh run fails the gate — silently
+// dropping an arm must not pass.
+func gateAllocs(base, cur []Result, prefixes string, tolerance float64) []string {
 	byName := make(map[string][]Result, len(cur))
 	for _, r := range cur {
 		k := baseName(r.Name)
@@ -124,7 +124,11 @@ func gateAllocs(base, cur []Result, prefix string, tolerance float64) []string {
 	}
 	var failures []string
 	for _, b := range base {
-		if !strings.HasPrefix(b.Name, prefix) || !b.HasAllocs {
+		gated := false
+		for _, p := range strings.Split(prefixes, ",") {
+			gated = gated || strings.HasPrefix(b.Name, p)
+		}
+		if !gated || !b.HasAllocs {
 			continue
 		}
 		matches := byName[baseName(b.Name)]

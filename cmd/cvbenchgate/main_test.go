@@ -34,6 +34,10 @@ PASS
 	if f := gateAllocs(base, cur, "BenchmarkExecuteVectorized", 0); len(f) != 1 || !strings.Contains(f[0], "batch-2") {
 		t.Errorf("want exactly the -cpu 2 arm over the limit, got %v", f)
 	}
+	// A list of prefixes gates every entry one of them starts.
+	if f := gateAllocs(base, cur, "BenchmarkParseBind,BenchmarkExecuteVectorized", 0); len(f) != 1 || !strings.Contains(f[0], "batch-2") {
+		t.Errorf("want the listed prefix gated, got %v", f)
+	}
 	// Bytes per op are held to the same margin as the count: the same run
 	// against a baseline that allocated 10 % fewer bytes fails on both arms.
 	base[2].BytesPerOp = 4500000

@@ -286,7 +286,7 @@ func (ix *Index) Register(viewStrict signature.Sig, childStrict signature.Sig, p
 	ix.byChild[childStrict] = append(ix.byChild[childStrict], entry{
 		strict:        viewStrict,
 		pred:          p,
-		predCanonical: pred.Canonical(),
+		predCanonical: plan.Canonical(pred),
 		schema:        schema,
 		rows:          rows,
 	})

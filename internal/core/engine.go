@@ -167,6 +167,7 @@ func NewEngine(cfg Config) *Engine {
 		e.faults.SetMetrics(e.Metrics)
 		e.guard.SetMetrics(e.Metrics)
 		e.cache.SetMetrics(e.Metrics)
+		e.plans.setMetrics(e.Metrics)
 		e.Telemetry = telemetry.NewCollector(telemetry.Config{Rules: cfg.SLORules})
 	}
 	return e
@@ -304,13 +305,16 @@ func (e *Engine) prepare(in workload.JobInput, opt *optimizer.Optimizer) (*optim
 	if keyOK {
 		template, prep := e.plans.lookup(key, gen, in.Params)
 		if prep != nil {
+			e.plans.hit.Inc()
 			return prep, nil
 		}
 		if template != nil {
 			if prep = opt.Derive(template, e.Catalog, in.Params); prep != nil {
+				e.plans.derive.Inc()
 				return e.plans.store(key, gen, in.Params, prep), nil
 			}
 		}
+		e.plans.cold.Inc()
 	}
 	// A new script, or one Derive declines: the front end runs, and reports
 	// what it finds wrong.

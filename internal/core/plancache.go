@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"cloudviews/internal/data"
+	"cloudviews/internal/obs"
 	"cloudviews/internal/optimizer"
 	"cloudviews/internal/sqlparser"
 	"cloudviews/internal/workload"
@@ -75,6 +76,25 @@ type planCache struct {
 
 	// compiles counts the compilations of submissions the cache could key.
 	compiles atomic.Uint64
+
+	// hit, derive and cold count Engine.prepare's lookups by outcome: an
+	// instance served as it stands, one optimizer.Derive built from the
+	// template, or the front end run. entries is the templates held. All are
+	// nil without observability.
+	hit, derive, cold *obs.Counter
+	entries           *obs.Gauge
+}
+
+// setMetrics registers the cache's series with reg, once, so a lookup bumps
+// a counter it already holds.
+func (c *planCache) setMetrics(reg *obs.Registry) {
+	if c == nil {
+		return
+	}
+	c.hit = reg.Counter(`cloudviews_plancache_lookups_total{outcome="hit"}`)
+	c.derive = reg.Counter(`cloudviews_plancache_lookups_total{outcome="derive"}`)
+	c.cold = reg.Counter(`cloudviews_plancache_lookups_total{outcome="cold"}`)
+	c.entries = reg.Gauge("cloudviews_plancache_entries")
 }
 
 func newPlanCache(limit int) *planCache {
@@ -156,6 +176,7 @@ func (c *planCache) store(key planKey, gen uint64, params map[string]data.Value,
 			c.unlink(victim)
 			delete(c.m, victim.key)
 		}
+		c.entries.Set(float64(len(c.m)))
 	} else if first := e.match(gen, params); first != nil {
 		return first
 	}

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -22,6 +23,27 @@ func TestValueRoundTrip(t *testing.T) {
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestAppendValueMatchesString holds the appended rendering to String() for
+// every kind: signatures hash one and join keys encode the other.
+func TestAppendValueMatchesString(t *testing.T) {
+	vals := []Value{
+		{}, Int(0), Int(-7), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(0.1), Float(math.Copysign(0, -1)), Float(1e300), Float(5e-324),
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)), Float(3),
+		String_(""), String_("s\x00t"), String_("\xc9t\u00e9"), Bool(false), Bool(true),
+		Time(time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)),
+		Time(time.Date(2024, 3, 1, 12, 0, 0, 500, time.UTC)),
+		Time(time.Date(2024, 3, 1, 12, 0, 0, 120_000_000, time.FixedZone("x", 3600))),
+		Time(time.Date(1969, 12, 31, 23, 59, 59, 999_999_999, time.UTC)),
+		{Kind: Kind(42), S: "ignored"},
+	}
+	for _, v := range vals {
+		if got := string(AppendValue([]byte("pre"), v)); got != "pre"+v.String() {
+			t.Errorf("kind %v: appended %q, String() %q", v.Kind, got, v.String())
 		}
 	}
 }

@@ -129,11 +129,32 @@ func (v Value) String() string {
 	case KindTime:
 		// Nanosecond precision, as Equal and Compare have it: this rendering
 		// is what signatures and join keys tell two instants apart by. A whole
-		// second renders as it would under RFC3339. exec's appendKeyPayload
-		// renders the same bytes.
+		// second renders as it would under RFC3339. AppendValue renders the
+		// same bytes.
 		return v.AsTime().UTC().Format(time.RFC3339Nano)
 	default:
 		return "?"
+	}
+}
+
+// AppendValue appends v.String()'s bytes to dst without building the string:
+// the rendering signatures hash and join and group keys encode.
+func AppendValue(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KindNull:
+		return append(dst, "NULL"...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case KindString:
+		return append(dst, v.S...)
+	case KindBool:
+		return strconv.AppendBool(dst, v.B)
+	case KindTime:
+		return v.AsTime().UTC().AppendFormat(dst, time.RFC3339Nano)
+	default:
+		return append(dst, '?')
 	}
 }
 

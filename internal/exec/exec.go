@@ -1165,12 +1165,12 @@ func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
 	out := data.NewTable(in.table.Schema)
 	threshold := uint64(x.Percent / 100 * float64(1<<32))
 	// A row's FNV hash reads each cell's String() rendering, streamed through
-	// one buffer by appendKeyPayload.
+	// one buffer by data.AppendValue.
 	var buf [96]byte
 	for _, row := range in.table.Rows {
 		h := data.FNVOffset
 		for _, v := range row {
-			h = data.FNV64a(h, appendKeyPayload(buf[:0], v))
+			h = data.FNV64a(h, data.AppendValue(buf[:0], v))
 		}
 		// Finalize: FNV avalanches poorly on short inputs, so mix before
 		// thresholding to keep the sample unbiased.

@@ -84,19 +84,6 @@ func TestKeyEncodingsInjective(t *testing.T) {
 	}
 }
 
-func TestKeyPayloadMatchesValueString(t *testing.T) {
-	vals := []data.Value{
-		data.Int(-7), data.Int(math.MaxInt64), data.Float(0.1), data.Float(-0.0),
-		data.Float(1e300), data.String_("s\x00t"), data.Bool(false), data.Value{},
-		data.Time(time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)),
-	}
-	for _, v := range vals {
-		if got := string(appendKeyPayload(nil, v)); got != v.String() {
-			t.Errorf("payload for kind %v: got %q, want %q", v.Kind, got, v.String())
-		}
-	}
-}
-
 // confusableKeys are values whose encoded keys differ only in their kind or
 // are empty: Int 1 and "1", NULL and "NULL", "" and Float 1.
 var confusableKeys = []data.Value{data.Int(1), data.String_("1"), {}, data.String_("NULL"), data.String_(""), data.Float(1)}

@@ -3,8 +3,6 @@ package exec
 import (
 	"encoding/binary"
 	"hash/maphash"
-	"strconv"
-	"time"
 
 	"cloudviews/internal/data"
 )
@@ -18,27 +16,6 @@ import (
 // need equality (the join probe and the group table), so the encoding is not
 // order-preserving. It realizes the same equivalence relation as the
 // original: two values encode equal iff (Kind, String()) match.
-
-// appendKeyPayload appends the value's canonical rendering (byte-for-byte
-// Value.String()) without allocating.
-func appendKeyPayload(dst []byte, v data.Value) []byte {
-	switch v.Kind {
-	case data.KindNull:
-		return append(dst, "NULL"...)
-	case data.KindInt:
-		return strconv.AppendInt(dst, v.I, 10)
-	case data.KindFloat:
-		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
-	case data.KindString:
-		return append(dst, v.S...)
-	case data.KindBool:
-		return strconv.AppendBool(dst, v.B)
-	case data.KindTime:
-		return v.AsTime().UTC().AppendFormat(dst, time.RFC3339Nano)
-	default:
-		return append(dst, '?')
-	}
-}
 
 // appendKeyValue appends the length-prefixed encoding of one value:
 // kind byte, payload length as uvarint, payload bytes. Concatenations of
@@ -55,7 +32,7 @@ func appendKeyValue(dst []byte, v data.Value) []byte {
 	}
 	// Every non-string rendering fits in 48 bytes (RFC3339Nano times are ≤30).
 	var tmp [48]byte
-	payload := appendKeyPayload(tmp[:0], v)
+	payload := data.AppendValue(tmp[:0], v)
 	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
 	dst = append(dst, lenBuf[:n]...)
 	return append(dst, payload...)

@@ -80,7 +80,7 @@ func TestFigure4QueriesBindAndShare(t *testing.T) {
 		}
 		plan.Walk(outs[0], func(n plan.Node) {
 			if j, ok := n.(*plan.Join); ok {
-				joins = append(joins, j.Attrs(false))
+				joins = append(joins, string(plan.AppendAttrs(nil, j, false)))
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"bytes"
 	"math"
 
 	"cloudviews/internal/catalog"
@@ -50,8 +51,10 @@ func (p *Prepared) shape() (hazard bool, attrs []string) {
 		p.attrs = make([]string, len(p.Subs))
 		for i := range p.Subs {
 			n := p.Subs[i].Node
-			if _, isOutput := n.(*plan.Output); isOutput || n.Attrs(false) == n.Attrs(true) {
-				p.attrs[i] = signature.AttrsPart(n)
+			var sb, rb [256]byte
+			strict := plan.AppendAttrs(sb[:0], n, false)
+			if _, isOutput := n.(*plan.Output); isOutput || bytes.Equal(strict, plan.AppendAttrs(rb[:0], n, true)) {
+				p.attrs[i] = string(strict)
 			}
 			for _, e := range plan.Exprs(n, nil) {
 				p.hazard = p.hazard || len(p.params) > 0 && plan.ParamOrderHazard(e)
@@ -149,11 +152,8 @@ func (o *Optimizer) Derive(t *Prepared, cat *catalog.Catalog, params map[string]
 				return nil
 			}
 		}
-		if attrs == "" {
-			attrs = signature.AttrsPart(m)
-		}
 		d.Subs[i].Node = m
-		d.Subs[i].Strict = o.Signer.StrictOf(m.OpName(), attrs, strict[:len(in)])
+		d.Subs[i].Strict = o.Signer.StrictOf(m, attrs, strict[:len(in)])
 		d.index[m] = i
 	}
 	d.Plan = d.Subs[n-1].Node

@@ -134,16 +134,20 @@ type Prepared struct {
 
 	// What the first Derive from this Prepared works out (a script seen once
 	// never pays for it): whether normalization's order could have depended
-	// on a parameter value, and signature.AttrsPart of Subs[i].Node where no
-	// job can change it — "" for a Scan or a node holding a Param.
+	// on a parameter value, and the strict attribute rendering of Subs[i].Node
+	// (plan.AppendAttrs) where no job can change it — "" for a Scan or a node
+	// holding a Param.
 	shapeOnce sync.Once
 	hazard    bool
 	attrs     []string
 }
 
-// Prepare normalizes and signs a bound root. The input plan is not mutated.
+// Prepare normalizes and signs a bound root. The input plan is not mutated,
+// and the result shares the nodes and expressions rewriting leaves as they
+// are, so the caller does not write root afterwards: nothing does, a bound
+// plan being read-only like a Prepared one.
 func (o *Optimizer) Prepare(root plan.Node) *Prepared {
-	p := Rewrite(plan.CloneNode(root))
+	p := Rewrite(root)
 	subs := o.Signer.Subexpressions(p)
 	prep := &Prepared{
 		Plan: p, Subs: subs,

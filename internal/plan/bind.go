@@ -16,7 +16,9 @@ type Binder struct {
 	// time-varying attributes recurring signatures discard.
 	Params map[string]data.Value
 
-	env map[string]Node // named intermediate rowsets, bound
+	// env holds the named intermediate rowsets bound so far, in script
+	// order; a name matches case-insensitively and its last binding wins.
+	env []named
 
 	// resolved memoizes the dataset version each name bound to, so a script
 	// that references the same dataset several times sees ONE version even
@@ -25,10 +27,33 @@ type Binder struct {
 	resolved map[string]*catalog.Version
 }
 
+// named is one intermediate rowset of a script.
+type named struct {
+	name string
+	node Node
+	used bool
+}
+
+// use returns the plan of the rowset last bound to name, if any: the bound
+// plan itself at its first reference and a copy at every later one, so a
+// script's plans stay trees.
+func (b *Binder) use(name string) (Node, bool) {
+	for i := len(b.env) - 1; i >= 0; i-- {
+		if e := &b.env[i]; equalLower(e.name, name) {
+			if e.used {
+				return CloneNode(e.node), true
+			}
+			e.used = true
+			return e.node, true
+		}
+	}
+	return nil, false
+}
+
 // BindScript binds a full script and returns the Output roots, in script
 // order. A script must contain at least one OUTPUT statement.
 func (b *Binder) BindScript(s *sqlparser.Script) ([]*Output, error) {
-	b.env = make(map[string]Node)
+	b.env = b.env[:0]
 	var outs []*Output
 	for _, st := range s.Stmts {
 		switch stmt := st.(type) {
@@ -37,7 +62,7 @@ func (b *Binder) BindScript(s *sqlparser.Script) ([]*Output, error) {
 			if err != nil {
 				return nil, fmt.Errorf("binding %s: %w", stmt.Name, err)
 			}
-			b.env[strings.ToLower(stmt.Name)] = n
+			b.env = append(b.env, named{name: stmt.Name, node: n})
 		case *sqlparser.OutputStmt:
 			n, err := b.BindQuery(stmt.Source)
 			if err != nil {
@@ -56,66 +81,60 @@ func (b *Binder) BindScript(s *sqlparser.Script) ([]*Output, error) {
 
 // BindQuery binds a single query expression.
 func (b *Binder) BindQuery(q sqlparser.QueryExpr) (Node, error) {
-	if b.env == nil {
-		b.env = make(map[string]Node)
-	}
 	n, _, err := b.bindQueryScoped(q, "")
 	return n, err
 }
 
-// scopeEntry is one visible column during binding.
+// scopeEntry is one visible column during binding. Names are kept as
+// written and compared case-insensitively.
 type scopeEntry struct {
 	qual string
 	name string
 	kind data.Kind
 }
 
-type scope struct {
-	cols []scopeEntry
-}
+// scope is the columns visible during binding, in row order.
+type scope []scopeEntry
 
-func scopeFrom(schema data.Schema, qual string) *scope {
-	s := &scope{cols: make([]scopeEntry, len(schema))}
+func scopeFrom(schema data.Schema, qual string) scope {
+	s := make(scope, len(schema))
 	for i, c := range schema {
-		s.cols[i] = scopeEntry{qual: strings.ToLower(qual), name: strings.ToLower(c.Name), kind: c.Kind}
+		s[i] = scopeEntry{qual: qual, name: c.Name, kind: c.Kind}
 	}
 	return s
 }
 
-func (s *scope) concat(o *scope) *scope {
-	out := &scope{cols: make([]scopeEntry, 0, len(s.cols)+len(o.cols))}
-	out.cols = append(out.cols, s.cols...)
-	out.cols = append(out.cols, o.cols...)
-	return out
+func (s scope) concat(o scope) scope {
+	return append(append(make(scope, 0, len(s)+len(o)), s...), o...)
 }
 
-// resolve finds the unique column matching (qual, name).
-func (s *scope) resolve(qual, name string) (int, data.Kind, error) {
-	qual, name = strings.ToLower(qual), strings.ToLower(name)
+// resolve finds the unique column matching (qual, name), both compared as
+// strings.ToLower has them; an error names them lower-cased.
+func (s scope) resolve(qual, name string) (int, data.Kind, error) {
 	found := -1
 	var kind data.Kind
-	for i, c := range s.cols {
-		if c.name != name {
+	for i, c := range s {
+		if !equalLower(c.name, name) {
 			continue
 		}
-		if qual != "" && c.qual != qual {
+		if qual != "" && !equalLower(c.qual, qual) {
 			continue
 		}
 		if found >= 0 {
-			return 0, 0, fmt.Errorf("ambiguous column %q", name)
+			return 0, 0, fmt.Errorf("ambiguous column %q", strings.ToLower(name))
 		}
 		found, kind = i, c.kind
 	}
 	if found < 0 {
 		if qual != "" {
-			return 0, 0, fmt.Errorf("unknown column %q.%q", qual, name)
+			return 0, 0, fmt.Errorf("unknown column %q.%q", strings.ToLower(qual), strings.ToLower(name))
 		}
-		return 0, 0, fmt.Errorf("unknown column %q", name)
+		return 0, 0, fmt.Errorf("unknown column %q", strings.ToLower(name))
 	}
 	return found, kind, nil
 }
 
-func (b *Binder) bindQueryScoped(q sqlparser.QueryExpr, qual string) (Node, *scope, error) {
+func (b *Binder) bindQueryScoped(q sqlparser.QueryExpr, qual string) (Node, scope, error) {
 	switch query := q.(type) {
 	case *sqlparser.SelectQuery:
 		return b.bindSelect(query, qual)
@@ -150,7 +169,7 @@ func (b *Binder) bindQueryScoped(q sqlparser.QueryExpr, qual string) (Node, *sco
 	}
 }
 
-func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, *scope, error) {
+func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, scope, error) {
 	switch r := ref.(type) {
 	case *sqlparser.NamedRef:
 		qual := r.Alias
@@ -158,9 +177,8 @@ func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, *scope, error) {
 			qual = r.Name
 		}
 		// Named intermediate rowset?
-		if n, ok := b.env[strings.ToLower(r.Name)]; ok {
-			cloned := CloneNode(n)
-			return cloned, scopeFrom(cloned.Schema(), qual), nil
+		if n, ok := b.use(r.Name); ok {
+			return n, scopeFrom(n.Schema(), qual), nil
 		}
 		// Catalog dataset: a scan reads the latest readable version, always.
 		ver, ok := b.resolved[r.Name]
@@ -229,7 +247,7 @@ func containsAgg(e sqlparser.Expr) bool {
 	return false
 }
 
-func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, *scope, error) {
+func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, scope, error) {
 	if q.From == nil {
 		return nil, nil, fmt.Errorf("SELECT without FROM")
 	}
@@ -244,7 +262,7 @@ func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, *scope
 		if err != nil {
 			return nil, nil, err
 		}
-		leftWidth := len(sc.cols)
+		leftWidth := len(sc)
 		combined := sc.concat(rightScope)
 		join := &Join{L: node, R: right}
 		if jc.On != nil {
@@ -336,7 +354,7 @@ func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, *scope
 }
 
 // bindProjection handles the non-aggregated select list.
-func (b *Binder) bindProjection(items []sqlparser.SelectItem, node Node, sc *scope, qual string) (Node, *scope, error) {
+func (b *Binder) bindProjection(items []sqlparser.SelectItem, node Node, sc scope, qual string) (Node, scope, error) {
 	// Pure `SELECT *` introduces no Project node.
 	if len(items) == 1 && items[0].Star {
 		return node, scopeFrom(node.Schema(), qual), nil
@@ -365,11 +383,10 @@ func (b *Binder) bindProjection(items []sqlparser.SelectItem, node Node, sc *sco
 
 // bindGrouped handles GROUP BY / aggregate select lists, producing an
 // Aggregate node followed (when necessary) by a reordering Project.
-func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc *scope, qual string) (Node, *scope, error) {
+func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual string) (Node, scope, error) {
 	agg := &Aggregate{Child: node}
 
 	// Bind group-by expressions.
-	groupCanon := make(map[string]int) // canonical expr -> group position
 	for _, g := range q.GroupBy {
 		e, err := b.bindExpr(g, sc)
 		if err != nil {
@@ -381,7 +398,6 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc *scope, qua
 		} else {
 			name = fmt.Sprintf("group_%d", len(agg.GroupBy))
 		}
-		groupCanon[e.Canonical()] = len(agg.GroupBy)
 		agg.GroupBy = append(agg.GroupBy, e)
 		agg.GroupNames = append(agg.GroupNames, name)
 	}
@@ -429,8 +445,12 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc *scope, qua
 		if err != nil {
 			return nil, nil, err
 		}
-		pos, ok := groupCanon[e.Canonical()]
-		if !ok {
+		// The last group key rendering as e does.
+		pos := len(agg.GroupBy) - 1
+		for pos >= 0 && compareCanonical(agg.GroupBy[pos], e) != 0 {
+			pos--
+		}
+		if pos < 0 {
 			return nil, nil, fmt.Errorf("select item %s is neither aggregated nor in GROUP BY", it.Expr.String())
 		}
 		name := deriveName(it, e, i)
@@ -511,7 +531,7 @@ func joinConjuncts(es []sqlparser.Expr) sqlparser.Expr {
 // sides referencing disjoint join inputs; on success it returns the left key
 // (bound to the combined scope) and the right key rebased to the right
 // child's local schema.
-func (b *Binder) tryEquiKey(conjunct sqlparser.Expr, combined *scope, leftWidth int) (Expr, Expr, bool, error) {
+func (b *Binder) tryEquiKey(conjunct sqlparser.Expr, combined scope, leftWidth int) (Expr, Expr, bool, error) {
 	be, ok := conjunct.(*sqlparser.BinaryExpr)
 	if !ok || be.Op != "=" {
 		return nil, nil, false, nil
@@ -555,7 +575,7 @@ func (b *Binder) tryEquiKey(conjunct sqlparser.Expr, combined *scope, leftWidth 
 }
 
 // bindExpr lowers a parsed scalar expression against a scope.
-func (b *Binder) bindExpr(e sqlparser.Expr, sc *scope) (Expr, error) {
+func (b *Binder) bindExpr(e sqlparser.Expr, sc scope) (Expr, error) {
 	switch x := e.(type) {
 	case *sqlparser.ColumnRef:
 		idx, kind, err := sc.resolve(x.Qualifier, x.Name)
@@ -623,13 +643,14 @@ func (b *Binder) bindExpr(e sqlparser.Expr, sc *scope) (Expr, error) {
 // CloneNode deep-copies a plan tree. Expressions are immutable after binding
 // and may be shared between copies.
 func CloneNode(n Node) Node {
-	children := n.Children()
-	if len(children) == 0 {
+	var buf [2]Node
+	in := Inputs(n, &buf)
+	if len(in) == 0 {
 		return n.WithChildren(nil)
 	}
-	newChildren := make([]Node, len(children))
-	for i, c := range children {
-		newChildren[i] = CloneNode(c)
+	out := make([]Node, len(in))
+	for i, c := range in {
+		out[i] = CloneNode(c)
 	}
-	return n.WithChildren(newChildren)
+	return n.WithChildren(out)
 }

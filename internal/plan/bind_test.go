@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cloudviews/internal/catalog"
 	"cloudviews/internal/data"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/plan"
@@ -71,7 +72,7 @@ func TestBindJoinEquiKeyExtraction(t *testing.T) {
 		t.Fatalf("keys = %d/%d, want 1/1", len(join.LeftKeys), len(join.RightKeys))
 	}
 	if join.Residual != nil {
-		t.Errorf("unexpected residual %s", join.Residual.Canonical())
+		t.Errorf("unexpected residual %s", canonical(t, join.Residual))
 	}
 	// Right key must be rebased to right child's local schema (Customer.Id = index 0).
 	rk, ok := join.RightKeys[0].(*plan.ColRef)
@@ -291,6 +292,61 @@ func TestCloneNodeIndependence(t *testing.T) {
 		}
 		if !c.Schema().Equal(n.Schema()) {
 			t.Errorf("clone's schema %v, want %v", c.Schema(), n.Schema())
+		}
+	}
+}
+
+// TestBindLatin1Identifiers: the lexer admits Latin-1 letters as single
+// bytes, which are not UTF-8, and names match as strings.ToLower has them:
+// each such byte folds to U+FFFD, so \xc9 and \xe9 (É, é) name one column.
+// Matches and error texts are the ones lower-cased copies gave.
+func TestBindLatin1Identifiers(t *testing.T) {
+	cat := catalog.New()
+	for name, cols := range map[string][]string{"T": {"R\xe9gion", "N"}, "U": {"\xc9a", "\xe9A"}} {
+		schema := make(data.Schema, len(cols))
+		row := make(data.Row, len(cols))
+		for i, c := range cols {
+			schema[i], row[i] = data.Column{Name: c, Kind: data.KindInt}, data.Int(int64(i))
+		}
+		if _, err := cat.Define(name, schema); err != nil {
+			t.Fatal(err)
+		}
+		tb := data.NewTable(schema)
+		tb.Append(row)
+		if _, err := cat.BulkUpdate(name, fixtures.Epoch, tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		src, canon, err string
+	}{
+		{"x = SELECT r\xc9GION FROM T; OUTPUT x TO \"o\";", "col:r�gion#0", ""},
+		{"\xc9s = SELECT t.n, t.R\xc9gion FROM T AS t; OUTPUT \xe9S TO \"o\";", "col:r�gion#0", ""},
+		{"x = SELECT \xe9x FROM T; OUTPUT x TO \"o\";", "", "binding x: unknown column \"�x\""},
+		{"x = SELECT \xc9.R\xe9gion FROM T AS t; OUTPUT x TO \"o\";", "", "binding x: unknown column \"�\".\"r�gion\""},
+		{"x = SELECT \xe9a FROM U; OUTPUT x TO \"o\";", "", "binding x: ambiguous column \"�a\""},
+	}
+	for _, c := range cases {
+		script, err := sqlparser.Parse(c.src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", c.src, err)
+		}
+		outs, err := (&plan.Binder{Catalog: cat}).BindScript(script)
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%q: err = %v, want %q", c.src, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", c.src, err)
+		}
+		p, ok := outs[0].Child.(*plan.Project)
+		if !ok {
+			t.Fatalf("%q: root input %T, want a Project", c.src, outs[0].Child)
+		}
+		if got := canonical(t, p.Exprs[len(p.Exprs)-1]); got != c.canon {
+			t.Errorf("%q: bound %q, want %q", c.src, got, c.canon)
 		}
 	}
 }

@@ -8,28 +8,19 @@ package plan
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 
 	"cloudviews/internal/data"
 )
 
 // Expr is a bound scalar expression. Column references carry resolved indexes
-// into the input row.
+// into the input row. AppendCanonical renders one for signatures.
 type Expr interface {
 	// Eval computes the expression over one input row. ctx supplies
 	// evaluation-scoped state (the clock for NOW, the RNG for RANDOM).
 	Eval(row data.Row, ctx *EvalContext) data.Value
 	// Kind reports the static result type.
 	Kind() data.Kind
-	// Canonical renders the normalization-stable textual form used by
-	// signatures. Parameters render as their VALUE here; the recurring form
-	// is produced by CanonicalRecurring.
-	Canonical() string
-	// CanonicalRecurring renders the form with time-varying attributes
-	// (parameter values) replaced by their names, per the paper's recurring
-	// signatures.
-	CanonicalRecurring() string
 	// Walk visits this node then all children.
 	Walk(fn func(Expr))
 }
@@ -372,38 +363,6 @@ func (f *Call) Eval(row data.Row, ctx *EvalContext) data.Value {
 		ctx = &EvalContext{Rand: data.NewRand(1)}
 	}
 	return spec.eval(args, ctx)
-}
-
-func (c *ColRef) Canonical() string {
-	return "col:" + strings.ToLower(c.Name) + "#" + strconv.Itoa(c.Index)
-}
-func (c *Const) Canonical() string { return "lit:" + c.Val.Kind.String() + ":" + c.Val.String() }
-func (p *Param) Canonical() string { return "param:" + p.Name + "=" + p.Val.String() }
-func (b *Binary) Canonical() string {
-	return "(" + b.L.Canonical() + " " + b.Op + " " + b.R.Canonical() + ")"
-}
-func (u *Unary) Canonical() string { return "(" + u.Op + " " + u.E.Canonical() + ")" }
-func (f *Call) Canonical() string {
-	args := make([]string, len(f.Args))
-	for i, a := range f.Args {
-		args[i] = a.Canonical()
-	}
-	return f.Name + "(" + strings.Join(args, ",") + ")"
-}
-
-func (c *ColRef) CanonicalRecurring() string { return c.Canonical() }
-func (c *Const) CanonicalRecurring() string  { return c.Canonical() }
-func (p *Param) CanonicalRecurring() string  { return "param:" + p.Name }
-func (b *Binary) CanonicalRecurring() string {
-	return "(" + b.L.CanonicalRecurring() + " " + b.Op + " " + b.R.CanonicalRecurring() + ")"
-}
-func (u *Unary) CanonicalRecurring() string { return "(" + u.Op + " " + u.E.CanonicalRecurring() + ")" }
-func (f *Call) CanonicalRecurring() string {
-	args := make([]string, len(f.Args))
-	for i, a := range f.Args {
-		args[i] = a.CanonicalRecurring()
-	}
-	return f.Name + "(" + strings.Join(args, ",") + ")"
 }
 
 func (c *ColRef) Walk(fn func(Expr)) { fn(c) }

@@ -114,14 +114,14 @@ func TestCoalesceAndHashBucket(t *testing.T) {
 
 func TestParamCanonicalForms(t *testing.T) {
 	p := &plan.Param{Name: "cutoff", Val: data.Int(42)}
-	if p.Canonical() == p.CanonicalRecurring() {
+	if canonical(t, p) == recurring(t, p) {
 		t.Error("strict and recurring canonical forms must differ for params")
 	}
 	q := &plan.Param{Name: "cutoff", Val: data.Int(99)}
-	if p.CanonicalRecurring() != q.CanonicalRecurring() {
+	if recurring(t, p) != recurring(t, q) {
 		t.Error("recurring form must ignore the value")
 	}
-	if p.Canonical() == q.Canonical() {
+	if canonical(t, p) == canonical(t, q) {
 		t.Error("strict form must include the value")
 	}
 }
@@ -137,7 +137,7 @@ func TestColumnsUsedAndClone(t *testing.T) {
 		t.Errorf("ColumnsUsed = %v", used)
 	}
 	c := plan.CloneExpr(e)
-	if c.Canonical() != e.Canonical() {
+	if canonical(t, c) != canonical(t, e) {
 		t.Error("clone must render identically")
 	}
 }
@@ -245,8 +245,8 @@ func TestColRefCanonicalBytes(t *testing.T) {
 		for _, idx := range []int{0, 7, 10, 123456, -1} {
 			c := &plan.ColRef{Name: name, Index: idx}
 			want := fmt.Sprintf("col:%s#%d", strings.ToLower(name), idx)
-			if got := c.Canonical(); got != want || c.CanonicalRecurring() != want {
-				t.Errorf("ColRef{%q, %d}: %q / %q, want %q", name, idx, got, c.CanonicalRecurring(), want)
+			if got := canonical(t, c); got != want || recurring(t, c) != want {
+				t.Errorf("ColRef{%q, %d}: %q / %q, want %q", name, idx, got, recurring(t, c), want)
 			}
 		}
 	}

@@ -75,7 +75,7 @@ func TestSpoolTransparentInSchema(t *testing.T) {
 func TestUDOAttrsStableUnderDependsOrder(t *testing.T) {
 	a := &plan.UDO{Name: "X", Depends: []string{"libB", "libA"}}
 	b := &plan.UDO{Name: "X", Depends: []string{"libA", "libB"}}
-	if a.Attrs(false) != b.Attrs(false) {
+	if attrs(t, a, false) != attrs(t, b, false) {
 		t.Error("dependency order must not affect signatures")
 	}
 }

@@ -3,14 +3,14 @@ package plan
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/data"
 )
 
-// Node is a logical plan operator.
+// Node is a logical plan operator. AppendAttrs renders its attributes for
+// signatures.
 type Node interface {
 	// Schema is the output schema of the operator.
 	Schema() data.Schema
@@ -21,10 +21,6 @@ type Node interface {
 	WithChildren(children []Node) Node
 	// OpName is the stable operator name used in signatures and display.
 	OpName() string
-	// Attrs renders the operator's own attributes (not children) in the
-	// canonical form consumed by signatures. When recurring is true,
-	// time-varying attributes (input GUIDs, parameter values) are omitted.
-	Attrs(recurring bool) string
 }
 
 // Scan reads one immutable version of a dataset.
@@ -174,22 +170,6 @@ func (s *Sort) WithChildren(c []Node) Node {
 	return &cp
 }
 func (s *Sort) OpName() string { return "Sort" }
-func (s *Sort) Attrs(recurring bool) string {
-	parts := make([]string, len(s.Keys))
-	for i, k := range s.Keys {
-		var ks string
-		if recurring {
-			ks = k.CanonicalRecurring()
-		} else {
-			ks = k.Canonical()
-		}
-		if s.Desc[i] {
-			ks += " desc"
-		}
-		parts[i] = ks
-	}
-	return "keys=[" + strings.Join(parts, ";") + "]"
-}
 
 // Output writes the child rowset to a target stream; it is the root of every
 // job plan.
@@ -244,12 +224,6 @@ func (s *Scan) WithChildren(c []Node) Node {
 	return &cp
 }
 func (s *Scan) OpName() string { return "Scan" }
-func (s *Scan) Attrs(recurring bool) string {
-	if recurring {
-		return "ds=" + s.Dataset
-	}
-	return "ds=" + s.Dataset + ",guid=" + string(s.GUID)
-}
 
 func (f *Filter) Schema() data.Schema { return f.Child.Schema() }
 func (f *Filter) Children() []Node    { return []Node{f.Child} }
@@ -259,12 +233,6 @@ func (f *Filter) WithChildren(c []Node) Node {
 	return &cp
 }
 func (f *Filter) OpName() string { return "Filter" }
-func (f *Filter) Attrs(recurring bool) string {
-	if recurring {
-		return "pred=" + f.Pred.CanonicalRecurring()
-	}
-	return "pred=" + f.Pred.Canonical()
-}
 
 func (p *Project) Schema() data.Schema {
 	out := make(data.Schema, len(p.Exprs))
@@ -280,19 +248,6 @@ func (p *Project) WithChildren(c []Node) Node {
 	return &cp
 }
 func (p *Project) OpName() string { return "Project" }
-func (p *Project) Attrs(recurring bool) string {
-	parts := make([]string, len(p.Exprs))
-	for i, e := range p.Exprs {
-		var s string
-		if recurring {
-			s = e.CanonicalRecurring()
-		} else {
-			s = e.Canonical()
-		}
-		parts[i] = strings.ToLower(p.Names[i]) + "<-" + s
-	}
-	return "exprs=[" + strings.Join(parts, ";") + "]"
-}
 
 func (j *Join) Schema() data.Schema {
 	l, r := j.L.Schema(), j.R.Schema()
@@ -308,25 +263,6 @@ func (j *Join) WithChildren(c []Node) Node {
 	return &cp
 }
 func (j *Join) OpName() string { return "Join" }
-func (j *Join) Attrs(recurring bool) string {
-	canon := func(e Expr) string {
-		if recurring {
-			return e.CanonicalRecurring()
-		}
-		return e.Canonical()
-	}
-	pairs := make([]string, len(j.LeftKeys))
-	for i := range j.LeftKeys {
-		pairs[i] = canon(j.LeftKeys[i]) + "=" + canon(j.RightKeys[i])
-	}
-	// Key pairs are order-insensitive for matching purposes.
-	sort.Strings(pairs)
-	s := "keys=[" + strings.Join(pairs, ";") + "]"
-	if j.Residual != nil {
-		s += ",residual=" + canon(j.Residual)
-	}
-	return s
-}
 
 func (a *Aggregate) Schema() data.Schema {
 	out := make(data.Schema, 0, len(a.GroupBy)+len(a.Aggs))
@@ -365,26 +301,6 @@ func (a *Aggregate) WithChildren(c []Node) Node {
 	return &cp
 }
 func (a *Aggregate) OpName() string { return "Aggregate" }
-func (a *Aggregate) Attrs(recurring bool) string {
-	canon := func(e Expr) string {
-		if e == nil {
-			return "*"
-		}
-		if recurring {
-			return e.CanonicalRecurring()
-		}
-		return e.Canonical()
-	}
-	groups := make([]string, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		groups[i] = canon(g)
-	}
-	aggs := make([]string, len(a.Aggs))
-	for i, s := range a.Aggs {
-		aggs[i] = s.Kind.String() + "(" + canon(s.Arg) + ")->" + strings.ToLower(s.Name)
-	}
-	return "groupby=[" + strings.Join(groups, ";") + "],aggs=[" + strings.Join(aggs, ";") + "]"
-}
 
 func (u *Union) Schema() data.Schema { return u.L.Schema() }
 func (u *Union) Children() []Node    { return []Node{u.L, u.R} }
@@ -393,8 +309,7 @@ func (u *Union) WithChildren(c []Node) Node {
 	cp.L, cp.R = c[0], c[1]
 	return &cp
 }
-func (u *Union) OpName() string              { return "Union" }
-func (u *Union) Attrs(recurring bool) string { return "" }
+func (u *Union) OpName() string { return "Union" }
 
 func (u *UDO) Schema() data.Schema {
 	if fn, ok := LookupUDO(u.Name); ok {
@@ -409,11 +324,6 @@ func (u *UDO) WithChildren(c []Node) Node {
 	return &cp
 }
 func (u *UDO) OpName() string { return "UDO" }
-func (u *UDO) Attrs(recurring bool) string {
-	deps := append([]string(nil), u.Depends...)
-	sort.Strings(deps)
-	return fmt.Sprintf("udo=%s,deps=[%s],nondet=%t", u.Name, strings.Join(deps, ";"), u.Nondet)
-}
 
 func (s *Sample) Schema() data.Schema { return s.Child.Schema() }
 func (s *Sample) Children() []Node    { return []Node{s.Child} }
@@ -422,8 +332,7 @@ func (s *Sample) WithChildren(c []Node) Node {
 	cp.Child = c[0]
 	return &cp
 }
-func (s *Sample) OpName() string              { return "Sample" }
-func (s *Sample) Attrs(recurring bool) string { return fmt.Sprintf("pct=%g", s.Percent) }
+func (s *Sample) OpName() string { return "Sample" }
 
 func (o *Output) Schema() data.Schema { return o.Child.Schema() }
 func (o *Output) Children() []Node    { return []Node{o.Child} }
@@ -433,13 +342,6 @@ func (o *Output) WithChildren(c []Node) Node {
 	return &cp
 }
 func (o *Output) OpName() string { return "Output" }
-func (o *Output) Attrs(recurring bool) string {
-	if recurring {
-		// Output targets often embed dates; treat as time-varying.
-		return ""
-	}
-	return "target=" + o.Target
-}
 
 func (s *Spool) Schema() data.Schema { return s.Child.Schema() }
 func (s *Spool) Children() []Node    { return []Node{s.Child} }
@@ -448,8 +350,7 @@ func (s *Spool) WithChildren(c []Node) Node {
 	cp.Child = c[0]
 	return &cp
 }
-func (s *Spool) OpName() string              { return "Spool" }
-func (s *Spool) Attrs(recurring bool) string { return "" } // transparent to signatures
+func (s *Spool) OpName() string { return "Spool" }
 
 func (v *ViewScan) Schema() data.Schema { return v.Out }
 func (v *ViewScan) Children() []Node    { return nil }
@@ -457,8 +358,7 @@ func (v *ViewScan) WithChildren(c []Node) Node {
 	cp := *v
 	return &cp
 }
-func (v *ViewScan) OpName() string              { return "ViewScan" }
-func (v *ViewScan) Attrs(recurring bool) string { return "view=" + v.StrictSig }
+func (v *ViewScan) OpName() string { return "ViewScan" }
 
 // Inputs returns n's input operators, left to right, without allocating: this
 // package's operators have at most two, which land in buf. It is the read
@@ -574,21 +474,18 @@ func Walk(n Node, fn func(Node)) {
 }
 
 // Rewrite rebuilds the tree bottom-up, applying fn to every node after its
-// children have been rewritten. fn may return the node unchanged.
+// children have been rewritten. fn may return the node unchanged; a node none
+// of whose inputs changed is handed to fn as it is, not copied.
 func Rewrite(n Node, fn func(Node) Node) Node {
-	children := n.Children()
-	if len(children) > 0 {
-		newChildren := make([]Node, len(children))
-		changed := false
-		for i, c := range children {
-			newChildren[i] = Rewrite(c, fn)
-			if newChildren[i] != c {
-				changed = true
-			}
-		}
-		if changed {
-			n = n.WithChildren(newChildren)
-		}
+	var buf, out [2]Node
+	in := Inputs(n, &buf)
+	changed := false
+	for i, c := range in {
+		out[i] = Rewrite(c, fn)
+		changed = changed || out[i] != c
+	}
+	if changed {
+		n = n.WithChildren(append([]Node(nil), out[:len(in)]...))
 	}
 	return fn(n)
 }
@@ -607,8 +504,8 @@ func Format(n Node) string {
 	rec = func(n Node, depth int) {
 		sb.WriteString(strings.Repeat("  ", depth))
 		sb.WriteString(n.OpName())
-		if a := n.Attrs(false); a != "" {
-			sb.WriteString("[" + a + "]")
+		if a := AppendAttrs(nil, n, false); len(a) > 0 {
+			sb.WriteString("[" + string(a) + "]")
 		}
 		sb.WriteString("\n")
 		for _, c := range n.Children() {

@@ -1,7 +1,8 @@
 package plan
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"strings"
 
 	"cloudviews/internal/data"
@@ -12,7 +13,8 @@ import (
 // operands order canonically, double negation drops. Signatures are computed
 // over normalized plans, so this pass determines how much syntactic variation
 // still matches for reuse (the paper: "same logical query subexpressions,
-// with some normalization").
+// with some normalization"). A subtree normalization leaves as it is comes
+// back as it went in, shared: expressions are never written after binding.
 func NormalizeExpr(e Expr) Expr {
 	switch x := e.(type) {
 	case *Binary:
@@ -21,10 +23,10 @@ func NormalizeExpr(e Expr) Expr {
 
 		switch x.Op {
 		case "AND", "OR":
-			terms := flattenBool(x.Op, l)
-			terms = append(terms, flattenBool(x.Op, r)...)
+			var buf [8]Expr
+			terms := appendTerms(appendTerms(buf[:0], x.Op, l), x.Op, r)
 			// Fold constant terms.
-			var kept []Expr
+			kept := terms[:0]
 			for _, t := range terms {
 				if c, ok := t.(*Const); ok && c.Val.Kind == data.KindBool {
 					if x.Op == "AND" && !c.Val.B {
@@ -40,7 +42,10 @@ func NormalizeExpr(e Expr) Expr {
 			if len(kept) == 0 {
 				return &Const{Val: data.Bool(x.Op == "AND")}
 			}
-			sort.Slice(kept, func(i, j int) bool { return kept[i].Canonical() < kept[j].Canonical() })
+			slices.SortFunc(kept, compareCanonical)
+			if isChain(x, kept) {
+				return x
+			}
 			out := kept[0]
 			for _, t := range kept[1:] {
 				out = &Binary{Op: x.Op, L: out, R: t}
@@ -50,7 +55,7 @@ func NormalizeExpr(e Expr) Expr {
 		case "+", "*", "=", "!=":
 			// '+' concatenates strings, which is not commutative; keep order.
 			stringy := l.Kind() == data.KindString || r.Kind() == data.KindString
-			if !(x.Op == "+" && stringy) && l.Canonical() > r.Canonical() {
+			if !(x.Op == "+" && stringy) && compareCanonical(l, r) > 0 {
 				l, r = r, l
 			}
 		case ">":
@@ -62,6 +67,9 @@ func NormalizeExpr(e Expr) Expr {
 		folded := tryFoldBinary(x.Op, l, r)
 		if folded != nil {
 			return folded
+		}
+		if l == x.L && r == x.R {
+			return x
 		}
 		return &Binary{Op: x.Op, L: l, R: r}
 
@@ -85,25 +93,32 @@ func NormalizeExpr(e Expr) Expr {
 				}
 			}
 		}
+		if inner == x.E {
+			return x
+		}
 		return &Unary{Op: x.Op, E: inner}
 
 	case *Call:
-		args := make([]Expr, len(x.Args))
+		args := x.Args // copied at the first argument that changes
 		allConst := true
 		for i, a := range x.Args {
-			args[i] = NormalizeExpr(a)
+			if na := NormalizeExpr(a); na != a {
+				if &args[0] == &x.Args[0] {
+					args = slices.Clone(x.Args)
+				}
+				args[i] = na
+			}
 			if _, ok := args[i].(*Const); !ok {
 				allConst = false
 			}
 		}
 		// Fold deterministic calls over constants.
 		if allConst && IsDeterministicFunc(x.Name) && len(args) > 0 {
-			vals := make([]data.Value, len(args))
-			for i, a := range args {
-				vals[i] = a.(*Const).Val
-			}
 			c := &Call{Name: x.Name, Args: args}
 			return &Const{Val: c.Eval(nil, &EvalContext{Rand: data.NewRand(1)})}
+		}
+		if len(args) == 0 || &args[0] == &x.Args[0] {
+			return x
 		}
 		return &Call{Name: x.Name, Args: args}
 
@@ -112,11 +127,27 @@ func NormalizeExpr(e Expr) Expr {
 	}
 }
 
-func flattenBool(op string, e Expr) []Expr {
-	if b, ok := e.(*Binary); ok && b.Op == op {
-		return append(flattenBool(op, b.L), flattenBool(op, b.R)...)
+// isChain reports whether x is already the left-deep chain of terms, in
+// order, that NormalizeExpr builds for its operator.
+func isChain(x *Binary, terms []Expr) bool {
+	var e Expr = x
+	for i := len(terms) - 1; i > 0; i-- {
+		b, ok := e.(*Binary)
+		if !ok || b.Op != x.Op || b.R != terms[i] {
+			return false
+		}
+		e = b.L
 	}
-	return []Expr{e}
+	return e == terms[0]
+}
+
+// appendTerms appends the operands of e's chain of op (AND or OR), left to
+// right, to dst.
+func appendTerms(dst []Expr, op string, e Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == op {
+		return appendTerms(appendTerms(dst, op, b.L), op, b.R)
+	}
+	return append(dst, e)
 }
 
 // tryFoldBinary folds arithmetic/comparison over two constants; returns nil
@@ -132,47 +163,66 @@ func tryFoldBinary(op string, l, r Expr) Expr {
 }
 
 // NormalizeNode canonicalizes all expressions in a plan tree, bottom-up, and
-// orders join key pairs canonically. Sort keys are signed as written. It
-// returns a new tree; the input is not mutated.
+// orders join key pairs canonically. Sort keys are signed as written. The
+// input is not mutated: a node normalization changes is copied, with its
+// ancestors, and the rest of the tree is shared.
 func NormalizeNode(n Node) Node {
 	return Rewrite(n, func(m Node) Node {
-		es := Exprs(m, nil)
-		if _, isSort := m.(*Sort); isSort || len(es) == 0 {
+		if _, isSort := m.(*Sort); isSort {
 			return m
 		}
+		var buf [8]Expr
+		es := Exprs(m, buf[:0])
+		j, isJoin := m.(*Join)
+		changed := isJoin && len(j.LeftKeys) > 1 // its pairs may need ordering
 		for i, e := range es {
 			es[i] = NormalizeExpr(e)
+			changed = changed || es[i] != e
 		}
-		m = WithExprs(m, es)
+		if !changed {
+			return m
+		}
+		m = WithExprs(m, append([]Expr(nil), es...))
 		if j, isJoin := m.(*Join); isJoin {
-			type pair struct {
-				l, r Expr
-				key  string
-			}
-			pairs := make([]pair, len(j.LeftKeys))
-			for i, l := range j.LeftKeys {
-				pairs[i] = pair{l: l, r: j.RightKeys[i], key: l.Canonical() + "=" + j.RightKeys[i].Canonical()}
-			}
-			sort.Slice(pairs, func(a, b int) bool { return pairs[a].key < pairs[b].key })
-			for i, p := range pairs {
-				j.LeftKeys[i], j.RightKeys[i] = p.l, p.r
-			}
+			sortKeyPairs(j)
 		}
 		return m
 	})
 }
 
+// sortKeyPairs orders j's key pairs by their strict renderings, "left=right",
+// compared in stack buffers. It writes j's key slices.
+func sortKeyPairs(j *Join) {
+	var buf [8][2]Expr
+	pairs := buf[:0]
+	for i, l := range j.LeftKeys {
+		pairs = append(pairs, [2]Expr{l, j.RightKeys[i]})
+	}
+	slices.SortFunc(pairs, func(a, b [2]Expr) int {
+		var ba, bb [256]byte
+		return bytes.Compare(appendPair(ba[:0], a), appendPair(bb[:0], b))
+	})
+	for i, p := range pairs {
+		j.LeftKeys[i], j.RightKeys[i] = p[0], p[1]
+	}
+}
+
+func appendPair(dst []byte, p [2]Expr) []byte {
+	return AppendCanonical(append(AppendCanonical(dst, p[0], false), '='), p[1], false)
+}
+
 // Ordering and parameter values. Normalization orders conjuncts, commutative
-// operands and join-key pairs by Canonical(), which embeds every parameter's
-// VALUE, and yet picks the same order under every valuation of one script's
-// parameters — which is what lets optimizer.Derive rebind values in place
-// without sorting again. Two renderings being compared run equal up to their
-// first differing byte. A Param renders "param:<name>=<value>" and everything
-// else starts "lit:", "col:", "(" or an upper-case function name, so where one
-// side opens a Param the other differs at that byte or opens a Param too; then
-// either the names differ — inside the fixed text, '=' not being an identifier
-// byte — or one name binds one value and the sides stay equal across it. The
-// first difference never falls inside a value, and nothing folds a Param.
+// operands and join-key pairs by their strict renderings, which embed every
+// parameter's VALUE, and yet picks the same order under every valuation of one
+// script's parameters — which is what lets optimizer.Derive rebind values in
+// place without sorting again. Two renderings being compared run equal up to
+// their first differing byte. A Param renders "param:<name>=<value>" and
+// everything else starts "lit:", "col:", "(" or an upper-case function name,
+// so where one side opens a Param the other differs at that byte or opens a
+// Param too; then either the names differ — inside the fixed text, '=' not
+// being an identifier byte — or one name binds one value and the sides stay
+// equal across it. The first difference never falls inside a value, and
+// nothing folds a Param.
 // This needs each side to be where it seems to be in its own rendering: the
 // one text that can hold arbitrary bytes is a string literal, and one holding
 // "param:" can pose as a Param and line a real value up against literal text.

@@ -22,7 +22,7 @@ func bin(op string, l, r plan.Expr) plan.Expr { return &plan.Binary{Op: op, L: l
 func TestNormalizeCommutativeOrder(t *testing.T) {
 	a := bin("=", col(0, "a"), col(1, "b"))
 	b := bin("=", col(1, "b"), col(0, "a"))
-	if plan.NormalizeExpr(a).Canonical() != plan.NormalizeExpr(b).Canonical() {
+	if canonical(t, plan.NormalizeExpr(a)) != canonical(t, plan.NormalizeExpr(b)) {
 		t.Error("a=b and b=a must normalize identically")
 	}
 }
@@ -30,7 +30,7 @@ func TestNormalizeCommutativeOrder(t *testing.T) {
 func TestNormalizeAndOrderAndFlatten(t *testing.T) {
 	p1 := bin("AND", bin("AND", col(0, "a"), col(1, "b")), col(2, "c"))
 	p2 := bin("AND", col(2, "c"), bin("AND", col(1, "b"), col(0, "a")))
-	if plan.NormalizeExpr(p1).Canonical() != plan.NormalizeExpr(p2).Canonical() {
+	if canonical(t, plan.NormalizeExpr(p1)) != canonical(t, plan.NormalizeExpr(p2)) {
 		t.Error("AND chains must normalize to canonical order")
 	}
 }
@@ -38,9 +38,9 @@ func TestNormalizeAndOrderAndFlatten(t *testing.T) {
 func TestNormalizeComparisonFlip(t *testing.T) {
 	gt := bin(">", col(0, "a"), lit(5))
 	lt := bin("<", lit(5), col(0, "a"))
-	if plan.NormalizeExpr(gt).Canonical() != plan.NormalizeExpr(lt).Canonical() {
+	if canonical(t, plan.NormalizeExpr(gt)) != canonical(t, plan.NormalizeExpr(lt)) {
 		t.Errorf("a>5 and 5<a must match: %s vs %s",
-			plan.NormalizeExpr(gt).Canonical(), plan.NormalizeExpr(lt).Canonical())
+			canonical(t, plan.NormalizeExpr(gt)), canonical(t, plan.NormalizeExpr(lt)))
 	}
 }
 
@@ -49,7 +49,7 @@ func TestNormalizeConstantFolding(t *testing.T) {
 	n := plan.NormalizeExpr(e)
 	c, ok := n.(*plan.Const)
 	if !ok || c.Val.I != 5 {
-		t.Errorf("2+3 should fold to 5, got %s", n.Canonical())
+		t.Errorf("2+3 should fold to 5, got %s", canonical(t, n))
 	}
 }
 
@@ -57,23 +57,23 @@ func TestNormalizeBoolShortcuts(t *testing.T) {
 	f := &plan.Const{Val: data.Bool(false)}
 	tr := &plan.Const{Val: data.Bool(true)}
 	e := bin("AND", col(0, "a"), f)
-	if n := plan.NormalizeExpr(e); n.Canonical() != f.Canonical() {
-		t.Errorf("x AND false should fold to false, got %s", n.Canonical())
+	if n := plan.NormalizeExpr(e); canonical(t, n) != canonical(t, f) {
+		t.Errorf("x AND false should fold to false, got %s", canonical(t, n))
 	}
 	e2 := bin("OR", col(0, "a"), tr)
-	if n := plan.NormalizeExpr(e2); n.Canonical() != tr.Canonical() {
-		t.Errorf("x OR true should fold to true, got %s", n.Canonical())
+	if n := plan.NormalizeExpr(e2); canonical(t, n) != canonical(t, tr) {
+		t.Errorf("x OR true should fold to true, got %s", canonical(t, n))
 	}
 	e3 := bin("AND", col(0, "a"), tr)
-	if n := plan.NormalizeExpr(e3); n.Canonical() != col(0, "a").Canonical() {
-		t.Errorf("x AND true should fold to x, got %s", n.Canonical())
+	if n := plan.NormalizeExpr(e3); canonical(t, n) != canonical(t, col(0, "a")) {
+		t.Errorf("x AND true should fold to x, got %s", canonical(t, n))
 	}
 }
 
 func TestNormalizeDoubleNegation(t *testing.T) {
 	e := &plan.Unary{Op: "NOT", E: &plan.Unary{Op: "NOT", E: col(0, "a")}}
-	if n := plan.NormalizeExpr(e); n.Canonical() != col(0, "a").Canonical() {
-		t.Errorf("NOT NOT x should fold, got %s", n.Canonical())
+	if n := plan.NormalizeExpr(e); canonical(t, n) != canonical(t, col(0, "a")) {
+		t.Errorf("NOT NOT x should fold, got %s", canonical(t, n))
 	}
 }
 
@@ -83,7 +83,7 @@ func TestNormalizeStringConcatNotReordered(t *testing.T) {
 	n := plan.NormalizeExpr(bin("+", b, a))
 	c, ok := n.(*plan.Const)
 	if !ok || c.Val.S != "ba" {
-		t.Errorf("string concat must preserve order, got %s", n.Canonical())
+		t.Errorf("string concat must preserve order, got %s", canonical(t, n))
 	}
 }
 
@@ -96,8 +96,8 @@ func TestNormalizeIdempotent(t *testing.T) {
 	for _, e := range exprs {
 		once := plan.NormalizeExpr(e)
 		twice := plan.NormalizeExpr(once)
-		if once.Canonical() != twice.Canonical() {
-			t.Errorf("not idempotent: %s -> %s", once.Canonical(), twice.Canonical())
+		if canonical(t, once) != canonical(t, twice) {
+			t.Errorf("not idempotent: %s -> %s", canonical(t, once), canonical(t, twice))
 		}
 	}
 }
@@ -122,6 +122,27 @@ func TestNormalizePreservesSemantics(t *testing.T) {
 	}
 }
 
+// TestNormalizeNodeSharesWhatItLeaves: normalizing a normalized plan changes
+// nothing, so it hands back the same tree and allocates nothing — expressions
+// and nodes normalization leaves as they are come back shared, not copied.
+// Over the generator's first three days, which hold no join with more than
+// one key pair (such a join is copied to order its pairs).
+func TestNormalizeNodeSharesWhatItLeaves(t *testing.T) {
+	var allocs float64
+	roots := generatorRoots(t, 3)
+	for _, root := range roots {
+		norm := plan.NormalizeNode(root)
+		if again := plan.NormalizeNode(norm); again != norm {
+			t.Fatalf("normalizing a normalized plan copied it:\n%s", plan.Format(norm))
+		}
+		allocs += testing.AllocsPerRun(2, func() { plan.NormalizeNode(norm) })
+	}
+	t.Logf("%.3f allocations per pass over %d normalized plans", allocs/float64(len(roots)), len(roots))
+	if allocs != 0 {
+		t.Errorf("normalizing normalized plans allocated %.0f times", allocs)
+	}
+}
+
 func TestNormalizeNodeJoinKeyOrder(t *testing.T) {
 	mk := func(swapped bool) plan.Node {
 		l := &plan.Scan{Dataset: "L", Out: data.Schema{{Name: "a", Kind: data.KindInt}, {Name: "b", Kind: data.KindInt}}}
@@ -138,8 +159,8 @@ func TestNormalizeNodeJoinKeyOrder(t *testing.T) {
 	}
 	n1 := plan.NormalizeNode(mk(false))
 	n2 := plan.NormalizeNode(mk(true))
-	if n1.Attrs(false) != n2.Attrs(false) {
-		t.Errorf("join key order should canonicalize:\n%s\n%s", n1.Attrs(false), n2.Attrs(false))
+	if attrs(t, n1, false) != attrs(t, n2, false) {
+		t.Errorf("join key order should canonicalize:\n%s\n%s", attrs(t, n1, false), attrs(t, n2, false))
 	}
 }
 
@@ -210,7 +231,7 @@ func TestHasNondeterminismAllocatesNothing(t *testing.T) {
 	}
 	for _, e := range exprs {
 		if allocs := testing.AllocsPerRun(100, func() { plan.HasNondeterminism(e) }); allocs != 0 {
-			t.Errorf("%s: %.0f allocs, want 0", e.Canonical(), allocs)
+			t.Errorf("%s: %.0f allocs, want 0", canonical(t, e), allocs)
 		}
 	}
 }
@@ -361,7 +382,7 @@ func TestNormalizeOrderIgnoresParamValues(t *testing.T) {
 		}
 		moved := ""
 		for k := range got {
-			if g, w := got[k].Canonical(), want[k].Canonical(); g != w {
+			if g, w := canonical(t, got[k]), canonical(t, want[k]); g != w {
 				moved = fmt.Sprintf("rebound %s\nnormalized under the second valuation %s", g, w)
 				break
 			}

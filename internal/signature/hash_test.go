@@ -33,7 +33,7 @@ func referencePhysical(s *Signer, root plan.Node) map[plan.Node]Sig {
 	out := map[plan.Node]Sig{}
 	var rec func(n plan.Node) Sig
 	rec = func(n plan.Node) Sig {
-		parts := []string{"phys-op=" + n.OpName(), AttrsPart(n)}
+		parts := []string{"phys-op=" + n.OpName(), "attrs=" + string(plan.AppendAttrs(nil, n, false))}
 		if vs, ok := n.(*plan.ViewScan); ok {
 			parts = append(parts, "view="+vs.StrictSig)
 		}

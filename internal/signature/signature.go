@@ -118,24 +118,42 @@ func (s *Signer) hash(inputs []Sig, parts ...string) Sig {
 	for _, p := range parts {
 		buf = append(append(buf, 0), p...)
 	}
+	return sum(buf, inputs)
+}
+
+// sum appends the inputs to buf and hashes it.
+func sum(buf []byte, inputs []Sig) Sig {
 	for _, in := range inputs {
 		buf = append(append(buf, 0), in...)
 	}
-	sum := sha256.Sum256(buf)
+	h := sha256.Sum256(buf)
 	var hexed [32]byte
-	hex.Encode(hexed[:], sum[:16])
+	hex.Encode(hexed[:], h[:16])
 	return Sig(hexed[:])
 }
 
-// AttrsPart renders what n's own attributes contribute to its strict
-// signature. A caller that knows they cannot have changed (see
-// optimizer.Derive) keeps the rendering and signs from it again.
-func AttrsPart(n plan.Node) string { return "attrs=" + n.Attrs(false) }
+// nodeSig is an operator's signature over its inputs' signatures: the hash of
+// "op=<name>" and "attrs=<attributes>", where the attributes are attrs if it
+// is not empty and n rendered straight into the hash's stack buffer (by
+// plan.AppendAttrs) if it is, so signing a node allocates its Sig alone.
+func (s *Signer) nodeSig(n plan.Node, recurring bool, attrs string, inputs []Sig) Sig {
+	var stack [512]byte
+	buf := append(append(stack[:0], "v="...), s.EngineVersion...)
+	buf = append(append(append(buf, "\x00op="...), n.OpName()...), "\x00attrs="...)
+	if attrs != "" {
+		buf = append(buf, attrs...)
+	} else {
+		buf = plan.AppendAttrs(buf, n, recurring)
+	}
+	return sum(buf, inputs)
+}
 
-// StrictOf is the strict signature of an operator named op whose AttrsPart is
-// attrs, over its inputs' strict signatures (ViewScan and Spool: see Sign).
-func (s *Signer) StrictOf(op, attrs string, inputs []Sig) Sig {
-	return s.hash(inputs, "op="+op, attrs)
+// StrictOf is n's strict signature over its inputs' strict signatures
+// (ViewScan and Spool: see Sign). attrs is n's strict attribute rendering
+// (plan.AppendAttrs), which a caller that knows it cannot have changed keeps
+// and signs from again (see optimizer.Derive), or "" to render n.
+func (s *Signer) StrictOf(n plan.Node, attrs string, inputs []Sig) Sig {
+	return s.nodeSig(n, false, attrs, inputs)
 }
 
 // Strict computes the strict signature of a plan subtree.
@@ -207,9 +225,10 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 // or the original of a node rebuilt above a substituted ViewScan or Spool,
 // whose identity the substitution leaves unchanged — and nil for a node it has
 // no entry for. A node with an entry takes its signatures and eligibility
-// without rendering attributes or hashing; only Height, NodeCount,
-// InputDatasets (a Scan's is its entry's) and Parent are recomputed, and only
-// a node on or above a ViewScan hashes its key. The rest are signed afresh.
+// without rendering attributes or hashing, and its InputDatasets unless a
+// ViewScan sits at or below it; only Height, NodeCount and Parent are
+// recomputed, and only a node on or above a ViewScan hashes its key. The rest
+// are signed afresh, each rendered into its hash's stack buffer.
 func (s *Signer) Sign(root plan.Node, known func(plan.Node) *Subexpr) ([]Subexpr, map[plan.Node]Sig) {
 	keys := make(map[plan.Node]Sig, plan.CountNodes(root))
 	return s.sign(root, known, keys), keys
@@ -264,6 +283,8 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 		r := signed{height: 1, count: 1, datasets: []string{}, elig: EligibleOK}
 		var idxBuf [2]int
 		childIdx := idxBuf[:0]
+		var dsBuf [2][]string
+		childDatasets := dsBuf[:0]
 		var buf [2]plan.Node
 		for _, c := range plan.Inputs(n, &buf) {
 			cr := rec(c)
@@ -271,11 +292,11 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 				strictIn, recurIn = append(strictIn, cr.strict), append(recurIn, cr.recur)
 			}
 			keyIn, childIdx = append(keyIn, cr.key), append(childIdx, cr.idx)
+			childDatasets = append(childDatasets, cr.datasets)
 			if cr.height+1 > r.height {
 				r.height = cr.height + 1
 			}
 			r.count += cr.count
-			r.datasets = unionSorted(r.datasets, cr.datasets)
 			if cr.elig != EligibleOK {
 				r.elig = cr.elig
 			}
@@ -287,8 +308,8 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 			if r.elig == EligibleOK {
 				r.elig = s.nodeEligibility(n)
 			}
-			r.strict = s.StrictOf(n.OpName(), AttrsPart(n), strictIn)
-			r.recur = s.hash(recurIn, "op="+n.OpName(), "attrs="+n.Attrs(true))
+			r.strict = s.nodeSig(n, false, "", strictIn)
+			r.recur = s.nodeSig(n, true, "", recurIn)
 		} else {
 			// The entry holds the node-local verdict already, except that
 			// Trivial and Output judge the node itself, not what it passes up.
@@ -297,10 +318,16 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 			}
 			r.strict, r.recur = k.Strict, k.Recurring
 		}
-		if sc, ok := n.(*plan.Scan); ok && k == nil {
-			r.datasets = []string{sc.Dataset}
-		} else if ok {
+		// A carried node reads the datasets its entry lists, unless a ViewScan
+		// at or below it reads a view in their place.
+		if sc, ok := n.(*plan.Scan); k != nil && !r.view {
 			r.datasets = k.InputDatasets
+		} else if ok {
+			r.datasets = []string{sc.Dataset}
+		} else {
+			for _, ds := range childDatasets {
+				r.datasets = unionSorted(r.datasets, ds)
+			}
 		}
 
 		nodeElig := r.elig

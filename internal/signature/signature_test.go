@@ -433,51 +433,72 @@ func TestConcurrentKnownSigningReadsOnly(t *testing.T) {
 
 var keyMapSink map[plan.Node]signature.Sig
 
-// TestCarriedViewPlanHashesOnlyItsKeys: signing a carried plan that reads one
-// view renders and hashes nothing but the result-cache keys on and above the
-// ViewScan, from the strict signatures the walk already holds. It allocates
-// one string per such node, the entry slice and the key map; a carried Scan
-// shares its entry's dataset list.
+// TestCarriedViewPlanHashesOnlyItsKeys: signing a carried plan renders and
+// hashes nothing but the result-cache keys on and above a ViewScan, from the
+// strict signatures the walk already holds, and a carried node with no
+// ViewScan at or below it takes its entry's dataset list. It allocates one
+// string per node on or above a view, the entry slice and the key map: a
+// carried plan that reads no view, a Join over two Scans, allocates no union
+// of their datasets.
 func TestCarriedViewPlanHashesOnlyItsKeys(t *testing.T) {
-	root := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t,
+	viewRoot := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t,
 		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN (SELECT * FROM Customer WHERE MktSegment = 'Asia') AS c ON Sales.CustomerId = c.Id GROUP BY CustomerId`, nil)})
-	derived, known := substitute(root, signer.Subexpressions(root), func(s signature.Subexpr) bool { return s.Op == "Filter" }, asView)
-	entry := func(n plan.Node) *signature.Subexpr { return known[n] }
-	views, onOrAbove, scans := 0, 0, 0
-	var nodes []plan.Node
-	var count func(n plan.Node) bool
-	count = func(n plan.Node) (view bool) {
-		var buf [2]plan.Node
-		for _, c := range plan.Inputs(n, &buf) {
-			view = count(c) || view
-		}
-		switch n.(type) {
-		case *plan.ViewScan:
-			views, view = views+1, true
-		case *plan.Scan:
-			scans++
-		}
-		if view {
-			onOrAbove++
-		}
-		nodes = append(nodes, n)
-		return view
+	viewPlan, viewKnown := substitute(viewRoot, signer.Subexpressions(viewRoot), func(s signature.Subexpr) bool { return s.Op == "Filter" }, asView)
+	joinPlan := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t,
+		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia' GROUP BY CustomerId`, nil)})
+	joinKnown := map[plan.Node]*signature.Subexpr{}
+	joinSubs := signer.Subexpressions(joinPlan)
+	for i := range joinSubs {
+		joinKnown[joinSubs[i].Node] = &joinSubs[i]
 	}
-	count(derived)
-	if views != 1 || scans == 0 {
-		t.Fatalf("derived plan has %d ViewScans and %d Scans, want 1 and at least 1:\n%s", views, scans, plan.Format(derived))
-	}
-	// The key map's own allocations depend on the runtime's map layout.
-	keyMap := testing.AllocsPerRun(100, func() {
-		keyMapSink = make(map[plan.Node]signature.Sig, len(nodes))
-		for _, n := range nodes {
-			keyMapSink[n] = ""
+	for _, c := range []struct {
+		name      string
+		derived   plan.Node
+		known     map[plan.Node]*signature.Subexpr
+		wantViews int
+	}{
+		{"reads a view", viewPlan, viewKnown, 1},
+		{"join over two scans", joinPlan, joinKnown, 0},
+	} {
+		entry := func(n plan.Node) *signature.Subexpr { return c.known[n] }
+		views, onOrAbove, scans, joins := 0, 0, 0, 0
+		var nodes []plan.Node
+		var count func(n plan.Node) bool
+		count = func(n plan.Node) (view bool) {
+			var buf [2]plan.Node
+			for _, in := range plan.Inputs(n, &buf) {
+				view = count(in) || view
+			}
+			switch n.(type) {
+			case *plan.ViewScan:
+				views, view = views+1, true
+			case *plan.Scan:
+				scans++
+			case *plan.Join:
+				joins++
+			}
+			if view {
+				onOrAbove++
+			}
+			nodes = append(nodes, n)
+			return view
 		}
-	})
-	got := testing.AllocsPerRun(100, func() { signer.Sign(derived, entry) })
-	want := float64(onOrAbove) + 1 + keyMap
-	t.Logf("%.0f allocs signing a carried %d-node plan, %d nodes on or above its view (key map %.0f)", got, len(nodes), onOrAbove, keyMap)
-	if got != want {
-		t.Errorf("%.0f allocs signing a carried plan that reads a view, want %.0f: %d keys, the entry slice and the key map (%.0f)", got, want, onOrAbove, keyMap)
+		count(c.derived)
+		if views != c.wantViews || scans == 0 || joins != 1 {
+			t.Fatalf("%s: plan has %d ViewScans, %d Scans and %d Joins, want %d, at least 1 and 1:\n%s", c.name, views, scans, joins, c.wantViews, plan.Format(c.derived))
+		}
+		// The key map's own allocations depend on the runtime's map layout.
+		keyMap := testing.AllocsPerRun(100, func() {
+			keyMapSink = make(map[plan.Node]signature.Sig, len(nodes))
+			for _, n := range nodes {
+				keyMapSink[n] = ""
+			}
+		})
+		got := testing.AllocsPerRun(100, func() { signer.Sign(c.derived, entry) })
+		want := float64(onOrAbove) + 1 + keyMap
+		t.Logf("%s: %.0f allocs signing a carried %d-node plan, %d nodes on or above a view (key map %.0f)", c.name, got, len(nodes), onOrAbove, keyMap)
+		if got != want {
+			t.Errorf("%s: %.0f allocs signing a carried plan, want %.0f: %d keys, the entry slice and the key map (%.0f)", c.name, got, want, onOrAbove, keyMap)
+		}
 	}
 }
