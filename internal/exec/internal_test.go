@@ -331,16 +331,14 @@ func TestColumnGatheredOncePerWindow(t *testing.T) {
 			&plan.Binary{Op: "<=", L: b, R: a},
 		}
 		in := newInputCols(c.r, new(scratch))
-		progs, ok := compileAll(in, exprs)
-		if !ok {
+		if !compileAll(in, exprs) {
 			t.Fatalf("%s: the expressions did not compile", c.what)
 		}
 		rows, n := c.r.rows(), c.r.len()
-		roots := make([]*vcol, len(progs))
 		windows := 0
 		for lo := 0; lo < n; lo += batchSize {
 			w := min(batchSize, n-lo)
-			evalAll(progs, roots, lo, w)
+			roots := in.evalAll(lo, w)
 			windows++
 			for _, i := range []int{0, w / 2, w - 1} {
 				row := rows[lo+i]
@@ -361,5 +359,70 @@ func TestColumnGatheredOncePerWindow(t *testing.T) {
 			}
 		}
 		in.release()
+	}
+}
+
+// TestWarmCompileAllocatesNothing: on a scratch that has run once, readying an
+// operator's input, compiling its expressions into the scratch and evaluating
+// them allocate nothing, for a filter's predicate, a projection, join keys and
+// an aggregate's group keys and arguments (COUNT(*)'s nil one included). After
+// release, no node, output slot, argument or field of the scratch's inputCols
+// references a table or a string: a parked scratch pins nothing.
+func TestWarmCompileAllocatesNothing(t *testing.T) {
+	schema := data.Schema{
+		{Name: "A", Kind: data.KindInt},
+		{Name: "B", Kind: data.KindFloat},
+		{Name: "C", Kind: data.KindString},
+	}
+	tb := data.NewTable(schema)
+	for i := 0; i < 2500; i++ {
+		tb.Append(data.Row{data.Int(int64(i)), data.Float(float64(i) / 2), data.String_(fmt.Sprint("c", i%7))})
+	}
+	a := &plan.ColRef{Index: 0, Typ: data.KindInt}
+	b := &plan.ColRef{Index: 1, Typ: data.KindFloat}
+	c := &plan.ColRef{Index: 2, Typ: data.KindString}
+	filter := []plan.Expr{&plan.Binary{Op: "AND",
+		L: &plan.Binary{Op: "!=", L: c, R: &plan.Const{Val: data.String_("c3")}},
+		R: &plan.Binary{Op: ">=", L: b, R: &plan.Param{Name: "lo", Val: data.Int(10)}},
+	}}
+	project := []plan.Expr{&plan.Binary{Op: "%", L: a, R: &plan.Const{Val: data.Int(7)}}, b, c}
+	joinKeys := []plan.Expr{c, &plan.Binary{Op: "=", L: a, R: a}}
+	aggregate := []plan.Expr{c, nil, b, &plan.Binary{Op: "<", L: a, R: b}}
+	s := new(scratch)
+	run := func() {
+		for _, exprs := range [][]plan.Expr{filter, project, joinKeys, aggregate} {
+			in := newInputCols(nodeResult{table: tb}, s)
+			if !compileAll(in, exprs) {
+				t.Fatalf("%d expressions did not compile", len(exprs))
+			}
+			in.args = sized(in.args, len(exprs))
+			for lo := 0; lo < in.n; lo += batchSize {
+				for j, rc := range in.evalAll(lo, min(batchSize, in.n-lo)) {
+					if rc != nil {
+						in.args[j] = rc.value(0)
+					}
+				}
+			}
+			in.release()
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Errorf("a warm compile and evaluation allocated %v times, want 0", n)
+	}
+	in := reflect.ValueOf(s.in)
+	for i := range in.NumField() {
+		f, name := in.Field(i), in.Type().Field(i).Name
+		switch {
+		case name == "progs": // index ranges into nodes
+		case f.Kind() == reflect.Slice:
+			for all, j := f.Slice(0, f.Cap()), 0; j < f.Cap(); j++ {
+				if !all.Index(j).IsZero() {
+					t.Errorf("after release, %s[%d] of the %d kept is not zero", name, j, f.Cap())
+				}
+			}
+		case !f.IsZero():
+			t.Errorf("after release, inputCols.%s is %v", name, f)
+		}
 	}
 }

@@ -123,14 +123,16 @@ func fill[T any](s []T, v T) {
 
 // scratch is every buffer that outlives an operator, and a run holds one from
 // its first borrow until Run returns. One is enough: at any moment one operator
-// holds windows, one join its scratch and one aggregate its group table,
-// because each evaluates its inputs before it borrows.
+// holds windows and its compiled programs, one join its scratch and one
+// aggregate its group table, because each evaluates its inputs before it
+// borrows.
 type scratch struct {
 	ints  windows[int64]
 	fs    windows[float64]
 	ss    windows[string]
 	bs    windows[bool]
 	rs    windows[data.Row]
+	in    inputCols
 	join  joinScratch
 	group groupScratch
 }
@@ -171,10 +173,11 @@ func (ex *Executor) giveBackScratch() {
 
 // inputCols reads an operator's input — a table, a selection or pairs, whose
 // columns are the left row's then the right row's — as typed columns, one
-// window at a time, and lends every window the operator compiled against it
-// borrows from the run's scratch. Columns no expression references are never
-// read: kernels cannot see them, and operators that keep input rows pass them
-// through by reference.
+// window at a time, and holds the programs the operator compiled against it.
+// It lives in the run's scratch, and every window and slice it holds is the
+// scratch's, borrowed until release. Columns no expression references are
+// never read: kernels cannot see them, and operators that keep input rows pass
+// them through by reference.
 type inputCols struct {
 	r       nodeResult
 	n       int           // the input's rows
@@ -183,6 +186,11 @@ type inputCols struct {
 	sideLo  [2]int
 	s       *scratch
 	gathers int // windows gathered so far, over all columns
+
+	nodes []vnode      // every program's nodes
+	progs []vecProg    // the operator's programs, in compile order
+	roots []*vcol      // each program's output for the last window evaluated
+	args  []data.Value // vecAggregate's argument row
 }
 
 // inputCol is one referenced column, cell at of its side's rows (0 the left
@@ -193,21 +201,33 @@ type inputCol struct {
 	lo, side, at int
 }
 
+// newInputCols readies the scratch's inputCols for the operator over r.
 func newInputCols(r nodeResult, s *scratch) *inputCols {
 	width := len(r.table.Schema)
 	if r.shape == pairs {
 		width += len(r.right.Schema)
 	}
-	return &inputCols{r: r, n: r.len(), cols: make([]inputCol, width), s: s}
+	in := &s.in
+	in.r, in.n, in.s = r, r.len(), s
+	in.cols = sized(in.cols, width) // release left every column zero
+	return in
 }
 
-// release gives every window back. Nothing compiled against in may run after.
+// release gives every window back and empties the programs, keeping their
+// arrays for the next operator with no reference to a table or a string.
+// Nothing compiled against in may run after.
 func (in *inputCols) release() {
-	in.s.ints.giveBack(-1, false)
-	in.s.fs.giveBack(math.NaN(), false)
-	in.s.ss.giveBack("\x00poison", true)
-	in.s.bs.giveBack(true, false)
-	in.s.rs.giveBack(nil, true)
+	s := in.s
+	s.ints.giveBack(-1, false)
+	s.fs.giveBack(math.NaN(), false)
+	s.ss.giveBack("\x00poison", true)
+	s.bs.giveBack(true, false)
+	s.rs.giveBack(nil, true)
+	clear(in.cols)
+	clear(in.nodes)
+	clear(in.roots)
+	clear(in.args)
+	*in = inputCols{cols: in.cols[:0], nodes: in.nodes[:0], progs: in.progs[:0], roots: in.roots[:0], args: in.args[:0]}
 }
 
 // rows returns table side's rows behind the input's rows [lo, lo+n), under
@@ -306,103 +326,182 @@ func (in *inputCols) gather(j, lo, n int) {
 	}
 }
 
-// vnode is one compiled expression node. run fills out[0:n] for the window
-// starting at absolute row lo; kids have already run for the same window.
+// vop is a compiled node's operation.
+type vop uint8
+
+const (
+	opConst vop = iota // out filled at compile
+	opCol              // gathers input column col into out
+	opAnd
+	opEqStr // =, or != under neg
+	opEqInt
+	opLess // l < r; swap and neg make it >, >= and <=
+	opMod
+)
+
+// vnode is one compiled expression node, an element of the scratch's flat
+// node list: kids l and r index that list and precede it. eval fills out[0:n]
+// for the window starting at absolute row lo, after the kids.
 type vnode struct {
-	out vcol
-	run func(lo, n int) // nil for constants (out prefilled at compile)
+	out       vcol
+	op        vop
+	neg, swap bool
+	l, r      int32
+	col       int       // opCol's input column
+	fl, fr    []float64 // opLess's float views of its kids
 }
 
-// vecProg is a compiled expression: nodes in post-order (kids before
-// parents) over a fixed set of input columns.
-type vecProg struct {
-	nodes []*vnode
-	root  *vnode
-}
+// vecProg is a compiled expression: the nodes [lo, hi) of the node list in
+// post-order, its root last. A nil expression's program is empty.
+type vecProg struct{ lo, hi int32 }
 
-// eval runs the program for the window [lo, lo+n) and returns the root's
-// output column (valid until the next eval).
-func (p *vecProg) eval(lo, n int) *vcol {
-	for _, nd := range p.nodes {
-		if nd.run != nil {
-			nd.run(lo, n)
+// eval runs program p for the window [lo, lo+n) and returns its root's output
+// column (valid until the next eval), nil for an empty program.
+func (in *inputCols) eval(p vecProg, lo, n int) *vcol {
+	nodes := in.nodes
+	for k := p.lo; k < p.hi; k++ {
+		nd := &nodes[k]
+		l, r, out := &nodes[nd.l].out, &nodes[nd.r].out, nd.out.bs
+		switch nd.op {
+		case opCol:
+			in.gather(nd.col, lo, n)
+		case opAnd:
+			lb, rb := l.bs, r.bs
+			for i := 0; i < n; i++ {
+				out[i] = lb[i] && rb[i]
+			}
+		case opEqStr:
+			ls, rs := l.ss, r.ss
+			for i := 0; i < n; i++ {
+				out[i] = (ls[i] == rs[i]) != nd.neg
+			}
+			applyNullGuard(l, r, out, n)
+		case opEqInt:
+			li, ri := l.ints, r.ints
+			for i := 0; i < n; i++ {
+				out[i] = (li[i] == ri[i]) != nd.neg
+			}
+			applyNullGuard(l, r, out, n)
+		case opLess:
+			lf, rf := l.floats(nd.fl, n), r.floats(nd.fr, n)
+			if nd.swap {
+				lf, rf = rf, lf
+			}
+			for i := 0; i < n; i++ {
+				out[i] = (lf[i] < rf[i]) != nd.neg
+			}
+			applyNullGuard(l, r, out, n)
+		case opMod:
+			li, ri := l.ints, r.ints
+			quo, mask := nd.out.ints, nd.out.null
+			for i := 0; i < n; i++ {
+				// A masked divisor reads 0 (AsInt on NULL), so a NULL divisor
+				// yields NULL exactly like the row path.
+				if ri[i] == 0 {
+					quo[i], mask[i] = 0, true
+				} else {
+					quo[i], mask[i] = li[i]%ri[i], false
+				}
+			}
 		}
 	}
-	return &p.root.out
-}
-
-type vecCompiler struct {
-	in    *inputCols
-	nodes []*vnode
-}
-
-// compileVec compiles e against the input columns, validating the ones it
-// references and borrowing every buffer through in. ok=false means the
-// expression or a referenced column is outside kernel coverage and the caller
-// must use the row path.
-func compileVec(e plan.Expr, in *inputCols) (*vecProg, bool) {
-	vc := &vecCompiler{in: in}
-	root, ok := vc.compile(e)
-	if !ok {
-		return nil, false
+	if p.lo == p.hi {
+		return nil
 	}
-	return &vecProg{nodes: vc.nodes, root: root}, true
+	return &nodes[p.hi-1].out
 }
 
-func (vc *vecCompiler) add(n *vnode) *vnode {
-	vc.nodes = append(vc.nodes, n)
-	return n
+// evalAll runs every program for the window [lo, lo+w) and returns their
+// outputs, in compile order.
+func (in *inputCols) evalAll(lo, w int) []*vcol {
+	in.roots = sized(in.roots, len(in.progs))
+	for i, p := range in.progs {
+		in.roots[i] = in.eval(p, lo, w)
+	}
+	return in.roots
 }
 
-func (vc *vecCompiler) compile(e plan.Expr) (*vnode, bool) {
+// compile compiles e against the input columns into the next program,
+// validating the columns it references and borrowing every buffer from the
+// scratch, and returns the kind of its output (KindNull for a nil e). ok=false
+// means the expression or a referenced column is outside kernel coverage and
+// the caller must use the row path.
+func (in *inputCols) compile(e plan.Expr) (kind data.Kind, ok bool) {
+	lo := int32(len(in.nodes))
+	if e != nil {
+		root, ok := in.node(e)
+		if !ok {
+			return 0, false
+		}
+		kind = in.nodes[root].out.kind
+	}
+	in.progs = append(in.progs, vecProg{lo, int32(len(in.nodes))})
+	return kind, true
+}
+
+// compileAll compiles every expression against in, which shares one gather
+// per window of each referenced column among them.
+func compileAll(in *inputCols, exprs []plan.Expr) bool {
+	for _, e := range exprs {
+		if _, ok := in.compile(e); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// add appends nd to the node list and returns its index.
+func (in *inputCols) add(nd vnode) int32 {
+	in.nodes = append(in.nodes, nd)
+	return int32(len(in.nodes) - 1)
+}
+
+func (in *inputCols) node(e plan.Expr) (int32, bool) {
 	switch x := e.(type) {
 	case *plan.ColRef:
-		in, j := vc.in, x.Index
-		src, ok := in.col(j)
+		src, ok := in.col(x.Index)
 		if !ok {
-			return nil, false
+			return 0, false
 		}
-		return vc.add(&vnode{out: src.vcol, run: func(lo, n int) { in.gather(j, lo, n) }}), true
-
+		return in.add(vnode{out: src.vcol, op: opCol, col: x.Index}), true
 	case *plan.Const:
-		return vc.compileConst(x.Val)
+		return in.constant(x.Val)
 	case *plan.Param:
-		return vc.compileConst(x.Val)
+		return in.constant(x.Val)
 	case *plan.Binary:
-		return vc.compileBinary(x)
+		return in.binary(x)
 	default:
 		// Calls fall back: builtins may allocate, and the nondeterministic
 		// ones consume per-job PRNG state in row order. So do the unary
 		// operators, which no workload runs.
-		return nil, false
+		return 0, false
 	}
 }
 
-func (vc *vecCompiler) compileConst(v data.Value) (*vnode, bool) {
+func (in *inputCols) constant(v data.Value) (int32, bool) {
 	if v.IsNull() {
-		return nil, false
+		return 0, false
 	}
-	nd := &vnode{}
-	nd.out.kind = v.Kind
+	out := vcol{kind: v.Kind}
 	// No window is taller than the table, so the broadcast stops there.
-	w := min(batchSize, vc.in.n)
+	w := min(batchSize, in.n)
 	switch v.Kind {
 	case data.KindInt, data.KindTime:
-		nd.out.ints = vc.in.s.ints.borrow()
-		fill(nd.out.ints[:w], v.I)
+		out.ints = in.s.ints.borrow()
+		fill(out.ints[:w], v.I)
 	case data.KindFloat:
-		nd.out.fs = vc.in.s.fs.borrow()
-		fill(nd.out.fs[:w], v.F)
+		out.fs = in.s.fs.borrow()
+		fill(out.fs[:w], v.F)
 	case data.KindString:
-		nd.out.ss = vc.in.s.ss.borrow()
-		fill(nd.out.ss[:w], v.S)
+		out.ss = in.s.ss.borrow()
+		fill(out.ss[:w], v.S)
 	case data.KindBool:
-		nd.out.bs = vc.in.s.bs.borrow()
-		fill(nd.out.bs[:w], v.B)
+		out.bs = in.s.bs.borrow()
+		fill(out.bs[:w], v.B)
 	default:
-		return nil, false
+		return 0, false
 	}
-	return vc.add(nd), true
+	return in.add(vnode{out: out, op: opConst}), true
 }
 
 // isIntKind reports whether a column of kind k holds its payload in ints.
@@ -431,22 +530,22 @@ func applyNullGuard(l, r *vcol, out []bool, n int) {
 	}
 }
 
-// compileBinary compiles the arms the workloads execute: AND, = and != on two
+// binary compiles the arms the workloads execute: AND, = and != on two
 // strings or on two ints or times of one kind, the four orderings on
 // numerics, and % on ints. Every other arm — OR, = across numeric kinds or on
 // floats and bools, ordering strings, + - * / and LIKE — runs on the row loop,
 // which gives the same answer.
-func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
-	l, ok := vc.compile(x.L)
+func (in *inputCols) binary(x *plan.Binary) (int32, bool) {
+	l, ok := in.node(x.L)
 	if !ok {
-		return nil, false
+		return 0, false
 	}
-	r, ok := vc.compile(x.R)
+	r, ok := in.node(x.R)
 	if !ok {
-		return nil, false
+		return 0, false
 	}
-	lk, rk := l.out.kind, r.out.kind
-	nd := &vnode{out: vcol{kind: data.KindBool}}
+	lk, rk := in.nodes[l].out.kind, in.nodes[r].out.kind
+	nd := vnode{out: vcol{kind: data.KindBool}, l: l, r: r}
 
 	switch x.Op {
 	case "AND":
@@ -455,38 +554,21 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 		// side-effect-free), and truthy() on the guaranteed-Bool operands is
 		// just the bool payload.
 		if lk != data.KindBool || rk != data.KindBool {
-			return nil, false
+			return 0, false
 		}
-		nd.run = func(lo, n int) {
-			lb, rb, out := l.out.bs, r.out.bs, nd.out.bs
-			for i := 0; i < n; i++ {
-				out[i] = lb[i] && rb[i]
-			}
-		}
+		nd.op = opAnd
 
 	case "=", "!=":
-		neg := x.Op == "!="
+		nd.neg = x.Op == "!="
 		switch {
 		case lk == data.KindString && rk == data.KindString:
-			nd.run = func(lo, n int) {
-				ls, rs, out := l.out.ss, r.out.ss, nd.out.bs
-				for i := 0; i < n; i++ {
-					out[i] = (ls[i] == rs[i]) != neg
-				}
-				applyNullGuard(&l.out, &r.out, out, n)
-			}
+			nd.op = opEqStr
 		case lk == rk && isIntKind(lk):
 			// Same-kind integer equality is exact (Value.Equal compares I
 			// directly, no float round-trip).
-			nd.run = func(lo, n int) {
-				li, ri, out := l.out.ints, r.out.ints, nd.out.bs
-				for i := 0; i < n; i++ {
-					out[i] = (li[i] == ri[i]) != neg
-				}
-				applyNullGuard(&l.out, &r.out, out, n)
-			}
+			nd.op = opEqInt
 		default:
-			return nil, false
+			return 0, false
 		}
 
 	case "<", "<=", ">", ">=":
@@ -495,44 +577,21 @@ func (vc *vecCompiler) compileBinary(x *plan.Binary) (*vnode, bool) {
 		// writes it; a >= b is !(a < b); a <= b is !(b < a). One loop serves
 		// all four.
 		if !isNumericKind(lk) || !isNumericKind(rk) {
-			return nil, false
+			return 0, false
 		}
-		swap, neg := x.Op == ">" || x.Op == "<=", len(x.Op) == 2
-		sl, sr := vc.in.s.fs.borrow(), vc.in.s.fs.borrow()
-		nd.run = func(lo, n int) {
-			lf, rf, out := l.out.floats(sl, n), r.out.floats(sr, n), nd.out.bs
-			if swap {
-				lf, rf = rf, lf
-			}
-			for i := 0; i < n; i++ {
-				out[i] = (lf[i] < rf[i]) != neg
-			}
-			applyNullGuard(&l.out, &r.out, out, n)
-		}
+		nd.op, nd.swap, nd.neg = opLess, x.Op == ">" || x.Op == "<=", len(x.Op) == 2
+		nd.fl, nd.fr = in.s.fs.borrow(), in.s.fs.borrow()
 
 	case "%":
 		if !isIntKind(lk) || !isIntKind(rk) {
-			return nil, false
+			return 0, false
 		}
-		nd.out = vcol{kind: data.KindInt, ints: vc.in.s.ints.borrow(), null: vc.in.s.bs.borrow()}
-		nd.run = func(lo, n int) {
-			li, ri := l.out.ints, r.out.ints
-			out, mask := nd.out.ints, nd.out.null
-			for i := 0; i < n; i++ {
-				// A masked divisor reads 0 (AsInt on NULL), so a NULL divisor
-				// yields NULL exactly like the row path.
-				if ri[i] == 0 {
-					out[i], mask[i] = 0, true
-				} else {
-					out[i], mask[i] = li[i]%ri[i], false
-				}
-			}
-		}
-		return vc.add(nd), true
+		nd.op, nd.out = opMod, vcol{kind: data.KindInt, ints: in.s.ints.borrow(), null: in.s.bs.borrow()}
+		return in.add(nd), true
 
 	default:
-		return nil, false
+		return 0, false
 	}
-	nd.out.bs = vc.in.s.bs.borrow()
-	return vc.add(nd), true
+	nd.out.bs = in.s.bs.borrow()
+	return in.add(nd), true
 }

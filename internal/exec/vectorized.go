@@ -5,8 +5,9 @@
 // Everything compiles before anything evaluates, so a declined operator has
 // consumed nothing. Every kernel buffer is a window of the run's scratch,
 // borrowed through the operator's inputCols and given back when the function
-// returns (see windows), so nothing returned may alias one. Output rows,
-// output ORDER, and all accounting are byte-identical to the row loop.
+// returns (see windows), so nothing returned may alias one. The compiled
+// programs are the scratch's too (see inputCols). Output rows, output ORDER,
+// and all accounting are byte-identical to the row loop.
 package exec
 
 import (
@@ -14,27 +15,6 @@ import (
 	"cloudviews/internal/data"
 	"cloudviews/internal/plan"
 )
-
-// compileAll compiles every expression against in, which shares one gather
-// per window of each referenced column among them.
-func compileAll(in *inputCols, exprs []plan.Expr) ([]*vecProg, bool) {
-	progs := make([]*vecProg, len(exprs))
-	for i, e := range exprs {
-		p, ok := compileVec(e, in)
-		if !ok {
-			return nil, false
-		}
-		progs[i] = p
-	}
-	return progs, true
-}
-
-// evalAll runs every program for the window [lo, lo+w) into roots.
-func evalAll(progs []*vecProg, roots []*vcol, lo, w int) {
-	for i, p := range progs {
-		roots[i] = p.eval(lo, w)
-	}
-}
 
 // vecFilter evaluates pred over the table r in batchSize windows, marking the
 // rows it keeps in keep.
@@ -48,14 +28,13 @@ func (ex *Executor) vecFilter(r nodeResult, pred plan.Expr, keep *bitvector.Bitm
 	}
 	in := newInputCols(r, ex.scratch())
 	defer in.release()
-	prog, ok := compileVec(pred, in)
-	if !ok || prog.root.out.kind != data.KindBool {
+	if kind, ok := in.compile(pred); !ok || kind != data.KindBool {
 		return 0, false
 	}
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
-		res := prog.eval(lo, w)
+		res := in.evalAll(lo, w)[0]
 		for i := 0; i < w; i++ {
 			// truthy(): Bool kernels never mask, but stay defensive.
 			if res.bs[i] && (res.null == nil || !res.null[i]) {
@@ -79,18 +58,16 @@ func (ex *Executor) vecProject(r nodeResult, exprs []plan.Expr, out *data.Table)
 	}
 	in := newInputCols(r, ex.scratch())
 	defer in.release()
-	progs, ok := compileAll(in, exprs)
-	if !ok {
+	if !compileAll(in, exprs) {
 		return 0, false
 	}
-	roots := make([]*vcol, len(progs))
 	var slab data.RowSlab
 	slab.Expect(n)
 	out.Rows = make([]data.Row, 0, n)
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
-		evalAll(progs, roots, lo, w)
+		roots := in.evalAll(lo, w)
 		for i := 0; i < w; i++ {
 			nr := slab.New(len(exprs))
 			for j, rc := range roots {
@@ -119,17 +96,15 @@ func (ex *Executor) vecJoinKeys(r nodeResult, keys []plan.Expr, dst *[]string, p
 	}
 	in := newInputCols(r, ex.scratch())
 	defer in.release()
-	progs, ok := compileAll(in, keys)
-	if !ok {
+	if !compileAll(in, keys) {
 		return 0, false
 	}
 	outKeys := sized(*dst, n)
 	*dst = outKeys
-	roots := make([]*vcol, len(progs))
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
-		evalAll(progs, roots, lo, w)
+		roots := in.evalAll(lo, w)
 		for i := 0; i < w; i++ {
 			for _, rc := range roots {
 				pack.buf = appendKeyValue(pack.buf, rc.value(i))
@@ -157,33 +132,23 @@ func (ex *Executor) vecAggregate(r nodeResult, groups *aggTable) (int64, bool) {
 	x := groups.x
 	in := newInputCols(r, ex.scratch())
 	defer in.release()
-	groupProgs, ok := compileAll(in, x.GroupBy)
-	if !ok {
+	if !compileAll(in, x.GroupBy) {
 		return 0, false
 	}
-	argProgs := make([]*vecProg, len(x.Aggs)) // nil where Arg is nil
-	for j, spec := range x.Aggs {
-		if spec.Arg == nil {
-			continue
-		}
-		if argProgs[j], ok = compileVec(spec.Arg, in); !ok {
+	for _, spec := range x.Aggs {
+		if _, ok := in.compile(spec.Arg); !ok { // a nil Arg's root is nil
 			return 0, false
 		}
 	}
 
 	var buf [64]byte
-	groupRoots := make([]*vcol, len(groupProgs))
-	argRoots := make([]*vcol, len(argProgs))
-	args := make([]data.Value, len(x.Aggs))
+	in.args = sized(in.args, len(x.Aggs)) // release left every argument zero
+	args := in.args
 	var batches int64
 	for lo := 0; lo < n; lo += batchSize {
 		w := min(batchSize, n-lo)
-		evalAll(groupProgs, groupRoots, lo, w)
-		for j, p := range argProgs {
-			if p != nil {
-				argRoots[j] = p.eval(lo, w)
-			}
-		}
+		roots := in.evalAll(lo, w)
+		groupRoots, argRoots := roots[:len(x.GroupBy)], roots[len(x.GroupBy):]
 		for i := 0; i < w; i++ {
 			kb := buf[:0]
 			for _, rc := range groupRoots {

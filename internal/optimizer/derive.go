@@ -3,6 +3,7 @@ package optimizer
 import (
 	"bytes"
 	"math"
+	"slices"
 
 	"cloudviews/internal/catalog"
 	"cloudviews/internal/data"
@@ -65,22 +66,52 @@ func (p *Prepared) shape() (hazard bool, attrs []string) {
 }
 
 // rebound returns n, a node of a template, with every Param among its
-// expressions bound to its value in vals: a copy, unless n holds no expression.
+// expressions bound to its value in vals: a copy that shares every subtree
+// holding no Param with the template, which is only read, or n itself when
+// none of its expressions holds a Param.
 func rebound(n plan.Node, vals map[string]data.Value) plan.Node {
-	es := plan.Exprs(n, nil)
-	if len(es) == 0 {
-		return n
-	}
-	bind := func(x plan.Expr) {
-		if p, ok := x.(*plan.Param); ok {
-			p.Val = vals[p.Name]
+	var buf [8]plan.Expr
+	es, changed := plan.Exprs(n, buf[:0]), false
+	for i, e := range es {
+		if b := withParams(e, vals); b != e {
+			es[i], changed = b, true
 		}
 	}
-	for i, e := range es {
-		es[i] = plan.CloneExpr(e) // the template's expressions are shared
-		es[i].Walk(bind)
+	if !changed {
+		return n
 	}
-	return plan.WithExprs(n, es)
+	return plan.WithExprs(n, slices.Clone(es))
+}
+
+// withParams returns e with every Param bound to its value in vals, rebuilding
+// only the nodes on a path to a Param, or e itself when it holds none.
+func withParams(e plan.Expr, vals map[string]data.Value) plan.Expr {
+	switch x := e.(type) {
+	case *plan.Param:
+		return &plan.Param{Name: x.Name, Val: vals[x.Name]}
+	case *plan.Binary:
+		if l, r := withParams(x.L, vals), withParams(x.R, vals); l != x.L || r != x.R {
+			return &plan.Binary{Op: x.Op, L: l, R: r}
+		}
+	case *plan.Unary:
+		if in := withParams(x.E, vals); in != x.E {
+			return &plan.Unary{Op: x.Op, E: in}
+		}
+	case *plan.Call:
+		var args []plan.Expr
+		for i, a := range x.Args {
+			if b := withParams(a, vals); b != a {
+				if args == nil {
+					args = slices.Clone(x.Args)
+				}
+				args[i] = b
+			}
+		}
+		if args != nil {
+			return &plan.Call{Name: x.Name, Args: args}
+		}
+	}
+	return e
 }
 
 // Derive returns the Prepared a cold parse, bind and Prepare of t's script

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cloudviews/internal/catalog"
+	"cloudviews/internal/data"
 	"cloudviews/internal/exec"
 	"cloudviews/internal/explain"
 	"cloudviews/internal/fixtures"
@@ -396,5 +397,42 @@ func TestRewriteFixpointByPointer(t *testing.T) {
 		if !sameSubs(signer.Subexpressions(got), signer.Subexpressions(want), false) {
 			t.Errorf("%s: rewritten plans sign differently", w.jobs[i].ID)
 		}
+	}
+}
+
+// TestReboundCopiesOnlyThePathToAParam: binding a template node's parameters
+// copies the node and the expressions on a path to a Param, shares every
+// other subtree with the template, leaves the template's values as they were,
+// and returns a node holding no Param itself.
+func TestReboundCopiesOnlyThePathToAParam(t *testing.T) {
+	a := &plan.ColRef{Index: 0, Typ: data.KindInt}
+	one := &plan.Const{Val: data.Int(1)}
+	lo := &plan.Param{Name: "lo", Val: data.Int(5)}
+	sum := &plan.Binary{Op: "+", L: a, R: lo}
+	call := &plan.Call{Name: "COALESCE", Args: []plan.Expr{one, lo, a}}
+	proj := &plan.Project{Exprs: []plan.Expr{a, sum, call}, Names: []string{"a", "s", "c"}}
+	vals := map[string]data.Value{"lo": data.Int(9)}
+
+	filter := &plan.Filter{Pred: &plan.Binary{Op: "<", L: a, R: one}}
+	if got := optimizer.Rebound(filter, vals); got != plan.Node(filter) {
+		t.Errorf("a node with no Param was copied")
+	}
+	got, ok := optimizer.Rebound(proj, vals).(*plan.Project)
+	if !ok || got == proj {
+		t.Fatalf("a node with a Param was not copied: %v", got)
+	}
+	if got.Exprs[0] != plan.Expr(a) {
+		t.Errorf("the Param-free expression was copied")
+	}
+	s, ok := got.Exprs[1].(*plan.Binary)
+	if !ok || s == sum || s.L != plan.Expr(a) || s.R.(*plan.Param).Val != data.Int(9) {
+		t.Errorf("the sum was not rebuilt around its Param alone: %#v", got.Exprs[1])
+	}
+	c, ok := got.Exprs[2].(*plan.Call)
+	if !ok || c == call || c.Args[0] != plan.Expr(one) || c.Args[2] != plan.Expr(a) || c.Args[1].(*plan.Param).Val != data.Int(9) {
+		t.Errorf("the call was not rebuilt around its Param alone: %#v", got.Exprs[2])
+	}
+	if lo.Val != data.Int(5) || call.Args[1] != plan.Expr(lo) || sum.R != plan.Expr(lo) {
+		t.Errorf("the template was written")
 	}
 }

@@ -86,23 +86,11 @@ func pushThroughJoin(f *plan.Filter, j *plan.Join) plan.Node {
 	leftWidth := len(j.L.Schema())
 	var leftPreds, rightPreds, keep []plan.Expr
 	for _, c := range conjuncts(f.Pred) {
-		side := 0
-		for idx := range plan.ColumnsUsed(c) {
-			if idx < leftWidth {
-				side |= 1
-			} else {
-				side |= 2
-			}
-		}
-		switch side {
+		switch plan.JoinSides(c, leftWidth) {
 		case 1:
 			leftPreds = append(leftPreds, c)
 		case 2:
-			mapping := make(map[int]int)
-			for idx := range plan.ColumnsUsed(c) {
-				mapping[idx] = idx - leftWidth
-			}
-			rightPreds = append(rightPreds, plan.RemapColumns(c, mapping))
+			rightPreds = append(rightPreds, plan.ShiftColumns(c, leftWidth))
 		default:
 			// Constants (side 0) and mixed predicates stay above the join.
 			keep = append(keep, c)

@@ -544,31 +544,12 @@ func (b *Binder) tryEquiKey(conjunct sqlparser.Expr, combined scope, leftWidth i
 	if err != nil {
 		return nil, nil, false, err
 	}
-	side := func(e Expr) int {
-		// 0 = no columns, 1 = all left, 2 = all right, 3 = mixed
-		s := 0
-		for idx := range ColumnsUsed(e) {
-			if idx < leftWidth {
-				s |= 1
-			} else {
-				s |= 2
-			}
-		}
-		return s
-	}
-	ls, rs := side(l), side(r)
-	rebase := func(e Expr) Expr {
-		mapping := make(map[int]int)
-		for idx := range ColumnsUsed(e) {
-			mapping[idx] = idx - leftWidth
-		}
-		return RemapColumns(e, mapping)
-	}
+	ls, rs := JoinSides(l, leftWidth), JoinSides(r, leftWidth)
 	switch {
 	case ls == 1 && rs == 2:
-		return l, rebase(r), true, nil
+		return l, ShiftColumns(r, leftWidth), true, nil
 	case ls == 2 && rs == 1:
-		return r, rebase(l), true, nil
+		return r, ShiftColumns(l, leftWidth), true, nil
 	default:
 		return nil, nil, false, nil
 	}

@@ -395,30 +395,65 @@ func HasNondeterminism(e Expr) bool {
 // new index). It returns a deep copy; the input is not mutated. Indexes
 // absent from the map are preserved.
 func RemapColumns(e Expr, mapping map[int]int) Expr {
+	return remapColumns(e, func(i int) int {
+		if ni, ok := mapping[i]; ok {
+			return ni
+		}
+		return i
+	})
+}
+
+// ShiftColumns returns a deep copy of e with every ColRef index k lower: a
+// join's right-side expression rebased to the right input's own columns.
+func ShiftColumns(e Expr, k int) Expr {
+	return remapColumns(e, func(i int) int { return i - k })
+}
+
+func remapColumns(e Expr, to func(int) int) Expr {
 	switch x := e.(type) {
 	case *ColRef:
-		idx := x.Index
-		if ni, ok := mapping[idx]; ok {
-			idx = ni
-		}
-		return &ColRef{Index: idx, Name: x.Name, Typ: x.Typ}
+		return &ColRef{Index: to(x.Index), Name: x.Name, Typ: x.Typ}
 	case *Const:
 		return &Const{Val: x.Val}
 	case *Param:
 		return &Param{Name: x.Name, Val: x.Val}
 	case *Binary:
-		return &Binary{Op: x.Op, L: RemapColumns(x.L, mapping), R: RemapColumns(x.R, mapping)}
+		return &Binary{Op: x.Op, L: remapColumns(x.L, to), R: remapColumns(x.R, to)}
 	case *Unary:
-		return &Unary{Op: x.Op, E: RemapColumns(x.E, mapping)}
+		return &Unary{Op: x.Op, E: remapColumns(x.E, to)}
 	case *Call:
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = RemapColumns(a, mapping)
+			args[i] = remapColumns(a, to)
 		}
 		return &Call{Name: x.Name, Args: args}
 	default:
 		return e
 	}
+}
+
+// JoinSides reports which inputs of a join e's columns come from, the columns
+// below leftWidth being the left's: bit 1 the left, bit 2 the right, 0 when e
+// references no column.
+func JoinSides(e Expr, leftWidth int) int {
+	switch x := e.(type) {
+	case *ColRef:
+		if x.Index < leftWidth {
+			return 1
+		}
+		return 2
+	case *Binary:
+		return JoinSides(x.L, leftWidth) | JoinSides(x.R, leftWidth)
+	case *Unary:
+		return JoinSides(x.E, leftWidth)
+	case *Call:
+		s := 0
+		for _, a := range x.Args {
+			s |= JoinSides(a, leftWidth)
+		}
+		return s
+	}
+	return 0
 }
 
 // CloneExpr deep-copies an expression tree.

@@ -142,6 +142,44 @@ func TestColumnsUsedAndClone(t *testing.T) {
 	}
 }
 
+// TestJoinSidesAndShiftColumns: JoinSides classifies an expression over a
+// join's concatenated columns as ColumnsUsed would, without allocating, and
+// ShiftColumns rebases a copy as RemapColumns would through the map of every
+// used index to index-leftWidth, leaving its input as it was.
+func TestJoinSidesAndShiftColumns(t *testing.T) {
+	col := func(i int) plan.Expr { return &plan.ColRef{Index: i, Typ: data.KindInt} }
+	for _, c := range []struct {
+		e    plan.Expr
+		want int
+	}{
+		{&plan.Const{Val: data.Int(1)}, 0},
+		{&plan.Binary{Op: "=", L: col(1), R: &plan.Param{Name: "p", Val: data.Int(2)}}, 1},
+		{&plan.Unary{Op: "-", E: col(3)}, 2},
+		{&plan.Call{Name: "COALESCE", Args: []plan.Expr{col(4), &plan.Const{Val: data.Int(0)}, col(5)}}, 2},
+		{&plan.Binary{Op: "+", L: col(4), R: &plan.Call{Name: "ABS", Args: []plan.Expr{col(0)}}}, 3},
+	} {
+		const leftWidth = 3
+		got := plan.JoinSides(c.e, leftWidth)
+		if got != c.want {
+			t.Errorf("JoinSides(%s) = %d, want %d", canonical(t, c.e), got, c.want)
+		}
+		if n := testing.AllocsPerRun(10, func() { plan.JoinSides(c.e, leftWidth) }); n != 0 {
+			t.Errorf("JoinSides(%s) allocated %v times", canonical(t, c.e), n)
+		}
+		before := canonical(t, c.e)
+		mapping := map[int]int{}
+		for i := range plan.ColumnsUsed(c.e) {
+			mapping[i] = i - leftWidth
+		}
+		if got, want := canonical(t, plan.ShiftColumns(c.e, leftWidth)), canonical(t, plan.RemapColumns(c.e, mapping)); got != want {
+			t.Errorf("ShiftColumns(%s) = %s, want %s", before, got, want)
+		}
+		if canonical(t, c.e) != before {
+			t.Errorf("ShiftColumns rewrote its input %s", before)
+		}
+	}
+}
+
 // TestCloneRowIndependentRows: the built-in UDOs clone through the context's
 // slab whether or not the executor announced a count, and what they emit
 // shares nothing with the input or with a neighbouring output row.
