@@ -115,7 +115,8 @@ func Instrument(root plan.Node, signer *signature.Signer, stats *FailureStats, s
 		if rate < policy.minRate() {
 			return
 		}
-		for _, c := range n.Children() {
+		var buf [2]plan.Node
+		for _, c := range plan.Inputs(n, &buf) {
 			s, ok := info[c]
 			if !ok || s.Eligibility != signature.EligibleOK || s.NodeCount < policy.minNodes() {
 				continue
@@ -193,22 +194,7 @@ func Recover(root plan.Node, signer *signature.Signer, store storage.Engine) (pl
 				}
 			}
 		}
-		children := n.Children()
-		if len(children) == 0 {
-			return n
-		}
-		newChildren := make([]plan.Node, len(children))
-		changed := false
-		for i, c := range children {
-			newChildren[i] = rec(c)
-			if newChildren[i] != c {
-				changed = true
-			}
-		}
-		if changed {
-			return n.WithChildren(newChildren)
-		}
-		return n
+		return plan.MapInputs(n, rec)
 	}
 	out := rec(root)
 	return out, recovered

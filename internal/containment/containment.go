@@ -380,22 +380,7 @@ func Rewrite(root plan.Node, signer *signature.Signer, ix *Index, store storage.
 				}
 			}
 		}
-		children := n.Children()
-		if len(children) == 0 {
-			return n
-		}
-		newChildren := make([]plan.Node, len(children))
-		changed := false
-		for i, c := range children {
-			newChildren[i] = rec(c)
-			if newChildren[i] != c {
-				changed = true
-			}
-		}
-		if changed {
-			return n.WithChildren(newChildren)
-		}
-		return n
+		return plan.MapInputs(n, rec)
 	}
 	out := rec(root)
 	return out, res

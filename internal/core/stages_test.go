@@ -36,7 +36,8 @@ func referenceStageSpecs(cr *optimizer.CompileResult, res *exec.RunResult) []clu
 	var stages []*refStage
 	var rec func(n plan.Node) *refStage
 	rec = func(n plan.Node) *refStage {
-		children := n.Children()
+		var buf [2]plan.Node
+		children := plan.Inputs(n, &buf)
 		deps := make([]*refStage, 0, len(children))
 		for _, c := range children {
 			deps = append(deps, rec(c))

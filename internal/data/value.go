@@ -73,6 +73,10 @@ func Bool(v bool) Value { return Value{Kind: KindBool, B: v} }
 // Time wraps a time.Time (stored as Unix nanoseconds).
 func Time(t time.Time) Value { return Value{Kind: KindTime, I: t.UnixNano()} }
 
+// Str returns a string cell's text. Code outside this package reads S only
+// through it, so a string cell's representation can change behind it.
+func (v Value) Str() string { return v.S }
+
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 

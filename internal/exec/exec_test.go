@@ -374,7 +374,8 @@ func TestReplayedStatsPointAtTheirPlan(t *testing.T) {
 		var order []plan.Node
 		var post func(n plan.Node)
 		post = func(n plan.Node) {
-			for _, c := range n.Children() {
+			var buf [2]plan.Node
+			for _, c := range plan.Inputs(n, &buf) {
 				post(c)
 			}
 			order = append(order, n)
@@ -442,7 +443,7 @@ func TestTotalsAreFoldsOfNodeStats(t *testing.T) {
 					work += st.Work
 					read += st.Read
 					want := int64(0)
-					switch st.Node.(type) {
+					switch x := st.Node.(type) {
 					case *plan.Scan:
 						input += st.Read
 						want = st.BytesOut
@@ -450,10 +451,10 @@ func TestTotalsAreFoldsOfNodeStats(t *testing.T) {
 						want = st.BytesOut
 						views++
 					case *plan.Join:
-						want = byNode[st.Node.Children()[0]].BytesOut + byNode[st.Node.Children()[1]].BytesOut
+						want = byNode[x.L].BytesOut + byNode[x.R].BytesOut
 						joins++
 					case *plan.Aggregate:
-						want = byNode[st.Node.Children()[0]].BytesOut
+						want = byNode[x.Child].BytesOut
 						aggs++
 					case *plan.Spool:
 						spoolWork += st.Work

@@ -26,9 +26,9 @@ func appendKeyValue(dst []byte, v data.Value) []byte {
 	if v.Kind == data.KindString {
 		// Strings are the only payload with unbounded length; append in
 		// place so they never round-trip through a scratch buffer.
-		n := binary.PutUvarint(lenBuf[:], uint64(len(v.S)))
+		n := binary.PutUvarint(lenBuf[:], uint64(len(v.Str())))
 		dst = append(dst, lenBuf[:n]...)
-		return append(dst, v.S...)
+		return append(dst, v.Str()...)
 	}
 	// Every non-string rendering fits in 48 bytes (RFC3339Nano times are ≤30).
 	var tmp [48]byte

@@ -317,7 +317,7 @@ func (in *inputCols) gather(j, lo, n int) {
 		}
 	case data.KindString:
 		for i, row := range rows {
-			c.ss[i] = row[at].S
+			c.ss[i] = row[at].Str()
 		}
 	case data.KindBool:
 		for i, row := range rows {
@@ -494,7 +494,7 @@ func (in *inputCols) constant(v data.Value) (int32, bool) {
 		fill(out.fs[:w], v.F)
 	case data.KindString:
 		out.ss = in.s.ss.borrow()
-		fill(out.ss[:w], v.S)
+		fill(out.ss[:w], v.Str())
 	case data.KindBool:
 		out.bs = in.s.bs.borrow()
 		fill(out.bs[:w], v.B)

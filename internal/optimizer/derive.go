@@ -15,17 +15,29 @@ import (
 // as bound, not as normalized: folding can drop a conjunct and the parameter
 // in it, and binding still demands that parameter of every job.
 func boundParams(root plan.Node) (out []plan.Param) {
-	visit := func(x plan.Expr) {
-		if p, ok := x.(*plan.Param); ok {
-			out = append(out, *p)
-		}
-	}
 	plan.Walk(root, func(n plan.Node) {
 		var buf [8]plan.Expr
 		for _, e := range plan.Exprs(n, buf[:0]) {
-			e.Walk(visit)
+			out = appendParams(out, e)
 		}
 	})
+	return out
+}
+
+// appendParams appends e's parameter references, left to right, to out.
+func appendParams(out []plan.Param, e plan.Expr) []plan.Param {
+	switch x := e.(type) {
+	case *plan.Param:
+		out = append(out, *x)
+	case *plan.Binary:
+		out = appendParams(appendParams(out, x.L), x.R)
+	case *plan.Unary:
+		out = appendParams(out, x.E)
+	case *plan.Call:
+		for _, a := range x.Args {
+			out = appendParams(out, a)
+		}
+	}
 	return out
 }
 
@@ -37,7 +49,7 @@ func (p *Prepared) BoundTo(params map[string]data.Value) bool {
 	for i := range p.params {
 		v, ok := params[p.params[i].Name]
 		w := p.params[i].Val
-		if !ok || v.Kind != w.Kind || v.I != w.I || math.Float64bits(v.F) != math.Float64bits(w.F) || v.S != w.S || v.B != w.B {
+		if !ok || v.Kind != w.Kind || v.I != w.I || math.Float64bits(v.F) != math.Float64bits(w.F) || v.Str() != w.Str() || v.B != w.B {
 			return false
 		}
 	}
@@ -164,7 +176,7 @@ func (o *Optimizer) Derive(t *Prepared, cat *catalog.Catalog, params map[string]
 		if attrs == "" {
 			m = rebound(m, params)
 		}
-		m = m.WithChildren(in)
+		m = plan.WithInputs(m, in)
 		if sc, ok := m.(*plan.Scan); ok {
 			// One version per dataset however often the script scans it, as
 			// the binder resolves them.

@@ -262,7 +262,7 @@ func (k *jobNodes) adopt(m, n plan.Node) {
 // plan, whose Algo physical planning writes, and so of every node above one;
 // all other subtrees stay shared with the prepared plan and are only read.
 func (k *jobNodes) ownJoins(n plan.Node) plan.Node {
-	m := k.withChildren(n, k.ownJoins)
+	m := k.mapInputs(n, k.ownJoins)
 	_, mine := k.own[m] // a node the job rebuilt is its own already
 	if j, isJoin := m.(*plan.Join); isJoin && !mine && j.Algo == plan.JoinAuto {
 		cp := *j
@@ -272,24 +272,13 @@ func (k *jobNodes) ownJoins(n plan.Node) plan.Node {
 	return m
 }
 
-// withChildren maps rec over n's inputs and rebuilds n, as a node standing
-// for the same subexpression, only if one changed.
-func (k *jobNodes) withChildren(n plan.Node, rec func(plan.Node) plan.Node) plan.Node {
-	var buf [2]plan.Node
-	var children []plan.Node
-	for i, c := range plan.Inputs(n, &buf) {
-		if nc := rec(c); nc != c {
-			if children == nil {
-				children = n.Children()
-			}
-			children[i] = nc
-		}
+// mapInputs maps rec over n's inputs and rebuilds n, as a node standing for
+// the same subexpression, only if one changed.
+func (k *jobNodes) mapInputs(n plan.Node, rec func(plan.Node) plan.Node) plan.Node {
+	m := plan.MapInputs(n, rec)
+	if m != n {
+		k.adopt(m, n)
 	}
-	if children == nil {
-		return n
-	}
-	m := n.WithChildren(children)
-	k.adopt(m, n)
 	return m
 }
 
@@ -354,7 +343,7 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 				}
 			}
 		}
-		return known.withChildren(n, rec)
+		return known.mapInputs(n, rec)
 	}
 	return rec(root)
 }
@@ -402,7 +391,7 @@ func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[s
 	built := 0
 	var rec func(n plan.Node) plan.Node
 	rec = func(n plan.Node) plan.Node {
-		n = known.withChildren(n, rec)
+		n = known.mapInputs(n, rec)
 		switch n.(type) {
 		case *plan.Spool, *plan.ViewScan, *plan.Output:
 			return n

@@ -8,6 +8,8 @@
 package optimizer
 
 import (
+	"slices"
+
 	"cloudviews/internal/plan"
 )
 
@@ -49,9 +51,11 @@ func pushDownOnce(root plan.Node) plan.Node {
 		case *plan.Join:
 			return pushThroughJoin(f, child)
 		case *plan.Union:
+			// Both branches share the predicate: expressions are never
+			// written after binding.
 			return &plan.Union{
-				L: &plan.Filter{Pred: plan.CloneExpr(f.Pred), Child: child.L},
-				R: &plan.Filter{Pred: plan.CloneExpr(f.Pred), Child: child.R},
+				L: &plan.Filter{Pred: f.Pred, Child: child.L},
+				R: &plan.Filter{Pred: f.Pred, Child: child.R},
 			}
 		default:
 			return n
@@ -63,21 +67,33 @@ func pushDownOnce(root plan.Node) plan.Node {
 // predicate references is a simple passthrough (ColRef) in the projection.
 // Predicates over computed columns stay above.
 func pushThroughProject(f *plan.Filter, p *plan.Project) plan.Node {
-	mapping := make(map[int]int) // project output index -> input index
-	for outIdx, e := range p.Exprs {
-		if cr, ok := e.(*plan.ColRef); ok {
-			mapping[outIdx] = cr.Index
-		}
+	if !passesThrough(f.Pred, p.Exprs) {
+		return f // references a computed column; cannot push
 	}
-	for idx := range plan.ColumnsUsed(f.Pred) {
-		if _, ok := mapping[idx]; !ok {
-			return f // references a computed column; cannot push
-		}
-	}
-	pushed := plan.RemapColumns(f.Pred, mapping)
+	pushed := plan.MapColumns(f.Pred, func(i int) int { return p.Exprs[i].(*plan.ColRef).Index })
 	cp := *p
 	cp.Child = &plan.Filter{Pred: pushed, Child: p.Child}
 	return &cp
+}
+
+// passesThrough reports whether every column e references is one exprs
+// passes through as it is (a ColRef).
+func passesThrough(e plan.Expr, exprs []plan.Expr) bool {
+	switch x := e.(type) {
+	case *plan.ColRef:
+		if x.Index < 0 || x.Index >= len(exprs) {
+			return false
+		}
+		_, ok := exprs[x.Index].(*plan.ColRef)
+		return ok
+	case *plan.Binary:
+		return passesThrough(x.L, exprs) && passesThrough(x.R, exprs)
+	case *plan.Unary:
+		return passesThrough(x.E, exprs)
+	case *plan.Call:
+		return !slices.ContainsFunc(x.Args, func(a plan.Expr) bool { return !passesThrough(a, exprs) })
+	}
+	return true
 }
 
 // pushThroughJoin splits the predicate into conjuncts and pushes each side-

@@ -626,12 +626,8 @@ func (b *Binder) bindExpr(e sqlparser.Expr, sc scope) (Expr, error) {
 func CloneNode(n Node) Node {
 	var buf [2]Node
 	in := Inputs(n, &buf)
-	if len(in) == 0 {
-		return n.WithChildren(nil)
-	}
-	out := make([]Node, len(in))
 	for i, c := range in {
-		out[i] = CloneNode(c)
+		in[i] = CloneNode(c)
 	}
-	return n.WithChildren(out)
+	return WithInputs(n, in)
 }

@@ -164,7 +164,7 @@ func TestBindParams(t *testing.T) {
 	found := false
 	plan.Walk(n, func(m plan.Node) {
 		if f, ok := m.(*plan.Filter); ok {
-			f.Pred.Walk(func(e plan.Expr) {
+			plan.WalkExpr(f.Pred, func(e plan.Expr) {
 				if p, ok := e.(*plan.Param); ok && p.Name == "seg" && p.Val.S == "Asia" {
 					found = true
 				}

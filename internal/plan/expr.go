@@ -21,8 +21,6 @@ type Expr interface {
 	Eval(row data.Row, ctx *EvalContext) data.Value
 	// Kind reports the static result type.
 	Kind() data.Kind
-	// Walk visits this node then all children.
-	Walk(fn func(Expr))
 }
 
 // EvalContext carries evaluation-scoped state: the clock and RNG of the
@@ -365,20 +363,8 @@ func (f *Call) Eval(row data.Row, ctx *EvalContext) data.Value {
 	return spec.eval(args, ctx)
 }
 
-func (c *ColRef) Walk(fn func(Expr)) { fn(c) }
-func (c *Const) Walk(fn func(Expr))  { fn(c) }
-func (p *Param) Walk(fn func(Expr))  { fn(p) }
-func (b *Binary) Walk(fn func(Expr)) { fn(b); b.L.Walk(fn); b.R.Walk(fn) }
-func (u *Unary) Walk(fn func(Expr))  { fn(u); u.E.Walk(fn) }
-func (f *Call) Walk(fn func(Expr)) {
-	fn(f)
-	for _, a := range f.Args {
-		a.Walk(fn)
-	}
-}
-
 // HasNondeterminism reports whether the expression tree contains a
-// non-deterministic function call, without allocating (a Walk closure would).
+// non-deterministic function call.
 func HasNondeterminism(e Expr) bool {
 	switch x := e.(type) {
 	case *Binary:
@@ -391,25 +377,15 @@ func HasNondeterminism(e Expr) bool {
 	return false
 }
 
-// RemapColumns rewrites every ColRef index through the mapping (old index →
-// new index). It returns a deep copy; the input is not mutated. Indexes
-// absent from the map are preserved.
-func RemapColumns(e Expr, mapping map[int]int) Expr {
-	return remapColumns(e, func(i int) int {
-		if ni, ok := mapping[i]; ok {
-			return ni
-		}
-		return i
-	})
-}
-
 // ShiftColumns returns a deep copy of e with every ColRef index k lower: a
 // join's right-side expression rebased to the right input's own columns.
 func ShiftColumns(e Expr, k int) Expr {
-	return remapColumns(e, func(i int) int { return i - k })
+	return MapColumns(e, func(i int) int { return i - k })
 }
 
-func remapColumns(e Expr, to func(int) int) Expr {
+// MapColumns returns a deep copy of e with every ColRef index i replaced by
+// to(i).
+func MapColumns(e Expr, to func(int) int) Expr {
 	switch x := e.(type) {
 	case *ColRef:
 		return &ColRef{Index: to(x.Index), Name: x.Name, Typ: x.Typ}
@@ -418,13 +394,13 @@ func remapColumns(e Expr, to func(int) int) Expr {
 	case *Param:
 		return &Param{Name: x.Name, Val: x.Val}
 	case *Binary:
-		return &Binary{Op: x.Op, L: remapColumns(x.L, to), R: remapColumns(x.R, to)}
+		return &Binary{Op: x.Op, L: MapColumns(x.L, to), R: MapColumns(x.R, to)}
 	case *Unary:
-		return &Unary{Op: x.Op, E: remapColumns(x.E, to)}
+		return &Unary{Op: x.Op, E: MapColumns(x.E, to)}
 	case *Call:
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = remapColumns(a, to)
+			args[i] = MapColumns(a, to)
 		}
 		return &Call{Name: x.Name, Args: args}
 	default:
@@ -454,18 +430,4 @@ func JoinSides(e Expr, leftWidth int) int {
 		return s
 	}
 	return 0
-}
-
-// CloneExpr deep-copies an expression tree.
-func CloneExpr(e Expr) Expr { return RemapColumns(e, nil) }
-
-// ColumnsUsed returns the set of input column indexes referenced.
-func ColumnsUsed(e Expr) map[int]bool {
-	out := make(map[int]bool)
-	e.Walk(func(x Expr) {
-		if c, ok := x.(*ColRef); ok {
-			out[c.Index] = true
-		}
-	})
-	return out
 }

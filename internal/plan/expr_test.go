@@ -126,22 +126,6 @@ func TestParamCanonicalForms(t *testing.T) {
 	}
 }
 
-func TestColumnsUsedAndClone(t *testing.T) {
-	e := &plan.Binary{Op: "+",
-		L: &plan.ColRef{Index: 2, Typ: data.KindInt},
-		R: &plan.Binary{Op: "*",
-			L: &plan.ColRef{Index: 5, Typ: data.KindInt},
-			R: &plan.Const{Val: data.Int(2)}}}
-	used := plan.ColumnsUsed(e)
-	if len(used) != 2 || !used[2] || !used[5] {
-		t.Errorf("ColumnsUsed = %v", used)
-	}
-	c := plan.CloneExpr(e)
-	if canonical(t, c) != canonical(t, e) {
-		t.Error("clone must render identically")
-	}
-}
-
 // TestJoinSidesAndShiftColumns: JoinSides classifies an expression over a
 // join's concatenated columns as ColumnsUsed would, without allocating, and
 // ShiftColumns rebases a copy as RemapColumns would through the map of every

@@ -67,7 +67,8 @@ func TestSpoolTransparentInSchema(t *testing.T) {
 	if !sp.Schema().Equal(n.Schema()) {
 		t.Error("spool must preserve schema")
 	}
-	if len(sp.Children()) != 1 {
+	var buf [2]plan.Node
+	if len(plan.Inputs(sp, &buf)) != 1 {
 		t.Error("spool has one child")
 	}
 }

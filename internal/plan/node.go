@@ -14,11 +14,6 @@ import (
 type Node interface {
 	// Schema is the output schema of the operator.
 	Schema() data.Schema
-	// Children returns input operators, left to right.
-	Children() []Node
-	// WithChildren returns a shallow copy with the given children. len must
-	// match Children().
-	WithChildren(children []Node) Node
 	// OpName is the stable operator name used in signatures and display.
 	OpName() string
 }
@@ -163,13 +158,7 @@ type Sort struct {
 }
 
 func (s *Sort) Schema() data.Schema { return s.Child.Schema() }
-func (s *Sort) Children() []Node    { return []Node{s.Child} }
-func (s *Sort) WithChildren(c []Node) Node {
-	cp := *s
-	cp.Child = c[0]
-	return &cp
-}
-func (s *Sort) OpName() string { return "Sort" }
+func (s *Sort) OpName() string      { return "Sort" }
 
 // Output writes the child rowset to a target stream; it is the root of every
 // job plan.
@@ -211,28 +200,17 @@ type ViewScan struct {
 	ReplacedOp string
 	// Fallback is the replaced subexpression, kept out-of-band so the
 	// executor can transparently recompute it when the view artifact cannot
-	// be read (reuse must never fail a job). It is deliberately NOT a child:
-	// Children() excludes it, so signatures, plan formatting, and stage
+	// be read (reuse must never fail a job). It is deliberately NOT an input:
+	// Inputs excludes it, so signatures, plan formatting, and stage
 	// construction are unchanged by carrying it.
 	Fallback Node
 }
 
 func (s *Scan) Schema() data.Schema { return s.Out }
-func (s *Scan) Children() []Node    { return nil }
-func (s *Scan) WithChildren(c []Node) Node {
-	cp := *s
-	return &cp
-}
-func (s *Scan) OpName() string { return "Scan" }
+func (s *Scan) OpName() string      { return "Scan" }
 
 func (f *Filter) Schema() data.Schema { return f.Child.Schema() }
-func (f *Filter) Children() []Node    { return []Node{f.Child} }
-func (f *Filter) WithChildren(c []Node) Node {
-	cp := *f
-	cp.Child = c[0]
-	return &cp
-}
-func (f *Filter) OpName() string { return "Filter" }
+func (f *Filter) OpName() string      { return "Filter" }
 
 func (p *Project) Schema() data.Schema {
 	out := make(data.Schema, len(p.Exprs))
@@ -240,12 +218,6 @@ func (p *Project) Schema() data.Schema {
 		out[i] = data.Column{Name: p.Names[i], Kind: e.Kind()}
 	}
 	return out
-}
-func (p *Project) Children() []Node { return []Node{p.Child} }
-func (p *Project) WithChildren(c []Node) Node {
-	cp := *p
-	cp.Child = c[0]
-	return &cp
 }
 func (p *Project) OpName() string { return "Project" }
 
@@ -255,12 +227,6 @@ func (j *Join) Schema() data.Schema {
 	out = append(out, l...)
 	out = append(out, r...)
 	return out
-}
-func (j *Join) Children() []Node { return []Node{j.L, j.R} }
-func (j *Join) WithChildren(c []Node) Node {
-	cp := *j
-	cp.L, cp.R = c[0], c[1]
-	return &cp
 }
 func (j *Join) OpName() string { return "Join" }
 
@@ -294,22 +260,10 @@ func aggResultKind(spec AggSpec) data.Kind {
 	}
 }
 
-func (a *Aggregate) Children() []Node { return []Node{a.Child} }
-func (a *Aggregate) WithChildren(c []Node) Node {
-	cp := *a
-	cp.Child = c[0]
-	return &cp
-}
 func (a *Aggregate) OpName() string { return "Aggregate" }
 
 func (u *Union) Schema() data.Schema { return u.L.Schema() }
-func (u *Union) Children() []Node    { return []Node{u.L, u.R} }
-func (u *Union) WithChildren(c []Node) Node {
-	cp := *u
-	cp.L, cp.R = c[0], c[1]
-	return &cp
-}
-func (u *Union) OpName() string { return "Union" }
+func (u *Union) OpName() string      { return "Union" }
 
 func (u *UDO) Schema() data.Schema {
 	if fn, ok := LookupUDO(u.Name); ok {
@@ -317,57 +271,25 @@ func (u *UDO) Schema() data.Schema {
 	}
 	return u.Child.Schema()
 }
-func (u *UDO) Children() []Node { return []Node{u.Child} }
-func (u *UDO) WithChildren(c []Node) Node {
-	cp := *u
-	cp.Child = c[0]
-	return &cp
-}
 func (u *UDO) OpName() string { return "UDO" }
 
 func (s *Sample) Schema() data.Schema { return s.Child.Schema() }
-func (s *Sample) Children() []Node    { return []Node{s.Child} }
-func (s *Sample) WithChildren(c []Node) Node {
-	cp := *s
-	cp.Child = c[0]
-	return &cp
-}
-func (s *Sample) OpName() string { return "Sample" }
+func (s *Sample) OpName() string      { return "Sample" }
 
 func (o *Output) Schema() data.Schema { return o.Child.Schema() }
-func (o *Output) Children() []Node    { return []Node{o.Child} }
-func (o *Output) WithChildren(c []Node) Node {
-	cp := *o
-	cp.Child = c[0]
-	return &cp
-}
-func (o *Output) OpName() string { return "Output" }
+func (o *Output) OpName() string      { return "Output" }
 
 func (s *Spool) Schema() data.Schema { return s.Child.Schema() }
-func (s *Spool) Children() []Node    { return []Node{s.Child} }
-func (s *Spool) WithChildren(c []Node) Node {
-	cp := *s
-	cp.Child = c[0]
-	return &cp
-}
-func (s *Spool) OpName() string { return "Spool" }
+func (s *Spool) OpName() string      { return "Spool" }
 
 func (v *ViewScan) Schema() data.Schema { return v.Out }
-func (v *ViewScan) Children() []Node    { return nil }
-func (v *ViewScan) WithChildren(c []Node) Node {
-	cp := *v
-	return &cp
-}
-func (v *ViewScan) OpName() string { return "ViewScan" }
+func (v *ViewScan) OpName() string      { return "ViewScan" }
 
-// Inputs returns n's input operators, left to right, without allocating: this
-// package's operators have at most two, which land in buf. It is the read
-// path of every traversal; Children, whose fresh slice a caller may overwrite
-// and hand to WithChildren, is the rebuild path (and the fallback here).
+// Inputs returns n's input operators, left to right, without allocating: an
+// operator has at most two, which land in buf. It is how every traversal
+// reads a node's inputs.
 func Inputs(n Node, buf *[2]Node) []Node {
 	switch x := n.(type) {
-	case *Scan, *ViewScan:
-		return buf[:0]
 	case *Filter:
 		buf[0] = x.Child
 	case *Project:
@@ -390,10 +312,81 @@ func Inputs(n Node, buf *[2]Node) []Node {
 	case *Union:
 		buf[0], buf[1] = x.L, x.R
 		return buf[:2]
-	default:
-		return n.Children()
+	default: // a leaf: Scan, ViewScan
+		return buf[:0]
 	}
 	return buf[:1]
+}
+
+// WithInputs returns a shallow copy of n reading in, laid out as Inputs lays
+// them out, in place of its own inputs. A leaf is copied too, so a CloneNode
+// copy shares no operator with its original.
+func WithInputs(n Node, in []Node) Node {
+	switch x := n.(type) {
+	case *Scan:
+		cp := *x
+		return &cp
+	case *ViewScan:
+		cp := *x
+		return &cp
+	case *Filter:
+		cp := *x
+		cp.Child = in[0]
+		return &cp
+	case *Project:
+		cp := *x
+		cp.Child = in[0]
+		return &cp
+	case *Aggregate:
+		cp := *x
+		cp.Child = in[0]
+		return &cp
+	case *UDO:
+		cp := *x
+		cp.Child = in[0]
+		return &cp
+	case *Sample:
+		cp := *x
+		cp.Child = in[0]
+		return &cp
+	case *Sort:
+		cp := *x
+		cp.Child = in[0]
+		return &cp
+	case *Output:
+		cp := *x
+		cp.Child = in[0]
+		return &cp
+	case *Spool:
+		cp := *x
+		cp.Child = in[0]
+		return &cp
+	case *Join:
+		cp := *x
+		cp.L, cp.R = in[0], in[1]
+		return &cp
+	case *Union:
+		cp := *x
+		cp.L, cp.R = in[0], in[1]
+		return &cp
+	}
+	panic(fmt.Sprintf("plan: WithInputs of %T", n))
+}
+
+// MapInputs returns n with each input c replaced by fn(c): n itself when fn
+// returns every input unchanged, else a WithInputs copy.
+func MapInputs(n Node, fn func(Node) Node) Node {
+	var buf, out [2]Node
+	in := Inputs(n, &buf)
+	changed := false
+	for i, c := range in {
+		out[i] = fn(c)
+		changed = changed || out[i] != c
+	}
+	if !changed {
+		return n
+	}
+	return WithInputs(n, out[:len(in)])
 }
 
 // Exprs appends to buf the scalar expressions n itself holds — a filter's
@@ -477,17 +470,7 @@ func Walk(n Node, fn func(Node)) {
 // children have been rewritten. fn may return the node unchanged; a node none
 // of whose inputs changed is handed to fn as it is, not copied.
 func Rewrite(n Node, fn func(Node) Node) Node {
-	var buf, out [2]Node
-	in := Inputs(n, &buf)
-	changed := false
-	for i, c := range in {
-		out[i] = Rewrite(c, fn)
-		changed = changed || out[i] != c
-	}
-	if changed {
-		n = n.WithChildren(append([]Node(nil), out[:len(in)]...))
-	}
-	return fn(n)
+	return fn(MapInputs(n, func(c Node) Node { return Rewrite(c, fn) }))
 }
 
 // CountNodes returns the number of operators in the tree.
@@ -508,7 +491,8 @@ func Format(n Node) string {
 			sb.WriteString("[" + string(a) + "]")
 		}
 		sb.WriteString("\n")
-		for _, c := range n.Children() {
+		var buf [2]Node
+		for _, c := range Inputs(n, &buf) {
 			rec(c, depth+1)
 		}
 	}

@@ -230,11 +230,15 @@ func appendPair(dst []byte, p [2]Expr) []byte {
 // ParamOrderHazard reports whether e holds such a literal; a template that
 // does is never shared.
 func ParamOrderHazard(e Expr) bool {
-	hazard := false
-	e.Walk(func(x Expr) {
-		if c, ok := x.(*Const); ok && c.Val.Kind == data.KindString && strings.Contains(c.Val.S, "param:") {
-			hazard = true
-		}
-	})
-	return hazard
+	switch x := e.(type) {
+	case *Const:
+		return x.Val.Kind == data.KindString && strings.Contains(x.Val.Str(), "param:")
+	case *Binary:
+		return ParamOrderHazard(x.L) || ParamOrderHazard(x.R)
+	case *Unary:
+		return ParamOrderHazard(x.E)
+	case *Call:
+		return slices.ContainsFunc(x.Args, ParamOrderHazard)
+	}
+	return false
 }

@@ -239,8 +239,8 @@ func TestHasNondeterminismAllocatesNothing(t *testing.T) {
 // rebindParams returns a copy of e with every Param bound to its value in
 // vals, as optimizer.Derive rebinds a template's.
 func rebindParams(e plan.Expr, vals map[string]data.Value) plan.Expr {
-	e = plan.CloneExpr(e)
-	e.Walk(func(x plan.Expr) {
+	e = plan.MapColumns(e, func(i int) int { return i }) // a deep copy
+	plan.WalkExpr(e, func(x plan.Expr) {
 		if p, ok := x.(*plan.Param); ok {
 			p.Val = vals[p.Name]
 		}
@@ -320,7 +320,7 @@ func TestNormalizeOrderIgnoresParamValues(t *testing.T) {
 	}
 	holdsParam := func(e plan.Expr) bool {
 		found := false
-		e.Walk(func(x plan.Expr) {
+		plan.WalkExpr(e, func(x plan.Expr) {
 			if _, ok := x.(*plan.Param); ok {
 				found = true
 			}

@@ -112,3 +112,42 @@ func refAttrs(n Node, recurring bool) string {
 
 // AppendLower and EqualLower expose the case folding to the external tests.
 var AppendLower, EqualLower = appendLower, equalLower
+
+// WalkExpr visits e, then its operands depth-first, for the external tests.
+func WalkExpr(e Expr, fn func(Expr)) {
+	fn(e)
+	switch x := e.(type) {
+	case *Binary:
+		WalkExpr(x.L, fn)
+		WalkExpr(x.R, fn)
+	case *Unary:
+		WalkExpr(x.E, fn)
+	case *Call:
+		for _, a := range x.Args {
+			WalkExpr(a, fn)
+		}
+	}
+}
+
+// ColumnsUsed returns the set of input column indexes e references: with
+// RemapColumns, the reference JoinSides and ShiftColumns are checked against.
+func ColumnsUsed(e Expr) map[int]bool {
+	out := make(map[int]bool)
+	WalkExpr(e, func(x Expr) {
+		if c, ok := x.(*ColRef); ok {
+			out[c.Index] = true
+		}
+	})
+	return out
+}
+
+// RemapColumns returns a deep copy of e with every ColRef index rewritten
+// through mapping (old index → new index); indexes absent from it are kept.
+func RemapColumns(e Expr, mapping map[int]int) Expr {
+	return MapColumns(e, func(i int) int {
+		if ni, ok := mapping[i]; ok {
+			return ni
+		}
+		return i
+	})
+}

@@ -89,7 +89,7 @@ func TestRendererMatchesReference(t *testing.T) {
 			nodes++
 			attrs(t, n, false)
 			for _, e := range plan.Exprs(n, nil) {
-				e.Walk(func(x plan.Expr) {
+				plan.WalkExpr(e, func(x plan.Expr) {
 					exprs++
 					checkRendering(t, x)
 				})

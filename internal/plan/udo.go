@@ -62,8 +62,8 @@ func init() {
 				if v.Kind != data.KindString {
 					continue
 				}
-				low := strings.ToLower(v.S)
-				if low == v.S {
+				low := strings.ToLower(v.Str())
+				if low == v.Str() {
 					continue
 				}
 				if !cloned {
@@ -84,7 +84,7 @@ func init() {
 		Apply: func(in data.Row, emit func(data.Row), _ *EvalContext) {
 			for _, v := range in {
 				if v.Kind == data.KindString {
-					if v.S == "" {
+					if v.Str() == "" {
 						return
 					}
 					break

@@ -37,7 +37,8 @@ func referencePhysical(s *Signer, root plan.Node) map[plan.Node]Sig {
 		if vs, ok := n.(*plan.ViewScan); ok {
 			parts = append(parts, "view="+vs.StrictSig)
 		}
-		for _, c := range n.Children() {
+		var buf [2]plan.Node
+		for _, c := range plan.Inputs(n, &buf) {
 			parts = append(parts, string(rec(c)))
 		}
 		out[n] = referenceHash(s.EngineVersion, parts...)

@@ -263,17 +263,7 @@ func substitute(root plan.Node, cold []signature.Subexpr, pick func(signature.Su
 		if s := known[n]; s.Eligibility == signature.EligibleOK && pick(*s) {
 			return mk(n, *s)
 		}
-		children := n.Children()
-		changed := false
-		for i, c := range children {
-			if nc := rec(c); nc != c {
-				children[i], changed = nc, true
-			}
-		}
-		if !changed {
-			return n
-		}
-		m := n.WithChildren(children)
+		m := plan.MapInputs(n, rec)
 		known[m] = known[n]
 		return m
 	}

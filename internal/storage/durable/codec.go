@@ -220,7 +220,7 @@ func encodeValue(w *buf, v data.Value) {
 	case data.KindFloat:
 		w.f64(v.F)
 	case data.KindString:
-		w.str(v.S)
+		w.str(v.Str())
 	case data.KindBool:
 		if v.B {
 			w.u8(1)

@@ -646,11 +646,7 @@ func TestFetchSharesSealedTable(t *testing.T) {
 		if sc, ok := n.(*plan.Scan); ok {
 			return &plan.ViewScan{StrictSig: strings.ToLower(sc.Dataset), Out: sc.Out}
 		}
-		kids := n.Children()
-		for i, k := range kids {
-			kids[i] = overViews(k)
-		}
-		return n.WithChildren(kids)
+		return plan.MapInputs(n, overViews)
 	}
 	root := overViews(bound)
 	run := func(vectorized bool) (*data.Table, error) {
