@@ -309,19 +309,31 @@ func BenchmarkExecute(b *testing.B) {
 // BenchmarkExecuteVectorized measures the batch kernels against the row-loop
 // reference on the same join+aggregate plan. The two arms produce
 // byte-identical results (pinned by the exec equivalence tests); the delta is
-// the vectorization win. Neither arm starts goroutines, so -cpu must not move
-// either.
+// the vectorization win. The udo arm runs an appending UDO under an aggregate
+// over the 5,000 sales on the kernels: the UDO hands over positions and its
+// cells, so what it allocates does not grow with the sales' width. No arm
+// starts goroutines, so -cpu must not move any.
 func BenchmarkExecuteVectorized(b *testing.B) {
 	root, cat := benchPlan(b)
+	q, err := sqlparser.ParseQuery(`SELECT Quantity, COUNT(*) AS n, MAX(ingest_time) AS t
+		FROM (PROCESS Sales USING "StampIngestTime") AS u GROUP BY Quantity`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	udo, err := (&plan.Binder{Catalog: cat}).BindQuery(q)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, arm := range []struct {
 		name string
+		root plan.Node
 		vec  bool
-	}{{"row", false}, {"batch", true}} {
+	}{{"row", root, false}, {"batch", root, true}, {"udo", &plan.Output{Target: "out/u", Child: udo}, true}} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ex := &exec.Executor{Catalog: cat, Vectorized: arm.vec}
-				if _, err := ex.Run(root); err != nil {
+				if _, err := ex.Run(arm.root); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -127,6 +127,43 @@ func TestEndToEndReuseThroughFacade(t *testing.T) {
 	}
 }
 
+// TestNondeterministicJobsAnswerPerJob: the result cache never hands one job
+// the clock or the random draws of another. Two submissions of a script that
+// stamps the ingest time, a minute apart, each answer their own submission
+// time; jobs c and d, drawing RANDOM() a row, each answer what they answer on
+// a system that ran no other job.
+func TestNondeterministicJobsAnswerPerJob(t *testing.T) {
+	sys := demoSystem(t)
+	stamp := cloudviews.Job{VC: "vc1", Script: `q = PROCESS Events USING "StampIngestTime"; OUTPUT q TO "out/q";`}
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			sys.AdvanceClock(time.Minute)
+		}
+		want := sys.Clock()
+		res, err := sys.SubmitScript(stamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Output.Rows[0][3].AsTime(); !got.Equal(want) {
+			t.Errorf("submission %d stamped %v, want its own time %v", i+1, got, want)
+		}
+	}
+	random := func(sys *cloudviews.System, id string) string {
+		res, err := sys.SubmitScript(cloudviews.Job{ID: id, VC: "vc1", Script: `q = SELECT Id, RANDOM() AS r FROM Events; OUTPUT q TO "out/r";`})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Output.Fingerprint()
+	}
+	c, d := random(sys, "c"), random(sys, "d")
+	if c == d {
+		t.Error("jobs c and d answered the same draws")
+	}
+	if alone := random(demoSystem(t), "d"); d != alone {
+		t.Error("job d answered other draws after job c than alone")
+	}
+}
+
 func TestOptOutJobNeverReuses(t *testing.T) {
 	sys := demoSystem(t)
 	sys.OnboardVC("vc1")

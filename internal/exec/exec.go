@@ -137,6 +137,10 @@ type RunResult struct {
 //
 // Pos, when not nil, is a Filter's selection: the rows of Table at those
 // positions, built on replay for a parent that reads rows. Pairs are never stored.
+//
+// An entry is never written once stored, and neither is what it holds: Stats
+// is the producing run's own stats for the subtree, shared rather than copied
+// (a recorded NodeStat is never written; a replay relabels its own copy).
 type CacheEntry struct {
 	Table *data.Table
 	Pos   []int32
@@ -166,11 +170,13 @@ type Cache struct {
 	tail  *lruEntry // least recently used
 	limit int       // cacheEntries; tests set a smaller one
 	reg   *obs.Registry
+	// stored, when set (by tests), sees each entry Put stores, under the lock.
+	stored func(signature.Sig, *CacheEntry)
 }
 
 type lruEntry struct {
 	sig        signature.Sig
-	entry      *CacheEntry
+	entry      CacheEntry
 	prev, next *lruEntry
 }
 
@@ -233,13 +239,13 @@ func (c *Cache) Get(sig signature.Sig) (*CacheEntry, bool) {
 		c.unlink(e)
 		c.pushFront(e)
 	}
-	return e.entry, true
+	return &e.entry, true
 }
 
 // Put stores an entry unless one already exists (first writer wins, keeping
 // replayed accounting stable across concurrent producers), evicting the
 // least-recently-used entries when the bound is exceeded.
-func (c *Cache) Put(sig signature.Sig, e *CacheEntry) {
+func (c *Cache) Put(sig signature.Sig, e CacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, exists := c.m[sig]; exists {
@@ -252,6 +258,9 @@ func (c *Cache) Put(sig signature.Sig, e *CacheEntry) {
 	le := &lruEntry{sig: sig, entry: e}
 	c.m[sig] = le
 	c.pushFront(le)
+	if c.stored != nil {
+		c.stored(sig, &le.entry)
+	}
 	evicted := 0
 	for len(c.m) > c.limit && c.tail != nil {
 		victim := c.tail
@@ -310,14 +319,15 @@ type RowHistory interface {
 }
 
 // nodeResult is one operator's output, in one of three shapes: a table's
-// rows, a Filter's selection of a table's rows, or a Join's pairs of its two
-// input tables' rows. Positions are plain slices the result owns, never
+// rows, a Filter's selection of a table's rows, or pairs of two tables' rows:
+// a Join's of its two inputs', an appending UDO's of its input's and its
+// appended cells' (evalUDO). Positions are plain slices the result owns, never
 // scratch. bytes is what the rows measure (the sum of their ByteSize), measured
 // once by the operator that produced them and carried to every consumer that
 // accounts it (exchange reads, spool and output writes, cache replays).
 type nodeResult struct {
-	table *data.Table // the rows; under pairs, the left input's
-	right *data.Table // pairs: the right input's rows
+	table *data.Table // the rows; under pairs, the left side's
+	right *data.Table // pairs: the right side's rows
 	pos   []int32     // selection: the rows of table kept; pairs: (left, right) row indices
 	shape shape
 	mult  float64
@@ -438,7 +448,10 @@ func (ex *Executor) Run(root plan.Node) (*RunResult, error) {
 	if ex.Ctx.Rand == nil {
 		ex.Ctx.Rand = data.NewRand(1)
 	}
-	ex.res = RunResult{}
+	// A run records a stat per node it evaluates, and a replay one per node
+	// of the subtree it stands for: the plan's count, unless a ViewScan's
+	// fallback runs too.
+	ex.res = RunResult{Stats: make([]NodeStat, 0, plan.CountNodes(root))}
 	defer ex.giveBackScratch()
 	r, err := ex.eval(root)
 	if err != nil {
@@ -518,12 +531,12 @@ func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
 		tainted = true
 	}
 
-	// Populate the cache with the subtree slice (first writer wins).
+	// Populate the cache with the subtree's stats (first writer wins), capped
+	// so that the run's later appends never reach them.
 	if !tainted && ex.Cache != nil && ex.SigMap != nil {
 		if sig, ok := ex.SigMap[n]; ok {
-			sub := make([]NodeStat, len(ex.res.Stats)-statsStart)
-			copy(sub, ex.res.Stats[statsStart:])
-			ex.Cache.Put(sig, &CacheEntry{Table: r.table, Pos: r.pos, Bytes: r.bytes, Mult: r.mult, Stats: sub})
+			end := len(ex.res.Stats)
+			ex.Cache.Put(sig, CacheEntry{Table: r.table, Pos: r.pos, Bytes: r.bytes, Mult: r.mult, Stats: ex.res.Stats[statsStart:end:end]})
 		}
 	}
 	return r, nil
@@ -560,7 +573,7 @@ func (ex *Executor) evalNode(n plan.Node, accept shape) (nodeResult, error) {
 	case *plan.Union:
 		return ex.evalUnion(x)
 	case *plan.UDO:
-		return ex.evalUDO(x)
+		return ex.evalUDO(x, accept)
 	case *plan.Sample:
 		return ex.evalSample(x)
 	case *plan.Sort:
@@ -1134,16 +1147,45 @@ func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {
 	return ex.finish(NodeStat{Node: x, Work: work}, res), nil
 }
 
-func (ex *Executor) evalUDO(x *plan.UDO) (nodeResult, error) {
-	in, err := ex.eval(x.Child)
-	if err != nil {
-		return nodeResult{}, err
-	}
+// evalUDO runs a UDO over its input's rows. An appending UDO (plan.Appending)
+// whose parent takes pairs, and whose result the cache does not store, reads
+// its input as a selection and hands over pairs instead: each input row by
+// its position in the input's table, joined to its appended cell in a
+// one-column table beside it. Its bytes are the input's plus each cell's, what
+// the rows would measure, so no accounting moves.
+func (ex *Executor) evalUDO(x *plan.UDO, accept shape) (nodeResult, error) {
 	impl, ok := plan.LookupUDO(x.Name)
 	if !ok {
 		return nodeResult{}, fmt.Errorf("exec: unknown UDO %q", x.Name)
 	}
-	out := data.NewTable(impl.OutSchema(in.table.Schema))
+	// A UDO the cache stores keeps to rows, since pairs are never stored.
+	_, keyed := ex.SigMap[x]
+	byPosition := impl.Cell != nil && accept == pairs && (!keyed || ex.Cache == nil)
+	childAccept := rowsShape
+	if byPosition {
+		childAccept = selection
+	}
+	in, err := ex.evalReading(x.Child, childAccept)
+	if err != nil {
+		return nodeResult{}, err
+	}
+	work := float64(in.logicalRows()) * costUDORow
+	schema := impl.OutSchema(in.table.Schema)
+	if byPosition {
+		n := in.len()
+		cells := make([]data.Value, n)
+		right := &data.Table{Schema: schema[len(in.table.Schema):], Rows: make([]data.Row, n)}
+		out := nodeResult{table: in.table, right: right, pos: make([]int32, 2*n), shape: pairs, mult: in.mult, bytes: in.bytes}
+		for i := range cells {
+			at := in.at(i)
+			cells[i] = impl.Cell(in.table.Rows[at], ex.Ctx)
+			right.Rows[i] = cells[i : i+1 : i+1]
+			out.pos[2*i], out.pos[2*i+1] = int32(at), int32(i)
+			out.bytes += cells[i].ByteSize()
+		}
+		return ex.finish(NodeStat{Node: x, Work: work}, out), nil
+	}
+	out := data.NewTable(schema)
 	// One output row per input row is the common shape; a UDO that emits
 	// more only outgrows the hint, one that clones fewer rows than it reads
 	// leaves the rest of a chunk unused (data.Slab.Expect).
@@ -1153,7 +1195,6 @@ func (ex *Executor) evalUDO(x *plan.UDO) (nodeResult, error) {
 	for _, row := range in.table.Rows {
 		impl.Apply(row, emit, ex.Ctx)
 	}
-	work := float64(in.logicalRows()) * costUDORow
 	return ex.finish(NodeStat{Node: x, Work: work}, produced(out, in.mult)), nil
 }
 

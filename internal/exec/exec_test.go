@@ -2,6 +2,8 @@ package exec_test
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -540,6 +542,96 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 	if cache.Len() == 0 {
 		t.Error("cache should have been populated")
+	}
+}
+
+// TestStoredStatsAreNeverWritten: a stored entry shares the producing run's
+// stats rather than copying them, which is sound only because nothing writes a
+// recorded NodeStat. Each entry's stats are copied as Put stores them. After
+// the corpus has run on one shared cache, on both arms, and again after
+// goroutines have replayed every query from it at once (run under -race),
+// every entry's stats still equal that copy, and every replay answers what
+// its cold run answered.
+func TestStoredStatsAreNeverWritten(t *testing.T) {
+	cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: 400, Parts: 50, Sales: 1025, Seed: 42})
+	signer := &signature.Signer{EngineVersion: "shared-stats"}
+	cache := exec.NewCache()
+	var mu sync.Mutex
+	stored := map[signature.Sig][]exec.NodeStat{}
+	exec.ObserveStores(cache, func(sig signature.Sig, e *exec.CacheEntry) {
+		mu.Lock()
+		defer mu.Unlock()
+		stored[sig] = slices.Clone(e.Stats)
+	})
+	requireUnwritten := func(when string) {
+		mu.Lock()
+		snapshot := maps.Clone(stored)
+		mu.Unlock()
+		for sig, want := range snapshot {
+			if e, ok := cache.Get(sig); ok && !slices.Equal(e.Stats, want) {
+				t.Fatalf("%s: the stats stored under %s changed from %+v to %+v", when, sig.Short(), want, e.Stats)
+			}
+		}
+	}
+	type job struct {
+		root       plan.Node
+		sigs       map[plan.Node]signature.Sig
+		vectorized bool
+		answer     string
+	}
+	run := func(j job) (*exec.RunResult, error) {
+		return (&exec.Executor{Catalog: cat, Cache: cache, SigMap: j.sigs, Vectorized: j.vectorized}).Run(j.root)
+	}
+	var jobs []job
+	for _, vectorized := range []bool{false, true} {
+		for _, src := range append(append([]string{}, vecEquivalenceQueries...), adversarialQueries...) {
+			root := bindQuery(t, cat, src)
+			j := job{root: root, sigs: signer.Physical(root), vectorized: vectorized}
+			res, err := run(j)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			j.answer = res.Table.Fingerprint()
+			jobs = append(jobs, j)
+		}
+	}
+	requireUnwritten("after the cold runs")
+	if len(stored) < len(jobs)/2 {
+		t.Fatalf("vacuous: %d entries stored over %d runs", len(stored), len(jobs))
+	}
+
+	const goroutines = 4
+	var wg sync.WaitGroup
+	hits := make([]int, goroutines)
+	errs := make(chan error, goroutines)
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				j := jobs[(i+g*len(jobs)/goroutines)%len(jobs)]
+				res, err := run(j)
+				if err == nil && res.Table.Fingerprint() != j.answer {
+					err = fmt.Errorf("a replay of %s answered another table", j.root)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				hits[g] += res.CacheHits
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	requireUnwritten("after the replays")
+	for g, h := range hits {
+		if h < len(jobs)/2 {
+			t.Fatalf("goroutine %d: %d hits over %d replays", g, h, len(jobs))
+		}
 	}
 }
 

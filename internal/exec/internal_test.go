@@ -213,9 +213,13 @@ func TestGroupHintIsClamped(t *testing.T) {
 	}
 }
 
-func cacheEntry(i int) *CacheEntry {
-	return &CacheEntry{Table: data.NewTable(data.Schema{}), Mult: float64(i)}
+func cacheEntry(i int) CacheEntry {
+	return CacheEntry{Table: data.NewTable(data.Schema{}), Mult: float64(i)}
 }
+
+// ObserveStores makes fn see every entry c stores, as Put stores it (under
+// c's lock: fn must not call c).
+func ObserveStores(c *Cache, fn func(signature.Sig, *CacheEntry)) { c.stored = fn }
 
 // cacheOf is a result cache bounded at limit entries.
 func cacheOf(limit int) *Cache {
@@ -247,14 +251,17 @@ func TestCacheLRUBoundAndEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestCacheFirstWriterWins: a second Put under a key does not replace the
+// first entry. The cache holds entries by value, so the entry is told by what
+// it holds: the first Put's table and multiplier.
 func TestCacheFirstWriterWins(t *testing.T) {
 	c := cacheOf(2)
 	first := cacheEntry(1)
 	c.Put("s", first)
 	c.Put("s", cacheEntry(2))
 	got, ok := c.Get("s")
-	if !ok || got != first {
-		t.Fatalf("duplicate Put replaced the original entry: got %p want %p", got, first)
+	if !ok || got.Table != first.Table || got.Mult != first.Mult {
+		t.Fatalf("duplicate Put replaced the original entry: got table %p mult %v, want %p mult %v", got.Table, got.Mult, first.Table, first.Mult)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())

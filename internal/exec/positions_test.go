@@ -482,3 +482,131 @@ func TestPositionsCostOnlyTheirIndices(t *testing.T) {
 		}
 	}
 }
+
+// appendingParents put an appending UDO under a parent: in src, %[1]s stands
+// for the UDO's input, %[2]s for the UDO, %[3]s for the column it appends.
+var appendingParents = []struct{ parent, src string }{
+	{"Aggregate", `SELECT Quantity, COUNT(*) AS n, MAX(%[3]s) AS t, SUM(Price) AS p FROM (PROCESS %[1]s USING "%[2]s") AS u GROUP BY Quantity`},
+	{"Project", `SELECT SaleId, %[3]s, Price < 50 AS cheap FROM (PROCESS %[1]s USING "%[2]s") AS u`},
+}
+
+var appendingUDOs = []struct{ name, col string }{{"AddRowTag", "row_tag"}, {"StampIngestTime", "ingest_time"}}
+
+// TestAppendingUDOHandsOverItsColumn: an appending UDO under an Aggregate or
+// a Project — AddRowTag and StampIngestTime, over a table, over a filter's
+// selection, and over that selection replayed from the result cache, on 0, 1,
+// 1,023, 1,024 and 1,025 rows — answers on the kernels, where it hands over
+// pairs, what it answers on the row loops, cell for cell and NodeStat for
+// NodeStat, with the same hits. A UDO the result cache keys is stored as rows
+// on both arms and served from the cache to the next run.
+func TestAppendingUDOHandsOverItsColumn(t *testing.T) {
+	signer := &signature.Signer{EngineVersion: "appending"}
+	for _, sales := range []int{0, 1, 1023, 1024, 1025} {
+		cat := adversarialCatalog(t, fixtures.RetailConfig{Customers: sales/3 + 1, Parts: 50, Sales: sales, Seed: 42})
+		for _, q := range appendingParents {
+			for _, u := range appendingUDOs {
+				for _, input := range []string{"a table", "a selection", "a cached selection", "a table, the UDO keyed"} {
+					from := "Sales"
+					if input != "a table" && input != "a table, the UDO keyed" {
+						from = "(SELECT * FROM Sales WHERE Price > 20)"
+					}
+					src := fmt.Sprintf(q.src, from, u.name, u.col)
+					root := bindQuery(t, cat, src)
+					keyed := map[plan.Node]signature.Sig{}
+					plan.Walk(root, func(n plan.Node) {
+						switch n.(type) {
+						case *plan.Filter:
+							if input == "a cached selection" {
+								keyed[n] = signer.Physical(n)[n]
+							}
+						case *plan.UDO:
+							if input == "a table, the UDO keyed" {
+								keyed[n] = signer.Physical(n)[n]
+							}
+						}
+					})
+					var runs [2][2]*exec.RunResult
+					for arm, vectorized := range []bool{false, true} {
+						cache := exec.NewCache()
+						for job := range runs[arm] {
+							ex := &exec.Executor{Catalog: cat, Cache: cache, SigMap: keyed, Vectorized: vectorized, Ctx: &plan.EvalContext{NowNanos: 1_600_000_000_123_456_789}}
+							res, err := ex.Run(root)
+							if err != nil {
+								t.Fatalf("%s: %v", src, err)
+							}
+							runs[arm][job] = res
+						}
+						for n, sig := range keyed {
+							e, ok := cache.Get(sig)
+							if positions := vectorized && input == "a cached selection"; !ok || (e.Pos != nil) != positions {
+								t.Errorf("%d sales, vectorized=%v, %s: the %s's entry stored = %v, want one holding positions = %v", sales, vectorized, src, n.OpName(), ok, positions)
+							}
+						}
+					}
+					for job := range runs[0] {
+						what := fmt.Sprintf("%d sales, %s over %s, job %d: %s", sales, q.parent, input, job, src)
+						row, vec := runs[0][job], runs[1][job]
+						requireRunsEqual(t, what, row, vec)
+						if want := job * len(keyed); row.CacheHits != want || vec.CacheHits != want {
+							t.Errorf("%s: %d hits on the row loops and %d on the kernels, want %d", what, row.CacheHits, vec.CacheHits, want)
+						}
+						if sales > 0 && opBatches(t, what, vec, q.parent) == 0 {
+							t.Errorf("%s: the %s ran on its row loop", what, q.parent)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAppendingUDOPairsServeADecliningParent: a NULL or a wrong-kind cell in
+// a column the aggregate reads, in the first, a middle or the last window,
+// sends the aggregate to its row loop over the rows built from the UDO's
+// pairs, which answers what the row loops answer.
+func TestAppendingUDOPairsServeADecliningParent(t *testing.T) {
+	const n = 2049
+	for _, bad := range []string{"null", "kind"} {
+		for _, at := range []int{0, n / 2, n - 1} {
+			cat := positionsCatalog(t, n, bad, 1, at)
+			for _, u := range appendingUDOs {
+				src := fmt.Sprintf(`SELECT B, COUNT(*) AS n, MAX(%s) AS t, SUM(C) AS c FROM (PROCESS (SELECT * FROM T WHERE A > 0) USING "%s") AS u GROUP BY B`, u.col, u.name)
+				what := fmt.Sprintf("%s at row %d: %s", bad, at, src)
+				row, vec := runBoth(t, cat, src)
+				requireRunsEqual(t, what, row, vec)
+				if nb := opBatches(t, what, vec, "Aggregate"); nb != 0 {
+					t.Errorf("%s: the aggregate reported %d batches, want its row loop", what, nb)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendingUDOCostsItsCells: under an aggregate, what an appending UDO
+// allocates for each further input row is its pair of positions (8 bytes),
+// its cell (40) and the cell's row header (24), plus at most 15 %, whether
+// the input row has three cells or five. A copy of every row with the cell
+// appended costs 184 bytes a row of three and 264 a row of five.
+func TestAppendingUDOCostsItsCells(t *testing.T) {
+	const few, many = 300, 3300
+	cats := map[int]*catalog.Catalog{few: positionsCatalog(t, few, "", 0, 0), many: positionsCatalog(t, many, "", 0, 0)}
+	for _, table := range []string{"T", "TD"} {
+		for _, u := range appendingUDOs {
+			src := fmt.Sprintf(`SELECT B, COUNT(*) AS n, MAX(%s) AS t FROM (PROCESS %s USING "%s") AS u GROUP BY B`, u.col, table, u.name)
+			alloc := map[int]uint64{}
+			for n, cat := range cats {
+				root := bindQuery(t, cat, src)
+				alloc[n] = warmAlloc(func() {
+					if _, err := (&exec.Executor{Catalog: cat, Vectorized: true}).Run(root); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			perRow := float64(alloc[many]-min(alloc[many], alloc[few])) / (many - few)
+			t.Logf("%s over %s: %d B for %d rows, %d B for %d: %.1f B a further row", u.name, table, alloc[many], many, alloc[few], few, perRow)
+			if budget := 72 * 1.15; perRow > budget {
+				t.Errorf("%s over %s: %.1f B a further row, want at most %.1f", u.name, table, perRow, budget)
+			}
+		}
+	}
+}

@@ -56,6 +56,12 @@ var vecEquivalenceQueries = []string{
 	`SELECT DISTINCT CustomerId FROM Sales`,
 	`SELECT CustomerId, SUM(Price*Quantity) AS rev FROM Sales WHERE Discount < 0.3 GROUP BY CustomerId ORDER BY rev DESC`,
 	randomFilterQuery,
+	// Appending UDOs under an Aggregate and a Project, over a table and over a
+	// filter's selection: on the kernels they hand over pairs.
+	`SELECT Quantity, COUNT(*) AS n, MAX(row_tag) AS t FROM (PROCESS Sales USING "AddRowTag") AS u GROUP BY Quantity`,
+	`SELECT CustomerId, COUNT(*) AS n, MIN(ingest_time) AS t FROM (PROCESS (SELECT * FROM Sales WHERE Price > 20) USING "StampIngestTime") AS u GROUP BY CustomerId`,
+	`SELECT SaleId, row_tag % 7 AS m FROM (PROCESS (SELECT * FROM Sales WHERE Quantity < 4) USING "AddRowTag") AS u`,
+	`SELECT SaleId, ingest_time FROM (PROCESS Sales USING "StampIngestTime") AS u`,
 }
 
 const randomFilterQuery = `SELECT SaleId FROM Sales WHERE RANDOM() < 0.5`
@@ -76,6 +82,8 @@ var adversarialQueries = []string{
 	`SELECT Ts, COUNT(*) AS n FROM Adv GROUP BY Ts`,
 	`SELECT a.K1, b.K2 FROM Adv AS a JOIN Adv AS b ON a.Ts = b.Ts`,
 	`SELECT * FROM Adv SAMPLE 50 PERCENT`,
+	`SELECT K1, COUNT(*) AS n, MAX(row_tag) AS t FROM (PROCESS Adv USING "AddRowTag") AS u GROUP BY K1`,
+	`SELECT row_tag, Ts FROM (PROCESS (SELECT * FROM Adv WHERE Big > 0) USING "AddRowTag") AS u`,
 }
 
 func adversarialCatalog(t *testing.T, cfg fixtures.RetailConfig) *catalog.Catalog {

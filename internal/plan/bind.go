@@ -329,7 +329,7 @@ func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, scope,
 			groups[i] = &ColRef{Index: i, Name: c.Name, Typ: c.Kind}
 			names[i] = c.Name
 		}
-		node = &Aggregate{GroupBy: groups, GroupNames: names, Child: node}
+		node = NewAggregate(groups, names, nil, node)
 		sc = scopeFrom(node.Schema(), qual)
 	}
 
@@ -384,7 +384,9 @@ func (b *Binder) bindProjection(items []sqlparser.SelectItem, node Node, sc scop
 // bindGrouped handles GROUP BY / aggregate select lists, producing an
 // Aggregate node followed (when necessary) by a reordering Project.
 func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual string) (Node, scope, error) {
-	agg := &Aggregate{Child: node}
+	var groupBy []Expr
+	var groupNames []string
+	var aggs []AggSpec
 
 	// Bind group-by expressions.
 	for _, g := range q.GroupBy {
@@ -396,10 +398,10 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual
 		if cr, ok := e.(*ColRef); ok {
 			name = cr.Name
 		} else {
-			name = fmt.Sprintf("group_%d", len(agg.GroupBy))
+			name = fmt.Sprintf("group_%d", len(groupBy))
 		}
-		agg.GroupBy = append(agg.GroupBy, e)
-		agg.GroupNames = append(agg.GroupNames, name)
+		groupBy = append(groupBy, e)
+		groupNames = append(groupNames, name)
 	}
 
 	// Walk the select list: each item is a group expression or an aggregate
@@ -431,10 +433,10 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual
 			}
 			spec.Name = deriveName(it, nil, i)
 			if spec.Name == "" || strings.HasPrefix(spec.Name, "col_") {
-				spec.Name = strings.ToLower(fc.Name) + fmt.Sprintf("_%d", len(agg.Aggs))
+				spec.Name = strings.ToLower(fc.Name) + fmt.Sprintf("_%d", len(aggs))
 			}
-			pos := len(agg.GroupBy) + len(agg.Aggs)
-			agg.Aggs = append(agg.Aggs, spec)
+			pos := len(groupBy) + len(aggs)
+			aggs = append(aggs, spec)
 			outputs = append(outputs, outputRef{pos: pos, name: spec.Name})
 			continue
 		}
@@ -446,8 +448,8 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual
 			return nil, nil, err
 		}
 		// The last group key rendering as e does.
-		pos := len(agg.GroupBy) - 1
-		for pos >= 0 && compareCanonical(agg.GroupBy[pos], e) != 0 {
+		pos := len(groupBy) - 1
+		for pos >= 0 && compareCanonical(groupBy[pos], e) != 0 {
 			pos--
 		}
 		if pos < 0 {
@@ -455,13 +457,14 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual
 		}
 		name := deriveName(it, e, i)
 		if it.Alias != "" {
-			agg.GroupNames[pos] = it.Alias
+			groupNames[pos] = it.Alias
 		}
 		outputs = append(outputs, outputRef{pos: pos, name: name})
 	}
 
+	agg := NewAggregate(groupBy, groupNames, aggs, node)
 	var result Node = agg
-	aggSchema := agg.Schema()
+	aggSchema := agg.Out
 
 	// HAVING filters over the aggregate output.
 	if q.Having != nil {

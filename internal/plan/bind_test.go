@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -137,6 +138,78 @@ func TestBindGroupBy(t *testing.T) {
 	schema := n.Schema()
 	if schema[0].Name != "MktSegment" || schema[1].Name != "n" || schema[2].Name != "p" {
 		t.Errorf("schema = %v", schema)
+	}
+}
+
+// freshAggSchema computes an Aggregate's output schema from its fields: the
+// group columns, then one column per aggregate, typed by its result.
+func freshAggSchema(a *plan.Aggregate) data.Schema {
+	var out data.Schema
+	for i, g := range a.GroupBy {
+		out = append(out, data.Column{Name: a.GroupNames[i], Kind: g.Kind()})
+	}
+	for _, spec := range a.Aggs {
+		kind := data.KindNull
+		switch {
+		case spec.Kind == plan.AggCount:
+			kind = data.KindInt
+		case spec.Kind == plan.AggAvg:
+			kind = data.KindFloat
+		case spec.Kind == plan.AggSum:
+			kind = data.KindFloat
+			if spec.Arg != nil && spec.Arg.Kind() == data.KindInt {
+				kind = data.KindInt
+			}
+		case spec.Arg != nil:
+			kind = spec.Arg.Kind()
+		}
+		out = append(out, data.Column{Name: spec.Name, Kind: kind})
+	}
+	return out
+}
+
+// TestAggregateSchemaIsStored: every Aggregate that binding builds, and every
+// one normalization rebuilds, holds its output schema, equal to one computed
+// afresh from its fields, and Schema returns it without allocating.
+func TestAggregateSchemaIsStored(t *testing.T) {
+	rebuilt := 0
+	for _, src := range []string{
+		`SELECT MktSegment, COUNT(*) AS n, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id GROUP BY MktSegment`,
+		`SELECT COUNT(*) AS n, MktSegment AS seg FROM Customer GROUP BY MktSegment`,
+		`SELECT Quantity % 3, SUM(Quantity) AS q, SUM(Price) AS p, MIN(Name) AS lo, MAX(SoldAt) AS hi FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id GROUP BY Quantity % 3`,
+		`SELECT CustomerId, SUM(1 + Quantity) AS q, MAX(2 * Price) AS p FROM Sales WHERE 3 < Quantity GROUP BY CustomerId HAVING q > 4`,
+		`SELECT COUNT(*) AS n, SUM(Price) AS s FROM Sales`,
+		`SELECT DISTINCT MktSegment FROM Customer`,
+		`SELECT n, COUNT(*) AS c FROM (SELECT CustomerId, COUNT(*) AS n FROM Sales GROUP BY CustomerId) AS x GROUP BY n`,
+	} {
+		bound := mustBind(t, src, nil)
+		seen := map[*plan.Aggregate]bool{}
+		for _, root := range []plan.Node{bound, plan.NormalizeNode(bound)} {
+			aggs := 0
+			plan.Walk(root, func(m plan.Node) {
+				a, ok := m.(*plan.Aggregate)
+				if !ok {
+					return
+				}
+				aggs++
+				if root != bound && !seen[a] {
+					rebuilt++
+				}
+				seen[a] = true
+				if !reflect.DeepEqual(a.Schema(), freshAggSchema(a)) {
+					t.Errorf("%s: stored schema %v, computed afresh %v", src, a.Out, freshAggSchema(a))
+				}
+				if allocs := testing.AllocsPerRun(100, func() { _ = a.Schema() }); allocs != 0 {
+					t.Errorf("%s: Schema allocates %.0f times a call", src, allocs)
+				}
+			})
+			if aggs == 0 {
+				t.Fatalf("%s: no aggregate", src)
+			}
+		}
+	}
+	if rebuilt == 0 {
+		t.Fatal("normalization rebuilt no aggregate")
 	}
 }
 

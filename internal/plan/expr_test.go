@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -195,6 +196,60 @@ func TestCloneRowIndependentRows(t *testing.T) {
 		out[0][0] = data.Int(99)
 		if out[1][0] != tag || in[0][0].I != 1 {
 			t.Fatalf("announce=%v: writing one emitted row reached its neighbour or its input", announce)
+		}
+	}
+}
+
+// TestAddRowTagHashesStringForm: AddRowTag's tag is the FNV hash of every
+// cell's String() rendering, streamed rather than built, byte for byte: for
+// every Kind, NULL, NaN, infinities, negative zero, a string longer than the
+// buffer, and times with and without a fraction, in and out of UTC. Cell
+// allocates nothing, and each appending UDO's Apply emits one row: a copy of
+// its input followed by the cell Cell returns.
+func TestAddRowTagHashesStringForm(t *testing.T) {
+	impl, ok := plan.LookupUDO("AddRowTag")
+	if !ok || impl.Cell == nil {
+		t.Fatal("AddRowTag not registered as an appending UDO")
+	}
+	east := time.FixedZone("east", 5*3600+1800)
+	rows := []data.Row{
+		{},
+		{data.Null()},
+		{data.Int(0), data.Int(-1), data.Int(math.MaxInt64), data.Int(math.MinInt64)},
+		{data.Float(math.NaN()), data.Float(math.Inf(1)), data.Float(math.Inf(-1)), data.Float(math.Copysign(0, -1)), data.Float(0.1), data.Float(1e300)},
+		{data.String_(""), data.String_("asia"), data.String_(strings.Repeat("long-", 40)), data.String_("x\x00y")},
+		{data.Bool(true), data.Bool(false)},
+		{data.Time(time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)), data.Time(time.Date(2024, 3, 1, 12, 0, 0, 250_000_000, east)), data.Time(time.Unix(0, 1))},
+		{data.Int(7), data.Null(), data.String_("mixed"), data.Float(2.5), data.Bool(true), data.Time(time.Unix(1_600_000_000, 123_456_789))},
+	}
+	ctx := &plan.EvalContext{Rand: data.NewRand(1), NowNanos: 42}
+	for _, r := range rows {
+		h := data.FNVOffset
+		for _, v := range r {
+			h = data.FNV64a(h, v.String())
+		}
+		want := data.Int(int64(h & 0x7fffffffffffffff))
+		if got := impl.Cell(r, ctx); got != want {
+			t.Errorf("%v: tag %v, want %v from the String() forms", r, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { impl.Cell(r, ctx) }); allocs != 0 {
+			t.Errorf("%v: Cell allocates %.0f times a row", r, allocs)
+		}
+	}
+	for _, name := range []string{"AddRowTag", "StampIngestTime"} {
+		impl, _ := plan.LookupUDO(name)
+		for _, r := range rows {
+			var out []data.Row
+			impl.Apply(r, func(o data.Row) { out = append(out, o) }, ctx)
+			want := append(r.Clone(), impl.Cell(r, ctx))
+			same := len(out) == 1 && len(out[0]) == len(want)
+			for i := 0; same && i < len(want); i++ {
+				a, b := out[0][i], want[i]
+				same = a.Kind == b.Kind && a.S == b.S && a.I == b.I && a.B == b.B && math.Float64bits(a.F) == math.Float64bits(b.F)
+			}
+			if !same {
+				t.Errorf("%s over %v: Apply emitted %v, want %v", name, r, out, want)
+			}
 		}
 	}
 }

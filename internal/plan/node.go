@@ -125,6 +125,23 @@ type Aggregate struct {
 	GroupNames []string
 	Aggs       []AggSpec
 	Child      Node
+	// Out is the output schema, computed once by NewAggregate and shared by
+	// every copy: Schema returns it, and nothing writes it.
+	Out data.Schema
+}
+
+// NewAggregate returns the Aggregate of groupBy (named names) and aggs over
+// child, its output schema computed. Every Aggregate is built by it, or copied
+// from one that was.
+func NewAggregate(groupBy []Expr, names []string, aggs []AggSpec, child Node) *Aggregate {
+	out := make(data.Schema, 0, len(groupBy)+len(aggs))
+	for i, g := range groupBy {
+		out = append(out, data.Column{Name: names[i], Kind: g.Kind()})
+	}
+	for _, spec := range aggs {
+		out = append(out, data.Column{Name: spec.Name, Kind: aggResultKind(spec)})
+	}
+	return &Aggregate{GroupBy: groupBy, GroupNames: names, Aggs: aggs, Child: child, Out: out}
 }
 
 // Union is UNION ALL of two inputs with identical schemas.
@@ -230,16 +247,7 @@ func (j *Join) Schema() data.Schema {
 }
 func (j *Join) OpName() string { return "Join" }
 
-func (a *Aggregate) Schema() data.Schema {
-	out := make(data.Schema, 0, len(a.GroupBy)+len(a.Aggs))
-	for i, g := range a.GroupBy {
-		out = append(out, data.Column{Name: a.GroupNames[i], Kind: g.Kind()})
-	}
-	for _, spec := range a.Aggs {
-		out = append(out, data.Column{Name: spec.Name, Kind: aggResultKind(spec)})
-	}
-	return out
-}
+func (a *Aggregate) Schema() data.Schema { return a.Out }
 
 func aggResultKind(spec AggSpec) data.Kind {
 	switch spec.Kind {
@@ -439,16 +447,15 @@ func WithExprs(n Node, es []Expr) Node {
 		}
 		return &cp
 	case *Aggregate:
-		cp := *x
 		k := len(x.GroupBy)
-		cp.GroupBy, es = es[:k:k], es[k:]
-		cp.Aggs = append([]AggSpec(nil), x.Aggs...)
-		for i := range cp.Aggs {
-			if cp.Aggs[i].Arg != nil {
-				cp.Aggs[i].Arg, es = es[0], es[1:]
+		groupBy, aggs := es[:k:k], append([]AggSpec(nil), x.Aggs...)
+		es = es[k:]
+		for i := range aggs {
+			if aggs[i].Arg != nil {
+				aggs[i].Arg, es = es[0], es[1:]
 			}
 		}
-		return &cp
+		return NewAggregate(groupBy, x.GroupNames, aggs, x.Child)
 	case *Sort:
 		cp := *x
 		cp.Keys = es

@@ -19,10 +19,36 @@ type UDOImpl struct {
 	// so Apply emits it as it is or emits a copy (ctx.CloneRow), and never
 	// writes to it.
 	Apply func(in data.Row, emit func(data.Row), ctx *EvalContext)
+	// Cell, set by Appending and nil otherwise, is an appending UDO's one
+	// definition: the cell it appends to an input row, which it emits once.
+	// OutSchema and Apply are derived from it, and the executor calls it
+	// instead of Apply where it hands the input rows over by position, the
+	// cells beside them, and copies no row.
+	Cell func(in data.Row, ctx *EvalContext) data.Value
 	// Deterministic reports whether the implementation is free of
 	// non-determinism. Operators marked false are excluded from reuse, per
 	// the paper's signature-correctness policy.
 	Deterministic bool
+}
+
+// Appending returns the UDO that emits every input row once, followed by the
+// cell cell computes from it, in column col. Its OutSchema and Apply are
+// derived from cell: Apply emits a copy of the row carved from the context's
+// slab (ctx.CloneRow) with the cell in its last place.
+func Appending(name string, deterministic bool, col data.Column, cell func(in data.Row, ctx *EvalContext) data.Value) *UDOImpl {
+	return &UDOImpl{
+		Name:          name,
+		Deterministic: deterministic,
+		Cell:          cell,
+		OutSchema: func(in data.Schema) data.Schema {
+			return append(append(make(data.Schema, 0, len(in)+1), in...), col)
+		},
+		Apply: func(in data.Row, emit func(data.Row), ctx *EvalContext) {
+			out := ctx.CloneRow(in, 1)
+			out[len(in)] = cell(in, ctx)
+			emit(out)
+		},
+	}
 }
 
 var (
@@ -95,37 +121,27 @@ func init() {
 	})
 
 	// AddRowTag appends a deterministic hash column, as enrichment UDOs do.
-	RegisterUDO(&UDOImpl{
-		Name:          "AddRowTag",
-		Deterministic: true,
-		OutSchema: func(in data.Schema) data.Schema {
-			out := in.Clone()
-			return append(out, data.Column{Name: "row_tag", Kind: data.KindInt})
-		},
-		Apply: func(in data.Row, emit func(data.Row), ctx *EvalContext) {
+	// The tag is the FNV hash of every cell's String() rendering: a string
+	// cell's own bytes, any other cell's streamed through one buffer by
+	// data.AppendValue.
+	RegisterUDO(Appending("AddRowTag", true, data.Column{Name: "row_tag", Kind: data.KindInt},
+		func(in data.Row, _ *EvalContext) data.Value {
+			var buf [96]byte
 			h := data.FNVOffset
 			for _, v := range in {
-				h = data.FNV64a(h, v.String())
+				if v.Kind == data.KindString {
+					h = data.FNV64a(h, v.S)
+				} else {
+					h = data.FNV64a(h, data.AppendValue(buf[:0], v))
+				}
 			}
-			out := ctx.CloneRow(in, 1)
-			out[len(in)] = data.Int(int64(h & 0x7fffffffffffffff))
-			emit(out)
-		},
-	})
+			return data.Int(int64(h & 0x7fffffffffffffff))
+		}))
 
 	// StampIngestTime appends the current time — non-deterministic BY DESIGN,
 	// the paper's DateTime.Now example. Reuse must skip plans containing it.
-	RegisterUDO(&UDOImpl{
-		Name:          "StampIngestTime",
-		Deterministic: false,
-		OutSchema: func(in data.Schema) data.Schema {
-			out := in.Clone()
-			return append(out, data.Column{Name: "ingest_time", Kind: data.KindTime})
-		},
-		Apply: func(in data.Row, emit func(data.Row), ctx *EvalContext) {
-			out := ctx.CloneRow(in, 1)
-			out[len(in)] = data.Value{Kind: data.KindTime, I: ctx.NowNanos}
-			emit(out)
-		},
-	})
+	RegisterUDO(Appending("StampIngestTime", false, data.Column{Name: "ingest_time", Kind: data.KindTime},
+		func(_ data.Row, ctx *EvalContext) data.Value {
+			return data.Value{Kind: data.KindTime, I: ctx.NowNanos}
+		}))
 }

@@ -28,21 +28,36 @@ func referenceHash(version string, parts ...string) Sig {
 // "phys-op=" domain over its inputs' physical signatures, a ViewScan as
 // itself and a Spool as a real operator. Two nodes share one exactly when
 // their subtrees execute the same operators, which is what the result-cache
-// keys must still tell apart.
+// keys must still tell apart. A non-deterministic node — a UDO registered or
+// marked so, or one holding an expression that draws (plan.Exprs, a sort's
+// keys included) — and every node above it have none: its result is a draw,
+// and no other job may be handed it.
 func referencePhysical(s *Signer, root plan.Node) map[plan.Node]Sig {
 	out := map[plan.Node]Sig{}
-	var rec func(n plan.Node) Sig
-	rec = func(n plan.Node) Sig {
+	var rec func(n plan.Node) (Sig, bool)
+	rec = func(n plan.Node) (Sig, bool) {
 		parts := []string{"phys-op=" + n.OpName(), "attrs=" + string(plan.AppendAttrs(nil, n, false))}
 		if vs, ok := n.(*plan.ViewScan); ok {
 			parts = append(parts, "view="+vs.StrictSig)
 		}
+		nondet := false
+		if u, ok := n.(*plan.UDO); ok {
+			impl, found := plan.LookupUDO(u.Name)
+			nondet = u.Nondet || found && !impl.Deterministic
+		}
+		for _, e := range plan.Exprs(n, nil) {
+			nondet = nondet || plan.HasNondeterminism(e)
+		}
 		var buf [2]plan.Node
 		for _, c := range plan.Inputs(n, &buf) {
-			parts = append(parts, string(rec(c)))
+			sig, nd := rec(c)
+			parts, nondet = append(parts, string(sig)), nondet || nd
 		}
-		out[n] = referenceHash(s.EngineVersion, parts...)
-		return out[n]
+		sig := referenceHash(s.EngineVersion, parts...)
+		if !nondet {
+			out[n] = sig
+		}
+		return sig, nondet
 	}
 	rec(root)
 	return out

@@ -219,6 +219,11 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 //   - A Spool and every node above one have no key: a replay would skip the
 //     view write and leave a staged view that never materializes. The Spool's
 //     child keeps its own, so a replayed build stays cheap.
+//   - A non-deterministic node — a non-deterministic UDO, an expression
+//     calling a non-deterministic builtin, a sort by one — and every node
+//     above one have no key: a replay would hand one job's clock or random
+//     draws to another. The node is judged on its own, whatever made its
+//     inputs ineligible.
 //
 // known, when not nil, serves a plan derived from one already enumerated: it
 // returns the entry of the node n stands for — itself, the original of a copy,
@@ -244,6 +249,7 @@ type signed struct {
 	key           Sig         // "" for none
 	view          bool        // a ViewScan sits at or below the node
 	spool         bool        // a Spool sits at or below the node: it has no key
+	nondet        bool        // a non-deterministic node sits at or below the node: it has no key
 }
 
 // sign is Sign, filling keys when it is not nil.
@@ -300,22 +306,29 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 			if cr.elig != EligibleOK {
 				r.elig = cr.elig
 			}
-			r.view, r.spool = r.view || cr.view, r.spool || cr.spool
+			r.view, r.spool, r.nondet = r.view || cr.view, r.spool || cr.spool, r.nondet || cr.nondet
 		}
-		// Node-local eligibility checks, applied after child propagation so
-		// the most specific child reason survives.
+		// The node's own verdict. A carried entry holds it when the inputs are
+		// eligible, and theirs otherwise. Under ineligible inputs the verdict
+		// can only take the key, so it is not needed once a non-deterministic
+		// node below has taken it.
+		own := EligibleOK
+		switch {
+		case k != nil && r.elig == EligibleOK:
+			own = k.Eligibility
+		case r.elig == EligibleOK || !r.nondet:
+			own = s.nodeEligibility(n)
+		}
+		r.nondet = r.nondet || own == IneligibleNondetUDO || own == IneligibleNondetFunc || randomOrder(n)
+		// The most specific input reason survives; Trivial and Output judge
+		// the node itself, not what it passes up.
+		if r.elig == EligibleOK && own != IneligibleTrivial && own != IneligibleOutput {
+			r.elig = own
+		}
 		if k == nil {
-			if r.elig == EligibleOK {
-				r.elig = s.nodeEligibility(n)
-			}
 			r.strict = s.nodeSig(n, false, "", strictIn)
 			r.recur = s.nodeSig(n, true, "", recurIn)
 		} else {
-			// The entry holds the node-local verdict already, except that
-			// Trivial and Output judge the node itself, not what it passes up.
-			if r.elig == EligibleOK && k.Eligibility != IneligibleTrivial && k.Eligibility != IneligibleOutput {
-				r.elig = k.Eligibility
-			}
 			r.strict, r.recur = k.Strict, k.Recurring
 		}
 		// A carried node reads the datasets its entry lists, unless a ViewScan
@@ -357,7 +370,7 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 		for _, ci := range childIdx {
 			out[ci].Parent = r.idx
 		}
-		if keys != nil && !r.spool {
+		if keys != nil && !r.spool && !r.nondet {
 			r.key = r.strict
 			if r.view {
 				r.key = s.hash(keyIn, "phys-op="+n.OpName(), string(r.strict))
@@ -391,6 +404,19 @@ func unionSorted(a, b []string) []string {
 		}
 	}
 	return append(append(out, a...), b...)
+}
+
+// randomOrder reports whether n is a Sort by a non-deterministic key. Its
+// eligibility does not say so (nodeEligibility), but its order is a draw.
+func randomOrder(n plan.Node) bool {
+	if x, ok := n.(*plan.Sort); ok {
+		for _, k := range x.Keys {
+			if plan.HasNondeterminism(k) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // nodeEligibility checks reuse hazards local to one operator.

@@ -216,6 +216,58 @@ func TestDeepDepsIneligible(t *testing.T) {
 	}
 }
 
+// TestNondeterministicNodesHaveNoKey: a node that draws has no result-cache
+// key, and neither has any node above it, whatever else made it ineligible:
+// RANDOM() over a UDO whose dependency chain is too deep (eligibility
+// deep-dependency-chain, from the UDO), a sort by RANDOM() (eligible), and a
+// non-deterministic UDO over a deep one. Each node's key and eligibility are
+// the same when a derived plan carries its entry.
+func TestNondeterministicNodesHaveNoKey(t *testing.T) {
+	signature.ResetLibraries()
+	defer signature.ResetLibraries()
+	prev := ""
+	for i := 0; i < 12; i++ {
+		name := string(rune('a' + i))
+		if prev != "" {
+			signature.RegisterLibrary(prev, name)
+		}
+		prev = name
+	}
+	for _, c := range []struct {
+		src   string
+		drawn string // the lowest operator without a key
+	}{
+		{`SELECT Name, RANDOM() AS r FROM (PROCESS Customer USING "AddRowTag" DEPENDS "a") AS p`, "Project"},
+		{`SELECT * FROM Customer WHERE MktSegment = 'Asia' ORDER BY RANDOM()`, "Sort"},
+		{`SELECT Name, COUNT(*) AS n FROM (PROCESS (PROCESS Customer USING "AddRowTag" DEPENDS "a") USING "StampIngestTime") AS p GROUP BY Name`, "UDO"},
+	} {
+		root := &plan.Output{Target: "out/x", Child: bindQuery(t, c.src, nil)}
+		cold, keys := signer.Sign(root, nil)
+		known := map[plan.Node]*signature.Subexpr{}
+		for i := range cold {
+			known[cold[i].Node] = &cold[i]
+		}
+		carried, carriedKeys := signer.Sign(root, func(n plan.Node) *signature.Subexpr { return known[n] })
+		drawn := false
+		for i, sub := range cold {
+			_, has := keys[sub.Node]
+			if sub.Op == c.drawn && !drawn {
+				drawn = sub.Op != "UDO" || sub.Node.(*plan.UDO).Name == "StampIngestTime"
+			}
+			if has == drawn {
+				t.Errorf("%s: %s (%v) has a key = %v, want %v", c.src, sub.Op, sub.Eligibility, has, !drawn)
+			}
+			if carriedKeys[sub.Node] != keys[sub.Node] || carried[i].Eligibility != sub.Eligibility {
+				t.Errorf("%s: %s carried: key %q, eligibility %v; cold: key %q, eligibility %v",
+					c.src, sub.Op, carriedKeys[sub.Node], carried[i].Eligibility, keys[sub.Node], sub.Eligibility)
+			}
+		}
+		if !drawn {
+			t.Errorf("%s: no %s in the plan", c.src, c.drawn)
+		}
+	}
+}
+
 func TestJobTagStableAcrossParams(t *testing.T) {
 	src := `SELECT Name FROM Customer WHERE MktSegment = @seg`
 	a := bindQuery(t, src, map[string]data.Value{"seg": data.String_("Asia")})
