@@ -100,7 +100,8 @@ var parentCases = []parentCase{
 	// A join takes a selection, but a join under a join stays whole.
 	{what: "join", src: `SELECT d2.V, COUNT(*) AS n FROM (SELECT * FROM %[1]s) AS x JOIN D AS d2 ON x.A = d2.K GROUP BY d2.V`, reads: "selection", spoil: -1},
 	{what: "udo", src: `SELECT * FROM %[1]s`, spoil: -1, wrap: func(_, p plan.Node) plan.Node {
-		return &plan.UDO{Name: "AddRowTag", Child: p}
+		impl, _ := plan.LookupUDO("AddRowTag")
+		return &plan.UDO{Name: "AddRowTag", Child: p, Out: impl.OutSchema(p.Schema())}
 	}},
 	{what: "spool", src: `SELECT * FROM %[1]s`, spoil: -1, wrap: func(_, p plan.Node) plan.Node {
 		return &plan.Spool{Child: p, StrictSig: "spool", Path: "views/spool"}

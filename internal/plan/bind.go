@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cloudviews/internal/catalog"
@@ -81,8 +82,39 @@ func (b *Binder) BindScript(s *sqlparser.Script) ([]*Output, error) {
 
 // BindQuery binds a single query expression.
 func (b *Binder) BindQuery(q sqlparser.QueryExpr) (Node, error) {
-	n, _, err := b.bindQueryScoped(q, "")
-	return n, err
+	switch query := q.(type) {
+	case *sqlparser.SelectQuery:
+		return b.bindSelect(query)
+	case *sqlparser.ProcessQuery:
+		child, _, err := b.bindTableRef(query.Source)
+		if err != nil {
+			return nil, err
+		}
+		impl, ok := LookupUDO(query.Udo)
+		if !ok {
+			return nil, fmt.Errorf("unknown UDO %q", query.Udo)
+		}
+		nondet := query.Nondeterministic || !impl.Deterministic
+		return &UDO{
+			Name: query.Udo, Depends: query.Depends, Nondet: nondet, Child: child,
+			Out: impl.OutSchema(child.Schema()),
+		}, nil
+	case *sqlparser.UnionQuery:
+		l, err := b.BindQuery(query.Left)
+		if err != nil {
+			return nil, err
+		}
+		r, err := b.BindQuery(query.Right)
+		if err != nil {
+			return nil, err
+		}
+		if !l.Schema().Equal(r.Schema()) {
+			return nil, fmt.Errorf("UNION ALL schema mismatch: (%s) vs (%s)", l.Schema(), r.Schema())
+		}
+		return &Union{L: l, R: r}, nil
+	default:
+		return nil, fmt.Errorf("unsupported query expression %T", q)
+	}
 }
 
 // scopeEntry is one visible column during binding. Names are kept as
@@ -96,16 +128,13 @@ type scopeEntry struct {
 // scope is the columns visible during binding, in row order.
 type scope []scopeEntry
 
-func scopeFrom(schema data.Schema, qual string) scope {
-	s := make(scope, len(schema))
-	for i, c := range schema {
-		s[i] = scopeEntry{qual: qual, name: c.Name, kind: c.Kind}
+// with returns a new scope of s's columns followed by schema's under qual.
+func (s scope) with(schema data.Schema, qual string) scope {
+	out := append(make(scope, 0, len(s)+len(schema)), s...)
+	for _, c := range schema {
+		out = append(out, scopeEntry{qual: qual, name: c.Name, kind: c.Kind})
 	}
-	return s
-}
-
-func (s scope) concat(o scope) scope {
-	return append(append(make(scope, 0, len(s)+len(o)), s...), o...)
+	return out
 }
 
 // resolve finds the unique column matching (qual, name), both compared as
@@ -134,42 +163,9 @@ func (s scope) resolve(qual, name string) (int, data.Kind, error) {
 	return found, kind, nil
 }
 
-func (b *Binder) bindQueryScoped(q sqlparser.QueryExpr, qual string) (Node, scope, error) {
-	switch query := q.(type) {
-	case *sqlparser.SelectQuery:
-		return b.bindSelect(query, qual)
-	case *sqlparser.ProcessQuery:
-		child, _, err := b.bindTableRef(query.Source)
-		if err != nil {
-			return nil, nil, err
-		}
-		impl, ok := LookupUDO(query.Udo)
-		if !ok {
-			return nil, nil, fmt.Errorf("unknown UDO %q", query.Udo)
-		}
-		nondet := query.Nondeterministic || !impl.Deterministic
-		n := &UDO{Name: query.Udo, Depends: query.Depends, Nondet: nondet, Child: child}
-		return n, scopeFrom(n.Schema(), qual), nil
-	case *sqlparser.UnionQuery:
-		l, _, err := b.bindQueryScoped(query.Left, "")
-		if err != nil {
-			return nil, nil, err
-		}
-		r, _, err := b.bindQueryScoped(query.Right, "")
-		if err != nil {
-			return nil, nil, err
-		}
-		if !l.Schema().Equal(r.Schema()) {
-			return nil, nil, fmt.Errorf("UNION ALL schema mismatch: (%s) vs (%s)", l.Schema(), r.Schema())
-		}
-		n := &Union{L: l, R: r}
-		return n, scopeFrom(n.Schema(), qual), nil
-	default:
-		return nil, nil, fmt.Errorf("unsupported query expression %T", q)
-	}
-}
-
-func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, scope, error) {
+// bindTableRef binds a FROM source and returns the qualifier its columns
+// are visible under.
+func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, string, error) {
 	switch r := ref.(type) {
 	case *sqlparser.NamedRef:
 		qual := r.Alias
@@ -178,7 +174,7 @@ func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, scope, error) {
 		}
 		// Named intermediate rowset?
 		if n, ok := b.use(r.Name); ok {
-			return n, scopeFrom(n.Schema(), qual), nil
+			return n, qual, nil
 		}
 		// Catalog dataset: a scan reads the latest readable version, always.
 		ver, ok := b.resolved[r.Name]
@@ -186,7 +182,7 @@ func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, scope, error) {
 			var err error
 			ver, err = b.Catalog.Latest(r.Name)
 			if err != nil {
-				return nil, nil, err
+				return nil, "", err
 			}
 			if b.resolved == nil {
 				b.resolved = make(map[string]*catalog.Version)
@@ -200,11 +196,12 @@ func (b *Binder) bindTableRef(ref sqlparser.TableRef) (Node, scope, error) {
 			Out:      ds.Schema.Clone(),
 			BaseRows: ScanBaseRows(ds, ver),
 		}
-		return scan, scopeFrom(scan.Out, qual), nil
+		return scan, qual, nil
 	case *sqlparser.SubqueryRef:
-		return b.bindQueryScoped(r.Query, r.Alias)
+		n, err := b.BindQuery(r.Query)
+		return n, r.Alias, err
 	default:
-		return nil, nil, fmt.Errorf("unsupported table reference %T", ref)
+		return nil, "", fmt.Errorf("unsupported table reference %T", ref)
 	}
 }
 
@@ -247,23 +244,28 @@ func containsAgg(e sqlparser.Expr) bool {
 	return false
 }
 
-func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, scope, error) {
+func (b *Binder) bindSelect(q *sqlparser.SelectQuery) (Node, error) {
 	if q.From == nil {
-		return nil, nil, fmt.Errorf("SELECT without FROM")
+		return nil, fmt.Errorf("SELECT without FROM")
 	}
-	node, sc, err := b.bindTableRef(q.From)
+	node, qual, err := b.bindTableRef(q.From)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	// The columns expressions bind against; a bare SELECT * binds none.
+	var sc scope
+	if len(q.Joins) > 0 || q.Where != nil || len(q.GroupBy) > 0 || len(q.Items) != 1 || !q.Items[0].Star {
+		sc = sc.with(node.Schema(), qual)
 	}
 
 	// Joins.
 	for _, jc := range q.Joins {
-		right, rightScope, err := b.bindTableRef(jc.Right)
+		right, rightQual, err := b.bindTableRef(jc.Right)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		leftWidth := len(sc)
-		combined := sc.concat(rightScope)
+		combined := sc.with(right.Schema(), rightQual)
 		join := &Join{L: node, R: right}
 		if jc.On != nil {
 			conjuncts := splitConjuncts(jc.On)
@@ -271,7 +273,7 @@ func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, scope,
 			for _, c := range conjuncts {
 				le, re, ok, err := b.tryEquiKey(c, combined, leftWidth)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if ok {
 					join.LeftKeys = append(join.LeftKeys, le)
@@ -283,7 +285,7 @@ func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, scope,
 			if len(residuals) > 0 {
 				res, err := b.bindExpr(joinConjuncts(residuals), combined)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				join.Residual = res
 			}
@@ -295,7 +297,7 @@ func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, scope,
 	if q.Where != nil {
 		pred, err := b.bindExpr(q.Where, sc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		node = &Filter{Pred: pred, Child: node}
 	}
@@ -309,15 +311,12 @@ func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, scope,
 	}
 
 	if hasAgg {
-		node, sc, err = b.bindGrouped(q, node, sc, qual)
-		if err != nil {
-			return nil, nil, err
-		}
+		node, err = b.bindGrouped(q, node, sc)
 	} else {
-		node, sc, err = b.bindProjection(q.Items, node, sc, qual)
-		if err != nil {
-			return nil, nil, err
-		}
+		node, err = b.bindProjection(q.Items, node, sc)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	if q.Distinct {
@@ -330,7 +329,6 @@ func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, scope,
 			names[i] = c.Name
 		}
 		node = NewAggregate(groups, names, nil, node)
-		sc = scopeFrom(node.Schema(), qual)
 	}
 
 	if q.SamplePercent > 0 {
@@ -338,26 +336,26 @@ func (b *Binder) bindSelect(q *sqlparser.SelectQuery, qual string) (Node, scope,
 	}
 	if len(q.OrderBy) > 0 {
 		// ORDER BY binds against the output schema (aliases visible).
-		outScope := scopeFrom(node.Schema(), "")
+		outScope := scope(nil).with(node.Schema(), "")
 		srt := &Sort{Child: node}
 		for _, item := range q.OrderBy {
 			e, err := b.bindExpr(item.Expr, outScope)
 			if err != nil {
-				return nil, nil, fmt.Errorf("binding ORDER BY: %w", err)
+				return nil, fmt.Errorf("binding ORDER BY: %w", err)
 			}
 			srt.Keys = append(srt.Keys, e)
 			srt.Desc = append(srt.Desc, item.Desc)
 		}
 		node = srt
 	}
-	return node, sc, nil
+	return node, nil
 }
 
 // bindProjection handles the non-aggregated select list.
-func (b *Binder) bindProjection(items []sqlparser.SelectItem, node Node, sc scope, qual string) (Node, scope, error) {
+func (b *Binder) bindProjection(items []sqlparser.SelectItem, node Node, sc scope) (Node, error) {
 	// Pure `SELECT *` introduces no Project node.
 	if len(items) == 1 && items[0].Star {
-		return node, scopeFrom(node.Schema(), qual), nil
+		return node, nil
 	}
 	var exprs []Expr
 	var names []string
@@ -372,33 +370,32 @@ func (b *Binder) bindProjection(items []sqlparser.SelectItem, node Node, sc scop
 		}
 		e, err := b.bindExpr(it.Expr, sc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		exprs = append(exprs, e)
 		names = append(names, deriveName(it, e, i))
 	}
-	p := &Project{Exprs: exprs, Names: names, Child: node}
-	return p, scopeFrom(p.Schema(), qual), nil
+	return &Project{Exprs: exprs, Names: names, Child: node}, nil
 }
 
 // bindGrouped handles GROUP BY / aggregate select lists, producing an
 // Aggregate node followed (when necessary) by a reordering Project.
-func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual string) (Node, scope, error) {
-	var groupBy []Expr
-	var groupNames []string
-	var aggs []AggSpec
+func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope) (Node, error) {
+	groupBy := make([]Expr, 0, len(q.GroupBy))
+	groupNames := make([]string, 0, len(q.GroupBy))
+	aggs := make([]AggSpec, 0, len(q.Items))
 
 	// Bind group-by expressions.
 	for _, g := range q.GroupBy {
 		e, err := b.bindExpr(g, sc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		name := ""
 		if cr, ok := e.(*ColRef); ok {
 			name = cr.Name
 		} else {
-			name = fmt.Sprintf("group_%d", len(groupBy))
+			name = "group_" + strconv.Itoa(len(groupBy))
 		}
 		groupBy = append(groupBy, e)
 		groupNames = append(groupNames, name)
@@ -410,30 +407,30 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual
 		pos  int // position in Aggregate output schema
 		name string
 	}
-	var outputs []outputRef
+	outputs := make([]outputRef, 0, len(q.Items))
 	for i, it := range q.Items {
 		if it.Star {
-			return nil, nil, fmt.Errorf("SELECT * cannot be combined with GROUP BY")
+			return nil, fmt.Errorf("SELECT * cannot be combined with GROUP BY")
 		}
 		if fc, ok := isAggCall(it.Expr); ok {
 			spec := AggSpec{Kind: aggNames[fc.Name]}
 			if fc.Star {
 				if spec.Kind != AggCount {
-					return nil, nil, fmt.Errorf("%s(*) is not supported", fc.Name)
+					return nil, fmt.Errorf("%s(*) is not supported", fc.Name)
 				}
 			} else {
 				if len(fc.Args) != 1 {
-					return nil, nil, fmt.Errorf("%s expects exactly one argument", fc.Name)
+					return nil, fmt.Errorf("%s expects exactly one argument", fc.Name)
 				}
 				arg, err := b.bindExpr(fc.Args[0], sc)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				spec.Arg = arg
 			}
 			spec.Name = deriveName(it, nil, i)
 			if spec.Name == "" || strings.HasPrefix(spec.Name, "col_") {
-				spec.Name = strings.ToLower(fc.Name) + fmt.Sprintf("_%d", len(aggs))
+				spec.Name = strings.ToLower(fc.Name) + "_" + strconv.Itoa(len(aggs))
 			}
 			pos := len(groupBy) + len(aggs)
 			aggs = append(aggs, spec)
@@ -441,11 +438,11 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual
 			continue
 		}
 		if containsAgg(it.Expr) {
-			return nil, nil, fmt.Errorf("expressions over aggregates are not supported: %s", it.Expr.String())
+			return nil, fmt.Errorf("expressions over aggregates are not supported: %s", it.Expr.String())
 		}
 		e, err := b.bindExpr(it.Expr, sc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// The last group key rendering as e does.
 		pos := len(groupBy) - 1
@@ -453,7 +450,7 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual
 			pos--
 		}
 		if pos < 0 {
-			return nil, nil, fmt.Errorf("select item %s is neither aggregated nor in GROUP BY", it.Expr.String())
+			return nil, fmt.Errorf("select item %s is neither aggregated nor in GROUP BY", it.Expr.String())
 		}
 		name := deriveName(it, e, i)
 		if it.Alias != "" {
@@ -468,10 +465,10 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual
 
 	// HAVING filters over the aggregate output.
 	if q.Having != nil {
-		havingScope := scopeFrom(aggSchema, "")
+		havingScope := scope(nil).with(aggSchema, "")
 		pred, err := b.bindExpr(q.Having, havingScope)
 		if err != nil {
-			return nil, nil, fmt.Errorf("binding HAVING: %w", err)
+			return nil, fmt.Errorf("binding HAVING: %w", err)
 		}
 		result = &Filter{Pred: pred, Child: result}
 	}
@@ -492,7 +489,7 @@ func (b *Binder) bindGrouped(q *sqlparser.SelectQuery, node Node, sc scope, qual
 		}
 		result = &Project{Exprs: exprs, Names: names, Child: result}
 	}
-	return result, scopeFrom(result.Schema(), qual), nil
+	return result, nil
 }
 
 // deriveName picks an output column name for a select item.

@@ -326,6 +326,43 @@ func TestBindUDO(t *testing.T) {
 	}
 }
 
+// TestUDOLookupAsDeclared: a UDO spelled as declared is found without
+// folding case, any other spelling is found case-insensitively, registering
+// a new spelling replaces every old one, and a bound UDO keeps the name as
+// written and the schema derived when it was built.
+func TestUDOLookupAsDeclared(t *testing.T) {
+	stamp, ok := plan.LookupUDO("StampIngestTime")
+	if !ok {
+		t.Fatal("StampIngestTime not registered")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { plan.LookupUDO("StampIngestTime") }); allocs != 0 {
+		t.Errorf("a lookup spelled as declared allocates %.0f times", allocs)
+	}
+	for _, name := range []string{"stampingesttime", "STAMPINGESTTIME"} {
+		if impl, ok := plan.LookupUDO(name); !ok || impl != stamp {
+			t.Errorf("LookupUDO(%q) = %v, %v", name, impl, ok)
+		}
+	}
+
+	first := &plan.UDOImpl{Name: "CaseProbe", OutSchema: func(in data.Schema) data.Schema { return in }}
+	second := &plan.UDOImpl{Name: "CASEPROBE", OutSchema: func(in data.Schema) data.Schema { return in }}
+	plan.RegisterUDO(first)
+	plan.RegisterUDO(second)
+	for _, name := range []string{"CaseProbe", "caseprobe", "CASEPROBE"} {
+		if impl, ok := plan.LookupUDO(name); !ok || impl != second {
+			t.Errorf("after re-registration LookupUDO(%q) = %v, %v, want the second", name, impl, ok)
+		}
+	}
+
+	udo := mustBind(t, `PROCESS Customer USING "addrowtag"`, nil).(*plan.UDO)
+	if udo.Name != "addrowtag" || udo.Schema()[len(udo.Schema())-1].Name != "row_tag" {
+		t.Errorf("bound UDO %q with schema %v", udo.Name, udo.Schema())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { udo.Schema() }); allocs != 0 {
+		t.Errorf("UDO.Schema allocates %.0f times", allocs)
+	}
+}
+
 func TestBindDistinct(t *testing.T) {
 	n := mustBind(t, `SELECT DISTINCT MktSegment FROM Customer`, nil)
 	agg, ok := n.(*plan.Aggregate)

@@ -34,7 +34,7 @@ func TestInputsMatchesChildren(t *testing.T) {
 		&plan.Join{LeftKeys: []plan.Expr{x}, RightKeys: []plan.Expr{x}, Residual: x, L: a, R: b, Algo: plan.JoinMerge},
 		plan.NewAggregate([]plan.Expr{x}, []string{"x"}, []plan.AggSpec{{Kind: plan.AggSum, Arg: x, Name: "s"}}, a),
 		&plan.Union{L: b, R: a},
-		&plan.UDO{Name: "u", Depends: []string{"lib"}, Nondet: true, Child: a},
+		&plan.UDO{Name: "u", Depends: []string{"lib"}, Nondet: true, Child: a, Out: schema},
 		&plan.Sample{Percent: 10, Child: a},
 		&plan.Sort{Keys: []plan.Expr{x}, Desc: []bool{true}, Child: a},
 		&plan.Output{Target: "t", Child: a},

@@ -157,6 +157,9 @@ type UDO struct {
 	Depends []string
 	Nondet  bool
 	Child   Node
+	// Out is the output schema, the implementation's OutSchema of the
+	// child's, derived once when the node is built.
+	Out data.Schema
 }
 
 // Sample retains approximately Percent% of input rows (deterministic hash
@@ -273,13 +276,8 @@ func (a *Aggregate) OpName() string { return "Aggregate" }
 func (u *Union) Schema() data.Schema { return u.L.Schema() }
 func (u *Union) OpName() string      { return "Union" }
 
-func (u *UDO) Schema() data.Schema {
-	if fn, ok := LookupUDO(u.Name); ok {
-		return fn.OutSchema(u.Child.Schema())
-	}
-	return u.Child.Schema()
-}
-func (u *UDO) OpName() string { return "UDO" }
+func (u *UDO) Schema() data.Schema { return u.Out }
+func (u *UDO) OpName() string      { return "UDO" }
 
 func (s *Sample) Schema() data.Schema { return s.Child.Schema() }
 func (s *Sample) OpName() string      { return "Sample" }

@@ -57,17 +57,27 @@ var (
 )
 
 // RegisterUDO installs an implementation, replacing any previous registration
-// with the same (case-insensitive) name.
+// with the same (case-insensitive) name. It is registered under its name as
+// declared and lower-cased, so a lookup spelled as declared folds no case.
 func RegisterUDO(impl *UDOImpl) {
 	udoMu.Lock()
 	defer udoMu.Unlock()
-	udoRegistry[strings.ToLower(impl.Name)] = impl
+	low := strings.ToLower(impl.Name)
+	if old, ok := udoRegistry[low]; ok {
+		delete(udoRegistry, old.Name)
+	}
+	udoRegistry[low] = impl
+	udoRegistry[impl.Name] = impl
 }
 
-// LookupUDO finds a registered implementation.
+// LookupUDO finds a registered implementation: by name as written, then
+// case-insensitively.
 func LookupUDO(name string) (*UDOImpl, bool) {
 	udoMu.RLock()
 	defer udoMu.RUnlock()
+	if impl, ok := udoRegistry[name]; ok {
+		return impl, true
+	}
 	impl, ok := udoRegistry[strings.ToLower(name)]
 	return impl, ok
 }

@@ -11,8 +11,11 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
+	"sync"
 
 	"cloudviews"
+	"cloudviews/internal/data"
 )
 
 // SubmitRequest is the POST /v1/jobs body.
@@ -124,20 +127,37 @@ func summarize(res *cloudviews.JobResult, rows int) *ResultSummary {
 		InputBytes:  res.InputBytes,
 		DataRead:    res.DataRead,
 	}
-	if res.Output != nil {
-		s.Rows = res.Output.NumRows()
-		s.Columns = res.Output.Schema.Names()
-		if rows > s.Rows {
-			rows = s.Rows
-		}
-		for i := 0; i < rows; i++ {
-			row := res.Output.Rows[i]
-			rendered := make([]string, len(row))
-			for j, v := range row {
-				rendered[j] = v.String()
+	if res.Output == nil {
+		return s
+	}
+	s.Rows, s.Columns = res.Output.NumRows(), res.Output.Schema.Names()
+	// Each cell renders as Value.String() does, in three allocations for any
+	// number of rows: a string cell is itself, any other a slice of one
+	// builder sized for them all, and each row a window of one []string.
+	const maxRendered = len("2006-01-02T15:04:05.999999999Z") // a TIME's; FLOAT 24, INT 20
+	in, cells, rendered := res.Output.Rows[:min(rows, s.Rows)], 0, 0
+	for _, row := range in {
+		cells += len(row)
+		for _, v := range row {
+			if v.Kind != data.KindString {
+				rendered += maxRendered
 			}
-			s.Data = append(s.Data, rendered)
 		}
+	}
+	flat, b := make([]string, cells), new(strings.Builder)
+	b.Grow(rendered)
+	s.Data = make([][]string, len(in))
+	for i, row := range in {
+		for j, v := range row {
+			if v.Kind == data.KindString {
+				flat[j] = v.Str()
+				continue
+			}
+			start := b.Len()
+			b.Write(data.AppendValue(make([]byte, 0, maxRendered), v))
+			flat[j] = b.String()[start:]
+		}
+		s.Data[i], flat = flat[:len(row):len(row)], flat[len(row):]
 	}
 	return s
 }
@@ -171,13 +191,42 @@ func convertParams(in map[string]any) (map[string]cloudviews.Value, error) {
 	return out, nil
 }
 
+// jsonContentType is shared; with a capacity of 1, a Header.Add copies it.
+var jsonContentType = []string{"application/json"}
+
+// An encoder is built once with the response indent and writes through to
+// w, so it keeps its indent buffer between responses.
+type encoder struct {
+	enc  *json.Encoder
+	w    http.ResponseWriter
+	last int // bytes of the last document
+}
+
+func (e *encoder) Write(p []byte) (int, error) {
+	e.last = len(p)
+	return e.w.Write(p)
+}
+
+var encoders = sync.Pool{New: func() any {
+	e := &encoder{}
+	e.enc = json.NewEncoder(e)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
 // writeJSON writes one JSON document with the given status.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	e := encoders.Get().(*encoder)
+	e.w = w
+	err := e.enc.Encode(body)
+	e.w = nil
+	// A failed write fails every later Encode, and an encoder keeps a buffer
+	// as large as its last document: pooled again only up to 1 MiB.
+	if err == nil && e.last <= 1<<20 {
+		encoders.Put(e)
+	}
 }
 
 // writeError writes an ErrorResponse; retryAfter > 0 also sets the
