@@ -94,7 +94,7 @@ func compiledView(run *JobRun) string {
 		fmt.Fprintf(&sb, "%s key=%s rows=%v bytes=%v", n.OpName(), cr.Physical[n], est.Rows, est.Bytes)
 		switch x := n.(type) {
 		case *plan.Join:
-			fmt.Fprintf(&sb, " algo=%s", x.Algo)
+			fmt.Fprintf(&sb, " algo=%s", cr.JoinAlgo(x))
 		case *plan.Scan:
 			fmt.Fprintf(&sb, " base=%d", x.BaseRows)
 		}
@@ -369,11 +369,10 @@ OUTPUT r TO "out/r";`
 
 // recurringAllocCeiling bounds the allocations of one submission of a known
 // template after a bulk update, with a new parameter value: lookup, Derive,
-// store, compile, execute over 300 rows, record. Last measured: 117 (119
-// under -race), Go 1.24; the ceiling keeps the 27 of margin it had over 123.
-// Parsing, binding, normalizing or enumerating per job again costs several
-// hundred more.
-const recurringAllocCeiling = 144
+// store, compile, execute over 300 rows, record. Last measured: 53 (53 under
+// -race), Go 1.24; the ceiling keeps 27 of margin. Parsing, binding,
+// normalizing or enumerating per job again costs several hundred more.
+const recurringAllocCeiling = 80
 
 func TestRecurringRecompileAllocCeiling(t *testing.T) {
 	script := `r = SELECT Region, COUNT(*) AS n FROM Events WHERE Value > @lo GROUP BY Region;

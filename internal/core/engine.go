@@ -416,10 +416,10 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			// reuses a view must not replay the accounting of the plan that
 			// computed the subexpression) and none on or above a Spool.
 			SigMap: cr.Physical,
-			// Runtime history sizes each aggregate's group table: the
+			// Runtime history sizes each aggregate's group table (the
 			// statistics feedback reaches the executor, not only the
-			// optimizer's estimates.
-			History: cr,
+			// optimizer's estimates); each join runs the picked algorithm.
+			Compiled: cr,
 			// The vectorized batch path is the production default; its
 			// results and accounting are byte-identical to the row-at-a-time
 			// serial twin (enforced by the exec equivalence tests).
@@ -757,7 +757,7 @@ func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, 
 			}
 		} else if j, isJoin := s.Node.(*plan.Join); isJoin {
 			// Cache-replayed joins still report their chosen algorithm.
-			sr.JoinAlgo = j.Algo.String()
+			sr.JoinAlgo = cr.JoinAlgo(j).String()
 		}
 		rec.Subexprs = append(rec.Subexprs, sr)
 

@@ -302,20 +302,24 @@ type Executor struct {
 	JobID  string
 	// Trace, when set, receives spool-write failure events (nil-safe).
 	Trace *obs.Trace
-	// History, when set, reports what runtime history observed of a node
-	// (optimizer.CompileResult implements it); an aggregate sizes its group
-	// table from it once. nil sizes nothing: tables grow as groups open.
-	History RowHistory
+	// Compiled, when set, is the job's compile result: an aggregate sizes its
+	// group table from it once and a join runs the algorithm it picked. nil
+	// sizes nothing (tables grow as groups open) and leaves joins to evalJoin.
+	Compiled Compiled
 
 	res RunResult
 	s   *scratch // taken on the run's first borrow
 }
 
-// RowHistory reports the mean logical rows runtime history recorded for a plan
-// node's recurring signature; ok is false when the node has never run. A
-// wrong answer costs only growth or spare capacity, never a different result.
-type RowHistory interface {
+// Compiled is what a compile worked out about its plan's nodes
+// (optimizer.CompileResult). ObservedRows reports the mean logical rows
+// runtime history recorded for a node's recurring signature; ok is false when
+// the node has never run. A wrong answer costs only growth or spare capacity,
+// never a different result. JoinAlgo reports the algorithm picked for a join,
+// or JoinAuto for one it did not plan (a ViewScan's fallback).
+type Compiled interface {
 	ObservedRows(n plan.Node) (rows float64, ok bool)
+	JoinAlgo(j *plan.Join) plan.JoinAlgo
 }
 
 // nodeResult is one operator's output, in one of three shapes: a table's
@@ -800,12 +804,15 @@ func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
 	if err != nil {
 		return nodeResult{}, err
 	}
-	// Algo is the optimizer's cost model and picks only the work formula:
-	// every keyed join runs the one probe below, so a job's answer and its row
-	// order never depend on an estimate. JoinAuto, a join the optimizer never
-	// saw, resolves here.
+	// The algorithm is the optimizer's cost model and picks only the work
+	// formula: every keyed join runs the one probe below, so a job's answer
+	// and its row order never depend on an estimate. A join the optimizer
+	// never planned resolves here.
 	ln, rn := l.len(), r.len()
-	algo := x.Algo
+	algo := plan.JoinAuto
+	if ex.Compiled != nil {
+		algo = ex.Compiled.JoinAlgo(x)
+	}
 	if algo == plan.JoinAuto {
 		algo = plan.JoinHash
 		if len(x.LeftKeys) == 0 || min(ln, rn) <= 64 {
@@ -953,10 +960,10 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 // compile-time model guesses a reduction of the logical input, which on a
 // scaled dataset reads thousands of times the groups that arrive.
 func (ex *Executor) groupHint(x *plan.Aggregate, in nodeResult) int {
-	if ex.History == nil || len(x.GroupBy) == 0 || !(in.mult > 0) {
+	if ex.Compiled == nil || len(x.GroupBy) == 0 || !(in.mult > 0) {
 		return 0
 	}
-	rows, ok := ex.History.ObservedRows(x)
+	rows, ok := ex.Compiled.ObservedRows(x)
 	if !ok || !(rows > 0) || math.IsInf(rows, 1) {
 		return 0
 	}

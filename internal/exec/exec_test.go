@@ -101,13 +101,7 @@ func TestJoinAlgorithmsAgree(t *testing.T) {
 			var want *exec.RunResult
 			for _, algo := range []plan.JoinAlgo{plan.JoinHash, plan.JoinMerge, plan.JoinLoop} {
 				what := fmt.Sprintf("%s, %v, vectorized=%v", src, algo, vectorized)
-				c := plan.CloneNode(n)
-				plan.Walk(c, func(m plan.Node) {
-					if j, ok := m.(*plan.Join); ok {
-						j.Algo = algo
-					}
-				})
-				res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(c)
+				res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, Compiled: joinAlgo(algo)}).Run(n)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
@@ -677,12 +671,7 @@ func TestMergeJoinDuplicateKeys(t *testing.T) {
 	q, _ := sqlparser.ParseQuery(`SELECT SaleId FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id`)
 	b := &plan.Binder{Catalog: cat}
 	n, _ := b.BindQuery(q)
-	plan.Walk(n, func(m plan.Node) {
-		if j, ok := m.(*plan.Join); ok {
-			j.Algo = plan.JoinMerge
-		}
-	})
-	ex := &exec.Executor{Catalog: cat}
+	ex := &exec.Executor{Catalog: cat, Compiled: joinAlgo(plan.JoinMerge)}
 	res, err := ex.Run(n)
 	if err != nil {
 		t.Fatal(err)

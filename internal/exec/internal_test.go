@@ -166,10 +166,13 @@ func TestJoinChainsCompareKeys(t *testing.T) {
 	}
 }
 
-// fixedRows is a RowHistory that reports rows for every node.
+// fixedRows is a Compiled that reports rows for every node and planned no
+// join.
 type fixedRows float64
 
 func (f fixedRows) ObservedRows(plan.Node) (float64, bool) { return float64(f), true }
+
+func (fixedRows) JoinAlgo(*plan.Join) plan.JoinAlgo { return plan.JoinAuto }
 
 // TestGroupHintIsClamped: whatever history reports and whatever the input's
 // multiplier, a group table's hint lies in [0, in.len()], and only a positive,
@@ -184,7 +187,7 @@ func TestGroupHintIsClamped(t *testing.T) {
 	for _, rows := range specials {
 		for _, mult := range specials {
 			for _, n := range []int{0, 1, 10} {
-				ex := &Executor{History: fixedRows(rows)}
+				ex := &Executor{Compiled: fixedRows(rows)}
 				h := ex.groupHint(grouped, input(n, mult))
 				if h < 0 || h > n {
 					t.Errorf("rows %v, mult %v, %d input rows: hint %d, want it in [0, %d]", rows, mult, n, h, n)
@@ -200,7 +203,7 @@ func TestGroupHintIsClamped(t *testing.T) {
 		mult   float64
 	}{{5, 60000}, {3, 400}, {1, 1}, {1000, 2}, {37, 1e9}} {
 		observed := float64(int64(float64(c.groups) * math.Sqrt(c.mult)))
-		ex := &Executor{History: fixedRows(observed)}
+		ex := &Executor{Compiled: fixedRows(observed)}
 		if h := ex.groupHint(grouped, input(5000, c.mult)); h != c.groups {
 			t.Errorf("%d groups at mult %v (RowsOut %v): hint %d", c.groups, c.mult, observed, h)
 		}
@@ -208,7 +211,7 @@ func TestGroupHintIsClamped(t *testing.T) {
 	if h := (&Executor{}).groupHint(grouped, input(10, 1)); h != 0 {
 		t.Errorf("no history: hint %d", h)
 	}
-	if h := (&Executor{History: fixedRows(5)}).groupHint(&plan.Aggregate{}, input(10, 1)); h != 0 {
+	if h := (&Executor{Compiled: fixedRows(5)}).groupHint(&plan.Aggregate{}, input(10, 1)); h != 0 {
 		t.Errorf("no GROUP BY: hint %d", h)
 	}
 }

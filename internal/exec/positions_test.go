@@ -124,15 +124,15 @@ func (c parentCase) positional(p producer) bool {
 
 // plan binds the case over p (with residual) and returns it with the
 // producer — the innermost join, or the filter — and the producer's
-// selections, the filters a join reads; every join runs algo.
-func (c parentCase) plan(t *testing.T, cat *catalog.Catalog, p producer, residual string, algo plan.JoinAlgo) (root, prod plan.Node, sels []plan.Node) {
+// selections, the filters a join reads.
+func (c parentCase) plan(t *testing.T, cat *catalog.Catalog, p producer, residual string) (root, prod plan.Node, sels []plan.Node) {
 	t.Helper()
 	root = bindQuery(t, cat, fmt.Sprintf(c.src, fmt.Sprintf(p.src, residual)))
 	var filters []plan.Node
 	plan.Walk(root, func(m plan.Node) {
 		switch x := m.(type) {
 		case *plan.Join:
-			x.Algo, prod = algo, x
+			prod = x
 		case *plan.Filter:
 			if _, ok := x.Child.(*plan.Scan); ok {
 				filters = append(filters, x)
@@ -162,7 +162,7 @@ type positionsRun struct {
 	spool      *data.Table
 }
 
-func runPositions(t *testing.T, cat *catalog.Catalog, root, prod plan.Node, sels []plan.Node, vectorized bool) positionsRun {
+func runPositions(t *testing.T, cat *catalog.Catalog, root, prod plan.Node, sels []plan.Node, algo plan.JoinAlgo, vectorized bool) positionsRun {
 	t.Helper()
 	signer := &signature.Signer{EngineVersion: "positions"}
 	sigs := map[plan.Node]signature.Sig{}
@@ -171,7 +171,7 @@ func runPositions(t *testing.T, cat *catalog.Catalog, root, prod plan.Node, sels
 	}
 	cache := exec.NewCache()
 	store := &fakeStore{views: map[signature.Sig]*fakeView{}}
-	ex := &exec.Executor{Catalog: cat, Views: store, Cache: cache, SigMap: sigs, Vectorized: vectorized}
+	ex := &exec.Executor{Catalog: cat, Views: store, Cache: cache, SigMap: sigs, Vectorized: vectorized, Compiled: joinAlgo(algo)}
 	res, err := ex.Run(root)
 	if err != nil {
 		t.Fatal(err)
@@ -243,9 +243,9 @@ func requirePositionsMatrix(t *testing.T) {
 							}
 							cat := cats[k]
 							what := fmt.Sprintf("%s, %d rows, %v, residual %q, %s, %s at row %d", p.what, n, algo, residual, c.what, sp.bad, sp.at)
-							root, prod, sels := c.plan(t, cat, p, residual, algo)
-							row := runPositions(t, cat, root, prod, sels, false)
-							vec := runPositions(t, cat, root, prod, sels, true)
+							root, prod, sels := c.plan(t, cat, p, residual)
+							row := runPositions(t, cat, root, prod, sels, algo, false)
+							vec := runPositions(t, cat, root, prod, sels, algo, true)
 							requireRunsEqual(t, what, row.res, vec.res)
 							if row.prod == nil || row.prod.Pos != nil || row.stored != len(sels) || row.selections != 0 {
 								t.Fatalf("%s: the row loops did not store every result as rows", what)
@@ -299,7 +299,7 @@ func TestJoinPairsAreNeverCached(t *testing.T) {
 		`SELECT V, SUM(C) AS s FROM %[1]s GROUP BY V`,
 		`SELECT B, COUNT(*) AS n, MIN(A) AS lo FROM %[1]s GROUP BY B`,
 	} {
-		root, join, _ := parentCase{src: src}.plan(t, cat, producers[1], "", plan.JoinAuto)
+		root, join, _ := parentCase{src: src}.plan(t, cat, producers[1], "")
 		want, err := (&exec.Executor{Catalog: cat}).Run(root)
 		if err != nil {
 			t.Fatal(err)
@@ -441,14 +441,9 @@ func TestPositionsCostOnlyTheirIndices(t *testing.T) {
 			// producer handed over and the groups.
 			run := func(src string) (func(), func() (int64, int64)) {
 				n := bindQuery(t, cat, src)
-				plan.Walk(n, func(m plan.Node) {
-					if j, ok := m.(*plan.Join); ok {
-						j.Algo = algo
-					}
-				})
 				var res *exec.RunResult
 				return func() {
-						if res, err = (&exec.Executor{Catalog: cat, Vectorized: true}).Run(n); err != nil {
+						if res, err = (&exec.Executor{Catalog: cat, Vectorized: true, Compiled: joinAlgo(algo)}).Run(n); err != nil {
 							t.Fatal(err)
 						}
 					}, func() (rows, groups int64) {

@@ -571,12 +571,12 @@ func groupTableAllocs(t *testing.T, vectorized, hinted bool) [2]float64 {
 		if got := opBatches(t, "aggregate", res, "Aggregate") > 0; got != vectorized {
 			t.Fatalf("vectorized=%v: the aggregate ran on the kernels = %v", vectorized, got)
 		}
-		var history exec.RowHistory
+		var history exec.Compiled
 		if hinted {
 			history = exactRows(res)
 		}
 		allocs[i] = testing.AllocsPerRun(5, func() {
-			if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, History: history}).Run(n); err != nil {
+			if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, Compiled: history}).Run(n); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -615,7 +615,7 @@ func TestGroupCostsItsOutputRow(t *testing.T) {
 			}
 			history := exactRows(res)
 			runs[i] = func() {
-				if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, History: history}).Run(n); err != nil {
+				if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, Compiled: history}).Run(n); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -631,13 +631,24 @@ func TestGroupCostsItsOutputRow(t *testing.T) {
 	}
 }
 
-// observedRows is an exec.RowHistory that reports fixed rows per node.
+// observedRows is an exec.Compiled that reports fixed rows per node and
+// planned no join.
 type observedRows map[plan.Node]float64
 
 func (o observedRows) ObservedRows(n plan.Node) (float64, bool) {
 	rows, ok := o[n]
 	return rows, ok
 }
+
+func (observedRows) JoinAlgo(*plan.Join) plan.JoinAlgo { return plan.JoinAuto }
+
+// joinAlgo is an exec.Compiled that planned every join with one algorithm
+// and has seen no node run.
+type joinAlgo plan.JoinAlgo
+
+func (joinAlgo) ObservedRows(plan.Node) (float64, bool) { return 0, false }
+
+func (a joinAlgo) JoinAlgo(*plan.Join) plan.JoinAlgo { return plan.JoinAlgo(a) }
 
 // hintsFrom reports f of each aggregate's RowsOut in res: with f the
 // identity, what history holds after res.
@@ -675,9 +686,9 @@ func TestWrongHintNeverChangesAnAnswer(t *testing.T) {
 	check := func(label string, cat *catalog.Catalog, views exec.ViewStore, n plan.Node) {
 		t.Helper()
 		for _, vectorized := range []bool{false, true} {
-			run := func(h exec.RowHistory) *exec.RunResult {
+			run := func(h exec.Compiled) *exec.RunResult {
 				t.Helper()
-				res, err := (&exec.Executor{Catalog: cat, Views: views, Vectorized: vectorized, History: h}).Run(n)
+				res, err := (&exec.Executor{Catalog: cat, Views: views, Vectorized: vectorized, Compiled: h}).Run(n)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -1107,13 +1118,8 @@ func TestJoinOutputIsAllocatedOnce(t *testing.T) {
 				var out *data.Table
 				run := func(src string) func() {
 					n := bindQuery(t, cat, src)
-					plan.Walk(n, func(m plan.Node) {
-						if j, ok := m.(*plan.Join); ok {
-							j.Algo = algo
-						}
-					})
 					return func() {
-						res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized}).Run(n)
+						res, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, Compiled: joinAlgo(algo)}).Run(n)
 						if err != nil {
 							t.Fatal(err)
 						}

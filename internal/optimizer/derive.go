@@ -149,7 +149,7 @@ func (o *Optimizer) Derive(t *Prepared, cat *catalog.Catalog, params map[string]
 		return nil
 	}
 	n := len(t.Subs)
-	d := &Prepared{Subs: make([]signature.Subexpr, n), Tag: t.Tag, index: make(map[plan.Node]int, n)}
+	d := &Prepared{Subs: make([]signature.Subexpr, n), Tag: t.Tag}
 	d.params = make([]plan.Param, len(t.params))
 	for i, p := range t.params {
 		v, ok := params[p.Name]
@@ -160,16 +160,11 @@ func (o *Optimizer) Derive(t *Prepared, cat *catalog.Catalog, params map[string]
 	}
 	copy(d.Subs, t.Subs)
 	for i := range t.Subs {
-		// Subs is in post-order: the last input of node i is node i-1, and a
-		// first of two sits before the whole subtree of the second.
 		var buf [2]plan.Node
 		var strict [2]signature.Sig
 		in := plan.Inputs(t.Subs[i].Node, &buf)
 		for k := range in {
-			c := i - 1
-			if k == 0 && len(in) == 2 {
-				c -= t.Subs[c].NodeCount
-			}
+			c := signature.InputPos(t.Subs, i, k)
 			in[k], strict[k] = d.Subs[c].Node, d.Subs[c].Strict
 		}
 		attrs, m := rendered[i], t.Subs[i].Node
@@ -197,7 +192,6 @@ func (o *Optimizer) Derive(t *Prepared, cat *catalog.Catalog, params map[string]
 		}
 		d.Subs[i].Node = m
 		d.Subs[i].Strict = o.Signer.StrictOf(m, attrs, strict[:len(in)])
-		d.index[m] = i
 	}
 	d.Plan = d.Subs[n-1].Node
 	return d

@@ -82,8 +82,8 @@ type CompileResult struct {
 }
 
 // ObservedRows returns the mean logical rows runtime history recorded for
-// node n of the final plan, found in Subs by its recurring signature: the
-// executor's exec.RowHistory. A node history has not seen, or one outside
+// node n of the final plan, found in Subs by its recurring signature (half of
+// the executor's exec.Compiled). A node history has not seen, or one outside
 // Subs, reports nothing; the compile-time model's estimate never answers.
 func (cr *CompileResult) ObservedRows(n plan.Node) (float64, bool) {
 	if cr.history == nil {
@@ -124,10 +124,10 @@ func (o *Optimizer) maxViews() int {
 // result-cache key is its strict signature in Subs.
 type Prepared struct {
 	Plan plan.Node
+	// Subs has exactly one entry per node of Plan, in post-order: a job finds
+	// a node's entry by position (signature.InputPos).
 	Subs []signature.Subexpr
 	Tag  signature.Tag
-	// index is the position in Subs of every enumerated node of Plan.
-	index map[plan.Node]int
 	// params is every parameter reference of the bound script, with the value
 	// this Prepared was built with.
 	params []plan.Param
@@ -149,16 +149,11 @@ type Prepared struct {
 func (o *Optimizer) Prepare(root plan.Node) *Prepared {
 	p := Rewrite(root)
 	subs := o.Signer.Subexpressions(p)
-	prep := &Prepared{
+	return &Prepared{
 		Plan: p, Subs: subs,
 		Tag:    signature.TagForTemplate(subs[len(subs)-1].Recurring),
-		index:  make(map[plan.Node]int, len(subs)),
 		params: boundParams(root),
 	}
-	for i := range subs {
-		prep.index[subs[i].Node] = i
-	}
-	return prep
 }
 
 // Compile runs the full pipeline: rewrites → annotation fetch → top-down view
@@ -171,10 +166,8 @@ func (o *Optimizer) Compile(root plan.Node, opts CompileOptions) *CompileResult 
 // CompilePrepared runs the per-job half of Compile over a prepared plan.
 func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *CompileResult {
 	res := &CompileResult{Tag: prep.Tag, history: o.History}
-	// The job reads the prepared plan in place; known carries the prepared
-	// signatures over to the nodes it rebuilds above a substitution and to
-	// its own copies of the joins it will write.
-	known := &jobNodes{prep: prep, own: map[plan.Node]int{}}
+	// The job reads the prepared plan in place and writes none of it; it owns
+	// only the nodes it rebuilds above a substitution.
 	p := prep.Plan
 
 	var disabledBy string
@@ -207,79 +200,33 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 	if enabled {
 		// Core search: top-down enumeration for matching views (larger
 		// subexpressions first).
-		p = o.matchViews(p, opts, annSet, known, res)
+		p = o.matchViews(p, prep.Subs, opts, annSet, res)
 		// Follow-up optimization: bottom-up enumeration for building views.
-		p = o.buildViews(p, opts, annSet, known, res)
+		p = o.buildViews(p, prep.Subs, opts, annSet, res)
 	}
 	o.Trace.Span("optimize", 0)
-	p = known.ownJoins(p)
 
 	// One walk enumerates the rewritten plan and keys it: only what sits on
 	// or above a substituted ViewScan or Spool is signed here.
-	res.Subs, res.Physical = o.Signer.Sign(p, known.sub)
+	res.Subs, res.Physical = o.Signer.Sign(p, prep.Subs)
 
-	// Statistics refresh + physical planning.
+	// Statistics refresh; physical planning reads the estimates (JoinAlgo).
 	res.Estimates = o.estimateWithHistory(p, res.Subs)
-	chooseJoinAlgorithms(p, res.Estimates)
 
 	res.Plan = p
 	return res
 }
 
-// jobNodes resolves a node of a job's plan to what the prepared entry holds
-// for the node it stands for: a shared prepared node for itself, one of the
-// job's own for the node it was copied from or rebuilt over (ViewScan and
-// Spool are transparent to strict and recurring signatures).
-type jobNodes struct {
-	prep *Prepared
-	own  map[plan.Node]int // the job's own nodes → position in prep.Subs
-}
-
-func (k *jobNodes) index(n plan.Node) (int, bool) {
-	if i, ok := k.own[n]; ok {
-		return i, true
-	}
-	i, ok := k.prep.index[n]
-	return i, ok
-}
-
-// sub returns n's enumeration entry, nil for a substituted ViewScan or Spool.
-func (k *jobNodes) sub(n plan.Node) *signature.Subexpr {
-	if i, ok := k.index(n); ok {
-		return &k.prep.Subs[i]
-	}
-	return nil
-}
-
-// adopt records that the job's node m stands for what n stands for.
-func (k *jobNodes) adopt(m, n plan.Node) {
-	if i, ok := k.index(n); ok {
-		k.own[m] = i
-	}
-}
-
-// ownJoins gives the job its own copy of every JoinAuto join left in its
-// plan, whose Algo physical planning writes, and so of every node above one;
-// all other subtrees stay shared with the prepared plan and are only read.
-func (k *jobNodes) ownJoins(n plan.Node) plan.Node {
-	m := k.mapInputs(n, k.ownJoins)
-	_, mine := k.own[m] // a node the job rebuilt is its own already
-	if j, isJoin := m.(*plan.Join); isJoin && !mine && j.Algo == plan.JoinAuto {
-		cp := *j
-		k.adopt(&cp, n)
-		return &cp
-	}
-	return m
-}
-
-// mapInputs maps rec over n's inputs and rebuilds n, as a node standing for
-// the same subexpression, only if one changed.
-func (k *jobNodes) mapInputs(n plan.Node, rec func(plan.Node) plan.Node) plan.Node {
-	m := plan.MapInputs(n, rec)
-	if m != n {
-		k.adopt(m, n)
-	}
-	return m
+// mapInputs maps rec over the inputs of n, the node at position i of a
+// Prepared's subs, handing each its own position, and rebuilds n only if one
+// changed.
+func mapInputs(n plan.Node, subs []signature.Subexpr, i int, rec func(plan.Node, int) plan.Node) plan.Node {
+	k := 0 // plan.MapInputs calls once per input, left to right
+	return plan.MapInputs(n, func(c plan.Node) plan.Node {
+		c = rec(c, signature.InputPos(subs, i, k))
+		k++
+		return c
+	})
 }
 
 // matchViews replaces available materialized subexpressions with ViewScans,
@@ -287,11 +234,11 @@ func (k *jobNodes) mapInputs(n plan.Node, rec func(plan.Node) plan.Node) plan.No
 // if its cost is lower (with runtime history this reduces to comparing the
 // view read cost against the observed recompute cost). Every candidate it
 // considers leaves exactly one explain decision.
-func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, known *jobNodes, res *CompileResult) plan.Node {
-	var rec func(n plan.Node) plan.Node
-	rec = func(n plan.Node) plan.Node {
-		s := known.sub(n)
-		if s != nil && s.Eligibility == signature.EligibleOK && o.Store != nil {
+func (o *Optimizer) matchViews(root plan.Node, subs []signature.Subexpr, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, res *CompileResult) plan.Node {
+	var rec func(n plan.Node, i int) plan.Node
+	rec = func(n plan.Node, i int) plan.Node {
+		s := &subs[i]
+		if s.Eligibility == signature.EligibleOK && o.Store != nil {
 			view, state := o.Store.Status(s.Strict)
 			switch {
 			case state == storage.StateAbsent || state == storage.StatePending:
@@ -343,9 +290,9 @@ func (o *Optimizer) matchViews(root plan.Node, opts CompileOptions, annSet map[s
 				}
 			}
 		}
-		return known.mapInputs(n, rec)
+		return mapInputs(n, subs, i, rec)
 	}
-	return rec(root)
+	return rec(root, len(subs)-1)
 }
 
 // viewWins decides whether scanning the materialized view beats recomputing
@@ -383,20 +330,21 @@ func (o *Optimizer) savedIfExplaining(n plan.Node, recurring signature.Sig, view
 
 // buildViews inserts Spool operators (bottom-up) on selected subexpressions
 // that are not yet materialized, acquiring the insights view lock so exactly
-// one concurrent job builds each artifact.
-func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, known *jobNodes, res *CompileResult) plan.Node {
+// one concurrent job builds each artifact. A ViewScan in root stands for the
+// position in subs it replaced.
+func (o *Optimizer) buildViews(root plan.Node, subs []signature.Subexpr, opts CompileOptions, annSet map[signature.Sig]insights.Annotation, res *CompileResult) plan.Node {
 	if len(annSet) == 0 || o.Store == nil {
 		return root
 	}
 	built := 0
-	var rec func(n plan.Node) plan.Node
-	rec = func(n plan.Node) plan.Node {
-		n = known.mapInputs(n, rec)
+	var rec func(n plan.Node, i int) plan.Node
+	rec = func(n plan.Node, i int) plan.Node {
+		n = mapInputs(n, subs, i, rec)
 		switch n.(type) {
-		case *plan.Spool, *plan.ViewScan, *plan.Output:
+		case *plan.ViewScan, *plan.Output:
 			return n
 		}
-		s := known.sub(n)
+		s := &subs[i]
 		if s.Eligibility != signature.EligibleOK {
 			return n
 		}
@@ -431,7 +379,7 @@ func (o *Optimizer) buildViews(root plan.Node, opts CompileOptions, annSet map[s
 		res.Proposed = append(res.Proposed, ProposedView{Strict: s.Strict, Recurring: s.Recurring, Path: path})
 		return &plan.Spool{Child: n, StrictSig: string(s.Strict), Path: path, VC: opts.VC}
 	}
-	return rec(root)
+	return rec(root, len(subs)-1)
 }
 
 // estimateWithHistory folds compile-time estimates bottom-up but overrides

@@ -23,26 +23,26 @@ const (
 	MaxStageWidth = 256
 )
 
-// chooseJoinAlgorithms assigns a physical algorithm to every auto join based
-// on the (history-refreshed) estimates.
-func chooseJoinAlgorithms(root plan.Node, est map[plan.Node]stats.Estimate) {
-	plan.Walk(root, func(n plan.Node) {
-		j, ok := n.(*plan.Join)
-		if !ok || j.Algo != plan.JoinAuto {
-			return
-		}
-		l, r := est[j.L], est[j.R]
-		switch {
-		case len(j.LeftKeys) == 0:
-			j.Algo = plan.JoinLoop
-		case math.Min(l.Rows, r.Rows) <= loopJoinRows:
-			j.Algo = plan.JoinLoop
-		case l.Rows >= mergeJoinRows && r.Rows >= mergeJoinRows:
-			j.Algo = plan.JoinMerge
-		default:
-			j.Algo = plan.JoinHash
-		}
-	})
+// JoinAlgo is the physical algorithm for join j of the final plan, picked
+// from its inputs' (history-refreshed) estimates: the other half of the
+// executor's exec.Compiled, and the algorithm a job's record reports. A join
+// outside the final plan, one under a ViewScan's fallback, was not planned and
+// is JoinAuto.
+func (cr *CompileResult) JoinAlgo(j *plan.Join) plan.JoinAlgo {
+	if _, planned := cr.Estimates[j]; !planned {
+		return plan.JoinAuto
+	}
+	l, r := cr.Estimates[j.L], cr.Estimates[j.R]
+	switch {
+	case len(j.LeftKeys) == 0:
+		return plan.JoinLoop
+	case math.Min(l.Rows, r.Rows) <= loopJoinRows:
+		return plan.JoinLoop
+	case l.Rows >= mergeJoinRows && r.Rows >= mergeJoinRows:
+		return plan.JoinMerge
+	default:
+		return plan.JoinHash
+	}
 }
 
 // Stage is one schedulable unit of a physical plan: a single operator with a

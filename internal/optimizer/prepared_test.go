@@ -145,23 +145,30 @@ func sameSubs(a, b []signature.Subexpr, onePlan bool) bool {
 // annotated with the build budget spent, annotated and unbuilt (proposed),
 // sealed (matched) — in two identical worlds: one compiles each job from its
 // bound root, the other from one Prepared per template, shared by all of the
-// template's compiles. The two must agree on every observable product, the
-// enumeration each compile carried over substitutions must equal a cold
-// signing of its final plan, and the shared Prepared must come out unwritten.
+// template's compiles. The two must agree on every observable product, join
+// algorithms included, the enumeration each compile carried over
+// substitutions must equal a cold signing of its final plan, and the shared
+// Prepared must come out unwritten. Every prepared entry's inputs are where
+// signature.InputPos says they are, and a join under a ViewScan's fallback
+// is left to the executor (JoinAuto), as it was when physical planning
+// walked the plan and never reached a fallback.
 func TestCompilePreparedMatchesScratch(t *testing.T) {
 	scratch, shared := newGenWorld(t), newGenWorld(t)
 	signer := shared.opt.Signer
-	matched, proposed, budget := 0, 0, 0
+	matched, proposed, budget, inputs, fallbackJoins := 0, 0, 0, 0, 0
 	for i, in := range shared.jobs {
 		prep := shared.opt.Prepare(shared.roots[i])
 		wantPlan := plan.Format(prep.Plan)
 		wantSubs := signer.Subexpressions(prep.Plan)
-		var wantAlgos []plan.JoinAlgo
-		plan.Walk(prep.Plan, func(n plan.Node) {
-			if j, ok := n.(*plan.Join); ok {
-				wantAlgos = append(wantAlgos, j.Algo)
+		for p := range prep.Subs {
+			var buf [2]plan.Node
+			for k, c := range plan.Inputs(prep.Subs[p].Node, &buf) {
+				if at := signature.InputPos(prep.Subs, p, k); prep.Subs[at].Node != c {
+					t.Fatalf("%s: input %d of entry %d (%s) is entry %d, InputPos names %d (%s)", in.ID, k, p, prep.Subs[p].Op, at, at, prep.Subs[at].Op)
+				}
+				inputs++
 			}
-		})
+		}
 
 		step := func(state string, maxViews int, run bool) {
 			id := in.ID + "/" + state
@@ -184,6 +191,21 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 			if a.trace != b.trace {
 				t.Fatalf("%s: traces differ:\n%s\n%s", id, a.trace, b.trace)
 			}
+			if ja, jb := joinAlgos(a.cr), joinAlgos(b.cr); !reflect.DeepEqual(ja, jb) {
+				t.Fatalf("%s: join algorithms differ: %v vs %v", id, ja, jb)
+			}
+			plan.Walk(b.cr.Plan, func(n plan.Node) {
+				if v, ok := n.(*plan.ViewScan); ok {
+					plan.Walk(v.Fallback, func(m plan.Node) {
+						if j, ok := m.(*plan.Join); ok {
+							fallbackJoins++
+							if algo := b.cr.JoinAlgo(j); algo != plan.JoinAuto {
+								t.Fatalf("%s: a join under a ViewScan's fallback was planned as %v", id, algo)
+							}
+						}
+					})
+				}
+			})
 			for _, c := range []compiled{a, b} {
 				if cold := signer.Subexpressions(c.cr.Plan); !sameSubs(c.cr.Subs, cold, true) {
 					t.Fatalf("%s: carried enumeration differs from a cold signing:\ncarried: %+v\ncold:    %+v", id, c.cr.Subs, cold)
@@ -219,20 +241,22 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 		if !sameSubs(prep.Subs, wantSubs, true) {
 			t.Fatalf("%s: shared prepared enumeration was written", in.ID)
 		}
-		var algos []plan.JoinAlgo
-		plan.Walk(prep.Plan, func(n plan.Node) {
-			if j, ok := n.(*plan.Join); ok {
-				algos = append(algos, j.Algo)
-			}
-		})
-		if !reflect.DeepEqual(algos, wantAlgos) {
-			t.Fatalf("%s: a join algorithm was chosen on the shared plan: %v, was %v", in.ID, algos, wantAlgos)
+	}
+	t.Logf("%d templates: %d matched, %d proposed, %d budget decisions, %d inputs placed, %d joins under fallbacks", len(shared.jobs), matched, proposed, budget, inputs, fallbackJoins)
+	if matched == 0 || proposed == 0 || budget == 0 || inputs == 0 || fallbackJoins == 0 {
+		t.Fatalf("vacuous: matched=%d proposed=%d budget decisions=%d inputs=%d fallback joins=%d over %d templates", matched, proposed, budget, inputs, fallbackJoins, len(shared.jobs))
+	}
+}
+
+// joinAlgos lists the algorithm cr picked for each join of its plan, in walk
+// order.
+func joinAlgos(cr *optimizer.CompileResult) (out []plan.JoinAlgo) {
+	plan.Walk(cr.Plan, func(n plan.Node) {
+		if j, ok := n.(*plan.Join); ok {
+			out = append(out, cr.JoinAlgo(j))
 		}
-	}
-	t.Logf("%d templates: %d matched, %d proposed, %d budget decisions", len(shared.jobs), matched, proposed, budget)
-	if matched == 0 || proposed == 0 || budget == 0 {
-		t.Fatalf("vacuous: matched=%d proposed=%d budget decisions=%d over %d templates", matched, proposed, budget, len(shared.jobs))
-	}
+	})
+	return out
 }
 
 // TestPhysicalKnownMatchesScratch walks every generator template through the
@@ -301,7 +325,7 @@ func TestPhysicalKnownMatchesScratch(t *testing.T) {
 // TestConcurrentCompilesFromOnePrepared: goroutines compile join-bearing
 // templates from one Prepared each while its views are sealed, half of them
 // opted in (a ViewScan is substituted and everything above it rebuilt), half
-// with the VC's jobs opted out (the joins stay and get their algorithms).
+// with the VC's jobs opted out (the joins stay, shared).
 // Each compile must carry over exactly what a cold signing of its plan
 // gives, and the Prepared must come out equal to a fresh one; under -race a
 // write to it is reported.
@@ -359,11 +383,6 @@ func TestConcurrentCompilesFromOnePrepared(t *testing.T) {
 		if plan.Format(prep.Plan) != plan.Format(fresh.Plan) || !sameSubs(prep.Subs, fresh.Subs, false) || prep.Tag != fresh.Tag {
 			t.Errorf("%s: the shared Prepared differs from a fresh one", in.ID)
 		}
-		plan.Walk(prep.Plan, func(n plan.Node) {
-			if j, ok := n.(*plan.Join); ok && j.Algo != plan.JoinAuto {
-				t.Errorf("%s: a join algorithm (%s) was chosen on the shared plan", in.ID, j.Algo)
-			}
-		})
 	}
 	if tried == 0 {
 		t.Fatal("no join-bearing template")

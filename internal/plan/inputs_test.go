@@ -31,7 +31,7 @@ func TestInputsMatchesChildren(t *testing.T) {
 		a, b,
 		&plan.Filter{Pred: x, Child: a},
 		&plan.Project{Exprs: []plan.Expr{x}, Names: []string{"x"}, Child: a},
-		&plan.Join{LeftKeys: []plan.Expr{x}, RightKeys: []plan.Expr{x}, Residual: x, L: a, R: b, Algo: plan.JoinMerge},
+		&plan.Join{LeftKeys: []plan.Expr{x}, RightKeys: []plan.Expr{x}, Residual: x, L: a, R: b},
 		plan.NewAggregate([]plan.Expr{x}, []string{"x"}, []plan.AggSpec{{Kind: plan.AggSum, Arg: x, Name: "s"}}, a),
 		&plan.Union{L: b, R: a},
 		&plan.UDO{Name: "u", Depends: []string{"lib"}, Nondet: true, Child: a, Out: schema},

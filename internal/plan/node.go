@@ -50,15 +50,12 @@ type Join struct {
 	RightKeys []Expr
 	Residual  Expr
 	L, R      Node
-	// Algo is the physical algorithm chosen by the optimizer. It is a
-	// physical property and deliberately excluded from Attrs: plans that
-	// differ only in join implementation share logical signatures (the paper
-	// reuses "the exact same logical query subexpressions, although they can
-	// have different physical implementations").
-	Algo JoinAlgo
 }
 
-// JoinAlgo enumerates physical join implementations.
+// JoinAlgo enumerates physical join implementations. A job's compile result
+// picks one (optimizer.CompileResult.JoinAlgo); the logical plan holds none,
+// as the paper reuses "the exact same logical query subexpressions, although
+// they can have different physical implementations".
 type JoinAlgo uint8
 
 const (
@@ -380,7 +377,8 @@ func WithInputs(n Node, in []Node) Node {
 }
 
 // MapInputs returns n with each input c replaced by fn(c): n itself when fn
-// returns every input unchanged, else a WithInputs copy.
+// returns every input unchanged, else a WithInputs copy. fn is called once per
+// input, left to right.
 func MapInputs(n Node, fn func(Node) Node) Node {
 	var buf, out [2]Node
 	in := Inputs(n, &buf)

@@ -60,7 +60,7 @@ func TestResultCacheKeysMatchReference(t *testing.T) {
 		byKey, byRef := map[signature.Sig]signature.Sig{}, map[signature.Sig]signature.Sig{}
 		plans, keyed, viewed, spooled, drawn := 0, 0, 0, 0, 0
 		for _, root := range corpus.roots {
-			substitutions(root, func(op string, derived plan.Node, _ map[plan.Node]*signature.Subexpr) {
+			substitutions(root, func(op string, derived plan.Node, _ []signature.Subexpr) {
 				plans++
 				keys, refs := signer.Physical(derived), signature.ReferencePhysical(signer, derived)
 				here := 0

@@ -183,6 +183,19 @@ func TagForTemplate(template Sig) Tag {
 	return Tag("tag-" + template.Short())
 }
 
+// InputPos returns the position in subs of input k of the node at position i:
+// i-1 for its last input, and for the first of two the position before the
+// second's whole subtree (a node of two inputs counts more than one node
+// beyond its last). subs must hold exactly one entry per node, in post-order,
+// as the enumeration of a plan with no Spool and no ViewScan does.
+func InputPos(subs []Subexpr, i, k int) int {
+	c := i - 1
+	if k == 0 && subs[c].NodeCount < subs[i].NodeCount-1 {
+		c -= subs[c].NodeCount
+	}
+	return c
+}
+
 // Physical computes every node's result-cache key (see Sign).
 func (s *Signer) Physical(root plan.Node) map[plan.Node]Sig {
 	_, keys := s.Sign(root, nil)
@@ -225,18 +238,17 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 //     draws to another. The node is judged on its own, whatever made its
 //     inputs ineligible.
 //
-// known, when not nil, serves a plan derived from one already enumerated: it
-// returns the entry of the node n stands for — itself, the original of a copy,
-// or the original of a node rebuilt above a substituted ViewScan or Spool,
-// whose identity the substitution leaves unchanged — and nil for a node it has
-// no entry for. A node with an entry takes its signatures and eligibility
-// without rendering attributes or hashing, and its InputDatasets unless a
-// ViewScan sits at or below it; only Height, NodeCount and Parent are
-// recomputed, and only a node on or above a ViewScan hashes its key. The rest
-// are signed afresh, each rendered into its hash's stack buffer.
-func (s *Signer) Sign(root plan.Node, known func(plan.Node) *Subexpr) ([]Subexpr, map[plan.Node]Sig) {
+// prepared, when not nil, is the enumeration (see InputPos) of the plan root
+// was derived from by substituting ViewScans and Spools and rebuilding what
+// is above them. Each node's position in it is carried down from the root: a
+// Spool passes its own to its child, a ViewScan stands for the one it
+// replaced. A node takes its entry's signatures and eligibility without
+// rendering or hashing, and its InputDatasets unless a ViewScan sits at or
+// below it; only a node on or above a ViewScan hashes its key. With prepared
+// nil every node is signed afresh, rendered into its hash's stack buffer.
+func (s *Signer) Sign(root plan.Node, prepared []Subexpr) ([]Subexpr, map[plan.Node]Sig) {
 	keys := make(map[plan.Node]Sig, plan.CountNodes(root))
-	return s.sign(root, known, keys), keys
+	return s.sign(root, prepared, keys), keys
 }
 
 // signed is what sign passes from a node up to its parent.
@@ -253,13 +265,13 @@ type signed struct {
 }
 
 // sign is Sign, filling keys when it is not nil.
-func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[plan.Node]Sig) []Subexpr {
+func (s *Signer) sign(root plan.Node, prepared []Subexpr, keys map[plan.Node]Sig) []Subexpr {
 	out := make([]Subexpr, 0, plan.CountNodes(root))
-	var rec func(n plan.Node) signed
-	rec = func(n plan.Node) signed {
+	var rec func(n plan.Node, at int) signed // at: n's position in prepared
+	rec = func(n plan.Node, at int) signed {
 		switch x := n.(type) {
 		case *plan.Spool:
-			r := rec(x.Child)
+			r := rec(x.Child, at)
 			r.key, r.spool = "", true
 			return r
 		case *plan.ViewScan:
@@ -281,8 +293,8 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 			return r
 		}
 		var k *Subexpr
-		if known != nil {
-			k = known(n)
+		if prepared != nil {
+			k = &prepared[at]
 		}
 		var strictBuf, recurBuf, keyBuf [2]Sig
 		strictIn, recurIn, keyIn := strictBuf[:0], recurBuf[:0], keyBuf[:0]
@@ -292,8 +304,12 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 		var dsBuf [2][]string
 		childDatasets := dsBuf[:0]
 		var buf [2]plan.Node
-		for _, c := range plan.Inputs(n, &buf) {
-			cr := rec(c)
+		for i, c := range plan.Inputs(n, &buf) {
+			ci := -1
+			if k != nil {
+				ci = InputPos(prepared, at, i)
+			}
+			cr := rec(c, ci)
 			if k == nil {
 				strictIn, recurIn = append(strictIn, cr.strict), append(recurIn, cr.recur)
 			}
@@ -379,7 +395,7 @@ func (s *Signer) sign(root plan.Node, known func(plan.Node) *Subexpr, keys map[p
 		}
 		return r
 	}
-	rec(root)
+	rec(root, len(prepared)-1)
 	return out
 }
 

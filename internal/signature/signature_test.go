@@ -243,11 +243,7 @@ func TestNondeterministicNodesHaveNoKey(t *testing.T) {
 	} {
 		root := &plan.Output{Target: "out/x", Child: bindQuery(t, c.src, nil)}
 		cold, keys := signer.Sign(root, nil)
-		known := map[plan.Node]*signature.Subexpr{}
-		for i := range cold {
-			known[cold[i].Node] = &cold[i]
-		}
-		carried, carriedKeys := signer.Sign(root, func(n plan.Node) *signature.Subexpr { return known[n] })
+		carried, carriedKeys := signer.Sign(root, cold)
 		drawn := false
 		for i, sub := range cold {
 			_, has := keys[sub.Node]
@@ -303,23 +299,22 @@ func TestSigShort(t *testing.T) {
 }
 
 // substitute rewrites root as the optimizer does: mk replaces every topmost
-// subexpression pick selects, ancestors are rebuilt, and known — seeded with
-// root's own enumeration — lets each rebuilt node inherit its original's entry.
-func substitute(root plan.Node, cold []signature.Subexpr, pick func(signature.Subexpr) bool, mk func(plan.Node, signature.Subexpr) plan.Node) (plan.Node, map[plan.Node]*signature.Subexpr) {
-	known := make(map[plan.Node]*signature.Subexpr, len(cold))
-	for i := range cold {
-		known[cold[i].Node] = &cold[i]
-	}
-	var rec func(n plan.Node) plan.Node
-	rec = func(n plan.Node) plan.Node {
-		if s := known[n]; s.Eligibility == signature.EligibleOK && pick(*s) {
-			return mk(n, *s)
+// subexpression pick selects and ancestors are rebuilt, each node reading its
+// entry in cold, root's own enumeration, by position.
+func substitute(root plan.Node, cold []signature.Subexpr, pick func(signature.Subexpr) bool, mk func(plan.Node, signature.Subexpr) plan.Node) plan.Node {
+	var rec func(n plan.Node, i int) plan.Node
+	rec = func(n plan.Node, i int) plan.Node {
+		if s := cold[i]; s.Eligibility == signature.EligibleOK && pick(s) {
+			return mk(n, s)
 		}
-		m := plan.MapInputs(n, rec)
-		known[m] = known[n]
-		return m
+		k := 0
+		return plan.MapInputs(n, func(c plan.Node) plan.Node {
+			c = rec(c, signature.InputPos(cold, i, k))
+			k++
+			return c
+		})
 	}
-	return rec(root), known
+	return rec(root, len(cold)-1)
 }
 
 // matrixQueries are the substitution matrix's plans: eligible ones and one of
@@ -353,17 +348,17 @@ func asView(n plan.Node, s signature.Subexpr) plan.Node {
 
 // substitutions calls fn with every plan the matrix derives from root: for
 // each operator kind in turn ("" for none), root with that kind's topmost
-// eligible operators under a Spool, and replaced by a ViewScan, with the
-// known entries substitute returns. It reports how many plans differ from root.
-func substitutions(root plan.Node, fn func(op string, derived plan.Node, known map[plan.Node]*signature.Subexpr)) (substituted int) {
+// eligible operators under a Spool, and replaced by a ViewScan, with root's
+// enumeration. It reports how many plans differ from root.
+func substitutions(root plan.Node, fn func(op string, derived plan.Node, cold []signature.Subexpr)) (substituted int) {
 	cold := signer.Subexpressions(root)
 	for _, op := range []string{"", "Filter", "Project", "Join", "Aggregate", "Union", "UDO"} {
 		for _, mk := range []func(plan.Node, signature.Subexpr) plan.Node{asSpool, asView} {
-			derived, known := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == op }, mk)
+			derived := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == op }, mk)
 			if derived != root {
 				substituted++
 			}
-			fn(op, derived, known)
+			fn(op, derived, cold)
 		}
 	}
 	return substituted
@@ -379,9 +374,8 @@ func TestSubexpressionsKnownMatchesCold(t *testing.T) {
 	matrixLibraries(t)
 	substituted, spools, views := 0, 0, 0
 	for _, q := range matrixQueries {
-		substituted += substitutions(matrixRoot(t, q), func(op string, derived plan.Node, known map[plan.Node]*signature.Subexpr) {
-			entry := func(n plan.Node) *signature.Subexpr { return known[n] }
-			got, gotKeys := signer.Sign(derived, entry)
+		substituted += substitutions(matrixRoot(t, q), func(op string, derived plan.Node, cold []signature.Subexpr) {
+			got, gotKeys := signer.Sign(derived, cold)
 			want := signer.Subexpressions(derived)
 			if len(got) != len(want) {
 				t.Fatalf("%q, %s substituted: %d entries, want %d", q, op, len(got), len(want))
@@ -446,16 +440,15 @@ func TestConcurrentKnownSigningReadsOnly(t *testing.T) {
 		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia' GROUP BY CustomerId`, nil)})
 	cold := signer.Subexpressions(root)
 	before := append([]signature.Subexpr(nil), cold...)
-	derived, known := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == "Join" }, asView)
+	derived := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == "Join" }, asView)
 	wantSubs, wantKeys := signer.Subexpressions(derived), signer.Physical(derived)
-	entry := func(n plan.Node) *signature.Subexpr { return known[n] }
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				got, keys := signer.Sign(derived, entry)
+				got, keys := signer.Sign(derived, cold)
 				if !reflect.DeepEqual(got, wantSubs) {
 					t.Errorf("carried enumeration differs from a cold signing: %+v", got)
 					return
@@ -485,24 +478,19 @@ var keyMapSink map[plan.Node]signature.Sig
 func TestCarriedViewPlanHashesOnlyItsKeys(t *testing.T) {
 	viewRoot := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t,
 		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN (SELECT * FROM Customer WHERE MktSegment = 'Asia') AS c ON Sales.CustomerId = c.Id GROUP BY CustomerId`, nil)})
-	viewPlan, viewKnown := substitute(viewRoot, signer.Subexpressions(viewRoot), func(s signature.Subexpr) bool { return s.Op == "Filter" }, asView)
+	viewSubs := signer.Subexpressions(viewRoot)
+	viewPlan := substitute(viewRoot, viewSubs, func(s signature.Subexpr) bool { return s.Op == "Filter" }, asView)
 	joinPlan := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t,
 		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia' GROUP BY CustomerId`, nil)})
-	joinKnown := map[plan.Node]*signature.Subexpr{}
-	joinSubs := signer.Subexpressions(joinPlan)
-	for i := range joinSubs {
-		joinKnown[joinSubs[i].Node] = &joinSubs[i]
-	}
 	for _, c := range []struct {
 		name      string
 		derived   plan.Node
-		known     map[plan.Node]*signature.Subexpr
+		prepared  []signature.Subexpr
 		wantViews int
 	}{
-		{"reads a view", viewPlan, viewKnown, 1},
-		{"join over two scans", joinPlan, joinKnown, 0},
+		{"reads a view", viewPlan, viewSubs, 1},
+		{"join over two scans", joinPlan, signer.Subexpressions(joinPlan), 0},
 	} {
-		entry := func(n plan.Node) *signature.Subexpr { return c.known[n] }
 		views, onOrAbove, scans, joins := 0, 0, 0, 0
 		var nodes []plan.Node
 		var count func(n plan.Node) bool
@@ -536,7 +524,7 @@ func TestCarriedViewPlanHashesOnlyItsKeys(t *testing.T) {
 				keyMapSink[n] = ""
 			}
 		})
-		got := testing.AllocsPerRun(100, func() { signer.Sign(c.derived, entry) })
+		got := testing.AllocsPerRun(100, func() { signer.Sign(c.derived, c.prepared) })
 		want := float64(onOrAbove) + 1 + keyMap
 		t.Logf("%s: %.0f allocs signing a carried %d-node plan, %d nodes on or above a view (key map %.0f)", c.name, got, len(nodes), onOrAbove, keyMap)
 		if got != want {
