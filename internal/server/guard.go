@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 
 	"cloudviews/internal/signature"
@@ -53,18 +54,25 @@ func (s *Server) handleGuardLog(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeGuardAction reads the optional {"day": N} body; an empty body means
-// day 0.
-func decodeGuardAction(r *http.Request) GuardActionRequest {
+// day 0. Any other body that does not decode is answered with 400, and a
+// false return means the response has been written.
+func decodeGuardAction(w http.ResponseWriter, r *http.Request) (GuardActionRequest, bool) {
 	var req GuardActionRequest
-	_ = json.NewDecoder(r.Body).Decode(&req)
-	return req
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
+		writeError(w, http.StatusBadRequest, "", 0, "invalid JSON body: %v", err)
+		return req, false
+	}
+	return req, true
 }
 
 func (s *Server) handleBreakerTrip(w http.ResponseWriter, r *http.Request) {
 	if !s.guardOr409(w) {
 		return
 	}
-	req := decodeGuardAction(r)
+	req, ok := decodeGuardAction(w, r)
+	if !ok {
+		return
+	}
 	sig := signature.Sig(r.PathValue("sig"))
 	s.sys.Guard().TripBreaker(req.Day, sig)
 	s.reg.Counter("cvserve_guard_admin_actions_total").Inc()
@@ -75,7 +83,10 @@ func (s *Server) handleBreakerReset(w http.ResponseWriter, r *http.Request) {
 	if !s.guardOr409(w) {
 		return
 	}
-	req := decodeGuardAction(r)
+	req, ok := decodeGuardAction(w, r)
+	if !ok {
+		return
+	}
 	sig := signature.Sig(r.PathValue("sig"))
 	s.sys.Guard().ResetBreaker(req.Day, sig)
 	s.reg.Counter("cvserve_guard_admin_actions_total").Inc()
@@ -86,7 +97,10 @@ func (s *Server) handleGuardKill(w http.ResponseWriter, r *http.Request) {
 	if !s.guardOr409(w) {
 		return
 	}
-	req := decodeGuardAction(r)
+	req, ok := decodeGuardAction(w, r)
+	if !ok {
+		return
+	}
 	vc := r.PathValue("vc")
 	s.sys.Guard().KillVC(req.Day, vc)
 	s.reg.Counter("cvserve_guard_admin_actions_total").Inc()
@@ -97,7 +111,10 @@ func (s *Server) handleGuardRestore(w http.ResponseWriter, r *http.Request) {
 	if !s.guardOr409(w) {
 		return
 	}
-	req := decodeGuardAction(r)
+	req, ok := decodeGuardAction(w, r)
+	if !ok {
+		return
+	}
 	vc := r.PathValue("vc")
 	s.sys.Guard().RestoreVC(req.Day, vc)
 	s.reg.Counter("cvserve_guard_admin_actions_total").Inc()

@@ -155,6 +155,45 @@ func TestGuardEndpointsWithoutGuard(t *testing.T) {
 	}
 }
 
+// TestGuardActionRejectsMalformedBody: a guard action whose body does not
+// decode answers 400 and leaves the guard as it was, where it used to act at
+// day 0; an empty body still means day 0.
+func TestGuardActionRejectsMalformedBody(t *testing.T) {
+	srv, _ := newGuardedTestServer(t, nil)
+	h := srv.Handler()
+	post := func(target, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", target, strings.NewReader(body))
+		req.Header.Set("Authorization", "Bearer tok-admin")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	state := func() string {
+		return srv.sys.Guard().RenderLog() + fmt.Sprint(srv.sys.Guard().Snapshot())
+	}
+	before := state()
+	for _, target := range []string{
+		"/admin/guard/breakers/sig-x/trip", "/admin/guard/breakers/sig-x/reset",
+		"/admin/guard/vcs/vc-a/kill", "/admin/guard/vcs/vc-a/restore",
+	} {
+		for _, body := range []string{`{"day":"3"}`, `{"day":`, `[3]`, `{"day":1.5}`} {
+			rec := post(target, body)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "invalid JSON body: ") {
+				t.Errorf("POST %s %s = %d %s, want 400 invalid JSON body", target, body, rec.Code, rec.Body.Bytes())
+			}
+		}
+	}
+	if after := state(); after != before {
+		t.Fatalf("malformed bodies moved the guard:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+	}
+	if rec := post("/admin/guard/vcs/vc-a/kill", ""); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"day": 0`) {
+		t.Fatalf("kill with an empty body = %d %s, want 200 at day 0", rec.Code, rec.Body.Bytes())
+	}
+	if state() == before {
+		t.Fatal("kill with an empty body left the guard unchanged")
+	}
+}
+
 // TestGuardKillSwitchMidLoad is the guard+server interaction regression: a
 // VC kill switch trips over the admin plane while the 600-client load
 // harness is in flight. The kill must only disable reuse — every accepted

@@ -177,11 +177,7 @@ func convertParams(in map[string]any) (map[string]cloudviews.Value, error) {
 		case bool:
 			out[name] = cloudviews.Bool(x)
 		case float64:
-			if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
-				out[name] = cloudviews.Int(int64(x))
-			} else {
-				out[name] = cloudviews.Float(x)
-			}
+			out[name] = numberValue(x)
 		case nil:
 			out[name] = cloudviews.Null()
 		default:
@@ -189,6 +185,15 @@ func convertParams(in map[string]any) (map[string]cloudviews.Value, error) {
 		}
 	}
 	return out, nil
+}
+
+// numberValue is a JSON number's value: an integral number in the exact-int
+// range is KindInt, any other KindFloat.
+func numberValue(x float64) cloudviews.Value {
+	if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
+		return cloudviews.Int(int64(x))
+	}
+	return cloudviews.Float(x)
 }
 
 // jsonContentType is shared; with a capacity of 1, a Header.Add copies it.

@@ -308,9 +308,9 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	_, _ = fmt.Fprint(w, report.RenderHTML())
 }
 
-// handleSubmit is the front door: authenticate → rate limit → decode →
-// validate → admission → hand to the System. Every rejection before the
-// final step is side-effect-free for the System.
+// handleSubmit is the front door: authenticate → rate limit → read and
+// decode → validate → admission → hand to the System. Every rejection before
+// the final step is side-effect-free for the System.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		writeError(w, http.StatusServiceUnavailable, "", retryAfterSec, "server is draining")
@@ -330,35 +330,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	sub, status, err := readSubmit(w, r)
+	if err != nil {
 		s.reg.Counter("cvserve_bad_requests_total").Inc()
-		writeError(w, http.StatusBadRequest, "", 0, "invalid JSON body: %v", err)
+		writeError(w, status, "", 0, "%v", err)
 		return
 	}
+	job := sub.job
 	vc := tenant
-	if req.VC != "" && req.VC != tenant {
+	if job.VC != "" && job.VC != tenant {
 		if !isAdmin {
-			writeError(w, http.StatusForbidden, "", 0, "token for %q cannot submit to VC %q", tenant, req.VC)
+			writeError(w, http.StatusForbidden, "", 0, "token for %q cannot submit to VC %q", tenant, job.VC)
 			return
 		}
-		vc = req.VC
+		vc = job.VC
 	} else if isAdmin {
-		if req.VC == "" {
+		if job.VC == "" {
 			writeError(w, http.StatusBadRequest, "", 0, "admin submissions must name a vc")
 			return
 		}
-		vc = req.VC
+		vc = job.VC
 	}
-	if req.Script == "" {
+	if job.Script == "" {
 		s.reg.Counter("cvserve_bad_requests_total").Inc()
 		writeError(w, http.StatusBadRequest, "", 0, "script is required")
 		return
 	}
-	params, err := convertParams(req.Params)
-	if err != nil {
+	if sub.paramsErr != nil {
 		s.reg.Counter("cvserve_bad_requests_total").Inc()
-		writeError(w, http.StatusBadRequest, "", 0, "%v", err)
+		writeError(w, http.StatusBadRequest, "", 0, "%v", sub.paramsErr)
 		return
 	}
 
@@ -374,21 +374,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	target.addInflight(1)
 
-	job := cloudviews.Job{
-		ID:       req.ID,
-		VC:       vc,
-		Pipeline: req.Pipeline,
-		User:     req.User,
-		Runtime:  req.Runtime,
-		Script:   req.Script,
-		Params:   params,
-		OptOut:   req.OptOut,
-	}
-	if req.SubmitUnix > 0 {
-		job.Submit = time.Unix(req.SubmitUnix, 0).UTC()
-	}
+	job.VC = vc
 
-	if req.Async {
+	if sub.async {
 		s.submitAsync(w, job, target)
 		return
 	}
@@ -634,18 +622,11 @@ func (s *Server) handleRunDay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs := make([]cloudviews.Job, 0, len(req.Jobs))
-	for i, jr := range req.Jobs {
-		params, err := convertParams(jr.Params)
+	for i := range req.Jobs {
+		job, err := req.Jobs[i].job()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "", 0, "job %d: %v", i, err)
 			return
-		}
-		job := cloudviews.Job{
-			ID: jr.ID, VC: jr.VC, Pipeline: jr.Pipeline, User: jr.User,
-			Runtime: jr.Runtime, Script: jr.Script, Params: params, OptOut: jr.OptOut,
-		}
-		if jr.SubmitUnix > 0 {
-			job.Submit = time.Unix(jr.SubmitUnix, 0).UTC()
 		}
 		jobs = append(jobs, job)
 	}

@@ -13,7 +13,8 @@ import (
 // submissions leaves the System in a byte-identical state to a run with the
 // accepted traffic alone — same system metrics export, same auto-assigned
 // job-ID stream, same repository records. Sheds consume no job sequence
-// number and move nothing behind the front door.
+// number and move nothing behind the front door, and neither does a body
+// over the size cap.
 //
 // The comparison deliberately avoids Analyze: the repository's merge/query
 // duration histograms are the one place wall-clock time may enter the
@@ -78,6 +79,20 @@ func TestShedsAreSideEffectFree(t *testing.T) {
 			if code, _ := do(t, c, "POST", ts.URL+"/v1/jobs", "tok-2",
 				SubmitRequest{Script: testScript, Params: map[string]any{"x": []any{}}}, nil); code != 400 {
 				t.Fatal("bad param accepted")
+			}
+			// A body over the cap, on a refilled bucket: 413, counted as a
+			// bad request.
+			clock.advance(time.Second)
+			bad := srv.reg.Counter("cvserve_bad_requests_total")
+			was := bad.Value()
+			over := SubmitRequest{Script: testScript + strings.Repeat(" ", maxBodyBytes)}
+			var er ErrorResponse
+			code, raw := do(t, c, "POST", ts.URL+"/v1/jobs", "tok-1", over, &er)
+			if code != http.StatusRequestEntityTooLarge || !strings.Contains(er.Error, "larger than") {
+				t.Fatalf("oversized body: %d %s", code, raw)
+			}
+			if bad.Value() != was+1 {
+				t.Fatalf("oversized body moved cvserve_bad_requests_total by %v, want 1", bad.Value()-was)
 			}
 		}
 
