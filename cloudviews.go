@@ -209,11 +209,11 @@ type Config struct {
 	// store (which preserves byte-identical goldens and simulated-time
 	// determinism); durability is strictly opt-in.
 	StorageEngine StorageEngine
-	// PlanCacheSize bounds the plan cache keyed by the normalized script,
-	// parameters, and runtime version: recurring submissions skip parse and
-	// bind and share the job-independent half of the compile (normalized
-	// plan, signatures, job tag); the rest of the compile runs per job.
-	// 0 applies the default (512 entries); negative disables the cache.
+	// PlanCacheSize bounds the plan cache, in templates keyed by runtime and
+	// normalized script: recurring submissions skip parse and bind and share
+	// the job-independent half of the compile; the rest runs per job. A full
+	// cache evicts its least recently used template. 0 applies the default
+	// (2,048 templates); negative disables the cache.
 	// Results and traces are identical either way.
 	PlanCacheSize int
 }

@@ -301,7 +301,10 @@ type JobRun struct {
 // Whichever it is, the result is shared and read-only.
 func (e *Engine) prepare(in workload.JobInput, opt *optimizer.Optimizer) (*optimizer.Prepared, error) {
 	gen := e.Catalog.Generation()
-	key, keyOK := e.plans.planCacheKey(in)
+	buf := planKeys.Get().(*[]byte)
+	defer putKeyBuf(buf)
+	key, keyOK := e.plans.appendKey((*buf)[:0], in)
+	*buf = key
 	if keyOK {
 		template, prep := e.plans.lookup(key, gen, in.Params)
 		if prep != nil {
@@ -454,8 +457,10 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			// The event value is the simulated seconds this retry costs
 			// (recompile + backoff) — the telemetry analyzer's "time lost to
 			// fault recovery" input.
-			tr.EventV("job.retry", fmt.Sprintf("attempt=%d backoff=%s", attempt, backoff),
-				(cr.CompileLatency + backoff).Seconds())
+			if tr != nil {
+				tr.EventV("job.retry", fmt.Sprintf("attempt=%d backoff=%s", attempt, backoff),
+					(cr.CompileLatency + backoff).Seconds())
+			}
 			// The retry recompiles at the post-backoff instant: views sealed
 			// in the meantime become visible to it. Its decisions supersede
 			// the failed attempt's, exactly as its compile result does.
@@ -501,7 +506,9 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 				// abandoned or expired under an aggressive TTL): drop any
 				// half-built state rather than leave the signature wedged.
 				e.Store.Abandon(p.Strict)
-				tr.Event("view.abandoned", "sig="+p.Strict.Short()+" reason=seal-failed")
+				if tr != nil {
+					tr.Event("view.abandoned", "sig="+p.Strict.Short()+" reason=seal-failed")
+				}
 			}
 			e.Insights.ReleaseViewLock(p.Strict, in.ID)
 		}
@@ -581,7 +588,9 @@ func (e *Engine) releaseStaged(cr *optimizer.CompileResult, jobID string, tr *ob
 	for _, p := range cr.Proposed {
 		e.Store.Abandon(p.Strict)
 		e.Insights.ReleaseViewLock(p.Strict, jobID)
-		tr.Event("view.abandoned", "sig="+p.Strict.Short()+" reason="+reason)
+		if tr != nil {
+			tr.Event("view.abandoned", "sig="+p.Strict.Short()+" reason="+reason)
+		}
 	}
 }
 

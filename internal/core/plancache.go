@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -11,19 +12,44 @@ import (
 	"cloudviews/internal/workload"
 )
 
-// DefaultPlanCacheSize bounds the plan cache, in templates. It is not enough
-// for the paper's run: cvsim -scale 1.0 submits more distinct scripts a day
-// than this and revisits each about once a day, LRU's worst case, so 86 % of
-// its compiles are cold (measured; ROADMAP item 14 holds the fix).
-const DefaultPlanCacheSize = 512
+// DefaultPlanCacheSize bounds the plan cache, in templates: the smallest power
+// of two that holds cvsim -scale 1.0's 1,278 recurring templates with room
+// for a day's new scripts (up to 1,923 distinct keys a day), so a template
+// is still resident when it recurs the next day. An entry there retains about
+// 11 KB (its template and instances), so a full default cache is about 23 MB
+// (EXPERIMENTS.md).
+const DefaultPlanCacheSize = 2048
 
-// planKey identifies one template: the token-normalized script (so
-// whitespace/comment/case-of-keyword variants share an entry) and the runtime
-// version (different runtimes never share signatures, so neither plans).
-// Parameter values and dataset versions are what its instances differ in.
-type planKey struct {
-	runtime string
-	norm    string
+// planKeys lends Engine.prepare the buffer a plan-cache key is built in, so a
+// lookup allocates nothing: only a stored entry copies its key into a string.
+var planKeys = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// maxPooledKey caps the buffers planKeys keeps: generator scripts are at most
+// 614 bytes, and one outsize script (cvserve accepts up to 1 MiB) must not
+// pin its buffer in the pool.
+const maxPooledKey = 64 << 10
+
+// putKeyBuf returns a key buffer to planKeys unless it outgrew maxPooledKey.
+func putKeyBuf(buf *[]byte) {
+	if cap(*buf) <= maxPooledKey {
+		planKeys.Put(buf)
+	}
+}
+
+// appendKey appends the key of a job input to dst: the runtime version,
+// length-prefixed so no runtime/script split reads as another, then the
+// token-normalized script (whitespace, comment and keyword-case variants share
+// an entry). Different runtimes never share signatures, so neither plans;
+// parameter values and dataset versions are what a template's instances differ
+// in. ok is false when the script does not lex (the parse path will report
+// the real error) — or when the cache is disabled.
+func (c *planCache) appendKey(dst []byte, in workload.JobInput) (key []byte, ok bool) {
+	if c == nil {
+		return dst, false
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(in.Runtime)))
+	dst = append(dst, in.Runtime...)
+	return sqlparser.AppendNormalized(dst, in.Script)
 }
 
 // planInstances is how many instances an entry keeps, overwritten in turn: room
@@ -53,7 +79,7 @@ type planEntry struct {
 	cursor    int // the instance the next store overwrites
 
 	prev, next *planEntry
-	key        planKey
+	key        string
 }
 
 // match returns the instance built at gen with params' values, if any.
@@ -70,7 +96,7 @@ func (e *planEntry) match(gen uint64, params map[string]data.Value) *optimizer.P
 // caching entirely (every method no-ops).
 type planCache struct {
 	mu         sync.Mutex
-	m          map[planKey]*planEntry
+	m          map[string]*planEntry
 	head, tail *planEntry
 	limit      int
 
@@ -104,21 +130,7 @@ func newPlanCache(limit int) *planCache {
 	if limit == 0 {
 		limit = DefaultPlanCacheSize
 	}
-	return &planCache{m: make(map[planKey]*planEntry), limit: limit}
-}
-
-// planCacheKey derives the cache key for a job input. ok is false when the
-// script does not lex (the parse path will report the real error) — or when
-// the cache is disabled.
-func (c *planCache) planCacheKey(in workload.JobInput) (planKey, bool) {
-	if c == nil {
-		return planKey{}, false
-	}
-	norm, ok := sqlparser.NormalizeScript(in.Script)
-	if !ok {
-		return planKey{}, false
-	}
-	return planKey{runtime: in.Runtime, norm: norm}, true
+	return &planCache{m: make(map[string]*planEntry), limit: limit}
 }
 
 func (c *planCache) unlink(e *planEntry) {
@@ -147,11 +159,12 @@ func (c *planCache) pushFront(e *planEntry) {
 }
 
 // lookup returns key's template, nil if the script is new, and the instance
-// of it built at generation gen with params' values, nil if there is none.
-func (c *planCache) lookup(key planKey, gen uint64, params map[string]data.Value) (template, prep *optimizer.Prepared) {
+// of it built at generation gen with params' values, nil if there is none. It
+// allocates nothing.
+func (c *planCache) lookup(key []byte, gen uint64, params map[string]data.Value) (template, prep *optimizer.Prepared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
+	e, ok := c.m[string(key)]
 	if !ok {
 		return nil, nil
 	}
@@ -163,13 +176,13 @@ func (c *planCache) lookup(key planKey, gen uint64, params map[string]data.Value
 // store publishes prep, built at generation gen with params' values, as an
 // instance of key's entry, and as its template if the key is new. First writer
 // wins under races: the instance to use is returned.
-func (c *planCache) store(key planKey, gen uint64, params map[string]data.Value, prep *optimizer.Prepared) *optimizer.Prepared {
+func (c *planCache) store(key []byte, gen uint64, params map[string]data.Value, prep *optimizer.Prepared) *optimizer.Prepared {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
+	e, ok := c.m[string(key)]
 	if !ok {
-		e = &planEntry{template: prep, key: key}
-		c.m[key] = e
+		e = &planEntry{template: prep, key: string(key)}
+		c.m[e.key] = e
 		c.pushFront(e)
 		for len(c.m) > c.limit && c.tail != nil {
 			victim := c.tail

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,13 +67,16 @@ func pcInput(id, script string) workload.JobInput {
 // (nil if none).
 func pcEntry(t *testing.T, e *Engine, in workload.JobInput) (*planEntry, *optimizer.Prepared) {
 	t.Helper()
-	key, ok := e.plans.planCacheKey(in)
+	buf := planKeys.Get().(*[]byte)
+	defer putKeyBuf(buf)
+	key, ok := e.plans.appendKey((*buf)[:0], in)
+	*buf = key
 	if !ok {
 		t.Fatal("no plan-cache key")
 	}
 	e.plans.mu.Lock()
 	defer e.plans.mu.Unlock()
-	entry := e.plans.m[key]
+	entry := e.plans.m[string(key)]
 	if entry == nil {
 		return nil, nil
 	}
@@ -296,10 +300,10 @@ func TestPlanCacheNormalizesScripts(t *testing.T) {
 r = SELECT   Region, COUNT(*) AS n, SUM(Value) AS s
     FROM p GROUP BY Region;
 OUTPUT r TO "out/r";`
-	baseKey, _ := e.plans.planCacheKey(pcInput("base", pcScript))
-	variantKey, ok := e.plans.planCacheKey(pcInput("v", variant))
-	if !ok || baseKey != variantKey {
-		t.Fatalf("variant key differs from the base script's:\n%+v\n%+v", variantKey, baseKey)
+	baseKey, _ := e.plans.appendKey(nil, pcInput("base", pcScript))
+	variantKey, ok := e.plans.appendKey(nil, pcInput("v", variant))
+	if !ok || string(baseKey) != string(variantKey) {
+		t.Fatalf("variant key differs from the base script's:\n%q\n%q", variantKey, baseKey)
 	}
 	base, err := e.CompileAndExecute(pcInput("base", pcScript))
 	if err != nil {
@@ -382,5 +386,134 @@ func TestSubSecondTimeParamsDoNotCollide(t *testing.T) {
 		if sigs[0] == sigs[1] {
 			t.Errorf("PlanCacheSize %d: two @t values inside one second share the strict signature %s", size, sigs[0])
 		}
+	}
+}
+
+// pcTemplate is the i-th of a family of distinct scripts: each normalizes to
+// its own key.
+func pcTemplate(i int) string {
+	return fmt.Sprintf("r = SELECT Region, COUNT(*) AS n FROM Events WHERE Value > %d GROUP BY Region;\nOUTPUT r TO \"out/r\";", i)
+}
+
+// TestPlanCacheEvictsLeastRecentlyUsed fills a cache, touches its oldest
+// entry and stores one more: the entry evicted is the least recently used,
+// and its next submission compiles cold while the touched one still hits.
+func TestPlanCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	const capacity = 4
+	e := pcEngine(t, Config{PlanCacheSize: capacity})
+	submit := func(id string, i int) {
+		t.Helper()
+		if _, err := e.CompileAndExecute(pcInput(id, pcTemplate(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < capacity; i++ {
+		submit(fmt.Sprintf("fill-%d", i), i)
+	}
+	submit("touch-0", 0)
+	submit("new", capacity)
+	if n := len(e.plans.m); n != capacity {
+		t.Errorf("%d entries held, want the cache full at %d", n, capacity)
+	}
+	for i := 0; i <= capacity; i++ {
+		entry, _ := pcEntry(t, e, pcInput("probe", pcTemplate(i)))
+		if resident := entry != nil; resident != (i != 1) {
+			t.Errorf("script %d resident = %v, want only script 1 (the least recently used) evicted", i, resident)
+		}
+	}
+	hits, cold := e.plans.hit.Value(), e.plans.cold.Value()
+	submit("again-0", 0)
+	submit("again-1", 1)
+	if e.plans.hit.Value() != hits+1 || e.plans.cold.Value() != cold+1 {
+		t.Errorf("resubmitting the touched and the evicted script: %.0f hits, %.0f cold, want 1 and 1",
+			e.plans.hit.Value()-hits, e.plans.cold.Value()-cold)
+	}
+}
+
+// TestPlanCacheLookupAllocatesNothing pins the hit path's key: building it in
+// a reused buffer and looking it up allocate nothing.
+func TestPlanCacheLookupAllocatesNothing(t *testing.T) {
+	e := pcEngine(t, Config{})
+	in := pcInput("hit", pcScript)
+	if _, err := e.CompileAndExecute(in); err != nil {
+		t.Fatal(err)
+	}
+	gen, buf := e.Catalog.Generation(), make([]byte, 0, 1024)
+	allocs := testing.AllocsPerRun(100, func() {
+		key, ok := e.plans.appendKey(buf[:0], in)
+		if _, prep := e.plans.lookup(key, gen, in.Params); !ok || prep == nil {
+			t.Fatal("the submitted script is not served by the cache")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a plan-cache hit's key and lookup allocate %.0f times, want 0", allocs)
+	}
+}
+
+// TestPlanCacheKeySeparatesRuntime: a key is the runtime and the normalized
+// script, and no split of one key's bytes between the two reads as another's.
+// Runtime "a" with script "b x = ..." and runtime "a b" with "x = ..." would
+// share a key joined by a space.
+func TestPlanCacheKeySeparatesRuntime(t *testing.T) {
+	e := pcEngine(t, Config{})
+	const tail = `x = SELECT * FROM Events; OUTPUT x TO "out/x";`
+	long, short := pcInput("long", "b "+tail), pcInput("short", tail)
+	long.Runtime, short.Runtime = "a", "a b"
+	lk, ok1 := e.plans.appendKey(nil, long)
+	sk, ok2 := e.plans.appendKey(nil, short)
+	if !ok1 || !ok2 {
+		t.Fatal("no plan-cache key")
+	}
+	ln, _ := sqlparser.AppendNormalized(nil, long.Script)
+	sn, _ := sqlparser.AppendNormalized(nil, short.Script)
+	if long.Runtime+" "+string(ln) != short.Runtime+" "+string(sn) {
+		t.Fatal("the two inputs no longer collide when joined by a space; the test proves nothing")
+	}
+	if string(lk) == string(sk) {
+		t.Errorf("runtimes %q and %q share the key %q", long.Runtime, short.Runtime, lk)
+	}
+}
+
+// TestConcurrentSubmittersOverAFullCache runs submitters of a population
+// larger than the cache side by side, so entries are stored and evicted while
+// other goroutines hit and derive: every answer must equal a cache-disabled
+// engine's, and the cache must hold no more than its capacity.
+func TestConcurrentSubmittersOverAFullCache(t *testing.T) {
+	const capacity, population, workers = 8, 12, 4
+	e := pcEngine(t, Config{PlanCacheSize: capacity})
+	plain := pcEngine(t, Config{PlanCacheSize: -1})
+	want := make([]string, population)
+	for i := range want {
+		run, err := plain.CompileAndExecute(pcInput(fmt.Sprintf("ref-%d", i), pcTemplate(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = run.Exec.Table.Fingerprint()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 3*population; k++ {
+				i := (k + w*population/workers) % population
+				run, err := e.CompileAndExecute(pcInput(fmt.Sprintf("w%d-%d", w, k), pcTemplate(i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := run.Exec.Table.Fingerprint(); got != want[i] {
+					t.Errorf("worker %d, script %d: answer differs from the uncached engine's", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := len(e.plans.m); n > capacity {
+		t.Errorf("%d entries held, capacity %d", n, capacity)
+	}
+	if got := e.plans.hit.Value() + e.plans.derive.Value() + e.plans.cold.Value(); got != workers*3*population {
+		t.Errorf("%.0f lookups counted, want %d", got, workers*3*population)
 	}
 }

@@ -1288,7 +1288,9 @@ func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {
 			// work is still charged) but the artifact never lands. The job
 			// carries on — only the view is lost: SealAt finds nothing
 			// materialized, and the engine abandons the staged signature.
-			ex.Trace.Event("spool.write.failed", fmt.Sprintf("sig=%s reason=injected", signature.Sig(x.StrictSig).Short()))
+			if ex.Trace != nil {
+				ex.Trace.Event("spool.write.failed", fmt.Sprintf("sig=%s reason=injected", signature.Sig(x.StrictSig).Short()))
+			}
 		} else if err := ex.Views.Materialize(signature.Sig(x.StrictSig), x.Path, x.VC, in.table, in.mult); err != nil {
 			return nodeResult{}, fmt.Errorf("exec: materializing view: %w", err)
 		}

@@ -190,7 +190,9 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 		anns, lat := o.Insights.FetchAnnotations(res.Tag)
 		res.CompileLatency += lat
 		o.Trace.Span("insights", lat)
-		o.Trace.Event("insights.annotations", fmt.Sprintf("count=%d tag=%s", len(anns), signature.Sig(res.Tag).Short()))
+		if o.Trace != nil {
+			o.Trace.Event("insights.annotations", fmt.Sprintf("count=%d tag=%s", len(anns), signature.Sig(res.Tag).Short()))
+		}
 		annSet = make(map[signature.Sig]insights.Annotation, len(anns))
 		for _, a := range anns {
 			annSet[a.Recurring] = a
@@ -375,7 +377,9 @@ func (o *Optimizer) buildViews(root plan.Node, subs []signature.Subexpr, opts Co
 		path := o.Store.PathFor(opts.VC, s.Strict)
 		o.Store.Stage(s.Strict, s.Recurring, path, opts.VC)
 		built++
-		o.Trace.Event("view.proposed", fmt.Sprintf("sig=%s path=%s", s.Strict.Short(), path))
+		if o.Trace != nil {
+			o.Trace.Event("view.proposed", fmt.Sprintf("sig=%s path=%s", s.Strict.Short(), path))
+		}
 		res.Proposed = append(res.Proposed, ProposedView{Strict: s.Strict, Recurring: s.Recurring, Path: path})
 		return &plan.Spool{Child: n, StrictSig: string(s.Strict), Path: path, VC: opts.VC}
 	}

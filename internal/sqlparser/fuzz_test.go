@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -65,7 +66,9 @@ func FuzzParse(f *testing.F) {
 // FuzzLexer checks the tokenizer's round-trip contract: any input that lexes
 // successfully must normalize to a canonical form that re-lexes to the
 // identical token stream (kinds and texts, positions aside). This is the
-// soundness property the compiled-plan cache key relies on.
+// soundness property the compiled-plan cache key relies on. The cache appends
+// that form after a runtime prefix, so appending must leave the prefix alone
+// and add exactly what normalizing into an empty buffer gives.
 func FuzzLexer(f *testing.F) {
 	seeds := []string{
 		`SELECT a, b FROM T WHERE x >= 1.5 AND name = 'asia''s'`,
@@ -84,16 +87,28 @@ func FuzzLexer(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		const prefix = "\x09scope-r1"
+		appended, appendOK := AppendNormalized([]byte(prefix), src)
+		if !bytes.HasPrefix(appended, []byte(prefix)) {
+			t.Fatalf("AppendNormalized overwrote its prefix: %q", appended)
+		}
+		b, ok := AppendNormalized(nil, src)
+		norm := string(b)
 		toks, err := NewLexer(src).Lex()
 		if err != nil {
-			if _, ok := NormalizeScript(src); ok {
-				t.Fatal("NormalizeScript succeeded on input Lex rejects")
+			if ok {
+				t.Fatal("AppendNormalized succeeded on input Lex rejects")
+			}
+			if appendOK || len(appended) != len(prefix) {
+				t.Fatalf("AppendNormalized on input Lex rejects: ok=%v, appended %q", appendOK, appended[len(prefix):])
 			}
 			return
 		}
-		norm, ok := NormalizeScript(src)
 		if !ok {
-			t.Fatal("NormalizeScript failed on input Lex accepts")
+			t.Fatal("AppendNormalized failed on input Lex accepts")
+		}
+		if got := string(appended[len(prefix):]); !appendOK || got != norm {
+			t.Fatalf("AppendNormalized after a prefix appended %q (ok=%v), into an empty buffer %q", got, appendOK, norm)
 		}
 		toks2, err := NewLexer(norm).Lex()
 		if err != nil {
@@ -109,9 +124,9 @@ func FuzzLexer(f *testing.F) {
 			}
 		}
 		// Normalization must be idempotent.
-		norm2, ok := NormalizeScript(norm)
-		if !ok || norm2 != norm {
-			t.Fatalf("NormalizeScript not idempotent: %q -> %q", norm, norm2)
+		norm2, ok := AppendNormalized(nil, norm)
+		if !ok || string(norm2) != norm {
+			t.Fatalf("normalization not idempotent: %q -> %q", norm, norm2)
 		}
 	})
 }

@@ -295,43 +295,44 @@ func (l *Lexer) lexString(quote byte, start, line int) (Token, error) {
 	return Token{}, fmt.Errorf("line %d: unterminated string literal", line)
 }
 
-// NormalizeScript renders the token stream of src in a canonical, whitespace-
-// and comment-insensitive single-line form. Two scripts normalize equal iff
-// they lex to the same token stream, so the result is a sound plan-cache
-// key. ok is false when src does not lex.
-func NormalizeScript(src string) (norm string, ok bool) {
+// AppendNormalized appends the token stream of src to dst in a canonical,
+// whitespace- and comment-insensitive single-line form and returns the
+// extended buffer. Two scripts normalize equal iff they lex to the same token
+// stream, so the result is a sound plan-cache key. On a lex error it returns
+// dst cut back to its length on entry, and false. It allocates only when dst
+// must grow or the lexer copies (a literal with a doubled quote, a word with
+// non-ASCII bytes).
+func AppendNormalized(dst []byte, src string) ([]byte, bool) {
 	var l Lexer
 	l.Reset(src)
-	var sb strings.Builder
-	sb.Grow(len(src) + 16)
-	first := true
+	start, first := len(dst), true
 	for {
 		t, err := l.Next()
 		if err != nil {
-			return "", false
+			return dst[:start], false
 		}
 		if t.Kind == TokEOF {
-			return sb.String(), true
+			return dst, true
 		}
 		if !first {
-			sb.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
 		first = false
 		switch t.Kind {
 		case TokString:
-			sb.WriteByte('\'')
+			dst = append(dst, '\'')
 			for i := 0; i < len(t.Text); i++ {
 				if t.Text[i] == '\'' {
-					sb.WriteByte('\'')
+					dst = append(dst, '\'')
 				}
-				sb.WriteByte(t.Text[i])
+				dst = append(dst, t.Text[i])
 			}
-			sb.WriteByte('\'')
+			dst = append(dst, '\'')
 		case TokParam:
-			sb.WriteByte('@')
-			sb.WriteString(t.Text)
+			dst = append(dst, '@')
+			dst = append(dst, t.Text...)
 		default:
-			sb.WriteString(t.Text)
+			dst = append(dst, t.Text...)
 		}
 	}
 }
