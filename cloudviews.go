@@ -278,7 +278,8 @@ type JobResult struct {
 	// never read it and formatting a plan tree dominates the allocation
 	// profile of small cached submissions.
 	plan plan.Node
-	// explain backs Explain (nil when observability is off).
+	// explain backs Explain (nil when observability is off). It and Trace
+	// point into the job's one observability record.
 	explain *explain.Recorder
 }
 

@@ -93,9 +93,33 @@ func reconcileExplainTelemetry(t *testing.T, sys *cloudviews.System, attempts in
 			if retries != attempts-1 {
 				t.Fatalf("job %s: %d job.retry events, want %d", res.ID, retries, attempts-1)
 			}
+			// The trace keeps every attempt's compile; the decisions are the
+			// final attempt's alone, so a whole-job policy decision appears
+			// at most once.
+			compiles := 0
+			res.Trace.ForEachSpan(func(s cloudviews.TraceSpan) {
+				if s.Name == "optimize" {
+					compiles++
+				}
+			})
+			if compiles != attempts {
+				t.Fatalf("job %s: the trace holds %d compiles, want one per attempt (%d)", res.ID, compiles, attempts)
+			}
 			ds := res.Explain()
 			if ds == nil {
 				t.Fatalf("job %s: Explain() is nil on an observable system", res.ID)
+			}
+			policy := 0
+			for i, d := range ds {
+				if d.Seq != i+1 {
+					t.Fatalf("job %s: decision %d has Seq %d", res.ID, i, d.Seq)
+				}
+				if d.Reason == cloudviews.ReasonPolicyFlight {
+					policy++
+				}
+			}
+			if policy > 1 {
+				t.Fatalf("job %s: %d policy-flight decisions, want the final attempt's one", res.ID, policy)
 			}
 			var jobSaved float64
 			for _, d := range ds {

@@ -282,10 +282,10 @@ type JobRun struct {
 	// added: read-only, and without the scheduling outcome (RunDay files that
 	// on the repository's successor record, not here).
 	Record *repository.JobRecord
-	// Trace is the job's observability record (nil when disabled).
-	Trace *obs.Trace
-	// Explain holds the job's structured reuse decisions (nil when
-	// observability is disabled).
+	// Trace and Explain are the two halves of the job's one observability
+	// record (explain.Job): its timeline and its structured reuse decisions.
+	// Both are nil when observability is disabled.
+	Trace   *obs.Trace
 	Explain *explain.Recorder
 	// Attempts is how many times the job ran (1 without faults); RetryDelay
 	// is the simulated time lost to failed attempts (recompiles + backoff),
@@ -346,16 +346,15 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 	e.advanceClock(in.Submit)
 	signer := e.signerFor(in.Runtime)
 
-	// Trace in simulated time from the job's own submit instant; nil when
-	// observability is off (every recording method no-ops on nil). The
-	// explain recorder shares the trace's lifecycle: observability off means
-	// zero explain cost (nil recorder, every Record a single branch).
-	var tr *obs.Trace
-	var rec *explain.Recorder
+	// The job's observability record: its trace, in simulated time from the
+	// job's own submit instant, and its reuse decisions, in one allocation.
+	// Nil when observability is off, and so are both halves: every recording
+	// method no-ops on nil, so observability off costs one branch a call.
+	var job *explain.Job
 	if e.Metrics != nil {
-		tr = obs.NewTrace(in.ID, in.Submit)
-		rec = explain.NewRecorder(in.ID, in.VC)
+		job = explain.NewJob(in.ID, in.VC, in.Submit)
 	}
+	tr, rec := job.Trace(), job.Recorder()
 	e.mJobs.Inc()
 
 	opt := &optimizer.Optimizer{
@@ -530,11 +529,11 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 		}
 	}
 
-	// Fold the job's critical-path attribution into the day/VC telemetry
-	// aggregates. The cluster queue overlay lands later (RunDay charges it
-	// via AddQueueWait), so this covers exactly the data-plane timeline.
-	e.Telemetry.ObserveJob(dayIndex(in.Submit), in.VC, tr)
-	e.Telemetry.ObserveDecisions(dayIndex(in.Submit), in.VC, rec)
+	// Fold the job's record, its critical-path attribution and its decision
+	// rollup, into the day/VC telemetry aggregates. The cluster queue overlay
+	// lands later (RunDay charges it via AddQueueWait), so this covers
+	// exactly the data-plane timeline.
+	e.Telemetry.Observe(dayIndex(in.Submit), in.VC, job)
 
 	// Feed the guard the job's realized view outcomes: each matched view
 	// either banked its promised saving or forfeited it to a read fallback

@@ -234,14 +234,16 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 }
 
 // warmAllocCeiling bounds the allocations of one warm, onboarded,
-// view-matching resubmission. Last measured: 36 (36 or 37 under -race), Go
-// 1.24; 37 while the plan-cache key was a new string per lookup. The ceiling
-// keeps 4 of margin, so the 45 a job cost when result-cache keys above a view
-// rendered their attributes again goes past it.
+// view-matching resubmission. Last measured: 29, Go 1.24; 36 while the trace,
+// its span slice, its event, the explain recorder, its decisions and the
+// critical-path phase map were each their own allocation, 37 while the
+// plan-cache key was a new string per lookup. The ceiling keeps 4 of margin,
+// so the 45 a job cost when result-cache keys above a view rendered their
+// attributes again goes past it.
 // It is the unit-test-cost gate on the reuse-on path: a change that re-signs
 // the final plan, copies the prepared one, re-normalizes per job or copies the
 // job's record on its way into the repository goes past it.
-const warmAllocCeiling = 40
+const warmAllocCeiling = 33
 
 // unobservedWarmAllocCeiling bounds the same resubmission with observability
 // off, where no trace, explain recorder or metric exists. Last measured: 27,
@@ -250,7 +252,15 @@ const warmAllocCeiling = 40
 // any event's detail for a trace that is not there goes past it.
 const unobservedWarmAllocCeiling = 28
 
+// observabilityAllocs bounds what observing the resubmission costs over not
+// observing it: the job's one record (explain.Job: trace, events and
+// decisions inline) and the insights.annotations event's detail string. A
+// second record, a decision or event that outgrows the inline storage, or an
+// analysis that allocates per job goes past it.
+const observabilityAllocs = 2
+
 func TestWarmResubmissionAllocCeiling(t *testing.T) {
+	measured := map[string]float64{}
 	for _, c := range []struct {
 		name    string
 		cfg     Config
@@ -271,6 +281,10 @@ func TestWarmResubmissionAllocCeiling(t *testing.T) {
 			if allocs > float64(c.ceiling) {
 				t.Errorf("%.0f allocs per warm resubmission, ceiling %d", allocs, c.ceiling)
 			}
+			measured[c.name] = allocs
 		})
+	}
+	if d := measured["observed"] - measured["unobserved"]; d > observabilityAllocs {
+		t.Errorf("observing a warm resubmission costs %.0f allocs, want at most %d", d, observabilityAllocs)
 	}
 }

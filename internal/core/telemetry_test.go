@@ -59,13 +59,15 @@ func TestCriticalPathReconcilesOverWorkload(t *testing.T) {
 			}
 			bd := telemetry.Analyze(run.Trace)
 			var sum float64
-			for _, sec := range bd.Phase {
+			phases := make(map[string]float64)
+			bd.ForEachPhase(func(phase string, sec float64) {
 				sum += sec
-			}
+				phases[phase] = sec
+			})
 			tol := 1e-9 * math.Max(1, bd.WallSec)
 			if diff := math.Abs(sum - bd.WallSec); diff > tol {
 				t.Fatalf("job %s: phases sum %.12f != wall %.12f (diff %g)\nphases: %v\ntrace:\n%s",
-					in.ID, sum, bd.WallSec, diff, bd.Phase, run.Trace.Render())
+					in.ID, sum, bd.WallSec, diff, phases, run.Trace.Render())
 			}
 			if bd.WallSec <= 0 {
 				t.Fatalf("job %s: wall span %v, want > 0", in.ID, bd.WallSec)

@@ -6,10 +6,11 @@
 // taxonomy rather than free-text trace strings.
 //
 // The package sits below every layer that makes reuse decisions (optimizer,
-// insights, storage, guard, core) and imports only the signature package, so
-// all of them can emit Decisions without import cycles. Recorders are
-// nil-safe in the obs tradition: a disabled observability stack carries a nil
-// recorder and every call costs one branch.
+// insights, storage, guard, core) and imports only the signature and obs
+// packages, so all of them can emit Decisions without import cycles. A job's
+// decisions and its obs.Trace live in one record, Job. Records and recorders
+// are nil-safe in the obs tradition: a disabled observability stack carries
+// a nil record and every call costs one branch.
 package explain
 
 import (
@@ -17,7 +18,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
+	"cloudviews/internal/obs"
 	"cloudviews/internal/signature"
 )
 
@@ -170,14 +173,52 @@ type Recorder struct {
 	jobID string
 	vc    string
 
-	mu        sync.Mutex
-	seq       int
-	decisions []Decision
+	mu sync.Mutex
+	// entries holds what differs between one job's decisions; a Decision is
+	// assembled from an entry and the recorder's identity when it is read.
+	// The first few land in buf: the benchmark's jobs make 1–10 decisions,
+	// most of them 1 or 2 (EXPERIMENTS.md, "One record per job").
+	entries []entry
+	buf     [3]entry
 }
 
-// NewRecorder builds a recorder for one job.
+// entry is one recorded decision without the fields its recorder or its
+// position determine (VC, JobID, Outcome and Seq).
+type entry struct {
+	sig       signature.Sig
+	candidate string
+	reason    Reason
+	savedCS   float64
+	detail    string
+}
+
+// NewRecorder builds a recorder for one job. The engine's jobs get theirs
+// inside a Job.
 func NewRecorder(jobID, vc string) *Recorder {
-	return &Recorder{jobID: jobID, vc: vc}
+	r := new(Recorder)
+	r.init(jobID, vc)
+	return r
+}
+
+func (r *Recorder) init(jobID, vc string) {
+	r.jobID, r.vc = jobID, vc
+	r.entries = r.buf[:0]
+}
+
+// decision assembles the i-th recorded decision.
+func (r *Recorder) decision(i int) Decision {
+	e := &r.entries[i]
+	return Decision{
+		Sig:       e.sig,
+		VC:        r.vc,
+		JobID:     r.jobID,
+		Candidate: e.candidate,
+		Outcome:   OutcomeFor(e.reason),
+		Reason:    e.reason,
+		SavedCS:   e.savedCS,
+		Detail:    e.detail,
+		Seq:       i + 1,
+	}
 }
 
 // Record appends one decision, stamping job identity, outcome, and sequence.
@@ -186,18 +227,7 @@ func (r *Recorder) Record(sig signature.Sig, candidate string, reason Reason, sa
 		return
 	}
 	r.mu.Lock()
-	r.seq++
-	r.decisions = append(r.decisions, Decision{
-		Sig:       sig,
-		VC:        r.vc,
-		JobID:     r.jobID,
-		Candidate: candidate,
-		Outcome:   OutcomeFor(reason),
-		Reason:    reason,
-		SavedCS:   savedCS,
-		Detail:    detail,
-		Seq:       r.seq,
-	})
+	r.entries = append(r.entries, entry{sig: sig, candidate: candidate, reason: reason, savedCS: savedCS, detail: detail})
 	r.mu.Unlock()
 }
 
@@ -209,8 +239,7 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.mu.Lock()
-	r.seq = 0
-	r.decisions = r.decisions[:0]
+	r.entries = r.entries[:0]
 	r.mu.Unlock()
 }
 
@@ -221,17 +250,25 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.decisions)
+	return len(r.entries)
 }
 
-// Decisions returns a copy of the recorded decisions in Seq order.
+// Decisions returns a copy of the recorded decisions in Seq order (nil when
+// there are none).
 func (r *Recorder) Decisions() []Decision {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Decision(nil), r.decisions...)
+	if len(r.entries) == 0 {
+		return nil
+	}
+	ds := make([]Decision, len(r.entries))
+	for i := range ds {
+		ds[i] = r.decision(i)
+	}
+	return ds
 }
 
 // ForEach visits each decision in Seq order under the recorder's lock,
@@ -242,9 +279,46 @@ func (r *Recorder) ForEach(fn func(Decision)) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, d := range r.decisions {
-		fn(d)
+	for i := range r.entries {
+		fn(r.decision(i))
 	}
+}
+
+// Job is one job's observability record: the timeline (an obs.Trace) and
+// the reuse decisions (a Recorder), in one allocation with room inside for
+// a typical job's spans, events and decisions. The engine makes one per
+// submission; its optimizer, executor, JobRun and JobResult hold pointers
+// to its two halves, and telemetry observes it in one call. A nil *Job is
+// observability off: both halves are nil, and every method on them no-ops.
+// A Job outlives its submission (a JobResult and cvserve's job registry keep
+// it), so it is never pooled.
+type Job struct {
+	trace obs.Trace
+	rec   Recorder
+}
+
+// NewJob starts the record of one job submitted at start on vc.
+func NewJob(jobID, vc string, start time.Time) *Job {
+	j := new(Job)
+	j.trace.Init(jobID, start)
+	j.rec.init(jobID, vc)
+	return j
+}
+
+// Trace returns the job's timeline (nil for a nil record).
+func (j *Job) Trace() *obs.Trace {
+	if j == nil {
+		return nil
+	}
+	return &j.trace
+}
+
+// Recorder returns the job's decision recorder (nil for a nil record).
+func (j *Job) Recorder() *Recorder {
+	if j == nil {
+		return nil
+	}
+	return &j.rec
 }
 
 // RenderDecisions formats a per-job explain report: one line per decision in

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestEnumClosedAndValid(t *testing.T) {
@@ -208,5 +209,64 @@ func TestRecordWarmPathAllocatesNothing(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("warm Record allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+var jobSink *Job
+
+// TestJobIsOneAllocation: a job's record holds its trace and its decisions,
+// with room inside for 16 spans, 1 event and 3 decisions, so a job that
+// records no more than that costs one allocation, and each slice that
+// outgrows its room costs one more.
+func TestJobIsOneAllocation(t *testing.T) {
+	epoch := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		spans, events, decisions int
+		want                     float64
+	}{
+		{0, 0, 0, 1},
+		{16, 1, 3, 1},
+		{17, 1, 3, 2},
+		{16, 2, 3, 2},
+		{16, 1, 4, 2},
+	} {
+		got := testing.AllocsPerRun(50, func() {
+			job := NewJob("job", "vc", epoch)
+			for i := 0; i < c.spans; i++ {
+				job.Trace().Span("execute:stage-00", time.Second)
+			}
+			for i := 0; i < c.events; i++ {
+				job.Trace().Event("view.proposed", "sig=x")
+			}
+			for i := 0; i < c.decisions; i++ {
+				job.Recorder().Record("sig", "Join", ReasonMatched, 1, "")
+			}
+			jobSink = job
+		})
+		if got != c.want {
+			t.Errorf("%d spans, %d events, %d decisions: %.0f allocs, want %.0f",
+				c.spans, c.events, c.decisions, got, c.want)
+		}
+	}
+	ds := jobSink.Recorder().Decisions()
+	if len(ds) != 4 || ds[3].Seq != 4 || ds[3].JobID != "job" || ds[3].VC != "vc" || ds[3].Outcome != OutcomeReused {
+		t.Errorf("decisions read back from the record: %+v", ds)
+	}
+	if tr := jobSink.Trace(); tr.JobID != "job" || len(tr.Spans()) != 16 || len(tr.Events()) != 1 {
+		t.Errorf("trace read back from the record: %s", tr.Render())
+	}
+}
+
+// TestNilJobIsObservabilityOff: a nil record hands out nil halves, and every
+// method on them is a no-op.
+func TestNilJobIsObservabilityOff(t *testing.T) {
+	var job *Job
+	if job.Trace() != nil || job.Recorder() != nil {
+		t.Fatal("a nil record must hand out nil halves")
+	}
+	job.Trace().Span("parse", time.Second)
+	job.Recorder().Record("sig", "Join", ReasonCost, 1, "")
+	if job.Trace().Spans() != nil || job.Recorder().Len() != 0 {
+		t.Error("recording into a nil record must be a no-op")
 	}
 }

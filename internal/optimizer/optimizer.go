@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -191,7 +192,9 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 		res.CompileLatency += lat
 		o.Trace.Span("insights", lat)
 		if o.Trace != nil {
-			o.Trace.Event("insights.annotations", fmt.Sprintf("count=%d tag=%s", len(anns), signature.Sig(res.Tag).Short()))
+			// Concatenated, not formatted: the detail is the event's one
+			// allocation on every onboarded job.
+			o.Trace.Event("insights.annotations", "count="+strconv.Itoa(len(anns))+" tag="+signature.Sig(res.Tag).Short())
 		}
 		annSet = make(map[signature.Sig]insights.Annotation, len(anns))
 		for _, a := range anns {

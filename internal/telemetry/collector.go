@@ -97,12 +97,10 @@ type DayAgg struct {
 	VCs map[string]*VCAgg
 }
 
-func (a *VCAgg) addJob(bd Breakdown) {
+func (a *VCAgg) addJob(bd *Breakdown) {
 	a.Jobs++
 	a.WallSec += bd.WallSec
-	for phase, sec := range bd.Phase {
-		a.Phase[phase] += sec
-	}
+	bd.ForEachPhase(func(phase string, sec float64) { a.Phase[phase] += sec })
 	a.FaultLossSec += bd.FaultLossSec
 }
 
@@ -157,36 +155,55 @@ func (c *Collector) aggsLocked(day int, vc string) [2]*VCAgg {
 	return [2]*VCAgg{&d.VCAgg, v}
 }
 
-// ObserveJob runs the critical-path analyzer over one finished job trace and
-// folds the attribution into the day/VC aggregates. Called from the data
-// plane on every submission, so it must stay cheap and race-clean.
+// Observe folds one finished job's record into the day/VC aggregates under
+// one lock: the critical-path attribution of its trace and the rollup of its
+// reuse decisions. Called from the data plane on every submission, so it
+// must stay cheap and race-clean. A nil record (observability off) is a
+// no-op.
+//
+// Matched decisions add their banked container-seconds to ReuseSavedSec,
+// summed per job first and then added to each aggregate; misses count once
+// each, and those with a positive at-stake estimate also add to the
+// forfeited container-seconds ("reuse left on the table"). A retried job's
+// recorder holds only its final attempt, so only reuse that attempt banked
+// is credited.
+func (c *Collector) Observe(day int, vc string, job *explain.Job) {
+	if job != nil {
+		c.observe(day, vc, job.Trace(), job.Recorder())
+	}
+}
+
+// ObserveJob folds one job trace's critical-path attribution, as Observe
+// does. It is kept for benchmark/probe.go, which builds the trace and the
+// recorder apart (ROADMAP item 1(b)).
 func (c *Collector) ObserveJob(day int, vc string, tr *obs.Trace) {
-	if c == nil || tr == nil {
+	if tr != nil {
+		c.observe(day, vc, tr, nil)
+	}
+}
+
+// ObserveDecisions folds one job's reuse decisions, as Observe does. It is
+// kept for benchmark/probe.go (ROADMAP item 1(b)).
+func (c *Collector) ObserveDecisions(day int, vc string, rec *explain.Recorder) {
+	if rec.Len() > 0 {
+		c.observe(day, vc, nil, rec)
+	}
+}
+
+// observe folds a trace and a recorder, either of which may be nil.
+func (c *Collector) observe(day int, vc string, tr *obs.Trace, rec *explain.Recorder) {
+	if c == nil {
 		return
 	}
 	bd := Analyze(tr)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, a := range c.aggsLocked(day, vc) {
-		a.addJob(bd)
-	}
-}
-
-// ObserveDecisions folds one finished job's reuse decisions into the day/VC
-// aggregates. It visits the recorder in place (no copy) — the data-plane
-// path, called once per job next to ObserveJob. Matched decisions add their
-// banked container-seconds to ReuseSavedSec, summed per job first and then
-// added to each aggregate; misses count once each, and those with a positive
-// at-stake estimate also add to the forfeited container-seconds ("reuse left
-// on the table"). A retried job's recorder holds only its final attempt, so
-// only reuse that attempt banked is credited.
-func (c *Collector) ObserveDecisions(day int, vc string, rec *explain.Recorder) {
-	if c == nil || rec == nil || rec.Len() == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	aggs := c.aggsLocked(day, vc)
+	if tr != nil {
+		for _, a := range aggs {
+			a.addJob(&bd)
+		}
+	}
 	var saved float64
 	rec.ForEach(func(dec explain.Decision) {
 		if !dec.Reason.IsMiss() {

@@ -14,6 +14,7 @@ import (
 
 func TestNilCollectorNoOps(t *testing.T) {
 	var c *Collector
+	c.Observe(0, "vc", jobRecord(1))
 	c.ObserveJob(0, "vc", obs.NewTrace("j", fixtures.Epoch))
 	c.ObserveDecisions(0, "vc", matched(1))
 	c.AddQueueWait(0, "vc", 1)
@@ -26,7 +27,19 @@ func TestNilCollectorNoOps(t *testing.T) {
 	}
 }
 
-// jobTrace is one job's timeline: 1 s of parse, 3 s of execute.
+// jobRecord is one job's record: 1 s of parse, 3 s of execute, and, when
+// saved is positive, a single matched view banking saved container-seconds.
+func jobRecord(saved float64) *explain.Job {
+	job := explain.NewJob("j", "vc", fixtures.Epoch)
+	job.Trace().Span("parse", time.Second)
+	job.Trace().Span("execute:stage-00", 3*time.Second)
+	if saved > 0 {
+		job.Recorder().Record("sig-x", "Filter", explain.ReasonMatched, saved, "")
+	}
+	return job
+}
+
+// jobTrace is the timeline of jobRecord, apart.
 func jobTrace() *obs.Trace {
 	tr := obs.NewTrace("j", fixtures.Epoch)
 	tr.Span("parse", time.Second)
@@ -34,8 +47,7 @@ func jobTrace() *obs.Trace {
 	return tr
 }
 
-// matched is one job's decisions: a single matched view banking saved
-// container-seconds.
+// matched is the decisions of jobRecord(saved), apart.
 func matched(saved float64) *explain.Recorder {
 	rec := explain.NewRecorder("j", "vc")
 	rec.Record("sig-x", "Filter", explain.ReasonMatched, saved, "")
@@ -44,10 +56,9 @@ func matched(saved float64) *explain.Recorder {
 
 func TestCollectorAggregation(t *testing.T) {
 	c := NewCollector(Config{})
-	c.ObserveJob(0, "vc-a", jobTrace())
-	c.ObserveDecisions(0, "vc-a", matched(5))
-	c.ObserveJob(0, "vc-a", jobTrace())
-	c.ObserveJob(0, "vc-b", jobTrace())
+	c.Observe(0, "vc-a", jobRecord(5))
+	c.Observe(0, "vc-a", jobRecord(0))
+	c.Observe(0, "vc-b", jobRecord(0))
 	c.AddQueueWait(0, "vc-a", 2.5)
 	c.AddFaultLoss(0, "vc-b", 1.5)
 
@@ -85,19 +96,36 @@ func TestCollectorAggregation(t *testing.T) {
 // TestObserveDecisionsSavedAndMisses: one job's decisions feed both halves of
 // the aggregate. Matched decisions bank their SavedCS; every other reason,
 // a runtime fallback included, counts as a miss and forfeits its estimate.
-// A recorder reset by a job retry credits only the final attempt.
+// A recorder reset by a job retry credits only the final attempt, while the
+// trace keeps every attempt's spans and the job.retry event.
 func TestObserveDecisionsSavedAndMisses(t *testing.T) {
-	rec := explain.NewRecorder("j", "vc")
+	job := explain.NewJob("j", "vc", fixtures.Epoch)
+	tr, rec := job.Trace(), job.Recorder()
+	tr.Span("insights", time.Second)
 	rec.Record("sig-a", "Filter", explain.ReasonMatched, 99, "")
+	tr.Span("execute:stage-00", 2*time.Second)
+	tr.EventV("job.retry", "attempt=1 backoff=1s", 4)
 	rec.Reset() // the failed attempt's decisions are superseded
+	tr.Span("insights", time.Second)
 	rec.Record("sig-a", "Filter", explain.ReasonMatched, 5, "")
 	rec.Record("sig-b", "Join", explain.ReasonCost, 2, "")
 	rec.Record("sig-c", "Aggregate", explain.ReasonMatched, 1.5, "")
+	tr.Span("execute:stage-00", 2*time.Second)
 	rec.Record("sig-c", "Aggregate", explain.ReasonFallback, 1.5, "")
 	rec.Record("sig-d", "Project", explain.ReasonNoAnnotation, 0, "")
 
+	if got := len(tr.Spans()); got != 4 {
+		t.Errorf("the retried job's trace holds %d spans, want both attempts' 4", got)
+	}
+	if evs := tr.Events(); len(evs) != 1 || evs[0].Kind != "job.retry" {
+		t.Errorf("the retried job's events = %+v, want the job.retry event", evs)
+	}
+	if ds := rec.Decisions(); len(ds) != 5 || ds[0].SavedCS != 5 || ds[0].Seq != 1 {
+		t.Errorf("after Reset the recorder holds %+v, want the final attempt's 5 decisions from Seq 1", ds)
+	}
+
 	c := NewCollector(Config{})
-	c.ObserveDecisions(3, "vc", rec)
+	c.Observe(3, "vc", job)
 	d := c.Snapshot().Days[0]
 	for name, agg := range map[string]VCAgg{"day": d.VCAgg, "vc": d.VCs["vc"]} {
 		if agg.ReuseSavedSec != 6.5 {
@@ -110,6 +138,45 @@ func TestObserveDecisionsSavedAndMisses(t *testing.T) {
 		wantForfeit := map[string]float64{"cost": 2, "fallback": 1.5}
 		if !reflect.DeepEqual(agg.ForfeitSec, wantForfeit) {
 			t.Errorf("%s: ForfeitSec = %v, want %v", name, agg.ForfeitSec, wantForfeit)
+		}
+		if agg.Jobs != 1 || agg.WallSec != 6 || agg.FaultLossSec != 4 || agg.Phase["execute"] != 4 {
+			t.Errorf("%s: jobs %d, wall %v, fault loss %v, phases %v; want 1, 6, 4 and 4 s of execute",
+				name, agg.Jobs, agg.WallSec, agg.FaultLossSec, agg.Phase)
+		}
+	}
+}
+
+// TestObserveForwardsMatchObserve: ObserveJob and ObserveDecisions, which
+// benchmark/probe.go calls with a trace and a recorder built apart, fold
+// exactly what Observe folds from one record.
+func TestObserveForwardsMatchObserve(t *testing.T) {
+	one, two := NewCollector(Config{}), NewCollector(Config{})
+	for day := 0; day < 2; day++ {
+		one.Observe(day, "vc", jobRecord(float64(day)))
+		two.ObserveJob(day, "vc", jobTrace())
+		if day > 0 {
+			two.ObserveDecisions(day, "vc", matched(float64(day)))
+		}
+	}
+	two.ObserveDecisions(5, "vc", explain.NewRecorder("j", "vc")) // empty: no day
+	if a, b := one.Snapshot(), two.Snapshot(); !reflect.DeepEqual(a.Days, b.Days) {
+		t.Errorf("forwards folded %+v, Observe %+v", b.Days, a.Days)
+	}
+}
+
+// TestUnknownSpanFamilyReachesTheDay: a span family outside Phases keeps its
+// own bucket from Analyze through to the day and VC aggregates, so a new
+// family shows up rather than vanishes.
+func TestUnknownSpanFamilyReachesTheDay(t *testing.T) {
+	job := jobRecord(0)
+	job.Trace().Span("custom:x", 2*time.Second)
+	c := NewCollector(Config{})
+	c.Observe(0, "vc", job)
+	d := c.Snapshot().Days[0]
+	for name, agg := range map[string]VCAgg{"day": d.VCAgg, "vc": d.VCs["vc"]} {
+		want := map[string]float64{"parse": 1, "execute": 3, "custom": 2}
+		if !reflect.DeepEqual(agg.Phase, want) {
+			t.Errorf("%s: Phase = %v, want %v", name, agg.Phase, want)
 		}
 	}
 }
@@ -145,8 +212,8 @@ func TestCollectorEndOfDayAndAlerts(t *testing.T) {
 func TestCollectorSnapshotSorted(t *testing.T) {
 	c := NewCollector(Config{})
 	c.EndOfDay(0, map[string]float64{"zz": 1, "aa": 2, "mm": 3})
-	c.ObserveJob(2, "vc", jobTrace())
-	c.ObserveJob(1, "vc", jobTrace())
+	c.Observe(2, "vc", jobRecord(0))
+	c.Observe(1, "vc", jobRecord(0))
 	rt := c.Snapshot()
 	for i := 1; i < len(rt.Series); i++ {
 		if rt.Series[i-1].Name >= rt.Series[i].Name {
@@ -167,8 +234,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			defer wg.Done()
 			vc := fmt.Sprintf("vc-%d", g%3)
 			for i := 0; i < 50; i++ {
-				c.ObserveJob(0, vc, jobTrace())
-				c.ObserveDecisions(0, vc, matched(1))
+				c.Observe(0, vc, jobRecord(1))
 				c.AddQueueWait(0, vc, 0.5)
 				c.AddFaultLoss(0, vc, 0.25)
 			}

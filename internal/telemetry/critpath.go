@@ -8,12 +8,27 @@ import (
 	"cloudviews/internal/obs"
 )
 
+// The phase buckets, by position in Phases.
+const (
+	phaseParse = iota
+	phaseBind
+	phaseInsights
+	phaseOptimize
+	phaseQueue
+	phaseExecute
+	phaseMaterialize
+	phaseSeal
+	phaseOther
+	numPhases
+)
+
 // Phases lists the canonical phase buckets in display order. "other" absorbs
 // any instant of the trace wall span not covered by a recorded span (e.g. the
 // gap between the data-plane timeline and an out-of-band cluster queue span).
-var Phases = []string{
-	"parse", "bind", "insights", "optimize", "queue",
-	"execute", "materialize", "seal", "other",
+var Phases = [numPhases]string{
+	phaseParse: "parse", phaseBind: "bind", phaseInsights: "insights",
+	phaseOptimize: "optimize", phaseQueue: "queue", phaseExecute: "execute",
+	phaseMaterialize: "materialize", phaseSeal: "seal", phaseOther: "other",
 }
 
 // phasePriority resolves overlapping spans: when two spans cover the same
@@ -21,16 +36,33 @@ var Phases = []string{
 // work. The seal window deliberately ranks below execute/materialize — it
 // overlaps the whole post-submit stretch, and only the part not otherwise
 // accounted for is "waiting for the seal".
-var phasePriority = map[string]int{
-	"materialize": 9,
-	"execute":     8,
-	"queue":       7,
-	"insights":    6,
-	"optimize":    5,
-	"bind":        4,
-	"parse":       3,
-	"seal":        2,
-	"other":       0,
+var phasePriority = [numPhases]int{
+	phaseMaterialize: 9,
+	phaseExecute:     8,
+	phaseQueue:       7,
+	phaseInsights:    6,
+	phaseOptimize:    5,
+	phaseBind:        4,
+	phaseParse:       3,
+	phaseSeal:        2,
+	phaseOther:       0,
+}
+
+// unknownPhase is the index of a span family outside Phases; it ranks just
+// above "other".
+const (
+	unknownPhase    = -1
+	unknownPriority = 1
+)
+
+// phaseIndex returns name's position in Phases, or unknownPhase.
+func phaseIndex(name string) int {
+	for i, p := range Phases {
+		if p == name {
+			return i
+		}
+	}
+	return unknownPhase
 }
 
 // PhaseOf maps a span name to its phase bucket: the prefix before the first
@@ -44,32 +76,63 @@ func PhaseOf(spanName string) string {
 	return spanName
 }
 
-// Breakdown is the critical-path attribution of one job trace. Phase sums to
-// WallSec exactly (the sweep attributes every elementary interval of the
-// trace's wall span to exactly one phase), which the reconciliation property
-// test pins.
+// Breakdown is the critical-path attribution of one job trace. Its phases
+// sum to WallSec exactly (the sweep attributes every elementary interval of
+// the trace's wall span to exactly one phase), which the reconciliation
+// property test pins.
 type Breakdown struct {
 	// WallSec is the trace wall span: latest span end minus earliest span
 	// start, in seconds.
 	WallSec float64
-	// Phase maps phase name → attributed seconds.
-	Phase map[string]float64
+	// known holds the seconds attributed to each of Phases; unknown, made
+	// only when a span family outside Phases gets time, holds the rest.
+	known   [numPhases]float64
+	unknown map[string]float64
 	// FaultLossSec is the simulated time lost to fault recovery recorded on
 	// the trace (job-retry backoff + recompile, from job.retry event values).
 	FaultLossSec float64
 }
 
+// ForEachPhase calls fn for every phase that got time: Phases in order, then
+// any other span family, in no particular order.
+func (bd *Breakdown) ForEachPhase(fn func(phase string, sec float64)) {
+	for i, sec := range bd.known {
+		if sec != 0 {
+			fn(Phases[i], sec)
+		}
+	}
+	for phase, sec := range bd.unknown {
+		fn(phase, sec)
+	}
+}
+
+// add attributes sec to a phase: an index into Phases, or an unknown
+// family by name.
+func (bd *Breakdown) add(phase int, family string, sec float64) {
+	if phase != unknownPhase {
+		bd.known[phase] += sec
+		return
+	}
+	if bd.unknown == nil {
+		bd.unknown = make(map[string]float64)
+	}
+	bd.unknown[family] += sec
+}
+
 // Analyze attributes a job trace's wall span to phases. It is a pure
 // function of the trace: deterministic, and safe to call on a nil trace
-// (returns the zero Breakdown). Reuse decisions are not on the trace; the
-// collector reads them from the job's explain recorder.
+// (returns the zero Breakdown). Over known span families it allocates
+// nothing. Reuse decisions are not on the trace; the collector reads them
+// from the job's explain recorder.
 func Analyze(tr *obs.Trace) Breakdown {
-	bd := Breakdown{Phase: make(map[string]float64)}
+	var bd Breakdown
 	if tr == nil {
 		return bd
 	}
 	type interval struct {
-		phase      string
+		phase      int    // index into Phases, or unknownPhase
+		family     string // the phase's name
+		prio       int
 		start, end time.Time
 	}
 	ivs := make([]interval, 0, 16)
@@ -85,7 +148,11 @@ func Analyze(tr *obs.Trace) Breakdown {
 		}
 		first = false
 		if s.Dur > 0 {
-			ivs = append(ivs, interval{PhaseOf(s.Name), s.Start, end})
+			iv := interval{family: PhaseOf(s.Name), prio: unknownPriority, start: s.Start, end: end}
+			if iv.phase = phaseIndex(iv.family); iv.phase != unknownPhase {
+				iv.prio = phasePriority[iv.phase]
+			}
+			ivs = append(ivs, iv)
 		}
 	})
 	if first {
@@ -111,15 +178,13 @@ func Analyze(tr *obs.Trace) Breakdown {
 	}
 	for i := 0; i+1 < len(uniq); i++ {
 		a, b := uniq[i], uniq[i+1]
-		best, bestPrio := "other", -1
-		for _, iv := range ivs {
-			if !iv.start.After(a) && !iv.end.Before(b) {
-				if p := phasePrio(iv.phase); p > bestPrio {
-					best, bestPrio = iv.phase, p
-				}
+		best := &interval{phase: phaseOther, prio: -1}
+		for j := range ivs {
+			if iv := &ivs[j]; !iv.start.After(a) && !iv.end.Before(b) && iv.prio > best.prio {
+				best = iv
 			}
 		}
-		bd.Phase[best] += b.Sub(a).Seconds()
+		bd.add(best.phase, best.family, b.Sub(a).Seconds())
 	}
 
 	tr.ForEachEvent(func(ev obs.Event) {
@@ -128,11 +193,4 @@ func Analyze(tr *obs.Trace) Breakdown {
 		}
 	})
 	return bd
-}
-
-func phasePrio(phase string) int {
-	if p, ok := phasePriority[phase]; ok {
-		return p
-	}
-	return 1 // unknown span families rank just above "other"
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,15 +12,20 @@ import (
 
 func sumPhases(bd Breakdown) float64 {
 	var s float64
-	for _, v := range bd.Phase {
-		s += v
-	}
+	bd.ForEachPhase(func(_ string, sec float64) { s += sec })
 	return s
+}
+
+// phaseMap lists the phases that got time, for failure messages.
+func phaseMap(bd Breakdown) map[string]float64 {
+	m := make(map[string]float64)
+	bd.ForEachPhase(func(phase string, sec float64) { m[phase] = sec })
+	return m
 }
 
 func TestAnalyzeNilAndZeroSpan(t *testing.T) {
 	bd := Analyze(nil)
-	if bd.WallSec != 0 || len(bd.Phase) != 0 {
+	if bd.WallSec != 0 || len(phaseMap(bd)) != 0 {
 		t.Errorf("nil trace: %+v", bd)
 	}
 	tr := obs.NewTrace("j", fixtures.Epoch)
@@ -41,38 +47,29 @@ func TestAnalyzeSequentialSpans(t *testing.T) {
 		t.Fatalf("WallSec=%v, want 10", bd.WallSec)
 	}
 	want := map[string]float64{"parse": 1, "bind": 2, "insights": 3, "execute": 4}
-	for p, sec := range want {
-		if bd.Phase[p] != sec {
-			t.Errorf("Phase[%s]=%v, want %v", p, bd.Phase[p], sec)
-		}
+	if got := phaseMap(bd); !reflect.DeepEqual(got, want) {
+		t.Errorf("phases %v, want %v", got, want)
 	}
 	if got := sumPhases(bd); got != bd.WallSec {
 		t.Errorf("phases sum to %v, wall is %v", got, bd.WallSec)
 	}
 }
 
-var phaseSink map[string]float64
+var breakdownSink Breakdown
 
 // TestAnalyzeAllocatesOnlyItsBreakdown: the sweep's intervals and cuts live
-// on the stack, so Analyze allocates what its Phase map costs and nothing
-// else. Analyze runs once per job.
+// on the stack and the known phases in an array, so Analyze over span
+// families in Phases allocates nothing. Analyze runs once per job.
 func TestAnalyzeAllocatesOnlyItsBreakdown(t *testing.T) {
 	tr := obs.NewTrace("j", fixtures.Epoch)
 	for _, name := range []string{"parse", "bind", "insights", "optimize", "execute:stage-00"} {
 		tr.Span(name, time.Second)
 	}
 	tr.SpanAt("seal", fixtures.Epoch.Add(3*time.Second), 10*time.Second)
-	bd := Analyze(tr)
-	phases := testing.AllocsPerRun(100, func() {
-		phaseSink = make(map[string]float64)
-		for p, sec := range bd.Phase {
-			phaseSink[p] += sec
-		}
-	})
-	got := testing.AllocsPerRun(100, func() { Analyze(tr) })
-	t.Logf("%.0f allocs per six-span Analyze, %.0f for its %d-phase map", got, phases, len(bd.Phase))
-	if got != phases {
-		t.Errorf("%.0f allocs per six-span Analyze, want the Phase map's %.0f", got, phases)
+	got := testing.AllocsPerRun(100, func() { breakdownSink = Analyze(tr) })
+	t.Logf("%.0f allocs per six-span Analyze over %d phases", got, len(phaseMap(breakdownSink)))
+	if got != 0 {
+		t.Errorf("%.0f allocs per six-span Analyze, want 0", got)
 	}
 }
 
@@ -86,11 +83,11 @@ func TestAnalyzeOverlapPriority(t *testing.T) {
 	if bd.WallSec != 15 {
 		t.Fatalf("WallSec=%v, want 15", bd.WallSec)
 	}
-	if bd.Phase["execute"] != 10 {
-		t.Errorf("execute=%v, want 10 (wins the overlap)", bd.Phase["execute"])
+	if got := phaseMap(bd)["execute"]; got != 10 {
+		t.Errorf("execute=%v, want 10 (wins the overlap)", got)
 	}
-	if bd.Phase["seal"] != 5 {
-		t.Errorf("seal=%v, want 5 (only the uncovered tail)", bd.Phase["seal"])
+	if got := phaseMap(bd)["seal"]; got != 5 {
+		t.Errorf("seal=%v, want 5 (only the uncovered tail)", got)
 	}
 	if got := sumPhases(bd); got != bd.WallSec {
 		t.Errorf("phases sum to %v, wall is %v", got, bd.WallSec)
@@ -107,8 +104,8 @@ func TestAnalyzeGapGoesToOther(t *testing.T) {
 	if bd.WallSec != 8 {
 		t.Fatalf("WallSec=%v, want 8", bd.WallSec)
 	}
-	if bd.Phase["other"] != 3 {
-		t.Errorf("other=%v, want 3 (the uncovered gap)", bd.Phase["other"])
+	if got := phaseMap(bd)["other"]; got != 3 {
+		t.Errorf("other=%v, want 3 (the uncovered gap)", got)
 	}
 	if got := sumPhases(bd); got != bd.WallSec {
 		t.Errorf("phases sum to %v, wall is %v", got, bd.WallSec)
@@ -120,8 +117,8 @@ func TestAnalyzeUnknownSpanFamily(t *testing.T) {
 	tr := obs.NewTrace("j", fixtures.Epoch)
 	tr.Span("mystery:phase", 4*time.Second)
 	bd := Analyze(tr)
-	if bd.Phase["mystery"] != 4 {
-		t.Errorf("mystery=%v, want 4", bd.Phase["mystery"])
+	if got := phaseMap(bd)["mystery"]; got != 4 {
+		t.Errorf("mystery=%v, want 4", got)
 	}
 }
 
@@ -167,7 +164,7 @@ func TestAnalyzeReconciliationGenerated(t *testing.T) {
 		bd := Analyze(tr)
 		if diff := math.Abs(sumPhases(bd) - bd.WallSec); diff > 1e-9 {
 			t.Fatalf("run %d: phases sum %.12f != wall %.12f (diff %g)\nphases: %v",
-				run, sumPhases(bd), bd.WallSec, diff, bd.Phase)
+				run, sumPhases(bd), bd.WallSec, diff, phaseMap(bd))
 		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"cloudviews/internal/explain"
 	"cloudviews/internal/fixtures"
-	"cloudviews/internal/obs"
 )
 
 func demoTelemetry() *RunTelemetry {
@@ -14,11 +14,11 @@ func demoTelemetry() *RunTelemetry {
 		{Name: "too-big", Metric: "day_jobs", Kind: Above, Threshold: 1, Severity: SevWarn},
 	}})
 	for day := 0; day < 3; day++ {
-		tr := obs.NewTrace("j", fixtures.Epoch.AddDate(0, 0, day))
-		tr.Span("parse", time.Second)
-		tr.Span("execute:stage-00", 5*time.Second)
-		c.ObserveJob(day, "vc-a", tr)
-		c.ObserveDecisions(day, "vc-a", matched(2))
+		job := explain.NewJob("j", "vc-a", fixtures.Epoch.AddDate(0, 0, day))
+		job.Trace().Span("parse", time.Second)
+		job.Trace().Span("execute:stage-00", 5*time.Second)
+		job.Recorder().Record("sig-x", "Filter", explain.ReasonMatched, 2, "")
+		c.Observe(day, "vc-a", job)
 		c.AddQueueWait(day, "vc-a", 1)
 		c.EndOfDay(day, map[string]float64{
 			"day_jobs": float64(day + 1), `labeled{vc="a"}`: 10,

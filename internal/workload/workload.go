@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"time"
 
 	"cloudviews/internal/catalog"
@@ -256,13 +257,15 @@ func (g *Generator) rawTable(day, stream int) *data.Table {
 	base := fixtures.Epoch.AddDate(0, 0, day)
 	// AdvanceDay regenerates every raw stream, so the table is built with a
 	// handful of allocations: rows from a slab, and the URL column — always
-	// urlLen bytes of "https://svcNN/pNNN" — as slices of one string.
+	// urlLen bytes of "https://svcNN/pNNN" — as slices of one string, built
+	// in place at its final size.
 	const urlLen = len("https://svc00/p000")
 	n := p.RowsPerRawDay
 	var slab data.RowSlab
 	slab.Expect(n)
 	t.Rows = make([]data.Row, 0, n)
-	urls := make([]byte, 0, n*urlLen)
+	var urls strings.Builder
+	urls.Grow(n * urlLen)
 	for i := 0; i < n; i++ {
 		row := slab.New(len(rawSchema))
 		row[0] = data.Time(base.Add(time.Duration(rng.Intn(86400)) * time.Second))
@@ -270,26 +273,28 @@ func (g *Generator) rawTable(day, stream int) *data.Table {
 		row[2] = data.String_(regions[rng.Intn(len(regions))])
 		row[3] = data.String_(eventTypes[rng.Intn(len(eventTypes))])
 		row[4] = data.Float(rng.Float64() * 200)
-		urls = appendPadded(append(urls, "https://svc"...), rng.Intn(20), 2)
-		urls = appendPadded(append(urls, "/p"...), rng.Intn(500), 3)
+		urls.WriteString("https://svc")
+		writePadded(&urls, rng.Intn(20), 2)
+		urls.WriteString("/p")
+		writePadded(&urls, rng.Intn(500), 3)
 		t.Append(row)
 	}
-	all := string(urls)
+	all := urls.String()
 	for i, row := range t.Rows {
 		row[5] = data.String_(all[i*urlLen : (i+1)*urlLen])
 	}
 	return t
 }
 
-// appendPadded appends v in decimal, zero-padded to width digits: fmt's %0*d
+// writePadded writes v in decimal, zero-padded to width digits: fmt's %0*d
 // for a non-negative v.
-func appendPadded(dst []byte, v, width int) []byte {
+func writePadded(b *strings.Builder, v, width int) {
 	var buf [20]byte
 	digits := strconv.AppendInt(buf[:0], int64(v), 10)
 	for pad := width - len(digits); pad > 0; pad-- {
-		dst = append(dst, '0')
+		b.WriteByte('0')
 	}
-	return append(dst, digits...)
+	b.Write(digits)
 }
 
 func (g *Generator) dimTable(day, dim int) *data.Table {
