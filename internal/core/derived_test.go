@@ -82,27 +82,28 @@ func (w *derivedWorld) republish(t *testing.T, name string, at time.Time) {
 	}
 }
 
-// compiledView renders everything a compile decided, in plan order, with node
-// identities left out: the plan with its strict attributes, each node's
-// result-cache key, estimate and join algorithm, and the enumeration.
+// compiledView renders everything a compile decided, in position order, with
+// node identities left out: the plan with its strict attributes, then each
+// position's enumeration entry, result-cache key, estimate and join algorithm.
 func compiledView(run *JobRun) string {
 	var sb strings.Builder
 	cr := run.Compile
 	sb.WriteString(plan.Format(cr.Plan))
-	plan.Walk(cr.Plan, func(n plan.Node) {
-		est := cr.Estimates[n]
-		fmt.Fprintf(&sb, "%s key=%s rows=%v bytes=%v", n.OpName(), cr.Physical[n], est.Rows, est.Bytes)
-		switch x := n.(type) {
+	for i, s := range cr.Subs {
+		fmt.Fprintf(&sb, "%s %s %s %s h=%d n=%d %s %v parent=%d", s.Node.OpName(), s.Op, s.Strict, s.Recurring,
+			s.Height, s.NodeCount, s.Eligibility, s.InputDatasets, s.Parent)
+		nd := cr.Nodes[i]
+		fmt.Fprintf(&sb, " key=%s rows=%v bytes=%v", nd.Key, nd.Est.Rows, nd.Est.Bytes)
+		switch x := s.Node.(type) {
 		case *plan.Join:
-			fmt.Fprintf(&sb, " algo=%s", cr.JoinAlgo(x))
+			fmt.Fprintf(&sb, " algo=%s", cr.JoinAlgo(i))
 		case *plan.Scan:
 			fmt.Fprintf(&sb, " base=%d", x.BaseRows)
 		}
 		sb.WriteByte('\n')
-	})
-	for _, s := range cr.Subs {
-		fmt.Fprintf(&sb, "%s %s %s %s h=%d n=%d %s %v parent=%d\n", s.Node.OpName(), s.Op, s.Strict, s.Recurring,
-			s.Height, s.NodeCount, s.Eligibility, s.InputDatasets, s.Parent)
+	}
+	if len(cr.Nodes) != len(cr.Subs) {
+		fmt.Fprintf(&sb, "%d nodes for %d positions\n", len(cr.Nodes), len(cr.Subs))
 	}
 	fmt.Fprintf(&sb, "tag=%s matched=%+v proposed=%+v latency=%s\n", cr.Tag, cr.Matched, cr.Proposed, cr.CompileLatency)
 	return sb.String()
@@ -369,12 +370,13 @@ OUTPUT r TO "out/r";`
 
 // recurringAllocCeiling bounds the allocations of one submission of a known
 // template after a bulk update, with a new parameter value: lookup, Derive,
-// store, compile, execute over 300 rows, record. Last measured: 51 (52 under
-// -race), Go 1.24; 53 while the plan-cache key was a new string per lookup
-// (twice here: the job's and pcEntry's). The ceiling keeps 27 of margin.
-// Parsing, binding, normalizing or enumerating per job again costs several
-// hundred more.
-const recurringAllocCeiling = 78
+// store, compile, execute over 300 rows, record. Last measured: 41 (44 under
+// -race), Go 1.24; 51 while the job's estimates, result-cache keys and
+// record statistics were maps keyed by plan node, 53 while the plan-cache key
+// was a new string per lookup (twice here: the job's and pcEntry's). The
+// ceiling keeps 27 of margin. Parsing, binding, normalizing or enumerating
+// per job again costs several hundred more.
+const recurringAllocCeiling = 68
 
 func TestRecurringRecompileAllocCeiling(t *testing.T) {
 	script := `r = SELECT Region, COUNT(*) AS n FROM Events WHERE Value > @lo GROUP BY Region;

@@ -413,14 +413,11 @@ func (e *Engine) CompileAndExecute(in workload.JobInput) (*JobRun, error) {
 			Catalog: e.Catalog,
 			Views:   e.Store,
 			Cache:   e.resultCache(),
-			// The result-cache keys, signed with cr.Subs (Signer.Sign):
-			// strict signatures, except on or above a ViewScan (a plan that
-			// reuses a view must not replay the accounting of the plan that
-			// computed the subexpression) and none on or above a Spool.
-			SigMap: cr.Physical,
-			// Runtime history sizes each aggregate's group table (the
-			// statistics feedback reaches the executor, not only the
-			// optimizer's estimates); each join runs the picked algorithm.
+			// By position: the result-cache keys (Signer.Sign: none on or
+			// above a Spool, and a plan reusing a view never replays the
+			// accounting of the plan that computed it), runtime history
+			// sizing each aggregate's group table (the statistics feedback
+			// reaches the executor too) and each join's picked algorithm.
 			Compiled: cr,
 			// The vectorized batch path is the production default; its
 			// results and accounting are byte-identical to the row-at-a-time
@@ -655,7 +652,7 @@ func (e *Engine) estimateSealDelay(run *JobRun) time.Duration {
 // across the stages in proportion to their estimated work, so executions
 // served from the result cache still yield a faithful schedule.
 func stageSpecs(cr *optimizer.CompileResult, res *exec.RunResult) []cluster.StageSpec {
-	stages := optimizer.BuildStages(cr.Plan, cr.Estimates)
+	stages := optimizer.BuildStages(cr.Plan, cr.Nodes)
 	specs := make([]cluster.StageSpec, len(stages))
 	var totalWeight float64
 	spoolStages := 0
@@ -666,7 +663,7 @@ func stageSpecs(cr *optimizer.CompileResult, res *exec.RunResult) []cluster.Stag
 			continue
 		}
 		// Work holds the stage's estimated weight until the total is known.
-		specs[i].Work = estimatedOpWork(st.Op, cr.Estimates[st.Node])
+		specs[i].Work = estimatedOpWork(st.Op, cr.Nodes[st.Pos].Est)
 		totalWeight += specs[i].Work
 	}
 	nonSpoolWork := res.TotalWork - res.SpoolWork
@@ -701,36 +698,15 @@ func estimatedOpWork(op string, est stats.Estimate) float64 {
 // buildRecord assembles the repository row for a job — Start and End read
 // Submit and the cluster outcome fields zero until RunDay's SetOutcome — and
 // feeds the runtime history. The row's InputDatasets are the plan-cache
-// entry's slices, shared, never copied. The Work
-// recorded per subexpression is its SUBTREE cost — what reusing it would save
-// — and subtrees that were themselves served from a view are excluded from
-// history so reuse never poisons the recompute-cost estimates.
+// entry's slices, shared, never copied. One pass pairs cr.Subs with the
+// positioned res.Stats, both in ascending position. The Work recorded per
+// subexpression is its SUBTREE cost — what reusing it would save — and
+// subtrees that were themselves served from a view are excluded from history
+// so reuse never poisons the recompute-cost estimates.
 func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, res *exec.RunResult) *repository.JobRecord {
 	subs := cr.Subs
-	statByNode := make(map[plan.Node]exec.NodeStat, len(res.Stats))
-	for _, st := range res.Stats {
-		statByNode[st.Node] = st
-	}
-	// Fold per-operator work into per-subtree work (post-order, so children
-	// precede parents) and mark subtrees containing a ViewScan.
-	subtreeWork := make([]float64, len(subs))
-	hasView := make([]bool, len(subs))
-	for i, s := range subs {
-		if st, ok := statByNode[s.Node]; ok {
-			subtreeWork[i] += st.Work
-		}
-		if s.Op == "ViewScan" {
-			hasView[i] = true
-		}
-		if p := s.Parent; p >= 0 {
-			subtreeWork[p] += subtreeWork[i]
-			if hasView[i] {
-				hasView[p] = true
-			}
-		}
-	}
 	rec := &repository.JobRecord{
-		Subexprs:    make([]repository.SubexprRecord, 0, len(subs)),
+		Subexprs:    make([]repository.SubexprRecord, len(subs)),
 		JobID:       in.ID,
 		Cluster:     in.Cluster,
 		VC:          in.VC,
@@ -745,8 +721,13 @@ func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, 
 		ViewsBuilt:  len(cr.Proposed),
 		ViewsReused: len(cr.Matched),
 	}
+	ran := res.Stats
+	lastView := -1 // the last ViewScan's position so far
 	for i, s := range subs {
-		sr := repository.SubexprRecord{
+		// Post-order: a subtree is the NodeCount positions ending at its
+		// root, and its inputs' subtree Work is already folded into sr.Work.
+		sr := &rec.Subexprs[i]
+		*sr = repository.SubexprRecord{
 			JobID:         in.ID,
 			Strict:        s.Strict,
 			Recurring:     s.Recurring,
@@ -756,25 +737,35 @@ func (e *Engine) buildRecord(in workload.JobInput, cr *optimizer.CompileResult, 
 			Eligible:      s.Eligibility,
 			InputDatasets: s.InputDatasets,
 			Parent:        s.Parent,
-			Work:          subtreeWork[i],
+			Work:          sr.Work,
 		}
-		if st, ok := statByNode[s.Node]; ok {
+		for len(ran) > 0 && int(ran[0].Pos) < i {
+			ran = ran[1:] // NoPos: a Spool or a ViewScan's fallback
+		}
+		if len(ran) > 0 && int(ran[0].Pos) == i {
+			st := &ran[0]
+			sr.Work += st.Work
 			sr.Rows, sr.Bytes = st.RowsOut, st.BytesOut
 			if s.Op == "Join" {
 				sr.JoinAlgo = st.Algo.String()
 			}
-		} else if j, isJoin := s.Node.(*plan.Join); isJoin {
-			// Cache-replayed joins still report their chosen algorithm.
-			sr.JoinAlgo = cr.JoinAlgo(j).String()
+		} else if s.Op == "Join" {
+			// A join that never ran still reports its chosen algorithm.
+			sr.JoinAlgo = cr.JoinAlgo(i).String()
 		}
-		rec.Subexprs = append(rec.Subexprs, sr)
+		if s.Op == "ViewScan" {
+			lastView = i
+		}
+		if s.Parent >= 0 {
+			rec.Subexprs[s.Parent].Work += sr.Work
+		}
 
 		// Runtime history: only genuine recomputations count.
-		if !hasView[i] && subtreeWork[i] > 0 && s.Op != "Output" && s.Op != "Spool" {
+		if hasView := lastView > i-s.NodeCount; !hasView && sr.Work > 0 && s.Op != "Output" && s.Op != "Spool" {
 			e.History.Record(s.Recurring, stats.Observation{
 				Rows:  sr.Rows,
 				Bytes: sr.Bytes,
-				Work:  subtreeWork[i],
+				Work:  sr.Work,
 			})
 		}
 	}

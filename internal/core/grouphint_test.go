@@ -8,25 +8,23 @@ import (
 	"time"
 
 	"cloudviews/internal/data"
+	"cloudviews/internal/exec"
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/workload"
 )
 
-// aggregateOf returns the one Aggregate of a compiled plan.
-func aggregateOf(t *testing.T, cr *optimizer.CompileResult) *plan.Aggregate {
+// aggregateOf returns the position of the one Aggregate of a compiled plan.
+func aggregateOf(t *testing.T, cr *optimizer.CompileResult) int {
 	t.Helper()
-	var agg *plan.Aggregate
-	plan.Walk(cr.Plan, func(n plan.Node) {
-		if a, ok := n.(*plan.Aggregate); ok {
-			agg = a
+	for i, s := range cr.Subs {
+		if _, ok := s.Node.(*plan.Aggregate); ok {
+			return i
 		}
-	})
-	if agg == nil {
-		t.Fatal("the plan has no Aggregate")
 	}
-	return agg
+	t.Fatal("the plan has no Aggregate")
+	return exec.NoPos
 }
 
 // compileOnly compiles a job as CompileAndExecute would, without running it.
@@ -108,14 +106,14 @@ func TestGroupTableHintComesFromHistory(t *testing.T) {
 
 	fresh := compileOnly(t, e, hintInput("k1", 1, 5))
 	agg := aggregateOf(t, fresh)
-	if est := fresh.Estimates[agg]; !(est.Rows > 0) {
+	if est := fresh.Nodes[agg].Est; !(est.Rows > 0) {
 		t.Fatalf("the compile-time model gave the new script's Aggregate no estimate: %+v", est)
 	}
 	if rows, ok := fresh.ObservedRows(agg); ok {
 		t.Fatalf("a script that never ran reports %v observed rows", rows)
 	}
-	if rows, ok := fresh.ObservedRows(&plan.Aggregate{}); ok {
-		t.Fatalf("a node outside the plan reports %v observed rows", rows)
+	if rows, ok := fresh.ObservedRows(exec.NoPos); ok {
+		t.Fatalf("a node with no position reports %v observed rows", rows)
 	}
 
 	const workers, jobs = 8, 4

@@ -199,11 +199,11 @@ func TestSortAndSampleOverJoinDoNotNarrow(t *testing.T) {
 				t.Fatalf("%s: %v", c.query, err)
 			}
 			var joinSig signature.Sig
-			plan.Walk(run.Compile.Plan, func(n plan.Node) {
-				if _, ok := n.(*plan.Join); ok {
-					joinSig = run.Compile.Physical[n]
+			for i, s := range run.Compile.Subs {
+				if _, ok := s.Node.(*plan.Join); ok {
+					joinSig = run.Compile.Nodes[i].Key
 				}
-			})
+			}
 			if joinSig == "" {
 				t.Fatalf("%s: no join in the compiled plan", c.query)
 			}

@@ -231,9 +231,9 @@ func TestEveryJobCompilesAgainstCurrentHistory(t *testing.T) {
 	plainEng := pcEngine(t, Config{PlanCacheSize: -1})
 	estimates := func(run *JobRun) []stats.Estimate {
 		var out []stats.Estimate
-		plan.Walk(run.Compile.Plan, func(n plan.Node) {
-			out = append(out, run.Compile.Estimates[n])
-		})
+		for _, nd := range run.Compile.Nodes {
+			out = append(out, nd.Est)
+		}
 		return out
 	}
 	const n = 5
@@ -258,12 +258,12 @@ func TestEveryJobCompilesAgainstCurrentHistory(t *testing.T) {
 		if ce, pe := estimates(cr), estimates(pr); !reflect.DeepEqual(ce, pe) {
 			t.Fatalf("run %d: cached estimates differ from uncached:\ncached: %v\nplain:  %v", i, ce, pe)
 		}
-		for _, s := range cr.Compile.Subs {
+		for pos, s := range cr.Compile.Subs {
 			if s.Op != "Filter" {
 				continue
 			}
 			filter = s.Recurring
-			if got := cr.Compile.Estimates[s.Node]; i > 0 && (got.Rows != want.AvgRows || got.Bytes != want.AvgBytes) {
+			if got := cr.Compile.Nodes[pos].Est; i > 0 && (got.Rows != want.AvgRows || got.Bytes != want.AvgBytes) {
 				t.Fatalf("run %d: filter estimated at %+v, history at submit time says rows=%v bytes=%v", i, got, want.AvgRows, want.AvgBytes)
 			}
 		}

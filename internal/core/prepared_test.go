@@ -128,9 +128,9 @@ func sharedBelowSubstitutions(t *testing.T, id string, root plan.Node, prep *opt
 func joinsRanAsPlanned(t *testing.T, run *JobRun) (joins int) {
 	t.Helper()
 	for _, st := range run.Exec.Stats {
-		if j, isJoin := st.Node.(*plan.Join); isJoin {
+		if _, isJoin := st.Node.(*plan.Join); isJoin {
 			joins++
-			if want := run.Compile.JoinAlgo(j); st.Algo != want || want == plan.JoinAuto {
+			if want := run.Compile.JoinAlgo(int(st.Pos)); st.Algo != want || want == plan.JoinAuto {
 				t.Errorf("%s: a join ran as %v, its compile picked %v", run.Input.ID, st.Algo, want)
 			}
 		}
@@ -234,23 +234,25 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 }
 
 // warmAllocCeiling bounds the allocations of one warm, onboarded,
-// view-matching resubmission. Last measured: 29, Go 1.24; 36 while the trace,
-// its span slice, its event, the explain recorder, its decisions and the
-// critical-path phase map were each their own allocation, 37 while the
-// plan-cache key was a new string per lookup. The ceiling keeps 4 of margin,
-// so the 45 a job cost when result-cache keys above a view rendered their
-// attributes again goes past it.
+// view-matching resubmission. Last measured: 24, Go 1.24; 29 while the job's
+// estimates, result-cache keys and record statistics were maps keyed by plan
+// node, 36 while the trace, its span slice, its event, the explain recorder,
+// its decisions and the critical-path phase map were each their own
+// allocation, 37 while the plan-cache key was a new string per lookup. The
+// ceiling keeps 4 of margin, so the 45 a job cost when result-cache keys
+// above a view rendered their attributes again goes past it.
 // It is the unit-test-cost gate on the reuse-on path: a change that re-signs
 // the final plan, copies the prepared one, re-normalizes per job or copies the
 // job's record on its way into the repository goes past it.
-const warmAllocCeiling = 33
+const warmAllocCeiling = 28
 
 // unobservedWarmAllocCeiling bounds the same resubmission with observability
-// off, where no trace, explain recorder or metric exists. Last measured: 27,
-// Go 1.24; 29 while the insights.annotations event's detail was formatted
+// off, where no trace, explain recorder or metric exists. Last measured: 22,
+// Go 1.24; 27 while the job's per-node tables were maps keyed by plan node,
+// 29 while the insights.annotations event's detail was formatted
 // before the nil-trace check. The ceiling keeps 1 of margin, so formatting
 // any event's detail for a trace that is not there goes past it.
-const unobservedWarmAllocCeiling = 28
+const unobservedWarmAllocCeiling = 23
 
 // observabilityAllocs bounds what observing the resubmission costs over not
 // observing it: the job's one record (explain.Job: trace, events and

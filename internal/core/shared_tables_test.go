@@ -134,9 +134,12 @@ func TestStoredTablesAreNeverWritten(t *testing.T) {
 					built += len(run.Compile.Proposed)
 					reused += len(run.Compile.Matched)
 					hits += run.Exec.CacheHits
-					for _, sig := range run.Compile.Physical {
-						if e, ok := cache.Get(sig); ok {
-							observe("result cache "+sig.Short(), e.Table)
+					for _, nd := range run.Compile.Nodes {
+						if nd.Key == "" {
+							continue
+						}
+						if e, ok := cache.Get(nd.Key); ok {
+							observe("result cache "+nd.Key.Short(), e.Table)
 							cached[e.Table] = true
 						}
 					}

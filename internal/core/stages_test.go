@@ -12,12 +12,15 @@ import (
 	"cloudviews/internal/fixtures"
 	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
+	"cloudviews/internal/stats"
 	"cloudviews/internal/workload"
 )
 
 // refStage and referenceStageSpecs are the stage lowering as it was when it
-// built a pointer per stage and a by-node map, then copied the result into
-// the cluster's form: the oracle for BuildStages + stageSpecs.
+// built a pointer per stage and read a by-node map of estimates, then copied
+// the result into the cluster's form: the oracle for BuildStages + stageSpecs.
+// The map is built from the positional estimates by node identity, a Spool
+// reading its child's, as the optimizer's memo once held them.
 type refStage struct {
 	id      int
 	node    plan.Node
@@ -28,7 +31,15 @@ type refStage struct {
 }
 
 func referenceStageSpecs(cr *optimizer.CompileResult, res *exec.RunResult) []cluster.StageSpec {
-	est := cr.Estimates
+	est := make(map[plan.Node]stats.Estimate, len(cr.Subs))
+	for i, s := range cr.Subs {
+		est[s.Node] = cr.Nodes[i].Est
+	}
+	plan.Walk(cr.Plan, func(n plan.Node) {
+		if sp, ok := n.(*plan.Spool); ok {
+			est[n] = est[sp.Child]
+		}
+	})
 	width := func(rows float64) int {
 		w := int(math.Ceil(rows / optimizer.RowsPerPartition))
 		return max(1, min(w, optimizer.MaxStageWidth))

@@ -84,8 +84,11 @@ func SpoolWriteWork(bytes int64) float64 {
 // accounting record, of which every RunResult total is a fold. Rows, bytes
 // and work are logical (scale-multiplied) quantities.
 type NodeStat struct {
-	Node     plan.Node
-	Algo     plan.JoinAlgo // joins only
+	Node plan.Node
+	Algo plan.JoinAlgo // joins only
+	// Pos is Node's position (Compiled), a replayed stat's too; a Spool's
+	// stat and a fallback's have NoPos. Positioned stats come in ascending order.
+	Pos      int32
 	RowsOut  int64
 	BytesOut int64
 	Work     float64
@@ -98,6 +101,9 @@ type NodeStat struct {
 	// never rendered into traces or goldens.
 	Batches int64
 }
+
+// NoPos is the position of a node outside the compile's enumeration.
+const NoPos = -1
 
 // RunResult is the outcome of executing one plan. Its four totals are folds
 // of Stats, taken in recording order when the run ends; a replayed cache
@@ -278,9 +284,9 @@ type Executor struct {
 	Catalog *catalog.Catalog
 	Views   ViewStore // nil disables Spool/ViewScan handling
 	Cache   *Cache    // nil disables memoization
-	// SigMap holds the result-cache key of every node that has one
-	// (signature.Signer.Sign). A node absent from it, such as a Spool and
-	// everything above one, is never looked up or stored.
+	// SigMap holds the result-cache key of every keyed node with no position
+	// (signature.Signer.Physical). Only benchmark/probe.go sets it; it leaves
+	// with ROADMAP item 1(a).
 	SigMap map[plan.Node]signature.Sig
 	Ctx    *plan.EvalContext
 	// Vectorized runs filter, project, join keys, aggregate, sort and sample
@@ -302,24 +308,29 @@ type Executor struct {
 	JobID  string
 	// Trace, when set, receives spool-write failure events (nil-safe).
 	Trace *obs.Trace
-	// Compiled, when set, is the job's compile result: an aggregate sizes its
-	// group table from it once and a join runs the algorithm it picked. nil
-	// sizes nothing (tables grow as groups open) and leaves joins to evalJoin.
+	// Compiled, when set, is the job's compile result for the plan Run is
+	// given. nil sizes nothing (tables grow as groups open), leaves joins to
+	// evalJoin and keys nodes by SigMap.
 	Compiled Compiled
 
 	res RunResult
 	s   *scratch // taken on the run's first borrow
 }
 
-// Compiled is what a compile worked out about its plan's nodes
-// (optimizer.CompileResult). ObservedRows reports the mean logical rows
-// runtime history recorded for a node's recurring signature; ok is false when
-// the node has never run. A wrong answer costs only growth or spare capacity,
-// never a different result. JoinAlgo reports the algorithm picked for a join,
-// or JoinAuto for one it did not plan (a ViewScan's fallback).
+// Compiled is what a compile worked out about its plan
+// (optimizer.CompileResult), read by position: a node's index in Subexprs,
+// the plan's post-order enumeration. Run passes positions down from the root
+// (signature.InputPos): a Spool passes its own to its child, and a ViewScan's
+// fallback, like every node of a run whose Subexprs is empty, has NoPos. Key
+// is a node's result-cache key, "" for none. ObservedRows is the mean logical
+// rows runtime history recorded for it, ok false when it never ran: a wrong
+// answer costs only growth or spare capacity, never a different result.
+// JoinAlgo is a join's picked algorithm, JoinAuto at NoPos.
 type Compiled interface {
-	ObservedRows(n plan.Node) (rows float64, ok bool)
-	JoinAlgo(j *plan.Join) plan.JoinAlgo
+	Subexprs() []signature.Subexpr
+	Key(pos int) signature.Sig
+	ObservedRows(pos int) (rows float64, ok bool)
+	JoinAlgo(pos int) plan.JoinAlgo
 }
 
 // nodeResult is one operator's output, in one of three shapes: a table's
@@ -436,10 +447,10 @@ func produced(t *data.Table, mult float64) nodeResult {
 func (r nodeResult) logicalBytes() int64 { return int64(float64(r.bytes) * r.mult) }
 func (r nodeResult) logicalRows() int64  { return int64(float64(r.len()) * r.mult) }
 
-// finish records st for the operator that produced out, with RowsOut and
-// BytesOut filled in from out, and returns out.
-func (ex *Executor) finish(st NodeStat, out nodeResult) nodeResult {
-	st.RowsOut, st.BytesOut = out.logicalRows(), out.logicalBytes()
+// finish records st for the operator that produced out, at position at, with
+// RowsOut and BytesOut filled in from out, and returns out.
+func (ex *Executor) finish(st NodeStat, at int, out nodeResult) nodeResult {
+	st.RowsOut, st.BytesOut, st.Pos = out.logicalRows(), out.logicalBytes(), int32(at)
 	ex.record(st)
 	return out
 }
@@ -457,7 +468,11 @@ func (ex *Executor) Run(root plan.Node) (*RunResult, error) {
 	// fallback runs too.
 	ex.res = RunResult{Stats: make([]NodeStat, 0, plan.CountNodes(root))}
 	defer ex.giveBackScratch()
-	r, err := ex.eval(root)
+	at := NoPos // the root's, the enumeration's last
+	if ex.Compiled != nil {
+		at = len(ex.Compiled.Subexprs()) - 1
+	}
+	r, err := ex.eval(root, at)
 	if err != nil {
 		return nil, err
 	}
@@ -485,12 +500,35 @@ func (ex *Executor) Run(root plan.Node) (*RunResult, error) {
 
 func (ex *Executor) record(st NodeStat) { ex.res.Stats = append(ex.res.Stats, st) }
 
-func (ex *Executor) eval(n plan.Node) (nodeResult, error) { return ex.evalReading(n, rowsShape) }
+// input is the position of input k of the node at position at.
+func (ex *Executor) input(at, k int) int {
+	if at == NoPos {
+		return NoPos
+	}
+	return signature.InputPos(ex.Compiled.Subexprs(), at, k)
+}
+
+// key is the result-cache key of n, the node at position at, "" for none or
+// for a run with no cache: a Spool, at its child's position, has none, and a
+// node with no position reads SigMap.
+func (ex *Executor) key(n plan.Node, at int) signature.Sig {
+	switch _, spool := n.(*plan.Spool); {
+	case ex.Cache == nil:
+		return ""
+	case spool || at == NoPos:
+		return ex.SigMap[n]
+	}
+	return ex.Compiled.Key(at)
+}
+
+func (ex *Executor) eval(n plan.Node, at int) (nodeResult, error) {
+	return ex.evalReading(n, at, rowsShape)
+}
 
 // evalReading evaluates n for a parent that takes any shape up to accept
 // (Executor.accepts): a Filter then hands over a selection and a Join its
 // pairs. A Spool, a ViewScan's fallback and every other parent take rows.
-func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
+func (ex *Executor) evalReading(n plan.Node, at int, accept shape) (nodeResult, error) {
 	// Subtrees containing a Spool have no key (signature.Signer.Sign).
 	// ViewScans bypass the cache while view-read faults are enabled: a cached
 	// replay would skip the read entirely and the injection decision (keyed
@@ -499,30 +537,29 @@ func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
 	tainted := isView && ex.Faults.Enabled(fault.ViewRead)
 
 	// Result-cache lookup (equal keys ⇒ identical result).
-	if !tainted && ex.Cache != nil && ex.SigMap != nil {
-		if sig, ok := ex.SigMap[n]; ok {
-			if entry, hit := ex.Cache.Get(sig); hit {
-				ex.res.CacheHits++
-				// Replay the accounting of the cached subtree, pointing each
-				// stat at the node of THIS plan it stands for.
-				start := len(ex.res.Stats)
-				ex.res.Stats = append(ex.res.Stats, entry.Stats...)
-				relabel(ex.res.Stats[start:], n)
-				r := nodeResult{table: entry.Table, pos: entry.Pos, mult: entry.Mult, bytes: entry.Bytes}
-				if r.pos != nil {
-					r.shape = selection
-				}
-				if r.shape > accept {
-					r = r.materialize(r.table.Schema)
-				}
-				return r, nil
+	sig := ex.key(n, at)
+	if !tainted && sig != "" {
+		if entry, hit := ex.Cache.Get(sig); hit {
+			ex.res.CacheHits++
+			// Replay the accounting of the cached subtree, pointing each
+			// stat at the node of THIS plan it stands for.
+			start := len(ex.res.Stats)
+			ex.res.Stats = append(ex.res.Stats, entry.Stats...)
+			relabel(ex.res.Stats[start:], n, at)
+			r := nodeResult{table: entry.Table, pos: entry.Pos, mult: entry.Mult, bytes: entry.Bytes}
+			if r.pos != nil {
+				r.shape = selection
 			}
+			if r.shape > accept {
+				r = r.materialize(r.table.Schema)
+			}
+			return r, nil
 		}
 	}
 
 	statsStart, fallbackStart := len(ex.res.Stats), len(ex.res.FallbackSigs)
 
-	r, err := ex.evalNode(n, accept)
+	r, err := ex.evalNode(n, at, accept)
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -537,11 +574,9 @@ func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
 
 	// Populate the cache with the subtree's stats (first writer wins), capped
 	// so that the run's later appends never reach them.
-	if !tainted && ex.Cache != nil && ex.SigMap != nil {
-		if sig, ok := ex.SigMap[n]; ok {
-			end := len(ex.res.Stats)
-			ex.Cache.Put(sig, CacheEntry{Table: r.table, Pos: r.pos, Bytes: r.bytes, Mult: r.mult, Stats: ex.res.Stats[statsStart:end:end]})
-		}
+	if !tainted && sig != "" {
+		end := len(ex.res.Stats)
+		ex.Cache.Put(sig, CacheEntry{Table: r.table, Pos: r.pos, Bytes: r.bytes, Mult: r.mult, Stats: ex.res.Stats[statsStart:end:end]})
 	}
 	return r, nil
 }
@@ -550,48 +585,52 @@ func (ex *Executor) evalReading(n plan.Node, accept shape) (nodeResult, error) {
 // subtree in the order a real run records them (children left to right, then
 // the node itself), and returns the stats past the subtree's. An entry holds
 // one stat per node of a subtree shaped as n's: one that recorded a fallback
-// or a Spool is never stored.
-func relabel(stats []NodeStat, n plan.Node) []NodeStat {
+// or a Spool is never stored, so its positions run contiguously up to root,
+// the replayed node's, whatever positions its producing run gave it.
+func relabel(stats []NodeStat, n plan.Node, root int) []NodeStat {
 	var buf [2]plan.Node
 	for _, c := range plan.Inputs(n, &buf) {
-		stats = relabel(stats, c)
+		stats = relabel(stats, c, root)
 	}
-	stats[0].Node = n
+	stats[0].Node, stats[0].Pos = n, NoPos
+	if root != NoPos {
+		stats[0].Pos = int32(root + 1 - len(stats))
+	}
 	return stats[1:]
 }
 
-func (ex *Executor) evalNode(n plan.Node, accept shape) (nodeResult, error) {
+func (ex *Executor) evalNode(n plan.Node, at int, accept shape) (nodeResult, error) {
 	switch x := n.(type) {
 	case *plan.Scan:
-		return ex.evalScan(x)
+		return ex.evalScan(x, at)
 	case *plan.ViewScan:
-		return ex.evalViewScan(x)
+		return ex.evalViewScan(x, at)
 	case *plan.Filter:
-		return ex.evalFilter(x, accept)
+		return ex.evalFilter(x, at, accept)
 	case *plan.Project:
-		return ex.evalProject(x)
+		return ex.evalProject(x, at)
 	case *plan.Join:
-		return ex.evalJoin(x, accept)
+		return ex.evalJoin(x, at, accept)
 	case *plan.Aggregate:
-		return ex.evalAggregate(x)
+		return ex.evalAggregate(x, at)
 	case *plan.Union:
-		return ex.evalUnion(x)
+		return ex.evalUnion(x, at)
 	case *plan.UDO:
-		return ex.evalUDO(x, accept)
+		return ex.evalUDO(x, at, accept)
 	case *plan.Sample:
-		return ex.evalSample(x)
+		return ex.evalSample(x, at)
 	case *plan.Sort:
-		return ex.evalSort(x)
+		return ex.evalSort(x, at)
 	case *plan.Spool:
-		return ex.evalSpool(x)
+		return ex.evalSpool(x, at)
 	case *plan.Output:
-		return ex.evalOutput(x)
+		return ex.evalOutput(x, at)
 	default:
 		return nodeResult{}, fmt.Errorf("exec: unsupported operator %T", n)
 	}
 }
 
-func (ex *Executor) evalScan(x *plan.Scan) (nodeResult, error) {
+func (ex *Executor) evalScan(x *plan.Scan, at int) (nodeResult, error) {
 	ver, err := ex.Catalog.VersionByGUID(x.GUID)
 	if err != nil {
 		return nodeResult{}, err
@@ -603,11 +642,11 @@ func (ex *Executor) evalScan(x *plan.Scan) (nodeResult, error) {
 	out := nodeResult{table: ver.Table, mult: ds.EffectiveScale(), bytes: ver.Bytes}
 	lb, rows := out.logicalBytes(), out.logicalRows()
 	work := float64(rows)*costScanRow + float64(lb)*costReadByte
-	ex.record(NodeStat{Node: x, RowsOut: rows, BytesOut: lb, Work: work, Read: lb})
+	ex.record(NodeStat{Node: x, Pos: int32(at), RowsOut: rows, BytesOut: lb, Work: work, Read: lb})
 	return out, nil
 }
 
-func (ex *Executor) evalViewScan(x *plan.ViewScan) (nodeResult, error) {
+func (ex *Executor) evalViewScan(x *plan.ViewScan, at int) (nodeResult, error) {
 	if ex.Views == nil {
 		return nodeResult{}, fmt.Errorf("exec: ViewScan without a view store")
 	}
@@ -629,19 +668,19 @@ func (ex *Executor) evalViewScan(x *plan.ViewScan) (nodeResult, error) {
 		// The engine records the fallback decision from FallbackSigs.
 		if x.Fallback != nil {
 			ex.res.FallbackSigs = append(ex.res.FallbackSigs, sig)
-			return ex.eval(x.Fallback)
+			return ex.eval(x.Fallback, NoPos)
 		}
 		return nodeResult{}, fmt.Errorf("exec: view %s unavailable", sig.Short())
 	}
 	out := produced(t, mult)
 	lb, rows := out.logicalBytes(), out.logicalRows()
 	work := float64(rows)*costScanRow + float64(lb)*costReadByte
-	ex.record(NodeStat{Node: x, RowsOut: rows, BytesOut: lb, Work: work, Read: lb})
+	ex.record(NodeStat{Node: x, Pos: int32(at), RowsOut: rows, BytesOut: lb, Work: work, Read: lb})
 	return out, nil
 }
 
-func (ex *Executor) evalFilter(x *plan.Filter, accept shape) (nodeResult, error) {
-	in, err := ex.eval(x.Child)
+func (ex *Executor) evalFilter(x *plan.Filter, at int, accept shape) (nodeResult, error) {
+	in, err := ex.eval(x.Child, ex.input(at, 0))
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -673,11 +712,11 @@ func (ex *Executor) evalFilter(x *plan.Filter, accept shape) (nodeResult, error)
 		}
 	})
 	work := float64(in.logicalRows()) * costFilterRow
-	return ex.finish(NodeStat{Node: x, Work: work, Batches: batches}, out), nil
+	return ex.finish(NodeStat{Node: x, Work: work, Batches: batches}, at, out), nil
 }
 
-func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
-	in, err := ex.evalReading(x.Child, ex.accepts(pairs, x.Exprs))
+func (ex *Executor) evalProject(x *plan.Project, at int) (nodeResult, error) {
+	in, err := ex.evalReading(x.Child, ex.input(at, 0), ex.accepts(pairs, x.Exprs))
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -696,7 +735,7 @@ func (ex *Executor) evalProject(x *plan.Project) (nodeResult, error) {
 		}
 	}
 	work := float64(in.logicalRows()) * costProjectRow * float64(max(1, len(x.Exprs)))
-	return ex.finish(NodeStat{Node: x, Work: work, Batches: batches}, produced(out, in.mult)), nil
+	return ex.finish(NodeStat{Node: x, Work: work, Batches: batches}, at, produced(out, in.mult)), nil
 }
 
 // appendJoinKey appends a row's join key under the given key expressions,
@@ -795,12 +834,12 @@ func sized[T any](s []T, n int) []T {
 
 // evalJoin joins x's inputs, each a table or a selection, into pairs of their
 // tables' row indices, building rows only for a parent that takes no pairs.
-func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
-	l, err := ex.evalReading(x.L, ex.accepts(selection, nil))
+func (ex *Executor) evalJoin(x *plan.Join, at int, accept shape) (nodeResult, error) {
+	l, err := ex.evalReading(x.L, ex.input(at, 0), ex.accepts(selection, nil))
 	if err != nil {
 		return nodeResult{}, err
 	}
-	r, err := ex.evalReading(x.R, ex.accepts(selection, nil))
+	r, err := ex.evalReading(x.R, ex.input(at, 1), ex.accepts(selection, nil))
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -811,7 +850,7 @@ func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
 	ln, rn := l.len(), r.len()
 	algo := plan.JoinAuto
 	if ex.Compiled != nil {
-		algo = ex.Compiled.JoinAlgo(x)
+		algo = ex.Compiled.JoinAlgo(at)
 	}
 	if algo == plan.JoinAuto {
 		algo = plan.JoinHash
@@ -894,7 +933,7 @@ func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
 	}
 	// Exchange: both inputs are shuffled/read by the join stage.
 	read := l.logicalBytes() + r.logicalBytes()
-	ex.finish(NodeStat{Node: x, Algo: algo, Work: work, Read: read, Batches: batches}, res)
+	ex.finish(NodeStat{Node: x, Algo: algo, Work: work, Read: read, Batches: batches}, at, res)
 	if accept < pairs {
 		return res.materialize(x.Schema()), nil
 	}
@@ -902,19 +941,19 @@ func (ex *Executor) evalJoin(x *plan.Join, accept shape) (nodeResult, error) {
 	return res, nil
 }
 
-func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
+func (ex *Executor) evalAggregate(x *plan.Aggregate, at int) (nodeResult, error) {
 	accept := ex.accepts(pairs, x.GroupBy)
 	for _, spec := range x.Aggs {
 		if !compilable(spec.Arg) {
 			accept = rowsShape
 		}
 	}
-	in, err := ex.evalReading(x.Child, accept)
+	in, err := ex.evalReading(x.Child, ex.input(at, 0), accept)
 	if err != nil {
 		return nodeResult{}, err
 	}
 	out := data.NewTable(x.Schema())
-	groups := newAggTable(x, out.Schema, ex.groupHint(x, in), &ex.scratch().group)
+	groups := newAggTable(x, out.Schema, ex.groupHint(x, at, in), &ex.scratch().group)
 	batches, ok := ex.vecAggregate(in, &groups)
 	if !ok {
 		var buf [64]byte
@@ -951,7 +990,7 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 	}
 	// Exchange: aggregation shuffles its input.
 	st := NodeStat{Node: x, Work: work, Read: in.logicalBytes(), Batches: batches}
-	return ex.finish(st, produced(out, outMult)), nil
+	return ex.finish(st, at, produced(out, outMult)), nil
 }
 
 // groupHint is how many groups runtime history says x opens over in: the
@@ -959,11 +998,11 @@ func (ex *Executor) evalAggregate(x *plan.Aggregate) (nodeResult, error) {
 // clamped to in's rows, or 0 for no hint. Only history sizes a table: the
 // compile-time model guesses a reduction of the logical input, which on a
 // scaled dataset reads thousands of times the groups that arrive.
-func (ex *Executor) groupHint(x *plan.Aggregate, in nodeResult) int {
+func (ex *Executor) groupHint(x *plan.Aggregate, at int, in nodeResult) int {
 	if ex.Compiled == nil || len(x.GroupBy) == 0 || !(in.mult > 0) {
 		return 0
 	}
-	rows, ok := ex.Compiled.ObservedRows(x)
+	rows, ok := ex.Compiled.ObservedRows(at)
 	if !ok || !(rows > 0) || math.IsInf(rows, 1) {
 		return 0
 	}
@@ -1136,12 +1175,12 @@ func (a *aggTable) output() []data.Row {
 	return a.rows
 }
 
-func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {
-	l, err := ex.eval(x.L)
+func (ex *Executor) evalUnion(x *plan.Union, at int) (nodeResult, error) {
+	l, err := ex.eval(x.L, ex.input(at, 0))
 	if err != nil {
 		return nodeResult{}, err
 	}
-	r, err := ex.eval(x.R)
+	r, err := ex.eval(x.R, ex.input(at, 1))
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -1151,7 +1190,7 @@ func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {
 	out.Rows = append(out.Rows, r.table.Rows...)
 	res := produced(out, math.Max(l.mult, r.mult))
 	work := float64(res.logicalRows()) * costUnionRow
-	return ex.finish(NodeStat{Node: x, Work: work}, res), nil
+	return ex.finish(NodeStat{Node: x, Work: work}, at, res), nil
 }
 
 // evalUDO runs a UDO over its input's rows. An appending UDO (plan.Appending)
@@ -1160,19 +1199,18 @@ func (ex *Executor) evalUnion(x *plan.Union) (nodeResult, error) {
 // its position in the input's table, joined to its appended cell in a
 // one-column table beside it. Its bytes are the input's plus each cell's, what
 // the rows would measure, so no accounting moves.
-func (ex *Executor) evalUDO(x *plan.UDO, accept shape) (nodeResult, error) {
+func (ex *Executor) evalUDO(x *plan.UDO, at int, accept shape) (nodeResult, error) {
 	impl, ok := plan.LookupUDO(x.Name)
 	if !ok {
 		return nodeResult{}, fmt.Errorf("exec: unknown UDO %q", x.Name)
 	}
 	// A UDO the cache stores keeps to rows, since pairs are never stored.
-	_, keyed := ex.SigMap[x]
-	byPosition := impl.Cell != nil && accept == pairs && (!keyed || ex.Cache == nil)
+	byPosition := impl.Cell != nil && accept == pairs && ex.key(x, at) == ""
 	childAccept := rowsShape
 	if byPosition {
 		childAccept = selection
 	}
-	in, err := ex.evalReading(x.Child, childAccept)
+	in, err := ex.evalReading(x.Child, ex.input(at, 0), childAccept)
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -1190,7 +1228,7 @@ func (ex *Executor) evalUDO(x *plan.UDO, accept shape) (nodeResult, error) {
 			out.pos[2*i], out.pos[2*i+1] = int32(at), int32(i)
 			out.bytes += cells[i].ByteSize()
 		}
-		return ex.finish(NodeStat{Node: x, Work: work}, out), nil
+		return ex.finish(NodeStat{Node: x, Work: work}, at, out), nil
 	}
 	out := data.NewTable(schema)
 	// One output row per input row is the common shape; a UDO that emits
@@ -1202,11 +1240,11 @@ func (ex *Executor) evalUDO(x *plan.UDO, accept shape) (nodeResult, error) {
 	for _, row := range in.table.Rows {
 		impl.Apply(row, emit, ex.Ctx)
 	}
-	return ex.finish(NodeStat{Node: x, Work: work}, produced(out, in.mult)), nil
+	return ex.finish(NodeStat{Node: x, Work: work}, at, produced(out, in.mult)), nil
 }
 
-func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
-	in, err := ex.eval(x.Child)
+func (ex *Executor) evalSample(x *plan.Sample, at int) (nodeResult, error) {
+	in, err := ex.eval(x.Child, ex.input(at, 0))
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -1230,15 +1268,15 @@ func (ex *Executor) evalSample(x *plan.Sample) (nodeResult, error) {
 		}
 	}
 	work := float64(in.logicalRows()) * costSampleRow
-	return ex.finish(NodeStat{Node: x, Work: work}, produced(out, in.mult)), nil
+	return ex.finish(NodeStat{Node: x, Work: work}, at, produced(out, in.mult)), nil
 }
 
 // evalSort orders its input's rows, stably, by the keys. Each key is
 // evaluated once per row, in row order, before any comparison, so a
 // nondeterministic key such as RANDOM() draws one value a row, as it would
 // in a projection, and the comparator stays consistent.
-func (ex *Executor) evalSort(x *plan.Sort) (nodeResult, error) {
-	in, err := ex.eval(x.Child)
+func (ex *Executor) evalSort(x *plan.Sort, at int) (nodeResult, error) {
+	in, err := ex.eval(x.Child, ex.input(at, 0))
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -1271,11 +1309,12 @@ func (ex *Executor) evalSort(x *plan.Sort) (nodeResult, error) {
 	}
 	res := produced(out, in.mult)
 	n := float64(res.logicalRows())
-	return ex.finish(NodeStat{Node: x, Work: n * costOrderRow * log2(n)}, res), nil
+	return ex.finish(NodeStat{Node: x, Work: n * costOrderRow * log2(n)}, at, res), nil
 }
 
-func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {
-	in, err := ex.eval(x.Child)
+// evalSpool writes the view of x's child, which stands at x's position.
+func (ex *Executor) evalSpool(x *plan.Spool, at int) (nodeResult, error) {
+	in, err := ex.eval(x.Child, at)
 	if err != nil {
 		return nodeResult{}, err
 	}
@@ -1295,18 +1334,18 @@ func (ex *Executor) evalSpool(x *plan.Spool) (nodeResult, error) {
 			return nodeResult{}, fmt.Errorf("exec: materializing view: %w", err)
 		}
 	}
-	ex.record(NodeStat{Node: x, RowsOut: in.logicalRows(), BytesOut: lb, Work: writeWork})
+	ex.record(NodeStat{Node: x, Pos: NoPos, RowsOut: in.logicalRows(), BytesOut: lb, Work: writeWork})
 	return in, nil
 }
 
-func (ex *Executor) evalOutput(x *plan.Output) (nodeResult, error) {
-	in, err := ex.eval(x.Child)
+func (ex *Executor) evalOutput(x *plan.Output, at int) (nodeResult, error) {
+	in, err := ex.eval(x.Child, ex.input(at, 0))
 	if err != nil {
 		return nodeResult{}, err
 	}
 	lb := in.logicalBytes()
 	work := float64(lb) * costWriteByte
-	ex.record(NodeStat{Node: x, RowsOut: in.logicalRows(), BytesOut: lb, Work: work})
+	ex.record(NodeStat{Node: x, Pos: int32(at), RowsOut: in.logicalRows(), BytesOut: lb, Work: work})
 	return in, nil
 }
 

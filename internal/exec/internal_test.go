@@ -166,13 +166,17 @@ func TestJoinChainsCompareKeys(t *testing.T) {
 	}
 }
 
-// fixedRows is a Compiled that reports rows for every node and planned no
-// join.
+// fixedRows is a Compiled with no enumeration that reports rows at every
+// position and planned no join.
 type fixedRows float64
 
-func (f fixedRows) ObservedRows(plan.Node) (float64, bool) { return float64(f), true }
+func (fixedRows) Subexprs() []signature.Subexpr { return nil }
 
-func (fixedRows) JoinAlgo(*plan.Join) plan.JoinAlgo { return plan.JoinAuto }
+func (fixedRows) Key(int) signature.Sig { return "" }
+
+func (f fixedRows) ObservedRows(int) (float64, bool) { return float64(f), true }
+
+func (fixedRows) JoinAlgo(int) plan.JoinAlgo { return plan.JoinAuto }
 
 // TestGroupHintIsClamped: whatever history reports and whatever the input's
 // multiplier, a group table's hint lies in [0, in.len()], and only a positive,
@@ -188,7 +192,7 @@ func TestGroupHintIsClamped(t *testing.T) {
 		for _, mult := range specials {
 			for _, n := range []int{0, 1, 10} {
 				ex := &Executor{Compiled: fixedRows(rows)}
-				h := ex.groupHint(grouped, input(n, mult))
+				h := ex.groupHint(grouped, NoPos, input(n, mult))
 				if h < 0 || h > n {
 					t.Errorf("rows %v, mult %v, %d input rows: hint %d, want it in [0, %d]", rows, mult, n, h, n)
 				}
@@ -204,14 +208,14 @@ func TestGroupHintIsClamped(t *testing.T) {
 	}{{5, 60000}, {3, 400}, {1, 1}, {1000, 2}, {37, 1e9}} {
 		observed := float64(int64(float64(c.groups) * math.Sqrt(c.mult)))
 		ex := &Executor{Compiled: fixedRows(observed)}
-		if h := ex.groupHint(grouped, input(5000, c.mult)); h != c.groups {
+		if h := ex.groupHint(grouped, NoPos, input(5000, c.mult)); h != c.groups {
 			t.Errorf("%d groups at mult %v (RowsOut %v): hint %d", c.groups, c.mult, observed, h)
 		}
 	}
-	if h := (&Executor{}).groupHint(grouped, input(10, 1)); h != 0 {
+	if h := (&Executor{}).groupHint(grouped, NoPos, input(10, 1)); h != 0 {
 		t.Errorf("no history: hint %d", h)
 	}
-	if h := (&Executor{Compiled: fixedRows(5)}).groupHint(&plan.Aggregate{}, input(10, 1)); h != 0 {
+	if h := (&Executor{Compiled: fixedRows(5)}).groupHint(&plan.Aggregate{}, NoPos, input(10, 1)); h != 0 {
 		t.Errorf("no GROUP BY: hint %d", h)
 	}
 }

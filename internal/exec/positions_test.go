@@ -508,16 +508,18 @@ func TestAppendingUDOHandsOverItsColumn(t *testing.T) {
 					}
 					src := fmt.Sprintf(q.src, from, u.name, u.col)
 					root := bindQuery(t, cat, src)
+					// Keyed by strict signature: the signer keys no UDO that
+					// reads the clock, and an empty key is none.
 					keyed := map[plan.Node]signature.Sig{}
 					plan.Walk(root, func(n plan.Node) {
 						switch n.(type) {
 						case *plan.Filter:
 							if input == "a cached selection" {
-								keyed[n] = signer.Physical(n)[n]
+								keyed[n] = signer.Strict(n)
 							}
 						case *plan.UDO:
 							if input == "a table, the UDO keyed" {
-								keyed[n] = signer.Physical(n)[n]
+								keyed[n] = signer.Strict(n)
 							}
 						}
 					})

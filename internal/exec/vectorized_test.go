@@ -573,7 +573,7 @@ func groupTableAllocs(t *testing.T, vectorized, hinted bool) [2]float64 {
 		}
 		var history exec.Compiled
 		if hinted {
-			history = exactRows(res)
+			history = exactRows(t, n, res)
 		}
 		allocs[i] = testing.AllocsPerRun(5, func() {
 			if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, Compiled: history}).Run(n); err != nil {
@@ -613,7 +613,7 @@ func TestGroupCostsItsOutputRow(t *testing.T) {
 			if got := opBatches(t, src, res, "Aggregate") > 0; got != vectorized {
 				t.Fatalf("vectorized=%v: the aggregate ran on the kernels = %v", vectorized, got)
 			}
-			history := exactRows(res)
+			history := exactRows(t, n, res)
 			runs[i] = func() {
 				if _, err := (&exec.Executor{Catalog: cat, Vectorized: vectorized, Compiled: history}).Run(n); err != nil {
 					t.Fatal(err)
@@ -631,39 +631,58 @@ func TestGroupCostsItsOutputRow(t *testing.T) {
 	}
 }
 
-// observedRows is an exec.Compiled that reports fixed rows per node and
-// planned no join.
-type observedRows map[plan.Node]float64
+// observedRows is an exec.Compiled over a plan's enumeration that reports
+// fixed rows per position, keys nothing and planned no join.
+type observedRows struct {
+	subs []signature.Subexpr
+	rows map[int]float64
+}
 
-func (o observedRows) ObservedRows(n plan.Node) (float64, bool) {
-	rows, ok := o[n]
+func (o observedRows) Subexprs() []signature.Subexpr { return o.subs }
+
+func (observedRows) Key(int) signature.Sig { return "" }
+
+func (o observedRows) ObservedRows(pos int) (float64, bool) {
+	rows, ok := o.rows[pos]
 	return rows, ok
 }
 
-func (observedRows) JoinAlgo(*plan.Join) plan.JoinAlgo { return plan.JoinAuto }
+func (observedRows) JoinAlgo(int) plan.JoinAlgo { return plan.JoinAuto }
 
-// joinAlgo is an exec.Compiled that planned every join with one algorithm
-// and has seen no node run.
+// joinAlgo is an exec.Compiled with no enumeration that planned every join
+// with one algorithm and has seen no node run.
 type joinAlgo plan.JoinAlgo
 
-func (joinAlgo) ObservedRows(plan.Node) (float64, bool) { return 0, false }
+func (joinAlgo) Subexprs() []signature.Subexpr { return nil }
 
-func (a joinAlgo) JoinAlgo(*plan.Join) plan.JoinAlgo { return plan.JoinAlgo(a) }
+func (joinAlgo) Key(int) signature.Sig { return "" }
 
-// hintsFrom reports f of each aggregate's RowsOut in res: with f the
-// identity, what history holds after res.
-func hintsFrom(res *exec.RunResult, f func(exact float64) float64) observedRows {
-	o := observedRows{}
-	for _, st := range res.Stats {
+func (joinAlgo) ObservedRows(int) (float64, bool) { return 0, false }
+
+func (a joinAlgo) JoinAlgo(int) plan.JoinAlgo { return plan.JoinAlgo(a) }
+
+// hintsFrom reports f of each aggregate's RowsOut in res, a run of n holding
+// no Spool and no fallback, whose k-th stat is therefore the node at position
+// k: with f the identity, what history holds after res.
+func hintsFrom(t *testing.T, n plan.Node, res *exec.RunResult, f func(exact float64) float64) observedRows {
+	t.Helper()
+	o := observedRows{subs: (&signature.Signer{EngineVersion: "hints"}).Subexpressions(n), rows: map[int]float64{}}
+	if len(res.Stats) != len(o.subs) {
+		t.Fatalf("%d stats for %d positions", len(res.Stats), len(o.subs))
+	}
+	for k, st := range res.Stats {
+		if st.Node != o.subs[k].Node {
+			t.Fatalf("stat %d is a %s, position %d a %s", k, st.Node.OpName(), k, o.subs[k].Op)
+		}
 		if st.Node.OpName() == "Aggregate" {
-			o[st.Node] = f(float64(st.RowsOut))
+			o.rows[k] = f(float64(st.RowsOut))
 		}
 	}
 	return o
 }
 
-func exactRows(res *exec.RunResult) observedRows {
-	return hintsFrom(res, func(exact float64) float64 { return exact })
+func exactRows(t *testing.T, n plan.Node, res *exec.RunResult) observedRows {
+	return hintsFrom(t, n, res, func(exact float64) float64 { return exact })
 }
 
 // TestWrongHintNeverChangesAnAnswer: a group table's size is capacity only.
@@ -695,7 +714,8 @@ func TestWrongHintNeverChangesAnAnswer(t *testing.T) {
 				return res
 			}
 			ref := run(nil)
-			if len(exactRows(ref)) == 0 {
+			exact := exactRows(t, n, ref)
+			if len(exact.rows) == 0 {
 				return // no aggregate ran
 			}
 			same := func(hint string, got *exec.RunResult) {
@@ -708,9 +728,9 @@ func TestWrongHintNeverChangesAnAnswer(t *testing.T) {
 					}
 				}
 			}
-			same("absent", run(observedRows{}))
+			same("absent", run(observedRows{subs: exact.subs}))
 			for _, h := range hints {
-				same(h.name, run(hintsFrom(ref, h.f)))
+				same(h.name, run(hintsFrom(t, n, ref, h.f)))
 			}
 		}
 	}

@@ -63,40 +63,46 @@ type MatchedView struct {
 
 // CompileResult is the output of Compile.
 type CompileResult struct {
-	Plan      plan.Node
-	Estimates map[plan.Node]stats.Estimate
-	Tag       signature.Tag
-	Matched   []MatchedView
-	Proposed  []ProposedView
+	Plan     plan.Node
+	Tag      signature.Tag
+	Matched  []MatchedView
+	Proposed []ProposedView
 	// Subs is the FINAL plan's subexpression enumeration in post-order: every
 	// node's strict and recurring signature and eligibility, the one the
-	// repository record is built from.
+	// repository record is built from. An entry's index is its node's
+	// position, the index of a job's per-node tables (Nodes, exec.NodeStat.Pos,
+	// the record's Subexprs); a Spool has no entry and shares its child's.
 	Subs []signature.Subexpr
-	// Physical holds the final plan's result-cache key per node, the
-	// executor's SigMap: Subs' strict signature below any ViewScan or Spool.
-	// signature.Signer.Sign computes both in one walk.
-	Physical map[plan.Node]signature.Sig
+	// Nodes holds each position's estimate and result-cache key.
+	Nodes []NodeInfo
 	// CompileLatency accumulates the simulated insights round trips.
 	CompileLatency time.Duration
 
 	history *stats.History // what the job compiled against; nil reads nothing
 }
 
-// ObservedRows returns the mean logical rows runtime history recorded for
-// node n of the final plan, found in Subs by its recurring signature (half of
-// the executor's exec.Compiled). A node history has not seen, or one outside
-// Subs, reports nothing; the compile-time model's estimate never answers.
-func (cr *CompileResult) ObservedRows(n plan.Node) (float64, bool) {
-	if cr.history == nil {
+// NodeInfo is a position's estimate, runtime history's means where history
+// has seen its recurring signature, and its result-cache key, "" for none
+// (signature.Signer.Sign).
+type NodeInfo struct {
+	Est stats.Estimate
+	Key signature.Sig
+}
+
+// Subexprs and Key serve the executor's reads by position (exec.Compiled).
+func (cr *CompileResult) Subexprs() []signature.Subexpr { return cr.Subs }
+func (cr *CompileResult) Key(pos int) signature.Sig     { return cr.Nodes[pos].Key }
+
+// ObservedRows returns the mean logical rows runtime history recorded for the
+// node at position pos of the final plan, by its recurring signature. A node
+// history has not seen, or one with no position (a ViewScan's fallback),
+// reports nothing; the compile-time model's estimate never answers.
+func (cr *CompileResult) ObservedRows(pos int) (float64, bool) {
+	if cr.history == nil || pos < 0 {
 		return 0, false
 	}
-	for i := range cr.Subs {
-		if cr.Subs[i].Node == n {
-			sum, ok := cr.history.LookupMeans(cr.Subs[i].Recurring)
-			return sum.AvgRows, ok && sum.Count > 0
-		}
-	}
-	return 0, false
+	sum, ok := cr.history.LookupMeans(cr.Subs[pos].Recurring)
+	return sum.AvgRows, ok && sum.Count > 0
 }
 
 // CompileOptions carries the job context the controls need.
@@ -212,11 +218,15 @@ func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *Compil
 	o.Trace.Span("optimize", 0)
 
 	// One walk enumerates the rewritten plan and keys it: only what sits on
-	// or above a substituted ViewScan or Spool is signed here.
-	res.Subs, res.Physical = o.Signer.Sign(p, prep.Subs)
+	// or above a substituted ViewScan or Spool is signed here. The plan has
+	// at most the prepared one's positions: a ViewScan stands for a subtree
+	// and a Spool takes none.
+	nodes := make([]NodeInfo, len(prep.Subs))
+	res.Subs = o.Signer.Sign(p, prep.Subs, func(_ plan.Node, i int, k signature.Sig) { nodes[i].Key = k })
+	res.Nodes = nodes[:len(res.Subs)]
 
 	// Statistics refresh; physical planning reads the estimates (JoinAlgo).
-	res.Estimates = o.estimateWithHistory(p, res.Subs)
+	o.estimateWithHistory(res)
 
 	res.Plan = p
 	return res
@@ -310,14 +320,29 @@ func (o *Optimizer) viewWins(n plan.Node, recurring signature.Sig, view *storage
 			return readCost < sum.AvgWork, sum.AvgWork - readCost
 		}
 	}
-	// No history: fall back to the compile-time estimate of the subtree.
-	// Summed in plan order: map order would move the last bits between runs.
-	est, _ := o.Est.EstimatePlan(n)
+	// No history: fall back to the compile-time estimate of the subtree,
+	// summed in plan.Walk's order, so the last bits never move.
+	var buf [64]float64
+	rows, _ := o.estimateRows(n, buf[:0])
 	var total float64
-	plan.Walk(n, func(m plan.Node) {
-		total += est[m].Rows * 4.0e-6 // generic per-row cost
-	})
+	for i := len(rows) - 1; i >= 0; i-- {
+		total += rows[i] * 4.0e-6 // generic per-row cost
+	}
 	return readCost < total, total - readCost
+}
+
+// estimateRows appends to rows the compile-time estimated rows of every node
+// of n's subtree in the reverse of plan.Walk's order — inputs right to left,
+// each node after them — and returns them with n's estimate.
+func (o *Optimizer) estimateRows(n plan.Node, rows []float64) ([]float64, stats.Estimate) {
+	var buf [2]plan.Node
+	in := plan.Inputs(n, &buf)
+	var ce [2]stats.Estimate
+	for k := len(in) - 1; k >= 0; k-- {
+		rows, ce[k] = o.estimateRows(in[k], rows)
+	}
+	est := o.Est.EstimateNode(n, ce[:len(in)])
+	return append(rows, est.Rows), est
 }
 
 // savedIfExplaining estimates the container-seconds a rejected candidate
@@ -389,34 +414,26 @@ func (o *Optimizer) buildViews(root plan.Node, subs []signature.Subexpr, opts Co
 	return rec(root, len(subs)-1)
 }
 
-// estimateWithHistory folds compile-time estimates bottom-up but overrides
-// any node whose recurring signature has runtime history — the paper's
-// statistics feedback ("feed more accurate statistics from the previously
-// materialized subexpressions to the rest of the query plan").
-func (o *Optimizer) estimateWithHistory(root plan.Node, subs []signature.Subexpr) map[plan.Node]stats.Estimate {
-	memo := make(map[plan.Node]stats.Estimate, len(subs))
-	if o.History == nil {
-		subs = nil
-	}
-	next := 0 // subs is in this walk's order, less the Spools
-	var rec func(n plan.Node) stats.Estimate
-	rec = func(n plan.Node) stats.Estimate {
+// estimateWithHistory folds compile-time estimates bottom-up, position by
+// position, into cr.Nodes but overrides any node whose recurring signature has
+// runtime history — the paper's statistics feedback ("feed more accurate
+// statistics from the previously materialized subexpressions to the rest of
+// the query plan"). An input that is a Spool reads its child's position,
+// whose estimate is the Spool's.
+func (o *Optimizer) estimateWithHistory(cr *CompileResult) {
+	for i, s := range cr.Subs {
 		var buf [2]plan.Node
-		var ceBuf [2]stats.Estimate
-		ce := ceBuf[:0]
-		for _, c := range plan.Inputs(n, &buf) {
-			ce = append(ce, rec(c))
+		var ce [2]stats.Estimate
+		in := plan.Inputs(s.Node, &buf)
+		for k := range in {
+			ce[k] = cr.Nodes[signature.InputPos(cr.Subs, i, k)].Est
 		}
-		est := o.Est.EstimateNode(n, ce)
-		if next < len(subs) && subs[next].Node == n {
-			if sum, found := o.History.LookupMeans(subs[next].Recurring); found && sum.Count > 0 {
+		est := o.Est.EstimateNode(s.Node, ce[:len(in)])
+		if o.History != nil {
+			if sum, found := o.History.LookupMeans(s.Recurring); found && sum.Count > 0 {
 				est = stats.Estimate{Rows: sum.AvgRows, Bytes: sum.AvgBytes}
 			}
-			next++
 		}
-		memo[n] = est
-		return est
+		cr.Nodes[i].Est = est
 	}
-	rec(root)
-	return memo
 }

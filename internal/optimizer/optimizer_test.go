@@ -323,17 +323,16 @@ func TestEstimatesUseViewStatistics(t *testing.T) {
 	recordHistory(r.hist, cr1, res1)
 	cr2 := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j2", Cluster: "c1", VC: "vc1", OptIn: true})
 	var vsEst, joinEst float64
-	plan.Walk(cr2.Plan, func(n plan.Node) {
-		if vs, ok := n.(*plan.ViewScan); ok {
-			vsEst = cr2.Estimates[n].Rows
-			_ = vs
+	for i, s := range cr2.Subs {
+		if _, ok := s.Node.(*plan.ViewScan); ok {
+			vsEst = cr2.Nodes[i].Est.Rows
 		}
-	})
-	plan.Walk(cr1.Plan, func(n plan.Node) {
-		if _, ok := n.(*plan.Join); ok {
-			joinEst = cr1.Estimates[n].Rows
+	}
+	for i, s := range cr1.Subs {
+		if _, ok := s.Node.(*plan.Join); ok {
+			joinEst = cr1.Nodes[i].Est.Rows
 		}
-	})
+	}
 	if vsEst <= 0 {
 		t.Fatal("no view scan estimate")
 	}
@@ -349,11 +348,11 @@ func TestStageWidthShrinksWithAccurateStats(t *testing.T) {
 	r.publishFor(t, root, func(s signature.Subexpr) bool { return s.Op == "Join" })
 	opts := optimizer.CompileOptions{JobID: "j1", Cluster: "c1", VC: "vc1", OptIn: true}
 	cr1 := r.opt.Compile(root, opts)
-	w1 := totalWidth(optimizer.BuildStages(cr1.Plan, cr1.Estimates))
+	w1 := totalWidth(optimizer.BuildStages(cr1.Plan, cr1.Nodes))
 	res1 := r.execute(t, cr1)
 	recordHistory(r.hist, cr1, res1)
 	cr2 := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j2", Cluster: "c1", VC: "vc1", OptIn: true})
-	w2 := totalWidth(optimizer.BuildStages(cr2.Plan, cr2.Estimates))
+	w2 := totalWidth(optimizer.BuildStages(cr2.Plan, cr2.Nodes))
 	if w2 >= w1 {
 		t.Errorf("reuse should shrink container request: %d vs %d", w2, w1)
 	}
@@ -374,7 +373,7 @@ func TestSpoolStageOffCriticalPath(t *testing.T) {
 	root := r.bind(t, sharedQuery)
 	r.publishFor(t, root, func(s signature.Subexpr) bool { return s.Op == "Join" })
 	cr := r.opt.Compile(root, optimizer.CompileOptions{JobID: "j1", Cluster: "c1", VC: "vc1", OptIn: true})
-	stages := optimizer.BuildStages(cr.Plan, cr.Estimates)
+	stages := optimizer.BuildStages(cr.Plan, cr.Nodes)
 	spoolStage := -1
 	for i, st := range stages {
 		if st.IsSpool {

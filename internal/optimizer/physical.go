@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"cloudviews/internal/plan"
+	"cloudviews/internal/signature"
 	"cloudviews/internal/stats"
 )
 
@@ -23,16 +24,18 @@ const (
 	MaxStageWidth = 256
 )
 
-// JoinAlgo is the physical algorithm for join j of the final plan, picked
-// from its inputs' (history-refreshed) estimates: the other half of the
-// executor's exec.Compiled, and the algorithm a job's record reports. A join
-// outside the final plan, one under a ViewScan's fallback, was not planned and
+// JoinAlgo is the physical algorithm for the join at position pos of the
+// final plan, picked from its inputs' (history-refreshed) estimates: part of
+// the executor's exec.Compiled, and the algorithm a job's record reports. A
+// join with no position, one under a ViewScan's fallback, was not planned and
 // is JoinAuto.
-func (cr *CompileResult) JoinAlgo(j *plan.Join) plan.JoinAlgo {
-	if _, planned := cr.Estimates[j]; !planned {
+func (cr *CompileResult) JoinAlgo(pos int) plan.JoinAlgo {
+	if pos < 0 {
 		return plan.JoinAuto
 	}
-	l, r := cr.Estimates[j.L], cr.Estimates[j.R]
+	j := cr.Subs[pos].Node.(*plan.Join)
+	l := cr.Nodes[signature.InputPos(cr.Subs, pos, 0)].Est
+	r := cr.Nodes[signature.InputPos(cr.Subs, pos, 1)].Est
 	switch {
 	case len(j.LeftKeys) == 0:
 		return plan.JoinLoop
@@ -50,7 +53,7 @@ func (cr *CompileResult) JoinAlgo(j *plan.Join) plan.JoinAlgo {
 // operator per stage keeps the simulator simple while preserving the DAG
 // shape and width dynamics.)
 type Stage struct {
-	Node  plan.Node
+	Pos   int // the operator's position (CompileResult.Nodes); a Spool's is its child's
 	Op    string
 	Width int
 	// Deps are positions in BuildStages' result: the stages this one reads.
@@ -64,35 +67,39 @@ type Stage struct {
 // simulator, one stage per operator in post-order. Width derives from the
 // estimated input rows of each operator; with accurate (history or view)
 // statistics the widths shrink, reproducing the paper's container savings.
-func BuildStages(root plan.Node, est map[plan.Node]stats.Estimate) []Stage {
+func BuildStages(root plan.Node, nodes []NodeInfo) []Stage {
 	count := plan.CountNodes(root)
 	stages := make([]Stage, 0, count)
 	// Every stage but the root's is read by exactly one other, so all Deps
 	// are cut from one array.
 	deps := make([]int, 0, count)
+	next := 0 // positions come in this walk's order; a Spool takes its child's
 	var rec func(n plan.Node) int
 	rec = func(n plan.Node) int {
 		var buf [2]plan.Node
 		var idBuf [2]int
 		ids := idBuf[:0]
-		inputs := plan.Inputs(n, &buf)
 		// Width follows the estimated rows flowing INTO the operator (its
 		// children's output), except sources which use their own estimate.
 		var inputRows float64
-		if len(inputs) == 0 {
-			inputRows = est[n].Rows
-		}
-		for _, c := range inputs {
+		for _, c := range plan.Inputs(n, &buf) {
 			ids = append(ids, rec(c))
-			inputRows += est[c].Rows
+			inputRows += nodes[next-1].Est.Rows // c's position, the last taken
 		}
-		st := Stage{Node: n, Op: n.OpName(), Width: stageWidth(stats.Estimate{Rows: inputRows})}
+		st := Stage{Op: n.OpName()}
+		if _, st.IsSpool = n.(*plan.Spool); !st.IsSpool {
+			next++
+		}
+		st.Pos = next - 1
+		if len(ids) == 0 {
+			inputRows = nodes[st.Pos].Est.Rows
+		}
+		st.Width = stageWidth(stats.Estimate{Rows: inputRows})
 		if len(ids) > 0 {
 			first := len(deps)
 			deps = append(deps, ids...)
 			st.Deps = deps[first:len(deps):len(deps)]
 		}
-		_, st.IsSpool = n.(*plan.Spool)
 		stages = append(stages, st)
 		if st.IsSpool {
 			// The spool write hangs off its child but the PARENT of the spool

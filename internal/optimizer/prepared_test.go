@@ -197,15 +197,20 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 			plan.Walk(b.cr.Plan, func(n plan.Node) {
 				if v, ok := n.(*plan.ViewScan); ok {
 					plan.Walk(v.Fallback, func(m plan.Node) {
-						if j, ok := m.(*plan.Join); ok {
+						if _, ok := m.(*plan.Join); ok {
 							fallbackJoins++
-							if algo := b.cr.JoinAlgo(j); algo != plan.JoinAuto {
-								t.Fatalf("%s: a join under a ViewScan's fallback was planned as %v", id, algo)
+							for _, s := range b.cr.Subs {
+								if s.Node == m {
+									t.Fatalf("%s: a join under a ViewScan's fallback has a position", id)
+								}
 							}
 						}
 					})
 				}
 			})
+			if algo := b.cr.JoinAlgo(exec.NoPos); algo != plan.JoinAuto {
+				t.Fatalf("%s: a join with no position was planned as %v", id, algo)
+			}
 			for _, c := range []compiled{a, b} {
 				if cold := signer.Subexpressions(c.cr.Plan); !sameSubs(c.cr.Subs, cold, true) {
 					t.Fatalf("%s: carried enumeration differs from a cold signing:\ncarried: %+v\ncold:    %+v", id, c.cr.Subs, cold)
@@ -248,15 +253,43 @@ func TestCompilePreparedMatchesScratch(t *testing.T) {
 	}
 }
 
-// joinAlgos lists the algorithm cr picked for each join of its plan, in walk
-// order.
+// joinAlgos lists the algorithm cr picked for each join of its plan, in
+// position order.
 func joinAlgos(cr *optimizer.CompileResult) (out []plan.JoinAlgo) {
-	plan.Walk(cr.Plan, func(n plan.Node) {
-		if j, ok := n.(*plan.Join); ok {
-			out = append(out, cr.JoinAlgo(j))
+	for i, s := range cr.Subs {
+		if _, ok := s.Node.(*plan.Join); ok {
+			out = append(out, cr.JoinAlgo(i))
 		}
-	})
+	}
 	return out
+}
+
+// keysOf lists cr's result-cache keys by position, "" for none.
+func keysOf(cr *optimizer.CompileResult) []signature.Sig {
+	out := make([]signature.Sig, len(cr.Nodes))
+	for i, nd := range cr.Nodes {
+		out[i] = nd.Key
+	}
+	return out
+}
+
+// coldKeys signs root afresh and lists its result-cache keys by position, as
+// keysOf does a compile's.
+func coldKeys(signer *signature.Signer, root plan.Node) []signature.Sig {
+	keys := make([]signature.Sig, plan.CountNodes(root))
+	subs := signer.Sign(root, nil, func(_ plan.Node, i int, k signature.Sig) { keys[i] = k })
+	return keys[:len(subs)]
+}
+
+// keyMap is cr's keys as the map Signer.Physical returns.
+func keyMap(cr *optimizer.CompileResult) map[plan.Node]signature.Sig {
+	m := map[plan.Node]signature.Sig{}
+	for i, nd := range cr.Nodes {
+		if nd.Key != "" {
+			m[cr.Subs[i].Node] = nd.Key
+		}
+	}
+	return m
 }
 
 // TestPhysicalKnownMatchesScratch walks every generator template through the
@@ -264,7 +297,8 @@ func joinAlgos(cr *optimizer.CompileResult) (out []plan.JoinAlgo) {
 // build under a Spool, a warm match on a ViewScan, the matched view
 // quarantined by the guard — compiling each from one shared Prepared, and
 // holds the result-cache keys that CompilePrepared's Signer.Sign carried over
-// from it to a cold Physical of the final plan: node for node, byte for byte.
+// from it to a cold signing of the final plan: position for position, byte
+// for byte, and node for node in Physical, the probe's map.
 func TestPhysicalKnownMatchesScratch(t *testing.T) {
 	w := newGenWorld(t)
 	signer := w.opt.Signer
@@ -276,8 +310,11 @@ func TestPhysicalKnownMatchesScratch(t *testing.T) {
 		step := func(state string, maxViews int, run bool) compiled {
 			id := in.ID + "/" + state
 			c := w.compile(i, id, maxViews, prep)
-			if want := signer.Physical(c.cr.Plan); !reflect.DeepEqual(c.cr.Physical, want) {
-				t.Fatalf("%s: carried keys differ from a cold signing of\n%s\ncarried: %v\ncold:    %v", id, plan.Format(c.cr.Plan), c.cr.Physical, want)
+			if got, want := keysOf(c.cr), coldKeys(signer, c.cr.Plan); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: carried keys differ from a cold signing of\n%s\ncarried: %v\ncold:    %v", id, plan.Format(c.cr.Plan), got, want)
+			}
+			if got, want := keyMap(c.cr), signer.Physical(c.cr.Plan); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Physical differs from the positional keys of\n%s\nkeys:     %v\nPhysical: %v", id, plan.Format(c.cr.Plan), got, want)
 			}
 			plan.Walk(c.cr.Plan, func(n plan.Node) {
 				switch n.(type) {
@@ -372,7 +409,7 @@ func TestConcurrentCompilesFromOnePrepared(t *testing.T) {
 					if cold := signer.Subexpressions(cr.Plan); !sameSubs(cr.Subs, cold, true) {
 						t.Errorf("%s: carried enumeration differs from a cold signing", id)
 					}
-					if cold := signer.Physical(cr.Plan); !reflect.DeepEqual(cr.Physical, cold) {
+					if cold := coldKeys(signer, cr.Plan); !reflect.DeepEqual(keysOf(cr), cold) {
 						t.Errorf("%s: carried keys differ from a cold signing", id)
 					}
 				}

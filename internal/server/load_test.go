@@ -31,6 +31,10 @@ func TestServerLoad(t *testing.T) {
 
 	transport := ts.Client().Transport.(*http.Transport).Clone()
 	transport.MaxIdleConnsPerHost = 128
+	// ts.Close closes only ts.Client()'s idle connections. This clone's hold
+	// two goroutines each until the idle timeout, and their teardown
+	// allocates under a later test's AllocsPerRun.
+	t.Cleanup(transport.CloseIdleConnections)
 	client := &http.Client{Transport: transport, Timeout: 60 * time.Second}
 
 	toks := make([]string, 0, len(tokens))

@@ -62,10 +62,12 @@ func TestResultCacheKeysMatchReference(t *testing.T) {
 		for _, root := range corpus.roots {
 			substitutions(root, func(op string, derived plan.Node, _ []signature.Subexpr) {
 				plans++
-				keys, refs := signer.Physical(derived), signature.ReferencePhysical(signer, derived)
-				here := 0
+				subs, keys := positionalKeys(t, derived, nil)
+				refs := signature.ReferencePhysical(signer, derived)
+				here, next := 0, 0
 				// check reports whether n or a node below it is a Spool, and
-				// whether a ViewScan is.
+				// whether a ViewScan is. Positions come in its order; a Spool
+				// takes none and has no key.
 				var check func(n plan.Node) (spool, view bool)
 				check = func(n plan.Node) (spool, view bool) {
 					switch n.(type) {
@@ -79,7 +81,15 @@ func TestResultCacheKeysMatchReference(t *testing.T) {
 						s, v := check(c)
 						spool, view = spool || s, view || v
 					}
-					key, has := keys[n]
+					var key signature.Sig
+					if _, isSpool := n.(*plan.Spool); !isSpool {
+						if subs[next].Node != n {
+							t.Fatalf("%s, %s substituted: position %d is a %s, not the %s walked", corpus.name, op, next, subs[next].Op, n.OpName())
+						}
+						key = keys[next]
+						next++
+					}
+					has := key != ""
 					ref, refHas := refs[n]
 					switch {
 					case !refHas:
@@ -111,8 +121,14 @@ func TestResultCacheKeysMatchReference(t *testing.T) {
 					return
 				}
 				check(derived)
-				if len(keys) != here {
-					t.Fatalf("%s, %s substituted: %d keys for %d keyed nodes", corpus.name, op, len(keys), here)
+				nonEmpty := 0
+				for _, k := range keys {
+					if k != "" {
+						nonEmpty++
+					}
+				}
+				if nonEmpty != here || next != len(subs) {
+					t.Fatalf("%s, %s substituted: %d keys for %d keyed nodes, %d positions walked of %d", corpus.name, op, nonEmpty, here, next, len(subs))
 				}
 			})
 		}

@@ -164,7 +164,7 @@ func (s *Signer) Recurring(n plan.Node) Sig { return s.top(n).Recurring }
 
 // top is the last entry of n's enumeration: n's own, or a Spool's child's.
 func (s *Signer) top(n plan.Node) Subexpr {
-	subs := s.sign(n, nil, nil)
+	subs := s.Sign(n, nil, nil)
 	return subs[len(subs)-1]
 }
 
@@ -196,15 +196,30 @@ func InputPos(subs []Subexpr, i, k int) int {
 	return c
 }
 
-// Physical computes every node's result-cache key (see Sign).
+// Physical maps every keyed node to its result-cache key (see Sign). Only
+// benchmark/probe.go reads it; it leaves with ROADMAP item 1(a).
 func (s *Signer) Physical(root plan.Node) map[plan.Node]Sig {
-	_, keys := s.Sign(root, nil)
+	keys := make(map[plan.Node]Sig, plan.CountNodes(root))
+	s.Sign(root, nil, func(n plan.Node, _ int, k Sig) { keys[n] = k })
 	return keys
 }
 
 // Subexpressions enumerates every subexpression of the plan (see Sign).
 func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
-	return s.sign(root, nil, nil)
+	return s.Sign(root, nil, nil)
+}
+
+// signed is what Sign passes from a node up to its parent.
+type signed struct {
+	strict, recur Sig
+	height, count int
+	datasets      []string
+	elig          Eligibility // propagated upward: the most specific reason
+	idx           int         // the node's entry
+	key           Sig         // "" for none
+	view          bool        // a ViewScan sits at or below the node
+	spool         bool        // a Spool sits at or below the node: it has no key
+	nondet        bool        // a non-deterministic node sits at or below the node: it has no key
 }
 
 // Sign enumerates every subexpression of the plan bottom-up (post-order), with
@@ -219,8 +234,10 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 // rewrite-stable.
 //
 // The result-cache key is the identity under which the executor stores a
-// subtree's table and accounting and replays them into another job. A node
-// with no key is absent from the map.
+// subtree's table and accounting and replays them into another job. Sign
+// hands key, when it is not nil, every keyed node with its position (its
+// entry's index; a Spool has none) and its key; a node with no key is never
+// handed over.
 //   - A node with no ViewScan or Spool at or below it is keyed by its strict
 //     signature: its subtree executes exactly the operators the signature
 //     hashes.
@@ -246,26 +263,7 @@ func (s *Signer) Subexpressions(root plan.Node) []Subexpr {
 // rendering or hashing, and its InputDatasets unless a ViewScan sits at or
 // below it; only a node on or above a ViewScan hashes its key. With prepared
 // nil every node is signed afresh, rendered into its hash's stack buffer.
-func (s *Signer) Sign(root plan.Node, prepared []Subexpr) ([]Subexpr, map[plan.Node]Sig) {
-	keys := make(map[plan.Node]Sig, plan.CountNodes(root))
-	return s.sign(root, prepared, keys), keys
-}
-
-// signed is what sign passes from a node up to its parent.
-type signed struct {
-	strict, recur Sig
-	height, count int
-	datasets      []string
-	elig          Eligibility // propagated upward: the most specific reason
-	idx           int         // the node's entry
-	key           Sig         // "" for none
-	view          bool        // a ViewScan sits at or below the node
-	spool         bool        // a Spool sits at or below the node: it has no key
-	nondet        bool        // a non-deterministic node sits at or below the node: it has no key
-}
-
-// sign is Sign, filling keys when it is not nil.
-func (s *Signer) sign(root plan.Node, prepared []Subexpr, keys map[plan.Node]Sig) []Subexpr {
+func (s *Signer) Sign(root plan.Node, prepared []Subexpr, key func(n plan.Node, pos int, k Sig)) []Subexpr {
 	out := make([]Subexpr, 0, plan.CountNodes(root))
 	var rec func(n plan.Node, at int) signed // at: n's position in prepared
 	rec = func(n plan.Node, at int) signed {
@@ -286,9 +284,9 @@ func (s *Signer) sign(root plan.Node, prepared []Subexpr, keys map[plan.Node]Sig
 				Parent:      -1,
 			})
 			r := signed{strict: Sig(x.StrictSig), recur: Sig(x.RecurringSig), height: 1, count: 1, elig: EligibleOK, idx: len(out) - 1, view: true}
-			if keys != nil {
+			if key != nil {
 				r.key = s.hash(nil, "phys-op=ViewScan", x.StrictSig)
-				keys[n] = r.key
+				key(n, r.idx, r.key)
 			}
 			return r
 		}
@@ -386,12 +384,12 @@ func (s *Signer) sign(root plan.Node, prepared []Subexpr, keys map[plan.Node]Sig
 		for _, ci := range childIdx {
 			out[ci].Parent = r.idx
 		}
-		if keys != nil && !r.spool && !r.nondet {
+		if key != nil && !r.spool && !r.nondet {
 			r.key = r.strict
 			if r.view {
 				r.key = s.hash(keyIn, "phys-op="+n.OpName(), string(r.strict))
 			}
-			keys[n] = r.key
+			key(n, r.idx, r.key)
 		}
 		return r
 	}

@@ -33,6 +33,39 @@ func bindQuery(t *testing.T, src string, params map[string]data.Value) plan.Node
 
 var signer = &signature.Signer{EngineVersion: "test-1"}
 
+// positionalKeys signs root as the engine does (Signer.Sign) and returns the
+// enumeration with each position's result-cache key, "" for none. It fails a
+// key handed over twice, an empty one, one past the enumeration, or one whose
+// node is not its position's entry's.
+func positionalKeys(t *testing.T, root plan.Node, prepared []signature.Subexpr) ([]signature.Subexpr, []signature.Sig) {
+	t.Helper()
+	keys := make([]signature.Sig, plan.CountNodes(root))
+	nodes := make([]plan.Node, len(keys))
+	subs := signer.Sign(root, prepared, func(n plan.Node, i int, k signature.Sig) {
+		if k == "" || keys[i] != "" {
+			t.Errorf("position %d: key %q handed over after %q", i, k, keys[i])
+		}
+		keys[i], nodes[i] = k, n
+	})
+	for i, n := range nodes {
+		if n != nil && (i >= len(subs) || n != subs[i].Node) {
+			t.Errorf("position %d: a %s's key, not its entry's", i, n.OpName())
+		}
+	}
+	return subs, keys[:len(subs)]
+}
+
+// keyMap is keys, positional over subs, as the map Signer.Physical returns.
+func keyMap(subs []signature.Subexpr, keys []signature.Sig) map[plan.Node]signature.Sig {
+	m := map[plan.Node]signature.Sig{}
+	for i, k := range keys {
+		if k != "" {
+			m[subs[i].Node] = k
+		}
+	}
+	return m
+}
+
 func TestStrictDeterministic(t *testing.T) {
 	src := `SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN Customer ON Sales.CustomerId = Customer.Id WHERE MktSegment = 'Asia' GROUP BY CustomerId`
 	a := bindQuery(t, src, nil)
@@ -242,20 +275,20 @@ func TestNondeterministicNodesHaveNoKey(t *testing.T) {
 		{`SELECT Name, COUNT(*) AS n FROM (PROCESS (PROCESS Customer USING "AddRowTag" DEPENDS "a") USING "StampIngestTime") AS p GROUP BY Name`, "UDO"},
 	} {
 		root := &plan.Output{Target: "out/x", Child: bindQuery(t, c.src, nil)}
-		cold, keys := signer.Sign(root, nil)
-		carried, carriedKeys := signer.Sign(root, cold)
+		cold, keys := positionalKeys(t, root, nil)
+		carried, carriedKeys := positionalKeys(t, root, cold)
 		drawn := false
 		for i, sub := range cold {
-			_, has := keys[sub.Node]
+			has := keys[i] != ""
 			if sub.Op == c.drawn && !drawn {
 				drawn = sub.Op != "UDO" || sub.Node.(*plan.UDO).Name == "StampIngestTime"
 			}
 			if has == drawn {
 				t.Errorf("%s: %s (%v) has a key = %v, want %v", c.src, sub.Op, sub.Eligibility, has, !drawn)
 			}
-			if carriedKeys[sub.Node] != keys[sub.Node] || carried[i].Eligibility != sub.Eligibility {
+			if carriedKeys[i] != keys[i] || carried[i].Eligibility != sub.Eligibility {
 				t.Errorf("%s: %s carried: key %q, eligibility %v; cold: key %q, eligibility %v",
-					c.src, sub.Op, carriedKeys[sub.Node], carried[i].Eligibility, keys[sub.Node], sub.Eligibility)
+					c.src, sub.Op, carriedKeys[i], carried[i].Eligibility, keys[i], sub.Eligibility)
 			}
 		}
 		if !drawn {
@@ -375,8 +408,8 @@ func TestSubexpressionsKnownMatchesCold(t *testing.T) {
 	substituted, spools, views := 0, 0, 0
 	for _, q := range matrixQueries {
 		substituted += substitutions(matrixRoot(t, q), func(op string, derived plan.Node, cold []signature.Subexpr) {
-			got, gotKeys := signer.Sign(derived, cold)
-			want := signer.Subexpressions(derived)
+			got, gotKeys := positionalKeys(t, derived, cold)
+			want, wantKeys := positionalKeys(t, derived, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%q, %s substituted: %d entries, want %d", q, op, len(got), len(want))
 			}
@@ -392,8 +425,12 @@ func TestSubexpressionsKnownMatchesCold(t *testing.T) {
 			}
 			// A node rebuilt above a substitution does not keep its
 			// original's key: it is hashed again.
-			if g, w := gotKeys, signer.Physical(derived); !reflect.DeepEqual(g, w) {
-				t.Errorf("%q, %s substituted: carried keys differ from a cold signing:\ncarried: %v\ncold:    %v", q, op, g, w)
+			if !reflect.DeepEqual(gotKeys, wantKeys) {
+				t.Errorf("%q, %s substituted: carried keys differ from a cold signing:\ncarried: %v\ncold:    %v", q, op, gotKeys, wantKeys)
+			}
+			// Physical, the probe's map, is the same keys by node.
+			if g, w := signer.Physical(derived), keyMap(want, wantKeys); !reflect.DeepEqual(g, w) {
+				t.Errorf("%q, %s substituted: Physical differs from the positional keys:\nPhysical: %v\nkeys:     %v", q, op, g, w)
 			}
 			// Every node's signatures are its entry's; a Spool's are its
 			// child's.
@@ -441,14 +478,14 @@ func TestConcurrentKnownSigningReadsOnly(t *testing.T) {
 	cold := signer.Subexpressions(root)
 	before := append([]signature.Subexpr(nil), cold...)
 	derived := substitute(root, cold, func(s signature.Subexpr) bool { return s.Op == "Join" }, asView)
-	wantSubs, wantKeys := signer.Subexpressions(derived), signer.Physical(derived)
+	wantSubs, wantKeys := positionalKeys(t, derived, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				got, keys := signer.Sign(derived, cold)
+				got, keys := positionalKeys(t, derived, cold)
 				if !reflect.DeepEqual(got, wantSubs) {
 					t.Errorf("carried enumeration differs from a cold signing: %+v", got)
 					return
@@ -466,15 +503,13 @@ func TestConcurrentKnownSigningReadsOnly(t *testing.T) {
 	}
 }
 
-var keyMapSink map[plan.Node]signature.Sig
-
 // TestCarriedViewPlanHashesOnlyItsKeys: signing a carried plan renders and
 // hashes nothing but the result-cache keys on and above a ViewScan, from the
 // strict signatures the walk already holds, and a carried node with no
 // ViewScan at or below it takes its entry's dataset list. It allocates one
-// string per node on or above a view, the entry slice and the key map: a
-// carried plan that reads no view, a Join over two Scans, allocates no union
-// of their datasets.
+// string per node on or above a view and the entry slice, handing the keys to
+// a caller's positional slice: a carried plan that reads no view, a Join over
+// two Scans, allocates no union of their datasets.
 func TestCarriedViewPlanHashesOnlyItsKeys(t *testing.T) {
 	viewRoot := plan.Node(&plan.Output{Target: "out/x", Child: bindQuery(t,
 		`SELECT CustomerId, AVG(Price) AS p FROM Sales JOIN (SELECT * FROM Customer WHERE MktSegment = 'Asia') AS c ON Sales.CustomerId = c.Id GROUP BY CustomerId`, nil)})
@@ -517,18 +552,16 @@ func TestCarriedViewPlanHashesOnlyItsKeys(t *testing.T) {
 		if views != c.wantViews || scans == 0 || joins != 1 {
 			t.Fatalf("%s: plan has %d ViewScans, %d Scans and %d Joins, want %d, at least 1 and 1:\n%s", c.name, views, scans, joins, c.wantViews, plan.Format(c.derived))
 		}
-		// The key map's own allocations depend on the runtime's map layout.
-		keyMap := testing.AllocsPerRun(100, func() {
-			keyMapSink = make(map[plan.Node]signature.Sig, len(nodes))
-			for _, n := range nodes {
-				keyMapSink[n] = ""
-			}
-		})
-		got := testing.AllocsPerRun(100, func() { signer.Sign(c.derived, c.prepared) })
-		want := float64(onOrAbove) + 1 + keyMap
-		t.Logf("%s: %.0f allocs signing a carried %d-node plan, %d nodes on or above a view (key map %.0f)", c.name, got, len(nodes), onOrAbove, keyMap)
+		keys := make([]signature.Sig, len(nodes))
+		key := func(_ plan.Node, i int, k signature.Sig) { keys[i] = k }
+		got := testing.AllocsPerRun(100, func() { signer.Sign(c.derived, c.prepared, key) })
+		want := float64(onOrAbove) + 1
+		t.Logf("%s: %.0f allocs signing a carried %d-node plan, %d nodes on or above a view", c.name, got, len(nodes), onOrAbove)
 		if got != want {
-			t.Errorf("%s: %.0f allocs signing a carried plan, want %.0f: %d keys, the entry slice and the key map (%.0f)", c.name, got, want, onOrAbove, keyMap)
+			t.Errorf("%s: %.0f allocs signing a carried plan, want %.0f: %d keys and the entry slice", c.name, got, want, onOrAbove)
+		}
+		if keys[len(keys)-1] == "" {
+			t.Errorf("%s: the root has no key", c.name)
 		}
 	}
 }
