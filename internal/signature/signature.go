@@ -186,8 +186,8 @@ func TagForTemplate(template Sig) Tag {
 // InputPos returns the position in subs of input k of the node at position i:
 // i-1 for its last input, and for the first of two the position before the
 // second's whole subtree (a node of two inputs counts more than one node
-// beyond its last). subs must hold exactly one entry per node, in post-order,
-// as the enumeration of a plan with no Spool and no ViewScan does.
+// beyond its last). subs is a plan's enumeration in post-order: a Spool has
+// no entry, so an input that is a Spool is found at its child's position.
 func InputPos(subs []Subexpr, i, k int) int {
 	c := i - 1
 	if k == 0 && subs[c].NodeCount < subs[i].NodeCount-1 {
