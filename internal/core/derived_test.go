@@ -370,13 +370,14 @@ OUTPUT r TO "out/r";`
 
 // recurringAllocCeiling bounds the allocations of one submission of a known
 // template after a bulk update, with a new parameter value: lookup, Derive,
-// store, compile, execute over 300 rows, record. Last measured: 41 (44 under
-// -race), Go 1.24; 51 while the job's estimates, result-cache keys and
-// record statistics were maps keyed by plan node, 53 while the plan-cache key
-// was a new string per lookup (twice here: the job's and pcEntry's). The
-// ceiling keeps 27 of margin. Parsing, binding, normalizing or enumerating
-// per job again costs several hundred more.
-const recurringAllocCeiling = 68
+// store, compile, execute over 300 rows, record. Last measured: 40 (42 under
+// -race), Go 1.24; 41 while the stage lowering built a slice of its own, 51
+// while the job's estimates, result-cache keys and record statistics were
+// maps keyed by plan node, 53 while the plan-cache key was a new string per
+// lookup (twice here: the job's and pcEntry's). The ceiling keeps 27 of
+// margin. Parsing, binding, normalizing or enumerating per job again costs
+// several hundred more.
+const recurringAllocCeiling = 67
 
 func TestRecurringRecompileAllocCeiling(t *testing.T) {
 	script := `r = SELECT Region, COUNT(*) AS n FROM Events WHERE Value > @lo GROUP BY Region;

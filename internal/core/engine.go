@@ -652,19 +652,15 @@ func (e *Engine) estimateSealDelay(run *JobRun) time.Duration {
 // across the stages in proportion to their estimated work, so executions
 // served from the result cache still yield a faithful schedule.
 func stageSpecs(cr *optimizer.CompileResult, res *exec.RunResult) []cluster.StageSpec {
-	stages := optimizer.BuildStages(cr.Plan, cr.Nodes)
-	specs := make([]cluster.StageSpec, len(stages))
+	// Work holds each stage's estimated weight until the total is known.
+	specs := optimizer.BuildStages(cr.Plan, cr.Nodes)
 	var totalWeight float64
 	spoolStages := 0
-	for i, st := range stages {
-		specs[i] = cluster.StageSpec{Width: st.Width, Deps: st.Deps, IsSpool: st.IsSpool}
+	for _, st := range specs {
 		if st.IsSpool {
 			spoolStages++
-			continue
 		}
-		// Work holds the stage's estimated weight until the total is known.
-		specs[i].Work = estimatedOpWork(st.Op, cr.Nodes[st.Pos].Est)
-		totalWeight += specs[i].Work
+		totalWeight += st.Work
 	}
 	nonSpoolWork := res.TotalWork - res.SpoolWork
 	for i := range specs {
@@ -677,22 +673,6 @@ func stageSpecs(cr *optimizer.CompileResult, res *exec.RunResult) []cluster.Stag
 		}
 	}
 	return specs
-}
-
-// opWorkPerRow mirrors the executor's per-row cost model over estimates, used
-// only for proportional work splitting.
-var opWorkPerRow = map[string]float64{
-	"Scan": 2.0e-6, "ViewScan": 2.0e-6, "Filter": 1.0e-6, "Project": 1.5e-6,
-	"Join": 4.0e-6, "Aggregate": 3.0e-6, "Union": 0.2e-6, "UDO": 8.0e-6,
-	"Sample": 0.8e-6, "Sort": 2.0e-6, "Output": 0.5e-6,
-}
-
-func estimatedOpWork(op string, est stats.Estimate) float64 {
-	perRow := opWorkPerRow[op]
-	if perRow == 0 {
-		perRow = 1.0e-6
-	}
-	return est.Rows*perRow + est.Bytes*2.0e-9 + 1e-9
 }
 
 // buildRecord assembles the repository row for a job — Start and End read

@@ -58,9 +58,9 @@ func hintInput(id string, script int, lo int64) workload.JobInput {
 // runs on one catalog generation; on the next, its Aggregate's ObservedRows
 // is the first run's RowsOut. A script that has never run reports nothing,
 // although the compile-time model estimates its Aggregate. Then both scripts
-// run concurrently, so under -race history is read at execution time while
-// other jobs record into it; every answer must equal a twin engine's,
-// whose jobs run one at a time.
+// run concurrently, so under -race each compile reads history while other
+// jobs record into it; every answer must equal a twin engine's, whose jobs
+// run one at a time.
 func TestGroupTableHintComesFromHistory(t *testing.T) {
 	engine := func() *Engine {
 		e := pcEngine(t, Config{})

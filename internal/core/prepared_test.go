@@ -234,25 +234,27 @@ func TestSharedPreparedPlanIsNeverWritten(t *testing.T) {
 }
 
 // warmAllocCeiling bounds the allocations of one warm, onboarded,
-// view-matching resubmission. Last measured: 24, Go 1.24; 29 while the job's
-// estimates, result-cache keys and record statistics were maps keyed by plan
-// node, 36 while the trace, its span slice, its event, the explain recorder,
-// its decisions and the critical-path phase map were each their own
-// allocation, 37 while the plan-cache key was a new string per lookup. The
-// ceiling keeps 4 of margin, so the 45 a job cost when result-cache keys
-// above a view rendered their attributes again goes past it.
-// It is the unit-test-cost gate on the reuse-on path: a change that re-signs
-// the final plan, copies the prepared one, re-normalizes per job or copies the
-// job's record on its way into the repository goes past it.
-const warmAllocCeiling = 28
+// view-matching resubmission. Last measured: 23, Go 1.24; 24 while the stage
+// lowering built a slice of its own beside the cluster's stage specs, 29
+// while the job's estimates, result-cache keys and record statistics were
+// maps keyed by plan node, 36 while the trace, its span slice, its event, the
+// explain recorder, its decisions and the critical-path phase map were each
+// their own allocation, 37 while the plan-cache key was a new string per
+// lookup. The ceiling keeps 4 of margin, so the 45 a job cost when
+// result-cache keys above a view rendered their attributes again goes past
+// it. It is the unit-test-cost gate on the reuse-on path: a change that
+// re-signs the final plan, copies the prepared one, re-normalizes per job or
+// copies the job's record on its way into the repository goes past it.
+const warmAllocCeiling = 27
 
 // unobservedWarmAllocCeiling bounds the same resubmission with observability
-// off, where no trace, explain recorder or metric exists. Last measured: 22,
-// Go 1.24; 27 while the job's per-node tables were maps keyed by plan node,
-// 29 while the insights.annotations event's detail was formatted
-// before the nil-trace check. The ceiling keeps 1 of margin, so formatting
-// any event's detail for a trace that is not there goes past it.
-const unobservedWarmAllocCeiling = 23
+// off, where no trace, explain recorder or metric exists. Last measured: 21,
+// Go 1.24; 22 while the stage lowering built a slice of its own, 27 while the
+// job's per-node tables were maps keyed by plan node, 29 while the
+// insights.annotations event's detail was formatted before the nil-trace
+// check. The ceiling keeps 1 of margin, so formatting any event's detail for
+// a trace that is not there goes past it.
+const unobservedWarmAllocCeiling = 22
 
 // observabilityAllocs bounds what observing the resubmission costs over not
 // observing it: the job's one record (explain.Job: trace, events and

@@ -87,7 +87,7 @@ func referenceStageSpecs(cr *optimizer.CompileResult, res *exec.RunResult) []clu
 			spoolStages++
 			continue
 		}
-		specs[i].Work = estimatedOpWork(st.op, est[st.node])
+		specs[i].Work = optimizer.EstimatedOpWork(st.op, est[st.node])
 		totalWeight += specs[i].Work
 	}
 	nonSpoolWork := res.TotalWork - res.SpoolWork

@@ -451,7 +451,7 @@ func (r nodeResult) logicalRows() int64  { return int64(float64(r.len()) * r.mul
 // RowsOut and BytesOut filled in from out, and returns out.
 func (ex *Executor) finish(st NodeStat, at int, out nodeResult) nodeResult {
 	st.RowsOut, st.BytesOut, st.Pos = out.logicalRows(), out.logicalBytes(), int32(at)
-	ex.record(st)
+	ex.res.Stats = append(ex.res.Stats, st)
 	return out
 }
 
@@ -497,8 +497,6 @@ func (ex *Executor) Run(root plan.Node) (*RunResult, error) {
 	}
 	return &ex.res, nil
 }
-
-func (ex *Executor) record(st NodeStat) { ex.res.Stats = append(ex.res.Stats, st) }
 
 // input is the position of input k of the node at position at.
 func (ex *Executor) input(at, k int) int {
@@ -640,10 +638,8 @@ func (ex *Executor) evalScan(x *plan.Scan, at int) (nodeResult, error) {
 	}
 	ds, _ := ex.Catalog.Dataset(x.Dataset)
 	out := nodeResult{table: ver.Table, mult: ds.EffectiveScale(), bytes: ver.Bytes}
-	lb, rows := out.logicalBytes(), out.logicalRows()
-	work := float64(rows)*costScanRow + float64(lb)*costReadByte
-	ex.record(NodeStat{Node: x, Pos: int32(at), RowsOut: rows, BytesOut: lb, Work: work, Read: lb})
-	return out, nil
+	lb := out.logicalBytes()
+	return ex.finish(NodeStat{Node: x, Work: ViewReadWork(out.logicalRows(), lb), Read: lb}, at, out), nil
 }
 
 func (ex *Executor) evalViewScan(x *plan.ViewScan, at int) (nodeResult, error) {
@@ -673,10 +669,8 @@ func (ex *Executor) evalViewScan(x *plan.ViewScan, at int) (nodeResult, error) {
 		return nodeResult{}, fmt.Errorf("exec: view %s unavailable", sig.Short())
 	}
 	out := produced(t, mult)
-	lb, rows := out.logicalBytes(), out.logicalRows()
-	work := float64(rows)*costScanRow + float64(lb)*costReadByte
-	ex.record(NodeStat{Node: x, Pos: int32(at), RowsOut: rows, BytesOut: lb, Work: work, Read: lb})
-	return out, nil
+	lb := out.logicalBytes()
+	return ex.finish(NodeStat{Node: x, Work: ViewReadWork(out.logicalRows(), lb), Read: lb}, at, out), nil
 }
 
 func (ex *Executor) evalFilter(x *plan.Filter, at int, accept shape) (nodeResult, error) {
@@ -1318,8 +1312,7 @@ func (ex *Executor) evalSpool(x *plan.Spool, at int) (nodeResult, error) {
 	if err != nil {
 		return nodeResult{}, err
 	}
-	lb := in.logicalBytes()
-	writeWork := float64(lb) * costWriteByte
+	writeWork := SpoolWriteWork(in.logicalBytes())
 	if ex.Views != nil && x.StrictSig != "" {
 		if ex.Faults.Enabled(fault.SpoolWrite) &&
 			ex.Faults.Should(fault.SpoolWrite, ex.JobID+"|"+x.StrictSig) {
@@ -1334,8 +1327,7 @@ func (ex *Executor) evalSpool(x *plan.Spool, at int) (nodeResult, error) {
 			return nodeResult{}, fmt.Errorf("exec: materializing view: %w", err)
 		}
 	}
-	ex.record(NodeStat{Node: x, Pos: NoPos, RowsOut: in.logicalRows(), BytesOut: lb, Work: writeWork})
-	return in, nil
+	return ex.finish(NodeStat{Node: x, Work: writeWork}, NoPos, in), nil
 }
 
 func (ex *Executor) evalOutput(x *plan.Output, at int) (nodeResult, error) {
@@ -1343,10 +1335,7 @@ func (ex *Executor) evalOutput(x *plan.Output, at int) (nodeResult, error) {
 	if err != nil {
 		return nodeResult{}, err
 	}
-	lb := in.logicalBytes()
-	work := float64(lb) * costWriteByte
-	ex.record(NodeStat{Node: x, Pos: int32(at), RowsOut: in.logicalRows(), BytesOut: lb, Work: work})
-	return in, nil
+	return ex.finish(NodeStat{Node: x, Work: float64(in.logicalBytes()) * costWriteByte}, at, in), nil
 }
 
 // log2 feeds the n·log(n) cost terms. Inputs below 2 — including 0, negative

@@ -77,16 +77,15 @@ type CompileResult struct {
 	Nodes []NodeInfo
 	// CompileLatency accumulates the simulated insights round trips.
 	CompileLatency time.Duration
-
-	history *stats.History // what the job compiled against; nil reads nothing
 }
 
 // NodeInfo is a position's estimate, runtime history's means where history
-// has seen its recurring signature, and its result-cache key, "" for none
-// (signature.Signer.Sign).
+// has seen its recurring signature (Observed), and its result-cache key, ""
+// for none (signature.Signer.Sign).
 type NodeInfo struct {
-	Est stats.Estimate
-	Key signature.Sig
+	Est      stats.Estimate
+	Observed bool
+	Key      signature.Sig
 }
 
 // Subexprs and Key serve the executor's reads by position (exec.Compiled).
@@ -94,15 +93,14 @@ func (cr *CompileResult) Subexprs() []signature.Subexpr { return cr.Subs }
 func (cr *CompileResult) Key(pos int) signature.Sig     { return cr.Nodes[pos].Key }
 
 // ObservedRows returns the mean logical rows runtime history recorded for the
-// node at position pos of the final plan, by its recurring signature. A node
+// node at position pos of the final plan, as the compile read them. A node
 // history has not seen, or one with no position (a ViewScan's fallback),
 // reports nothing; the compile-time model's estimate never answers.
 func (cr *CompileResult) ObservedRows(pos int) (float64, bool) {
-	if cr.history == nil || pos < 0 {
+	if pos < 0 || !cr.Nodes[pos].Observed {
 		return 0, false
 	}
-	sum, ok := cr.history.LookupMeans(cr.Subs[pos].Recurring)
-	return sum.AvgRows, ok && sum.Count > 0
+	return cr.Nodes[pos].Est.Rows, true
 }
 
 // CompileOptions carries the job context the controls need.
@@ -172,7 +170,7 @@ func (o *Optimizer) Compile(root plan.Node, opts CompileOptions) *CompileResult 
 
 // CompilePrepared runs the per-job half of Compile over a prepared plan.
 func (o *Optimizer) CompilePrepared(prep *Prepared, opts CompileOptions) *CompileResult {
-	res := &CompileResult{Tag: prep.Tag, history: o.History}
+	res := &CompileResult{Tag: prep.Tag}
 	// The job reads the prepared plan in place and writes none of it; it owns
 	// only the nodes it rebuilds above a substitution.
 	p := prep.Plan
@@ -428,12 +426,11 @@ func (o *Optimizer) estimateWithHistory(cr *CompileResult) {
 		for k := range in {
 			ce[k] = cr.Nodes[signature.InputPos(cr.Subs, i, k)].Est
 		}
-		est := o.Est.EstimateNode(s.Node, ce[:len(in)])
+		cr.Nodes[i].Est = o.Est.EstimateNode(s.Node, ce[:len(in)])
 		if o.History != nil {
 			if sum, found := o.History.LookupMeans(s.Recurring); found && sum.Count > 0 {
-				est = stats.Estimate{Rows: sum.AvgRows, Bytes: sum.AvgBytes}
+				cr.Nodes[i].Est, cr.Nodes[i].Observed = stats.Estimate{Rows: sum.AvgRows, Bytes: sum.AvgBytes}, true
 			}
 		}
-		cr.Nodes[i].Est = est
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cloudviews/internal/catalog"
+	"cloudviews/internal/cluster"
 	"cloudviews/internal/exec"
 	"cloudviews/internal/explain"
 	"cloudviews/internal/fixtures"
@@ -360,7 +361,7 @@ func TestStageWidthShrinksWithAccurateStats(t *testing.T) {
 
 // totalWidth is the planned container request: the paper's "containers per
 // job" driver.
-func totalWidth(stages []optimizer.Stage) int {
+func totalWidth(stages []cluster.StageSpec) int {
 	total := 0
 	for _, st := range stages {
 		total += st.Width
@@ -426,14 +427,25 @@ func TestEngineVersionBumpStopsMatching(t *testing.T) {
 }
 
 // viewWinsFromSummary recomputes viewWins' verdict outside the optimizer: the
-// history's mean work when there is one, else the summed compile-time
-// estimate.
+// history's mean work when there is one, else the compile-time estimate of
+// every node, folded into a map keyed by node, summed in plan.Walk's order.
 func viewWinsFromSummary(o *optimizer.Optimizer, n plan.Node, recurring signature.Sig, view *storage.View) (bool, float64) {
 	readCost := exec.ViewReadWork(view.Rows, view.Bytes)
 	if sum, ok := o.History.LookupMeans(recurring); ok && sum.AvgWork > 0 {
 		return readCost < sum.AvgWork, sum.AvgWork - readCost
 	}
-	est, _ := o.Est.EstimatePlan(n)
+	est := map[plan.Node]stats.Estimate{}
+	var fold func(m plan.Node) stats.Estimate
+	fold = func(m plan.Node) stats.Estimate {
+		var buf [2]plan.Node
+		var ce []stats.Estimate
+		for _, c := range plan.Inputs(m, &buf) {
+			ce = append(ce, fold(c))
+		}
+		est[m] = o.Est.EstimateNode(m, ce)
+		return est[m]
+	}
+	fold(n)
 	var total float64
 	plan.Walk(n, func(m plan.Node) { total += est[m].Rows * 4.0e-6 })
 	return readCost < total, total - readCost

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"math"
 
+	"cloudviews/internal/cluster"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/signature"
 	"cloudviews/internal/stats"
@@ -37,9 +38,7 @@ func (cr *CompileResult) JoinAlgo(pos int) plan.JoinAlgo {
 	l := cr.Nodes[signature.InputPos(cr.Subs, pos, 0)].Est
 	r := cr.Nodes[signature.InputPos(cr.Subs, pos, 1)].Est
 	switch {
-	case len(j.LeftKeys) == 0:
-		return plan.JoinLoop
-	case math.Min(l.Rows, r.Rows) <= loopJoinRows:
+	case len(j.LeftKeys) == 0, math.Min(l.Rows, r.Rows) <= loopJoinRows:
 		return plan.JoinLoop
 	case l.Rows >= mergeJoinRows && r.Rows >= mergeJoinRows:
 		return plan.JoinMerge
@@ -48,28 +47,17 @@ func (cr *CompileResult) JoinAlgo(pos int) plan.JoinAlgo {
 	}
 }
 
-// Stage is one schedulable unit of a physical plan: a single operator with a
-// planned container width. (SCOPE fuses pipelined operators into stages; one
-// operator per stage keeps the simulator simple while preserving the DAG
-// shape and width dynamics.)
-type Stage struct {
-	Pos   int // the operator's position (CompileResult.Nodes); a Spool's is its child's
-	Op    string
-	Width int
-	// Deps are positions in BuildStages' result: the stages this one reads.
-	Deps []int
-	// IsSpool marks the view-write stage that runs in parallel with the rest
-	// of the query (its latency is off the critical path; its work is not).
-	IsSpool bool
-}
-
-// BuildStages lowers a compiled plan into the stage DAG used by the cluster
-// simulator, one stage per operator in post-order. Width derives from the
+// BuildStages lowers a compiled plan into the stage DAG the cluster simulator
+// schedules, one stage per operator in post-order. (SCOPE fuses pipelined
+// operators into stages; one operator per stage keeps the simulator simple
+// while preserving the DAG shape and width dynamics.) Width derives from the
 // estimated input rows of each operator; with accurate (history or view)
 // statistics the widths shrink, reproducing the paper's container savings.
-func BuildStages(root plan.Node, nodes []NodeInfo) []Stage {
+// A stage's Work is its operator's estimated work, a weight for the engine to
+// scale to the run's measured work; a Spool's is 0.
+func BuildStages(root plan.Node, nodes []NodeInfo) []cluster.StageSpec {
 	count := plan.CountNodes(root)
-	stages := make([]Stage, 0, count)
+	stages := make([]cluster.StageSpec, 0, count)
 	// Every stage but the root's is read by exactly one other, so all Deps
 	// are cut from one array.
 	deps := make([]int, 0, count)
@@ -86,15 +74,15 @@ func BuildStages(root plan.Node, nodes []NodeInfo) []Stage {
 			ids = append(ids, rec(c))
 			inputRows += nodes[next-1].Est.Rows // c's position, the last taken
 		}
-		st := Stage{Op: n.OpName()}
+		var st cluster.StageSpec
 		if _, st.IsSpool = n.(*plan.Spool); !st.IsSpool {
+			st.Work = EstimatedOpWork(n.OpName(), nodes[next].Est)
 			next++
 		}
-		st.Pos = next - 1
 		if len(ids) == 0 {
-			inputRows = nodes[st.Pos].Est.Rows
+			inputRows = nodes[next-1].Est.Rows
 		}
-		st.Width = stageWidth(stats.Estimate{Rows: inputRows})
+		st.Width = stageWidth(inputRows)
 		if len(ids) > 0 {
 			first := len(deps)
 			deps = append(deps, ids...)
@@ -112,13 +100,24 @@ func BuildStages(root plan.Node, nodes []NodeInfo) []Stage {
 	return stages
 }
 
-func stageWidth(e stats.Estimate) int {
-	w := int(math.Ceil(e.Rows / RowsPerPartition))
-	if w < 1 {
-		w = 1
+// opWorkPerRow mirrors the executor's per-row cost model over estimates, used
+// only for proportional work splitting.
+var opWorkPerRow = map[string]float64{
+	"Scan": 2.0e-6, "ViewScan": 2.0e-6, "Filter": 1.0e-6, "Project": 1.5e-6,
+	"Join": 4.0e-6, "Aggregate": 3.0e-6, "Union": 0.2e-6, "UDO": 8.0e-6,
+	"Sample": 0.8e-6, "Sort": 2.0e-6, "Output": 0.5e-6,
+}
+
+// EstimatedOpWork is the work an operator's estimate predicts: its stage's
+// weight in BuildStages.
+func EstimatedOpWork(op string, est stats.Estimate) float64 {
+	perRow := opWorkPerRow[op]
+	if perRow == 0 {
+		perRow = 1.0e-6
 	}
-	if w > MaxStageWidth {
-		w = MaxStageWidth
-	}
-	return w
+	return est.Rows*perRow + est.Bytes*2.0e-9 + 1e-9
+}
+
+func stageWidth(rows float64) int {
+	return max(1, min(int(math.Ceil(rows/RowsPerPartition)), MaxStageWidth))
 }
